@@ -61,6 +61,7 @@ pub mod observe;
 pub mod persist;
 pub mod recorder;
 pub mod sim_driver;
+pub mod timers;
 
 pub use config::{AnalysisMode, ClusterConfig, Options};
 pub use error::CoreError;
@@ -74,6 +75,7 @@ pub use observe::{
     shared_runtime_log, LogObserver, ObserverChain, RuntimeLog, RuntimeObserver, SharedRuntimeLog,
 };
 pub use recorder::{AckRecorder, DirtyCell};
+pub use timers::TimerKind;
 
 // Re-export the placement surface so runtimes and checkers can scope
 // themselves to replica sets without a direct `stabilizer-place` dep.

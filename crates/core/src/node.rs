@@ -16,6 +16,7 @@ use crate::error::CoreError;
 use crate::frontier::{FrontierEngine, FrontierUpdate, WaitToken};
 use crate::messages::{Ack, WireMsg};
 use crate::recorder::AckRecorder;
+use crate::timers::TimerKind;
 use bytes::Bytes;
 use stabilizer_analyze::{AckEmissions, Analyzer, Report};
 use stabilizer_dsl::{
@@ -222,6 +223,54 @@ pub struct Metrics {
     /// Streams fast-forwarded out of band (snapshot jumps over an
     /// evicted prefix).
     pub transfer_fast_forwards: u64,
+}
+
+impl std::ops::AddAssign for Metrics {
+    fn add_assign(&mut self, rhs: Metrics) {
+        // Exhaustive destructuring: a new counter does not compile until
+        // it is summed here.
+        let Metrics {
+            data_msgs_sent,
+            data_bytes_sent,
+            control_msgs_sent,
+            acks_sent,
+            deliveries,
+            acks_received,
+            acks_stale,
+            retransmits,
+            predicate_evals,
+            frontier_updates,
+            transfer_requests,
+            transfer_chunks_sent,
+            transfer_bytes_sent,
+            transfer_chunks_received,
+            transfer_fast_forwards,
+        } = rhs;
+        self.data_msgs_sent += data_msgs_sent;
+        self.data_bytes_sent += data_bytes_sent;
+        self.control_msgs_sent += control_msgs_sent;
+        self.acks_sent += acks_sent;
+        self.deliveries += deliveries;
+        self.acks_received += acks_received;
+        self.acks_stale += acks_stale;
+        self.retransmits += retransmits;
+        self.predicate_evals += predicate_evals;
+        self.frontier_updates += frontier_updates;
+        self.transfer_requests += transfer_requests;
+        self.transfer_chunks_sent += transfer_chunks_sent;
+        self.transfer_bytes_sent += transfer_bytes_sent;
+        self.transfer_chunks_received += transfer_chunks_received;
+        self.transfer_fast_forwards += transfer_fast_forwards;
+    }
+}
+
+impl std::iter::Sum for Metrics {
+    fn sum<I: Iterator<Item = Metrics>>(iter: I) -> Metrics {
+        iter.fold(Metrics::default(), |mut total, m| {
+            total += m;
+            total
+        })
+    }
 }
 
 impl StabilizerNode {
@@ -1307,6 +1356,20 @@ impl StabilizerNode {
     // Timers
     // ------------------------------------------------------------------
 
+    /// A periodic timer fired: run the handler [`TimerKind`] names.
+    /// Drivers arm each kind at [`TimerKind::period`] and call this on
+    /// expiry; `now_nanos` is ignored by the kinds that do not read the
+    /// clock.
+    pub fn on_timer(&mut self, kind: TimerKind, now_nanos: u64) {
+        match kind {
+            TimerKind::AckFlush => self.on_ack_flush(),
+            TimerKind::Heartbeat => self.on_heartbeat(),
+            TimerKind::Failure => self.on_failure_check(now_nanos),
+            TimerKind::Retransmit => self.on_retransmit_check(now_nanos),
+            TimerKind::Transfer => self.on_transfer_tick(now_nanos),
+        }
+    }
+
     /// Flush coalesced ACKs (drivers call this on the
     /// `ack_flush_micros` period when coalescing is enabled).
     pub fn on_ack_flush(&mut self) {
@@ -1995,6 +2058,53 @@ mod tests {
         assert_eq!(batches.len(), 2, "one coalesced batch per peer");
         // Only the newest counter per cell is sent (monotonic overwrite).
         assert!(batches[0].iter().all(|a| a.seq == 5));
+    }
+
+    #[test]
+    fn metrics_sum_is_field_wise() {
+        let distinct = |base: u64| Metrics {
+            data_msgs_sent: base + 1,
+            data_bytes_sent: base + 2,
+            control_msgs_sent: base + 3,
+            acks_sent: base + 4,
+            deliveries: base + 5,
+            acks_received: base + 6,
+            acks_stale: base + 7,
+            retransmits: base + 8,
+            predicate_evals: base + 9,
+            frontier_updates: base + 10,
+            transfer_requests: base + 11,
+            transfer_chunks_sent: base + 12,
+            transfer_bytes_sent: base + 13,
+            transfer_chunks_received: base + 14,
+            transfer_fast_forwards: base + 15,
+        };
+        let (a, b) = (distinct(100), distinct(2000));
+        let expected = Metrics {
+            data_msgs_sent: 2102,
+            data_bytes_sent: 2104,
+            control_msgs_sent: 2106,
+            acks_sent: 2108,
+            deliveries: 2110,
+            acks_received: 2112,
+            acks_stale: 2114,
+            retransmits: 2116,
+            predicate_evals: 2118,
+            frontier_updates: 2120,
+            transfer_requests: 2122,
+            transfer_chunks_sent: 2124,
+            transfer_bytes_sent: 2126,
+            transfer_chunks_received: 2128,
+            transfer_fast_forwards: 2130,
+        };
+        let mut total = a;
+        total += b;
+        assert_eq!(total, expected);
+        assert_eq!([a, b].into_iter().sum::<Metrics>(), expected);
+        assert_eq!(
+            std::iter::empty::<Metrics>().sum::<Metrics>(),
+            Metrics::default()
+        );
     }
 
     #[test]

@@ -3,21 +3,16 @@
 //! periodic control-plane timers, and exposes application hooks plus
 //! timestamped logs that the experiment harnesses read.
 
-use crate::config::ClusterConfig;
+use crate::config::{ClusterConfig, Options};
 use crate::error::CoreError;
 use crate::frontier::{FrontierUpdate, WaitToken};
 use crate::messages::WireMsg;
 use crate::node::{Action, StabilizerNode};
+use crate::timers::{self, TimerKind};
 use bytes::Bytes;
 use stabilizer_dsl::{AckTypeRegistry, NodeId, SeqNo};
 use stabilizer_netsim::{Actor, Ctx, SimDuration, SimTime, TimerId};
 use std::sync::Arc;
-
-const TAG_ACK_FLUSH: u64 = 1;
-const TAG_HEARTBEAT: u64 = 2;
-const TAG_FAILURE: u64 = 3;
-const TAG_RETRANSMIT: u64 = 4;
-const TAG_TRANSFER: u64 = 5;
 
 /// Application callbacks invoked as the simulation runs. All methods have
 /// default empty bodies; implement only what the experiment needs.
@@ -108,25 +103,13 @@ impl<H: AppHooks> SimNode<H> {
     ///
     /// Panics if `scale` is not positive and finite.
     pub fn set_timer_scale(&mut self, scale: f64) {
-        assert!(
-            scale.is_finite() && scale > 0.0,
-            "timer scale must be positive and finite"
-        );
+        timers::assert_valid_scale(scale);
         self.timer_scale = scale;
     }
 
     /// The current timer-interval multiplier (1.0 = nominal).
     pub fn timer_scale(&self) -> f64 {
         self.timer_scale
-    }
-
-    /// A nominal interval stretched by the current clock skew (never
-    /// rounds below 1 ns, so timers keep firing under extreme factors).
-    fn scaled(&self, d: SimDuration) -> SimDuration {
-        if self.timer_scale == 1.0 {
-            return d;
-        }
-        SimDuration::from_nanos(((d.as_nanos() as f64 * self.timer_scale) as u64).max(1))
     }
 
     /// Disable the delivery log (for multi-hundred-thousand-message runs
@@ -233,6 +216,11 @@ impl<H: AppHooks> SimNode<H> {
         self.process_actions(ctx, actions);
     }
 
+    /// Arm `kind` one (skewed) period from now, if it is configured.
+    fn arm(&self, ctx: &mut Ctx<'_, WireMsg>, kind: TimerKind) {
+        arm_timer(ctx, kind, self.node.config().options(), self.timer_scale);
+    }
+
     /// Execute a batch of externally drained [`Action`]s through this
     /// driver's bookkeeping (sends, hooks, logs). Application layers that
     /// need to observe actions before the driver consumes them — e.g. the
@@ -304,38 +292,8 @@ impl<H: AppHooks> Actor for SimNode<H> {
     type Msg = WireMsg;
 
     fn on_start(&mut self, ctx: &mut Ctx<'_, WireMsg>) {
-        let opts = self.node.config().options().clone();
-        if opts.ack_flush_micros > 0 {
-            ctx.set_timer(
-                self.scaled(SimDuration::from_micros(opts.ack_flush_micros)),
-                TAG_ACK_FLUSH,
-            );
-        }
-        if opts.heartbeat_millis > 0 {
-            ctx.set_timer(
-                self.scaled(SimDuration::from_millis(opts.heartbeat_millis)),
-                TAG_HEARTBEAT,
-            );
-        }
-        if opts.failure_timeout_millis > 0 {
-            ctx.set_timer(
-                self.scaled(SimDuration::from_millis(opts.failure_timeout_millis / 2)),
-                TAG_FAILURE,
-            );
-        }
-        if opts.retransmit_millis > 0 {
-            ctx.set_timer(
-                self.scaled(SimDuration::from_millis(
-                    (opts.retransmit_millis / 2).max(1),
-                )),
-                TAG_RETRANSMIT,
-            );
-        }
-        if opts.transfer_millis > 0 {
-            ctx.set_timer(
-                self.scaled(SimDuration::from_millis((opts.transfer_millis / 2).max(1))),
-                TAG_TRANSFER,
-            );
+        for kind in TimerKind::ALL {
+            self.arm(ctx, kind);
         }
         // Actions queued before the actor entered the event loop (e.g. a
         // restarted node's `begin_catch_up` requests) go out now.
@@ -349,50 +307,24 @@ impl<H: AppHooks> Actor for SimNode<H> {
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_, WireMsg>, _timer: TimerId, tag: u64) {
-        let opts = self.node.config().options().clone();
-        match tag {
-            TAG_ACK_FLUSH => {
-                self.node.on_ack_flush();
-                ctx.set_timer(
-                    self.scaled(SimDuration::from_micros(opts.ack_flush_micros.max(1))),
-                    TAG_ACK_FLUSH,
-                );
-            }
-            TAG_HEARTBEAT => {
-                self.node.on_heartbeat();
-                ctx.set_timer(
-                    self.scaled(SimDuration::from_millis(opts.heartbeat_millis.max(1))),
-                    TAG_HEARTBEAT,
-                );
-            }
-            TAG_FAILURE => {
-                self.node.on_failure_check(ctx.now().as_nanos());
-                ctx.set_timer(
-                    self.scaled(SimDuration::from_millis(
-                        (opts.failure_timeout_millis / 2).max(1),
-                    )),
-                    TAG_FAILURE,
-                );
-            }
-            TAG_RETRANSMIT => {
-                self.node.on_retransmit_check(ctx.now().as_nanos());
-                ctx.set_timer(
-                    self.scaled(SimDuration::from_millis(
-                        (opts.retransmit_millis / 2).max(1),
-                    )),
-                    TAG_RETRANSMIT,
-                );
-            }
-            TAG_TRANSFER => {
-                self.node.on_transfer_tick(ctx.now().as_nanos());
-                ctx.set_timer(
-                    self.scaled(SimDuration::from_millis((opts.transfer_millis / 2).max(1))),
-                    TAG_TRANSFER,
-                );
-            }
-            _ => {}
+        if let Some(kind) = TimerKind::from_tag(tag) {
+            self.node.on_timer(kind, ctx.now().as_nanos());
+            self.arm(ctx, kind);
         }
         self.drain(ctx);
+    }
+}
+
+/// Arm simulator timer `kind` one period from now — stretched by the
+/// clock-skew `scale` — under `kind`'s tag; a no-op when `opts` leaves
+/// the kind off. Every simulator actor that drives a node arms and
+/// re-arms through this.
+pub fn arm_timer<M>(ctx: &mut Ctx<'_, M>, kind: TimerKind, opts: &Options, scale: f64) {
+    if let Some(period) = kind.scaled_period(opts, scale) {
+        ctx.set_timer(
+            SimDuration::from_nanos(period.as_nanos() as u64),
+            kind.tag(),
+        );
     }
 }
 

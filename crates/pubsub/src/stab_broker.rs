@@ -9,13 +9,16 @@
 //! the corresponding message send times").
 
 use bytes::Bytes;
-use stabilizer_core::{Action, ClusterConfig, CoreError, NodeId, SeqNo, StabilizerNode, WireMsg};
+use stabilizer_core::sim_driver::arm_timer;
+use stabilizer_core::{
+    Action, ClusterConfig, CoreError, NodeId, SeqNo, StabilizerNode, TimerKind, WireMsg,
+};
 use stabilizer_dsl::AckTypeRegistry;
 use stabilizer_netsim::{Actor, Ctx, NetTopology, SimDuration, SimTime, Simulation, TimerId};
 use std::sync::Arc;
 
 const TAG_PUBLISH: u64 = 10;
-const TAG_RETRANSMIT: u64 = 11;
+const TAG_RETRANSMIT: u64 = TimerKind::Retransmit.tag();
 
 /// A paced publishing workload: `count` messages of `size` bytes at
 /// `interval` spacing.
@@ -181,6 +184,15 @@ impl StabBroker {
         }
     }
 
+    fn arm_retransmit(&self, ctx: &mut Ctx<'_, WireMsg>) {
+        arm_timer(
+            ctx,
+            TimerKind::Retransmit,
+            self.node.config().options(),
+            1.0,
+        );
+    }
+
     fn drain(&mut self, ctx: &mut Ctx<'_, WireMsg>) {
         let me = self.node.me().0 as usize;
         for action in self.node.take_actions() {
@@ -230,13 +242,7 @@ impl Actor for StabBroker {
         // needed a retransmission driver; with `retransmit_millis`
         // configured (e.g. under injected loss) pump the reliability
         // check like the core `SimNode` driver does.
-        let retransmit = self.node.config().options().retransmit_millis;
-        if retransmit > 0 {
-            ctx.set_timer(
-                SimDuration::from_millis((retransmit / 2).max(1)),
-                TAG_RETRANSMIT,
-            );
-        }
+        self.arm_retransmit(ctx);
     }
 
     fn on_message(&mut self, ctx: &mut Ctx<'_, WireMsg>, from: usize, msg: WireMsg) {
@@ -249,13 +255,10 @@ impl Actor for StabBroker {
         match tag {
             TAG_PUBLISH => self.publish_next(ctx),
             TAG_RETRANSMIT => {
-                self.node.on_retransmit_check(ctx.now().as_nanos());
+                self.node
+                    .on_timer(TimerKind::Retransmit, ctx.now().as_nanos());
                 self.drain(ctx);
-                let retransmit = self.node.config().options().retransmit_millis;
-                ctx.set_timer(
-                    SimDuration::from_millis((retransmit / 2).max(1)),
-                    TAG_RETRANSMIT,
-                );
+                self.arm_retransmit(ctx);
             }
             _ => {}
         }

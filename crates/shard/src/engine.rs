@@ -20,7 +20,7 @@ use crate::router::{RoutePolicy, ShardRouter};
 use bytes::Bytes;
 use stabilizer_core::{
     AckTypeId, Action, ClusterConfig, CoreError, FrontierUpdate, Metrics, NodeId, SeqNo,
-    StabilizerNode, WaitToken, WireMsg,
+    StabilizerNode, TimerKind, WaitToken, WireMsg,
 };
 use stabilizer_dsl::AckTypeRegistry;
 use std::sync::Arc;
@@ -396,42 +396,12 @@ impl ShardedEngine {
     // Timers and membership
     // ------------------------------------------------------------------
 
-    /// Flush coalesced ACKs on every shard.
-    pub fn on_ack_flush(&mut self) {
+    /// A periodic timer fired: run `kind`'s handler on every shard
+    /// (drivers arm each kind once per node, at
+    /// [`TimerKind::period`] of [`ShardedEngine::config`]).
+    pub fn on_timer(&mut self, kind: TimerKind, now_nanos: u64) {
         for shard in &mut self.shards {
-            shard.on_ack_flush();
-        }
-        self.drain_all_shards();
-    }
-
-    /// Heartbeat on every shard sub-stream.
-    pub fn on_heartbeat(&mut self) {
-        for shard in &mut self.shards {
-            shard.on_heartbeat();
-        }
-        self.drain_all_shards();
-    }
-
-    /// Failure detection on every shard.
-    pub fn on_failure_check(&mut self, now_nanos: u64) {
-        for shard in &mut self.shards {
-            shard.on_failure_check(now_nanos);
-        }
-        self.drain_all_shards();
-    }
-
-    /// Retransmission timeout check on every shard.
-    pub fn on_retransmit_check(&mut self, now_nanos: u64) {
-        for shard in &mut self.shards {
-            shard.on_retransmit_check(now_nanos);
-        }
-        self.drain_all_shards();
-    }
-
-    /// State-transfer progress check on every shard (§III-E).
-    pub fn on_transfer_tick(&mut self, now_nanos: u64) {
-        for shard in &mut self.shards {
-            shard.on_transfer_tick(now_nanos);
+            shard.on_timer(kind, now_nanos);
         }
         self.drain_all_shards();
     }
@@ -488,26 +458,7 @@ impl ShardedEngine {
     /// Traffic counters summed across shards. `data_bytes_sent` includes
     /// the 8-byte global header each sharded payload carries.
     pub fn metrics(&self) -> Metrics {
-        let mut total = Metrics::default();
-        for shard in &self.shards {
-            let m = shard.metrics();
-            total.data_msgs_sent += m.data_msgs_sent;
-            total.data_bytes_sent += m.data_bytes_sent;
-            total.control_msgs_sent += m.control_msgs_sent;
-            total.acks_sent += m.acks_sent;
-            total.deliveries += m.deliveries;
-            total.acks_received += m.acks_received;
-            total.acks_stale += m.acks_stale;
-            total.retransmits += m.retransmits;
-            total.predicate_evals += m.predicate_evals;
-            total.frontier_updates += m.frontier_updates;
-            total.transfer_requests += m.transfer_requests;
-            total.transfer_chunks_sent += m.transfer_chunks_sent;
-            total.transfer_bytes_sent += m.transfer_bytes_sent;
-            total.transfer_chunks_received += m.transfer_chunks_received;
-            total.transfer_fast_forwards += m.transfer_fast_forwards;
-        }
-        total
+        self.shards.iter().map(StabilizerNode::metrics).sum()
     }
 
     /// One shard's own traffic counters.

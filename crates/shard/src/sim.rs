@@ -1,7 +1,8 @@
 //! Deterministic-simulator driver for the sharded engine.
 //!
-//! Mirrors `stabilizer_core::sim_driver::SimNode` one-for-one (same timer
-//! tags, same re-arm cadence, same log shapes) so sharded scenarios slot
+//! Mirrors `stabilizer_core::sim_driver::SimNode` one-for-one (the same
+//! timer table — `stabilizer_core::timers` — and the same log shapes) so
+//! sharded scenarios slot
 //! into the existing experiment and chaos harnesses. All shard
 //! sub-streams share one simulated link per node pair: a [`ShardMsg`]
 //! envelope carries the shard index plus the inner wire message, and the
@@ -11,17 +12,12 @@
 use crate::engine::{ShardedAction, ShardedEngine};
 use crate::router::RoutePolicy;
 use bytes::Bytes;
-use stabilizer_core::sim_driver::{AppHooks, NoHooks};
+use stabilizer_core::sim_driver::{arm_timer, AppHooks, NoHooks};
+use stabilizer_core::timers::{self, TimerKind};
 use stabilizer_core::{ClusterConfig, CoreError, FrontierUpdate, WaitToken, WireMsg};
 use stabilizer_dsl::{AckTypeId, AckTypeRegistry, NodeId, SeqNo};
-use stabilizer_netsim::{Actor, Ctx, MsgSize, SimDuration, SimTime, TimerId};
+use stabilizer_netsim::{Actor, Ctx, MsgSize, SimTime, TimerId};
 use std::sync::Arc;
-
-const TAG_ACK_FLUSH: u64 = 1;
-const TAG_HEARTBEAT: u64 = 2;
-const TAG_FAILURE: u64 = 3;
-const TAG_RETRANSMIT: u64 = 4;
-const TAG_TRANSFER: u64 = 5;
 
 /// Wire envelope multiplexing shard sub-streams over one simulated link.
 #[derive(Debug, Clone)]
@@ -66,6 +62,9 @@ pub struct ShardedSimNode<H: AppHooks = NoHooks> {
     /// space), before global reassembly.
     pub shard_delivery_logs: Vec<Vec<(SimTime, NodeId, SeqNo, usize)>>,
     record_deliveries: bool,
+    /// Multiplier on every timer interval (clock-skew fault injection;
+    /// 1.0 = nominal cadence), applied at each re-arm.
+    timer_scale: f64,
 }
 
 impl<H: AppHooks> ShardedSimNode<H> {
@@ -84,7 +83,25 @@ impl<H: AppHooks> ShardedSimNode<H> {
             shard_frontier_logs: vec![Vec::new(); shards],
             shard_delivery_logs: vec![Vec::new(); shards],
             record_deliveries: true,
+            timer_scale: 1.0,
         }
+    }
+
+    /// Scale every timer interval by `scale` — a skewed local clock,
+    /// exactly as [`SimNode::set_timer_scale`](stabilizer_core::sim_driver::SimNode::set_timer_scale).
+    /// Takes effect at each timer's next re-arm.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `scale` is not positive and finite.
+    pub fn set_timer_scale(&mut self, scale: f64) {
+        timers::assert_valid_scale(scale);
+        self.timer_scale = scale;
+    }
+
+    /// The current timer-interval multiplier (1.0 = nominal).
+    pub fn timer_scale(&self) -> f64 {
+        self.timer_scale
     }
 
     /// Disable the delivery logs (node-level and per-shard) for
@@ -190,6 +207,11 @@ impl<H: AppHooks> ShardedSimNode<H> {
         self.process_actions(ctx, actions);
     }
 
+    /// Arm `kind` one (skewed) period from now, if it is configured.
+    fn arm(&self, ctx: &mut Ctx<'_, ShardMsg>, kind: TimerKind) {
+        arm_timer(ctx, kind, self.engine.config().options(), self.timer_scale);
+    }
+
     /// Execute a batch of externally drained [`ShardedAction`]s through
     /// this driver's bookkeeping (sends, hooks, logs).
     pub fn process_actions(&mut self, ctx: &mut Ctx<'_, ShardMsg>, actions: Vec<ShardedAction>) {
@@ -256,36 +278,8 @@ impl<H: AppHooks> Actor for ShardedSimNode<H> {
     type Msg = ShardMsg;
 
     fn on_start(&mut self, ctx: &mut Ctx<'_, ShardMsg>) {
-        let opts = self.engine.config().options().clone();
-        if opts.ack_flush_micros > 0 {
-            ctx.set_timer(
-                SimDuration::from_micros(opts.ack_flush_micros),
-                TAG_ACK_FLUSH,
-            );
-        }
-        if opts.heartbeat_millis > 0 {
-            ctx.set_timer(
-                SimDuration::from_millis(opts.heartbeat_millis),
-                TAG_HEARTBEAT,
-            );
-        }
-        if opts.failure_timeout_millis > 0 {
-            ctx.set_timer(
-                SimDuration::from_millis(opts.failure_timeout_millis / 2),
-                TAG_FAILURE,
-            );
-        }
-        if opts.retransmit_millis > 0 {
-            ctx.set_timer(
-                SimDuration::from_millis((opts.retransmit_millis / 2).max(1)),
-                TAG_RETRANSMIT,
-            );
-        }
-        if opts.transfer_millis > 0 {
-            ctx.set_timer(
-                SimDuration::from_millis((opts.transfer_millis / 2).max(1)),
-                TAG_TRANSFER,
-            );
+        for kind in TimerKind::ALL {
+            self.arm(ctx, kind);
         }
         // A restarted engine may have queued catch-up requests during
         // construction; flush them now that the context exists.
@@ -306,44 +300,9 @@ impl<H: AppHooks> Actor for ShardedSimNode<H> {
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_, ShardMsg>, _timer: TimerId, tag: u64) {
-        let opts = self.engine.config().options().clone();
-        match tag {
-            TAG_ACK_FLUSH => {
-                self.engine.on_ack_flush();
-                ctx.set_timer(
-                    SimDuration::from_micros(opts.ack_flush_micros.max(1)),
-                    TAG_ACK_FLUSH,
-                );
-            }
-            TAG_HEARTBEAT => {
-                self.engine.on_heartbeat();
-                ctx.set_timer(
-                    SimDuration::from_millis(opts.heartbeat_millis.max(1)),
-                    TAG_HEARTBEAT,
-                );
-            }
-            TAG_FAILURE => {
-                self.engine.on_failure_check(ctx.now().as_nanos());
-                ctx.set_timer(
-                    SimDuration::from_millis((opts.failure_timeout_millis / 2).max(1)),
-                    TAG_FAILURE,
-                );
-            }
-            TAG_RETRANSMIT => {
-                self.engine.on_retransmit_check(ctx.now().as_nanos());
-                ctx.set_timer(
-                    SimDuration::from_millis((opts.retransmit_millis / 2).max(1)),
-                    TAG_RETRANSMIT,
-                );
-            }
-            TAG_TRANSFER => {
-                self.engine.on_transfer_tick(ctx.now().as_nanos());
-                ctx.set_timer(
-                    SimDuration::from_millis((opts.transfer_millis / 2).max(1)),
-                    TAG_TRANSFER,
-                );
-            }
-            _ => {}
+        if let Some(kind) = TimerKind::from_tag(tag) {
+            self.engine.on_timer(kind, ctx.now().as_nanos());
+            self.arm(ctx, kind);
         }
         self.drain(ctx);
     }

@@ -98,6 +98,38 @@ fn sharded_end_to_end_reaches_full_stability() {
     assert_eq!(origin.send_buffer_bytes(), 0);
 }
 
+/// Heartbeats that crossed each direction of a 2-node cluster's one link
+/// in a second of virtual time, node 0's clock skewed by `skew`.
+fn heartbeats_under_skew<A: stabilizer_netsim::Actor>(
+    mut sim: stabilizer_netsim::Simulation<A>,
+    skew: impl FnOnce(&mut A),
+) -> (u64, u64) {
+    skew(sim.actor_mut(0));
+    sim.run_for(SimDuration::from_secs(1));
+    (sim.link_stats(0, 1).messages, sim.link_stats(1, 0).messages)
+}
+
+#[test]
+fn clock_skew_halves_the_heartbeat_cadence_a_peer_sees() {
+    let cfg = |shards: u16| {
+        ClusterConfig::parse(&format!(
+            "az A a b\noption heartbeat_millis 10\noption shards {shards}\n"
+        ))
+        .unwrap()
+    };
+    // Idle nodes send nothing but heartbeats, one per shard sub-stream
+    // per period: node 1 ticks every 10 ms, node 0 (scale 2.0) every 20.
+    let plain = stabilizer_core::sim_driver::build_cluster(&cfg(1), mesh(2), 3).unwrap();
+    let (skewed, nominal) = heartbeats_under_skew(plain, |n| n.set_timer_scale(2.0));
+    assert!((99..=100).contains(&nominal), "plain nominal {nominal}");
+    assert!((49..=50).contains(&skewed), "plain skewed {skewed}");
+
+    let sharded = build_sharded_cluster(&cfg(2), mesh(2), 3, RoutePolicy::RoundRobin).unwrap();
+    let (skewed, nominal) = heartbeats_under_skew(sharded, |n| n.set_timer_scale(2.0));
+    assert!((198..=200).contains(&nominal), "sharded nominal {nominal}");
+    assert!((98..=100).contains(&skewed), "sharded skewed {skewed}");
+}
+
 #[test]
 fn sharded_placement_scopes_streams_to_replicas() {
     // Six nodes; stream a lives on {a, b, c} only. The sharded engine

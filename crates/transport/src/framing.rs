@@ -1,9 +1,11 @@
 //! Length-prefixed framing over TCP streams.
 //!
-//! Frame layout: `u32` little-endian payload length, then the encoded
-//! [`WireMsg`]. The first frame on every outbound connection is a hello
-//! carrying the sender's node id, so the accepting side can demultiplex
-//! peers without configuration-order coupling.
+//! Frame layout: `u32` little-endian length, then the [`Lane`] (nothing
+//! on the plain runtime, a `u16` shard index on the sharded one), then
+//! the encoded [`WireMsg`]; the length covers lane and message. The
+//! first frame on every outbound connection is a hello carrying the
+//! sender's node id, so the accepting side can demultiplex peers without
+//! configuration-order coupling.
 
 use stabilizer_core::{CoreError, WireMsg};
 use std::io::{Read, Write};
@@ -12,23 +14,63 @@ use std::io::{Read, Write};
 /// 64 KiB-capped data message; this guards against corrupt prefixes).
 pub const MAX_FRAME: u32 = 16 * 1024 * 1024;
 
-/// Write one frame, returning the number of bytes put on the wire
-/// (length prefix included) so the transport can account traffic.
+/// The demultiplexing tag between a frame's length prefix and its body.
+///
+/// Two lanes exist: `()` — no tag, the plain runtime's `[len][body]`
+/// frame — and `u16` — the sharded runtime's `[len][shard][body]` frame,
+/// shard index little-endian and counted by `len`.
+pub trait Lane: Copy + Eq + Send + 'static {
+    /// The lane every connection's first frame, the hello, travels on.
+    const HELLO: Self;
+    /// Append this lane's wire bytes to a frame head.
+    fn put(self, head: &mut Vec<u8>);
+    /// Split a frame body into its lane and the encoded message; `None`
+    /// when the body is too short to carry a lane.
+    fn split(body: &[u8]) -> Option<(Self, &[u8])>;
+}
+
+impl Lane for () {
+    const HELLO: Self = ();
+    fn put(self, _head: &mut Vec<u8>) {}
+    fn split(body: &[u8]) -> Option<(Self, &[u8])> {
+        Some(((), body))
+    }
+}
+
+impl Lane for u16 {
+    /// Sentinel shard index: no real shard can have it.
+    const HELLO: Self = u16::MAX;
+    fn put(self, head: &mut Vec<u8>) {
+        head.extend_from_slice(&self.to_le_bytes());
+    }
+    fn split(body: &[u8]) -> Option<(Self, &[u8])> {
+        let (lane, rest) = body.split_first_chunk::<2>()?;
+        Some((u16::from_le_bytes(*lane), rest))
+    }
+}
+
+/// Write one frame on `lane`, returning the number of bytes put on the
+/// wire (length prefix included) so the transport can account traffic.
 ///
 /// Data payloads are written straight from their shared buffer: only the
-/// length prefix and the 15-byte message header are materialized, so a
-/// payload fanned out to N peers is **not** copied into N contiguous
-/// scratch buffers first. Pair with a buffered writer to keep the
-/// prefix+payload pair in one TCP segment for small messages.
+/// length prefix, the lane and the 15-byte message header are
+/// materialized, so a payload fanned out to N peers is **not** copied
+/// into N contiguous scratch buffers first. Pair with a buffered writer
+/// to keep the prefix+payload pair in one TCP segment for small messages.
 ///
 /// # Errors
 ///
 /// Propagates I/O errors from the underlying writer.
-pub fn write_frame<W: Write>(w: &mut W, msg: &WireMsg) -> std::io::Result<usize> {
-    // Reserve the length prefix, encode the body prefix after it, then
-    // patch the real length in — one small buffer, no payload bytes.
-    let mut head = Vec::with_capacity(4 + 32);
+pub fn write_lane_frame<L: Lane, W: Write>(
+    w: &mut W,
+    lane: L,
+    msg: &WireMsg,
+) -> std::io::Result<usize> {
+    // Reserve the length prefix, encode lane and body prefix after it,
+    // then patch the real length in — one small buffer, no payload bytes.
+    let mut head = Vec::with_capacity(4 + 2 + 32);
     head.extend_from_slice(&[0u8; 4]);
+    lane.put(&mut head);
     let payload = msg.encode_prefix(&mut head);
     let body_len = head.len() - 4 + payload.map_or(0, bytes::Bytes::len);
     head[..4].copy_from_slice(&(body_len as u32).to_le_bytes());
@@ -39,39 +81,17 @@ pub fn write_frame<W: Write>(w: &mut W, msg: &WireMsg) -> std::io::Result<usize>
     Ok(4 + body_len)
 }
 
-/// Sentinel shard index marking a hello frame on sharded connections.
-pub const HELLO_SHARD: u16 = u16::MAX;
-
-/// Write one **sharded** frame: `u32` little-endian length (covering the
-/// shard index and the body), then the `u16` little-endian shard index,
-/// then the encoded message. Returns bytes put on the wire.
+/// Read one frame; `Ok(None)` on clean EOF at a frame boundary. Returns
+/// `(lane, message, wire_bytes)`, the length prefix counted.
 ///
 /// # Errors
 ///
-/// Propagates I/O errors from the underlying writer.
-pub fn write_shard_frame<W: Write>(w: &mut W, shard: u16, msg: &WireMsg) -> std::io::Result<usize> {
-    let mut head = Vec::with_capacity(6 + 32);
-    head.extend_from_slice(&[0u8; 4]);
-    head.extend_from_slice(&shard.to_le_bytes());
-    let payload = msg.encode_prefix(&mut head);
-    let body_len = head.len() - 4 + payload.map_or(0, bytes::Bytes::len);
-    head[..4].copy_from_slice(&(body_len as u32).to_le_bytes());
-    w.write_all(&head)?;
-    if let Some(p) = payload {
-        w.write_all(p)?;
-    }
-    Ok(4 + body_len)
-}
-
-/// Read one sharded frame; `Ok(None)` on clean EOF at a frame boundary.
-/// Returns `(shard, message, wire_bytes)`.
-///
-/// # Errors
-///
-/// I/O errors, oversized or undersized frames, or undecodable bodies.
-pub fn read_shard_frame_counted<R: Read>(
+/// I/O errors, oversized frames, bodies too short for the lane, or
+/// undecodable bodies.
+pub fn read_lane_frame<L: Lane, R: Read>(
     r: &mut R,
-) -> std::io::Result<Option<(u16, WireMsg, usize)>> {
+) -> std::io::Result<Option<(L, WireMsg, usize)>> {
+    let invalid = |why: String| std::io::Error::new(std::io::ErrorKind::InvalidData, why);
     let mut len_buf = [0u8; 4];
     match r.read_exact(&mut len_buf) {
         Ok(()) => {}
@@ -80,27 +100,26 @@ pub fn read_shard_frame_counted<R: Read>(
     }
     let len = u32::from_le_bytes(len_buf);
     if len > MAX_FRAME {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
-            format!("frame of {len} bytes exceeds limit"),
-        ));
-    }
-    if len < 2 {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
-            "sharded frame lacks shard index",
-        ));
+        return Err(invalid(format!("frame of {len} bytes exceeds limit")));
     }
     let mut body = vec![0u8; len as usize];
     r.read_exact(&mut body)?;
-    let shard = u16::from_le_bytes(body[..2].try_into().unwrap());
-    let msg = WireMsg::decode(&body[2..]).map_err(|e: CoreError| {
-        std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string())
-    })?;
-    Ok(Some((shard, msg, 4 + len as usize)))
+    let (lane, encoded) =
+        L::split(&body).ok_or_else(|| invalid("frame lacks its lane index".to_owned()))?;
+    let msg = WireMsg::decode(encoded).map_err(|e: CoreError| invalid(e.to_string()))?;
+    Ok(Some((lane, msg, 4 + len as usize)))
 }
 
-/// Read one frame; `Ok(None)` on clean EOF at a frame boundary.
+/// Write one plain (`()`-lane) frame; see [`write_lane_frame`].
+///
+/// # Errors
+///
+/// Propagates I/O errors from the underlying writer.
+pub fn write_frame<W: Write>(w: &mut W, msg: &WireMsg) -> std::io::Result<usize> {
+    write_lane_frame(w, (), msg)
+}
+
+/// Read one plain frame; `Ok(None)` on clean EOF at a frame boundary.
 ///
 /// # Errors
 ///
@@ -116,25 +135,7 @@ pub fn read_frame<R: Read>(r: &mut R) -> std::io::Result<Option<WireMsg>> {
 ///
 /// I/O errors, oversized frames, or undecodable bodies.
 pub fn read_frame_counted<R: Read>(r: &mut R) -> std::io::Result<Option<(WireMsg, usize)>> {
-    let mut len_buf = [0u8; 4];
-    match r.read_exact(&mut len_buf) {
-        Ok(()) => {}
-        Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => return Ok(None),
-        Err(e) => return Err(e),
-    }
-    let len = u32::from_le_bytes(len_buf);
-    if len > MAX_FRAME {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
-            format!("frame of {len} bytes exceeds limit"),
-        ));
-    }
-    let mut body = vec![0u8; len as usize];
-    r.read_exact(&mut body)?;
-    let msg = WireMsg::decode(&body).map_err(|e: CoreError| {
-        std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string())
-    })?;
-    Ok(Some((msg, 4 + len as usize)))
+    Ok(read_lane_frame::<(), R>(r)?.map(|((), msg, wire_len)| (msg, wire_len)))
 }
 
 /// Encode a hello frame announcing `node_id` (a zero-length `Data`
@@ -233,21 +234,21 @@ mod tests {
                     payload: Bytes::from_static(b"payload"),
                 },
             ),
-            (HELLO_SHARD, hello(4)),
+            (<u16 as Lane>::HELLO, hello(4)),
         ];
         let mut buf = Vec::new();
         let mut sizes = Vec::new();
         for (shard, m) in &msgs {
-            sizes.push(write_shard_frame(&mut buf, *shard, m).unwrap());
+            sizes.push(write_lane_frame(&mut buf, *shard, m).unwrap());
         }
         let mut cur = Cursor::new(buf);
         for ((shard, m), wrote) in msgs.iter().zip(sizes) {
-            let (s, got, read) = read_shard_frame_counted(&mut cur).unwrap().unwrap();
+            let (s, got, read) = read_lane_frame::<u16, _>(&mut cur).unwrap().unwrap();
             assert_eq!(s, *shard);
             assert_eq!(&got, m);
             assert_eq!(read, wrote);
         }
-        assert!(read_shard_frame_counted(&mut cur).unwrap().is_none());
+        assert!(read_lane_frame::<u16, _>(&mut cur).unwrap().is_none());
     }
 
     #[test]
@@ -255,7 +256,7 @@ mod tests {
         let mut buf = Vec::new();
         buf.extend_from_slice(&1u32.to_le_bytes());
         buf.push(0);
-        assert!(read_shard_frame_counted(&mut Cursor::new(buf)).is_err());
+        assert!(read_lane_frame::<u16, _>(&mut Cursor::new(buf)).is_err());
     }
 
     #[test]

@@ -12,10 +12,7 @@ use std::ops::Deref;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Callback invoked on every frontier advance of a watched predicate.
-pub type MonitorFn = Box<dyn FnMut(&FrontierUpdate) + Send>;
-/// Callback invoked when a mirrored payload is delivered.
-pub type DeliverFn = Box<dyn FnMut(NodeId, SeqNo, &Bytes) + Send>;
+pub use crate::upcalls::{DeliverFn, MonitorFn};
 
 /// Handle to a node running on the threaded TCP runtime.
 ///
@@ -105,18 +102,7 @@ impl NodeHandle {
         let token = self
             .shared
             .with_node(|node| node.waitfor(stream, key, seq))?;
-        let deadline = Instant::now() + timeout;
-        let mut done = self.shared.completed.lock();
-        loop {
-            if done.remove(&token) {
-                return Ok(true);
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return Ok(false);
-            }
-            self.shared.completed_cv.wait_for(&mut done, deadline - now);
-        }
+        Ok(self.shared.upcalls.wait(token, timeout))
     }
 
     /// Register `lambda` to run on every frontier advance of
@@ -128,16 +114,13 @@ impl NodeHandle {
         lambda: impl FnMut(&FrontierUpdate) + Send + 'static,
     ) {
         self.shared
-            .monitors
-            .lock()
-            .entry((stream, key.to_owned()))
-            .or_default()
-            .push(Box::new(lambda));
+            .upcalls
+            .add_monitor(stream, key, Box::new(lambda));
     }
 
     /// Register a delivery upcall for mirrored data.
     pub fn on_deliver(&self, f: impl FnMut(NodeId, SeqNo, &Bytes) + Send + 'static) {
-        self.shared.deliver_fns.lock().push(Box::new(f));
+        self.shared.upcalls.add_deliver(Box::new(f));
     }
 
     /// Register an application-defined stability level.
@@ -165,7 +148,7 @@ impl NodeHandle {
     /// restore path does this automatically; call it manually to force a
     /// re-sync (no-op when `transfer_millis` is 0).
     pub fn begin_catch_up(&self) {
-        let now = self.shared.now_nanos();
+        let now = self.shared.link.now_nanos();
         let streams = self.shared.with_node(|node| node.begin_catch_up(now));
         self.shared.notify_join(streams);
     }
@@ -190,11 +173,7 @@ impl NodeHandle {
     /// [`SpawnOptions::serve_addr`](crate::SpawnOptions::serve_addr)
     /// (resolves port 0 to the actual port).
     pub fn serve_addr(&self) -> Option<std::net::SocketAddr> {
-        self.shared
-            .telemetry_server
-            .lock()
-            .as_ref()
-            .map(|s| s.local_addr())
+        self.shared.link.serve_addr()
     }
 
     /// Current traffic counters.
@@ -259,13 +238,13 @@ impl NodeHandle {
     /// Whether a wait registered with [`NodeHandle::begin_waitfor`] has
     /// completed (consumes the completion).
     pub fn wait_is_done(&self, token: WaitToken) -> bool {
-        self.shared.completed.lock().remove(&token)
+        self.shared.upcalls.take_done(token)
     }
 
     /// Peers a writer thread permanently gave up connecting to (empty
     /// unless `connect_retry_limit` is configured).
     pub fn connect_failures(&self) -> Vec<NodeId> {
-        self.shared.connect_failed.lock().clone()
+        self.shared.link.connect_failures()
     }
 
     /// Scale this node's timer cadence (clock-skew fault injection):
@@ -277,12 +256,12 @@ impl NodeHandle {
     ///
     /// Panics if `scale` is not positive and finite.
     pub fn set_timer_scale(&self, scale: f64) {
-        self.shared.set_timer_scale(scale);
+        self.shared.link.set_timer_scale(scale);
     }
 
     /// The current timer-interval multiplier (1.0 = nominal).
     pub fn timer_scale(&self) -> f64 {
-        self.shared.timer_scale()
+        self.shared.link.timer_scale()
     }
 
     /// Inject a wire message as if it had arrived from `from` — the
@@ -290,14 +269,14 @@ impl NodeHandle {
     /// checks that prove the invariant checker catches corrupted state).
     #[doc(hidden)]
     pub fn inject_message(&self, from: NodeId, msg: stabilizer_core::WireMsg) {
-        let now = self.shared.now_nanos();
+        let now = self.shared.link.now_nanos();
         self.shared
             .with_node(|node| node.on_message(now, from, msg));
     }
 
     /// Ask the runtime to stop its threads. Idempotent.
     pub fn shutdown(&self) {
-        self.shared.shutdown();
+        self.shared.link.shutdown();
     }
 }
 

@@ -1,7 +1,9 @@
 //! # Stabilizer TCP runtime
 //!
 //! Runs the sans-IO [`StabilizerNode`](stabilizer_core::StabilizerNode)
-//! over real TCP sockets with a thread-per-connection layout. The paper's
+//! over real TCP sockets with a thread-per-connection layout ([`link`],
+//! the one place sockets are touched, under both the plain [`runtime`]
+//! and the [`sharded`] one). The paper's
 //! prototype uses an asynchronous runtime for the same purpose; plain
 //! threads plus crossbeam channels give identical control/data-plane
 //! separation with a dependency footprint limited to the approved crate
@@ -34,14 +36,14 @@
 pub mod backoff;
 pub mod framing;
 pub mod handle;
+pub mod link;
 pub mod runtime;
 pub mod sharded;
+mod upcalls;
 
 pub use handle::{NodeHandle, StateGuard};
-pub use runtime::{
-    spawn_local_cluster, spawn_node, spawn_node_with, MetricsDump, SpawnOptions, TcpNode,
-    TransportMetrics,
-};
+pub use link::{MetricsDump, TransportMetrics};
+pub use runtime::{spawn_local_cluster, spawn_node, spawn_node_with, SpawnOptions, TcpNode};
 pub use sharded::{
     spawn_sharded_local_cluster, spawn_sharded_local_cluster_with, spawn_sharded_node,
     ShardedHandle, ShardedSpawnOptions, ShardedTcpNode,

@@ -1,133 +1,42 @@
-//! The threaded TCP runtime: drives the sans-IO [`StabilizerNode`] with
-//! real sockets and wall-clock timers.
+//! The plain TCP runtime: one sans-IO [`StabilizerNode`] behind one
+//! mutex, driven by the shared link layer ([`crate::link`], which
+//! documents the thread layout).
 //!
-//! Thread layout per node:
-//!
-//! * one **accept** thread taking inbound connections, each handed to a
-//!   **reader** thread that decodes frames and feeds the state machine;
-//! * one **writer** thread per peer, draining a channel of outbound
-//!   messages into a (re)connecting socket — data lost while a link is
-//!   down is repaired on reconnect from the send buffer
-//!   ([`StabilizerNode::resend_from`]) plus a full ACK re-announcement;
-//! * one **ticker** thread running the ACK-flush / heartbeat / failure
-//!   timers.
-//!
-//! Locking discipline: the node mutex is held only while mutating the
-//! state machine; emitted [`Action`]s are executed *after* release so
-//! user callbacks (monitors, delivery upcalls) can re-enter the handle
-//! without deadlocking. Attached [`RuntimeObserver`]s are the one
-//! exception: they run *before* release, so an external checker that
+//! What is specific to this node shape: link threads run the state
+//! machine **inline** — a reader feeds each frame straight into
+//! [`Shared::with_node`], the ticker fires timers through it, a writer
+//! repairs its link through it. The node mutex is held only while
+//! mutating the state machine; emitted [`Action`]s are executed *after*
+//! release so user callbacks (monitors, delivery upcalls) can re-enter
+//! the handle without deadlocking. Attached [`RuntimeObserver`]s are the
+//! one exception: they run *before* release, so an external checker that
 //! locks the state machine and then reads an observer's log never sees
 //! machine state the log has not caught up with.
 
-use crate::backoff::{link_seed, Backoff};
-use crate::framing::{hello, parse_hello, read_frame_counted, write_frame};
-use crate::handle::{DeliverFn, MonitorFn, NodeHandle};
-use crossbeam::channel::{unbounded, Receiver, Sender};
-use parking_lot::{Condvar, Mutex};
+use crate::handle::NodeHandle;
+use crate::link::{self, Link, LinkClient, LinkSpawn, MetricsDump};
+use crate::upcalls::Upcalls;
+use parking_lot::Mutex;
 use stabilizer_core::{
     AckTypeRegistry, Action, ClusterConfig, CoreError, NodeId, RuntimeObserver, Snapshot,
-    StabilizerNode, WaitToken, WireMsg, RECEIVED,
+    StabilizerNode, TimerKind, WireMsg, RECEIVED,
 };
-use stabilizer_telemetry::{
-    Counter, Gauge, ServerRoutes, StallProvider, Telemetry, TelemetryServer,
-};
-use std::collections::{HashMap, HashSet};
-use std::io::Write;
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use stabilizer_telemetry::{StallProvider, Telemetry};
+use std::net::{SocketAddr, TcpListener};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
-/// Transport-level counters and gauges for one node, registered in the
-/// attached [`Telemetry`] hub's registry. Handles are plain atomics, so
-/// the I/O threads record without locking.
-pub struct TransportMetrics {
-    /// Frames written to peers (hello and repair traffic included).
-    pub frames_out: Counter,
-    /// Bytes written to peers (length prefixes included).
-    pub bytes_out: Counter,
-    /// Frames read from peers (the hello excluded — consumed before the
-    /// reader attaches accounting).
-    pub frames_in: Counter,
-    /// Bytes read from peers.
-    pub bytes_in: Counter,
-    /// Successful connects after the first per link (i.e. reconnects).
-    pub reconnects: Counter,
-    /// Failed connect attempts (each is followed by a backoff sleep).
-    pub connect_attempts: Counter,
-    /// Total nanoseconds writer threads spent in backoff sleeps.
-    pub backoff_sleep_ns: Counter,
-    /// Current send-buffer occupancy (sampled by the ticker).
-    pub send_buffer_bytes: Gauge,
-    /// Blocked `waitfor`s (sampled by the ticker).
-    pub pending_waiters: Gauge,
-}
-
-impl TransportMetrics {
-    pub(crate) fn new(t: &Telemetry, me: NodeId) -> Self {
-        let id = me.0.to_string();
-        let labels: &[(&str, &str)] = &[("node", &id)];
-        let reg = t.registry();
-        TransportMetrics {
-            frames_out: reg.counter("stab_tcp_frames_out_total", labels),
-            bytes_out: reg.counter("stab_tcp_bytes_out_total", labels),
-            frames_in: reg.counter("stab_tcp_frames_in_total", labels),
-            bytes_in: reg.counter("stab_tcp_bytes_in_total", labels),
-            reconnects: reg.counter("stab_tcp_reconnects_total", labels),
-            connect_attempts: reg.counter("stab_tcp_connect_attempts_total", labels),
-            backoff_sleep_ns: reg.counter("stab_tcp_backoff_sleep_ns_total", labels),
-            send_buffer_bytes: reg.gauge("stab_tcp_send_buffer_bytes", labels),
-            pending_waiters: reg.gauge("stab_tcp_pending_waiters", labels),
-        }
-    }
-}
-
-/// Periodic Prometheus text dump written by the ticker thread.
-pub struct MetricsDump {
-    /// File to (re)write; each dump replaces the previous snapshot.
-    pub path: PathBuf,
-    /// Dump cadence.
-    pub every: Duration,
-}
-
-/// State shared between the handle and the runtime threads.
+/// State shared between the handle and the link threads.
 pub struct Shared {
     /// This node's id.
     pub me: NodeId,
     /// The protocol state machine.
     pub node: Mutex<StabilizerNode>,
-    /// Tokens of completed `waitfor`s.
-    pub completed: Mutex<HashSet<WaitToken>>,
-    /// Signalled when `completed` grows.
-    pub completed_cv: Condvar,
-    /// Frontier monitors, keyed by `(stream, key)`.
-    pub monitors: Mutex<HashMap<(NodeId, String), Vec<MonitorFn>>>,
-    /// Delivery upcalls.
-    pub deliver_fns: Mutex<Vec<DeliverFn>>,
-    /// Per-peer outbound channels.
-    pub senders: Mutex<HashMap<NodeId, Sender<WireMsg>>>,
     /// External observers, invoked under the node lock.
     pub observers: Mutex<Vec<Box<dyn RuntimeObserver>>>,
-    /// Peers a writer permanently gave up connecting to (only populated
-    /// when `connect_retry_limit` is configured).
-    pub connect_failed: Mutex<Vec<NodeId>>,
-    /// Cleared on shutdown.
-    pub running: AtomicBool,
-    /// Multiplier on every ticker interval, stored as `f64` bits
-    /// (clock-skew fault injection; 1.0 = nominal cadence). Read by the
-    /// ticker each iteration, so a change takes effect within one tick.
-    pub timer_scale_bits: AtomicU64,
-    /// Monotonic epoch for failure-detector timestamps.
-    pub started: Instant,
-    /// Telemetry hub, when attached via [`SpawnOptions::telemetry`].
-    pub telemetry: Option<Arc<Telemetry>>,
-    /// Transport counters (present iff `telemetry` is).
-    pub(crate) metrics: Option<TransportMetrics>,
-    /// Live scrape endpoint (present iff [`SpawnOptions::serve_addr`]
-    /// and `telemetry` are both set); joined on shutdown.
-    pub(crate) telemetry_server: Mutex<Option<TelemetryServer>>,
+    /// `waitfor` rendezvous, frontier monitors and delivery upcalls.
+    pub(crate) upcalls: Upcalls,
+    /// Sockets, link threads, clock and transport telemetry.
+    pub(crate) link: Link<()>,
 }
 
 impl Shared {
@@ -152,7 +61,7 @@ impl Shared {
         if observers.is_empty() {
             return;
         }
-        let now = self.now_nanos();
+        let now = self.link.now_nanos();
         for action in actions {
             for obs in observers.iter_mut() {
                 match action {
@@ -191,32 +100,14 @@ impl Shared {
     pub fn process(&self, actions: Vec<Action>) {
         for action in actions {
             match action {
-                Action::Send { to, msg } => {
-                    if let Some(tx) = self.senders.lock().get(&to) {
-                        let _ = tx.send(msg); // writer gone => shutting down
-                    }
-                }
+                Action::Send { to, msg } => self.link.send(to, (), msg),
                 Action::Deliver {
                     origin,
                     seq,
                     payload,
-                } => {
-                    for f in self.deliver_fns.lock().iter_mut() {
-                        f(origin, seq, &payload);
-                    }
-                }
-                Action::Frontier(update) => {
-                    let mut monitors = self.monitors.lock();
-                    if let Some(fns) = monitors.get_mut(&(update.stream, update.key.clone())) {
-                        for f in fns.iter_mut() {
-                            f(&update);
-                        }
-                    }
-                }
-                Action::WaitDone { token } => {
-                    self.completed.lock().insert(token);
-                    self.completed_cv.notify_all();
-                }
+                } => self.upcalls.fire_deliver(origin, seq, &payload),
+                Action::Frontier(update) => self.upcalls.fire_frontier(&update),
+                Action::WaitDone { token } => self.upcalls.complete([token]),
                 Action::Suspected { .. }
                 | Action::Recovered { .. }
                 | Action::CatchUp { .. }
@@ -229,61 +120,70 @@ impl Shared {
         }
     }
 
-    /// Scale every ticker interval by `scale` — the wall-clock twin of
-    /// the simulator's skewed local clock (`scale < 1` fires timers
-    /// early, `> 1` late). Takes effect within one ticker iteration; 1.0
-    /// restores the nominal cadence.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `scale` is not positive and finite.
-    pub fn set_timer_scale(&self, scale: f64) {
-        assert!(
-            scale.is_finite() && scale > 0.0,
-            "timer scale must be positive and finite"
-        );
-        self.timer_scale_bits
-            .store(scale.to_bits(), Ordering::SeqCst);
-    }
-
-    /// The current timer-interval multiplier (1.0 = nominal).
-    pub fn timer_scale(&self) -> f64 {
-        f64::from_bits(self.timer_scale_bits.load(Ordering::SeqCst))
-    }
-
     /// Surface a membership (re)join — catch-up requested on `streams`
     /// peer streams — to the attached observers.
     pub(crate) fn notify_join(&self, streams: usize) {
         if streams == 0 {
             return;
         }
-        let now = self.now_nanos();
+        let now = self.link.now_nanos();
         for obs in self.observers.lock().iter_mut() {
             obs.on_join(now, streams);
         }
     }
+}
 
-    /// A writer exhausted its connect-retry budget for `peer`.
-    fn connect_gave_up(&self, peer: NodeId) {
-        self.connect_failed.lock().push(peer);
-        let now = self.now_nanos();
+impl LinkClient for Shared {
+    type Lane = ();
+
+    fn link(&self) -> &Link<()> {
+        &self.link
+    }
+
+    fn on_frame(&self, peer: NodeId, (): (), msg: WireMsg) {
+        let now = self.link.now_nanos();
+        self.with_node(|n| n.on_message(now, peer, msg));
+    }
+
+    fn repair_link(&self, peer: NodeId) {
+        self.with_node(|n| repair_stream(n, peer));
+    }
+
+    fn on_timer(&self, kind: TimerKind, now_nanos: u64) {
+        self.with_node(|n| n.on_timer(kind, now_nanos));
+    }
+
+    fn sample(&self, telemetry: &Telemetry) {
+        let (buf, waiters, core) = {
+            let node = self.node.lock();
+            (
+                node.send_buffer_bytes(),
+                node.pending_waiters(),
+                node.metrics(),
+            )
+        };
+        if let Some(m) = &self.link.metrics {
+            m.send_buffer_bytes.set(buf as i64);
+            m.pending_waiters.set(waiters as i64);
+        }
+        telemetry.record_node_metrics(self.me, &core);
+    }
+
+    fn on_connect_failed(&self, peer: NodeId) {
+        let now = self.link.now_nanos();
         for obs in self.observers.lock().iter_mut() {
             obs.on_connect_failed(now, peer);
         }
     }
+}
 
-    /// Stop all runtime threads (idempotent).
-    pub fn shutdown(&self) {
-        self.running.store(false, Ordering::SeqCst);
-        self.senders.lock().clear(); // disconnect writer channels
-        if let Some(mut server) = self.telemetry_server.lock().take() {
-            server.shutdown();
-        }
-    }
-
-    pub(crate) fn now_nanos(&self) -> u64 {
-        self.started.elapsed().as_nanos() as u64
-    }
+/// Repair one node's (or one shard machine's) stream to `peer` after a
+/// (re)connect: resend everything `peer` has not acknowledged and
+/// re-announce this side's ACKs.
+pub(crate) fn repair_stream(n: &mut StabilizerNode, peer: NodeId) {
+    let from = n.recorder().get(n.me(), peer, RECEIVED) + 1;
+    n.resend_from(peer, from);
+    n.announce_acks_to(peer);
 }
 
 /// A node running on the TCP runtime. Dropping the cluster handle does
@@ -363,27 +263,22 @@ pub fn spawn_node_with(
     acks: Arc<AckTypeRegistry>,
     listener: TcpListener,
     peer_addrs: Vec<(NodeId, SocketAddr)>,
-    mut opts: SpawnOptions,
+    opts: SpawnOptions,
 ) -> Result<TcpNode, CoreError> {
-    // Under partial replication a link only exists between nodes sharing
-    // at least one stream; skip the writer thread (and the reconnect
-    // spin) for everyone else. Full replication keeps every link.
-    let peer_addrs: Vec<(NodeId, SocketAddr)> = peer_addrs
-        .into_iter()
-        .filter(|(peer, _)| cfg.placement().linked(me, *peer))
-        .collect();
     let restored = opts.snapshot.is_some();
-    let metrics_dump = opts.metrics_dump.take();
     let mut join_streams = 0;
     let node = match opts.snapshot {
         None => StabilizerNode::new(cfg.clone(), me, acks)?,
         Some(snapshot) => {
             let mut node = StabilizerNode::restore(cfg.clone(), me, acks, snapshot)?;
             // §III-E state transfer: the mirror resumes every remote
-            // stream exactly where its durable acknowledgment left off.
+            // stream it has a link for exactly where its durable
+            // acknowledgment left off.
             for (peer, _) in &peer_addrs {
-                let high = node.recorder().get(*peer, me, RECEIVED);
-                node.fast_forward_stream(*peer, high);
+                if cfg.placement().linked(me, *peer) {
+                    let high = node.recorder().get(*peer, me, RECEIVED);
+                    node.fast_forward_stream(*peer, high);
+                }
             }
             // Then ask every live donor for a snapshot + retained-log
             // replay, covering whatever was published past the durable
@@ -393,92 +288,38 @@ pub fn spawn_node_with(
             node
         }
     };
-    let metrics = opts
-        .telemetry
-        .as_ref()
-        .map(|t| TransportMetrics::new(t, me));
-    if let Some(t) = &opts.telemetry {
-        t.record_placement(cfg.placement());
-        // f* per key as the availability prover computed it at install
-        // time; a key registered on several streams reports the weakest.
-        let mut min_tol = std::collections::BTreeMap::new();
-        for (_stream, key, tol) in node.predicate_tolerances() {
-            let e = min_tol.entry(key.to_owned()).or_insert(tol);
-            *e = (*e).min(tol);
-        }
-        for (key, tol) in min_tol {
-            t.record_predicate_tolerance(&key, tol);
-        }
-    }
+    let link = Link::new(&cfg, me, opts.telemetry, node.predicate_tolerances());
     let shared = Arc::new(Shared {
         me,
         node: Mutex::new(node),
-        completed: Mutex::new(HashSet::new()),
-        completed_cv: Condvar::new(),
-        monitors: Mutex::new(HashMap::new()),
-        deliver_fns: Mutex::new(Vec::new()),
-        senders: Mutex::new(HashMap::new()),
         observers: Mutex::new(opts.observer.into_iter().collect()),
-        connect_failed: Mutex::new(Vec::new()),
-        running: AtomicBool::new(true),
-        timer_scale_bits: AtomicU64::new(1.0f64.to_bits()),
-        started: Instant::now(),
-        telemetry: opts.telemetry,
-        metrics,
-        telemetry_server: Mutex::new(None),
+        upcalls: Upcalls::default(),
+        link,
     });
-    if let (Some(addr), Some(telemetry)) = (opts.serve_addr.as_deref(), shared.telemetry.clone()) {
-        // `/stall` locks the node and diagnoses every (stream, key)
-        // frontier live. A weak ref keeps the provider from pinning the
-        // runtime after shutdown takes the server down.
-        let weak = Arc::downgrade(&shared);
-        let stall: StallProvider = Arc::new(move || match weak.upgrade() {
-            Some(shared) => {
-                let node = shared.node.lock();
-                stabilizer_core::render_stall_reports_json(&node.explain_all())
-            }
-            None => "{\"reports\":[]}".to_string(),
-        });
-        let routes = ServerRoutes::new(telemetry).with_stall(stall);
-        let server = TelemetryServer::bind(addr, routes)
-            .map_err(|e| CoreError::Config(format!("telemetry serve_addr {addr}: {e}")))?;
-        *shared.telemetry_server.lock() = Some(server);
-    }
-    let retry_limit = cfg.options().connect_retry_limit;
-
-    // Writer thread per peer.
-    for (peer, addr) in &peer_addrs {
-        let (tx, rx) = unbounded::<WireMsg>();
-        shared.senders.lock().insert(*peer, tx);
-        let shared2 = Arc::clone(&shared);
-        let peer = *peer;
-        let addr = *addr;
-        let seed = link_seed(opts.jitter_seed, me.0, peer.0);
-        std::thread::Builder::new()
-            .name(format!("stab-{}-w{}", me.0, peer.0))
-            .spawn(move || writer_loop(shared2, peer, addr, rx, restored, retry_limit, seed))
-            .expect("spawn writer");
-    }
-
-    // Accept thread.
-    {
-        let shared2 = Arc::clone(&shared);
-        listener.set_nonblocking(false).ok();
-        std::thread::Builder::new()
-            .name(format!("stab-{}-accept", me.0))
-            .spawn(move || accept_loop(shared2, listener))
-            .expect("spawn acceptor");
-    }
-
-    // Ticker thread.
-    {
-        let shared2 = Arc::clone(&shared);
-        let opts = cfg.options().clone();
-        std::thread::Builder::new()
-            .name(format!("stab-{}-tick", me.0))
-            .spawn(move || ticker_loop(shared2, opts, metrics_dump))
-            .expect("spawn ticker");
-    }
+    // `/stall` locks the node and diagnoses every (stream, key) frontier
+    // live. A weak ref keeps the provider from pinning the runtime after
+    // shutdown takes the server down.
+    let weak = Arc::downgrade(&shared);
+    let stall: StallProvider = Arc::new(move || match weak.upgrade() {
+        Some(shared) => {
+            let node = shared.node.lock();
+            stabilizer_core::render_stall_reports_json(&node.explain_all())
+        }
+        None => "{\"reports\":[]}".to_string(),
+    });
+    shared.link.serve(opts.serve_addr.as_deref(), stall)?;
+    link::spawn(
+        &shared,
+        listener,
+        peer_addrs,
+        cfg.options(),
+        LinkSpawn {
+            thread_prefix: "stab",
+            repair_first_connect: restored,
+            jitter_seed: opts.jitter_seed,
+            metrics_dump: opts.metrics_dump,
+        },
+    );
 
     // Flush actions queued during construction (a restore re-evaluates
     // every predicate, which can emit frontier updates) now that the
@@ -498,299 +339,8 @@ pub fn spawn_node_with(
 ///
 /// Propagates listener-bind and predicate-compile failures.
 pub fn spawn_local_cluster(cfg: &ClusterConfig) -> Result<Vec<TcpNode>, CoreError> {
-    let n = cfg.num_nodes();
-    let mut listeners = Vec::with_capacity(n);
-    let mut addrs = Vec::with_capacity(n);
-    for _ in 0..n {
-        let l = TcpListener::bind("127.0.0.1:0")
-            .map_err(|e| CoreError::Config(format!("bind: {e}")))?;
-        addrs.push(
-            l.local_addr()
-                .map_err(|e| CoreError::Config(format!("addr: {e}")))?,
-        );
-        listeners.push(l);
-    }
     let acks = Arc::new(AckTypeRegistry::new());
-    let mut nodes = Vec::with_capacity(n);
-    for (i, listener) in listeners.into_iter().enumerate() {
-        let peer_addrs: Vec<(NodeId, SocketAddr)> = (0..n)
-            .filter(|j| *j != i)
-            .map(|j| (NodeId(j as u16), addrs[j]))
-            .collect();
-        nodes.push(spawn_node(
-            cfg.clone(),
-            NodeId(i as u16),
-            Arc::clone(&acks),
-            listener,
-            peer_addrs,
-        )?);
-    }
-    Ok(nodes)
-}
-
-fn accept_loop(shared: Arc<Shared>, listener: TcpListener) {
-    listener.set_nonblocking(true).ok();
-    while shared.running.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                stream.set_nonblocking(false).ok();
-                let shared2 = Arc::clone(&shared);
-                std::thread::Builder::new()
-                    .name(format!("stab-{}-r", shared.me.0))
-                    .spawn(move || reader_loop(shared2, stream))
-                    .expect("spawn reader");
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(5));
-            }
-            Err(_) => break,
-        }
-    }
-}
-
-fn reader_loop(shared: Arc<Shared>, stream: TcpStream) {
-    let mut reader = std::io::BufReader::new(stream);
-    // First frame must be the hello announcing the peer.
-    let peer = match read_frame_counted(&mut reader) {
-        Ok(Some((msg, _))) => match parse_hello(&msg) {
-            Some(id) => NodeId(id),
-            None => return, // protocol violation: drop connection
-        },
-        _ => return,
-    };
-    while shared.running.load(Ordering::SeqCst) {
-        match read_frame_counted(&mut reader) {
-            Ok(Some((msg, wire_len))) => {
-                if let Some(m) = &shared.metrics {
-                    m.frames_in.inc();
-                    m.bytes_in.add(wire_len as u64);
-                }
-                let now = shared.now_nanos();
-                shared.with_node(|n| n.on_message(now, peer, msg));
-            }
-            Ok(None) | Err(_) => return, // EOF or broken pipe
-        }
-    }
-}
-
-fn writer_loop(
-    shared: Arc<Shared>,
-    peer: NodeId,
-    addr: SocketAddr,
-    rx: Receiver<WireMsg>,
-    mut repair_on_connect: bool,
-    retry_limit: u64,
-    jitter_seed: u64,
-) {
-    let mut backoff = Backoff::new(
-        Duration::from_millis(10),
-        Duration::from_millis(500),
-        jitter_seed,
-    );
-    let mut connects = 0u64;
-    'reconnect: while shared.running.load(Ordering::SeqCst) {
-        let stream = match connect_with_retry(&shared, addr, &mut backoff, retry_limit) {
-            ConnectOutcome::Connected(s) => s,
-            ConnectOutcome::Shutdown => return,
-            ConnectOutcome::GaveUp => {
-                shared.connect_gave_up(peer);
-                return;
-            }
-        };
-        // Buffer writes so a frame's length prefix, header, and payload
-        // coalesce into one syscall/segment; flushed whenever the
-        // outbound queue is momentarily empty, so latency is bounded by
-        // the batch, not a timer.
-        let mut stream = std::io::BufWriter::with_capacity(64 * 1024, stream);
-        backoff.reset();
-        connects += 1;
-        if connects > 1 {
-            if let Some(m) = &shared.metrics {
-                m.reconnects.inc();
-            }
-        }
-        match write_frame(&mut stream, &hello(shared.me.0)).and_then(|n| stream.flush().map(|()| n))
-        {
-            Ok(wire_len) => {
-                if let Some(m) = &shared.metrics {
-                    m.frames_out.inc();
-                    m.bytes_out.add(wire_len as u64);
-                }
-            }
-            Err(_) => continue 'reconnect,
-        }
-        if repair_on_connect {
-            // Repair the stream: resend unacked data and re-announce acks.
-            // Fresh nodes skip this on their very first connect (nothing
-            // to repair); restored nodes run it immediately so peers see
-            // the recovered ACK state without waiting for new traffic.
-            shared.with_node(|n| {
-                let from = n.recorder().get(n.me(), peer, RECEIVED) + 1;
-                n.resend_from(peer, from);
-                n.announce_acks_to(peer);
-            });
-        }
-        repair_on_connect = true;
-        loop {
-            match rx.recv_timeout(Duration::from_millis(100)) {
-                Ok(msg) => {
-                    match write_frame(&mut stream, &msg) {
-                        Ok(wire_len) => {
-                            if let Some(m) = &shared.metrics {
-                                m.frames_out.inc();
-                                m.bytes_out.add(wire_len as u64);
-                            }
-                        }
-                        Err(_) => continue 'reconnect,
-                    }
-                    if rx.is_empty() && stream.flush().is_err() {
-                        continue 'reconnect;
-                    }
-                }
-                Err(crossbeam::channel::RecvTimeoutError::Timeout) => {
-                    if stream.flush().is_err() {
-                        continue 'reconnect;
-                    }
-                    if !shared.running.load(Ordering::SeqCst) {
-                        return;
-                    }
-                }
-                Err(crossbeam::channel::RecvTimeoutError::Disconnected) => {
-                    let _ = stream.flush();
-                    return;
-                }
-            }
-        }
-    }
-}
-
-enum ConnectOutcome {
-    Connected(TcpStream),
-    Shutdown,
-    GaveUp,
-}
-
-/// Connect with capped exponential backoff and seeded jitter. Gives up
-/// after `retry_limit` consecutive failures (`0` = never), so a
-/// misconfigured or permanently dead peer surfaces as a
-/// [`RuntimeObserver::on_connect_failed`] instead of a silent spin.
-fn connect_with_retry(
-    shared: &Arc<Shared>,
-    addr: SocketAddr,
-    backoff: &mut Backoff,
-    retry_limit: u64,
-) -> ConnectOutcome {
-    while shared.running.load(Ordering::SeqCst) {
-        match TcpStream::connect_timeout(&addr, Duration::from_millis(500)) {
-            Ok(s) => {
-                s.set_nodelay(true).ok();
-                return ConnectOutcome::Connected(s);
-            }
-            Err(_) => {
-                if retry_limit > 0 && backoff.attempts() + 1 >= retry_limit {
-                    return ConnectOutcome::GaveUp;
-                }
-                let delay = backoff.next_delay();
-                if let Some(m) = &shared.metrics {
-                    m.connect_attempts.inc();
-                    m.backoff_sleep_ns.add(delay.as_nanos() as u64);
-                }
-                std::thread::sleep(delay);
-            }
-        }
-    }
-    ConnectOutcome::Shutdown
-}
-
-fn ticker_loop(shared: Arc<Shared>, opts: stabilizer_core::Options, dump: Option<MetricsDump>) {
-    let mut last_flush = Instant::now();
-    let mut last_heartbeat = Instant::now();
-    let mut last_failure = Instant::now();
-    let mut last_retransmit = Instant::now();
-    let mut last_transfer = Instant::now();
-    let mut last_sample = Instant::now();
-    let mut last_dump = Instant::now();
-    let sample_every = Duration::from_millis(20);
-    let tick = Duration::from_micros(if opts.ack_flush_micros > 0 {
-        opts.ack_flush_micros.min(1000)
-    } else {
-        1000
-    });
-    while shared.running.load(Ordering::SeqCst) {
-        std::thread::sleep(tick);
-        let now = Instant::now();
-        // Clock-skew fault injection: stretch (or shrink) every interval
-        // by the current scale. Re-read each iteration so a mid-run
-        // change takes effect within one tick.
-        let scale = shared.timer_scale();
-        let scaled = |d: Duration| -> Duration {
-            if scale == 1.0 {
-                d
-            } else {
-                Duration::from_nanos(((d.as_nanos() as f64 * scale) as u64).max(1))
-            }
-        };
-        if opts.ack_flush_micros > 0
-            && now.duration_since(last_flush)
-                >= scaled(Duration::from_micros(opts.ack_flush_micros))
-        {
-            shared.with_node(|n| n.on_ack_flush());
-            last_flush = now;
-        }
-        if opts.heartbeat_millis > 0
-            && now.duration_since(last_heartbeat)
-                >= scaled(Duration::from_millis(opts.heartbeat_millis))
-        {
-            shared.with_node(|n| n.on_heartbeat());
-            last_heartbeat = now;
-        }
-        if opts.failure_timeout_millis > 0
-            && now.duration_since(last_failure)
-                >= scaled(Duration::from_millis(opts.failure_timeout_millis / 2))
-        {
-            let t = shared.now_nanos();
-            shared.with_node(|n| n.on_failure_check(t));
-            last_failure = now;
-        }
-        if opts.retransmit_millis > 0
-            && now.duration_since(last_retransmit)
-                >= scaled(Duration::from_millis((opts.retransmit_millis / 2).max(1)))
-        {
-            let t = shared.now_nanos();
-            shared.with_node(|n| n.on_retransmit_check(t));
-            last_retransmit = now;
-        }
-        if opts.transfer_millis > 0
-            && now.duration_since(last_transfer)
-                >= scaled(Duration::from_millis((opts.transfer_millis / 2).max(1)))
-        {
-            let t = shared.now_nanos();
-            shared.with_node(|n| n.on_transfer_tick(t));
-            last_transfer = now;
-        }
-        if let Some(telemetry) = &shared.telemetry {
-            if now.duration_since(last_sample) >= sample_every {
-                let (buf, waiters, core) = {
-                    let node = shared.node.lock();
-                    (
-                        node.send_buffer_bytes(),
-                        node.pending_waiters(),
-                        node.metrics(),
-                    )
-                };
-                if let Some(m) = &shared.metrics {
-                    m.send_buffer_bytes.set(buf as i64);
-                    m.pending_waiters.set(waiters as i64);
-                }
-                telemetry.record_node_metrics(shared.me, &core);
-                last_sample = now;
-            }
-            if let Some(dump) = &dump {
-                if now.duration_since(last_dump) >= dump.every {
-                    let _ = std::fs::write(&dump.path, telemetry.render_prometheus());
-                    last_dump = now;
-                }
-            }
-        }
-    }
+    link::spawn_local_cluster(cfg.num_nodes(), |me, listener, peer_addrs| {
+        spawn_node(cfg.clone(), me, Arc::clone(&acks), listener, peer_addrs)
+    })
 }

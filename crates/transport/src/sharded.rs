@@ -9,53 +9,44 @@
 //! semantics (`publish`, `waitfor`, `monitor_stability_frontier`, FIFO
 //! delivery) exactly those of the unsharded [`NodeHandle`].
 //!
-//! Thread layout per node:
+//! On top of the shared link layer's threads ([`crate::link`]) this node
+//! shape adds:
 //!
-//! * one **accept** thread, spawning a **reader** thread per inbound
-//!   connection; readers parse sharded frames (`[len][shard][body]`, see
-//!   [`crate::framing::read_shard_frame_counted`]) and dispatch each
-//!   message to its shard's worker over a crossbeam channel;
 //! * one **worker** thread per shard, owning all `on_message` processing
-//!   for that shard's sub-stream;
-//! * one **writer** thread per peer, multiplexing every shard's outbound
-//!   traffic onto a single buffered connection with the shard index in
-//!   the frame header;
+//!   for that shard's sub-stream — link readers only parse sharded
+//!   frames (lane = shard index) and hand each message to its shard's
+//!   worker over a crossbeam channel; every peer's writer multiplexes
+//!   all shards onto one connection;
 //! * one **dispatcher** thread running application callbacks (delivery
 //!   upcalls, frontier monitors) outside every lock, in the exact order
-//!   node-level events were produced under the aggregator lock;
-//! * one **ticker** thread fanning the ACK-flush / heartbeat / failure /
-//!   retransmit timers across shards and sampling per-shard telemetry
-//!   (queue-depth gauges, per-shard progress gauges).
+//!   node-level events were produced under the aggregator lock.
+//!
+//! The link ticker fans each timer across the shards and samples
+//! per-shard telemetry (queue-depth gauges, per-shard progress gauges).
 //!
 //! Locking discipline, strictly ordered to stay deadlock-free:
 //! `publish` lock (router + global sequencer) → one shard mutex →
-//! aggregator mutex → leaf locks (`completed`, `senders`, `suspects`).
+//! aggregator mutex → leaf locks (upcalls, link, `suspects`).
 //! Node-level events are enqueued to the dispatcher *under* the
 //! aggregator lock, so cross-shard delivery order is fixed exactly once;
 //! callbacks then run with no lock held.
 
-use crate::backoff::{link_seed, Backoff};
-use crate::framing::{
-    hello, parse_hello, read_shard_frame_counted, write_shard_frame, HELLO_SHARD,
-};
-use crate::handle::{DeliverFn, MonitorFn};
-use crate::runtime::TransportMetrics;
+use crate::link::{self, Link, LinkClient, LinkSpawn};
+use crate::runtime::repair_stream;
+use crate::upcalls::Upcalls;
 use bytes::Bytes;
-use crossbeam::channel::{unbounded, Receiver, Sender};
-use parking_lot::{Condvar, Mutex};
+use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
+use parking_lot::Mutex;
 use stabilizer_core::{
     AckTypeId, AckTypeRegistry, Action, ClusterConfig, CoreError, FrontierUpdate, Metrics, NodeId,
-    RuntimeObserver, SeqNo, StabilizerNode, WaitToken, WireMsg, RECEIVED,
+    RuntimeObserver, SeqNo, StabilizerNode, TimerKind, WireMsg,
 };
 use stabilizer_shard::{encode_global, RoutePolicy, ShardRouter, ShardedFrontier, GLOBAL_HEADER};
 use stabilizer_telemetry::{
-    Gauge, LogHistogram, MetricsObserver, MetricsRegistry, ServerRoutes, StallProvider, Telemetry,
-    TelemetryServer,
+    Gauge, LogHistogram, MetricsObserver, MetricsRegistry, StallProvider, Telemetry,
 };
-use std::collections::{HashMap, HashSet};
-use std::io::Write;
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::collections::HashMap;
+use std::net::{SocketAddr, TcpListener};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -180,31 +171,18 @@ pub struct ShardedShared {
     shards: Vec<Mutex<StabilizerNode>>,
     agg: Mutex<AggState>,
     publish: Mutex<PublishState>,
-    completed: Mutex<HashSet<WaitToken>>,
-    completed_cv: Condvar,
-    monitors: Mutex<HashMap<(NodeId, String), Vec<MonitorFn>>>,
-    deliver_fns: Mutex<Vec<DeliverFn>>,
-    senders: Mutex<HashMap<NodeId, Sender<(u16, WireMsg)>>>,
+    /// `waitfor` rendezvous, frontier monitors and delivery upcalls.
+    upcalls: Upcalls,
+    /// Sockets, link threads, clock and transport telemetry.
+    link: Link<u16>,
     shard_txs: Vec<Sender<(NodeId, WireMsg)>>,
     event_tx: Sender<NodeEvent>,
     /// Per peer: how many shards currently suspect it.
     suspects: Mutex<Vec<u32>>,
-    running: AtomicBool,
-    started: Instant,
-    telemetry: Option<Arc<Telemetry>>,
-    metrics: Option<TransportMetrics>,
     shard_gauges: Vec<ShardGauges>,
-    /// Live scrape endpoint (present iff
-    /// [`ShardedSpawnOptions::serve_addr`] and `telemetry` are both
-    /// set); joined on shutdown.
-    telemetry_server: Mutex<Option<TelemetryServer>>,
 }
 
 impl ShardedShared {
-    fn now_nanos(&self) -> u64 {
-        self.started.elapsed().as_nanos() as u64
-    }
-
     /// Mutate one shard under its lock, then run its emitted actions
     /// through the aggregator with no shard lock held.
     fn with_shard<R>(&self, shard: u16, f: impl FnOnce(&mut StabilizerNode) -> R) -> R {
@@ -224,11 +202,7 @@ impl ShardedShared {
     fn process_shard_actions(&self, shard: u16, actions: Vec<Action>) {
         for action in actions {
             match action {
-                Action::Send { to, msg } => {
-                    if let Some(tx) = self.senders.lock().get(&to) {
-                        let _ = tx.send((shard, msg)); // writer gone => shutting down
-                    }
-                }
+                Action::Send { to, msg } => self.link.send(to, shard, msg),
                 Action::Deliver {
                     origin, payload, ..
                 } => {
@@ -247,10 +221,10 @@ impl ShardedShared {
                     self.apply_agg(out);
                 }
                 Action::Frontier(update) => {
-                    let now = self.now_nanos();
+                    let now = self.link.now_nanos();
                     let mut agg = self.agg.lock();
                     if update.stream == self.me {
-                        if let Some(t) = &self.telemetry {
+                        if let Some(t) = &self.link.telemetry {
                             agg.record_shard_stability(t.registry(), self.me, shard, &update, now);
                         }
                     }
@@ -301,8 +275,8 @@ impl ShardedShared {
     /// Keep each shard machine's outgoing snapshot mark equal to the
     /// global of its last non-replayable own-stream message (the
     /// requester-side aggregator relies on every skipped global being
-    /// ≤ mark and every replayable one being > mark). Run from the
-    /// ticker's transfer branch: a request racing an eviction can see a
+    /// ≤ mark and every replayable one being > mark). Run before each
+    /// transfer timer: a request racing an eviction can see a
     /// stale mark, which only parks the requester until its next
     /// re-request picks up a fresh snapshot.
     fn refresh_transfer_marks(&self) {
@@ -329,27 +303,12 @@ impl ShardedShared {
 
     /// Emit aggregated events. Called with the aggregator lock held so
     /// the dispatcher sees node-level events in a single global order;
-    /// `completed` and the condvar are leaf locks.
+    /// the upcalls' locks are leaves.
     fn apply_agg(&self, out: stabilizer_shard::AggOutput) {
         for update in out.updates {
             let _ = self.event_tx.send(NodeEvent::Frontier(update));
         }
-        if !out.completed.is_empty() {
-            let mut done = self.completed.lock();
-            for token in out.completed {
-                done.insert(token);
-            }
-            self.completed_cv.notify_all();
-        }
-    }
-
-    /// Stop all runtime threads (idempotent).
-    fn shutdown(&self) {
-        self.running.store(false, Ordering::SeqCst);
-        self.senders.lock().clear(); // disconnect writer channels
-        if let Some(mut server) = self.telemetry_server.lock().take() {
-            server.shutdown();
-        }
+        self.upcalls.complete(out.completed);
     }
 
     /// Frontier blame for every `(shard, stream, key)`; sequence numbers
@@ -363,6 +322,64 @@ impl ShardedShared {
             }
         }
         reports
+    }
+}
+
+impl LinkClient for ShardedShared {
+    type Lane = u16;
+
+    fn link(&self) -> &Link<u16> {
+        &self.link
+    }
+
+    fn on_frame(&self, peer: NodeId, shard: u16, msg: WireMsg) {
+        // An unknown shard index is tolerated (a peer configured with
+        // more shards): the traffic is simply not processable.
+        if let Some(tx) = self.shard_txs.get(shard as usize) {
+            let _ = tx.send((peer, msg)); // worker gone => shutting down
+        }
+    }
+
+    fn repair_link(&self, peer: NodeId) {
+        for s in 0..self.num_shards {
+            self.with_shard(s, |n| repair_stream(n, peer));
+        }
+    }
+
+    fn on_timer(&self, kind: TimerKind, now_nanos: u64) {
+        if kind == TimerKind::Transfer {
+            self.refresh_transfer_marks();
+        }
+        for s in 0..self.num_shards {
+            self.with_shard(s, |n| n.on_timer(kind, now_nanos));
+        }
+    }
+
+    fn sample(&self, telemetry: &Telemetry) {
+        let mut total = Metrics::default();
+        let mut total_buf = 0usize;
+        for s in 0..self.num_shards as usize {
+            let (m, buf) = {
+                let node = self.shards[s].lock();
+                (node.metrics(), node.send_buffer_bytes())
+            };
+            if let Some(g) = self.shard_gauges.get(s) {
+                g.queue_depth.set(self.shard_txs[s].len() as i64);
+                g.send_buffer_bytes.set(buf as i64);
+                g.data_msgs_sent.set(m.data_msgs_sent as i64);
+                g.deliveries.set(m.deliveries as i64);
+                g.frontier_updates.set(m.frontier_updates as i64);
+                g.retransmits.set(m.retransmits as i64);
+            }
+            total += m;
+            total_buf += buf;
+        }
+        if let Some(m) = &self.link.metrics {
+            m.send_buffer_bytes.set(total_buf as i64);
+            m.pending_waiters
+                .set(self.agg.lock().frontier.pending_waiters() as i64);
+        }
+        telemetry.record_node_metrics(self.me, &total);
     }
 }
 
@@ -424,13 +441,6 @@ pub fn spawn_sharded_node(
     peer_addrs: Vec<(NodeId, SocketAddr)>,
     opts: ShardedSpawnOptions,
 ) -> Result<ShardedTcpNode, CoreError> {
-    // As in the unsharded runtime, a link only exists between nodes that
-    // share at least one stream; every shard machine carries the same
-    // placement, so one node-level filter covers them all.
-    let peer_addrs: Vec<(NodeId, SocketAddr)> = peer_addrs
-        .into_iter()
-        .filter(|(peer, _)| cfg.placement().linked(me, *peer))
-        .collect();
     let num_shards = cfg.options().shards.max(1);
     // Shard machines carry the 8-byte global header on every payload;
     // widen their cap so the application-visible cap is unchanged.
@@ -450,32 +460,21 @@ pub fn spawn_sharded_node(
         frontier.ensure_key(me, key);
     }
 
-    let metrics = opts
-        .telemetry
-        .as_ref()
-        .map(|t| TransportMetrics::new(t, me));
     let shard_gauges = match &opts.telemetry {
         Some(t) => (0..num_shards)
             .map(|s| ShardGauges::new(t, me, s))
             .collect(),
         None => Vec::new(),
     };
-    if let Some(t) = &opts.telemetry {
-        t.record_placement(cfg.placement());
-        // Every shard installs the same predicates at the same vantage,
-        // so shard 0 speaks for all of them.
-        let shard0 = shards[0].lock();
-        let mut min_tol = std::collections::BTreeMap::new();
-        for (_stream, key, tol) in shard0.predicate_tolerances() {
-            let e = min_tol.entry(key.to_owned()).or_insert(tol);
-            *e = (*e).min(tol);
-        }
-        drop(shard0);
-        for (key, tol) in min_tol {
-            t.record_predicate_tolerance(&key, tol);
-        }
-    }
     let observer = opts.telemetry.as_ref().map(|t| t.observer(me));
+    // Every shard installs the same predicates at the same vantage, so
+    // shard 0's tolerances speak for all of them.
+    let link = Link::new(
+        &cfg,
+        me,
+        opts.telemetry,
+        shards[0].lock().predicate_tolerances(),
+    );
 
     let (event_tx, event_rx) = unbounded::<NodeEvent>();
     let mut shard_txs = Vec::with_capacity(num_shards as usize);
@@ -500,39 +499,23 @@ pub fn spawn_sharded_node(
             router: ShardRouter::new(num_shards, opts.policy),
             next_global: 0,
         }),
-        completed: Mutex::new(HashSet::new()),
-        completed_cv: Condvar::new(),
-        monitors: Mutex::new(HashMap::new()),
-        deliver_fns: Mutex::new(Vec::new()),
-        senders: Mutex::new(HashMap::new()),
+        upcalls: Upcalls::default(),
+        link,
         shard_txs,
         event_tx,
         suspects: Mutex::new(vec![0; cfg.num_nodes()]),
-        running: AtomicBool::new(true),
-        started: Instant::now(),
-        telemetry: opts.telemetry,
-        metrics,
         shard_gauges,
-        telemetry_server: Mutex::new(None),
         cfg,
     });
-    if let (Some(addr), Some(telemetry)) = (opts.serve_addr.as_deref(), shared.telemetry.clone()) {
-        // `/stall` diagnoses every shard machine's frontiers live. A
-        // weak ref keeps the provider from pinning the runtime after
-        // shutdown takes the server down.
-        let weak = Arc::downgrade(&shared);
-        let stall: StallProvider = Arc::new(move || match weak.upgrade() {
-            Some(shared) => {
-                stabilizer_core::render_sharded_stall_reports_json(&shared.explain_all())
-            }
-            None => "{\"reports\":[]}".to_string(),
-        });
-        let routes = ServerRoutes::new(telemetry).with_stall(stall);
-        let server = TelemetryServer::bind(addr, routes)
-            .map_err(|e| CoreError::Config(format!("telemetry serve_addr {addr}: {e}")))?;
-        *shared.telemetry_server.lock() = Some(server);
-    }
-    let retry_limit = shared.cfg.options().connect_retry_limit;
+    // `/stall` diagnoses every shard machine's frontiers live. A weak
+    // ref keeps the provider from pinning the runtime after shutdown
+    // takes the server down.
+    let weak = Arc::downgrade(&shared);
+    let stall: StallProvider = Arc::new(move || match weak.upgrade() {
+        Some(shared) => stabilizer_core::render_sharded_stall_reports_json(&shared.explain_all()),
+        None => "{\"reports\":[]}".to_string(),
+    });
+    shared.link.serve(opts.serve_addr.as_deref(), stall)?;
 
     // Dispatcher thread: application callbacks, outside every lock.
     {
@@ -552,38 +535,18 @@ pub fn spawn_sharded_node(
             .expect("spawn shard worker");
     }
 
-    // Writer thread per peer.
-    for (peer, addr) in &peer_addrs {
-        let (tx, rx) = unbounded::<(u16, WireMsg)>();
-        shared.senders.lock().insert(*peer, tx);
-        let shared2 = Arc::clone(&shared);
-        let peer = *peer;
-        let addr = *addr;
-        let seed = link_seed(opts.jitter_seed, me.0, peer.0);
-        std::thread::Builder::new()
-            .name(format!("stabs-{}-w{}", me.0, peer.0))
-            .spawn(move || writer_loop(shared2, peer, addr, rx, retry_limit, seed))
-            .expect("spawn writer");
-    }
-
-    // Accept thread.
-    {
-        let shared2 = Arc::clone(&shared);
-        std::thread::Builder::new()
-            .name(format!("stabs-{}-accept", me.0))
-            .spawn(move || accept_loop(shared2, listener))
-            .expect("spawn acceptor");
-    }
-
-    // Ticker thread.
-    {
-        let shared2 = Arc::clone(&shared);
-        let opts = shared.cfg.options().clone();
-        std::thread::Builder::new()
-            .name(format!("stabs-{}-tick", me.0))
-            .spawn(move || ticker_loop(shared2, opts))
-            .expect("spawn ticker");
-    }
+    link::spawn(
+        &shared,
+        listener,
+        peer_addrs,
+        shared.cfg.options(),
+        LinkSpawn {
+            thread_prefix: "stabs",
+            repair_first_connect: false,
+            jitter_seed: opts.jitter_seed,
+            metrics_dump: None,
+        },
+    );
 
     // Flush actions queued during shard construction (configured
     // predicates can emit initial frontier updates) now that the writer
@@ -620,40 +583,23 @@ pub fn spawn_sharded_local_cluster_with(
     policy: RoutePolicy,
     telemetry: Option<Arc<Telemetry>>,
 ) -> Result<Vec<ShardedTcpNode>, CoreError> {
-    let n = cfg.num_nodes();
-    let mut listeners = Vec::with_capacity(n);
-    let mut addrs = Vec::with_capacity(n);
-    for _ in 0..n {
-        let l = TcpListener::bind("127.0.0.1:0")
-            .map_err(|e| CoreError::Config(format!("bind: {e}")))?;
-        addrs.push(
-            l.local_addr()
-                .map_err(|e| CoreError::Config(format!("addr: {e}")))?,
-        );
-        listeners.push(l);
-    }
     let acks = Arc::new(AckTypeRegistry::new());
-    let mut nodes = Vec::with_capacity(n);
-    for (i, listener) in listeners.into_iter().enumerate() {
-        let peer_addrs: Vec<(NodeId, SocketAddr)> = (0..n)
-            .filter(|j| *j != i)
-            .map(|j| (NodeId(j as u16), addrs[j]))
-            .collect();
-        nodes.push(spawn_sharded_node(
+    link::spawn_local_cluster(cfg.num_nodes(), |me, listener, peer_addrs| {
+        let opts = ShardedSpawnOptions {
+            policy,
+            telemetry: telemetry.clone(),
+            jitter_seed: u64::from(me.0),
+            serve_addr: None,
+        };
+        spawn_sharded_node(
             cfg.clone(),
-            NodeId(i as u16),
+            me,
             Arc::clone(&acks),
             listener,
             peer_addrs,
-            ShardedSpawnOptions {
-                policy,
-                telemetry: telemetry.clone(),
-                jitter_seed: i as u64,
-                serve_addr: None,
-            },
-        )?);
-    }
-    Ok(nodes)
+            opts,
+        )
+    })
 }
 
 /// Handle to a sharded node: the [`NodeHandle`](crate::NodeHandle) API
@@ -744,12 +690,12 @@ impl ShardedHandle {
                 pubst.next_global = global;
                 {
                     let mut agg = sh.agg.lock();
-                    if let Some(t) = &sh.telemetry {
+                    if let Some(t) = &sh.link.telemetry {
                         let slot = (global - 1) as usize;
                         if agg.stamps.len() <= slot {
                             agg.stamps.resize(slot + 1, 0);
                         }
-                        agg.stamps[slot] = sh.now_nanos() + 1;
+                        agg.stamps[slot] = sh.link.now_nanos() + 1;
                         t.note_publish_now(sh.me, global, payload.len());
                     }
                     let out = agg.frontier.learn_mapping(sh.me, shard, global);
@@ -871,18 +817,7 @@ impl ShardedHandle {
             self.shared.apply_agg(out);
             token
         };
-        let deadline = Instant::now() + timeout;
-        let mut done = self.shared.completed.lock();
-        loop {
-            if done.remove(&token) {
-                return Ok(true);
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return Ok(false);
-            }
-            self.shared.completed_cv.wait_for(&mut done, deadline - now);
-        }
+        Ok(self.shared.upcalls.wait(token, timeout))
     }
 
     /// Register `lambda` to run on every **aggregated** frontier advance
@@ -894,17 +829,14 @@ impl ShardedHandle {
         lambda: impl FnMut(&FrontierUpdate) + Send + 'static,
     ) {
         self.shared
-            .monitors
-            .lock()
-            .entry((stream, key.to_owned()))
-            .or_default()
-            .push(Box::new(lambda));
+            .upcalls
+            .add_monitor(stream, key, Box::new(lambda));
     }
 
     /// Register a delivery upcall; payloads arrive in **global** FIFO
     /// order per origin, header already stripped.
     pub fn on_deliver(&self, f: impl FnMut(NodeId, SeqNo, &Bytes) + Send + 'static) {
-        self.shared.deliver_fns.lock().push(Box::new(f));
+        self.shared.upcalls.add_deliver(Box::new(f));
     }
 
     /// Register an application-defined stability level on every shard
@@ -955,7 +887,7 @@ impl ShardedHandle {
     /// retained-log replay. Use after joining a fresh node into a
     /// running cluster. No-op unless `transfer_millis` is configured.
     pub fn begin_catch_up(&self) {
-        let now = self.shared.now_nanos();
+        let now = self.shared.link.now_nanos();
         for s in 0..self.shared.num_shards {
             self.shared.with_shard(s, |n| n.begin_catch_up(now));
         }
@@ -973,26 +905,7 @@ impl ShardedHandle {
     /// Traffic counters summed across shards (`data_bytes_sent` includes
     /// the 8-byte global header each sharded payload carries).
     pub fn metrics(&self) -> Metrics {
-        let mut total = Metrics::default();
-        for s in &self.shared.shards {
-            let m = s.lock().metrics();
-            total.data_msgs_sent += m.data_msgs_sent;
-            total.data_bytes_sent += m.data_bytes_sent;
-            total.control_msgs_sent += m.control_msgs_sent;
-            total.acks_sent += m.acks_sent;
-            total.deliveries += m.deliveries;
-            total.acks_received += m.acks_received;
-            total.acks_stale += m.acks_stale;
-            total.retransmits += m.retransmits;
-            total.predicate_evals += m.predicate_evals;
-            total.frontier_updates += m.frontier_updates;
-            total.transfer_requests += m.transfer_requests;
-            total.transfer_chunks_sent += m.transfer_chunks_sent;
-            total.transfer_bytes_sent += m.transfer_bytes_sent;
-            total.transfer_chunks_received += m.transfer_chunks_received;
-            total.transfer_fast_forwards += m.transfer_fast_forwards;
-        }
-        total
+        self.shared.shards.iter().map(|s| s.lock().metrics()).sum()
     }
 
     /// One shard's own traffic counters.
@@ -1012,16 +925,28 @@ impl ShardedHandle {
     /// [`ShardedSpawnOptions::serve_addr`] (resolves port 0 to the
     /// actual port).
     pub fn serve_addr(&self) -> Option<SocketAddr> {
-        self.shared
-            .telemetry_server
-            .lock()
-            .as_ref()
-            .map(|s| s.local_addr())
+        self.shared.link.serve_addr()
+    }
+
+    /// Peers a writer thread permanently gave up connecting to (empty
+    /// unless `connect_retry_limit` is configured).
+    pub fn connect_failures(&self) -> Vec<NodeId> {
+        self.shared.link.connect_failures()
+    }
+
+    /// Scale this node's timer cadence (clock-skew fault injection), as
+    /// [`NodeHandle::set_timer_scale`](crate::NodeHandle::set_timer_scale).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `scale` is not positive and finite.
+    pub fn set_timer_scale(&self, scale: f64) {
+        self.shared.link.set_timer_scale(scale);
     }
 
     /// Ask the runtime to stop its threads. Idempotent.
     pub fn shutdown(&self) {
-        self.shared.shutdown();
+        self.shared.link.shutdown();
     }
 }
 
@@ -1042,7 +967,7 @@ fn dispatcher_loop(
     loop {
         match rx.recv_timeout(Duration::from_millis(100)) {
             Ok(event) => {
-                let now = shared.now_nanos();
+                let now = shared.link.now_nanos();
                 match event {
                     NodeEvent::Deliver {
                         origin,
@@ -1052,20 +977,13 @@ fn dispatcher_loop(
                         if let Some(obs) = observer.as_mut() {
                             RuntimeObserver::on_deliver(obs, now, origin, seq, &payload);
                         }
-                        for f in shared.deliver_fns.lock().iter_mut() {
-                            f(origin, seq, &payload);
-                        }
+                        shared.upcalls.fire_deliver(origin, seq, &payload);
                     }
                     NodeEvent::Frontier(update) => {
                         if let Some(obs) = observer.as_mut() {
                             RuntimeObserver::on_frontier(obs, now, &update);
                         }
-                        let mut monitors = shared.monitors.lock();
-                        if let Some(fns) = monitors.get_mut(&(update.stream, update.key.clone())) {
-                            for f in fns.iter_mut() {
-                                f(&update);
-                            }
-                        }
+                        shared.upcalls.fire_frontier(&update);
                     }
                     NodeEvent::CatchUp { stream, seq } => {
                         if let Some(obs) = observer.as_mut() {
@@ -1074,12 +992,8 @@ fn dispatcher_loop(
                     }
                 }
             }
-            Err(crossbeam::channel::RecvTimeoutError::Timeout) => {
-                if !shared.running.load(Ordering::SeqCst) {
-                    return;
-                }
-            }
-            Err(crossbeam::channel::RecvTimeoutError::Disconnected) => return,
+            Err(RecvTimeoutError::Timeout) if shared.link.is_running() => {}
+            Err(_) => return,
         }
     }
 }
@@ -1088,282 +1002,11 @@ fn worker_loop(shared: Arc<ShardedShared>, shard: u16, rx: Receiver<(NodeId, Wir
     loop {
         match rx.recv_timeout(Duration::from_millis(100)) {
             Ok((from, msg)) => {
-                let now = shared.now_nanos();
+                let now = shared.link.now_nanos();
                 shared.with_shard(shard, |n| n.on_message(now, from, msg));
             }
-            Err(crossbeam::channel::RecvTimeoutError::Timeout) => {
-                if !shared.running.load(Ordering::SeqCst) {
-                    return;
-                }
-            }
-            Err(crossbeam::channel::RecvTimeoutError::Disconnected) => return,
-        }
-    }
-}
-
-fn accept_loop(shared: Arc<ShardedShared>, listener: TcpListener) {
-    listener.set_nonblocking(true).ok();
-    while shared.running.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                stream.set_nonblocking(false).ok();
-                let shared2 = Arc::clone(&shared);
-                std::thread::Builder::new()
-                    .name(format!("stabs-{}-r", shared.me.0))
-                    .spawn(move || reader_loop(shared2, stream))
-                    .expect("spawn reader");
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(5));
-            }
-            Err(_) => break,
-        }
-    }
-}
-
-fn reader_loop(shared: Arc<ShardedShared>, stream: TcpStream) {
-    let mut reader = std::io::BufReader::new(stream);
-    // First frame must be the hello announcing the peer, on the sentinel
-    // shard index.
-    let peer = match read_shard_frame_counted(&mut reader) {
-        Ok(Some((shard, msg, _))) if shard == HELLO_SHARD => match parse_hello(&msg) {
-            Some(id) => NodeId(id),
-            None => return, // protocol violation: drop connection
-        },
-        _ => return,
-    };
-    while shared.running.load(Ordering::SeqCst) {
-        match read_shard_frame_counted(&mut reader) {
-            Ok(Some((shard, msg, wire_len))) => {
-                if let Some(m) = &shared.metrics {
-                    m.frames_in.inc();
-                    m.bytes_in.add(wire_len as u64);
-                }
-                if (shard as usize) < shared.shard_txs.len() {
-                    // Worker gone => shutting down.
-                    let _ = shared.shard_txs[shard as usize].send((peer, msg));
-                }
-                // Unknown shard index: tolerated (a peer configured with
-                // more shards), the traffic is simply not processable.
-            }
-            Ok(None) | Err(_) => return, // EOF or broken pipe
-        }
-    }
-}
-
-fn writer_loop(
-    shared: Arc<ShardedShared>,
-    peer: NodeId,
-    addr: SocketAddr,
-    rx: Receiver<(u16, WireMsg)>,
-    retry_limit: u64,
-    jitter_seed: u64,
-) {
-    let mut backoff = Backoff::new(
-        Duration::from_millis(10),
-        Duration::from_millis(500),
-        jitter_seed,
-    );
-    let mut repair_on_connect = false;
-    'reconnect: while shared.running.load(Ordering::SeqCst) {
-        let stream = match connect_with_retry(&shared, addr, &mut backoff, retry_limit) {
-            Some(s) => s,
-            None => return,
-        };
-        let mut stream = std::io::BufWriter::with_capacity(64 * 1024, stream);
-        backoff.reset();
-        if repair_on_connect {
-            if let Some(m) = &shared.metrics {
-                m.reconnects.inc();
-            }
-        }
-        match write_shard_frame(&mut stream, HELLO_SHARD, &hello(shared.me.0))
-            .and_then(|n| stream.flush().map(|()| n))
-        {
-            Ok(wire_len) => {
-                if let Some(m) = &shared.metrics {
-                    m.frames_out.inc();
-                    m.bytes_out.add(wire_len as u64);
-                }
-            }
-            Err(_) => continue 'reconnect,
-        }
-        if repair_on_connect {
-            // Repair every shard sub-stream: resend unacked data and
-            // re-announce acks, exactly as the unsharded runtime does
-            // per node.
-            for s in 0..shared.num_shards {
-                shared.with_shard(s, |n| {
-                    let from = n.recorder().get(n.me(), peer, RECEIVED) + 1;
-                    n.resend_from(peer, from);
-                    n.announce_acks_to(peer);
-                });
-            }
-        }
-        repair_on_connect = true;
-        loop {
-            match rx.recv_timeout(Duration::from_millis(100)) {
-                Ok((shard, msg)) => {
-                    match write_shard_frame(&mut stream, shard, &msg) {
-                        Ok(wire_len) => {
-                            if let Some(m) = &shared.metrics {
-                                m.frames_out.inc();
-                                m.bytes_out.add(wire_len as u64);
-                            }
-                        }
-                        Err(_) => continue 'reconnect,
-                    }
-                    if rx.is_empty() && stream.flush().is_err() {
-                        continue 'reconnect;
-                    }
-                }
-                Err(crossbeam::channel::RecvTimeoutError::Timeout) => {
-                    if stream.flush().is_err() {
-                        continue 'reconnect;
-                    }
-                    if !shared.running.load(Ordering::SeqCst) {
-                        return;
-                    }
-                }
-                Err(crossbeam::channel::RecvTimeoutError::Disconnected) => {
-                    let _ = stream.flush();
-                    return;
-                }
-            }
-        }
-    }
-}
-
-/// Connect with capped, seeded-jitter backoff; `None` on shutdown or
-/// after `retry_limit` consecutive failures (`0` = never give up).
-fn connect_with_retry(
-    shared: &Arc<ShardedShared>,
-    addr: SocketAddr,
-    backoff: &mut Backoff,
-    retry_limit: u64,
-) -> Option<TcpStream> {
-    while shared.running.load(Ordering::SeqCst) {
-        match TcpStream::connect_timeout(&addr, Duration::from_millis(500)) {
-            Ok(s) => {
-                s.set_nodelay(true).ok();
-                return Some(s);
-            }
-            Err(_) => {
-                if retry_limit > 0 && backoff.attempts() + 1 >= retry_limit {
-                    return None;
-                }
-                let delay = backoff.next_delay();
-                if let Some(m) = &shared.metrics {
-                    m.connect_attempts.inc();
-                    m.backoff_sleep_ns.add(delay.as_nanos() as u64);
-                }
-                std::thread::sleep(delay);
-            }
-        }
-    }
-    None
-}
-
-fn ticker_loop(shared: Arc<ShardedShared>, opts: stabilizer_core::Options) {
-    let mut last_flush = Instant::now();
-    let mut last_heartbeat = Instant::now();
-    let mut last_failure = Instant::now();
-    let mut last_retransmit = Instant::now();
-    let mut last_transfer = Instant::now();
-    let mut last_sample = Instant::now();
-    let sample_every = Duration::from_millis(20);
-    let tick = Duration::from_micros(if opts.ack_flush_micros > 0 {
-        opts.ack_flush_micros.min(1000)
-    } else {
-        1000
-    });
-    while shared.running.load(Ordering::SeqCst) {
-        std::thread::sleep(tick);
-        let now = Instant::now();
-        if opts.ack_flush_micros > 0
-            && now.duration_since(last_flush) >= Duration::from_micros(opts.ack_flush_micros)
-        {
-            for s in 0..shared.num_shards {
-                shared.with_shard(s, StabilizerNode::on_ack_flush);
-            }
-            last_flush = now;
-        }
-        if opts.heartbeat_millis > 0
-            && now.duration_since(last_heartbeat) >= Duration::from_millis(opts.heartbeat_millis)
-        {
-            for s in 0..shared.num_shards {
-                shared.with_shard(s, StabilizerNode::on_heartbeat);
-            }
-            last_heartbeat = now;
-        }
-        if opts.failure_timeout_millis > 0
-            && now.duration_since(last_failure)
-                >= Duration::from_millis(opts.failure_timeout_millis / 2)
-        {
-            let t = shared.now_nanos();
-            for s in 0..shared.num_shards {
-                shared.with_shard(s, |n| n.on_failure_check(t));
-            }
-            last_failure = now;
-        }
-        if opts.retransmit_millis > 0
-            && now.duration_since(last_retransmit)
-                >= Duration::from_millis((opts.retransmit_millis / 2).max(1))
-        {
-            let t = shared.now_nanos();
-            for s in 0..shared.num_shards {
-                shared.with_shard(s, |n| n.on_retransmit_check(t));
-            }
-            last_retransmit = now;
-        }
-        if opts.transfer_millis > 0
-            && now.duration_since(last_transfer)
-                >= Duration::from_millis((opts.transfer_millis / 2).max(1))
-        {
-            shared.refresh_transfer_marks();
-            let t = shared.now_nanos();
-            for s in 0..shared.num_shards {
-                shared.with_shard(s, |n| n.on_transfer_tick(t));
-            }
-            last_transfer = now;
-        }
-        if let Some(telemetry) = &shared.telemetry {
-            if now.duration_since(last_sample) >= sample_every {
-                let mut total = Metrics::default();
-                let mut total_buf = 0usize;
-                for s in 0..shared.num_shards as usize {
-                    let (m, buf) = {
-                        let node = shared.shards[s].lock();
-                        (node.metrics(), node.send_buffer_bytes())
-                    };
-                    if let Some(g) = shared.shard_gauges.get(s) {
-                        g.queue_depth.set(shared.shard_txs[s].len() as i64);
-                        g.send_buffer_bytes.set(buf as i64);
-                        g.data_msgs_sent.set(m.data_msgs_sent as i64);
-                        g.deliveries.set(m.deliveries as i64);
-                        g.frontier_updates.set(m.frontier_updates as i64);
-                        g.retransmits.set(m.retransmits as i64);
-                    }
-                    total.data_msgs_sent += m.data_msgs_sent;
-                    total.data_bytes_sent += m.data_bytes_sent;
-                    total.control_msgs_sent += m.control_msgs_sent;
-                    total.acks_sent += m.acks_sent;
-                    total.deliveries += m.deliveries;
-                    total.acks_received += m.acks_received;
-                    total.acks_stale += m.acks_stale;
-                    total.retransmits += m.retransmits;
-                    total.predicate_evals += m.predicate_evals;
-                    total.frontier_updates += m.frontier_updates;
-                    total_buf += buf;
-                }
-                if let Some(m) = &shared.metrics {
-                    m.send_buffer_bytes.set(total_buf as i64);
-                    m.pending_waiters
-                        .set(shared.agg.lock().frontier.pending_waiters() as i64);
-                }
-                telemetry.record_node_metrics(shared.me, &total);
-                last_sample = now;
-            }
+            Err(RecvTimeoutError::Timeout) if shared.link.is_running() => {}
+            Err(_) => return,
         }
     }
 }

@@ -119,8 +119,10 @@ fn tcp_runtime_serves_all_routes_live() {
 
 #[test]
 fn sharded_runtime_serves_aggregated_routes() {
-    let cfg = ClusterConfig::parse("az East a b\noption shards 2\npredicate k MIN($ALLWNODES)\n")
-        .expect("config");
+    let cfg = ClusterConfig::parse(
+        "az East a b\noption shards 2\noption transfer_millis 50\npredicate k MIN($ALLWNODES)\n",
+    )
+    .expect("config");
     let telemetry = Telemetry::new_wall_clock_sharded(2);
     let acks = Arc::new(AckTypeRegistry::new());
     let (listeners, addrs) = bind_pair();
@@ -168,6 +170,21 @@ fn sharded_runtime_serves_aggregated_routes() {
         .expect("reports array");
     assert!(!reports.is_empty(), "{stall}");
     assert!(reports.iter().all(|r| r.get("shard").is_some()), "{stall}");
+
+    // Node 0 serves node 1's catch-up request as a donor; the sampler
+    // must carry the `transfer_*` counters of its shard machines into
+    // the node-level gauges like every other counter.
+    nodes[1].handle().begin_catch_up();
+    wait_until(|| {
+        let (_, json) = http_get(&serve, "/metrics.json").expect("GET /metrics.json");
+        let parsed = parse_json(&json).expect("json parses");
+        let served = parsed
+            .get("gauges")
+            .and_then(|g| g.get("stab_node_transfer_requests{node=\"0\"}"))
+            .and_then(|v| v.as_i64());
+        served > Some(0)
+    });
+    assert!(h0.metrics().transfer_requests > 0);
 
     for node in &nodes {
         node.handle().shutdown();
