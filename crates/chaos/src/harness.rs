@@ -283,12 +283,6 @@ impl ChaosHarness {
         &self.sim
     }
 
-    /// Mutable access to the underlying simulation, for tests that
-    /// probe or drive nodes directly after a run.
-    pub fn sim_mut(&mut self) -> &mut Simulation<SimNode<ChaosObserver>> {
-        &mut self.sim
-    }
-
     /// The shared event trace.
     pub fn trace(&self) -> &SharedTrace {
         &self.trace

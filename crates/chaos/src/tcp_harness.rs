@@ -18,9 +18,9 @@
 //! The checker needs a simultaneous view of all nodes. [`check_now`]
 //! locks every node's state machine in index order (safe: each runtime
 //! thread only ever takes its own node's lock), then reads each node's
-//! observer log. Observers run *under* the node lock
-//! ([`stabilizer_core::RuntimeObserver`]), so each per-node view is
-//! internally consistent; across nodes, freezing believers before (or
+//! observer log. Observers run *under* the node lock (the contract in
+//! [`stabilizer_core::observe`]), so each per-node view is internally
+//! consistent; across nodes, freezing believers before (or
 //! after) truth-holders is safe either way because acknowledgments only
 //! flow forward from the acking node.
 //!
@@ -45,8 +45,8 @@ use crate::plan::{FaultPlan, Op, TimedOp};
 use crate::tcp_proxy::ProxyNet;
 use bytes::Bytes;
 use stabilizer_core::{
-    shared_runtime_log, AckTypeRegistry, ClusterConfig, CoreError, LogObserver, NodeId,
-    ObserverChain, RuntimeObserver, SharedRuntimeLog, Snapshot,
+    AckTypeRegistry, AppHooks, ClusterConfig, CoreError, NodeId, ObserverChain, SharedEventLog,
+    Snapshot,
 };
 use stabilizer_dsl::{SeqNo, RECEIVED};
 use stabilizer_netsim::SimTime;
@@ -99,7 +99,7 @@ pub struct ChaosTcpCluster {
     proxy: ProxyNet,
     acks: Arc<AckTypeRegistry>,
     nodes: Vec<NodeHandle>,
-    logs: Vec<SharedRuntimeLog>,
+    logs: Vec<SharedEventLog>,
     checker: InvariantChecker,
     schedule: Vec<Scheduled>,
     next_action: usize,
@@ -127,18 +127,15 @@ pub struct ChaosTcpCluster {
 /// Observer for one TCP node: the invariant checker's log, plus the
 /// telemetry hub's metrics observer when a hub is attached.
 fn make_observer(
-    log: &SharedRuntimeLog,
+    log: &SharedEventLog,
     telemetry: Option<&Arc<Telemetry>>,
     node: NodeId,
-) -> Box<dyn RuntimeObserver> {
-    match telemetry {
-        None => Box::new(LogObserver::new(log.clone())),
-        Some(t) => Box::new(
-            ObserverChain::new()
-                .with(Box::new(LogObserver::new(log.clone())))
-                .with(Box::new(t.observer(node))),
-        ),
+) -> Box<dyn AppHooks + Send> {
+    let mut chain = ObserverChain(vec![Box::new(log.clone())]);
+    if let Some(t) = telemetry {
+        chain.0.push(Box::new(t.observer(node)));
     }
+    Box::new(chain)
 }
 
 impl ChaosTcpCluster {
@@ -249,7 +246,7 @@ impl ChaosTcpCluster {
         let mut nodes = Vec::with_capacity(n);
         let mut logs = Vec::with_capacity(n);
         for (i, listener) in listeners.into_iter().enumerate() {
-            let log = shared_runtime_log();
+            let log = SharedEventLog::default();
             let peer_addrs = (0..n)
                 .filter(|j| *j != i)
                 .map(|j| (NodeId(j as u16), proxy.proxy_addr(i, j)))
@@ -621,7 +618,7 @@ impl ChaosTcpCluster {
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind restart listener");
         self.proxy
             .set_dest(node, listener.local_addr().expect("restart addr"));
-        let log = shared_runtime_log();
+        let log = SharedEventLog::default();
         let peer_addrs = (0..self.n)
             .filter(|j| *j != node)
             .map(|j| (NodeId(j as u16), self.proxy.proxy_addr(node, j)))
@@ -680,7 +677,7 @@ impl ChaosTcpCluster {
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind join listener");
         self.proxy
             .set_dest(node, listener.local_addr().expect("join addr"));
-        let log = shared_runtime_log();
+        let log = SharedEventLog::default();
         let peer_addrs = (0..self.n)
             .filter(|j| *j != node)
             .map(|j| (NodeId(j as u16), self.proxy.proxy_addr(node, j)))

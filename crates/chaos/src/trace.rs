@@ -3,9 +3,7 @@
 //! workload action, and the result hashes to a single `u64` that must be
 //! byte-identical across runs of the same `(plan, workload, seed)`.
 
-use bytes::Bytes;
-use stabilizer_core::sim_driver::AppHooks;
-use stabilizer_core::{FrontierUpdate, NodeId, SeqNo, WaitToken};
+use stabilizer_core::{AppHooks, Event, SeqNo};
 use stabilizer_netsim::SimTime;
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -173,7 +171,7 @@ impl ChaosObserver {
         }
     }
 
-    /// Also forward every upcall to `metrics` (a telemetry hub's
+    /// Also forward every event to `metrics` (a telemetry hub's
     /// per-node observer), when given.
     #[must_use]
     pub fn with_metrics(mut self, metrics: Option<stabilizer_telemetry::MetricsObserver>) -> Self {
@@ -183,93 +181,47 @@ impl ChaosObserver {
 }
 
 impl AppHooks for ChaosObserver {
-    fn on_deliver(&mut self, now: SimTime, origin: NodeId, seq: SeqNo, payload: &Bytes) {
-        self.trace.borrow_mut().events.push(TraceEvent {
-            at_nanos: now.as_nanos(),
-            node: self.node,
-            kind: TraceEventKind::Deliver {
+    fn on_event(&mut self, now: SimTime, event: &Event<'_>) {
+        let kind = match *event {
+            Event::Deliver {
+                origin,
+                seq,
+                payload,
+            } => Some(TraceEventKind::Deliver {
                 origin: origin.0,
                 seq,
                 len: payload.len(),
-            },
-        });
-        if let Some(m) = &mut self.metrics {
-            AppHooks::on_deliver(m, now, origin, seq, payload);
-        }
-    }
-
-    fn on_frontier(&mut self, now: SimTime, update: &FrontierUpdate) {
-        self.trace.borrow_mut().events.push(TraceEvent {
-            at_nanos: now.as_nanos(),
-            node: self.node,
-            kind: TraceEventKind::Frontier {
+            }),
+            Event::Frontier(update) => Some(TraceEventKind::Frontier {
                 stream: update.stream.0,
                 key: update.key.clone(),
                 seq: update.seq,
                 generation: update.generation,
-            },
-        });
-        if let Some(m) = &mut self.metrics {
-            AppHooks::on_frontier(m, now, update);
-        }
-    }
-
-    fn on_wait_done(&mut self, now: SimTime, token: WaitToken) {
-        self.trace.borrow_mut().events.push(TraceEvent {
-            at_nanos: now.as_nanos(),
-            node: self.node,
-            kind: TraceEventKind::WaitDone { token },
-        });
-        if let Some(m) = &mut self.metrics {
-            AppHooks::on_wait_done(m, now, token);
-        }
-    }
-
-    fn on_suspected(&mut self, now: SimTime, node: NodeId) {
-        self.trace.borrow_mut().events.push(TraceEvent {
-            at_nanos: now.as_nanos(),
-            node: self.node,
-            kind: TraceEventKind::Suspected { peer: node.0 },
-        });
-        if let Some(m) = &mut self.metrics {
-            AppHooks::on_suspected(m, now, node);
-        }
-    }
-
-    fn on_catch_up(&mut self, now: SimTime, stream: NodeId, seq: SeqNo) {
-        self.trace.borrow_mut().events.push(TraceEvent {
-            at_nanos: now.as_nanos(),
-            node: self.node,
-            kind: TraceEventKind::CatchUp {
+            }),
+            Event::WaitDone { token } => Some(TraceEventKind::WaitDone { token }),
+            Event::Suspected { node } => Some(TraceEventKind::Suspected { peer: node.0 }),
+            Event::CatchUp { stream, seq } => Some(TraceEventKind::CatchUp {
                 stream: stream.0,
                 seq,
-            },
-        });
-        if let Some(m) = &mut self.metrics {
-            AppHooks::on_catch_up(m, now, stream, seq);
+            }),
+            // Every other kind feeds the telemetry trace ring and counters
+            // only: they are NOT part of the canonical event trace, so
+            // pinned per-seed trace hashes from earlier releases stay
+            // valid.
+            Event::Recovered { .. }
+            | Event::TransferChunk { .. }
+            | Event::Join { .. }
+            | Event::ConnectFailed { .. } => None,
+        };
+        if let Some(kind) = kind {
+            self.trace.borrow_mut().events.push(TraceEvent {
+                at_nanos: now.as_nanos(),
+                node: self.node,
+                kind,
+            });
         }
-    }
-
-    // Transfer-chunk and join events feed the telemetry trace ring and
-    // counters only: they are NOT part of the canonical event trace, so
-    // pinned per-seed trace hashes from earlier releases stay valid.
-    fn on_transfer_chunk(
-        &mut self,
-        now: SimTime,
-        to: NodeId,
-        stream: NodeId,
-        seq: SeqNo,
-        len: usize,
-        done: bool,
-    ) {
         if let Some(m) = &mut self.metrics {
-            AppHooks::on_transfer_chunk(m, now, to, stream, seq, len, done);
-        }
-    }
-
-    fn on_join(&mut self, now: SimTime, streams: usize) {
-        if let Some(m) = &mut self.metrics {
-            AppHooks::on_join(m, now, streams);
+            m.on_event(now, event);
         }
     }
 }

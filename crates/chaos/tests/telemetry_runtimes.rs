@@ -6,7 +6,9 @@
 //! replays of the same seed; the TCP export is wall-clock (values
 //! differ run to run) but the histograms must be populated.
 
-use stabilizer_chaos::{ChaosHarness, ChaosTcpCluster, FaultPlan, TimedWork, WorkItem};
+use stabilizer_chaos::{
+    ChaosHarness, ChaosTcpCluster, Fault, FaultEvent, FaultPlan, TimedWork, WorkItem,
+};
 use stabilizer_core::ClusterConfig;
 use stabilizer_netsim::{NetTopology, SimDuration};
 use stabilizer_telemetry::Telemetry;
@@ -123,4 +125,106 @@ fn tcp_run_produces_stability_histogram() {
     assert!(json.contains("stab_tcp_frames_out_total"));
     assert!(prom.contains("stab_stability_latency_ns_count{key=\"All\"} 15"));
     assert!(prom.contains("stab_tcp_bytes_in_total"));
+}
+
+// ---------------------------------------------------------------------
+// Suspicion and recovery reach the hub on both runtimes
+// ---------------------------------------------------------------------
+
+/// Failure detector on, §III-E transfer on: node 2 is down for five
+/// failure timeouts, so its peers suspect it, and un-suspect it once the
+/// restarted node talks again.
+fn crash_cfg() -> ClusterConfig {
+    ClusterConfig::parse(
+        "az East e1 e2\naz West w1\n\
+         predicate All MIN($ALLWNODES-$MYWNODE)\n\
+         option ack_flush_micros 1000\n\
+         option heartbeat_millis 20\n\
+         option retransmit_millis 40\n\
+         option failure_timeout_millis 120\n\
+         option retain_log_bytes 65536\n\
+         option transfer_millis 20\n",
+    )
+    .unwrap()
+}
+
+fn crash_plan() -> FaultPlan {
+    FaultPlan {
+        events: vec![FaultEvent {
+            at: SimDuration::from_millis(100),
+            fault: Fault::CrashRestart {
+                node: 2,
+                down_for: SimDuration::from_millis(600),
+            },
+        }],
+    }
+}
+
+fn total(telemetry: &Telemetry, counter: &str) -> u64 {
+    (0..3)
+        .map(|i| {
+            let id = i.to_string();
+            telemetry
+                .registry()
+                .counter(counter, &[("node", &id)])
+                .get()
+        })
+        .sum()
+}
+
+fn assert_suspicion_and_recovery_counted(telemetry: &Telemetry, runtime: &str) {
+    assert!(
+        total(telemetry, "stab_suspicions_total") > 0,
+        "{runtime}: no suspicion reached the hub"
+    );
+    assert!(
+        total(telemetry, "stab_recoveries_total") > 0,
+        "{runtime}: no recovery reached the hub"
+    );
+    assert!(
+        telemetry
+            .trace()
+            .to_jsonl()
+            .contains("\"event\":\"recovered\""),
+        "{runtime}: no recovered event in the trace ring"
+    );
+}
+
+#[test]
+fn sim_crash_restart_counts_suspicions_and_recoveries() {
+    let telemetry = Arc::new(Telemetry::new_sim_with_trace(8192));
+    let net = NetTopology::full_mesh(3, SimDuration::from_millis(5), 1e9);
+    let mut h = ChaosHarness::new_with_telemetry(
+        &crash_cfg(),
+        net,
+        SEED,
+        &crash_plan(),
+        workload(),
+        Some(Arc::clone(&telemetry)),
+    )
+    .unwrap();
+    h.run(SimDuration::from_secs(4))
+        .unwrap_or_else(|v| panic!("sim run violated an invariant: {v}"));
+    assert_suspicion_and_recovery_counted(&telemetry, "sim");
+}
+
+#[test]
+fn tcp_crash_restart_counts_suspicions_and_recoveries() {
+    let telemetry = Arc::new(Telemetry::new_wall_clock());
+    let mut cluster = ChaosTcpCluster::new_with_telemetry(
+        &crash_cfg(),
+        SEED,
+        &crash_plan(),
+        workload(),
+        Some(Arc::clone(&telemetry)),
+    )
+    .unwrap();
+    cluster
+        .run(Duration::from_millis(1500))
+        .unwrap_or_else(|v| panic!("tcp run violated an invariant: {v}"));
+    cluster
+        .verify_liveness(Duration::from_secs(30))
+        .unwrap_or_else(|v| panic!("tcp run did not stabilize: {v}"));
+    cluster.shutdown();
+    assert_suspicion_and_recovery_counted(&telemetry, "tcp");
 }

@@ -258,18 +258,6 @@ impl ClusterConfig {
         self
     }
 
-    /// Declare an application ACK type registered at startup. A non-empty
-    /// `emitters` list restricts which nodes ever bump the type (feeding
-    /// the analyzer's `unemitted-ack-type` lint); empty means every node
-    /// emits it.
-    pub fn with_ack_type(mut self, name: &str, emitters: &[&str]) -> Self {
-        self.ack_types.push((
-            name.to_owned(),
-            emitters.iter().map(|s| (*s).to_owned()).collect(),
-        ));
-        self
-    }
-
     /// Replace the options.
     pub fn with_options(mut self, options: Options) -> Self {
         self.options = options;
@@ -292,23 +280,6 @@ impl ClusterConfig {
         );
         self.placement = Arc::new(placement);
         self
-    }
-
-    /// Resolve `replicate` directives against this config's topology and
-    /// install the resulting placement.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::Config`] on placement validation failures
-    /// (unknown stream/node, origin excluded, empty set, duplicates).
-    pub fn with_replication(
-        mut self,
-        directives: &[ReplicateDirective],
-    ) -> Result<Self, CoreError> {
-        let placement = PlacementMap::from_directives(&self.topology, directives)
-            .map_err(|e| CoreError::Config(e.to_string()))?;
-        self.placement = Arc::new(placement);
-        Ok(self)
     }
 
     /// The WAN topology.

@@ -71,11 +71,13 @@ pub use explain::{
 pub use frontier::{FrontierEngine, FrontierUpdate, WaitToken};
 pub use messages::{Ack, WireMsg, WIRE_OVERHEAD};
 pub use node::{Action, Metrics, Snapshot, StabilizerNode};
-pub use observe::{
-    shared_runtime_log, LogObserver, ObserverChain, RuntimeLog, RuntimeObserver, SharedRuntimeLog,
-};
+pub use observe::{AppHooks, Event, EventLog, NoHooks, ObserverChain, SharedEventLog};
 pub use recorder::{AckRecorder, DirtyCell};
 pub use timers::TimerKind;
+
+// The observer clock: virtual time on the simulator, nanoseconds since
+// the node's start on the TCP runtimes.
+pub use stabilizer_netsim::SimTime;
 
 // Re-export the placement surface so runtimes and checkers can scope
 // themselves to replica sets without a direct `stabilizer-place` dep.

@@ -358,13 +358,6 @@ impl StabilizerNode {
         &self.placement
     }
 
-    /// Link peers: nodes this node exchanges any traffic with (they
-    /// share at least one stream). Every other node, under the default
-    /// full replication.
-    pub fn link_peers(&self) -> &[NodeId] {
-        &self.peers
-    }
-
     /// Data-plane fan-out targets: replicas of this node's own stream,
     /// excluding itself.
     pub fn data_peers(&self) -> &[NodeId] {
@@ -457,11 +450,6 @@ impl StabilizerNode {
     /// (live window plus retained log).
     pub fn first_replayable(&self) -> SeqNo {
         self.send_buf.first_replayable()
-    }
-
-    /// Payload for a still-buffered own-stream message (transport resend).
-    pub fn buffered_payload(&self, seq: SeqNo) -> Option<Bytes> {
-        self.send_buf.get(seq).cloned()
     }
 
     /// Re-emit `Send` actions for every buffered own-stream message at or

@@ -1,57 +1,212 @@
-//! Observer plumbing for threaded (non-simulated) runtimes.
+//! The one way out of the machine: what a driver shows an observer of
+//! the [`Action`]s a sans-IO machine emits.
 //!
-//! The simulator exposes every protocol upcall through
-//! [`AppHooks`](crate::sim_driver::AppHooks) plus the timestamped logs on
-//! [`SimNode`](crate::sim_driver::SimNode); external checkers (the chaos
-//! harness's invariant checker) consume those. The threaded TCP runtime
-//! needs the same seam, but its upcalls arrive from multiple OS threads
-//! with wall-clock timestamps. [`RuntimeObserver`] is that seam: the
-//! runtime invokes it for every action **while still holding the node's
-//! state lock**, so an external checker that locks the state machine and
-//! then reads an observer's log always sees a log at least as fresh as
-//! the state — the property the chaos checker's `delivered-without-
-//! upcall` invariant depends on.
+//! [`Event`] is the vocabulary, [`Action::event`] the only place that
+//! decides what an observer sees of an `Action`, and [`AppHooks`] the
+//! only observer trait — on the simulator and on both TCP runtimes.
 //!
-//! [`RuntimeLog`] is the ready-made observer used by the TCP chaos
-//! harness: it records the same four logs a `SimNode` keeps, timestamped
-//! with [`SimTime`] (nanoseconds since the run's start) so the
-//! runtime-agnostic checker consumes both runtimes' logs identically.
+//! # The observer contract
+//!
+//! Drivers call [`AppHooks::on_event`] and nothing else; its default body
+//! dispatches to the per-kind methods, so an observer implements either
+//! the kinds it cares about or `on_event` wholesale (and then its
+//! per-kind methods are never invoked).
+//!
+//! * **Simulator** ([`SimNode`](crate::sim_driver::SimNode)): called from
+//!   the actor callback that drained the action, `now` in virtual time.
+//! * **Plain TCP runtime**: called on whichever thread mutated the state
+//!   machine, **while it still holds the node's state lock**, so an
+//!   external checker that locks the state machine and then reads an
+//!   observer's log always sees a log at least as fresh as the state (the
+//!   chaos checker's `delivered-without-upcall` invariant depends on it).
+//!   Observers there must be cheap and must not call back into the node
+//!   handle. `now` is nanoseconds since that node started.
+//! * **Sharded TCP runtime**: called on the dispatcher thread with no
+//!   lock held, in the order node-level events were fixed under the
+//!   aggregator lock; `now` is nanoseconds since that node started.
+//!
+//! [`Event::Join`] and [`Event::ConnectFailed`] come from the driver, not
+//! from an action (a restart requested catch-up; a writer exhausted its
+//! connect budget); everything else is `Action::event` of what the
+//! machine emitted, in emission order.
 
 use crate::frontier::{FrontierUpdate, WaitToken};
+use crate::messages::WireMsg;
+use crate::node::Action;
 use bytes::Bytes;
 use parking_lot::Mutex;
 use stabilizer_dsl::{NodeId, SeqNo};
 use stabilizer_netsim::SimTime;
 use std::sync::Arc;
 
-/// Callbacks the threaded runtime invokes for every emitted action. All
-/// methods have default empty bodies; implement only what you observe.
-///
-/// Implementations must be cheap and must not call back into the node
-/// handle: the runtime invokes them with the state-machine lock held.
-pub trait RuntimeObserver: Send {
+/// One thing an observer can see a node do. Borrowed from the action
+/// (or built by the driver) for the duration of the call.
+#[derive(Debug, Clone, Copy)]
+pub enum Event<'a> {
     /// A mirrored payload was delivered (upcall).
-    fn on_deliver(&mut self, _now_nanos: u64, _origin: NodeId, _seq: SeqNo, _payload: &Bytes) {}
-    /// A stability frontier advanced.
-    fn on_frontier(&mut self, _now_nanos: u64, _update: &FrontierUpdate) {}
+    Deliver {
+        /// Stream origin.
+        origin: NodeId,
+        /// Sequence number within the stream (global on a sharded node).
+        seq: SeqNo,
+        /// The payload.
+        payload: &'a Bytes,
+    },
+    /// A stability frontier advanced (the `monitor_stability_frontier`
+    /// mechanism of §III-D).
+    Frontier(&'a FrontierUpdate),
     /// A `waitfor` completed.
-    fn on_wait_done(&mut self, _now_nanos: u64, _token: WaitToken) {}
+    WaitDone {
+        /// The token the `waitfor` returned.
+        token: WaitToken,
+    },
     /// A peer became suspected.
-    fn on_suspected(&mut self, _now_nanos: u64, _node: NodeId) {}
+    Suspected {
+        /// The suspect.
+        node: NodeId,
+    },
     /// A suspected peer came back.
-    fn on_recovered(&mut self, _now_nanos: u64, _node: NodeId) {}
+    Recovered {
+        /// The returning node.
+        node: NodeId,
+    },
     /// A stream was fast-forwarded out of band (§III-E state transfer);
     /// delivery resumes after `seq` without upcalls for the skipped
     /// prefix.
-    fn on_catch_up(&mut self, _now_nanos: u64, _stream: NodeId, _seq: SeqNo) {}
-    /// A writer gave up (re)connecting to a peer permanently (its
-    /// configured retry budget ran out).
-    fn on_connect_failed(&mut self, _now_nanos: u64, _peer: NodeId) {}
+    CatchUp {
+        /// The fast-forwarded stream.
+        stream: NodeId,
+        /// Delivery resumes after this sequence.
+        seq: SeqNo,
+    },
     /// This node (as donor) sent one retained-log chunk of `stream` to a
     /// recovering peer (§III-E state transfer, donor side).
+    TransferChunk {
+        /// The recovering peer.
+        to: NodeId,
+        /// The replayed stream.
+        stream: NodeId,
+        /// The chunk's sequence number.
+        seq: SeqNo,
+        /// Payload length.
+        len: usize,
+        /// Whether this chunk ends the session.
+        done: bool,
+    },
+    /// This node (re)entered the cluster and requested catch-up on
+    /// `streams` peer streams.
+    Join {
+        /// Number of peer streams catch-up was requested on.
+        streams: usize,
+    },
+    /// A writer gave up (re)connecting to a peer permanently (its
+    /// configured retry budget ran out).
+    ConnectFailed {
+        /// The unreachable peer.
+        peer: NodeId,
+    },
+}
+
+impl<'a> Event<'a> {
+    /// What an observer sees of transmitting `msg` to `to`: a transfer
+    /// chunk is the donor-side catch-up event (progress is otherwise
+    /// invisible on the donor); any other send is not an event.
+    pub fn of_send(to: NodeId, msg: &'a WireMsg) -> Option<Self> {
+        match msg {
+            WireMsg::TransferChunk {
+                stream,
+                seq,
+                payload,
+                done,
+            } => Some(Event::TransferChunk {
+                to,
+                stream: *stream,
+                seq: *seq,
+                len: payload.len(),
+                done: *done,
+            }),
+            _ => None,
+        }
+    }
+}
+
+impl Action {
+    /// What an observer sees of this action, if anything — the only
+    /// place that decides it. `PredicateBroken` surfaces through the
+    /// frontier staying frozen; the application is expected to
+    /// re-register.
+    pub fn event(&self) -> Option<Event<'_>> {
+        Some(match self {
+            Action::Send { to, msg } => return Event::of_send(*to, msg),
+            Action::PredicateBroken { .. } => return None,
+            Action::Deliver {
+                origin,
+                seq,
+                payload,
+            } => Event::Deliver {
+                origin: *origin,
+                seq: *seq,
+                payload,
+            },
+            Action::Frontier(update) => Event::Frontier(update),
+            Action::WaitDone { token } => Event::WaitDone { token: *token },
+            Action::Suspected { node } => Event::Suspected { node: *node },
+            Action::Recovered { node } => Event::Recovered { node: *node },
+            Action::CatchUp { stream, seq, .. } => Event::CatchUp {
+                stream: *stream,
+                seq: *seq,
+            },
+        })
+    }
+}
+
+/// Observer callbacks. All methods have default bodies; implement only
+/// what you observe. See the [module docs](self) for who calls this,
+/// under which lock and with which clock.
+pub trait AppHooks {
+    /// Every event goes through here; the default dispatches to the
+    /// per-kind methods below.
+    fn on_event(&mut self, now: SimTime, event: &Event<'_>) {
+        match *event {
+            Event::Deliver {
+                origin,
+                seq,
+                payload,
+            } => self.on_deliver(now, origin, seq, payload),
+            Event::Frontier(update) => self.on_frontier(now, update),
+            Event::WaitDone { token } => self.on_wait_done(now, token),
+            Event::Suspected { node } => self.on_suspected(now, node),
+            Event::Recovered { node } => self.on_recovered(now, node),
+            Event::CatchUp { stream, seq } => self.on_catch_up(now, stream, seq),
+            Event::TransferChunk {
+                to,
+                stream,
+                seq,
+                len,
+                done,
+            } => self.on_transfer_chunk(now, to, stream, seq, len, done),
+            Event::Join { streams } => self.on_join(now, streams),
+            Event::ConnectFailed { peer } => self.on_connect_failed(now, peer),
+        }
+    }
+    /// A mirrored payload was delivered (upcall).
+    fn on_deliver(&mut self, _now: SimTime, _origin: NodeId, _seq: SeqNo, _payload: &Bytes) {}
+    /// A stability frontier advanced (the `monitor_stability_frontier`
+    /// mechanism of §III-D).
+    fn on_frontier(&mut self, _now: SimTime, _update: &FrontierUpdate) {}
+    /// A `waitfor` completed.
+    fn on_wait_done(&mut self, _now: SimTime, _token: WaitToken) {}
+    /// A peer became suspected.
+    fn on_suspected(&mut self, _now: SimTime, _node: NodeId) {}
+    /// A suspected peer came back.
+    fn on_recovered(&mut self, _now: SimTime, _node: NodeId) {}
+    /// A stream was fast-forwarded out of band (§III-E state transfer).
+    fn on_catch_up(&mut self, _now: SimTime, _stream: NodeId, _seq: SeqNo) {}
+    /// This node (as donor) sent one retained-log chunk to a recovering
+    /// peer (§III-E, donor side).
     fn on_transfer_chunk(
         &mut self,
-        _now_nanos: u64,
+        _now: SimTime,
         _to: NodeId,
         _stream: NodeId,
         _seq: SeqNo,
@@ -61,203 +216,101 @@ pub trait RuntimeObserver: Send {
     }
     /// This node (re)entered the cluster and requested catch-up on
     /// `streams` peer streams.
-    fn on_join(&mut self, _now_nanos: u64, _streams: usize) {}
+    fn on_join(&mut self, _now: SimTime, _streams: usize) {}
+    /// A writer gave up (re)connecting to a peer permanently.
+    fn on_connect_failed(&mut self, _now: SimTime, _peer: NodeId) {}
 }
 
-/// Timestamped logs of one threaded node's upcalls, shaped exactly like
-/// the logs a simulated `SimNode` keeps so runtime-agnostic checkers
-/// read both the same way.
-#[derive(Debug, Default)]
-pub struct RuntimeLog {
+/// Hooks that do nothing (a driver's [`EventLog`] still records
+/// everything).
+#[derive(Debug, Default, Clone, Copy)]
+pub struct NoHooks;
+impl AppHooks for NoHooks {}
+
+/// Timestamped logs of one node's events — the same shape on the
+/// simulator (a [`SimNode`](crate::sim_driver::SimNode) keeps one) and on
+/// TCP (attach a [`SharedEventLog`] as the observer), so runtime-agnostic
+/// checkers read both the same way. Times are [`SimTime`]: virtual on
+/// the simulator, nanoseconds since the node's start on TCP.
+#[derive(Debug)]
+pub struct EventLog {
     /// Frontier advances: `(time, update)`.
     pub frontier_log: Vec<(SimTime, FrontierUpdate)>,
     /// Deliveries: `(time, origin, seq, payload_len)` — lengths instead
     /// of payloads so byte-level accounting works without keeping the
     /// data alive.
     pub delivery_log: Vec<(SimTime, NodeId, SeqNo, usize)>,
-    /// Completed waits.
-    pub wait_done_log: Vec<(SimTime, WaitToken)>,
+    /// Completed wait tokens.
+    pub completed_waits: Vec<(SimTime, WaitToken)>,
     /// Suspicions raised.
     pub suspected_log: Vec<(SimTime, NodeId)>,
     /// Suspicions cleared.
     pub recovered_log: Vec<(SimTime, NodeId)>,
     /// Out-of-band stream fast-forwards (§III-E): `(time, stream, seq)`.
     pub catchup_log: Vec<(SimTime, NodeId, SeqNo)>,
-    /// Peers a writer permanently failed to connect to.
-    pub connect_failures: Vec<(SimTime, NodeId)>,
+    /// Whether `delivery_log` is populated (off for multi-hundred-
+    /// thousand-message runs where only the frontier log matters).
+    pub record_deliveries: bool,
 }
 
-/// Shared handle to a [`RuntimeLog`]: the runtime's observer writes, the
-/// harness reads.
-pub type SharedRuntimeLog = Arc<Mutex<RuntimeLog>>;
-
-/// Create an empty shared runtime log.
-pub fn shared_runtime_log() -> SharedRuntimeLog {
-    Arc::new(Mutex::new(RuntimeLog::default()))
-}
-
-/// The [`RuntimeObserver`] that appends every upcall to a shared
-/// [`RuntimeLog`].
-pub struct LogObserver {
-    log: SharedRuntimeLog,
-}
-
-impl LogObserver {
-    /// Observer appending into `log`.
-    pub fn new(log: SharedRuntimeLog) -> Self {
-        LogObserver { log }
+impl Default for EventLog {
+    fn default() -> Self {
+        EventLog {
+            frontier_log: Vec::new(),
+            delivery_log: Vec::new(),
+            completed_waits: Vec::new(),
+            suspected_log: Vec::new(),
+            recovered_log: Vec::new(),
+            catchup_log: Vec::new(),
+            record_deliveries: true,
+        }
     }
 }
 
-impl RuntimeObserver for LogObserver {
-    fn on_deliver(&mut self, now_nanos: u64, origin: NodeId, seq: SeqNo, payload: &Bytes) {
-        self.log
-            .lock()
-            .delivery_log
-            .push((SimTime(now_nanos), origin, seq, payload.len()));
-    }
-
-    fn on_frontier(&mut self, now_nanos: u64, update: &FrontierUpdate) {
-        self.log
-            .lock()
-            .frontier_log
-            .push((SimTime(now_nanos), update.clone()));
-    }
-
-    fn on_wait_done(&mut self, now_nanos: u64, token: WaitToken) {
-        self.log
-            .lock()
-            .wait_done_log
-            .push((SimTime(now_nanos), token));
-    }
-
-    fn on_suspected(&mut self, now_nanos: u64, node: NodeId) {
-        self.log
-            .lock()
-            .suspected_log
-            .push((SimTime(now_nanos), node));
-    }
-
-    fn on_recovered(&mut self, now_nanos: u64, node: NodeId) {
-        self.log
-            .lock()
-            .recovered_log
-            .push((SimTime(now_nanos), node));
-    }
-
-    fn on_catch_up(&mut self, now_nanos: u64, stream: NodeId, seq: SeqNo) {
-        self.log
-            .lock()
-            .catchup_log
-            .push((SimTime(now_nanos), stream, seq));
-    }
-
-    fn on_connect_failed(&mut self, now_nanos: u64, peer: NodeId) {
-        self.log
-            .lock()
-            .connect_failures
-            .push((SimTime(now_nanos), peer));
+impl EventLog {
+    /// Append `event` to the log of its kind (donor-side chunks, joins
+    /// and connect failures have none).
+    pub fn record(&mut self, now: SimTime, event: &Event<'_>) {
+        match *event {
+            Event::Deliver {
+                origin,
+                seq,
+                payload,
+            } => {
+                if self.record_deliveries {
+                    self.delivery_log.push((now, origin, seq, payload.len()));
+                }
+            }
+            Event::Frontier(update) => self.frontier_log.push((now, update.clone())),
+            Event::WaitDone { token } => self.completed_waits.push((now, token)),
+            Event::Suspected { node } => self.suspected_log.push((now, node)),
+            Event::Recovered { node } => self.recovered_log.push((now, node)),
+            Event::CatchUp { stream, seq } => self.catchup_log.push((now, stream, seq)),
+            Event::TransferChunk { .. } | Event::Join { .. } | Event::ConnectFailed { .. } => {}
+        }
     }
 }
 
-/// Fan-out observer: forwards every upcall to each observer in the
-/// chain, in order. Lets the chaos `LogObserver` and a telemetry
-/// `MetricsObserver` both watch one node even where the runtime accepts
-/// exactly one observer slot (`SpawnOptions`).
+/// Shared handle to an [`EventLog`]; as an observer it records every
+/// event (the runtime writes, a harness reads).
+pub type SharedEventLog = Arc<Mutex<EventLog>>;
+
+impl AppHooks for SharedEventLog {
+    fn on_event(&mut self, now: SimTime, event: &Event<'_>) {
+        self.lock().record(now, event);
+    }
+}
+
+/// Fan-out observer: forwards every event to each observer, in order.
+/// Lets a chaos [`SharedEventLog`] and a telemetry `MetricsObserver` both
+/// watch one node through the runtime's single observer slot.
 #[derive(Default)]
-pub struct ObserverChain {
-    observers: Vec<Box<dyn RuntimeObserver>>,
-}
+pub struct ObserverChain(pub Vec<Box<dyn AppHooks + Send>>);
 
-impl ObserverChain {
-    /// An empty chain.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Append an observer (builder style).
-    #[must_use]
-    pub fn with(mut self, obs: Box<dyn RuntimeObserver>) -> Self {
-        self.observers.push(obs);
-        self
-    }
-
-    /// Append an observer.
-    pub fn push(&mut self, obs: Box<dyn RuntimeObserver>) {
-        self.observers.push(obs);
-    }
-
-    /// Number of chained observers.
-    pub fn len(&self) -> usize {
-        self.observers.len()
-    }
-
-    /// True when no observers are chained.
-    pub fn is_empty(&self) -> bool {
-        self.observers.is_empty()
-    }
-}
-
-impl RuntimeObserver for ObserverChain {
-    fn on_deliver(&mut self, now_nanos: u64, origin: NodeId, seq: SeqNo, payload: &Bytes) {
-        for obs in &mut self.observers {
-            obs.on_deliver(now_nanos, origin, seq, payload);
-        }
-    }
-
-    fn on_frontier(&mut self, now_nanos: u64, update: &FrontierUpdate) {
-        for obs in &mut self.observers {
-            obs.on_frontier(now_nanos, update);
-        }
-    }
-
-    fn on_wait_done(&mut self, now_nanos: u64, token: WaitToken) {
-        for obs in &mut self.observers {
-            obs.on_wait_done(now_nanos, token);
-        }
-    }
-
-    fn on_suspected(&mut self, now_nanos: u64, node: NodeId) {
-        for obs in &mut self.observers {
-            obs.on_suspected(now_nanos, node);
-        }
-    }
-
-    fn on_recovered(&mut self, now_nanos: u64, node: NodeId) {
-        for obs in &mut self.observers {
-            obs.on_recovered(now_nanos, node);
-        }
-    }
-
-    fn on_catch_up(&mut self, now_nanos: u64, stream: NodeId, seq: SeqNo) {
-        for obs in &mut self.observers {
-            obs.on_catch_up(now_nanos, stream, seq);
-        }
-    }
-
-    fn on_connect_failed(&mut self, now_nanos: u64, peer: NodeId) {
-        for obs in &mut self.observers {
-            obs.on_connect_failed(now_nanos, peer);
-        }
-    }
-
-    fn on_transfer_chunk(
-        &mut self,
-        now_nanos: u64,
-        to: NodeId,
-        stream: NodeId,
-        seq: SeqNo,
-        len: usize,
-        done: bool,
-    ) {
-        for obs in &mut self.observers {
-            obs.on_transfer_chunk(now_nanos, to, stream, seq, len, done);
-        }
-    }
-
-    fn on_join(&mut self, now_nanos: u64, streams: usize) {
-        for obs in &mut self.observers {
-            obs.on_join(now_nanos, streams);
+impl AppHooks for ObserverChain {
+    fn on_event(&mut self, now: SimTime, event: &Event<'_>) {
+        for obs in &mut self.0 {
+            obs.on_event(now, event);
         }
     }
 }
@@ -267,41 +320,65 @@ mod tests {
     use super::*;
 
     #[test]
-    fn log_observer_records_in_order() {
-        let log = shared_runtime_log();
-        let mut obs = LogObserver::new(log.clone());
-        obs.on_deliver(5, NodeId(1), 1, &Bytes::from_static(b"x"));
-        obs.on_deliver(9, NodeId(1), 2, &Bytes::from_static(b"yy"));
-        obs.on_suspected(11, NodeId(2));
-        obs.on_recovered(12, NodeId(2));
-        obs.on_catch_up(12, NodeId(1), 7);
-        obs.on_connect_failed(13, NodeId(3));
-        let log = log.lock();
-        assert_eq!(
-            log.delivery_log,
-            vec![(SimTime(5), NodeId(1), 1, 1), (SimTime(9), NodeId(1), 2, 2)]
-        );
-        assert_eq!(log.suspected_log, vec![(SimTime(11), NodeId(2))]);
-        assert_eq!(log.recovered_log, vec![(SimTime(12), NodeId(2))]);
-        assert_eq!(log.catchup_log, vec![(SimTime(12), NodeId(1), 7)]);
-        assert_eq!(log.connect_failures, vec![(SimTime(13), NodeId(3))]);
+    fn chain_fans_out_in_order_and_logs_record_by_kind() {
+        let first = SharedEventLog::default();
+        let second = SharedEventLog::default();
+        let mut chain = ObserverChain(vec![Box::new(first.clone()), Box::new(second.clone())]);
+        let payload = Bytes::from_static(b"abc");
+        let events = [
+            Event::Deliver {
+                origin: NodeId(1),
+                seq: 1,
+                payload: &payload,
+            },
+            Event::Suspected { node: NodeId(2) },
+            Event::Recovered { node: NodeId(2) },
+            Event::CatchUp {
+                stream: NodeId(1),
+                seq: 7,
+            },
+            Event::WaitDone { token: 4 },
+            Event::ConnectFailed { peer: NodeId(3) },
+        ];
+        for (i, ev) in events.iter().enumerate() {
+            chain.on_event(SimTime(5 + i as u64), ev);
+        }
+        for log in [&first, &second] {
+            let log = log.lock();
+            assert_eq!(log.delivery_log, vec![(SimTime(5), NodeId(1), 1, 3)]);
+            assert_eq!(log.suspected_log, vec![(SimTime(6), NodeId(2))]);
+            assert_eq!(log.recovered_log, vec![(SimTime(7), NodeId(2))]);
+            assert_eq!(log.catchup_log, vec![(SimTime(8), NodeId(1), 7)]);
+            assert_eq!(log.completed_waits, vec![(SimTime(9), 4)]);
+            assert!(log.frontier_log.is_empty());
+        }
     }
 
     #[test]
-    fn observer_chain_fans_out_in_order() {
-        let first = shared_runtime_log();
-        let second = shared_runtime_log();
-        let mut chain = ObserverChain::new()
-            .with(Box::new(LogObserver::new(first.clone())))
-            .with(Box::new(LogObserver::new(second.clone())));
-        assert_eq!(chain.len(), 2);
-        assert!(!chain.is_empty());
-        chain.on_deliver(7, NodeId(0), 1, &Bytes::from_static(b"abc"));
-        chain.on_suspected(8, NodeId(2));
-        for log in [&first, &second] {
-            let log = log.lock();
-            assert_eq!(log.delivery_log, vec![(SimTime(7), NodeId(0), 1, 3)]);
-            assert_eq!(log.suspected_log, vec![(SimTime(8), NodeId(2))]);
-        }
+    fn only_transfer_chunk_sends_are_events() {
+        let chunk = Action::Send {
+            to: NodeId(2),
+            msg: WireMsg::TransferChunk {
+                stream: NodeId(0),
+                seq: 9,
+                payload: Bytes::from_static(b"12345"),
+                done: true,
+            },
+        };
+        assert!(matches!(
+            chunk.event(),
+            Some(Event::TransferChunk {
+                to: NodeId(2),
+                stream: NodeId(0),
+                seq: 9,
+                len: 5,
+                done: true
+            })
+        ));
+        let heartbeat = Action::Send {
+            to: NodeId(2),
+            msg: WireMsg::Heartbeat,
+        };
+        assert!(heartbeat.event().is_none());
     }
 }

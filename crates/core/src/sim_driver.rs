@@ -1,95 +1,164 @@
-//! Driver that runs a [`StabilizerNode`] inside the deterministic
-//! simulator: it maps [`Action`]s to simulated sends, schedules the
-//! periodic control-plane timers, and exposes application hooks plus
-//! timestamped logs that the experiment harnesses read.
+//! The one simulator driver: runs a sans-IO [`Machine`] — a
+//! [`StabilizerNode`], or the sharded engine of `stabilizer-shard` —
+//! inside the deterministic simulator. It maps the machine's actions to
+//! simulated sends, schedules the periodic control-plane timers, and
+//! exposes application hooks plus the timestamped [`EventLog`] that the
+//! experiment harnesses read.
 
 use crate::config::{ClusterConfig, Options};
 use crate::error::CoreError;
-use crate::frontier::{FrontierUpdate, WaitToken};
+use crate::frontier::WaitToken;
 use crate::messages::WireMsg;
 use crate::node::{Action, StabilizerNode};
+use crate::observe::{Event, EventLog};
 use crate::timers::{self, TimerKind};
 use bytes::Bytes;
-use stabilizer_dsl::{AckTypeRegistry, NodeId, SeqNo};
-use stabilizer_netsim::{Actor, Ctx, SimDuration, SimTime, TimerId};
+use stabilizer_dsl::{AckTypeId, AckTypeRegistry, NodeId, SeqNo};
+use stabilizer_netsim::{Actor, Ctx, MsgSize, SimDuration, SimTime, TimerId};
+use std::borrow::{Borrow, BorrowMut};
+use std::ops::{Deref, DerefMut};
 use std::sync::Arc;
 
-/// Application callbacks invoked as the simulation runs. All methods have
-/// default empty bodies; implement only what the experiment needs.
-pub trait AppHooks {
-    /// A mirrored payload was delivered (upcall).
-    fn on_deliver(&mut self, _now: SimTime, _origin: NodeId, _seq: SeqNo, _payload: &Bytes) {}
-    /// A stability frontier advanced (the `monitor_stability_frontier`
-    /// mechanism of §III-D).
-    fn on_frontier(&mut self, _now: SimTime, _update: &FrontierUpdate) {}
-    /// A `waitfor` completed.
-    fn on_wait_done(&mut self, _now: SimTime, _token: WaitToken) {}
-    /// A peer became suspected.
-    fn on_suspected(&mut self, _now: SimTime, _node: NodeId) {}
-    /// A stream was fast-forwarded out of band (§III-E state transfer).
-    fn on_catch_up(&mut self, _now: SimTime, _stream: NodeId, _seq: SeqNo) {}
-    /// This node (as donor) sent one retained-log chunk to a recovering
-    /// peer (§III-E, donor side).
-    fn on_transfer_chunk(
-        &mut self,
-        _now: SimTime,
-        _to: NodeId,
-        _stream: NodeId,
-        _seq: SeqNo,
-        _len: usize,
-        _done: bool,
-    ) {
-    }
-    /// This node (re)entered the cluster and requested catch-up on
-    /// `streams` peer streams.
-    fn on_join(&mut self, _now: SimTime, _streams: usize) {}
+pub use crate::observe::{AppHooks, NoHooks};
+
+/// What [`SimNode`] needs of a sans-IO protocol machine. Implemented by
+/// exactly [`StabilizerNode`] and `stabilizer_shard::ShardedEngine`; it
+/// exists so the two share one driver, not as an extension point.
+pub trait Machine {
+    /// What travels on a simulated link.
+    type Msg: MsgSize;
+    /// What the machine emits.
+    type Action;
+    /// The driver's log: an [`EventLog`], plus whatever machine-private
+    /// logs [`Machine::observe`] keeps next to it.
+    type Log: BorrowMut<EventLog>;
+
+    /// An empty log for this machine.
+    fn new_log(&self) -> Self::Log;
+    /// The options the timers are armed from.
+    fn options(&self) -> &Options;
+    /// Feed a message that arrived from `from`.
+    fn on_message(&mut self, now_nanos: u64, from: NodeId, msg: Self::Msg);
+    /// A periodic timer fired.
+    fn on_timer(&mut self, kind: TimerKind, now_nanos: u64);
+    /// Drain pending actions, in order.
+    fn take_actions(&mut self) -> Vec<Self::Action>;
+    /// Start §III-E catch-up; returns the number of peer streams a
+    /// transfer was requested on.
+    fn begin_catch_up(&mut self, now_nanos: u64) -> usize;
+    /// What observers see of `action` (machine-private bookkeeping the
+    /// node-level [`Event`] does not carry goes to `log`).
+    fn observe<'a>(
+        action: &'a Self::Action,
+        now: SimTime,
+        log: &mut Self::Log,
+    ) -> Option<Event<'a>>;
+    /// The transmission `action` asks for, if it is one.
+    fn into_send(action: Self::Action) -> Option<(NodeId, Self::Msg)>;
+
+    /// See [`StabilizerNode::publish`].
+    fn publish(&mut self, payload: Bytes) -> Result<SeqNo, CoreError>;
+    /// See [`StabilizerNode::register_predicate`].
+    fn register_predicate(&mut self, stream: NodeId, key: &str, src: &str)
+        -> Result<(), CoreError>;
+    /// See [`StabilizerNode::change_predicate`].
+    fn change_predicate(&mut self, stream: NodeId, key: &str, src: &str) -> Result<(), CoreError>;
+    /// See [`StabilizerNode::waitfor`].
+    fn waitfor(&mut self, stream: NodeId, key: &str, seq: SeqNo) -> Result<WaitToken, CoreError>;
+    /// See [`StabilizerNode::report_stability`].
+    fn report_stability(&mut self, stream: NodeId, ty: AckTypeId, seq: SeqNo);
 }
 
-/// Hooks that do nothing (logs on [`SimNode`] still record everything).
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NoHooks;
-impl AppHooks for NoHooks {}
+impl Machine for StabilizerNode {
+    type Msg = WireMsg;
+    type Action = Action;
+    type Log = EventLog;
 
-/// A Stabilizer node embedded in the simulator.
-pub struct SimNode<H: AppHooks = NoHooks> {
+    fn new_log(&self) -> EventLog {
+        EventLog::default()
+    }
+    fn options(&self) -> &Options {
+        self.config().options()
+    }
+    fn on_message(&mut self, now_nanos: u64, from: NodeId, msg: WireMsg) {
+        self.on_message(now_nanos, from, msg);
+    }
+    fn on_timer(&mut self, kind: TimerKind, now_nanos: u64) {
+        self.on_timer(kind, now_nanos);
+    }
+    fn take_actions(&mut self) -> Vec<Action> {
+        self.take_actions()
+    }
+    fn begin_catch_up(&mut self, now_nanos: u64) -> usize {
+        self.begin_catch_up(now_nanos)
+    }
+    fn observe<'a>(action: &'a Action, _now: SimTime, _log: &mut EventLog) -> Option<Event<'a>> {
+        action.event()
+    }
+    fn into_send(action: Action) -> Option<(NodeId, WireMsg)> {
+        match action {
+            Action::Send { to, msg } => Some((to, msg)),
+            _ => None,
+        }
+    }
+    fn publish(&mut self, payload: Bytes) -> Result<SeqNo, CoreError> {
+        self.publish(payload)
+    }
+    fn register_predicate(
+        &mut self,
+        stream: NodeId,
+        key: &str,
+        src: &str,
+    ) -> Result<(), CoreError> {
+        self.register_predicate(stream, key, src)
+    }
+    fn change_predicate(&mut self, stream: NodeId, key: &str, src: &str) -> Result<(), CoreError> {
+        self.change_predicate(stream, key, src)
+    }
+    fn waitfor(&mut self, stream: NodeId, key: &str, seq: SeqNo) -> Result<WaitToken, CoreError> {
+        self.waitfor(stream, key, seq)
+    }
+    fn report_stability(&mut self, stream: NodeId, ty: AckTypeId, seq: SeqNo) {
+        self.report_stability(stream, ty, seq);
+    }
+}
+
+/// A protocol machine embedded in the simulator. Dereferences to its
+/// log, so `actor.frontier_log`, `actor.delivery_log`, … read the
+/// [`EventLog`] directly.
+pub struct SimNode<H: AppHooks = NoHooks, M: Machine = StabilizerNode> {
     /// The protocol state machine.
-    node: StabilizerNode,
+    node: M,
     /// Application hooks.
     pub hooks: H,
-    /// Timestamped frontier log: `(time, update)`.
-    pub frontier_log: Vec<(SimTime, FrontierUpdate)>,
-    /// Timestamped delivery log: `(time, origin, seq, payload_len)`
-    /// (payload bytes omitted to keep memory bounded in long runs;
-    /// lengths kept for byte-level accounting).
-    pub delivery_log: Vec<(SimTime, NodeId, SeqNo, usize)>,
-    /// Completed wait tokens.
-    pub completed_waits: Vec<(SimTime, WaitToken)>,
-    /// Suspected peers.
-    pub suspected_log: Vec<(SimTime, NodeId)>,
-    /// Peers that came back after suspicion.
-    pub recovered_log: Vec<(SimTime, NodeId)>,
-    /// Out-of-band stream fast-forwards (§III-E): `(time, stream, seq)`.
-    pub catchup_log: Vec<(SimTime, NodeId, SeqNo)>,
-    record_deliveries: bool,
+    log: M::Log,
     /// Multiplier on every timer interval (clock-skew fault injection;
     /// 1.0 = nominal cadence). Applied at each re-arm, so a mid-run
     /// change takes effect within one timer period.
     timer_scale: f64,
 }
 
-impl<H: AppHooks> SimNode<H> {
-    /// Wrap a node with hooks.
-    pub fn new(node: StabilizerNode, hooks: H) -> Self {
+impl<H: AppHooks, M: Machine> Deref for SimNode<H, M> {
+    type Target = M::Log;
+
+    fn deref(&self) -> &M::Log {
+        &self.log
+    }
+}
+
+impl<H: AppHooks, M: Machine> DerefMut for SimNode<H, M> {
+    fn deref_mut(&mut self) -> &mut M::Log {
+        &mut self.log
+    }
+}
+
+impl<H: AppHooks, M: Machine> SimNode<H, M> {
+    /// Wrap a machine with hooks.
+    pub fn new(node: M, hooks: H) -> Self {
         SimNode {
+            log: node.new_log(),
             node,
             hooks,
-            frontier_log: Vec::new(),
-            delivery_log: Vec::new(),
-            completed_waits: Vec::new(),
-            suspected_log: Vec::new(),
-            recovered_log: Vec::new(),
-            catchup_log: Vec::new(),
-            record_deliveries: true,
             timer_scale: 1.0,
         }
     }
@@ -115,25 +184,25 @@ impl<H: AppHooks> SimNode<H> {
     /// Disable the delivery log (for multi-hundred-thousand-message runs
     /// where only the frontier log matters).
     pub fn without_delivery_log(mut self) -> Self {
-        self.record_deliveries = false;
+        self.log.borrow_mut().record_deliveries = false;
         self
     }
 
     /// Access the underlying state machine (for assertions).
-    pub fn inner(&self) -> &StabilizerNode {
+    pub fn inner(&self) -> &M {
         &self.node
     }
 
-    /// Whether [`SimNode::delivery_log`] is being populated (external
-    /// checkers skip delivery-order invariants when it is not).
+    /// Whether the delivery log is being populated (external checkers
+    /// skip delivery-order invariants when it is not).
     pub fn records_deliveries(&self) -> bool {
-        self.record_deliveries
+        Borrow::<EventLog>::borrow(&self.log).record_deliveries
     }
 
     /// Mutable access for *query-only* operations outside the event loop.
     /// To perform operations that emit actions, use the `*_in` methods
     /// with a simulation [`Ctx`].
-    pub fn inner_mut(&mut self) -> &mut StabilizerNode {
+    pub fn inner_mut(&mut self) -> &mut M {
         &mut self.node
     }
 
@@ -144,14 +213,14 @@ impl<H: AppHooks> SimNode<H> {
     pub fn begin_catch_up_at(&mut self, now: SimTime) {
         let streams = self.node.begin_catch_up(now.as_nanos());
         if streams > 0 {
-            self.hooks.on_join(now, streams);
+            self.hooks.on_event(now, &Event::Join { streams });
         }
     }
 
     /// Publish inside the simulation (drains actions into sends).
     pub fn publish_in(
         &mut self,
-        ctx: &mut Ctx<'_, WireMsg>,
+        ctx: &mut Ctx<'_, M::Msg>,
         payload: Bytes,
     ) -> Result<SeqNo, CoreError> {
         let seq = self.node.publish(payload)?;
@@ -162,7 +231,7 @@ impl<H: AppHooks> SimNode<H> {
     /// Register a predicate inside the simulation.
     pub fn register_predicate_in(
         &mut self,
-        ctx: &mut Ctx<'_, WireMsg>,
+        ctx: &mut Ctx<'_, M::Msg>,
         stream: NodeId,
         key: &str,
         source: &str,
@@ -175,7 +244,7 @@ impl<H: AppHooks> SimNode<H> {
     /// Change a predicate inside the simulation.
     pub fn change_predicate_in(
         &mut self,
-        ctx: &mut Ctx<'_, WireMsg>,
+        ctx: &mut Ctx<'_, M::Msg>,
         stream: NodeId,
         key: &str,
         source: &str,
@@ -186,10 +255,10 @@ impl<H: AppHooks> SimNode<H> {
     }
 
     /// `waitfor` inside the simulation; completion lands in
-    /// [`SimNode::completed_waits`].
+    /// [`EventLog::completed_waits`].
     pub fn waitfor_in(
         &mut self,
-        ctx: &mut Ctx<'_, WireMsg>,
+        ctx: &mut Ctx<'_, M::Msg>,
         stream: NodeId,
         key: &str,
         seq: SeqNo,
@@ -202,96 +271,48 @@ impl<H: AppHooks> SimNode<H> {
     /// Report application-defined stability inside the simulation.
     pub fn report_stability_in(
         &mut self,
-        ctx: &mut Ctx<'_, WireMsg>,
+        ctx: &mut Ctx<'_, M::Msg>,
         stream: NodeId,
-        ty: stabilizer_dsl::AckTypeId,
+        ty: AckTypeId,
         seq: SeqNo,
     ) {
         self.node.report_stability(stream, ty, seq);
         self.drain(ctx);
     }
 
-    fn drain(&mut self, ctx: &mut Ctx<'_, WireMsg>) {
+    fn drain(&mut self, ctx: &mut Ctx<'_, M::Msg>) {
         let actions = self.node.take_actions();
         self.process_actions(ctx, actions);
     }
 
     /// Arm `kind` one (skewed) period from now, if it is configured.
-    fn arm(&self, ctx: &mut Ctx<'_, WireMsg>, kind: TimerKind) {
-        arm_timer(ctx, kind, self.node.config().options(), self.timer_scale);
+    fn arm(&self, ctx: &mut Ctx<'_, M::Msg>, kind: TimerKind) {
+        arm_timer(ctx, kind, self.node.options(), self.timer_scale);
     }
 
-    /// Execute a batch of externally drained [`Action`]s through this
-    /// driver's bookkeeping (sends, hooks, logs). Application layers that
+    /// Execute a batch of externally drained actions through this
+    /// driver's bookkeeping (hooks, logs, sends). Application layers that
     /// need to observe actions before the driver consumes them — e.g. the
-    /// geo K/V store applying deliveries to its pools — call
-    /// [`StabilizerNode::take_actions`] themselves and then hand the batch
-    /// here.
-    pub fn process_actions(&mut self, ctx: &mut Ctx<'_, WireMsg>, actions: Vec<Action>) {
+    /// geo K/V store applying deliveries to its pools — call the
+    /// machine's `take_actions` themselves and then hand the batch here.
+    pub fn process_actions(&mut self, ctx: &mut Ctx<'_, M::Msg>, actions: Vec<M::Action>) {
+        let now = ctx.now();
         for action in actions {
-            match action {
-                Action::Send { to, msg } => {
-                    if let WireMsg::TransferChunk {
-                        stream,
-                        seq,
-                        ref payload,
-                        done,
-                    } = msg
-                    {
-                        self.hooks.on_transfer_chunk(
-                            ctx.now(),
-                            to,
-                            stream,
-                            seq,
-                            payload.len(),
-                            done,
-                        );
-                    }
-                    ctx.send(to.0 as usize, msg)
-                }
-                Action::Deliver {
-                    origin,
-                    seq,
-                    payload,
-                } => {
-                    self.hooks.on_deliver(ctx.now(), origin, seq, &payload);
-                    if self.record_deliveries {
-                        self.delivery_log
-                            .push((ctx.now(), origin, seq, payload.len()));
-                    }
-                }
-                Action::Frontier(update) => {
-                    self.hooks.on_frontier(ctx.now(), &update);
-                    self.frontier_log.push((ctx.now(), update));
-                }
-                Action::WaitDone { token } => {
-                    self.hooks.on_wait_done(ctx.now(), token);
-                    self.completed_waits.push((ctx.now(), token));
-                }
-                Action::Suspected { node } => {
-                    self.hooks.on_suspected(ctx.now(), node);
-                    self.suspected_log.push((ctx.now(), node));
-                }
-                Action::Recovered { node } => {
-                    self.recovered_log.push((ctx.now(), node));
-                }
-                Action::CatchUp { stream, seq, .. } => {
-                    self.hooks.on_catch_up(ctx.now(), stream, seq);
-                    self.catchup_log.push((ctx.now(), stream, seq));
-                }
-                Action::PredicateBroken { .. } => {
-                    // Surfaced through the frontier log staying frozen; the
-                    // application is expected to re-register.
-                }
+            if let Some(event) = M::observe(&action, now, &mut self.log) {
+                self.hooks.on_event(now, &event);
+                self.log.borrow_mut().record(now, &event);
+            }
+            if let Some((to, msg)) = M::into_send(action) {
+                ctx.send(to.0 as usize, msg);
             }
         }
     }
 }
 
-impl<H: AppHooks> Actor for SimNode<H> {
-    type Msg = WireMsg;
+impl<H: AppHooks, M: Machine> Actor for SimNode<H, M> {
+    type Msg = M::Msg;
 
-    fn on_start(&mut self, ctx: &mut Ctx<'_, WireMsg>) {
+    fn on_start(&mut self, ctx: &mut Ctx<'_, M::Msg>) {
         for kind in TimerKind::ALL {
             self.arm(ctx, kind);
         }
@@ -300,13 +321,13 @@ impl<H: AppHooks> Actor for SimNode<H> {
         self.drain(ctx);
     }
 
-    fn on_message(&mut self, ctx: &mut Ctx<'_, WireMsg>, from: usize, msg: WireMsg) {
+    fn on_message(&mut self, ctx: &mut Ctx<'_, M::Msg>, from: usize, msg: M::Msg) {
         self.node
             .on_message(ctx.now().as_nanos(), NodeId(from as u16), msg);
         self.drain(ctx);
     }
 
-    fn on_timer(&mut self, ctx: &mut Ctx<'_, WireMsg>, _timer: TimerId, tag: u64) {
+    fn on_timer(&mut self, ctx: &mut Ctx<'_, M::Msg>, _timer: TimerId, tag: u64) {
         if let Some(kind) = TimerKind::from_tag(tag) {
             self.node.on_timer(kind, ctx.now().as_nanos());
             self.arm(ctx, kind);
@@ -362,18 +383,38 @@ pub fn build_cluster_with_hooks<H: AppHooks>(
     cfg: &ClusterConfig,
     net: stabilizer_netsim::NetTopology,
     seed: u64,
-    mut mk_hooks: impl FnMut(usize) -> H,
+    mk_hooks: impl FnMut(usize) -> H,
 ) -> Result<stabilizer_netsim::Simulation<SimNode<H>>, CoreError> {
+    let acks = Arc::new(AckTypeRegistry::new());
+    build_machines(cfg, net, seed, mk_hooks, |i| {
+        StabilizerNode::new(cfg.clone(), NodeId(i as u16), Arc::clone(&acks))
+    })
+}
+
+/// One [`SimNode`] per topology node over `net`: `mk_machine(i)` builds
+/// node `i`'s machine, `mk_hooks(i)` its hooks.
+///
+/// # Errors
+///
+/// Propagates the first `mk_machine` failure.
+///
+/// # Panics
+///
+/// Panics if `net.len()` differs from the cluster topology size.
+pub fn build_machines<H: AppHooks, M: Machine>(
+    cfg: &ClusterConfig,
+    net: stabilizer_netsim::NetTopology,
+    seed: u64,
+    mut mk_hooks: impl FnMut(usize) -> H,
+    mut mk_machine: impl FnMut(usize) -> Result<M, CoreError>,
+) -> Result<stabilizer_netsim::Simulation<SimNode<H, M>>, CoreError> {
     assert_eq!(
         net.len(),
         cfg.num_nodes(),
         "network and cluster sizes must match"
     );
-    let acks = Arc::new(AckTypeRegistry::new());
-    let mut nodes = Vec::with_capacity(cfg.num_nodes());
-    for i in 0..cfg.num_nodes() {
-        let node = StabilizerNode::new(cfg.clone(), NodeId(i as u16), Arc::clone(&acks))?;
-        nodes.push(SimNode::new(node, mk_hooks(i)));
-    }
+    let nodes = (0..cfg.num_nodes())
+        .map(|i| Ok(SimNode::new(mk_machine(i)?, mk_hooks(i))))
+        .collect::<Result<Vec<_>, CoreError>>()?;
     Ok(stabilizer_netsim::Simulation::new(net, nodes, seed))
 }

@@ -1,70 +1,30 @@
 //! Tests for the simulator driver itself: application hooks fire with
-//! correct arguments and in order, and the coalescing timer batches ACKs
-//! in simulation.
+//! correct arguments and in order (the cases are generic over the
+//! machine, see `hooks_cases`; the sharded instantiation lives in
+//! `stabilizer-shard`'s `sharded_sim.rs`), and the coalescing timer
+//! batches ACKs in simulation.
+
+mod hooks_cases;
 
 use bytes::Bytes;
-use stabilizer_core::sim_driver::{AppHooks, SimNode};
-use stabilizer_core::{ClusterConfig, FrontierUpdate, NodeId, Options, StabilizerNode};
+use hooks_cases::{cluster, two_node_cfg};
+use stabilizer_core::{ClusterConfig, NodeId, Options, StabilizerNode};
 use stabilizer_dsl::AckTypeRegistry;
-use stabilizer_netsim::{NetTopology, SimDuration, SimTime, Simulation};
+use stabilizer_netsim::SimDuration;
 use std::sync::Arc;
 
-#[derive(Default)]
-struct Counting {
-    delivers: Vec<(NodeId, u64, usize)>,
-    frontiers: Vec<(String, u64)>,
-    waits: Vec<u64>,
-}
-
-impl AppHooks for Counting {
-    fn on_deliver(&mut self, _now: SimTime, origin: NodeId, seq: u64, payload: &Bytes) {
-        self.delivers.push((origin, seq, payload.len()));
-    }
-    fn on_frontier(&mut self, _now: SimTime, update: &FrontierUpdate) {
-        self.frontiers.push((update.key.clone(), update.seq));
-    }
-    fn on_wait_done(&mut self, _now: SimTime, token: u64) {
-        self.waits.push(token);
-    }
-}
-
-fn cluster_with_hooks(opts: Options) -> Simulation<SimNode<Counting>> {
-    let cfg = ClusterConfig::parse("az A a b\npredicate All MIN($ALLWNODES-$MYWNODE)\n")
-        .unwrap()
-        .with_options(opts);
-    let acks = Arc::new(AckTypeRegistry::new());
-    let nodes: Vec<SimNode<Counting>> = (0..2)
-        .map(|i| {
-            SimNode::new(
-                StabilizerNode::new(cfg.clone(), NodeId(i), Arc::clone(&acks)).unwrap(),
-                Counting::default(),
-            )
-        })
-        .collect();
-    Simulation::new(
-        NetTopology::full_mesh(2, SimDuration::from_millis(5), 1e9),
-        nodes,
-        1,
-    )
+fn plain(cfg: ClusterConfig, me: NodeId, acks: Arc<AckTypeRegistry>) -> StabilizerNode {
+    StabilizerNode::new(cfg, me, acks).unwrap()
 }
 
 #[test]
 fn hooks_receive_deliveries_frontiers_and_waits() {
-    let mut sim = cluster_with_hooks(Options::default());
-    let seq = sim
-        .with_ctx(0, |n, ctx| {
-            n.publish_in(ctx, Bytes::from_static(b"payload9"))
-        })
-        .unwrap();
-    let token = sim
-        .with_ctx(0, |n, ctx| n.waitfor_in(ctx, NodeId(0), "All", seq))
-        .unwrap();
-    sim.run_until_idle();
-    // Subscriber hook saw the payload.
-    assert_eq!(sim.actor(1).hooks.delivers, vec![(NodeId(0), 1, 8)]);
-    // Publisher hook saw the frontier advance and the wait completion.
-    assert_eq!(sim.actor(0).hooks.frontiers, vec![("All".to_owned(), 1)]);
-    assert_eq!(sim.actor(0).hooks.waits, vec![token]);
+    hooks_cases::hooks_receive_deliveries_frontiers_and_waits(Options::default(), plain);
+}
+
+#[test]
+fn catch_up_fires_transfer_chunk_and_join_hooks() {
+    hooks_cases::catch_up_fires_transfer_chunk_and_join_hooks(Options::default(), plain);
 }
 
 #[test]
@@ -72,7 +32,7 @@ fn coalescing_timer_batches_acks_in_simulation() {
     // With a 2 ms coalescing interval, five rapid-fire messages produce
     // far fewer ACK batches than eager mode's five-per-peer.
     let eager = {
-        let mut sim = cluster_with_hooks(Options::default());
+        let mut sim = cluster(&two_node_cfg(Options::default()), &plain);
         for _ in 0..5 {
             sim.with_ctx(0, |n, ctx| n.publish_in(ctx, Bytes::from(vec![0u8; 64])))
                 .unwrap();
@@ -81,7 +41,8 @@ fn coalescing_timer_batches_acks_in_simulation() {
         sim.actor(1).inner().metrics().control_msgs_sent
     };
     let coalesced = {
-        let mut sim = cluster_with_hooks(Options::default().ack_flush_micros(2000));
+        let cfg = two_node_cfg(Options::default().ack_flush_micros(2000));
+        let mut sim = cluster(&cfg, &plain);
         for _ in 0..5 {
             sim.with_ctx(0, |n, ctx| n.publish_in(ctx, Bytes::from(vec![0u8; 64])))
                 .unwrap();

@@ -15,7 +15,7 @@
 use crate::trace::{DropboxTrace, CHUNK_BYTES};
 use bytes::Bytes;
 use stabilizer_core::{
-    Action, ClusterConfig, CoreError, NodeId, RuntimeObserver, SeqNo, StabilizerNode, WireMsg,
+    Action, AppHooks, ClusterConfig, CoreError, NodeId, SeqNo, StabilizerNode, WireMsg,
 };
 use stabilizer_dsl::AckTypeRegistry;
 use stabilizer_netsim::{Actor, Ctx, NetTopology, SimTime, Simulation, TimerId};
@@ -229,23 +229,12 @@ impl BackupNode {
 
     fn drain(&mut self, ctx: &mut Ctx<'_, WireMsg>) {
         for action in self.node.take_actions() {
+            if let (Some(obs), Some(event)) = (&mut self.observer, action.event()) {
+                obs.on_event(ctx.now(), &event);
+            }
             match action {
                 Action::Send { to, msg } => ctx.send(to.0 as usize, msg),
-                Action::Frontier(u) => {
-                    if let Some(obs) = &mut self.observer {
-                        obs.on_frontier(ctx.now().as_nanos(), &u);
-                    }
-                    self.frontier_log.push((ctx.now(), u.key, u.seq));
-                }
-                Action::Deliver {
-                    origin,
-                    seq,
-                    payload,
-                } => {
-                    if let Some(obs) = &mut self.observer {
-                        obs.on_deliver(ctx.now().as_nanos(), origin, seq, &payload);
-                    }
-                }
+                Action::Frontier(u) => self.frontier_log.push((ctx.now(), u.key, u.seq)),
                 _ => {}
             }
         }

@@ -13,43 +13,25 @@ use crate::record::KvOp;
 use bytes::Bytes;
 use stabilizer_core::sim_driver::{AppHooks, SimNode};
 use stabilizer_core::{
-    Action, ClusterConfig, CoreError, FrontierUpdate, NodeId, SeqNo, StabilizerNode, WaitToken,
-    WireMsg,
+    Action, ClusterConfig, CoreError, Event, FrontierUpdate, NodeId, SeqNo, StabilizerNode,
+    WaitToken, WireMsg,
 };
 use stabilizer_dsl::AckTypeRegistry;
 use stabilizer_netsim::{Actor, Ctx, NetTopology, SimTime, Simulation, TimerId};
 use stabilizer_telemetry::{MetricsObserver, Telemetry};
 use std::sync::Arc;
 
-/// Driver hooks for the K/V node: forwards delivery/frontier/wait
-/// events to an optional telemetry observer (no-op when detached).
+/// Driver hooks for the K/V node: forwards every event to an optional
+/// telemetry observer (no-op when detached).
 #[derive(Default)]
 pub struct KvHooks {
     observer: Option<MetricsObserver>,
 }
 
 impl AppHooks for KvHooks {
-    fn on_deliver(&mut self, now: SimTime, origin: NodeId, seq: SeqNo, payload: &Bytes) {
+    fn on_event(&mut self, now: SimTime, event: &Event<'_>) {
         if let Some(obs) = &mut self.observer {
-            obs.on_deliver(now, origin, seq, payload);
-        }
-    }
-
-    fn on_frontier(&mut self, now: SimTime, update: &FrontierUpdate) {
-        if let Some(obs) = &mut self.observer {
-            obs.on_frontier(now, update);
-        }
-    }
-
-    fn on_wait_done(&mut self, now: SimTime, token: WaitToken) {
-        if let Some(obs) = &mut self.observer {
-            obs.on_wait_done(now, token);
-        }
-    }
-
-    fn on_suspected(&mut self, now: SimTime, node: NodeId) {
-        if let Some(obs) = &mut self.observer {
-            obs.on_suspected(now, node);
+            obs.on_event(now, event);
         }
     }
 }

@@ -288,11 +288,6 @@ impl<A: Actor> Simulation<A> {
         self.extra_delay[a * n + b] = extra;
     }
 
-    /// The current extra delay injected on the directed link `a -> b`.
-    pub fn link_extra_delay(&self, a: usize, b: usize) -> crate::time::SimDuration {
-        self.extra_delay[a * self.topo.len() + b]
-    }
-
     /// Corrupt the directed link `a -> b`: each message is independently
     /// duplicated with probability `dup` (the copy arrives strictly
     /// later) and displaced past the FIFO point with probability
@@ -309,19 +304,9 @@ impl<A: Actor> Simulation<A> {
         self.dup_reorder[a * n + b] = (dup, reorder);
     }
 
-    /// The current `(duplicate, reorder)` probabilities on `a -> b`.
-    pub fn link_dup_reorder(&self, a: usize, b: usize) -> (f64, f64) {
-        self.dup_reorder[a * self.topo.len() + b]
-    }
-
     /// Messages dropped due to cut or missing links, or injected loss.
     pub fn dropped(&self) -> u64 {
         self.dropped
-    }
-
-    /// Number of events waiting in the queue.
-    pub fn pending_events(&self) -> usize {
-        self.queue.len()
     }
 
     /// Virtual time of the next queued event, if any — lets an external

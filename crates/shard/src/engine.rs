@@ -19,7 +19,7 @@ use crate::frontier::{AggOutput, ShardedFrontier};
 use crate::router::{RoutePolicy, ShardRouter};
 use bytes::Bytes;
 use stabilizer_core::{
-    AckTypeId, Action, ClusterConfig, CoreError, FrontierUpdate, Metrics, NodeId, SeqNo,
+    AckTypeId, Action, ClusterConfig, CoreError, Event, FrontierUpdate, Metrics, NodeId, SeqNo,
     StabilizerNode, TimerKind, WaitToken, WireMsg,
 };
 use stabilizer_dsl::AckTypeRegistry;
@@ -111,6 +111,66 @@ pub enum ShardedAction {
     },
 }
 
+impl ShardedAction {
+    /// What an observer sees of this action, if anything — the sharded
+    /// twin of [`Action::event`]: node-level events only (sequence
+    /// numbers are global; donor-side transfer chunks per shard
+    /// sub-stream). Per-shard observability actions and
+    /// `PredicateBroken` are not events.
+    pub fn event(&self) -> Option<Event<'_>> {
+        Some(match self {
+            ShardedAction::Send { to, msg, .. } => return Event::of_send(*to, msg),
+            ShardedAction::Deliver {
+                origin,
+                seq,
+                payload,
+            } => Event::Deliver {
+                origin: *origin,
+                seq: *seq,
+                payload,
+            },
+            ShardedAction::Frontier(update) => Event::Frontier(update),
+            ShardedAction::WaitDone { token } => Event::WaitDone { token: *token },
+            ShardedAction::Suspected { node } => Event::Suspected { node: *node },
+            ShardedAction::Recovered { node } => Event::Recovered { node: *node },
+            ShardedAction::CatchUp { stream, global, .. } => Event::CatchUp {
+                stream: *stream,
+                seq: *global,
+            },
+            ShardedAction::PredicateBroken { .. }
+            | ShardedAction::ShardFrontier { .. }
+            | ShardedAction::ShardDeliver { .. } => return None,
+        })
+    }
+}
+
+/// The shard set of node `me`: `cfg.options().shards` machines plus the
+/// aggregator with every configured predicate key installed. Shard
+/// machines carry the 8-byte global header on every payload, so their
+/// payload cap is widened to keep the application-visible cap unchanged.
+///
+/// # Errors
+///
+/// Fails if a configured predicate does not compile.
+pub fn build_shards(
+    cfg: &ClusterConfig,
+    me: NodeId,
+    acks: Arc<AckTypeRegistry>,
+) -> Result<(Vec<StabilizerNode>, ShardedFrontier), CoreError> {
+    let num_shards = cfg.options().shards.max(1) as usize;
+    let mut inner_opts = cfg.options().clone();
+    inner_opts.max_payload_bytes += GLOBAL_HEADER;
+    let inner_cfg = cfg.clone().with_options(inner_opts);
+    let shards = (0..num_shards)
+        .map(|_| StabilizerNode::new(inner_cfg.clone(), me, Arc::clone(&acks)))
+        .collect::<Result<Vec<_>, _>>()?;
+    let mut agg = ShardedFrontier::new(cfg.num_nodes(), num_shards);
+    for (key, _) in cfg.predicates() {
+        agg.ensure_key(me, key);
+    }
+    Ok((shards, agg))
+}
+
 /// S shard machines, a router, and the frontier aggregator.
 #[derive(Debug)]
 pub struct ShardedEngine {
@@ -136,27 +196,13 @@ impl ShardedEngine {
         acks: Arc<AckTypeRegistry>,
         policy: RoutePolicy,
     ) -> Result<Self, CoreError> {
-        let num_shards = cfg.options().shards.max(1);
-        // Shard machines carry the 8-byte global header on every payload,
-        // so their payload cap is widened to keep the application-visible
-        // cap unchanged.
-        let mut inner_opts = cfg.options().clone();
-        inner_opts.max_payload_bytes += GLOBAL_HEADER;
-        let inner_cfg = cfg.clone().with_options(inner_opts);
-        let mut shards = Vec::with_capacity(num_shards as usize);
-        for _ in 0..num_shards {
-            shards.push(StabilizerNode::new(inner_cfg.clone(), me, acks.clone())?);
-        }
-        let mut agg = ShardedFrontier::new(cfg.num_nodes(), num_shards as usize);
-        for (key, _) in cfg.predicates() {
-            agg.ensure_key(me, key);
-        }
+        let (shards, agg) = build_shards(&cfg, me, acks)?;
         let mut engine = ShardedEngine {
             me,
             suspect_counts: vec![0; cfg.num_nodes()],
             cfg,
+            router: ShardRouter::new(shards.len() as u16, policy),
             shards,
-            router: ShardRouter::new(num_shards, policy),
             agg,
             actions: Vec::new(),
         };
@@ -193,13 +239,6 @@ impl ShardedEngine {
     /// Read-only view of one shard machine.
     pub fn shard(&self, shard: u16) -> &StabilizerNode {
         &self.shards[shard as usize]
-    }
-
-    /// Mutable access to one shard machine, for drivers that need to run
-    /// per-shard repair (`resend_from`, `announce_acks_to`). Call
-    /// [`ShardedEngine::drain_shard`] afterwards.
-    pub fn shard_mut(&mut self, shard: u16) -> &mut StabilizerNode {
-        &mut self.shards[shard as usize]
     }
 
     /// Read-only view of the frontier aggregator.
@@ -410,11 +449,15 @@ impl ShardedEngine {
     /// machine asks its per-shard donors for a snapshot plus retained-log
     /// replay. Resumability is inherited per shard (each shard is a full
     /// `StabilizerNode`). No-op unless `transfer_millis` is configured.
-    pub fn begin_catch_up(&mut self, now_nanos: u64) {
+    /// Returns the number of peer streams a transfer was requested on
+    /// (the most any shard asked for).
+    pub fn begin_catch_up(&mut self, now_nanos: u64) -> usize {
+        let mut streams = 0;
         for shard in &mut self.shards {
-            shard.begin_catch_up(now_nanos);
+            streams = streams.max(shard.begin_catch_up(now_nanos));
         }
         self.drain_all_shards();
+        streams
     }
 
     /// Live transfer sessions summed across shards.

@@ -24,10 +24,10 @@
 //!   node-level API: `publish`, `register_predicate`/`change_predicate`,
 //!   `stability_frontier`, `waitfor`, stability reports, timers,
 //!   membership — all in global sequence numbers.
-//! * [`sim`] — the deterministic-simulator driver
-//!   ([`ShardedSimNode`], [`build_sharded_cluster`]), mirroring the
-//!   unsharded `sim_driver` so sharded scenarios replay byte-identically
-//!   under the chaos harness.
+//! * [`sim`] — the engine under the one simulator driver
+//!   ([`ShardedSimNode`] = `SimNode` over a [`ShardedEngine`],
+//!   [`build_sharded_cluster`]), so sharded scenarios replay
+//!   byte-identically under the chaos harness.
 //!
 //! The TCP runtime counterpart (one worker thread per shard) lives in
 //! `stabilizer-transport::sharded`.
@@ -39,7 +39,9 @@ pub mod router;
 pub mod sim;
 
 pub use codec::{decode_global, encode_global, GLOBAL_HEADER};
-pub use engine::{ShardedAction, ShardedEngine};
+pub use engine::{build_shards, ShardedAction, ShardedEngine};
 pub use frontier::{AggOutput, ShardedFrontier};
 pub use router::{fnv1a, RoutePolicy, ShardRouter};
-pub use sim::{build_sharded_cluster, build_sharded_cluster_with_hooks, ShardMsg, ShardedSimNode};
+pub use sim::{
+    build_sharded_cluster, build_sharded_cluster_with_hooks, ShardMsg, ShardedLog, ShardedSimNode,
+};

@@ -9,12 +9,15 @@
 //! * property tests: deterministic routing (same seed ⇒ same shard
 //!   assignment) and per-origin-per-shard FIFO under random loss.
 
+#[path = "../../core/tests/hooks_cases/mod.rs"]
+mod hooks_cases;
+
 use bytes::Bytes;
 use proptest::prelude::*;
-use stabilizer_core::{ClusterConfig, NodeId, WireMsg};
-use stabilizer_netsim::{NetTopology, SimDuration, SimTime};
+use stabilizer_core::{ClusterConfig, CoreError, NodeId, Options, SeqNo, WireMsg};
+use stabilizer_netsim::{Ctx, NetTopology, SimDuration, SimTime};
 use stabilizer_shard::{
-    build_sharded_cluster, RoutePolicy, ShardedAction, ShardedEngine, ShardedSimNode,
+    build_sharded_cluster, RoutePolicy, ShardMsg, ShardedAction, ShardedEngine, ShardedSimNode,
 };
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -26,6 +29,20 @@ fn cfg_with_shards(shards: u16) -> ClusterConfig {
         "az A a b\naz B c\npredicate All MIN($ALLWNODES-$MYWNODE)\noption shards {shards}\n"
     ))
     .unwrap()
+}
+
+/// Keyed publish inside the simulation (the driver's `*_in` calls cover
+/// what both machines share; routing keys are the engine's own).
+fn publish_with_key_in(
+    n: &mut ShardedSimNode,
+    ctx: &mut Ctx<'_, ShardMsg>,
+    payload: Bytes,
+    key: &[u8],
+) -> Result<SeqNo, CoreError> {
+    let seq = n.inner_mut().publish_with_key(payload, key);
+    let actions = n.inner_mut().take_actions();
+    n.process_actions(ctx, actions);
+    seq
 }
 
 fn mesh(n: usize) -> NetTopology {
@@ -130,6 +147,18 @@ fn clock_skew_halves_the_heartbeat_cadence_a_peer_sees() {
     assert!((98..=100).contains(&skewed), "sharded skewed {skewed}");
 }
 
+/// The driver-hook cases of `stabilizer-core`'s `sim_driver_hooks.rs`,
+/// on the sharded machine.
+#[test]
+fn driver_hooks_fire_on_the_sharded_machine() {
+    let sharded = |cfg: ClusterConfig, me, acks| {
+        ShardedEngine::new(cfg, me, acks, RoutePolicy::RoundRobin).unwrap()
+    };
+    let opts = || Options::default().shards(2);
+    hooks_cases::hooks_receive_deliveries_frontiers_and_waits(opts(), sharded);
+    hooks_cases::catch_up_fires_transfer_chunk_and_join_hooks(opts(), sharded);
+}
+
 #[test]
 fn sharded_placement_scopes_streams_to_replicas() {
     // Six nodes; stream a lives on {a, b, c} only. The sharded engine
@@ -225,7 +254,7 @@ fn replay_once(seed: u64) -> String {
     for i in 0..30u64 {
         let key = format!("user-{}", i % 7);
         sim.with_ctx(0, |n, ctx| {
-            n.publish_with_key_in(ctx, Bytes::from(vec![i as u8; 32]), key.as_bytes())
+            publish_with_key_in(n, ctx, Bytes::from(vec![i as u8; 32]), key.as_bytes())
         })
         .unwrap();
         if i % 3 == 0 {
@@ -369,7 +398,7 @@ proptest! {
             for (i, k) in keys.iter().enumerate() {
                 let key = [*k];
                 sim.with_ctx(0, |n, ctx| {
-                    n.publish_with_key_in(ctx, Bytes::from(vec![i as u8; 8]), &key)
+                    publish_with_key_in(n, ctx, Bytes::from(vec![i as u8; 8]), &key)
                 })
                 .unwrap();
             }

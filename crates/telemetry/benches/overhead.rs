@@ -3,7 +3,7 @@
 //!
 //! The delivery upcall is the hottest observer path (once per message
 //! per node), so this is where registry overhead would hurt. The bench
-//! times the `on_deliver` upcall through a no-op observer, through a
+//! times the delivery event through a no-op observer, through a
 //! `MetricsObserver` with tracing disabled, and with the trace ring on,
 //! then prints the instrumented/uninstrumented ratio so future PRs can
 //! eyeball drift. Expected: a handful of relaxed atomics — small-single-
@@ -11,14 +11,15 @@
 
 use bytes::Bytes;
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use stabilizer_core::RuntimeObserver;
+use stabilizer_core::{AppHooks, Event};
 use stabilizer_dsl::NodeId;
+use stabilizer_netsim::SimTime;
 use stabilizer_telemetry::{MetricsObserver, Telemetry};
 use std::sync::Arc;
 use std::time::Instant;
 
 struct NoopObserver;
-impl RuntimeObserver for NoopObserver {}
+impl AppHooks for NoopObserver {}
 
 const SEQS: u64 = 1024;
 const PAYLOAD: usize = 64;
@@ -49,6 +50,18 @@ fn ns_per_iter(mut f: impl FnMut()) -> f64 {
     }
 }
 
+/// One delivery event of `seq`, through the seam every driver uses.
+fn deliver(obs: &mut impl AppHooks, seq: u64, payload: &Bytes) {
+    obs.on_event(
+        SimTime(black_box(seq * 10 + 5)),
+        &Event::Deliver {
+            origin: NodeId(0),
+            seq,
+            payload,
+        },
+    );
+}
+
 fn bench_delivery(c: &mut Criterion) {
     let payload = Bytes::from(vec![7u8; PAYLOAD]);
 
@@ -57,7 +70,7 @@ fn bench_delivery(c: &mut Criterion) {
     c.bench_function("deliver/uninstrumented", |b| {
         b.iter(|| {
             seq = seq % SEQS + 1;
-            noop.on_deliver(black_box(seq * 10 + 5), NodeId(0), seq, &payload);
+            deliver(&mut noop, seq, &payload);
         })
     });
 
@@ -66,7 +79,7 @@ fn bench_delivery(c: &mut Criterion) {
     c.bench_function("deliver/instrumented", |b| {
         b.iter(|| {
             seq = seq % SEQS + 1;
-            obs.on_deliver(black_box(seq * 10 + 5), NodeId(0), seq, &payload);
+            deliver(&mut obs, seq, &payload);
         })
     });
 
@@ -75,7 +88,7 @@ fn bench_delivery(c: &mut Criterion) {
     c.bench_function("deliver/instrumented+trace", |b| {
         b.iter(|| {
             seq = seq % SEQS + 1;
-            traced.on_deliver(black_box(seq * 10 + 5), NodeId(0), seq, &payload);
+            deliver(&mut traced, seq, &payload);
         })
     });
 
@@ -85,13 +98,13 @@ fn bench_delivery(c: &mut Criterion) {
     let mut seq = 0u64;
     let base = ns_per_iter(|| {
         seq = seq % SEQS + 1;
-        noop.on_deliver(black_box(seq * 10 + 5), NodeId(0), seq, &payload);
+        deliver(&mut noop, seq, &payload);
     });
     let mut obs = instrumented(0);
     let mut seq = 0u64;
     let inst = ns_per_iter(|| {
         seq = seq % SEQS + 1;
-        obs.on_deliver(black_box(seq * 10 + 5), NodeId(0), seq, &payload);
+        deliver(&mut obs, seq, &payload);
     });
     println!(
         "overhead ratio (instrumented / uninstrumented): {:.2}x \

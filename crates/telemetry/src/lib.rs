@@ -17,10 +17,10 @@
 //! - [`Telemetry`]: the per-cluster hub — publish-time stamp table,
 //!   per-predicate stability-latency histograms, trace ring, exporters
 //!   ([`Telemetry::render_prometheus`], [`Telemetry::render_json`]).
-//! - [`MetricsObserver`]: per-node observer implementing both
-//!   [`RuntimeObserver`](stabilizer_core::RuntimeObserver) (TCP) and
-//!   [`AppHooks`](stabilizer_core::sim_driver::AppHooks) (sim), feeding
-//!   one shared [`Telemetry`].
+//! - [`MetricsObserver`]: per-node observer — the one
+//!   [`AppHooks`](stabilizer_core::AppHooks) trait on the simulator and
+//!   on TCP (its contract is written once, in `stabilizer_core::observe`)
+//!   — feeding one shared [`Telemetry`].
 //! - [`TraceRing`]: bounded ring of typed [`TraceEvent`]s with JSONL
 //!   export — deterministic virtual timestamps in sim, monotonic
 //!   nanoseconds since a shared epoch on TCP.

@@ -252,12 +252,14 @@ mod tests {
         let t = Telemetry::new_sim();
         t.note_publish(1_000, NodeId(0), 1, 64);
         let mut obs = t.observer(NodeId(0));
-        stabilizer_core::RuntimeObserver::on_deliver(
+        stabilizer_core::AppHooks::on_event(
             &mut obs,
-            5_000,
-            NodeId(0),
-            1,
-            &bytes::Bytes::from_static(b"x"),
+            stabilizer_netsim::SimTime(5_000),
+            &stabilizer_core::Event::Deliver {
+                origin: NodeId(0),
+                seq: 1,
+                payload: &bytes::Bytes::from_static(b"x"),
+            },
         );
         let server = TelemetryServer::bind("127.0.0.1:0", ServerRoutes::new(Arc::clone(&t)))
             .expect("bind ephemeral");

@@ -4,9 +4,7 @@
 //! publish-time stamp table and the per-predicate stability-latency
 //! histograms. The data plane calls [`Telemetry::note_publish`] when a
 //! payload is published; [`MetricsObserver`]s — one per node, attached
-//! as a [`RuntimeObserver`] on the TCP runtime or as
-//! [`AppHooks`](stabilizer_core::sim_driver::AppHooks) in the simulator
-//! — record publish→deliver and publish→frontier-covered latencies from
+//! as the node's [`AppHooks`] observer on either runtime — record publish→deliver and publish→frontier-covered latencies from
 //! the upcalls, reproducing the paper's headline stability-latency
 //! metric (Figs 7–8) on both runtimes.
 //!
@@ -14,8 +12,8 @@
 //!
 //! In the simulator every timestamp is virtual [`SimTime`] nanoseconds,
 //! passed straight through — two replays of the same seed produce
-//! byte-identical exports. On the TCP runtime each node's
-//! `RuntimeObserver` timestamps are relative to that node's own start
+//! byte-identical exports. On the TCP runtime each node's observer
+//! timestamps are relative to that node's own start
 //! instant, so they do not share an epoch with publish stamps taken on
 //! another node. A wall-clock `Telemetry` therefore carries one shared
 //! [`Instant`] epoch and re-timestamps every event against it.
@@ -24,9 +22,8 @@ use crate::exemplar::{render_exemplars_json, Exemplar, ExemplarReservoir};
 use crate::histogram::{HistogramSnapshot, LogHistogram};
 use crate::registry::{register_build_info, Counter, Gauge, MetricsRegistry};
 use crate::trace::{TraceEvent, TraceKind, TraceRing, DEFAULT_TRACE_CAPACITY};
-use bytes::Bytes;
 use parking_lot::Mutex;
-use stabilizer_core::{FrontierUpdate, RuntimeObserver, WaitToken};
+use stabilizer_core::{AppHooks, Event, FrontierUpdate};
 use stabilizer_dsl::{NodeId, SeqNo};
 use stabilizer_netsim::SimTime;
 use std::collections::BTreeMap;
@@ -203,9 +200,9 @@ impl Telemetry {
         self.note_publish(self.now_nanos(), origin, seq, len);
     }
 
-    /// Build the observer for `node`. Attach it to the TCP runtime as a
-    /// [`RuntimeObserver`] or drive it from sim hooks; either way it
-    /// feeds this hub.
+    /// Build the observer for `node`. Attach it to the TCP runtime's
+    /// observer slot or drive it from sim hooks; either way it feeds
+    /// this hub.
     pub fn observer(self: &Arc<Self>, node: NodeId) -> MetricsObserver {
         let id = node.0.to_string();
         let labels: &[(&str, &str)] = &[("node", &id)];
@@ -489,11 +486,10 @@ impl std::fmt::Debug for Telemetry {
     }
 }
 
-/// Per-node observer feeding a shared [`Telemetry`]. Implements both
-/// runtime seams — [`RuntimeObserver`] for the TCP runtime and
-/// [`AppHooks`](stabilizer_core::sim_driver::AppHooks) for the
-/// simulator — so the same seeded workload produces the same histograms
-/// on either.
+/// Per-node observer feeding a shared [`Telemetry`] — the same
+/// [`AppHooks`] on the simulator and on TCP, so the same seeded workload
+/// produces the same histograms on either. It implements
+/// [`AppHooks::on_event`] wholesale: feed it events, not per-kind calls.
 pub struct MetricsObserver {
     node: NodeId,
     hub: Arc<Telemetry>,
@@ -524,141 +520,72 @@ impl MetricsObserver {
     }
 }
 
-impl RuntimeObserver for MetricsObserver {
-    fn on_deliver(&mut self, now_nanos: u64, origin: NodeId, seq: SeqNo, payload: &Bytes) {
-        let now = self.hub.event_now(now_nanos);
-        self.deliveries.inc();
-        self.delivered_bytes.add(payload.len() as u64);
-        self.hub.deliver(now, self.node, origin, seq, payload.len());
-    }
-
-    fn on_frontier(&mut self, now_nanos: u64, update: &FrontierUpdate) {
-        let now = self.hub.event_now(now_nanos);
-        self.frontier_advances.inc();
-        self.hub.frontier(now, self.node, update);
-    }
-
-    fn on_wait_done(&mut self, now_nanos: u64, token: WaitToken) {
-        let now = self.hub.event_now(now_nanos);
-        self.wait_done.inc();
-        self.hub.trace.push(TraceEvent {
-            at_nanos: now,
-            node: self.node,
-            kind: TraceKind::WaitDone { token },
-        });
-    }
-
-    fn on_suspected(&mut self, now_nanos: u64, node: NodeId) {
-        let now = self.hub.event_now(now_nanos);
-        self.suspicions.inc();
-        self.hub.trace.push(TraceEvent {
-            at_nanos: now,
-            node: self.node,
-            kind: TraceKind::Suspected { peer: node },
-        });
-    }
-
-    fn on_recovered(&mut self, now_nanos: u64, node: NodeId) {
-        let now = self.hub.event_now(now_nanos);
-        self.recoveries.inc();
-        self.hub.trace.push(TraceEvent {
-            at_nanos: now,
-            node: self.node,
-            kind: TraceKind::Recovered { peer: node },
-        });
-    }
-
-    fn on_catch_up(&mut self, now_nanos: u64, stream: NodeId, seq: SeqNo) {
-        let now = self.hub.event_now(now_nanos);
-        self.catch_ups.inc();
-        self.catchup_lag.set(seq as i64);
-        self.hub.trace.push(TraceEvent {
-            at_nanos: now,
-            node: self.node,
-            kind: TraceKind::CatchUp { stream, seq },
-        });
-    }
-
-    fn on_connect_failed(&mut self, now_nanos: u64, peer: NodeId) {
-        let now = self.hub.event_now(now_nanos);
-        self.connect_failures.inc();
-        self.hub.trace.push(TraceEvent {
-            at_nanos: now,
-            node: self.node,
-            kind: TraceKind::ConnectFailed { peer },
-        });
-    }
-
-    fn on_transfer_chunk(
-        &mut self,
-        now_nanos: u64,
-        to: NodeId,
-        stream: NodeId,
-        seq: SeqNo,
-        len: usize,
-        done: bool,
-    ) {
-        let now = self.hub.event_now(now_nanos);
-        self.transfer_chunks.inc();
-        self.hub.trace.push(TraceEvent {
-            at_nanos: now,
-            node: self.node,
-            kind: TraceKind::TransferChunk {
+impl AppHooks for MetricsObserver {
+    fn on_event(&mut self, now: SimTime, event: &Event<'_>) {
+        let now = self.hub.event_now(now.as_nanos());
+        let kind = match *event {
+            Event::Deliver {
+                origin,
+                seq,
+                payload,
+            } => {
+                self.deliveries.inc();
+                self.delivered_bytes.add(payload.len() as u64);
+                self.hub.deliver(now, self.node, origin, seq, payload.len());
+                return;
+            }
+            Event::Frontier(update) => {
+                self.frontier_advances.inc();
+                self.hub.frontier(now, self.node, update);
+                return;
+            }
+            Event::WaitDone { token } => {
+                self.wait_done.inc();
+                TraceKind::WaitDone { token }
+            }
+            Event::Suspected { node } => {
+                self.suspicions.inc();
+                TraceKind::Suspected { peer: node }
+            }
+            Event::Recovered { node } => {
+                self.recoveries.inc();
+                TraceKind::Recovered { peer: node }
+            }
+            Event::CatchUp { stream, seq } => {
+                self.catch_ups.inc();
+                self.catchup_lag.set(seq as i64);
+                TraceKind::CatchUp { stream, seq }
+            }
+            Event::ConnectFailed { peer } => {
+                self.connect_failures.inc();
+                TraceKind::ConnectFailed { peer }
+            }
+            Event::TransferChunk {
                 to,
                 stream,
                 seq,
                 len,
                 done,
-            },
-        });
-    }
-
-    fn on_join(&mut self, now_nanos: u64, streams: usize) {
-        let now = self.hub.event_now(now_nanos);
-        self.joins.inc();
+            } => {
+                self.transfer_chunks.inc();
+                TraceKind::TransferChunk {
+                    to,
+                    stream,
+                    seq,
+                    len,
+                    done,
+                }
+            }
+            Event::Join { streams } => {
+                self.joins.inc();
+                TraceKind::Join { streams }
+            }
+        };
         self.hub.trace.push(TraceEvent {
             at_nanos: now,
             node: self.node,
-            kind: TraceKind::Join { streams },
+            kind,
         });
-    }
-}
-
-impl stabilizer_core::sim_driver::AppHooks for MetricsObserver {
-    fn on_deliver(&mut self, now: SimTime, origin: NodeId, seq: SeqNo, payload: &Bytes) {
-        RuntimeObserver::on_deliver(self, now.as_nanos(), origin, seq, payload);
-    }
-
-    fn on_frontier(&mut self, now: SimTime, update: &FrontierUpdate) {
-        RuntimeObserver::on_frontier(self, now.as_nanos(), update);
-    }
-
-    fn on_wait_done(&mut self, now: SimTime, token: WaitToken) {
-        RuntimeObserver::on_wait_done(self, now.as_nanos(), token);
-    }
-
-    fn on_suspected(&mut self, now: SimTime, node: NodeId) {
-        RuntimeObserver::on_suspected(self, now.as_nanos(), node);
-    }
-
-    fn on_catch_up(&mut self, now: SimTime, stream: NodeId, seq: SeqNo) {
-        RuntimeObserver::on_catch_up(self, now.as_nanos(), stream, seq);
-    }
-
-    fn on_transfer_chunk(
-        &mut self,
-        now: SimTime,
-        to: NodeId,
-        stream: NodeId,
-        seq: SeqNo,
-        len: usize,
-        done: bool,
-    ) {
-        RuntimeObserver::on_transfer_chunk(self, now.as_nanos(), to, stream, seq, len, done);
-    }
-
-    fn on_join(&mut self, now: SimTime, streams: usize) {
-        RuntimeObserver::on_join(self, now.as_nanos(), streams);
     }
 }
 
@@ -673,6 +600,23 @@ impl std::fmt::Debug for MetricsObserver {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bytes::Bytes;
+
+    fn deliver(obs: &mut MetricsObserver, now: u64, origin: u16, seq: SeqNo, payload: &Bytes) {
+        let origin = NodeId(origin);
+        obs.on_event(
+            SimTime(now),
+            &Event::Deliver {
+                origin,
+                seq,
+                payload,
+            },
+        );
+    }
+
+    fn frontier(obs: &mut MetricsObserver, now: u64, update: &FrontierUpdate) {
+        obs.on_event(SimTime(now), &Event::Frontier(update));
+    }
 
     fn update(stream: u16, seq: SeqNo) -> FrontierUpdate {
         FrontierUpdate {
@@ -688,7 +632,7 @@ mod tests {
         let t = Telemetry::new_sim();
         t.note_publish(1_000, NodeId(0), 1, 64);
         let mut obs = t.observer(NodeId(1));
-        RuntimeObserver::on_deliver(&mut obs, 5_000, NodeId(0), 1, &Bytes::from(vec![0u8; 64]));
+        deliver(&mut obs, 5_000, 0, 1, &Bytes::from(vec![0u8; 64]));
         let snap = t.deliver_latency();
         assert_eq!(snap.count, 1);
         assert_eq!(snap.min, 4_000);
@@ -710,7 +654,7 @@ mod tests {
     fn unstamped_delivery_counts_but_records_no_latency() {
         let t = Telemetry::new_sim();
         let mut obs = t.observer(NodeId(1));
-        RuntimeObserver::on_deliver(&mut obs, 5_000, NodeId(0), 7, &Bytes::from_static(b"x"));
+        deliver(&mut obs, 5_000, 0, 7, &Bytes::from_static(b"x"));
         assert_eq!(t.deliver_latency().count, 0);
         assert_eq!(
             t.registry()
@@ -728,10 +672,10 @@ mod tests {
         let mut origin_obs = t.observer(NodeId(0));
         let mut mirror_obs = t.observer(NodeId(1));
         // Mirror sees the frontier first: must not record stability.
-        RuntimeObserver::on_frontier(&mut mirror_obs, 8_000, &update(0, 2));
+        frontier(&mut mirror_obs, 8_000, &update(0, 2));
         assert!(t.stability_latency("All").is_none());
         // Origin: covers seqs 1 and 2 in one advance.
-        RuntimeObserver::on_frontier(&mut origin_obs, 9_000, &update(0, 2));
+        frontier(&mut origin_obs, 9_000, &update(0, 2));
         let snap = t.stability_latency("All").expect("histogram exists");
         assert_eq!(snap.count, 2);
         assert_eq!(snap.min, 7_000); // seq 2: 9000 - 2000
@@ -743,10 +687,10 @@ mod tests {
         let t = Telemetry::new_sim();
         t.note_publish(0, NodeId(0), 1, 8);
         let mut obs = t.observer(NodeId(0));
-        RuntimeObserver::on_frontier(&mut obs, 100, &update(0, 1));
+        frontier(&mut obs, 100, &update(0, 1));
         // Generation bump re-announces a lower frontier, then re-covers.
-        RuntimeObserver::on_frontier(&mut obs, 200, &update(0, 0));
-        RuntimeObserver::on_frontier(&mut obs, 300, &update(0, 1));
+        frontier(&mut obs, 200, &update(0, 0));
+        frontier(&mut obs, 300, &update(0, 1));
         assert_eq!(t.stability_latency("All").unwrap().count, 1);
     }
 
@@ -755,7 +699,7 @@ mod tests {
         let t = Telemetry::new_sim();
         t.note_publish(0, NodeId(0), 1, 8);
         let mut obs = t.observer(NodeId(1));
-        RuntimeObserver::on_deliver(&mut obs, 40, NodeId(0), 1, &Bytes::from_static(b"x"));
+        deliver(&mut obs, 40, 0, 1, &Bytes::from_static(b"x"));
         let snap = t.deliver_latency();
         assert_eq!(snap.count, 1);
         assert_eq!(snap.min, 40);
@@ -797,29 +741,5 @@ mod tests {
         let prom = t.render_prometheus();
         assert!(prom.contains("stab_placement_info{"), "{prom}");
         assert!(prom.contains("replicas=\"0,1,2\""), "{prom}");
-    }
-
-    #[test]
-    fn sim_hooks_and_runtime_observer_agree() {
-        let record = |via_hooks: bool| {
-            let t = Telemetry::new_sim();
-            t.note_publish(10, NodeId(0), 1, 4);
-            let mut obs = t.observer(NodeId(0));
-            let payload = Bytes::from_static(b"abcd");
-            if via_hooks {
-                use stabilizer_core::sim_driver::AppHooks;
-                AppHooks::on_deliver(&mut obs, SimTime(70), NodeId(0), 1, &payload);
-                AppHooks::on_frontier(&mut obs, SimTime(90), &update(0, 1));
-            } else {
-                RuntimeObserver::on_deliver(&mut obs, 70, NodeId(0), 1, &payload);
-                RuntimeObserver::on_frontier(&mut obs, 90, &update(0, 1));
-            }
-            (
-                t.deliver_latency(),
-                t.stability_latency("All").unwrap(),
-                t.trace().to_jsonl(),
-            )
-        };
-        assert_eq!(record(true), record(false));
     }
 }

@@ -5,8 +5,8 @@
 use crate::runtime::Shared;
 use bytes::Bytes;
 use stabilizer_core::{
-    AckTypeId, CoreError, FrontierUpdate, NodeId, RuntimeObserver, SeqNo, Snapshot, StabilizerNode,
-    StallReport, WaitToken,
+    AckTypeId, CoreError, FrontierUpdate, NodeId, SeqNo, Snapshot, StabilizerNode, StallReport,
+    WaitToken,
 };
 use std::ops::Deref;
 use std::sync::Arc;
@@ -196,12 +196,6 @@ impl NodeHandle {
         node.recorder().get(stream, me, stabilizer_core::DELIVERED)
     }
 
-    /// Attach a [`RuntimeObserver`]; it sees every action emitted from
-    /// this point on, invoked under the state-machine lock.
-    pub fn attach_observer(&self, obs: Box<dyn RuntimeObserver>) {
-        self.shared.observers.lock().push(obs);
-    }
-
     /// Lock the state machine for read access. While the guard lives the
     /// runtime threads are paused at the lock, so the view is a
     /// consistent cut — and any attached observer's log is at least as
@@ -220,7 +214,8 @@ impl NodeHandle {
     }
 
     /// Non-blocking `waitfor`: registers the wait and returns its token;
-    /// completion shows up in [`RuntimeObserver::on_wait_done`] and in
+    /// completion shows up as the observer's
+    /// [`Event::WaitDone`](stabilizer_core::Event::WaitDone) and in
     /// [`NodeHandle::wait_is_done`].
     ///
     /// # Errors

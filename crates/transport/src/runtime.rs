@@ -8,17 +8,16 @@
 //! repairs its link through it. The node mutex is held only while
 //! mutating the state machine; emitted [`Action`]s are executed *after*
 //! release so user callbacks (monitors, delivery upcalls) can re-enter
-//! the handle without deadlocking. Attached [`RuntimeObserver`]s are the
-//! one exception: they run *before* release, so an external checker that
-//! locks the state machine and then reads an observer's log never sees
-//! machine state the log has not caught up with.
+//! the handle without deadlocking. The attached observer is the one
+//! exception: it runs *before* release (the contract is written once, in
+//! [`stabilizer_core::observe`]).
 
 use crate::handle::NodeHandle;
 use crate::link::{self, Link, LinkClient, LinkSpawn, MetricsDump};
 use crate::upcalls::Upcalls;
 use parking_lot::Mutex;
 use stabilizer_core::{
-    AckTypeRegistry, Action, ClusterConfig, CoreError, NodeId, RuntimeObserver, Snapshot,
+    AckTypeRegistry, Action, AppHooks, ClusterConfig, CoreError, Event, NodeId, SimTime, Snapshot,
     StabilizerNode, TimerKind, WireMsg, RECEIVED,
 };
 use stabilizer_telemetry::{StallProvider, Telemetry};
@@ -31,8 +30,8 @@ pub struct Shared {
     pub me: NodeId,
     /// The protocol state machine.
     pub node: Mutex<StabilizerNode>,
-    /// External observers, invoked under the node lock.
-    pub observers: Mutex<Vec<Box<dyn RuntimeObserver>>>,
+    /// The external observer, invoked under the node lock.
+    pub observer: Mutex<Option<Box<dyn AppHooks + Send>>>,
     /// `waitfor` rendezvous, frontier monitors and delivery upcalls.
     pub(crate) upcalls: Upcalls,
     /// Sockets, link threads, clock and transport telemetry.
@@ -47,88 +46,43 @@ impl Shared {
             let mut node = self.node.lock();
             let r = f(&mut node);
             let actions = node.take_actions();
-            self.observe(&actions);
+            self.observe(actions.iter().filter_map(Action::event));
             (r, actions)
         };
         self.process(actions);
         r
     }
 
-    /// Feed every action to the attached observers. Called with the node
-    /// lock held so observer logs are never behind the machine state.
-    fn observe(&self, actions: &[Action]) {
-        let mut observers = self.observers.lock();
-        if observers.is_empty() {
-            return;
-        }
-        let now = self.link.now_nanos();
-        for action in actions {
-            for obs in observers.iter_mut() {
-                match action {
-                    // Donor-side transfer-chunk sends are the one kind of
-                    // send surfaced to observers (catch-up progress is
-                    // otherwise invisible on the donor).
-                    Action::Send {
-                        to,
-                        msg:
-                            WireMsg::TransferChunk {
-                                stream,
-                                seq,
-                                payload,
-                                done,
-                            },
-                    } => obs.on_transfer_chunk(now, *to, *stream, *seq, payload.len(), *done),
-                    Action::Send { .. } => {}
-                    Action::Deliver {
-                        origin,
-                        seq,
-                        payload,
-                    } => obs.on_deliver(now, *origin, *seq, payload),
-                    Action::Frontier(update) => obs.on_frontier(now, update),
-                    Action::WaitDone { token } => obs.on_wait_done(now, *token),
-                    Action::Suspected { node } => obs.on_suspected(now, *node),
-                    Action::Recovered { node } => obs.on_recovered(now, *node),
-                    Action::CatchUp { stream, seq, .. } => obs.on_catch_up(now, *stream, *seq),
-                    Action::PredicateBroken { .. } => {}
-                }
+    /// Show `events` to the attached observer. For action events this is
+    /// called with the node lock held, so the observer's log is never
+    /// behind the machine state.
+    pub(crate) fn observe<'a>(&self, events: impl IntoIterator<Item = Event<'a>>) {
+        if let Some(obs) = self.observer.lock().as_mut() {
+            let now = SimTime(self.link.now_nanos());
+            for event in events {
+                obs.on_event(now, &event);
             }
         }
     }
 
-    /// Execute actions: forward sends to writer channels, run callbacks,
-    /// wake waiters.
+    /// Execute actions: run callbacks and wake waiters for what each one
+    /// shows ([`Action::event`]), forward sends to writer channels.
     pub fn process(&self, actions: Vec<Action>) {
         for action in actions {
-            match action {
-                Action::Send { to, msg } => self.link.send(to, (), msg),
-                Action::Deliver {
-                    origin,
-                    seq,
-                    payload,
-                } => self.upcalls.fire_deliver(origin, seq, &payload),
-                Action::Frontier(update) => self.upcalls.fire_frontier(&update),
-                Action::WaitDone { token } => self.upcalls.complete([token]),
-                Action::Suspected { .. }
-                | Action::Recovered { .. }
-                | Action::CatchUp { .. }
-                | Action::PredicateBroken { .. } => {
-                    // Surfaced through `is_suspected`, the observers, and
-                    // monitor silence; a production deployment would plug
-                    // an alerting hook here.
-                }
+            if let Some(event) = action.event() {
+                self.upcalls.fire(&event);
+            }
+            if let Action::Send { to, msg } = action {
+                self.link.send(to, (), msg);
             }
         }
     }
 
     /// Surface a membership (re)join — catch-up requested on `streams`
-    /// peer streams — to the attached observers.
+    /// peer streams — to the attached observer.
     pub(crate) fn notify_join(&self, streams: usize) {
-        if streams == 0 {
-            return;
-        }
-        let now = self.link.now_nanos();
-        for obs in self.observers.lock().iter_mut() {
-            obs.on_join(now, streams);
+        if streams > 0 {
+            self.observe([Event::Join { streams }]);
         }
     }
 }
@@ -170,10 +124,7 @@ impl LinkClient for Shared {
     }
 
     fn on_connect_failed(&self, peer: NodeId) {
-        let now = self.link.now_nanos();
-        for obs in self.observers.lock().iter_mut() {
-            obs.on_connect_failed(now, peer);
-        }
+        self.observe([Event::ConnectFailed { peer }]);
     }
 }
 
@@ -203,8 +154,9 @@ impl TcpNode {
 /// [`spawn_node`]'s behavior exactly.
 #[derive(Default)]
 pub struct SpawnOptions {
-    /// Observer invoked for every emitted action (under the node lock).
-    pub observer: Option<Box<dyn RuntimeObserver>>,
+    /// Observer shown every event (under the node lock; see
+    /// [`stabilizer_core::observe`] for the contract).
+    pub observer: Option<Box<dyn AppHooks + Send>>,
     /// Restart from this control-plane snapshot instead of booting
     /// fresh: the recorder is restored, every remote stream is
     /// fast-forwarded to its snapshotted RECEIVED cell (§III-E state
@@ -292,7 +244,7 @@ pub fn spawn_node_with(
     let shared = Arc::new(Shared {
         me,
         node: Mutex::new(node),
-        observers: Mutex::new(opts.observer.into_iter().collect()),
+        observer: Mutex::new(opts.observer),
         upcalls: Upcalls::default(),
         link,
     });
@@ -323,7 +275,7 @@ pub fn spawn_node_with(
 
     // Flush actions queued during construction (a restore re-evaluates
     // every predicate, which can emit frontier updates) now that the
-    // writer channels and observers are in place.
+    // writer channels and the observer are in place.
     shared.notify_join(join_streams);
     shared.with_node(|_| ());
 

@@ -18,8 +18,10 @@
 //!   worker over a crossbeam channel; every peer's writer multiplexes
 //!   all shards onto one connection;
 //! * one **dispatcher** thread running application callbacks (delivery
-//!   upcalls, frontier monitors) outside every lock, in the exact order
-//!   node-level events were produced under the aggregator lock.
+//!   upcalls, frontier monitors) and the telemetry observer outside
+//!   every lock, in the exact order node-level events were produced
+//!   under the aggregator lock (the observer contract is written once,
+//!   in [`stabilizer_core::observe`]).
 //!
 //! The link ticker fans each timer across the shards and samples
 //! per-shard telemetry (queue-depth gauges, per-shard progress gauges).
@@ -38,10 +40,12 @@ use bytes::Bytes;
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use parking_lot::Mutex;
 use stabilizer_core::{
-    AckTypeId, AckTypeRegistry, Action, ClusterConfig, CoreError, FrontierUpdate, Metrics, NodeId,
-    RuntimeObserver, SeqNo, StabilizerNode, TimerKind, WireMsg,
+    AckTypeId, AckTypeRegistry, Action, AppHooks, ClusterConfig, CoreError, Event, FrontierUpdate,
+    Metrics, NodeId, SeqNo, SimTime, StabilizerNode, TimerKind, WireMsg,
 };
-use stabilizer_shard::{encode_global, RoutePolicy, ShardRouter, ShardedFrontier, GLOBAL_HEADER};
+use stabilizer_shard::{
+    build_shards, encode_global, RoutePolicy, ShardRouter, ShardedAction, ShardedFrontier,
+};
 use stabilizer_telemetry::{
     Gauge, LogHistogram, MetricsObserver, MetricsRegistry, StallProvider, Telemetry,
 };
@@ -49,23 +53,6 @@ use std::collections::HashMap;
 use std::net::{SocketAddr, TcpListener};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// Node-level events, ordered once under the aggregator lock and drained
-/// by the dispatcher thread.
-enum NodeEvent {
-    Deliver {
-        origin: NodeId,
-        seq: SeqNo,
-        payload: Bytes,
-    },
-    Frontier(FrontierUpdate),
-    /// Global reassembly fast-forwarded out of band (§III-E): delivery
-    /// of `stream` resumes after global `seq`.
-    CatchUp {
-        stream: NodeId,
-        seq: SeqNo,
-    },
-}
 
 /// Global-sequence assignment and shard routing for local publishes.
 /// One lock holder at a time keeps `(global, shard)` transactional: a
@@ -176,7 +163,9 @@ pub struct ShardedShared {
     /// Sockets, link threads, clock and transport telemetry.
     link: Link<u16>,
     shard_txs: Vec<Sender<(NodeId, WireMsg)>>,
-    event_tx: Sender<NodeEvent>,
+    /// Node-level actions, ordered once under the aggregator lock and
+    /// drained by the dispatcher thread.
+    event_tx: Sender<ShardedAction>,
     /// Per peer: how many shards currently suspect it.
     suspects: Mutex<Vec<u32>>,
     shard_gauges: Vec<ShardGauges>,
@@ -197,8 +186,9 @@ impl ShardedShared {
 
     /// Route one shard's actions: sends to the per-peer writers, shard
     /// deliveries and frontier advances through the aggregator (which
-    /// orders the resulting node-level events), suspicion into the
-    /// deduplicating per-peer counts.
+    /// orders the resulting node-level events), suspicion through the
+    /// deduplicating per-peer counts (an event on the first shard to
+    /// suspect, and when the last one recovers).
     fn process_shard_actions(&self, shard: u16, actions: Vec<Action>) {
         for action in actions {
             match action {
@@ -212,7 +202,7 @@ impl ShardedShared {
                         .on_shard_deliver(shard, origin, &payload)
                         .expect("sharded payload carried no global-sequence header");
                     for (global, app_payload) in ready {
-                        let _ = self.event_tx.send(NodeEvent::Deliver {
+                        let _ = self.event_tx.send(ShardedAction::Deliver {
                             origin,
                             seq: global,
                             payload: app_payload,
@@ -235,11 +225,19 @@ impl ShardedShared {
                 // live in the aggregator.
                 Action::WaitDone { .. } => {}
                 Action::Suspected { node } => {
-                    self.suspects.lock()[node.0 as usize] += 1;
+                    let mut counts = self.suspects.lock();
+                    let c = &mut counts[node.0 as usize];
+                    *c += 1;
+                    if *c == 1 {
+                        let _ = self.event_tx.send(ShardedAction::Suspected { node });
+                    }
                 }
                 Action::Recovered { node } => {
                     let mut counts = self.suspects.lock();
                     let c = &mut counts[node.0 as usize];
+                    if *c == 1 {
+                        let _ = self.event_tx.send(ShardedAction::Recovered { node });
+                    }
                     *c = c.saturating_sub(1);
                 }
                 // Shards hold identical predicates, so auto-exclusion
@@ -255,12 +253,14 @@ impl ShardedShared {
                     let (ready, out) = agg
                         .frontier
                         .fast_forward_origin(stream, shard, seq, app_mark);
-                    let _ = self.event_tx.send(NodeEvent::CatchUp {
+                    let _ = self.event_tx.send(ShardedAction::CatchUp {
+                        shard,
                         stream,
-                        seq: agg.frontier.delivered_global(stream),
+                        seq,
+                        global: agg.frontier.delivered_global(stream),
                     });
                     for (global, payload) in ready {
-                        let _ = self.event_tx.send(NodeEvent::Deliver {
+                        let _ = self.event_tx.send(ShardedAction::Deliver {
                             origin: stream,
                             seq: global,
                             payload,
@@ -303,10 +303,17 @@ impl ShardedShared {
 
     /// Emit aggregated events. Called with the aggregator lock held so
     /// the dispatcher sees node-level events in a single global order;
-    /// the upcalls' locks are leaves.
+    /// the upcalls' locks are leaves. Waiters are woken here, not behind
+    /// the dispatcher's queue; the dispatcher only shows the completion
+    /// to the telemetry observer, when there is one.
     fn apply_agg(&self, out: stabilizer_shard::AggOutput) {
         for update in out.updates {
-            let _ = self.event_tx.send(NodeEvent::Frontier(update));
+            let _ = self.event_tx.send(ShardedAction::Frontier(update));
+        }
+        if self.link.telemetry.is_some() {
+            for &token in &out.completed {
+                let _ = self.event_tx.send(ShardedAction::WaitDone { token });
+            }
         }
         self.upcalls.complete(out.completed);
     }
@@ -402,8 +409,8 @@ pub struct ShardedSpawnOptions {
     pub policy: RoutePolicy,
     /// Telemetry hub: registers this node's transport counters, the
     /// per-shard gauges/histograms, and node-level latency histograms
-    /// (delivery and frontier upcalls feed a
-    /// [`MetricsObserver`] on the dispatcher thread).
+    /// (every node-level event feeds a [`MetricsObserver`] on the
+    /// dispatcher thread).
     pub telemetry: Option<Arc<Telemetry>>,
     /// Seed for reconnect backoff jitter.
     pub jitter_seed: u64,
@@ -441,24 +448,9 @@ pub fn spawn_sharded_node(
     peer_addrs: Vec<(NodeId, SocketAddr)>,
     opts: ShardedSpawnOptions,
 ) -> Result<ShardedTcpNode, CoreError> {
-    let num_shards = cfg.options().shards.max(1);
-    // Shard machines carry the 8-byte global header on every payload;
-    // widen their cap so the application-visible cap is unchanged.
-    let mut inner_opts = cfg.options().clone();
-    inner_opts.max_payload_bytes += GLOBAL_HEADER;
-    let inner_cfg = cfg.clone().with_options(inner_opts);
-    let mut shards = Vec::with_capacity(num_shards as usize);
-    for _ in 0..num_shards {
-        shards.push(Mutex::new(StabilizerNode::new(
-            inner_cfg.clone(),
-            me,
-            Arc::clone(&acks),
-        )?));
-    }
-    let mut frontier = ShardedFrontier::new(cfg.num_nodes(), num_shards as usize);
-    for (key, _) in cfg.predicates() {
-        frontier.ensure_key(me, key);
-    }
+    let (shards, frontier) = build_shards(&cfg, me, Arc::clone(&acks))?;
+    let shards: Vec<_> = shards.into_iter().map(Mutex::new).collect();
+    let num_shards = shards.len() as u16;
 
     let shard_gauges = match &opts.telemetry {
         Some(t) => (0..num_shards)
@@ -476,7 +468,7 @@ pub fn spawn_sharded_node(
         shards[0].lock().predicate_tolerances(),
     );
 
-    let (event_tx, event_rx) = unbounded::<NodeEvent>();
+    let (event_tx, event_rx) = unbounded::<ShardedAction>();
     let mut shard_txs = Vec::with_capacity(num_shards as usize);
     let mut shard_rxs = Vec::with_capacity(num_shards as usize);
     for _ in 0..num_shards {
@@ -961,35 +953,21 @@ impl std::fmt::Debug for ShardedHandle {
 
 fn dispatcher_loop(
     shared: Arc<ShardedShared>,
-    rx: Receiver<NodeEvent>,
+    rx: Receiver<ShardedAction>,
     mut observer: Option<MetricsObserver>,
 ) {
     loop {
         match rx.recv_timeout(Duration::from_millis(100)) {
-            Ok(event) => {
-                let now = shared.link.now_nanos();
-                match event {
-                    NodeEvent::Deliver {
-                        origin,
-                        seq,
-                        payload,
-                    } => {
-                        if let Some(obs) = observer.as_mut() {
-                            RuntimeObserver::on_deliver(obs, now, origin, seq, &payload);
-                        }
-                        shared.upcalls.fire_deliver(origin, seq, &payload);
-                    }
-                    NodeEvent::Frontier(update) => {
-                        if let Some(obs) = observer.as_mut() {
-                            RuntimeObserver::on_frontier(obs, now, &update);
-                        }
-                        shared.upcalls.fire_frontier(&update);
-                    }
-                    NodeEvent::CatchUp { stream, seq } => {
-                        if let Some(obs) = observer.as_mut() {
-                            RuntimeObserver::on_catch_up(obs, now, stream, seq);
-                        }
-                    }
+            Ok(action) => {
+                let Some(event) = action.event() else {
+                    continue;
+                };
+                if let Some(obs) = observer.as_mut() {
+                    obs.on_event(SimTime(shared.link.now_nanos()), &event);
+                }
+                // `apply_agg` already woke the waiter.
+                if !matches!(event, Event::WaitDone { .. }) {
+                    shared.upcalls.fire(&event);
                 }
             }
             Err(RecvTimeoutError::Timeout) if shared.link.is_running() => {}

@@ -4,11 +4,14 @@
 //! *When* and *on which thread* an upcall fires is each runtime's
 //! business (inline after the node lock is released on the plain
 //! runtime, on the dispatcher thread on the sharded one); this type only
-//! holds the registrations and the wait/complete rendezvous.
+//! holds the registrations and the wait/complete rendezvous — and keeps
+//! frontier upcalls monotone (§III "monotonic upcalls"): the plain
+//! runtime fires them after releasing the node lock, on whichever thread
+//! folded the ACK, so two updates of one key can arrive here swapped.
 
 use bytes::Bytes;
 use parking_lot::{Condvar, Mutex};
-use stabilizer_core::{FrontierUpdate, NodeId, SeqNo, WaitToken};
+use stabilizer_core::{Event, FrontierUpdate, NodeId, SeqNo, WaitToken};
 use std::collections::{HashMap, HashSet};
 use std::time::{Duration, Instant};
 
@@ -16,6 +19,14 @@ use std::time::{Duration, Instant};
 pub type MonitorFn = Box<dyn FnMut(&FrontierUpdate) + Send>;
 /// Callback invoked when a mirrored payload is delivered.
 pub type DeliverFn = Box<dyn FnMut(NodeId, SeqNo, &Bytes) + Send>;
+
+/// The monitors of one `(stream, key)` and the newest `(generation, seq)`
+/// they were shown.
+#[derive(Default)]
+struct Monitored {
+    last: (u32, SeqNo),
+    fns: Vec<MonitorFn>,
+}
 
 /// Registered callbacks plus the completed-wait set of one node.
 #[derive(Default)]
@@ -25,7 +36,7 @@ pub(crate) struct Upcalls {
     /// Signalled when `completed` grows.
     completed_cv: Condvar,
     /// Frontier monitors, keyed by `(stream, key)`.
-    monitors: Mutex<HashMap<(NodeId, String), Vec<MonitorFn>>>,
+    monitors: Mutex<HashMap<(NodeId, String), Monitored>>,
     deliver_fns: Mutex<Vec<DeliverFn>>,
 }
 
@@ -62,20 +73,40 @@ impl Upcalls {
         }
     }
 
-    /// Run the monitors registered for `update`'s `(stream, key)`.
-    pub(crate) fn fire_frontier(&self, update: &FrontierUpdate) {
-        let mut monitors = self.monitors.lock();
-        if let Some(fns) = monitors.get_mut(&(update.stream, update.key.clone())) {
-            for f in fns.iter_mut() {
-                f(update);
+    /// Run the application's callbacks for `event`: delivery upcalls,
+    /// frontier monitors, `waitfor` wake-ups. Suspicion, recovery and
+    /// catch-up surface through `is_suspected`, the observer and monitor
+    /// silence; a production deployment would plug an alerting hook here.
+    pub(crate) fn fire(&self, event: &Event<'_>) {
+        match *event {
+            Event::Deliver {
+                origin,
+                seq,
+                payload,
+            } => {
+                for f in self.deliver_fns.lock().iter_mut() {
+                    f(origin, seq, payload);
+                }
             }
+            Event::Frontier(update) => self.fire_frontier(update),
+            Event::WaitDone { token } => self.complete([token]),
+            _ => {}
         }
     }
 
-    /// Run every delivery callback.
-    pub(crate) fn fire_deliver(&self, origin: NodeId, seq: SeqNo, payload: &Bytes) {
-        for f in self.deliver_fns.lock().iter_mut() {
-            f(origin, seq, payload);
+    /// Run the monitors registered for `update`'s `(stream, key)`, unless
+    /// they have already been shown a newer `(generation, seq)`.
+    fn fire_frontier(&self, update: &FrontierUpdate) {
+        let mut monitors = self.monitors.lock();
+        if let Some(m) = monitors.get_mut(&(update.stream, update.key.clone())) {
+            let at = (update.generation, update.seq);
+            if at < m.last {
+                return;
+            }
+            m.last = at;
+            for f in m.fns.iter_mut() {
+                f(update);
+            }
         }
     }
 
@@ -84,10 +115,45 @@ impl Upcalls {
             .lock()
             .entry((stream, key.to_owned()))
             .or_default()
+            .fns
             .push(f);
     }
 
     pub(crate) fn add_deliver(&self, f: DeliverFn) {
         self.deliver_fns.lock().push(f);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::Arc;
+
+    #[test]
+    fn monitors_never_see_a_frontier_move_back() {
+        let upcalls = Upcalls::default();
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let sink = Arc::clone(&seen);
+        upcalls.add_monitor(
+            NodeId(0),
+            "All",
+            Box::new(move |u| sink.lock().push((u.generation, u.seq))),
+        );
+        let fire = |generation, seq| {
+            upcalls.fire(&Event::Frontier(&FrontierUpdate {
+                stream: NodeId(0),
+                key: "All".to_owned(),
+                seq,
+                generation,
+            }));
+        };
+        // Two readers raced: 6 was folded second but fired first.
+        fire(0, 6);
+        fire(0, 5);
+        assert_eq!(*seen.lock(), [(0, 6)]);
+        // A predicate change restarts the frontier under a new generation.
+        fire(1, 2);
+        fire(0, 7);
+        assert_eq!(*seen.lock(), [(0, 6), (1, 2)]);
     }
 }

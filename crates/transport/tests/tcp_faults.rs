@@ -1,19 +1,25 @@
 //! Fault-path tests for the TCP runtimes: staggered starts (messages
 //! published before peers exist must still arrive), failure detection
 //! over real sockets, connect-retry exhaustion, hostile first frames,
-//! and the lone-operation flush. Every case runs on both runtimes — the
+//! the lone-operation flush, and monotone frontier upcalls under two
+//! publishers. Every case runs on both runtimes — the
 //! plain one and the sharded one (`option shards 2`) — through the
 //! [`Runtime`] trait below.
 
 use bytes::Bytes;
-use stabilizer_core::{AckTypeRegistry, ClusterConfig, CoreError, NodeId, Options, SeqNo, WireMsg};
+use stabilizer_core::{
+    AckTypeRegistry, ClusterConfig, CoreError, FrontierUpdate, NodeId, Options, SeqNo, WireMsg,
+};
 use stabilizer_shard::RoutePolicy;
+use stabilizer_telemetry::Telemetry;
 use stabilizer_transport::framing::{hello, write_lane_frame, Lane};
 use stabilizer_transport::{
-    spawn_node, spawn_sharded_node, NodeHandle, ShardedHandle, ShardedSpawnOptions,
+    spawn_node_with, spawn_sharded_node, NodeHandle, ShardedHandle, ShardedSpawnOptions,
+    SpawnOptions,
 };
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -26,14 +32,19 @@ trait Runtime: Clone + Sized {
     /// A lane data frames are processed on.
     const DATA_LANE: Self::Lane;
 
+    /// Spawn node `me`, feeding `hub` (transport counters and the
+    /// per-node observer) when one is given.
     fn spawn(
         cfg: ClusterConfig,
         me: NodeId,
         acks: Arc<AckTypeRegistry>,
         listener: TcpListener,
         peers: Vec<(NodeId, SocketAddr)>,
+        hub: Option<&Arc<Telemetry>>,
     ) -> Self;
     fn publish(&self, payload: Bytes) -> SeqNo;
+    /// Watch `key` on this node's own stream.
+    fn monitor(&self, key: &str, f: impl FnMut(&FrontierUpdate) + Send + 'static);
     fn waitfor(&self, key: &str, seq: SeqNo) -> Result<bool, CoreError>;
     /// Highest sequence of `origin` delivered to the application.
     fn delivered(&self, origin: NodeId) -> SeqNo;
@@ -53,13 +64,23 @@ impl Runtime for NodeHandle {
         acks: Arc<AckTypeRegistry>,
         listener: TcpListener,
         peers: Vec<(NodeId, SocketAddr)>,
+        hub: Option<&Arc<Telemetry>>,
     ) -> Self {
-        spawn_node(cfg, me, acks, listener, peers)
+        // The plain runtime attaches no observer of its own.
+        let opts = SpawnOptions {
+            observer: hub.map(|t| Box::new(t.observer(me)) as _),
+            telemetry: hub.cloned(),
+            ..SpawnOptions::default()
+        };
+        spawn_node_with(cfg, me, acks, listener, peers, opts)
             .expect("spawn")
             .handle()
     }
     fn publish(&self, payload: Bytes) -> SeqNo {
         NodeHandle::publish(self, payload, Duration::from_secs(1)).expect("publish")
+    }
+    fn monitor(&self, key: &str, f: impl FnMut(&FrontierUpdate) + Send + 'static) {
+        self.monitor_stability_frontier(self.id(), key, f);
     }
     fn waitfor(&self, key: &str, seq: SeqNo) -> Result<bool, CoreError> {
         NodeHandle::waitfor(self, self.id(), key, seq, Duration::from_secs(10))
@@ -89,9 +110,11 @@ impl Runtime for ShardedHandle {
         acks: Arc<AckTypeRegistry>,
         listener: TcpListener,
         peers: Vec<(NodeId, SocketAddr)>,
+        hub: Option<&Arc<Telemetry>>,
     ) -> Self {
         let opts = ShardedSpawnOptions {
             policy: RoutePolicy::RoundRobin,
+            telemetry: hub.cloned(),
             jitter_seed: u64::from(me.0),
             ..ShardedSpawnOptions::default()
         };
@@ -101,6 +124,9 @@ impl Runtime for ShardedHandle {
     }
     fn publish(&self, payload: Bytes) -> SeqNo {
         ShardedHandle::publish(self, payload, Duration::from_secs(1)).expect("publish")
+    }
+    fn monitor(&self, key: &str, f: impl FnMut(&FrontierUpdate) + Send + 'static) {
+        self.monitor_stability_frontier(self.id(), key, f);
     }
     fn waitfor(&self, key: &str, seq: SeqNo) -> Result<bool, CoreError> {
         ShardedHandle::waitfor(self, self.id(), key, seq, Duration::from_secs(10))
@@ -151,6 +177,14 @@ fn peers_of(me: usize, addrs: &[SocketAddr]) -> Vec<(NodeId, SocketAddr)> {
 
 /// A whole cluster of `cfg` on loopback, and where its nodes listen.
 fn spawn_cluster<R: Runtime>(cfg: &ClusterConfig) -> (Vec<R>, Vec<SocketAddr>) {
+    spawn_cluster_with(cfg, None)
+}
+
+/// [`spawn_cluster`], every node feeding `hub` when one is given.
+fn spawn_cluster_with<R: Runtime>(
+    cfg: &ClusterConfig,
+    hub: Option<&Arc<Telemetry>>,
+) -> (Vec<R>, Vec<SocketAddr>) {
     let (ls, addrs) = listeners(cfg.num_nodes());
     let acks = Arc::new(AckTypeRegistry::new());
     let nodes = ls
@@ -163,6 +197,7 @@ fn spawn_cluster<R: Runtime>(cfg: &ClusterConfig) -> (Vec<R>, Vec<SocketAddr>) {
                 Arc::clone(&acks),
                 l,
                 peers_of(i, &addrs),
+                hub,
             )
         })
         .collect();
@@ -188,6 +223,7 @@ fn early_messages_arrive<R: Runtime>() {
             Arc::clone(&acks),
             ls.remove(0),
             peers_of(me, &addrs),
+            None,
         )
     };
 
@@ -221,7 +257,8 @@ fn silent_peer_is_suspected<R: Runtime>() {
     let opts = Options::default()
         .heartbeat_millis(50)
         .failure_timeout_millis(400);
-    let (cluster, _) = spawn_cluster::<R>(&cfg::<R>(THREE_NODES, Some(opts)));
+    let hub = Telemetry::new_wall_clock();
+    let (cluster, _) = spawn_cluster_with::<R>(&cfg::<R>(THREE_NODES, Some(opts)), Some(&hub));
     let h0 = &cluster[0];
 
     // Warm up: traffic flows, nobody is suspected.
@@ -235,6 +272,14 @@ fn silent_peer_is_suspected<R: Runtime>() {
     // node 1 (which keeps heartbeating).
     eventually("node 2 never suspected", || h0.is_suspected(NodeId(2)));
     assert!(!h0.is_suspected(NodeId(1)), "live node wrongly suspected");
+    // The observer hears of it too (on the dispatcher thread on the
+    // sharded runtime, hence "eventually").
+    let suspicions = hub
+        .registry()
+        .counter("stab_suspicions_total", &[("node", "0")]);
+    eventually("node 0's observer never saw the suspicion", || {
+        suspicions.get() >= 1
+    });
     for h in &cluster {
         h.shutdown();
     }
@@ -258,7 +303,14 @@ fn exhausted_retries_surface<R: Runtime>() {
     addrs[1] = dead.local_addr().unwrap();
     drop(dead); // release the port: connects now fail fast
     let acks = Arc::new(AckTypeRegistry::new());
-    let h0 = R::spawn(cfg, NodeId(0), acks, ls.remove(0), peers_of(0, &addrs));
+    let h0 = R::spawn(
+        cfg,
+        NodeId(0),
+        acks,
+        ls.remove(0),
+        peers_of(0, &addrs),
+        None,
+    );
 
     eventually(
         "writer never surfaced the permanent connect failure",
@@ -406,4 +458,57 @@ fn lone_operations_are_flushed<R: Runtime>() {
 fn lone_operations_do_not_wait_for_the_idle_poll() {
     lone_operations_are_flushed::<NodeHandle>();
     lone_operations_are_flushed::<ShardedHandle>();
+}
+
+/// Two threads stream publishes on node 0 while both peers acknowledge:
+/// on the plain runtime two reader threads fold ACKs and fire the
+/// resulting frontier upcalls after releasing the node lock, so without
+/// the monotone filter a monitor sees seq 6 and then 5.
+fn monitored_frontiers_never_move_back<R: Runtime + Send + 'static>() {
+    const KEYS: [&str; 2] = ["AllRemote", "OneRemote"];
+    const PER_PUBLISHER: u64 = 40_000;
+    let topology = format!("{THREE_NODES}predicate OneRemote MAX($ALLWNODES-$MYWNODE)\n");
+    let (cluster, _) = spawn_cluster::<R>(&cfg::<R>(&topology, None));
+    let h0 = &cluster[0];
+
+    let moved_back = Arc::new(AtomicU64::new(0));
+    for key in KEYS {
+        let moved_back = Arc::clone(&moved_back);
+        let mut last = (0u32, 0u64);
+        h0.monitor(key, move |u| {
+            if (u.generation, u.seq) < last {
+                moved_back.fetch_add(1, Ordering::Relaxed);
+            }
+            last = (u.generation, u.seq);
+        });
+    }
+
+    let publishers: Vec<_> = (0..2)
+        .map(|_| {
+            let h = h0.clone();
+            std::thread::spawn(move || {
+                for _ in 0..PER_PUBLISHER {
+                    h.publish(Bytes::from_static(b"0123456789abcdef"));
+                }
+            })
+        })
+        .collect();
+    for p in publishers {
+        p.join().expect("publisher");
+    }
+    assert!(h0.waitfor("AllRemote", 2 * PER_PUBLISHER).unwrap());
+    assert_eq!(
+        moved_back.load(Ordering::Relaxed),
+        0,
+        "a monitor saw its frontier move back"
+    );
+    for h in &cluster {
+        h.shutdown();
+    }
+}
+
+#[test]
+fn monitored_frontiers_never_move_back_under_two_publishers() {
+    monitored_frontiers_never_move_back::<NodeHandle>();
+    monitored_frontiers_never_move_back::<ShardedHandle>();
 }

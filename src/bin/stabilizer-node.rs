@@ -96,7 +96,7 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
     let opts = SpawnOptions {
         observer: telemetry
             .as_ref()
-            .map(|t| Box::new(t.observer(me)) as Box<dyn stabilizer::core::RuntimeObserver>),
+            .map(|t| Box::new(t.observer(me)) as Box<dyn stabilizer::core::AppHooks + Send>),
         telemetry: telemetry.clone(),
         serve_addr,
         ..SpawnOptions::default()
