@@ -3,16 +3,16 @@
 //!
 //! Every registered predicate tracks one *stream* (a primary's sequence
 //! space). When an ACK counter advances, only the predicates that read
-//! the changed `(node, ack-type)` cell are re-evaluated (their dependency
-//! sets are known at compile time). Within one predicate *generation* the
+//! the changed `(node, ack-type)` cell are re-evaluated: their dependency
+//! sets are known at compile time and kept in a dense index, so an ACK
+//! nobody reads costs one lookup. Within one predicate *generation* the
 //! frontier is monotonic; [`FrontierEngine::change`] starts a new
 //! generation, and the frontier may start lower — the paper's §VI-D
 //! "gap", which the application is responsible for handling, is surfaced
 //! through the `generation` field of [`FrontierUpdate`].
 
 use crate::recorder::AckRecorder;
-use stabilizer_dsl::{AckTypeId, NodeId, Predicate, SeqNo};
-use std::collections::BTreeMap;
+use stabilizer_dsl::{AckTypeId, EvalScratch, NodeId, Predicate, SeqNo};
 
 /// Token identifying a blocked `waitfor` call; returned to the driver
 /// when the wait completes.
@@ -33,28 +33,51 @@ pub struct FrontierUpdate {
 
 #[derive(Debug)]
 struct Entry {
+    stream: NodeId,
+    key: String,
     predicate: Predicate,
     frontier: SeqNo,
     generation: u32,
+    /// Blocked `waitfor` calls on this key as `(seq, token)`, in call order.
+    waiters: Vec<(SeqNo, WaitToken)>,
 }
 
-#[derive(Debug)]
-struct Waiter {
-    stream: NodeId,
-    key: String,
-    seq: SeqNo,
-    token: WaitToken,
+impl Entry {
+    fn update(&self) -> FrontierUpdate {
+        FrontierUpdate {
+            stream: self.stream,
+            key: self.key.clone(),
+            seq: self.frontier,
+            generation: self.generation,
+        }
+    }
+
+    fn drain_waiters(&mut self, completed: &mut Vec<WaitToken>) {
+        let frontier = self.frontier;
+        self.waiters.retain(|&(seq, token)| {
+            let done = seq <= frontier;
+            if done {
+                completed.push(token);
+            }
+            !done
+        });
+    }
 }
 
 /// Registry of compiled predicates with per-entry frontier state and
 /// blocked waiters.
 #[derive(Debug, Default)]
 pub struct FrontierEngine {
-    // BTreeMap, not HashMap: `on_ack_advance` and `exclude_node` iterate
-    // this map and emit `FrontierUpdate`s in iteration order, which must
-    // be identical across processes for seed replay to be byte-stable.
-    entries: BTreeMap<(NodeId, String), Entry>,
-    waiters: Vec<Waiter>,
+    /// Sorted by `(stream, key)`. Updates are emitted in this order, which
+    /// must be identical across processes for seed replay to be
+    /// byte-stable (so no hash map).
+    entries: Vec<Entry>,
+    /// Dependency index: `deps[stream][node][ack type]` lists, ascending,
+    /// the positions in `entries` of the predicates reading that cell.
+    /// Maintained by `register` / `change` / `unregister` only; each level
+    /// grows on demand, and a cell beyond it has no dependants.
+    deps: Vec<Vec<Vec<Vec<u32>>>>,
+    scratch: EvalScratch,
     evals: u64,
 }
 
@@ -77,28 +100,36 @@ impl FrontierEngine {
         out: &mut Vec<FrontierUpdate>,
         completed: &mut Vec<WaitToken>,
     ) {
-        let generation = self
-            .entries
-            .get(&(stream, key.to_owned()))
-            .map(|e| e.generation + 1)
-            .unwrap_or(0);
-        self.evals += 1;
-        let frontier = predicate.eval(&recorder.stream_view(stream));
-        let entry = Entry {
-            predicate,
-            frontier,
-            generation,
+        let pos = match self.find(stream, key) {
+            Ok(pos) => {
+                self.replace(pos, predicate, recorder);
+                pos
+            }
+            Err(pos) => {
+                self.evals += 1;
+                let frontier =
+                    predicate.eval_with(&recorder.stream_view(stream), &mut self.scratch);
+                self.shift_positions(pos, 1);
+                self.entries.insert(
+                    pos,
+                    Entry {
+                        stream,
+                        key: key.to_owned(),
+                        predicate,
+                        frontier,
+                        generation: 0,
+                        waiters: Vec::new(),
+                    },
+                );
+                self.index(pos);
+                pos
+            }
         };
-        self.entries.insert((stream, key.to_owned()), entry);
-        if frontier > 0 {
-            out.push(FrontierUpdate {
-                stream,
-                key: key.to_owned(),
-                seq: frontier,
-                generation,
-            });
+        let entry = &mut self.entries[pos];
+        if entry.frontier > 0 {
+            out.push(entry.update());
         }
-        self.drain_waiters(stream, key, frontier, completed);
+        entry.drain_waiters(completed);
     }
 
     /// Replace the predicate under an existing key, bumping its
@@ -116,22 +147,10 @@ impl FrontierEngine {
         out: &mut Vec<FrontierUpdate>,
         completed: &mut Vec<WaitToken>,
     ) -> bool {
-        let Some(entry) = self.entries.get_mut(&(stream, key.to_owned())) else {
+        let Ok(pos) = self.find(stream, key) else {
             return false;
         };
-        self.evals += 1;
-        entry.generation += 1;
-        entry.predicate = predicate;
-        entry.frontier = entry.predicate.eval(&recorder.stream_view(stream));
-        let update = FrontierUpdate {
-            stream,
-            key: key.to_owned(),
-            seq: entry.frontier,
-            generation: entry.generation,
-        };
-        let frontier = entry.frontier;
-        out.push(update);
-        self.drain_waiters(stream, key, frontier, completed);
+        self.change_at(pos, predicate, recorder, out, completed);
         true
     }
 
@@ -139,43 +158,33 @@ impl FrontierEngine {
     /// callers should drain or fail them; returns the tokens of waiters
     /// that were watching the key.
     pub fn unregister(&mut self, stream: NodeId, key: &str) -> Vec<WaitToken> {
-        self.entries.remove(&(stream, key.to_owned()));
-        let mut orphaned = Vec::new();
-        self.waiters.retain(|w| {
-            if w.stream == stream && w.key == key {
-                orphaned.push(w.token);
-                false
-            } else {
-                true
-            }
-        });
-        orphaned
+        let Ok(pos) = self.find(stream, key) else {
+            return Vec::new();
+        };
+        self.unindex(pos);
+        let entry = self.entries.remove(pos);
+        self.shift_positions(pos, -1);
+        entry.waiters.into_iter().map(|(_, token)| token).collect()
     }
 
     /// Current `(frontier, generation)` for a key.
     pub fn frontier(&self, stream: NodeId, key: &str) -> Option<(SeqNo, u32)> {
-        self.entries
-            .get(&(stream, key.to_owned()))
-            .map(|e| (e.frontier, e.generation))
+        let entry = &self.entries[self.find(stream, key).ok()?];
+        Some((entry.frontier, entry.generation))
     }
 
     /// The compiled predicate registered under a key.
     pub fn predicate(&self, stream: NodeId, key: &str) -> Option<&Predicate> {
-        self.entries
-            .get(&(stream, key.to_owned()))
-            .map(|e| &e.predicate)
+        Some(&self.entries[self.find(stream, key).ok()?].predicate)
     }
 
-    /// Registered keys for a stream.
+    /// Registered keys for a stream, sorted.
     pub fn keys(&self, stream: NodeId) -> Vec<String> {
-        let mut keys: Vec<String> = self
-            .entries
-            .keys()
-            .filter(|(s, _)| *s == stream)
-            .map(|(_, k)| k.clone())
-            .collect();
-        keys.sort();
-        keys
+        self.entries
+            .iter()
+            .filter(|e| e.stream == stream)
+            .map(|e| e.key.clone())
+            .collect()
     }
 
     /// Block `token` until the frontier of `(stream, key)` reaches `seq`.
@@ -189,24 +198,21 @@ impl FrontierEngine {
         token: WaitToken,
         completed: &mut Vec<WaitToken>,
     ) -> Result<(), crate::error::CoreError> {
-        let Some(entry) = self.entries.get(&(stream, key.to_owned())) else {
+        let Ok(pos) = self.find(stream, key) else {
             return Err(crate::error::CoreError::UnknownPredicate(key.to_owned()));
         };
+        let entry = &mut self.entries[pos];
         if entry.frontier >= seq {
             completed.push(token);
         } else {
-            self.waiters.push(Waiter {
-                stream,
-                key: key.to_owned(),
-                seq,
-                token,
-            });
+            entry.waiters.push((seq, token));
         }
         Ok(())
     }
 
     /// Re-evaluate the predicates of `stream` affected by an advance of
-    /// `(node, ty)`, appending frontier updates and completed wait tokens.
+    /// `(node, ty)`, appending frontier updates (in key order) and
+    /// completed wait tokens (in key order, then `waitfor` call order).
     pub fn on_ack_advance(
         &mut self,
         stream: NodeId,
@@ -216,30 +222,24 @@ impl FrontierEngine {
         out: &mut Vec<FrontierUpdate>,
         completed: &mut Vec<WaitToken>,
     ) {
+        let Some(dependants) = self
+            .deps
+            .get(stream.0 as usize)
+            .and_then(|nodes| nodes.get(node.0 as usize))
+            .and_then(|types| types.get(ty.0 as usize))
+        else {
+            return;
+        };
         let view = recorder.stream_view(stream);
-        let mut advanced: Vec<(String, SeqNo)> = Vec::new();
-        for ((s, key), entry) in self.entries.iter_mut() {
-            if *s != stream {
-                continue;
-            }
-            if !entry.predicate.dependencies().contains(&(node, ty)) {
-                continue;
-            }
+        for &pos in dependants {
+            let entry = &mut self.entries[pos as usize];
             self.evals += 1;
-            let new = entry.predicate.eval(&view);
+            let new = entry.predicate.eval_with(&view, &mut self.scratch);
             if new > entry.frontier {
                 entry.frontier = new;
-                out.push(FrontierUpdate {
-                    stream,
-                    key: key.clone(),
-                    seq: new,
-                    generation: entry.generation,
-                });
-                advanced.push((key.clone(), new));
+                out.push(entry.update());
+                entry.drain_waiters(completed);
             }
-        }
-        for (key, new) in advanced {
-            self.drain_waiters(stream, &key, new, completed);
         }
     }
 
@@ -254,9 +254,8 @@ impl FrontierEngine {
         completed: &mut Vec<WaitToken>,
     ) -> Vec<String> {
         let mut failed = Vec::new();
-        let keys: Vec<(NodeId, String)> = self.entries.keys().cloned().collect();
-        for (stream, key) in keys {
-            let entry = self.entries.get(&(stream, key.clone())).unwrap();
+        for pos in 0..self.entries.len() {
+            let entry = &self.entries[pos];
             if !entry
                 .predicate
                 .dependencies()
@@ -266,10 +265,8 @@ impl FrontierEngine {
                 continue;
             }
             match entry.predicate.excluding(node) {
-                Ok(rewritten) => {
-                    self.change(stream, &key, rewritten, recorder, out, completed);
-                }
-                Err(_) => failed.push(key.clone()),
+                Ok(rewritten) => self.change_at(pos, rewritten, recorder, out, completed),
+                Err(_) => failed.push(entry.key.clone()),
             }
         }
         failed
@@ -287,7 +284,7 @@ impl FrontierEngine {
 
     /// Number of blocked waiters (for tests and introspection).
     pub fn pending_waiters(&self) -> usize {
-        self.waiters.len()
+        self.entries.iter().map(|e| e.waiters.len()).sum()
     }
 
     /// Total predicate evaluations performed (registration, change, and
@@ -296,28 +293,84 @@ impl FrontierEngine {
         self.evals
     }
 
-    fn drain_waiters(
+    /// Position of `(stream, key)` in `entries`, or where it would go.
+    fn find(&self, stream: NodeId, key: &str) -> Result<usize, usize> {
+        self.entries
+            .binary_search_by(|e| (e.stream, e.key.as_str()).cmp(&(stream, key)))
+    }
+
+    fn change_at(
         &mut self,
-        stream: NodeId,
-        key: &str,
-        frontier: SeqNo,
+        pos: usize,
+        predicate: Predicate,
+        recorder: &AckRecorder,
+        out: &mut Vec<FrontierUpdate>,
         completed: &mut Vec<WaitToken>,
     ) {
-        self.waiters.retain(|w| {
-            if w.stream == stream && w.key == key && w.seq <= frontier {
-                completed.push(w.token);
-                false
-            } else {
-                true
-            }
-        });
+        self.replace(pos, predicate, recorder);
+        let entry = &mut self.entries[pos];
+        out.push(entry.update());
+        entry.drain_waiters(completed);
     }
+
+    /// Install `predicate` over the entry at `pos` as its next generation.
+    fn replace(&mut self, pos: usize, predicate: Predicate, recorder: &AckRecorder) {
+        self.unindex(pos);
+        self.evals += 1;
+        let entry = &mut self.entries[pos];
+        entry.generation += 1;
+        entry.frontier =
+            predicate.eval_with(&recorder.stream_view(entry.stream), &mut self.scratch);
+        entry.predicate = predicate;
+        self.index(pos);
+    }
+
+    /// Add the entry at `pos` to the list of every cell it reads.
+    fn index(&mut self, pos: usize) {
+        let entry = &self.entries[pos];
+        let nodes = grow(&mut self.deps, entry.stream.0);
+        for &(node, ty) in entry.predicate.dependencies() {
+            let list = grow(grow(nodes, node.0), ty.0);
+            let at = list.partition_point(|&p| (p as usize) < pos);
+            list.insert(at, pos as u32);
+        }
+    }
+
+    /// Inverse of [`FrontierEngine::index`].
+    fn unindex(&mut self, pos: usize) {
+        let entry = &self.entries[pos];
+        let nodes = &mut self.deps[entry.stream.0 as usize];
+        for &(node, ty) in entry.predicate.dependencies() {
+            nodes[node.0 as usize][ty.0 as usize].retain(|&p| p as usize != pos);
+        }
+    }
+
+    /// `entries[from..]` is about to move up (`by = 1`) or has moved down
+    /// (`by = -1`) one slot: move the index with it.
+    fn shift_positions(&mut self, from: usize, by: i32) {
+        for list in self.deps.iter_mut().flatten().flatten() {
+            for p in list.iter_mut().filter(|p| **p as usize >= from) {
+                *p = p.wrapping_add_signed(by);
+            }
+        }
+    }
+}
+
+/// `&mut level[i]`, growing `level` with empty slots to hold it.
+fn grow<T: Default>(level: &mut Vec<T>, i: u16) -> &mut T {
+    let i = i as usize;
+    if level.len() <= i {
+        level.resize_with(i + 1, T::default);
+    }
+    &mut level[i]
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use stabilizer_dsl::{AckTypeRegistry, Topology, RECEIVED};
+    use proptest::prelude::*;
+    use stabilizer_dsl::{AckTypeRegistry, Topology, PERSISTED, RECEIVED};
+    use std::collections::BTreeMap;
 
     fn topo() -> Topology {
         Topology::builder()
@@ -531,5 +584,345 @@ mod tests {
         eng.register(NodeId(0), "p", pred("MAX($2)"), &rec, &mut out, &mut done);
         eng.register(NodeId(0), "p", pred("MAX($3)"), &rec, &mut out, &mut done);
         assert_eq!(eng.frontier(NodeId(0), "p"), Some((0, 1)));
+    }
+
+    #[test]
+    fn ack_cell_nobody_reads_costs_no_evaluation() {
+        let (mut eng, mut rec, mut out, mut done) = setup();
+        eng.register(NodeId(0), "one", pred("MAX($2)"), &rec, &mut out, &mut done);
+        let before = eng.evaluations();
+        // Node 3's `received`, node 2's `persisted`, and a cell of a stream
+        // nothing is registered for: none is a dependency of MAX($2).
+        for (stream, node, ty) in [(0, 2, RECEIVED), (0, 1, PERSISTED), (1, 1, RECEIVED)] {
+            rec.observe(NodeId(stream), NodeId(node), ty, 9);
+            eng.on_ack_advance(NodeId(stream), NodeId(node), ty, &rec, &mut out, &mut done);
+        }
+        assert_eq!(eng.evaluations(), before);
+        assert!(out.is_empty());
+        rec.observe(NodeId(0), NodeId(1), RECEIVED, 9);
+        eng.on_ack_advance(NodeId(0), NodeId(1), RECEIVED, &rec, &mut out, &mut done);
+        assert_eq!(eng.evaluations(), before + 1);
+    }
+
+    #[test]
+    fn one_cell_releases_waiters_in_key_order_then_call_order() {
+        let (mut eng, mut rec, mut out, mut done) = setup();
+        // Registered and waited on against key order.
+        eng.register(NodeId(0), "b", pred("MAX($2)"), &rec, &mut out, &mut done);
+        eng.register(NodeId(0), "a", pred("MAX($2)"), &rec, &mut out, &mut done);
+        eng.waitfor(NodeId(0), "b", 3, 1, &mut done).unwrap();
+        eng.waitfor(NodeId(0), "a", 5, 2, &mut done).unwrap();
+        eng.waitfor(NodeId(0), "b", 2, 3, &mut done).unwrap();
+        eng.waitfor(NodeId(0), "a", 1, 4, &mut done).unwrap();
+        eng.waitfor(NodeId(0), "a", 9, 5, &mut done).unwrap(); // not reached
+        rec.observe(NodeId(0), NodeId(1), RECEIVED, 5);
+        eng.on_ack_advance(NodeId(0), NodeId(1), RECEIVED, &rec, &mut out, &mut done);
+        let keys: Vec<&str> = out.iter().map(|u| u.key.as_str()).collect();
+        assert_eq!(keys, ["a", "b"]);
+        assert_eq!(done, vec![2, 4, 1, 3]);
+        assert_eq!(eng.pending_waiters(), 1);
+    }
+
+    /// The engine this one replaced, kept as the oracle: every entry of an
+    /// ordered map is scanned on every ACK, each evaluation allocates its
+    /// scratch, and waiters sit in one global list.
+    #[derive(Default)]
+    struct NaiveEngine {
+        entries: BTreeMap<(NodeId, String), (Predicate, SeqNo, u32)>,
+        waiters: Vec<(NodeId, String, SeqNo, WaitToken)>,
+        evals: u64,
+    }
+
+    impl NaiveEngine {
+        fn register(
+            &mut self,
+            stream: NodeId,
+            key: &str,
+            predicate: Predicate,
+            recorder: &AckRecorder,
+            out: &mut Vec<FrontierUpdate>,
+            completed: &mut Vec<WaitToken>,
+        ) {
+            let generation = self
+                .entries
+                .get(&(stream, key.to_owned()))
+                .map_or(0, |e| e.2 + 1);
+            self.evals += 1;
+            let frontier = predicate.eval(&recorder.stream_view(stream));
+            self.entries
+                .insert((stream, key.to_owned()), (predicate, frontier, generation));
+            if frontier > 0 {
+                out.push(FrontierUpdate {
+                    stream,
+                    key: key.to_owned(),
+                    seq: frontier,
+                    generation,
+                });
+            }
+            self.drain_waiters(stream, key, frontier, completed);
+        }
+
+        fn change(
+            &mut self,
+            stream: NodeId,
+            key: &str,
+            predicate: Predicate,
+            recorder: &AckRecorder,
+            out: &mut Vec<FrontierUpdate>,
+            completed: &mut Vec<WaitToken>,
+        ) -> bool {
+            let Some(entry) = self.entries.get_mut(&(stream, key.to_owned())) else {
+                return false;
+            };
+            self.evals += 1;
+            entry.2 += 1;
+            entry.1 = predicate.eval(&recorder.stream_view(stream));
+            entry.0 = predicate;
+            let (frontier, generation) = (entry.1, entry.2);
+            out.push(FrontierUpdate {
+                stream,
+                key: key.to_owned(),
+                seq: frontier,
+                generation,
+            });
+            self.drain_waiters(stream, key, frontier, completed);
+            true
+        }
+
+        fn unregister(&mut self, stream: NodeId, key: &str) -> Vec<WaitToken> {
+            self.entries.remove(&(stream, key.to_owned()));
+            let mut orphaned = Vec::new();
+            self.waiters.retain(|w| {
+                let hit = w.0 == stream && w.1 == key;
+                if hit {
+                    orphaned.push(w.3);
+                }
+                !hit
+            });
+            orphaned
+        }
+
+        fn waitfor(
+            &mut self,
+            stream: NodeId,
+            key: &str,
+            seq: SeqNo,
+            token: WaitToken,
+            completed: &mut Vec<WaitToken>,
+        ) -> bool {
+            let Some(entry) = self.entries.get(&(stream, key.to_owned())) else {
+                return false;
+            };
+            if entry.1 >= seq {
+                completed.push(token);
+            } else {
+                self.waiters.push((stream, key.to_owned(), seq, token));
+            }
+            true
+        }
+
+        fn on_ack_advance(
+            &mut self,
+            stream: NodeId,
+            node: NodeId,
+            ty: AckTypeId,
+            recorder: &AckRecorder,
+            out: &mut Vec<FrontierUpdate>,
+            completed: &mut Vec<WaitToken>,
+        ) {
+            let view = recorder.stream_view(stream);
+            let mut advanced: Vec<(String, SeqNo)> = Vec::new();
+            for ((s, key), entry) in self.entries.iter_mut() {
+                if *s != stream || !entry.0.dependencies().contains(&(node, ty)) {
+                    continue;
+                }
+                self.evals += 1;
+                let new = entry.0.eval(&view);
+                if new > entry.1 {
+                    entry.1 = new;
+                    out.push(FrontierUpdate {
+                        stream,
+                        key: key.clone(),
+                        seq: new,
+                        generation: entry.2,
+                    });
+                    advanced.push((key.clone(), new));
+                }
+            }
+            for (key, new) in advanced {
+                self.drain_waiters(stream, &key, new, completed);
+            }
+        }
+
+        fn exclude_node(
+            &mut self,
+            node: NodeId,
+            recorder: &AckRecorder,
+            out: &mut Vec<FrontierUpdate>,
+            completed: &mut Vec<WaitToken>,
+        ) -> Vec<String> {
+            let mut failed = Vec::new();
+            let keys: Vec<(NodeId, String)> = self.entries.keys().cloned().collect();
+            for (stream, key) in keys {
+                let predicate = &self.entries[&(stream, key.clone())].0;
+                if !predicate.dependencies().iter().any(|(n, _)| *n == node) {
+                    continue;
+                }
+                match predicate.excluding(node) {
+                    Ok(rewritten) => {
+                        self.change(stream, &key, rewritten, recorder, out, completed);
+                    }
+                    Err(_) => failed.push(key),
+                }
+            }
+            failed
+        }
+
+        fn drain_waiters(
+            &mut self,
+            stream: NodeId,
+            key: &str,
+            frontier: SeqNo,
+            completed: &mut Vec<WaitToken>,
+        ) {
+            self.waiters.retain(|w| {
+                let done = w.0 == stream && w.1 == key && w.2 <= frontier;
+                if done {
+                    completed.push(w.3);
+                }
+                !done
+            });
+        }
+    }
+
+    /// Keys that share prefixes, so ordering by `(stream, key)` is ordering
+    /// by string comparison and not by length or insertion.
+    const KEYS: [&str; 6] = ["a", "ab", "abc", "ab/c", "b", "a0"];
+    const TYPE_NAMES: [&str; 5] = ["received", "persisted", "delivered", "verified", "audited"];
+
+    #[derive(Debug, Clone)]
+    enum Op {
+        /// `(reduction, node mask, ack type)`: see [`source`].
+        Register(u16, usize, (u8, u8, usize)),
+        Change(u16, usize, (u8, u8, usize)),
+        Unregister(u16, usize),
+        Exclude(u16),
+        Waitfor(u16, usize, SeqNo),
+        Ack(u16, u16, usize, SeqNo),
+        AddType,
+    }
+
+    fn arb_op() -> impl Strategy<Value = Op> {
+        let stream = 0u16..8;
+        let key = 0..KEYS.len();
+        let spec = (0u8..4, 1u8..=255, 0usize..5);
+        prop_oneof![
+            4 => (stream.clone(), key.clone(), spec.clone()).prop_map(|(s, k, p)| Op::Register(s, k, p)),
+            2 => (stream.clone(), key.clone(), spec).prop_map(|(s, k, p)| Op::Change(s, k, p)),
+            1 => (stream.clone(), key.clone()).prop_map(|(s, k)| Op::Unregister(s, k)),
+            1 => (0u16..8).prop_map(Op::Exclude),
+            3 => (stream.clone(), key, 0u64..40).prop_map(|(s, k, q)| Op::Waitfor(s, k, q)),
+            12 => (stream, 0u16..8, 0usize..5, 0u64..40).prop_map(|(s, n, t, q)| Op::Ack(s, n, t, q)),
+            1 => Just(Op::AddType),
+        ]
+    }
+
+    /// `MIN` / `MAX` / `KTH_MAX(2, ..)` / `KTH_MIN(2, ..)` over the nodes of
+    /// `mask` (at least one of the `n`) at ACK type `ty`.
+    fn source((reduction, mask, ty): (u8, u8, usize), n: u16, types: usize) -> String {
+        let mut nodes: Vec<u16> = (0..n).filter(|i| mask & (1 << i) != 0).collect();
+        if nodes.is_empty() {
+            nodes.push(mask as u16 % n);
+        }
+        let ty = TYPE_NAMES[ty % types];
+        let operands: Vec<String> = nodes.iter().map(|i| format!("${}.{ty}", i + 1)).collect();
+        let operands = operands.join(", ");
+        let k = nodes.len().min(2);
+        match reduction {
+            0 => format!("MIN({operands})"),
+            1 => format!("MAX({operands})"),
+            2 => format!("KTH_MAX({k}, {operands})"),
+            _ => format!("KTH_MIN({k}, {operands})"),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(192))]
+
+        #[test]
+        fn indexed_engine_matches_the_scan(
+            n in 4u16..=8,
+            ops in proptest::collection::vec(arb_op(), 1..160),
+        ) {
+            let names: Vec<String> = (0..n).map(|i| format!("n{i}")).collect();
+            let names: Vec<&str> = names.iter().map(String::as_str).collect();
+            let topo = Topology::builder().az("A", &names).build().unwrap();
+            let acks = AckTypeRegistry::new();
+            let mut rec = AckRecorder::new(n as usize, acks.len());
+            let (mut eng, mut naive) = (FrontierEngine::new(), NaiveEngine::default());
+            let mut token = 0;
+            for op in ops {
+                let compile = |spec| {
+                    let src = source(spec, n, acks.len());
+                    Predicate::compile(&src, &topo, &acks, NodeId(0)).unwrap()
+                };
+                let (mut out, mut done) = (Vec::new(), Vec::new());
+                let (mut naive_out, mut naive_done) = (Vec::new(), Vec::new());
+                match op {
+                    Op::Register(s, k, spec) => {
+                        let (s, p) = (NodeId(s % n), compile(spec));
+                        eng.register(s, KEYS[k], p.clone(), &rec, &mut out, &mut done);
+                        naive.register(s, KEYS[k], p, &rec, &mut naive_out, &mut naive_done);
+                    }
+                    Op::Change(s, k, spec) => {
+                        let (s, p) = (NodeId(s % n), compile(spec));
+                        prop_assert_eq!(
+                            eng.change(s, KEYS[k], p.clone(), &rec, &mut out, &mut done),
+                            naive.change(s, KEYS[k], p, &rec, &mut naive_out, &mut naive_done)
+                        );
+                    }
+                    Op::Unregister(s, k) => {
+                        let s = NodeId(s % n);
+                        prop_assert_eq!(eng.unregister(s, KEYS[k]), naive.unregister(s, KEYS[k]));
+                    }
+                    Op::Exclude(node) => {
+                        let node = NodeId(node % n);
+                        prop_assert_eq!(
+                            eng.exclude_node(node, &rec, &mut out, &mut done),
+                            naive.exclude_node(node, &rec, &mut naive_out, &mut naive_done)
+                        );
+                    }
+                    Op::Waitfor(s, k, seq) => {
+                        let s = NodeId(s % n);
+                        token += 1;
+                        prop_assert_eq!(
+                            eng.waitfor(s, KEYS[k], seq, token, &mut done).is_ok(),
+                            naive.waitfor(s, KEYS[k], seq, token, &mut naive_done)
+                        );
+                    }
+                    Op::Ack(s, node, ty, seq) => {
+                        let (s, node) = (NodeId(s % n), NodeId(node % n));
+                        let ty = AckTypeId((ty % acks.len()) as u16);
+                        rec.observe(s, node, ty, seq);
+                        eng.on_ack_advance(s, node, ty, &rec, &mut out, &mut done);
+                        naive.on_ack_advance(s, node, ty, &rec, &mut naive_out, &mut naive_done);
+                    }
+                    Op::AddType => {
+                        if acks.len() < TYPE_NAMES.len() {
+                            acks.register(TYPE_NAMES[acks.len()]);
+                            rec.ensure_types(acks.len());
+                        }
+                    }
+                }
+                prop_assert_eq!(&out, &naive_out);
+                prop_assert_eq!(&done, &naive_done);
+                prop_assert_eq!(eng.evaluations(), naive.evals);
+                prop_assert_eq!(eng.len(), naive.entries.len());
+                prop_assert_eq!(eng.pending_waiters(), naive.waiters.len());
+            }
+            for ((stream, key), (_, frontier, generation)) in &naive.entries {
+                prop_assert_eq!(eng.frontier(*stream, key), Some((*frontier, *generation)));
+            }
+        }
     }
 }

@@ -153,6 +153,10 @@ pub struct StabilizerNode {
     suspected: Vec<bool>,
     next_token: WaitToken,
     actions: Vec<Action>,
+    /// What the engine reported during the current call, drained into
+    /// `actions` by `emit`; kept so the ACK fold allocates nothing.
+    updates: Vec<FrontierUpdate>,
+    done: Vec<WaitToken>,
     /// Original DSL sources per (stream, key), kept so predicates can be
     /// restored verbatim when an excluded node rejoins. Ordered map:
     /// `reinstate_node` iterates it and emits frontier updates, whose
@@ -312,6 +316,8 @@ impl StabilizerNode {
             suspected: vec![false; n],
             next_token: 1,
             actions: Vec::new(),
+            updates: Vec::new(),
+            done: Vec::new(),
             predicate_sources: std::collections::BTreeMap::new(),
             analysis_reports: std::collections::BTreeMap::new(),
             predicate_tolerance: std::collections::BTreeMap::new(),
@@ -590,14 +596,13 @@ impl StabilizerNode {
         // Reclaim once every live replica has received a prefix (only
         // replicas ever receive this stream). Suspected nodes are
         // excluded so a dead peer cannot pin the buffer.
-        let live: Vec<NodeId> = self
+        let live = self
             .placement
             .replicas(self.me)
             .iter()
             .copied()
-            .filter(|n| !self.suspected[n.0 as usize])
-            .collect();
-        let min = self.recorder.min_over(self.me, RECEIVED, &live);
+            .filter(|n| !self.suspected[n.0 as usize]);
+        let min = self.recorder.min_over(self.me, RECEIVED, live);
         self.send_buf.reclaim(min);
     }
 
@@ -673,10 +678,14 @@ impl StabilizerNode {
         let pred = Predicate::compile(source, self.cfg.topology(), &self.acks, self.me)?
             .restricted_to(self.placement.replicas(stream))?;
         let tolerance = self.compute_tolerance(&pred);
-        let mut updates = Vec::new();
-        let mut done = Vec::new();
-        self.engine
-            .register(stream, key, pred, &self.recorder, &mut updates, &mut done);
+        self.engine.register(
+            stream,
+            key,
+            pred,
+            &self.recorder,
+            &mut self.updates,
+            &mut self.done,
+        );
         self.predicate_tolerance
             .insert((stream, key.to_owned()), tolerance);
         self.predicate_sources
@@ -685,7 +694,7 @@ impl StabilizerNode {
             self.analysis_reports
                 .insert((stream, key.to_owned()), report);
         }
-        self.emit(updates, done);
+        self.emit();
         Ok(())
     }
 
@@ -707,12 +716,14 @@ impl StabilizerNode {
         let pred = Predicate::compile(source, self.cfg.topology(), &self.acks, self.me)?
             .restricted_to(self.placement.replicas(stream))?;
         let tolerance = self.compute_tolerance(&pred);
-        let mut updates = Vec::new();
-        let mut done = Vec::new();
-        if !self
-            .engine
-            .change(stream, key, pred, &self.recorder, &mut updates, &mut done)
-        {
+        if !self.engine.change(
+            stream,
+            key,
+            pred,
+            &self.recorder,
+            &mut self.updates,
+            &mut self.done,
+        ) {
             return Err(CoreError::UnknownPredicate(key.to_owned()));
         }
         self.predicate_tolerance
@@ -723,7 +734,7 @@ impl StabilizerNode {
             self.analysis_reports
                 .insert((stream, key.to_owned()), report);
         }
-        self.emit(updates, done);
+        self.emit();
         Ok(())
     }
 
@@ -802,8 +813,10 @@ impl StabilizerNode {
     /// the frontier they were waiting for never confirmed) so callers are
     /// not stranded.
     pub fn unregister_predicate(&mut self, stream: NodeId, key: &str) {
-        self.analysis_reports.remove(&(stream, key.to_owned()));
-        self.predicate_tolerance.remove(&(stream, key.to_owned()));
+        let entry = (stream, key.to_owned());
+        self.analysis_reports.remove(&entry);
+        self.predicate_tolerance.remove(&entry);
+        self.predicate_sources.remove(&entry);
         for token in self.engine.unregister(stream, key) {
             self.actions.push(Action::WaitDone { token });
         }
@@ -900,11 +913,9 @@ impl StabilizerNode {
     ) -> Result<WaitToken, CoreError> {
         let token = self.next_token;
         self.next_token += 1;
-        let mut done = Vec::new();
-        self.engine.waitfor(stream, key, seq, token, &mut done)?;
-        for t in done {
-            self.actions.push(Action::WaitDone { token: t });
-        }
+        self.engine
+            .waitfor(stream, key, seq, token, &mut self.done)?;
+        self.emit();
         Ok(token)
     }
 
@@ -1461,12 +1472,10 @@ impl StabilizerNode {
     /// predicates (that would become empty) are reported via
     /// [`Action::PredicateBroken`].
     pub fn exclude_node(&mut self, node: NodeId) {
-        let mut updates = Vec::new();
-        let mut done = Vec::new();
-        let failed = self
-            .engine
-            .exclude_node(node, &self.recorder, &mut updates, &mut done);
-        self.emit(updates, done);
+        let failed =
+            self.engine
+                .exclude_node(node, &self.recorder, &mut self.updates, &mut self.done);
+        self.emit();
         for key in failed {
             self.actions.push(Action::PredicateBroken {
                 stream: self.me,
@@ -1516,11 +1525,15 @@ impl StabilizerNode {
             if has_node || !should_have {
                 continue;
             }
-            let mut updates = Vec::new();
-            let mut done = Vec::new();
-            self.engine
-                .change(stream, &key, pred, &self.recorder, &mut updates, &mut done);
-            self.emit(updates, done);
+            self.engine.change(
+                stream,
+                &key,
+                pred,
+                &self.recorder,
+                &mut self.updates,
+                &mut self.done,
+            );
+            self.emit();
         }
         Ok(())
     }
@@ -1583,16 +1596,19 @@ impl StabilizerNode {
         sb.clear_retained();
         node.send_buf = sb;
         // Re-evaluate configured predicates against the restored table.
-        let keys = node.engine.keys(me);
-        let mut updates = Vec::new();
-        let mut done = Vec::new();
-        for key in keys {
+        for key in node.engine.keys(me) {
             if let Some(pred) = node.engine.predicate(me, &key).cloned() {
-                node.engine
-                    .register(me, &key, pred, &node.recorder, &mut updates, &mut done);
+                node.engine.register(
+                    me,
+                    &key,
+                    pred,
+                    &node.recorder,
+                    &mut node.updates,
+                    &mut node.done,
+                );
             }
         }
-        node.emit(updates, done);
+        node.emit();
         Ok(node)
     }
 
@@ -1630,19 +1646,25 @@ impl StabilizerNode {
     }
 
     fn advance(&mut self, stream: NodeId, node: NodeId, ty: AckTypeId) {
-        let mut updates = Vec::new();
-        let mut done = Vec::new();
-        self.engine
-            .on_ack_advance(stream, node, ty, &self.recorder, &mut updates, &mut done);
-        self.emit(updates, done);
+        self.engine.on_ack_advance(
+            stream,
+            node,
+            ty,
+            &self.recorder,
+            &mut self.updates,
+            &mut self.done,
+        );
+        self.emit();
     }
 
-    fn emit(&mut self, updates: Vec<FrontierUpdate>, done: Vec<WaitToken>) {
-        for u in updates {
+    /// Turn what the engine just reported into actions: the updates,
+    /// then the completed waits.
+    fn emit(&mut self) {
+        for u in self.updates.drain(..) {
             self.metrics.frontier_updates += 1;
             self.actions.push(Action::Frontier(u));
         }
-        for token in done {
+        for token in self.done.drain(..) {
             self.actions.push(Action::WaitDone { token });
         }
     }
@@ -1952,6 +1974,25 @@ mod tests {
         let before = n.stability_frontier(NodeId(0), "All").unwrap();
         n.reinstate_node(NodeId(1)).unwrap();
         assert_eq!(n.stability_frontier(NodeId(0), "All").unwrap(), before);
+    }
+
+    #[test]
+    fn unregister_forgets_the_source() {
+        let mut n = node(0);
+        n.register_predicate(NodeId(0), "tmp", "MIN($2, $3)")
+            .unwrap();
+        n.exclude_node(NodeId(2));
+        n.unregister_predicate(NodeId(0), "tmp");
+        // Nothing is left for a later reinstatement to recompile (topic
+        // churn in pubsub would otherwise grow this map without bound).
+        assert!(!n
+            .predicate_sources
+            .contains_key(&(NodeId(0), "tmp".to_owned())));
+        n.reinstate_node(NodeId(2)).unwrap();
+        assert_eq!(n.stability_frontier(NodeId(0), "tmp"), None);
+        // The key is free again: a new registration starts at generation 0.
+        n.register_predicate(NodeId(0), "tmp", "MAX($2)").unwrap();
+        assert_eq!(n.stability_frontier(NodeId(0), "tmp"), Some((0, 0)));
     }
 
     #[test]

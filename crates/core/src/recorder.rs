@@ -157,10 +157,15 @@ impl AckRecorder {
     /// The smallest `received` counter across `nodes` for `stream` — the
     /// reclamation point for the stream's send buffer (everything at or
     /// below it is buffered nowhere else).
-    pub fn min_over(&self, stream: NodeId, ty: AckTypeId, nodes: &[NodeId]) -> SeqNo {
+    pub fn min_over(
+        &self,
+        stream: NodeId,
+        ty: AckTypeId,
+        nodes: impl IntoIterator<Item = NodeId>,
+    ) -> SeqNo {
         nodes
-            .iter()
-            .map(|n| self.get(stream, *n, ty))
+            .into_iter()
+            .map(|n| self.get(stream, n, ty))
             .min()
             .unwrap_or(0)
     }
@@ -262,7 +267,7 @@ mod tests {
         r.observe(NodeId(0), NodeId(1), RECEIVED, 7);
         r.observe(NodeId(0), NodeId(2), RECEIVED, 9);
         let all = [NodeId(0), NodeId(1), NodeId(2)];
-        assert_eq!(r.min_over(NodeId(0), RECEIVED, &all), 7);
-        assert_eq!(r.min_over(NodeId(0), RECEIVED, &[]), 0);
+        assert_eq!(r.min_over(NodeId(0), RECEIVED, all), 7);
+        assert_eq!(r.min_over(NodeId(0), RECEIVED, []), 0);
     }
 }

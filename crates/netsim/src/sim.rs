@@ -120,27 +120,14 @@ enum EventKind<M> {
     },
 }
 
-struct Event<M> {
+/// A queued event as the heap sees it: ordered by `(time, seq)` — `seq`
+/// is unique, so `slot` never decides — with the payload parked in
+/// [`Simulation::slab`], so a sift moves 24 bytes and not a message.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct Event {
     time: SimTime,
     seq: u64,
-    kind: EventKind<M>,
-}
-
-impl<M> PartialEq for Event<M> {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
-    }
-}
-impl<M> Eq for Event<M> {}
-impl<M> PartialOrd for Event<M> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<M> Ord for Event<M> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.time, self.seq).cmp(&(other.time, other.seq))
-    }
+    slot: u32,
 }
 
 /// A deterministic discrete-event simulation of `n` actors connected by
@@ -150,7 +137,14 @@ pub struct Simulation<A: Actor> {
     actors: Vec<A>,
     links: Vec<LinkState>,
     link_up: Vec<bool>,
-    queue: BinaryHeap<Reverse<Event<A::Msg>>>,
+    queue: BinaryHeap<Reverse<Event>>,
+    /// Payloads of the queued events, indexed by [`Event::slot`]; `None`
+    /// marks a slot on `free_slots`.
+    slab: Vec<Option<EventKind<A::Msg>>>,
+    free_slots: Vec<u32>,
+    /// Buffer the actor callbacks write their effects to, reused across
+    /// events.
+    effects: Vec<Effect<A::Msg>>,
     now: SimTime,
     seq: u64,
     next_timer: u64,
@@ -183,6 +177,9 @@ impl<A: Actor> Simulation<A> {
             links: vec![LinkState::default(); n * n],
             link_up: vec![true; n * n],
             queue: BinaryHeap::new(),
+            slab: Vec::new(),
+            free_slots: Vec::new(),
+            effects: Vec::new(),
             now: SimTime::ZERO,
             seq: 0,
             next_timer: 0,
@@ -323,7 +320,11 @@ impl<A: Actor> Simulation<A> {
                 return false;
             };
             debug_assert!(ev.time >= self.now, "time went backwards");
-            match ev.kind {
+            let kind = self.slab[ev.slot as usize]
+                .take()
+                .expect("a queued event owns its slot");
+            self.free_slots.push(ev.slot);
+            match kind {
                 EventKind::Deliver { to, from, msg } => {
                     self.now = ev.time;
                     self.dispatch(to, |a, ctx| a.on_message(ctx, from, msg));
@@ -372,7 +373,9 @@ impl<A: Actor> Simulation<A> {
     }
 
     fn dispatch<R>(&mut self, node: usize, f: impl FnOnce(&mut A, &mut Ctx<'_, A::Msg>) -> R) -> R {
-        let mut effects: Vec<Effect<A::Msg>> = Vec::new();
+        // Taken, not borrowed: `apply` needs `&mut self`. It never
+        // dispatches, so nothing else can want the buffer meanwhile.
+        let mut effects = std::mem::take(&mut self.effects);
         let r = {
             let mut ctx = Ctx {
                 now: self.now,
@@ -384,9 +387,10 @@ impl<A: Actor> Simulation<A> {
             };
             f(&mut self.actors[node], &mut ctx)
         };
-        for eff in effects {
+        for eff in effects.drain(..) {
             self.apply(node, eff);
         }
+        self.effects = effects;
         r
     }
 
@@ -491,7 +495,15 @@ impl<A: Actor> Simulation<A> {
     fn push(&mut self, time: SimTime, kind: EventKind<A::Msg>) {
         let seq = self.seq;
         self.seq += 1;
-        self.queue.push(Reverse(Event { time, seq, kind }));
+        let slot = match self.free_slots.pop() {
+            Some(slot) => slot,
+            None => {
+                self.slab.push(None);
+                u32::try_from(self.slab.len() - 1).expect("fewer than 2^32 events in flight")
+            }
+        };
+        self.slab[slot as usize] = Some(kind);
+        self.queue.push(Reverse(Event { time, seq, slot }));
     }
 }
 
@@ -581,6 +593,41 @@ mod tests {
         sim.run_until_idle();
         let tags: Vec<u64> = sim.actor(0).fired.iter().map(|(_, t)| *t).collect();
         assert_eq!(tags, vec![3, 5]);
+    }
+
+    #[test]
+    fn same_instant_events_pop_in_push_order_across_slot_reuse() {
+        let mut sim = two_nodes(0);
+        // Fill and drain the slab first: the free list hands slots back
+        // last-freed-first, so the burst below lands in slots whose
+        // numbers run against push order.
+        sim.with_ctx(0, |_, ctx| {
+            for i in 0..500 {
+                ctx.send(1, Num(i));
+            }
+        });
+        sim.run_until_idle();
+        assert_eq!(sim.free_slots.len(), sim.slab.len());
+        sim.with_ctx(0, |_, ctx| {
+            for i in 1000..2000 {
+                ctx.send(1, Num(i));
+            }
+        });
+        assert_eq!(sim.slab.len(), 1000, "500 slots recycled, 500 new");
+        sim.run_until_idle();
+        let vals: Vec<u64> = sim.actor(1).got[500..].iter().map(|g| g.2).collect();
+        assert_eq!(vals, (1000..2000).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn cancelled_timer_frees_its_slot() {
+        let mut sim = two_nodes(1);
+        let id = sim.with_ctx(0, |_, ctx| ctx.set_timer(SimDuration::from_millis(5), 5));
+        sim.with_ctx(0, |_, ctx| ctx.cancel_timer(id));
+        assert_eq!(sim.free_slots.len() + 1, sim.slab.len());
+        sim.run_until_idle();
+        assert!(sim.actor(0).fired.is_empty());
+        assert_eq!(sim.free_slots.len(), sim.slab.len());
     }
 
     #[test]
