@@ -1,20 +1,47 @@
-//! The chaos harness: runs a simulated Stabilizer cluster while
-//! executing a compiled [`FaultPlan`] and a timed workload, checking
-//! every invariant after every simulator step.
+//! The chaos harness: runs a Stabilizer cluster while executing a
+//! compiled [`FaultPlan`] and a timed workload, checking every invariant
+//! as it goes — once, over two runtimes.
 //!
-//! The run is fully determined by `(config, topology, workload, plan,
+//! [`Chaos<B>`] owns everything the runtime does not decide; a
+//! [`Backend`] supplies the primitives that really differ. The two
+//! instantiations are [`ChaosHarness`](crate::ChaosHarness) (the
+//! deterministic simulator, [`crate::sim_harness`]) and
+//! [`ChaosTcpCluster`](crate::ChaosTcpCluster) (real sockets behind the
+//! fault-injecting proxy, [`crate::tcp_harness`]).
+//!
+//! ## The backend contract
+//!
+//! | | shared ([`Chaos`]) | simulator ([`SimBackend`](crate::SimBackend)) | TCP ([`TcpBackend`](crate::TcpBackend)) |
+//! |---|---|---|---|
+//! | **Plan compile** | `FaultPlan::compile`, before anything is built | — | — |
+//! | **Schedule order** | faults + workload merged by time, faults before work on ties; actions past the horizon are not applied | an action goes before the events of its own instant | an action is due once the wall clock reaches it |
+//! | **Layering** | link `a → b` is up iff the partition state wants it AND neither end is down (crashed or not yet joined); clock skew per node | — | — |
+//! | **Reboot order** | new incarnation → re-apply skew → resync checker → journal on → open links → catch-up; restart and join are the same path, with or without a snapshot | actor rebuilt and fast-forwarded, `on_start` runs at "catch-up" | fresh listener, `spawn_node_with`; a restored spawn requests catch-up itself |
+//! | **Checker** | one [`InvariantChecker`] over one consistent cut per check | views straight from the actors | every node locked in index order |
+//! | **Liveness verdict** | `post-fault-liveness`, gap and blame rendering | — | — |
+//! | **Payload fill** | `node + len` (wrapping), so differential runs publish identical bytes | — | — |
+//! | **Network** | — | `Simulation` links | `ProxyNet` |
+//! | **Clock** | — | virtual: advancing = one simulator step | wall: advancing = a 5 ms sleep |
+//! | **Concurrency** | — | none (single-threaded event loop) | runtime threads per node |
+//! | **Crash mechanics** | links cut first, snapshot round-trips the byte format | snapshot the actor; it lives on as a cut-off zombie | epoch-kill → drain → settle → snapshot → shutdown |
+//! | **Trace hashing** | note strings, order and node | appended to the hashed [`EventTrace`](crate::EventTrace) | dropped (a wall-clock run is not bit-reproducible) |
+//!
+//! A sim run is fully determined by `(config, topology, workload, plan,
 //! seed)`: faults are applied at exact virtual times interleaved with
 //! the event loop (never "when convenient"), the workload is a sorted
 //! schedule, and all randomness comes from the simulator's seeded RNG.
+//! A TCP run of the same inputs must reach the same **verdict** and
+//! converge to the same final protocol state ([`FinalState`]).
 
-use crate::invariants::{ChaosObservable, InvariantChecker, InvariantViolation, NodeView};
+use crate::invariants::{InvariantChecker, InvariantViolation, NodeView};
 use crate::plan::{FaultPlan, Op, PlanError, TimedOp};
-use crate::trace::{shared_trace, ChaosObserver, SharedTrace, TraceEvent, TraceEventKind};
 use bytes::Bytes;
-use stabilizer_core::sim_driver::{build_cluster_with_hooks, SimNode};
-use stabilizer_core::{ClusterConfig, CoreError, Snapshot, StabilizerNode};
+use stabilizer_core::{
+    Ack, ClusterConfig, CoreError, EventLog, Snapshot, StabilizerNode, StallReport, WaitToken,
+    WireMsg,
+};
 use stabilizer_dsl::{NodeId, SeqNo, RECEIVED};
-use stabilizer_netsim::{Actor, NetTopology, SimDuration, SimTime, Simulation};
+use stabilizer_netsim::{SimDuration, SimTime};
 use stabilizer_telemetry::Telemetry;
 use std::sync::Arc;
 
@@ -43,8 +70,8 @@ pub enum WorkItem {
         /// New predicate source.
         source: String,
     },
-    /// `node` blocks a `waitfor` until `stream`'s frontier under `key`
-    /// reaches `seq`.
+    /// `node` registers a `waitfor` on `stream`'s frontier under `key`
+    /// reaching `seq` (non-blocking; completion is an observer event).
     WaitFor {
         /// Waiting node.
         node: usize,
@@ -57,7 +84,7 @@ pub enum WorkItem {
     },
 }
 
-/// A workload action scheduled at a virtual time.
+/// A workload action scheduled at a time since the run's start.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TimedWork {
     /// When to act, relative to the run's start.
@@ -71,7 +98,8 @@ pub struct TimedWork {
 pub enum ChaosError {
     /// The fault plan is structurally invalid.
     Plan(PlanError),
-    /// Cluster construction failed (e.g. a predicate didn't compile).
+    /// Cluster construction failed (e.g. a predicate didn't compile, or
+    /// a socket could not be set up).
     Core(CoreError),
 }
 
@@ -98,19 +126,140 @@ impl From<CoreError> for ChaosError {
     }
 }
 
-/// Summary of a clean (violation-free) run.
+/// What [`Backend::advance`] did.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Advance {
+    /// Nothing ran: the next scheduled action is due and goes first.
+    ActionDue,
+    /// Time passed (one simulator step, or one wall-clock pause); the
+    /// cluster may have changed and wants a check.
+    Stepped,
+    /// The deadline is reached with no action due before it.
+    Done,
+}
+
+/// The primitives a runtime supplies to [`Chaos`]. Every method is a
+/// single mechanical step; *when* and *in which order* they are called
+/// — the layering and reboot rules in the [module table](self) — is
+/// the harness's business, which is what lets a recording stub pin
+/// those rules without a network.
+///
+/// Times are [`SimTime`] since the start of the run: virtual on the
+/// simulator, wall-clock nanoseconds on TCP.
+pub trait Backend {
+    /// Summary of a clean run, as [`Chaos::run`] returns it.
+    type Report;
+
+    /// `run` begins: a wall-clock backend re-zeroes its epoch here.
+    fn start(&mut self) {}
+    /// Time since the start of the run (the checker's timestamp).
+    fn now(&self) -> SimTime;
+    /// Let the cluster run, at most up to `deadline`, without passing
+    /// `next_action` (the time of the next scheduled action, when one
+    /// falls before the deadline).
+    fn advance(&mut self, next_action: Option<SimTime>, deadline: SimTime) -> Advance;
+    /// Summary of the run so far.
+    fn report(&self) -> Self::Report;
+    /// Append a harness note to the run's hashed trace, where there is
+    /// one.
+    fn note(&mut self, _at: SimTime, _node: u16, _what: String) {}
+    /// The publish timestamp on the clock `hub` reads, for a publish
+    /// scheduled at `at`.
+    fn publish_stamp(&self, at: SimTime, hub: &Telemetry) -> u64;
+
+    /// Pass (`true`) or cut (`false`) traffic on the directed link.
+    fn set_link_up(&mut self, from: usize, to: usize, up: bool);
+    /// Per-message loss probability on the directed link (0 clears).
+    fn set_loss(&mut self, from: usize, to: usize, probability: f64);
+    /// Cap `node`'s total egress rate.
+    fn set_egress(&mut self, node: usize, bytes_per_sec: f64);
+    /// Extra one-way delay on the directed link (ZERO clears).
+    fn set_delay(&mut self, from: usize, to: usize, extra: SimDuration);
+    /// Duplicate/reorder probabilities on the directed link.
+    fn set_dup_reorder(&mut self, from: usize, to: usize, dup: f64, reorder: f64);
+    /// Hand `msg` to `to` as if `from` had sent it (forged traffic).
+    fn inject(&mut self, from: usize, to: usize, msg: WireMsg);
+
+    /// Start every node. Called once, after the links of late joiners
+    /// are cut: a TCP placeholder must never get a frame out. (The
+    /// simulator's actors exist from construction, and nothing runs
+    /// before the first step.)
+    ///
+    /// # Errors
+    ///
+    /// A node could not be started.
+    fn launch(&mut self) -> Result<(), ChaosError> {
+        Ok(())
+    }
+    /// Scale `node`'s timer cadence (1.0 = nominal).
+    fn set_timer_scale(&mut self, node: usize, scale: f64);
+    /// Stop `node`, whose links are already cut, and return its
+    /// control-plane snapshot. The dead incarnation stays viewable.
+    fn crash(&mut self, node: usize) -> Snapshot;
+    /// Replace `node` with a new incarnation — restored from `snapshot`,
+    /// or history-less without one. Its links are still cut.
+    fn boot(&mut self, node: usize, snapshot: Option<Snapshot>);
+    /// The links of the incarnation [`Backend::boot`] made are open:
+    /// let it talk and begin §III-E catch-up. `restored` tells a runtime
+    /// whose restore path requests catch-up itself not to ask twice.
+    fn begin_catch_up(&mut self, node: usize, restored: bool);
+    /// Journal `node`'s recorder writes from here on, so checks examine
+    /// dirty cells only.
+    fn enable_ack_journal(&mut self, node: usize);
+
+    /// `node` publishes `payload` on its stream.
+    ///
+    /// # Errors
+    ///
+    /// Backpressure, as the node reports it.
+    fn publish(&mut self, node: usize, payload: Bytes) -> Result<SeqNo, CoreError>;
+    /// `node` swaps the predicate under `(stream, key)`.
+    ///
+    /// # Errors
+    ///
+    /// The node's refusal (unknown key, predicate does not compile).
+    fn change_predicate(
+        &mut self,
+        node: usize,
+        stream: NodeId,
+        key: &str,
+        source: &str,
+    ) -> Result<(), CoreError>;
+    /// `node` registers a non-blocking `waitfor`.
+    ///
+    /// # Errors
+    ///
+    /// The node's refusal (unknown key).
+    fn waitfor(
+        &mut self,
+        node: usize,
+        stream: NodeId,
+        key: &str,
+        seq: SeqNo,
+    ) -> Result<WaitToken, CoreError>;
+
+    /// Read `node`'s current incarnation: its state machine and the log
+    /// of what it observed.
+    fn with_node<R>(&self, node: usize, f: impl FnOnce(&StabilizerNode, &EventLog) -> R) -> R;
+    /// One consistent cut of the whole cluster, as the checker's views
+    /// (`views[i]` is node `i`, carrying the ACK journal drained since
+    /// the previous cut).
+    fn with_cut<R>(&mut self, f: impl FnOnce(&[NodeView<'_>]) -> R) -> R;
+}
+
+/// Converged protocol state of one run — everything the protocol
+/// defines, nothing the runtime's interleaving decides — for
+/// differential comparison across backends.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RunReport {
-    /// FNV-1a hash of the full event trace — the determinism fingerprint.
-    pub trace_hash: u64,
-    /// Number of trace events.
-    pub trace_events: usize,
-    /// Simulator steps executed.
-    pub steps: u64,
-    /// Messages dropped by cut links / injected loss.
-    pub dropped: u64,
-    /// Virtual time when the run stopped.
-    pub final_time: SimTime,
+pub struct FinalState {
+    /// `deliveries[node][origin]`: the sequence numbers the node's
+    /// current incarnation delivered from `origin`, in upcall order.
+    pub deliveries: Vec<Vec<Vec<SeqNo>>>,
+    /// `received[node][stream]`: every node's own RECEIVED cell.
+    pub received: Vec<Vec<SeqNo>>,
+    /// `frontiers[origin]`: each origin's frontier for its own stream
+    /// under the queried key (0 when the key is not installed).
+    pub frontiers: Vec<SeqNo>,
 }
 
 enum ScheduledKind {
@@ -123,108 +272,50 @@ struct Scheduled {
     kind: ScheduledKind,
 }
 
-/// The harness itself. Build with [`ChaosHarness::new`], run with
-/// [`ChaosHarness::run`], then inspect the cluster through
-/// [`ChaosHarness::sim`].
-pub struct ChaosHarness {
-    sim: Simulation<SimNode<ChaosObserver>>,
+/// The harness itself, over backend `B`. Build it through the
+/// constructors of [`ChaosHarness`](crate::ChaosHarness) or
+/// [`ChaosTcpCluster`](crate::ChaosTcpCluster), [`Chaos::run`] it, then
+/// optionally [`Chaos::verify_liveness`] and inspect the cluster through
+/// the query methods.
+pub struct Chaos<B: Backend> {
+    pub(crate) backend: B,
     cfg: ClusterConfig,
-    trace: SharedTrace,
+    n: usize,
     checker: InvariantChecker,
     schedule: Vec<Scheduled>,
     next_action: usize,
-    crashed: Vec<Option<Snapshot>>,
-    /// Nodes that have not joined the cluster yet ([`Fault::Join`]):
-    /// their links stay down and their workload is skipped until the
-    /// join op boots them fresh.
-    absent: Vec<bool>,
+    /// Crash snapshots of currently-crashed nodes.
+    snapshots: Vec<Option<Snapshot>>,
+    /// Nodes that are not part of the running cluster: crashed, or not
+    /// yet joined ([`Fault::Join`](crate::Fault::Join)). Their links stay
+    /// cut and their workload is skipped.
+    down: Vec<bool>,
     /// Desired per-link state from partition faults, independent of
-    /// crashes. The effective link `a -> b` is up iff `desired_up[a*n+b]`
-    /// AND neither endpoint is crashed — so a partition healing during a
+    /// `down`. The effective link `a -> b` is up iff `desired_up[a*n+b]`
+    /// AND neither endpoint is down — so a partition healing during a
     /// crash window does not resurrect the crashed node's links, and a
     /// restart does not punch through a still-active partition.
     desired_up: Vec<bool>,
     /// Desired per-node timer-cadence multiplier from clock-skew faults.
-    /// Restart and join rebuild the actor, so the harness re-applies the
+    /// A reboot builds a new incarnation, so the harness re-applies the
     /// active skew — a reboot does not reset a node's broken clock.
     timer_scale: Vec<f64>,
-    steps: u64,
-    n: usize,
     telemetry: Option<Arc<Telemetry>>,
 }
 
-impl ChaosHarness {
-    /// Build the cluster, compile the plan, and merge it with the
-    /// workload into one deterministic schedule.
-    ///
-    /// # Errors
-    ///
-    /// Fails on an invalid plan or a config whose predicates don't
-    /// compile.
-    pub fn new(
+impl<B: Backend> Chaos<B> {
+    /// Compile the plan, merge it with the workload into one schedule,
+    /// build the backend and bring the cluster up with late joiners
+    /// isolated.
+    pub(crate) fn assemble(
         cfg: &ClusterConfig,
-        net: NetTopology,
-        seed: u64,
-        plan: &FaultPlan,
-        workload: Vec<TimedWork>,
-    ) -> Result<Self, ChaosError> {
-        Self::new_with_telemetry(cfg, net, seed, plan, workload, None)
-    }
-
-    /// [`ChaosHarness::new`] with an optional telemetry hub: every
-    /// node's upcalls additionally feed a
-    /// [`MetricsObserver`](stabilizer_telemetry::MetricsObserver), and
-    /// publishes are stamped so the hub can compute publish→deliver and
-    /// publish→stable latency histograms. Use a hub built with
-    /// [`Telemetry::new_sim`] so timestamps stay deterministic.
-    ///
-    /// # Errors
-    ///
-    /// Same failure modes as [`ChaosHarness::new`].
-    pub fn new_with_telemetry(
-        cfg: &ClusterConfig,
-        net: NetTopology,
-        seed: u64,
         plan: &FaultPlan,
         workload: Vec<TimedWork>,
         telemetry: Option<Arc<Telemetry>>,
+        backend: impl FnOnce() -> Result<B, ChaosError>,
     ) -> Result<Self, ChaosError> {
         let n = cfg.num_nodes();
         let ops = plan.compile(n)?;
-        if let Some(t) = &telemetry {
-            t.record_placement(cfg.placement());
-        }
-        let trace = shared_trace();
-        let hook_trace = trace.clone();
-        let hook_telemetry = telemetry.clone();
-        let mut sim = build_cluster_with_hooks(cfg, net, seed, |i| {
-            ChaosObserver::new(i as u16, hook_trace.clone()).with_metrics(
-                hook_telemetry
-                    .as_ref()
-                    .map(|t| t.observer(NodeId(i as u16))),
-            )
-        })?;
-        // Journal recorder writes from the very first step so the
-        // invariant checker can examine only dirty cells instead of
-        // rescanning every ACK table after every event.
-        for i in 0..n {
-            sim.actor_mut(i).inner_mut().enable_ack_journal();
-        }
-        if let Some(t) = &telemetry {
-            // f* per key across every vantage in the cluster: the
-            // weakest vantage bounds the deployment, so record the min.
-            let mut min_tol = std::collections::BTreeMap::new();
-            for i in 0..n {
-                for (_stream, key, tol) in sim.actor(i).inner().predicate_tolerances() {
-                    let e = min_tol.entry(key.to_owned()).or_insert(tol);
-                    *e = (*e).min(tol);
-                }
-            }
-            for (key, tol) in min_tol {
-                t.record_predicate_tolerance(&key, tol);
-            }
-        }
-        let types = sim.actor(0).inner().recorder().num_types();
         let mut schedule: Vec<Scheduled> = ops
             .into_iter()
             .map(|TimedOp { at, op }| Scheduled {
@@ -241,66 +332,60 @@ impl ChaosHarness {
             )
             .collect();
         schedule.sort_by_key(|s| s.at); // stable: faults stay before work on ties
-        let mut harness = ChaosHarness {
-            sim,
+        let mut backend = backend()?;
+        // Late joiners are absent from the first instant: cut their
+        // links before any node runs (the placeholder incarnation idles
+        // in isolation and is replaced wholesale by the join op). No
+        // partition is active yet, so "down" is the whole layering rule.
+        let mut down = vec![false; n];
+        for (node, _) in plan.join_nodes() {
+            down[node] = true;
+            for (a, b) in FaultPlan::crash_pairs(node, n) {
+                backend.set_link_up(a, b, false);
+            }
+        }
+        backend.launch()?;
+        for i in 0..n {
+            backend.enable_ack_journal(i);
+        }
+        let types = backend.with_node(0, |node, _| node.recorder().num_types());
+        Ok(Chaos {
+            backend,
             cfg: cfg.clone(),
-            trace,
+            n,
             checker: InvariantChecker::new(n, types).with_placement(cfg.placement().clone()),
             schedule,
             next_action: 0,
-            crashed: vec![None; n],
-            absent: vec![false; n],
+            snapshots: vec![None; n],
+            down,
             desired_up: vec![true; n * n],
             timer_scale: vec![1.0; n],
-            steps: 0,
-            n,
             telemetry,
-        };
-        // Late joiners are absent from the first step: cut their links
-        // before any event runs (the pre-join actor idles in isolation
-        // and is replaced wholesale by the join op).
-        for (node, _) in plan.join_nodes() {
-            harness.absent[node] = true;
-            for (a, b) in FaultPlan::crash_pairs(node, n) {
-                harness.sync_link(a, b);
-            }
-        }
-        Ok(harness)
+        })
     }
 
-    /// Reconcile the simulator's link `a -> b` with the layered state.
+    /// Reconcile the backend's link `a -> b` with the layered state.
     fn sync_link(&mut self, a: usize, b: usize) {
-        let up = self.desired_up[a * self.n + b]
-            && self.crashed[a].is_none()
-            && self.crashed[b].is_none()
-            && !self.absent[a]
-            && !self.absent[b];
-        self.sim.set_link_up(a, b, up);
+        let up = self.desired_up[a * self.n + b] && !self.down[a] && !self.down[b];
+        self.backend.set_link_up(a, b, up);
     }
 
-    /// The underlying simulation (for post-run assertions).
-    pub fn sim(&self) -> &Simulation<SimNode<ChaosObserver>> {
-        &self.sim
+    fn sync_links_of(&mut self, node: usize) {
+        for (a, b) in FaultPlan::crash_pairs(node, self.n) {
+            self.sync_link(a, b);
+        }
     }
 
-    /// The shared event trace.
-    pub fn trace(&self) -> &SharedTrace {
-        &self.trace
-    }
-
-    /// Current trace hash (the determinism fingerprint).
-    pub fn trace_hash(&self) -> u64 {
-        self.trace.borrow().hash()
-    }
-
-    /// Run until `horizon` (virtual time from the start), interleaving
-    /// scheduled faults and workload with the event loop and checking
-    /// every invariant after every step.
+    /// Run for `horizon` since the start (virtual time on the simulator,
+    /// wall-clock on TCP), applying every scheduled fault and workload
+    /// item that falls within it at its time and checking every
+    /// invariant after each action and each [`Advance::Stepped`].
     ///
     /// # Errors
     ///
     /// Returns the first [`InvariantViolation`] detected.
-    pub fn run(&mut self, horizon: SimDuration) -> Result<RunReport, InvariantViolation> {
+    pub fn run(&mut self, horizon: SimDuration) -> Result<B::Report, InvariantViolation> {
+        self.backend.start();
         let deadline = SimTime::ZERO + horizon;
         loop {
             let next_action = self
@@ -308,43 +393,32 @@ impl ChaosHarness {
                 .get(self.next_action)
                 .map(|s| s.at)
                 .filter(|&t| t <= deadline);
-            let next_event = self.sim.next_event_time().filter(|&t| t <= deadline);
-            match (next_action, next_event) {
-                // Ties go to the scheduled action: a fault at time T
-                // affects every event with time >= T.
-                (Some(ta), te) if te.is_none_or(|te| ta <= te) => {
-                    self.apply_action()?;
-                }
-                (_, Some(_)) => {
-                    self.sim.step();
-                    self.steps += 1;
-                    self.check()?;
-                }
-                // `(Some(_), None)` is consumed by the first arm; the
-                // compiler cannot see through the guard.
-                _ => break,
+            match self.backend.advance(next_action, deadline) {
+                Advance::ActionDue => self.apply_action(),
+                Advance::Stepped => {}
+                Advance::Done => break,
+            }
+            self.check_now()?;
+        }
+        if let Some(t) = &self.telemetry {
+            for i in 0..self.n {
+                self.backend.with_node(i, |node, _| {
+                    t.record_node_metrics(NodeId(i as u16), &node.metrics());
+                });
             }
         }
-        Ok(RunReport {
-            trace_hash: self.trace_hash(),
-            trace_events: self.trace.borrow().len(),
-            steps: self.steps,
-            dropped: self.sim.dropped(),
-            final_time: self.sim.now(),
-        })
+        Ok(self.backend.report())
     }
 
-    /// Virtual-time twin of
-    /// [`ChaosTcpCluster::verify_liveness`](crate::tcp_harness::ChaosTcpCluster::verify_liveness):
-    /// call after [`ChaosHarness::run`] has executed the whole schedule
-    /// (every fault cleared, every crashed node restarted). Keeps
-    /// stepping the simulator — safety-checking every step — until every
-    /// published message has stabilized: each node's RECEIVED for every
-    /// stream reaches the origin's last published sequence, and each
-    /// origin's own frontier under every startup predicate reaches it
-    /// too. The wait is bounded by `bound` of *virtual* time past the
-    /// current simulator clock, so a stalled cluster fails fast and
-    /// deterministically instead of wall-clock hanging.
+    /// Call after [`Chaos::run`] has executed the whole schedule (every
+    /// fault cleared, every crashed node restarted). Keeps the cluster
+    /// running — safety-checked all the while — until every published
+    /// message has stabilized: each replica's RECEIVED for every stream
+    /// reaches the origin's last published sequence, and each origin's
+    /// own frontier under every startup predicate reaches it too. The
+    /// wait is bounded by `bound` past the backend's current clock; on
+    /// the simulator that is *virtual* time, so a stalled cluster fails
+    /// fast and deterministically instead of wall-clock hanging.
     ///
     /// # Errors
     ///
@@ -353,41 +427,35 @@ impl ChaosHarness {
     pub fn verify_liveness(&mut self, bound: SimDuration) -> Result<(), InvariantViolation> {
         let keys: Vec<String> = self.cfg.predicates().map(|(k, _)| k.to_owned()).collect();
         let targets: Vec<SeqNo> = (0..self.n)
-            .map(|s| self.sim.actor(s).inner().last_published())
+            .map(|s| self.backend.with_node(s, |node, _| node.last_published()))
             .collect();
-        let until = self.sim.now() + bound;
-        loop {
-            match self.liveness_gap(&keys, &targets) {
-                None => return Ok(()),
-                Some((node, detail)) => {
-                    // Timers re-arm forever, so the queue only runs dry
-                    // past `until`; either way the gap is now a verdict.
-                    if self.sim.next_event_time().filter(|&t| t <= until).is_none() {
-                        return Err(InvariantViolation {
-                            at: self.sim.now(),
-                            node,
-                            property: "post-fault-liveness",
-                            detail: format!("{detail}{}", self.render_blame()),
-                        });
-                    }
-                    self.sim.step();
-                    self.steps += 1;
-                    self.check()?;
-                }
+        let until = self.backend.now() + bound;
+        while let Some((node, detail)) = self.liveness_gap(&keys, &targets) {
+            // Simulator timers re-arm forever, so its queue only runs
+            // dry past `until`; either way the gap is now a verdict.
+            if self.backend.advance(None, until) == Advance::Done {
+                return Err(InvariantViolation {
+                    at: self.backend.now(),
+                    node,
+                    property: "post-fault-liveness",
+                    detail: format!("{detail}{}", self.render_blame()),
+                });
             }
+            self.check_now()?;
         }
+        Ok(())
     }
 
     /// Frontier blame from every node's diagnoser, tagged with the
-    /// observing node.
-    pub fn stall_reports(&self) -> Vec<(u16, stabilizer_core::StallReport)> {
-        let mut out = Vec::new();
-        for i in 0..self.n {
-            for report in self.sim.actor(i).inner().explain_all() {
-                out.push((i as u16, report));
-            }
-        }
-        out
+    /// observing node (a crashed node's dead incarnation included — its
+    /// view froze at the crash, which is exactly what stalled).
+    pub fn stall_reports(&self) -> Vec<(u16, StallReport)> {
+        (0..self.n)
+            .flat_map(|i| {
+                let reports = self.backend.with_node(i, |node, _| node.explain_all());
+                reports.into_iter().map(move |r| (i as u16, r))
+            })
+            .collect()
     }
 
     /// One-line blame summary of every stalled frontier, appended to
@@ -421,12 +489,7 @@ impl ChaosHarness {
                 if i == s || !placement.is_replica(stream, NodeId(i as u16)) {
                     continue;
                 }
-                let got =
-                    self.sim
-                        .actor(i)
-                        .inner()
-                        .recorder()
-                        .get(stream, NodeId(i as u16), RECEIVED);
+                let got = self.received(i, stream);
                 if got < target {
                     return Some((
                         i as u16,
@@ -438,13 +501,7 @@ impl ChaosHarness {
                 }
             }
             for key in keys {
-                let frontier = self
-                    .sim
-                    .actor(s)
-                    .inner()
-                    .stability_frontier(stream, key)
-                    .map(|(seq, _gen)| seq)
-                    .unwrap_or(0);
+                let frontier = self.frontier(s, s, key).unwrap_or(0);
                 if frontier < target {
                     return Some((
                         s as u16,
@@ -459,33 +516,18 @@ impl ChaosHarness {
         None
     }
 
-    fn check(&mut self) -> Result<(), InvariantViolation> {
-        let now = self.sim.now();
-        // Drain each node's dirty-cell journal first (mutable pass),
-        // then build the immutable views the checker consumes.
-        let dirty: Vec<Vec<_>> = (0..self.n)
-            .map(|i| self.sim.actor_mut(i).inner_mut().take_ack_journal())
-            .collect();
-        let sim = &self.sim;
-        let views: Vec<NodeView<'_>> = (0..self.n)
-            .zip(dirty)
-            .map(|(i, d)| NodeView {
-                dirty: Some(d),
-                ..sim.actor(i).chaos_view()
-            })
-            .collect();
-        self.checker.check(now, &views)
+    /// Run one invariant sweep over a consistent cut of all nodes.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first violation found.
+    pub fn check_now(&mut self) -> Result<(), InvariantViolation> {
+        let now = self.backend.now();
+        let checker = &mut self.checker;
+        self.backend.with_cut(|views| checker.check(now, views))
     }
 
-    fn note(&mut self, at: SimTime, node: u16, what: String) {
-        self.trace.borrow_mut().events.push(TraceEvent {
-            at_nanos: at.as_nanos(),
-            node,
-            kind: TraceEventKind::Harness { what },
-        });
-    }
-
-    fn apply_action(&mut self) -> Result<(), InvariantViolation> {
+    fn apply_action(&mut self) {
         let Scheduled { at, kind } = &self.schedule[self.next_action];
         let at = *at;
         self.next_action += 1;
@@ -494,31 +536,27 @@ impl ChaosHarness {
         match kind {
             ScheduledKind::Fault(op) => {
                 let op = op.clone();
-                self.apply_fault(at, op)?;
+                self.apply_fault(at, op);
             }
             ScheduledKind::Work(item) => {
                 let item = item.clone();
                 self.apply_work(at, item);
             }
         }
-        self.check()
     }
 
-    fn apply_fault(&mut self, at: SimTime, op: Op) -> Result<(), InvariantViolation> {
+    fn apply_fault(&mut self, at: SimTime, op: Op) {
         match op {
             Op::SetLinks { pairs, up } => {
                 for &(a, b) in &pairs {
                     self.desired_up[a * self.n + b] = up;
                     self.sync_link(a, b);
                 }
-                self.note(
+                let state = if up { "up" } else { "down" };
+                self.backend.note(
                     at,
                     HARNESS_NODE,
-                    format!(
-                        "links {} ({} pairs)",
-                        if up { "up" } else { "down" },
-                        pairs.len()
-                    ),
+                    format!("links {state} ({} pairs)", pairs.len()),
                 );
             }
             Op::SetLoss {
@@ -526,8 +564,8 @@ impl ChaosHarness {
                 to,
                 probability,
             } => {
-                self.sim.set_link_loss(from, to, probability);
-                self.note(
+                self.backend.set_loss(from, to, probability);
+                self.backend.note(
                     at,
                     from as u16,
                     format!("loss {from}->{to} = {probability}"),
@@ -537,21 +575,23 @@ impl ChaosHarness {
                 node,
                 bytes_per_sec,
             } => {
-                self.sim.set_egress_limit(node, bytes_per_sec);
-                self.note(
+                self.backend.set_egress(node, bytes_per_sec);
+                self.backend.note(
                     at,
                     node as u16,
                     format!("egress {node} = {bytes_per_sec} B/s"),
                 );
             }
             Op::SetDelay { from, to, extra } => {
-                self.sim.set_link_extra_delay(from, to, extra);
-                self.note(at, from as u16, format!("delay {from}->{to} += {extra}"));
+                self.backend.set_delay(from, to, extra);
+                self.backend
+                    .note(at, from as u16, format!("delay {from}->{to} += {extra}"));
             }
             Op::SetTimerScale { node, scale } => {
                 self.timer_scale[node] = scale;
-                self.sim.actor_mut(node).set_timer_scale(scale);
-                self.note(at, node as u16, format!("timer scale {node} = {scale}"));
+                self.backend.set_timer_scale(node, scale);
+                self.backend
+                    .note(at, node as u16, format!("timer scale {node} = {scale}"));
             }
             Op::SetDupReorder {
                 from,
@@ -559,8 +599,8 @@ impl ChaosHarness {
                 dup,
                 reorder,
             } => {
-                self.sim.set_link_dup_reorder(from, to, dup, reorder);
-                self.note(
+                self.backend.set_dup_reorder(from, to, dup, reorder);
+                self.backend.note(
                     at,
                     from as u16,
                     format!("dup/reorder {from}->{to} = {dup}/{reorder}"),
@@ -571,145 +611,97 @@ impl ChaosHarness {
             Op::Restart { node } => self.restart(at, node),
             Op::Join { node } => self.join(at, node),
         }
-        Ok(())
     }
 
-    /// Byzantine ACK forgery: the node broadcasts an `AckBatch` claiming
-    /// every stream reached `ahead` past what it actually received. Its
-    /// own recorder is untouched — receivers' journaled belief writes are
-    /// what the `belief-beyond-truth` invariant must flag.
+    /// Byzantine ACK forgery: every live peer is handed an `AckBatch`,
+    /// as if from `node`, claiming every stream reached `ahead` past
+    /// what `node` actually received. Its own recorder is untouched —
+    /// receivers' journaled belief writes are what the
+    /// `belief-beyond-truth` invariant must flag.
     fn forge_ack(&mut self, at: SimTime, node: usize, ahead: u64) {
-        if self.crashed[node].is_some() || self.absent[node] {
-            self.note(at, node as u16, "forge_ack skipped (node down)".to_string());
+        if self.down[node] {
+            self.backend
+                .note(at, node as u16, "forge_ack skipped (node down)".to_string());
             return;
         }
-        let n = self.n;
-        self.sim.with_ctx(node, |actor, ctx| {
-            let me = NodeId(node as u16);
-            let batch: Vec<stabilizer_core::Ack> = (0..n)
+        let me = NodeId(node as u16);
+        let batch: Vec<Ack> = self.backend.with_node(node, |state, _| {
+            (0..self.n)
                 .map(|s| {
                     let stream = NodeId(s as u16);
-                    let truth = actor.inner().recorder().get(stream, me, RECEIVED);
-                    stabilizer_core::Ack {
+                    Ack {
                         stream,
                         ty: RECEIVED,
-                        seq: truth + ahead,
+                        seq: state.recorder().get(stream, me, RECEIVED) + ahead,
                     }
                 })
-                .collect();
-            for peer in 0..n {
-                if peer != node {
-                    ctx.send(peer, stabilizer_core::WireMsg::AckBatch(batch.clone()));
-                }
-            }
+                .collect()
         });
-        self.note(at, node as u16, format!("forge_ack {node} ahead {ahead}"));
+        for peer in (0..self.n).filter(|&p| p != node && !self.down[p]) {
+            self.backend
+                .inject(node, peer, WireMsg::AckBatch(batch.clone()));
+        }
+        self.backend
+            .note(at, node as u16, format!("forge_ack {node} ahead {ahead}"));
     }
 
-    /// Crash: persist the control plane through the byte format (what
-    /// the integrated storage system would store), then cut the node off.
-    /// The old actor keeps consuming in-flight messages as a "zombie",
-    /// but nothing it does escapes (links down) or survives (the restart
-    /// rebuilds from the snapshot).
+    /// Crash: cut the node off, then persist its control plane through
+    /// the byte format (what the integrated storage system would store).
+    /// Cutting first is what keeps belief ≤ truth on a concurrent
+    /// runtime: the snapshot is then a superset of everything that
+    /// escaped.
     fn crash(&mut self, at: SimTime, node: usize) {
-        let snapshot = self.sim.actor(node).inner().snapshot();
+        self.down[node] = true;
+        self.sync_links_of(node);
+        let snapshot = self.backend.crash(node);
         let snapshot =
             Snapshot::from_bytes(&snapshot.to_bytes()).expect("snapshot byte format round-trips");
-        self.crashed[node] = Some(snapshot);
-        for (a, b) in FaultPlan::crash_pairs(node, self.n) {
-            self.sync_link(a, b);
-        }
-        self.note(at, node as u16, format!("crash {node}"));
+        self.snapshots[node] = Some(snapshot);
+        self.backend.note(at, node as u16, format!("crash {node}"));
     }
 
-    /// Restart: rebuild from the snapshot, fast-forward each remote
-    /// stream to the snapshot's RECEIVED cell (§III-E state transfer —
-    /// the mirror recovers everything it had durably acknowledged from
-    /// the integrated storage system), reconnect, and re-arm timers.
+    /// Restart: a new incarnation rebuilt from the crash snapshot.
     fn restart(&mut self, at: SimTime, node: usize) {
-        let snapshot = self.crashed[node]
+        let snapshot = self.snapshots[node]
             .take()
             .expect("plan validation guarantees restart follows crash");
-        let acks = Arc::clone(self.sim.actor(node).inner().ack_types());
-        let mut restored =
-            StabilizerNode::restore(self.cfg.clone(), NodeId(node as u16), acks, snapshot)
-                .expect("predicates compiled at startup recompile on restore");
-        for s in 0..self.n {
-            if s == node {
-                continue;
-            }
-            let high = restored
-                .recorder()
-                .get(NodeId(s as u16), NodeId(node as u16), RECEIVED);
-            restored.fast_forward_stream(NodeId(s as u16), high);
-        }
-        let observer = ChaosObserver::new(node as u16, self.trace.clone()).with_metrics(
-            self.telemetry
-                .as_ref()
-                .map(|t| t.observer(NodeId(node as u16))),
-        );
-        let mut fresh = SimNode::new(restored, observer);
-        // A reboot does not fix a skewed clock: the timers the restart
-        // arms below must already run at the faulted cadence.
-        if self.timer_scale[node] != 1.0 {
-            fresh.set_timer_scale(self.timer_scale[node]);
-        }
-        self.sim.replace_actor(node, fresh);
-        // `crashed[node]` was taken above, so sync restores each link to
-        // its partition-desired state (not unconditionally up).
-        for (a, b) in FaultPlan::crash_pairs(node, self.n) {
-            self.sync_link(a, b);
-        }
-        // `replace_actor` does not re-run the actor lifecycle: dispatch
-        // `on_start` manually to re-arm the periodic timers, begin
-        // §III-E catch-up (a no-op unless `transfer_millis` is set),
-        // and drain the actions the restore + fast-forward queued up.
-        self.sim.with_ctx(node, |actor, ctx| {
-            actor.on_start(ctx);
-            actor.begin_catch_up_at(ctx.now());
-            let actions = actor.inner_mut().take_actions();
-            actor.process_actions(ctx, actions);
-        });
-        self.checker
-            .note_restart(node, self.sim.actor(node).inner());
-        // The fresh machine starts with journaling off; the resync above
-        // re-baselined the shadow, so journaling resumes from here.
-        self.sim.actor_mut(node).inner_mut().enable_ack_journal();
-        self.note(at, node as u16, format!("restart {node}"));
+        self.boot(node, Some(snapshot));
+        self.backend
+            .note(at, node as u16, format!("restart {node}"));
     }
 
-    /// Join: boot a brand-new, history-less node into the running
-    /// cluster. The node gets the cluster configuration (the
-    /// "distribution" step of a membership change), opens its links, and
-    /// starts §III-E catch-up against every live stream.
+    /// Join: a brand-new, history-less member. It gets the cluster
+    /// configuration (the "distribution" step of a membership change)
+    /// and catches up on every live stream through §III-E transfer.
     fn join(&mut self, at: SimTime, node: usize) {
-        let acks = Arc::clone(self.sim.actor(node).inner().ack_types());
-        let fresh = StabilizerNode::new(self.cfg.clone(), NodeId(node as u16), acks)
-            .expect("predicates compiled at startup recompile on join");
-        let observer = ChaosObserver::new(node as u16, self.trace.clone()).with_metrics(
-            self.telemetry
-                .as_ref()
-                .map(|t| t.observer(NodeId(node as u16))),
-        );
-        let mut booted = SimNode::new(fresh, observer);
+        self.boot(node, None);
+        self.backend.note(at, node as u16, format!("join {node}"));
+    }
+
+    /// The one reboot sequence under restart and join; its order is
+    /// load-bearing.
+    fn boot(&mut self, node: usize, snapshot: Option<Snapshot>) {
+        let restored = snapshot.is_some();
+        self.backend.boot(node, snapshot);
+        // A reboot does not fix a skewed clock: the timers the new
+        // incarnation arms must already run at the faulted cadence.
         if self.timer_scale[node] != 1.0 {
-            booted.set_timer_scale(self.timer_scale[node]);
+            self.backend.set_timer_scale(node, self.timer_scale[node]);
         }
-        self.sim.replace_actor(node, booted);
-        self.absent[node] = false;
-        for (a, b) in FaultPlan::crash_pairs(node, self.n) {
-            self.sync_link(a, b);
-        }
-        self.sim.with_ctx(node, |actor, ctx| {
-            actor.on_start(ctx);
-            actor.begin_catch_up_at(ctx.now());
-            let actions = actor.inner_mut().take_actions();
-            actor.process_actions(ctx, actions);
-        });
-        self.checker
-            .note_restart(node, self.sim.actor(node).inner());
-        self.sim.actor_mut(node).inner_mut().enable_ack_journal();
-        self.note(at, node as u16, format!("join {node}"));
+        // Resync the checker *before* opening the links: once traffic
+        // flows, the fresh log gains entries the reset cursors must not
+        // double-count against the restored baseline.
+        let checker = &mut self.checker;
+        self.backend
+            .with_node(node, |state, _| checker.note_restart(node, state));
+        // The new machine starts unjournaled; the resync re-baselined
+        // the shadow, so journaling resumes from here.
+        self.backend.enable_ack_journal(node);
+        // Back in the cluster, so sync restores each link to its
+        // partition-desired state (not unconditionally up).
+        self.down[node] = false;
+        self.sync_links_of(node);
+        self.backend.begin_catch_up(node, restored);
     }
 
     fn apply_work(&mut self, at: SimTime, item: WorkItem) {
@@ -718,26 +710,29 @@ impl ChaosHarness {
             | WorkItem::ChangePredicate { node, .. }
             | WorkItem::WaitFor { node, .. } => *node,
         };
-        if self.crashed[node].is_some() || self.absent[node] {
-            self.note(at, node as u16, format!("skipped (node down): {item:?}"));
+        let who = node as u16;
+        if self.down[node] {
+            self.backend
+                .note(at, who, format!("skipped (node down): {item:?}"));
             return;
         }
         match item {
             WorkItem::Publish { node, len } => {
+                // Deterministic fill, so differential runs publish
+                // identical payloads.
                 let fill = (node as u8).wrapping_add(len as u8);
-                let res = self.sim.with_ctx(node, |actor, ctx| {
-                    actor.publish_in(ctx, Bytes::from(vec![fill; len]))
-                });
-                match res {
+                match self.backend.publish(node, Bytes::from(vec![fill; len])) {
                     Ok(seq) => {
                         if let Some(t) = &self.telemetry {
-                            t.note_publish(at.as_nanos(), NodeId(node as u16), seq, len);
+                            let stamp = self.backend.publish_stamp(at, t);
+                            t.note_publish(stamp, NodeId(who), seq, len);
                         }
-                        self.note(at, node as u16, format!("publish seq {seq} ({len} B)"));
+                        self.backend
+                            .note(at, who, format!("publish seq {seq} ({len} B)"));
                     }
                     // Backpressure (buffer full under a partition) is a
                     // legitimate outcome, not a failure.
-                    Err(e) => self.note(at, node as u16, format!("publish refused: {e}")),
+                    Err(e) => self.backend.note(at, who, format!("publish refused: {e}")),
                 }
             }
             WorkItem::ChangePredicate {
@@ -746,17 +741,14 @@ impl ChaosHarness {
                 key,
                 source,
             } => {
-                let res = self.sim.with_ctx(node, |actor, ctx| {
-                    actor.change_predicate_in(ctx, NodeId(stream as u16), &key, &source)
-                });
-                match res {
-                    Ok(()) => self.note(
-                        at,
-                        node as u16,
-                        format!("change_predicate stream {stream} key {key} to {source}"),
-                    ),
-                    Err(e) => self.note(at, node as u16, format!("change_predicate refused: {e}")),
-                }
+                let res = self
+                    .backend
+                    .change_predicate(node, NodeId(stream as u16), &key, &source);
+                let what = match res {
+                    Ok(()) => format!("change_predicate stream {stream} key {key} to {source}"),
+                    Err(e) => format!("change_predicate refused: {e}"),
+                };
+                self.backend.note(at, who, what);
             }
             WorkItem::WaitFor {
                 node,
@@ -764,18 +756,91 @@ impl ChaosHarness {
                 key,
                 seq,
             } => {
-                let res = self.sim.with_ctx(node, |actor, ctx| {
-                    actor.waitfor_in(ctx, NodeId(stream as u16), &key, seq)
-                });
-                match res {
-                    Ok(token) => self.note(
-                        at,
-                        node as u16,
-                        format!("waitfor stream {stream} key {key} seq {seq} -> token {token}"),
-                    ),
-                    Err(e) => self.note(at, node as u16, format!("waitfor refused: {e}")),
-                }
+                let res = self.backend.waitfor(node, NodeId(stream as u16), &key, seq);
+                let what = match res {
+                    Ok(token) => {
+                        format!("waitfor stream {stream} key {key} seq {seq} -> token {token}")
+                    }
+                    Err(e) => format!("waitfor refused: {e}"),
+                };
+                self.backend.note(at, who, what);
             }
+        }
+    }
+
+    fn received(&self, node: usize, stream: NodeId) -> SeqNo {
+        self.backend.with_node(node, |state, _| {
+            state.recorder().get(stream, state.me(), RECEIVED)
+        })
+    }
+
+    /// The §III-E catch-up events observed on `node`'s *current*
+    /// incarnation: `(stream, seq)` fast-forwards, in order. Non-empty
+    /// after a recovery that had to skip past the donor's retained log.
+    pub fn catchup_events(&self, node: usize) -> Vec<(u16, SeqNo)> {
+        self.backend.with_node(node, |_, log| {
+            log.catchup_log
+                .iter()
+                .map(|&(_, stream, seq)| (stream.0, seq))
+                .collect()
+        })
+    }
+
+    /// Delivery order `(origin, seq)` as `node`'s current incarnation
+    /// observed the upcalls.
+    pub fn delivery_order(&self, node: usize) -> Vec<(u16, SeqNo)> {
+        self.backend.with_node(node, |_, log| {
+            log.delivery_log
+                .iter()
+                .map(|&(_, origin, seq, _)| (origin.0, seq))
+                .collect()
+        })
+    }
+
+    /// Every node's RECEIVED cell for every stream:
+    /// `table[node][stream]`.
+    pub fn received_table(&self) -> Vec<Vec<SeqNo>> {
+        (0..self.n)
+            .map(|i| {
+                (0..self.n)
+                    .map(|s| self.received(i, NodeId(s as u16)))
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// A node's current frontier for `(stream, key)`.
+    pub fn frontier(&self, node: usize, stream: usize, key: &str) -> Option<SeqNo> {
+        self.backend.with_node(node, |state, _| {
+            state
+                .stability_frontier(NodeId(stream as u16), key)
+                .map(|(seq, _gen)| seq)
+        })
+    }
+
+    /// The converged state under `key`, for differential comparison
+    /// (meaningful once [`Chaos::verify_liveness`] has passed).
+    pub fn final_state(&self, key: &str) -> FinalState {
+        let deliveries = (0..self.n)
+            .map(|i| {
+                let order = self.delivery_order(i);
+                (0..self.n)
+                    .map(|origin| {
+                        order
+                            .iter()
+                            .filter(|(o, _)| *o as usize == origin)
+                            .map(|&(_, seq)| seq)
+                            .collect()
+                    })
+                    .collect()
+            })
+            .collect();
+        FinalState {
+            deliveries,
+            received: self.received_table(),
+            frontiers: (0..self.n)
+                .map(|s| self.frontier(s, s, key).unwrap_or(0))
+                .collect(),
         }
     }
 }
@@ -784,96 +849,254 @@ impl ChaosHarness {
 mod tests {
     use super::*;
     use crate::plan::{Fault, FaultEvent};
+    use stabilizer_core::AckTypeRegistry;
+
+    /// One primitive the harness asked of the backend.
+    #[derive(Debug, Clone, PartialEq)]
+    enum Call {
+        Link(usize, usize, bool),
+        Launch,
+        Journal(usize),
+        Skew(usize, f64),
+        Crash(usize),
+        /// `(node, from a snapshot)`.
+        Boot(usize, bool),
+        /// `(node, restored)`.
+        CatchUp(usize, bool),
+        Publish(usize),
+    }
+
+    /// A backend of real state machines that never talk — no sockets,
+    /// no simulator; time jumps from one scheduled action to the next —
+    /// recording every primitive in call order.
+    struct Recording {
+        cfg: ClusterConfig,
+        acks: Arc<AckTypeRegistry>,
+        nodes: Vec<StabilizerNode>,
+        logs: Vec<EventLog>,
+        now: SimTime,
+        calls: Vec<Call>,
+    }
+
+    impl Backend for Recording {
+        type Report = ();
+
+        fn now(&self) -> SimTime {
+            self.now
+        }
+        fn advance(&mut self, next_action: Option<SimTime>, deadline: SimTime) -> Advance {
+            self.now = next_action.unwrap_or(deadline);
+            match next_action {
+                Some(_) => Advance::ActionDue,
+                None => Advance::Done,
+            }
+        }
+        fn report(&self) {}
+        fn publish_stamp(&self, at: SimTime, _hub: &Telemetry) -> u64 {
+            at.as_nanos()
+        }
+
+        fn set_link_up(&mut self, from: usize, to: usize, up: bool) {
+            self.calls.push(Call::Link(from, to, up));
+        }
+        fn set_loss(&mut self, _from: usize, _to: usize, _probability: f64) {}
+        fn set_egress(&mut self, _node: usize, _bytes_per_sec: f64) {}
+        fn set_delay(&mut self, _from: usize, _to: usize, _extra: SimDuration) {}
+        fn set_dup_reorder(&mut self, _from: usize, _to: usize, _dup: f64, _reorder: f64) {}
+        fn inject(&mut self, _from: usize, _to: usize, _msg: WireMsg) {}
+
+        fn launch(&mut self) -> Result<(), ChaosError> {
+            self.calls.push(Call::Launch);
+            Ok(())
+        }
+        fn set_timer_scale(&mut self, node: usize, scale: f64) {
+            self.calls.push(Call::Skew(node, scale));
+        }
+        fn crash(&mut self, node: usize) -> Snapshot {
+            self.calls.push(Call::Crash(node));
+            self.nodes[node].snapshot()
+        }
+        fn boot(&mut self, node: usize, snapshot: Option<Snapshot>) {
+            self.calls.push(Call::Boot(node, snapshot.is_some()));
+            let (cfg, me, acks) = (
+                self.cfg.clone(),
+                NodeId(node as u16),
+                Arc::clone(&self.acks),
+            );
+            self.nodes[node] = match snapshot {
+                Some(s) => StabilizerNode::restore(cfg, me, acks, s),
+                None => StabilizerNode::new(cfg, me, acks),
+            }
+            .unwrap();
+            self.logs[node] = EventLog::default();
+        }
+        fn begin_catch_up(&mut self, node: usize, restored: bool) {
+            self.calls.push(Call::CatchUp(node, restored));
+        }
+        fn enable_ack_journal(&mut self, node: usize) {
+            self.calls.push(Call::Journal(node));
+            self.nodes[node].enable_ack_journal();
+        }
+
+        fn publish(&mut self, node: usize, payload: Bytes) -> Result<SeqNo, CoreError> {
+            self.calls.push(Call::Publish(node));
+            let seq = self.nodes[node].publish(payload);
+            self.nodes[node].take_actions();
+            seq
+        }
+        fn change_predicate(
+            &mut self,
+            node: usize,
+            stream: NodeId,
+            key: &str,
+            source: &str,
+        ) -> Result<(), CoreError> {
+            self.nodes[node].change_predicate(stream, key, source)
+        }
+        fn waitfor(
+            &mut self,
+            node: usize,
+            stream: NodeId,
+            key: &str,
+            seq: SeqNo,
+        ) -> Result<WaitToken, CoreError> {
+            self.nodes[node].waitfor(stream, key, seq)
+        }
+
+        fn with_node<R>(&self, node: usize, f: impl FnOnce(&StabilizerNode, &EventLog) -> R) -> R {
+            f(&self.nodes[node], &self.logs[node])
+        }
+        fn with_cut<R>(&mut self, f: impl FnOnce(&[NodeView<'_>]) -> R) -> R {
+            let dirty: Vec<_> = self
+                .nodes
+                .iter_mut()
+                .map(|n| n.take_ack_journal())
+                .collect();
+            let views: Vec<NodeView<'_>> = self
+                .nodes
+                .iter()
+                .zip(&self.logs)
+                .zip(dirty)
+                .map(|((node, log), d)| NodeView::new(node, log, Some(d)))
+                .collect();
+            f(&views)
+        }
+    }
 
     fn ms(v: u64) -> SimDuration {
         SimDuration::from_millis(v)
     }
 
-    fn small_cfg() -> ClusterConfig {
-        ClusterConfig::parse(
-            "az A n0 n1\naz B n2\n\
-             predicate All MIN($ALLWNODES-$MYWNODE)\n\
-             option ack_flush_micros 1000\n\
-             option heartbeat_millis 50\n\
-             option retransmit_millis 100\n",
-        )
-        .unwrap()
-    }
-
-    fn publishes(node: usize, n: usize, every: u64) -> Vec<TimedWork> {
-        (0..n)
-            .map(|i| TimedWork {
-                at: SimDuration::from_millis(10 + i as u64 * every),
-                item: WorkItem::Publish { node, len: 64 },
-            })
-            .collect()
-    }
-
+    /// The layering and reboot rules, as the exact primitive sequence:
+    /// a partition heals inside a crash window, a clock skew spans the
+    /// restart, a second partition is active at the restart, and a node
+    /// joins late.
     #[test]
-    fn clean_run_is_violation_free_and_delivers() {
-        let cfg = small_cfg();
-        let net = NetTopology::full_mesh(3, ms(5), 1e9);
-        let mut h =
-            ChaosHarness::new(&cfg, net, 7, &FaultPlan::default(), publishes(0, 10, 20)).unwrap();
-        let report = h.run(ms(800)).unwrap();
-        assert!(report.steps > 0);
-        // Every peer delivered the whole stream.
-        for i in 1..3 {
-            assert_eq!(
-                h.sim().actor(i).inner().recorder().get(
-                    NodeId(0),
-                    NodeId(i as u16),
-                    stabilizer_dsl::DELIVERED
-                ),
-                10
-            );
-        }
-    }
-
-    #[test]
-    fn crash_restart_preserves_invariants_and_stream() {
-        let cfg = small_cfg();
-        let net = NetTopology::full_mesh(3, ms(5), 1e9);
+    fn layering_and_reboot_order_as_a_primitive_call_sequence() {
+        let cfg =
+            ClusterConfig::parse("az A n0 n1\naz B n2\npredicate All MIN($ALLWNODES-$MYWNODE)\n")
+                .unwrap();
+        let at = |t, fault| FaultEvent { at: ms(t), fault };
         let plan = FaultPlan {
-            events: vec![FaultEvent {
-                at: ms(100),
-                fault: Fault::CrashRestart {
-                    node: 2,
-                    down_for: ms(150),
-                },
-            }],
-        };
-        let mut h = ChaosHarness::new(&cfg, net, 11, &plan, publishes(0, 12, 40)).unwrap();
-        let report = h.run(ms(1500)).unwrap();
-        assert!(report.dropped > 0, "the crash window should drop traffic");
-        // The restarted node caught back up via retransmission.
-        assert_eq!(
-            h.sim().actor(2).inner().recorder().get(
-                NodeId(0),
-                NodeId(2),
-                stabilizer_dsl::DELIVERED
-            ),
-            12
-        );
-    }
-
-    #[test]
-    fn identical_runs_have_identical_trace_hashes() {
-        let run = || {
-            let cfg = small_cfg();
-            let net = NetTopology::full_mesh(3, ms(5), 1e9);
-            let plan = FaultPlan {
-                events: vec![FaultEvent {
-                    at: ms(50),
-                    fault: Fault::Partition {
-                        side: vec![0],
-                        heal_after: ms(100),
+            events: vec![
+                at(
+                    10,
+                    Fault::Partition {
+                        side: vec![2],
+                        heal_after: ms(40),
                     },
-                }],
-            };
-            let mut h = ChaosHarness::new(&cfg, net, 42, &plan, publishes(1, 8, 25)).unwrap();
-            h.run(ms(1000)).unwrap().trace_hash
+                ),
+                at(
+                    15,
+                    Fault::ClockSkew {
+                        node: 2,
+                        factor: 2.0,
+                        clear_after: ms(85),
+                    },
+                ),
+                at(
+                    20,
+                    Fault::CrashRestart {
+                        node: 2,
+                        down_for: ms(60),
+                    },
+                ),
+                at(60, Fault::Join { node: 1 }),
+                at(
+                    70,
+                    Fault::Partition {
+                        side: vec![0],
+                        heal_after: ms(50),
+                    },
+                ),
+            ],
         };
-        assert_eq!(run(), run());
+        let publish = |t, node| TimedWork {
+            at: ms(t),
+            item: WorkItem::Publish { node, len: 8 },
+        };
+        // Node 1 at 30 is not yet joined and node 2 at 40 is crashed:
+        // both are skipped. At 65 and 90 they are back.
+        let workload = vec![
+            publish(5, 0),
+            publish(30, 1),
+            publish(40, 2),
+            publish(65, 1),
+            publish(90, 2),
+        ];
+        let mut chaos = Chaos::assemble(&cfg, &plan, workload, None, || {
+            let acks = Arc::new(AckTypeRegistry::new());
+            let nodes = (0..3)
+                .map(|i| StabilizerNode::new(cfg.clone(), NodeId(i), Arc::clone(&acks)).unwrap())
+                .collect();
+            Ok(Recording {
+                cfg: cfg.clone(),
+                acks,
+                nodes,
+                logs: (0..3).map(|_| EventLog::default()).collect(),
+                now: SimTime::ZERO,
+                calls: Vec::new(),
+            })
+        })
+        .unwrap();
+        chaos.run(ms(200)).unwrap();
+
+        use Call::*;
+        let links = |pairs: [(usize, usize, bool); 4]| pairs.map(|(a, b, up)| Link(a, b, up));
+        let expected: Vec<Call> = [
+            // Assembly: the late joiner is isolated before anything runs.
+            links([(1, 0, false), (0, 1, false), (1, 2, false), (2, 1, false)]).to_vec(),
+            vec![Launch, Journal(0), Journal(1), Journal(2)],
+            vec![Publish(0)],
+            // 10: partition {2} | {0, 1}.
+            links([(2, 0, false), (0, 2, false), (2, 1, false), (1, 2, false)]).to_vec(),
+            vec![Skew(2, 2.0)],
+            // 20: crash 2 — links cut first, then the snapshot.
+            links([(2, 0, false), (0, 2, false), (2, 1, false), (1, 2, false)]).to_vec(),
+            vec![Crash(2)],
+            // 30, 40: work for absent node 1 and crashed node 2 is skipped.
+            // 50: the partition heals, but a heal during the crash window
+            // does not resurrect the crashed node's links.
+            links([(2, 0, false), (0, 2, false), (2, 1, false), (1, 2, false)]).to_vec(),
+            // 60: join 1 (no skew to re-apply) — its link to the crashed
+            // node 2 stays down.
+            vec![Boot(1, false), Journal(1)],
+            links([(1, 0, true), (0, 1, true), (1, 2, false), (2, 1, false)]).to_vec(),
+            vec![CatchUp(1, false), Publish(1)],
+            // 70: partition {0} | {1, 2}.
+            links([(0, 1, false), (1, 0, false), (0, 2, false), (2, 0, false)]).to_vec(),
+            // 80: restart 2 — a reboot does not fix a skewed clock (skew
+            // re-applied before the links open), and the links return to
+            // their partition-desired state: up towards 1, still cut
+            // towards 0.
+            vec![Boot(2, true), Skew(2, 2.0), Journal(2)],
+            links([(2, 0, false), (0, 2, false), (2, 1, true), (1, 2, true)]).to_vec(),
+            vec![CatchUp(2, true), Publish(2)],
+            vec![Skew(2, 1.0)],
+            // 120: the second partition heals; everyone is up.
+            links([(0, 1, true), (1, 0, true), (0, 2, true), (2, 0, true)]).to_vec(),
+        ]
+        .concat();
+        assert_eq!(chaos.backend.calls, expected);
     }
 }

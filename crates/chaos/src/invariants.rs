@@ -31,7 +31,7 @@
 //!    invariant.
 
 use stabilizer_core::sim_driver::{AppHooks, SimNode};
-use stabilizer_core::{DirtyCell, FrontierUpdate, PlacementMap, StabilizerNode};
+use stabilizer_core::{DirtyCell, EventLog, FrontierUpdate, PlacementMap, StabilizerNode};
 use stabilizer_dsl::{AckTypeId, NodeId, SeqNo, DELIVERED, RECEIVED};
 use stabilizer_netsim::SimTime;
 use std::collections::HashMap;
@@ -74,6 +74,25 @@ pub struct NodeView<'a> {
     pub dirty: Option<Vec<DirtyCell>>,
 }
 
+impl<'a> NodeView<'a> {
+    /// The view of `node`, whose observed events went to `log`, with
+    /// the recorder cells `dirty` since the previous check (`None`: not
+    /// journaled, rescan everything). Both chaos backends and
+    /// [`ChaosObservable`] build their views here.
+    pub fn new(node: &'a StabilizerNode, log: &'a EventLog, dirty: Option<Vec<DirtyCell>>) -> Self {
+        NodeView {
+            node,
+            frontier_log: &log.frontier_log,
+            delivery_log: &log.delivery_log,
+            suspected_log: &log.suspected_log,
+            recovered_log: &log.recovered_log,
+            catchup_log: &log.catchup_log,
+            records_deliveries: log.record_deliveries,
+            dirty,
+        }
+    }
+}
+
 /// Anything the checker can observe. Implemented for [`SimNode`] so the
 /// kvstore/pubsub/quorum harnesses (which embed or expose `SimNode`s)
 /// reuse the checker unchanged.
@@ -84,16 +103,7 @@ pub trait ChaosObservable {
 
 impl<H: AppHooks> ChaosObservable for SimNode<H> {
     fn chaos_view(&self) -> NodeView<'_> {
-        NodeView {
-            node: self.inner(),
-            frontier_log: &self.frontier_log,
-            delivery_log: &self.delivery_log,
-            suspected_log: &self.suspected_log,
-            recovered_log: &self.recovered_log,
-            catchup_log: &self.catchup_log,
-            records_deliveries: self.records_deliveries(),
-            dirty: None,
-        }
+        NodeView::new(self.inner(), self, None)
     }
 }
 

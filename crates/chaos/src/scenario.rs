@@ -7,9 +7,10 @@
 //! the same event trace. A failing seed is therefore a complete bug
 //! report: [`ChaosFailure`] prints the one-line replay command.
 
-use crate::harness::{ChaosHarness, RunReport, TimedWork, WorkItem};
+use crate::harness::{TimedWork, WorkItem};
 use crate::invariants::InvariantViolation;
 use crate::plan::{Fault, FaultEvent, FaultPlan};
+use crate::sim_harness::{ChaosHarness, RunReport};
 use rand::prelude::*;
 use stabilizer_core::ClusterConfig;
 use stabilizer_netsim::{NetTopology, SimDuration};

@@ -13,7 +13,6 @@ use stabilizer_core::{ClusterConfig, NodeId, StallReport};
 use stabilizer_netsim::SimDuration;
 use stabilizer_telemetry::{http_get, parse_json, Telemetry};
 use std::sync::Arc;
-use std::time::Duration;
 
 /// Run scenario `seed` to `freeze_at` and return every stalled report
 /// tagged with its observing node.
@@ -184,10 +183,10 @@ fn tcp_stall_endpoint_goes_quiet_once_liveness_passes() {
     parse_json(&body).expect("mid-run stall body parses");
 
     cluster
-        .run(Duration::from_millis(400))
+        .run(SimDuration::from_millis(400))
         .unwrap_or_else(|v| panic!("fault-free run violated an invariant: {v}"));
     cluster
-        .verify_liveness(Duration::from_secs(30))
+        .verify_liveness(SimDuration::from_secs(30))
         .unwrap_or_else(|v| panic!("fault-free cluster must be live: {v}"));
 
     // Everything stabilized: every report on /stall says not-stalled.

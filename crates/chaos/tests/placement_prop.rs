@@ -9,15 +9,17 @@
 //! same placement-aware fault plan must drive the netsim cluster and
 //! the real TCP cluster to identical converged state.
 
+mod common;
+
+use common::converge;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use stabilizer_chaos::{
     ChaosHarness, ChaosTcpCluster, Fault, FaultEvent, FaultPlan, TimedWork, WorkItem,
 };
 use stabilizer_core::ClusterConfig;
-use stabilizer_dsl::{NodeId, SeqNo, RECEIVED};
+use stabilizer_dsl::NodeId;
 use stabilizer_netsim::{NetTopology, SimDuration};
-use std::time::Duration;
 
 fn ms(v: u64) -> SimDuration {
     SimDuration::from_millis(v)
@@ -141,31 +143,18 @@ fn random_replica_sets_are_safe_stable_and_isolated() {
         // Non-replica isolation, asserted directly on the final state:
         // a node hosting no copy of a stream saw none of it.
         let placement = cfg.placement();
-        for s in 0..n {
-            let stream = NodeId(s as u16);
-            for i in 0..n {
+        for (i, row) in h.received_table().iter().enumerate() {
+            for (s, &received) in row.iter().enumerate() {
+                let stream = NodeId(s as u16);
                 if i == s || placement.is_replica(stream, NodeId(i as u16)) {
                     continue;
                 }
-                let received =
-                    h.sim()
-                        .actor(i)
-                        .inner()
-                        .recorder()
-                        .get(stream, NodeId(i as u16), RECEIVED);
                 assert_eq!(
                     received, 0,
                     "seed {seed}: non-replica n{i} holds part of stream {s}"
                 );
-                let delivered = h
-                    .sim()
-                    .actor(i)
-                    .delivery_log
-                    .iter()
-                    .filter(|(_, o, _, _)| *o == stream)
-                    .count();
-                assert_eq!(
-                    delivered, 0,
+                assert!(
+                    h.delivery_order(i).iter().all(|&(o, _)| o as usize != s),
                     "seed {seed}: non-replica n{i} delivered from stream {s}"
                 );
             }
@@ -311,106 +300,16 @@ fn placement_workload() -> Vec<TimedWork> {
     w
 }
 
-#[derive(Debug, PartialEq, Eq)]
-struct FinalState {
-    deliveries: Vec<Vec<Vec<SeqNo>>>, // [node][origin] -> delivered seqs in order
-    received: Vec<Vec<SeqNo>>,        // [node][stream]
-    frontiers: Vec<SeqNo>,            // [origin] own-stream frontier under KEY
-}
-
-fn sim_run() -> FinalState {
-    let net = NetTopology::full_mesh(N, ms(5), 1e9);
-    let mut h = ChaosHarness::new(
-        &ring_cfg(),
-        net,
-        SEED,
-        &placement_plan(),
-        placement_workload(),
-    )
-    .unwrap();
-    h.run(SimDuration::from_secs(10))
-        .unwrap_or_else(|v| panic!("sim run violated an invariant: {v}"));
-    h.verify_liveness(SimDuration::from_secs(10))
-        .unwrap_or_else(|v| panic!("sim run did not stabilize: {v}"));
-    let deliveries = (0..N)
-        .map(|i| {
-            (0..N)
-                .map(|origin| {
-                    h.sim()
-                        .actor(i)
-                        .delivery_log
-                        .iter()
-                        .filter(|(_, o, _, _)| o.0 as usize == origin)
-                        .map(|&(_, _, seq, _)| seq)
-                        .collect()
-                })
-                .collect()
-        })
-        .collect();
-    let received = (0..N)
-        .map(|i| {
-            let node = h.sim().actor(i).inner();
-            (0..N)
-                .map(|s| node.recorder().get(NodeId(s as u16), node.me(), RECEIVED))
-                .collect()
-        })
-        .collect();
-    let frontiers = (0..N)
-        .map(|s| {
-            h.sim()
-                .actor(s)
-                .inner()
-                .stability_frontier(NodeId(s as u16), KEY)
-                .map(|(seq, _)| seq)
-                .unwrap_or(0)
-        })
-        .collect();
-    FinalState {
-        deliveries,
-        received,
-        frontiers,
-    }
-}
-
-fn tcp_run() -> FinalState {
-    let mut cluster =
-        ChaosTcpCluster::new(&ring_cfg(), SEED, &placement_plan(), placement_workload()).unwrap();
-    cluster
-        .run(Duration::from_millis(1000))
-        .unwrap_or_else(|v| panic!("tcp run violated an invariant: {v}"));
-    cluster
-        .verify_liveness(Duration::from_secs(30))
-        .unwrap_or_else(|v| panic!("tcp run did not stabilize: {v}"));
-    let deliveries = (0..N)
-        .map(|i| {
-            (0..N)
-                .map(|origin| {
-                    cluster
-                        .delivery_order(i)
-                        .into_iter()
-                        .filter(|(o, _)| *o as usize == origin)
-                        .map(|(_, seq)| seq)
-                        .collect()
-                })
-                .collect()
-        })
-        .collect();
-    let received = cluster.received_table();
-    let frontiers = (0..N)
-        .map(|s| cluster.frontier(s, s, KEY).unwrap_or(0))
-        .collect();
-    cluster.shutdown();
-    FinalState {
-        deliveries,
-        received,
-        frontiers,
-    }
-}
-
 #[test]
 fn placement_aware_fault_plan_converges_identically_on_both_runtimes() {
-    let sim = sim_run();
-    let tcp = tcp_run();
+    let net = NetTopology::full_mesh(N, ms(5), 1e9);
+    let (cfg, plan) = (ring_cfg(), placement_plan());
+    let secs = SimDuration::from_secs;
+    let mut h = ChaosHarness::new(&cfg, net, SEED, &plan, placement_workload()).unwrap();
+    let sim = converge(&mut h, secs(10), secs(10), KEY);
+    let mut cluster = ChaosTcpCluster::new(&cfg, SEED, &plan, placement_workload()).unwrap();
+    let tcp = converge(&mut cluster, ms(1000), secs(30), KEY);
+    cluster.shutdown();
     assert_eq!(
         sim, tcp,
         "partial replication drove the two runtimes to different converged state"

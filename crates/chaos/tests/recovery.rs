@@ -13,13 +13,16 @@
 //! - differential: the same seeded recovery scenario on both runtimes
 //!   must converge to the same post-recovery protocol state.
 
+mod common;
+
+use common::converge;
 use stabilizer_chaos::{
-    ChaosHarness, ChaosTcpCluster, Fault, FaultEvent, FaultPlan, TimedWork, WorkItem,
+    Backend, Chaos, ChaosHarness, ChaosTcpCluster, Fault, FaultEvent, FaultPlan, TimedWork,
+    WorkItem,
 };
 use stabilizer_core::ClusterConfig;
-use stabilizer_dsl::{NodeId, SeqNo, RECEIVED};
+use stabilizer_dsl::SeqNo;
 use stabilizer_netsim::{NetTopology, SimDuration};
-use std::time::Duration;
 
 fn ms(v: u64) -> SimDuration {
     SimDuration::from_millis(v)
@@ -65,6 +68,22 @@ fn crash(node: usize, at: u64, down_for: u64) -> FaultEvent {
     }
 }
 
+/// Full re-participation: `node` holds the entire stream 0 again, and
+/// the origin's frontier under the MIN-of-everyone predicate (which
+/// needs `node`'s acknowledgments) is fully satisfied.
+fn assert_rejoined<B: Backend>(h: &Chaos<B>, node: usize, published: SeqNo) {
+    assert_eq!(
+        h.received_table()[node][0],
+        published,
+        "node {node} is missing stream 0 traffic"
+    );
+    assert_eq!(
+        h.frontier(0, 0, "All").unwrap_or(0),
+        published,
+        "origin frontier not satisfied after the rejoin"
+    );
+}
+
 // ---------------------------------------------------------------------
 // Simulator
 // ---------------------------------------------------------------------
@@ -83,25 +102,12 @@ fn sim_crash_past_eviction_recovers_via_snapshot_catch_up() {
     // The restarted node was fast-forwarded out of band at least once:
     // the donor's retained log (600 bytes) cannot cover the whole
     // eviction gap, so recovery had to jump via the snapshot.
-    let catchups = &h.sim().actor(2).catchup_log;
+    let catchups = h.catchup_events(2);
     assert!(
-        catchups.iter().any(|&(_, stream, _)| stream == NodeId(0)),
+        catchups.iter().any(|&(stream, _)| stream == 0),
         "no catch-up event for stream 0 on the restarted node: {catchups:?}"
     );
-
-    // Full re-participation: node 2 holds the entire stream again...
-    let n2 = h.sim().actor(2).inner();
-    assert_eq!(n2.recorder().get(NodeId(0), NodeId(2), RECEIVED), 25);
-    // ...and the origin's frontier under the MIN-of-everyone predicate
-    // (which needs node 2's acknowledgments) is fully satisfied.
-    let frontier = h
-        .sim()
-        .actor(0)
-        .inner()
-        .stability_frontier(NodeId(0), "All")
-        .map(|(seq, _)| seq)
-        .unwrap_or(0);
-    assert_eq!(frontier, 25, "origin frontier not satisfied after rejoin");
+    assert_rejoined(&h, 2, 25);
 }
 
 #[test]
@@ -131,21 +137,7 @@ fn sim_transfer_resumes_across_a_second_crash() {
         .run(ms(5000))
         .unwrap_or_else(|v| panic!("safety violation: {v}"));
     assert!(report.dropped > 0, "both crash windows should drop traffic");
-
-    let n2 = h.sim().actor(2).inner();
-    assert_eq!(
-        n2.recorder().get(NodeId(0), NodeId(2), RECEIVED),
-        25,
-        "stream 0 did not fully recover across the interrupted transfer"
-    );
-    let frontier = h
-        .sim()
-        .actor(0)
-        .inner()
-        .stability_frontier(NodeId(0), "All")
-        .map(|(seq, _)| seq)
-        .unwrap_or(0);
-    assert_eq!(frontier, 25);
+    assert_rejoined(&h, 2, 25);
 }
 
 #[test]
@@ -166,27 +158,11 @@ fn sim_live_join_catches_up_and_joins_the_frontier() {
     h.run(ms(4000))
         .unwrap_or_else(|v| panic!("safety violation: {v}"));
 
-    let n2 = h.sim().actor(2).inner();
-    assert_eq!(
-        n2.recorder().get(NodeId(0), NodeId(2), RECEIVED),
-        20,
-        "the joiner did not catch up on stream 0"
-    );
     assert!(
-        !h.sim().actor(2).catchup_log.is_empty(),
+        !h.catchup_events(2).is_empty(),
         "a fresh joiner past the eviction window must fast-forward"
     );
-    let frontier = h
-        .sim()
-        .actor(0)
-        .inner()
-        .stability_frontier(NodeId(0), "All")
-        .map(|(seq, _)| seq)
-        .unwrap_or(0);
-    assert_eq!(
-        frontier, 20,
-        "the MIN-of-everyone frontier must be satisfied once the joiner is in"
-    );
+    assert_rejoined(&h, 2, 20);
 }
 
 #[test]
@@ -219,6 +195,16 @@ fn sim_recovery_replays_deterministically() {
 // TCP
 // ---------------------------------------------------------------------
 
+/// Run a TCP cluster through its schedule and demand convergence.
+fn tcp_recovers(cluster: &mut ChaosTcpCluster, run_for: u64) {
+    cluster
+        .run(ms(run_for))
+        .unwrap_or_else(|v| panic!("safety violation: {v}"));
+    cluster
+        .verify_liveness(SimDuration::from_secs(30))
+        .unwrap_or_else(|v| panic!("liveness violation: {v}"));
+}
+
 #[test]
 fn tcp_crash_past_eviction_recovers_via_snapshot_catch_up() {
     let cfg = recovery_cfg(20, 1024);
@@ -226,26 +212,14 @@ fn tcp_crash_past_eviction_recovers_via_snapshot_catch_up() {
         events: vec![crash(1, 200, 400)],
     };
     let mut cluster = ChaosTcpCluster::new(&cfg, 91, &plan, publishes(0, 25, 25, 64)).unwrap();
-    cluster
-        .run(Duration::from_millis(1200))
-        .unwrap_or_else(|v| panic!("safety violation: {v}"));
-    cluster
-        .verify_liveness(Duration::from_secs(30))
-        .unwrap_or_else(|v| panic!("liveness violation: {v}"));
+    tcp_recovers(&mut cluster, 1200);
 
     let catchups = cluster.catchup_events(1);
     assert!(
         catchups.iter().any(|&(stream, _)| stream == 0),
         "restarted node recovered without a catch-up event: {catchups:?}"
     );
-    let table = cluster.received_table();
-    assert_eq!(table[1][0], 25, "node 1 is missing stream 0 traffic");
-    assert_eq!(
-        cluster.frontier(0, 0, "All").unwrap_or(0),
-        25,
-        "origin frontier not satisfied after the rejoin"
-    );
-    cluster.shutdown();
+    assert_rejoined(&cluster, 1, 25);
 }
 
 #[test]
@@ -258,21 +232,8 @@ fn tcp_live_join_catches_up_and_joins_the_frontier() {
         }],
     };
     let mut cluster = ChaosTcpCluster::new(&cfg, 92, &plan, publishes(0, 20, 20, 64)).unwrap();
-    cluster
-        .run(Duration::from_millis(900))
-        .unwrap_or_else(|v| panic!("safety violation: {v}"));
-    cluster
-        .verify_liveness(Duration::from_secs(30))
-        .unwrap_or_else(|v| panic!("liveness violation: {v}"));
-
-    let table = cluster.received_table();
-    assert_eq!(table[2][0], 20, "the joiner did not catch up on stream 0");
-    assert_eq!(
-        cluster.frontier(0, 0, "All").unwrap_or(0),
-        20,
-        "the frontier must be satisfied once the joiner is in"
-    );
-    cluster.shutdown();
+    tcp_recovers(&mut cluster, 900);
+    assert_rejoined(&cluster, 2, 20);
 }
 
 /// The pre-fix permanent stall, pinned: failure detector ON, a crash
@@ -290,13 +251,12 @@ fn tcp_eviction_without_transfer_stalls_permanently() {
     let mut cluster = ChaosTcpCluster::new(&cfg, 93, &plan, publishes(0, 20, 25, 64)).unwrap();
     // Safety still holds throughout — the stall is a liveness failure.
     cluster
-        .run(Duration::from_millis(1100))
+        .run(ms(1100))
         .unwrap_or_else(|v| panic!("safety violation: {v}"));
     let violation = cluster
-        .verify_liveness(Duration::from_secs(2))
+        .verify_liveness(SimDuration::from_secs(2))
         .expect_err("eviction without state transfer must stall");
     assert_eq!(violation.property, "post-fault-liveness");
-    cluster.shutdown();
 }
 
 /// The same scenario with transfer enabled converges — the regression
@@ -308,13 +268,7 @@ fn tcp_transfer_resolves_the_eviction_stall() {
         events: vec![crash(1, 200, 400)],
     };
     let mut cluster = ChaosTcpCluster::new(&cfg, 93, &plan, publishes(0, 20, 25, 64)).unwrap();
-    cluster
-        .run(Duration::from_millis(1100))
-        .unwrap_or_else(|v| panic!("safety violation: {v}"));
-    cluster
-        .verify_liveness(Duration::from_secs(30))
-        .unwrap_or_else(|v| panic!("the stall is supposed to be fixed: {v}"));
-    cluster.shutdown();
+    tcp_recovers(&mut cluster, 1100);
 }
 
 // ---------------------------------------------------------------------
@@ -337,84 +291,21 @@ fn netsim_and_tcp_agree_on_post_recovery_state() {
         events: vec![crash(1, 150, 300)],
     };
     let workload = publishes(0, PUBLISHED as usize, 30, 48);
+    let secs = SimDuration::from_secs;
 
-    // Simulator leg.
     let net = NetTopology::full_mesh(3, ms(5), 1e9);
     let mut h = ChaosHarness::new(&cfg, net, SEED, &plan, workload.clone()).unwrap();
-    h.run(ms(6000))
-        .unwrap_or_else(|v| panic!("sim safety violation: {v}"));
-    let sim_received: Vec<Vec<SeqNo>> = (0..3)
-        .map(|i| {
-            let node = h.sim().actor(i).inner();
-            (0..3)
-                .map(|s| node.recorder().get(NodeId(s as u16), node.me(), RECEIVED))
-                .collect()
-        })
-        .collect();
-    let sim_frontier = h
-        .sim()
-        .actor(0)
-        .inner()
-        .stability_frontier(NodeId(0), "All")
-        .map(|(seq, _)| seq)
-        .unwrap_or(0);
-    let sim_coverage: Vec<SeqNo> = (1..3)
-        .map(|i| {
-            let catchup_floor = h
-                .sim()
-                .actor(i)
-                .catchup_log
-                .iter()
-                .filter(|&&(_, s, _)| s == NodeId(0))
-                .map(|&(_, _, seq)| seq)
-                .max()
-                .unwrap_or(0);
-            covered_prefix(
-                catchup_floor,
-                h.sim()
-                    .actor(i)
-                    .delivery_log
-                    .iter()
-                    .filter(|&&(_, o, _, _)| o == NodeId(0))
-                    .map(|&(_, _, seq, _)| seq),
-            )
-        })
-        .collect();
+    let sim = converge(&mut h, ms(6000), secs(10), "All");
+    let sim_coverage = stream0_coverage(&h);
 
-    // TCP leg.
     let mut cluster = ChaosTcpCluster::new(&cfg, SEED, &plan, workload).unwrap();
-    cluster
-        .run(Duration::from_millis(1000))
-        .unwrap_or_else(|v| panic!("tcp safety violation: {v}"));
-    cluster
-        .verify_liveness(Duration::from_secs(30))
-        .unwrap_or_else(|v| panic!("tcp liveness violation: {v}"));
-    let tcp_received = cluster.received_table();
-    let tcp_frontier = cluster.frontier(0, 0, "All").unwrap_or(0);
-    let tcp_coverage: Vec<SeqNo> = (1..3)
-        .map(|i| {
-            let catchup_floor = cluster
-                .catchup_events(i)
-                .iter()
-                .filter(|&&(s, _)| s == 0)
-                .map(|&(_, seq)| seq)
-                .max()
-                .unwrap_or(0);
-            covered_prefix(
-                catchup_floor,
-                cluster
-                    .delivery_order(i)
-                    .into_iter()
-                    .filter(|&(o, _)| o == 0)
-                    .map(|(_, seq)| seq),
-            )
-        })
-        .collect();
+    let tcp = converge(&mut cluster, ms(1000), secs(30), "All");
+    let tcp_coverage = stream0_coverage(&cluster);
     cluster.shutdown();
 
-    assert_eq!(sim_received, tcp_received, "RECEIVED tables diverged");
-    assert_eq!(sim_frontier, tcp_frontier, "frontier sequences diverged");
-    assert_eq!(sim_frontier, PUBLISHED);
+    assert_eq!(sim.received, tcp.received, "RECEIVED tables diverged");
+    assert_eq!(sim.frontiers, tcp.frontiers, "frontier sequences diverged");
+    assert_eq!(sim.frontiers[0], PUBLISHED);
     assert_eq!(
         sim_coverage, tcp_coverage,
         "post-recovery stream coverage diverged"
@@ -425,19 +316,35 @@ fn netsim_and_tcp_agree_on_post_recovery_state() {
     );
 }
 
-/// Highest `p` such that `1..=p` of the stream is covered by the
-/// catch-up floor plus in-band deliveries (the current incarnation's
-/// view; deliveries before the last restart arrive via the snapshot and
-/// are subsumed by `catchup_floor` or the replayed suffix).
-fn covered_prefix(catchup_floor: SeqNo, delivers: impl Iterator<Item = SeqNo>) -> SeqNo {
-    let mut seqs: Vec<SeqNo> = delivers.filter(|&s| s > catchup_floor).collect();
-    seqs.sort_unstable();
-    seqs.dedup();
-    let mut covered = catchup_floor;
-    for s in seqs {
-        if s == covered + 1 {
-            covered = s;
-        }
-    }
-    covered
+/// Per subscriber of stream 0: the highest `p` such that `1..=p` is
+/// covered by the catch-up floor plus in-band deliveries (the current
+/// incarnation's view; deliveries before the last restart arrive via the
+/// snapshot and are subsumed by the floor or the replayed suffix).
+fn stream0_coverage<B: Backend>(h: &Chaos<B>) -> Vec<SeqNo> {
+    (1..3)
+        .map(|i| {
+            let floor = h
+                .catchup_events(i)
+                .iter()
+                .filter(|&&(s, _)| s == 0)
+                .map(|&(_, seq)| seq)
+                .max()
+                .unwrap_or(0);
+            let mut seqs: Vec<SeqNo> = h
+                .delivery_order(i)
+                .into_iter()
+                .filter(|&(o, seq)| o == 0 && seq > floor)
+                .map(|(_, seq)| seq)
+                .collect();
+            seqs.sort_unstable();
+            seqs.dedup();
+            let mut covered = floor;
+            for s in seqs {
+                if s == covered + 1 {
+                    covered = s;
+                }
+            }
+            covered
+        })
+        .collect()
 }

@@ -48,6 +48,30 @@ fn new_faults_replay_byte_identically_in_process() {
     }
 }
 
+/// The `chaos_demo` fingerprints every refactor of the harness, the
+/// drivers and the core has been compared against by hand since PR 12
+/// (measured at `0467bd2`). Seeds 503 and 538 are the two stalls chaos
+/// found in PR 7. If a change is *meant* to alter what a run observes,
+/// re-measure and say so; otherwise a moved hash is a behaviour change.
+#[test]
+fn pinned_seeds_replay_to_their_recorded_trace_hashes() {
+    for (seed, hash) in [
+        (1, 0x3164_7f9d_8a72_e310u64),
+        (8, 0x3bcf_b356_994f_b029),
+        (503, 0x0587_9c1e_a47c_6595),
+        (538, 0x74da_43b7_6671_2134),
+    ] {
+        let report = Scenario::from_seed(seed)
+            .run()
+            .unwrap_or_else(|f| panic!("seed {seed} should run clean: {f}"));
+        assert_eq!(
+            format!("{:016x}", report.trace_hash),
+            format!("{hash:016x}"),
+            "seed {seed} no longer replays to its pinned trace"
+        );
+    }
+}
+
 #[test]
 fn byzantine_violation_is_deterministic() {
     let s = Scenario::from_seed_byzantine(7);

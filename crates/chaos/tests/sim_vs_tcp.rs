@@ -15,13 +15,14 @@
 //! by racy transport timing, which is exactly the nondeterminism the
 //! final-state comparison must not depend on.
 
+mod common;
+
+use common::converge;
 use stabilizer_chaos::{
-    ChaosHarness, ChaosTcpCluster, Fault, FaultEvent, FaultPlan, TimedWork, WorkItem,
+    ChaosHarness, ChaosTcpCluster, Fault, FaultEvent, FaultPlan, FinalState, TimedWork, WorkItem,
 };
 use stabilizer_core::ClusterConfig;
-use stabilizer_dsl::{NodeId, SeqNo, RECEIVED};
 use stabilizer_netsim::{NetTopology, SimDuration};
-use std::time::Duration;
 
 const N: usize = 3;
 const KEY: &str = "All";
@@ -57,103 +58,22 @@ fn workload() -> Vec<TimedWork> {
     w
 }
 
-/// Final state of one run: per-node per-origin delivery sequences,
-/// the RECEIVED table, and per-origin frontiers.
-#[derive(Debug, PartialEq, Eq)]
-struct FinalState {
-    deliveries: Vec<Vec<Vec<SeqNo>>>, // [node][origin] -> delivered seqs in order
-    received: Vec<Vec<SeqNo>>,        // [node][stream]
-    frontiers: Vec<SeqNo>,            // [origin] own-stream frontier under KEY
-}
-
 fn sim_run(plan: &FaultPlan, workload: Vec<TimedWork>, horizon: SimDuration) -> FinalState {
     let net = NetTopology::full_mesh(N, SimDuration::from_millis(5), 1e9);
     let mut h = ChaosHarness::new(&cfg(), net, SEED, plan, workload).unwrap();
-    h.run(horizon)
-        .unwrap_or_else(|v| panic!("sim run violated an invariant: {v}"));
-    // Virtual-time liveness doubles as convergence: the final state is
-    // only comparable once every published message has stabilized.
-    h.verify_liveness(SimDuration::from_secs(10))
-        .unwrap_or_else(|v| panic!("sim run did not stabilize: {v}"));
-    let deliveries = (0..N)
-        .map(|i| {
-            (0..N)
-                .map(|origin| {
-                    h.sim()
-                        .actor(i)
-                        .delivery_log
-                        .iter()
-                        .filter(|(_, o, _, _)| o.0 as usize == origin)
-                        .map(|&(_, _, seq, _)| seq)
-                        .collect()
-                })
-                .collect()
-        })
-        .collect();
-    let received = (0..N)
-        .map(|i| {
-            let node = h.sim().actor(i).inner();
-            (0..N)
-                .map(|s| node.recorder().get(NodeId(s as u16), node.me(), RECEIVED))
-                .collect()
-        })
-        .collect();
-    let frontiers = (0..N)
-        .map(|s| {
-            h.sim()
-                .actor(s)
-                .inner()
-                .stability_frontier(NodeId(s as u16), KEY)
-                .map(|(seq, _)| seq)
-                .unwrap_or(0)
-        })
-        .collect();
-    FinalState {
-        deliveries,
-        received,
-        frontiers,
-    }
+    converge(&mut h, horizon, SimDuration::from_secs(10), KEY)
 }
 
-fn tcp_run(plan: &FaultPlan, workload: Vec<TimedWork>, run_for: Duration) -> FinalState {
+fn tcp_run(plan: &FaultPlan, workload: Vec<TimedWork>, run_for: SimDuration) -> FinalState {
     let mut cluster = ChaosTcpCluster::new(&cfg(), SEED, plan, workload).unwrap();
-    cluster
-        .run(run_for)
-        .unwrap_or_else(|v| panic!("tcp run violated an invariant: {v}"));
-    cluster
-        .verify_liveness(Duration::from_secs(30))
-        .unwrap_or_else(|v| panic!("tcp run did not stabilize: {v}"));
-    let deliveries = (0..N)
-        .map(|i| {
-            (0..N)
-                .map(|origin| {
-                    cluster
-                        .delivery_order(i)
-                        .into_iter()
-                        .filter(|(o, _)| *o as usize == origin)
-                        .map(|(_, seq)| seq)
-                        .collect()
-                })
-                .collect()
-        })
-        .collect();
-    let received = cluster.received_table();
-    let frontiers = (0..N)
-        .map(|s| cluster.frontier(s, s, KEY).unwrap_or(0))
-        .collect();
-    cluster.shutdown();
-    FinalState {
-        deliveries,
-        received,
-        frontiers,
-    }
+    converge(&mut cluster, run_for, SimDuration::from_secs(30), KEY)
 }
 
 #[test]
 fn netsim_and_tcp_converge_to_identical_final_state() {
     let plan = FaultPlan::default();
     let sim = sim_run(&plan, workload(), SimDuration::from_secs(10));
-    let tcp = tcp_run(&plan, workload(), Duration::from_millis(400));
+    let tcp = tcp_run(&plan, workload(), SimDuration::from_millis(400));
     assert_eq!(
         sim, tcp,
         "the two runtimes drove the same state machine to different outcomes"
@@ -191,7 +111,7 @@ fn dup_reorder_converges_to_identical_final_state() {
         }],
     };
     let sim = sim_run(&plan, workload(), SimDuration::from_secs(10));
-    let tcp = tcp_run(&plan, workload(), Duration::from_millis(500));
+    let tcp = tcp_run(&plan, workload(), SimDuration::from_millis(500));
     assert_eq!(
         sim, tcp,
         "dup/reorder made the runtimes diverge in converged state"
@@ -249,7 +169,7 @@ fn correlated_crash_converges_to_identical_final_state() {
         }],
     };
     let sim = sim_run(&plan, two_phase_workload(), SimDuration::from_secs(10));
-    let tcp = tcp_run(&plan, two_phase_workload(), Duration::from_millis(1400));
+    let tcp = tcp_run(&plan, two_phase_workload(), SimDuration::from_millis(1400));
     assert_eq!(
         sim, tcp,
         "correlated crash made the runtimes diverge in converged state"

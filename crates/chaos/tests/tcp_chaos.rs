@@ -11,7 +11,6 @@ use stabilizer_chaos::{ChaosTcpCluster, Fault, FaultEvent, FaultPlan, TimedWork,
 use stabilizer_core::{Ack, ClusterConfig, NodeId, WireMsg};
 use stabilizer_dsl::RECEIVED;
 use stabilizer_netsim::SimDuration;
-use std::time::Duration;
 
 fn ms(v: u64) -> SimDuration {
     SimDuration::from_millis(v)
@@ -107,11 +106,11 @@ fn run_acceptance(seed: u64) -> (Vec<Vec<u64>>, u64, u64) {
     let mut cluster = ChaosTcpCluster::new(&cfg, seed, &acceptance_plan(), acceptance_workload())
         .unwrap_or_else(|e| panic!("setup failed: {e}"));
     let report = cluster
-        .run(Duration::from_millis(1400))
+        .run(SimDuration::from_millis(1400))
         .unwrap_or_else(|v| panic!("safety violation (replay: CHAOS_TCP_SEED={seed}): {v}"));
     assert!(report.checks > 0, "the run must actually sweep invariants");
     cluster
-        .verify_liveness(Duration::from_secs(30))
+        .verify_liveness(SimDuration::from_secs(30))
         .unwrap_or_else(|v| panic!("liveness violation (replay: CHAOS_TCP_SEED={seed}): {v}"));
     let frontier0 = cluster.frontier(0, 0, "All").unwrap_or(0);
     let frontier2 = cluster.frontier(2, 2, "All").unwrap_or(0);
@@ -158,7 +157,7 @@ fn forged_ack_trips_belief_beyond_truth_on_real_sockets() {
     let mut cluster =
         ChaosTcpCluster::new(&cfg, 5, &FaultPlan::default(), publishes(0, 5, 30)).unwrap();
     cluster
-        .run(Duration::from_millis(400))
+        .run(SimDuration::from_millis(400))
         .unwrap_or_else(|v| panic!("clean warmup violated an invariant: {v}"));
     cluster.handle(2).inject_message(
         NodeId(1),
@@ -186,10 +185,10 @@ fn stale_ack_regression_is_caught_when_clamp_is_broken() {
     let mut cluster =
         ChaosTcpCluster::new(&cfg, 6, &FaultPlan::default(), publishes(0, 5, 30)).unwrap();
     cluster
-        .run(Duration::from_millis(400))
+        .run(SimDuration::from_millis(400))
         .unwrap_or_else(|v| panic!("clean warmup violated an invariant: {v}"));
     cluster
-        .verify_liveness(Duration::from_secs(30))
+        .verify_liveness(SimDuration::from_secs(30))
         .unwrap_or_else(|v| panic!("warmup did not stabilize: {v}"));
     // Node 2's belief about node 1's RECEIVED of stream 0 is now 5 (the
     // whole stream). Check once so the shadow table records it...

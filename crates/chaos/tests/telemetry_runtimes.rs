@@ -6,6 +6,9 @@
 //! replays of the same seed; the TCP export is wall-clock (values
 //! differ run to run) but the histograms must be populated.
 
+mod common;
+
+use common::converge;
 use stabilizer_chaos::{
     ChaosHarness, ChaosTcpCluster, Fault, FaultEvent, FaultPlan, TimedWork, WorkItem,
 };
@@ -13,7 +16,6 @@ use stabilizer_core::ClusterConfig;
 use stabilizer_netsim::{NetTopology, SimDuration};
 use stabilizer_telemetry::Telemetry;
 use std::sync::Arc;
-use std::time::Duration;
 
 const KEY: &str = "All";
 const SEED: u64 = 20_22;
@@ -43,32 +45,53 @@ fn workload() -> Vec<TimedWork> {
     w
 }
 
+fn secs(v: u64) -> SimDuration {
+    SimDuration::from_secs(v)
+}
+
+/// An instrumented simulator harness over `cfg`, feeding `telemetry`.
+fn sim(cfg: &ClusterConfig, plan: &FaultPlan, telemetry: &Arc<Telemetry>) -> ChaosHarness {
+    let net = NetTopology::full_mesh(3, SimDuration::from_millis(5), 1e9);
+    let hub = Some(Arc::clone(telemetry));
+    ChaosHarness::new_with_telemetry(cfg, net, SEED, plan, workload(), hub).unwrap()
+}
+
+/// The same, over real sockets.
+fn tcp(cfg: &ClusterConfig, plan: &FaultPlan, telemetry: &Arc<Telemetry>) -> ChaosTcpCluster {
+    let hub = Some(Arc::clone(telemetry));
+    ChaosTcpCluster::new_with_telemetry(cfg, SEED, plan, workload(), hub).unwrap()
+}
+
+fn gauge(telemetry: &Telemetry, name: &str, labels: &[(&str, &str)]) -> i64 {
+    telemetry.registry().gauge(name, labels).get()
+}
+
+/// What every instrumented run must leave in the hub, whichever runtime
+/// fed it: the stability histogram over all 15 publishes, and node 0's
+/// control-plane counters mirrored into `stab_node_*` gauges.
+fn assert_histogram_and_node_gauges(telemetry: &Telemetry, runtime: &str) {
+    let stab = telemetry
+        .stability_latency(KEY)
+        .unwrap_or_else(|| panic!("{runtime} run produced no stability histogram"));
+    assert_eq!(
+        stab.count, 15,
+        "{runtime}: all 15 publishes should reach stability at their origins"
+    );
+    assert!(stab.min > 0 && stab.max >= stab.min);
+    assert!(telemetry.deliver_latency().count > 0);
+    assert!(
+        gauge(telemetry, "stab_node_deliveries", &[("node", "0")]) > 0,
+        "{runtime}: node 0's deliveries never reached the stab_node_* gauges"
+    );
+}
+
 /// One instrumented sim run: returns the JSON and Prometheus exports
 /// plus the trace JSONL.
 fn sim_exports() -> (String, String, String) {
-    let telemetry = Arc::new(Telemetry::new_sim_with_trace(8192));
-    let net = NetTopology::full_mesh(3, SimDuration::from_millis(5), 1e9);
-    let mut h = ChaosHarness::new_with_telemetry(
-        &cfg(),
-        net,
-        SEED,
-        &FaultPlan::default(),
-        workload(),
-        Some(Arc::clone(&telemetry)),
-    )
-    .unwrap();
-    h.run(SimDuration::from_secs(10))
-        .unwrap_or_else(|v| panic!("sim run violated an invariant: {v}"));
-
-    let stab = telemetry
-        .stability_latency(KEY)
-        .expect("sim run produced a stability histogram");
-    assert_eq!(
-        stab.count, 15,
-        "all 15 publishes should reach stability at their origins"
-    );
-    assert!(stab.min > 0, "virtual stability latency cannot be zero");
-    assert!(telemetry.deliver_latency().count > 0);
+    let telemetry = Telemetry::new_sim_with_trace(8192);
+    let mut h = sim(&cfg(), &FaultPlan::default(), &telemetry);
+    converge(&mut h, secs(10), secs(10), KEY);
+    assert_histogram_and_node_gauges(&telemetry, "sim");
     (
         telemetry.render_json(),
         telemetry.render_prometheus(),
@@ -91,32 +114,11 @@ fn sim_metrics_export_is_byte_identical_across_replays() {
 
 #[test]
 fn tcp_run_produces_stability_histogram() {
-    let telemetry = Arc::new(Telemetry::new_wall_clock());
-    let mut cluster = ChaosTcpCluster::new_with_telemetry(
-        &cfg(),
-        SEED,
-        &FaultPlan::default(),
-        workload(),
-        Some(Arc::clone(&telemetry)),
-    )
-    .unwrap();
-    cluster
-        .run(Duration::from_millis(400))
-        .unwrap_or_else(|v| panic!("tcp run violated an invariant: {v}"));
-    cluster
-        .verify_liveness(Duration::from_secs(30))
-        .unwrap_or_else(|v| panic!("tcp run did not stabilize: {v}"));
+    let telemetry = Telemetry::new_wall_clock();
+    let mut cluster = tcp(&cfg(), &FaultPlan::default(), &telemetry);
+    converge(&mut cluster, SimDuration::from_millis(400), secs(30), KEY);
     cluster.shutdown();
-
-    let stab = telemetry
-        .stability_latency(KEY)
-        .expect("tcp run produced a stability histogram");
-    assert_eq!(
-        stab.count, 15,
-        "all 15 publishes should reach stability at their origins"
-    );
-    assert!(stab.min > 0 && stab.max >= stab.min);
-    assert!(telemetry.deliver_latency().count > 0);
+    assert_histogram_and_node_gauges(&telemetry, "tcp");
 
     // Both export formats carry the histogram and the transport counters.
     let json = telemetry.render_json();
@@ -188,43 +190,54 @@ fn assert_suspicion_and_recovery_counted(telemetry: &Telemetry, runtime: &str) {
             .contains("\"event\":\"recovered\""),
         "{runtime}: no recovered event in the trace ring"
     );
+    assert!(
+        gauge(telemetry, "stab_node_deliveries", &[("node", "0")]) > 0,
+        "{runtime}: node 0's deliveries never reached the stab_node_* gauges"
+    );
 }
 
 #[test]
 fn sim_crash_restart_counts_suspicions_and_recoveries() {
-    let telemetry = Arc::new(Telemetry::new_sim_with_trace(8192));
-    let net = NetTopology::full_mesh(3, SimDuration::from_millis(5), 1e9);
-    let mut h = ChaosHarness::new_with_telemetry(
-        &crash_cfg(),
-        net,
-        SEED,
-        &crash_plan(),
-        workload(),
-        Some(Arc::clone(&telemetry)),
-    )
-    .unwrap();
-    h.run(SimDuration::from_secs(4))
-        .unwrap_or_else(|v| panic!("sim run violated an invariant: {v}"));
+    let telemetry = Telemetry::new_sim_with_trace(8192);
+    let mut h = sim(&crash_cfg(), &crash_plan(), &telemetry);
+    converge(&mut h, secs(4), secs(10), KEY);
     assert_suspicion_and_recovery_counted(&telemetry, "sim");
 }
 
 #[test]
 fn tcp_crash_restart_counts_suspicions_and_recoveries() {
-    let telemetry = Arc::new(Telemetry::new_wall_clock());
-    let mut cluster = ChaosTcpCluster::new_with_telemetry(
-        &crash_cfg(),
-        SEED,
-        &crash_plan(),
-        workload(),
-        Some(Arc::clone(&telemetry)),
-    )
-    .unwrap();
-    cluster
-        .run(Duration::from_millis(1500))
-        .unwrap_or_else(|v| panic!("tcp run violated an invariant: {v}"));
-    cluster
-        .verify_liveness(Duration::from_secs(30))
-        .unwrap_or_else(|v| panic!("tcp run did not stabilize: {v}"));
+    let telemetry = Telemetry::new_wall_clock();
+    let mut cluster = tcp(&crash_cfg(), &crash_plan(), &telemetry);
+    converge(&mut cluster, SimDuration::from_millis(1500), secs(30), KEY);
     cluster.shutdown();
     assert_suspicion_and_recovery_counted(&telemetry, "tcp");
+}
+
+// ---------------------------------------------------------------------
+// The tolerance gauge is the weakest vantage's, on both runtimes
+// ---------------------------------------------------------------------
+
+/// `P` waits for the fastest *other* East node: from e1 or e2 that is
+/// exactly one node (f* = 0), from w1 either of two (f* = 1). The
+/// deployment is only as available as its weakest vantage, so the gauge
+/// must read 0 — whichever node happened to record last.
+#[test]
+fn tolerance_gauge_is_the_minimum_across_vantages_on_both_runtimes() {
+    let cfg = ClusterConfig::parse(
+        "az East e1 e2\naz West w1\n\
+         predicate P MAX($AZ_East-$MYWNODE)\n",
+    )
+    .unwrap();
+    let plan = FaultPlan::default();
+    let sim_hub = Telemetry::new_sim();
+    let _h = sim(&cfg, &plan, &sim_hub);
+    let tcp_hub = Telemetry::new_wall_clock();
+    let _cluster = tcp(&cfg, &plan, &tcp_hub);
+    for (runtime, hub) in [("sim", sim_hub), ("tcp", tcp_hub)] {
+        assert_eq!(
+            gauge(&hub, "stab_predicate_tolerance", &[("key", "P")]),
+            0,
+            "{runtime}: the gauge is not the weakest vantage's f*"
+        );
+    }
 }

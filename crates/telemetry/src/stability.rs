@@ -53,6 +53,9 @@ struct StampState {
     deliver_exemplars: ExemplarReservoir,
     /// Per predicate key: worst publish→stable outliers.
     stability_exemplars: BTreeMap<String, ExemplarReservoir>,
+    /// Per predicate key: the weakest crash tolerance any vantage
+    /// recorded (a gauge alone cannot tell "never set" from 0).
+    tolerance: BTreeMap<String, i64>,
 }
 
 /// The telemetry hub for one cluster (or one node under test). Shared
@@ -281,23 +284,28 @@ impl Telemetry {
 
     /// Record the availability prover's exact crash tolerance `f*` for
     /// one installed predicate key, as computed at install time. `-1`
-    /// means the predicate is blocked even with zero crashes; runtimes
-    /// that install the same key on several nodes record the minimum
-    /// across vantages (the weakest vantage bounds the deployment).
+    /// means the predicate is blocked even with zero crashes. Every
+    /// node that installs the key records its own vantage's value, in
+    /// any order; the gauge keeps the minimum (the weakest vantage
+    /// bounds the deployment).
     pub fn record_predicate_tolerance(&self, key: &str, tolerance: i64) {
         self.registry.describe(
             "stab_predicate_tolerance",
             "Exact crash tolerance f* per predicate key (min across vantages).",
         );
+        let mut state = self.state.lock();
+        let min = state.tolerance.entry(key.to_owned()).or_insert(tolerance);
+        *min = (*min).min(tolerance);
         self.registry
             .gauge("stab_predicate_tolerance", &[("key", key)])
-            .set(tolerance);
+            .set(*min);
     }
 
     /// Mirror a node's control-plane counters
     /// ([`stabilizer_core::Metrics`]) into gauges. Runtimes call this
-    /// periodically (TCP ticker) or at end of run (sim harness); the
-    /// values are absolute, so re-recording is idempotent.
+    /// periodically (TCP ticker) and the chaos harness at the end of
+    /// `run` (the only recording a simulated run gets); the values are
+    /// absolute, so re-recording is idempotent.
     pub fn record_node_metrics(&self, node: NodeId, m: &stabilizer_core::Metrics) {
         let id = node.0.to_string();
         let labels: &[(&str, &str)] = &[("node", &id)];

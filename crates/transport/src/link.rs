@@ -169,8 +169,8 @@ impl<L: Lane> Link<L> {
     /// Link state for node `me` of `cfg`. With a hub attached, registers
     /// the transport counters and records the placement and — from
     /// `tolerances`, the node's `(stream, key, f*)` entries as the
-    /// availability prover computed them at install time — the weakest
-    /// f* per predicate key.
+    /// availability prover computed them at install time — f* per
+    /// predicate key (the hub keeps the weakest across keys and nodes).
     pub(crate) fn new<'a>(
         cfg: &ClusterConfig,
         me: NodeId,
@@ -179,12 +179,7 @@ impl<L: Lane> Link<L> {
     ) -> Self {
         if let Some(t) = &telemetry {
             t.record_placement(cfg.placement());
-            let mut min_tol = std::collections::BTreeMap::new();
             for (_stream, key, tol) in tolerances {
-                let e = min_tol.entry(key).or_insert(tol);
-                *e = (*e).min(tol);
-            }
-            for (key, tol) in min_tol {
                 t.record_predicate_tolerance(key, tol);
             }
         }
