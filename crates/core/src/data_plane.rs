@@ -13,8 +13,14 @@
 //! reordering transport (and to replays after reconnection).
 
 use crate::error::CoreError;
+use crate::membership::Membership;
+use crate::messages::WireMsg;
+use crate::metrics::Metrics;
+use crate::node::Action;
+use crate::recorder::AckRecorder;
+use crate::watchdog::Watchdog;
 use bytes::Bytes;
-use stabilizer_dsl::SeqNo;
+use stabilizer_dsl::{NodeId, SeqNo, RECEIVED};
 use std::collections::BTreeMap;
 
 /// The origin-side buffer for this node's own stream.
@@ -55,6 +61,19 @@ impl SendBuffer {
             retained: BTreeMap::new(),
             retained_bytes: 0,
             retain_capacity,
+        }
+    }
+
+    /// The buffer of an origin that restarts having assigned
+    /// `last_assigned` sequence numbers: the next publish gets
+    /// `last_assigned + 1`, the live window and the retained log are
+    /// empty, and nothing at or below `last_assigned` is replayable (the
+    /// payloads did not survive; requesters fast-forward over them).
+    pub fn resuming_at(capacity: usize, retain_capacity: usize, last_assigned: SeqNo) -> Self {
+        SendBuffer {
+            last_assigned,
+            reclaimed_up_to: last_assigned,
+            ..Self::with_retention(capacity, retain_capacity)
         }
     }
 
@@ -140,13 +159,6 @@ impl SendBuffer {
         self.retained.len()
     }
 
-    /// Drop the retained catch-up log (used by the restore path, which
-    /// rebuilds sequencing state without the original payloads).
-    pub fn clear_retained(&mut self) {
-        self.retained.clear();
-        self.retained_bytes = 0;
-    }
-
     /// Iterate over `(seq, payload)` still buffered, from `from` upward.
     pub fn iter_from(&self, from: SeqNo) -> impl Iterator<Item = (SeqNo, &Bytes)> {
         self.buffered.range(from..).map(|(s, p)| (*s, p))
@@ -175,6 +187,117 @@ impl SendBuffer {
     /// Buffered payload bytes.
     pub fn bytes(&self) -> usize {
         self.buffered_bytes
+    }
+}
+
+/// `Send` `origin`'s message `seq` to `to` — every way the data plane
+/// puts a payload on the wire (fan-out, reconnect resend, go-back-N).
+fn data(origin: NodeId, to: NodeId, seq: SeqNo, payload: &Bytes) -> Action {
+    Action::Send {
+        to,
+        msg: WireMsg::Data {
+            origin,
+            seq,
+            payload: payload.clone(),
+        },
+    }
+}
+
+/// The origin side of this node's own stream: the send buffer, the
+/// replicas it fans out to, and one retransmission watchdog per replica.
+#[derive(Debug)]
+pub(crate) struct Outbound {
+    me: NodeId,
+    /// Live window plus retained log of the own stream.
+    pub(crate) buf: SendBuffer,
+    /// Replicas of the own stream other than `me`, ascending.
+    peers: Vec<NodeId>,
+    /// Per node: its `received` ACK of the own stream, for go-back-N.
+    acked: Vec<Watchdog>,
+}
+
+impl Outbound {
+    /// Nothing published; every watchdog armed at position 0, time 0.
+    pub(crate) fn new(me: NodeId, buf: SendBuffer, peers: Vec<NodeId>, num_nodes: usize) -> Self {
+        Outbound {
+            me,
+            buf,
+            peers,
+            acked: vec![Watchdog::at(0, 0); num_nodes],
+        }
+    }
+
+    /// Sequence `payload` and fan it out to every replica.
+    pub(crate) fn publish(
+        &mut self,
+        payload: Bytes,
+        metrics: &mut Metrics,
+        out: &mut Vec<Action>,
+    ) -> Result<SeqNo, CoreError> {
+        let len = payload.len() as u64;
+        let seq = self.buf.publish(payload.clone())?;
+        for &peer in &self.peers {
+            metrics.data_msgs_sent += 1;
+            metrics.data_bytes_sent += len;
+            out.push(data(self.me, peer, seq, &payload));
+        }
+        Ok(seq)
+    }
+
+    /// Resend every still-buffered message at or after `from` to the
+    /// replica `peer` (a transport reconnected and must restore lossless
+    /// FIFO). Non-replicas never receive this stream.
+    pub(crate) fn resend_from(&self, peer: NodeId, from: SeqNo, out: &mut Vec<Action>) {
+        if self.peers.contains(&peer) {
+            out.extend(
+                self.buf
+                    .iter_from(from)
+                    .map(|(seq, payload)| data(self.me, peer, seq, payload)),
+            );
+        }
+    }
+
+    /// The §III-A reliability mechanism: a live replica whose `received`
+    /// ACK stood still for `timeout_nanos` while data is unacknowledged
+    /// gets the unacked window resent (go-back-N, at most 64 messages a
+    /// round to bound burstiness). Safe with duplicating transports:
+    /// receivers drop duplicates and the ACK table is monotonic.
+    pub(crate) fn retransmit(
+        &mut self,
+        now_nanos: u64,
+        timeout_nanos: u64,
+        recorder: &AckRecorder,
+        membership: &Membership,
+        metrics: &mut Metrics,
+        out: &mut Vec<Action>,
+    ) {
+        let last_sent = self.buf.last_assigned();
+        for &peer in &self.peers {
+            if membership.is_suspected(peer) {
+                continue;
+            }
+            let acked = recorder.get(self.me, peer, RECEIVED);
+            let watchdog = &mut self.acked[peer.0 as usize];
+            if watchdog.stalled(acked, acked >= last_sent, now_nanos, timeout_nanos) {
+                for (seq, payload) in self.buf.iter_from(acked + 1).take(64) {
+                    metrics.retransmits += 1;
+                    out.push(data(self.me, peer, seq, payload));
+                }
+            }
+        }
+    }
+
+    /// Reclaim the prefix every live replica has received (only replicas
+    /// ever receive this stream). Suspected replicas are left out so a
+    /// dead peer cannot pin the buffer.
+    pub(crate) fn reclaim(&mut self, recorder: &AckRecorder, membership: &Membership) {
+        let live = self
+            .peers
+            .iter()
+            .copied()
+            .filter(|n| !membership.is_suspected(*n));
+        let min = recorder.min_over(self.me, RECEIVED, live.chain([self.me]));
+        self.buf.reclaim(min);
     }
 }
 
@@ -361,15 +484,25 @@ mod tests {
     }
 
     #[test]
-    fn clear_retained_empties_log() {
-        let mut sb = SendBuffer::with_retention(1024, 1024);
-        sb.publish(b(10)).unwrap();
-        sb.reclaim(1);
-        assert_eq!(sb.retained_len(), 1);
-        sb.clear_retained();
-        assert_eq!(sb.retained_len(), 0);
-        assert_eq!(sb.retained_bytes(), 0);
-        assert_eq!(sb.first_replayable(), 2);
+    fn resuming_at_equals_publishing_and_reclaiming_the_history() {
+        // What `StabilizerNode::restore` used to do, O(n): publish `n`
+        // placeholders, reclaim them, drop the retained placeholders.
+        for n in [0u64, 1, 2, 7] {
+            let mut old = SendBuffer::with_retention(64, 32);
+            for _ in 0..n {
+                old.publish(Bytes::new()).unwrap();
+            }
+            old.reclaim(n);
+            old.retained.clear();
+            old.retained_bytes = 0;
+            let mut new = SendBuffer::resuming_at(64, 32, n);
+            assert_eq!(format!("{new:?}"), format!("{old:?}"), "n = {n}");
+            assert_eq!(new.last_assigned(), n);
+            assert_eq!(new.reclaimed_up_to(), n);
+            assert_eq!(new.first_replayable(), n + 1);
+            assert!((0..=n + 1).all(|seq| new.replay_get(seq).is_none()));
+            assert_eq!(new.publish(b(1)).unwrap(), n + 1);
+        }
     }
 
     #[test]

@@ -18,9 +18,11 @@
 //! Constant operands below `need` can never satisfy it and are reported
 //! as unsatisfiable terms instead of blamed cells.
 
+use crate::node::StabilizerNode;
 use crate::recorder::AckRecorder;
 use stabilizer_dsl::{
-    eval_resolved, AckTypeId, AckView, NodeId, Operand, ReduceKind, ResolvedExpr, SeqNo,
+    eval_resolved, AckTypeId, AckView, NodeId, Operand, Predicate, ReduceKind, ResolvedExpr, SeqNo,
+    RECEIVED,
 };
 
 /// One ACK-table cell blamed for a stalled frontier: which node's
@@ -200,6 +202,60 @@ pub fn render_sharded_stall_reports_json(reports: &[(u16, StallReport)]) -> Stri
     s
 }
 
+/// Diagnose the frontier `(frontier, generation)` of `pred`, registered
+/// at `node` as `(stream, key)`.
+pub(crate) fn stall_report(
+    node: &StabilizerNode,
+    stream: NodeId,
+    key: &str,
+    pred: &Predicate,
+    (frontier, generation): (SeqNo, u32),
+) -> StallReport {
+    let recorder = node.recorder();
+    // The highest sequence this node knows exists on the stream: its
+    // own assignment counter for the local stream, plus the best
+    // `received` cell anyone has reported (the origin self-acks on
+    // publish, so its own cell tracks its high watermark).
+    let mut target = if stream == node.me() {
+        node.last_published()
+    } else {
+        0
+    };
+    let nodes = || (0..recorder.num_nodes() as u16).map(NodeId);
+    for n in nodes() {
+        target = target.max(recorder.get(stream, n, RECEIVED));
+    }
+    let stalled = frontier < target;
+    let (blamed, unsatisfiable) = if stalled {
+        blame_cells(&pred.resolved().expr, target, recorder, stream)
+    } else {
+        (Vec::new(), Vec::new())
+    };
+    let acks = node.ack_types();
+    StallReport {
+        stream,
+        key: key.to_owned(),
+        generation,
+        frontier,
+        target,
+        stalled,
+        predicate: pred.source().to_owned(),
+        blamed: blamed
+            .into_iter()
+            .map(|(n, ty, have)| BlamedCell {
+                node: n,
+                ack_type: ty,
+                ack_type_name: acks.name(ty).unwrap_or_else(|| ty.0.to_string()),
+                have,
+                need: target,
+                suspected: node.is_suspected(n),
+            })
+            .collect(),
+        unsatisfiable,
+        suspected_peers: nodes().filter(|n| node.is_suspected(*n)).collect(),
+    }
+}
+
 /// Walk a resolved reduction and collect the minimal blame set for the
 /// frontier to reach `need`. Returns nothing when the subtree already
 /// satisfies `need`.
@@ -254,7 +310,7 @@ pub(crate) fn blame_expr<V: AckView>(
 
 /// Run the blame walk for one predicate against a recorder, returning
 /// deduplicated cells sorted worst-laggard-first.
-pub(crate) fn blame_cells(
+fn blame_cells(
     expr: &ResolvedExpr,
     need: SeqNo,
     recorder: &AckRecorder,

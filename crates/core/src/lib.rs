@@ -55,13 +55,18 @@ pub mod data_plane;
 pub mod error;
 pub mod explain;
 pub mod frontier;
+mod membership;
 pub mod messages;
+pub mod metrics;
 pub mod node;
 pub mod observe;
+mod outbox;
 pub mod persist;
 pub mod recorder;
 pub mod sim_driver;
 pub mod timers;
+mod transfer;
+mod watchdog;
 
 pub use config::{AnalysisMode, ClusterConfig, Options};
 pub use error::CoreError;
@@ -70,7 +75,8 @@ pub use explain::{
 };
 pub use frontier::{FrontierEngine, FrontierUpdate, WaitToken};
 pub use messages::{Ack, WireMsg, WIRE_OVERHEAD};
-pub use node::{Action, Metrics, Snapshot, StabilizerNode};
+pub use metrics::Metrics;
+pub use node::{Action, Snapshot, StabilizerNode};
 pub use observe::{AppHooks, Event, EventLog, NoHooks, ObserverChain, SharedEventLog};
 pub use recorder::{AckRecorder, DirtyCell};
 pub use timers::TimerKind;

@@ -1,30 +1,47 @@
-//! The Stabilizer node: a sans-IO state machine combining the data plane
-//! (sequencing, buffering, FIFO delivery) and the control plane (ACK
-//! recorder, stability-frontier engine, failure suspicion).
+//! The Stabilizer node: a sans-IO state machine that routes between the
+//! data plane (sequencing, buffering, FIFO delivery), the control plane
+//! (ACK recorder, stability-frontier engine) and the §III-E machinery
+//! (failure suspicion, state transfer).
 //!
 //! All I/O and time are injected: drivers feed [`StabilizerNode::on_message`]
-//! and the timer callbacks, and collect [`Action`]s to execute (send a
-//! message, deliver an upcall, report a frontier advance). The same state
-//! machine therefore runs unchanged under the deterministic simulator
-//! (`sim_driver`) and the threaded TCP runtime (`stabilizer-transport`) —
-//! the control-plane/data-plane separation of §III-A is structural, not
-//! an artifact of a particular runtime.
+//! and [`StabilizerNode::on_timer`], and collect [`Action`]s to execute
+//! (send a message, deliver an upcall, report a frontier advance). The
+//! same state machine therefore runs unchanged under the deterministic
+//! simulator (`sim_driver`) and the threaded TCP runtime
+//! (`stabilizer-transport`) — the control-plane/data-plane separation of
+//! §III-A is structural, not an artifact of a particular runtime.
+//!
+//! Every rule with state of its own lives behind that state, in a
+//! component that never sees the frontier engine: [`Outbound`] (own
+//! stream out), [`ReceiveState`] (mirrored streams in), [`AckOutbox`]
+//! (stability reports out), [`Membership`] (suspicion) and
+//! [`Transfers`] (catch-up sessions). What is written here is what needs
+//! the recorder *and* the engine: the fold of an advanced ACK cell into
+//! the frontiers ([`StabilizerNode::reached`] and below), and the
+//! dispatch that hands each input to its component.
 
-use crate::config::{AnalysisMode, ClusterConfig};
-use crate::data_plane::{ReceiveState, SendBuffer};
+mod predicates;
+mod recovery;
+
+use crate::config::ClusterConfig;
+use crate::data_plane::{Outbound, ReceiveState, SendBuffer};
 use crate::error::CoreError;
 use crate::frontier::{FrontierEngine, FrontierUpdate, WaitToken};
+use crate::membership::Membership;
 use crate::messages::{Ack, WireMsg};
+use crate::metrics::Metrics;
+use crate::outbox::{self, AckOutbox};
 use crate::recorder::AckRecorder;
 use crate::timers::TimerKind;
+use crate::transfer::Transfers;
 use bytes::Bytes;
-use stabilizer_analyze::{AckEmissions, Analyzer, Report};
-use stabilizer_dsl::{
-    AckTypeId, AckTypeRegistry, NodeId, Predicate, SeqNo, DELIVERED, PERSISTED, RECEIVED,
-};
+use predicates::Installed;
+use stabilizer_dsl::{AckTypeId, AckTypeRegistry, NodeId, SeqNo, DELIVERED, PERSISTED, RECEIVED};
 use stabilizer_place::PlacementMap;
 use std::collections::BTreeMap;
 use std::sync::Arc;
+
+pub use recovery::Snapshot;
 
 /// Effects requested by the state machine, executed by the driver.
 #[derive(Debug, Clone, PartialEq)]
@@ -90,191 +107,35 @@ pub enum Action {
     },
 }
 
-/// Donor-side state of one outbound catch-up session. Keyed by
-/// requester: a donor only ever replays its *own* stream (it is the only
-/// stream whose payloads it stores).
-#[derive(Debug)]
-struct OutboundTransfer {
-    /// Chunks at or below this are acknowledged by the requester.
-    acked: SeqNo,
-    /// Next chunk to send.
-    next: SeqNo,
-    /// Last chunk of the session (the stream head at request time).
-    high: SeqNo,
-}
-
-/// Requester-side state of one inbound catch-up session, keyed by the
-/// stream (whose origin is also the donor).
-#[derive(Debug)]
-struct InboundTransfer {
-    /// Session target (`SeqNo::MAX` until the snapshot arrives).
-    high: SeqNo,
-    /// Delivered position when progress was last observed.
-    last_delivered: SeqNo,
-    /// When progress was last observed; a stalled session re-issues its
-    /// request on the transfer tick.
-    last_nanos: u64,
-}
-
-/// A consistent snapshot of the control-plane state, for crash recovery
-/// via the integrated storage system (§III-E: "the Derecho object store
-/// can also persist the stability frontier information").
-#[derive(Debug, Clone)]
-pub struct Snapshot {
-    /// The ACK table.
-    pub recorder: AckRecorder,
-    /// Highest sequence number this node assigned to its own stream.
-    pub last_assigned: SeqNo,
-}
-
 /// The Stabilizer library instance for one WAN node.
 #[derive(Debug)]
 pub struct StabilizerNode {
     me: NodeId,
     cfg: ClusterConfig,
     acks: Arc<AckTypeRegistry>,
-    /// Link peers: every other node sharing at least one stream with
-    /// `me` (everyone, under the default full replication). Heartbeats,
-    /// failure detection, and ACK routing are scoped to these.
-    peers: Vec<NodeId>,
-    /// Replicas of this node's own stream other than `me` — the
-    /// data-plane fan-out (publish, retransmit) targets.
-    data_peers: Vec<NodeId>,
-    /// The stream → replica-set placement (partial replication). Cloned
-    /// from the config at construction.
+    /// The stream → replica-set placement (partial replication), shared
+    /// with the config it came from.
     placement: Arc<PlacementMap>,
     recorder: AckRecorder,
     engine: FrontierEngine,
-    send_buf: SendBuffer,
+    /// Per origin: FIFO reassembly of its mirrored stream.
     recv: Vec<ReceiveState>,
-    /// Coalesced outgoing stability reports: newest value per cell.
-    pending_acks: BTreeMap<(NodeId, AckTypeId), SeqNo>,
-    last_heard_nanos: Vec<u64>,
-    suspected: Vec<bool>,
+    outbound: Outbound,
+    outbox: AckOutbox,
+    membership: Membership,
+    transfers: Transfers,
+    /// What is registered with the engine and how it was installed, per
+    /// (stream, key). Ordered: reinstatement iterates it and emits
+    /// frontier updates, whose order must be stable across processes
+    /// for deterministic replay.
+    installed: BTreeMap<(NodeId, String), Installed>,
     next_token: WaitToken,
     actions: Vec<Action>,
     /// What the engine reported during the current call, drained into
     /// `actions` by `emit`; kept so the ACK fold allocates nothing.
     updates: Vec<FrontierUpdate>,
     done: Vec<WaitToken>,
-    /// Original DSL sources per (stream, key), kept so predicates can be
-    /// restored verbatim when an excluded node rejoins. Ordered map:
-    /// `reinstate_node` iterates it and emits frontier updates, whose
-    /// order must be stable across processes for deterministic replay.
-    predicate_sources: std::collections::BTreeMap<(NodeId, String), String>,
-    /// Analyzer findings recorded at install time per (stream, key) when
-    /// `option analysis` is `warn` or `deny` (a deny-mode install only
-    /// succeeds — and is only recorded — when clean).
-    analysis_reports: std::collections::BTreeMap<(NodeId, String), Report>,
-    /// Exact crash tolerance `f*` per installed (stream, key), computed
-    /// by the availability prover against the predicate as restricted to
-    /// the stream's replica set. `-1` means blocked even with zero
-    /// crashes; `num_nodes - 1` means no crash set can block it.
-    predicate_tolerance: std::collections::BTreeMap<(NodeId, String), i64>,
     metrics: Metrics,
-    /// Per-peer: `(last received-ack seen, nanos when it last advanced)`,
-    /// for the retransmission timeout.
-    retransmit_state: Vec<(SeqNo, u64)>,
-    /// Per-stream: `(delivered position at the last transfer tick, nanos
-    /// when it last advanced)`, for catch-up-on-lag detection: a node
-    /// that stays behind an origin's self-acknowledged sequence with no
-    /// inbound session open requests a transfer itself.
-    lag_state: Vec<(SeqNo, u64)>,
-    /// Inbound catch-up sessions (this node recovering), keyed by stream.
-    transfer_in: BTreeMap<NodeId, InboundTransfer>,
-    /// Outbound catch-up sessions (this node as donor), keyed by
-    /// requester.
-    transfer_out: BTreeMap<NodeId, OutboundTransfer>,
-    /// Opaque application-state mark carried in outgoing transfer
-    /// snapshots (§III-E's app-state hook).
-    app_mark: u64,
-}
-
-/// Traffic counters, split by plane (the §III-A separation is observable
-/// in the numbers: control messages stay small and coalescible while the
-/// data plane moves the volume).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Metrics {
-    /// Data messages sent (to all peers combined).
-    pub data_msgs_sent: u64,
-    /// Data payload bytes sent.
-    pub data_bytes_sent: u64,
-    /// Control (ACK batch + heartbeat) messages sent.
-    pub control_msgs_sent: u64,
-    /// Individual ACK cells carried in those batches.
-    pub acks_sent: u64,
-    /// Data messages delivered to the application.
-    pub deliveries: u64,
-    /// ACK cells received and merged.
-    pub acks_received: u64,
-    /// Stale/duplicate ACK cells ignored by the max-merge.
-    pub acks_stale: u64,
-    /// Data messages retransmitted by the reliability mechanism.
-    pub retransmits: u64,
-    /// Predicate evaluations performed by the frontier engine
-    /// (registration, change, and incremental re-evaluation).
-    pub predicate_evals: u64,
-    /// Frontier-advance actions emitted.
-    pub frontier_updates: u64,
-    /// Catch-up requests served as a donor (§III-E state transfer).
-    pub transfer_requests: u64,
-    /// Catch-up chunks replayed to requesters.
-    pub transfer_chunks_sent: u64,
-    /// Payload bytes replayed to requesters.
-    pub transfer_bytes_sent: u64,
-    /// Catch-up chunks received from donors.
-    pub transfer_chunks_received: u64,
-    /// Streams fast-forwarded out of band (snapshot jumps over an
-    /// evicted prefix).
-    pub transfer_fast_forwards: u64,
-}
-
-impl std::ops::AddAssign for Metrics {
-    fn add_assign(&mut self, rhs: Metrics) {
-        // Exhaustive destructuring: a new counter does not compile until
-        // it is summed here.
-        let Metrics {
-            data_msgs_sent,
-            data_bytes_sent,
-            control_msgs_sent,
-            acks_sent,
-            deliveries,
-            acks_received,
-            acks_stale,
-            retransmits,
-            predicate_evals,
-            frontier_updates,
-            transfer_requests,
-            transfer_chunks_sent,
-            transfer_bytes_sent,
-            transfer_chunks_received,
-            transfer_fast_forwards,
-        } = rhs;
-        self.data_msgs_sent += data_msgs_sent;
-        self.data_bytes_sent += data_bytes_sent;
-        self.control_msgs_sent += control_msgs_sent;
-        self.acks_sent += acks_sent;
-        self.deliveries += deliveries;
-        self.acks_received += acks_received;
-        self.acks_stale += acks_stale;
-        self.retransmits += retransmits;
-        self.predicate_evals += predicate_evals;
-        self.frontier_updates += frontier_updates;
-        self.transfer_requests += transfer_requests;
-        self.transfer_chunks_sent += transfer_chunks_sent;
-        self.transfer_bytes_sent += transfer_bytes_sent;
-        self.transfer_chunks_received += transfer_chunks_received;
-        self.transfer_fast_forwards += transfer_fast_forwards;
-    }
-}
-
-impl std::iter::Sum for Metrics {
-    fn sum<I: Iterator<Item = Metrics>>(iter: I) -> Metrics {
-        iter.fold(Metrics::default(), |mut total, m| {
-            total += m;
-            total
-        })
-    }
 }
 
 impl StabilizerNode {
@@ -296,39 +157,28 @@ impl StabilizerNode {
             .into_iter()
             .filter(|p| placement.linked(me, *p))
             .collect();
-        let data_peers = placement.replica_peers(me, me);
         // Configured application ACK types exist before any predicate
         // compiles (or is analyzed) against them.
         for (name, _) in cfg.ack_types() {
             acks.register(name);
         }
+        let opts = cfg.options();
+        let buf = SendBuffer::with_retention(opts.send_buffer_bytes, opts.retain_log_bytes);
         let mut node = StabilizerNode {
             me,
             recorder: AckRecorder::new(n, acks.len()),
             engine: FrontierEngine::new(),
-            send_buf: SendBuffer::with_retention(
-                cfg.options().send_buffer_bytes,
-                cfg.options().retain_log_bytes,
-            ),
             recv: (0..n).map(|_| ReceiveState::new()).collect(),
-            pending_acks: BTreeMap::new(),
-            last_heard_nanos: vec![0; n],
-            suspected: vec![false; n],
+            outbound: Outbound::new(me, buf, placement.replica_peers(me, me), n),
+            outbox: AckOutbox::default(),
+            membership: Membership::new(n, peers),
+            transfers: Transfers::new(me, &cfg),
+            installed: BTreeMap::new(),
             next_token: 1,
             actions: Vec::new(),
             updates: Vec::new(),
             done: Vec::new(),
-            predicate_sources: std::collections::BTreeMap::new(),
-            analysis_reports: std::collections::BTreeMap::new(),
-            predicate_tolerance: std::collections::BTreeMap::new(),
             metrics: Metrics::default(),
-            retransmit_state: vec![(0, 0); n],
-            lag_state: vec![(0, 0); n],
-            transfer_in: BTreeMap::new(),
-            transfer_out: BTreeMap::new(),
-            app_mark: 0,
-            peers,
-            data_peers,
             placement,
             acks,
             cfg,
@@ -364,12 +214,6 @@ impl StabilizerNode {
         &self.placement
     }
 
-    /// Data-plane fan-out targets: replicas of this node's own stream,
-    /// excluding itself.
-    pub fn data_peers(&self) -> &[NodeId] {
-        &self.data_peers
-    }
-
     /// Read-only view of the ACK recorder (Fig. 1's table).
     pub fn recorder(&self) -> &AckRecorder {
         &self.recorder
@@ -398,13 +242,30 @@ impl StabilizerNode {
         !self.actions.is_empty()
     }
 
+    /// Whether `node` is currently suspected.
+    pub fn is_suspected(&self, node: NodeId) -> bool {
+        self.membership.is_suspected(node)
+    }
+
+    /// Number of `waitfor` calls still blocked on a frontier.
+    pub fn pending_waiters(&self) -> usize {
+        self.engine.pending_waiters()
+    }
+
+    /// Traffic counters for this node.
+    pub fn metrics(&self) -> Metrics {
+        let mut m = self.metrics;
+        m.predicate_evals = self.engine.evaluations();
+        m
+    }
+
     // ------------------------------------------------------------------
     // Data plane
     // ------------------------------------------------------------------
 
     /// Publish a payload on this node's stream: assign the next sequence
-    /// number, buffer for retransmission, send to every peer, and apply
-    /// the origin self-acknowledgment rule (§III-C).
+    /// number, buffer for retransmission, send to every replica, and
+    /// apply the origin self-acknowledgment rule (§III-C).
     ///
     /// # Errors
     ///
@@ -413,84 +274,64 @@ impl StabilizerNode {
     pub fn publish(&mut self, payload: Bytes) -> Result<SeqNo, CoreError> {
         let max = self.cfg.options().max_payload_bytes;
         if payload.len() > max {
-            return Err(CoreError::PayloadTooLarge {
-                size: payload.len(),
-                max,
-            });
+            let size = payload.len();
+            return Err(CoreError::PayloadTooLarge { size, max });
         }
-        let seq = self.send_buf.publish(payload.clone())?;
-        for &peer in &self.data_peers {
-            self.metrics.data_msgs_sent += 1;
-            self.metrics.data_bytes_sent += payload.len() as u64;
-            self.actions.push(Action::Send {
-                to: peer,
-                msg: WireMsg::Data {
-                    origin: self.me,
-                    seq,
-                    payload: payload.clone(),
-                },
-            });
-        }
-        // Origin self-ack: every stability level holds at the origin.
+        let seq = self
+            .outbound
+            .publish(payload, &mut self.metrics, &mut self.actions)?;
+        // Origin self-ack: every stability level holds at the origin, so
+        // all of them are in the table before the first is folded.
         if self.recorder.observe_all_types(self.me, self.me, seq) {
-            for ty in 0..self.recorder.num_types() as u16 {
-                self.advance(self.me, self.me, AckTypeId(ty));
-                self.queue_ack(self.me, AckTypeId(ty), seq);
+            for ty in (0..self.recorder.num_types() as u16).map(AckTypeId) {
+                self.moved(self.me, ty, seq);
             }
         }
-        self.maybe_flush_eager();
+        self.flush_if_eager();
         Ok(seq)
     }
 
     /// Highest sequence number assigned to this node's own stream.
     pub fn last_published(&self) -> SeqNo {
-        self.send_buf.last_assigned()
+        self.outbound.buf.last_assigned()
     }
 
     /// Bytes currently held in the send buffer.
     pub fn send_buffer_bytes(&self) -> usize {
-        self.send_buf.bytes()
+        self.outbound.buf.bytes()
     }
 
     /// Oldest own-stream sequence still replayable for §III-E catch-up
     /// (live window plus retained log).
     pub fn first_replayable(&self) -> SeqNo {
-        self.send_buf.first_replayable()
+        self.outbound.buf.first_replayable()
     }
 
     /// Re-emit `Send` actions for every buffered own-stream message at or
     /// after `from`, to `peer` — used when a transport reconnects and must
     /// restore lossless FIFO.
     pub fn resend_from(&mut self, peer: NodeId, from: SeqNo) {
-        if !self.placement.is_replica(self.me, peer) {
-            return; // non-replicas never receive this stream
-        }
-        let me = self.me;
-        let msgs: Vec<(SeqNo, Bytes)> = self
-            .send_buf
-            .iter_from(from)
-            .map(|(s, p)| (s, p.clone()))
-            .collect();
-        for (seq, payload) in msgs {
-            self.actions.push(Action::Send {
-                to: peer,
-                msg: WireMsg::Data {
-                    origin: me,
-                    seq,
-                    payload,
-                },
-            });
-        }
+        self.outbound.resend_from(peer, from, &mut self.actions);
+    }
+
+    /// Queue a full re-announcement of this node's own stability rows to
+    /// `peer` (used by transports after a reconnect, since ACK batches
+    /// lost while the link was down are only implicitly repaired by
+    /// future traffic).
+    pub fn announce_acks_to(&mut self, peer: NodeId) {
+        let (me, placement) = (self.me, &self.placement);
+        outbox::announce(&self.recorder, me, peer, placement, &mut self.actions);
     }
 
     // ------------------------------------------------------------------
-    // Message handling
+    // Inputs
     // ------------------------------------------------------------------
 
     /// Process an incoming wire message. `now_nanos` drives failure
     /// detection bookkeeping.
     pub fn on_message(&mut self, now_nanos: u64, from: NodeId, msg: WireMsg) {
         self.heard(from, now_nanos);
+        let me = self.me;
         match msg {
             WireMsg::Data {
                 origin,
@@ -499,8 +340,19 @@ impl StabilizerNode {
             } => self.on_data(origin, seq, payload),
             WireMsg::AckBatch(acks) => self.on_acks(from, &acks),
             WireMsg::Heartbeat => {}
-            WireMsg::TransferRequest { stream, have } => {
-                self.on_transfer_request(from, stream, have)
+            WireMsg::TransferRequest { stream, have }
+                if self.transfers.admits(me, stream, from) =>
+            {
+                let (recorder, buf) = (&self.recorder, &self.outbound.buf);
+                let (metrics, out) = (&mut self.metrics, &mut self.actions);
+                self.transfers
+                    .serve(recorder, buf, from, have, metrics, out);
+            }
+            WireMsg::TransferAck { stream, through } if self.transfers.admits(me, stream, from) => {
+                let (recorder, buf) = (&self.recorder, &self.outbound.buf);
+                let (metrics, out) = (&mut self.metrics, &mut self.actions);
+                self.transfers
+                    .acked(recorder, buf, from, through, metrics, out);
             }
             WireMsg::TransferSnapshot {
                 stream,
@@ -508,43 +360,135 @@ impl StabilizerNode {
                 high,
                 acks,
                 app_mark,
-            } => self.on_transfer_snapshot(now_nanos, from, stream, base, high, &acks, app_mark),
+            } if self.transfers.admits(from, stream, me) => {
+                self.on_transfer_snapshot(now_nanos, stream, (base, high), &acks, app_mark);
+            }
             WireMsg::TransferChunk {
                 stream,
                 seq,
                 payload,
                 ..
-            } => self.on_transfer_chunk(now_nanos, from, stream, seq, payload),
-            WireMsg::TransferAck { stream, through } => self.on_transfer_ack(from, stream, through),
+            } if self.transfers.admits(from, stream, me) => {
+                self.on_transfer_chunk(now_nanos, stream, seq, payload);
+            }
+            // A transfer frame the admission rule refuses.
+            WireMsg::TransferRequest { .. }
+            | WireMsg::TransferAck { .. }
+            | WireMsg::TransferSnapshot { .. }
+            | WireMsg::TransferChunk { .. } => {}
         }
-        self.maybe_flush_eager();
+        self.flush_if_eager();
+    }
+
+    /// A periodic timer fired: run the handler [`TimerKind`] names.
+    /// Drivers arm each kind at [`TimerKind::period`] and call this on
+    /// expiry; `now_nanos` is ignored by the kinds that do not read the
+    /// clock, and a kind whose option is `0` is off.
+    pub fn on_timer(&mut self, kind: TimerKind, now_nanos: u64) {
+        let opts = self.cfg.options();
+        if kind.period(opts).is_none() {
+            return;
+        }
+        let (peers, out) = (self.membership.peers(), &mut self.actions);
+        match kind {
+            TimerKind::AckFlush => {
+                self.outbox
+                    .flush(peers, &self.placement, &mut self.metrics, out);
+            }
+            TimerKind::Heartbeat => {
+                for &to in peers {
+                    self.metrics.control_msgs_sent += 1;
+                    let msg = WireMsg::Heartbeat;
+                    out.push(Action::Send { to, msg });
+                }
+            }
+            TimerKind::Failure => self.on_failure_check(now_nanos),
+            TimerKind::Retransmit => self.outbound.retransmit(
+                now_nanos,
+                opts.retransmit_millis * 1_000_000,
+                &self.recorder,
+                &self.membership,
+                &mut self.metrics,
+                out,
+            ),
+            TimerKind::Transfer => {
+                let (recv, recorder) = (&self.recv, &self.recorder);
+                self.transfers
+                    .tick(recv, recorder, &self.membership, now_nanos, out);
+            }
+        }
+    }
+
+    /// A frame from `from` arrived: it is alive. If it was suspected,
+    /// this is §III-E's recovery path.
+    fn heard(&mut self, from: NodeId, now_nanos: u64) {
+        if !self.membership.heard(from, now_nanos) {
+            return;
+        }
+        self.actions.push(Action::Recovered { node: from });
+        if self.cfg.options().auto_exclude_suspects {
+            // Reinstatement mirrors the automatic exclusion. Original
+            // sources always recompile (they did at registration), so
+            // the expect documents an invariant rather than a
+            // recoverable failure.
+            self.reinstate_node(from)
+                .expect("original predicate sources recompile");
+        }
+        // Resume any catch-up the peer's absence interrupted and pick up
+        // whatever it published while suspicion stopped us retransmitting
+        // to each other. A donor with nothing missing answers with an
+        // empty session, so this is cheap when the recovery was a false
+        // alarm.
+        self.transfers
+            .request(&self.recv, from, now_nanos, &mut self.actions);
+    }
+
+    /// Suspect the peers that went silent (§III-E): report each, drop its
+    /// transfer sessions, stop waiting for it where configured to, and
+    /// stop it pinning the send buffer.
+    fn on_failure_check(&mut self, now_nanos: u64) {
+        let timeout = self.cfg.options().failure_timeout_millis * 1_000_000;
+        for node in self.membership.sweep(now_nanos, timeout) {
+            self.actions.push(Action::Suspected { node });
+            self.transfers.forget(node);
+            if self.cfg.options().auto_exclude_suspects {
+                self.exclude_node(node);
+            }
+            self.outbound.reclaim(&self.recorder, &self.membership);
+        }
     }
 
     fn on_data(&mut self, origin: NodeId, seq: SeqNo, payload: Bytes) {
-        if origin == self.me || origin.0 as usize >= self.recv.len() {
-            return; // nonsensical: we are the origin, or unknown stream
-        }
-        if !self.placement.is_replica(origin, self.me) {
-            return; // not a replica of this stream: never receive or ack it
-        }
-        let delivered = self.recv[origin.0 as usize].on_data(seq, payload);
-        if delivered.is_empty() {
-            // A duplicate of an already-delivered message means the
-            // sender has not seen our ACK (it was lost): re-announce the
-            // current counters so the retransmission loop terminates.
-            let current = self.recv[origin.0 as usize].delivered();
-            if seq <= current {
-                for ty in [RECEIVED, PERSISTED, DELIVERED] {
-                    let level = self.recorder.get(origin, self.me, ty);
-                    if level > 0 {
-                        self.queue_ack(origin, ty, level);
-                    }
-                }
-            }
+        if !self.mirrors(origin) {
             return;
         }
-        let high = delivered.last().map(|(s, _)| *s).unwrap_or(0);
-        for (seq, payload) in delivered {
+        let state = &mut self.recv[origin.0 as usize];
+        let delivered = state.on_data(seq, payload);
+        let duplicate = seq <= state.delivered();
+        match delivered.last() {
+            Some(&(high, _)) => {
+                self.deliver(origin, delivered);
+                self.holds(origin, Some(high));
+            }
+            // A duplicate of an already-delivered message means the
+            // sender has not seen our ACK (it was lost): say it again so
+            // the retransmission loop terminates.
+            None if duplicate => self.holds(origin, None),
+            None => {} // parked behind a gap
+        }
+    }
+
+    /// Whether `origin`'s is a stream this node receives, delivers and
+    /// acknowledges: a known one, not its own, that it replicates.
+    fn mirrors(&self, origin: NodeId) -> bool {
+        origin != self.me
+            && (origin.0 as usize) < self.recv.len()
+            && self.placement.is_replica(origin, self.me)
+    }
+
+    /// Hand `origin`'s messages, in sequence order, to the application.
+    fn deliver(&mut self, origin: NodeId, msgs: Vec<(SeqNo, Bytes)>) {
+        for (seq, payload) in msgs {
             self.metrics.deliveries += 1;
             self.actions.push(Action::Deliver {
                 origin,
@@ -552,350 +496,128 @@ impl StabilizerNode {
                 payload,
             });
         }
-        // This node now holds, has persisted, and has delivered the
-        // prefix up to `high` (persistence is the local storage layer's
-        // write, done by the driver before acks flush in a real system;
-        // the built-in levels move together here and custom levels are
-        // reported via `report_stability`).
+    }
+
+    /// The built-in levels of a mirrored stream move together: with
+    /// `Some(high)` this node holds, has persisted and has delivered
+    /// `origin`'s prefix through `high` (persistence is the local storage
+    /// layer's write, done by the driver before ACKs flush in a real
+    /// system; custom levels arrive through `report_stability`). With
+    /// `None` nothing moved, but the current levels are reported again.
+    fn holds(&mut self, origin: NodeId, through: Option<SeqNo>) {
         for ty in [RECEIVED, PERSISTED, DELIVERED] {
-            if self.recorder.observe(origin, self.me, ty, high) {
-                self.advance(origin, self.me, ty);
-                self.queue_ack(origin, ty, high);
+            match through {
+                Some(high) => {
+                    self.reached(origin, ty, high);
+                }
+                None => match self.recorder.get(origin, self.me, ty) {
+                    0 => {}
+                    level => self.outbox.queue(origin, ty, level),
+                },
             }
         }
     }
 
     fn on_acks(&mut self, from: NodeId, acks: &[Ack]) {
         for ack in acks {
-            if ack.stream.0 as usize >= self.recv.len()
-                || ack.ty.0 as usize >= self.recorder.num_types()
-            {
-                continue; // unknown stream/type: ignore (monotonic data, safe to drop)
-            }
-            if !self.placement.is_replica(ack.stream, from)
-                || !self.placement.is_replica(ack.stream, self.me)
-            {
-                // A non-replica has no standing to ack a stream, and a
-                // non-replica of the stream has no use for the cell:
-                // the recorder only ever holds replica columns.
-                continue;
-            }
-            if self.recorder.observe(ack.stream, from, ack.ty, ack.seq) {
-                self.metrics.acks_received += 1;
-                self.advance(ack.stream, from, ack.ty);
-                if ack.stream == self.me && ack.ty == RECEIVED {
-                    self.try_reclaim();
+            match self.learn(ack.stream, from, ack.ty, ack.seq) {
+                Some(true) if ack.stream == self.me && ack.ty == RECEIVED => {
+                    self.outbound.reclaim(&self.recorder, &self.membership);
                 }
-            } else {
-                self.metrics.acks_stale += 1;
+                Some(false) => self.metrics.acks_stale += 1,
+                _ => {}
             }
         }
     }
 
-    fn try_reclaim(&mut self) {
-        // Reclaim once every live replica has received a prefix (only
-        // replicas ever receive this stream). Suspected nodes are
-        // excluded so a dead peer cannot pin the buffer.
-        let live = self
-            .placement
-            .replicas(self.me)
-            .iter()
-            .copied()
-            .filter(|n| !self.suspected[n.0 as usize]);
-        let min = self.recorder.min_over(self.me, RECEIVED, live);
-        self.send_buf.reclaim(min);
-    }
+    // ------------------------------------------------------------------
+    // The fold: recorder → engine → actions
+    // ------------------------------------------------------------------
 
-    /// Declare that this node obtained `origin`'s stream up to `seq` out
-    /// of band — the §III-E state-transfer path: after an absence long
-    /// enough that the origin reclaimed its buffer, the returning mirror
-    /// recovers the data from the integrated storage system (e.g. a WAL
-    /// shipped from a peer) and resumes live delivery from `seq + 1`.
-    /// Parked out-of-order messages beyond `seq` are released in order.
-    pub fn fast_forward_stream(&mut self, origin: NodeId, seq: SeqNo) {
-        self.fast_forward_inner(origin, seq, 0);
-    }
-
-    fn fast_forward_inner(&mut self, origin: NodeId, seq: SeqNo, app_mark: u64) {
-        if origin == self.me
-            || origin.0 as usize >= self.recv.len()
-            || !self.placement.is_replica(origin, self.me)
+    /// Max-merge a peer's report that `node` reached `ty` of `stream` up
+    /// to `seq`, and fold it into the frontiers if the cell moved
+    /// (`Some(true)`). `None`: refused — a stream, node or level this
+    /// node does not know (monotonic data, safe to drop), or a cell
+    /// outside the stream's replica set: a non-replica has no standing
+    /// to ack a stream and a non-replica of it no use for the cell, so
+    /// the recorder only ever holds replica columns.
+    fn learn(&mut self, stream: NodeId, node: NodeId, ty: AckTypeId, seq: SeqNo) -> Option<bool> {
+        if stream.max(node).0 as usize >= self.recv.len()
+            || ty.0 as usize >= self.recorder.num_types()
+            || !self.placement.is_replica(stream, node)
+            || !self.placement.is_replica(stream, self.me)
         {
-            return;
+            return None;
         }
-        let before = self.recv[origin.0 as usize].delivered();
-        let released = self.recv[origin.0 as usize].fast_forward(seq);
-        if seq > before {
-            // Announce the jump before the released deliveries so
-            // checkers see the adjusted prefix first.
-            self.metrics.transfer_fast_forwards += 1;
-            self.actions.push(Action::CatchUp {
-                stream: origin,
-                seq,
-                app_mark,
-            });
+        let advanced = self.recorder.observe(stream, node, ty, seq);
+        if advanced {
+            self.metrics.acks_received += 1;
+            self.advance(stream, node, ty);
         }
-        let high = released
-            .last()
-            .map(|(s, _)| *s)
-            .unwrap_or(self.recv[origin.0 as usize].delivered());
-        for (seq, payload) in released {
-            self.metrics.deliveries += 1;
-            self.actions.push(Action::Deliver {
-                origin,
-                seq,
-                payload,
-            });
+        Some(advanced)
+    }
+
+    /// This node reached stability level `ty` of `stream` up to `seq`:
+    /// max-merge its own cell and, if that moved it, fold and report it.
+    fn reached(&mut self, stream: NodeId, ty: AckTypeId, seq: SeqNo) -> bool {
+        let advanced = self.recorder.observe(stream, self.me, ty, seq);
+        if advanced {
+            self.moved(stream, ty, seq);
         }
-        for ty in [RECEIVED, PERSISTED, DELIVERED] {
-            if self.recorder.observe(origin, self.me, ty, high) {
-                self.advance(origin, self.me, ty);
-                self.queue_ack(origin, ty, high);
-            }
+        advanced
+    }
+
+    /// This node's own cell `(stream, ty)` moved to `seq`: fold it into
+    /// the frontiers and queue the report for the peers.
+    fn moved(&mut self, stream: NodeId, ty: AckTypeId, seq: SeqNo) {
+        self.advance(stream, self.me, ty);
+        self.outbox.queue(stream, ty, seq);
+    }
+
+    /// The recorder cell `(stream, node, ty)` advanced: re-evaluate what
+    /// reads it.
+    fn advance(&mut self, stream: NodeId, node: NodeId, ty: AckTypeId) {
+        self.engine.on_ack_advance(
+            stream,
+            node,
+            ty,
+            &self.recorder,
+            &mut self.updates,
+            &mut self.done,
+        );
+        self.emit();
+    }
+
+    /// Turn what the engine just reported into actions: the updates,
+    /// then the completed waits.
+    fn emit(&mut self) {
+        for u in self.updates.drain(..) {
+            self.metrics.frontier_updates += 1;
+            self.actions.push(Action::Frontier(u));
         }
-        self.maybe_flush_eager();
+        for token in self.done.drain(..) {
+            self.actions.push(Action::WaitDone { token });
+        }
+    }
+
+    /// Without coalescing (`ack_flush_micros 0`) every call flushes the
+    /// reports it queued.
+    fn flush_if_eager(&mut self) {
+        if self.cfg.options().ack_flush_micros == 0 {
+            let peers = self.membership.peers();
+            self.outbox
+                .flush(peers, &self.placement, &mut self.metrics, &mut self.actions);
+        }
     }
 
     // ------------------------------------------------------------------
     // Control plane API (§III-D interfaces)
     // ------------------------------------------------------------------
 
-    /// Register a new predicate under `key` for `stream`, compiled at
-    /// this node (the paper's `register_predicate`).
-    ///
-    /// # Errors
-    ///
-    /// Propagates DSL compile errors, and under `option analysis deny`
-    /// returns [`CoreError::PredicateRejected`] for any predicate with
-    /// error- or warning-level analyzer findings.
-    pub fn register_predicate(
-        &mut self,
-        stream: NodeId,
-        key: &str,
-        source: &str,
-    ) -> Result<(), CoreError> {
-        let report = self.run_analysis(stream, key, source)?;
-        let pred = Predicate::compile(source, self.cfg.topology(), &self.acks, self.me)?
-            .restricted_to(self.placement.replicas(stream))?;
-        let tolerance = self.compute_tolerance(&pred);
-        self.engine.register(
-            stream,
-            key,
-            pred,
-            &self.recorder,
-            &mut self.updates,
-            &mut self.done,
-        );
-        self.predicate_tolerance
-            .insert((stream, key.to_owned()), tolerance);
-        self.predicate_sources
-            .insert((stream, key.to_owned()), source.to_owned());
-        if let Some(report) = report {
-            self.analysis_reports
-                .insert((stream, key.to_owned()), report);
-        }
-        self.emit();
-        Ok(())
-    }
-
-    /// Replace the predicate under `key` (the paper's `change_predicate`),
-    /// bumping its generation.
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::UnknownPredicate`] if the key was never registered, a
-    /// DSL compile error, or (under `option analysis deny`)
-    /// [`CoreError::PredicateRejected`].
-    pub fn change_predicate(
-        &mut self,
-        stream: NodeId,
-        key: &str,
-        source: &str,
-    ) -> Result<(), CoreError> {
-        let report = self.run_analysis(stream, key, source)?;
-        let pred = Predicate::compile(source, self.cfg.topology(), &self.acks, self.me)?
-            .restricted_to(self.placement.replicas(stream))?;
-        let tolerance = self.compute_tolerance(&pred);
-        if !self.engine.change(
-            stream,
-            key,
-            pred,
-            &self.recorder,
-            &mut self.updates,
-            &mut self.done,
-        ) {
-            return Err(CoreError::UnknownPredicate(key.to_owned()));
-        }
-        self.predicate_tolerance
-            .insert((stream, key.to_owned()), tolerance);
-        self.predicate_sources
-            .insert((stream, key.to_owned()), source.to_owned());
-        if let Some(report) = report {
-            self.analysis_reports
-                .insert((stream, key.to_owned()), report);
-        }
-        self.emit();
-        Ok(())
-    }
-
-    /// The analyzer findings recorded when `(stream, key)` was installed,
-    /// if analysis is enabled (`option analysis warn|deny`) and the
-    /// predicate is currently registered with findings on record.
-    pub fn analysis_report(&self, stream: NodeId, key: &str) -> Option<&Report> {
-        self.analysis_reports.get(&(stream, key.to_owned()))
-    }
-
-    /// Exact crash tolerance `f*` recorded when `(stream, key)` was
-    /// installed: the largest number of non-origin crashes the predicate
-    /// survives at this vantage (`-1` if it is blocked outright,
-    /// `num_nodes - 1` if no crash set can ever block it).
-    pub fn predicate_tolerance(&self, stream: NodeId, key: &str) -> Option<i64> {
-        self.predicate_tolerance
-            .get(&(stream, key.to_owned()))
-            .copied()
-    }
-
-    /// All recorded `(stream, key) -> f*` entries, for telemetry export.
-    pub fn predicate_tolerances(&self) -> impl Iterator<Item = (NodeId, &str, i64)> + '_ {
-        self.predicate_tolerance
-            .iter()
-            .map(|((stream, key), &tol)| (*stream, key.as_str(), tol))
-    }
-
-    /// Run the availability prover on an installed (replica-restricted)
-    /// predicate to get its exact crash tolerance at this vantage.
-    fn compute_tolerance(&self, pred: &Predicate) -> i64 {
-        stabilizer_analyze::availability(pred, self.cfg.topology(), self.me).tolerance
-    }
-
-    /// Run the static analyzer per the configured [`AnalysisMode`]:
-    /// `Off` → `None`; `Warn` → `Some(report)`; `Deny` → error unless the
-    /// report is clean (info-level findings tolerated). `stream` scopes
-    /// the `non-replica-operand` lint to the stream's replica set.
-    fn run_analysis(
-        &self,
-        stream: NodeId,
-        key: &str,
-        source: &str,
-    ) -> Result<Option<Report>, CoreError> {
-        let opts = self.cfg.options();
-        if opts.analysis == AnalysisMode::Off {
-            return Ok(None);
-        }
-        let mut emissions = AckEmissions::new();
-        for (name, emitters) in self.cfg.ack_types() {
-            if emitters.is_empty() {
-                continue;
-            }
-            if let Some(ty) = self.acks.lookup(name) {
-                let ids: Vec<NodeId> = emitters
-                    .iter()
-                    .filter_map(|n| self.cfg.topology().node(n))
-                    .collect();
-                emissions.restrict(ty, &ids);
-            }
-        }
-        let analyzer = Analyzer::new(self.cfg.topology(), &self.acks, self.me)
-            .with_emissions(&emissions)
-            .with_failure_budget(opts.failure_budget as usize)
-            .with_replicas(self.placement.replicas(stream));
-        let report = analyzer.analyze(key, source);
-        if opts.analysis == AnalysisMode::Deny && !report.is_clean() {
-            return Err(CoreError::PredicateRejected {
-                key: key.to_owned(),
-                report: report.render_human(),
-            });
-        }
-        Ok(Some(report))
-    }
-
-    /// Remove a predicate; any pending waiters complete immediately (with
-    /// the frontier they were waiting for never confirmed) so callers are
-    /// not stranded.
-    pub fn unregister_predicate(&mut self, stream: NodeId, key: &str) {
-        let entry = (stream, key.to_owned());
-        self.analysis_reports.remove(&entry);
-        self.predicate_tolerance.remove(&entry);
-        self.predicate_sources.remove(&entry);
-        for token in self.engine.unregister(stream, key) {
-            self.actions.push(Action::WaitDone { token });
-        }
-    }
-
     /// Current `(frontier, generation)` of a predicate (the K/V store's
     /// `get_stability_frontier`).
     pub fn stability_frontier(&self, stream: NodeId, key: &str) -> Option<(SeqNo, u32)> {
         self.engine.frontier(stream, key)
-    }
-
-    /// Diagnose one `(stream, key)` frontier: how far behind the highest
-    /// locally-known publish it is, and — via a walk of the resolved
-    /// predicate against the live ACK recorder — the minimal set of
-    /// (node, ACK-type) cells holding it back. `None` if the key is not
-    /// registered for the stream.
-    pub fn explain_frontier(&self, stream: NodeId, key: &str) -> Option<crate::StallReport> {
-        let pred = self.engine.predicate(stream, key)?;
-        let (frontier, generation) = self.engine.frontier(stream, key)?;
-        // The highest sequence this node knows exists on the stream: its
-        // own assignment counter for the local stream, plus the best
-        // `received` cell anyone has reported (the origin self-acks on
-        // publish, so its own cell tracks its high watermark).
-        let mut target = if stream == self.me {
-            self.last_published()
-        } else {
-            0
-        };
-        for node in 0..self.recorder.num_nodes() as u16 {
-            target = target.max(self.recorder.get(stream, NodeId(node), RECEIVED));
-        }
-        let stalled = frontier < target;
-        let (blamed, unsatisfiable) = if stalled {
-            crate::explain::blame_cells(&pred.resolved().expr, target, &self.recorder, stream)
-        } else {
-            (Vec::new(), Vec::new())
-        };
-        let suspected_peers: Vec<NodeId> = (0..self.suspected.len() as u16)
-            .map(NodeId)
-            .filter(|n| self.suspected[n.0 as usize])
-            .collect();
-        Some(crate::StallReport {
-            stream,
-            key: key.to_owned(),
-            generation,
-            frontier,
-            target,
-            stalled,
-            predicate: pred.source().to_owned(),
-            blamed: blamed
-                .into_iter()
-                .map(|(node, ty, have)| crate::BlamedCell {
-                    node,
-                    ack_type: ty,
-                    ack_type_name: self.acks.name(ty).unwrap_or_else(|| ty.0.to_string()),
-                    have,
-                    need: target,
-                    suspected: self.is_suspected(node),
-                })
-                .collect(),
-            unsatisfiable,
-            suspected_peers,
-        })
-    }
-
-    /// [`StabilizerNode::explain_frontier`] for every registered
-    /// `(stream, key)` pair, in (stream, key) order — the `/stall`
-    /// endpoint body.
-    pub fn explain_all(&self) -> Vec<crate::StallReport> {
-        let mut out = Vec::new();
-        for stream in 0..self.cfg.topology().num_nodes() as u16 {
-            let stream = NodeId(stream);
-            for key in self.engine.keys(stream) {
-                if let Some(report) = self.explain_frontier(stream, &key) {
-                    out.push(report);
-                }
-            }
-        }
-        out
     }
 
     /// Block until `(stream, key)`'s frontier reaches `seq`; completion is
@@ -925,10 +647,9 @@ impl StabilizerNode {
     pub fn register_ack_type(&mut self, name: &str) -> AckTypeId {
         let ty = self.acks.register(name);
         self.recorder.ensure_types(self.acks.len());
-        let last = self.send_buf.last_assigned();
-        if last > 0 && self.recorder.observe(self.me, self.me, ty, last) {
-            self.advance(self.me, self.me, ty);
-            self.queue_ack(self.me, ty, last);
+        let last = self.last_published();
+        if last > 0 {
+            self.reached(self.me, ty, last);
         }
         ty
     }
@@ -937,790 +658,8 @@ impl StabilizerNode {
     /// to `seq` (application-supplied validation such as `verified`,
     /// §III-C "Suffixes"). The report is broadcast on the control plane.
     pub fn report_stability(&mut self, stream: NodeId, ty: AckTypeId, seq: SeqNo) {
-        if ty.0 as usize >= self.recorder.num_types() {
-            return;
-        }
-        if self.recorder.observe(stream, self.me, ty, seq) {
-            self.advance(stream, self.me, ty);
-            self.queue_ack(stream, ty, seq);
-            self.maybe_flush_eager();
-        }
-    }
-
-    /// Queue a full re-announcement of this node's own stability rows to
-    /// `peer` (used by transports after a reconnect, since ACK batches
-    /// lost while the link was down are only implicitly repaired by
-    /// future traffic).
-    pub fn announce_acks_to(&mut self, peer: NodeId) {
-        let mut acks = Vec::new();
-        for stream in 0..self.recorder.num_nodes() as u16 {
-            if !self.placement.is_replica(NodeId(stream), peer) {
-                continue; // the peer neither stores nor evaluates this stream
-            }
-            for ty in 0..self.recorder.num_types() as u16 {
-                let seq = self.recorder.get(NodeId(stream), self.me, AckTypeId(ty));
-                if seq > 0 {
-                    acks.push(Ack {
-                        stream: NodeId(stream),
-                        ty: AckTypeId(ty),
-                        seq,
-                    });
-                }
-            }
-        }
-        if !acks.is_empty() {
-            self.actions.push(Action::Send {
-                to: peer,
-                msg: WireMsg::AckBatch(acks),
-            });
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // State transfer (§III-E)
-    // ------------------------------------------------------------------
-
-    /// Set the opaque application-state mark carried in this node's
-    /// outgoing [`WireMsg::TransferSnapshot`]s (the sharded layer stores
-    /// its global fast-forward point here).
-    pub fn set_app_mark(&mut self, mark: u64) {
-        self.app_mark = mark;
-    }
-
-    /// Number of live transfer sessions, inbound plus outbound. Tests
-    /// and drivers use this to detect a finished catch-up.
-    pub fn active_transfers(&self) -> usize {
-        self.transfer_in.len() + self.transfer_out.len()
-    }
-
-    /// Start catch-up after a restart or a fresh join: ask every peer
-    /// for its stream, starting after what this node already delivered
-    /// in order. Each stream's origin is its donor — it is the only node
-    /// holding that stream's payloads (live window plus retained log).
-    /// No-op unless `transfer_millis > 0`. Returns the number of peer
-    /// streams catch-up was requested for (0 when transfer is disabled),
-    /// which runtimes surface as a `Join` observability event.
-    pub fn begin_catch_up(&mut self, now_nanos: u64) -> usize {
-        if self.cfg.options().transfer_millis == 0 {
-            return 0;
-        }
-        let peers = self.peers.clone();
-        let mut streams = 0;
-        for peer in peers {
-            if self.request_catch_up(peer, now_nanos) {
-                streams += 1;
-            }
-        }
-        streams
-    }
-
-    fn request_catch_up(&mut self, donor: NodeId, now_nanos: u64) -> bool {
-        if donor == self.me
-            || donor.0 as usize >= self.recv.len()
-            || !self.placement.is_replica(donor, self.me)
-        {
-            return false; // we do not replicate the donor's stream
-        }
-        let have = self.recv[donor.0 as usize].delivered();
-        self.transfer_in.insert(
-            donor,
-            InboundTransfer {
-                high: SeqNo::MAX,
-                last_delivered: have,
-                last_nanos: now_nanos,
-            },
-        );
-        self.actions.push(Action::Send {
-            to: donor,
-            msg: WireMsg::TransferRequest {
-                stream: donor,
-                have,
-            },
-        });
-        true
-    }
-
-    /// Donor side: serve a catch-up request for this node's own stream.
-    /// Replies with a [`WireMsg::TransferSnapshot`] whose `base` is the
-    /// later of the requester's position and the oldest sequence still
-    /// replayable (live window plus retained log), then streams chunks
-    /// for `(base, high]` under the `transfer_window` rate limit.
-    fn on_transfer_request(&mut self, from: NodeId, stream: NodeId, have: SeqNo) {
-        if self.cfg.options().transfer_millis == 0
-            || stream != self.me
-            || from == self.me
-            || !self.placement.is_replica(self.me, from)
-        {
-            return; // transfer disabled, not the origin, or a non-replica asking
-        }
-        self.metrics.transfer_requests += 1;
-        // A catch-up request means the requester restarted (or newly
-        // joined): its belief table is whatever its snapshot held. Acks
-        // are change-driven, so any of our rows it missed while down —
-        // including its *own* stream's column, which no transfer
-        // snapshot covers (we only donate our own stream) — would stay
-        // stale forever and pin its frontiers. Re-announce our full
-        // stability rows so its beliefs about us resume at the present.
-        self.announce_acks_to(from);
-        let floor = self.send_buf.first_replayable().saturating_sub(1);
-        let base = have.max(floor);
-        let high = self.send_buf.last_assigned().max(base);
-        // The snapshot carries this node's full recorded column for the
-        // stream: each entry's `stream` field names the *observing node*
-        // (the batch is scoped to one stream, so the field is free).
-        let mut acks = Vec::new();
-        for node in 0..self.recorder.num_nodes() as u16 {
-            for ty in 0..self.recorder.num_types() as u16 {
-                let seq = self.recorder.get(self.me, NodeId(node), AckTypeId(ty));
-                if seq > 0 {
-                    acks.push(Ack {
-                        stream: NodeId(node),
-                        ty: AckTypeId(ty),
-                        seq,
-                    });
-                }
-            }
-        }
-        self.actions.push(Action::Send {
-            to: from,
-            msg: WireMsg::TransferSnapshot {
-                stream,
-                base,
-                high,
-                acks,
-                app_mark: self.app_mark,
-            },
-        });
-        if base < high {
-            self.transfer_out.insert(
-                from,
-                OutboundTransfer {
-                    acked: base,
-                    next: base + 1,
-                    high,
-                },
-            );
-            self.pump_transfer(from);
-        } else {
-            self.transfer_out.remove(&from);
-        }
-    }
-
-    /// Send chunks to `requester` up to the rate-limit window. The
-    /// window bounds catch-up traffic so replay cannot starve the live
-    /// data plane; it slides on [`WireMsg::TransferAck`].
-    fn pump_transfer(&mut self, requester: NodeId) {
-        let window = self.cfg.options().transfer_window;
-        loop {
-            let Some(sess) = self.transfer_out.get(&requester) else {
-                return;
-            };
-            if sess.acked >= sess.high {
-                self.transfer_out.remove(&requester);
-                return;
-            }
-            if sess.next > sess.high || sess.next.saturating_sub(sess.acked + 1) >= window {
-                return; // everything sent or window full: wait for acks
-            }
-            let seq = sess.next;
-            let high = sess.high;
-            let acked = sess.acked;
-            match self.send_buf.replay_get(seq).cloned() {
-                Some(payload) => {
-                    self.metrics.transfer_chunks_sent += 1;
-                    self.metrics.transfer_bytes_sent += payload.len() as u64;
-                    self.actions.push(Action::Send {
-                        to: requester,
-                        msg: WireMsg::TransferChunk {
-                            stream: self.me,
-                            seq,
-                            payload,
-                            done: seq == high,
-                        },
-                    });
-                    self.transfer_out
-                        .get_mut(&requester)
-                        .expect("session checked above")
-                        .next += 1;
-                }
-                None => {
-                    // The retained log evicted this prefix while the
-                    // session ran (or nothing is replayable at all):
-                    // restart the handshake so the requester
-                    // fast-forwards over the new gap.
-                    self.transfer_out.remove(&requester);
-                    if self.send_buf.first_replayable() > seq {
-                        self.on_transfer_request(requester, self.me, acked);
-                    }
-                    return;
-                }
-            }
-        }
-    }
-
-    /// Requester side: apply the donor's snapshot — merge its recorded
-    /// column for the stream, fast-forward over anything below `base`
-    /// (the donor no longer holds it), and open the inbound session.
-    #[allow(clippy::too_many_arguments)] // mirrors WireMsg::TransferSnapshot field for field
-    fn on_transfer_snapshot(
-        &mut self,
-        now_nanos: u64,
-        from: NodeId,
-        stream: NodeId,
-        base: SeqNo,
-        high: SeqNo,
-        acks: &[Ack],
-        app_mark: u64,
-    ) {
-        if self.cfg.options().transfer_millis == 0
-            || stream == self.me
-            || from != stream
-            || stream.0 as usize >= self.recv.len()
-            || !self.placement.is_replica(stream, self.me)
-        {
-            return;
-        }
-        for a in acks {
-            // `a.stream` names the observing node here (see the donor
-            // side). Never merge cells about ourselves: our own counters
-            // are ground truth and a stale third-party view must not
-            // claim receipt of data we do not hold.
-            if a.stream == self.me
-                || a.stream.0 as usize >= self.recv.len()
-                || a.ty.0 as usize >= self.recorder.num_types()
-                || !self.placement.is_replica(stream, a.stream)
-            {
-                continue;
-            }
-            if self.recorder.observe(stream, a.stream, a.ty, a.seq) {
-                self.metrics.acks_received += 1;
-                self.advance(stream, a.stream, a.ty);
-            }
-        }
-        self.fast_forward_inner(stream, base, app_mark);
-        let delivered = self.recv[stream.0 as usize].delivered();
-        self.actions.push(Action::Send {
-            to: from,
-            msg: WireMsg::TransferAck {
-                stream,
-                through: delivered,
-            },
-        });
-        if delivered >= high {
-            self.transfer_in.remove(&stream);
-        } else {
-            self.transfer_in.insert(
-                stream,
-                InboundTransfer {
-                    high,
-                    last_delivered: delivered,
-                    last_nanos: now_nanos,
-                },
-            );
-        }
-    }
-
-    /// Requester side: a replayed chunk. Fed through the normal receive
-    /// path (FIFO reassembly, duplicate suppression, built-in acks),
-    /// then cumulatively acknowledged so the donor's window slides.
-    fn on_transfer_chunk(
-        &mut self,
-        now_nanos: u64,
-        from: NodeId,
-        stream: NodeId,
-        seq: SeqNo,
-        payload: Bytes,
-    ) {
-        if self.cfg.options().transfer_millis == 0
-            || stream == self.me
-            || from != stream
-            || stream.0 as usize >= self.recv.len()
-            || !self.placement.is_replica(stream, self.me)
-        {
-            return;
-        }
-        self.metrics.transfer_chunks_received += 1;
-        self.on_data(stream, seq, payload);
-        let delivered = self.recv[stream.0 as usize].delivered();
-        if let Some(sess) = self.transfer_in.get_mut(&stream) {
-            if delivered > sess.last_delivered {
-                sess.last_delivered = delivered;
-                sess.last_nanos = now_nanos;
-            }
-            if delivered >= sess.high {
-                self.transfer_in.remove(&stream);
-            }
-        }
-        self.actions.push(Action::Send {
-            to: from,
-            msg: WireMsg::TransferAck {
-                stream,
-                through: delivered,
-            },
-        });
-    }
-
-    /// Donor side: slide the session window and send more chunks.
-    fn on_transfer_ack(&mut self, from: NodeId, stream: NodeId, through: SeqNo) {
-        if stream != self.me {
-            return;
-        }
-        if let Some(sess) = self.transfer_out.get_mut(&from) {
-            if through > sess.acked {
-                sess.acked = through;
-            }
-            if sess.acked >= sess.high {
-                self.transfer_out.remove(&from);
-            } else {
-                self.pump_transfer(from);
-            }
-        }
-    }
-
-    /// Supervise inbound catch-up (drivers call this on the
-    /// `transfer_millis` period): a session that made no progress for a
-    /// full period re-issues its request from the current delivered
-    /// position — this is what makes a transfer resumable when the
-    /// donor or the requester crashes mid-way, and what retries a
-    /// request lost to the network.
-    pub fn on_transfer_tick(&mut self, now_nanos: u64) {
-        let timeout = self.cfg.options().transfer_millis * 1_000_000;
-        if timeout == 0 {
-            return;
-        }
-        let streams: Vec<NodeId> = self.transfer_in.keys().copied().collect();
-        for stream in streams {
-            let delivered = self.recv[stream.0 as usize].delivered();
-            let sess = self
-                .transfer_in
-                .get_mut(&stream)
-                .expect("keys collected above");
-            if delivered >= sess.high {
-                self.transfer_in.remove(&stream);
-                continue;
-            }
-            if delivered > sess.last_delivered {
-                sess.last_delivered = delivered;
-                sess.last_nanos = now_nanos;
-                continue;
-            }
-            if now_nanos.saturating_sub(sess.last_nanos) < timeout {
-                continue;
-            }
-            if self.suspected[stream.0 as usize] {
-                continue; // donor is down; recovery re-requests (heard)
-            }
-            self.request_catch_up(stream, now_nanos);
-        }
-        // Catch-up on observed lag. Retransmission heals short gaps, but
-        // an origin that reclaimed its live send window (every *other*
-        // peer acked while this node was unreachable) has nothing left
-        // to resend — the retained log, reachable only through a
-        // transfer, holds the sole remaining copy. A node that sees
-        // itself persistently behind an origin's own self-acknowledged
-        // sequence, with no inbound session open, must ask that origin
-        // for a transfer rather than wait for data that will never come.
-        // The grace period covers normal propagation plus a retransmit
-        // round, so a transiently-in-flight suffix never triggers one.
-        let grace = 2 * timeout.max(self.cfg.options().retransmit_millis * 1_000_000);
-        for idx in 0..self.recv.len() {
-            let stream = NodeId(idx as u16);
-            if stream == self.me || !self.placement.is_replica(stream, self.me) {
-                continue; // never catch up on streams we do not replicate
-            }
-            let delivered = self.recv[idx].delivered();
-            let (prev, since) = self.lag_state[idx];
-            if delivered > prev || since == 0 {
-                self.lag_state[idx] = (delivered, now_nanos);
-                continue;
-            }
-            let origin_high = self.recorder.get(stream, stream, RECEIVED);
-            if origin_high <= delivered
-                || self.transfer_in.contains_key(&stream)
-                || self.suspected[idx]
-            {
-                self.lag_state[idx] = (delivered, now_nanos);
-                continue;
-            }
-            if now_nanos.saturating_sub(since) < grace {
-                continue;
-            }
-            self.request_catch_up(stream, now_nanos);
-            self.lag_state[idx] = (delivered, now_nanos);
-        }
-        self.maybe_flush_eager();
-    }
-
-    // ------------------------------------------------------------------
-    // Timers
-    // ------------------------------------------------------------------
-
-    /// A periodic timer fired: run the handler [`TimerKind`] names.
-    /// Drivers arm each kind at [`TimerKind::period`] and call this on
-    /// expiry; `now_nanos` is ignored by the kinds that do not read the
-    /// clock.
-    pub fn on_timer(&mut self, kind: TimerKind, now_nanos: u64) {
-        match kind {
-            TimerKind::AckFlush => self.on_ack_flush(),
-            TimerKind::Heartbeat => self.on_heartbeat(),
-            TimerKind::Failure => self.on_failure_check(now_nanos),
-            TimerKind::Retransmit => self.on_retransmit_check(now_nanos),
-            TimerKind::Transfer => self.on_transfer_tick(now_nanos),
-        }
-    }
-
-    /// Flush coalesced ACKs (drivers call this on the
-    /// `ack_flush_micros` period when coalescing is enabled).
-    pub fn on_ack_flush(&mut self) {
-        self.flush_acks();
-    }
-
-    /// Emit a heartbeat to every peer (drivers call this on the
-    /// `heartbeat_millis` period).
-    pub fn on_heartbeat(&mut self) {
-        for &peer in &self.peers {
-            self.metrics.control_msgs_sent += 1;
-            self.actions.push(Action::Send {
-                to: peer,
-                msg: WireMsg::Heartbeat,
-            });
-        }
-    }
-
-    /// Check for silent peers (drivers call this periodically). Newly
-    /// suspected nodes produce [`Action::Suspected`] and, when
-    /// `auto_exclude_suspects` is set, predicate rewrites.
-    pub fn on_failure_check(&mut self, now_nanos: u64) {
-        let timeout = self.cfg.options().failure_timeout_millis * 1_000_000;
-        if timeout == 0 {
-            return; // failure detection disabled
-        }
-        let peers = self.peers.clone();
-        for peer in peers {
-            let idx = peer.0 as usize;
-            let heard = self.last_heard_nanos[idx];
-            if self.suspected[idx] || now_nanos.saturating_sub(heard) < timeout {
-                continue;
-            }
-            self.suspected[idx] = true;
-            self.actions.push(Action::Suspected { node: peer });
-            // Drop transfer sessions involving the dead peer: inbound
-            // resumes via the recovery re-request when it returns,
-            // outbound via the peer's own stall re-request.
-            self.transfer_in.remove(&peer);
-            self.transfer_out.remove(&peer);
-            if self.cfg.options().auto_exclude_suspects {
-                self.exclude_node(peer);
-            }
-            self.try_reclaim();
-        }
-    }
-
-    /// Drive the §III-A reliability mechanism (drivers call this
-    /// periodically when `retransmit_millis > 0`): any peer whose
-    /// `received` counter has not advanced for a full timeout while data
-    /// remains unacknowledged gets the unacked window resent (go-back-N,
-    /// capped at 64 messages per round to bound burstiness). Safe with
-    /// duplicating transports: receivers drop duplicates and the ACK
-    /// table is monotonic.
-    pub fn on_retransmit_check(&mut self, now_nanos: u64) {
-        let timeout = self.cfg.options().retransmit_millis * 1_000_000;
-        if timeout == 0 {
-            return;
-        }
-        let last_sent = self.send_buf.last_assigned();
-        // Go-back-N targets only the stream's replicas: a non-replica
-        // never acks, and resending to it would loop forever.
-        let peers = self.data_peers.clone();
-        for peer in peers {
-            if self.suspected[peer.0 as usize] {
-                continue;
-            }
-            let acked = self.recorder.get(self.me, peer, RECEIVED);
-            let idx = peer.0 as usize;
-            let (prev_acked, since) = self.retransmit_state[idx];
-            if acked > prev_acked || acked >= last_sent {
-                self.retransmit_state[idx] = (acked, now_nanos);
-                continue;
-            }
-            if now_nanos.saturating_sub(since) < timeout {
-                continue;
-            }
-            // Stalled: resend the unacked window.
-            let msgs: Vec<(SeqNo, Bytes)> = self
-                .send_buf
-                .iter_from(acked + 1)
-                .take(64)
-                .map(|(s, p)| (s, p.clone()))
-                .collect();
-            for (seq, payload) in msgs {
-                self.metrics.retransmits += 1;
-                self.actions.push(Action::Send {
-                    to: peer,
-                    msg: WireMsg::Data {
-                        origin: self.me,
-                        seq,
-                        payload,
-                    },
-                });
-            }
-            self.retransmit_state[idx] = (acked, now_nanos);
-        }
-    }
-
-    /// Rewrite every predicate to stop observing `node` (§III-E). Broken
-    /// predicates (that would become empty) are reported via
-    /// [`Action::PredicateBroken`].
-    pub fn exclude_node(&mut self, node: NodeId) {
-        let failed =
-            self.engine
-                .exclude_node(node, &self.recorder, &mut self.updates, &mut self.done);
-        self.emit();
-        for key in failed {
-            self.actions.push(Action::PredicateBroken {
-                stream: self.me,
-                key,
-            });
-        }
-    }
-
-    /// Whether `node` is currently suspected.
-    pub fn is_suspected(&self, node: NodeId) -> bool {
-        self.suspected[node.0 as usize]
-    }
-
-    /// Clear suspicion after a node returns (driver observed traffic or
-    /// reconnection).
-    pub fn clear_suspicion(&mut self, node: NodeId) {
-        self.suspected[node.0 as usize] = false;
-    }
-
-    /// Re-admit a previously excluded node: clear its suspicion and
-    /// restore every predicate to its original registered source (the
-    /// inverse of [`StabilizerNode::exclude_node`]). Each restored
-    /// predicate gets a new generation, like `change_predicate`.
-    ///
-    /// # Errors
-    ///
-    /// Fails if any original source no longer compiles (e.g. its ACK
-    /// type registry entries disappeared — not possible through this
-    /// API, but surfaced rather than ignored).
-    pub fn reinstate_node(&mut self, node: NodeId) -> Result<(), CoreError> {
-        self.clear_suspicion(node);
-        let sources: Vec<((NodeId, String), String)> = self
-            .predicate_sources
-            .iter()
-            .map(|(k, v)| (k.clone(), v.clone()))
-            .collect();
-        for ((stream, key), source) in sources {
-            let pred = Predicate::compile(&source, self.cfg.topology(), &self.acks, self.me)?
-                .restricted_to(self.placement.replicas(stream))?;
-            // Only touch predicates that currently lack the node.
-            let has_node = self
-                .engine
-                .predicate(stream, &key)
-                .map(|p| p.dependencies().iter().any(|(n, _)| *n == node))
-                .unwrap_or(false);
-            let should_have = pred.dependencies().iter().any(|(n, _)| *n == node);
-            if has_node || !should_have {
-                continue;
-            }
-            self.engine.change(
-                stream,
-                &key,
-                pred,
-                &self.recorder,
-                &mut self.updates,
-                &mut self.done,
-            );
-            self.emit();
-        }
-        Ok(())
-    }
-
-    /// Number of `waitfor` calls still blocked on a frontier.
-    pub fn pending_waiters(&self) -> usize {
-        self.engine.pending_waiters()
-    }
-
-    /// Traffic counters for this node.
-    pub fn metrics(&self) -> Metrics {
-        let mut m = self.metrics;
-        m.predicate_evals = self.engine.evaluations();
-        m
-    }
-
-    // ------------------------------------------------------------------
-    // Recovery (§III-E)
-    // ------------------------------------------------------------------
-
-    /// Capture the control-plane state for persistence by the integrated
-    /// storage system.
-    pub fn snapshot(&self) -> Snapshot {
-        Snapshot {
-            recorder: self.recorder.clone(),
-            last_assigned: self.send_buf.last_assigned(),
-        }
-    }
-
-    /// Rebuild a node from a persisted snapshot after a primary restart.
-    /// Payload buffers are not restored (peers that already received the
-    /// prefix have acked it; unacked suffixes must be re-published by the
-    /// storage system's recovery log, as with Derecho's view change).
-    ///
-    /// # Errors
-    ///
-    /// Fails if a configured predicate does not compile.
-    pub fn restore(
-        cfg: ClusterConfig,
-        me: NodeId,
-        acks: Arc<AckTypeRegistry>,
-        snapshot: Snapshot,
-    ) -> Result<Self, CoreError> {
-        let mut node = StabilizerNode::new(cfg, me, acks)?;
-        node.recorder = snapshot.recorder;
-        node.recorder.ensure_types(node.acks.len());
-        // Restore the sequence counter by replaying publishes of empty
-        // payloads is wrong; instead rebuild the send buffer state.
-        let capacity = node.cfg.options().send_buffer_bytes;
-        let retain = node.cfg.options().retain_log_bytes;
-        let mut sb = SendBuffer::with_retention(capacity, retain);
-        for _ in 0..snapshot.last_assigned {
-            let _ = sb.publish(Bytes::new());
-        }
-        sb.reclaim(snapshot.last_assigned);
-        // The reclaim above only rebuilt sequencing: the retained log
-        // must not serve those placeholder payloads to a requester — a
-        // restarted donor has nothing replayable, so requesters
-        // fast-forward over its reclaimed prefix instead.
-        sb.clear_retained();
-        node.send_buf = sb;
-        // Re-evaluate configured predicates against the restored table.
-        for key in node.engine.keys(me) {
-            if let Some(pred) = node.engine.predicate(me, &key).cloned() {
-                node.engine.register(
-                    me,
-                    &key,
-                    pred,
-                    &node.recorder,
-                    &mut node.updates,
-                    &mut node.done,
-                );
-            }
-        }
-        node.emit();
-        Ok(node)
-    }
-
-    // ------------------------------------------------------------------
-    // Internals
-    // ------------------------------------------------------------------
-
-    fn heard(&mut self, from: NodeId, now_nanos: u64) {
-        let idx = from.0 as usize;
-        if idx >= self.last_heard_nanos.len() {
-            return;
-        }
-        self.last_heard_nanos[idx] = now_nanos;
-        if self.suspected[idx] {
-            // The "crashed" peer is talking again: §III-E's recovery path.
-            self.suspected[idx] = false;
-            self.actions.push(Action::Recovered { node: from });
-            if self.cfg.options().auto_exclude_suspects {
-                // Reinstatement mirrors the automatic exclusion. Original
-                // sources always recompile (they did at registration), so
-                // the expect documents an invariant rather than a
-                // recoverable failure.
-                self.reinstate_node(from)
-                    .expect("original predicate sources recompile");
-            }
-            if self.cfg.options().transfer_millis > 0 {
-                // Resume any catch-up the peer's absence interrupted and
-                // pick up whatever it published while suspicion stopped
-                // us retransmitting to each other. A donor with nothing
-                // missing answers with an empty session, so this is
-                // cheap when the recovery was a false alarm.
-                self.request_catch_up(from, now_nanos);
-            }
-        }
-    }
-
-    fn advance(&mut self, stream: NodeId, node: NodeId, ty: AckTypeId) {
-        self.engine.on_ack_advance(
-            stream,
-            node,
-            ty,
-            &self.recorder,
-            &mut self.updates,
-            &mut self.done,
-        );
-        self.emit();
-    }
-
-    /// Turn what the engine just reported into actions: the updates,
-    /// then the completed waits.
-    fn emit(&mut self) {
-        for u in self.updates.drain(..) {
-            self.metrics.frontier_updates += 1;
-            self.actions.push(Action::Frontier(u));
-        }
-        for token in self.done.drain(..) {
-            self.actions.push(Action::WaitDone { token });
-        }
-    }
-
-    fn queue_ack(&mut self, stream: NodeId, ty: AckTypeId, seq: SeqNo) {
-        let cell = self.pending_acks.entry((stream, ty)).or_insert(0);
-        if seq > *cell {
-            *cell = seq;
-        }
-    }
-
-    fn maybe_flush_eager(&mut self) {
-        if self.cfg.options().ack_flush_micros == 0 {
-            self.flush_acks();
-        }
-    }
-
-    fn flush_acks(&mut self) {
-        if self.pending_acks.is_empty() {
-            return;
-        }
-        let acks: Vec<Ack> = self
-            .pending_acks
-            .iter()
-            .map(|(&(stream, ty), &seq)| Ack { stream, ty, seq })
-            .collect();
-        self.pending_acks.clear();
-        if self.placement.is_full_replication() {
-            for &peer in &self.peers {
-                self.metrics.control_msgs_sent += 1;
-                self.metrics.acks_sent += acks.len() as u64;
-                self.actions.push(Action::Send {
-                    to: peer,
-                    msg: WireMsg::AckBatch(acks.clone()),
-                });
-            }
-            return;
-        }
-        // Partial replication: each peer gets only the cells for streams
-        // it replicates (a non-replica neither stores the stream nor
-        // evaluates predicates over it).
-        for &peer in &self.peers {
-            let batch: Vec<Ack> = acks
-                .iter()
-                .filter(|a| self.placement.is_replica(a.stream, peer))
-                .cloned()
-                .collect();
-            if batch.is_empty() {
-                continue;
-            }
-            self.metrics.control_msgs_sent += 1;
-            self.metrics.acks_sent += batch.len() as u64;
-            self.actions.push(Action::Send {
-                to: peer,
-                msg: WireMsg::AckBatch(batch),
-            });
+        if (ty.0 as usize) < self.recorder.num_types() && self.reached(stream, ty, seq) {
+            self.flush_if_eager();
         }
     }
 }
@@ -1914,7 +853,7 @@ mod tests {
             }]),
         );
         assert_eq!(n.send_buffer_bytes(), 100);
-        n.on_failure_check(1_000_000_000); // 1s >> 10ms timeout
+        n.on_timer(TimerKind::Failure, 1_000_000_000); // 1s >> 10ms timeout
         assert!(n.is_suspected(NodeId(2)));
         assert_eq!(
             n.send_buffer_bytes(),
@@ -1985,9 +924,7 @@ mod tests {
         n.unregister_predicate(NodeId(0), "tmp");
         // Nothing is left for a later reinstatement to recompile (topic
         // churn in pubsub would otherwise grow this map without bound).
-        assert!(!n
-            .predicate_sources
-            .contains_key(&(NodeId(0), "tmp".to_owned())));
+        assert!(!n.installed.contains_key(&(NodeId(0), "tmp".to_owned())));
         n.reinstate_node(NodeId(2)).unwrap();
         assert_eq!(n.stability_frontier(NodeId(0), "tmp"), None);
         // The key is free again: a new registration starts at generation 0.
@@ -2072,7 +1009,7 @@ mod tests {
             )),
             "acks must be held while coalescing"
         );
-        n.on_ack_flush();
+        n.on_timer(TimerKind::AckFlush, 0);
         let actions = n.take_actions();
         let batches: Vec<&Vec<Ack>> = actions
             .iter()
@@ -2087,53 +1024,6 @@ mod tests {
         assert_eq!(batches.len(), 2, "one coalesced batch per peer");
         // Only the newest counter per cell is sent (monotonic overwrite).
         assert!(batches[0].iter().all(|a| a.seq == 5));
-    }
-
-    #[test]
-    fn metrics_sum_is_field_wise() {
-        let distinct = |base: u64| Metrics {
-            data_msgs_sent: base + 1,
-            data_bytes_sent: base + 2,
-            control_msgs_sent: base + 3,
-            acks_sent: base + 4,
-            deliveries: base + 5,
-            acks_received: base + 6,
-            acks_stale: base + 7,
-            retransmits: base + 8,
-            predicate_evals: base + 9,
-            frontier_updates: base + 10,
-            transfer_requests: base + 11,
-            transfer_chunks_sent: base + 12,
-            transfer_bytes_sent: base + 13,
-            transfer_chunks_received: base + 14,
-            transfer_fast_forwards: base + 15,
-        };
-        let (a, b) = (distinct(100), distinct(2000));
-        let expected = Metrics {
-            data_msgs_sent: 2102,
-            data_bytes_sent: 2104,
-            control_msgs_sent: 2106,
-            acks_sent: 2108,
-            deliveries: 2110,
-            acks_received: 2112,
-            acks_stale: 2114,
-            retransmits: 2116,
-            predicate_evals: 2118,
-            frontier_updates: 2120,
-            transfer_requests: 2122,
-            transfer_chunks_sent: 2124,
-            transfer_bytes_sent: 2126,
-            transfer_chunks_received: 2128,
-            transfer_fast_forwards: 2130,
-        };
-        let mut total = a;
-        total += b;
-        assert_eq!(total, expected);
-        assert_eq!([a, b].into_iter().sum::<Metrics>(), expected);
-        assert_eq!(
-            std::iter::empty::<Metrics>().sum::<Metrics>(),
-            Metrics::default()
-        );
     }
 
     #[test]
@@ -2217,7 +1107,7 @@ mod tests {
                 seq: 3,
             }]),
         );
-        n.on_failure_check(1_000_000_000);
+        n.on_timer(TimerKind::Failure, 1_000_000_000);
         n.take_actions();
         assert!(n.is_suspected(NodeId(2)));
         assert_eq!(n.send_buffer_bytes(), 0, "live window reclaimed");
@@ -2261,7 +1151,9 @@ mod tests {
         assert_eq!(n.metrics().transfer_requests, 1);
         assert_eq!(n.metrics().transfer_chunks_sent, 3);
         assert_eq!(n.metrics().transfer_bytes_sent, 12);
-        // Cumulative ack completes the session.
+        // Cumulative ack completes the session: what stays open is the
+        // inbound one that node 2's recovery made this node request.
+        assert_eq!(n.active_transfers(), 2);
         n.on_message(
             2_100_000_000,
             NodeId(2),
@@ -2270,7 +1162,7 @@ mod tests {
                 through: 3,
             },
         );
-        assert!(n.transfer_out.is_empty());
+        assert_eq!(n.active_transfers(), 1);
     }
 
     #[test]
@@ -2451,7 +1343,7 @@ mod tests {
                 through: 5,
             },
         );
-        assert!(n.transfer_out.is_empty(), "session completes");
+        assert_eq!(n.active_transfers(), 0, "session completes");
     }
 
     #[test]
@@ -2459,9 +1351,9 @@ mod tests {
         let mut n = transfer_node(2);
         n.begin_catch_up(0);
         n.take_actions();
-        n.on_transfer_tick(10_000_000); // 10 ms < 20 ms period
+        n.on_timer(TimerKind::Transfer, 10_000_000); // 10 ms < 20 ms period
         assert!(sends(&n.take_actions()).is_empty(), "not stalled yet");
-        n.on_transfer_tick(25_000_000); // 25 ms: both sessions stalled
+        n.on_timer(TimerKind::Transfer, 25_000_000); // 25 ms: both sessions stalled
         let requests = sends(&n.take_actions())
             .into_iter()
             .filter(|(_, m)| matches!(m, WireMsg::TransferRequest { .. }))
@@ -2648,5 +1540,34 @@ mod tests {
             })
             .collect();
         assert_eq!(resends, vec![2, 3], "seq 1 was reclaimed everywhere");
+    }
+
+    #[test]
+    fn restore_is_constant_time_in_the_history_length() {
+        // The parent republished `last_assigned` empty payloads to rebuild
+        // the counter: with this value it does not terminate.
+        let snapshot = Snapshot {
+            recorder: AckRecorder::new(3, 3),
+            last_assigned: 1 << 40,
+        };
+        let acks = Arc::new(AckTypeRegistry::new());
+        let mut n = StabilizerNode::restore(transfer_cfg(), NodeId(0), acks, snapshot).unwrap();
+        assert_eq!(n.last_published(), 1 << 40);
+        assert_eq!(n.first_replayable(), (1 << 40) + 1);
+        assert_eq!(n.send_buffer_bytes(), 0);
+        assert_eq!(n.publish(Bytes::from_static(b"x")).unwrap(), (1 << 40) + 1);
+    }
+
+    #[test]
+    fn restore_refuses_a_snapshot_of_another_cluster_size() {
+        // A 2-node table in a 3-node cluster would be indexed out of
+        // bounds by the first ACK about node 2.
+        let snapshot = Snapshot {
+            recorder: AckRecorder::new(2, 3),
+            last_assigned: 0,
+        };
+        let acks = Arc::new(AckTypeRegistry::new());
+        let err = StabilizerNode::restore(cfg(), NodeId(0), acks, snapshot).unwrap_err();
+        assert!(matches!(err, CoreError::Config(_)), "{err}");
     }
 }

@@ -1,0 +1,238 @@
+//! Installing, rewriting and removing predicates: the glue between the
+//! DSL compiler, the static analyzer and the frontier engine.
+
+use super::{Action, StabilizerNode};
+use crate::config::AnalysisMode;
+use crate::error::CoreError;
+use stabilizer_analyze::{AckEmissions, Analyzer, Report};
+use stabilizer_dsl::{NodeId, Predicate};
+
+/// How one `(stream, key)` predicate was installed.
+#[derive(Debug)]
+pub(super) struct Installed {
+    /// The DSL source as registered, so the predicate can be restored
+    /// verbatim when an excluded node rejoins.
+    pub(super) source: String,
+    /// Analyzer findings (`option analysis warn|deny`; a deny-mode
+    /// install only succeeds when clean).
+    report: Option<Report>,
+    /// Exact crash tolerance `f*` by the availability prover, against
+    /// the predicate as restricted to the stream's replica set. `-1`
+    /// means blocked even with zero crashes; `num_nodes - 1` means no
+    /// crash set can block it.
+    tolerance: i64,
+}
+
+impl StabilizerNode {
+    /// Register a new predicate under `key` for `stream`, compiled at
+    /// this node (the paper's `register_predicate`).
+    ///
+    /// # Errors
+    ///
+    /// Propagates DSL compile errors, and under `option analysis deny`
+    /// returns [`CoreError::PredicateRejected`] for any predicate with
+    /// error- or warning-level analyzer findings.
+    pub fn register_predicate(
+        &mut self,
+        stream: NodeId,
+        key: &str,
+        source: &str,
+    ) -> Result<(), CoreError> {
+        self.install(stream, key, source, false)
+    }
+
+    /// Replace the predicate under `key` (the paper's `change_predicate`),
+    /// bumping its generation.
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::UnknownPredicate`] if the key was never registered, a
+    /// DSL compile error, or (under `option analysis deny`)
+    /// [`CoreError::PredicateRejected`].
+    pub fn change_predicate(
+        &mut self,
+        stream: NodeId,
+        key: &str,
+        source: &str,
+    ) -> Result<(), CoreError> {
+        self.install(stream, key, source, true)
+    }
+
+    /// Analyze, compile, hand to the engine (`must_exist`: as a change
+    /// of a registered key), and record how it was installed.
+    fn install(
+        &mut self,
+        stream: NodeId,
+        key: &str,
+        source: &str,
+        must_exist: bool,
+    ) -> Result<(), CoreError> {
+        let report = self.run_analysis(stream, key, source)?;
+        let pred = self.compile(stream, source)?;
+        let tolerance =
+            stabilizer_analyze::availability(&pred, self.cfg.topology(), self.me).tolerance;
+        let (rec, out, done) = (&self.recorder, &mut self.updates, &mut self.done);
+        if !must_exist {
+            self.engine.register(stream, key, pred, rec, out, done);
+        } else if !self.engine.change(stream, key, pred, rec, out, done) {
+            return Err(CoreError::UnknownPredicate(key.to_owned()));
+        }
+        let source = source.to_owned();
+        let entry = Installed {
+            source,
+            report,
+            tolerance,
+        };
+        self.installed.insert((stream, key.to_owned()), entry);
+        self.emit();
+        Ok(())
+    }
+
+    /// Compile `source` at this node for `stream`: over the stream's
+    /// replica set only.
+    fn compile(&self, stream: NodeId, source: &str) -> Result<Predicate, CoreError> {
+        Ok(
+            Predicate::compile(source, self.cfg.topology(), &self.acks, self.me)?
+                .restricted_to(self.placement.replicas(stream))?,
+        )
+    }
+
+    /// The analyzer findings recorded when `(stream, key)` was installed,
+    /// if analysis is enabled (`option analysis warn|deny`) and the
+    /// predicate is currently registered with findings on record.
+    pub fn analysis_report(&self, stream: NodeId, key: &str) -> Option<&Report> {
+        self.installed
+            .get(&(stream, key.to_owned()))?
+            .report
+            .as_ref()
+    }
+
+    /// All recorded `(stream, key) -> f*` entries, for telemetry export:
+    /// the largest number of non-origin crashes each predicate survives
+    /// at this vantage.
+    pub fn predicate_tolerances(&self) -> impl Iterator<Item = (NodeId, &str, i64)> + '_ {
+        self.installed
+            .iter()
+            .map(|((stream, key), entry)| (*stream, key.as_str(), entry.tolerance))
+    }
+
+    /// Run the static analyzer per the configured [`AnalysisMode`]:
+    /// `Off` → `None`; `Warn` → `Some(report)`; `Deny` → error unless the
+    /// report is clean (info-level findings tolerated). `stream` scopes
+    /// the `non-replica-operand` lint to the stream's replica set.
+    fn run_analysis(
+        &self,
+        stream: NodeId,
+        key: &str,
+        source: &str,
+    ) -> Result<Option<Report>, CoreError> {
+        let opts = self.cfg.options();
+        if opts.analysis == AnalysisMode::Off {
+            return Ok(None);
+        }
+        let mut emissions = AckEmissions::new();
+        for (name, emitters) in self.cfg.ack_types() {
+            if emitters.is_empty() {
+                continue;
+            }
+            if let Some(ty) = self.acks.lookup(name) {
+                let ids: Vec<NodeId> = emitters
+                    .iter()
+                    .filter_map(|n| self.cfg.topology().node(n))
+                    .collect();
+                emissions.restrict(ty, &ids);
+            }
+        }
+        let analyzer = Analyzer::new(self.cfg.topology(), &self.acks, self.me)
+            .with_emissions(&emissions)
+            .with_failure_budget(opts.failure_budget as usize)
+            .with_replicas(self.placement.replicas(stream));
+        let report = analyzer.analyze(key, source);
+        if opts.analysis == AnalysisMode::Deny && !report.is_clean() {
+            return Err(CoreError::PredicateRejected {
+                key: key.to_owned(),
+                report: report.render_human(),
+            });
+        }
+        Ok(Some(report))
+    }
+
+    /// Remove a predicate; any pending waiters complete immediately (with
+    /// the frontier they were waiting for never confirmed) so callers are
+    /// not stranded.
+    pub fn unregister_predicate(&mut self, stream: NodeId, key: &str) {
+        self.installed.remove(&(stream, key.to_owned()));
+        for token in self.engine.unregister(stream, key) {
+            self.actions.push(Action::WaitDone { token });
+        }
+    }
+
+    /// Rewrite every predicate to stop observing `node` (§III-E). Broken
+    /// predicates (that would become empty) are reported via
+    /// [`Action::PredicateBroken`].
+    pub(super) fn exclude_node(&mut self, node: NodeId) {
+        let failed =
+            self.engine
+                .exclude_node(node, &self.recorder, &mut self.updates, &mut self.done);
+        self.emit();
+        for key in failed {
+            self.actions.push(Action::PredicateBroken {
+                stream: self.me,
+                key,
+            });
+        }
+    }
+
+    /// Re-admit a previously excluded node: restore every predicate that
+    /// lost it to its original registered source (the inverse of
+    /// [`StabilizerNode::exclude_node`]). Each restored predicate gets a
+    /// new generation, like `change_predicate`.
+    ///
+    /// # Errors
+    ///
+    /// Fails if any original source no longer compiles (e.g. its ACK
+    /// type registry entries disappeared — not possible through this
+    /// API, but surfaced rather than ignored).
+    pub(super) fn reinstate_node(&mut self, node: NodeId) -> Result<(), CoreError> {
+        let reads = |p: &Predicate| p.dependencies().iter().any(|(n, _)| *n == node);
+        let mut restored = Vec::new();
+        for ((stream, key), entry) in &self.installed {
+            let original = self.compile(*stream, &entry.source)?;
+            let current = self.engine.predicate(*stream, key);
+            // Only touch predicates that currently lack the node.
+            if reads(&original) && !current.is_some_and(reads) {
+                restored.push((*stream, key.clone(), original));
+            }
+        }
+        for (stream, key, pred) in restored {
+            let (rec, out, done) = (&self.recorder, &mut self.updates, &mut self.done);
+            self.engine.change(stream, &key, pred, rec, out, done);
+            self.emit();
+        }
+        Ok(())
+    }
+
+    /// Diagnose one `(stream, key)` frontier: how far behind the highest
+    /// locally-known publish it is, and — via a walk of the resolved
+    /// predicate against the live ACK recorder — the minimal set of
+    /// (node, ACK-type) cells holding it back. `None` if the key is not
+    /// registered for the stream.
+    pub fn explain_frontier(&self, stream: NodeId, key: &str) -> Option<crate::StallReport> {
+        let pred = self.engine.predicate(stream, key)?;
+        let at = self.engine.frontier(stream, key)?;
+        Some(crate::explain::stall_report(self, stream, key, pred, at))
+    }
+
+    /// [`StabilizerNode::explain_frontier`] for every registered
+    /// `(stream, key)` pair, in (stream, key) order — the `/stall`
+    /// endpoint body.
+    pub fn explain_all(&self) -> Vec<crate::StallReport> {
+        let mut out = Vec::new();
+        for stream in (0..self.cfg.num_nodes() as u16).map(NodeId) {
+            for key in self.engine.keys(stream) {
+                out.extend(self.explain_frontier(stream, &key));
+            }
+        }
+        out
+    }
+}

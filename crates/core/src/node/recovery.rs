@@ -1,0 +1,184 @@
+//! §III-E at the node: persisting and restoring the control plane, and
+//! applying what a state-transfer frame carries. (The sessions and the
+//! frames themselves are [`crate::transfer::Transfers`]'.)
+
+use super::{Action, StabilizerNode};
+use crate::config::ClusterConfig;
+use crate::data_plane::SendBuffer;
+use crate::error::CoreError;
+use crate::messages::Ack;
+use crate::recorder::AckRecorder;
+use bytes::Bytes;
+use stabilizer_dsl::{AckTypeRegistry, NodeId, SeqNo};
+use std::sync::Arc;
+
+/// A consistent snapshot of the control-plane state, for crash recovery
+/// via the integrated storage system (§III-E: "the Derecho object store
+/// can also persist the stability frontier information").
+#[derive(Debug, Clone)]
+pub struct Snapshot {
+    /// The ACK table.
+    pub recorder: AckRecorder,
+    /// Highest sequence number this node assigned to its own stream.
+    pub last_assigned: SeqNo,
+}
+
+impl StabilizerNode {
+    /// Capture the control-plane state for persistence by the integrated
+    /// storage system.
+    pub fn snapshot(&self) -> Snapshot {
+        Snapshot {
+            recorder: self.recorder.clone(),
+            last_assigned: self.last_published(),
+        }
+    }
+
+    /// Rebuild a node from a persisted snapshot after a primary restart.
+    /// Payload buffers are not restored (peers that already received the
+    /// prefix have acked it; unacked suffixes must be re-published by the
+    /// storage system's recovery log, as with Derecho's view change), so
+    /// a restarted donor has nothing replayable and requesters
+    /// fast-forward over its prefix instead.
+    ///
+    /// # Errors
+    ///
+    /// Fails if the snapshot was taken in a cluster of another size, or
+    /// a configured predicate does not compile.
+    pub fn restore(
+        cfg: ClusterConfig,
+        me: NodeId,
+        acks: Arc<AckTypeRegistry>,
+        snapshot: Snapshot,
+    ) -> Result<Self, CoreError> {
+        let (have, want) = (snapshot.recorder.num_nodes(), cfg.num_nodes());
+        if have != want {
+            return Err(CoreError::Config(format!(
+                "snapshot of a {have}-node cluster restored into a {want}-node configuration"
+            )));
+        }
+        let mut node = StabilizerNode::new(cfg, me, acks)?;
+        node.recorder = snapshot.recorder;
+        node.recorder.ensure_types(node.acks.len());
+        let opts = node.cfg.options();
+        node.outbound.buf = SendBuffer::resuming_at(
+            opts.send_buffer_bytes,
+            opts.retain_log_bytes,
+            snapshot.last_assigned,
+        );
+        // Re-evaluate configured predicates against the restored table.
+        for key in node.engine.keys(me) {
+            if let Some(pred) = node.engine.predicate(me, &key).cloned() {
+                let (rec, out, done) = (&node.recorder, &mut node.updates, &mut node.done);
+                node.engine.register(me, &key, pred, rec, out, done);
+            }
+        }
+        node.emit();
+        Ok(node)
+    }
+
+    /// Set the opaque application-state mark carried in this node's
+    /// outgoing [`crate::WireMsg::TransferSnapshot`]s (the sharded layer
+    /// stores its global fast-forward point here).
+    pub fn set_app_mark(&mut self, mark: u64) {
+        self.transfers.app_mark = mark;
+    }
+
+    /// Number of live transfer sessions, inbound plus outbound. Tests
+    /// and drivers use this to detect a finished catch-up.
+    pub fn active_transfers(&self) -> usize {
+        self.transfers.active()
+    }
+
+    /// Start catch-up after a restart or a fresh join: ask every peer
+    /// for its stream, starting after what this node already delivered
+    /// in order. Each stream's origin is its donor — it is the only node
+    /// holding that stream's payloads (live window plus retained log).
+    /// Returns the number of peer streams catch-up was requested for (0
+    /// unless `transfer_millis > 0`), which runtimes surface as a `Join`
+    /// observability event.
+    pub fn begin_catch_up(&mut self, now_nanos: u64) -> usize {
+        let (recv, out) = (&self.recv, &mut self.actions);
+        let peers = self.membership.peers().iter();
+        peers
+            .filter(|&&peer| self.transfers.request(recv, peer, now_nanos, out))
+            .count()
+    }
+
+    /// Declare that this node obtained `origin`'s stream up to `seq` out
+    /// of band — the §III-E state-transfer path: after an absence long
+    /// enough that the origin reclaimed its buffer, the returning mirror
+    /// recovers the data from the integrated storage system (e.g. a WAL
+    /// shipped from a peer) and resumes live delivery from `seq + 1`.
+    /// Parked out-of-order messages beyond `seq` are released in order.
+    pub fn fast_forward_stream(&mut self, origin: NodeId, seq: SeqNo) {
+        self.fast_forward(origin, seq, 0);
+    }
+
+    fn fast_forward(&mut self, origin: NodeId, seq: SeqNo, app_mark: u64) {
+        if !self.mirrors(origin) {
+            return;
+        }
+        let state = &mut self.recv[origin.0 as usize];
+        let before = state.delivered();
+        let released = state.fast_forward(seq);
+        let high = released.last().map_or(state.delivered(), |(s, _)| *s);
+        if seq > before {
+            // Announce the jump before the released deliveries so
+            // checkers see the adjusted prefix first.
+            self.metrics.transfer_fast_forwards += 1;
+            self.actions.push(Action::CatchUp {
+                stream: origin,
+                seq,
+                app_mark,
+            });
+        }
+        self.deliver(origin, released);
+        self.holds(origin, Some(high));
+        self.flush_if_eager();
+    }
+
+    /// Requester side: apply the donor's snapshot — merge its recorded
+    /// column for the stream, fast-forward over anything below `base`
+    /// (the donor no longer holds it), and open the session for
+    /// `(base, high]`.
+    pub(super) fn on_transfer_snapshot(
+        &mut self,
+        now_nanos: u64,
+        stream: NodeId,
+        (base, high): (SeqNo, SeqNo),
+        column: &[Ack],
+        app_mark: u64,
+    ) {
+        for a in column {
+            // `a.stream` names the observing node here (see the donor
+            // side). Never merge cells about ourselves: our own counters
+            // are ground truth and a stale third-party view must not
+            // claim receipt of data we do not hold.
+            if a.stream != self.me {
+                self.learn(stream, a.stream, a.ty, a.seq);
+            }
+        }
+        self.fast_forward(stream, base, app_mark);
+        self.transfer_applied(now_nanos, stream, Some(high));
+    }
+
+    /// Requester side: a replayed chunk. Fed through the normal receive
+    /// path (FIFO reassembly, duplicate suppression, built-in acks).
+    pub(super) fn on_transfer_chunk(
+        &mut self,
+        now_nanos: u64,
+        stream: NodeId,
+        seq: SeqNo,
+        payload: Bytes,
+    ) {
+        self.metrics.transfer_chunks_received += 1;
+        self.on_data(stream, seq, payload);
+        self.transfer_applied(now_nanos, stream, None);
+    }
+
+    fn transfer_applied(&mut self, now_nanos: u64, stream: NodeId, target: Option<SeqNo>) {
+        let delivered = self.recv[stream.0 as usize].delivered();
+        self.transfers
+            .applied(stream, delivered, target, now_nanos, &mut self.actions);
+    }
+}

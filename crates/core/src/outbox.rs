@@ -1,0 +1,163 @@
+//! The control plane's way out: this node's own stability reports,
+//! coalesced to the newest value per cell until the next flush, and the
+//! full re-announcement of recorder rows a peer may have missed.
+
+use crate::messages::{Ack, WireMsg};
+use crate::metrics::Metrics;
+use crate::node::Action;
+use crate::recorder::AckRecorder;
+use stabilizer_dsl::{AckTypeId, NodeId, SeqNo};
+use stabilizer_place::PlacementMap;
+use std::collections::BTreeMap;
+
+/// Stability reports waiting for the next flush: newest value per
+/// `(stream, ack type)` cell.
+#[derive(Debug, Default)]
+pub(crate) struct AckOutbox {
+    pending: BTreeMap<(NodeId, AckTypeId), SeqNo>,
+}
+
+impl AckOutbox {
+    /// Queue "this node reached `ty` of `stream` up to `seq`"; a newer
+    /// report for the same cell overwrites an older one.
+    pub(crate) fn queue(&mut self, stream: NodeId, ty: AckTypeId, seq: SeqNo) {
+        let cell = self.pending.entry((stream, ty)).or_insert(0);
+        *cell = seq.max(*cell);
+    }
+
+    /// Send everything queued as one batch per peer. Under partial
+    /// replication each peer gets only the cells of streams it
+    /// replicates (a non-replica neither stores the stream nor evaluates
+    /// predicates over it), and no batch at all if none is left.
+    pub(crate) fn flush(
+        &mut self,
+        peers: &[NodeId],
+        placement: &PlacementMap,
+        metrics: &mut Metrics,
+        out: &mut Vec<Action>,
+    ) {
+        if self.pending.is_empty() {
+            return;
+        }
+        let acks: Vec<Ack> = self
+            .pending
+            .iter()
+            .map(|(&(stream, ty), &seq)| Ack { stream, ty, seq })
+            .collect();
+        self.pending.clear();
+        for &to in peers {
+            let batch: Vec<Ack> = if placement.is_full_replication() {
+                acks.clone()
+            } else {
+                acks.iter()
+                    .filter(|a| placement.is_replica(a.stream, to))
+                    .cloned()
+                    .collect()
+            };
+            if batch.is_empty() {
+                continue;
+            }
+            metrics.control_msgs_sent += 1;
+            metrics.acks_sent += batch.len() as u64;
+            let msg = WireMsg::AckBatch(batch);
+            out.push(Action::Send { to, msg });
+        }
+    }
+}
+
+/// The non-zero recorder cells `cell(label)` for every `label` and every
+/// ACK type, each reported as an [`Ack`] whose `stream` field is the
+/// label.
+pub(crate) fn cells(
+    recorder: &AckRecorder,
+    labels: impl Iterator<Item = NodeId>,
+    cell: impl Fn(NodeId) -> (NodeId, NodeId),
+) -> Vec<Ack> {
+    let mut acks = Vec::new();
+    for label in labels {
+        let (stream, node) = cell(label);
+        for ty in (0..recorder.num_types() as u16).map(AckTypeId) {
+            let seq = recorder.get(stream, node, ty);
+            if seq > 0 {
+                let stream = label;
+                acks.push(Ack { stream, ty, seq });
+            }
+        }
+    }
+    acks
+}
+
+/// Re-announce all of `me`'s own stability rows to `peer`, for the
+/// streams `peer` replicates: ACKs are change-driven, so whatever was
+/// lost while a link was down, or sent before `peer` restarted, is
+/// otherwise only repaired by future traffic.
+pub(crate) fn announce(
+    recorder: &AckRecorder,
+    me: NodeId,
+    to: NodeId,
+    placement: &PlacementMap,
+    out: &mut Vec<Action>,
+) {
+    let streams = (0..recorder.num_nodes() as u16)
+        .map(NodeId)
+        .filter(|s| placement.is_replica(*s, to));
+    let acks = cells(recorder, streams, |stream| (stream, me));
+    if !acks.is_empty() {
+        let msg = WireMsg::AckBatch(acks);
+        out.push(Action::Send { to, msg });
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use stabilizer_dsl::{PERSISTED, RECEIVED};
+
+    fn batches(out: &[Action]) -> Vec<(NodeId, Vec<Ack>)> {
+        out.iter()
+            .map(|a| match a {
+                Action::Send {
+                    to,
+                    msg: WireMsg::AckBatch(b),
+                } => (*to, b.clone()),
+                other => panic!("not an ack batch: {other:?}"),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn flush_sends_the_newest_value_per_cell_once() {
+        let mut outbox = AckOutbox::default();
+        outbox.queue(NodeId(0), RECEIVED, 3);
+        outbox.queue(NodeId(0), RECEIVED, 5);
+        outbox.queue(NodeId(0), RECEIVED, 4);
+        outbox.queue(NodeId(0), PERSISTED, 2);
+        let (mut metrics, mut out) = (Metrics::default(), Vec::new());
+        let peers = [NodeId(1), NodeId(2)];
+        outbox.flush(&peers, &PlacementMap::full(3), &mut metrics, &mut out);
+        let sent = batches(&out);
+        assert_eq!(sent.len(), 2);
+        for (_, batch) in &sent {
+            let seqs: Vec<SeqNo> = batch.iter().map(|a| a.seq).collect();
+            assert_eq!(seqs, vec![5, 2], "received 5 (not 3 or 4), persisted 2");
+        }
+        assert_eq!((metrics.control_msgs_sent, metrics.acks_sent), (2, 4));
+        outbox.flush(&peers, &PlacementMap::full(3), &mut metrics, &mut out);
+        assert_eq!(out.len(), 2, "nothing queued, nothing sent");
+    }
+
+    #[test]
+    fn partial_replication_filters_per_peer_and_skips_empty_batches() {
+        // Stream 0 lives on {0, 1} only; node 2 replicates nothing of it.
+        let placement = PlacementMap::from_sets(3, &[(NodeId(0), vec![NodeId(0), NodeId(1)])])
+            .expect("valid placement");
+        let mut outbox = AckOutbox::default();
+        outbox.queue(NodeId(0), RECEIVED, 1);
+        let (mut metrics, mut out) = (Metrics::default(), Vec::new());
+        outbox.flush(&[NodeId(1), NodeId(2)], &placement, &mut metrics, &mut out);
+        let sent = batches(&out);
+        assert_eq!(sent.len(), 1);
+        assert_eq!(sent[0].0, NodeId(1));
+        assert_eq!(metrics.control_msgs_sent, 1);
+    }
+}

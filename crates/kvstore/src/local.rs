@@ -73,11 +73,6 @@ impl LocalStore {
         self.map.get(key)?.last()?.value.clone()
     }
 
-    /// Latest version entry of `key`, including tombstones.
-    pub fn get_version_entry(&self, key: &str) -> Option<&Version> {
-        self.map.get(key)?.last()
-    }
-
     /// Value of `key` as of store version `version` (the newest entry
     /// with `entry.version <= version`).
     pub fn get_by_version(&self, key: &str, version: u64) -> Option<Bytes> {

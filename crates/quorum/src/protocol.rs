@@ -210,15 +210,6 @@ impl QuorumActor {
             .map(|r| r.at)
     }
 
-    /// First completed read that *returned* at least `version` (classic
-    /// quorum-read semantics: the max over the responses).
-    pub fn read_returned_at(&self, version: SeqNo) -> Option<SimTime> {
-        self.reads
-            .iter()
-            .find(|r| r.version >= version)
-            .map(|r| r.at)
-    }
-
     /// The wrapped Stabilizer node.
     pub fn stabilizer(&self) -> &StabilizerNode {
         &self.node

@@ -15,11 +15,11 @@
 //! and timer ticks in, and drain [`ShardedAction`]s out.
 
 use crate::codec::{encode_global, GLOBAL_HEADER};
-use crate::frontier::{AggOutput, ShardedFrontier};
+use crate::frontier::ShardedFrontier;
 use crate::router::{RoutePolicy, ShardRouter};
 use bytes::Bytes;
 use stabilizer_core::{
-    AckTypeId, Action, ClusterConfig, CoreError, Event, FrontierUpdate, Metrics, NodeId, SeqNo,
+    AckTypeId, ClusterConfig, CoreError, Event, FrontierUpdate, Metrics, NodeId, SeqNo,
     StabilizerNode, TimerKind, WaitToken, WireMsg,
 };
 use stabilizer_dsl::AckTypeRegistry;
@@ -180,8 +180,6 @@ pub struct ShardedEngine {
     router: ShardRouter,
     agg: ShardedFrontier,
     actions: Vec<ShardedAction>,
-    /// Per peer: how many shards currently suspect it.
-    suspect_counts: Vec<u32>,
 }
 
 impl ShardedEngine {
@@ -199,7 +197,6 @@ impl ShardedEngine {
         let (shards, agg) = build_shards(&cfg, me, acks)?;
         let mut engine = ShardedEngine {
             me,
-            suspect_counts: vec![0; cfg.num_nodes()],
             cfg,
             router: ShardRouter::new(shards.len() as u16, policy),
             shards,
@@ -294,7 +291,7 @@ impl ShardedEngine {
         match self.shards[shard as usize].publish(framed) {
             Ok(_shard_seq) => {
                 let out = self.agg.note_published(self.me, shard, global);
-                self.emit_agg(out);
+                out.into_actions(&mut self.actions);
                 self.drain_shard(shard);
                 Ok(global)
             }
@@ -372,7 +369,7 @@ impl ShardedEngine {
             shard.unregister_predicate(stream, key);
         }
         let out = self.agg.unregister_key(stream, key);
-        self.emit_agg(out);
+        out.into_actions(&mut self.actions);
         self.drain_all_shards();
     }
 
@@ -396,7 +393,7 @@ impl ShardedEngine {
         seq: SeqNo,
     ) -> Result<WaitToken, CoreError> {
         let (token, out) = self.agg.waitfor(stream, key, seq)?;
-        self.emit_agg(out);
+        out.into_actions(&mut self.actions);
         Ok(token)
     }
 
@@ -470,28 +467,7 @@ impl ShardedEngine {
 
     /// True if any shard currently suspects `node`.
     pub fn is_suspected(&self, node: NodeId) -> bool {
-        self.suspect_counts[node.0 as usize] > 0
-    }
-
-    /// Exclude `node` from every shard's predicates.
-    pub fn exclude_node(&mut self, node: NodeId) {
-        for shard in &mut self.shards {
-            shard.exclude_node(node);
-        }
-        self.drain_all_shards();
-    }
-
-    /// Reinstate `node` into every shard's predicates.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first shard's restore error.
-    pub fn reinstate_node(&mut self, node: NodeId) -> Result<(), CoreError> {
-        for shard in &mut self.shards {
-            shard.reinstate_node(node)?;
-        }
-        self.drain_all_shards();
-        Ok(())
+        self.agg.is_suspected(node)
     }
 
     // ------------------------------------------------------------------
@@ -536,148 +512,34 @@ impl ShardedEngine {
     // ------------------------------------------------------------------
 
     /// Push each shard's current `(frontier, generation)` for
-    /// `(stream, key)` into the aggregator. Used after register/change so
-    /// the aggregate adopts the new generation even on shards whose
-    /// frontier starts at zero (which emit no update action).
+    /// `(stream, key)` into the aggregator after register/change (see
+    /// [`ShardedFrontier::adopt`]).
     fn sync_key(&mut self, stream: NodeId, key: &str) {
-        for s in 0..self.num_shards() {
-            if let Some((seq, generation)) = self.shards[s as usize].stability_frontier(stream, key)
-            {
-                let out = self.agg.on_shard_frontier(
-                    s,
-                    &FrontierUpdate {
-                        stream,
-                        key: key.to_owned(),
-                        seq,
-                        generation,
-                    },
-                );
-                self.emit_agg(out);
+        for (s, shard) in self.shards.iter().enumerate() {
+            if let Some(at) = shard.stability_frontier(stream, key) {
+                let out = self.agg.adopt(s as u16, stream, key, at);
+                out.into_actions(&mut self.actions);
             }
         }
     }
 
-    /// Drain one shard's pending actions through the aggregator.
-    pub fn drain_shard(&mut self, shard: u16) {
-        self.refresh_transfer_mark(shard);
-        let actions = self.shards[shard as usize].take_actions();
-        for action in actions {
-            self.process_shard_action(shard, action);
+    /// Drain one shard's pending actions through the aggregator, first
+    /// bringing the mark its outgoing transfer snapshots carry up to
+    /// date (see [`ShardedFrontier::transfer_mark`]).
+    fn drain_shard(&mut self, shard: u16) {
+        let node = &mut self.shards[shard as usize];
+        let first = node.first_replayable();
+        if let Some(mark) = self.agg.transfer_mark(self.me, shard, first) {
+            node.set_app_mark(mark);
         }
-    }
-
-    /// Keep the shard machine's outgoing snapshot mark equal to the
-    /// global of its last non-replayable own-stream message, so a
-    /// requester learns which globals fell in the skipped prefix
-    /// (`ShardedFrontier::fast_forward_origin` relies on every skipped
-    /// global being ≤ mark and every replayable one being > mark).
-    fn refresh_transfer_mark(&mut self, shard: u16) {
-        let floor = self.shards[shard as usize]
-            .first_replayable()
-            .saturating_sub(1);
-        if floor == 0 {
-            return;
-        }
-        let globals = self.agg.shard_globals(self.me, shard);
-        if let Some(&mark) = globals.get(floor as usize - 1) {
-            self.shards[shard as usize].set_app_mark(mark);
+        for action in node.take_actions() {
+            self.agg.fold(shard, action, &mut self.actions);
         }
     }
 
     fn drain_all_shards(&mut self) {
         for s in 0..self.num_shards() {
             self.drain_shard(s);
-        }
-    }
-
-    fn emit_agg(&mut self, out: AggOutput) {
-        for update in out.updates {
-            self.actions.push(ShardedAction::Frontier(update));
-        }
-        for token in out.completed {
-            self.actions.push(ShardedAction::WaitDone { token });
-        }
-    }
-
-    fn process_shard_action(&mut self, shard: u16, action: Action) {
-        match action {
-            Action::Send { to, msg } => {
-                self.actions.push(ShardedAction::Send { shard, to, msg });
-            }
-            Action::Deliver {
-                origin,
-                seq,
-                payload,
-            } => {
-                self.actions.push(ShardedAction::ShardDeliver {
-                    shard,
-                    origin,
-                    seq,
-                    len: payload.len().saturating_sub(GLOBAL_HEADER),
-                });
-                let (ready, out) = self
-                    .agg
-                    .on_shard_deliver(shard, origin, &payload)
-                    .expect("sharded payload carried no global-sequence header");
-                for (global, app_payload) in ready {
-                    self.actions.push(ShardedAction::Deliver {
-                        origin,
-                        seq: global,
-                        payload: app_payload,
-                    });
-                }
-                self.emit_agg(out);
-            }
-            Action::Frontier(update) => {
-                let out = self.agg.on_shard_frontier(shard, &update);
-                self.actions
-                    .push(ShardedAction::ShardFrontier { shard, update });
-                self.emit_agg(out);
-            }
-            // Shard-level waits are never created; node-level waits live
-            // in the aggregator.
-            Action::WaitDone { .. } => {}
-            Action::Suspected { node } => {
-                let c = &mut self.suspect_counts[node.0 as usize];
-                *c += 1;
-                if *c == 1 {
-                    self.actions.push(ShardedAction::Suspected { node });
-                }
-            }
-            Action::Recovered { node } => {
-                let c = &mut self.suspect_counts[node.0 as usize];
-                *c = c.saturating_sub(1);
-                if *c == 0 {
-                    self.actions.push(ShardedAction::Recovered { node });
-                }
-            }
-            Action::PredicateBroken { stream, key } => {
-                if shard == 0 {
-                    self.actions
-                        .push(ShardedAction::PredicateBroken { stream, key });
-                }
-            }
-            Action::CatchUp {
-                stream,
-                seq,
-                app_mark,
-            } => {
-                let (ready, out) = self.agg.fast_forward_origin(stream, shard, seq, app_mark);
-                self.actions.push(ShardedAction::CatchUp {
-                    shard,
-                    stream,
-                    seq,
-                    global: self.agg.delivered_global(stream),
-                });
-                for (global, payload) in ready {
-                    self.actions.push(ShardedAction::Deliver {
-                        origin: stream,
-                        seq: global,
-                        payload,
-                    });
-                }
-                self.emit_agg(out);
-            }
         }
     }
 }

@@ -20,11 +20,15 @@
 //! predicate generation, and the known prefix only grows).
 //!
 //! The aggregator also owns the delivery reassembly buffers that merge
-//! the S per-shard FIFO streams back into global FIFO order per origin.
+//! the S per-shard FIFO streams back into global FIFO order per origin,
+//! and [`ShardedFrontier::fold`]: the one place a shard machine's
+//! [`Action`] becomes node-level [`ShardedAction`]s, whichever driver
+//! runs the shards.
 
-use crate::codec::decode_global;
+use crate::codec::{decode_global, GLOBAL_HEADER};
+use crate::engine::ShardedAction;
 use bytes::Bytes;
-use stabilizer_core::{CoreError, FrontierUpdate, NodeId, SeqNo, WaitToken};
+use stabilizer_core::{Action, CoreError, FrontierUpdate, NodeId, SeqNo, WaitToken};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Aggregated events produced by feeding the aggregator: node-level
@@ -47,6 +51,14 @@ impl AggOutput {
     pub fn merge(&mut self, other: AggOutput) {
         self.updates.extend(other.updates);
         self.completed.extend(other.completed);
+    }
+
+    /// Append the events as node-level actions: the frontier updates,
+    /// then the completed waits.
+    pub fn into_actions(self, out: &mut Vec<ShardedAction>) {
+        out.extend(self.updates.into_iter().map(ShardedAction::Frontier));
+        let done = |token| ShardedAction::WaitDone { token };
+        out.extend(self.completed.into_iter().map(done));
     }
 }
 
@@ -172,6 +184,8 @@ pub struct ShardedFrontier {
     waiters: Vec<(WaitToken, NodeId, String, SeqNo)>,
     next_token: WaitToken,
     next_global: SeqNo,
+    /// Per peer: how many shards currently suspect it.
+    suspects: Vec<u32>,
 }
 
 impl ShardedFrontier {
@@ -185,12 +199,120 @@ impl ShardedFrontier {
             waiters: Vec::new(),
             next_token: 1,
             next_global: 0,
+            suspects: vec![0; num_nodes],
         }
     }
 
     /// Number of shards aggregated over.
     pub fn num_shards(&self) -> usize {
         self.shards
+    }
+
+    /// Fold one action of shard machine `shard` into node-level actions,
+    /// appended to `out` in the order every observer sees them: a shard's
+    /// own delivery or frontier advance before what it releases at node
+    /// level, a catch-up before the deliveries it unblocks, aggregated
+    /// frontier updates before the waits they complete.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a delivered payload lacks the global-sequence header.
+    pub fn fold(&mut self, shard: u16, action: Action, out: &mut Vec<ShardedAction>) {
+        let deliver = |origin, ready: Vec<(SeqNo, Bytes)>, out: &mut Vec<ShardedAction>| {
+            out.extend(
+                ready
+                    .into_iter()
+                    .map(|(seq, payload)| ShardedAction::Deliver {
+                        origin,
+                        seq,
+                        payload,
+                    }),
+            );
+        };
+        match action {
+            Action::Send { to, msg } => out.push(ShardedAction::Send { shard, to, msg }),
+            Action::Deliver {
+                origin,
+                seq,
+                payload,
+            } => {
+                let len = payload.len().saturating_sub(GLOBAL_HEADER);
+                out.push(ShardedAction::ShardDeliver {
+                    shard,
+                    origin,
+                    seq,
+                    len,
+                });
+                let (ready, agg) = self
+                    .on_shard_deliver(shard, origin, &payload)
+                    .expect("sharded payload carried no global-sequence header");
+                deliver(origin, ready, out);
+                agg.into_actions(out);
+            }
+            Action::Frontier(update) => {
+                let agg = self.on_shard_frontier(shard, &update);
+                out.push(ShardedAction::ShardFrontier { shard, update });
+                agg.into_actions(out);
+            }
+            // Shard-level waits are never created; node-level waits live
+            // here, in the aggregator.
+            Action::WaitDone { .. } => {}
+            // Suspicion is deduplicated: reported on the first shard to
+            // suspect the peer, cleared when the last one recovers.
+            Action::Suspected { node } => {
+                let count = &mut self.suspects[node.0 as usize];
+                *count += 1;
+                if *count == 1 {
+                    out.push(ShardedAction::Suspected { node });
+                }
+            }
+            Action::Recovered { node } => {
+                let count = &mut self.suspects[node.0 as usize];
+                if *count == 1 {
+                    out.push(ShardedAction::Recovered { node });
+                }
+                *count = count.saturating_sub(1);
+            }
+            // Shards hold identical predicates, so auto-exclusion breaks
+            // them in lockstep: shard 0 speaks for all.
+            Action::PredicateBroken { stream, key } => {
+                if shard == 0 {
+                    out.push(ShardedAction::PredicateBroken { stream, key });
+                }
+            }
+            Action::CatchUp {
+                stream,
+                seq,
+                app_mark,
+            } => {
+                let (ready, agg) = self.fast_forward_origin(stream, shard, seq, app_mark);
+                let global = self.delivered_global(stream);
+                out.push(ShardedAction::CatchUp {
+                    shard,
+                    stream,
+                    seq,
+                    global,
+                });
+                deliver(stream, ready, out);
+                agg.into_actions(out);
+            }
+        }
+    }
+
+    /// True if any shard currently suspects `node`.
+    pub fn is_suspected(&self, node: NodeId) -> bool {
+        self.suspects[node.0 as usize] > 0
+    }
+
+    /// The mark shard machine `shard` of `me` must carry in its outgoing
+    /// transfer snapshots, given the oldest own-stream shard sequence it
+    /// can still replay: the global of its last non-replayable message
+    /// (a requester's [`ShardedFrontier::fast_forward_origin`] relies on
+    /// every skipped global being ≤ mark and every replayable one being
+    /// > mark). `None` while everything is replayable.
+    pub fn transfer_mark(&self, me: NodeId, shard: u16, first_replayable: SeqNo) -> Option<SeqNo> {
+        let last_gone = first_replayable.checked_sub(2)? as usize;
+        self.shard_globals(me, shard).get(last_gone).copied()
     }
 
     /// Reserve the next global sequence number for a publish on `me`'s
@@ -374,6 +496,29 @@ impl ShardedFrontier {
             *cell = update.seq;
         }
         self.recompute_key(update.stream, &update.key, force)
+    }
+
+    /// Adopt `shard`'s current `(frontier, generation)` of
+    /// `(stream, key)`, read off the shard machine after a register or
+    /// change: a shard whose frontier starts at zero emits no update, and
+    /// the aggregate must still move to the new generation.
+    pub fn adopt(
+        &mut self,
+        shard: u16,
+        stream: NodeId,
+        key: &str,
+        (seq, generation): (SeqNo, u32),
+    ) -> AggOutput {
+        let key = key.to_owned();
+        self.on_shard_frontier(
+            shard,
+            &FrontierUpdate {
+                stream,
+                key,
+                seq,
+                generation,
+            },
+        )
     }
 
     /// Current aggregated `(frontier, generation)` of a predicate.
@@ -672,6 +817,117 @@ mod tests {
         let out = agg.unregister_key(ME, "All");
         assert_eq!(out.completed, vec![token]);
         assert_eq!(agg.frontier(ME, "All"), None);
+    }
+
+    /// One line per action: what a transcript of `fold`'s output shows.
+    fn show(out: &mut Vec<ShardedAction>) -> Vec<String> {
+        let line = |a: ShardedAction| match a {
+            ShardedAction::Send { shard, to, .. } => format!("send s{shard} to {}", to.0),
+            ShardedAction::ShardDeliver {
+                shard, seq, len, ..
+            } => format!("shard-deliver s{shard} #{seq} {len}B"),
+            ShardedAction::Deliver { seq, .. } => format!("deliver g{seq}"),
+            ShardedAction::ShardFrontier { shard, update } => {
+                format!("shard-frontier s{shard} {}={}", update.key, update.seq)
+            }
+            ShardedAction::Frontier(u) => format!("frontier {}={}", u.key, u.seq),
+            ShardedAction::WaitDone { token } => format!("wait-done {token}"),
+            ShardedAction::Suspected { node } => format!("suspected {}", node.0),
+            ShardedAction::Recovered { node } => format!("recovered {}", node.0),
+            ShardedAction::PredicateBroken { key, .. } => format!("broken {key}"),
+            ShardedAction::CatchUp {
+                shard, seq, global, ..
+            } => format!("catch-up s{shard} #{seq} g{global}"),
+        };
+        out.drain(..).map(line).collect()
+    }
+
+    #[test]
+    fn fold_emits_in_the_order_observers_see() {
+        let (origin, peer) = (NodeId(1), NodeId(2));
+        let mut agg = ShardedFrontier::new(3, 2);
+        agg.ensure_key(origin, "All");
+        let out = &mut Vec::new();
+        let deliver = |seq, global, body: &'static [u8]| Action::Deliver {
+            origin,
+            seq,
+            payload: encode_global(global, &Bytes::from_static(body)),
+        };
+
+        // A shard's own delivery first, then what it releases globally.
+        agg.fold(1, deliver(1, 2, b"bb"), out);
+        assert_eq!(show(out), ["shard-deliver s1 #1 2B"]);
+        agg.fold(0, deliver(1, 1, b"a"), out);
+        assert_eq!(
+            show(out),
+            ["shard-deliver s0 #1 1B", "deliver g1", "deliver g2"]
+        );
+
+        // A shard's own frontier, then the aggregate, then its waiters.
+        let (token, _) = agg.waitfor(origin, "All", 1).unwrap();
+        agg.fold(0, Action::Frontier(update(origin, "All", 1, 0)), out);
+        assert_eq!(
+            show(out),
+            [
+                "shard-frontier s0 All=1".to_owned(),
+                "frontier All=1".to_owned(),
+                format!("wait-done {token}")
+            ]
+        );
+        // Shard-level waits do not exist; sends keep their shard.
+        agg.fold(1, Action::WaitDone { token: 99 }, out);
+        let (to, msg) = (peer, stabilizer_core::WireMsg::Heartbeat);
+        agg.fold(1, Action::Send { to, msg }, out);
+        assert_eq!(show(out), ["send s1 to 2"]);
+
+        // Suspected by the first shard, recovered with the last.
+        agg.fold(0, Action::Suspected { node: peer }, out);
+        agg.fold(1, Action::Suspected { node: peer }, out);
+        assert_eq!(show(out), ["suspected 2"]);
+        agg.fold(0, Action::Recovered { node: peer }, out);
+        assert!(show(out).is_empty() && agg.is_suspected(peer));
+        agg.fold(1, Action::Recovered { node: peer }, out);
+        assert_eq!(show(out), ["recovered 2"]);
+        assert!(!agg.is_suspected(peer));
+
+        // Shards break in lockstep: shard 0 speaks for all.
+        for shard in [1, 0] {
+            let (stream, key) = (ME, "All".to_owned());
+            agg.fold(shard, Action::PredicateBroken { stream, key }, out);
+        }
+        assert_eq!(show(out), ["broken All"]);
+
+        // A catch-up before the deliveries it unblocks: global 5 waits on
+        // shard 1 until shard 0 jumps over 3 and 4 (its mark says so).
+        agg.fold(1, deliver(2, 5, b"e"), out);
+        assert_eq!(show(out), ["shard-deliver s1 #2 1B"]);
+        let (stream, seq, app_mark) = (origin, 3, 4);
+        let jump = Action::CatchUp {
+            stream,
+            seq,
+            app_mark,
+        };
+        agg.fold(0, jump, out);
+        assert_eq!(show(out), ["catch-up s0 #3 g5", "deliver g5"]);
+    }
+
+    #[test]
+    fn transfer_mark_is_the_global_of_the_last_evicted_message() {
+        let mut agg = ShardedFrontier::new(1, 2);
+        for shard in [0u16, 1, 0, 0] {
+            let g = agg.peek_next_global();
+            agg.note_published(ME, shard, g);
+        }
+        // Shard 0 holds globals 1, 3, 4 as its shard seqs 1, 2, 3.
+        assert_eq!(agg.transfer_mark(ME, 0, 0), None);
+        assert_eq!(agg.transfer_mark(ME, 0, 1), None, "all still replayable");
+        assert_eq!(agg.transfer_mark(ME, 0, 2), Some(1));
+        assert_eq!(agg.transfer_mark(ME, 0, 4), Some(4));
+        assert_eq!(
+            agg.transfer_mark(ME, 0, 5),
+            None,
+            "beyond what it published"
+        );
     }
 
     #[test]

@@ -271,6 +271,14 @@ fn seed_replay_is_byte_identical() {
     let b = replay_once(42);
     assert!(!a.is_empty());
     assert_eq!(a, b, "same seed must reproduce the same transcript");
+    // Not only equal to itself: equal to what `8012fd0` produced, so a
+    // change that reorders what the fold emits fails here and not only
+    // in a hand-run `shard_scale --replay-hash`.
+    assert_eq!(
+        (a.len(), stabilizer_shard::fnv1a(a.as_bytes())),
+        (5525, 0xbccb_3a4c_07a8_fb12),
+        "the transcript moved"
+    );
 }
 
 /// Hand-driven two-engine harness that lets a test withhold (stall) one

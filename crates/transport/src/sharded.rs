@@ -28,10 +28,11 @@
 //!
 //! Locking discipline, strictly ordered to stay deadlock-free:
 //! `publish` lock (router + global sequencer) → one shard mutex →
-//! aggregator mutex → leaf locks (upcalls, link, `suspects`).
+//! aggregator mutex → leaf locks (upcalls, link).
 //! Node-level events are enqueued to the dispatcher *under* the
 //! aggregator lock, so cross-shard delivery order is fixed exactly once;
-//! callbacks then run with no lock held.
+//! callbacks then run with no lock held. A shard's `Send`s go to the
+//! link without the aggregator lock: they touch no aggregate state.
 
 use crate::link::{self, Link, LinkClient, LinkSpawn};
 use crate::runtime::repair_stream;
@@ -66,6 +67,9 @@ struct PublishState {
 /// must be read under the same lock (the shard→global mapping).
 struct AggState {
     frontier: ShardedFrontier,
+    /// What one [`ShardedFrontier::fold`] produced, on its way to the
+    /// dispatcher; kept so folding allocates nothing per action.
+    scratch: Vec<ShardedAction>,
     /// `stamps[g-1]` = local publish time + 1 of own-stream global `g`
     /// (0 = unstamped); only maintained when telemetry is attached.
     stamps: Vec<u64>,
@@ -166,8 +170,6 @@ pub struct ShardedShared {
     /// Node-level actions, ordered once under the aggregator lock and
     /// drained by the dispatcher thread.
     event_tx: Sender<ShardedAction>,
-    /// Per peer: how many shards currently suspect it.
-    suspects: Mutex<Vec<u32>>,
     shard_gauges: Vec<ShardGauges>,
 }
 
@@ -184,138 +186,73 @@ impl ShardedShared {
         r
     }
 
-    /// Route one shard's actions: sends to the per-peer writers, shard
-    /// deliveries and frontier advances through the aggregator (which
-    /// orders the resulting node-level events), suspicion through the
-    /// deduplicating per-peer counts (an event on the first shard to
-    /// suspect, and when the last one recovers).
+    /// Route one shard's actions: sends to the per-peer writers, the rest
+    /// through [`ShardedFrontier::fold`] — under the aggregator lock,
+    /// which is what puts the resulting node-level events in one order.
     fn process_shard_actions(&self, shard: u16, actions: Vec<Action>) {
         for action in actions {
-            match action {
-                Action::Send { to, msg } => self.link.send(to, shard, msg),
-                Action::Deliver {
-                    origin, payload, ..
-                } => {
-                    let mut agg = self.agg.lock();
-                    let (ready, out) = agg
-                        .frontier
-                        .on_shard_deliver(shard, origin, &payload)
-                        .expect("sharded payload carried no global-sequence header");
-                    for (global, app_payload) in ready {
-                        let _ = self.event_tx.send(ShardedAction::Deliver {
-                            origin,
-                            seq: global,
-                            payload: app_payload,
-                        });
-                    }
-                    self.apply_agg(out);
-                }
-                Action::Frontier(update) => {
+            if let Action::Send { to, msg } = action {
+                self.link.send(to, shard, msg);
+                continue;
+            }
+            let mut agg = self.agg.lock();
+            if let (Action::Frontier(update), Some(t)) = (&action, &self.link.telemetry) {
+                if update.stream == self.me {
                     let now = self.link.now_nanos();
-                    let mut agg = self.agg.lock();
-                    if update.stream == self.me {
-                        if let Some(t) = &self.link.telemetry {
-                            agg.record_shard_stability(t.registry(), self.me, shard, &update, now);
-                        }
-                    }
-                    let out = agg.frontier.on_shard_frontier(shard, &update);
-                    self.apply_agg(out);
-                }
-                // Shard-level waits are never created; node-level waits
-                // live in the aggregator.
-                Action::WaitDone { .. } => {}
-                Action::Suspected { node } => {
-                    let mut counts = self.suspects.lock();
-                    let c = &mut counts[node.0 as usize];
-                    *c += 1;
-                    if *c == 1 {
-                        let _ = self.event_tx.send(ShardedAction::Suspected { node });
-                    }
-                }
-                Action::Recovered { node } => {
-                    let mut counts = self.suspects.lock();
-                    let c = &mut counts[node.0 as usize];
-                    if *c == 1 {
-                        let _ = self.event_tx.send(ShardedAction::Recovered { node });
-                    }
-                    *c = c.saturating_sub(1);
-                }
-                // Shards hold identical predicates, so auto-exclusion
-                // breaks them in lockstep; like the unsharded runtime
-                // this surfaces through monitor silence.
-                Action::PredicateBroken { .. } => {}
-                Action::CatchUp {
-                    stream,
-                    seq,
-                    app_mark,
-                } => {
-                    let mut agg = self.agg.lock();
-                    let (ready, out) = agg
-                        .frontier
-                        .fast_forward_origin(stream, shard, seq, app_mark);
-                    let _ = self.event_tx.send(ShardedAction::CatchUp {
-                        shard,
-                        stream,
-                        seq,
-                        global: agg.frontier.delivered_global(stream),
-                    });
-                    for (global, payload) in ready {
-                        let _ = self.event_tx.send(ShardedAction::Deliver {
-                            origin: stream,
-                            seq: global,
-                            payload,
-                        });
-                    }
-                    self.apply_agg(out);
+                    agg.record_shard_stability(t.registry(), self.me, shard, update, now);
                 }
             }
+            let AggState {
+                frontier, scratch, ..
+            } = &mut *agg;
+            frontier.fold(shard, action, scratch);
+            self.forward(scratch);
         }
     }
 
-    /// Keep each shard machine's outgoing snapshot mark equal to the
-    /// global of its last non-replayable own-stream message (the
-    /// requester-side aggregator relies on every skipped global being
-    /// ≤ mark and every replayable one being > mark). Run before each
-    /// transfer timer: a request racing an eviction can see a
-    /// stale mark, which only parks the requester until its next
-    /// re-request picks up a fresh snapshot.
+    /// Keep each shard machine's outgoing snapshot mark up to date (see
+    /// [`ShardedFrontier::transfer_mark`]). Run before each transfer
+    /// timer: a request racing an eviction can see a stale mark, which
+    /// only parks the requester until its next re-request picks up a
+    /// fresh snapshot.
     fn refresh_transfer_marks(&self) {
         for s in 0..self.num_shards {
-            let floor = {
-                let node = self.shards[s as usize].lock();
-                node.first_replayable().saturating_sub(1)
-            };
-            if floor == 0 {
-                continue;
-            }
-            let mark = {
-                let agg = self.agg.lock();
-                agg.frontier
-                    .shard_globals(self.me, s)
-                    .get(floor as usize - 1)
-                    .copied()
-            };
+            let first = self.shards[s as usize].lock().first_replayable();
+            let mark = self.agg.lock().frontier.transfer_mark(self.me, s, first);
             if let Some(mark) = mark {
                 self.shards[s as usize].lock().set_app_mark(mark);
             }
         }
     }
 
-    /// Emit aggregated events. Called with the aggregator lock held so
-    /// the dispatcher sees node-level events in a single global order;
-    /// the upcalls' locks are leaves. Waiters are woken here, not behind
-    /// the dispatcher's queue; the dispatcher only shows the completion
-    /// to the telemetry observer, when there is one.
-    fn apply_agg(&self, out: stabilizer_shard::AggOutput) {
-        for update in out.updates {
-            let _ = self.event_tx.send(ShardedAction::Frontier(update));
-        }
-        if self.link.telemetry.is_some() {
-            for &token in &out.completed {
-                let _ = self.event_tx.send(ShardedAction::WaitDone { token });
+    /// Hand folded node-level actions on. Called with the aggregator lock
+    /// held so the dispatcher sees them in a single global order; the
+    /// upcalls' locks are leaves. Waiters are woken here, not behind the
+    /// dispatcher's queue; the dispatcher only shows the completion to
+    /// the telemetry observer, when there is one. What is not an event
+    /// (per-shard observability, `PredicateBroken`: like the unsharded
+    /// runtime that surfaces through monitor silence) has no reader
+    /// behind the channel and stops here.
+    fn forward(&self, actions: &mut Vec<ShardedAction>) {
+        for action in actions.drain(..) {
+            let shown = match action {
+                ShardedAction::WaitDone { token } => {
+                    self.upcalls.complete([token]);
+                    self.link.telemetry.is_some()
+                }
+                _ => action.event().is_some(),
+            };
+            if shown {
+                let _ = self.event_tx.send(action);
             }
         }
-        self.upcalls.complete(out.completed);
+    }
+
+    /// [`ShardedShared::forward`] for events the aggregator returned
+    /// outside a fold (publish, key sync, `waitfor`).
+    fn apply_agg(&self, agg: &mut AggState, out: stabilizer_shard::AggOutput) {
+        out.into_actions(&mut agg.scratch);
+        self.forward(&mut agg.scratch);
     }
 
     /// Frontier blame for every `(shard, stream, key)`; sequence numbers
@@ -483,6 +420,7 @@ pub fn spawn_sharded_node(
         shards,
         agg: Mutex::new(AggState {
             frontier,
+            scratch: Vec::new(),
             stamps: Vec::new(),
             covered: HashMap::new(),
             hists: HashMap::new(),
@@ -495,7 +433,6 @@ pub fn spawn_sharded_node(
         link,
         shard_txs,
         event_tx,
-        suspects: Mutex::new(vec![0; cfg.num_nodes()]),
         shard_gauges,
         cfg,
     });
@@ -691,7 +628,7 @@ impl ShardedHandle {
                         t.note_publish_now(sh.me, global, payload.len());
                     }
                     let out = agg.frontier.learn_mapping(sh.me, shard, global);
-                    sh.apply_agg(out);
+                    sh.apply_agg(&mut agg, out);
                 }
                 // Still under the publish lock: enqueuing the Send here
                 // keeps same-shard Data frames in sequence order on the
@@ -759,26 +696,17 @@ impl ShardedHandle {
     }
 
     /// Push each shard's current `(frontier, generation)` for
-    /// `(stream, key)` into the aggregator, so the aggregate adopts a
-    /// new generation even on shards whose frontier starts at zero
-    /// (which emit no update action).
+    /// `(stream, key)` into the aggregator after register/change (see
+    /// [`ShardedFrontier::adopt`]).
     fn sync_key(&self, stream: NodeId, key: &str) {
         for s in 0..self.shared.num_shards {
-            let f = self.shared.shards[s as usize]
+            let at = self.shared.shards[s as usize]
                 .lock()
                 .stability_frontier(stream, key);
-            if let Some((seq, generation)) = f {
+            if let Some(at) = at {
                 let mut agg = self.shared.agg.lock();
-                let out = agg.frontier.on_shard_frontier(
-                    s,
-                    &FrontierUpdate {
-                        stream,
-                        key: key.to_owned(),
-                        seq,
-                        generation,
-                    },
-                );
-                self.shared.apply_agg(out);
+                let out = agg.frontier.adopt(s, stream, key, at);
+                self.shared.apply_agg(&mut agg, out);
             }
         }
     }
@@ -806,7 +734,7 @@ impl ShardedHandle {
         let token = {
             let mut agg = self.shared.agg.lock();
             let (token, out) = agg.frontier.waitfor(stream, key, seq)?;
-            self.shared.apply_agg(out);
+            self.shared.apply_agg(&mut agg, out);
             token
         };
         Ok(self.shared.upcalls.wait(token, timeout))
@@ -871,7 +799,7 @@ impl ShardedHandle {
 
     /// Whether any shard's failure detector currently suspects `node`.
     pub fn is_suspected(&self, node: NodeId) -> bool {
-        self.shared.suspects.lock()[node.0 as usize] > 0
+        self.shared.agg.lock().frontier.is_suspected(node)
     }
 
     /// Start §III-E catch-up on every shard sub-stream: each shard
