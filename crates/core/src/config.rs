@@ -49,9 +49,14 @@ pub enum AnalysisMode {
 #[derive(Debug, Clone, PartialEq)]
 pub struct Options {
     /// Outgoing-ACK coalescing interval in microseconds. `0` flushes
-    /// eagerly after every processed message (lowest latency); larger
-    /// values batch control traffic (§III-A notes Stabilizer batches
-    /// actions and reports via monotonic upcalls).
+    /// eagerly: one flush per input batch
+    /// ([`StabilizerNode::on_messages`](crate::StabilizerNode::on_messages)
+    /// — what had already arrived when the driver looked, so a lone
+    /// message is a batch of one and waits for nothing), per publish
+    /// and per stability report. Larger values hold reports back for a
+    /// timer, trading stability latency for fewer control messages
+    /// (§III-A notes Stabilizer batches actions and reports via
+    /// monotonic upcalls).
     pub ack_flush_micros: u64,
     /// Send-buffer capacity in bytes; `publish` returns backpressure once
     /// exceeded (the data plane "can also buffer data for later

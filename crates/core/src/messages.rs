@@ -31,6 +31,24 @@ pub struct Ack {
     pub seq: SeqNo,
 }
 
+impl Ack {
+    /// Max-merge `newer` into `row`, one entry per `(stream, ack type)`
+    /// cell: reports are monotone, so a cell's highest value subsumes
+    /// every other one. A row built from empty through this function
+    /// alone has no duplicate cells; cells keep first-seen order.
+    pub fn max_merge(row: &mut Vec<Ack>, newer: &[Ack]) {
+        for ack in newer {
+            match row
+                .iter_mut()
+                .find(|cell| (cell.stream, cell.ty) == (ack.stream, ack.ty))
+            {
+                Some(cell) => cell.seq = cell.seq.max(ack.seq),
+                None => row.push(*ack),
+            }
+        }
+    }
+}
+
 /// Messages exchanged between Stabilizer instances.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum WireMsg {
@@ -382,6 +400,20 @@ mod tests {
             seq: 0,
             payload: Bytes::new(),
         });
+    }
+
+    #[test]
+    fn max_merge_keeps_the_highest_value_per_cell() {
+        let ack = |stream, ty, seq| Ack {
+            stream: NodeId(stream),
+            ty: AckTypeId(ty),
+            seq,
+        };
+        let mut row = Vec::new();
+        Ack::max_merge(&mut row, &[ack(0, 0, 3), ack(0, 1, 3)]);
+        Ack::max_merge(&mut row, &[ack(0, 0, 5), ack(1, 0, 2)]);
+        Ack::max_merge(&mut row, &[ack(0, 1, 1), ack(0, 0, 4)]);
+        assert_eq!(row, [ack(0, 0, 5), ack(0, 1, 3), ack(1, 0, 2)]);
     }
 
     #[test]

@@ -330,6 +330,28 @@ impl StabilizerNode {
     /// Process an incoming wire message. `now_nanos` drives failure
     /// detection bookkeeping.
     pub fn on_message(&mut self, now_nanos: u64, from: NodeId, msg: WireMsg) {
+        self.on_messages(now_nanos, [(from, msg)]);
+    }
+
+    /// Process a batch of incoming `(sender, message)` pairs, in order,
+    /// as what has already arrived when the driver looked: each message
+    /// is handled exactly as [`StabilizerNode::on_message`] would, and
+    /// the stability reports they queue leave in **one** eager flush at
+    /// the end (reports are monotone, so the newest value per cell is
+    /// all a peer needs). A batch of one is `on_message`.
+    pub fn on_messages(
+        &mut self,
+        now_nanos: u64,
+        msgs: impl IntoIterator<Item = (NodeId, WireMsg)>,
+    ) {
+        for (from, msg) in msgs {
+            self.handle(now_nanos, from, msg);
+        }
+        self.flush_if_eager();
+    }
+
+    /// One incoming message's dispatch, before any flush.
+    fn handle(&mut self, now_nanos: u64, from: NodeId, msg: WireMsg) {
         self.heard(from, now_nanos);
         let me = self.me;
         match msg {
@@ -377,7 +399,6 @@ impl StabilizerNode {
             | WireMsg::TransferSnapshot { .. }
             | WireMsg::TransferChunk { .. } => {}
         }
-        self.flush_if_eager();
     }
 
     /// A periodic timer fired: run the handler [`TimerKind`] names.
@@ -600,8 +621,8 @@ impl StabilizerNode {
         }
     }
 
-    /// Without coalescing (`ack_flush_micros 0`) every call flushes the
-    /// reports it queued.
+    /// Without coalescing (`ack_flush_micros 0`) every call — one input
+    /// batch, one publish, one report — flushes the reports it queued.
     fn flush_if_eager(&mut self) {
         if self.cfg.options().ack_flush_micros == 0 {
             let peers = self.membership.peers();
@@ -770,6 +791,38 @@ mod tests {
             .collect();
         assert_eq!(delivered, vec![1, 2]);
         assert_eq!(n.recorder().get(NodeId(0), NodeId(1), RECEIVED), 2);
+    }
+
+    #[test]
+    fn a_batch_of_one_is_on_message_and_a_batch_flushes_once() {
+        let data = |seq| WireMsg::Data {
+            origin: NodeId(0),
+            seq,
+            payload: Bytes::from_static(b"p"),
+        };
+        let (mut single, mut batch) = (node(1), node(1));
+        single.on_message(7, NodeId(0), data(1));
+        batch.on_messages(7, [(NodeId(0), data(1))]);
+        let actions = single.take_actions();
+        assert_eq!(actions, batch.take_actions());
+        assert_eq!(sends(&actions).len(), 2, "one report per peer");
+
+        // Three messages in one batch: three deliveries, still one report
+        // per peer, carrying the newest value of every cell.
+        batch.on_messages(8, (2..=4).map(|seq| (NodeId(0), data(seq))));
+        let actions = batch.take_actions();
+        let delivered = actions
+            .iter()
+            .filter(|a| matches!(a, Action::Deliver { .. }));
+        assert_eq!(delivered.count(), 3);
+        let reports = sends(&actions);
+        assert_eq!(reports.len(), 2);
+        for (_, msg) in reports {
+            let WireMsg::AckBatch(row) = msg else {
+                panic!("not a report: {msg:?}");
+            };
+            assert!(row.iter().all(|ack| ack.seq == 4), "{row:?}");
+        }
     }
 
     #[test]

@@ -66,15 +66,30 @@ pub fn write_lane_frame<L: Lane, W: Write>(
     lane: L,
     msg: &WireMsg,
 ) -> std::io::Result<usize> {
+    write_lane_frame_with(w, &mut Vec::with_capacity(4 + 2 + 32), lane, msg)
+}
+
+/// [`write_lane_frame`] with the frame head built in `head`, a scratch
+/// buffer the connection owns (cleared here, contents meaningless after).
+///
+/// # Errors
+///
+/// Propagates I/O errors from the underlying writer.
+pub(crate) fn write_lane_frame_with<L: Lane, W: Write>(
+    w: &mut W,
+    head: &mut Vec<u8>,
+    lane: L,
+    msg: &WireMsg,
+) -> std::io::Result<usize> {
     // Reserve the length prefix, encode lane and body prefix after it,
     // then patch the real length in — one small buffer, no payload bytes.
-    let mut head = Vec::with_capacity(4 + 2 + 32);
+    head.clear();
     head.extend_from_slice(&[0u8; 4]);
-    lane.put(&mut head);
-    let payload = msg.encode_prefix(&mut head);
+    lane.put(head);
+    let payload = msg.encode_prefix(head);
     let body_len = head.len() - 4 + payload.map_or(0, bytes::Bytes::len);
     head[..4].copy_from_slice(&(body_len as u32).to_le_bytes());
-    w.write_all(&head)?;
+    w.write_all(head)?;
     if let Some(p) = payload {
         w.write_all(p)?;
     }
@@ -91,23 +106,137 @@ pub fn write_lane_frame<L: Lane, W: Write>(
 pub fn read_lane_frame<L: Lane, R: Read>(
     r: &mut R,
 ) -> std::io::Result<Option<(L, WireMsg, usize)>> {
-    let invalid = |why: String| std::io::Error::new(std::io::ErrorKind::InvalidData, why);
     let mut len_buf = [0u8; 4];
     match r.read_exact(&mut len_buf) {
         Ok(()) => {}
         Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => return Ok(None),
         Err(e) => return Err(e),
     }
-    let len = u32::from_le_bytes(len_buf);
+    let len = body_len(len_buf)?;
+    let mut body = vec![0u8; len];
+    r.read_exact(&mut body)?;
+    let (lane, msg) = decode_body(&body)?;
+    Ok(Some((lane, msg, 4 + len)))
+}
+
+fn invalid(why: String) -> std::io::Error {
+    std::io::Error::new(std::io::ErrorKind::InvalidData, why)
+}
+
+/// The body length a frame's prefix announces, refused above [`MAX_FRAME`].
+fn body_len(prefix: [u8; 4]) -> std::io::Result<usize> {
+    let len = u32::from_le_bytes(prefix);
     if len > MAX_FRAME {
         return Err(invalid(format!("frame of {len} bytes exceeds limit")));
     }
-    let mut body = vec![0u8; len as usize];
-    r.read_exact(&mut body)?;
+    Ok(len as usize)
+}
+
+/// Split a frame body into its lane and decoded message.
+fn decode_body<L: Lane>(body: &[u8]) -> std::io::Result<(L, WireMsg)> {
     let (lane, encoded) =
-        L::split(&body).ok_or_else(|| invalid("frame lacks its lane index".to_owned()))?;
+        L::split(body).ok_or_else(|| invalid("frame lacks its lane index".to_owned()))?;
     let msg = WireMsg::decode(encoded).map_err(|e: CoreError| invalid(e.to_string()))?;
-    Ok(Some((lane, msg, 4 + len as usize)))
+    Ok((lane, msg))
+}
+
+/// Capacity of a connection's read buffer: the bound on one reader
+/// batch. Small on purpose: about ninety 64-byte messages share a read,
+/// while a frame of 8 KiB or more is a batch of its own, so what a large
+/// message costs does not depend on how far behind the reader runs
+/// (with 64 KiB it did, and the benchmark's runs spread past their
+/// bound: EXPERIMENTS.md, "Steadiness under host steal").
+const READ_BUF: usize = 8 * 1024;
+
+/// A connection's read side: one buffer the connection owns, filled by
+/// one blocking read at a time, with every frame that read completed
+/// decoded in place — no per-frame body allocation, and a batch is
+/// bounded by the buffer, not by a count or a clock.
+pub(crate) struct FrameReader<R> {
+    r: R,
+    /// `buf[start..end]` is read but not yet decoded. [`READ_BUF`] long
+    /// except while a single larger frame is being assembled.
+    buf: Vec<u8>,
+    start: usize,
+    end: usize,
+}
+
+impl<R: Read> FrameReader<R> {
+    pub(crate) fn new(r: R) -> Self {
+        FrameReader {
+            r,
+            buf: vec![0; READ_BUF],
+            start: 0,
+            end: 0,
+        }
+    }
+
+    /// Block until at least one frame is complete, then append **every**
+    /// frame already complete in the buffer to `out`, in order, and
+    /// return their wire size (length prefixes included). Never blocks
+    /// again once it has a frame to hand over. `Ok(0)`: the peer closed
+    /// the connection (a frame cut short by that is dropped).
+    ///
+    /// # Errors
+    ///
+    /// I/O errors, oversized frames, bodies too short for the lane, or
+    /// undecodable bodies. Frames ahead of a bad one are handed over
+    /// first; the call after that meets it again and fails.
+    pub(crate) fn read_batch<L: Lane>(
+        &mut self,
+        out: &mut Vec<(L, WireMsg)>,
+    ) -> std::io::Result<usize> {
+        loop {
+            let mut wire_len = 0;
+            let cut_short = self.decode_complete(out, &mut wire_len);
+            if wire_len > 0 {
+                return Ok(wire_len);
+            }
+            self.make_room(cut_short?);
+            let n = self.r.read(&mut self.buf[self.end..])?;
+            if n == 0 {
+                return Ok(0);
+            }
+            self.end += n;
+        }
+    }
+
+    /// Decode the complete frames at the front of the buffer into `out`,
+    /// adding their wire size to `wire_len`; returns the full size of
+    /// the frame cut short behind them (0 while its prefix is not here).
+    fn decode_complete<L: Lane>(
+        &mut self,
+        out: &mut Vec<(L, WireMsg)>,
+        wire_len: &mut usize,
+    ) -> std::io::Result<usize> {
+        while let Some(prefix) = self.buf[self.start..self.end].first_chunk::<4>() {
+            let frame_len = 4 + body_len(*prefix)?;
+            let frame_end = self.start + frame_len;
+            if frame_end > self.end {
+                return Ok(frame_len);
+            }
+            out.push(decode_body(&self.buf[self.start + 4..frame_end])?);
+            *wire_len += frame_len;
+            self.start = frame_end;
+        }
+        Ok(0)
+    }
+
+    /// Move the undecoded tail to the front, and size the buffer for a
+    /// `pending`-byte frame: grown to hold one larger than [`READ_BUF`],
+    /// shrunk back once that frame is gone.
+    fn make_room(&mut self, pending: usize) {
+        self.buf.copy_within(self.start..self.end, 0);
+        self.end -= self.start;
+        self.start = 0;
+        if pending > self.buf.len() {
+            self.buf.reserve_exact(pending - self.buf.len());
+            self.buf.resize(pending, 0);
+        } else if self.end == 0 && self.buf.len() > READ_BUF {
+            self.buf.truncate(READ_BUF);
+            self.buf.shrink_to_fit();
+        }
+    }
 }
 
 /// Write one plain (`()`-lane) frame; see [`write_lane_frame`].
@@ -257,6 +386,123 @@ mod tests {
         buf.extend_from_slice(&1u32.to_le_bytes());
         buf.push(0);
         assert!(read_lane_frame::<u16, _>(&mut Cursor::new(buf)).is_err());
+    }
+
+    /// A connection that hands out exactly the scripted chunks, one per
+    /// `read` (a chunk larger than the caller's buffer is cut there).
+    struct Script(std::collections::VecDeque<Vec<u8>>);
+
+    impl Read for Script {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            let Some(mut chunk) = self.0.pop_front() else {
+                return Ok(0);
+            };
+            let n = chunk.len().min(buf.len());
+            buf[..n].copy_from_slice(&chunk[..n]);
+            if n < chunk.len() {
+                self.0.push_front(chunk.split_off(n));
+            }
+            Ok(n)
+        }
+    }
+
+    fn data(seq: u64, len: usize) -> WireMsg {
+        WireMsg::Data {
+            origin: NodeId(1),
+            seq,
+            payload: Bytes::from(vec![seq as u8; len]),
+        }
+    }
+
+    fn wire(msgs: &[WireMsg]) -> Vec<u8> {
+        let mut buf = Vec::new();
+        for m in msgs {
+            write_frame(&mut buf, m).unwrap();
+        }
+        buf
+    }
+
+    /// Drain `reader`: every batch it hands over, with its wire size.
+    fn batches(reader: &mut FrameReader<Script>) -> Vec<(Vec<WireMsg>, usize)> {
+        let mut out = Vec::new();
+        loop {
+            let mut frames: Vec<((), WireMsg)> = Vec::new();
+            match reader.read_batch(&mut frames).unwrap() {
+                0 => return out,
+                n => out.push((frames.into_iter().map(|((), m)| m).collect(), n)),
+            }
+        }
+    }
+
+    #[test]
+    fn a_batch_is_what_one_read_completed() {
+        let msgs: Vec<WireMsg> = (1..=5).map(|seq| data(seq, 10)).collect();
+        let bytes = wire(&msgs);
+        let frame = bytes.len() / 5;
+        // Two frames and half of the third; its rest; the last two.
+        let cuts = [0, 2 * frame + frame / 2, 3 * frame, 5 * frame];
+        let script = cuts
+            .windows(2)
+            .map(|w| bytes[w[0]..w[1]].to_vec())
+            .collect();
+        let got = batches(&mut FrameReader::new(Script(script)));
+        let want = [&msgs[..2], &msgs[2..3], &msgs[3..]];
+        assert_eq!(got.len(), 3);
+        for ((frames, wire_len), want) in got.iter().zip(want) {
+            assert_eq!(frames, want);
+            assert_eq!(*wire_len, want.len() * frame);
+        }
+    }
+
+    #[test]
+    fn frames_survive_any_fragmentation() {
+        let msgs = vec![
+            data(1, 0),
+            WireMsg::Heartbeat,
+            data(2, 300),
+            WireMsg::AckBatch(vec![]),
+        ];
+        let bytes = wire(&msgs);
+        for step in [1, 3, 7, bytes.len()] {
+            let script = bytes.chunks(step).map(<[u8]>::to_vec).collect();
+            let got = batches(&mut FrameReader::new(Script(script)));
+            let frames: Vec<WireMsg> = got.into_iter().flat_map(|(f, _)| f).collect();
+            assert_eq!(frames, msgs, "{step}-byte reads");
+        }
+    }
+
+    #[test]
+    fn a_frame_larger_than_the_buffer_is_assembled_then_the_buffer_shrinks_back() {
+        let msgs = vec![data(1, 10), data(2, 3 * READ_BUF), data(3, 10)];
+        let script = [wire(&msgs[..2]), wire(&msgs[2..])].into_iter().collect();
+        let mut reader = FrameReader::new(Script(script));
+        let got = batches(&mut reader);
+        let sizes: Vec<usize> = got.iter().map(|(frames, _)| frames.len()).collect();
+        assert_eq!(
+            sizes,
+            [1, 1, 1],
+            "the small frame did not wait for the big one"
+        );
+        let frames: Vec<WireMsg> = got.into_iter().flat_map(|(f, _)| f).collect();
+        assert_eq!(frames, msgs);
+        assert_eq!(reader.buf.len(), READ_BUF);
+        assert_eq!(reader.buf.capacity(), READ_BUF);
+    }
+
+    #[test]
+    fn frames_ahead_of_a_bad_one_are_handed_over_first() {
+        let mut bytes = wire(&[data(1, 10), data(2, 10)]);
+        bytes.extend_from_slice(&(MAX_FRAME + 1).to_le_bytes());
+        let mut reader = FrameReader::new(Script([bytes].into_iter().collect()));
+        let mut frames: Vec<((), WireMsg)> = Vec::new();
+        assert!(reader.read_batch(&mut frames).unwrap() > 0);
+        assert_eq!(frames.len(), 2);
+        assert!(reader.read_batch(&mut frames).is_err());
+        assert_eq!(frames.len(), 2);
+        // A frame the connection's end cut short is dropped, not an error.
+        let cut = wire(&[data(1, 10)]);
+        let script = [cut[..cut.len() - 1].to_vec()].into_iter().collect();
+        assert!(batches(&mut FrameReader::new(Script(script))).is_empty());
     }
 
     #[test]

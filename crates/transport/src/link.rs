@@ -7,17 +7,33 @@
 //!
 //! Thread layout per node, spawned by [`spawn`]:
 //!
-//! * one **accept** thread taking inbound connections, each handed to a
+//! * one **accept** thread blocked in `accept()` ([`Link::shutdown`]
+//!   wakes it with a self-connect), handing each inbound connection to a
 //!   **reader** thread that validates the hello (the announced id must
-//!   be a configured, linked node other than this one), then decodes
-//!   frames and hands each to [`LinkClient::on_frame`];
+//!   be a configured, linked node other than this one; a refused
+//!   connection gets a FIN and is drained, never reset). After every
+//!   blocking read the reader decodes *all* frames that read completed
+//!   in its buffer and hands them to [`LinkClient::on_frames`] as one
+//!   **reader batch**: what has already arrived, never what might — the
+//!   buffer's capacity is the only bound, there is no second blocking
+//!   read before the hand-off, and a lone frame is a batch of one;
 //! * one **writer** thread per linked peer, draining that peer's channel
 //!   of outbound `(lane, message)` pairs into a buffered, (re)connecting
 //!   socket. Frames lost while a link is down are repaired on reconnect
 //!   by [`LinkClient::repair_link`] (resend from the send buffer plus a
 //!   full ACK re-announcement), which runs *before* the queue is drained
 //!   again. The buffer is flushed whenever the queue runs empty, so
-//!   latency is bounded by the batch, not by a timer;
+//!   latency is bounded by the batch, not by a timer. `AckBatch` frames
+//!   are not written as they are dequeued: the writer keeps one **held
+//!   ACK row** per lane, max-merged per cell ([`Ack::max_merge`]), and
+//!   writes it at the tail of the burst — when the queue runs empty or
+//!   one write buffer of bytes has been dequeued since the row was
+//!   first held, whichever comes first, always before the flush — so
+//!   `D1 A1 D2 A2 D3 A3` leaves as `D1 D2 D3 A3`. A stability report is
+//!   monotone: delaying it behind frames queued after it cannot be told
+//!   from it having been queued later, and a row dropped with a broken
+//!   connection is covered by the reconnect's re-announcement. No other
+//!   frame kind is reordered;
 //! * one **ticker** thread arming the [`TimerKind`] table against the
 //!   wall clock (each period stretched by the clock-skew scale),
 //!   calling [`LinkClient::on_timer`] on expiry, and sampling telemetry
@@ -31,25 +47,29 @@
 //! else.
 
 use crate::backoff::{link_seed, Backoff};
-use crate::framing::{hello, parse_hello, read_lane_frame, write_lane_frame, Lane};
+use crate::framing::{hello, parse_hello, write_lane_frame_with, FrameReader, Lane};
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use parking_lot::Mutex;
 use stabilizer_core::timers::{self, TimerKind};
-use stabilizer_core::{ClusterConfig, CoreError, NodeId, Options, PlacementMap, WireMsg};
+use stabilizer_core::{Ack, ClusterConfig, CoreError, NodeId, Options, PlacementMap, WireMsg};
 use stabilizer_telemetry::{
     Counter, Gauge, ServerRoutes, StallProvider, Telemetry, TelemetryServer,
 };
 use std::collections::HashMap;
-use std::io::{BufReader, BufWriter, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{BufWriter, Write};
+use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 /// How long a writer blocks on an empty queue before re-checking for
 /// shutdown. Not a latency bound: the queue is flushed before blocking.
 const IDLE_POLL: Duration = Duration::from_millis(100);
+/// Capacity of a connection's write buffer: the bound on one write burst
+/// and on how long a held ACK row rides behind the frames queued after
+/// it.
+const WRITE_BUF: usize = 64 * 1024;
 /// Telemetry sampling cadence of the ticker.
 const SAMPLE_EVERY: Duration = Duration::from_millis(20);
 
@@ -61,11 +81,17 @@ pub struct TransportMetrics {
     pub frames_out: Counter,
     /// Bytes written to peers (length prefixes included).
     pub bytes_out: Counter,
-    /// Frames read from peers (the hello excluded — consumed before the
-    /// reader attaches accounting).
+    /// Frames read from inbound connections (each one's hello included).
     pub frames_in: Counter,
-    /// Bytes read from peers.
+    /// Bytes read from inbound connections.
     pub bytes_in: Counter,
+    /// Reader batches: blocking reads that completed at least one frame,
+    /// each handed to the node in one call. `frames_in / read_batches`
+    /// is the mean fold size.
+    pub read_batches: Counter,
+    /// `AckBatch` frames a writer merged into a row it already held
+    /// instead of writing them.
+    pub acks_coalesced: Counter,
     /// Successful connects after the first per link (i.e. reconnects).
     pub reconnects: Counter,
     /// Failed connect attempts (each is followed by a backoff sleep).
@@ -88,6 +114,8 @@ impl TransportMetrics {
             bytes_out: reg.counter("stab_tcp_bytes_out_total", labels),
             frames_in: reg.counter("stab_tcp_frames_in_total", labels),
             bytes_in: reg.counter("stab_tcp_bytes_in_total", labels),
+            read_batches: reg.counter("stab_tcp_read_batches_total", labels),
+            acks_coalesced: reg.counter("stab_tcp_acks_coalesced_total", labels),
             reconnects: reg.counter("stab_tcp_reconnects_total", labels),
             connect_attempts: reg.counter("stab_tcp_connect_attempts_total", labels),
             backoff_sleep_ns: reg.counter("stab_tcp_backoff_sleep_ns_total", labels),
@@ -119,9 +147,11 @@ pub trait LinkClient: Send + Sync + 'static {
     /// The link state embedded in this shape.
     fn link(&self) -> &Link<Self::Lane>;
 
-    /// A frame arrived from `peer` (reader thread; the hello has been
-    /// validated and is not passed on).
-    fn on_frame(&self, peer: NodeId, lane: Self::Lane, msg: WireMsg);
+    /// A reader batch arrived from `peer`: every frame one blocking read
+    /// completed, in wire order, never empty (reader thread; the hello
+    /// has been validated and is not passed on). The vector is the
+    /// reader's to reuse; whatever is left in it is discarded.
+    fn on_frames(&self, peer: NodeId, frames: &mut Vec<(Self::Lane, WireMsg)>);
 
     /// The link to `peer` was (re)established after traffic may have
     /// been lost: resend unacknowledged data and re-announce ACKs
@@ -163,6 +193,9 @@ pub struct Link<L: Lane> {
     telemetry_server: Mutex<Option<TelemetryServer>>,
     /// Per-peer outbound channels.
     senders: Mutex<HashMap<NodeId, Sender<(L, WireMsg)>>>,
+    /// Where the accept thread listens (set by [`spawn`]): the address
+    /// [`Link::shutdown`] connects to, to wake it out of `accept()`.
+    listen_addr: OnceLock<SocketAddr>,
 }
 
 impl<L: Lane> Link<L> {
@@ -194,6 +227,7 @@ impl<L: Lane> Link<L> {
             telemetry,
             telemetry_server: Mutex::new(None),
             senders: Mutex::new(HashMap::new()),
+            listen_addr: OnceLock::new(),
         }
     }
 
@@ -270,6 +304,12 @@ impl<L: Lane> Link<L> {
     pub fn shutdown(&self) {
         self.running.store(false, Ordering::SeqCst);
         self.senders.lock().clear(); // disconnect writer channels
+
+        // The accept thread blocks in `accept()`: hand it one last
+        // connection, which it drops on seeing `running` cleared.
+        if let Some(addr) = self.listen_addr.get() {
+            let _ = TcpStream::connect_timeout(addr, Duration::from_millis(200));
+        }
         if let Some(mut server) = self.telemetry_server.lock().take() {
             server.shutdown();
         }
@@ -318,6 +358,16 @@ pub(crate) fn spawn<C: LinkClient>(
     let link = client.link();
     let me = link.me.0;
     let prefix = params.thread_prefix;
+    if let Ok(mut addr) = listener.local_addr() {
+        // A wildcard bind is reached through loopback.
+        if addr.ip().is_unspecified() {
+            addr.set_ip(match addr {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
+        let _ = link.listen_addr.set(addr);
+    }
     let thread = |role: String, body: Box<dyn FnOnce(Arc<C>) + Send>| {
         let client = Arc::clone(client);
         std::thread::Builder::new()
@@ -387,50 +437,61 @@ pub(crate) fn spawn_local_cluster<T>(
 
 fn accept_loop<C: LinkClient>(client: &Arc<C>, listener: &TcpListener, prefix: &str) {
     let link = client.link();
-    listener.set_nonblocking(true).ok();
-    while link.is_running() {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                stream.set_nonblocking(false).ok();
-                let client = Arc::clone(client);
-                std::thread::Builder::new()
-                    .name(format!("{prefix}-{}-r", link.me.0))
-                    .spawn(move || reader_loop(&*client, stream))
-                    .expect("spawn reader");
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(5));
-            }
-            Err(_) => break,
+    // Blocks in `accept()`, so a connection's first frames wait for no
+    // poll; `Link::shutdown` wakes it with a self-connect.
+    while let Ok((stream, _)) = listener.accept() {
+        if !link.is_running() {
+            return;
         }
+        let client = Arc::clone(client);
+        std::thread::Builder::new()
+            .name(format!("{prefix}-{}-r", link.me.0))
+            .spawn(move || reader_loop(&*client, stream))
+            .expect("spawn reader");
     }
 }
 
 fn reader_loop<C: LinkClient>(client: &C, stream: TcpStream) {
     let link = client.link();
-    let mut reader = BufReader::new(stream);
+    let mut reader = FrameReader::new(&stream);
+    let mut frames: Vec<(C::Lane, WireMsg)> = Vec::new();
+    // One blocking read's worth of frames; false on EOF or a broken pipe.
+    let mut read_batch = |frames: &mut Vec<_>| {
+        let wire_len = reader.read_batch(frames).unwrap_or(0);
+        if let (Some(m), true) = (&link.metrics, wire_len > 0) {
+            m.read_batches.inc();
+            m.frames_in.add(frames.len() as u64);
+            m.bytes_in.add(wire_len as u64);
+        }
+        wire_len > 0
+    };
     // First frame must be a hello, on the hello lane, announcing a peer
     // this node has a link with. Anything else is a protocol violation
     // (or a stranger): drop the connection before a single frame reaches
     // the state machine, which trusts `peer` as the sender of all of them.
-    let first = read_lane_frame::<C::Lane, _>(&mut reader).ok().flatten();
-    let Some(peer) = first
-        .filter(|(lane, ..)| *lane == C::Lane::HELLO)
-        .and_then(|(_, msg, _)| parse_hello(&msg))
+    read_batch(&mut frames);
+    let Some(peer) = frames
+        .first()
+        .filter(|(lane, _)| *lane == C::Lane::HELLO)
+        .and_then(|(_, msg)| parse_hello(msg))
         .and_then(|id| link.admit(id))
     else {
+        // Refuse with a FIN, then let the stranger finish talking:
+        // closing over frames it is still writing would answer them with
+        // a reset instead.
+        let _ = stream.shutdown(Shutdown::Write);
+        let _ = std::io::copy(&mut &stream, &mut std::io::sink());
         return;
     };
-    while link.is_running() {
-        match read_lane_frame::<C::Lane, _>(&mut reader) {
-            Ok(Some((lane, msg, wire_len))) => {
-                if let Some(m) = &link.metrics {
-                    m.frames_in.inc();
-                    m.bytes_in.add(wire_len as u64);
-                }
-                client.on_frame(peer, lane, msg);
-            }
-            Ok(None) | Err(_) => return, // EOF or broken pipe
+    frames.remove(0);
+    loop {
+        // Hand over what has arrived before blocking for more.
+        if !frames.is_empty() {
+            client.on_frames(peer, &mut frames);
+            frames.clear();
+        }
+        if !link.is_running() || !read_batch(&mut frames) {
+            return;
         }
     }
 }
@@ -478,6 +539,33 @@ fn writer_loop<C: LinkClient>(
     }
 }
 
+/// The write side of one connection: the buffered socket, the scratch
+/// every frame head is built in, and the traffic accounting.
+struct FrameWriter<'a> {
+    stream: BufWriter<TcpStream>,
+    head: Vec<u8>,
+    metrics: Option<&'a TransportMetrics>,
+}
+
+impl FrameWriter<'_> {
+    /// Buffer one frame; returns its wire size.
+    fn frame<L: Lane>(&mut self, lane: L, msg: &WireMsg) -> std::io::Result<usize> {
+        let wire_len = write_lane_frame_with(&mut self.stream, &mut self.head, lane, msg)?;
+        if let Some(m) = self.metrics {
+            m.wrote(wire_len);
+        }
+        Ok(wire_len)
+    }
+
+    /// Buffer every held ACK row, leaving none held.
+    fn rows<L: Lane>(&mut self, held: &mut Vec<(L, Vec<Ack>)>) -> std::io::Result<()> {
+        for (lane, row) in held.drain(..) {
+            self.frame(lane, &WireMsg::AckBatch(row))?;
+        }
+        Ok(())
+    }
+}
+
 /// Drive one established connection until it breaks (`Err`) or the node
 /// shuts down (`Ok`).
 fn serve_connection<C: LinkClient>(
@@ -490,23 +578,30 @@ fn serve_connection<C: LinkClient>(
     let link = client.link();
     // Buffer writes so a frame's length prefix, header, and payload
     // coalesce into one syscall/segment.
-    let mut stream = BufWriter::with_capacity(64 * 1024, stream);
-    let wire_len = write_lane_frame(&mut stream, C::Lane::HELLO, &hello(link.me.0))?;
-    stream.flush()?;
-    if let Some(m) = &link.metrics {
-        m.wrote(wire_len);
-    }
+    let mut out = FrameWriter {
+        stream: BufWriter::with_capacity(WRITE_BUF, stream),
+        head: Vec::with_capacity(64),
+        metrics: link.metrics.as_ref(),
+    };
+    out.frame(C::Lane::HELLO, &hello(link.me.0))?;
+    out.stream.flush()?;
     if repair {
         client.repair_link(peer);
     }
+    // ACK rows dequeued but not yet written, one per lane, and the bytes
+    // dequeued since the first of them was held.
+    let mut held: Vec<(C::Lane, Vec<Ack>)> = Vec::new();
+    let mut since_held = 0;
     loop {
         let (lane, msg) = match rx.try_recv() {
             Ok(next) => next,
-            // Queue drained: flush, then block for more. "Drained" is
-            // the channel's own answer, never a depth estimate — a frame
-            // must not sit in the buffer while the writer sleeps.
+            // Queue drained: the held rows, flush, then block for more.
+            // "Drained" is the channel's own answer, never a depth
+            // estimate — neither a row nor a buffered frame may wait
+            // while the writer sleeps.
             Err(TryRecvError::Empty) => {
-                stream.flush()?;
+                out.rows(&mut held)?;
+                out.stream.flush()?;
                 match rx.recv_timeout(IDLE_POLL) {
                     Ok(next) => next,
                     Err(RecvTimeoutError::Timeout) if link.is_running() => continue,
@@ -514,13 +609,31 @@ fn serve_connection<C: LinkClient>(
                 }
             }
             Err(TryRecvError::Disconnected) => {
-                let _ = stream.flush();
+                let _ = out.rows(&mut held).and_then(|()| out.stream.flush());
                 return Ok(());
             }
         };
-        let wire_len = write_lane_frame(&mut stream, lane, &msg)?;
-        if let Some(m) = &link.metrics {
-            m.wrote(wire_len);
+        if held.is_empty() {
+            since_held = 0;
+        }
+        since_held += msg.encoded_len();
+        match msg {
+            WireMsg::AckBatch(acks) => match held.iter_mut().find(|(l, _)| *l == lane) {
+                Some((_, row)) => {
+                    Ack::max_merge(row, &acks);
+                    if let Some(m) = &link.metrics {
+                        m.acks_coalesced.inc();
+                    }
+                }
+                None => held.push((lane, acks)),
+            },
+            msg => {
+                out.frame(lane, &msg)?;
+            }
+        }
+        // A queue that never runs empty must not starve the rows.
+        if since_held >= WRITE_BUF {
+            out.rows(&mut held)?;
         }
     }
 }
@@ -602,8 +715,14 @@ fn ticker_loop<C: LinkClient>(client: &C, opts: &Options, dump: Option<&MetricsD
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::framing::read_frame;
+    use crate::framing::{read_frame, write_frame};
+    use bytes::Bytes;
+    use stabilizer_core::{PERSISTED, RECEIVED};
+    use std::io::{BufReader, Read};
     use std::sync::mpsc;
+
+    /// A reader batch as the stub was handed it, and when.
+    type Batch = (Instant, Vec<WireMsg>);
 
     /// A client with no protocol state behind it: it logs what the link
     /// layer asks of it.
@@ -613,6 +732,32 @@ mod tests {
         gave_up: Mutex<Vec<NodeId>>,
         /// When set, `repair_link` blocks until the test sends on it.
         repair_gate: Mutex<Option<mpsc::Receiver<()>>>,
+        /// Every `on_frames` call, in order.
+        batch_tx: Mutex<mpsc::Sender<Batch>>,
+        batch_rx: Mutex<mpsc::Receiver<Batch>>,
+        /// Stand-in for the recorder: the max-merge of every report made
+        /// through [`Stub::report`], re-announced by `repair_link`.
+        reported: Mutex<Vec<Ack>>,
+    }
+
+    impl Stub {
+        /// The next reader batch handed to this stub.
+        fn next_batch(&self) -> Batch {
+            let rx = self.batch_rx.lock();
+            rx.recv_timeout(Duration::from_secs(5))
+                .expect("a reader batch")
+        }
+
+        /// Record `acks` as reported and queue them for the peer.
+        fn report(&self, acks: Vec<Ack>) {
+            Ack::max_merge(&mut self.reported.lock(), &acks);
+            self.link.send(PEER, (), WireMsg::AckBatch(acks));
+        }
+
+        /// Where this stub accepts connections.
+        fn addr(&self) -> SocketAddr {
+            *self.link.listen_addr.get().expect("spawned")
+        }
     }
 
     impl LinkClient for Stub {
@@ -620,9 +765,16 @@ mod tests {
         fn link(&self) -> &Link<()> {
             &self.link
         }
-        fn on_frame(&self, _peer: NodeId, (): (), _msg: WireMsg) {}
+        fn on_frames(&self, _peer: NodeId, frames: &mut Vec<((), WireMsg)>) {
+            let batch = frames.drain(..).map(|((), msg)| msg).collect();
+            let _ = self.batch_tx.lock().send((Instant::now(), batch));
+        }
         fn repair_link(&self, peer: NodeId) {
             self.repairs.lock().push(peer);
+            let reported = self.reported.lock().clone();
+            if !reported.is_empty() {
+                self.link.send(peer, (), WireMsg::AckBatch(reported));
+            }
             if let Some(gate) = self.repair_gate.lock().as_ref() {
                 gate.recv().expect("test releases the gate");
             }
@@ -639,12 +791,33 @@ mod tests {
     /// Node 0 of a 2-node cluster as a stub, its one writer pointed at
     /// `peer_addr`.
     fn spawn_stub(peer_addr: SocketAddr, restored: bool, retry_limit: u64) -> Arc<Stub> {
+        spawn_stub_with(peer_addr, restored, retry_limit, None)
+    }
+
+    /// A stub whose writer parks in `repair_link` right after its first
+    /// hello, until the test sends on the returned gate: what is queued
+    /// meanwhile is drained as one burst.
+    fn spawn_parked_stub(peer_addr: SocketAddr) -> (Arc<Stub>, mpsc::Sender<()>) {
+        let (release, gate) = mpsc::channel();
+        (spawn_stub_with(peer_addr, true, 0, Some(gate)), release)
+    }
+
+    fn spawn_stub_with(
+        peer_addr: SocketAddr,
+        restored: bool,
+        retry_limit: u64,
+        gate: Option<mpsc::Receiver<()>>,
+    ) -> Arc<Stub> {
         let cfg = ClusterConfig::parse("az A a b\n").expect("config parses");
+        let (batch_tx, batch_rx) = mpsc::channel();
         let stub = Arc::new(Stub {
             link: Link::new(&cfg, NodeId(0), None, std::iter::empty()),
             repairs: Mutex::new(Vec::new()),
             gave_up: Mutex::new(Vec::new()),
-            repair_gate: Mutex::new(None),
+            repair_gate: Mutex::new(gate),
+            batch_tx: Mutex::new(batch_tx),
+            batch_rx: Mutex::new(batch_rx),
+            reported: Mutex::new(Vec::new()),
         });
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
         spawn(
@@ -768,6 +941,229 @@ mod tests {
             std::thread::sleep(Duration::from_millis(10));
         }
         assert!(stub.repairs.lock().is_empty());
+        stub.link.shutdown();
+    }
+
+    fn data(seq: u64, len: usize) -> WireMsg {
+        WireMsg::Data {
+            origin: NodeId(0),
+            seq,
+            payload: Bytes::from(vec![7u8; len]),
+        }
+    }
+
+    fn ack(ty: stabilizer_core::AckTypeId, seq: u64) -> Ack {
+        Ack {
+            stream: NodeId(0),
+            ty,
+            seq,
+        }
+    }
+
+    /// A peer that accepts connections and never reads: the stub's
+    /// writer connects, sends its hello and idles.
+    fn idle_peer() -> TcpListener {
+        TcpListener::bind("127.0.0.1:0").expect("bind")
+    }
+
+    #[test]
+    fn one_write_is_one_batch_and_a_lone_frame_is_a_batch_of_one() {
+        let peer = idle_peer();
+        let stub = spawn_stub(peer.local_addr().unwrap(), false, 0);
+        let mut s = TcpStream::connect(stub.addr()).unwrap();
+        s.set_nodelay(true).unwrap();
+        write_frame(&mut s, &hello(PEER.0)).unwrap();
+        let msgs = vec![
+            WireMsg::Heartbeat,
+            data(1, 100),
+            WireMsg::AckBatch(vec![ack(RECEIVED, 1)]),
+        ];
+        let mut wire = Vec::new();
+        for m in &msgs {
+            write_frame(&mut wire, m).unwrap();
+        }
+        s.write_all(&wire).unwrap();
+        assert_eq!(
+            stub.next_batch().1,
+            msgs,
+            "one write, one hand-off, in order"
+        );
+        // Nothing behind it: the reader must not wait for a batch to fill.
+        let sent = Instant::now();
+        write_frame(&mut s, &WireMsg::Heartbeat).unwrap();
+        let (at, batch) = stub.next_batch();
+        assert_eq!(batch, [WireMsg::Heartbeat]);
+        let waited = at.duration_since(sent);
+        assert!(waited < IDLE_POLL / 2, "lone frame waited {waited:?}");
+        stub.link.shutdown();
+    }
+
+    #[test]
+    fn a_refused_stranger_gets_a_fin_not_a_reset() {
+        let peer = idle_peer();
+        let stub = spawn_stub(peer.local_addr().unwrap(), false, 0);
+        let mut s = TcpStream::connect(stub.addr()).unwrap();
+        write_frame(&mut s, &hello(9)).unwrap(); // no such node
+        s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        assert_eq!(s.read(&mut [0u8; 1]).unwrap(), 0, "the node hangs up");
+        // What the stranger was still writing is taken and dropped; a
+        // closed socket would answer the first of these with a reset and
+        // fail the next.
+        for _ in 0..3 {
+            write_frame(&mut s, &WireMsg::Heartbeat).unwrap();
+        }
+        assert!(stub.batch_rx.lock().try_recv().is_err(), "nothing got in");
+        stub.link.shutdown();
+    }
+
+    #[test]
+    fn accept_waits_for_no_poll_and_shutdown_wakes_it() {
+        let peer = idle_peer();
+        let stub = spawn_stub(peer.local_addr().unwrap(), false, 0);
+        let mut wire = Vec::new();
+        write_frame(&mut wire, &hello(PEER.0)).unwrap();
+        write_frame(&mut wire, &WireMsg::Heartbeat).unwrap();
+        // Connect, send at once, and time the hand-off: a polled accept
+        // adds up to its period (5 ms once) to every one of these.
+        let mut waits: Vec<Duration> = (0..40)
+            .map(|_| {
+                let start = Instant::now();
+                let mut s = TcpStream::connect(stub.addr()).unwrap();
+                s.write_all(&wire).unwrap();
+                stub.next_batch().0.duration_since(start)
+            })
+            .collect();
+        waits.sort();
+        assert!(
+            waits[waits.len() / 4] < Duration::from_millis(1),
+            "first frames waited for the accept thread: {waits:?}"
+        );
+        // Every link thread holds a clone of the client, so "only ours is
+        // left" means all of them are gone, the accept thread included.
+        stub.link.shutdown();
+        let deadline = Instant::now() + Duration::from_millis(200);
+        while Arc::strong_count(&stub) > 1 {
+            assert!(
+                Instant::now() < deadline,
+                "{} link threads still alive after shutdown",
+                Arc::strong_count(&stub) - 1
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    #[test]
+    fn held_ack_rows_leave_at_the_tail_of_the_burst_max_merged() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let (stub, release) = spawn_parked_stub(listener.local_addr().unwrap());
+        let mut reader = accept_hello(&listener);
+        let send = |msg| stub.link.send(PEER, (), msg);
+        send(data(1, 10));
+        send(WireMsg::AckBatch(vec![ack(RECEIVED, 1), ack(PERSISTED, 1)]));
+        send(data(2, 10));
+        send(WireMsg::AckBatch(vec![ack(RECEIVED, 2)]));
+        send(WireMsg::Heartbeat);
+        release.send(()).unwrap();
+        let mut next = || read_frame(&mut reader).unwrap().expect("a frame");
+        assert_eq!(next(), data(1, 10));
+        assert_eq!(next(), data(2, 10));
+        assert_eq!(next(), WireMsg::Heartbeat);
+        assert_eq!(
+            next(),
+            WireMsg::AckBatch(vec![ack(RECEIVED, 2), ack(PERSISTED, 1)])
+        );
+        // A row with nothing queued behind it is the tail of its burst.
+        let sent = Instant::now();
+        send(WireMsg::AckBatch(vec![ack(RECEIVED, 3)]));
+        assert_eq!(next(), WireMsg::AckBatch(vec![ack(RECEIVED, 3)]));
+        assert!(
+            sent.elapsed() < IDLE_POLL / 2,
+            "lone row waited {:?}",
+            sent.elapsed()
+        );
+        stub.link.shutdown();
+    }
+
+    #[test]
+    fn a_queue_that_never_runs_empty_cannot_starve_a_held_row() {
+        const FRAME: usize = 16 * 1024;
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let (stub, release) = spawn_parked_stub(listener.local_addr().unwrap());
+        let mut reader = accept_hello(&listener);
+        // The row first, then three write buffers of data behind it, all
+        // queued before the writer wakes: it never sees an empty queue.
+        let row = WireMsg::AckBatch(vec![ack(RECEIVED, 1)]);
+        stub.link.send(PEER, (), row.clone());
+        let frames = 3 * WRITE_BUF / FRAME;
+        for seq in 1..=frames {
+            stub.link.send(PEER, (), data(seq as u64, FRAME));
+        }
+        release.send(()).unwrap();
+        let mut before_row = 0;
+        loop {
+            match read_frame(&mut reader).unwrap().expect("a frame") {
+                WireMsg::Data { payload, .. } => before_row += payload.len(),
+                msg => break assert_eq!(msg, row),
+            }
+        }
+        assert!(
+            (WRITE_BUF - FRAME..=WRITE_BUF).contains(&before_row),
+            "the row left after {before_row} bytes of a {} byte burst",
+            frames * FRAME
+        );
+        stub.link.shutdown();
+    }
+
+    #[test]
+    fn a_row_lost_with_its_connection_is_covered_by_the_repair() {
+        const FRAME: usize = 32 * 1024;
+        const REPORTS: u64 = 600;
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let stub = spawn_stub(listener.local_addr().unwrap(), false, 0);
+        let first = accept_hello(&listener); // ...and never read again
+                                             // Rising reports between data frames, far more bytes than the
+                                             // socket buffers take: the writer ends up blocked in a write
+                                             // with rows held, buffered and in flight.
+        for seq in 1..=REPORTS {
+            stub.link.send(PEER, (), data(seq, FRAME));
+            stub.report(vec![ack(RECEIVED, seq), ack(PERSISTED, seq / 2)]);
+        }
+        let depth = || stub.link.senders.lock()[&PEER].len();
+        let mut last = depth();
+        loop {
+            std::thread::sleep(Duration::from_millis(100));
+            let now = depth();
+            if now == last {
+                break;
+            }
+            last = now;
+        }
+        assert!(
+            last > 0,
+            "the writer drained {REPORTS} frames into a deaf socket"
+        );
+        drop(first); // the connection dies under the blocked writer
+        let mut reader = accept_hello(&listener);
+        // The rest of the queue, then the repair's re-announcement queued
+        // behind it: the peer's table reaches every cell the stub
+        // reported, whatever the dead connection took with it.
+        let reported = stub.reported.lock().clone();
+        let mut table = Vec::new();
+        let mut seen = 0;
+        while seen < REPORTS {
+            match read_frame(&mut reader).unwrap().expect("a frame") {
+                WireMsg::Data { seq, .. } => seen = seq,
+                WireMsg::AckBatch(row) => Ack::max_merge(&mut table, &row),
+                other => panic!("unexpected {other:?}"),
+            }
+        }
+        while table != reported {
+            match read_frame(&mut reader).unwrap().expect("a frame") {
+                WireMsg::AckBatch(row) => Ack::max_merge(&mut table, &row),
+                other => panic!("unexpected {other:?}"),
+            }
+        }
+        assert_eq!(*stub.repairs.lock(), [PEER]);
         stub.link.shutdown();
     }
 

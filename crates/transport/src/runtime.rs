@@ -3,7 +3,7 @@
 //! documents the thread layout).
 //!
 //! What is specific to this node shape: link threads run the state
-//! machine **inline** — a reader feeds each frame straight into
+//! machine **inline** — a reader folds each batch of frames under one
 //! [`Shared::with_node`], the ticker fires timers through it, a writer
 //! repairs its link through it. The node mutex is held only while
 //! mutating the state machine; emitted [`Action`]s are executed *after*
@@ -65,17 +65,23 @@ impl Shared {
         }
     }
 
-    /// Execute actions: run callbacks and wake waiters for what each one
-    /// shows ([`Action::event`]), forward sends to writer channels.
+    /// Execute actions: run callbacks for what each one shows
+    /// ([`Action::event`]), forward sends to writer channels, then wake
+    /// the waiters of every completed wait at once.
     pub fn process(&self, actions: Vec<Action>) {
+        let mut done = Vec::new();
         for action in actions {
-            if let Some(event) = action.event() {
-                self.upcalls.fire(&event);
-            }
-            if let Action::Send { to, msg } = action {
-                self.link.send(to, (), msg);
+            match action {
+                Action::Send { to, msg } => self.link.send(to, (), msg),
+                Action::WaitDone { token } => done.push(token),
+                other => {
+                    if let Some(event) = other.event() {
+                        self.upcalls.fire(&event);
+                    }
+                }
             }
         }
+        self.upcalls.complete(done);
     }
 
     /// Surface a membership (re)join — catch-up requested on `streams`
@@ -94,9 +100,10 @@ impl LinkClient for Shared {
         &self.link
     }
 
-    fn on_frame(&self, peer: NodeId, (): (), msg: WireMsg) {
+    fn on_frames(&self, peer: NodeId, frames: &mut Vec<((), WireMsg)>) {
         let now = self.link.now_nanos();
-        self.with_node(|n| n.on_message(now, peer, msg));
+        let msgs = frames.drain(..).map(|((), msg)| (peer, msg));
+        self.with_node(|n| n.on_messages(now, msgs));
     }
 
     fn repair_link(&self, peer: NodeId) {

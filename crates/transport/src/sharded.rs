@@ -12,11 +12,12 @@
 //! On top of the shared link layer's threads ([`crate::link`]) this node
 //! shape adds:
 //!
-//! * one **worker** thread per shard, owning all `on_message` processing
-//!   for that shard's sub-stream — link readers only parse sharded
-//!   frames (lane = shard index) and hand each message to its shard's
-//!   worker over a crossbeam channel; every peer's writer multiplexes
-//!   all shards onto one connection;
+//! * one **worker** thread per shard, owning all message processing for
+//!   that shard's sub-stream — link readers only parse sharded frames
+//!   (lane = shard index) and route each reader batch to the shards'
+//!   workers over crossbeam channels; a worker that wakes folds
+//!   everything already queued for it under one shard lock; every
+//!   peer's writer multiplexes all shards onto one connection;
 //! * one **dispatcher** thread running application callbacks (delivery
 //!   upcalls, frontier monitors) and the telemetry observer outside
 //!   every lock, in the exact order node-level events were produced
@@ -188,14 +189,17 @@ impl ShardedShared {
 
     /// Route one shard's actions: sends to the per-peer writers, the rest
     /// through [`ShardedFrontier::fold`] — under the aggregator lock,
-    /// which is what puts the resulting node-level events in one order.
+    /// which is what puts the resulting node-level events in one order;
+    /// it is taken at the first action that needs it and held to the end
+    /// of the batch.
     fn process_shard_actions(&self, shard: u16, actions: Vec<Action>) {
+        let mut agg = None;
         for action in actions {
             if let Action::Send { to, msg } = action {
                 self.link.send(to, shard, msg);
                 continue;
             }
-            let mut agg = self.agg.lock();
+            let agg = agg.get_or_insert_with(|| self.agg.lock());
             if let (Action::Frontier(update), Some(t)) = (&action, &self.link.telemetry) {
                 if update.stream == self.me {
                     let now = self.link.now_nanos();
@@ -204,9 +208,11 @@ impl ShardedShared {
             }
             let AggState {
                 frontier, scratch, ..
-            } = &mut *agg;
+            } = &mut **agg;
             frontier.fold(shard, action, scratch);
-            self.forward(scratch);
+        }
+        if let Some(mut agg) = agg {
+            self.forward(&mut agg.scratch);
         }
     }
 
@@ -227,17 +233,19 @@ impl ShardedShared {
 
     /// Hand folded node-level actions on. Called with the aggregator lock
     /// held so the dispatcher sees them in a single global order; the
-    /// upcalls' locks are leaves. Waiters are woken here, not behind the
-    /// dispatcher's queue; the dispatcher only shows the completion to
-    /// the telemetry observer, when there is one. What is not an event
+    /// upcalls' locks are leaves. Waiters are woken here, all of a
+    /// batch's at once, not behind the dispatcher's queue; the dispatcher
+    /// only shows the completion to the telemetry observer, when there
+    /// is one. What is not an event
     /// (per-shard observability, `PredicateBroken`: like the unsharded
     /// runtime that surfaces through monitor silence) has no reader
     /// behind the channel and stops here.
     fn forward(&self, actions: &mut Vec<ShardedAction>) {
+        let mut done = Vec::new();
         for action in actions.drain(..) {
             let shown = match action {
                 ShardedAction::WaitDone { token } => {
-                    self.upcalls.complete([token]);
+                    done.push(token);
                     self.link.telemetry.is_some()
                 }
                 _ => action.event().is_some(),
@@ -246,6 +254,7 @@ impl ShardedShared {
                 let _ = self.event_tx.send(action);
             }
         }
+        self.upcalls.complete(done);
     }
 
     /// [`ShardedShared::forward`] for events the aggregator returned
@@ -276,11 +285,13 @@ impl LinkClient for ShardedShared {
         &self.link
     }
 
-    fn on_frame(&self, peer: NodeId, shard: u16, msg: WireMsg) {
-        // An unknown shard index is tolerated (a peer configured with
-        // more shards): the traffic is simply not processable.
-        if let Some(tx) = self.shard_txs.get(shard as usize) {
-            let _ = tx.send((peer, msg)); // worker gone => shutting down
+    fn on_frames(&self, peer: NodeId, frames: &mut Vec<(u16, WireMsg)>) {
+        for (shard, msg) in frames.drain(..) {
+            // An unknown shard index is tolerated (a peer configured with
+            // more shards): the traffic is simply not processable.
+            if let Some(tx) = self.shard_txs.get(shard as usize) {
+                let _ = tx.send((peer, msg)); // worker gone => shutting down
+            }
         }
     }
 
@@ -907,9 +918,14 @@ fn dispatcher_loop(
 fn worker_loop(shared: Arc<ShardedShared>, shard: u16, rx: Receiver<(NodeId, WireMsg)>) {
     loop {
         match rx.recv_timeout(Duration::from_millis(100)) {
-            Ok((from, msg)) => {
+            Ok(first) => {
+                // One fold for what is queued right now: the depth read
+                // here bounds the batch, so a busy channel cannot keep
+                // the shard lock.
+                let queued = (0..rx.len()).map_while(|_| rx.try_recv().ok());
+                let batch = std::iter::once(first).chain(queued);
                 let now = shared.link.now_nanos();
-                shared.with_shard(shard, |n| n.on_message(now, from, msg));
+                shared.with_shard(shard, |n| n.on_messages(now, batch));
             }
             Err(RecvTimeoutError::Timeout) if shared.link.is_running() => {}
             Err(_) => return,

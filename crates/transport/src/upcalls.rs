@@ -35,8 +35,9 @@ pub(crate) struct Upcalls {
     completed: Mutex<HashSet<WaitToken>>,
     /// Signalled when `completed` grows.
     completed_cv: Condvar,
-    /// Frontier monitors, keyed by `(stream, key)`.
-    monitors: Mutex<HashMap<(NodeId, String), Monitored>>,
+    /// Frontier monitors, by stream, then by key (so an update's
+    /// borrowed key finds them).
+    monitors: Mutex<HashMap<NodeId, HashMap<String, Monitored>>>,
     deliver_fns: Mutex<Vec<DeliverFn>>,
 }
 
@@ -63,18 +64,19 @@ impl Upcalls {
         self.completed.lock().remove(&token)
     }
 
-    /// Mark `tokens` completed and wake every waiter.
-    pub(crate) fn complete(&self, tokens: impl IntoIterator<Item = WaitToken>) {
-        let mut done = self.completed.lock();
-        let before = done.len();
-        done.extend(tokens);
-        if done.len() > before {
-            self.completed_cv.notify_all();
+    /// Mark `tokens` completed and wake every waiter: one lock and one
+    /// wake-up for all of them (none, for an empty `tokens`).
+    pub(crate) fn complete(&self, tokens: Vec<WaitToken>) {
+        if tokens.is_empty() {
+            return;
         }
+        self.completed.lock().extend(tokens);
+        self.completed_cv.notify_all();
     }
 
-    /// Run the application's callbacks for `event`: delivery upcalls,
-    /// frontier monitors, `waitfor` wake-ups. Suspicion, recovery and
+    /// Run the application's callbacks for `event`: delivery upcalls and
+    /// frontier monitors (`waitfor` wake-ups go through
+    /// [`Upcalls::complete`], a batch at a time). Suspicion, recovery and
     /// catch-up surface through `is_suspected`, the observer and monitor
     /// silence; a production deployment would plug an alerting hook here.
     pub(crate) fn fire(&self, event: &Event<'_>) {
@@ -89,7 +91,6 @@ impl Upcalls {
                 }
             }
             Event::Frontier(update) => self.fire_frontier(update),
-            Event::WaitDone { token } => self.complete([token]),
             _ => {}
         }
     }
@@ -98,7 +99,8 @@ impl Upcalls {
     /// they have already been shown a newer `(generation, seq)`.
     fn fire_frontier(&self, update: &FrontierUpdate) {
         let mut monitors = self.monitors.lock();
-        if let Some(m) = monitors.get_mut(&(update.stream, update.key.clone())) {
+        let of_stream = monitors.get_mut(&update.stream);
+        if let Some(m) = of_stream.and_then(|keys| keys.get_mut(update.key.as_str())) {
             let at = (update.generation, update.seq);
             if at < m.last {
                 return;
@@ -113,7 +115,9 @@ impl Upcalls {
     pub(crate) fn add_monitor(&self, stream: NodeId, key: &str, f: MonitorFn) {
         self.monitors
             .lock()
-            .entry((stream, key.to_owned()))
+            .entry(stream)
+            .or_default()
+            .entry(key.to_owned())
             .or_default()
             .fns
             .push(f);
