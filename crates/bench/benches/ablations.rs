@@ -44,11 +44,8 @@ fn stabilization_time(ack_flush_micros: u64, count: u64) -> f64 {
         }
     }
     sim.actor(0)
-        .frontier_log
-        .iter()
-        .find(|(_, u)| u.key == "AllWNodes" && u.seq >= count)
-        .map(|(t, _)| t.as_secs_f64())
-        .unwrap_or(f64::NAN)
+        .covered_at(NodeId(0), "AllWNodes", count)
+        .map_or(f64::NAN, |t| t.as_secs_f64())
 }
 
 fn ablation_ack_coalescing(c: &mut Criterion) {

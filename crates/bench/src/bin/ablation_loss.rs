@@ -45,11 +45,8 @@ fn run(loss: f64) -> (f64, u64, u64) {
     }
     let done_at = sim
         .actor(0)
-        .frontier_log
-        .iter()
-        .find(|(_, u)| u.key == "All" && u.seq >= COUNT)
-        .map(|(t, _)| t.as_secs_f64())
-        .unwrap_or(f64::NAN);
+        .covered_at(NodeId(0), "All", COUNT)
+        .map_or(f64::NAN, |t| t.as_secs_f64());
     (
         done_at,
         sim.actor(0).inner().metrics().retransmits,

@@ -89,10 +89,7 @@ fn run_sim(n: usize, partial: bool, msgs: u64, payload: usize) -> f64 {
     for i in 0..n {
         let at = sim
             .actor(i)
-            .frontier_log
-            .iter()
-            .find(|(_, u)| u.stream == NodeId(i as u16) && u.key == "All" && u.seq >= msgs)
-            .map(|(t, _)| *t)
+            .covered_at(NodeId(i as u16), "All", msgs)
             .unwrap_or_else(|| panic!("origin {i}'s All frontier never covered {msgs}"));
         covered_at = covered_at.max(at);
     }

@@ -93,9 +93,11 @@ impl<'a> NodeView<'a> {
     }
 }
 
-/// Anything the checker can observe. Implemented for [`SimNode`] so the
-/// kvstore/pubsub/quorum harnesses (which embed or expose `SimNode`s)
-/// reuse the checker unchanged.
+/// Anything the checker can observe. Implemented for [`SimNode`]: every
+/// application actor (K/V store, both pub/sub brokers, quorum register,
+/// backup service) embeds one and exposes it as `driver()`, so their
+/// harnesses view a node through `driver().chaos_view()` and reuse the
+/// checker unchanged.
 pub trait ChaosObservable {
     /// Assemble the checker's view of this node.
     fn chaos_view(&self) -> NodeView<'_>;

@@ -227,6 +227,16 @@ pub trait AppHooks {
 pub struct NoHooks;
 impl AppHooks for NoHooks {}
 
+/// An observer that may be absent (a telemetry observer attached only
+/// when there is a hub): `None` sees nothing.
+impl<H: AppHooks> AppHooks for Option<H> {
+    fn on_event(&mut self, now: SimTime, event: &Event<'_>) {
+        if let Some(hooks) = self {
+            hooks.on_event(now, event);
+        }
+    }
+}
+
 /// Timestamped logs of one node's events — the same shape on the
 /// simulator (a [`SimNode`](crate::sim_driver::SimNode) keeps one) and on
 /// TCP (attach a [`SharedEventLog`] as the observer), so runtime-agnostic
@@ -288,6 +298,29 @@ impl EventLog {
             Event::CatchUp { stream, seq } => self.catchup_log.push((now, stream, seq)),
             Event::TransferChunk { .. } | Event::Join { .. } | Event::ConnectFailed { .. } => {}
         }
+    }
+
+    /// When `key`'s frontier over `stream` first covered `seq`, if it
+    /// has.
+    pub fn covered_at(&self, stream: NodeId, key: &str, seq: SeqNo) -> Option<SimTime> {
+        self.frontier_log
+            .iter()
+            .find(|(_, u)| u.stream == stream && u.key == key && u.seq >= seq)
+            .map(|(t, _)| *t)
+    }
+
+    /// For each sequence number of `stream` that `key`'s frontier has
+    /// covered (index `seq - 1`), when it first was. A frontier that
+    /// steps back across a generation change fills nothing twice: a
+    /// sequence number keeps the first time it was covered.
+    pub fn coverage(&self, stream: NodeId, key: &str) -> Vec<SimTime> {
+        let mut out = Vec::new();
+        for (t, u) in &self.frontier_log {
+            if u.stream == stream && u.key == key && u.seq as usize > out.len() {
+                out.resize(u.seq as usize, *t);
+            }
+        }
+        out
     }
 }
 
@@ -352,6 +385,36 @@ mod tests {
             assert_eq!(log.completed_waits, vec![(SimTime(9), 4)]);
             assert!(log.frontier_log.is_empty());
         }
+    }
+
+    #[test]
+    fn coverage_is_the_first_cover_time_per_sequence_number() {
+        let mut log = EventLog::default();
+        let mut advance = |t: u64, stream: u16, key: &str, seq: SeqNo, generation: u32| {
+            let update = FrontierUpdate {
+                stream: NodeId(stream),
+                key: key.to_owned(),
+                seq,
+                generation,
+            };
+            log.record(SimTime(t), &Event::Frontier(&update));
+        };
+        advance(10, 0, "All", 2, 0);
+        advance(11, 0, "One", 5, 0);
+        advance(12, 1, "All", 9, 0);
+        advance(20, 0, "All", 4, 0);
+        // A predicate change steps the frontier back, then past.
+        advance(30, 0, "All", 3, 1);
+        advance(40, 0, "All", 6, 1);
+        let t = |ts: &[u64]| ts.iter().map(|t| SimTime(*t)).collect::<Vec<_>>();
+        assert_eq!(log.coverage(NodeId(0), "All"), t(&[10, 10, 20, 20, 40, 40]));
+        assert_eq!(log.coverage(NodeId(1), "All"), t(&[12; 9]));
+        assert!(log.coverage(NodeId(0), "Nope").is_empty());
+        for (seq, at) in log.coverage(NodeId(0), "All").iter().enumerate() {
+            assert_eq!(log.covered_at(NodeId(0), "All", seq as u64 + 1), Some(*at));
+        }
+        assert_eq!(log.covered_at(NodeId(0), "All", 7), None);
+        assert_eq!(log.covered_at(NodeId(0), "One", 5), Some(SimTime(11)));
     }
 
     #[test]

@@ -4,6 +4,15 @@
 //! simulated sends, schedules the periodic control-plane timers, and
 //! exposes application hooks plus the timestamped [`EventLog`] that the
 //! experiment harnesses read.
+//!
+//! An application on the simulator is its state as an [`AppHooks`]
+//! value plus a thin actor that embeds a [`SimNode`] of those hooks,
+//! delegates `on_start`/`on_message`/`on_timer` to it, and keeps for
+//! itself only what is the application's: timer tags from
+//! [`TimerKind::APP_TAG_BASE`] up, messages that are not Stabilizer's,
+//! its public methods. The K/V store, both pub/sub brokers, the quorum
+//! register and the backup service are all that shape, so every
+//! control-plane timer runs under each of them.
 
 use crate::config::{ClusterConfig, Options};
 use crate::error::CoreError;
@@ -14,8 +23,10 @@ use crate::observe::{Event, EventLog};
 use crate::timers::{self, TimerKind};
 use bytes::Bytes;
 use stabilizer_dsl::{AckTypeId, AckTypeRegistry, NodeId, SeqNo};
-use stabilizer_netsim::{Actor, Ctx, MsgSize, SimDuration, SimTime, TimerId};
-use std::borrow::{Borrow, BorrowMut};
+use stabilizer_netsim::{
+    Actor, Ctx, MsgSize, NetTopology, SimDuration, SimTime, Simulation, TimerId,
+};
+use std::borrow::BorrowMut;
 use std::ops::{Deref, DerefMut};
 use std::sync::Arc;
 
@@ -193,17 +204,20 @@ impl<H: AppHooks, M: Machine> SimNode<H, M> {
         &self.node
     }
 
-    /// Whether the delivery log is being populated (external checkers
-    /// skip delivery-order invariants when it is not).
-    pub fn records_deliveries(&self) -> bool {
-        Borrow::<EventLog>::borrow(&self.log).record_deliveries
-    }
-
     /// Mutable access for *query-only* operations outside the event loop.
-    /// To perform operations that emit actions, use the `*_in` methods
-    /// with a simulation [`Ctx`].
+    /// To perform operations that emit actions, use [`SimNode::call_in`]
+    /// (or one of the `*_in` methods over it) with a simulation [`Ctx`].
     pub fn inner_mut(&mut self) -> &mut M {
         &mut self.node
+    }
+
+    /// Run `call` on the machine inside the simulation and drain what it
+    /// emitted — sends, hooks, log — before returning, so no action is
+    /// left behind for a later callback to find.
+    pub fn call_in<R>(&mut self, ctx: &mut Ctx<'_, M::Msg>, call: impl FnOnce(&mut M) -> R) -> R {
+        let result = call(&mut self.node);
+        self.drain(ctx);
+        result
     }
 
     /// Start §III-E catch-up on every peer stream (restart/join path),
@@ -223,9 +237,7 @@ impl<H: AppHooks, M: Machine> SimNode<H, M> {
         ctx: &mut Ctx<'_, M::Msg>,
         payload: Bytes,
     ) -> Result<SeqNo, CoreError> {
-        let seq = self.node.publish(payload)?;
-        self.drain(ctx);
-        Ok(seq)
+        self.call_in(ctx, |node| node.publish(payload))
     }
 
     /// Register a predicate inside the simulation.
@@ -236,9 +248,7 @@ impl<H: AppHooks, M: Machine> SimNode<H, M> {
         key: &str,
         source: &str,
     ) -> Result<(), CoreError> {
-        self.node.register_predicate(stream, key, source)?;
-        self.drain(ctx);
-        Ok(())
+        self.call_in(ctx, |node| node.register_predicate(stream, key, source))
     }
 
     /// Change a predicate inside the simulation.
@@ -249,9 +259,7 @@ impl<H: AppHooks, M: Machine> SimNode<H, M> {
         key: &str,
         source: &str,
     ) -> Result<(), CoreError> {
-        self.node.change_predicate(stream, key, source)?;
-        self.drain(ctx);
-        Ok(())
+        self.call_in(ctx, |node| node.change_predicate(stream, key, source))
     }
 
     /// `waitfor` inside the simulation; completion lands in
@@ -263,9 +271,7 @@ impl<H: AppHooks, M: Machine> SimNode<H, M> {
         key: &str,
         seq: SeqNo,
     ) -> Result<WaitToken, CoreError> {
-        let token = self.node.waitfor(stream, key, seq)?;
-        self.drain(ctx);
-        Ok(token)
+        self.call_in(ctx, |node| node.waitfor(stream, key, seq))
     }
 
     /// Report application-defined stability inside the simulation.
@@ -276,8 +282,7 @@ impl<H: AppHooks, M: Machine> SimNode<H, M> {
         ty: AckTypeId,
         seq: SeqNo,
     ) {
-        self.node.report_stability(stream, ty, seq);
-        self.drain(ctx);
+        self.call_in(ctx, |node| node.report_stability(stream, ty, seq));
     }
 
     fn drain(&mut self, ctx: &mut Ctx<'_, M::Msg>) {
@@ -285,16 +290,20 @@ impl<H: AppHooks, M: Machine> SimNode<H, M> {
         self.process_actions(ctx, actions);
     }
 
-    /// Arm `kind` one (skewed) period from now, if it is configured.
+    /// Arm `kind` one (skewed) period from now under its tag, if it is
+    /// configured.
     fn arm(&self, ctx: &mut Ctx<'_, M::Msg>, kind: TimerKind) {
-        arm_timer(ctx, kind, self.node.options(), self.timer_scale);
+        if let Some(period) = kind.scaled_period(self.node.options(), self.timer_scale) {
+            ctx.set_timer(
+                SimDuration::from_nanos(period.as_nanos() as u64),
+                kind.tag(),
+            );
+        }
     }
 
     /// Execute a batch of externally drained actions through this
-    /// driver's bookkeeping (hooks, logs, sends). Application layers that
-    /// need to observe actions before the driver consumes them — e.g. the
-    /// geo K/V store applying deliveries to its pools — call the
-    /// machine's `take_actions` themselves and then hand the batch here.
+    /// driver's bookkeeping (hooks, logs, sends) — what
+    /// [`SimNode::call_in`] does with what its call emitted.
     pub fn process_actions(&mut self, ctx: &mut Ctx<'_, M::Msg>, actions: Vec<M::Action>) {
         let now = ctx.now();
         for action in actions {
@@ -336,19 +345,6 @@ impl<H: AppHooks, M: Machine> Actor for SimNode<H, M> {
     }
 }
 
-/// Arm simulator timer `kind` one period from now — stretched by the
-/// clock-skew `scale` — under `kind`'s tag; a no-op when `opts` leaves
-/// the kind off. Every simulator actor that drives a node arms and
-/// re-arms through this.
-pub fn arm_timer<M>(ctx: &mut Ctx<'_, M>, kind: TimerKind, opts: &Options, scale: f64) {
-    if let Some(period) = kind.scaled_period(opts, scale) {
-        ctx.set_timer(
-            SimDuration::from_nanos(period.as_nanos() as u64),
-            kind.tag(),
-        );
-    }
-}
-
 /// Build a ready-to-run simulated cluster: one [`SimNode`] per topology
 /// node with shared ACK-type registry, over the given network topology.
 ///
@@ -361,9 +357,9 @@ pub fn arm_timer<M>(ctx: &mut Ctx<'_, M>, kind: TimerKind, opts: &Options, scale
 /// Panics if `net.len()` differs from the cluster topology size.
 pub fn build_cluster(
     cfg: &ClusterConfig,
-    net: stabilizer_netsim::NetTopology,
+    net: NetTopology,
     seed: u64,
-) -> Result<stabilizer_netsim::Simulation<SimNode>, CoreError> {
+) -> Result<Simulation<SimNode>, CoreError> {
     build_cluster_with_hooks(cfg, net, seed, |_| NoHooks)
 }
 
@@ -381,40 +377,42 @@ pub fn build_cluster(
 /// Panics if `net.len()` differs from the cluster topology size.
 pub fn build_cluster_with_hooks<H: AppHooks>(
     cfg: &ClusterConfig,
-    net: stabilizer_netsim::NetTopology,
+    net: NetTopology,
     seed: u64,
-    mk_hooks: impl FnMut(usize) -> H,
-) -> Result<stabilizer_netsim::Simulation<SimNode<H>>, CoreError> {
-    let acks = Arc::new(AckTypeRegistry::new());
-    build_machines(cfg, net, seed, mk_hooks, |i| {
-        StabilizerNode::new(cfg.clone(), NodeId(i as u16), Arc::clone(&acks))
+    mut mk_hooks: impl FnMut(usize) -> H,
+) -> Result<Simulation<SimNode<H>>, CoreError> {
+    build_actors(cfg, net, seed, |me, acks| {
+        let node = StabilizerNode::new(cfg.clone(), me, acks)?;
+        Ok(SimNode::new(node, mk_hooks(me.0 as usize)))
     })
 }
 
-/// One [`SimNode`] per topology node over `net`: `mk_machine(i)` builds
-/// node `i`'s machine, `mk_hooks(i)` its hooks.
+/// The one cluster-building loop: a simulation over `net` of one actor
+/// per topology node, `mk(me, acks)` building node `me`'s around the
+/// ACK-type registry the whole cluster shares. Every simulated
+/// deployment — bare, sharded, and each application's — is built here.
 ///
 /// # Errors
 ///
-/// Propagates the first `mk_machine` failure.
+/// Propagates the first `mk` failure.
 ///
 /// # Panics
 ///
 /// Panics if `net.len()` differs from the cluster topology size.
-pub fn build_machines<H: AppHooks, M: Machine>(
+pub fn build_actors<A: Actor>(
     cfg: &ClusterConfig,
-    net: stabilizer_netsim::NetTopology,
+    net: NetTopology,
     seed: u64,
-    mut mk_hooks: impl FnMut(usize) -> H,
-    mut mk_machine: impl FnMut(usize) -> Result<M, CoreError>,
-) -> Result<stabilizer_netsim::Simulation<SimNode<H, M>>, CoreError> {
+    mut mk: impl FnMut(NodeId, Arc<AckTypeRegistry>) -> Result<A, CoreError>,
+) -> Result<Simulation<A>, CoreError> {
     assert_eq!(
         net.len(),
         cfg.num_nodes(),
         "network and cluster sizes must match"
     );
-    let nodes = (0..cfg.num_nodes())
-        .map(|i| Ok(SimNode::new(mk_machine(i)?, mk_hooks(i))))
+    let acks = Arc::new(AckTypeRegistry::new());
+    let actors = (0..cfg.num_nodes())
+        .map(|i| mk(NodeId(i as u16), Arc::clone(&acks)))
         .collect::<Result<Vec<_>, CoreError>>()?;
-    Ok(stabilizer_netsim::Simulation::new(net, nodes, seed))
+    Ok(Simulation::new(net, actors, seed))
 }

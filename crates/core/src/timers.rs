@@ -1,10 +1,10 @@
 //! The one timer table: which periodic timers a node runs, in which
 //! order drivers arm them, and at what period.
 //!
-//! Every driver — both simulator actors, the TCP link ticker, the
-//! pub/sub broker's retransmit pump — arms, re-arms, skews and
-//! dispatches through [`TimerKind`], so a schedule change is one edit
-//! here instead of one per driver.
+//! Every driver — the simulator's `SimNode`, under either machine and
+//! under every application actor, and the TCP link ticker — arms,
+//! re-arms, skews and dispatches through [`TimerKind`], so a schedule
+//! change is one edit here instead of one per driver.
 //!
 //! A timer whose option is `0` is off ([`TimerKind::period`] returns
 //! `None`). The failure detector, the retransmit check and transfer
@@ -49,6 +49,12 @@ impl TimerKind {
     pub const fn tag(self) -> u64 {
         self as u64
     }
+
+    /// The first simulator timer tag that is an application's: tags
+    /// below this are the driver's. An actor that embeds a `SimNode`
+    /// numbers its own timers from here up, dispatches that range
+    /// itself and hands every other tag to `SimNode::on_timer`.
+    pub const APP_TAG_BASE: u64 = 1 << 16;
 
     /// The kind a simulator timer tag names, if any.
     pub fn from_tag(tag: u64) -> Option<TimerKind> {
@@ -111,7 +117,8 @@ mod tests {
         }
         assert_eq!(TimerKind::from_tag(0), None);
         assert_eq!(TimerKind::from_tag(6), None);
-        assert_eq!(TimerKind::from_tag(10), None); // stab_broker's publish tag
+        assert_eq!(TimerKind::from_tag(TimerKind::APP_TAG_BASE), None);
+        assert!(tags.iter().all(|t| *t < TimerKind::APP_TAG_BASE));
     }
 
     /// The parent's literals, as the simulator drivers re-armed them.

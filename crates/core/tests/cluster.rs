@@ -33,11 +33,7 @@ fn first_reach(
     key: &str,
     seq: SeqNo,
 ) -> Option<SimTime> {
-    sim.actor(0)
-        .frontier_log
-        .iter()
-        .find(|(_, u)| u.key == key && u.seq >= seq)
-        .map(|(t, _)| *t)
+    sim.actor(0).covered_at(NodeId(0), key, seq)
 }
 
 #[test]
@@ -593,9 +589,7 @@ fn recovered_secondary_is_automatically_reinstated() {
     // fast-forwards its stream position; its ACK then satisfies the
     // reinstated predicate.
     sim.with_ctx(7, |n, ctx| {
-        n.inner_mut().fast_forward_stream(NodeId(0), 1);
-        let actions = n.inner_mut().take_actions();
-        n.process_actions(ctx, actions);
+        n.call_in(ctx, |node| node.fast_forward_stream(NodeId(0), 1))
     });
     sim.run_for(SimDuration::from_millis(200));
     assert_eq!(
@@ -760,9 +754,7 @@ fn frontier_never_regresses_across_exclusion_and_reinstatement() {
     sim.run_for(SimDuration::from_millis(800));
     assert!(!sim.actor(0).inner().is_suspected(NodeId(7)));
     sim.with_ctx(7, |n, ctx| {
-        n.inner_mut().fast_forward_stream(NodeId(0), 4);
-        let actions = n.inner_mut().take_actions();
-        n.process_actions(ctx, actions);
+        n.call_in(ctx, |node| node.fast_forward_stream(NodeId(0), 4))
     });
     sim.with_ctx(0, |n, ctx| n.publish_in(ctx, Bytes::from(vec![2u8; 512])))
         .unwrap();

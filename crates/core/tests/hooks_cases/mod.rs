@@ -6,7 +6,7 @@
 //! shard crate).
 
 use bytes::Bytes;
-use stabilizer_core::sim_driver::{build_machines, AppHooks, Machine, SimNode};
+use stabilizer_core::sim_driver::{build_actors, AppHooks, Machine, SimNode};
 use stabilizer_core::{ClusterConfig, FrontierUpdate, NodeId, Options};
 use stabilizer_dsl::AckTypeRegistry;
 use stabilizer_netsim::{Actor, NetTopology, SimDuration, SimTime, Simulation};
@@ -54,11 +54,9 @@ pub fn cluster<M: Machine>(
     cfg: &ClusterConfig,
     mk: &impl MkMachine<M>,
 ) -> Simulation<SimNode<Counting, M>> {
-    let acks = Arc::new(AckTypeRegistry::new());
     let net = NetTopology::full_mesh(2, SimDuration::from_millis(5), 1e9);
-    let hooks = |_| Counting::default();
-    build_machines(cfg, net, 1, hooks, |i| {
-        Ok(mk(cfg.clone(), NodeId(i as u16), Arc::clone(&acks)))
+    build_actors(cfg, net, 1, |me, acks| {
+        Ok(SimNode::new(mk(cfg.clone(), me, acks), Counting::default()))
     })
     .unwrap()
 }

@@ -14,11 +14,12 @@
 
 use crate::trace::{DropboxTrace, CHUNK_BYTES};
 use bytes::Bytes;
+use stabilizer_core::sim_driver::{build_actors, SimNode};
 use stabilizer_core::{
-    Action, AppHooks, ClusterConfig, CoreError, NodeId, SeqNo, StabilizerNode, WireMsg,
+    ClusterConfig, CoreError, NodeId, SeqNo, StabilizerNode, TimerKind, WireMsg,
 };
 use stabilizer_dsl::AckTypeRegistry;
-use stabilizer_netsim::{Actor, Ctx, NetTopology, SimTime, Simulation, TimerId};
+use stabilizer_netsim::{Actor, Ctx, NetTopology, SimDuration, SimTime, Simulation, TimerId};
 use stabilizer_telemetry::{MetricsObserver, Telemetry};
 use std::sync::Arc;
 
@@ -72,22 +73,22 @@ pub struct FileSpan {
     pub size: u64,
 }
 
-/// One node of the backup deployment. Node `n1` (index 0) is the primary
-/// that receives all user sync requests (§VI-B: "all user write requests
-/// will be sent to server No. 1").
+/// One node of the backup deployment: the core [`SimNode`] driver, with
+/// an optional telemetry observer as its hooks, plus the primary's
+/// bookkeeping. Node `n1` (index 0) is the primary that receives all
+/// user sync requests (§VI-B: "all user write requests will be sent to
+/// server No. 1").
 pub struct BackupNode {
-    node: StabilizerNode,
+    sim: SimNode<Option<MetricsObserver>>,
     /// Send time per own-stream sequence number (1-based index `seq-1`).
     pub send_times: Vec<SimTime>,
-    /// Frontier log: `(time, predicate key, frontier)`.
-    pub frontier_log: Vec<(SimTime, String, SeqNo)>,
     /// Files stored at this node, in submission order.
     pub files: Vec<FileSpan>,
-    /// Trace records scheduled for publication, keyed by timer tag.
+    /// Trace records scheduled for publication; record `i` fires under
+    /// timer tag [`TimerKind::APP_TAG_BASE`]` + i`.
     pending_trace: Vec<crate::trace::TraceRecord>,
     full_chunk: Bytes,
     telemetry: Option<Arc<Telemetry>>,
-    observer: Option<MetricsObserver>,
 }
 
 impl BackupNode {
@@ -102,14 +103,12 @@ impl BackupNode {
         acks: Arc<AckTypeRegistry>,
     ) -> Result<Self, CoreError> {
         Ok(BackupNode {
-            node: StabilizerNode::new(cfg, me, acks)?,
+            sim: SimNode::new(StabilizerNode::new(cfg, me, acks)?, None).without_delivery_log(),
             send_times: Vec::new(),
-            frontier_log: Vec::new(),
             files: Vec::new(),
             pending_trace: Vec::new(),
             full_chunk: Bytes::from(vec![0u8; CHUNK_BYTES as usize]),
             telemetry: None,
-            observer: None,
         })
     }
 
@@ -119,7 +118,7 @@ impl BackupNode {
     /// of the Fig. 5 series).
     #[must_use]
     pub fn with_telemetry(mut self, hub: &Arc<Telemetry>) -> Self {
-        self.observer = Some(hub.observer(self.node.me()));
+        self.sim.hooks = Some(hub.observer(self.stabilizer().me()));
         self.telemetry = Some(Arc::clone(hub));
         self
     }
@@ -136,6 +135,7 @@ impl BackupNode {
         size: u64,
     ) -> Result<FileSpan, CoreError> {
         let chunks = size.div_ceil(CHUNK_BYTES).max(1);
+        let me = self.stabilizer().me();
         let mut first = 0;
         let mut last = 0;
         for i in 0..chunks {
@@ -147,9 +147,9 @@ impl BackupNode {
                 self.full_chunk.clone()
             };
             let payload_len = payload.len();
-            let seq = self.node.publish(payload)?;
+            let seq = self.sim.publish_in(ctx, payload)?;
             if let Some(t) = &self.telemetry {
-                t.note_publish(ctx.now().as_nanos(), self.node.me(), seq, payload_len);
+                t.note_publish(ctx.now().as_nanos(), me, seq, payload_len);
             }
             self.send_times.push(ctx.now());
             if i == 0 {
@@ -157,7 +157,6 @@ impl BackupNode {
             }
             last = seq;
         }
-        self.drain(ctx);
         let span = FileSpan {
             first_seq: first,
             last_seq: last,
@@ -172,7 +171,7 @@ impl BackupNode {
     /// on the primary before running the simulation).
     pub fn schedule_trace(&mut self, ctx: &mut Ctx<'_, WireMsg>, trace: &DropboxTrace) {
         for rec in trace.records() {
-            let tag = self.pending_trace.len() as u64;
+            let tag = TimerKind::APP_TAG_BASE + self.pending_trace.len() as u64;
             self.pending_trace.push(*rec);
             ctx.set_timer(rec.offset, tag);
         }
@@ -180,84 +179,62 @@ impl BackupNode {
 
     /// The embedded Stabilizer node.
     pub fn stabilizer(&self) -> &StabilizerNode {
-        &self.node
+        self.sim.inner()
     }
 
-    /// For each own-stream sequence number (0-based `seq-1`), the first
-    /// time `key`'s frontier covered it.
-    pub fn coverage(&self, key: &str) -> Vec<Option<SimTime>> {
-        let mut out = vec![None; self.send_times.len()];
-        let mut covered = 0usize;
-        for (t, k, seq) in &self.frontier_log {
-            if k != key {
-                continue;
-            }
-            let upto = (*seq as usize).min(out.len());
-            while covered < upto {
-                out[covered] = Some(*t);
-                covered += 1;
-            }
-        }
-        out
+    /// The embedded simulator driver, read-only: its `EventLog` by
+    /// deref, and the view the chaos checker takes of a bare cluster.
+    pub fn driver(&self) -> &SimNode<Option<MetricsObserver>> {
+        &self.sim
     }
 
     /// Per-message stability-frontier latency series for `key` (Fig. 5):
     /// `latency[seq-1] = cover_time - send_time`.
-    pub fn frontier_latencies(&self, key: &str) -> Vec<Option<stabilizer_netsim::SimDuration>> {
-        self.coverage(key)
+    pub fn frontier_latencies(&self, key: &str) -> Vec<Option<SimDuration>> {
+        let cover = self.sim.coverage(self.stabilizer().me(), key);
+        self.send_times
             .iter()
-            .zip(&self.send_times)
-            .map(|(cover, sent)| cover.map(|c| c.since(*sent)))
+            .enumerate()
+            .map(|(i, sent)| cover.get(i).map(|c| c.since(*sent)))
             .collect()
     }
 
     /// Per-file synchronization time under `key` (Fig. 6): cover time of
     /// the file's last chunk minus its submission time.
-    pub fn file_sync_times(&self, key: &str) -> Vec<Option<stabilizer_netsim::SimDuration>> {
-        let cover = self.coverage(key);
+    pub fn file_sync_times(&self, key: &str) -> Vec<Option<SimDuration>> {
+        let cover = self.sim.coverage(self.stabilizer().me(), key);
         self.files
             .iter()
             .map(|f| {
                 cover
                     .get(f.last_seq as usize - 1)
-                    .copied()
-                    .flatten()
                     .map(|c| c.since(f.submitted_at))
             })
             .collect()
-    }
-
-    fn drain(&mut self, ctx: &mut Ctx<'_, WireMsg>) {
-        for action in self.node.take_actions() {
-            if let (Some(obs), Some(event)) = (&mut self.observer, action.event()) {
-                obs.on_event(ctx.now(), &event);
-            }
-            match action {
-                Action::Send { to, msg } => ctx.send(to.0 as usize, msg),
-                Action::Frontier(u) => self.frontier_log.push((ctx.now(), u.key, u.seq)),
-                _ => {}
-            }
-        }
     }
 }
 
 impl Actor for BackupNode {
     type Msg = WireMsg;
 
-    fn on_message(&mut self, ctx: &mut Ctx<'_, WireMsg>, from: usize, msg: WireMsg) {
-        self.node
-            .on_message(ctx.now().as_nanos(), NodeId(from as u16), msg);
-        self.drain(ctx);
+    fn on_start(&mut self, ctx: &mut Ctx<'_, WireMsg>) {
+        self.sim.on_start(ctx);
     }
 
-    fn on_timer(&mut self, ctx: &mut Ctx<'_, WireMsg>, _t: TimerId, tag: u64) {
-        if let Some(rec) = self.pending_trace.get(tag as usize).copied() {
-            // Sync request arrives: store the file. The 8 GiB buffer is
-            // sized so the trace never blocks; a failure here would be an
-            // experiment-setup bug.
-            self.store_file(ctx, rec.size)
-                .expect("send buffer sized for the trace");
-        }
+    fn on_message(&mut self, ctx: &mut Ctx<'_, WireMsg>, from: usize, msg: WireMsg) {
+        self.sim.on_message(ctx, from, msg);
+    }
+
+    fn on_timer(&mut self, ctx: &mut Ctx<'_, WireMsg>, timer: TimerId, tag: u64) {
+        let Some(record) = tag.checked_sub(TimerKind::APP_TAG_BASE) else {
+            return self.sim.on_timer(ctx, timer, tag);
+        };
+        // Sync request arrives: store the file. The 8 GiB buffer is
+        // sized so the trace never blocks; a failure here would be an
+        // experiment-setup bug.
+        let size = self.pending_trace[record as usize].size;
+        self.store_file(ctx, size)
+            .expect("send buffer sized for the trace");
     }
 }
 
@@ -294,15 +271,11 @@ pub fn build_backup_with_telemetry(
     seed: u64,
     telemetry: Option<Arc<Telemetry>>,
 ) -> Result<Simulation<BackupNode>, CoreError> {
-    assert_eq!(net.len(), cfg.num_nodes());
-    let acks = Arc::new(AckTypeRegistry::new());
-    let mut nodes = Vec::with_capacity(cfg.num_nodes());
-    for i in 0..cfg.num_nodes() {
-        let mut node = BackupNode::new(cfg.clone(), NodeId(i as u16), Arc::clone(&acks))?;
-        if let Some(hub) = &telemetry {
-            node = node.with_telemetry(hub);
-        }
-        nodes.push(node);
-    }
-    Ok(Simulation::new(net, nodes, seed))
+    build_actors(cfg, net, seed, |me, acks| {
+        let node = BackupNode::new(cfg.clone(), me, acks)?;
+        Ok(match &telemetry {
+            Some(hub) => node.with_telemetry(hub),
+            None => node,
+        })
+    })
 }

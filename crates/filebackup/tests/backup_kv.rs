@@ -38,7 +38,8 @@ fn file_chunks_layer_over_the_kv_store() {
     sim.run_until_idle();
     assert!(sim
         .actor(0)
-        .completed_waits()
+        .driver()
+        .completed_waits
         .iter()
         .any(|(_, t)| *t == token));
 

@@ -11,38 +11,46 @@
 use crate::local::LocalStore;
 use crate::record::KvOp;
 use bytes::Bytes;
-use stabilizer_core::sim_driver::{AppHooks, SimNode};
+use stabilizer_core::sim_driver::{build_actors, AppHooks, SimNode};
 use stabilizer_core::{
-    Action, ClusterConfig, CoreError, Event, FrontierUpdate, NodeId, SeqNo, StabilizerNode,
-    WaitToken, WireMsg,
+    ClusterConfig, CoreError, Event, NodeId, SeqNo, StabilizerNode, WaitToken, WireMsg,
 };
 use stabilizer_dsl::AckTypeRegistry;
 use stabilizer_netsim::{Actor, Ctx, NetTopology, SimTime, Simulation, TimerId};
 use stabilizer_telemetry::{MetricsObserver, Telemetry};
 use std::sync::Arc;
 
-/// Driver hooks for the K/V node: forwards every event to an optional
-/// telemetry observer (no-op when detached).
-#[derive(Default)]
+/// The K/V store's state behind the driver: one pool per origin — this
+/// node's own (its primary keys) and a read-only mirror of every other
+/// node's, to which each delivered record is applied — plus an optional
+/// telemetry observer that sees every event.
 pub struct KvHooks {
+    pools: Vec<LocalStore>,
     observer: Option<MetricsObserver>,
 }
 
 impl AppHooks for KvHooks {
     fn on_event(&mut self, now: SimTime, event: &Event<'_>) {
-        if let Some(obs) = &mut self.observer {
-            obs.on_event(now, event);
+        if let Event::Deliver {
+            origin, payload, ..
+        } = *event
+        {
+            // Malformed records are dropped; in a real deployment this
+            // would be an integration bug worth surfacing loudly, so
+            // debug builds assert.
+            match KvOp::decode(payload) {
+                Ok(op) => op.apply(&mut self.pools[origin.0 as usize]),
+                Err(e) => debug_assert!(false, "undecodable KV record from {origin}: {e}"),
+            }
         }
+        self.observer.on_event(now, event);
     }
 }
 
-/// A geo-replicated K/V node running in the simulator.
-///
-/// Internally this wraps the core [`SimNode`] driver and applies every
-/// delivered record to the mirrored pool of its origin.
+/// A geo-replicated K/V node running in the simulator: the core
+/// [`SimNode`] driver over [`KvHooks`].
 pub struct GeoKvNode {
     sim: SimNode<KvHooks>,
-    pools: Vec<LocalStore>,
     telemetry: Option<Arc<Telemetry>>,
 }
 
@@ -57,12 +65,19 @@ impl GeoKvNode {
         me: NodeId,
         acks: Arc<AckTypeRegistry>,
     ) -> Result<Self, CoreError> {
-        let node = StabilizerNode::new(cfg.clone(), me, acks)?;
-        Ok(GeoKvNode {
-            sim: SimNode::new(node, KvHooks::default()).without_delivery_log(),
-            pools: (0..cfg.num_nodes()).map(|_| LocalStore::new()).collect(),
+        let pools = (0..cfg.num_nodes()).map(|_| LocalStore::new()).collect();
+        Ok(Self::over(StabilizerNode::new(cfg, me, acks)?, pools))
+    }
+
+    fn over(node: StabilizerNode, pools: Vec<LocalStore>) -> Self {
+        let hooks = KvHooks {
+            pools,
+            observer: None,
+        };
+        GeoKvNode {
+            sim: SimNode::new(node, hooks).without_delivery_log(),
             telemetry: None,
-        })
+        }
     }
 
     /// Attach a telemetry hub: publishes are stamped for stability
@@ -92,11 +107,7 @@ impl GeoKvNode {
     ) -> Result<Self, CoreError> {
         assert_eq!(pools.len(), cfg.num_nodes(), "one pool per origin");
         let node = StabilizerNode::restore(cfg, me, acks, snapshot)?;
-        Ok(GeoKvNode {
-            sim: SimNode::new(node, KvHooks::default()).without_delivery_log(),
-            pools,
-            telemetry: None,
-        })
+        Ok(Self::over(node, pools))
     }
 
     /// Write `value` under `key` in this node's own pool and start the
@@ -114,20 +125,14 @@ impl GeoKvNode {
         value: Bytes,
     ) -> Result<SeqNo, CoreError> {
         let timestamp = ctx.now().as_nanos();
-        let op = KvOp::Put {
-            key: key.to_owned(),
-            value: value.clone(),
-            timestamp,
-        };
-        let payload = op.to_bytes();
-        let payload_len = payload.len();
-        let seq = self.sim.publish_in(ctx, payload)?;
-        if let Some(t) = &self.telemetry {
-            t.note_publish(timestamp, self.me(), seq, payload_len);
-        }
-        let me = self.me().0 as usize;
-        self.pools[me].put(key, value, timestamp);
-        Ok(seq)
+        self.originate(
+            ctx,
+            KvOp::Put {
+                key: key.to_owned(),
+                value,
+                timestamp,
+            },
+        )
     }
 
     /// Tombstone `key` in this node's own pool, mirrored like a put.
@@ -137,35 +142,43 @@ impl GeoKvNode {
     /// Backpressure errors from the data plane.
     pub fn delete_in(&mut self, ctx: &mut Ctx<'_, WireMsg>, key: &str) -> Result<SeqNo, CoreError> {
         let timestamp = ctx.now().as_nanos();
-        let op = KvOp::Delete {
-            key: key.to_owned(),
-            timestamp,
-        };
+        self.originate(
+            ctx,
+            KvOp::Delete {
+                key: key.to_owned(),
+                timestamp,
+            },
+        )
+    }
+
+    /// Publish `op` on this node's stream, then apply it to this node's
+    /// own pool.
+    fn originate(&mut self, ctx: &mut Ctx<'_, WireMsg>, op: KvOp) -> Result<SeqNo, CoreError> {
         let payload = op.to_bytes();
         let payload_len = payload.len();
         let seq = self.sim.publish_in(ctx, payload)?;
         if let Some(t) = &self.telemetry {
-            t.note_publish(timestamp, self.me(), seq, payload_len);
+            t.note_publish(op.timestamp(), self.me(), seq, payload_len);
         }
         let me = self.me().0 as usize;
-        self.pools[me].delete(key, timestamp);
+        op.apply(&mut self.sim.hooks.pools[me]);
         Ok(seq)
     }
 
     /// Read the latest mirrored value of `key` from `owner`'s pool.
     pub fn get(&self, owner: NodeId, key: &str) -> Option<Bytes> {
-        self.pools[owner.0 as usize].get(key)
+        self.pool(owner).get(key)
     }
 
     /// Read `key` from `owner`'s pool as of `timestamp` (the Derecho
     /// `get_by_time` API the paper preserves).
     pub fn get_by_time(&self, owner: NodeId, key: &str, timestamp: u64) -> Option<Bytes> {
-        self.pools[owner.0 as usize].get_by_time(key, timestamp)
+        self.pool(owner).get_by_time(key, timestamp)
     }
 
     /// The mirrored pool of `owner` (read-only).
     pub fn pool(&self, owner: NodeId) -> &LocalStore {
-        &self.pools[owner.0 as usize]
+        &self.sim.hooks.pools[owner.0 as usize]
     }
 
     /// Current `(frontier, generation)` of a predicate over this node's
@@ -225,45 +238,19 @@ impl GeoKvNode {
         self.sim.inner().me()
     }
 
-    /// Timestamped frontier log (for experiments).
-    pub fn frontier_log(&self) -> &[(SimTime, FrontierUpdate)] {
-        &self.sim.frontier_log
-    }
-
-    /// Completed `waitfor` tokens with completion times.
-    pub fn completed_waits(&self) -> &[(SimTime, WaitToken)] {
-        &self.sim.completed_waits
-    }
-
     /// The wrapped Stabilizer state machine.
     pub fn stabilizer(&self) -> &StabilizerNode {
         self.sim.inner()
     }
 
-    /// The embedded simulator driver, exposed read-only so external
-    /// observers (e.g. the chaos harness's invariant checker) can view
-    /// this node exactly as they view a bare `SimNode` cluster.
+    /// The embedded simulator driver, read-only: its [`EventLog`]
+    /// (frontier log, completed waits, `covered_at`, …) by deref, and
+    /// the view external observers (e.g. the chaos harness's invariant
+    /// checker) take of a bare `SimNode` cluster.
+    ///
+    /// [`EventLog`]: stabilizer_core::EventLog
     pub fn driver(&self) -> &SimNode<KvHooks> {
         &self.sim
-    }
-
-    fn apply_delivery(&mut self, origin: NodeId, payload: &Bytes) {
-        // Malformed records are dropped; in a real deployment this would
-        // be an integration bug worth surfacing loudly, so debug builds
-        // assert.
-        match KvOp::decode(payload) {
-            Ok(KvOp::Put {
-                key,
-                value,
-                timestamp,
-            }) => {
-                self.pools[origin.0 as usize].put(&key, value, timestamp);
-            }
-            Ok(KvOp::Delete { key, timestamp }) => {
-                self.pools[origin.0 as usize].delete(&key, timestamp);
-            }
-            Err(e) => debug_assert!(false, "undecodable KV record from {origin}: {e}"),
-        }
     }
 }
 
@@ -275,21 +262,7 @@ impl Actor for GeoKvNode {
     }
 
     fn on_message(&mut self, ctx: &mut Ctx<'_, WireMsg>, from: usize, msg: WireMsg) {
-        // Feed the state machine directly so `Deliver` actions can be
-        // applied to the mirrored pools before the driver consumes them.
-        self.sim
-            .inner_mut()
-            .on_message(ctx.now().as_nanos(), NodeId(from as u16), msg);
-        let actions = self.sim.inner_mut().take_actions();
-        for action in &actions {
-            if let Action::Deliver {
-                origin, payload, ..
-            } = action
-            {
-                self.apply_delivery(*origin, payload);
-            }
-        }
-        self.sim.process_actions(ctx, actions);
+        self.sim.on_message(ctx, from, msg);
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_, WireMsg>, timer: TimerId, tag: u64) {
@@ -331,15 +304,11 @@ pub fn build_kv_cluster_with_telemetry(
     seed: u64,
     telemetry: Option<Arc<Telemetry>>,
 ) -> Result<Simulation<GeoKvNode>, CoreError> {
-    assert_eq!(net.len(), cfg.num_nodes());
-    let acks = Arc::new(AckTypeRegistry::new());
-    let mut nodes = Vec::with_capacity(cfg.num_nodes());
-    for i in 0..cfg.num_nodes() {
-        let mut node = GeoKvNode::new(cfg.clone(), NodeId(i as u16), Arc::clone(&acks))?;
-        if let Some(hub) = &telemetry {
-            node = node.with_telemetry(hub);
-        }
-        nodes.push(node);
-    }
-    Ok(Simulation::new(net, nodes, seed))
+    build_actors(cfg, net, seed, |me, acks| {
+        let node = GeoKvNode::new(cfg.clone(), me, acks)?;
+        Ok(match &telemetry {
+            Some(hub) => node.with_telemetry(hub),
+            None => node,
+        })
+    })
 }

@@ -1,6 +1,7 @@
 //! The replicated K/V operation record: what a primary publishes on its
 //! Stabilizer stream, and what mirrors apply to their read-only pools.
 
+use crate::local::LocalStore;
 use bytes::Bytes;
 use stabilizer_core::CoreError;
 
@@ -41,6 +42,20 @@ impl KvOp {
         match self {
             KvOp::Put { timestamp, .. } | KvOp::Delete { timestamp, .. } => *timestamp,
         }
+    }
+
+    /// Apply this mutation to `pool`: the primary's own pool when it
+    /// publishes the record, a mirror's copy of the origin's pool when
+    /// it is delivered — on the simulator and on TCP alike.
+    pub fn apply(self, pool: &mut LocalStore) {
+        match self {
+            KvOp::Put {
+                key,
+                value,
+                timestamp,
+            } => pool.put(&key, value, timestamp),
+            KvOp::Delete { key, timestamp } => pool.delete(&key, timestamp),
+        };
     }
 
     /// Serialize to a payload for `publish`.

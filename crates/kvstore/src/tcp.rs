@@ -33,16 +33,7 @@ impl GeoKvHandle {
         {
             let pools = Arc::clone(&pools);
             handle.on_deliver(move |origin, _seq, payload| match KvOp::decode(payload) {
-                Ok(KvOp::Put {
-                    key,
-                    value,
-                    timestamp,
-                }) => {
-                    pools.lock()[origin.0 as usize].put(&key, value, timestamp);
-                }
-                Ok(KvOp::Delete { key, timestamp }) => {
-                    pools.lock()[origin.0 as usize].delete(&key, timestamp);
-                }
+                Ok(op) => op.apply(&mut pools.lock()[origin.0 as usize]),
                 Err(_) => debug_assert!(false, "undecodable KV record from {origin}"),
             });
         }
@@ -66,14 +57,13 @@ impl GeoKvHandle {
     ///
     /// Backpressure (after `timeout`) or payload-size errors.
     pub fn put(&self, key: &str, value: Bytes, timeout: Duration) -> Result<SeqNo, CoreError> {
-        let timestamp = now_nanos();
         let op = KvOp::Put {
             key: key.to_owned(),
-            value: value.clone(),
-            timestamp,
+            value,
+            timestamp: now_nanos(),
         };
         let seq = self.handle.publish(op.to_bytes(), timeout)?;
-        self.pools.lock()[self.id().0 as usize].put(key, value, timestamp);
+        op.apply(&mut self.pools.lock()[self.id().0 as usize]);
         Ok(seq)
     }
 
@@ -83,13 +73,12 @@ impl GeoKvHandle {
     ///
     /// Backpressure or payload-size errors.
     pub fn delete(&self, key: &str, timeout: Duration) -> Result<SeqNo, CoreError> {
-        let timestamp = now_nanos();
         let op = KvOp::Delete {
             key: key.to_owned(),
-            timestamp,
+            timestamp: now_nanos(),
         };
         let seq = self.handle.publish(op.to_bytes(), timeout)?;
-        self.pools.lock()[self.id().0 as usize].delete(key, timestamp);
+        op.apply(&mut self.pools.lock()[self.id().0 as usize]);
         Ok(seq)
     }
 

@@ -135,7 +135,7 @@ fn waitfor_gates_on_the_chosen_consistency_model() {
         .with_ctx(0, |kv, ctx| kv.waitfor_in(ctx, "AllWNodes", seq))
         .unwrap();
     sim.run_until_idle();
-    let waits = sim.actor(0).completed_waits();
+    let waits = &sim.actor(0).driver().completed_waits;
     let at = |tok| {
         waits
             .iter()
@@ -167,12 +167,11 @@ fn runtime_registered_predicate_over_kv() {
         })
         .unwrap();
     sim.run_until_idle();
-    let log = sim.actor(0).frontier_log();
-    let reached = log
-        .iter()
-        .find(|(_, u)| u.key == "AzPlusRemote" && u.seq >= seq)
-        .unwrap()
-        .0;
+    let reached = sim
+        .actor(0)
+        .driver()
+        .covered_at(NodeId(0), "AzPlusRemote", seq)
+        .unwrap();
     // Gated by the slower of: intra-AZ RTT (3.7ms) and fastest remote
     // region RTT (Oregon, 23.29ms) -> about 23-25 ms.
     let ms = reached.as_millis_f64();

@@ -1,6 +1,7 @@
 //! The chaos invariant checker reused, unchanged, over the K/V store:
-//! `GeoKvNode` exposes its embedded `SimNode` driver, so the same
-//! `ChaosObservable` view the bare-cluster harness uses applies here.
+//! like every application actor, `GeoKvNode` embeds the core `SimNode`
+//! driver and exposes it as `driver()`, so the same `ChaosObservable`
+//! view the bare-cluster harness uses applies here.
 
 use bytes::Bytes;
 use stabilizer_chaos::{ChaosObservable, InvariantChecker, NodeView};

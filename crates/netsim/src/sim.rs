@@ -105,6 +105,30 @@ impl<M> Ctx<'_, M> {
     pub fn rng(&mut self) -> &mut SmallRng {
         self.rng
     }
+
+    /// Run `f` with this callback's context as seen by an embedded actor
+    /// that speaks `N` where the links carry `M`: same clock, identity,
+    /// RNG and timer-id sequence, and every message it sends leaves
+    /// through this context as `wrap(msg)`, in the order it asked,
+    /// behind whatever was requested here before the call.
+    pub fn lens<N, R>(&mut self, wrap: impl Fn(N) -> M, f: impl FnOnce(&mut Ctx<'_, N>) -> R) -> R {
+        let mut effects = Vec::new();
+        let result = f(&mut Ctx {
+            now: self.now,
+            me: self.me,
+            n: self.n,
+            effects: &mut effects,
+            rng: self.rng,
+            next_timer: self.next_timer,
+        });
+        self.effects
+            .extend(effects.into_iter().map(|eff| match eff {
+                Effect::Send { to, msg } => Effect::Send { to, msg: wrap(msg) },
+                Effect::SetTimer { id, delay, tag } => Effect::SetTimer { id, delay, tag },
+                Effect::CancelTimer(id) => Effect::CancelTimer(id),
+            }));
+        result
+    }
 }
 
 enum EventKind<M> {
@@ -593,6 +617,42 @@ mod tests {
         sim.run_until_idle();
         let tags: Vec<u64> = sim.actor(0).fired.iter().map(|(_, t)| *t).collect();
         assert_eq!(tags, vec![3, 5]);
+    }
+
+    #[test]
+    fn lens_wraps_sends_in_order_and_shares_timer_ids() {
+        // The embedded side speaks `u64`; the links carry `Num`.
+        let mut sim = two_nodes(1);
+        let (outer, inner, cancelled) = sim.with_ctx(0, |_, ctx| {
+            ctx.send(1, Num(0));
+            let outer = ctx.set_timer(SimDuration::from_millis(2), 20);
+            let (inner, cancelled) = ctx.lens(Num, |sub: &mut Ctx<'_, u64>| {
+                assert_eq!(
+                    (sub.now(), sub.me(), sub.num_nodes()),
+                    (SimTime::ZERO, 0, 2)
+                );
+                sub.send(1, 1);
+                let inner = sub.set_timer(SimDuration::from_millis(3), 30);
+                let cancelled = sub.set_timer(SimDuration::from_millis(4), 40);
+                sub.cancel_timer(cancelled);
+                sub.send(1, 2);
+                (inner, cancelled)
+            });
+            ctx.send(1, Num(3));
+            (outer, inner, cancelled)
+        });
+        // Timer ids continue the outer sequence, inside and after.
+        assert_eq!(
+            (inner, cancelled),
+            (TimerId(outer.0 + 1), TimerId(outer.0 + 2))
+        );
+        let after = sim.with_ctx(0, |_, ctx| ctx.set_timer(SimDuration::from_millis(5), 50));
+        assert_eq!(after, TimerId(outer.0 + 3));
+        sim.run_until_idle();
+        let vals: Vec<u64> = sim.actor(1).got.iter().map(|g| g.2).collect();
+        assert_eq!(vals, [0, 1, 2, 3], "wrapped, in the order asked");
+        let tags: Vec<u64> = sim.actor(0).fired.iter().map(|(_, t)| *t).collect();
+        assert_eq!(tags, [20, 30, 50], "a cancel inside the lens cancels");
     }
 
     #[test]

@@ -78,12 +78,15 @@ pub fn fig7_point(
                 )
             });
             sim.run_until_idle();
+            let latencies: Vec<_> = (0..net.len())
+                .map(|site| sim.actor(0).latencies(&format!("site_{site}")))
+                .collect();
             collect(
                 &net,
                 count,
                 size,
-                |site, seq| sim.actor(0).latency_of(site, seq),
-                |site| sim.actor(site).deliveries.iter().map(|(t, _)| *t).max(),
+                |site, seq| *latencies[site].get(seq as usize - 1)?,
+                |site| sim.actor(site).deliveries().iter().map(|(t, _)| *t).max(),
             )
         }
         System::PulsarLike => {
@@ -224,24 +227,16 @@ pub fn fig8_run(mode: Fig8Mode, seed: u64) -> Vec<Fig8Point> {
     }
     sim.run_until_idle();
 
-    // Latency of each message against the tracked predicate: first
-    // frontier-log entry (key "track") covering its seq.
+    // Latency of each message against the tracked predicate: the first
+    // time "track" covered its seq. A generation change may move the
+    // frontier backwards; coverage only ever fills *new* sequence
+    // numbers, per the paper's "the user should be responsible for
+    // handling such a gap".
     let broker = sim.actor(0);
-    let mut reach: Vec<Option<SimTime>> = vec![None; COUNT as usize];
-    let mut covered = 0usize;
-    for (t, u) in broker_frontier_log(broker) {
-        let upto = (u as usize).min(COUNT as usize);
-        while covered < upto {
-            reach[covered] = Some(t);
-            covered += 1;
-        }
-    }
-
     let mut per_second: Vec<(u128, u64)> = vec![(0, 0); total_secs as usize + 2];
-    for (i, sent) in broker.send_times.iter().enumerate().take(COUNT as usize) {
-        if let Some(Some(done)) = reach.get(i) {
+    for (sent, lat) in broker.send_times.iter().zip(broker.latencies("track")) {
+        if let Some(lat) = lat {
             let sec = sent.as_secs_f64() as u64;
-            let lat = done.since(*sent);
             per_second[sec as usize].0 += lat.as_nanos() as u128;
             per_second[sec as usize].1 += 1;
         }
@@ -254,19 +249,5 @@ pub fn fig8_run(mode: Fig8Mode, seed: u64) -> Vec<Fig8Point> {
             second: second as u64,
             avg_latency: SimDuration::from_nanos((sum / n as u128) as u64),
         })
-        .collect()
-}
-
-/// Timestamped `(time, frontier)` entries of the "track" predicate.
-/// NOTE: generation changes may move the frontier backwards; the Fig. 8
-/// gap is handled by only filling *new* sequence numbers (monotone
-/// coverage), per the paper's "the user should be responsible for
-/// handling such a gap".
-fn broker_frontier_log(broker: &crate::stab_broker::StabBroker) -> Vec<(SimTime, u64)> {
-    broker
-        .frontier_log
-        .iter()
-        .filter(|(_, key, _)| key == "track")
-        .map(|(t, _, s)| (*t, *s))
         .collect()
 }

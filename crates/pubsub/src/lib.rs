@@ -22,7 +22,7 @@
 //! sim.run_until_idle();
 //! sim.with_ctx(0, |b, ctx| b.publish_in(ctx, "news", Bytes::from_static(b"hi")))?;
 //! sim.run_until_idle();
-//! assert_eq!(sim.actor(2).deliveries.len(), 1);
+//! assert_eq!(sim.actor(2).deliveries().len(), 1);
 //! # Ok(()) }
 //! ```
 

@@ -9,16 +9,15 @@
 //! the corresponding message send times").
 
 use bytes::Bytes;
-use stabilizer_core::sim_driver::arm_timer;
+use stabilizer_core::sim_driver::{build_actors, AppHooks, SimNode};
 use stabilizer_core::{
-    Action, ClusterConfig, CoreError, NodeId, SeqNo, StabilizerNode, TimerKind, WireMsg,
+    ClusterConfig, CoreError, NodeId, SeqNo, StabilizerNode, TimerKind, WireMsg,
 };
 use stabilizer_dsl::AckTypeRegistry;
 use stabilizer_netsim::{Actor, Ctx, NetTopology, SimDuration, SimTime, Simulation, TimerId};
 use std::sync::Arc;
 
-const TAG_PUBLISH: u64 = 10;
-const TAG_RETRANSMIT: u64 = TimerKind::Retransmit.tag();
+const TAG_PUBLISH: u64 = TimerKind::APP_TAG_BASE;
 
 /// A paced publishing workload: `count` messages of `size` bytes at
 /// `interval` spacing.
@@ -32,25 +31,33 @@ pub struct PublishLoad {
     pub size: usize,
 }
 
-/// One broker of the pub/sub deployment (a Stabilizer node plus the
-/// publisher's measurement state).
+/// The subscriber side of a broker, behind the driver: whether a local
+/// client subscribes (the active-broker list is the set of subscribed
+/// brokers; drives Fig. 8's predicate reconfiguration) and what it was
+/// handed. An unsubscribed broker still mirrors — reliable broadcast
+/// keeps it consistent — but does not upcall.
+#[derive(Debug, Default)]
+pub struct BrokerHooks {
+    subscribed: bool,
+    deliveries: Vec<(SimTime, SeqNo)>,
+}
+
+impl AppHooks for BrokerHooks {
+    fn on_deliver(&mut self, now: SimTime, _origin: NodeId, seq: SeqNo, _payload: &Bytes) {
+        if self.subscribed {
+            self.deliveries.push((now, seq));
+        }
+    }
+}
+
+/// One broker of the pub/sub deployment: the core [`SimNode`] driver
+/// over [`BrokerHooks`], plus the publisher's measurement state.
 pub struct StabBroker {
-    node: StabilizerNode,
+    sim: SimNode<BrokerHooks>,
     /// Send time of each sequence number (publisher side), 1-based.
     pub send_times: Vec<SimTime>,
-    /// Per-site first time the site's ACK covered each sequence number:
-    /// `ack_times[site][seq-1]`.
-    pub ack_times: Vec<Vec<Option<SimTime>>>,
-    /// Deliveries observed at this broker (subscriber side):
-    /// `(time, seq)` of the publisher stream.
-    pub deliveries: Vec<(SimTime, SeqNo)>,
-    /// Every frontier update observed: `(time, key, frontier)`.
-    pub frontier_log: Vec<(SimTime, String, SeqNo)>,
     load: Option<PublishLoad>,
     published: u64,
-    /// Subscription flags per local broker (drives the active-broker
-    /// list and Fig. 8's predicate reconfiguration).
-    pub subscribed: bool,
 }
 
 impl StabBroker {
@@ -74,14 +81,10 @@ impl StabBroker {
             }
         }
         Ok(StabBroker {
-            node,
+            sim: SimNode::new(node, BrokerHooks::default()),
             send_times: Vec::new(),
-            ack_times: vec![Vec::new(); n],
-            deliveries: Vec::new(),
-            frontier_log: Vec::new(),
             load: None,
             published: 0,
-            subscribed: false,
         })
     }
 
@@ -102,10 +105,9 @@ impl StabBroker {
         ctx: &mut Ctx<'_, WireMsg>,
         size: usize,
     ) -> Result<SeqNo, CoreError> {
-        let seq = self.node.publish(Bytes::from(vec![0u8; size]))?;
+        let seq = self.sim.publish_in(ctx, Bytes::from(vec![0u8; size]))?;
         debug_assert_eq!(seq as usize, self.send_times.len() + 1);
         self.send_times.push(ctx.now());
-        self.drain(ctx);
         Ok(seq)
     }
 
@@ -122,44 +124,61 @@ impl StabBroker {
         source: &str,
         change: bool,
     ) -> Result<(), CoreError> {
-        let me = self.node.me();
+        let me = self.stabilizer().me();
         if change {
-            self.node.change_predicate(me, key, source)?;
+            self.sim.change_predicate_in(ctx, me, key, source)
         } else {
-            self.node.register_predicate(me, key, source)?;
+            self.sim.register_predicate_in(ctx, me, key, source)
         }
-        self.drain(ctx);
-        Ok(())
     }
 
     /// Current frontier of a predicate on this broker's own stream.
     pub fn frontier(&self, key: &str) -> Option<SeqNo> {
-        self.node
-            .stability_frontier(self.node.me(), key)
-            .map(|(s, _)| s)
+        let node = self.stabilizer();
+        node.stability_frontier(node.me(), key).map(|(s, _)| s)
     }
 
-    /// Local subscribe: future deliveries invoke the recorded log (the
-    /// active-broker list is the set of subscribed brokers).
+    /// Local subscribe: deliveries of the publisher stream from now on
+    /// are recorded in [`StabBroker::deliveries`].
     pub fn subscribe(&mut self) {
-        self.subscribed = true;
+        self.sim.hooks.subscribed = true;
     }
 
     /// Local unsubscribe.
     pub fn unsubscribe(&mut self) {
-        self.subscribed = false;
+        self.sim.hooks.subscribed = false;
+    }
+
+    /// Deliveries handed to the local subscriber: `(time, seq)` of the
+    /// publisher stream.
+    pub fn deliveries(&self) -> &[(SimTime, SeqNo)] {
+        &self.sim.hooks.deliveries
     }
 
     /// The embedded Stabilizer node.
     pub fn stabilizer(&self) -> &StabilizerNode {
-        &self.node
+        self.sim.inner()
     }
 
-    /// Per-site end-to-end latency of `seq` (publisher side): ACK arrival
-    /// minus send time.
-    pub fn latency_of(&self, site: usize, seq: SeqNo) -> Option<SimDuration> {
-        let ack = (*self.ack_times.get(site)?.get(seq as usize - 1)?)?;
-        Some(ack.since(*self.send_times.get(seq as usize - 1)?))
+    /// The embedded simulator driver, read-only: its `EventLog` by
+    /// deref, and the view the chaos checker takes of a bare cluster.
+    pub fn driver(&self) -> &SimNode<BrokerHooks> {
+        &self.sim
+    }
+
+    /// End-to-end latency of every published message as the publisher
+    /// measures it under predicate `key` (index `seq - 1`): the time
+    /// `key`'s frontier first covered the message minus its send time
+    /// (§VI-C: "tracking ACK arrival times and subtracting the
+    /// corresponding message send times"); `None` where it has not.
+    /// `site_k` is the latency to site `k`.
+    pub fn latencies(&self, key: &str) -> Vec<Option<SimDuration>> {
+        let cover = self.sim.coverage(self.stabilizer().me(), key);
+        self.send_times
+            .iter()
+            .enumerate()
+            .map(|(i, sent)| cover.get(i).map(|at| at.since(*sent)))
+            .collect()
     }
 
     fn publish_next(&mut self, ctx: &mut Ctx<'_, WireMsg>) {
@@ -183,84 +202,23 @@ impl StabBroker {
             }
         }
     }
-
-    fn arm_retransmit(&self, ctx: &mut Ctx<'_, WireMsg>) {
-        arm_timer(
-            ctx,
-            TimerKind::Retransmit,
-            self.node.config().options(),
-            1.0,
-        );
-    }
-
-    fn drain(&mut self, ctx: &mut Ctx<'_, WireMsg>) {
-        let me = self.node.me().0 as usize;
-        for action in self.node.take_actions() {
-            match action {
-                Action::Send { to, msg } => ctx.send(to.0 as usize, msg),
-                Action::Deliver { origin, seq, .. } => {
-                    if origin.0 as usize != me && self.subscribed {
-                        self.deliveries.push((ctx.now(), seq));
-                    } else if origin.0 as usize != me {
-                        // Unsubscribed brokers still mirror (reliable
-                        // broadcast keeps them consistent) but do not
-                        // upcall.
-                    }
-                }
-                Action::Frontier(update) => {
-                    self.frontier_log
-                        .push((ctx.now(), update.key.clone(), update.seq));
-                    // Per-site predicates feed the latency table.
-                    if let Some(rest) = update.key.strip_prefix("site_") {
-                        if let Ok(site) = rest.parse::<usize>() {
-                            let seq = update.seq as usize;
-                            let table = &mut self.ack_times[site];
-                            if table.len() < seq {
-                                table.resize(seq, None);
-                            }
-                            // Monotone frontier: fill every newly covered
-                            // seq with this arrival time.
-                            for cell in table.iter_mut().take(seq) {
-                                if cell.is_none() {
-                                    *cell = Some(ctx.now());
-                                }
-                            }
-                        }
-                    }
-                }
-                _ => {}
-            }
-        }
-    }
 }
 
 impl Actor for StabBroker {
     type Msg = WireMsg;
 
     fn on_start(&mut self, ctx: &mut Ctx<'_, WireMsg>) {
-        // The experiments run over loss-free links, so the broker never
-        // needed a retransmission driver; with `retransmit_millis`
-        // configured (e.g. under injected loss) pump the reliability
-        // check like the core `SimNode` driver does.
-        self.arm_retransmit(ctx);
+        self.sim.on_start(ctx);
     }
 
     fn on_message(&mut self, ctx: &mut Ctx<'_, WireMsg>, from: usize, msg: WireMsg) {
-        self.node
-            .on_message(ctx.now().as_nanos(), NodeId(from as u16), msg);
-        self.drain(ctx);
+        self.sim.on_message(ctx, from, msg);
     }
 
-    fn on_timer(&mut self, ctx: &mut Ctx<'_, WireMsg>, _t: TimerId, tag: u64) {
+    fn on_timer(&mut self, ctx: &mut Ctx<'_, WireMsg>, timer: TimerId, tag: u64) {
         match tag {
             TAG_PUBLISH => self.publish_next(ctx),
-            TAG_RETRANSMIT => {
-                self.node
-                    .on_timer(TimerKind::Retransmit, ctx.now().as_nanos());
-                self.drain(ctx);
-                self.arm_retransmit(ctx);
-            }
-            _ => {}
+            _ => self.sim.on_timer(ctx, timer, tag),
         }
     }
 }
@@ -279,15 +237,7 @@ pub fn build_brokers(
     net: NetTopology,
     seed: u64,
 ) -> Result<Simulation<StabBroker>, CoreError> {
-    assert_eq!(net.len(), cfg.num_nodes());
-    let acks = Arc::new(AckTypeRegistry::new());
-    let mut brokers = Vec::with_capacity(cfg.num_nodes());
-    for i in 0..cfg.num_nodes() {
-        brokers.push(StabBroker::new(
-            cfg.clone(),
-            NodeId(i as u16),
-            Arc::clone(&acks),
-        )?);
-    }
-    Ok(Simulation::new(net, brokers, seed))
+    build_actors(cfg, net, seed, |me, acks| {
+        StabBroker::new(cfg.clone(), me, acks)
+    })
 }

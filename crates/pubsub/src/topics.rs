@@ -12,10 +12,11 @@
 //! per-topic granularity.
 
 use bytes::Bytes;
-use stabilizer_core::{Action, ClusterConfig, CoreError, NodeId, SeqNo, StabilizerNode, WireMsg};
+use stabilizer_core::sim_driver::{build_actors, AppHooks, SimNode};
+use stabilizer_core::{ClusterConfig, CoreError, NodeId, SeqNo, StabilizerNode, WireMsg};
 use stabilizer_dsl::AckTypeRegistry;
 use stabilizer_netsim::{Actor, Ctx, NetTopology, SimTime, Simulation, TimerId};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::Arc;
 
 /// Records carried in broker stream messages.
@@ -104,24 +105,71 @@ impl TopicRecord {
     }
 }
 
-/// A multi-topic broker in the simulator.
-pub struct TopicBroker {
-    node: StabilizerNode,
+/// A multi-topic broker's state behind the driver: what the mirrored
+/// record streams say, applied as each record is delivered.
+pub struct TopicHooks {
     /// Topics with local subscribers.
     local_subs: BTreeSet<String>,
     /// Global subscription map: topic -> subscribed sites (converges via
     /// mirrored streams).
     remote_subs: BTreeMap<String, BTreeSet<NodeId>>,
     /// Messages delivered to local subscribers: `(time, topic, body len)`.
-    pub deliveries: Vec<(SimTime, String, usize)>,
-    /// Frontier log of per-topic tracking predicates.
-    pub frontier_log: Vec<(SimTime, String, SeqNo)>,
+    deliveries: Vec<(SimTime, String, usize)>,
+    /// Retained messages for replay to late subscribers (newest last),
+    /// capped at `retain_limit`.
+    retained: VecDeque<(String, Bytes)>,
+    retain_limit: usize,
+    /// Topics whose subscriber set changed since the broker last rebuilt
+    /// their tracking predicates (see [`TopicBroker::refresh_predicates`]).
+    stale: BTreeSet<String>,
+}
+
+impl TopicHooks {
+    /// Apply one record of `origin`'s stream.
+    fn apply(&mut self, now: SimTime, origin: NodeId, rec: TopicRecord) {
+        match rec {
+            TopicRecord::Publish { topic, body } => {
+                if self.local_subs.contains(&topic) {
+                    self.deliveries.push((now, topic.clone(), body.len()));
+                }
+                self.retained.push_back((topic, body));
+                if self.retained.len() > self.retain_limit {
+                    self.retained.pop_front();
+                }
+            }
+            TopicRecord::Subscribe { topic } => {
+                self.remote_subs
+                    .entry(topic.clone())
+                    .or_default()
+                    .insert(origin);
+                self.stale.insert(topic);
+            }
+            TopicRecord::Unsubscribe { topic } => {
+                self.remote_subs
+                    .entry(topic.clone())
+                    .or_default()
+                    .remove(&origin);
+                self.stale.insert(topic);
+            }
+        }
+    }
+}
+
+impl AppHooks for TopicHooks {
+    fn on_deliver(&mut self, now: SimTime, origin: NodeId, _seq: SeqNo, payload: &Bytes) {
+        match TopicRecord::decode(payload) {
+            Ok(rec) => self.apply(now, origin, rec),
+            Err(e) => debug_assert!(false, "undecodable topic record from {origin}: {e}"),
+        }
+    }
+}
+
+/// A multi-topic broker in the simulator: the core [`SimNode`] driver
+/// over [`TopicHooks`], plus the publisher's send times.
+pub struct TopicBroker {
+    sim: SimNode<TopicHooks>,
     /// Send time per own-stream seq (1-based).
     pub send_times: Vec<SimTime>,
-    /// Retained messages for replay to late subscribers (newest last),
-    /// capped at [`TopicBroker::retain_limit`].
-    retained: Vec<(String, Bytes)>,
-    retain_limit: usize,
 }
 
 impl TopicBroker {
@@ -135,26 +183,27 @@ impl TopicBroker {
         me: NodeId,
         acks: Arc<AckTypeRegistry>,
     ) -> Result<Self, CoreError> {
-        Ok(TopicBroker {
-            node: StabilizerNode::new(cfg, me, acks)?,
+        let hooks = TopicHooks {
             local_subs: BTreeSet::new(),
             remote_subs: BTreeMap::new(),
             deliveries: Vec::new(),
-            frontier_log: Vec::new(),
-            send_times: Vec::new(),
-            retained: Vec::new(),
+            retained: VecDeque::new(),
             retain_limit: 10_000,
+            stale: BTreeSet::new(),
+        };
+        Ok(TopicBroker {
+            sim: SimNode::new(StabilizerNode::new(cfg, me, acks)?, hooks),
+            send_times: Vec::new(),
         })
     }
 
     /// Cap the per-broker message-retention buffer used by
     /// [`TopicBroker::subscribe_with_replay_in`] (default 10,000).
     pub fn set_retain_limit(&mut self, limit: usize) {
-        self.retain_limit = limit;
-        let len = self.retained.len();
-        if len > limit {
-            self.retained.drain(0..len - limit);
-        }
+        let hooks = &mut self.sim.hooks;
+        hooks.retain_limit = limit;
+        let excess = hooks.retained.len().saturating_sub(limit);
+        hooks.retained.drain(..excess);
     }
 
     /// Subscribe and immediately replay every retained message of
@@ -171,21 +220,13 @@ impl TopicBroker {
         topic: &str,
     ) -> Result<usize, CoreError> {
         self.subscribe_in(ctx, topic)?;
-        let mut replayed = 0;
-        let now = ctx.now();
-        let matches: Vec<usize> = self
-            .retained
-            .iter()
-            .enumerate()
-            .filter(|(_, (t, _))| t == topic)
-            .map(|(i, _)| i)
-            .collect();
-        for i in matches {
-            let (t, body) = &self.retained[i];
-            self.deliveries.push((now, t.clone(), body.len()));
-            replayed += 1;
-        }
-        Ok(replayed)
+        let hooks = &mut self.sim.hooks;
+        let before = hooks.deliveries.len();
+        let replay = hooks.retained.iter().filter(|(t, _)| t == topic);
+        hooks
+            .deliveries
+            .extend(replay.map(|(t, body)| (ctx.now(), t.clone(), body.len())));
+        Ok(hooks.deliveries.len() - before)
     }
 
     /// Publish `body` on `topic`. The returned sequence number can be
@@ -204,9 +245,8 @@ impl TopicBroker {
             topic: topic.to_owned(),
             body,
         };
-        let seq = self.node.publish(rec.to_bytes())?;
+        let seq = self.sim.publish_in(ctx, rec.to_bytes())?;
         self.send_times.push(ctx.now());
-        self.drain(ctx);
         Ok(seq)
     }
 
@@ -221,21 +261,9 @@ impl TopicBroker {
         ctx: &mut Ctx<'_, WireMsg>,
         topic: &str,
     ) -> Result<(), CoreError> {
-        if self.local_subs.insert(topic.to_owned()) {
-            let me = self.node.me();
-            self.remote_subs
-                .entry(topic.to_owned())
-                .or_default()
-                .insert(me);
-            self.node.publish(
-                TopicRecord::Subscribe {
-                    topic: topic.to_owned(),
-                }
-                .to_bytes(),
-            )?;
-            self.send_times.push(ctx.now());
-            self.refresh_predicate(topic);
-            self.drain(ctx);
+        if self.sim.hooks.local_subs.insert(topic.to_owned()) {
+            let topic = topic.to_owned();
+            self.announce(ctx, TopicRecord::Subscribe { topic })?;
         }
         Ok(())
     }
@@ -250,118 +278,96 @@ impl TopicBroker {
         ctx: &mut Ctx<'_, WireMsg>,
         topic: &str,
     ) -> Result<(), CoreError> {
-        if self.local_subs.remove(topic) {
-            let me = self.node.me();
-            self.remote_subs
-                .entry(topic.to_owned())
-                .or_default()
-                .remove(&me);
-            self.node.publish(
-                TopicRecord::Unsubscribe {
-                    topic: topic.to_owned(),
-                }
-                .to_bytes(),
-            )?;
-            self.send_times.push(ctx.now());
-            self.refresh_predicate(topic);
-            self.drain(ctx);
+        if self.sim.hooks.local_subs.remove(topic) {
+            let topic = topic.to_owned();
+            self.announce(ctx, TopicRecord::Unsubscribe { topic })?;
         }
         Ok(())
     }
 
     /// Sites currently known to subscribe to `topic`.
     pub fn subscribers(&self, topic: &str) -> Vec<NodeId> {
-        self.remote_subs
+        self.sim
+            .hooks
+            .remote_subs
             .get(topic)
             .map(|s| s.iter().copied().collect())
             .unwrap_or_default()
     }
 
+    /// Messages delivered to local subscribers: `(time, topic, body len)`.
+    pub fn deliveries(&self) -> &[(SimTime, String, usize)] {
+        &self.sim.hooks.deliveries
+    }
+
     /// Current frontier of the topic's tracking predicate ("every
     /// subscribed site received it"), if anyone subscribes.
     pub fn topic_frontier(&self, topic: &str) -> Option<SeqNo> {
-        self.node
-            .stability_frontier(self.node.me(), &Self::key(topic))
+        let node = self.stabilizer();
+        node.stability_frontier(node.me(), &Self::key(topic))
             .map(|(s, _)| s)
+    }
+
+    /// When the topic's tracking predicate first covered own-stream
+    /// sequence number `seq`, if it has.
+    pub fn topic_covered_at(&self, topic: &str, seq: SeqNo) -> Option<SimTime> {
+        self.sim
+            .covered_at(self.stabilizer().me(), &Self::key(topic), seq)
     }
 
     /// The embedded Stabilizer node.
     pub fn stabilizer(&self) -> &StabilizerNode {
-        &self.node
+        self.sim.inner()
+    }
+
+    /// The embedded simulator driver, read-only: its `EventLog` by
+    /// deref, and the view the chaos checker takes of a bare cluster.
+    pub fn driver(&self) -> &SimNode<TopicHooks> {
+        &self.sim
     }
 
     fn key(topic: &str) -> String {
         format!("topic:{topic}")
     }
 
-    /// Rebuild the tracking predicate for `topic` from the current
-    /// remote-subscriber set (§V-B's dynamically managed predicate).
-    fn refresh_predicate(&mut self, topic: &str) {
-        let me = self.node.me();
-        let subs: Vec<NodeId> = self
-            .remote_subs
-            .get(topic)
-            .map(|s| s.iter().copied().filter(|n| *n != me).collect())
-            .unwrap_or_default();
-        let key = Self::key(topic);
-        if subs.is_empty() {
-            self.node.unregister_predicate(me, &key);
-            return;
-        }
-        let operands: Vec<String> = subs.iter().map(|n| format!("${}", n.0 + 1)).collect();
-        let source = format!("MIN({})", operands.join(", "));
-        let existing = self.node.stability_frontier(me, &key).is_some();
-        let result = if existing {
-            self.node.change_predicate(me, &key, &source)
-        } else {
-            self.node.register_predicate(me, &key, &source)
-        };
-        debug_assert!(result.is_ok(), "generated predicate must compile: {source}");
+    /// Tell every broker of this one's own (un)subscription, and apply
+    /// the record here as the mirrors will.
+    fn announce(&mut self, ctx: &mut Ctx<'_, WireMsg>, rec: TopicRecord) -> Result<(), CoreError> {
+        self.sim.publish_in(ctx, rec.to_bytes())?;
+        self.send_times.push(ctx.now());
+        let me = self.stabilizer().me();
+        self.sim.hooks.apply(ctx.now(), me, rec);
+        self.refresh_predicates(ctx);
+        Ok(())
     }
 
-    fn apply_record(&mut self, now: SimTime, origin: NodeId, payload: &Bytes) {
-        match TopicRecord::decode(payload) {
-            Ok(TopicRecord::Publish { topic, body }) => {
-                if self.local_subs.contains(&topic) {
-                    self.deliveries.push((now, topic.clone(), body.len()));
+    /// Rebuild the tracking predicate of every topic whose subscriber
+    /// set changed, from the current remote-subscriber set (§V-B's
+    /// dynamically managed predicate). Runs after the driver has handled
+    /// the callback that changed the sets, and through the driver, so
+    /// what a registration emits leaves in that same callback.
+    fn refresh_predicates(&mut self, ctx: &mut Ctx<'_, WireMsg>) {
+        let me = self.stabilizer().me();
+        for topic in std::mem::take(&mut self.sim.hooks.stale) {
+            let operands: Vec<String> = self
+                .subscribers(&topic)
+                .iter()
+                .filter(|n| **n != me)
+                .map(|n| format!("${}", n.0 + 1))
+                .collect();
+            let key = Self::key(&topic);
+            let source = format!("MIN({})", operands.join(", "));
+            let result = self.sim.call_in(ctx, |node| {
+                if operands.is_empty() {
+                    node.unregister_predicate(me, &key);
+                    Ok(())
+                } else if node.stability_frontier(me, &key).is_some() {
+                    node.change_predicate(me, &key, &source)
+                } else {
+                    node.register_predicate(me, &key, &source)
                 }
-                self.retained.push((topic, body));
-                if self.retained.len() > self.retain_limit {
-                    self.retained.remove(0);
-                }
-            }
-            Ok(TopicRecord::Subscribe { topic }) => {
-                self.remote_subs
-                    .entry(topic.clone())
-                    .or_default()
-                    .insert(origin);
-                self.refresh_predicate(&topic);
-            }
-            Ok(TopicRecord::Unsubscribe { topic }) => {
-                self.remote_subs
-                    .entry(topic.clone())
-                    .or_default()
-                    .remove(&origin);
-                self.refresh_predicate(&topic);
-            }
-            Err(e) => debug_assert!(false, "undecodable topic record from {origin}: {e}"),
-        }
-    }
-
-    fn drain(&mut self, ctx: &mut Ctx<'_, WireMsg>) {
-        for action in self.node.take_actions() {
-            match action {
-                Action::Send { to, msg } => ctx.send(to.0 as usize, msg),
-                Action::Deliver {
-                    origin, payload, ..
-                } => self.apply_record(ctx.now(), origin, &payload),
-                Action::Frontier(u) => {
-                    if let Some(topic) = u.key.strip_prefix("topic:") {
-                        self.frontier_log.push((ctx.now(), topic.to_owned(), u.seq));
-                    }
-                }
-                _ => {}
-            }
+            });
+            debug_assert!(result.is_ok(), "generated predicate must compile: {source}");
         }
     }
 }
@@ -369,13 +375,18 @@ impl TopicBroker {
 impl Actor for TopicBroker {
     type Msg = WireMsg;
 
-    fn on_message(&mut self, ctx: &mut Ctx<'_, WireMsg>, from: usize, msg: WireMsg) {
-        self.node
-            .on_message(ctx.now().as_nanos(), NodeId(from as u16), msg);
-        self.drain(ctx);
+    fn on_start(&mut self, ctx: &mut Ctx<'_, WireMsg>) {
+        self.sim.on_start(ctx);
     }
 
-    fn on_timer(&mut self, _ctx: &mut Ctx<'_, WireMsg>, _t: TimerId, _tag: u64) {}
+    fn on_message(&mut self, ctx: &mut Ctx<'_, WireMsg>, from: usize, msg: WireMsg) {
+        self.sim.on_message(ctx, from, msg);
+        self.refresh_predicates(ctx);
+    }
+
+    fn on_timer(&mut self, ctx: &mut Ctx<'_, WireMsg>, timer: TimerId, tag: u64) {
+        self.sim.on_timer(ctx, timer, tag);
+    }
 }
 
 /// Build a multi-topic broker deployment over `net`.
@@ -392,17 +403,9 @@ pub fn build_topic_brokers(
     net: NetTopology,
     seed: u64,
 ) -> Result<Simulation<TopicBroker>, CoreError> {
-    assert_eq!(net.len(), cfg.num_nodes());
-    let acks = Arc::new(AckTypeRegistry::new());
-    let mut brokers = Vec::with_capacity(cfg.num_nodes());
-    for i in 0..cfg.num_nodes() {
-        brokers.push(TopicBroker::new(
-            cfg.clone(),
-            NodeId(i as u16),
-            Arc::clone(&acks),
-        )?);
-    }
-    Ok(Simulation::new(net, brokers, seed))
+    build_actors(cfg, net, seed, |me, acks| {
+        TopicBroker::new(cfg.clone(), me, acks)
+    })
 }
 
 #[cfg(test)]

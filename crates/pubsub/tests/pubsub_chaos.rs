@@ -1,18 +1,16 @@
-//! The chaos invariant checker over the pub/sub brokers. `StabBroker`
-//! records subscriber deliveries as `(time, seq)` of the publisher
-//! stream; this adapts them to the checker's `(time, origin, seq)` log
-//! so the delivery-prefix invariant is exercised too. The publisher's
-//! `site_k` predicates also drive the frontier invariants for free.
+//! The chaos invariant checker over the pub/sub brokers, unchanged:
+//! `StabBroker` embeds the core `SimNode` driver and exposes it as
+//! `driver()`, so the checker views a broker exactly as it views a node
+//! of a bare cluster — frontier (the publisher's `site_k` predicates),
+//! delivery-prefix and suspicion invariants included.
 
-use stabilizer_chaos::{InvariantChecker, NodeView};
-use stabilizer_core::{ClusterConfig, NodeId, SeqNo};
-use stabilizer_netsim::{NetTopology, SimDuration, SimTime};
-use stabilizer_pubsub::build_brokers;
+use stabilizer_chaos::{ChaosObservable, InvariantChecker, NodeView};
+use stabilizer_core::{ClusterConfig, NodeId};
+use stabilizer_netsim::{NetTopology, SimDuration, Simulation};
+use stabilizer_pubsub::{build_brokers, StabBroker};
 
 const PUBLISHER: usize = 0;
 const N: usize = 5;
-
-type DeliveryLog = Vec<(SimTime, NodeId, SeqNo, usize)>;
 
 #[test]
 fn pubsub_workload_upholds_every_invariant_per_step() {
@@ -62,42 +60,68 @@ fn pubsub_workload_upholds_every_invariant_per_step() {
     // End-to-end sanity: every subscriber received the whole stream.
     for i in 1..N {
         assert_eq!(
-            sim.actor(i).deliveries.len(),
+            sim.actor(i).deliveries().len(),
             30,
             "site {i} missed deliveries"
         );
     }
 }
 
-fn check(
-    checker: &mut InvariantChecker,
-    sim: &stabilizer_netsim::Simulation<stabilizer_pubsub::StabBroker>,
-) {
-    // Adapt broker delivery logs (publisher stream only) to the
-    // checker's (time, origin, seq) shape. Rebuilt per call; the
-    // checker's cursors only consume the new tail.
-    let dlogs: Vec<DeliveryLog> = (0..N)
-        .map(|i| {
-            sim.actor(i)
-                .deliveries
-                .iter()
-                .map(|&(at, seq)| (at, NodeId(PUBLISHER as u16), seq, 0usize))
-                .collect()
-        })
-        .collect();
-    let views: Vec<NodeView<'_>> = (0..N)
-        .map(|i| NodeView {
-            node: sim.actor(i).stabilizer(),
-            frontier_log: &[],
-            delivery_log: &dlogs[i],
-            catchup_log: &[],
-            suspected_log: &[],
-            recovered_log: &[],
-            records_deliveries: i != PUBLISHER,
-            dirty: None,
-        })
-        .collect();
+fn check(checker: &mut InvariantChecker, sim: &Simulation<StabBroker>) {
+    let views: Vec<NodeView<'_>> = (0..N).map(|i| sim.actor(i).driver().chaos_view()).collect();
     checker
         .check(sim.now(), &views)
         .expect("pub/sub workload violated a chaos invariant");
+}
+
+/// A subscriber crash is *seen*: with heartbeats and a failure timeout
+/// configured the broker's driver arms them like any node's, so cutting
+/// one broker off puts a `Suspected` entry in the publisher's log and
+/// healing the links a `Recovered` one — with the checker's suspicion
+/// invariants holding at every step.
+#[test]
+fn a_cut_off_subscriber_is_suspected_and_recovers() {
+    let cfg = ClusterConfig::parse(
+        "az Utah UT1 UT2\n\
+         az Wisconsin WI\n\
+         az Clemson CLEM\n\
+         az Massachusetts MA\n\
+         option heartbeat_millis 20\n\
+         option failure_timeout_millis 200\n",
+    )
+    .unwrap();
+    let mut sim = build_brokers(&cfg, NetTopology::cloudlab_table2(), 5).unwrap();
+    let mut checker = InvariantChecker::new(N, sim.actor(0).stabilizer().recorder().num_types());
+    let victim = 3;
+    let mut run = |sim: &mut Simulation<StabBroker>, millis| {
+        let deadline = sim.now() + SimDuration::from_millis(millis);
+        while sim.next_event_time().is_some_and(|t| t <= deadline) {
+            sim.step();
+            check(&mut checker, sim);
+        }
+    };
+    let cut = |sim: &mut Simulation<StabBroker>, up| {
+        for peer in (0..N).filter(|p| *p != victim) {
+            sim.set_link_up(peer, victim, up);
+            sim.set_link_up(victim, peer, up);
+        }
+    };
+    run(&mut sim, 500);
+    assert!(sim.actor(PUBLISHER).driver().suspected_log.is_empty());
+    cut(&mut sim, false);
+    run(&mut sim, 1000);
+    let log = sim.actor(PUBLISHER).driver();
+    let suspects: Vec<NodeId> = log.suspected_log.iter().map(|(_, n)| *n).collect();
+    assert_eq!(suspects, [NodeId(victim as u16)]);
+    assert!(log.recovered_log.is_empty());
+    cut(&mut sim, true);
+    run(&mut sim, 1000);
+    let recovered: Vec<NodeId> = sim
+        .actor(PUBLISHER)
+        .driver()
+        .recovered_log
+        .iter()
+        .map(|(_, n)| *n)
+        .collect();
+    assert_eq!(recovered, [NodeId(victim as u16)]);
 }

@@ -46,7 +46,7 @@ fn topics_are_isolated() {
     sim.run_until_idle();
     let topics_at = |i: usize| -> Vec<String> {
         sim.actor(i)
-            .deliveries
+            .deliveries()
             .iter()
             .map(|(_, t, _)| t.clone())
             .collect()
@@ -74,12 +74,7 @@ fn per_topic_predicate_tracks_only_subscribed_sites() {
     sim.run_until_idle();
     let publisher = sim.actor(0);
     assert_eq!(publisher.topic_frontier("t"), Some(seq));
-    let covered_at = publisher
-        .frontier_log
-        .iter()
-        .find(|(_, t, s)| t == "t" && *s >= seq)
-        .map(|(at, _, _)| *at)
-        .unwrap();
+    let covered_at = publisher.topic_covered_at("t", seq).unwrap();
     let lat = covered_at
         .since(publisher.send_times.last().copied().unwrap())
         .as_millis_f64();
@@ -106,11 +101,8 @@ fn unsubscribe_narrows_the_predicate_dynamically() {
     let lat = |sim: &stabilizer_netsim::Simulation<stabilizer_pubsub::TopicBroker>, seq: u64| {
         let p = sim.actor(0);
         let sent = p.send_times[seq as usize - 1];
-        p.frontier_log
-            .iter()
-            .find(|(_, t, s)| t == "t" && *s >= seq)
-            .map(|(at, _, _)| at.since(sent).as_millis_f64())
-            .unwrap()
+        let covered_at = p.topic_covered_at("t", seq).unwrap();
+        covered_at.since(sent).as_millis_f64()
     };
     assert!(lat(&sim, s1) > 49.0, "Clemson-gated: {}", lat(&sim, s1));
     // Clemson unsubscribes; the regenerated predicate only tracks WI.
@@ -155,12 +147,12 @@ fn late_subscriber_replays_retained_history() {
         .unwrap();
     }
     sim.run_until_idle();
-    assert!(sim.actor(4).deliveries.is_empty(), "not yet subscribed");
+    assert!(sim.actor(4).deliveries().is_empty(), "not yet subscribed");
     let replayed = sim
         .with_ctx(4, |b, ctx| b.subscribe_with_replay_in(ctx, "t"))
         .unwrap();
     assert_eq!(replayed, 5, "history replayed from the retained mirror");
-    assert_eq!(sim.actor(4).deliveries.len(), 5);
+    assert_eq!(sim.actor(4).deliveries().len(), 5);
     // New messages flow normally after the catch-up.
     sim.run_until_idle();
     sim.with_ctx(0, |b, ctx| {
@@ -168,7 +160,7 @@ fn late_subscriber_replays_retained_history() {
     })
     .unwrap();
     sim.run_until_idle();
-    assert_eq!(sim.actor(4).deliveries.len(), 6);
+    assert_eq!(sim.actor(4).deliveries().len(), 6);
 }
 
 #[test]

@@ -7,8 +7,9 @@
 //! returning the highest version seen.
 
 use bytes::Bytes;
+use stabilizer_core::sim_driver::{build_actors, NoHooks, SimNode};
 use stabilizer_core::{
-    Action, ClusterConfig, CoreError, FrontierUpdate, NodeId, SeqNo, StabilizerNode, WireMsg,
+    ClusterConfig, CoreError, NodeId, SeqNo, StabilizerNode, TimerKind, WireMsg,
 };
 use stabilizer_dsl::{AckTypeRegistry, RECEIVED};
 use stabilizer_netsim::{
@@ -113,15 +114,15 @@ pub struct ReadResult {
     pub quorum_version: SeqNo,
 }
 
-const TAG_POLL: u64 = 100;
+const TAG_POLL: u64 = TimerKind::APP_TAG_BASE;
 
-/// One node of the quorum deployment (every node embeds a Stabilizer
-/// instance; the reader additionally polls).
+/// One node of the quorum deployment: every node embeds the core
+/// [`SimNode`] driver, reached through a [`Ctx::lens`] so that its
+/// `WireMsg`s travel as [`QuorumMsg::Stab`]; the read protocol beside it
+/// is the application's own (the reader additionally polls).
 pub struct QuorumActor {
-    node: StabilizerNode,
+    sim: SimNode,
     setup: QuorumSetup,
-    /// Timestamped frontier log of the embedded Stabilizer.
-    pub frontier_log: Vec<(SimTime, FrontierUpdate)>,
     /// Outstanding reads at the reader: id -> versions received.
     outstanding: HashMap<u64, Vec<SeqNo>>,
     next_read: u64,
@@ -150,9 +151,8 @@ impl QuorumActor {
             node.register_predicate(me, "W", &setup.write_predicate())?;
         }
         Ok(QuorumActor {
-            node,
+            sim: SimNode::new(node, NoHooks),
             setup,
-            frontier_log: Vec::new(),
             outstanding: HashMap::new(),
             next_read: 0,
             reads: Vec::new(),
@@ -174,9 +174,8 @@ impl QuorumActor {
         size: usize,
     ) -> Result<SeqNo, CoreError> {
         self.value_size = size;
-        let seq = self.node.publish(Bytes::from(vec![0u8; size]))?;
-        self.drain(ctx);
-        Ok(seq)
+        let value = Bytes::from(vec![0u8; size]);
+        ctx.lens(QuorumMsg::Stab, |ctx| self.sim.publish_in(ctx, value))
     }
 
     /// Reader: poll members until a read observes `target` (or `deadline`
@@ -195,10 +194,7 @@ impl QuorumActor {
 
     /// First time the write predicate covered `seq` at the writer.
     pub fn write_committed_at(&self, seq: SeqNo) -> Option<SimTime> {
-        self.frontier_log
-            .iter()
-            .find(|(_, u)| u.key == "W" && u.seq >= seq)
-            .map(|(t, _)| *t)
+        self.sim.covered_at(self.stabilizer().me(), "W", seq)
     }
 
     /// First completed read whose *whole* read quorum held at least
@@ -212,7 +208,13 @@ impl QuorumActor {
 
     /// The wrapped Stabilizer node.
     pub fn stabilizer(&self) -> &StabilizerNode {
-        &self.node
+        self.sim.inner()
+    }
+
+    /// The embedded simulator driver, read-only: its `EventLog` by
+    /// deref, and the view the chaos checker takes of a bare cluster.
+    pub fn driver(&self) -> &SimNode {
+        &self.sim
     }
 
     /// Tell members how large the register value is (read responses carry
@@ -239,9 +241,9 @@ impl QuorumActor {
     fn local_version(&self, me: usize) -> SeqNo {
         let writer = NodeId(self.setup.writer as u16);
         if me == self.setup.writer {
-            self.node.last_published()
+            self.stabilizer().last_published()
         } else {
-            self.node
+            self.stabilizer()
                 .recorder()
                 .get(writer, NodeId(me as u16), RECEIVED)
         }
@@ -268,27 +270,19 @@ impl QuorumActor {
             }
         }
     }
-
-    fn drain(&mut self, ctx: &mut Ctx<'_, QuorumMsg>) {
-        for action in self.node.take_actions() {
-            match action {
-                Action::Send { to, msg } => ctx.send(to.0 as usize, QuorumMsg::Stab(msg)),
-                Action::Frontier(u) => self.frontier_log.push((ctx.now(), u)),
-                _ => {}
-            }
-        }
-    }
 }
 
 impl Actor for QuorumActor {
     type Msg = QuorumMsg;
 
+    fn on_start(&mut self, ctx: &mut Ctx<'_, QuorumMsg>) {
+        ctx.lens(QuorumMsg::Stab, |ctx| self.sim.on_start(ctx));
+    }
+
     fn on_message(&mut self, ctx: &mut Ctx<'_, QuorumMsg>, from: usize, msg: QuorumMsg) {
         match msg {
             QuorumMsg::Stab(wire) => {
-                self.node
-                    .on_message(ctx.now().as_nanos(), NodeId(from as u16), wire);
-                self.drain(ctx);
+                ctx.lens(QuorumMsg::Stab, |ctx| self.sim.on_message(ctx, from, wire))
             }
             QuorumMsg::ReadReq { id } => {
                 let version = self.local_version(ctx.me());
@@ -301,9 +295,9 @@ impl Actor for QuorumActor {
         }
     }
 
-    fn on_timer(&mut self, ctx: &mut Ctx<'_, QuorumMsg>, _timer: TimerId, tag: u64) {
+    fn on_timer(&mut self, ctx: &mut Ctx<'_, QuorumMsg>, timer: TimerId, tag: u64) {
         if tag != TAG_POLL {
-            return;
+            return ctx.lens(QuorumMsg::Stab, |ctx| self.sim.on_timer(ctx, timer, tag));
         }
         if let (Some(_), Some(deadline)) = (self.target, self.poll_deadline) {
             if ctx.now() <= deadline {
@@ -331,16 +325,7 @@ pub fn build_quorum(
     seed: u64,
 ) -> Result<Simulation<QuorumActor>, CoreError> {
     assert!(setup.overlaps(), "quorum overlap requires Nr + Nw > N");
-    assert_eq!(net.len(), cfg.num_nodes());
-    let acks = Arc::new(AckTypeRegistry::new());
-    let mut actors = Vec::with_capacity(cfg.num_nodes());
-    for i in 0..cfg.num_nodes() {
-        actors.push(QuorumActor::new(
-            cfg.clone(),
-            NodeId(i as u16),
-            Arc::clone(&acks),
-            setup.clone(),
-        )?);
-    }
-    Ok(Simulation::new(net, actors, seed))
+    build_actors(cfg, net, seed, |me, acks| {
+        QuorumActor::new(cfg.clone(), me, acks, setup.clone())
+    })
 }

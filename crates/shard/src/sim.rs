@@ -12,16 +12,15 @@
 use crate::engine::{ShardedAction, ShardedEngine};
 use crate::router::RoutePolicy;
 use bytes::Bytes;
-use stabilizer_core::sim_driver::{build_machines, AppHooks, Machine, NoHooks, SimNode};
+use stabilizer_core::sim_driver::{build_actors, AppHooks, Machine, NoHooks, SimNode};
 use stabilizer_core::{
     ClusterConfig, CoreError, Event, EventLog, FrontierUpdate, Options, TimerKind, WaitToken,
     WireMsg,
 };
-use stabilizer_dsl::{AckTypeId, AckTypeRegistry, NodeId, SeqNo};
+use stabilizer_dsl::{AckTypeId, NodeId, SeqNo};
 use stabilizer_netsim::{MsgSize, SimTime};
 use std::borrow::{Borrow, BorrowMut};
 use std::ops::{Deref, DerefMut};
-use std::sync::Arc;
 
 /// Wire envelope multiplexing shard sub-streams over one simulated link.
 #[derive(Debug, Clone)]
@@ -201,10 +200,10 @@ pub fn build_sharded_cluster_with_hooks<H: AppHooks>(
     net: stabilizer_netsim::NetTopology,
     seed: u64,
     policy: RoutePolicy,
-    mk_hooks: impl FnMut(usize) -> H,
+    mut mk_hooks: impl FnMut(usize) -> H,
 ) -> Result<stabilizer_netsim::Simulation<ShardedSimNode<H>>, CoreError> {
-    let acks = Arc::new(AckTypeRegistry::new());
-    build_machines(cfg, net, seed, mk_hooks, |i| {
-        ShardedEngine::new(cfg.clone(), NodeId(i as u16), Arc::clone(&acks), policy)
+    build_actors(cfg, net, seed, |me, acks| {
+        let engine = ShardedEngine::new(cfg.clone(), me, acks, policy)?;
+        Ok(SimNode::new(engine, mk_hooks(me.0 as usize)))
     })
 }

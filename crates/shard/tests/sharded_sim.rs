@@ -39,10 +39,7 @@ fn publish_with_key_in(
     payload: Bytes,
     key: &[u8],
 ) -> Result<SeqNo, CoreError> {
-    let seq = n.inner_mut().publish_with_key(payload, key);
-    let actions = n.inner_mut().take_actions();
-    n.process_actions(ctx, actions);
-    seq
+    n.call_in(ctx, |engine| engine.publish_with_key(payload, key))
 }
 
 fn mesh(n: usize) -> NetTopology {

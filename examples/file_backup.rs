@@ -64,7 +64,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for (name, token) in [("MajorityRegions", majority), ("AzPlusRemote", az_remote)] {
         let (at, _) = sim
             .actor(0)
-            .completed_waits()
+            .driver()
+            .completed_waits
             .iter()
             .find(|(_, t)| *t == token)
             .expect("backup completed");

@@ -48,19 +48,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("t=6s: Clemson re-subscribed; predicate widened to all sites");
     sim.run_until_idle();
 
-    // Reconstruct per-message latency from the frontier log.
+    // Per-message latency against the tracked predicate.
     let broker = sim.actor(0);
-    let mut cover: Vec<Option<SimTime>> = vec![None; broker.send_times.len()];
-    let mut done = 0usize;
-    for (t, key, seq) in &broker.frontier_log {
-        if key != "track" {
-            continue;
-        }
-        while done < (*seq as usize).min(cover.len()) {
-            cover[done] = Some(*t);
-            done += 1;
-        }
-    }
     // Average latency per second of the run.
     let secs = 1 + broker
         .send_times
@@ -68,10 +57,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .map(|t| t.as_secs_f64() as usize)
         .unwrap_or(0);
     let mut buckets = vec![(0.0f64, 0u32); secs + 1];
-    for (i, sent) in broker.send_times.iter().enumerate() {
-        if let Some(Some(c)) = cover.get(i) {
+    for (sent, latency) in broker.send_times.iter().zip(broker.latencies("track")) {
+        if let Some(latency) = latency {
             let b = sent.as_secs_f64() as usize;
-            buckets[b].0 += c.since(*sent).as_millis_f64();
+            buckets[b].0 += latency.as_millis_f64();
             buckets[b].1 += 1;
         }
     }

@@ -45,10 +45,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for key in ["OneWNode", "MajorityRegions", "AllWNodes"] {
         let at = sim
             .actor(0)
-            .frontier_log
-            .iter()
-            .find(|(_, u)| u.key == key && u.seq >= seq)
-            .map(|(t, _)| *t)
+            .covered_at(NodeId(0), key, seq)
             .expect("predicate satisfied");
         println!("{key:>16} satisfied after {:.2} ms", at.as_millis_f64());
     }

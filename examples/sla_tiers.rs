@@ -9,7 +9,7 @@
 
 use bytes::Bytes;
 use stabilizer::core::sim_driver::build_cluster;
-use stabilizer::ClusterConfig;
+use stabilizer::{ClusterConfig, NodeId};
 use stabilizer_netsim::NetTopology;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -40,11 +40,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for key in ["Cart", "Bronze", "Silver", "Gold", "Ledger"] {
         let at = sim
             .actor(0)
-            .frontier_log
-            .iter()
-            .find(|(_, u)| u.key == key && u.seq >= seq)
-            .map(|(t, _)| t.as_millis_f64())
-            .expect("satisfied");
+            .covered_at(NodeId(0), key, seq)
+            .expect("satisfied")
+            .as_millis_f64();
         println!("  {key:>7}: confirmed after {at:7.2} ms");
     }
     println!("\nThe application picks the contract per operation — no");

@@ -41,12 +41,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let p = sim.actor(publisher);
     for (topic, seq) in [("markets", m), ("alerts", a)] {
-        let covered = p
-            .frontier_log
-            .iter()
-            .find(|(_, t, s)| t == topic && *s >= seq)
-            .map(|(at, _, _)| *at)
-            .expect("topic stabilized");
+        let covered = p.topic_covered_at(topic, seq).expect("topic stabilized");
         let sent = p.send_times[seq as usize - 1];
         println!(
             "{topic:>8}: all subscribers have it after {:.2} ms",

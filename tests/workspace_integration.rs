@@ -111,10 +111,8 @@ fn kv_store_and_raw_core_report_identical_stability() {
     kv.run_until_idle();
     let kv_cover = kv
         .actor(0)
-        .frontier_log()
-        .iter()
-        .find(|(_, u)| u.key == "AllRemote" && u.seq >= kv_seq)
-        .map(|(t, _)| *t)
+        .driver()
+        .covered_at(NodeId(0), "AllRemote", kv_seq)
         .unwrap();
 
     let mut core = build_cluster(&cfg, net(), 3).unwrap();
@@ -131,10 +129,7 @@ fn kv_store_and_raw_core_report_identical_stability() {
     core.run_until_idle();
     let core_cover = core
         .actor(0)
-        .frontier_log
-        .iter()
-        .find(|(_, u)| u.key == "AllRemote" && u.seq >= core_seq)
-        .map(|(t, _)| *t)
+        .covered_at(NodeId(0), "AllRemote", core_seq)
         .unwrap();
 
     assert_eq!(kv_seq, core_seq);
