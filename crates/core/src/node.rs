@@ -281,13 +281,13 @@ impl StabilizerNode {
             .outbound
             .publish(payload, &mut self.metrics, &mut self.actions)?;
         // Origin self-ack: every stability level holds at the origin, so
-        // all of them are in the table before the first is folded.
+        // all of them are in the table before the first is folded. Nothing
+        // is queued for the peers: the `Data` frame just sent is the report.
         if self.recorder.observe_all_types(self.me, self.me, seq) {
             for ty in (0..self.recorder.num_types() as u16).map(AckTypeId) {
-                self.moved(self.me, ty, seq);
+                self.advance(self.me, self.me, ty);
             }
         }
-        self.flush_if_eager();
         Ok(seq)
     }
 
@@ -359,7 +359,18 @@ impl StabilizerNode {
                 origin,
                 seq,
                 payload,
-            } => self.on_data(origin, seq, payload),
+            } => {
+                // A frame from its origin is that origin's report for
+                // every level (§III-C), whether or not it can be
+                // delivered yet. A relayed copy says nothing about where
+                // the relay got it.
+                if from == origin {
+                    for ty in (0..self.recorder.num_types() as u16).map(AckTypeId) {
+                        self.learn(origin, origin, ty, seq);
+                    }
+                }
+                self.on_data(origin, seq, payload);
+            }
             WireMsg::AckBatch(acks) => self.on_acks(from, &acks),
             WireMsg::Heartbeat => {}
             WireMsg::TransferRequest { stream, have }
@@ -579,20 +590,15 @@ impl StabilizerNode {
     }
 
     /// This node reached stability level `ty` of `stream` up to `seq`:
-    /// max-merge its own cell and, if that moved it, fold and report it.
+    /// max-merge its own cell and, if that moved it, fold it into the
+    /// frontiers and queue the report for the peers.
     fn reached(&mut self, stream: NodeId, ty: AckTypeId, seq: SeqNo) -> bool {
         let advanced = self.recorder.observe(stream, self.me, ty, seq);
         if advanced {
-            self.moved(stream, ty, seq);
+            self.advance(stream, self.me, ty);
+            self.outbox.queue(stream, ty, seq);
         }
         advanced
-    }
-
-    /// This node's own cell `(stream, ty)` moved to `seq`: fold it into
-    /// the frontiers and queue the report for the peers.
-    fn moved(&mut self, stream: NodeId, ty: AckTypeId, seq: SeqNo) {
-        self.advance(stream, self.me, ty);
-        self.outbox.queue(stream, ty, seq);
     }
 
     /// The recorder cell `(stream, node, ty)` advanced: re-evaluate what
@@ -621,8 +627,9 @@ impl StabilizerNode {
         }
     }
 
-    /// Without coalescing (`ack_flush_micros 0`) every call — one input
-    /// batch, one publish, one report — flushes the reports it queued.
+    /// Without coalescing (`ack_flush_micros 0`) every call that can
+    /// queue a report — one input batch, one `report_stability` — flushes
+    /// what it queued (`publish` queues none).
     fn flush_if_eager(&mut self) {
         if self.cfg.options().ack_flush_micros == 0 {
             let peers = self.membership.peers();
@@ -664,14 +671,13 @@ impl StabilizerNode {
 
     /// Register a new application-defined stability level (e.g.
     /// `verified`); its counters start at zero everywhere except this
-    /// node's own stream, which self-acks everything already published.
+    /// node's own stream, which self-acks everything already published —
+    /// the one own-stream report that travels as an ACK, since the
+    /// frames that would have carried it left before the level existed.
     pub fn register_ack_type(&mut self, name: &str) -> AckTypeId {
         let ty = self.acks.register(name);
         self.recorder.ensure_types(self.acks.len());
-        let last = self.last_published();
-        if last > 0 {
-            self.reached(self.me, ty, last);
-        }
+        self.report_stability(self.me, ty, self.last_published());
         ty
     }
 
@@ -709,28 +715,107 @@ mod tests {
     }
 
     #[test]
-    fn publish_fans_out_to_every_peer_with_self_ack() {
+    fn publish_sends_one_data_frame_per_replica_and_nothing_else() {
         let mut n = node(0);
+        n.register_predicate(NodeId(0), "Mine", "MIN($MYWNODE)")
+            .unwrap();
+        n.take_actions();
         let seq = n.publish(Bytes::from_static(b"x")).unwrap();
         assert_eq!(seq, 1);
         let actions = n.take_actions();
-        let data: Vec<_> = sends(&actions)
-            .into_iter()
-            .filter(|(_, m)| matches!(m, WireMsg::Data { .. }))
-            .collect();
-        assert_eq!(data.len(), 2, "one data message per peer");
-        // Self-ack rule: all types at the origin equal the new seq.
+        let sent = sends(&actions);
+        assert_eq!(
+            sent.iter().map(|(to, _)| *to).collect::<Vec<_>>(),
+            vec![NodeId(1), NodeId(2)],
+            "one message per peer, and it is the data: {sent:?}"
+        );
+        assert!(sent.iter().all(|(_, m)| matches!(m, WireMsg::Data { .. })));
+        // Self-ack rule: all types at the origin equal the new seq, and
+        // what reads them locally moved, though no report was sent.
         for ty in 0..n.recorder().num_types() as u16 {
             assert_eq!(n.recorder().get(NodeId(0), NodeId(0), AckTypeId(ty)), 1);
         }
-        // Eager mode also broadcast the self-ack batch.
-        assert!(actions.iter().any(|a| matches!(
-            a,
-            Action::Send {
-                msg: WireMsg::AckBatch(_),
-                ..
-            }
-        )));
+        assert_eq!(n.stability_frontier(NodeId(0), "Mine").unwrap().0, 1);
+        assert!(actions.iter().any(|a| matches!(a, Action::Frontier(_))));
+    }
+
+    fn data_from_origin(seq: SeqNo) -> WireMsg {
+        WireMsg::Data {
+            origin: NodeId(0),
+            seq,
+            payload: Bytes::from_static(b"p"),
+        }
+    }
+
+    /// Node 1's view of the origin's own cells of stream 0, per level.
+    fn origin_cells(n: &StabilizerNode) -> Vec<SeqNo> {
+        (0..n.recorder().num_types() as u16)
+            .map(|ty| n.recorder().get(NodeId(0), NodeId(0), AckTypeId(ty)))
+            .collect()
+    }
+
+    #[test]
+    fn a_data_frame_from_its_origin_is_the_origins_report_for_every_level() {
+        let mut n = node(1);
+        n.register_ack_type("verified");
+        // A mirror-side predicate that reads nothing but the origin's cell.
+        n.register_predicate(NodeId(0), "AtOrigin", "MIN($1.verified)")
+            .unwrap();
+        n.take_actions();
+        n.on_message(0, NodeId(0), data_from_origin(1));
+        assert_eq!(origin_cells(&n), [1, 1, 1, 1], "built-ins and `verified`");
+        assert_eq!(n.stability_frontier(NodeId(0), "AtOrigin").unwrap().0, 1);
+        assert_eq!(n.metrics().acks_received, 4);
+        // The mirror's own `verified` is still the application's to report.
+        let verified = n.ack_types().lookup("verified").unwrap();
+        assert_eq!(n.recorder().get(NodeId(0), NodeId(1), verified), 0);
+    }
+
+    #[test]
+    fn a_relayed_data_frame_reports_nothing() {
+        let mut n = node(1);
+        n.on_message(0, NodeId(2), data_from_origin(1));
+        assert_eq!(origin_cells(&n), [0, 0, 0]);
+        assert_eq!(n.metrics().acks_received, 0);
+        assert_eq!(
+            n.metrics().deliveries,
+            1,
+            "the payload is still the stream's"
+        );
+    }
+
+    #[test]
+    fn a_frame_parked_behind_a_gap_still_reports() {
+        let mut n = node(1);
+        n.on_message(0, NodeId(0), data_from_origin(3));
+        assert_eq!(n.metrics().deliveries, 0);
+        assert_eq!(n.recorder().get(NodeId(0), NodeId(1), RECEIVED), 0);
+        assert_eq!(origin_cells(&n), [3, 3, 3], "the origin holds what it sent");
+    }
+
+    #[test]
+    fn a_retransmitted_frame_changes_nothing_and_is_not_a_stale_ack() {
+        let mut origin = node(0);
+        for _ in 0..2 {
+            origin.publish(Bytes::from_static(b"p")).unwrap();
+        }
+        origin.take_actions();
+        let mut n = node(1);
+        n.on_messages(0, (1..=2).map(|seq| (NodeId(0), data_from_origin(seq))));
+        n.take_actions();
+        let before = n.metrics();
+        origin.resend_from(NodeId(1), 1);
+        for action in origin.take_actions() {
+            let Action::Send { to: NodeId(1), msg } = action else {
+                panic!("not a resend to node 1: {action:?}");
+            };
+            n.on_message(1, NodeId(0), msg);
+        }
+        assert_eq!(origin_cells(&n), [2, 2, 2]);
+        let after = n.metrics();
+        assert_eq!(after.acks_received, before.acks_received);
+        assert_eq!(after.acks_stale, 0, "only `AckBatch` cells count as stale");
+        assert_eq!(after.deliveries, 2);
     }
 
     #[test]
@@ -1087,9 +1172,15 @@ mod tests {
         let m = n.metrics();
         assert_eq!(m.data_msgs_sent, 2);
         assert_eq!(m.data_bytes_sent, 128);
-        assert!(m.control_msgs_sent >= 2);
-        assert!(m.acks_sent > 0);
+        // A publish costs no control message: the frame is the report.
+        assert_eq!((m.control_msgs_sent, m.acks_sent), (0, 0));
         assert_eq!(m.deliveries, 0);
+        // A delivery costs one report per peer, three cells each.
+        let mut n = node(1);
+        n.on_message(0, NodeId(0), data_from_origin(1));
+        let m = n.metrics();
+        assert_eq!((m.control_msgs_sent, m.acks_sent), (2, 6));
+        assert_eq!((m.deliveries, m.acks_received), (1, 3));
     }
 
     #[test]

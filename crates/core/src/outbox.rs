@@ -1,6 +1,10 @@
 //! The control plane's way out: this node's own stability reports,
 //! coalesced to the newest value per cell until the next flush, and the
-//! full re-announcement of recorder rows a peer may have missed.
+//! full re-announcement of recorder rows a peer may have missed. What a
+//! node reaches on its *own* stream is not queued here — each `Data`
+//! frame it sends is that report (see `StabilizerNode::publish`) — except
+//! by the re-announcement, and for a level registered after the frames
+//! left.
 
 use crate::messages::{Ack, WireMsg};
 use crate::metrics::Metrics;

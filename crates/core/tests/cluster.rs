@@ -3,9 +3,10 @@
 //! reconfiguration, fault handling, and buffer reclamation.
 
 use bytes::Bytes;
-use stabilizer_core::sim_driver::build_cluster;
+use stabilizer_core::sim_driver::{build_cluster, SimNode};
 use stabilizer_core::{ClusterConfig, NodeId, Options, SeqNo};
-use stabilizer_netsim::{NetTopology, SimDuration, SimTime};
+use stabilizer_dsl::AckTypeId;
+use stabilizer_netsim::{NetTopology, SimDuration, SimTime, Simulation};
 
 fn ec2_cfg(extra: &str) -> ClusterConfig {
     ClusterConfig::parse(&format!(
@@ -28,11 +29,7 @@ predicate AllWNodes MIN($ALLWNODES-$MYWNODE)
 ";
 
 /// First time each predicate's frontier reached `seq` at node 0.
-fn first_reach(
-    sim: &stabilizer_netsim::Simulation<stabilizer_core::sim_driver::SimNode>,
-    key: &str,
-    seq: SeqNo,
-) -> Option<SimTime> {
+fn first_reach(sim: &Simulation<SimNode>, key: &str, seq: SeqNo) -> Option<SimTime> {
     sim.actor(0).covered_at(NodeId(0), key, seq)
 }
 
@@ -534,6 +531,47 @@ fn retransmission_stays_quiet_on_clean_links() {
 }
 
 #[test]
+fn a_retransmitted_frame_carries_the_origins_report_with_it() {
+    // The origin's own cells ride its `Data` frames, so they are exactly
+    // as reliable as the data: the first copy is lost on a cut link, and
+    // the mirror still learns them — from the retransmission, with no
+    // `AckBatch` from the origin anywhere on the wire.
+    let opts = Options::default().retransmit_millis(20);
+    let cfg = ClusterConfig::parse("az A a b c\npredicate All MIN($ALLWNODES-$MYWNODE)\n")
+        .unwrap()
+        .with_options(opts);
+    let net = NetTopology::full_mesh(3, SimDuration::from_millis(5), 1e9);
+    let mut sim = build_cluster(&cfg, net, 35).unwrap();
+    sim.set_link_up(0, 1, false);
+    let seq = sim
+        .with_ctx(0, |n, ctx| n.publish_in(ctx, Bytes::from(vec![0u8; 512])))
+        .unwrap();
+    assert_eq!(sim.dropped(), 1, "the first copy to node 1");
+    sim.run_for(SimDuration::from_millis(15));
+    // Node `at`'s view of the origin's own cells of stream 0, per level.
+    let origin_cells = |sim: &Simulation<SimNode>, at: usize| -> Vec<SeqNo> {
+        let recorder = sim.actor(at).inner().recorder();
+        (0..recorder.num_types() as u16)
+            .map(|ty| recorder.get(NodeId(0), NodeId(0), AckTypeId(ty)))
+            .collect()
+    };
+    assert_eq!(origin_cells(&sim, 2), [seq; 3], "node 2 got the frame");
+    assert_eq!(origin_cells(&sim, 1), [0; 3], "node 1 has heard nothing");
+    sim.set_link_up(0, 1, true);
+    sim.run_for(SimDuration::from_secs(1));
+    assert_eq!(origin_cells(&sim, 1), [seq; 3]);
+    let origin = sim.actor(0).inner();
+    assert_eq!(origin.stability_frontier(NodeId(0), "All").unwrap().0, seq);
+    let m = origin.metrics();
+    assert!(m.retransmits > 0);
+    assert_eq!(
+        (m.control_msgs_sent, m.acks_sent),
+        (0, 0),
+        "the origin never said it in an `AckBatch`"
+    );
+}
+
+#[test]
 fn recovered_secondary_is_automatically_reinstated() {
     // The full §III-E loop, hands-free: crash -> suspicion -> automatic
     // exclusion -> frontier advances without the dead node; node returns
@@ -636,11 +674,7 @@ fn recovered_secondary_is_automatically_reinstated() {
 /// This is the chaos harness's frontier invariant, stated inline so the
 /// core crate needs no dev-dependency on `stabilizer-chaos` (which
 /// depends on this crate).
-fn assert_frontier_monotone(
-    sim: &stabilizer_netsim::Simulation<stabilizer_core::sim_driver::SimNode>,
-    node: usize,
-    key: &str,
-) {
+fn assert_frontier_monotone(sim: &Simulation<SimNode>, node: usize, key: &str) {
     let mut last: Option<(u32, SeqNo)> = None;
     for (at, u) in sim.actor(node).frontier_log.iter() {
         if u.key != key {

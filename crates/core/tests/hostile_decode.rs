@@ -1,0 +1,116 @@
+//! `WireMsg::decode` reads bytes straight off a socket: what it
+//! allocates must be bounded by what it was given, not by a number the
+//! sender wrote. Counted with a per-thread allocator so the bound is on
+//! bytes actually requested, whatever the decoder's internals.
+
+use stabilizer_core::{Ack, NodeId, WireMsg};
+use stabilizer_dsl::AckTypeId;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+thread_local! {
+    /// Bytes this thread has requested from the allocator.
+    static REQUESTED: Cell<usize> = const { Cell::new(0) };
+}
+
+struct Counting;
+
+fn note(size: usize) {
+    // `try_with`: the allocator also runs while a thread's locals are
+    // being torn down.
+    let _ = REQUESTED.try_with(|bytes| bytes.set(bytes.get() + size));
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`,
+// which upholds the `GlobalAlloc` contract; the counter is a
+// const-initialized thread-local `Cell` that never allocates.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note(layout.size());
+        // SAFETY: the caller's obligations are passed through as is.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System` through this allocator with `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note(new_size);
+        // SAFETY: `ptr` came from `System` through this allocator with `layout`.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOC: Counting = Counting;
+
+/// Bytes requested while decoding `input`, and whether it was accepted.
+fn decode_cost(input: &[u8]) -> (usize, bool) {
+    let before = REQUESTED.with(Cell::get);
+    let decoded = WireMsg::decode(input);
+    let cost = REQUESTED.with(Cell::get) - before;
+    (cost, decoded.is_ok())
+}
+
+/// A decoded cell is 16 bytes and takes at least one on the wire, and a
+/// payload byte takes one: 16 B allocated per input byte is the bound.
+const PER_INPUT_BYTE: usize = 16;
+/// A refusal also formats one short error string.
+const ERROR_STRING: usize = 256;
+
+#[test]
+fn decode_allocates_in_proportion_to_its_input_not_to_a_claimed_count() {
+    let hostile: [&[u8]; 6] = [
+        // The frame the fixed-width decoder answered with a 1 MiB
+        // reservation before reporting "truncated".
+        &[1, 0xff, 0xff],
+        // The same claims as varints: 65 535 cells, 2^32 - 1 cells in a
+        // snapshot, a 4 GiB payload, a 2^63-byte transfer chunk.
+        &[1, 0xff, 0xff, 0x03],
+        &[4, 0, 0, 0, 0, 0xff, 0xff, 0xff, 0xff, 0x0f],
+        &[0, 0, 1, 0xff, 0xff, 0xff, 0xff, 0x0f],
+        &[
+            5, 0, 1, 0, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01,
+        ],
+        // A count that fits the remaining bytes, which are not cells.
+        &[1, 4, 0xff, 0xff, 0xff, 0xff],
+    ];
+    for input in hostile {
+        let (cost, accepted) = decode_cost(input);
+        assert!(!accepted, "{input:?}");
+        assert!(
+            cost <= PER_INPUT_BYTE * input.len() + ERROR_STRING,
+            "{cost} B allocated refusing the {}-byte input {input:?}",
+            input.len()
+        );
+    }
+
+    // Accepted input meets the bound with no allowance at all, at the
+    // densest encoding there is: one byte per lock-step cell.
+    let row: Vec<Ack> = (0..60)
+        .map(|ty| Ack {
+            stream: NodeId(1),
+            ty: AckTypeId(ty),
+            seq: 7,
+        })
+        .collect();
+    for msg in [
+        WireMsg::AckBatch(row),
+        WireMsg::Data {
+            origin: NodeId(1),
+            seq: 7,
+            payload: vec![9u8; 500].into(),
+        },
+    ] {
+        let bytes = msg.to_bytes();
+        let (cost, accepted) = decode_cost(&bytes);
+        assert!(accepted, "{msg:?}");
+        assert!(
+            cost <= PER_INPUT_BYTE * bytes.len(),
+            "{cost} B allocated for {} input bytes of {msg:?}",
+            bytes.len()
+        );
+    }
+}

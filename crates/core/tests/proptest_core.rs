@@ -1,7 +1,8 @@
 //! Property tests for the Stabilizer core:
 //!
-//! * wire-format fuzzing — arbitrary messages round-trip, arbitrary
-//!   bytes never panic the decoder;
+//! * wire-format fuzzing — arbitrary messages of all seven tags
+//!   round-trip, arbitrary bytes never panic the decoder, and whatever
+//!   it accepts is the one encoding of that message;
 //! * recorder monotonicity under arbitrary observation interleavings;
 //! * end-to-end frontier correctness over random topologies/workloads:
 //!   the frontier never exceeds the true (oracle) stability point and
@@ -15,36 +16,120 @@ use stabilizer_core::{Ack, AckRecorder, ClusterConfig, NodeId, Snapshot, WireMsg
 use stabilizer_dsl::{AckTypeId, RECEIVED};
 use stabilizer_netsim::{LinkSpec, NetTopology};
 
+/// Integers where a varint grows a byte, the ends of the domain, and
+/// anything in between.
+fn arb_seq() -> impl Strategy<Value = u64> {
+    prop_oneof![
+        prop_oneof![
+            Just(0u64),
+            Just(127),
+            Just(128),
+            Just(16_383),
+            Just(16_384),
+            Just(u32::MAX as u64),
+            Just(u64::MAX)
+        ],
+        0u64..1_000_000,
+        any::<u64>(),
+    ]
+}
+
+/// Node and ACK-type ids: cluster-sized, and the whole 16 bits.
+fn arb_id() -> impl Strategy<Value = u16> {
+    prop_oneof![3 => 0u16..8, 1 => Just(u16::MAX), 1 => any::<u16>()]
+}
+
+/// Cell lists of every shape the encoding treats differently: rows that
+/// share a stream, a seq or both with their predecessor, and rows that
+/// share nothing.
+fn arb_cells() -> impl Strategy<Value = Vec<Ack>> {
+    let cell = (arb_id(), arb_id(), arb_seq(), 0u8..4);
+    proptest::collection::vec(cell, 0..20).prop_map(|cells| {
+        let mut acks: Vec<Ack> = Vec::new();
+        for (stream, ty, seq, share) in cells {
+            let prev = acks.last().copied();
+            acks.push(Ack {
+                stream: match prev {
+                    Some(p) if share & 2 != 0 => p.stream,
+                    _ => NodeId(stream),
+                },
+                ty: AckTypeId(ty),
+                seq: match prev {
+                    Some(p) if share & 1 != 0 => p.seq,
+                    _ => seq,
+                },
+            });
+        }
+        acks
+    })
+}
+
+fn arb_payload() -> impl Strategy<Value = Bytes> {
+    proptest::collection::vec(any::<u8>(), 0..512).prop_map(Bytes::from)
+}
+
 fn arb_wiremsg() -> impl Strategy<Value = WireMsg> {
     prop_oneof![
-        (
-            0u16..32,
-            0u64..1_000_000,
-            proptest::collection::vec(any::<u8>(), 0..512)
-        )
-            .prop_map(|(origin, seq, payload)| WireMsg::Data {
-                origin: NodeId(origin),
-                seq,
-                payload: Bytes::from(payload)
-            }),
-        proptest::collection::vec((0u16..32, 0u16..8, any::<u64>()), 0..20).prop_map(|acks| {
-            WireMsg::AckBatch(
-                acks.into_iter()
-                    .map(|(s, t, q)| Ack {
-                        stream: NodeId(s),
-                        ty: AckTypeId(t),
-                        seq: q,
-                    })
-                    .collect(),
-            )
+        (arb_id(), arb_seq(), arb_payload()).prop_map(|(origin, seq, payload)| WireMsg::Data {
+            origin: NodeId(origin),
+            seq,
+            payload
         }),
+        arb_cells().prop_map(WireMsg::AckBatch),
         Just(WireMsg::Heartbeat),
+        (arb_id(), arb_seq()).prop_map(|(stream, have)| WireMsg::TransferRequest {
+            stream: NodeId(stream),
+            have
+        }),
+        (arb_id(), arb_seq(), arb_seq(), arb_cells(), arb_seq()).prop_map(
+            |(stream, base, high, acks, app_mark)| WireMsg::TransferSnapshot {
+                stream: NodeId(stream),
+                base,
+                high,
+                acks,
+                app_mark
+            }
+        ),
+        (arb_id(), arb_seq(), arb_payload(), any::<bool>()).prop_map(
+            |(stream, seq, payload, done)| WireMsg::TransferChunk {
+                stream: NodeId(stream),
+                seq,
+                payload,
+                done
+            }
+        ),
+        (arb_id(), arb_seq()).prop_map(|(stream, through)| WireMsg::TransferAck {
+            stream: NodeId(stream),
+            through
+        }),
+    ]
+}
+
+/// Byte strings a decoder meets: noise, noise behind a real tag with
+/// mostly small bytes (so counts and lengths often fit), and a real
+/// message with one byte overwritten, inserted or removed.
+fn arb_wire_bytes() -> impl Strategy<Value = Vec<u8>> {
+    let small = prop_oneof![4 => 0u8..12, 1 => any::<u8>()];
+    prop_oneof![
+        proptest::collection::vec(any::<u8>(), 0..256),
+        (0u8..8, proptest::collection::vec(small, 0..24)).prop_map(|(tag, mut rest)| {
+            rest.insert(0, tag);
+            rest
+        }),
+        (arb_wiremsg(), any::<usize>(), any::<u8>(), 0u8..3).prop_map(|(msg, at, byte, edit)| {
+            let mut bytes = msg.to_bytes();
+            let at = at % bytes.len();
+            match edit {
+                0 => bytes[at] = byte,
+                1 => bytes.insert(at, byte),
+                _ => drop(bytes.remove(at)),
+            }
+            bytes
+        }),
     ]
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
-
     #[test]
     fn wire_messages_roundtrip(msg in arb_wiremsg()) {
         let bytes = msg.to_bytes();
@@ -52,9 +137,13 @@ proptest! {
         prop_assert_eq!(WireMsg::decode(&bytes).unwrap(), msg);
     }
 
+    /// Arbitrary bytes never panic the decoder, and there is one
+    /// encoding per message: whatever it accepts re-encodes to itself.
     #[test]
-    fn wire_decoder_never_panics(bytes in proptest::collection::vec(any::<u8>(), 0..256)) {
-        let _ = WireMsg::decode(&bytes);
+    fn wire_decoder_accepts_only_what_the_encoder_writes(bytes in arb_wire_bytes()) {
+        if let Ok(msg) = WireMsg::decode(&bytes) {
+            prop_assert_eq!(msg.to_bytes(), bytes);
+        }
     }
 
     #[test]

@@ -268,12 +268,13 @@ fn seed_replay_is_byte_identical() {
     let b = replay_once(42);
     assert!(!a.is_empty());
     assert_eq!(a, b, "same seed must reproduce the same transcript");
-    // Not only equal to itself: equal to what `8012fd0` produced, so a
-    // change that reorders what the fold emits fails here and not only
-    // in a hand-run `shard_scale --replay-hash`.
+    // Not only equal to itself: equal to what PR 19 produced (the
+    // varint codec moved every virtual timestamp; until then it was
+    // `8012fd0`'s), so a change that reorders what the fold emits fails
+    // here and not only in a hand-run `shard_scale --replay-hash`.
     assert_eq!(
         (a.len(), stabilizer_shard::fnv1a(a.as_bytes())),
-        (5525, 0xbccb_3a4c_07a8_fb12),
+        (5525, 0xfd22_396f_e20b_3050),
         "the transcript moved"
     );
 }

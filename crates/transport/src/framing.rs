@@ -53,8 +53,8 @@ impl Lane for u16 {
 /// wire (length prefix included) so the transport can account traffic.
 ///
 /// Data payloads are written straight from their shared buffer: only the
-/// length prefix, the lane and the 15-byte message header are
-/// materialized, so a payload fanned out to N peers is **not** copied
+/// length prefix, the lane and the message header (a tag and three
+/// varints, 4–5 bytes at a typical sequence number) are materialized, so a payload fanned out to N peers is **not** copied
 /// into N contiguous scratch buffers first. Pair with a buffered writer
 /// to keep the prefix+payload pair in one TCP segment for small messages.
 ///

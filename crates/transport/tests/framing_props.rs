@@ -206,13 +206,13 @@ fn golden_frames_pin_the_layout_of_both_lanes() {
         ty: AckTypeId(0),
         seq: 9,
     }]);
-    // Message bodies as `WireMsg::encode` lays them out: tag, then
-    // little-endian fields.
-    let data_body: &[u8] = &[
-        0, 2, 0, 5, 0, 0, 0, 0, 0, 0, 0, 3, 0, 0, 0, b'x', b'y', b'z',
-    ];
-    let acks_body: &[u8] = &[1, 1, 0, 1, 0, 0, 0, 9, 0, 0, 0, 0, 0, 0, 0];
-    let hello_body: &[u8] = &[0, 6, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0];
+    // Message bodies as `WireMsg::encode` lays them out: tag, then one
+    // varint per field — origin, seq, payload length, payload; cell
+    // count, then the cell's head (`ty << 2`, nothing repeated), stream
+    // and seq.
+    let data_body: &[u8] = &[0, 2, 5, 3, b'x', b'y', b'z'];
+    let acks_body: &[u8] = &[1, 1, 0, 1, 9];
+    let hello_body: &[u8] = &[0, 6, 0, 0];
     let frame = |lane: &[u8], body: &[u8]| {
         let mut f = ((lane.len() + body.len()) as u32).to_le_bytes().to_vec();
         f.extend_from_slice(lane);
@@ -240,7 +240,7 @@ fn golden_frames_pin_the_layout_of_both_lanes() {
     ]
     .concat();
     assert_eq!(plain, expected);
-    assert_eq!(&plain[..4], &[18, 0, 0, 0]);
+    assert_eq!(&plain[..4], &[7, 0, 0, 0]);
     let mut cur = Cursor::new(&plain);
     assert_eq!(read_frame(&mut cur).unwrap(), Some(data.clone()));
 
@@ -255,5 +255,5 @@ fn golden_frames_pin_the_layout_of_both_lanes() {
     ]
     .concat();
     assert_eq!(sharded, expected);
-    assert_eq!(&sharded[..6], &[20, 0, 0, 0, 3, 0]);
+    assert_eq!(&sharded[..6], &[9, 0, 0, 0, 3, 0]);
 }
