@@ -9,11 +9,12 @@
 //! throughput — messages actually handed to the application in global
 //! FIFO order — plus the time for both own-stream frontiers to cover
 //! the load. Per-shard protocol work (sequencing, delivery, ACK
-//! folding, predicate evaluation) runs under per-shard locks on S
-//! worker threads: with one shard every publisher and the inbound
-//! worker contend a single mutex, with S shards they spread, so
-//! delivered throughput grows until the per-connection reader/writer
-//! pair or the core count saturates.
+//! folding, predicate evaluation) runs under per-shard locks on the
+//! publisher and link-reader threads themselves: with one shard every
+//! publisher and the inbound reader contend a single mutex, with S
+//! shards they spread — which buys parallelism only where there are
+//! cores for it; every delivery still crosses the one aggregator lock
+//! (EXPERIMENTS.md, "Sharded data-plane scaling", has the table).
 //!
 //! Usage:
 //!   shard_scale [MSGS] [PAYLOAD_BYTES] [PUBLISHERS] [--serve ADDR]
@@ -22,7 +23,7 @@
 //! With `--serve ADDR`, every spawned cluster feeds one shared
 //! telemetry hub exposed live over HTTP (`/metrics`, `/metrics.json`,
 //! `/trace`) — scrape or `stabtop` it mid-bench to watch per-shard
-//! queue depths and delivery counters move — and the endpoint stays up
+//! buffer and delivery counters move — and the endpoint stays up
 //! after the table prints until the process is killed.
 //!
 //! The second form runs a deterministic sharded *simulator* scenario and
@@ -339,8 +340,8 @@ fn main() {
     let payload = args.get(1).and_then(|s| s.parse().ok()).unwrap_or(64);
     let publishers = args.get(2).and_then(|s| s.parse().ok()).unwrap_or(8);
     // One hub for every trial: series are labelled per node/shard, so
-    // counters accumulate across the whole sweep while gauges (queue
-    // depths) always show the live cluster.
+    // counters accumulate across the whole sweep while gauges (send
+    // buffers) always show the live cluster.
     let telemetry = serve
         .as_ref()
         .map(|_| Telemetry::new_wall_clock_sharded(SHARD_COUNTS[SHARD_COUNTS.len() - 1] as usize));

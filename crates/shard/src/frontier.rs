@@ -55,10 +55,16 @@ impl AggOutput {
 
     /// Append the events as node-level actions: the frontier updates,
     /// then the completed waits.
-    pub fn into_actions(self, out: &mut Vec<ShardedAction>) {
-        out.extend(self.updates.into_iter().map(ShardedAction::Frontier));
+    pub fn into_actions(mut self, out: &mut Vec<ShardedAction>) {
+        self.drain_actions(out);
+    }
+
+    /// [`AggOutput::into_actions`], leaving `self` empty with its
+    /// buffers intact.
+    fn drain_actions(&mut self, out: &mut Vec<ShardedAction>) {
+        out.extend(self.updates.drain(..).map(ShardedAction::Frontier));
         let done = |token| ShardedAction::WaitDone { token };
-        out.extend(self.completed.into_iter().map(done));
+        out.extend(self.completed.drain(..).map(done));
     }
 }
 
@@ -70,6 +76,53 @@ struct KeyState {
     generation: u32,
     /// Current aggregated frontier (global sequence number).
     agg: SeqNo,
+    /// Node-level waits on this key the aggregate has not reached yet,
+    /// with the global each waits for, in registration order.
+    waiters: Vec<(WaitToken, SeqNo)>,
+}
+
+impl KeyState {
+    fn new(shards: usize, generation: u32) -> Self {
+        KeyState {
+            per_shard: vec![0; shards],
+            generation,
+            agg: 0,
+            waiters: Vec::new(),
+        }
+    }
+
+    /// Re-derive the aggregate of `(stream, key)` from `o`'s mappings
+    /// and the per-shard frontiers; if it rose (or `force`: a new
+    /// generation re-announces whatever it is), emit the update and then
+    /// the waits it completes.
+    fn recompute(
+        &mut self,
+        o: &OriginState,
+        stream: NodeId,
+        key: &str,
+        force: bool,
+        out: &mut AggOutput,
+    ) {
+        let firsts = self.per_shard.iter().enumerate();
+        let min_first = firsts.map(|(s, &f)| o.first_uncovered(s, f)).min();
+        let agg = min_first.unwrap_or(SeqNo::MAX).saturating_sub(1);
+        if agg > self.agg || force {
+            self.agg = agg;
+            out.updates.push(FrontierUpdate {
+                stream,
+                key: key.to_owned(),
+                seq: agg,
+                generation: self.generation,
+            });
+            self.waiters.retain(|&(token, seq)| {
+                let done = agg >= seq;
+                if done {
+                    out.completed.push(token);
+                }
+                !done
+            });
+        }
+    }
 }
 
 /// One shard's learned `shard-seq → global` mapping for one origin.
@@ -123,7 +176,9 @@ impl OriginState {
             "mapping must be learned in increasing global order per shard"
         );
         self.mapping[shard].globals.push(global);
-        if global > self.known_prefix {
+        if global == self.known_prefix + 1 {
+            self.known_prefix = global; // in order: never parked in `beyond`
+        } else if global > self.known_prefix {
             self.beyond.insert(global);
         }
         self.advance_known();
@@ -137,11 +192,11 @@ impl OriginState {
     /// verdict, so reassembly waits instead of dropping data.
     fn never_arrives(&self, g: SeqNo) -> bool {
         self.mapping.iter().zip(&self.marks).all(|(m, &mark)| {
+            // A shard that has learned nothing above `g` (the usual case:
+            // `g` is the next global) proves nothing and costs no search.
             g <= mark
-                || match m.globals.binary_search(&g) {
-                    Ok(_) => false,
-                    Err(pos) => pos < m.globals.len(),
-                }
+                || (m.globals.last().is_some_and(|&last| last > g)
+                    && m.globals.binary_search(&g).is_err())
         })
     }
 
@@ -157,20 +212,49 @@ impl OriginState {
         }
     }
 
-    /// Release parked deliveries, hopping over globals proven skipped.
-    fn drain_ready(&mut self) -> Vec<(SeqNo, Bytes)> {
-        let mut ready = Vec::new();
-        loop {
-            if let Some(p) = self.pending.remove(&(self.delivered + 1)) {
-                self.delivered += 1;
-                ready.push((self.delivered, p));
-            } else if !self.pending.is_empty() && self.never_arrives(self.delivered + 1) {
-                self.delivered += 1; // skipped prefix: no upcall (§III-E)
-            } else {
-                break;
-            }
+    /// Take a shard's delivery of `global`: straight to `ready` when it
+    /// is the next one (the usual case never touches `pending`), parked
+    /// otherwise; then whatever that releases.
+    fn deliver(&mut self, global: SeqNo, payload: Bytes, ready: &mut impl FnMut(SeqNo, Bytes)) {
+        debug_assert!(global > self.delivered, "shard re-delivered a global");
+        if global == self.delivered + 1 {
+            self.delivered = global;
+            ready(global, payload);
+        } else {
+            self.pending.insert(global, payload);
         }
-        ready
+        self.drain_ready(ready);
+    }
+
+    /// Release parked deliveries, hopping over globals proven skipped.
+    fn drain_ready(&mut self, ready: &mut impl FnMut(SeqNo, Bytes)) {
+        while !self.pending.is_empty() {
+            let next = self.delivered + 1;
+            if let Some(p) = self.pending.remove(&next) {
+                ready(next, p);
+            } else if !self.never_arrives(next) {
+                break;
+            } // else a skipped prefix: no upcall (§III-E)
+            self.delivered = next;
+        }
+    }
+
+    /// First global not yet covered by `shard` under its per-shard
+    /// frontier `f`, from this node's knowledge.
+    fn first_uncovered(&self, shard: usize, f: SeqNo) -> SeqNo {
+        let m = &self.mapping[shard];
+        if f < m.base {
+            // The shard's frontier has not yet caught up past its
+            // fast-forwarded prefix; the first uncovered message is a
+            // skipped one whose global we will never learn. Pin the
+            // aggregate until the shard frontier clears the skip point.
+            return 1;
+        }
+        // Past the learned entries the shard's next message (if any) is
+        // one we cannot place yet; bound by the first globally unknown
+        // mapping.
+        let known = m.globals.get((f - m.base) as usize);
+        known.copied().unwrap_or(self.known_prefix + 1)
     }
 }
 
@@ -180,12 +264,16 @@ impl OriginState {
 pub struct ShardedFrontier {
     shards: usize,
     origins: Vec<OriginState>,
-    keys: BTreeMap<(NodeId, String), KeyState>,
-    waiters: Vec<(WaitToken, NodeId, String, SeqNo)>,
+    /// Per stream: its predicate keys, sorted so one mapping entry's
+    /// updates leave in key order whatever order keys were installed in.
+    keys: Vec<BTreeMap<String, KeyState>>,
     next_token: WaitToken,
     next_global: SeqNo,
     /// Per peer: how many shards currently suspect it.
     suspects: Vec<u32>,
+    /// What one [`ShardedFrontier::fold`] step aggregated, emptied into
+    /// the caller's actions; kept for its buffers.
+    scratch: AggOutput,
 }
 
 impl ShardedFrontier {
@@ -195,11 +283,11 @@ impl ShardedFrontier {
         ShardedFrontier {
             shards,
             origins: (0..num_nodes).map(|_| OriginState::new(shards)).collect(),
-            keys: BTreeMap::new(),
-            waiters: Vec::new(),
+            keys: (0..num_nodes).map(|_| BTreeMap::new()).collect(),
             next_token: 1,
             next_global: 0,
             suspects: vec![0; num_nodes],
+            scratch: AggOutput::default(),
         }
     }
 
@@ -218,17 +306,8 @@ impl ShardedFrontier {
     ///
     /// Panics if a delivered payload lacks the global-sequence header.
     pub fn fold(&mut self, shard: u16, action: Action, out: &mut Vec<ShardedAction>) {
-        let deliver = |origin, ready: Vec<(SeqNo, Bytes)>, out: &mut Vec<ShardedAction>| {
-            out.extend(
-                ready
-                    .into_iter()
-                    .map(|(seq, payload)| ShardedAction::Deliver {
-                        origin,
-                        seq,
-                        payload,
-                    }),
-            );
-        };
+        // What the step aggregates goes last, whatever the arm pushes.
+        let mut agg = std::mem::take(&mut self.scratch);
         match action {
             Action::Send { to, msg } => out.push(ShardedAction::Send { shard, to, msg }),
             Action::Deliver {
@@ -243,16 +322,20 @@ impl ShardedFrontier {
                     seq,
                     len,
                 });
-                let (ready, agg) = self
-                    .on_shard_deliver(shard, origin, &payload)
+                let ready = |seq, payload| {
+                    out.push(ShardedAction::Deliver {
+                        origin,
+                        seq,
+                        payload,
+                    });
+                };
+                self.shard_deliver(shard, origin, &payload, ready, &mut agg)
                     .expect("sharded payload carried no global-sequence header");
-                deliver(origin, ready, out);
-                agg.into_actions(out);
             }
             Action::Frontier(update) => {
-                let agg = self.on_shard_frontier(shard, &update);
+                let at = (update.seq, update.generation);
+                self.shard_frontier(shard, update.stream, &update.key, at, &mut agg);
                 out.push(ShardedAction::ShardFrontier { shard, update });
-                agg.into_actions(out);
             }
             // Shard-level waits are never created; node-level waits live
             // here, in the aggregator.
@@ -285,7 +368,8 @@ impl ShardedFrontier {
                 seq,
                 app_mark,
             } => {
-                let (ready, agg) = self.fast_forward_origin(stream, shard, seq, app_mark);
+                let (ready, moved) = self.fast_forward_origin(stream, shard, seq, app_mark);
+                agg.merge(moved);
                 let global = self.delivered_global(stream);
                 out.push(ShardedAction::CatchUp {
                     shard,
@@ -293,10 +377,20 @@ impl ShardedFrontier {
                     seq,
                     global,
                 });
-                deliver(stream, ready, out);
-                agg.into_actions(out);
+                let origin = stream;
+                out.extend(
+                    ready
+                        .into_iter()
+                        .map(|(seq, payload)| ShardedAction::Deliver {
+                            origin,
+                            seq,
+                            payload,
+                        }),
+                );
             }
         }
+        agg.drain_actions(out);
+        self.scratch = agg;
     }
 
     /// True if any shard currently suspects `node`.
@@ -342,8 +436,10 @@ impl ShardedFrontier {
     /// `(origin, shard)` — which both the origin's publish path and the
     /// mirrors' FIFO shard deliveries naturally satisfy.
     pub fn learn_mapping(&mut self, origin: NodeId, shard: u16, global: SeqNo) -> AggOutput {
+        let mut out = AggOutput::default();
         self.origins[origin.0 as usize].learn(shard as usize, global);
-        self.recompute_origin(origin)
+        self.recompute_origin(origin, &mut out);
+        out
     }
 
     /// A shard machine delivered `(origin, shard_seq)` with the framed
@@ -360,12 +456,29 @@ impl ShardedFrontier {
         origin: NodeId,
         framed: &Bytes,
     ) -> Result<(Vec<(SeqNo, Bytes)>, AggOutput), CoreError> {
+        let (mut ready, mut out) = (Vec::new(), AggOutput::default());
+        let park = |seq, payload| ready.push((seq, payload));
+        self.shard_deliver(shard, origin, framed, park, &mut out)?;
+        Ok((ready, out))
+    }
+
+    /// [`ShardedFrontier::on_shard_deliver`] into the caller's buffers:
+    /// released deliveries go to `ready` in global order, aggregated
+    /// frontier events are appended to `out`.
+    fn shard_deliver(
+        &mut self,
+        shard: u16,
+        origin: NodeId,
+        framed: &Bytes,
+        mut ready: impl FnMut(SeqNo, Bytes),
+        out: &mut AggOutput,
+    ) -> Result<(), CoreError> {
         let (global, payload) = decode_global(framed)?;
-        let out = self.learn_mapping(origin, shard, global);
         let o = &mut self.origins[origin.0 as usize];
-        debug_assert!(global > o.delivered, "shard re-delivered a global");
-        o.pending.insert(global, payload);
-        Ok((o.drain_ready(), out))
+        o.learn(shard as usize, global);
+        o.deliver(global, payload, &mut ready);
+        self.recompute_origin(origin, out);
+        Ok(())
     }
 
     /// A shard machine fast-forwarded `origin`'s sub-stream to
@@ -398,8 +511,9 @@ impl ShardedFrontier {
             m.base = shard_seq;
         }
         o.advance_known();
-        let ready = o.drain_ready();
-        let out = self.recompute_origin(origin);
+        let (mut ready, mut out) = (Vec::new(), AggOutput::default());
+        o.drain_ready(&mut |seq, payload| ready.push((seq, payload)));
+        self.recompute_origin(origin, &mut out);
         (ready, out)
     }
 
@@ -442,30 +556,22 @@ impl ShardedFrontier {
     /// Make `(stream, key)` queryable (frontier 0) before any shard
     /// reports — called when a predicate is registered.
     pub fn ensure_key(&mut self, stream: NodeId, key: &str) {
-        let shards = self.shards;
-        self.keys
-            .entry((stream, key.to_owned()))
-            .or_insert_with(|| KeyState {
-                per_shard: vec![0; shards],
-                generation: 0,
-                agg: 0,
-            });
+        let keys = &mut self.keys[stream.0 as usize];
+        if !keys.contains_key(key) {
+            keys.insert(key.to_owned(), KeyState::new(self.shards, 0));
+        }
     }
 
     /// Drop `(stream, key)`; its pending waiters complete immediately
     /// (mirroring the core engine's unregister semantics).
     pub fn unregister_key(&mut self, stream: NodeId, key: &str) -> AggOutput {
-        self.keys.remove(&(stream, key.to_owned()));
-        let mut out = AggOutput::default();
-        self.waiters.retain(|(token, s, k, _)| {
-            if *s == stream && k == key {
-                out.completed.push(*token);
-                false
-            } else {
-                true
-            }
-        });
-        out
+        let keys = self.keys.get_mut(stream.0 as usize);
+        let gone = keys.and_then(|keys| keys.remove(key));
+        let waiters = gone.into_iter().flat_map(|st| st.waiters);
+        AggOutput {
+            updates: Vec::new(),
+            completed: waiters.map(|(token, _)| token).collect(),
+        }
     }
 
     /// Feed one per-shard frontier advance. Generations bump in lockstep
@@ -474,58 +580,56 @@ impl ShardedFrontier {
     /// frontiers and re-announces the aggregate under the new
     /// generation, exactly like the core engine's `change_predicate`.
     pub fn on_shard_frontier(&mut self, shard: u16, update: &FrontierUpdate) -> AggOutput {
-        let shards = self.shards;
-        let st = self
-            .keys
-            .entry((update.stream, update.key.clone()))
-            .or_insert_with(|| KeyState {
-                per_shard: vec![0; shards],
-                generation: update.generation,
-                agg: 0,
-            });
+        let at = (update.seq, update.generation);
+        self.adopt(shard, update.stream, &update.key, at)
+    }
+
+    /// [`ShardedFrontier::adopt`], appending to `out`.
+    fn shard_frontier(
+        &mut self,
+        shard: u16,
+        stream: NodeId,
+        key: &str,
+        (seq, generation): (SeqNo, u32),
+        out: &mut AggOutput,
+    ) {
+        let o = &self.origins[stream.0 as usize];
+        let keys = &mut self.keys[stream.0 as usize];
+        let st = if let Some(st) = keys.get_mut(key) {
+            st
+        } else {
+            let st = KeyState::new(self.shards, generation);
+            keys.entry(key.to_owned()).or_insert(st)
+        };
         let mut force = false;
-        if update.generation > st.generation {
-            st.generation = update.generation;
-            st.per_shard = vec![0; shards];
+        if generation > st.generation {
+            st.generation = generation;
+            st.per_shard.fill(0);
             force = true;
-        } else if update.generation < st.generation {
-            return AggOutput::default(); // stale shard update from an old generation
+        } else if generation < st.generation {
+            return; // stale shard update from an old generation
         }
         let cell = &mut st.per_shard[shard as usize];
-        if update.seq > *cell {
-            *cell = update.seq;
+        if seq > *cell {
+            *cell = seq;
         }
-        self.recompute_key(update.stream, &update.key, force)
+        st.recompute(o, stream, key, force, out);
     }
 
     /// Adopt `shard`'s current `(frontier, generation)` of
     /// `(stream, key)`, read off the shard machine after a register or
     /// change: a shard whose frontier starts at zero emits no update, and
     /// the aggregate must still move to the new generation.
-    pub fn adopt(
-        &mut self,
-        shard: u16,
-        stream: NodeId,
-        key: &str,
-        (seq, generation): (SeqNo, u32),
-    ) -> AggOutput {
-        let key = key.to_owned();
-        self.on_shard_frontier(
-            shard,
-            &FrontierUpdate {
-                stream,
-                key,
-                seq,
-                generation,
-            },
-        )
+    pub fn adopt(&mut self, shard: u16, stream: NodeId, key: &str, at: (SeqNo, u32)) -> AggOutput {
+        let mut out = AggOutput::default();
+        self.shard_frontier(shard, stream, key, at, &mut out);
+        out
     }
 
     /// Current aggregated `(frontier, generation)` of a predicate.
     pub fn frontier(&self, stream: NodeId, key: &str) -> Option<(SeqNo, u32)> {
-        self.keys
-            .get(&(stream, key.to_owned()))
-            .map(|st| (st.agg, st.generation))
+        let st = self.keys.get(stream.0 as usize)?.get(key)?;
+        Some((st.agg, st.generation))
     }
 
     /// Register a node-level wait for the aggregated frontier of
@@ -540,9 +644,9 @@ impl ShardedFrontier {
         key: &str,
         seq: SeqNo,
     ) -> Result<(WaitToken, AggOutput), CoreError> {
-        let st = self
-            .keys
-            .get(&(stream, key.to_owned()))
+        let keys = self.keys.get_mut(stream.0 as usize);
+        let st = keys
+            .and_then(|keys| keys.get_mut(key))
             .ok_or_else(|| CoreError::UnknownPredicate(key.to_owned()))?;
         let token = self.next_token;
         self.next_token += 1;
@@ -550,95 +654,25 @@ impl ShardedFrontier {
         if st.agg >= seq {
             out.completed.push(token);
         } else {
-            self.waiters.push((token, stream, key.to_owned(), seq));
+            st.waiters.push((token, seq));
         }
         Ok((token, out))
     }
 
     /// Node-level waits still blocked.
     pub fn pending_waiters(&self) -> usize {
-        self.waiters.len()
+        let keys = self.keys.iter().flat_map(BTreeMap::values);
+        keys.map(|st| st.waiters.len()).sum()
     }
 
-    /// First global of `stream` not yet covered by shard `s` under the
-    /// current per-shard frontier `f`, from this node's knowledge.
-    fn first_uncovered(&self, stream: NodeId, shard: usize, f: SeqNo) -> SeqNo {
+    /// Recompute every key of `stream`, in key order, after its mapping
+    /// grew (a new mapping entry can raise aggregates without any
+    /// frontier traffic).
+    fn recompute_origin(&mut self, stream: NodeId, out: &mut AggOutput) {
         let o = &self.origins[stream.0 as usize];
-        let m = &o.mapping[shard];
-        if f < m.base {
-            // The shard's frontier has not yet caught up past its
-            // fast-forwarded prefix; the first uncovered message is a
-            // skipped one whose global we will never learn. Pin the
-            // aggregate until the shard frontier clears the skip point.
-            return 1;
+        for (key, st) in &mut self.keys[stream.0 as usize] {
+            st.recompute(o, stream, key, false, out);
         }
-        let idx = (f - m.base) as usize;
-        if idx < m.globals.len() {
-            m.globals[idx]
-        } else {
-            // The shard's next message (if any) is one we cannot place
-            // yet; bound by the first globally unknown mapping.
-            o.known_prefix + 1
-        }
-    }
-
-    fn recompute_key(&mut self, stream: NodeId, key: &str, force: bool) -> AggOutput {
-        let Some(st) = self.keys.get(&(stream, key.to_owned())) else {
-            return AggOutput::default();
-        };
-        let mut min_first = SeqNo::MAX;
-        for s in 0..self.shards {
-            min_first = min_first.min(self.first_uncovered(stream, s, st.per_shard[s]));
-        }
-        let agg = min_first.saturating_sub(1);
-        let st = self.keys.get_mut(&(stream, key.to_owned())).unwrap();
-        let mut out = AggOutput::default();
-        if agg > st.agg || force {
-            debug_assert!(
-                force || st.generation == 0 || agg >= st.agg,
-                "aggregated frontier regressed within a generation"
-            );
-            st.agg = if force { agg } else { st.agg.max(agg) };
-            out.updates.push(FrontierUpdate {
-                stream,
-                key: key.to_owned(),
-                seq: st.agg,
-                generation: st.generation,
-            });
-            self.drain_waiters(stream, key, &mut out);
-        }
-        out
-    }
-
-    /// Recompute every key of `stream` after its mapping grew (a new
-    /// mapping entry can raise aggregates without any frontier traffic).
-    fn recompute_origin(&mut self, stream: NodeId) -> AggOutput {
-        let keys: Vec<String> = self
-            .keys
-            .range((stream, String::new())..)
-            .take_while(|((s, _), _)| *s == stream)
-            .map(|((_, k), _)| k.clone())
-            .collect();
-        let mut out = AggOutput::default();
-        for key in keys {
-            out.merge(self.recompute_key(stream, &key, false));
-        }
-        out
-    }
-
-    fn drain_waiters(&mut self, stream: NodeId, key: &str, out: &mut AggOutput) {
-        let agg = match self.keys.get(&(stream, key.to_owned())) {
-            Some(st) => st.agg,
-            None => return,
-        };
-        self.waiters.retain(|(token, s, k, seq)| {
-            if *s == stream && k == key && agg >= *seq {
-                out.completed.push(*token);
-                false
-            } else {
-                true
-            }
-        });
     }
 }
 

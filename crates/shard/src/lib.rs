@@ -29,8 +29,8 @@
 //!   [`build_sharded_cluster`]), so sharded scenarios replay
 //!   byte-identically under the chaos harness.
 //!
-//! The TCP runtime counterpart (one worker thread per shard) lives in
-//! `stabilizer-transport::sharded`.
+//! The TCP runtime counterpart (one mutex per shard, link threads
+//! running the machines inline) lives in `stabilizer-transport::sharded`.
 
 pub mod codec;
 pub mod engine;

@@ -1,35 +1,35 @@
 //! The sharded TCP runtime: S per-core stream shards behind one node.
 //!
 //! Each shard is a full sans-IO [`StabilizerNode`] with its own mutex,
-//! driven by its own **worker thread**, so inbound protocol processing
-//! scales across cores instead of serializing on one state-machine lock.
+//! so the link readers, the publishers and the ticker work on different
+//! shards at once instead of serializing on one state-machine lock.
 //! A [`ShardedFrontier`] aggregator min-combines the per-shard stability
 //! frontiers into the node-level frontier and reassembles per-shard FIFO
 //! deliveries into global FIFO order, keeping the application-visible
 //! semantics (`publish`, `waitfor`, `monitor_stability_frontier`, FIFO
 //! delivery) exactly those of the unsharded [`NodeHandle`].
 //!
-//! On top of the shared link layer's threads ([`crate::link`]) this node
-//! shape adds:
+//! As on the plain runtime, link threads run the state machines
+//! **inline**: the reader that read a batch of sharded frames (lane =
+//! shard index) folds it itself, one shard lock per lane present in the
+//! batch, and every peer's writer multiplexes all shards onto one
+//! connection. On top of the shared link layer's threads
+//! ([`crate::link`]) this node shape adds one **dispatcher** thread
+//! running application callbacks (delivery upcalls, frontier monitors)
+//! and the telemetry observer outside every lock, in the exact order
+//! node-level events were produced under the aggregator lock (the
+//! observer contract is written once, in [`stabilizer_core::observe`]);
+//! it is handed what each fold produced in one piece.
 //!
-//! * one **worker** thread per shard, owning all message processing for
-//!   that shard's sub-stream — link readers only parse sharded frames
-//!   (lane = shard index) and route each reader batch to the shards'
-//!   workers over crossbeam channels; a worker that wakes folds
-//!   everything already queued for it under one shard lock; every
-//!   peer's writer multiplexes all shards onto one connection;
-//! * one **dispatcher** thread running application callbacks (delivery
-//!   upcalls, frontier monitors) and the telemetry observer outside
-//!   every lock, in the exact order node-level events were produced
-//!   under the aggregator lock (the observer contract is written once,
-//!   in [`stabilizer_core::observe`]).
-//!
-//! The link ticker fans each timer across the shards and samples
-//! per-shard telemetry (queue-depth gauges, per-shard progress gauges).
+//! The link ticker fans each timer across the shards and samples the
+//! per-shard progress gauges.
 //!
 //! Locking discipline, strictly ordered to stay deadlock-free:
 //! `publish` lock (router + global sequencer) → one shard mutex →
 //! aggregator mutex → leaf locks (upcalls, link).
+//! A shard's mutex is held until what its machine emitted has been
+//! folded into the aggregator: several threads feed one shard, and its
+//! deliveries must reach the aggregator in shard-sequence order.
 //! Node-level events are enqueued to the dispatcher *under* the
 //! aggregator lock, so cross-shard delivery order is fixed exactly once;
 //! callbacks then run with no lock held. A shard's `Send`s go to the
@@ -68,16 +68,21 @@ struct PublishState {
 /// must be read under the same lock (the shard→global mapping).
 struct AggState {
     frontier: ShardedFrontier,
-    /// What one [`ShardedFrontier::fold`] produced, on its way to the
-    /// dispatcher; kept so folding allocates nothing per action.
-    scratch: Vec<ShardedAction>,
     /// `stamps[g-1]` = local publish time + 1 of own-stream global `g`
     /// (0 = unstamped); only maintained when telemetry is attached.
     stamps: Vec<u64>,
-    /// Per `(key, shard)`: highest own-stream shard frontier already
-    /// folded into that shard's stability histogram.
-    covered: HashMap<(String, u16), SeqNo>,
-    hists: HashMap<(String, u16), Arc<LogHistogram>>,
+    /// Own-stream stability latency by key, then by shard (keyed by key
+    /// alone so an update's borrowed key finds it).
+    stability: HashMap<String, Vec<ShardStability>>,
+}
+
+/// One shard's share of a key's own-stream stability latency.
+#[derive(Clone, Default)]
+struct ShardStability {
+    /// Highest shard frontier already folded into `hist`.
+    covered: SeqNo,
+    /// Registered once there is something to fold.
+    hist: Option<Arc<LogHistogram>>,
 }
 
 impl AggState {
@@ -92,28 +97,24 @@ impl AggState {
         update: &FrontierUpdate,
         now: u64,
     ) {
-        let from = {
-            let cur = self.covered.entry((update.key.clone(), shard)).or_insert(0);
-            if update.seq <= *cur {
-                return;
-            }
-            let from = *cur;
-            *cur = update.seq;
-            from
+        let per_shard = if let Some(per_shard) = self.stability.get_mut(&update.key) {
+            per_shard
+        } else {
+            let unseen = vec![ShardStability::default(); self.frontier.num_shards()];
+            self.stability.entry(update.key.clone()).or_insert(unseen)
         };
-        let hist = match self.hists.get(&(update.key.clone(), shard)) {
-            Some(h) => Arc::clone(h),
-            None => {
-                let sh = shard.to_string();
-                let h = registry.histogram(
-                    "stab_shard_stability_latency_ns",
-                    &[("key", &update.key), ("shard", &sh)],
-                );
-                self.hists
-                    .insert((update.key.clone(), shard), Arc::clone(&h));
-                h
-            }
-        };
+        let ShardStability { covered, hist } = &mut per_shard[shard as usize];
+        if update.seq <= *covered {
+            return;
+        }
+        let from = std::mem::replace(covered, update.seq);
+        let hist = hist.get_or_insert_with(|| {
+            let sh = shard.to_string();
+            registry.histogram(
+                "stab_shard_stability_latency_ns",
+                &[("key", &update.key), ("shard", &sh)],
+            )
+        });
         let globals = self.frontier.shard_globals(me, shard);
         for q in from + 1..=update.seq {
             let Some(&g) = globals.get((q - 1) as usize) else {
@@ -130,7 +131,6 @@ impl AggState {
 
 /// Per-shard gauges sampled by the ticker (labels `node` + `shard`).
 struct ShardGauges {
-    queue_depth: Gauge,
     send_buffer_bytes: Gauge,
     data_msgs_sent: Gauge,
     deliveries: Gauge,
@@ -145,7 +145,6 @@ impl ShardGauges {
         let labels: &[(&str, &str)] = &[("node", &id), ("shard", &sh)];
         let reg = t.registry();
         ShardGauges {
-            queue_depth: reg.gauge("stab_shard_queue_depth", labels),
             send_buffer_bytes: reg.gauge("stab_shard_send_buffer_bytes", labels),
             data_msgs_sent: reg.gauge("stab_shard_data_msgs_sent", labels),
             deliveries: reg.gauge("stab_shard_deliveries", labels),
@@ -167,23 +166,20 @@ pub struct ShardedShared {
     upcalls: Upcalls,
     /// Sockets, link threads, clock and transport telemetry.
     link: Link<u16>,
-    shard_txs: Vec<Sender<(NodeId, WireMsg)>>,
     /// Node-level actions, ordered once under the aggregator lock and
-    /// drained by the dispatcher thread.
-    event_tx: Sender<ShardedAction>,
+    /// drained by the dispatcher thread: one hand-off per fold.
+    event_tx: Sender<Vec<ShardedAction>>,
     shard_gauges: Vec<ShardGauges>,
 }
 
 impl ShardedShared {
-    /// Mutate one shard under its lock, then run its emitted actions
-    /// through the aggregator with no shard lock held.
+    /// Mutate one shard under its lock and run its emitted actions
+    /// through the aggregator before letting go of it: whoever takes the
+    /// shard next must find this call's deliveries already folded.
     fn with_shard<R>(&self, shard: u16, f: impl FnOnce(&mut StabilizerNode) -> R) -> R {
-        let (r, actions) = {
-            let mut node = self.shards[shard as usize].lock();
-            let r = f(&mut node);
-            (r, node.take_actions())
-        };
-        self.process_shard_actions(shard, actions);
+        let mut node = self.shards[shard as usize].lock();
+        let r = f(&mut node);
+        self.process_shard_actions(shard, node.take_actions());
         r
     }
 
@@ -194,6 +190,7 @@ impl ShardedShared {
     /// of the batch.
     fn process_shard_actions(&self, shard: u16, actions: Vec<Action>) {
         let mut agg = None;
+        let mut folded = Vec::new();
         for action in actions {
             if let Action::Send { to, msg } = action {
                 self.link.send(to, shard, msg);
@@ -206,14 +203,9 @@ impl ShardedShared {
                     agg.record_shard_stability(t.registry(), self.me, shard, update, now);
                 }
             }
-            let AggState {
-                frontier, scratch, ..
-            } = &mut **agg;
-            frontier.fold(shard, action, scratch);
+            agg.frontier.fold(shard, action, &mut folded);
         }
-        if let Some(mut agg) = agg {
-            self.forward(&mut agg.scratch);
-        }
+        self.forward(folded);
     }
 
     /// Keep each shard machine's outgoing snapshot mark up to date (see
@@ -231,37 +223,37 @@ impl ShardedShared {
         }
     }
 
-    /// Hand folded node-level actions on. Called with the aggregator lock
-    /// held so the dispatcher sees them in a single global order; the
-    /// upcalls' locks are leaves. Waiters are woken here, all of a
-    /// batch's at once, not behind the dispatcher's queue; the dispatcher
-    /// only shows the completion to the telemetry observer, when there
-    /// is one. What is not an event
+    /// Hand folded node-level actions on, all of them in one send.
+    /// Called with the aggregator lock held so the dispatcher sees them
+    /// in a single global order; the upcalls' locks are leaves. Waiters
+    /// are woken here, all of a batch's at once, not behind the
+    /// dispatcher's queue; the dispatcher only shows the completion to
+    /// the telemetry observer, when there is one. What is not an event
     /// (per-shard observability, `PredicateBroken`: like the unsharded
     /// runtime that surfaces through monitor silence) has no reader
     /// behind the channel and stops here.
-    fn forward(&self, actions: &mut Vec<ShardedAction>) {
+    fn forward(&self, mut actions: Vec<ShardedAction>) {
         let mut done = Vec::new();
-        for action in actions.drain(..) {
-            let shown = match action {
-                ShardedAction::WaitDone { token } => {
-                    done.push(token);
-                    self.link.telemetry.is_some()
-                }
-                _ => action.event().is_some(),
-            };
-            if shown {
-                let _ = self.event_tx.send(action);
+        let observed = self.link.telemetry.is_some();
+        actions.retain(|action| match action {
+            ShardedAction::WaitDone { token } => {
+                done.push(*token);
+                observed
             }
+            _ => action.event().is_some(),
+        });
+        if !actions.is_empty() {
+            let _ = self.event_tx.send(actions); // dispatcher gone => shutting down
         }
         self.upcalls.complete(done);
     }
 
     /// [`ShardedShared::forward`] for events the aggregator returned
-    /// outside a fold (publish, key sync, `waitfor`).
-    fn apply_agg(&self, agg: &mut AggState, out: stabilizer_shard::AggOutput) {
-        out.into_actions(&mut agg.scratch);
-        self.forward(&mut agg.scratch);
+    /// outside a fold (publish, key sync, `waitfor`), under its lock.
+    fn apply_agg(&self, out: stabilizer_shard::AggOutput) {
+        let mut actions = Vec::new();
+        out.into_actions(&mut actions);
+        self.forward(actions);
     }
 
     /// Frontier blame for every `(shard, stream, key)`; sequence numbers
@@ -286,11 +278,19 @@ impl LinkClient for ShardedShared {
     }
 
     fn on_frames(&self, peer: NodeId, frames: &mut Vec<(u16, WireMsg)>) {
-        for (shard, msg) in frames.drain(..) {
-            // An unknown shard index is tolerated (a peer configured with
-            // more shards): the traffic is simply not processable.
-            if let Some(tx) = self.shard_txs.get(shard as usize) {
-                let _ = tx.send((peer, msg)); // worker gone => shutting down
+        // One fold per lane present, each lane's frames in arrival order.
+        frames.sort_by_key(|(lane, _)| *lane);
+        let now = self.link.now_nanos();
+        let mut frames = frames.drain(..).peekable();
+        while let Some(&(lane, _)) = frames.peek() {
+            let of_lane = std::iter::from_fn(|| frames.next_if(|(l, _)| *l == lane));
+            let msgs = of_lane.map(|(_, msg)| (peer, msg));
+            if lane < self.num_shards {
+                self.with_shard(lane, |n| n.on_messages(now, msgs));
+            } else {
+                // An unknown shard index is tolerated (a peer configured
+                // with more shards): the traffic is simply not processable.
+                msgs.for_each(drop);
             }
         }
     }
@@ -319,7 +319,6 @@ impl LinkClient for ShardedShared {
                 (node.metrics(), node.send_buffer_bytes())
             };
             if let Some(g) = self.shard_gauges.get(s) {
-                g.queue_depth.set(self.shard_txs[s].len() as i64);
                 g.send_buffer_bytes.set(buf as i64);
                 g.data_msgs_sent.set(m.data_msgs_sent as i64);
                 g.deliveries.set(m.deliveries as i64);
@@ -416,14 +415,7 @@ pub fn spawn_sharded_node(
         shards[0].lock().predicate_tolerances(),
     );
 
-    let (event_tx, event_rx) = unbounded::<ShardedAction>();
-    let mut shard_txs = Vec::with_capacity(num_shards as usize);
-    let mut shard_rxs = Vec::with_capacity(num_shards as usize);
-    for _ in 0..num_shards {
-        let (tx, rx) = unbounded::<(NodeId, WireMsg)>();
-        shard_txs.push(tx);
-        shard_rxs.push(rx);
-    }
+    let (event_tx, event_rx) = unbounded();
 
     let shared = Arc::new(ShardedShared {
         me,
@@ -431,10 +423,8 @@ pub fn spawn_sharded_node(
         shards,
         agg: Mutex::new(AggState {
             frontier,
-            scratch: Vec::new(),
             stamps: Vec::new(),
-            covered: HashMap::new(),
-            hists: HashMap::new(),
+            stability: HashMap::new(),
         }),
         publish: Mutex::new(PublishState {
             router: ShardRouter::new(num_shards, opts.policy),
@@ -442,7 +432,6 @@ pub fn spawn_sharded_node(
         }),
         upcalls: Upcalls::default(),
         link,
-        shard_txs,
         event_tx,
         shard_gauges,
         cfg,
@@ -464,15 +453,6 @@ pub fn spawn_sharded_node(
             .name(format!("stabs-{}-dispatch", me.0))
             .spawn(move || dispatcher_loop(shared2, event_rx, observer))
             .expect("spawn dispatcher");
-    }
-
-    // Worker thread per shard.
-    for (s, rx) in shard_rxs.into_iter().enumerate() {
-        let shared2 = Arc::clone(&shared);
-        std::thread::Builder::new()
-            .name(format!("stabs-{}-s{}", me.0, s))
-            .spawn(move || worker_loop(shared2, s as u16, rx))
-            .expect("spawn shard worker");
     }
 
     link::spawn(
@@ -639,7 +619,7 @@ impl ShardedHandle {
                         t.note_publish_now(sh.me, global, payload.len());
                     }
                     let out = agg.frontier.learn_mapping(sh.me, shard, global);
-                    sh.apply_agg(&mut agg, out);
+                    sh.apply_agg(out);
                 }
                 // Still under the publish lock: enqueuing the Send here
                 // keeps same-shard Data frames in sequence order on the
@@ -717,7 +697,7 @@ impl ShardedHandle {
             if let Some(at) = at {
                 let mut agg = self.shared.agg.lock();
                 let out = agg.frontier.adopt(s, stream, key, at);
-                self.shared.apply_agg(&mut agg, out);
+                self.shared.apply_agg(out);
             }
         }
     }
@@ -745,7 +725,7 @@ impl ShardedHandle {
         let token = {
             let mut agg = self.shared.agg.lock();
             let (token, out) = agg.frontier.waitfor(stream, key, seq)?;
-            self.shared.apply_agg(&mut agg, out);
+            self.shared.apply_agg(out);
             token
         };
         Ok(self.shared.upcalls.wait(token, timeout))
@@ -892,21 +872,20 @@ impl std::fmt::Debug for ShardedHandle {
 
 fn dispatcher_loop(
     shared: Arc<ShardedShared>,
-    rx: Receiver<ShardedAction>,
+    rx: Receiver<Vec<ShardedAction>>,
     mut observer: Option<MetricsObserver>,
 ) {
     loop {
         match rx.recv_timeout(Duration::from_millis(100)) {
-            Ok(action) => {
-                let Some(event) = action.event() else {
-                    continue;
-                };
-                if let Some(obs) = observer.as_mut() {
-                    obs.on_event(SimTime(shared.link.now_nanos()), &event);
-                }
-                // `apply_agg` already woke the waiter.
-                if !matches!(event, Event::WaitDone { .. }) {
-                    shared.upcalls.fire(&event);
+            Ok(actions) => {
+                for event in actions.iter().filter_map(ShardedAction::event) {
+                    if let Some(obs) = observer.as_mut() {
+                        obs.on_event(SimTime(shared.link.now_nanos()), &event);
+                    }
+                    // `forward` already woke the waiter.
+                    if !matches!(event, Event::WaitDone { .. }) {
+                        shared.upcalls.fire(&event);
+                    }
                 }
             }
             Err(RecvTimeoutError::Timeout) if shared.link.is_running() => {}
@@ -915,20 +894,89 @@ fn dispatcher_loop(
     }
 }
 
-fn worker_loop(shared: Arc<ShardedShared>, shard: u16, rx: Receiver<(NodeId, WireMsg)>) {
-    loop {
-        match rx.recv_timeout(Duration::from_millis(100)) {
-            Ok(first) => {
-                // One fold for what is queued right now: the depth read
-                // here bounds the batch, so a busy channel cannot keep
-                // the shard lock.
-                let queued = (0..rx.len()).map_while(|_| rx.try_recv().ok());
-                let batch = std::iter::once(first).chain(queued);
-                let now = shared.link.now_nanos();
-                shared.with_shard(shard, |n| n.on_messages(now, batch));
-            }
-            Err(RecvTimeoutError::Timeout) if shared.link.is_running() => {}
-            Err(_) => return,
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const ORIGIN: NodeId = NodeId(0);
+    const ME: NodeId = NodeId(1);
+
+    /// Node 1 of a two-node cluster with no link to anybody: the tests
+    /// are its readers.
+    fn lone_mirror(shards: u16) -> ShardedHandle {
+        let cfg = format!("az A a b\noption shards {shards}\npredicate All MIN($ALLWNODES)\n");
+        let cfg = ClusterConfig::parse(&cfg).expect("config");
+        let acks = Arc::new(AckTypeRegistry::new());
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let opts = ShardedSpawnOptions::default();
+        let node = spawn_sharded_node(cfg, ME, acks, listener, Vec::new(), opts).expect("spawn");
+        node.handle()
+    }
+
+    /// The origin's message `seq` of some shard, published as `global`.
+    fn data(seq: SeqNo, global: SeqNo) -> WireMsg {
+        let payload = encode_global(global, &Bytes::from_static(b"x"));
+        let origin = ORIGIN;
+        WireMsg::Data {
+            origin,
+            seq,
+            payload,
         }
+    }
+
+    #[test]
+    fn a_frame_for_an_unknown_lane_is_dropped_and_the_rest_folded() {
+        let h = lone_mirror(2);
+        // Lanes interleaved as a writer multiplexing them would; lane 7
+        // is a peer configured with more shards than this node.
+        let mut frames = vec![
+            (0, data(1, 1)),
+            (7, data(1, 9)),
+            (1, data(1, 2)),
+            (0, data(2, 3)),
+            (1, data(2, 4)),
+        ];
+        h.shared.on_frames(ORIGIN, &mut frames);
+        assert_eq!(h.delivered_global(ORIGIN), 4);
+        assert_eq!(h.shard_metrics(0).deliveries, 2);
+        assert_eq!(h.shard_metrics(1).deliveries, 2);
+        h.shutdown();
+    }
+
+    /// A reconnect overlaps two readers of one peer: the old
+    /// connection's is still folding frame `q` of a shard when the new
+    /// one's arrives with `q + 1`. Each round parks the old reader at
+    /// the aggregator and races the new one past it.
+    #[test]
+    fn overlapping_readers_hand_the_aggregator_one_shards_deliveries_in_order() {
+        const FRAMES: SeqNo = 300;
+        let h = lone_mirror(1);
+        let sh = &*h.shared;
+        let through_shard = |seq| {
+            let shard = sh.shards[0].try_lock();
+            shard.is_some_and(|n| n.metrics().deliveries >= seq)
+        };
+        std::thread::scope(|scope| {
+            for seq in (1..=FRAMES).step_by(2) {
+                let parked = sh.agg.lock();
+                let old = scope.spawn(move || sh.on_frames(ORIGIN, &mut vec![(0, data(seq, seq))]));
+                // A reader that let go of the shard before folding shows
+                // up here and is overtaken below; one that holds it never
+                // does, and the new reader queues behind it either way.
+                let deadline = Instant::now() + Duration::from_millis(2);
+                while !through_shard(seq) && Instant::now() < deadline {
+                    std::thread::yield_now();
+                }
+                drop(parked);
+                sh.on_frames(ORIGIN, &mut vec![(0, data(seq + 1, seq + 1))]);
+                old.join().expect("old reader");
+            }
+        });
+        let agg = sh.agg.lock();
+        let learned = agg.frontier.shard_globals(ORIGIN, 0);
+        assert!(learned.iter().copied().eq(1..=FRAMES), "{learned:?}");
+        assert_eq!(agg.frontier.delivered_global(ORIGIN), FRAMES);
+        drop(agg);
+        h.shutdown();
     }
 }

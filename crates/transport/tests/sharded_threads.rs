@@ -1,0 +1,68 @@
+//! The threads a sharded node runs, counted off `/proc`: the link
+//! layer's and one dispatcher, whatever the shard count — link readers
+//! fold their own batches, so there is nothing per shard to run. One
+//! test, so no other node in this process shares the name prefix.
+#![cfg(target_os = "linux")]
+
+use stabilizer_core::ClusterConfig;
+use stabilizer_shard::RoutePolicy;
+use stabilizer_transport::spawn_sharded_local_cluster;
+use std::time::{Duration, Instant};
+
+/// Names of this process's live threads that start with `prefix`, sorted
+/// (the kernel keeps the first 15 bytes of a name).
+fn threads_named(prefix: &str) -> Vec<String> {
+    let tasks = std::fs::read_dir("/proc/self/task").expect("procfs");
+    let names = tasks.filter_map(|task| {
+        // A thread can exit between the listing and the read.
+        std::fs::read_to_string(task.ok()?.path().join("comm")).ok()
+    });
+    let mut names: Vec<String> = names
+        .map(|name| name.trim_end().to_owned())
+        .filter(|name| name.starts_with(prefix))
+        .collect();
+    names.sort();
+    names
+}
+
+fn wait_until(what: &str, mut cond: impl FnMut() -> bool) {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while !cond() {
+        assert!(Instant::now() < deadline, "{what}: not within 10 s");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+}
+
+#[test]
+fn a_sharded_node_runs_the_link_threads_and_one_dispatcher() {
+    let cfg = "az East a b\naz West c\noption shards 4\npredicate All MIN($ALLWNODES)\n";
+    let cfg = ClusterConfig::parse(cfg).expect("config");
+    let nodes = spawn_sharded_local_cluster(&cfg, RoutePolicy::RoundRobin).expect("cluster");
+
+    // A reader exists once its peer has connected: wait for all six.
+    wait_until("every link up", || threads_named("stabs-").len() == 3 * 7);
+    for me in 0..3 {
+        let peers = (0..3).filter(|peer| *peer != me);
+        let mut expected: Vec<String> = ["accept", "tick", "dispatch", "r", "r"]
+            .into_iter()
+            .map(str::to_owned)
+            .chain(peers.map(|peer| format!("w{peer}")))
+            .map(|role| format!("stabs-{me}-{role}"))
+            .map(|name| name[..name.len().min(15)].to_owned())
+            .collect();
+        expected.sort();
+        assert_eq!(threads_named(&format!("stabs-{me}-")), expected);
+    }
+
+    for node in &nodes {
+        node.handle().shutdown();
+    }
+    // Every loop looks at the shutdown flag at least each 100 ms, so all
+    // are gone within 200 ms on an idle machine; a stolen CPU gets 2 s.
+    let deadline = Instant::now() + Duration::from_secs(2);
+    while !threads_named("stabs-").is_empty() && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let left = threads_named("stabs-");
+    assert!(left.is_empty(), "still running after shutdown: {left:?}");
+}

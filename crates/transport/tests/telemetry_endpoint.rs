@@ -158,7 +158,21 @@ fn sharded_runtime_serves_aggregated_routes() {
     let (code, prom) = http_get(&serve, "/metrics").expect("GET /metrics");
     assert_eq!(code, 200);
     assert!(prom.contains("shards=\"2\""), "{prom}");
-    assert!(prom.contains("stab_shard_queue_depth{"), "{prom}");
+    // The per-shard gauges are exactly these five: no shard has a queue
+    // to report the depth of since link readers fold their own batches.
+    let per_shard: std::collections::BTreeSet<&str> = prom
+        .lines()
+        .filter_map(|line| line.strip_prefix("stab_shard_")?.split('{').next())
+        .filter(|series| !series.starts_with("stability_latency_ns"))
+        .collect();
+    let expected = [
+        "data_msgs_sent",
+        "deliveries",
+        "frontier_updates",
+        "retransmits",
+        "send_buffer_bytes",
+    ];
+    assert!(per_shard.iter().eq(&expected), "{per_shard:?}");
 
     // /stall reports carry per-shard blame; nothing stalls here.
     let (code, stall) = http_get(&serve, "/stall").expect("GET /stall");
