@@ -5,52 +5,13 @@
 
 use stabilizer_core::{Ack, NodeId, WireMsg};
 use stabilizer_dsl::AckTypeId;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
-
-thread_local! {
-    /// Bytes this thread has requested from the allocator.
-    static REQUESTED: Cell<usize> = const { Cell::new(0) };
-}
-
-struct Counting;
-
-fn note(size: usize) {
-    // `try_with`: the allocator also runs while a thread's locals are
-    // being torn down.
-    let _ = REQUESTED.try_with(|bytes| bytes.set(bytes.get() + size));
-}
-
-// SAFETY: every method forwards its arguments unchanged to `System`,
-// which upholds the `GlobalAlloc` contract; the counter is a
-// const-initialized thread-local `Cell` that never allocates.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        note(layout.size());
-        // SAFETY: the caller's obligations are passed through as is.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from `System` through this allocator with `layout`.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        note(new_size);
-        // SAFETY: `ptr` came from `System` through this allocator with `layout`.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
 
 #[global_allocator]
-static ALLOC: Counting = Counting;
+static ALLOC: stabilizer_testalloc::Counting = stabilizer_testalloc::Counting;
 
 /// Bytes requested while decoding `input`, and whether it was accepted.
 fn decode_cost(input: &[u8]) -> (usize, bool) {
-    let before = REQUESTED.with(Cell::get);
-    let decoded = WireMsg::decode(input);
-    let cost = REQUESTED.with(Cell::get) - before;
+    let (cost, decoded) = stabilizer_testalloc::cost(|| WireMsg::decode(input));
     (cost, decoded.is_ok())
 }
 

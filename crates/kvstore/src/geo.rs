@@ -29,6 +29,14 @@ pub struct KvHooks {
     observer: Option<MetricsObserver>,
 }
 
+impl KvHooks {
+    /// The store's state over `pools` (one per origin), every event
+    /// shown to `observer` after it was applied.
+    pub fn new(pools: Vec<LocalStore>, observer: Option<MetricsObserver>) -> Self {
+        KvHooks { pools, observer }
+    }
+}
+
 impl AppHooks for KvHooks {
     fn on_event(&mut self, now: SimTime, event: &Event<'_>) {
         if let Event::Deliver {
@@ -70,12 +78,8 @@ impl GeoKvNode {
     }
 
     fn over(node: StabilizerNode, pools: Vec<LocalStore>) -> Self {
-        let hooks = KvHooks {
-            pools,
-            observer: None,
-        };
         GeoKvNode {
-            sim: SimNode::new(node, hooks).without_delivery_log(),
+            sim: SimNode::new(node, KvHooks::new(pools, None)).without_delivery_log(),
             telemetry: None,
         }
     }

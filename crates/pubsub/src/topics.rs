@@ -124,6 +124,21 @@ pub struct TopicHooks {
     stale: BTreeSet<String>,
 }
 
+impl Default for TopicHooks {
+    /// No subscriptions, nothing retained, the default retention cap
+    /// (10,000 messages).
+    fn default() -> Self {
+        TopicHooks {
+            local_subs: BTreeSet::new(),
+            remote_subs: BTreeMap::new(),
+            deliveries: Vec::new(),
+            retained: VecDeque::new(),
+            retain_limit: 10_000,
+            stale: BTreeSet::new(),
+        }
+    }
+}
+
 impl TopicHooks {
     /// Apply one record of `origin`'s stream.
     fn apply(&mut self, now: SimTime, origin: NodeId, rec: TopicRecord) {
@@ -183,14 +198,7 @@ impl TopicBroker {
         me: NodeId,
         acks: Arc<AckTypeRegistry>,
     ) -> Result<Self, CoreError> {
-        let hooks = TopicHooks {
-            local_subs: BTreeSet::new(),
-            remote_subs: BTreeMap::new(),
-            deliveries: Vec::new(),
-            retained: VecDeque::new(),
-            retain_limit: 10_000,
-            stale: BTreeSet::new(),
-        };
+        let hooks = TopicHooks::default();
         Ok(TopicBroker {
             sim: SimNode::new(StabilizerNode::new(cfg, me, acks)?, hooks),
             send_times: Vec::new(),

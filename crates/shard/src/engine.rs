@@ -164,7 +164,7 @@ pub fn build_shards(
     let shards = (0..num_shards)
         .map(|_| StabilizerNode::new(inner_cfg.clone(), me, Arc::clone(&acks)))
         .collect::<Result<Vec<_>, _>>()?;
-    let mut agg = ShardedFrontier::new(cfg.num_nodes(), num_shards);
+    let mut agg = ShardedFrontier::new(cfg.num_nodes(), num_shards).owning(me);
     for (key, _) in cfg.predicates() {
         agg.ensure_key(me, key);
     }
@@ -419,6 +419,7 @@ impl ShardedEngine {
     /// numbers through the mapping this node has learned so far
     /// (conservative: unknown suffixes are simply not reported yet).
     pub fn report_stability(&mut self, stream: NodeId, ty: AckTypeId, seq: SeqNo) {
+        self.agg.note_report(stream, ty, seq);
         for s in 0..self.num_shards() {
             let shard_seq = self.agg.shard_progress(stream, s, seq);
             if shard_seq > 0 {
@@ -525,13 +526,15 @@ impl ShardedEngine {
 
     /// Drain one shard's pending actions through the aggregator, first
     /// bringing the mark its outgoing transfer snapshots carry up to
-    /// date (see [`ShardedFrontier::transfer_mark`]).
+    /// date (see [`ShardedFrontier::transfer_mark`]) — the last entry of
+    /// the own stream's mapping this shard will name again.
     fn drain_shard(&mut self, shard: u16) {
         let node = &mut self.shards[shard as usize];
         let first = node.first_replayable();
         if let Some(mark) = self.agg.transfer_mark(self.me, shard, first) {
             node.set_app_mark(mark);
         }
+        self.agg.retain_own_from(shard, first.saturating_sub(1));
         for action in node.take_actions() {
             self.agg.fold(shard, action, &mut self.actions);
         }

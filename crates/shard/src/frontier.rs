@@ -16,8 +16,15 @@
 //! know a shard's next mapping entry, the aggregate is additionally
 //! bounded by the contiguous prefix of known mappings — conservative
 //! (never claims coverage of a message it cannot place) and monotone
-//! (mappings are append-only, per-shard frontiers are monotone within a
-//! predicate generation, and the known prefix only grows).
+//! (mappings only grow at the tail, per-shard frontiers are monotone
+//! within a predicate generation, and the known prefix only grows).
+//!
+//! A mapping entry lives, like a payload in the send buffer, until the
+//! last reader that can still name it has moved past it (see
+//! `OriginState::reclaim` for the readers); a reader that later asks
+//! below that floor — a key registered, or bumped to a new generation,
+//! whose shard frontier starts over — gets the conservative answer until
+//! its frontier is back at the floor.
 //!
 //! The aggregator also owns the delivery reassembly buffers that merge
 //! the S per-shard FIFO streams back into global FIFO order per origin,
@@ -28,8 +35,8 @@
 use crate::codec::{decode_global, GLOBAL_HEADER};
 use crate::engine::ShardedAction;
 use bytes::Bytes;
-use stabilizer_core::{Action, CoreError, FrontierUpdate, NodeId, SeqNo, WaitToken};
-use std::collections::{BTreeMap, BTreeSet};
+use stabilizer_core::{AckTypeId, Action, CoreError, FrontierUpdate, NodeId, SeqNo, WaitToken};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 /// Aggregated events produced by feeding the aggregator: node-level
 /// frontier updates and completed node-level `waitfor` tokens.
@@ -125,20 +132,28 @@ impl KeyState {
     }
 }
 
-/// One shard's learned `shard-seq → global` mapping for one origin.
-/// After a §III-E fast-forward the prefix of skipped shard seqs is never
-/// learned: `globals[i]` maps shard seq `base + i + 1`, and `base` is the
-/// highest skipped shard seq (0 before any fast-forward).
+/// One shard's learned `shard-seq → global` mapping for one origin:
+/// `globals[i]` maps shard seq `base + i + 1`. What lies at or below
+/// `base` was never learned (a §III-E fast-forward skipped it) or was
+/// learned and then reclaimed; either way no entry answers for it.
 #[derive(Debug, Clone, Default)]
 struct ShardMap {
     base: SeqNo,
-    globals: Vec<SeqNo>,
+    globals: VecDeque<SeqNo>,
+}
+
+impl ShardMap {
+    /// Shard seq of the last entry whose global is `≤ global` (`base`
+    /// when there is none).
+    fn upto(&self, global: SeqNo) -> SeqNo {
+        self.base + self.globals.partition_point(|&g| g <= global) as SeqNo
+    }
 }
 
 #[derive(Debug)]
 struct OriginState {
-    /// Per shard: global sequence numbers in shard-seq order. Append-only
-    /// except for the fast-forward prefix drop.
+    /// Per shard: global sequence numbers in shard-seq order. Grows at
+    /// the tail; the head goes to fast-forwards and to `reclaim`.
     mapping: Vec<ShardMap>,
     /// Per shard: the fast-forward mark from the donor's snapshot — every
     /// global skipped on that shard is `≤ mark`, every replayed or future
@@ -153,6 +168,10 @@ struct OriginState {
     /// until their global predecessor arrives (cross-shard reassembly).
     delivered: SeqNo,
     pending: BTreeMap<SeqNo, Bytes>,
+    /// Per stability level the application has reported on this stream:
+    /// the highest global it reported (see
+    /// [`ShardedFrontier::note_report`]).
+    reports: Vec<(AckTypeId, SeqNo)>,
 }
 
 impl OriginState {
@@ -164,6 +183,7 @@ impl OriginState {
             beyond: BTreeSet::new(),
             delivered: 0,
             pending: BTreeMap::new(),
+            reports: Vec::new(),
         }
     }
 
@@ -171,11 +191,11 @@ impl OriginState {
         debug_assert!(
             self.mapping[shard]
                 .globals
-                .last()
+                .back()
                 .is_none_or(|&g| g < global),
             "mapping must be learned in increasing global order per shard"
         );
-        self.mapping[shard].globals.push(global);
+        self.mapping[shard].globals.push_back(global);
         if global == self.known_prefix + 1 {
             self.known_prefix = global; // in order: never parked in `beyond`
         } else if global > self.known_prefix {
@@ -195,9 +215,49 @@ impl OriginState {
             // A shard that has learned nothing above `g` (the usual case:
             // `g` is the next global) proves nothing and costs no search.
             g <= mark
-                || (m.globals.last().is_some_and(|&last| last > g)
+                || (m.globals.back().is_some_and(|&last| last > g)
                     && m.globals.binary_search(&g).is_err())
         })
+    }
+
+    /// Drop the head of `shard`'s map that no reader can name any more —
+    /// the send buffer's rule, applied to the mapping. The newest entry
+    /// stays whatever the readers say (`never_arrives` reads it as "this
+    /// shard has learned past `g`"). The readers, and the lowest shard
+    /// seq each still names:
+    ///
+    /// * `first_uncovered`, once per key of the stream: the entry after
+    ///   the key's per-shard frontier (`key_floor` is the lowest of those
+    ///   frontiers, `None` without keys);
+    /// * `never_arrives`: the entries above both the known prefix and
+    ///   what was delivered — it searches for `known_prefix + 1` or,
+    ///   while something is parked, `delivered + 1`. The own stream is
+    ///   never delivered here (nor parked), so there the known prefix
+    ///   alone bounds it;
+    /// * `shard_progress`: the last entry at or below the lowest level
+    ///   the application reports, which its next report counts from;
+    /// * `own_held`, on the own stream (`None` on a mirrored one): the
+    ///   readers outside the aggregator
+    ///   ([`ShardedFrontier::retain_own_from`]).
+    fn reclaim(&mut self, shard: usize, key_floor: Option<SeqNo>, own_held: Option<SeqNo>) {
+        let m = &self.mapping[shard];
+        let newest = m.base + m.globals.len() as SeqNo;
+        let searched_above = match own_held {
+            Some(_) => self.known_prefix,
+            None => self.known_prefix.min(self.delivered),
+        };
+        let mut keep = newest.min(m.upto(searched_above) + 1);
+        keep = keep.min(own_held.unwrap_or(SeqNo::MAX));
+        if let Some(f) = key_floor {
+            keep = keep.min(f.saturating_add(1));
+        }
+        if let Some(lowest) = self.reports.iter().map(|&(_, global)| global).min() {
+            keep = keep.min(m.upto(lowest));
+        }
+        let dead = keep.saturating_sub(m.base + 1);
+        let m = &mut self.mapping[shard];
+        m.globals.drain(..dead as usize);
+        m.base += dead;
     }
 
     /// Grow `known_prefix` over globals that are mapped or never arrive.
@@ -244,10 +304,12 @@ impl OriginState {
     fn first_uncovered(&self, shard: usize, f: SeqNo) -> SeqNo {
         let m = &self.mapping[shard];
         if f < m.base {
-            // The shard's frontier has not yet caught up past its
-            // fast-forwarded prefix; the first uncovered message is a
-            // skipped one whose global we will never learn. Pin the
-            // aggregate until the shard frontier clears the skip point.
+            // The shard's frontier has not yet caught up past the prefix
+            // without entries: the first uncovered message is a skipped
+            // one whose global we will never learn, or one a key that
+            // started over below the floor asks about after its entry
+            // was reclaimed. Pin the aggregate until the shard frontier
+            // clears that point.
             return 1;
         }
         // Past the learned entries the shard's next message (if any) is
@@ -271,6 +333,10 @@ pub struct ShardedFrontier {
     next_global: SeqNo,
     /// Per peer: how many shards currently suspect it.
     suspects: Vec<u32>,
+    /// The node's own stream and, per shard, the lowest shard seq of it
+    /// that a reader outside the aggregator still names (see
+    /// [`ShardedFrontier::retain_own_from`]).
+    own: Option<(NodeId, Vec<SeqNo>)>,
     /// What one [`ShardedFrontier::fold`] step aggregated, emptied into
     /// the caller's actions; kept for its buffers.
     scratch: AggOutput,
@@ -287,7 +353,29 @@ impl ShardedFrontier {
             next_token: 1,
             next_global: 0,
             suspects: vec![0; num_nodes],
+            own: None,
             scratch: AggOutput::default(),
+        }
+    }
+
+    /// Declare `me` the node's own stream. Its mapping has readers the
+    /// aggregator cannot see — the shard machines' replay floor
+    /// ([`ShardedFrontier::transfer_mark`]) and whatever telemetry the
+    /// driver keeps — so all of it is retained until
+    /// [`ShardedFrontier::retain_own_from`] says how far they have moved.
+    #[must_use]
+    pub fn owning(mut self, me: NodeId) -> Self {
+        self.own = Some((me, vec![0; self.shards]));
+        self
+    }
+
+    /// The readers of the own stream's mapping outside the aggregator
+    /// name `shard_seq` and above on `shard` from now on; entries below
+    /// may be reclaimed. Monotone: a lower value than before is ignored.
+    pub fn retain_own_from(&mut self, shard: u16, shard_seq: SeqNo) {
+        if let Some((_, held)) = &mut self.own {
+            let held = &mut held[shard as usize];
+            *held = shard_seq.max(*held);
         }
     }
 
@@ -405,8 +493,7 @@ impl ShardedFrontier {
     /// every skipped global being ≤ mark and every replayable one being
     /// > mark). `None` while everything is replayable.
     pub fn transfer_mark(&self, me: NodeId, shard: u16, first_replayable: SeqNo) -> Option<SeqNo> {
-        let last_gone = first_replayable.checked_sub(2)? as usize;
-        self.shard_globals(me, shard).get(last_gone).copied()
+        self.global_of(me, shard, first_replayable.checked_sub(1)?)
     }
 
     /// Reserve the next global sequence number for a publish on `me`'s
@@ -437,9 +524,33 @@ impl ShardedFrontier {
     /// mirrors' FIFO shard deliveries naturally satisfy.
     pub fn learn_mapping(&mut self, origin: NodeId, shard: u16, global: SeqNo) -> AggOutput {
         let mut out = AggOutput::default();
-        self.origins[origin.0 as usize].learn(shard as usize, global);
+        self.learn(origin, shard as usize, global);
         self.recompute_origin(origin, &mut out);
         out
+    }
+
+    /// Append `global` to `origin`'s map of `shard`. A full map is
+    /// reclaimed rather than grown, and grown only when that freed less
+    /// than half of it: either way the next attempt is at least half a
+    /// buffer of entries away, so what the floor costs to compute is
+    /// amortized O(1) per entry, and a steady state allocates nothing.
+    fn learn(&mut self, origin: NodeId, shard: usize, global: SeqNo) {
+        let o = &mut self.origins[origin.0 as usize];
+        let map = &o.mapping[shard].globals;
+        if map.len() == map.capacity() {
+            let keys = self.keys[origin.0 as usize].values();
+            let key_floor = keys.map(|st| st.per_shard[shard]).min();
+            let own_held = match &self.own {
+                Some((me, held)) if *me == origin => Some(held[shard]),
+                _ => None,
+            };
+            o.reclaim(shard, key_floor, own_held);
+            let map = &mut o.mapping[shard].globals;
+            if map.len() * 2 > map.capacity() {
+                map.reserve(map.capacity());
+            }
+        }
+        o.learn(shard, global);
     }
 
     /// A shard machine delivered `(origin, shard_seq)` with the framed
@@ -474,8 +585,8 @@ impl ShardedFrontier {
         out: &mut AggOutput,
     ) -> Result<(), CoreError> {
         let (global, payload) = decode_global(framed)?;
+        self.learn(origin, shard as usize, global);
         let o = &mut self.origins[origin.0 as usize];
-        o.learn(shard as usize, global);
         o.deliver(global, payload, &mut ready);
         self.recompute_origin(origin, out);
         Ok(())
@@ -530,27 +641,43 @@ impl ShardedFrontier {
     /// Number of `origin`'s messages routed to `shard` with global
     /// sequence ≤ `global` (translates node-level stability reports into
     /// shard-local ones). Counts only known mappings, so mirrors with
-    /// partial knowledge under-report — conservative by construction.
+    /// partial knowledge under-report — conservative by construction —
+    /// and so does a report below every level
+    /// [`ShardedFrontier::note_report`] was told of, once the entries it
+    /// would count have been reclaimed.
     pub fn shard_progress(&self, origin: NodeId, shard: u16, global: SeqNo) -> SeqNo {
         let m = &self.origins[origin.0 as usize].mapping[shard as usize];
-        let pp = m.globals.partition_point(|&g| g <= global) as SeqNo;
-        if pp > 0 {
-            // Retained entry `pp-1` has global ≤ `global`, so every
-            // skipped predecessor (smaller globals) does too.
-            m.base + pp
+        let upto = m.upto(global);
+        if upto > m.base {
+            // A retained entry has global ≤ `global`, so every skipped
+            // or reclaimed predecessor (smaller globals) does too.
+            upto
         } else {
             0
         }
     }
 
-    /// Global sequence numbers of `origin`'s messages routed to `shard`,
-    /// in shard-seq order (entry `i` is the global of shard seq
-    /// `skip + i + 1`, where `skip` is the fast-forwarded prefix — 0 on
-    /// the origin itself) — the inverse of
-    /// [`ShardedFrontier::shard_progress`], for telemetry that folds
-    /// per-shard frontier advances back into global terms.
-    pub fn shard_globals(&self, origin: NodeId, shard: u16) -> &[SeqNo] {
-        &self.origins[origin.0 as usize].mapping[shard as usize].globals
+    /// The application reports stability level `ty` of `origin`'s stream
+    /// up to `global`: from now on [`ShardedFrontier::shard_progress`]
+    /// is asked about that level at or above `global` only, so entries
+    /// below the lowest level ever reported need not stay (a level that
+    /// lags delivery by a constant keeps exactly that many).
+    pub fn note_report(&mut self, origin: NodeId, ty: AckTypeId, global: SeqNo) {
+        let reports = &mut self.origins[origin.0 as usize].reports;
+        match reports.iter_mut().find(|(level, _)| *level == ty) {
+            Some((_, reported)) => *reported = global.max(*reported),
+            None => reports.push((ty, global)),
+        }
+    }
+
+    /// The global of `origin`'s message `shard_seq` on `shard` — the
+    /// inverse of [`ShardedFrontier::shard_progress`] — while its entry
+    /// is retained: `None` for a shard seq not learned yet, skipped by a
+    /// fast-forward, or reclaimed.
+    pub fn global_of(&self, origin: NodeId, shard: u16, shard_seq: SeqNo) -> Option<SeqNo> {
+        let m = &self.origins[origin.0 as usize].mapping[shard as usize];
+        let i = shard_seq.checked_sub(m.base + 1)?;
+        m.globals.get(i as usize).copied()
     }
 
     /// Make `(stream, key)` queryable (frontier 0) before any shard
@@ -962,6 +1089,77 @@ mod tests {
             None,
             "beyond what it published"
         );
+    }
+
+    /// Entries of `origin`'s shard 0 map still answered for, of the
+    /// first `n` shard seqs.
+    fn retained(agg: &ShardedFrontier, origin: NodeId, n: SeqNo) -> Vec<SeqNo> {
+        let kept = |q: &SeqNo| agg.global_of(origin, 0, *q).is_some();
+        (1..=n).filter(kept).collect()
+    }
+
+    #[test]
+    fn a_covered_prefix_is_reclaimed_and_a_late_key_catches_up_at_the_floor() {
+        let origin = NodeId(1);
+        let mut agg = ShardedFrontier::new(2, 1);
+        agg.ensure_key(origin, "All");
+        for g in 1..=1000 {
+            agg.on_shard_deliver(0, origin, &encode_global(g, &Bytes::new()))
+                .unwrap();
+            agg.on_shard_frontier(0, &update(origin, "All", g, 0));
+        }
+        assert_eq!(agg.frontier(origin, "All"), Some((1000, 0)));
+        let kept = retained(&agg, origin, 1000);
+        assert!(kept.len() <= 4 && kept.last() == Some(&1000), "{kept:?}");
+        assert_eq!(agg.global_of(origin, 0, 1001), None, "not learned yet");
+
+        // A key registered now asks about entries that are gone: pinned
+        // until its shard frontier is back where the map begins.
+        agg.ensure_key(origin, "Late");
+        agg.adopt(0, origin, "Late", (kept[0] - 2, 0));
+        assert_eq!(agg.frontier(origin, "Late"), Some((0, 0)));
+        agg.adopt(0, origin, "Late", (kept[0] - 1, 0));
+        assert_eq!(agg.frontier(origin, "Late"), Some((kept[0] - 1, 0)));
+        // So is a generation that starts over.
+        let out = agg.on_shard_frontier(0, &update(origin, "All", 7, 1));
+        assert_eq!(out.updates[0].seq, 0);
+        agg.on_shard_frontier(0, &update(origin, "All", 1000, 1));
+        assert_eq!(agg.frontier(origin, "All"), Some((1000, 1)));
+    }
+
+    #[test]
+    fn the_own_map_is_held_for_the_replay_floor_and_a_lagging_reporter() {
+        let mut agg = ShardedFrontier::new(2, 1).owning(ME);
+        agg.ensure_key(ME, "All");
+        for g in 1..=100 {
+            agg.note_published(ME, 0, g);
+            agg.on_shard_frontier(0, &update(ME, "All", g, 0));
+        }
+        assert_eq!(retained(&agg, ME, 100).len(), 100, "nobody said otherwise");
+        // The shard machine now replays from 91: entry 90 is the mark.
+        assert_eq!(agg.transfer_mark(ME, 0, 91), Some(90));
+        agg.retain_own_from(0, 90);
+        for g in 101..=200 {
+            agg.note_published(ME, 0, g);
+            agg.on_shard_frontier(0, &update(ME, "All", g, 0));
+        }
+        assert_eq!(retained(&agg, ME, 200)[0], 90);
+        assert_eq!(agg.transfer_mark(ME, 0, 91), Some(90));
+
+        // On a mirrored stream the application reports 10 behind what it
+        // was delivered: the entry its next report counts from stays.
+        let origin = NodeId(1);
+        for g in 1..=200 {
+            agg.on_shard_deliver(0, origin, &encode_global(g, &Bytes::new()))
+                .unwrap();
+            agg.note_report(origin, AckTypeId(1), g.saturating_sub(10));
+            assert_eq!(
+                agg.shard_progress(origin, 0, g.saturating_sub(10)),
+                g.saturating_sub(10)
+            );
+        }
+        let kept = retained(&agg, origin, 200);
+        assert!(kept[0] <= 190 && kept.len() <= 32, "{kept:?}");
     }
 
     #[test]

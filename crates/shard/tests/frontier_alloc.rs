@@ -1,52 +1,15 @@
 //! What `ShardedFrontier::fold` asks of the allocator once its buffers
 //! are warm: nothing for an in-order delivery or a shard frontier that
 //! moves no aggregate, and the key of the one update it emits when an
-//! aggregate does move. Counted with a per-thread allocator, as in
-//! `core/tests/hostile_decode.rs`.
+//! aggregate does move. Counted with the workspace's per-thread counting
+//! allocator (`crates/testalloc`).
 
 use bytes::Bytes;
 use stabilizer_core::{Action, FrontierUpdate, NodeId, SeqNo};
 use stabilizer_shard::{encode_global, ShardedAction, ShardedFrontier};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
-
-thread_local! {
-    /// Bytes this thread has requested from the allocator.
-    static REQUESTED: Cell<usize> = const { Cell::new(0) };
-}
-
-struct Counting;
-
-fn note(size: usize) {
-    // `try_with`: the allocator also runs while a thread's locals are
-    // being torn down.
-    let _ = REQUESTED.try_with(|bytes| bytes.set(bytes.get() + size));
-}
-
-// SAFETY: every method forwards its arguments unchanged to `System`,
-// which upholds the `GlobalAlloc` contract; the counter is a
-// const-initialized thread-local `Cell` that never allocates.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        note(layout.size());
-        // SAFETY: the caller's obligations are passed through as is.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from `System` through this allocator with `layout`.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        note(new_size);
-        // SAFETY: `ptr` came from `System` through this allocator with `layout`.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
 
 #[global_allocator]
-static ALLOC: Counting = Counting;
+static ALLOC: stabilizer_testalloc::Counting = stabilizer_testalloc::Counting;
 
 const OWN: NodeId = NodeId(0);
 const PEER: NodeId = NodeId(1);
@@ -59,9 +22,7 @@ fn fold_cost(
     action: Action,
     out: &mut Vec<ShardedAction>,
 ) -> usize {
-    let before = REQUESTED.with(Cell::get);
-    agg.fold(shard, action, out);
-    REQUESTED.with(Cell::get) - before
+    stabilizer_testalloc::cost(|| agg.fold(shard, action, out)).0
 }
 
 fn deliver(seq: SeqNo, global: SeqNo) -> Action {

@@ -1,23 +1,73 @@
-//! `ShardedFrontier` against a naive model of the same rules: one flat
-//! waiter list searched by `(stream, key)`, every learned global through
-//! a `BTreeSet`, every delivery through the parking map, every key
-//! recomputed by lookup. Random interleavings of everything the
-//! aggregator is fed must produce the same deliveries, frontier updates
-//! and completed waits, in the same order.
+//! `ShardedFrontier` against a naive model of the same rules that never
+//! forgets a mapping entry: one flat waiter list searched by
+//! `(stream, key)`, every learned global through a `BTreeSet`, every
+//! delivery through the parking map, every key recomputed by lookup.
+//! Random interleavings of everything the aggregator is fed — including
+//! keys registered and generations bumped after entries were reclaimed,
+//! an application reporting stability a constant behind delivery, and
+//! the own shards' replay floors moving — are checked three ways:
+//!
+//! * against the model told where the real maps now begin (it answers
+//!   `1` for a shard frontier below that point, as the real one must):
+//!   the same deliveries, frontier updates and completed waits, in the
+//!   same order;
+//! * against the model that is told nothing (the unreclaimed behaviour):
+//!   deliveries identical, every aggregate never above the model's, and
+//!   equal whenever the key's shard frontiers are at or above where the
+//!   maps begin; `transfer_mark` at the replay floor and
+//!   `shard_progress` at or above the lowest reported level identical;
+//! * a map's beginning only ever moves up to what its readers allow.
 
 use bytes::Bytes;
 use proptest::prelude::*;
-use stabilizer_core::{Action, FrontierUpdate, NodeId, SeqNo, WaitToken};
+use stabilizer_core::{AckTypeId, Action, FrontierUpdate, NodeId, SeqNo, WaitToken};
 use stabilizer_shard::{encode_global, AggOutput, ShardedAction, ShardedFrontier};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
-/// What one call released: global-FIFO deliveries and aggregate events.
-type Released = (Vec<(SeqNo, Bytes)>, AggOutput);
+/// What one step released: global-FIFO deliveries, aggregate events, and
+/// the token of the wait it registered (if it was one).
+type Released = (Vec<(SeqNo, Bytes)>, AggOutput, Option<WaitToken>);
+
+/// One shard of one origin: everything learned since the last skip.
+#[derive(Default, Clone)]
+struct NaiveShard {
+    /// Highest shard seq a fast-forward skipped.
+    skipped: SeqNo,
+    /// Learned globals, shard seq `skipped + i + 1` at index `i`.
+    globals: Vec<SeqNo>,
+    /// Fast-forward mark.
+    mark: SeqNo,
+    /// Where the real map begins, when the model is told (else 0): a
+    /// shard frontier below it is answered conservatively.
+    begins: SeqNo,
+}
+
+impl NaiveShard {
+    fn newest(&self) -> SeqNo {
+        self.skipped + self.globals.len() as SeqNo
+    }
+
+    fn global_of(&self, shard_seq: SeqNo) -> Option<SeqNo> {
+        let i = shard_seq.checked_sub(self.skipped + 1)?;
+        self.globals.get(i as usize).copied()
+    }
+
+    /// Shard seq of the last entry with global `≤ global`.
+    fn upto(&self, global: SeqNo) -> SeqNo {
+        self.skipped + self.globals.iter().filter(|&&g| g <= global).count() as SeqNo
+    }
+
+    fn progress(&self, global: SeqNo) -> SeqNo {
+        match self.upto(global) {
+            upto if upto > self.skipped.max(self.begins) => upto,
+            _ => 0,
+        }
+    }
+}
 
 #[derive(Default)]
 struct NaiveOrigin {
-    /// Per shard: `(skipped prefix, learned globals, fast-forward mark)`.
-    shards: Vec<(SeqNo, Vec<SeqNo>, SeqNo)>,
+    shards: Vec<NaiveShard>,
     learned: BTreeSet<SeqNo>,
     known_prefix: SeqNo,
     delivered: SeqNo,
@@ -26,8 +76,8 @@ struct NaiveOrigin {
 
 impl NaiveOrigin {
     fn never_arrives(&self, g: SeqNo) -> bool {
-        let rules_out = |(_, globals, mark): &(SeqNo, Vec<SeqNo>, SeqNo)| {
-            g <= *mark || (!globals.contains(&g) && globals.iter().any(|&x| x > g))
+        let rules_out = |sh: &NaiveShard| {
+            g <= sh.mark || (!sh.globals.contains(&g) && sh.globals.iter().any(|&x| x > g))
         };
         self.shards.iter().all(rules_out)
     }
@@ -54,11 +104,11 @@ impl NaiveOrigin {
     }
 
     fn first_uncovered(&self, shard: usize, f: SeqNo) -> SeqNo {
-        let (base, globals, _) = &self.shards[shard];
-        match f.checked_sub(*base) {
-            None => 1,
-            Some(i) => *globals.get(i as usize).unwrap_or(&(self.known_prefix + 1)),
+        let sh = &self.shards[shard];
+        if f < sh.skipped.max(sh.begins) {
+            return 1;
         }
+        sh.global_of(f + 1).unwrap_or(self.known_prefix + 1)
     }
 }
 
@@ -66,6 +116,19 @@ struct NaiveKey {
     per_shard: Vec<SeqNo>,
     generation: u32,
     agg: SeqNo,
+}
+
+/// Everything the aggregator can be fed that has an output.
+#[derive(Clone)]
+enum Step {
+    Publish(u16, SeqNo),
+    Deliver(u16, SeqNo, Bytes),
+    Frontier(u16, FrontierUpdate),
+    Wait(NodeId, &'static str, SeqNo),
+    Unregister(NodeId, &'static str),
+    Ensure(NodeId, &'static str),
+    /// Shard jumps to `seq` under the donor's mark.
+    Jump(u16, SeqNo, SeqNo),
 }
 
 struct Naive {
@@ -79,7 +142,7 @@ struct Naive {
 impl Naive {
     fn new(nodes: usize, shards: usize) -> Self {
         let origin = || NaiveOrigin {
-            shards: vec![(0, Vec::new(), 0); shards],
+            shards: vec![NaiveShard::default(); shards],
             ..NaiveOrigin::default()
         };
         Naive {
@@ -126,42 +189,10 @@ impl Naive {
 
     fn learn_mapping(&mut self, origin: NodeId, shard: u16, global: SeqNo) -> AggOutput {
         let o = &mut self.origins[origin.0 as usize];
-        o.shards[shard as usize].1.push(global);
+        o.shards[shard as usize].globals.push(global);
         o.learned.insert(global);
         o.advance_known();
         self.recompute_origin(origin)
-    }
-
-    fn on_shard_deliver(
-        &mut self,
-        shard: u16,
-        origin: NodeId,
-        global: SeqNo,
-        p: Bytes,
-    ) -> Released {
-        let out = self.learn_mapping(origin, shard, global);
-        let o = &mut self.origins[origin.0 as usize];
-        o.pending.insert(global, p);
-        (o.drain_ready(), out)
-    }
-
-    fn fast_forward_origin(
-        &mut self,
-        origin: NodeId,
-        shard: u16,
-        seq: SeqNo,
-        mark: SeqNo,
-    ) -> Released {
-        let o = &mut self.origins[origin.0 as usize];
-        let (base, globals, old_mark) = &mut o.shards[shard as usize];
-        *old_mark = mark.max(*old_mark);
-        if seq > *base {
-            globals.drain(..((seq - *base) as usize).min(globals.len()));
-            *base = seq;
-        }
-        o.advance_known();
-        let ready = o.drain_ready();
-        (ready, self.recompute_origin(origin))
     }
 
     fn ensure_key(&mut self, stream: NodeId, key: &str, generation: u32) -> &mut NaiveKey {
@@ -175,46 +206,75 @@ impl Naive {
             .or_insert_with(fresh)
     }
 
-    fn unregister_key(&mut self, stream: NodeId, key: &str) -> AggOutput {
-        self.keys.remove(&(stream, key.to_owned()));
-        let gone = |w: &(WaitToken, NodeId, String, SeqNo)| w.1 == stream && w.2 == key;
-        let completed = self.waiters.iter().filter(|w| gone(w)).map(|w| w.0);
-        let out = AggOutput {
-            updates: Vec::new(),
-            completed: completed.collect(),
-        };
-        self.waiters.retain(|w| !gone(w));
-        out
-    }
-
-    fn on_shard_frontier(&mut self, shard: u16, u: &FrontierUpdate) -> AggOutput {
-        let st = self.ensure_key(u.stream, &u.key, u.generation);
-        let force = u.generation > st.generation;
-        if u.generation < st.generation {
-            return AggOutput::default();
+    fn apply(&mut self, step: Step) -> Released {
+        match step {
+            Step::Publish(shard, global) => {
+                (Vec::new(), self.learn_mapping(OWN, shard, global), None)
+            }
+            Step::Deliver(shard, global, payload) => {
+                let out = self.learn_mapping(PEER, shard, global);
+                let o = &mut self.origins[PEER.0 as usize];
+                o.pending.insert(global, payload);
+                (o.drain_ready(), out, None)
+            }
+            Step::Jump(shard, seq, mark) => {
+                let o = &mut self.origins[PEER.0 as usize];
+                let sh = &mut o.shards[shard as usize];
+                sh.mark = mark.max(sh.mark);
+                if seq > sh.skipped {
+                    let gone = ((seq - sh.skipped) as usize).min(sh.globals.len());
+                    sh.globals.drain(..gone);
+                    sh.skipped = seq;
+                }
+                o.advance_known();
+                let ready = o.drain_ready();
+                (ready, self.recompute_origin(PEER), None)
+            }
+            Step::Ensure(stream, key) => {
+                self.ensure_key(stream, key, 0);
+                (Vec::new(), AggOutput::default(), None)
+            }
+            Step::Unregister(stream, key) => {
+                self.keys.remove(&(stream, key.to_owned()));
+                let gone = |w: &(WaitToken, NodeId, String, SeqNo)| w.1 == stream && w.2 == key;
+                let completed = self.waiters.iter().filter(|w| gone(w)).map(|w| w.0);
+                let out = AggOutput {
+                    updates: Vec::new(),
+                    completed: completed.collect(),
+                };
+                self.waiters.retain(|w| !gone(w));
+                (Vec::new(), out, None)
+            }
+            Step::Frontier(shard, u) => {
+                let st = self.ensure_key(u.stream, &u.key, u.generation);
+                let force = u.generation > st.generation;
+                let mut out = AggOutput::default();
+                if u.generation >= st.generation {
+                    if force {
+                        st.generation = u.generation;
+                        st.per_shard.fill(0);
+                    }
+                    let cell = &mut st.per_shard[shard as usize];
+                    *cell = u.seq.max(*cell);
+                    self.recompute_key(u.stream, &u.key, force, &mut out);
+                }
+                (Vec::new(), out, None)
+            }
+            Step::Wait(stream, key, seq) => {
+                let Some(st) = self.keys.get(&(stream, key.to_owned())) else {
+                    return (Vec::new(), AggOutput::default(), None);
+                };
+                let token = self.next_token;
+                self.next_token += 1;
+                let mut out = AggOutput::default();
+                if st.agg >= seq {
+                    out.completed.push(token);
+                } else {
+                    self.waiters.push((token, stream, key.to_owned(), seq));
+                }
+                (Vec::new(), out, Some(token))
+            }
         }
-        if force {
-            st.generation = u.generation;
-            st.per_shard.fill(0);
-        }
-        let cell = &mut st.per_shard[shard as usize];
-        *cell = u.seq.max(*cell);
-        let mut out = AggOutput::default();
-        self.recompute_key(u.stream, &u.key, force, &mut out);
-        out
-    }
-
-    fn waitfor(&mut self, stream: NodeId, key: &str, seq: SeqNo) -> Option<(WaitToken, AggOutput)> {
-        let st = self.keys.get(&(stream, key.to_owned()))?;
-        let token = self.next_token;
-        self.next_token += 1;
-        let mut out = AggOutput::default();
-        if st.agg >= seq {
-            out.completed.push(token);
-        } else {
-            self.waiters.push((token, stream, key.to_owned(), seq));
-        }
-        Some((token, out))
     }
 }
 
@@ -244,7 +304,76 @@ fn unfold(actions: Vec<ShardedAction>) -> Released {
         assert!(kind >= rank, "fold emitted out of order");
         rank = kind;
     }
-    (ready, out)
+    (ready, out, None)
+}
+
+/// Feed `step` to the real aggregator, through `fold` where there is an
+/// [`Action`] for it and `via_fold` says so.
+fn apply_real(
+    real: &mut ShardedFrontier,
+    step: Step,
+    shard_seq: &[SeqNo],
+    via_fold: bool,
+) -> Released {
+    let mut folded = Vec::new();
+    match step {
+        Step::Publish(shard, global) => (Vec::new(), real.note_published(OWN, shard, global), None),
+        Step::Deliver(shard, global, payload) => {
+            let framed = encode_global(global, &payload);
+            if via_fold {
+                let (origin, seq) = (PEER, shard_seq[shard as usize]);
+                let payload = framed;
+                real.fold(
+                    shard,
+                    Action::Deliver {
+                        origin,
+                        seq,
+                        payload,
+                    },
+                    &mut folded,
+                );
+                unfold(folded)
+            } else {
+                let (ready, out) = real.on_shard_deliver(shard, PEER, &framed).expect("framed");
+                (ready, out, None)
+            }
+        }
+        Step::Jump(shard, seq, app_mark) => {
+            if via_fold {
+                let stream = PEER;
+                real.fold(
+                    shard,
+                    Action::CatchUp {
+                        stream,
+                        seq,
+                        app_mark,
+                    },
+                    &mut folded,
+                );
+                unfold(folded)
+            } else {
+                let (ready, out) = real.fast_forward_origin(PEER, shard, seq, app_mark);
+                (ready, out, None)
+            }
+        }
+        Step::Ensure(stream, key) => {
+            real.ensure_key(stream, key);
+            (Vec::new(), AggOutput::default(), None)
+        }
+        Step::Unregister(stream, key) => (Vec::new(), real.unregister_key(stream, key), None),
+        Step::Frontier(shard, update) => {
+            if via_fold {
+                real.fold(shard, Action::Frontier(update), &mut folded);
+                unfold(folded)
+            } else {
+                (Vec::new(), real.on_shard_frontier(shard, &update), None)
+            }
+        }
+        Step::Wait(stream, key, seq) => match real.waitfor(stream, key, seq) {
+            Ok((token, out)) => (Vec::new(), out, Some(token)),
+            Err(_) => (Vec::new(), AggOutput::default(), None),
+        },
+    }
 }
 
 const KEYS: [&str; 3] = ["All", "Majority", "One"];
@@ -252,6 +381,33 @@ const KEYS: [&str; 3] = ["All", "Majority", "One"];
 /// mirrored one (learned by delivering).
 const OWN: NodeId = NodeId(0);
 const PEER: NodeId = NodeId(1);
+/// The two levels the application reports on the peer's stream, and how
+/// far behind delivery each one runs.
+const LEVELS: [(AckTypeId, SeqNo); 2] = [(AckTypeId(1), 0), (AckTypeId(2), 3)];
+
+/// Where the real map of `(stream, shard)` begins: the highest shard seq
+/// at or below the newest learned one that has no entry. Also checks
+/// that every entry it does answer for is the right one.
+fn begins(
+    real: &ShardedFrontier,
+    stream: NodeId,
+    shard: u16,
+    sh: &NaiveShard,
+) -> Result<SeqNo, TestCaseError> {
+    let mut begins = 0;
+    for q in 1..=sh.newest() {
+        match real.global_of(stream, shard, q) {
+            None => {
+                prop_assert_eq!(q, begins + 1, "a hole in the map");
+                begins = q;
+            }
+            got => prop_assert_eq!(got, sh.global_of(q), "shard seq {}", q),
+        }
+    }
+    prop_assert_eq!(real.global_of(stream, shard, sh.newest() + 1), None);
+    prop_assert!(begins >= sh.skipped);
+    Ok(begins)
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
@@ -259,16 +415,31 @@ proptest! {
     #[test]
     fn matches_the_naive_model(
         shards in 1u16..5,
+        pinned in any::<bool>(),
+        // The application reports stability never, from the start, or
+        // starting late.
+        reports in 0u8..3,
         ops in proptest::collection::vec(
-            (0u8..12, 0u8..4, 0u8..3, 0u8..6, any::<bool>(), any::<bool>()),
-            1..160,
+            (0u8..20, 0u8..4, 0u8..3, 0u8..6, any::<bool>(), any::<bool>()),
+            1..200,
         ),
     ) {
-        let mut real = ShardedFrontier::new(2, shards as usize);
-        let mut naive = Naive::new(2, shards as usize);
+        let mut real = ShardedFrontier::new(2, shards as usize).owning(OWN);
+        // `told` hears where the real maps begin; `full` is the
+        // unreclaimed behaviour.
+        let mut told = Naive::new(2, shards as usize);
+        let mut full = Naive::new(2, shards as usize);
         for stream in [OWN, PEER] {
             real.ensure_key(stream, KEYS[0]);
-            naive.ensure_key(stream, KEYS[0], 0);
+            told.ensure_key(stream, KEYS[0], 0);
+            full.ensure_key(stream, KEYS[0], 0);
+            // Half the cases carry a key that never moves: nothing of
+            // its stream may ever be reclaimed.
+            if pinned {
+                real.ensure_key(stream, "Pinned");
+                told.ensure_key(stream, "Pinned", 0);
+                full.ensure_key(stream, "Pinned", 0);
+            }
         }
         // The peer's sequencer, what it routed to each shard that this
         // mirror has not seen yet, and each shard's sequence here.
@@ -276,36 +447,44 @@ proptest! {
         let mut in_flight = vec![VecDeque::new(); shards as usize];
         let mut shard_seq = vec![0 as SeqNo; shards as usize];
         let mut generations = BTreeMap::new();
+        // The own shard machines' replay floors, and what the
+        // application last reported per level.
+        let mut first_replayable = vec![1 as SeqNo; shards as usize];
+        let mut reported: Vec<Option<SeqNo>> = vec![None; LEVELS.len()];
+        // Reporting from the start, no entry is reclaimed before the
+        // aggregator knows of the level; a first report that comes late
+        // finds what is left.
+        let reporting = reports == 1;
+        if reporting {
+            for (level, (ty, _)) in LEVELS.iter().enumerate() {
+                real.note_report(PEER, *ty, 0);
+                reported[level] = Some(0);
+            }
+        }
+        let mut reclaimed = false;
 
-        for (op, shard, key, n, own, via_fold) in ops {
+        // Steps an op queued beyond its first, fed before the next op.
+        let mut steps = VecDeque::new();
+        let mut ops = ops.into_iter();
+        let (mut s, mut via_fold) = (0, false);
+        loop {
+            let step = if let Some(step) = steps.pop_front() { step } else {
+            let Some((op, shard, key, n, own, fold)) = ops.next() else { break };
             let (shard, key, n) = (u16::from(shard) % shards, KEYS[key as usize], SeqNo::from(n));
-            let s = shard as usize;
+            (s, via_fold) = (shard as usize, fold);
             let stream = if own { OWN } else { PEER };
-            let mut folded = Vec::new();
             match op {
                 // The peer publishes: nothing reaches this node yet.
                 0 | 1 => {
                     peer_global += 1;
                     in_flight[s].push_back(peer_global);
+                    continue;
                 }
-                2 => {
-                    let global = real.peek_next_global();
-                    let got = real.note_published(OWN, shard, global);
-                    prop_assert_eq!(got, naive.learn_mapping(OWN, shard, global));
-                }
-                3 | 4 => {
+                2 | 11 => Step::Publish(shard, real.peek_next_global()),
+                3 | 4 | 15 | 19 => {
                     let Some(global) = in_flight[s].pop_front() else { continue };
                     shard_seq[s] += 1;
-                    let payload = Bytes::from(vec![global as u8; n as usize]);
-                    let framed = encode_global(global, &payload);
-                    let got = if via_fold {
-                        let (origin, seq) = (PEER, shard_seq[s]);
-                        real.fold(shard, Action::Deliver { origin, seq, payload: framed }, &mut folded);
-                        unfold(folded)
-                    } else {
-                        real.on_shard_deliver(shard, PEER, &framed).expect("framed")
-                    };
-                    prop_assert_eq!(got, naive.on_shard_deliver(shard, PEER, global, payload));
+                    Step::Deliver(shard, global, Bytes::from(vec![global as u8; n as usize]))
                 }
                 5 | 6 => {
                     let generation: &mut u32 = generations.entry((stream, key)).or_default();
@@ -316,55 +495,150 @@ proptest! {
                         _ => *generation,
                     };
                     let seq = SeqNo::from(op - 5) * 3 + n;
-                    let update = FrontierUpdate { stream, key: key.to_owned(), seq, generation };
-                    let expected = naive.on_shard_frontier(shard, &update);
-                    let got = if via_fold {
-                        real.fold(shard, Action::Frontier(update), &mut folded);
-                        unfold(folded).1
-                    } else {
-                        real.on_shard_frontier(shard, &update)
+                    Step::Frontier(shard, FrontierUpdate { stream, key: key.to_owned(), seq, generation })
+                }
+                // A shard frontier that follows what the shard has
+                // learned, as a live predicate's does — or, half the
+                // time, each shard's of every key the stream has: what
+                // lets a map be reclaimed at all.
+                12 | 16..=18 => {
+                    let o = &full.origins[stream.0 as usize];
+                    let covers = |key: &str, s: usize| FrontierUpdate {
+                        stream,
+                        key: key.to_owned(),
+                        seq: o.shards[s].newest().saturating_sub(n / 3),
+                        generation: full.keys.get(&(stream, key.to_owned())).map_or(0, |st| st.generation),
                     };
-                    prop_assert_eq!(got, expected);
+                    if op >= 16 {
+                        let of_stream = full.keys.keys().filter(|(st, key)| *st == stream && key != "Pinned");
+                        let keys: Vec<String> = of_stream.map(|(_, key)| key.clone()).collect();
+                        let shards = (0..shards).filter(|_| !keys.is_empty());
+                        for (key, s) in shards.flat_map(|s| keys.iter().map(move |key| (key, s))) {
+                            steps.push_back(Step::Frontier(s, covers(key, s as usize)));
+                        }
+                        continue;
+                    }
+                    Step::Frontier(shard, covers(key, s))
                 }
-                7 => {
-                    let got = real.waitfor(stream, key, n * 2).ok();
-                    prop_assert_eq!(got, naive.waitfor(stream, key, n * 2));
-                }
+                7 => Step::Wait(stream, key, n * 2),
                 8 => {
-                    prop_assert_eq!(real.unregister_key(stream, key), naive.unregister_key(stream, key));
                     generations.remove(&(stream, key));
+                    Step::Unregister(stream, key)
                 }
-                9 => {
-                    real.ensure_key(stream, key);
-                    naive.ensure_key(stream, key, 0);
-                }
+                9 => Step::Ensure(stream, key),
                 // The shard jumps over its next `n` messages; the donor's
                 // mark is the global of the last one it can no longer replay.
-                _ => {
+                10 => {
                     let skip = (n as usize).min(in_flight[s].len());
                     let skipped: Vec<SeqNo> = in_flight[s].drain(..skip).collect();
                     let Some(&mark) = skipped.last() else { continue };
                     shard_seq[s] += skipped.len() as SeqNo;
-                    let got = if via_fold {
-                        let jump = Action::CatchUp { stream: PEER, seq: shard_seq[s], app_mark: mark };
-                        real.fold(shard, jump, &mut folded);
-                        unfold(folded)
-                    } else {
-                        real.fast_forward_origin(PEER, shard, shard_seq[s], mark)
-                    };
-                    prop_assert_eq!(got, naive.fast_forward_origin(PEER, shard, shard_seq[s], mark));
+                    Step::Jump(shard, shard_seq[s], mark)
                 }
-            }
+                // An own shard machine's send buffer lets go of a prefix:
+                // the driver reads the mark at the new floor, then says
+                // the entries below it are no longer needed.
+                13 => {
+                    let published = full.origins[OWN.0 as usize].shards[s].newest();
+                    first_replayable[s] = (first_replayable[s] + n).min(published + 1);
+                    let mark = full.origins[OWN.0 as usize].shards[s].global_of(first_replayable[s] - 1);
+                    prop_assert_eq!(real.transfer_mark(OWN, shard, first_replayable[s]), mark);
+                    real.retain_own_from(shard, first_replayable[s] - 1);
+                    continue;
+                }
+                // The application reports a level, a constant behind
+                // what it was delivered.
+                _ => {
+                    if reports == 0 { continue }
+                    let level = usize::from(own);
+                    let (ty, lag) = LEVELS[level];
+                    let global = full.origins[PEER.0 as usize].delivered.saturating_sub(lag);
+                    real.note_report(PEER, ty, global);
+                    reported[level] = Some(global.max(reported[level].unwrap_or(0)));
+                    continue;
+                }
+            }};
+
+            // What the readers allowed before the step: a map's beginning
+            // may move during it up to that, and no further.
+            let before: Vec<Vec<(SeqNo, SeqNo)>> = [OWN, PEER].iter().map(|stream| {
+                let o = &full.origins[stream.0 as usize];
+                (0..shards as usize).map(|s| {
+                    let sh = &o.shards[s];
+                    let of_stream = full.keys.iter().filter(|((st, _), _)| st == stream);
+                    let keys = of_stream.map(|(_, st)| st.per_shard[s]).min();
+                    // Nothing of the own stream is ever delivered here.
+                    let searched_above = if *stream == OWN { o.known_prefix } else { o.delivered };
+                    let mut allowed = sh.upto(searched_above).min(sh.newest().saturating_sub(1));
+                    allowed = allowed.min(keys.unwrap_or(SeqNo::MAX));
+                    if *stream == OWN {
+                        allowed = allowed.min(first_replayable[s].saturating_sub(2));
+                    } else if let Some(lowest) = reported.iter().flatten().min() {
+                        allowed = allowed.min(sh.upto(*lowest).saturating_sub(1));
+                    }
+                    (told.origins[stream.0 as usize].shards[s].begins, allowed)
+                }).collect()
+            }).collect();
+
+            let got = apply_real(&mut real, step.clone(), &shard_seq, via_fold);
+            let jumped = matches!(step, Step::Jump(..)).then_some(s);
+            let (ready, _, token) = full.apply(step.clone());
+            prop_assert_eq!((&got.0, got.2), (&ready, token));
             for stream in [OWN, PEER] {
-                let o = &naive.origins[stream.0 as usize];
-                prop_assert_eq!(real.delivered_global(stream), o.delivered);
-                prop_assert_eq!(real.parked(stream), o.pending.len());
-                for key in KEYS {
-                    let expected = naive.keys.get(&(stream, key.to_owned()));
-                    prop_assert_eq!(real.frontier(stream, key), expected.map(|st| (st.agg, st.generation)));
+                for (s, &(was, allowed)) in before[stream.0 as usize].iter().enumerate() {
+                    let sh = &full.origins[stream.0 as usize].shards[s];
+                    let at = begins(&real, stream, s as u16, sh)?;
+                    if at > was && !(stream == PEER && jumped == Some(s)) {
+                        prop_assert!(at <= allowed, "{:?}/{} begins at {} > {}", stream, s, at, allowed);
+                        reclaimed = true;
+                    }
+                    told.origins[stream.0 as usize].shards[s].begins = at;
                 }
             }
-            prop_assert_eq!(real.pending_waiters(), naive.waiters.len());
+            prop_assert_eq!(&got, &told.apply(step));
+
+            for stream in [OWN, PEER] {
+                let (t, f) = (&told.origins[stream.0 as usize], &full.origins[stream.0 as usize]);
+                prop_assert_eq!(real.delivered_global(stream), f.delivered);
+                prop_assert_eq!(real.parked(stream), f.pending.len());
+                for key in KEYS {
+                    let at = |model: &Naive| {
+                        let st = model.keys.get(&(stream, key.to_owned()));
+                        st.map(|st| (st.agg, st.generation))
+                    };
+                    prop_assert_eq!(real.frontier(stream, key), at(&told));
+                    // Never above the unreclaimed answer, and equal to it
+                    // when no shard frontier of the key is below a map.
+                    let Some(st) = full.keys.get(&(stream, key.to_owned())) else { continue };
+                    let (agg, generation) = real.frontier(stream, key).expect("registered");
+                    prop_assert_eq!(generation, st.generation);
+                    prop_assert!(agg <= st.agg);
+                    let asks_below = (0..shards as usize).any(|s| st.per_shard[s] < t.shards[s].begins);
+                    prop_assert!(asks_below || agg == st.agg, "{} {} < {}", key, agg, st.agg);
+                }
+                // A report translates as the model that knows where the
+                // maps begin says, never above the unreclaimed answer —
+                // and to exactly that at or above the lowest level of an
+                // application that reported from the start.
+                let lowest = reported.iter().flatten().min().copied().unwrap_or(0);
+                for s in 0..shards as usize {
+                    for global in [lowest, lowest + 1, f.delivered, f.delivered.saturating_sub(2), f.known_prefix] {
+                        let got = real.shard_progress(stream, s as u16, global);
+                        prop_assert_eq!(got, t.shards[s].progress(global));
+                        let unreclaimed = f.shards[s].progress(global);
+                        prop_assert!(got <= unreclaimed);
+                        let exact = stream == PEER && reporting && global >= lowest;
+                        prop_assert!(!exact || got == unreclaimed, "{} < {}", got, unreclaimed);
+                    }
+                }
+            }
+            for s in 0..shards {
+                let mark = full.origins[OWN.0 as usize].shards[s as usize].global_of(first_replayable[s as usize] - 1);
+                prop_assert_eq!(real.transfer_mark(OWN, s, first_replayable[s as usize]), mark);
+            }
+            prop_assert_eq!(real.pending_waiters(), told.waiters.len());
         }
+        // A pinned stream keeps every entry.
+        prop_assert!(!(pinned && reclaimed));
     }
 }

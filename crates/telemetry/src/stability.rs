@@ -26,9 +26,57 @@ use parking_lot::Mutex;
 use stabilizer_core::{AppHooks, Event, FrontierUpdate};
 use stabilizer_dsl::{NodeId, SeqNo};
 use stabilizer_netsim::SimTime;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 use std::time::Instant;
+
+/// How many of an origin's most recent publish stamps are kept: a
+/// publish pushes one trace event, so a stamp older than this many
+/// publishes is older than anything the default ring can still show —
+/// it has no exemplar left to join, and the sample it would time is
+/// skipped like an unstamped one.
+const STAMP_WINDOW: usize = DEFAULT_TRACE_CAPACITY;
+
+/// One origin's publish stamps: slot `i` holds publish time + 1 of
+/// sequence `base + i + 1` (0 = never stamped), at most
+/// [`STAMP_WINDOW`] of them.
+#[derive(Debug, Default, Clone)]
+struct StampWindow {
+    base: SeqNo,
+    stamps: VecDeque<u64>,
+}
+
+impl StampWindow {
+    /// Highest sequence number with a slot.
+    fn newest(&self) -> SeqNo {
+        self.base + self.stamps.len() as SeqNo
+    }
+
+    /// Stamp `seq` as published at `at` unless it already is, or its
+    /// slot was evicted; the window slides so `seq` fits.
+    fn stamp(&mut self, seq: SeqNo, at: u64) {
+        if seq <= self.base {
+            return;
+        }
+        if seq > self.newest() {
+            let evict = (seq - self.base).saturating_sub(STAMP_WINDOW as SeqNo);
+            self.stamps.drain(..self.stamps.len().min(evict as usize));
+            self.base += evict;
+            self.stamps.resize((seq - self.base) as usize, 0);
+        }
+        let slot = &mut self.stamps[(seq - self.base - 1) as usize];
+        if *slot == 0 {
+            *slot = at + 1;
+        }
+    }
+
+    /// When `seq` was published, if it was stamped and is still kept.
+    fn get(&self, seq: SeqNo) -> Option<u64> {
+        let slot = seq.checked_sub(self.base + 1)?;
+        let stamp = *self.stamps.get(slot as usize)?;
+        stamp.checked_sub(1)
+    }
+}
 
 /// Per-origin publish counters, created on first publish from a stream.
 #[derive(Debug, Clone)]
@@ -39,8 +87,8 @@ struct PubCounters {
 
 #[derive(Debug, Default)]
 struct StampState {
-    /// `stamps[origin][seq-1]` = publish time + 1 (0 = never stamped).
-    stamps: Vec<Vec<u64>>,
+    /// Per origin: when its recent sequence numbers were published.
+    stamps: Vec<StampWindow>,
     per_origin: Vec<Option<PubCounters>>,
     /// Per predicate key: per-stream highest frontier already folded
     /// into the stability histogram (max-merged, so a generation bump
@@ -165,17 +213,10 @@ impl Telemetry {
         {
             let mut state = self.state.lock();
             if state.stamps.len() <= idx {
-                state.stamps.resize(idx + 1, Vec::new());
+                state.stamps.resize(idx + 1, StampWindow::default());
                 state.per_origin.resize(idx + 1, None);
             }
-            let stamps = &mut state.stamps[idx];
-            let slot = (seq as usize).saturating_sub(1);
-            if stamps.len() <= slot {
-                stamps.resize(slot + 1, 0);
-            }
-            if stamps[slot] == 0 {
-                stamps[slot] = now_nanos + 1;
-            }
+            state.stamps[idx].stamp(seq, now_nanos);
             let counters = state.per_origin[idx].get_or_insert_with(|| {
                 let node = origin.0.to_string();
                 PubCounters {
@@ -201,6 +242,14 @@ impl Telemetry {
     /// epoch (TCP runs).
     pub fn note_publish_now(&self, origin: NodeId, seq: SeqNo, len: usize) {
         self.note_publish(self.now_nanos(), origin, seq, len);
+    }
+
+    /// When `(origin, seq)` was published, on the clock the stamp was
+    /// taken with — for drivers that time their own per-message events
+    /// against the hub's one stamp table. `None` if the publish was never
+    /// stamped or its stamp has left the window.
+    pub fn published_at(&self, origin: NodeId, seq: SeqNo) -> Option<u64> {
+        self.state.lock().stamps.get(origin.0 as usize)?.get(seq)
     }
 
     /// Build the observer for `node`. Attach it to the TCP runtime's
@@ -353,19 +402,14 @@ impl Telemetry {
             kind: TraceKind::Deliver { origin, seq, len },
         });
         let mut state = self.state.lock();
-        let stamp = state
-            .stamps
-            .get(origin.0 as usize)
-            .and_then(|s| s.get((seq as usize).saturating_sub(1)))
-            .copied()
-            .unwrap_or(0);
-        if stamp != 0 {
-            let latency = ev_now.saturating_sub(stamp - 1);
+        let published = state.stamps.get(origin.0 as usize).and_then(|s| s.get(seq));
+        if let Some(published) = published {
+            let latency = ev_now.saturating_sub(published);
             self.deliver_latency.record(latency);
             state.deliver_exemplars.offer(Exemplar {
                 origin,
                 seq,
-                publish_nanos: stamp - 1,
+                publish_nanos: published,
                 stable_nanos: ev_now,
                 latency_ns: latency,
                 trace_cursor: cursor,
@@ -384,7 +428,7 @@ impl Telemetry {
             node: obs_node,
             kind: TraceKind::Frontier {
                 stream: update.stream,
-                key: update.key.clone(),
+                key: self.trace.intern(&update.key),
                 seq: update.seq,
                 generation: update.generation,
             },
@@ -427,21 +471,21 @@ impl Telemetry {
             }
             let from = cursors[idx];
             if update.seq > from {
-                if let Some(stream_stamps) = stamps.get(idx) {
-                    for s in from + 1..=update.seq {
-                        if let Some(&stamp) = stream_stamps.get((s as usize) - 1) {
-                            if stamp != 0 {
-                                let latency = ev_now.saturating_sub(stamp - 1);
-                                hist.record(latency);
-                                reservoir.offer(Exemplar {
-                                    origin: update.stream,
-                                    seq: s,
-                                    publish_nanos: stamp - 1,
-                                    stable_nanos: ev_now,
-                                    latency_ns: latency,
-                                    trace_cursor: cursor,
-                                });
-                            }
+                if let Some(window) = stamps.get(idx) {
+                    // Only what the window still holds can be timed.
+                    let kept = (from + 1).max(window.base + 1)..=update.seq.min(window.newest());
+                    for s in kept {
+                        if let Some(published) = window.get(s) {
+                            let latency = ev_now.saturating_sub(published);
+                            hist.record(latency);
+                            reservoir.offer(Exemplar {
+                                origin: update.stream,
+                                seq: s,
+                                publish_nanos: published,
+                                stable_nanos: ev_now,
+                                latency_ns: latency,
+                                trace_cursor: cursor,
+                            });
                         }
                     }
                 }
@@ -700,6 +744,37 @@ mod tests {
         frontier(&mut obs, 200, &update(0, 0));
         frontier(&mut obs, 300, &update(0, 1));
         assert_eq!(t.stability_latency("All").unwrap().count, 1);
+    }
+
+    #[test]
+    fn stamps_slide_out_of_the_window_and_their_samples_are_skipped() {
+        let t = Telemetry::new_sim();
+        let origin = NodeId(0);
+        let n = STAMP_WINDOW as SeqNo;
+        for seq in 1..=n + 10 {
+            t.note_publish(seq, origin, seq, 8);
+        }
+        assert_eq!(t.published_at(origin, 10), None, "evicted");
+        assert_eq!(t.published_at(origin, 11), Some(11));
+        assert_eq!(t.published_at(origin, n + 10), Some(n + 10));
+        assert_eq!(t.published_at(origin, n + 11), None, "not published");
+        assert_eq!(t.published_at(NodeId(1), 1), None);
+        // A late stamp for an evicted slot is dropped, not resurrected.
+        t.note_publish(5, origin, 5, 8);
+        assert_eq!(t.published_at(origin, 5), None);
+        // One advance over everything times only what is still stamped.
+        let mut obs = t.observer(origin);
+        frontier(&mut obs, 1 << 40, &update(0, n + 10));
+        assert_eq!(t.stability_latency("All").unwrap().count, n);
+        let mut mirror = t.observer(NodeId(1));
+        deliver(&mut mirror, 1 << 40, 0, 10, &Bytes::from_static(b"x"));
+        deliver(&mut mirror, 1 << 40, 0, 11, &Bytes::from_static(b"x"));
+        assert_eq!(t.deliver_latency().count, 1);
+        // A sequence number far ahead slides the whole window.
+        t.note_publish(9, origin, 10 * n, 8);
+        assert_eq!(t.published_at(origin, n + 10), None);
+        assert_eq!(t.published_at(origin, 10 * n), Some(9));
+        assert_eq!(t.published_at(origin, 10 * n - 1), None, "never stamped");
     }
 
     #[test]

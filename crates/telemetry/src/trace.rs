@@ -10,11 +10,12 @@
 use crate::json::{push_json_str, push_key};
 use parking_lot::Mutex;
 use stabilizer_dsl::{NodeId, SeqNo};
-use std::collections::VecDeque;
+use std::collections::{BTreeSet, VecDeque};
+use std::sync::Arc;
 
-/// What happened. Payloads are reduced to lengths; keys are cloned only
-/// when a frontier event is pushed (trace pushes are already off the
-/// per-message hot path for high-rate runs — disable the ring if not).
+/// What happened. Payloads are reduced to lengths; a frontier event
+/// shares its predicate key with every other event of that key in the
+/// ring ([`TraceRing::intern`]), so an event owns no heap of its own.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TraceKind {
     /// A payload was published locally.
@@ -37,8 +38,8 @@ pub enum TraceKind {
     Frontier {
         /// Stream whose frontier moved.
         stream: NodeId,
-        /// Predicate key.
-        key: String,
+        /// Predicate key, from [`TraceRing::intern`].
+        key: Arc<str>,
         /// New frontier.
         seq: SeqNo,
         /// Predicate generation.
@@ -185,6 +186,9 @@ impl TraceEvent {
 #[derive(Debug, Default)]
 struct RingInner {
     events: VecDeque<TraceEvent>,
+    /// Every predicate key a frontier event was pushed under (a node
+    /// holds tens of them; they are never forgotten).
+    keys: BTreeSet<Arc<str>>,
     dropped: u64,
     /// Total events ever pushed — the absolute cursor of the *next*
     /// event. Exemplars store the cursor of the event they correspond
@@ -218,6 +222,19 @@ impl TraceRing {
             inner: Mutex::new(RingInner::default()),
             capacity,
         }
+    }
+
+    /// The ring's shared copy of predicate key `key`, for
+    /// [`TraceKind::Frontier`]: one allocation per distinct key, not per
+    /// event.
+    pub fn intern(&self, key: &str) -> Arc<str> {
+        let mut inner = self.inner.lock();
+        if let Some(shared) = inner.keys.get(key) {
+            return Arc::clone(shared);
+        }
+        let shared: Arc<str> = Arc::from(key);
+        inner.keys.insert(Arc::clone(&shared));
+        shared
     }
 
     /// Append an event, evicting the oldest if full. Returns the
@@ -388,11 +405,13 @@ mod tests {
             node: NodeId(2),
             kind: TraceKind::Frontier {
                 stream: NodeId(0),
-                key: "All".to_owned(),
+                key: ring.intern("All"),
                 seq: 1,
                 generation: 0,
             },
         });
+        assert!(Arc::ptr_eq(&ring.intern("All"), &ring.intern("All")));
+        assert!(std::mem::size_of::<TraceEvent>() <= 48);
         let jsonl = ring.to_jsonl();
         let lines: Vec<&str> = jsonl.lines().collect();
         assert_eq!(lines.len(), 2);

@@ -48,9 +48,7 @@ use stabilizer_core::{
 use stabilizer_shard::{
     build_shards, encode_global, RoutePolicy, ShardRouter, ShardedAction, ShardedFrontier,
 };
-use stabilizer_telemetry::{
-    Gauge, LogHistogram, MetricsObserver, MetricsRegistry, StallProvider, Telemetry,
-};
+use stabilizer_telemetry::{Gauge, LogHistogram, MetricsObserver, StallProvider, Telemetry};
 use std::collections::HashMap;
 use std::net::{SocketAddr, TcpListener};
 use std::sync::Arc;
@@ -68,9 +66,6 @@ struct PublishState {
 /// must be read under the same lock (the shard→global mapping).
 struct AggState {
     frontier: ShardedFrontier,
-    /// `stamps[g-1]` = local publish time + 1 of own-stream global `g`
-    /// (0 = unstamped); only maintained when telemetry is attached.
-    stamps: Vec<u64>,
     /// Own-stream stability latency by key, then by shard (keyed by key
     /// alone so an update's borrowed key finds it).
     stability: HashMap<String, Vec<ShardStability>>,
@@ -88,14 +83,14 @@ struct ShardStability {
 impl AggState {
     /// Fold a per-shard frontier advance of the own stream into the
     /// per-shard stability-latency histogram, translating shard-local
-    /// sequence numbers back to globals through the mapping.
+    /// sequence numbers back to globals through the mapping and reading
+    /// each global's publish time off the hub (the one stamp table).
     fn record_shard_stability(
         &mut self,
-        registry: &MetricsRegistry,
+        hub: &Telemetry,
         me: NodeId,
         shard: u16,
         update: &FrontierUpdate,
-        now: u64,
     ) {
         let per_shard = if let Some(per_shard) = self.stability.get_mut(&update.key) {
             per_shard
@@ -110,22 +105,28 @@ impl AggState {
         let from = std::mem::replace(covered, update.seq);
         let hist = hist.get_or_insert_with(|| {
             let sh = shard.to_string();
-            registry.histogram(
+            hub.registry().histogram(
                 "stab_shard_stability_latency_ns",
                 &[("key", &update.key), ("shard", &sh)],
             )
         });
-        let globals = self.frontier.shard_globals(me, shard);
-        for q in from + 1..=update.seq {
-            let Some(&g) = globals.get((q - 1) as usize) else {
-                break;
-            };
-            if let Some(&stamp) = self.stamps.get((g - 1) as usize) {
-                if stamp != 0 {
-                    hist.record(now.saturating_sub(stamp - 1));
-                }
-            }
+        let now = hub.now_nanos();
+        let globals = (from + 1..=update.seq).map_while(|q| self.frontier.global_of(me, shard, q));
+        for published in globals.filter_map(|g| hub.published_at(me, g)) {
+            hist.record(now.saturating_sub(published));
         }
+    }
+
+    /// Tell the aggregator how far the readers of the own stream's
+    /// mapping that live out here have moved on `shard`: its machine
+    /// replays from `first_replayable` (the entry before it is the
+    /// transfer mark), and the stability histograms resume after their
+    /// cursors.
+    fn retain_own_map(&mut self, shard: u16, first_replayable: SeqNo) {
+        let cursors = self.stability.values();
+        let resume = cursors.map(|per_shard| per_shard[shard as usize].covered + 1);
+        let from = resume.fold(first_replayable.saturating_sub(1), SeqNo::min);
+        self.frontier.retain_own_from(shard, from);
     }
 }
 
@@ -179,7 +180,7 @@ impl ShardedShared {
     fn with_shard<R>(&self, shard: u16, f: impl FnOnce(&mut StabilizerNode) -> R) -> R {
         let mut node = self.shards[shard as usize].lock();
         let r = f(&mut node);
-        self.process_shard_actions(shard, node.take_actions());
+        self.process_shard_actions(shard, node.first_replayable(), node.take_actions());
         r
     }
 
@@ -187,8 +188,11 @@ impl ShardedShared {
     /// through [`ShardedFrontier::fold`] — under the aggregator lock,
     /// which is what puts the resulting node-level events in one order;
     /// it is taken at the first action that needs it and held to the end
-    /// of the batch.
-    fn process_shard_actions(&self, shard: u16, actions: Vec<Action>) {
+    /// of the batch. `first_replayable` is the shard machine's, read
+    /// under its lock together with the actions: while the aggregator is
+    /// held anyway it is told how much of the own stream's mapping this
+    /// shard can still ask for.
+    fn process_shard_actions(&self, shard: u16, first_replayable: SeqNo, actions: Vec<Action>) {
         let mut agg = None;
         let mut folded = Vec::new();
         for action in actions {
@@ -199,26 +203,28 @@ impl ShardedShared {
             let agg = agg.get_or_insert_with(|| self.agg.lock());
             if let (Action::Frontier(update), Some(t)) = (&action, &self.link.telemetry) {
                 if update.stream == self.me {
-                    let now = self.link.now_nanos();
-                    agg.record_shard_stability(t.registry(), self.me, shard, update, now);
+                    agg.record_shard_stability(t, self.me, shard, update);
                 }
             }
             agg.frontier.fold(shard, action, &mut folded);
+        }
+        if let Some(agg) = &mut agg {
+            agg.retain_own_map(shard, first_replayable);
         }
         self.forward(folded);
     }
 
     /// Keep each shard machine's outgoing snapshot mark up to date (see
     /// [`ShardedFrontier::transfer_mark`]). Run before each transfer
-    /// timer: a request racing an eviction can see a stale mark, which
-    /// only parks the requester until its next re-request picks up a
-    /// fresh snapshot.
+    /// timer, with the shard held across the lookup so the entry its
+    /// replay floor names cannot be reclaimed in between.
     fn refresh_transfer_marks(&self) {
         for s in 0..self.num_shards {
-            let first = self.shards[s as usize].lock().first_replayable();
+            let mut node = self.shards[s as usize].lock();
+            let first = node.first_replayable();
             let mark = self.agg.lock().frontier.transfer_mark(self.me, s, first);
             if let Some(mark) = mark {
-                self.shards[s as usize].lock().set_app_mark(mark);
+                node.set_app_mark(mark);
             }
         }
     }
@@ -423,7 +429,6 @@ pub fn spawn_sharded_node(
         shards,
         agg: Mutex::new(AggState {
             frontier,
-            stamps: Vec::new(),
             stability: HashMap::new(),
         }),
         publish: Mutex::new(PublishState {
@@ -600,10 +605,10 @@ impl ShardedHandle {
         let shard = pubst.router.route(key);
         let global = pubst.next_global + 1;
         let framed = encode_global(global, payload);
-        let (result, actions) = {
+        let (result, first_replayable, actions) = {
             let mut node = sh.shards[shard as usize].lock();
             let r = node.publish(framed);
-            (r, node.take_actions())
+            (r, node.first_replayable(), node.take_actions())
         };
         match result {
             Ok(_shard_seq) => {
@@ -611,11 +616,6 @@ impl ShardedHandle {
                 {
                     let mut agg = sh.agg.lock();
                     if let Some(t) = &sh.link.telemetry {
-                        let slot = (global - 1) as usize;
-                        if agg.stamps.len() <= slot {
-                            agg.stamps.resize(slot + 1, 0);
-                        }
-                        agg.stamps[slot] = sh.link.now_nanos() + 1;
                         t.note_publish_now(sh.me, global, payload.len());
                     }
                     let out = agg.frontier.learn_mapping(sh.me, shard, global);
@@ -624,7 +624,7 @@ impl ShardedHandle {
                 // Still under the publish lock: enqueuing the Send here
                 // keeps same-shard Data frames in sequence order on the
                 // writer channel even with concurrent publishers.
-                sh.process_shard_actions(shard, actions);
+                sh.process_shard_actions(shard, first_replayable, actions);
                 Ok(global)
             }
             Err(e) => {
@@ -633,7 +633,7 @@ impl ShardedHandle {
                     pubst.router.rollback_last();
                 }
                 drop(pubst);
-                sh.process_shard_actions(shard, actions);
+                sh.process_shard_actions(shard, first_replayable, actions);
                 Err(e)
             }
         }
@@ -765,7 +765,8 @@ impl ShardedHandle {
     /// through the mapping learned so far.
     pub fn report_stability(&self, stream: NodeId, ty: AckTypeId, seq: SeqNo) {
         let progress: Vec<SeqNo> = {
-            let agg = self.shared.agg.lock();
+            let mut agg = self.shared.agg.lock();
+            agg.frontier.note_report(stream, ty, seq);
             (0..self.shared.num_shards)
                 .map(|s| agg.frontier.shard_progress(stream, s, seq))
                 .collect()
@@ -951,6 +952,12 @@ mod tests {
     fn overlapping_readers_hand_the_aggregator_one_shards_deliveries_in_order() {
         const FRAMES: SeqNo = 300;
         let h = lone_mirror(1);
+        // A key of the origin's stream that never moves (nobody reports
+        // the level): it pins the mapping, so every entry stays to be
+        // checked below.
+        h.register_ack_type("audited");
+        h.register_predicate(ORIGIN, "Pinned", "MIN($ALLWNODES.audited)")
+            .expect("compiles");
         let sh = &*h.shared;
         let through_shard = |seq| {
             let shard = sh.shards[0].try_lock();
@@ -973,8 +980,8 @@ mod tests {
             }
         });
         let agg = sh.agg.lock();
-        let learned = agg.frontier.shard_globals(ORIGIN, 0);
-        assert!(learned.iter().copied().eq(1..=FRAMES), "{learned:?}");
+        let learned = (1..=FRAMES + 1).map(|q| agg.frontier.global_of(ORIGIN, 0, q));
+        assert!(learned.eq((1..=FRAMES).map(Some).chain([None])));
         assert_eq!(agg.frontier.delivered_global(ORIGIN), FRAMES);
         drop(agg);
         h.shutdown();
