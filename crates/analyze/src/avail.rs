@@ -19,7 +19,7 @@
 //!
 //! Mixed expressions (nested reductions, constants, duplicate cells) go
 //! through the same recursion; every structurally derived set is then
-//! cross-checked by [probe](crate::probe) (blocked with the set down,
+//! cross-checked by [`crate::probe`] (blocked with the set down,
 //! unblocked with any member revived), and the engine falls back to
 //! exhaustive probe enumeration over the dependency nodes if the
 //! structural pass overflows or fails verification.

@@ -22,7 +22,8 @@
 //!   all minimal blocking sets via structural recursion over the
 //!   monotone threshold form of the predicate, and placement-aware
 //!   partition-cut analysis.
-//! * **Entry point** ([`Analyzer`]): configured with a [`Topology`],
+//! * **Entry point** ([`Analyzer`]): configured with a
+//!   [`Topology`](stabilizer_dsl::Topology),
 //!   ACK-type registry, executing node, and optionally an ACK-emissions
 //!   model and failure budget.
 //!

@@ -19,8 +19,11 @@
 //! table is deterministic: two runs print identical numbers.
 //!
 //! Usage:
-//!   placement_scale [MSGS] [PAYLOAD_BYTES]
-//!   placement_scale --replay-hash SEED
+//!
+//! ```text
+//! placement_scale [MSGS] [PAYLOAD_BYTES]
+//! placement_scale --replay-hash SEED
+//! ```
 //!
 //! The second form runs a fixed 9-node partially-replicated scenario
 //! and prints an FNV-1a hash over every observable log (deliveries and

@@ -17,8 +17,11 @@
 //! (EXPERIMENTS.md, "Sharded data-plane scaling", has the table).
 //!
 //! Usage:
-//!   shard_scale [MSGS] [PAYLOAD_BYTES] [PUBLISHERS] [--serve ADDR]
-//!   shard_scale --replay-hash SEED
+//!
+//! ```text
+//! shard_scale [MSGS] [PAYLOAD_BYTES] [PUBLISHERS] [--serve ADDR]
+//! shard_scale --replay-hash SEED
+//! ```
 //!
 //! With `--serve ADDR`, every spawned cluster feeds one shared
 //! telemetry hub exposed live over HTTP (`/metrics`, `/metrics.json`,

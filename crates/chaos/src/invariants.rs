@@ -612,31 +612,51 @@ impl InvariantChecker {
         views: &[NodeView<'_>],
     ) -> Result<(), InvariantViolation> {
         for (i, view) in views.iter().enumerate() {
-            for &(at, peer) in &view.suspected_log[self.suspected_cursor[i]..] {
-                if peer.0 as usize == i {
-                    return Err(InvariantViolation {
-                        at: now,
-                        node: i as u16,
-                        property: "self-suspicion",
-                        detail: format!("suspected itself at {at:?}"),
-                    });
+            // One sweep can span several flips of one peer (a stalled
+            // harness thread: suspected, recovered, suspected again), so
+            // the two logs are replayed merged by timestamp, not one
+            // after the other. On a tie the suspicion goes first: a node
+            // can suspect a peer and hear from it within one timestamp,
+            // but not the reverse — hearing from it resets the silence
+            // the failure timeout is measured from.
+            let suspected = &view.suspected_log[self.suspected_cursor[i]..];
+            let recovered = &view.recovered_log[self.recovered_cursor[i]..];
+            let (mut s, mut r) = (0usize, 0usize);
+            while s < suspected.len() || r < recovered.len() {
+                let take_suspected = match (suspected.get(s), recovered.get(r)) {
+                    (Some(&(sat, _)), Some(&(rat, _))) => sat <= rat,
+                    (Some(_), None) => true,
+                    _ => false,
+                };
+                if take_suspected {
+                    let (at, peer) = suspected[s];
+                    s += 1;
+                    if peer.0 as usize == i {
+                        return Err(InvariantViolation {
+                            at: now,
+                            node: i as u16,
+                            property: "self-suspicion",
+                            detail: format!("suspected itself at {at:?}"),
+                        });
+                    }
+                    self.suspects[i][peer.0 as usize] = true;
+                } else {
+                    let (at, peer) = recovered[r];
+                    r += 1;
+                    if !self.suspects[i][peer.0 as usize] {
+                        return Err(InvariantViolation {
+                            at: now,
+                            node: i as u16,
+                            property: "unpaired-recovery",
+                            detail: format!(
+                                "recovery of {peer:?} at {at:?} without a preceding suspicion"
+                            ),
+                        });
+                    }
+                    self.suspects[i][peer.0 as usize] = false;
                 }
-                self.suspects[i][peer.0 as usize] = true;
             }
             self.suspected_cursor[i] = view.suspected_log.len();
-            for &(at, peer) in &view.recovered_log[self.recovered_cursor[i]..] {
-                if !self.suspects[i][peer.0 as usize] {
-                    return Err(InvariantViolation {
-                        at: now,
-                        node: i as u16,
-                        property: "unpaired-recovery",
-                        detail: format!(
-                            "recovery of {peer:?} at {at:?} without a preceding suspicion"
-                        ),
-                    });
-                }
-                self.suspects[i][peer.0 as usize] = false;
-            }
             self.recovered_cursor[i] = view.recovered_log.len();
             for p in 0..self.n {
                 let actual = view.node.is_suspected(NodeId(p as u16));
@@ -780,6 +800,50 @@ mod tests {
         ];
         let err = checker.check(SimTime(20), &views).unwrap_err();
         assert_eq!(err.property, "delivery-prefix");
+    }
+
+    #[test]
+    fn one_sweep_spanning_suspect_recover_suspect_is_replayed_in_time_order() {
+        // A stalled harness thread sees three flips of one peer at once.
+        // Applied log by log (every suspicion, then every recovery) they
+        // read S,S,R and end "not suspected" against a node that is.
+        use stabilizer_core::{Options, TimerKind};
+        let opts = Options::default().failure_timeout_millis(10);
+        let cfg = ClusterConfig::parse("az A 0 1\n")
+            .unwrap()
+            .with_options(opts);
+        let acks = Arc::new(AckTypeRegistry::new());
+        let mut nodes: Vec<StabilizerNode> = (0..2)
+            .map(|i| StabilizerNode::new(cfg.clone(), NodeId(i), Arc::clone(&acks)).unwrap())
+            .collect();
+        nodes[0].on_timer(TimerKind::Failure, 1_000_000_000);
+        assert!(nodes[0].is_suspected(NodeId(1)));
+        let suspected = [(SimTime(10), NodeId(1)), (SimTime(30), NodeId(1))];
+        let recovered = [(SimTime(20), NodeId(1))];
+        let mut checker = InvariantChecker::new(2, 3);
+        let views = vec![
+            NodeView {
+                suspected_log: &suspected,
+                recovered_log: &recovered,
+                ..view(&nodes[0])
+            },
+            view(&nodes[1]),
+        ];
+        checker.check(SimTime(40), &views).unwrap();
+
+        // The order is the timestamps', not "whatever pairs up": a
+        // recovery logged before the only suspicion is still unpaired.
+        let mut checker = InvariantChecker::new(2, 3);
+        let views = vec![
+            NodeView {
+                suspected_log: &suspected[1..],
+                recovered_log: &recovered,
+                ..view(&nodes[0])
+            },
+            view(&nodes[1]),
+        ];
+        let err = checker.check(SimTime(40), &views).unwrap_err();
+        assert_eq!(err.property, "unpaired-recovery");
     }
 
     #[test]

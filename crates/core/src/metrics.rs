@@ -23,8 +23,8 @@ pub struct Metrics {
     pub acks_stale: u64,
     /// Data messages retransmitted by the reliability mechanism.
     pub retransmits: u64,
-    /// Predicate evaluations performed by the frontier engine
-    /// (registration, change, and incremental re-evaluation).
+    /// VM runs by the frontier engine: registration, change, and one per
+    /// frontier an ACK advance crossed (not the dependants it visited).
     pub predicate_evals: u64,
     /// Frontier-advance actions emitted.
     pub frontier_updates: u64,

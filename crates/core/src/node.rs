@@ -12,13 +12,14 @@
 //! §III-A is structural, not an artifact of a particular runtime.
 //!
 //! Every rule with state of its own lives behind that state, in a
-//! component that never sees the frontier engine: [`Outbound`] (own
-//! stream out), [`ReceiveState`] (mirrored streams in), [`AckOutbox`]
-//! (stability reports out), [`Membership`] (suspicion) and
-//! [`Transfers`] (catch-up sessions). What is written here is what needs
-//! the recorder *and* the engine: the fold of an advanced ACK cell into
-//! the frontiers ([`StabilizerNode::reached`] and below), and the
-//! dispatch that hands each input to its component.
+//! component that never sees the frontier engine: `Outbound` (own
+//! stream out), [`ReceiveState`] (mirrored streams in), `AckOutbox`
+//! (stability reports out), `Membership` (suspicion) and `Transfers`
+//! (catch-up sessions). What is written here is what needs the recorder
+//! *and* the engine: the fold of a moved ACK cell into the frontiers
+//! (`learn`, `reached` and `publish`, the recorder's only writers — see
+//! [`crate::frontier`] for why that matters), and the dispatch that
+//! hands each input to its component.
 
 mod predicates;
 mod recovery;
@@ -31,7 +32,7 @@ use crate::membership::Membership;
 use crate::messages::{Ack, WireMsg};
 use crate::metrics::Metrics;
 use crate::outbox::{self, AckOutbox};
-use crate::recorder::AckRecorder;
+use crate::recorder::{AckRecorder, DirtyCell};
 use crate::timers::TimerKind;
 use crate::transfer::Transfers;
 use bytes::Bytes;
@@ -135,6 +136,12 @@ pub struct StabilizerNode {
     /// `actions` by `emit`; kept so the ACK fold allocates nothing.
     updates: Vec<FrontierUpdate>,
     done: Vec<WaitToken>,
+    /// `publish`'s `(level, old value)` of each own cell it moved, between
+    /// writing them all and folding the first; empty outside that call.
+    moved: Vec<(AckTypeId, SeqNo)>,
+    /// Fold as a caller that does not know what a cell held before.
+    #[cfg(test)]
+    withhold_old: bool,
     metrics: Metrics,
 }
 
@@ -178,6 +185,9 @@ impl StabilizerNode {
             actions: Vec::new(),
             updates: Vec::new(),
             done: Vec::new(),
+            moved: Vec::new(),
+            #[cfg(test)]
+            withhold_old: false,
             metrics: Metrics::default(),
             placement,
             acks,
@@ -237,6 +247,14 @@ impl StabilizerNode {
         std::mem::take(&mut self.actions)
     }
 
+    /// [`StabilizerNode::take_actions`] for a driver that drains again
+    /// and again: the pending actions go into `buf`, which must be empty,
+    /// and `buf`'s allocation becomes the node's for what it emits next.
+    pub fn swap_actions(&mut self, buf: &mut Vec<Action>) {
+        debug_assert!(buf.is_empty(), "the driver's buffer comes back empty");
+        std::mem::swap(&mut self.actions, buf);
+    }
+
     /// True if any actions are pending.
     pub fn has_actions(&self) -> bool {
         !self.actions.is_empty()
@@ -283,11 +301,12 @@ impl StabilizerNode {
         // Origin self-ack: every stability level holds at the origin, so
         // all of them are in the table before the first is folded. Nothing
         // is queued for the peers: the `Data` frame just sent is the report.
-        if self.recorder.observe_all_types(self.me, self.me, seq) {
-            for ty in (0..self.recorder.num_types() as u16).map(AckTypeId) {
-                self.advance(self.me, self.me, ty);
-            }
+        let (me, mut moved) = (self.me, std::mem::take(&mut self.moved));
+        self.recorder.observe_all_types(me, me, seq, &mut moved);
+        for (ty, old) in moved.drain(..) {
+            self.advance((me, me, ty), old);
         }
+        self.moved = moved;
         Ok(seq)
     }
 
@@ -581,37 +600,33 @@ impl StabilizerNode {
         {
             return None;
         }
-        let advanced = self.recorder.observe(stream, node, ty, seq);
-        if advanced {
+        let old = self.recorder.advance(stream, node, ty, seq);
+        if let Some(old) = old {
             self.metrics.acks_received += 1;
-            self.advance(stream, node, ty);
+            self.advance((stream, node, ty), old);
         }
-        Some(advanced)
+        Some(old.is_some())
     }
 
     /// This node reached stability level `ty` of `stream` up to `seq`:
     /// max-merge its own cell and, if that moved it, fold it into the
     /// frontiers and queue the report for the peers.
     fn reached(&mut self, stream: NodeId, ty: AckTypeId, seq: SeqNo) -> bool {
-        let advanced = self.recorder.observe(stream, self.me, ty, seq);
-        if advanced {
-            self.advance(stream, self.me, ty);
+        let old = self.recorder.advance(stream, self.me, ty, seq);
+        if let Some(old) = old {
+            self.advance((stream, self.me, ty), old);
             self.outbox.queue(stream, ty, seq);
         }
-        advanced
+        old.is_some()
     }
 
-    /// The recorder cell `(stream, node, ty)` advanced: re-evaluate what
-    /// reads it.
-    fn advance(&mut self, stream: NodeId, node: NodeId, ty: AckTypeId) {
-        self.engine.on_ack_advance(
-            stream,
-            node,
-            ty,
-            &self.recorder,
-            &mut self.updates,
-            &mut self.done,
-        );
+    /// The recorder cell `cell` moved from `old` to what it holds now:
+    /// evaluate the predicates whose frontier it crossed.
+    fn advance(&mut self, cell: DirtyCell, old: SeqNo) {
+        #[cfg(test)]
+        let old = if self.withhold_old { 0 } else { old };
+        let (rec, out, done) = (&self.recorder, &mut self.updates, &mut self.done);
+        self.engine.on_ack_advance_from(cell, old, rec, out, done);
         self.emit();
     }
 
@@ -695,6 +710,8 @@ impl StabilizerNode {
 mod tests {
     use super::*;
     use crate::config::Options;
+    use crate::frontier::tests::{arb_op, source, Op, KEYS, TYPE_NAMES};
+    use proptest::prelude::*;
 
     fn cfg() -> ClusterConfig {
         ClusterConfig::parse("az A a b\naz B c\npredicate All MIN($ALLWNODES-$MYWNODE)\n").unwrap()
@@ -1713,5 +1730,92 @@ mod tests {
         let acks = Arc::new(AckTypeRegistry::new());
         let err = StabilizerNode::restore(cfg(), NodeId(0), acks, snapshot).unwrap_err();
         assert!(matches!(err, CoreError::Config(_)), "{err}");
+    }
+
+    /// `frontier.rs`'s op stream, as node `me` of an `n`-node cluster
+    /// would meet it.
+    fn apply(node: &mut StabilizerNode, op: &Op, n: u16, token: &mut u64) {
+        let me = node.me();
+        let payload = Bytes::from_static(b"p");
+        match op.clone() {
+            Op::Register(s, k, spec) => {
+                let src = source(spec, n, node.ack_types().len());
+                node.register_predicate(NodeId(s % n), KEYS[k], &src)
+                    .unwrap();
+            }
+            Op::Change(s, k, spec) => {
+                let src = source(spec, n, node.ack_types().len());
+                let _unknown_key = node.change_predicate(NodeId(s % n), KEYS[k], &src);
+            }
+            Op::Unregister(s, k) => node.unregister_predicate(NodeId(s % n), KEYS[k]),
+            Op::Exclude(peer) if peer % 2 == 0 => node.exclude_node(NodeId(peer % n)),
+            Op::Exclude(peer) => node.reinstate_node(NodeId(peer % n)).unwrap(),
+            Op::Waitfor(s, k, seq) => {
+                let _unknown_key = node.waitfor(NodeId(s % n), KEYS[k], seq);
+            }
+            // A peer's report; the own row moves by publishing.
+            Op::Ack(s, from, ty, seq) if NodeId(from % n) != me => {
+                let (stream, ty) = (NodeId(s % n), AckTypeId(ty as u16));
+                let msg = WireMsg::AckBatch(vec![Ack { stream, ty, seq }]);
+                node.on_message(*token, NodeId(from % n), msg);
+            }
+            Op::Ack(..) | Op::Publish(_) => {
+                node.publish(payload).unwrap();
+            }
+            // A restart from the persisted table: configured keys only.
+            Op::Restore(_, cells) if cells.is_empty() => {
+                let (cfg, acks) = (node.config().clone(), node.ack_types().clone());
+                let withhold_old = node.withhold_old;
+                *node = StabilizerNode::restore(cfg, me, acks, node.snapshot()).unwrap();
+                node.withhold_old = withhold_old;
+            }
+            // A frame from its origin: every level of the origin's row,
+            // one cell at a time, then this node's own three.
+            Op::Restore(seq, _) => {
+                let origin = NodeId(1 + seq as u16 % (n - 1));
+                let seq = node.recorder().get(origin, me, RECEIVED) + 1;
+                let msg = WireMsg::Data {
+                    origin,
+                    seq,
+                    payload,
+                };
+                node.on_message(*token, origin, msg);
+            }
+            Op::AddType => {
+                let types = node.ack_types().len();
+                if types < TYPE_NAMES.len() {
+                    node.register_ack_type(TYPE_NAMES[types]);
+                }
+            }
+        }
+        *token += 1;
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn knowing_what_a_cell_held_changes_no_action(
+            n in 4u16..=8,
+            ops in proptest::collection::vec(arb_op(), 1..120),
+        ) {
+            let names: Vec<String> = (0..n).map(|i| format!(" n{i}")).collect();
+            let cfg = format!("az A{}\npredicate All MIN($ALLWNODES)\n", names.concat());
+            let cfg = ClusterConfig::parse(&cfg).unwrap();
+            let mk = || {
+                StabilizerNode::new(cfg.clone(), NodeId(0), Arc::new(AckTypeRegistry::new())).unwrap()
+            };
+            let (mut told, mut untold) = (mk(), mk());
+            untold.withhold_old = true;
+            let (mut t, mut u) = (0, 0);
+            for op in &ops {
+                apply(&mut told, op, n, &mut t);
+                apply(&mut untold, op, n, &mut u);
+                prop_assert_eq!(told.take_actions(), untold.take_actions(), "{:?}", op);
+            }
+            let (told, untold) = (told.metrics(), untold.metrics());
+            prop_assert!(told.predicate_evals <= untold.predicate_evals);
+            prop_assert_eq!(told.frontier_updates, untold.frontier_updates);
+        }
     }
 }

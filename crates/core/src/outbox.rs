@@ -12,21 +12,26 @@ use crate::node::Action;
 use crate::recorder::AckRecorder;
 use stabilizer_dsl::{AckTypeId, NodeId, SeqNo};
 use stabilizer_place::PlacementMap;
-use std::collections::BTreeMap;
 
 /// Stability reports waiting for the next flush: newest value per
-/// `(stream, ack type)` cell.
+/// `(stream, ack type)` cell, sorted by it — at most streams × levels
+/// entries, and already the batch a full replica gets.
 #[derive(Debug, Default)]
 pub(crate) struct AckOutbox {
-    pending: BTreeMap<(NodeId, AckTypeId), SeqNo>,
+    pending: Vec<Ack>,
 }
 
 impl AckOutbox {
     /// Queue "this node reached `ty` of `stream` up to `seq`"; a newer
     /// report for the same cell overwrites an older one.
     pub(crate) fn queue(&mut self, stream: NodeId, ty: AckTypeId, seq: SeqNo) {
-        let cell = self.pending.entry((stream, ty)).or_insert(0);
-        *cell = seq.max(*cell);
+        match self
+            .pending
+            .binary_search_by_key(&(stream, ty), |a| (a.stream, a.ty))
+        {
+            Ok(at) => self.pending[at].seq = seq.max(self.pending[at].seq),
+            Err(at) => self.pending.insert(at, Ack { stream, ty, seq }),
+        }
     }
 
     /// Send everything queued as one batch per peer. Under partial
@@ -43,20 +48,12 @@ impl AckOutbox {
         if self.pending.is_empty() {
             return;
         }
-        let acks: Vec<Ack> = self
-            .pending
-            .iter()
-            .map(|(&(stream, ty), &seq)| Ack { stream, ty, seq })
-            .collect();
-        self.pending.clear();
         for &to in peers {
             let batch: Vec<Ack> = if placement.is_full_replication() {
-                acks.clone()
+                self.pending.clone()
             } else {
-                acks.iter()
-                    .filter(|a| placement.is_replica(a.stream, to))
-                    .cloned()
-                    .collect()
+                let replicated = |a: &&Ack| placement.is_replica(a.stream, to);
+                self.pending.iter().filter(replicated).copied().collect()
             };
             if batch.is_empty() {
                 continue;
@@ -66,6 +63,7 @@ impl AckOutbox {
             let msg = WireMsg::AckBatch(batch);
             out.push(Action::Send { to, msg });
         }
+        self.pending.clear();
     }
 }
 

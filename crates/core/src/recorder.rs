@@ -103,33 +103,39 @@ impl AckRecorder {
     /// Max-merge a stability report; returns `true` iff the cell
     /// advanced (only advances trigger predicate re-evaluation).
     pub fn observe(&mut self, stream: NodeId, node: NodeId, ty: AckTypeId, seq: SeqNo) -> bool {
+        self.advance(stream, node, ty, seq).is_some()
+    }
+
+    /// [`AckRecorder::observe`] that says what the cell held before: the
+    /// old value if the report moved it, `None` if it was stale. The
+    /// frontier engine's crossing rule wants exactly that value.
+    pub fn advance(
+        &mut self,
+        stream: NodeId,
+        node: NodeId,
+        ty: AckTypeId,
+        seq: SeqNo,
+    ) -> Option<SeqNo> {
         let idx = self.idx(stream, node, ty);
+        let old = self.table[idx];
         // Mutation hook for the chaos harness: with this feature the
         // monotonic max-merge clamp is skipped, so stale or reordered
         // reports overwrite newer state. The chaos invariant checker
         // must flag this as an ACK-counter regression; a build that
         // doesn't is a broken checker. Never enable outside that test.
-        #[cfg(feature = "chaos-unclamped-acks")]
-        {
-            let advanced = seq != self.table[idx];
-            self.table[idx] = seq;
-            if advanced {
-                if let Some(j) = self.journal.as_mut() {
-                    j.push((stream, node, ty));
-                }
-            }
-            return advanced;
-        }
-        #[cfg(not(feature = "chaos-unclamped-acks"))]
-        if seq > self.table[idx] {
-            self.table[idx] = seq;
-            if let Some(j) = self.journal.as_mut() {
-                j.push((stream, node, ty));
-            }
-            true
+        let moved = if cfg!(feature = "chaos-unclamped-acks") {
+            seq != old
         } else {
-            false
+            seq > old
+        };
+        if !moved {
+            return None;
         }
+        self.table[idx] = seq;
+        if let Some(j) = self.journal.as_mut() {
+            j.push((stream, node, ty));
+        }
+        Some(old)
     }
 
     /// Current counter for one cell.
@@ -137,16 +143,22 @@ impl AckRecorder {
         self.table[self.idx(stream, node, ty)]
     }
 
-    /// Set every ACK type of `(stream, node)` to at least `seq` — used
-    /// for the origin's self-acknowledgment rule (§III-C: "all stability
+    /// Set every ACK type of `(stream, node)` to at least `seq` — the
+    /// origin's self-acknowledgment rule (§III-C: "all stability
     /// properties hold for the WAN node that originated a message").
-    /// Returns `true` if any cell advanced.
-    pub fn observe_all_types(&mut self, stream: NodeId, node: NodeId, seq: SeqNo) -> bool {
-        let mut advanced = false;
-        for ty in 0..self.types {
-            advanced |= self.observe(stream, node, AckTypeId(ty as u16), seq);
+    /// Appends `(type, old value)` of each cell that moved to `moved`.
+    pub fn observe_all_types(
+        &mut self,
+        stream: NodeId,
+        node: NodeId,
+        seq: SeqNo,
+        moved: &mut Vec<(AckTypeId, SeqNo)>,
+    ) {
+        for ty in (0..self.types as u16).map(AckTypeId) {
+            if let Some(old) = self.advance(stream, node, ty, seq) {
+                moved.push((ty, old));
+            }
         }
-        advanced
     }
 
     /// A borrowed [`AckView`] over one stream, for predicate evaluation.
@@ -195,7 +207,8 @@ mod tests {
         assert!(r.observe(NodeId(0), NodeId(1), RECEIVED, 5));
         assert!(!r.observe(NodeId(0), NodeId(1), RECEIVED, 3)); // stale
         assert!(!r.observe(NodeId(0), NodeId(1), RECEIVED, 5)); // duplicate
-        assert!(r.observe(NodeId(0), NodeId(1), RECEIVED, 9));
+        assert_eq!(r.advance(NodeId(0), NodeId(1), RECEIVED, 9), Some(5));
+        assert_eq!(r.advance(NodeId(0), NodeId(1), RECEIVED, 9), None);
         assert_eq!(r.get(NodeId(0), NodeId(1), RECEIVED), 9);
     }
 
@@ -211,11 +224,16 @@ mod tests {
     #[test]
     fn self_ack_sets_all_types() {
         let mut r = AckRecorder::new(2, 3);
-        assert!(r.observe_all_types(NodeId(0), NodeId(0), 12));
+        r.observe(NodeId(0), NodeId(0), AckTypeId(1), 7);
+        let mut moved = Vec::new();
+        r.observe_all_types(NodeId(0), NodeId(0), 12, &mut moved);
         for ty in 0..3 {
             assert_eq!(r.get(NodeId(0), NodeId(0), AckTypeId(ty)), 12);
         }
-        assert!(!r.observe_all_types(NodeId(0), NodeId(0), 12));
+        let olds = [(AckTypeId(0), 0), (AckTypeId(1), 7), (AckTypeId(2), 0)];
+        assert_eq!(moved, olds, "each moved cell with what it held");
+        r.observe_all_types(NodeId(0), NodeId(0), 12, &mut moved);
+        assert_eq!(moved.len(), 3, "nothing moves twice");
     }
 
     #[test]

@@ -52,8 +52,11 @@ pub trait Machine {
     fn on_message(&mut self, now_nanos: u64, from: NodeId, msg: Self::Msg);
     /// A periodic timer fired.
     fn on_timer(&mut self, kind: TimerKind, now_nanos: u64);
-    /// Drain pending actions, in order.
-    fn take_actions(&mut self) -> Vec<Self::Action>;
+    /// Hand over the pending actions, in order, by swapping them into
+    /// `buf` — the driver's buffer, empty when passed in — and keeping
+    /// `buf`'s allocation for what is emitted next, so a steady state
+    /// moves two pointers per event and allocates nothing.
+    fn swap_actions(&mut self, buf: &mut Vec<Self::Action>);
     /// Start §III-E catch-up; returns the number of peer streams a
     /// transfer was requested on.
     fn begin_catch_up(&mut self, now_nanos: u64) -> usize;
@@ -97,8 +100,8 @@ impl Machine for StabilizerNode {
     fn on_timer(&mut self, kind: TimerKind, now_nanos: u64) {
         self.on_timer(kind, now_nanos);
     }
-    fn take_actions(&mut self) -> Vec<Action> {
-        self.take_actions()
+    fn swap_actions(&mut self, buf: &mut Vec<Action>) {
+        self.swap_actions(buf);
     }
     fn begin_catch_up(&mut self, now_nanos: u64) -> usize {
         self.begin_catch_up(now_nanos)
@@ -143,6 +146,9 @@ pub struct SimNode<H: AppHooks = NoHooks, M: Machine = StabilizerNode> {
     /// Application hooks.
     pub hooks: H,
     log: M::Log,
+    /// Where the machine's actions land while they are executed; empty
+    /// between callbacks, its capacity goes back to the machine.
+    actions: Vec<M::Action>,
     /// Multiplier on every timer interval (clock-skew fault injection;
     /// 1.0 = nominal cadence). Applied at each re-arm, so a mid-run
     /// change takes effect within one timer period.
@@ -170,6 +176,7 @@ impl<H: AppHooks, M: Machine> SimNode<H, M> {
             log: node.new_log(),
             node,
             hooks,
+            actions: Vec::new(),
             timer_scale: 1.0,
         }
     }
@@ -286,8 +293,10 @@ impl<H: AppHooks, M: Machine> SimNode<H, M> {
     }
 
     fn drain(&mut self, ctx: &mut Ctx<'_, M::Msg>) {
-        let actions = self.node.take_actions();
-        self.process_actions(ctx, actions);
+        let mut actions = std::mem::take(&mut self.actions);
+        self.node.swap_actions(&mut actions);
+        self.process_actions(ctx, actions.drain(..));
+        self.actions = actions;
     }
 
     /// Arm `kind` one (skewed) period from now under its tag, if it is
@@ -304,7 +313,11 @@ impl<H: AppHooks, M: Machine> SimNode<H, M> {
     /// Execute a batch of externally drained actions through this
     /// driver's bookkeeping (hooks, logs, sends) — what
     /// [`SimNode::call_in`] does with what its call emitted.
-    pub fn process_actions(&mut self, ctx: &mut Ctx<'_, M::Msg>, actions: Vec<M::Action>) {
+    pub fn process_actions(
+        &mut self,
+        ctx: &mut Ctx<'_, M::Msg>,
+        actions: impl IntoIterator<Item = M::Action>,
+    ) {
         let now = ctx.now();
         for action in actions {
             if let Some(event) = M::observe(&action, now, &mut self.log) {

@@ -6,11 +6,15 @@
 //! 3. Predicate evaluation is monotonic in the ACK table: raising any
 //!    cell never lowers the frontier (the property the control plane's
 //!    correctness depends on).
+//! 4. The crossing lemma behind `FrontierEngine`'s evaluation rule, on
+//!    raw VM programs: raising one cell moves the value only if the cell
+//!    crossed the old value.
 
 use proptest::prelude::*;
+use stabilizer_dsl::compile::Instr;
 use stabilizer_dsl::{
-    compile, interp::eval_resolved, parse, resolve, AckTypeId, AckTypeRegistry, AckView, Expr,
-    NodeId, Topology,
+    compile, interp::eval_resolved, parse, resolve, AckTypeId, AckTypeRegistry, AckView,
+    EvalScratch, Expr, NodeId, Topology,
 };
 
 const NODES: u16 = 6;
@@ -104,8 +108,105 @@ fn arb_pred(depth: u32) -> BoxedStrategy<String> {
     }
 }
 
+/// A reduction tree over cells and constants, as the compiler would
+/// lower it — but drawn directly, so nesting depth, constants and
+/// repeated cells are not limited to what the front end emits today.
+#[derive(Debug, Clone)]
+enum Tree {
+    Cell(u16, u16),
+    Const(u64),
+    /// `rank` is reduced modulo the operand count when flattened.
+    Reduce(bool, u32, Vec<Tree>),
+}
+
+/// Few cells and few values: operands repeat and values tie.
+const LEMMA_NODES: u16 = 3;
+const LEMMA_TYPES: u16 = 2;
+const LEMMA_VALUES: u64 = 12;
+
+fn arb_tree(depth: u32) -> BoxedStrategy<Tree> {
+    let leaf = prop_oneof![
+        4 => (0..LEMMA_NODES, 0..LEMMA_TYPES).prop_map(|(n, t)| Tree::Cell(n, t)),
+        1 => (0..LEMMA_VALUES).prop_map(Tree::Const),
+    ];
+    if depth == 0 {
+        return leaf.boxed();
+    }
+    let operands = proptest::collection::vec(arb_tree(depth - 1), 1..5);
+    let reduce = (any::<bool>(), 0u32..8, operands)
+        .prop_map(|(largest, rank, operands)| Tree::Reduce(largest, rank, operands));
+    prop_oneof![1 => leaf, 3 => reduce].boxed()
+}
+
+fn flatten(tree: &Tree, out: &mut Vec<Instr>) {
+    match tree {
+        Tree::Cell(node, ty) => out.push(Instr::PushCell(NodeId(*node), AckTypeId(*ty))),
+        Tree::Const(v) => out.push(Instr::PushConst(*v)),
+        Tree::Reduce(largest, rank, operands) => {
+            operands.iter().for_each(|op| flatten(op, out));
+            let n = operands.len() as u32;
+            let k = rank % n + 1;
+            out.push(match largest {
+                true => Instr::KthLargest { n, k },
+                false => Instr::KthSmallest { n, k },
+            });
+        }
+    }
+}
+
+/// `(popped, pushed)` of one instruction. Exhaustive on purpose: a new
+/// instruction does not compile here until someone decides whether it
+/// is monotone in every cell, and adds it to [`arb_tree`] if it is — or
+/// takes the crossing rule out of `FrontierEngine` if it is not.
+fn stack_effect(instr: Instr) -> (usize, usize) {
+    match instr {
+        Instr::PushCell(..) | Instr::PushConst(_) => (0, 1),
+        Instr::KthLargest { n, .. } | Instr::KthSmallest { n, .. } => (n as usize, 1),
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn raising_a_cell_moves_the_value_only_across_it(
+        tree in arb_tree(3),
+        table in proptest::collection::vec(
+            proptest::collection::vec(0..LEMMA_VALUES, LEMMA_TYPES as usize),
+            LEMMA_NODES as usize,
+        ),
+        node in 0..LEMMA_NODES,
+        ty in 0..LEMMA_TYPES,
+        raise_by in 1..LEMMA_VALUES,
+    ) {
+        let mut program = Vec::new();
+        flatten(&tree, &mut program);
+        let depth = program.iter().fold(0, |depth, i| {
+            let (popped, pushed) = stack_effect(*i);
+            depth - popped + pushed
+        });
+        prop_assert_eq!(depth, 1, "a program leaves one value");
+
+        let mut scratch = EvalScratch::new();
+        let before = Table(table);
+        let mut after = before.clone();
+        let old = before.0[node as usize][ty as usize];
+        let new = old + raise_by;
+        after.0[node as usize][ty as usize] = new;
+        let v_before = stabilizer_dsl::vm::run(&program, &before, &mut scratch);
+        let v_after = stabilizer_dsl::vm::run(&program, &after, &mut scratch);
+        // The value is an order statistic of order statistics: it reaches
+        // a threshold t iff a monotone function of {cells >= t} says so,
+        // and that set changed only for old < t <= new.
+        prop_assert!(v_after >= v_before, "raising a cell lowered {} -> {}", v_before, v_after);
+        if v_after != v_before {
+            prop_assert!(
+                old <= v_before && v_before < new && v_after <= new,
+                "cell {}->{} moved the value {}->{} without crossing it: {:?}",
+                old, new, v_before, v_after, program
+            );
+        }
+    }
 
     #[test]
     fn pretty_print_roundtrips(src in arb_pred(2), me in 0u16..NODES) {

@@ -113,7 +113,7 @@ pub enum ShardedAction {
 
 impl ShardedAction {
     /// What an observer sees of this action, if anything — the sharded
-    /// twin of [`Action::event`]: node-level events only (sequence
+    /// twin of [`Action::event`](stabilizer_core::Action::event): node-level events only (sequence
     /// numbers are global; donor-side transfer chunks per shard
     /// sub-stream). Per-shard observability actions and
     /// `PredicateBroken` are not events.
@@ -180,6 +180,9 @@ pub struct ShardedEngine {
     router: ShardRouter,
     agg: ShardedFrontier,
     actions: Vec<ShardedAction>,
+    /// Where a shard machine's actions land while they are folded; empty
+    /// between drains, its capacity goes back to the shard.
+    shard_actions: Vec<stabilizer_core::Action>,
 }
 
 impl ShardedEngine {
@@ -202,6 +205,7 @@ impl ShardedEngine {
             shards,
             agg,
             actions: Vec::new(),
+            shard_actions: Vec::new(),
         };
         engine.drain_all_shards();
         Ok(engine)
@@ -246,6 +250,13 @@ impl ShardedEngine {
     /// Drain pending sharded actions, in order.
     pub fn take_actions(&mut self) -> Vec<ShardedAction> {
         std::mem::take(&mut self.actions)
+    }
+
+    /// [`ShardedEngine::take_actions`] into a driver's reused buffer (see
+    /// [`StabilizerNode::swap_actions`]).
+    pub fn swap_actions(&mut self, buf: &mut Vec<ShardedAction>) {
+        debug_assert!(buf.is_empty(), "the driver's buffer comes back empty");
+        std::mem::swap(&mut self.actions, buf);
     }
 
     /// True if any actions are pending.
@@ -535,7 +546,8 @@ impl ShardedEngine {
             node.set_app_mark(mark);
         }
         self.agg.retain_own_from(shard, first.saturating_sub(1));
-        for action in node.take_actions() {
+        node.swap_actions(&mut self.shard_actions);
+        for action in self.shard_actions.drain(..) {
             self.agg.fold(shard, action, &mut self.actions);
         }
     }

@@ -132,6 +132,10 @@ impl KeyState {
     }
 }
 
+/// What a `VecDeque<SeqNo>` allocates on its first push; a map is never
+/// shrunk below it.
+const MIN_MAP_CAPACITY: usize = 4;
+
 /// One shard's learned `shard-seq → global` mapping for one origin:
 /// `globals[i]` maps shard seq `base + i + 1`. What lies at or below
 /// `base` was never learned (a §III-E fast-forward skipped it) or was
@@ -534,6 +538,10 @@ impl ShardedFrontier {
     /// than half of it: either way the next attempt is at least half a
     /// buffer of entries away, so what the floor costs to compute is
     /// amortized O(1) per entry, and a steady state allocates nothing.
+    /// A map that reclaim left at most a quarter full grew while a reader
+    /// stalled and the reader has caught up: it goes back, in one step,
+    /// to the capacity doubling from empty would have given what is
+    /// left, so memory lent to a stall is returned a buffer later.
     fn learn(&mut self, origin: NodeId, shard: usize, global: SeqNo) {
         let o = &mut self.origins[origin.0 as usize];
         let map = &o.mapping[shard].globals;
@@ -548,6 +556,8 @@ impl ShardedFrontier {
             let map = &mut o.mapping[shard].globals;
             if map.len() * 2 > map.capacity() {
                 map.reserve(map.capacity());
+            } else if map.len() * 4 <= map.capacity() {
+                map.shrink_to((map.len() * 2).next_power_of_two().max(MIN_MAP_CAPACITY));
             }
         }
         o.learn(shard, global);

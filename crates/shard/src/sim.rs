@@ -104,8 +104,8 @@ impl Machine for ShardedEngine {
     fn on_timer(&mut self, kind: TimerKind, now_nanos: u64) {
         self.on_timer(kind, now_nanos);
     }
-    fn take_actions(&mut self) -> Vec<ShardedAction> {
-        self.take_actions()
+    fn swap_actions(&mut self, buf: &mut Vec<ShardedAction>) {
+        self.swap_actions(buf);
     }
     fn begin_catch_up(&mut self, now_nanos: u64) -> usize {
         self.begin_catch_up(now_nanos)

@@ -185,7 +185,7 @@ impl std::fmt::Debug for MetricsRegistry {
 }
 
 /// Everything the registry knew at one instant, in deterministic
-/// (`BTreeMap`) order. Input to the exporters in [`crate::export`].
+/// (`BTreeMap`) order. Input to the exporters in `crate::export`.
 #[derive(Debug, Clone)]
 pub struct RegistrySnapshot {
     /// `(name, labels) -> value`.

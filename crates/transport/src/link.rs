@@ -5,7 +5,7 @@
 //! [`ShardedShared`](crate::sharded::ShardedShared)) that owns the
 //! protocol state.
 //!
-//! Thread layout per node, spawned by [`spawn`]:
+//! Thread layout per node, spawned by `spawn`:
 //!
 //! * one **accept** thread blocked in `accept()` ([`Link::shutdown`]
 //!   wakes it with a self-connect), handing each inbound connection to a
@@ -42,7 +42,7 @@
 //! Locking discipline: the link's own locks (`senders`,
 //! `connect_failed`, `telemetry_server`) are leaves — nothing is called
 //! with one held. Link threads call into the client with **no** link
-//! lock held, and the client may call [`Link::send`] from under its own
+//! lock held, and the client may call `Link::send` from under its own
 //! locks. A poll-based back end would replace this file and nothing
 //! else.
 

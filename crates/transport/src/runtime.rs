@@ -174,8 +174,8 @@ pub struct SpawnOptions {
     /// derived from it, so two nodes never share a retry schedule).
     pub jitter_seed: u64,
     /// Telemetry hub to feed: registers this node's transport counters
-    /// and lets the ticker mirror the control-plane [`Metrics`]
-    /// (`stabilizer_core::Metrics`) into gauges. Attach the hub's
+    /// and lets the ticker mirror the control-plane
+    /// [`Metrics`](stabilizer_core::Metrics) into gauges. Attach the hub's
     /// [`MetricsObserver`](stabilizer_telemetry::MetricsObserver) via
     /// [`SpawnOptions::observer`] (or an
     /// [`ObserverChain`](stabilizer_core::ObserverChain)) to also get

@@ -7,7 +7,7 @@
 //! frontiers into the node-level frontier and reassembles per-shard FIFO
 //! deliveries into global FIFO order, keeping the application-visible
 //! semantics (`publish`, `waitfor`, `monitor_stability_frontier`, FIFO
-//! delivery) exactly those of the unsharded [`NodeHandle`].
+//! delivery) exactly those of the unsharded [`NodeHandle`](crate::NodeHandle).
 //!
 //! As on the plain runtime, link threads run the state machines
 //! **inline**: the reader that read a batch of sharded frames (lane =

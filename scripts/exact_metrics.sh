@@ -9,18 +9,35 @@
 # 300 messages per node per round) and fails unless the bytes on the
 # simulated wire per payload byte and the hash of everything the run
 # observed (every delivery and every frontier update, with its virtual
-# time) are the recorded ones. A change that is *meant* to move either —
-# a message's size, the number of messages, the order or time of
-# anything a node emits — re-records them here and says so; otherwise a
-# difference is a behaviour change. Wall-clock metrics are not gated:
-# they are a pairs-in-the-PR matter (scripts/bench_pairs.sh).
+# time, and the node counters) are the recorded ones; then runs it
+# traced and fails unless what a message costs in work — predicate
+# evaluations, ACK cells folded, control messages, simulator events,
+# heap allocations — is what was recorded, so a change that puts an
+# evaluation or an allocation back fails by name. A change that is
+# *meant* to move any of these — a message's size, the number of
+# messages, the order or time of anything a node emits, the work done
+# per message — re-records them here and says so; otherwise a difference
+# is a behaviour change. Wall-clock metrics are not gated: they are a
+# pairs-in-the-PR matter (scripts/bench_pairs.sh).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-# Recorded in PR 19 (varint codec, no own-stream AckBatch); the full-size
-# run's ratio is 9.938494140625, down from 15.111263671875.
+# The ratio was recorded in PR 19 (varint codec, no own-stream AckBatch);
+# the full-size run's is 9.938494140625, down from 15.111263671875. The
+# hash was re-recorded in PR 22 (371d7bfc805d4e09 before): the evaluation
+# count is one of the seven counters folded into it, and the crossing
+# rule moved that count and nothing else (EXPERIMENTS.md has the proof).
 want_ratio=9.90435546875
-want_hash=371d7bfc805d4e09
+want_hash=16d57c7b1c532ede
+# Per message, smoke size, traced (PR 22; at full size 39.53 / 168 / 49 /
+# 56 / 118.31). The allocation count includes the run's own logs and is
+# exact for one toolchain's `Vec` growth policy: a toolchain bump that
+# moves it alone re-records it.
+want_counts='core.frontier.evals_per_msg=39.24
+core.recorder.acks_received_per_msg=168
+core.node.ctrl_msgs_per_msg=49
+netsim.sim.events_per_msg=56
+alloc.count_per_msg=134.99166666666667'
 
 out=$(bash benchmarks/bench.sh --workload sim8-ctrl --seed 1 --seconds 2 --trace 0 --smoke)
 ratio=$(printf '%s\n' "$out" | tail -n 1 |
@@ -38,7 +55,15 @@ check() {
 }
 check wire_bytes_per_payload_byte "$ratio" "$want_ratio"
 check outputs_hash "$hash" "$want_hash"
+
+traced=$(bash benchmarks/bench.sh --workload sim8-ctrl --seed 1 --seconds 2 --trace 1 --smoke)
+while IFS='=' read -r name want; do
+  got=$(printf '%s\n' "$traced" | tail -n 1 |
+    python3 -c 'import json, sys; print(repr(json.load(sys.stdin)["metrics"][sys.argv[1]]["value"]))' "$name")
+  check "$name" "$got" "$want"
+done <<<"$want_counts"
+
 if [ "$status" -ne 0 ]; then
-  printf '%s\n' "$out" >&2
+  printf '%s\n%s\n' "$out" "$traced" >&2
 fi
 exit "$status"

@@ -48,9 +48,9 @@ use stabilizer::pubsub::stab_broker::BrokerHooks;
 use stabilizer::pubsub::topics::TopicHooks;
 use stabilizer::pubsub::{pubsub_cfg, TopicRecord};
 use stabilizer::quorum::{cloudlab_cfg, QuorumSetup};
-use stabilizer::shard::{RoutePolicy, ShardedAction, ShardedEngine};
+use stabilizer::shard::{RoutePolicy, ShardMsg, ShardedAction, ShardedEngine};
 use stabilizer::telemetry::{Telemetry, DEFAULT_TRACE_CAPACITY};
-use stabilizer::{AckTypeRegistry, Action, ClusterConfig, NodeId, SeqNo, StabilizerNode};
+use stabilizer::{AckTypeRegistry, Action, ClusterConfig, NodeId, SeqNo, StabilizerNode, WireMsg};
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -109,6 +109,8 @@ impl<H: AppHooks> AppHooks for Waits<H> {
 struct Cluster<M: Machine, H> {
     nodes: Vec<(M, Waits<H>)>,
     wire: VecDeque<(usize, NodeId, M::Msg)>,
+    /// The driver's side of [`Machine::swap_actions`].
+    actions: Vec<M::Action>,
     now: u64,
 }
 
@@ -118,6 +120,7 @@ impl<M: Observed, H: AppHooks> Cluster<M, H> {
         let mut cluster = Cluster {
             nodes: nodes.collect(),
             wire: VecDeque::new(),
+            actions: Vec::new(),
             now: 0,
         };
         for i in 0..cluster.nodes.len() {
@@ -132,7 +135,8 @@ impl<M: Observed, H: AppHooks> Cluster<M, H> {
     fn on<R>(&mut self, i: usize, call: impl FnOnce(&mut M) -> R) -> R {
         let (node, hooks) = &mut self.nodes[i];
         let r = call(node);
-        for action in node.take_actions() {
+        node.swap_actions(&mut self.actions);
+        for action in self.actions.drain(..) {
             if let Some(event) = M::event(&action) {
                 hooks.on_event(SimTime(self.now), &event);
             }
@@ -145,10 +149,28 @@ impl<M: Observed, H: AppHooks> Cluster<M, H> {
 
     /// Deliver frames until none is in flight.
     fn settle(&mut self) {
+        self.settle_holding(|_, _| false, &mut Vec::new());
+    }
+
+    /// [`Cluster::settle`], except that a frame to `to` that `hold` names
+    /// is set aside in `held` instead of delivered — a link that stalls.
+    fn settle_holding(
+        &mut self,
+        hold: impl Fn(NodeId, &M::Msg) -> bool,
+        held: &mut Vec<(usize, NodeId, M::Msg)>,
+    ) {
         while let Some((from, to, msg)) = self.wire.pop_front() {
-            let (now, from) = (self.now, NodeId(from as u16));
-            self.on(to.0 as usize, |node| node.on_message(now, from, msg));
+            if hold(to, &msg) {
+                held.push((from, to, msg));
+            } else {
+                self.deliver(from, to, msg);
+            }
         }
+    }
+
+    fn deliver(&mut self, from: usize, to: NodeId, msg: M::Msg) {
+        let (now, from) = (self.now, NodeId(from as u16));
+        self.on(to.0 as usize, |node| node.on_message(now, from, msg));
     }
 
     /// `rounds` rounds: every publisher publishes one payload and waits
@@ -162,6 +184,7 @@ impl<M: Observed, H: AppHooks> Cluster<M, H> {
         payload: impl Fn(u64) -> Bytes,
         mut after: impl FnMut(&mut Self, usize, SeqNo, &Bytes),
     ) {
+        let waits_before: Vec<u64> = self.nodes.iter().map(|(_, hooks)| hooks.0).collect();
         for round in 0..rounds {
             self.now += 1_000;
             for &i in publishers {
@@ -177,7 +200,11 @@ impl<M: Observed, H: AppHooks> Cluster<M, H> {
         for &i in publishers {
             let (node, hooks) = &self.nodes[i];
             assert_eq!(node.pending_waiters(), 0, "node {i} still waits on {key}");
-            assert_eq!(hooks.0, rounds, "node {i}: waits completed");
+            assert_eq!(
+                hooks.0 - waits_before[i],
+                rounds,
+                "node {i}: waits completed"
+            );
         }
     }
 }
@@ -288,6 +315,55 @@ fn sharded_engines_keep_nothing_per_message() {
         };
         residue(run)
     });
+}
+
+/// A shard→global map lent to a stall is given back: node 0 hears no
+/// ACK on shard 1 for a while — that shard's frontier, and with it the
+/// replay floor, stands still, so node 0's map of its own shard-1
+/// sub-stream grows by an entry per message it routes there — then the
+/// reports arrive, the readers catch up, and once the map has been
+/// filled and reclaimed again the heap is back at the byte it was.
+#[test]
+fn a_map_that_grew_during_a_stall_gives_its_memory_back() {
+    const STALL: u64 = 1_500;
+    let cfg = cfg(&format!("{TCP3}option shards 4\n"));
+    let acks = Arc::new(AckTypeRegistry::new());
+    let mut cluster = Cluster::new((0..3).map(|me| {
+        let (cfg, acks) = (cfg.clone(), Arc::clone(&acks));
+        let engine = ShardedEngine::new(cfg, NodeId(me), acks, RoutePolicy::RoundRobin);
+        (engine.expect("engine"), NoHooks)
+    }));
+    let payload = |_| Bytes::from_static(&[7; 64]);
+    let all = [0, 1, 2];
+    cluster.run(STALL, &all, "AllRemote", payload, |_, _, _, _| ());
+    let before = stabilizer_testalloc::live();
+
+    let stalled = |to: NodeId, msg: &ShardMsg| {
+        to == NodeId(0) && msg.shard == 1 && matches!(msg.msg, WireMsg::AckBatch(_))
+    };
+    let mut held = Vec::new();
+    for _ in 0..STALL {
+        cluster.now += 1_000;
+        cluster.on(0, |e| e.publish(payload(0))).expect("room");
+        cluster.settle_holding(stalled, &mut held);
+    }
+    let lent = stabilizer_testalloc::live() - before;
+    let map_entries = (STALL / 4 * 8) as isize;
+    assert!(lent > map_entries, "the stall held {lent} B, no map grew");
+
+    for (from, to, msg) in held.drain(..) {
+        cluster.deliver(from, to, msg);
+        cluster.settle();
+    }
+    drop(held);
+    // Reclaim is lazy — a map is looked at when it is full — so the
+    // grown map has to fill once more before it is handed back.
+    cluster.run(STALL, &all, "AllRemote", payload, |_, _, _, _| ());
+    assert_eq!(
+        stabilizer_testalloc::live() - before,
+        0,
+        "bytes still held after the stalled shard caught up"
+    );
 }
 
 #[test]
