@@ -60,15 +60,19 @@ pub trait Machine {
     /// Start §III-E catch-up; returns the number of peer streams a
     /// transfer was requested on.
     fn begin_catch_up(&mut self, now_nanos: u64) -> usize;
-    /// What observers see of `action` (machine-private bookkeeping the
-    /// node-level [`Event`] does not carry goes to `log`).
-    fn observe<'a>(
-        action: &'a Self::Action,
-        now: SimTime,
-        log: &mut Self::Log,
-    ) -> Option<Event<'a>>;
+    /// What observers see of `action`.
+    fn observe(action: &Self::Action) -> Option<Event<'_>>;
     /// The transmission `action` asks for, if it is one.
     fn into_send(action: Self::Action) -> Option<(NodeId, Self::Msg)>;
+    /// [`Machine::into_send`] for a driver that keeps a log: what the
+    /// log records of `action` — the node-level [`Event`], and any
+    /// machine-private bookkeeping beside it — goes to `log` first,
+    /// moved out of the action where the log keeps it whole.
+    fn finish(
+        action: Self::Action,
+        now: SimTime,
+        log: &mut Self::Log,
+    ) -> Option<(NodeId, Self::Msg)>;
 
     /// See [`StabilizerNode::publish`].
     fn publish(&mut self, payload: Bytes) -> Result<SeqNo, CoreError>;
@@ -106,13 +110,27 @@ impl Machine for StabilizerNode {
     fn begin_catch_up(&mut self, now_nanos: u64) -> usize {
         self.begin_catch_up(now_nanos)
     }
-    fn observe<'a>(action: &'a Action, _now: SimTime, _log: &mut EventLog) -> Option<Event<'a>> {
+    fn observe(action: &Action) -> Option<Event<'_>> {
         action.event()
     }
     fn into_send(action: Action) -> Option<(NodeId, WireMsg)> {
         match action {
             Action::Send { to, msg } => Some((to, msg)),
             _ => None,
+        }
+    }
+    fn finish(action: Action, now: SimTime, log: &mut EventLog) -> Option<(NodeId, WireMsg)> {
+        match action {
+            Action::Frontier(update) => {
+                log.frontier_log.push((now, update));
+                None
+            }
+            other => {
+                if let Some(event) = other.event() {
+                    log.record(now, &event);
+                }
+                Self::into_send(other)
+            }
         }
     }
     fn publish(&mut self, payload: Bytes) -> Result<SeqNo, CoreError> {
@@ -320,11 +338,10 @@ impl<H: AppHooks, M: Machine> SimNode<H, M> {
     ) {
         let now = ctx.now();
         for action in actions {
-            if let Some(event) = M::observe(&action, now, &mut self.log) {
+            if let Some(event) = M::observe(&action) {
                 self.hooks.on_event(now, &event);
-                self.log.borrow_mut().record(now, &event);
             }
-            if let Some((to, msg)) = M::into_send(action) {
+            if let Some((to, msg)) = M::finish(action, now, &mut self.log) {
                 ctx.send(to.0 as usize, msg);
             }
         }

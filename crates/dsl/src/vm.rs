@@ -35,6 +35,12 @@ impl EvalScratch {
 /// Panics (in debug builds, via internal assertions) if the program is
 /// malformed — compiled programs from [`crate::compile::compile`] are
 /// always well-formed.
+// Generic, so instantiated in the caller's crate; left to the compiler,
+// whether it is inlined into `Program::eval_with` depends on how that
+// build's codegen units fall, which moves with the directory the tree
+// is built in — 5–10 % of the simulated control-plane benchmark. Ten
+// benchmark pairs preferred `always` to `never` (EXPERIMENTS.md).
+#[inline(always)]
 pub fn run<V: AckView>(instrs: &[Instr], view: &V, scratch: &mut EvalScratch) -> SeqNo {
     let stack = &mut scratch.stack;
     stack.clear();

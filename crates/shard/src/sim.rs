@@ -110,25 +110,7 @@ impl Machine for ShardedEngine {
     fn begin_catch_up(&mut self, now_nanos: u64) -> usize {
         self.begin_catch_up(now_nanos)
     }
-    fn observe<'a>(
-        action: &'a ShardedAction,
-        now: SimTime,
-        log: &mut ShardedLog,
-    ) -> Option<Event<'a>> {
-        match action {
-            ShardedAction::ShardFrontier { shard, update } => {
-                log.shard_frontier_logs[*shard as usize].push((now, update.clone()));
-            }
-            ShardedAction::ShardDeliver {
-                shard,
-                origin,
-                seq,
-                len,
-            } if log.node.record_deliveries => {
-                log.shard_delivery_logs[*shard as usize].push((now, *origin, *seq, *len));
-            }
-            _ => {}
-        }
+    fn observe(action: &ShardedAction) -> Option<Event<'_>> {
         action.event()
     }
     fn into_send(action: ShardedAction) -> Option<(NodeId, ShardMsg)> {
@@ -136,6 +118,35 @@ impl Machine for ShardedEngine {
             ShardedAction::Send { shard, to, msg } => Some((to, ShardMsg { shard, msg })),
             _ => None,
         }
+    }
+    fn finish(
+        action: ShardedAction,
+        now: SimTime,
+        log: &mut ShardedLog,
+    ) -> Option<(NodeId, ShardMsg)> {
+        match action {
+            ShardedAction::Frontier(update) => log.node.frontier_log.push((now, update)),
+            ShardedAction::ShardFrontier { shard, update } => {
+                log.shard_frontier_logs[shard as usize].push((now, update));
+            }
+            ShardedAction::ShardDeliver {
+                shard,
+                origin,
+                seq,
+                len,
+            } => {
+                if log.node.record_deliveries {
+                    log.shard_delivery_logs[shard as usize].push((now, origin, seq, len));
+                }
+            }
+            other => {
+                if let Some(event) = other.event() {
+                    log.node.record(now, &event);
+                }
+                return Self::into_send(other);
+            }
+        }
+        None
     }
     fn publish(&mut self, payload: Bytes) -> Result<SeqNo, CoreError> {
         self.publish(payload)
