@@ -8,13 +8,12 @@
 //! ACK/frontier drain rate, and the run measures sustained *delivered*
 //! throughput — messages actually handed to the application in global
 //! FIFO order — plus the time for both own-stream frontiers to cover
-//! the load. Per-shard protocol work (sequencing, delivery, ACK
-//! folding, predicate evaluation) runs under per-shard locks on the
-//! publisher and link-reader threads themselves: with one shard every
-//! publisher and the inbound reader contend a single mutex, with S
-//! shards they spread — which buys parallelism only where there are
-//! cores for it; every delivery still crosses the one aggregator lock
-//! (EXPERIMENTS.md, "Sharded data-plane scaling", has the table).
+//! the load. All protocol work (sequencing, delivery, ACK folding,
+//! predicate evaluation, aggregation) runs under the node's one engine
+//! lock on the publisher and link-reader threads themselves, whatever
+//! S is: the table shows what S shard machines cost over one, not a
+//! speed-up (EXPERIMENTS.md, "Sharded data-plane scaling", has the
+//! table and the verdict).
 //!
 //! Usage:
 //!

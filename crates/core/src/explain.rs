@@ -79,7 +79,8 @@ pub struct StallReport {
     pub suspected_peers: Vec<NodeId>,
 }
 
-fn push_json_str(out: &mut String, s: &str) {
+/// Append `s` as a JSON string literal (with quotes) onto `out`.
+pub fn push_json_str(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -340,6 +341,13 @@ mod tests {
         let names: Vec<String> = (0..n).map(|i| format!("n{i}")).collect();
         let refs: Vec<&str> = names.iter().map(String::as_str).collect();
         std::sync::Arc::new(Topology::builder().az("A", &refs).build().unwrap())
+    }
+
+    #[test]
+    fn escapes_specials() {
+        let mut s = String::new();
+        push_json_str(&mut s, "a\"b\\c\nd\u{1}");
+        assert_eq!(s, "\"a\\\"b\\\\c\\nd\\u0001\"");
     }
 
     struct FlatAcks(Vec<u64>);

@@ -326,18 +326,25 @@ impl StabilizerNode {
         self.outbound.buf.first_replayable()
     }
 
+    /// Repair the stream to `peer` after a transport (re)connect, which
+    /// must restore lossless FIFO: resend everything `peer` has not
+    /// acknowledged and re-announce this side's ACKs.
+    pub fn repair_link(&mut self, peer: NodeId) {
+        let from = self.recorder.get(self.me, peer, RECEIVED) + 1;
+        self.resend_from(peer, from);
+        self.announce_acks_to(peer);
+    }
+
     /// Re-emit `Send` actions for every buffered own-stream message at or
-    /// after `from`, to `peer` — used when a transport reconnects and must
-    /// restore lossless FIFO.
-    pub fn resend_from(&mut self, peer: NodeId, from: SeqNo) {
+    /// after `from`, to `peer`.
+    fn resend_from(&mut self, peer: NodeId, from: SeqNo) {
         self.outbound.resend_from(peer, from, &mut self.actions);
     }
 
     /// Queue a full re-announcement of this node's own stability rows to
-    /// `peer` (used by transports after a reconnect, since ACK batches
-    /// lost while the link was down are only implicitly repaired by
-    /// future traffic).
-    pub fn announce_acks_to(&mut self, peer: NodeId) {
+    /// `peer` (ACK batches lost while the link was down are otherwise
+    /// only implicitly repaired by future traffic).
+    fn announce_acks_to(&mut self, peer: NodeId) {
         let (me, placement) = (self.me, &self.placement);
         outbox::announce(&self.recorder, me, peer, placement, &mut self.actions);
     }

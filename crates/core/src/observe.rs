@@ -3,7 +3,8 @@
 //!
 //! [`Event`] is the vocabulary, [`Action::event`] the only place that
 //! decides what an observer sees of an `Action`, and [`AppHooks`] the
-//! only observer trait — on the simulator and on both TCP runtimes.
+//! only observer trait — on the simulator and on the TCP runtime, plain
+//! or sharded.
 //!
 //! # The observer contract
 //!
@@ -14,16 +15,14 @@
 //!
 //! * **Simulator** ([`SimNode`](crate::sim_driver::SimNode)): called from
 //!   the actor callback that drained the action, `now` in virtual time.
-//! * **Plain TCP runtime**: called on whichever thread mutated the state
-//!   machine, **while it still holds the node's state lock**, so an
-//!   external checker that locks the state machine and then reads an
-//!   observer's log always sees a log at least as fresh as the state (the
-//!   chaos checker's `delivered-without-upcall` invariant depends on it).
-//!   Observers there must be cheap and must not call back into the node
-//!   handle. `now` is nanoseconds since that node started.
-//! * **Sharded TCP runtime**: called on the dispatcher thread with no
-//!   lock held, in the order node-level events were fixed under the
-//!   aggregator lock; `now` is nanoseconds since that node started.
+//! * **TCP runtime** (a plain node or a sharded one): called on whichever
+//!   thread mutated the state machine, **while it still holds the node's
+//!   state lock**, so an external checker that locks the state machine
+//!   and then reads an observer's log always sees a log at least as fresh
+//!   as the state (the chaos checker's `delivered-without-upcall`
+//!   invariant depends on it). Observers there must be cheap and must not
+//!   call back into the node handle. `now` is nanoseconds since that node
+//!   started.
 //!
 //! [`Event::Join`] and [`Event::ConnectFailed`] come from the driver, not
 //! from an action (a restart requested catch-up; a writer exhausted its

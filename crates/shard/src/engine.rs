@@ -144,33 +144,6 @@ impl ShardedAction {
     }
 }
 
-/// The shard set of node `me`: `cfg.options().shards` machines plus the
-/// aggregator with every configured predicate key installed. Shard
-/// machines carry the 8-byte global header on every payload, so their
-/// payload cap is widened to keep the application-visible cap unchanged.
-///
-/// # Errors
-///
-/// Fails if a configured predicate does not compile.
-pub fn build_shards(
-    cfg: &ClusterConfig,
-    me: NodeId,
-    acks: Arc<AckTypeRegistry>,
-) -> Result<(Vec<StabilizerNode>, ShardedFrontier), CoreError> {
-    let num_shards = cfg.options().shards.max(1) as usize;
-    let mut inner_opts = cfg.options().clone();
-    inner_opts.max_payload_bytes += GLOBAL_HEADER;
-    let inner_cfg = cfg.clone().with_options(inner_opts);
-    let shards = (0..num_shards)
-        .map(|_| StabilizerNode::new(inner_cfg.clone(), me, Arc::clone(&acks)))
-        .collect::<Result<Vec<_>, _>>()?;
-    let mut agg = ShardedFrontier::new(cfg.num_nodes(), num_shards).owning(me);
-    for (key, _) in cfg.predicates() {
-        agg.ensure_key(me, key);
-    }
-    Ok((shards, agg))
-}
-
 /// S shard machines, a router, and the frontier aggregator.
 #[derive(Debug)]
 pub struct ShardedEngine {
@@ -186,7 +159,10 @@ pub struct ShardedEngine {
 }
 
 impl ShardedEngine {
-    /// Create the sharded node `me` with `cfg.options().shards` shards.
+    /// Create the sharded node `me`: `cfg.options().shards` shard machines
+    /// (their payload cap widened by the 8-byte global header every
+    /// payload carries, so the application-visible cap is unchanged) and
+    /// the aggregator with every configured predicate key installed.
     ///
     /// # Errors
     ///
@@ -197,7 +173,17 @@ impl ShardedEngine {
         acks: Arc<AckTypeRegistry>,
         policy: RoutePolicy,
     ) -> Result<Self, CoreError> {
-        let (shards, agg) = build_shards(&cfg, me, acks)?;
+        let num_shards = cfg.options().shards.max(1) as usize;
+        let mut inner_opts = cfg.options().clone();
+        inner_opts.max_payload_bytes += GLOBAL_HEADER;
+        let inner_cfg = cfg.clone().with_options(inner_opts);
+        let shards = (0..num_shards)
+            .map(|_| StabilizerNode::new(inner_cfg.clone(), me, Arc::clone(&acks)))
+            .collect::<Result<Vec<_>, _>>()?;
+        let mut agg = ShardedFrontier::new(cfg.num_nodes(), num_shards).owning(me);
+        for (key, _) in cfg.predicates() {
+            agg.ensure_key(me, key);
+        }
         let mut engine = ShardedEngine {
             me,
             cfg,
@@ -323,8 +309,29 @@ impl ShardedEngine {
 
     /// Feed an incoming wire message for shard sub-stream `shard`.
     pub fn on_message(&mut self, now_nanos: u64, shard: u16, from: NodeId, msg: WireMsg) {
-        self.shards[shard as usize].on_message(now_nanos, from, msg);
+        self.on_messages(now_nanos, shard, [(from, msg)]);
+    }
+
+    /// Feed a batch of `(sender, message)` pairs for shard sub-stream
+    /// `shard`, in order: one fold and one ACK flush for all of them (see
+    /// [`StabilizerNode::on_messages`]).
+    pub fn on_messages(
+        &mut self,
+        now_nanos: u64,
+        shard: u16,
+        msgs: impl IntoIterator<Item = (NodeId, WireMsg)>,
+    ) {
+        self.shards[shard as usize].on_messages(now_nanos, msgs);
         self.drain_shard(shard);
+    }
+
+    /// Repair every shard sub-stream to `peer` after a transport
+    /// (re)connect (see [`StabilizerNode::repair_link`]).
+    pub fn repair_link(&mut self, peer: NodeId) {
+        for shard in &mut self.shards {
+            shard.repair_link(peer);
+        }
+        self.drain_all_shards();
     }
 
     // ------------------------------------------------------------------

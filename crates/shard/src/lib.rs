@@ -3,9 +3,10 @@
 //! A sharded multi-stream engine layered over `stabilizer-core`: each
 //! node runs S independent shard instances — each a complete
 //! `StabilizerNode` with its own sequencer, send buffer, ACK recorder
-//! and frontier engine — so publishes, ACK processing and predicate
-//! evaluation parallelize across cores without touching the single-shard
-//! protocol logic.
+//! and frontier engine — without touching the single-shard protocol
+//! logic. `option shards` is this reproduction's extension and a
+//! documented non-default: no workload measured has S > 1 ahead of S = 1
+//! (EXPERIMENTS.md, "Sharded data-plane scaling").
 //!
 //! The pieces:
 //!
@@ -29,8 +30,8 @@
 //!   [`build_sharded_cluster`]), so sharded scenarios replay
 //!   byte-identically under the chaos harness.
 //!
-//! The TCP runtime counterpart (one mutex per shard, link threads
-//! running the machines inline) lives in `stabilizer-transport::sharded`.
+//! On TCP the same [`ShardedEngine`] sits behind one mutex in
+//! `stabilizer-transport::sharded`, link threads running it inline.
 
 pub mod codec;
 pub mod engine;
@@ -39,7 +40,7 @@ pub mod router;
 pub mod sim;
 
 pub use codec::{decode_global, encode_global, GLOBAL_HEADER};
-pub use engine::{build_shards, ShardedAction, ShardedEngine};
+pub use engine::{ShardedAction, ShardedEngine};
 pub use frontier::{AggOutput, ShardedFrontier};
 pub use router::{fnv1a, RoutePolicy, ShardRouter};
 pub use sim::{

@@ -6,10 +6,11 @@
 //! — there is no RNG and no dependence on wall time or thread identity.
 
 /// How publishes are assigned to shards.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum RoutePolicy {
     /// Cycle through shards in order. Balances perfectly under uniform
     /// publish rates and is the default for keyless streams.
+    #[default]
     RoundRobin,
     /// FNV-1a hash of the routing key modulo the shard count, so all
     /// messages of one key share a shard (per-key FIFO within the shard).

@@ -8,24 +8,9 @@
 //! the consumers of our own exports (`stabtop`, endpoint smoke tests):
 //! a small recursive-descent parser, not a general-purpose one.
 
-/// Append `s` as a JSON string literal (with quotes) onto `out`.
-pub fn push_json_str(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
+/// Append `s` as a JSON string literal (with quotes) onto `out`: the
+/// one escaper, shared with the core's stall reports.
+pub use stabilizer_core::explain::push_json_str;
 
 /// Append `"key":` onto `out`.
 pub fn push_key(out: &mut String, key: &str) {
@@ -263,13 +248,6 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn escapes_specials() {
-        let mut s = String::new();
-        push_json_str(&mut s, "a\"b\\c\nd\u{1}");
-        assert_eq!(s, "\"a\\\"b\\\\c\\nd\\u0001\"");
-    }
 
     #[test]
     fn parses_what_we_emit() {

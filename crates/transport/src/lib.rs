@@ -2,12 +2,13 @@
 //!
 //! Runs the sans-IO [`StabilizerNode`](stabilizer_core::StabilizerNode)
 //! over real TCP sockets with a thread-per-connection layout ([`link`],
-//! the one place sockets are touched, under both the plain [`runtime`]
-//! and the [`sharded`] one). The paper's
-//! prototype uses an asynchronous runtime for the same purpose; plain
-//! threads plus crossbeam channels give identical control/data-plane
-//! separation with a dependency footprint limited to the approved crate
-//! set (see DESIGN.md).
+//! the one place sockets are touched) under two nodes of one shape — a
+//! machine behind one mutex, link threads running it inline: the plain
+//! [`runtime`] and the [`sharded`] one. The paper's prototype uses an
+//! asynchronous runtime for the same purpose; plain threads plus
+//! crossbeam channels give identical control/data-plane separation with
+//! a dependency footprint limited to the approved crate set (see
+//! DESIGN.md).
 //!
 //! [`spawn_local_cluster`] boots an N-node deployment on localhost for
 //! tests and demos; [`spawn_node`] wires one node given a listener plus

@@ -107,7 +107,7 @@ impl LinkClient for Shared {
     }
 
     fn repair_link(&self, peer: NodeId) {
-        self.with_node(|n| repair_stream(n, peer));
+        self.with_node(|n| n.repair_link(peer));
     }
 
     fn on_timer(&self, kind: TimerKind, now_nanos: u64) {
@@ -133,15 +133,6 @@ impl LinkClient for Shared {
     fn on_connect_failed(&self, peer: NodeId) {
         self.observe([Event::ConnectFailed { peer }]);
     }
-}
-
-/// Repair one node's (or one shard machine's) stream to `peer` after a
-/// (re)connect: resend everything `peer` has not acknowledged and
-/// re-announce this side's ACKs.
-pub(crate) fn repair_stream(n: &mut StabilizerNode, peer: NodeId) {
-    let from = n.recorder().get(n.me(), peer, RECEIVED) + 1;
-    n.resend_from(peer, from);
-    n.announce_acks_to(peer);
 }
 
 /// A node running on the TCP runtime. Dropping the cluster handle does

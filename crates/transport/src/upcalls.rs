@@ -1,13 +1,11 @@
 //! Application upcalls shared by both runtimes' handles: blocked
 //! `waitfor`s, frontier monitors and delivery callbacks.
 //!
-//! *When* and *on which thread* an upcall fires is each runtime's
-//! business (inline after the node lock is released on the plain
-//! runtime, on the dispatcher thread on the sharded one); this type only
-//! holds the registrations and the wait/complete rendezvous — and keeps
-//! frontier upcalls monotone (§III "monotonic upcalls"): the plain
-//! runtime fires them after releasing the node lock, on whichever thread
-//! folded the ACK, so two updates of one key can arrive here swapped.
+//! Both fire an upcall inline on whichever thread mutated the state
+//! machine, after its lock is released; this type holds the
+//! registrations and the wait/complete rendezvous — and keeps frontier
+//! upcalls monotone (§III "monotonic upcalls"): two threads that folded
+//! ACKs of one key can arrive here swapped.
 
 use bytes::Bytes;
 use parking_lot::{Condvar, Mutex};

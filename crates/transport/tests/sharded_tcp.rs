@@ -80,7 +80,8 @@ fn deliveries_reach_mirrors_in_global_fifo_order() {
     assert!(h
         .waitfor(NodeId(0), "AllRemote", last, Duration::from_secs(10))
         .unwrap());
-    // Deliveries are asynchronous upcalls; give the dispatcher a moment.
+    // Deliveries are upcalls on the mirror's reader thread, after the
+    // ACK that completed the wait left it; give them a moment.
     let deadline = std::time::Instant::now() + Duration::from_secs(5);
     while log.lock().len() < 50 && std::time::Instant::now() < deadline {
         std::thread::sleep(Duration::from_millis(10));
@@ -149,7 +150,8 @@ fn monitor_fires_monotonically_on_aggregate() {
     assert!(h
         .waitfor(NodeId(0), "OneRemote", last, Duration::from_secs(10))
         .unwrap());
-    // Monitors run on the dispatcher thread; wait for the tail event.
+    // Monitors run after the state lock is released, the wait can wake
+    // first; wait for the tail event.
     let deadline = std::time::Instant::now() + Duration::from_secs(5);
     while seqs.lock().last().copied() != Some(last) && std::time::Instant::now() < deadline {
         std::thread::sleep(Duration::from_millis(10));

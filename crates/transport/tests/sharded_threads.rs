@@ -1,7 +1,8 @@
 //! The threads a sharded node runs, counted off `/proc`: the link
-//! layer's and one dispatcher, whatever the shard count — link readers
-//! fold their own batches, so there is nothing per shard to run. One
-//! test, so no other node in this process shares the name prefix.
+//! layer's and nothing else, whatever the shard count — link readers
+//! fold their own batches and run the callbacks of what they folded, so
+//! there is nothing per shard, and no dispatcher, to run. One test, so
+//! no other node in this process shares the name prefix.
 #![cfg(target_os = "linux")]
 
 use stabilizer_core::ClusterConfig;
@@ -34,16 +35,16 @@ fn wait_until(what: &str, mut cond: impl FnMut() -> bool) {
 }
 
 #[test]
-fn a_sharded_node_runs_the_link_threads_and_one_dispatcher() {
+fn a_sharded_node_runs_the_link_threads_and_nothing_else() {
     let cfg = "az East a b\naz West c\noption shards 4\npredicate All MIN($ALLWNODES)\n";
     let cfg = ClusterConfig::parse(cfg).expect("config");
     let nodes = spawn_sharded_local_cluster(&cfg, RoutePolicy::RoundRobin).expect("cluster");
 
     // A reader exists once its peer has connected: wait for all six.
-    wait_until("every link up", || threads_named("stabs-").len() == 3 * 7);
+    wait_until("every link up", || threads_named("stabs-").len() == 3 * 6);
     for me in 0..3 {
         let peers = (0..3).filter(|peer| *peer != me);
-        let mut expected: Vec<String> = ["accept", "tick", "dispatch", "r", "r"]
+        let mut expected: Vec<String> = ["accept", "tick", "r", "r"]
             .into_iter()
             .map(str::to_owned)
             .chain(peers.map(|peer| format!("w{peer}")))

@@ -1,8 +1,9 @@
 //! Fault-path tests for the TCP runtimes: staggered starts (messages
 //! published before peers exist must still arrive), failure detection
 //! over real sockets, connect-retry exhaustion, hostile first frames,
-//! the lone-operation flush, and monotone frontier upcalls under two
-//! publishers. Every case runs on both runtimes — the
+//! the lone-operation flush, monotone frontier upcalls under two
+//! publishers, a manual catch-up reaching the observer, and callbacks
+//! that re-enter the handle. Every case runs on both runtimes — the
 //! plain one and the sharded one (`option shards 2`) — through the
 //! [`Runtime`] trait below.
 
@@ -45,7 +46,11 @@ trait Runtime: Clone + Sized {
     fn publish(&self, payload: Bytes) -> SeqNo;
     /// Watch `key` on this node's own stream.
     fn monitor(&self, key: &str, f: impl FnMut(&FrontierUpdate) + Send + 'static);
+    fn on_deliver(&self, f: impl FnMut(NodeId, SeqNo) + Send + 'static);
+    /// Frontier of `key` on this node's own stream.
+    fn frontier(&self, key: &str) -> Option<SeqNo>;
     fn waitfor(&self, key: &str, seq: SeqNo) -> Result<bool, CoreError>;
+    fn begin_catch_up(&self);
     /// Highest sequence of `origin` delivered to the application.
     fn delivered(&self, origin: NodeId) -> SeqNo;
     fn is_suspected(&self, node: NodeId) -> bool;
@@ -82,8 +87,18 @@ impl Runtime for NodeHandle {
     fn monitor(&self, key: &str, f: impl FnMut(&FrontierUpdate) + Send + 'static) {
         self.monitor_stability_frontier(self.id(), key, f);
     }
+    fn on_deliver(&self, mut f: impl FnMut(NodeId, SeqNo) + Send + 'static) {
+        NodeHandle::on_deliver(self, move |origin, seq, _| f(origin, seq));
+    }
+    fn frontier(&self, key: &str) -> Option<SeqNo> {
+        let at = self.stability_frontier(self.id(), key);
+        at.map(|(seq, _generation)| seq)
+    }
     fn waitfor(&self, key: &str, seq: SeqNo) -> Result<bool, CoreError> {
         NodeHandle::waitfor(self, self.id(), key, seq, Duration::from_secs(10))
+    }
+    fn begin_catch_up(&self) {
+        NodeHandle::begin_catch_up(self);
     }
     fn delivered(&self, origin: NodeId) -> SeqNo {
         self.delivered_of(origin)
@@ -128,8 +143,18 @@ impl Runtime for ShardedHandle {
     fn monitor(&self, key: &str, f: impl FnMut(&FrontierUpdate) + Send + 'static) {
         self.monitor_stability_frontier(self.id(), key, f);
     }
+    fn on_deliver(&self, mut f: impl FnMut(NodeId, SeqNo) + Send + 'static) {
+        ShardedHandle::on_deliver(self, move |origin, seq, _| f(origin, seq));
+    }
+    fn frontier(&self, key: &str) -> Option<SeqNo> {
+        let at = self.stability_frontier(self.id(), key);
+        at.map(|(seq, _generation)| seq)
+    }
     fn waitfor(&self, key: &str, seq: SeqNo) -> Result<bool, CoreError> {
         ShardedHandle::waitfor(self, self.id(), key, seq, Duration::from_secs(10))
+    }
+    fn begin_catch_up(&self) {
+        ShardedHandle::begin_catch_up(self);
     }
     fn delivered(&self, origin: NodeId) -> SeqNo {
         self.delivered_global(origin)
@@ -272,8 +297,8 @@ fn silent_peer_is_suspected<R: Runtime>() {
     // node 1 (which keeps heartbeating).
     eventually("node 2 never suspected", || h0.is_suspected(NodeId(2)));
     assert!(!h0.is_suspected(NodeId(1)), "live node wrongly suspected");
-    // The observer hears of it too (on the dispatcher thread on the
-    // sharded runtime, hence "eventually").
+    // The observer heard of it too, under the state lock `is_suspected`
+    // has just been through.
     let suspicions = hub
         .registry()
         .counter("stab_suspicions_total", &[("node", "0")]);
@@ -303,13 +328,14 @@ fn exhausted_retries_surface<R: Runtime>() {
     addrs[1] = dead.local_addr().unwrap();
     drop(dead); // release the port: connects now fail fast
     let acks = Arc::new(AckTypeRegistry::new());
+    let hub = Telemetry::new_wall_clock();
     let h0 = R::spawn(
         cfg,
         NodeId(0),
         acks,
         ls.remove(0),
         peers_of(0, &addrs),
-        None,
+        Some(&hub),
     );
 
     eventually(
@@ -319,6 +345,13 @@ fn exhausted_retries_surface<R: Runtime>() {
     // Node 2's listener is bound (never accepted from, but connects
     // succeed), so only the genuinely dead peer is reported.
     assert_eq!(h0.connect_failures(), [NodeId(1)]);
+    // The observer is told right after the list is written.
+    let failures = hub
+        .registry()
+        .counter("stab_connect_failures_total", &[("node", "0")]);
+    eventually("node 0's observer never saw the connect failure", || {
+        failures.get() >= 1
+    });
     h0.shutdown();
 }
 
@@ -511,4 +544,73 @@ fn monitored_frontiers_never_move_back<R: Runtime + Send + 'static>() {
 fn monitored_frontiers_never_move_back_under_two_publishers() {
     monitored_frontiers_never_move_back::<NodeHandle>();
     monitored_frontiers_never_move_back::<ShardedHandle>();
+}
+
+/// `begin_catch_up` on a running node asks its peers for a transfer; the
+/// observer must hear of the join on either runtime.
+fn manual_catch_up_reaches_the_observer<R: Runtime>() {
+    let opts = Options::default().transfer_millis(20);
+    let hub = Telemetry::new_wall_clock();
+    let (cluster, _) = spawn_cluster_with::<R>(&cfg::<R>(THREE_NODES, Some(opts)), Some(&hub));
+    let h0 = &cluster[0];
+    let seq = h0.publish(Bytes::from_static(b"before the join"));
+    assert!(h0.waitfor("AllRemote", seq).unwrap());
+
+    let joins = hub.registry().counter("stab_joins_total", &[("node", "2")]);
+    assert_eq!(joins.get(), 0);
+    cluster[2].begin_catch_up();
+    assert_eq!(joins.get(), 1, "the observer was not told of the join");
+    for h in &cluster {
+        h.shutdown();
+    }
+}
+
+#[test]
+fn a_manual_catch_up_is_reported_as_a_join() {
+    manual_catch_up_reaches_the_observer::<NodeHandle>();
+    manual_catch_up_reaches_the_observer::<ShardedHandle>();
+}
+
+/// Callbacks run with no lock held on both runtimes: a frontier monitor
+/// that reads the frontier and publishes, and a delivery upcall that
+/// reads the handle, must complete instead of deadlocking on the state
+/// lock of the thread that is running them.
+fn callbacks_may_call_back_into_the_handle<R: Runtime + Send + 'static>() {
+    const FOLLOW_UPS: u64 = 5;
+    let (cluster, _) = spawn_cluster::<R>(&cfg::<R>(THREE_NODES, None));
+    let (h0, h1) = (&cluster[0], &cluster[1]);
+
+    // Every advance of node 0's frontier publishes a follow-up, up to a
+    // bound, from inside the monitor.
+    let published = Arc::new(AtomicU64::new(0));
+    let (h, count) = (h0.clone(), Arc::clone(&published));
+    h0.monitor("AllRemote", move |u| {
+        assert!(h.frontier("AllRemote") >= Some(u.seq));
+        if count.fetch_add(1, Ordering::Relaxed) < FOLLOW_UPS {
+            h.publish(Bytes::from_static(b"follow-up"));
+        }
+    });
+    // Node 1's delivery upcall reads its own handle.
+    let seen = Arc::new(AtomicU64::new(0));
+    let (h, count) = (h1.clone(), Arc::clone(&seen));
+    h1.on_deliver(move |origin, seq| {
+        assert!(h.delivered(origin) >= seq);
+        assert!(!h.is_suspected(origin));
+        count.fetch_add(1, Ordering::Relaxed);
+    });
+
+    h0.publish(Bytes::from_static(b"first"));
+    assert!(h0.waitfor("AllRemote", 1 + FOLLOW_UPS).unwrap());
+    eventually("a delivery upcall never returned", || {
+        seen.load(Ordering::Relaxed) == 1 + FOLLOW_UPS
+    });
+    for h in &cluster {
+        h.shutdown();
+    }
+}
+
+#[test]
+fn callbacks_may_re_enter_the_handle_without_deadlock() {
+    callbacks_may_call_back_into_the_handle::<NodeHandle>();
+    callbacks_may_call_back_into_the_handle::<ShardedHandle>();
 }

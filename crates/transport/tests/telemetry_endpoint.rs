@@ -154,6 +154,16 @@ fn sharded_runtime_serves_aggregated_routes() {
             .expect("publish");
     }
     wait_until(|| matches!(h0.stability_frontier(NodeId(0), "k"), Some((f, _)) if f >= last));
+    // Every covered message is one sample of its shard's histogram.
+    let stability_samples = || -> u64 {
+        let of_shard = |shard: &str| {
+            let labels = [("key", "k"), ("shard", shard)];
+            let registry = telemetry.registry();
+            registry.histogram("stab_shard_stability_latency_ns", &labels)
+        };
+        of_shard("0").count() + of_shard("1").count()
+    };
+    assert_eq!(stability_samples(), 4);
 
     let (code, prom) = http_get(&serve, "/metrics").expect("GET /metrics");
     assert_eq!(code, 200);
@@ -199,6 +209,17 @@ fn sharded_runtime_serves_aggregated_routes() {
         served > Some(0)
     });
     assert!(h0.metrics().transfer_requests > 0);
+
+    // Enough messages to take the own stream's shard→global maps through
+    // several reclaims: the histograms read the entries an advance just
+    // covered before the next publish can drop them, so none is lost.
+    for _ in 0..20_000 {
+        last = h0
+            .publish(Bytes::from_static(b"x"), Duration::from_secs(5))
+            .expect("publish");
+    }
+    wait_until(|| matches!(h0.stability_frontier(NodeId(0), "k"), Some((f, _)) if f >= last));
+    assert_eq!(stability_samples(), 4 + 20_000);
 
     for node in &nodes {
         node.handle().shutdown();
