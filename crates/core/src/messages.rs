@@ -290,7 +290,29 @@ impl WireMsg {
     /// Returns [`CoreError::Wire`] on truncation, an unknown tag, a
     /// malformed or non-minimal field, or trailing garbage.
     pub fn decode(buf: &[u8]) -> Result<WireMsg, CoreError> {
-        let mut r = Reader { buf, at: 0 };
+        Self::decode_from(Reader {
+            buf,
+            at: 0,
+            owner: None,
+        })
+    }
+
+    /// [`WireMsg::decode`] out of a shared buffer: a payload is a slice
+    /// of `buf`, holding its storage, instead of a copy. Accepts and
+    /// refuses exactly what `decode` does.
+    ///
+    /// # Errors
+    ///
+    /// As [`WireMsg::decode`].
+    pub fn decode_shared(buf: &Bytes) -> Result<WireMsg, CoreError> {
+        Self::decode_from(Reader {
+            buf,
+            at: 0,
+            owner: Some(buf),
+        })
+    }
+
+    fn decode_from(mut r: Reader<'_>) -> Result<WireMsg, CoreError> {
         let msg = match r.u8()? {
             Self::TAG_DATA => WireMsg::Data {
                 origin: r.node()?,
@@ -337,8 +359,8 @@ impl WireMsg {
             },
             tag => return Err(wire(format!("unknown message tag {tag}"))),
         };
-        if r.at != buf.len() {
-            return Err(wire(format!("{} trailing bytes", buf.len() - r.at)));
+        if r.remaining() > 0 {
+            return Err(wire(format!("{} trailing bytes", r.remaining())));
         }
         Ok(msg)
     }
@@ -442,6 +464,9 @@ fn id16(v: u64, what: &str) -> Result<u16, CoreError> {
 struct Reader<'a> {
     buf: &'a [u8],
     at: usize,
+    /// The shared buffer `buf` is the contents of, when payloads are to
+    /// be sliced out of it rather than copied.
+    owner: Option<&'a Bytes>,
 }
 
 impl<'a> Reader<'a> {
@@ -510,7 +535,12 @@ impl<'a> Reader<'a> {
 
     fn payload(&mut self) -> Result<Bytes, CoreError> {
         let len = self.len("payload length")?;
-        Ok(Bytes::copy_from_slice(self.take(len)?))
+        let at = self.at;
+        let bytes = self.take(len)?;
+        Ok(match self.owner {
+            Some(owner) => owner.slice(at..at + len),
+            None => Bytes::copy_from_slice(bytes),
+        })
     }
 
     /// One field of a cell: the predecessor's where the head says it
@@ -554,6 +584,7 @@ impl<'a> Reader<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn roundtrip(msg: WireMsg) {
         let bytes = msg.to_bytes();
@@ -589,7 +620,11 @@ mod tests {
             put_varint(&mut out, v);
             assert_eq!(out, bytes, "{v}");
             assert_eq!(varint_len(v), bytes.len(), "{v}");
-            let mut r = Reader { buf: bytes, at: 0 };
+            let mut r = Reader {
+                buf: bytes,
+                at: 0,
+                owner: None,
+            };
             assert_eq!(r.varint().unwrap(), v);
             assert_eq!(r.remaining(), 0);
         }
@@ -944,6 +979,107 @@ mod tests {
                 split.extend_from_slice(p);
             }
             assert_eq!(split, msg.to_bytes());
+        }
+    }
+
+    /// A message of the drawn tag, the other draws filling its fields.
+    fn arb_msg() -> impl Strategy<Value = WireMsg> {
+        let cells = proptest::collection::vec((0u16..3, 0u16..3, 0u64..3), 0..5);
+        let payload = proptest::collection::vec(any::<u8>(), 0..40);
+        (
+            0u8..7,
+            any::<u16>(),
+            any::<u64>(),
+            cells,
+            payload,
+            any::<bool>(),
+        )
+            .prop_map(|(tag, id, seq, cells, payload, done)| {
+                let stream = NodeId(id);
+                let acks = cells.into_iter().map(|(s, t, q)| ack(s, t, q)).collect();
+                let payload = Bytes::from(payload);
+                match tag {
+                    0 => WireMsg::Data {
+                        origin: stream,
+                        seq,
+                        payload,
+                    },
+                    1 => WireMsg::AckBatch(acks),
+                    2 => WireMsg::Heartbeat,
+                    3 => WireMsg::TransferRequest { stream, have: seq },
+                    4 => WireMsg::TransferSnapshot {
+                        stream,
+                        base: seq,
+                        high: seq,
+                        acks,
+                        app_mark: u64::from(id),
+                    },
+                    5 => WireMsg::TransferChunk {
+                        stream,
+                        seq,
+                        payload,
+                        done,
+                    },
+                    _ => WireMsg::TransferAck {
+                        stream,
+                        through: seq,
+                    },
+                }
+            })
+    }
+
+    proptest! {
+        /// Slicing payloads out of the input instead of copying them
+        /// changes nothing else: on an encoded message, as is or with one
+        /// byte overwritten, inserted or removed, both decoders return
+        /// the same message or the same refusal.
+        #[test]
+        fn decode_shared_is_decode(
+            msg in arb_msg(),
+            at in any::<usize>(),
+            byte in any::<u8>(),
+            edit in 0u8..4,
+        ) {
+            let mut bytes = msg.to_bytes();
+            let at = at % bytes.len();
+            match edit {
+                0 => {}
+                1 => bytes[at] = byte,
+                2 => bytes.insert(at, byte),
+                _ => drop(bytes.remove(at)),
+            }
+            let shared = Bytes::from(bytes.clone());
+            prop_assert_eq!(WireMsg::decode_shared(&shared), WireMsg::decode(&bytes));
+            if edit == 0 {
+                prop_assert_eq!(WireMsg::decode_shared(&shared), Ok(msg));
+            }
+        }
+    }
+
+    #[test]
+    fn a_shared_decode_slices_the_payload_out_of_its_input() {
+        for msg in [
+            WireMsg::Data {
+                origin: NodeId(3),
+                seq: 99,
+                payload: Bytes::from_static(b"hello"),
+            },
+            WireMsg::TransferChunk {
+                stream: NodeId(3),
+                seq: 99,
+                payload: Bytes::from_static(b"hello"),
+                done: true,
+            },
+        ] {
+            let input = Bytes::from(msg.to_bytes());
+            let decoded = WireMsg::decode_shared(&input).unwrap();
+            let (WireMsg::Data { payload, .. } | WireMsg::TransferChunk { payload, .. }) = &decoded
+            else {
+                unreachable!()
+            };
+            let at = input.len() - payload.len();
+            assert_eq!(payload.as_ptr(), input[at..].as_ptr());
+            assert_eq!(decoded, msg);
         }
     }
 

@@ -1,18 +1,26 @@
 //! `WireMsg::decode` reads bytes straight off a socket: what it
 //! allocates must be bounded by what it was given, not by a number the
 //! sender wrote. Counted with a per-thread allocator so the bound is on
-//! bytes actually requested, whatever the decoder's internals.
+//! bytes actually requested, whatever the decoder's internals. Both
+//! decoders are held to it: `decode` and `decode_shared`, which slices
+//! payloads out of its input instead of copying them.
 
+use bytes::Bytes;
 use stabilizer_core::{Ack, NodeId, WireMsg};
 use stabilizer_dsl::AckTypeId;
 
 #[global_allocator]
 static ALLOC: stabilizer_testalloc::Counting = stabilizer_testalloc::Counting;
 
-/// Bytes requested while decoding `input`, and whether it was accepted.
+/// Bytes requested while decoding `input` by each decoder — the larger
+/// of the two — and whether it was accepted (both must agree).
 fn decode_cost(input: &[u8]) -> (usize, bool) {
     let (cost, decoded) = stabilizer_testalloc::cost(|| WireMsg::decode(input));
-    (cost, decoded.is_ok())
+    let shared = Bytes::from(input.to_vec());
+    let (shared_cost, shared_decoded) =
+        stabilizer_testalloc::cost(|| WireMsg::decode_shared(&shared));
+    assert_eq!(decoded, shared_decoded, "{input:?}");
+    (cost.max(shared_cost), decoded.is_ok())
 }
 
 /// A decoded cell is 16 bytes and takes at least one on the wire, and a

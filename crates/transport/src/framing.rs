@@ -6,7 +6,15 @@
 //! first frame on every outbound connection is a hello carrying the
 //! sender's node id, so the accepting side can demultiplex peers without
 //! configuration-order coupling.
+//!
+//! A connection's reader (`FrameReader`) copies a payload out of its
+//! 8 KiB read buffer if the frame fits that buffer; a larger frame is
+//! read into a buffer of its own, which then becomes the message's
+//! payload without a copy. Neither reader allocates ahead of the bytes
+//! it was sent: a buffer grows as they arrive, whatever size a length
+//! prefix announces.
 
+use bytes::{Bytes, BytesMut};
 use stabilizer_core::{CoreError, WireMsg};
 use std::io::{Read, Write};
 
@@ -113,14 +121,21 @@ pub fn read_lane_frame<L: Lane, R: Read>(
         Err(e) => return Err(e),
     }
     let len = body_len(len_buf)?;
-    let mut body = vec![0u8; len];
-    r.read_exact(&mut body)?;
+    // Grown as the body arrives, not sized by what the prefix claims.
+    let mut body = Vec::with_capacity(len.min(READ_BUF));
+    if r.by_ref().take(len as u64).read_to_end(&mut body)? < len {
+        return Err(std::io::ErrorKind::UnexpectedEof.into());
+    }
     let (lane, msg) = decode_body(&body)?;
     Ok(Some((lane, msg, 4 + len)))
 }
 
 fn invalid(why: String) -> std::io::Error {
     std::io::Error::new(std::io::ErrorKind::InvalidData, why)
+}
+
+fn undecodable(e: CoreError) -> std::io::Error {
+    invalid(e.to_string())
 }
 
 /// The body length a frame's prefix announces, refused above [`MAX_FRAME`].
@@ -132,31 +147,56 @@ fn body_len(prefix: [u8; 4]) -> std::io::Result<usize> {
     Ok(len as usize)
 }
 
+/// Split a frame body into its lane and the encoded message.
+fn split_lane<L: Lane>(body: &[u8]) -> std::io::Result<(L, &[u8])> {
+    L::split(body).ok_or_else(|| invalid("frame lacks its lane index".to_owned()))
+}
+
 /// Split a frame body into its lane and decoded message.
 fn decode_body<L: Lane>(body: &[u8]) -> std::io::Result<(L, WireMsg)> {
-    let (lane, encoded) =
-        L::split(body).ok_or_else(|| invalid("frame lacks its lane index".to_owned()))?;
-    let msg = WireMsg::decode(encoded).map_err(|e: CoreError| invalid(e.to_string()))?;
-    Ok((lane, msg))
+    let (lane, encoded) = split_lane(body)?;
+    Ok((lane, WireMsg::decode(encoded).map_err(undecodable)?))
+}
+
+/// [`decode_body`] of a body in a shared buffer: the payload is a slice
+/// of `body`, not a copy.
+fn decode_shared_body<L: Lane>(body: &Bytes) -> std::io::Result<(L, WireMsg)> {
+    let (lane, encoded) = split_lane(body)?;
+    let encoded = body.slice(body.len() - encoded.len()..);
+    Ok((lane, WireMsg::decode_shared(&encoded).map_err(undecodable)?))
 }
 
 /// Capacity of a connection's read buffer: the bound on one reader
-/// batch. Small on purpose: about ninety 64-byte messages share a read,
-/// while a frame of 8 KiB or more is a batch of its own, so what a large
-/// message costs does not depend on how far behind the reader runs
-/// (with 64 KiB it did, and the benchmark's runs spread past their
-/// bound: EXPERIMENTS.md, "Steadiness under host steal").
-const READ_BUF: usize = 8 * 1024;
+/// batch, and the largest frame whose payload is always copied out.
+/// Small on purpose: about ninety 64-byte messages share a read, while a
+/// larger frame is read into a buffer of its own that becomes its
+/// payload, so what a large message costs does not depend on how far
+/// behind the reader runs (with a 64 KiB buffer it did, and the
+/// benchmark's runs spread past their bound: EXPERIMENTS.md,
+/// "Steadiness under host steal").
+pub(crate) const READ_BUF: usize = 8 * 1024;
 
 /// A connection's read side: one buffer the connection owns, filled by
 /// one blocking read at a time, with every frame that read completed
-/// decoded in place — no per-frame body allocation, and a batch is
-/// bounded by the buffer, not by a count or a clock.
+/// decoded out of it; a batch is bounded by the buffer, not by a count
+/// or a clock.
+///
+/// A frame that fits [`READ_BUF`] needs no buffer of its own: its
+/// payload is copied out of the shared one, so a value an application
+/// keeps never pins it. A larger one is read into a buffer
+/// grown for it — a full buffer at most doubles, and never past what the
+/// frame's prefix announced. Once it is complete at the front of a
+/// buffer less than twice its size, the buffer is frozen into the
+/// message and the payload is a slice of it: one read, no copy, and one
+/// allocation, the fresh buffer of the frame's size that takes its
+/// place. In a larger buffer (one left by a much larger frame) it is
+/// copied out instead, so no payload pins more than twice its frame,
+/// and the buffer then shrinks to what comes next.
 pub(crate) struct FrameReader<R> {
     r: R,
     /// `buf[start..end]` is read but not yet decoded. [`READ_BUF`] long
-    /// except while a single larger frame is being assembled.
-    buf: Vec<u8>,
+    /// except while frames larger than that arrive.
+    buf: BytesMut,
     start: usize,
     end: usize,
 }
@@ -165,7 +205,7 @@ impl<R: Read> FrameReader<R> {
     pub(crate) fn new(r: R) -> Self {
         FrameReader {
             r,
-            buf: vec![0; READ_BUF],
+            buf: BytesMut::zeroed(READ_BUF),
             start: 0,
             end: 0,
         }
@@ -215,26 +255,63 @@ impl<R: Read> FrameReader<R> {
             if frame_end > self.end {
                 return Ok(frame_len);
             }
-            out.push(decode_body(&self.buf[self.start + 4..frame_end])?);
+            if self.start == 0 && frame_len > READ_BUF && self.buf.len() < 2 * frame_len {
+                out.push(self.hand_over(frame_len)?);
+            } else {
+                out.push(decode_body(&self.buf[self.start + 4..frame_end])?);
+                self.start = frame_end;
+            }
             *wire_len += frame_len;
-            self.start = frame_end;
         }
         Ok(0)
     }
 
-    /// Move the undecoded tail to the front, and size the buffer for a
-    /// `pending`-byte frame: grown to hold one larger than [`READ_BUF`],
-    /// shrunk back once that frame is gone.
+    /// Freeze the buffer into the message of the `frame_len`-byte frame
+    /// at its front, and put in its place a fresh one of that size
+    /// holding the bytes read past the frame (fewer than `frame_len`: the
+    /// buffer is less than twice the frame). A frame that does not
+    /// decode is put back whole instead, so the next call meets it again.
+    fn hand_over<L: Lane>(&mut self, frame_len: usize) -> std::io::Result<(L, WireMsg)> {
+        let mut keep = frame_len..self.end;
+        let frame = std::mem::replace(&mut self.buf, BytesMut::zeroed(frame_len)).freeze();
+        let decoded = decode_shared_body(&frame.slice(4..frame_len));
+        if decoded.is_err() {
+            keep = 0..self.end;
+            self.buf = BytesMut::zeroed(frame.len());
+        }
+        self.end = keep.len();
+        self.buf[..self.end].copy_from_slice(&frame[keep]);
+        decoded
+    }
+
+    /// Move the undecoded tail to the front of a buffer with room for
+    /// the `pending`-byte frame cut short there (0 while its prefix is
+    /// not here). A full buffer grows for a larger frame, at most
+    /// doubling. A buffer that has just handed frames over by copying
+    /// them out (`start > 0`) shrinks to what it holds and awaits, at
+    /// least [`READ_BUF`], if that is `READ_BUF` or under half of it: a
+    /// buffer grown for one frame is not kept for much smaller ones.
     fn make_room(&mut self, pending: usize) {
-        self.buf.copy_within(self.start..self.end, 0);
-        self.end -= self.start;
+        let tail = self.start..self.end;
+        let len = self.buf.len();
+        let need = pending.max(tail.len()).max(READ_BUF);
+        let new_len = if self.end == len && pending > len {
+            pending.min(2 * len)
+        } else if self.start > 0 && len > need && (need == READ_BUF || len > 2 * need) {
+            need
+        } else {
+            len
+        };
+        self.end = tail.len();
         self.start = 0;
-        if pending > self.buf.len() {
-            self.buf.reserve_exact(pending - self.buf.len());
-            self.buf.resize(pending, 0);
-        } else if self.end == 0 && self.buf.len() > READ_BUF {
-            self.buf.truncate(READ_BUF);
-            self.buf.shrink_to_fit();
+        if new_len == len {
+            if tail.start > 0 {
+                self.buf.copy_within(tail, 0);
+            }
+        } else {
+            let mut buf = BytesMut::zeroed(new_len);
+            buf[..self.end].copy_from_slice(&self.buf[tail]);
+            self.buf = buf;
         }
     }
 }
@@ -471,22 +548,129 @@ mod tests {
         }
     }
 
+    /// The next batch `reader` hands over.
+    fn next_batch<R: Read>(reader: &mut FrameReader<R>) -> Vec<WireMsg> {
+        let mut frames: Vec<((), WireMsg)> = Vec::new();
+        reader.read_batch(&mut frames).unwrap();
+        frames.into_iter().map(|((), m)| m).collect()
+    }
+
     #[test]
     fn a_frame_larger_than_the_buffer_is_assembled_then_the_buffer_shrinks_back() {
-        let msgs = vec![data(1, 10), data(2, 3 * READ_BUF), data(3, 10)];
+        let msgs = [data(1, 10), data(2, 3 * READ_BUF), data(3, 10)];
         let script = [wire(&msgs[..2]), wire(&msgs[2..])].into_iter().collect();
         let mut reader = FrameReader::new(Script(script));
-        let got = batches(&mut reader);
-        let sizes: Vec<usize> = got.iter().map(|(frames, _)| frames.len()).collect();
         assert_eq!(
-            sizes,
-            [1, 1, 1],
+            next_batch(&mut reader),
+            msgs[..1],
             "the small frame did not wait for the big one"
         );
-        let frames: Vec<WireMsg> = got.into_iter().flat_map(|(f, _)| f).collect();
-        assert_eq!(frames, msgs);
+        assert_eq!(next_batch(&mut reader), msgs[1..2]);
+        let big = wire(&msgs[1..2]).len();
+        assert_eq!(reader.buf.len(), big, "replaced by a buffer of its size");
+        assert_eq!(next_batch(&mut reader), msgs[2..]);
+        assert_eq!(reader.buf.len(), big);
+        // Having handed over a frame that fits, it shrinks before reading on.
+        assert_eq!(next_batch(&mut reader), []);
         assert_eq!(reader.buf.len(), READ_BUF);
-        assert_eq!(reader.buf.capacity(), READ_BUF);
+    }
+
+    #[test]
+    fn a_buffer_left_by_a_much_larger_frame_shrinks_to_the_next_ones() {
+        let msgs = [
+            data(1, 16 * READ_BUF),
+            data(2, READ_BUF + 800),
+            data(3, READ_BUF + 800),
+        ];
+        let bytes = wire(&msgs);
+        let (first, next) = (wire(&msgs[..1]).len(), wire(&msgs[1..2]).len());
+        // The large frame; the next one and half the last; the rest.
+        let cuts = [0, first, bytes.len() - next / 2, bytes.len()];
+        let script = cuts
+            .windows(2)
+            .map(|w| bytes[w[0]..w[1]].to_vec())
+            .collect();
+        let mut reader = FrameReader::new(Script(script));
+        assert_eq!(next_batch(&mut reader), msgs[..1]);
+        assert_eq!(reader.buf.len(), first);
+        // Copied out of a buffer that large, so it pins none of it.
+        assert_eq!(next_batch(&mut reader), msgs[1..2]);
+        // Shrunk to the frame cut short before reading the rest of it.
+        assert_eq!(next_batch(&mut reader), msgs[2..]);
+        assert_eq!(reader.buf.len(), next);
+    }
+
+    /// A connection that counts the `read` calls made of it.
+    struct Counted(Script, usize);
+
+    impl Read for Counted {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            self.1 += 1;
+            self.0.read(buf)
+        }
+    }
+
+    #[test]
+    fn a_large_frame_is_one_read_and_its_payload_is_the_buffer_it_was_read_into() {
+        let msgs: Vec<WireMsg> = (1..=20).map(|seq| data(seq, READ_BUF)).collect();
+        let frame = wire(&msgs[..1]).len();
+        let script = msgs.iter().map(|m| wire(std::slice::from_ref(m)));
+        let mut reader = FrameReader::new(Counted(Script(script.collect()), 0));
+        for (i, msg) in msgs.iter().enumerate() {
+            let (reads, buf) = (reader.r.1, reader.buf.as_ptr());
+            let got = next_batch(&mut reader);
+            assert_eq!(got, std::slice::from_ref(msg));
+            // The first frame fills READ_BUF, which grows once, to the
+            // frame's size, for a second read to finish it; from then on
+            // one read brings one frame into a buffer that becomes it.
+            if i == 0 {
+                assert_eq!(reader.r.1 - reads, 2);
+                continue;
+            }
+            assert_eq!(reader.r.1 - reads, 1, "frame {i}");
+            let [WireMsg::Data { payload, .. }] = &got[..] else {
+                unreachable!()
+            };
+            let at = buf.wrapping_add(frame - READ_BUF);
+            assert_eq!(payload.as_ptr(), at, "frame {i}'s payload was copied");
+        }
+    }
+
+    #[test]
+    fn a_large_frame_that_does_not_decode_is_met_again_by_the_next_call() {
+        let mut bytes = wire(&[data(1, READ_BUF), data(2, 10)]);
+        bytes[4] = 42; // the first frame's tag
+        let mut reader = FrameReader::new(Script([bytes].into_iter().collect()));
+        let mut frames: Vec<((), WireMsg)> = Vec::new();
+        for _ in 0..2 {
+            let err = reader.read_batch(&mut frames).unwrap_err();
+            assert!(err.to_string().contains("unknown message tag 42"), "{err}");
+        }
+        assert!(frames.is_empty());
+    }
+
+    #[test]
+    fn held_small_payloads_never_freeze_the_buffer() {
+        let msgs: Vec<WireMsg> = (1..=50).map(|seq| data(seq, 200)).collect();
+        let script = wire(&msgs).chunks(1000).map(<[u8]>::to_vec).collect();
+        let mut reader = FrameReader::new(Script(script));
+        let buf = reader.buf.as_ptr_range();
+        let mut held: Vec<((), WireMsg)> = Vec::new();
+        // A frozen buffer would stay allocated under the payloads held
+        // here, so its replacement could not sit at the same address.
+        while reader.read_batch(&mut held).unwrap() > 0 {
+            assert_eq!(reader.buf.as_ptr_range(), buf);
+        }
+        for ((), msg) in &held {
+            let WireMsg::Data { payload, .. } = msg else {
+                unreachable!()
+            };
+            assert!(
+                !buf.contains(&payload.as_ptr()),
+                "a payload is in the buffer"
+            );
+        }
+        assert_eq!(held.into_iter().map(|((), m)| m).collect::<Vec<_>>(), msgs);
     }
 
     #[test]

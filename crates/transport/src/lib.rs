@@ -38,6 +38,8 @@ pub mod backoff;
 pub mod framing;
 pub mod handle;
 pub mod link;
+#[cfg(test)]
+mod reader_memory;
 pub mod runtime;
 pub mod sharded;
 mod upcalls;
