@@ -265,7 +265,6 @@ impl TcpBackend {
                 snapshot,
                 jitter_seed: self.seed ^ (self.boots << 48),
                 telemetry: self.telemetry.clone(),
-                metrics_dump: None,
                 serve_addr: if node == 0 { self.serve.clone() } else { None },
             },
         )?;

@@ -236,6 +236,13 @@ impl<H: AppHooks> AppHooks for Option<H> {
     }
 }
 
+/// A boxed observer (the TCP runtime's observer slot holds one).
+impl<H: AppHooks + ?Sized> AppHooks for Box<H> {
+    fn on_event(&mut self, now: SimTime, event: &Event<'_>) {
+        (**self).on_event(now, event);
+    }
+}
+
 /// Timestamped logs of one node's events — the same shape on the
 /// simulator (a [`SimNode`](crate::sim_driver::SimNode) keeps one) and on
 /// TCP (attach a [`SharedEventLog`] as the observer), so runtime-agnostic

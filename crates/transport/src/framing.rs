@@ -1,7 +1,7 @@
 //! Length-prefixed framing over TCP streams.
 //!
 //! Frame layout: `u32` little-endian length, then the [`Lane`] (nothing
-//! on the plain runtime, a `u16` shard index on the sharded one), then
+//! on a plain node, a `u16` shard index on a sharded one), then
 //! the encoded [`WireMsg`]; the length covers lane and message. The
 //! first frame on every outbound connection is a hello carrying the
 //! sender's node id, so the accepting side can demultiplex peers without
@@ -24,8 +24,8 @@ pub const MAX_FRAME: u32 = 16 * 1024 * 1024;
 
 /// The demultiplexing tag between a frame's length prefix and its body.
 ///
-/// Two lanes exist: `()` — no tag, the plain runtime's `[len][body]`
-/// frame — and `u16` — the sharded runtime's `[len][shard][body]` frame,
+/// Two lanes exist: `()` — no tag, a plain node's `[len][body]` frame —
+/// and `u16` — a sharded node's `[len][shard][body]` frame,
 /// shard index little-endian and counted by `len`.
 pub trait Lane: Copy + Eq + Send + 'static {
     /// The lane every connection's first frame, the hello, travels on.
@@ -331,17 +331,7 @@ pub fn write_frame<W: Write>(w: &mut W, msg: &WireMsg) -> std::io::Result<usize>
 ///
 /// I/O errors, oversized frames, or undecodable bodies.
 pub fn read_frame<R: Read>(r: &mut R) -> std::io::Result<Option<WireMsg>> {
-    Ok(read_frame_counted(r)?.map(|(msg, _)| msg))
-}
-
-/// [`read_frame`] that also reports the wire size of the frame (length
-/// prefix included), for transport traffic accounting.
-///
-/// # Errors
-///
-/// I/O errors, oversized frames, or undecodable bodies.
-pub fn read_frame_counted<R: Read>(r: &mut R) -> std::io::Result<Option<(WireMsg, usize)>> {
-    Ok(read_lane_frame::<(), R>(r)?.map(|((), msg, wire_len)| (msg, wire_len)))
+    Ok(read_lane_frame::<(), R>(r)?.map(|((), msg, _)| msg))
 }
 
 /// Encode a hello frame announcing `node_id` (a zero-length `Data`
@@ -423,7 +413,8 @@ mod tests {
         let mut buf = Vec::new();
         let wrote = write_frame(&mut buf, &msg).unwrap();
         assert_eq!(wrote, buf.len());
-        let (got, read) = read_frame_counted(&mut Cursor::new(buf)).unwrap().unwrap();
+        let read = read_lane_frame(&mut Cursor::new(buf)).unwrap();
+        let ((), got, read) = read.expect("a frame");
         assert_eq!(got, msg);
         assert_eq!(read, wrote);
     }

@@ -1,12 +1,13 @@
 //! The application-facing handle for a running Stabilizer node: the
 //! paper's §III-D interfaces (`waitfor`, `monitor_stability_frontier`,
-//! `register_predicate`, `change_predicate`) in blocking form.
+//! `register_predicate`, `change_predicate`) in blocking form, the same
+//! on a plain node and a sharded one.
 
-use crate::runtime::Shared;
+use crate::runtime::{Shared, TcpMachine};
 use bytes::Bytes;
 use stabilizer_core::{
-    AckTypeId, CoreError, FrontierUpdate, NodeId, SeqNo, Snapshot, StabilizerNode, StallReport,
-    WaitToken,
+    AckTypeId, CoreError, FrontierUpdate, Metrics, NodeId, SeqNo, Snapshot, StabilizerNode,
+    StallReport, WaitToken,
 };
 use std::ops::Deref;
 use std::sync::Arc;
@@ -14,21 +15,32 @@ use std::time::{Duration, Instant};
 
 pub use crate::upcalls::{DeliverFn, MonitorFn};
 
-/// Handle to a node running on the threaded TCP runtime.
+/// Handle to a node running on the threaded TCP runtime: a plain
+/// [`StabilizerNode`] by default, or a sharded one
+/// ([`ShardedHandle`](crate::ShardedHandle)), whose sequence numbers are
+/// global throughout.
 ///
 /// Cloning is cheap; all clones talk to the same node.
-#[derive(Clone)]
-pub struct NodeHandle {
-    pub(crate) shared: Arc<Shared>,
+pub struct NodeHandle<M: TcpMachine = StabilizerNode> {
+    pub(crate) shared: Arc<Shared<M>>,
 }
 
-impl NodeHandle {
+impl<M: TcpMachine> Clone for NodeHandle<M> {
+    fn clone(&self) -> Self {
+        NodeHandle {
+            shared: Arc::clone(&self.shared),
+        }
+    }
+}
+
+impl<M: TcpMachine> NodeHandle<M> {
     /// This node's id.
     pub fn id(&self) -> NodeId {
         self.shared.me
     }
 
-    /// Publish a payload on this node's stream.
+    /// Publish a payload on this node's stream (a sharded node routes it
+    /// by its [`RoutePolicy`](stabilizer_shard::RoutePolicy)).
     ///
     /// Retries transparently on send-buffer backpressure until
     /// `timeout` elapses.
@@ -38,9 +50,25 @@ impl NodeHandle {
     /// [`CoreError::WouldBlock`] if the buffer stayed full for the whole
     /// timeout, or [`CoreError::PayloadTooLarge`].
     pub fn publish(&self, payload: Bytes, timeout: Duration) -> Result<SeqNo, CoreError> {
+        self.publish_by(payload, timeout, M::publish)
+    }
+
+    /// [`NodeHandle::publish`] through `publish`, the machine shown the
+    /// sequence number it assigned under the same lock.
+    pub(crate) fn publish_by(
+        &self,
+        payload: Bytes,
+        timeout: Duration,
+        publish: impl Fn(&mut M, Bytes) -> Result<SeqNo, CoreError>,
+    ) -> Result<SeqNo, CoreError> {
+        let sh = &self.shared;
         let deadline = Instant::now() + timeout;
         loop {
-            let result = self.shared.with_node(|node| node.publish(payload.clone()));
+            let result = sh.with_node(|node| {
+                let seq = publish(node, payload.clone())?;
+                sh.observe(|observer| node.published(observer, seq, payload.len()));
+                Ok(seq)
+            });
             match result {
                 Err(CoreError::WouldBlock { .. }) if Instant::now() < deadline => {
                     std::thread::sleep(Duration::from_millis(1));
@@ -51,7 +79,7 @@ impl NodeHandle {
     }
 
     /// Register a predicate for `stream` under `key` (§III-D
-    /// `register_predicate`).
+    /// `register_predicate`; on every shard of a sharded node).
     ///
     /// # Errors
     ///
@@ -118,7 +146,8 @@ impl NodeHandle {
             .add_monitor(stream, key, Box::new(lambda));
     }
 
-    /// Register a delivery upcall for mirrored data.
+    /// Register a delivery upcall for mirrored data; payloads arrive in
+    /// FIFO order per origin.
     pub fn on_deliver(&self, f: impl FnMut(NodeId, SeqNo, &Bytes) + Send + 'static) {
         self.shared.upcalls.add_deliver(Box::new(f));
     }
@@ -158,6 +187,45 @@ impl NodeHandle {
         self.shared.node.lock().active_transfers()
     }
 
+    /// Bound address of the live telemetry endpoint, when spawned with
+    /// [`SpawnOptions::serve_addr`](crate::SpawnOptions::serve_addr)
+    /// (resolves port 0 to the actual port).
+    pub fn serve_addr(&self) -> Option<std::net::SocketAddr> {
+        self.shared.link.serve_addr()
+    }
+
+    /// Current traffic counters (summed across shards on a sharded node,
+    /// where `data_bytes_sent` includes each payload's 8-byte global
+    /// header).
+    pub fn metrics(&self) -> Metrics {
+        self.shared.node.lock().metrics()
+    }
+
+    /// Peers a writer thread permanently gave up connecting to (empty
+    /// unless `connect_retry_limit` is configured).
+    pub fn connect_failures(&self) -> Vec<NodeId> {
+        self.shared.link.connect_failures()
+    }
+
+    /// Scale this node's timer cadence (clock-skew fault injection):
+    /// every ticker interval — ACK flush, heartbeat, failure detector,
+    /// retransmit, transfer pacing — runs at `scale ×` its configured
+    /// length. 1.0 restores nominal.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `scale` is not positive and finite.
+    pub fn set_timer_scale(&self, scale: f64) {
+        self.shared.link.set_timer_scale(scale);
+    }
+
+    /// Ask the runtime to stop its threads. Idempotent.
+    pub fn shutdown(&self) {
+        self.shared.link.shutdown();
+    }
+}
+
+impl NodeHandle {
     /// Diagnose why `key`'s frontier on `stream` sits where it does
     /// (`None` if no such predicate is installed).
     pub fn explain_frontier(&self, stream: NodeId, key: &str) -> Option<StallReport> {
@@ -167,18 +235,6 @@ impl NodeHandle {
     /// Diagnose every installed `(stream, key)` frontier.
     pub fn explain_all(&self) -> Vec<StallReport> {
         self.shared.node.lock().explain_all()
-    }
-
-    /// Bound address of the live telemetry endpoint, when spawned with
-    /// [`SpawnOptions::serve_addr`](crate::SpawnOptions::serve_addr)
-    /// (resolves port 0 to the actual port).
-    pub fn serve_addr(&self) -> Option<std::net::SocketAddr> {
-        self.shared.link.serve_addr()
-    }
-
-    /// Current traffic counters.
-    pub fn metrics(&self) -> stabilizer_core::Metrics {
-        self.shared.node.lock().metrics()
     }
 
     /// Highest in-order sequence this node has received of `stream`
@@ -208,7 +264,7 @@ impl NodeHandle {
     }
 
     /// Control-plane snapshot (§III-E) for restart-from-snapshot via
-    /// [`SpawnOptions`](crate::runtime::SpawnOptions).
+    /// [`SpawnOptions::snapshot`](crate::SpawnOptions::snapshot).
     pub fn snapshot(&self) -> Snapshot {
         self.shared.node.lock().snapshot()
     }
@@ -236,29 +292,6 @@ impl NodeHandle {
         self.shared.upcalls.take_done(token)
     }
 
-    /// Peers a writer thread permanently gave up connecting to (empty
-    /// unless `connect_retry_limit` is configured).
-    pub fn connect_failures(&self) -> Vec<NodeId> {
-        self.shared.link.connect_failures()
-    }
-
-    /// Scale this node's timer cadence (clock-skew fault injection):
-    /// every ticker interval — ACK flush, heartbeat, failure detector,
-    /// retransmit, transfer pacing — runs at `scale ×` its configured
-    /// length. 1.0 restores nominal.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `scale` is not positive and finite.
-    pub fn set_timer_scale(&self, scale: f64) {
-        self.shared.link.set_timer_scale(scale);
-    }
-
-    /// The current timer-interval multiplier (1.0 = nominal).
-    pub fn timer_scale(&self) -> f64 {
-        self.shared.link.timer_scale()
-    }
-
     /// Inject a wire message as if it had arrived from `from` — the
     /// chaos harness's seam for forging protocol traffic (mutation
     /// checks that prove the invariant checker catches corrupted state).
@@ -267,11 +300,6 @@ impl NodeHandle {
         let now = self.shared.link.now_nanos();
         self.shared
             .with_node(|node| node.on_message(now, from, msg));
-    }
-
-    /// Ask the runtime to stop its threads. Idempotent.
-    pub fn shutdown(&self) {
-        self.shared.link.shutdown();
     }
 }
 
@@ -293,7 +321,7 @@ impl std::ops::DerefMut for StateGuard<'_> {
     }
 }
 
-impl std::fmt::Debug for NodeHandle {
+impl<M: TcpMachine> std::fmt::Debug for NodeHandle<M> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("NodeHandle")
             .field("me", &self.shared.me)

@@ -1,10 +1,12 @@
 //! # Stabilizer TCP runtime
 //!
-//! Runs the sans-IO [`StabilizerNode`](stabilizer_core::StabilizerNode)
-//! over real TCP sockets with a thread-per-connection layout ([`link`],
-//! the one place sockets are touched) under two nodes of one shape — a
-//! machine behind one mutex, link threads running it inline: the plain
-//! [`runtime`] and the [`sharded`] one. The paper's prototype uses an
+//! Runs a sans-IO Stabilizer machine over real TCP sockets with a
+//! thread-per-connection layout ([`link`], the one place sockets are
+//! touched): one [`runtime`] — the machine behind one mutex, link
+//! threads running it inline — over either of the two machines the
+//! simulator runs, a plain [`StabilizerNode`](stabilizer_core::StabilizerNode)
+//! or a [`ShardedEngine`](stabilizer_shard::ShardedEngine) ([`sharded`]
+//! holds what the latter adds). The paper's prototype uses an
 //! asynchronous runtime for the same purpose; plain threads plus
 //! crossbeam channels give identical control/data-plane separation with
 //! a dependency footprint limited to the approved crate set (see
@@ -45,9 +47,11 @@ pub mod sharded;
 mod upcalls;
 
 pub use handle::{NodeHandle, StateGuard};
-pub use link::{MetricsDump, TransportMetrics};
-pub use runtime::{spawn_local_cluster, spawn_node, spawn_node_with, SpawnOptions, TcpNode};
+pub use link::TransportMetrics;
+pub use runtime::{
+    spawn_local_cluster, spawn_node, spawn_node_with, SpawnOptions, TcpMachine, TcpNode,
+};
 pub use sharded::{
     spawn_sharded_local_cluster, spawn_sharded_local_cluster_with, spawn_sharded_node,
-    ShardedHandle, ShardedSpawnOptions, ShardedTcpNode,
+    ShardedHandle, ShardedTcpNode,
 };

@@ -1,9 +1,8 @@
-//! The TCP link layer under both runtimes: every socket, every I/O
-//! thread and the wall-clock ticker of a node live here, written once
-//! and generic over the frame [`Lane`] and a [`LinkClient`] — the node
-//! shape (plain [`Shared`](crate::runtime::Shared) or
-//! [`ShardedShared`](crate::sharded::ShardedShared)) that owns the
-//! protocol state.
+//! The TCP link layer under the runtime: every socket, every I/O thread
+//! and the wall-clock ticker of a node live here, generic over the frame
+//! [`Lane`] and a [`LinkClient`] — the [`runtime`](crate::runtime) over
+//! a plain or a sharded machine, which owns the protocol state (the
+//! unit tests drive a stub instead).
 //!
 //! Thread layout per node, spawned by `spawn`:
 //!
@@ -58,7 +57,6 @@ use stabilizer_telemetry::{
 use std::collections::HashMap;
 use std::io::{BufWriter, Write};
 use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
@@ -130,21 +128,13 @@ impl TransportMetrics {
     }
 }
 
-/// Periodic Prometheus text dump written by the ticker thread.
-pub struct MetricsDump {
-    /// File to (re)write; each dump replaces the previous snapshot.
-    pub path: PathBuf,
-    /// Dump cadence.
-    pub every: Duration,
-}
-
-/// What a node shape provides to the link layer. Every method is called
+/// What the runtime over a link provides to it. Every method is called
 /// from a link thread with no link lock held.
 pub trait LinkClient: Send + Sync + 'static {
-    /// The frame lane this shape speaks.
+    /// The frame lane this client speaks.
     type Lane: Lane;
 
-    /// The link state embedded in this shape.
+    /// The link state embedded in this client.
     fn link(&self) -> &Link<Self::Lane>;
 
     /// A reader batch arrived from `peer`: every frame one blocking read
@@ -161,7 +151,7 @@ pub trait LinkClient: Send + Sync + 'static {
     /// Timer `kind` expired (ticker thread).
     fn on_timer(&self, kind: TimerKind, now_nanos: u64);
 
-    /// Mirror the shape's state into the attached hub (ticker thread,
+    /// Mirror the client's state into the attached hub (ticker thread,
     /// every 20 ms).
     fn sample(&self, telemetry: &Telemetry);
 
@@ -337,8 +327,6 @@ pub(crate) struct LinkSpawn {
     /// Seed for the reconnect backoff jitter (per-link streams are
     /// derived from it, so two nodes never share a retry schedule).
     pub jitter_seed: u64,
-    /// Periodic Prometheus text dump (no-op without a hub).
-    pub metrics_dump: Option<MetricsDump>,
 }
 
 /// Start `client`'s link threads: a writer per linked peer of
@@ -396,7 +384,7 @@ pub(crate) fn spawn<C: LinkClient>(
     let options = options.clone();
     thread(
         "tick".to_owned(),
-        Box::new(move |c| ticker_loop(&*c, &options, params.metrics_dump.as_ref())),
+        Box::new(move |c| ticker_loop(&*c, &options)),
     );
 }
 
@@ -676,11 +664,11 @@ fn connect_with_retry<L: Lane>(
     ConnectOutcome::Shutdown
 }
 
-fn ticker_loop<C: LinkClient>(client: &C, opts: &Options, dump: Option<&MetricsDump>) {
+fn ticker_loop<C: LinkClient>(client: &C, opts: &Options) {
     let link = client.link();
     let start = Instant::now();
     let mut last_fired = [start; TimerKind::ALL.len()];
-    let (mut last_sample, mut last_dump) = (start, start);
+    let mut last_sample = start;
     let millisecond = Duration::from_millis(1);
     let tick = TimerKind::AckFlush
         .period(opts)
@@ -704,10 +692,6 @@ fn ticker_loop<C: LinkClient>(client: &C, opts: &Options, dump: Option<&MetricsD
         if now.duration_since(last_sample) >= SAMPLE_EVERY {
             client.sample(telemetry);
             last_sample = now;
-        }
-        if let Some(dump) = dump.filter(|d| now.duration_since(last_dump) >= d.every) {
-            let _ = std::fs::write(&dump.path, telemetry.render_prometheus());
-            last_dump = now;
         }
     }
 }
@@ -829,7 +813,6 @@ mod tests {
                 thread_prefix: "stub",
                 repair_first_connect: restored,
                 jitter_seed: 7,
-                metrics_dump: None,
             },
         );
         stub

@@ -1,127 +1,251 @@
-//! The plain TCP runtime: one sans-IO [`StabilizerNode`] behind one
-//! mutex, driven by the shared link layer ([`crate::link`], which
-//! documents the thread layout).
+//! The TCP runtime: one sans-IO machine behind one mutex, driven by the
+//! shared link layer ([`crate::link`], which documents the thread
+//! layout). The machine is a plain [`StabilizerNode`] or a
+//! [`ShardedEngine`](stabilizer_shard::ShardedEngine) — the two the
+//! simulator's `SimNode` runs through [`Machine`]; [`TcpMachine`] is
+//! what this runtime needs of them beyond that, and [`crate::sharded`]
+//! holds what a sharded node adds.
 //!
-//! What is specific to this node shape: link threads run the state
-//! machine **inline** — a reader folds each batch of frames under one
-//! [`Shared::with_node`], the ticker fires timers through it, a writer
-//! repairs its link through it. The node mutex is held only while
-//! mutating the state machine; emitted [`Action`]s are executed *after*
-//! release so user callbacks (monitors, delivery upcalls) can re-enter
-//! the handle without deadlocking. The attached observer is the one
-//! exception: it runs *before* release (the contract is written once, in
-//! [`stabilizer_core::observe`]).
+//! Link threads run the machine **inline** — a reader folds each batch
+//! of frames under one acquisition of the state lock, the ticker fires
+//! timers through it, a writer repairs its link through it. The lock is
+//! held only while mutating the machine; emitted actions are executed
+//! *after* release so user callbacks (monitors, delivery upcalls) can
+//! re-enter the handle without deadlocking. The attached observer is the
+//! one exception: it runs *before* release (the contract is written
+//! once, in [`stabilizer_core::observe`]).
 
+use crate::framing::Lane;
 use crate::handle::NodeHandle;
-use crate::link::{self, Link, LinkClient, LinkSpawn, MetricsDump};
+use crate::link::{self, Link, LinkClient, LinkSpawn};
 use crate::upcalls::Upcalls;
 use parking_lot::Mutex;
+use stabilizer_core::sim_driver::Machine;
 use stabilizer_core::{
-    AckTypeRegistry, Action, AppHooks, ClusterConfig, CoreError, Event, NodeId, SimTime, Snapshot,
-    StabilizerNode, TimerKind, WireMsg, RECEIVED,
+    AckTypeId, AckTypeRegistry, Action, AppHooks, ClusterConfig, CoreError, Event, Metrics, NodeId,
+    SeqNo, SimTime, Snapshot, StabilizerNode, TimerKind, WireMsg, RECEIVED,
 };
 use stabilizer_telemetry::{StallProvider, Telemetry};
 use std::net::{SocketAddr, TcpListener};
 use std::sync::Arc;
 
+/// What the TCP runtime needs of a machine beyond [`Machine`]: its frame
+/// lane and observer, how it folds a reader batch and repairs a link,
+/// and what the ticker, `/stall` and the handle read off it. Implemented
+/// by exactly [`StabilizerNode`] and
+/// [`ShardedEngine`](stabilizer_shard::ShardedEngine); like `Machine`, it
+/// exists so the two share one runtime, not as an extension point.
+pub trait TcpMachine: Machine + Send + Sized + 'static {
+    /// The frame lane this machine's traffic travels on.
+    type Lane: Lane;
+    /// What the observer slot holds.
+    type Observer: AppHooks + Send;
+    /// Thread-name prefix (`<prefix>-<me>-…`).
+    const THREAD_PREFIX: &'static str;
+
+    /// The observer slot for the spawn options' observer and hub; `None`
+    /// when nothing is to be shown events.
+    fn observer(
+        &self,
+        hooks: Option<Box<dyn AppHooks + Send>>,
+        telemetry: Option<&Arc<Telemetry>>,
+    ) -> Option<Self::Observer>;
+    /// Show `observer` what `action` means (under the state lock).
+    fn show(&self, observer: &mut Self::Observer, now: SimTime, action: &Self::Action) {
+        if let Some(event) = Self::observe(action) {
+            observer.on_event(now, &event);
+        }
+    }
+    /// `seq` was just published with a `len`-byte payload (under the
+    /// state lock, before `observer` is shown what the publish emitted).
+    fn published(&self, _observer: &mut Self::Observer, _seq: SeqNo, _len: usize) {}
+    /// What the ticker samples (under the state lock): machine-private
+    /// series go into `observer`; send-buffer bytes and blocked waits
+    /// are returned, for the transport gauges.
+    fn sample(&self, observer: Option<&mut Self::Observer>) -> (usize, usize);
+    /// The frame `action` asks to send, as `(to, lane, message)`, or the
+    /// action back when it is not a transmission.
+    fn into_frame(action: Self::Action) -> Result<(NodeId, Self::Lane, WireMsg), Self::Action>;
+    /// Fold a reader batch from `peer` (see [`LinkClient::on_frames`]).
+    fn on_frames(&mut self, now_nanos: u64, peer: NodeId, frames: &mut Vec<(Self::Lane, WireMsg)>);
+    /// See [`StabilizerNode::repair_link`].
+    fn repair_link(&mut self, peer: NodeId);
+    /// `/stall`'s body: live frontier blame as JSON.
+    fn stall_json(&self) -> String;
+    /// `(stream, key, f*)` of every installed predicate.
+    fn predicate_tolerances(&self) -> impl Iterator<Item = (NodeId, &str, i64)> + '_;
+    /// See [`StabilizerNode::stability_frontier`].
+    fn stability_frontier(&self, stream: NodeId, key: &str) -> Option<(SeqNo, u32)>;
+    /// See [`StabilizerNode::last_published`].
+    fn last_published(&self) -> SeqNo;
+    /// See [`StabilizerNode::is_suspected`].
+    fn is_suspected(&self, node: NodeId) -> bool;
+    /// See [`StabilizerNode::active_transfers`].
+    fn active_transfers(&self) -> usize;
+    /// See [`StabilizerNode::metrics`].
+    fn metrics(&self) -> Metrics;
+    /// See [`StabilizerNode::register_ack_type`].
+    fn register_ack_type(&mut self, name: &str) -> AckTypeId;
+}
+
+impl TcpMachine for StabilizerNode {
+    type Lane = ();
+    type Observer = Box<dyn AppHooks + Send>;
+    const THREAD_PREFIX: &'static str = "stab";
+
+    /// The spawn options' observer alone: a plain node feeds a hub only
+    /// through it.
+    fn observer(
+        &self,
+        hooks: Option<Box<dyn AppHooks + Send>>,
+        _telemetry: Option<&Arc<Telemetry>>,
+    ) -> Option<Self::Observer> {
+        hooks
+    }
+    fn sample(&self, _observer: Option<&mut Self::Observer>) -> (usize, usize) {
+        (self.send_buffer_bytes(), self.pending_waiters())
+    }
+    #[inline]
+    fn into_frame(action: Action) -> Result<(NodeId, (), WireMsg), Action> {
+        match action {
+            Action::Send { to, msg } => Ok((to, (), msg)),
+            other => Err(other),
+        }
+    }
+    fn on_frames(&mut self, now_nanos: u64, peer: NodeId, frames: &mut Vec<((), WireMsg)>) {
+        self.on_messages(now_nanos, frames.drain(..).map(|((), msg)| (peer, msg)));
+    }
+    fn repair_link(&mut self, peer: NodeId) {
+        self.repair_link(peer);
+    }
+    fn stall_json(&self) -> String {
+        stabilizer_core::render_stall_reports_json(&self.explain_all())
+    }
+    fn predicate_tolerances(&self) -> impl Iterator<Item = (NodeId, &str, i64)> + '_ {
+        self.predicate_tolerances()
+    }
+    fn stability_frontier(&self, stream: NodeId, key: &str) -> Option<(SeqNo, u32)> {
+        self.stability_frontier(stream, key)
+    }
+    fn last_published(&self) -> SeqNo {
+        self.last_published()
+    }
+    fn is_suspected(&self, node: NodeId) -> bool {
+        self.is_suspected(node)
+    }
+    fn active_transfers(&self) -> usize {
+        self.active_transfers()
+    }
+    fn metrics(&self) -> Metrics {
+        self.metrics()
+    }
+    fn register_ack_type(&mut self, name: &str) -> AckTypeId {
+        self.register_ack_type(name)
+    }
+}
+
 /// State shared between the handle and the link threads.
-pub struct Shared {
+pub(crate) struct Shared<M: TcpMachine> {
     /// This node's id.
-    pub me: NodeId,
+    pub(crate) me: NodeId,
     /// The protocol state machine.
-    pub node: Mutex<StabilizerNode>,
-    /// The external observer, invoked under the node lock.
-    pub observer: Mutex<Option<Box<dyn AppHooks + Send>>>,
+    pub(crate) node: Mutex<M>,
+    /// The observer, shown every event under the state lock.
+    observer: Option<Mutex<M::Observer>>,
     /// `waitfor` rendezvous, frontier monitors and delivery upcalls.
     pub(crate) upcalls: Upcalls,
     /// Sockets, link threads, clock and transport telemetry.
-    pub(crate) link: Link<()>,
+    pub(crate) link: Link<M::Lane>,
 }
 
-impl Shared {
-    /// Mutate the state machine under the lock, then execute the emitted
-    /// actions *outside* it (observers excepted, see module docs).
-    pub fn with_node<R>(&self, f: impl FnOnce(&mut StabilizerNode) -> R) -> R {
-        let (r, actions) = {
+impl<M: TcpMachine> Shared<M> {
+    /// Mutate the machine under the lock and show the observer what it
+    /// emitted, then execute the emitted actions *outside* the lock.
+    pub(crate) fn with_node<R>(&self, f: impl FnOnce(&mut M) -> R) -> R {
+        let mut actions = Vec::new();
+        let r = {
             let mut node = self.node.lock();
             let r = f(&mut node);
-            let actions = node.take_actions();
-            self.observe(actions.iter().filter_map(Action::event));
-            (r, actions)
+            node.swap_actions(&mut actions);
+            self.observe(|observer| {
+                let now = SimTime(self.link.now_nanos());
+                for action in &actions {
+                    node.show(observer, now, action);
+                }
+            });
+            r
         };
         self.process(actions);
         r
     }
 
-    /// Show `events` to the attached observer. For action events this is
-    /// called with the node lock held, so the observer's log is never
-    /// behind the machine state.
-    pub(crate) fn observe<'a>(&self, events: impl IntoIterator<Item = Event<'a>>) {
-        if let Some(obs) = self.observer.lock().as_mut() {
-            let now = SimTime(self.link.now_nanos());
-            for event in events {
-                obs.on_event(now, &event);
-            }
+    /// Run `f` on the attached observer, if any. Called with the state
+    /// lock held, except for events the runtime produces itself
+    /// ([`Shared::notify`]).
+    pub(crate) fn observe(&self, f: impl FnOnce(&mut M::Observer)) {
+        if let Some(observer) = &self.observer {
+            f(&mut observer.lock());
         }
     }
 
-    /// Execute actions: run callbacks for what each one shows
-    /// ([`Action::event`]), forward sends to writer channels, then wake
-    /// the waiters of every completed wait at once.
-    pub fn process(&self, actions: Vec<Action>) {
-        let mut done = Vec::new();
-        for action in actions {
-            match action {
-                Action::Send { to, msg } => self.link.send(to, (), msg),
-                Action::WaitDone { token } => done.push(token),
-                other => {
-                    if let Some(event) = other.event() {
-                        self.upcalls.fire(&event);
-                    }
-                }
-            }
-        }
-        self.upcalls.complete(done);
+    /// Show the observer an event the runtime, not the machine, produced.
+    fn notify(&self, event: Event<'_>) {
+        self.observe(|observer| observer.on_event(SimTime(self.link.now_nanos()), &event));
     }
 
     /// Surface a membership (re)join — catch-up requested on `streams`
     /// peer streams — to the attached observer.
     pub(crate) fn notify_join(&self, streams: usize) {
         if streams > 0 {
-            self.observe([Event::Join { streams }]);
+            self.notify(Event::Join { streams });
         }
+    }
+
+    /// Execute actions: forward sends to the writers, run callbacks for
+    /// what every other action shows ([`Machine::observe`]), then wake
+    /// the waiters of every completed wait at once.
+    fn process(&self, actions: Vec<M::Action>) {
+        let mut done = Vec::new();
+        for action in actions {
+            match M::into_frame(action) {
+                Ok((to, lane, msg)) => self.link.send(to, lane, msg),
+                Err(other) => match M::observe(&other) {
+                    Some(Event::WaitDone { token }) => done.push(token),
+                    Some(event) => self.upcalls.fire(&event),
+                    None => {}
+                },
+            }
+        }
+        self.upcalls.complete(done);
     }
 }
 
-impl LinkClient for Shared {
-    type Lane = ();
+impl<M: TcpMachine> LinkClient for Shared<M> {
+    type Lane = M::Lane;
 
-    fn link(&self) -> &Link<()> {
+    fn link(&self) -> &Link<M::Lane> {
         &self.link
     }
 
-    fn on_frames(&self, peer: NodeId, frames: &mut Vec<((), WireMsg)>) {
+    fn on_frames(&self, peer: NodeId, frames: &mut Vec<(M::Lane, WireMsg)>) {
         let now = self.link.now_nanos();
-        let msgs = frames.drain(..).map(|((), msg)| (peer, msg));
-        self.with_node(|n| n.on_messages(now, msgs));
+        self.with_node(|node| node.on_frames(now, peer, frames));
     }
 
     fn repair_link(&self, peer: NodeId) {
-        self.with_node(|n| n.repair_link(peer));
+        self.with_node(|node| node.repair_link(peer));
     }
 
     fn on_timer(&self, kind: TimerKind, now_nanos: u64) {
-        self.with_node(|n| n.on_timer(kind, now_nanos));
+        self.with_node(|node| node.on_timer(kind, now_nanos));
     }
 
     fn sample(&self, telemetry: &Telemetry) {
         let (buf, waiters, core) = {
             let node = self.node.lock();
-            (
-                node.send_buffer_bytes(),
-                node.pending_waiters(),
-                node.metrics(),
-            )
+            let mut observer = self.observer.as_ref().map(|o| o.lock());
+            let (buf, waiters) = node.sample(observer.as_deref_mut());
+            (buf, waiters, node.metrics())
         };
         if let Some(m) = &self.link.metrics {
             m.send_buffer_bytes.set(buf as i64);
@@ -131,56 +255,57 @@ impl LinkClient for Shared {
     }
 
     fn on_connect_failed(&self, peer: NodeId) {
-        self.observe([Event::ConnectFailed { peer }]);
+        self.notify(Event::ConnectFailed { peer });
     }
 }
 
-/// A node running on the TCP runtime. Dropping the cluster handle does
-/// not stop nodes; call [`NodeHandle::shutdown`].
-pub struct TcpNode {
-    handle: NodeHandle,
+/// A node running on the TCP runtime. Dropping it does not stop the
+/// node; call [`NodeHandle::shutdown`].
+pub struct TcpNode<M: TcpMachine = StabilizerNode> {
+    handle: NodeHandle<M>,
 }
 
-impl TcpNode {
+impl<M: TcpMachine> TcpNode<M> {
     /// The application handle.
-    pub fn handle(&self) -> NodeHandle {
+    pub fn handle(&self) -> NodeHandle<M> {
         self.handle.clone()
     }
 }
 
-/// Extra knobs for [`spawn_node_with`]. `Default` reproduces
-/// [`spawn_node`]'s behavior exactly.
+/// Extra knobs for [`spawn_node_with`] and
+/// [`spawn_sharded_node`](crate::spawn_sharded_node). `Default`
+/// reproduces [`spawn_node`]'s behavior exactly.
 #[derive(Default)]
 pub struct SpawnOptions {
-    /// Observer shown every event (under the node lock; see
+    /// Observer shown every event (under the state lock; see
     /// [`stabilizer_core::observe`] for the contract).
     pub observer: Option<Box<dyn AppHooks + Send>>,
     /// Restart from this control-plane snapshot instead of booting
     /// fresh: the recorder is restored, every remote stream is
     /// fast-forwarded to its snapshotted RECEIVED cell (§III-E state
     /// transfer), and the writers re-announce ACKs on their first
-    /// connect so peers resynchronize immediately.
+    /// connect so peers resynchronize immediately. A plain node only: a
+    /// sharded node given one refuses to start.
     pub snapshot: Option<Snapshot>,
     /// Seed for the reconnect backoff jitter (per-link streams are
     /// derived from it, so two nodes never share a retry schedule).
     pub jitter_seed: u64,
     /// Telemetry hub to feed: registers this node's transport counters
     /// and lets the ticker mirror the control-plane
-    /// [`Metrics`](stabilizer_core::Metrics) into gauges. Attach the hub's
+    /// [`Metrics`] into gauges. A plain node feeds it latency histograms
+    /// only through an observer: attach the hub's
     /// [`MetricsObserver`](stabilizer_telemetry::MetricsObserver) via
     /// [`SpawnOptions::observer`] (or an
-    /// [`ObserverChain`](stabilizer_core::ObserverChain)) to also get
-    /// latency histograms.
+    /// [`ObserverChain`](stabilizer_core::ObserverChain)). A sharded node
+    /// attaches one itself, plus its per-shard series, and stamps its
+    /// publishes.
     pub telemetry: Option<Arc<Telemetry>>,
-    /// Periodically write a Prometheus text snapshot of the attached
-    /// telemetry (no-op without `telemetry`).
-    pub metrics_dump: Option<MetricsDump>,
     /// Serve the attached telemetry over HTTP on this address (e.g.
     /// `127.0.0.1:9464`; port 0 picks an ephemeral port, readable back
     /// via [`NodeHandle::serve_addr`]). Routes: `/metrics` (Prometheus
     /// text with exemplars), `/metrics.json`, `/trace[?n=N]`, and
-    /// `/stall` (live frontier blame from
-    /// [`StabilizerNode::explain_all`]). No-op without `telemetry`.
+    /// `/stall` (live frontier blame, per shard on a sharded node).
+    /// No-op without `telemetry`.
     pub serve_addr: Option<String>,
 }
 
@@ -213,12 +338,10 @@ pub fn spawn_node_with(
     acks: Arc<AckTypeRegistry>,
     listener: TcpListener,
     peer_addrs: Vec<(NodeId, SocketAddr)>,
-    opts: SpawnOptions,
+    mut opts: SpawnOptions,
 ) -> Result<TcpNode, CoreError> {
-    let restored = opts.snapshot.is_some();
-    let mut join_streams = 0;
-    let node = match opts.snapshot {
-        None => StabilizerNode::new(cfg.clone(), me, acks)?,
+    let (node, restored) = match opts.snapshot.take() {
+        None => (StabilizerNode::new(cfg.clone(), me, acks)?, None),
         Some(snapshot) => {
             let mut node = StabilizerNode::restore(cfg.clone(), me, acks, snapshot)?;
             // §III-E state transfer: the mirror resumes every remote
@@ -234,27 +357,41 @@ pub fn spawn_node_with(
             // replay, covering whatever was published past the durable
             // acknowledgment while this node was down (no-op unless
             // `transfer_millis` is configured).
-            join_streams = node.begin_catch_up(0);
-            node
+            let streams = node.begin_catch_up(0);
+            (node, Some(streams))
         }
     };
-    let link = Link::new(&cfg, me, opts.telemetry, node.predicate_tolerances());
+    spawn(&cfg, me, node, listener, peer_addrs, opts, restored)
+}
+
+/// Start `node`, node `me` of `cfg`, on the TCP runtime: the one spawn
+/// path under both machines. `restored` is `Some(streams)` for a node
+/// restored from a snapshot that requested catch-up on `streams` peer
+/// streams; `opts.snapshot` has been consumed.
+pub(crate) fn spawn<M: TcpMachine>(
+    cfg: &ClusterConfig,
+    me: NodeId,
+    node: M,
+    listener: TcpListener,
+    peer_addrs: Vec<(NodeId, SocketAddr)>,
+    opts: SpawnOptions,
+    restored: Option<usize>,
+) -> Result<TcpNode<M>, CoreError> {
+    let observer = node.observer(opts.observer, opts.telemetry.as_ref());
+    let link = Link::new(cfg, me, opts.telemetry, node.predicate_tolerances());
     let shared = Arc::new(Shared {
         me,
         node: Mutex::new(node),
-        observer: Mutex::new(opts.observer),
+        observer: observer.map(Mutex::new),
         upcalls: Upcalls::default(),
         link,
     });
-    // `/stall` locks the node and diagnoses every (stream, key) frontier
-    // live. A weak ref keeps the provider from pinning the runtime after
+    // `/stall` locks the machine and diagnoses every frontier live. A
+    // weak ref keeps the provider from pinning the runtime after
     // shutdown takes the server down.
     let weak = Arc::downgrade(&shared);
     let stall: StallProvider = Arc::new(move || match weak.upgrade() {
-        Some(shared) => {
-            let node = shared.node.lock();
-            stabilizer_core::render_stall_reports_json(&node.explain_all())
-        }
+        Some(shared) => shared.node.lock().stall_json(),
         None => "{\"reports\":[]}".to_string(),
     });
     shared.link.serve(opts.serve_addr.as_deref(), stall)?;
@@ -264,17 +401,17 @@ pub fn spawn_node_with(
         peer_addrs,
         cfg.options(),
         LinkSpawn {
-            thread_prefix: "stab",
-            repair_first_connect: restored,
+            thread_prefix: M::THREAD_PREFIX,
+            repair_first_connect: restored.is_some(),
             jitter_seed: opts.jitter_seed,
-            metrics_dump: opts.metrics_dump,
         },
     );
 
-    // Flush actions queued during construction (a restore re-evaluates
-    // every predicate, which can emit frontier updates) now that the
-    // writer channels and the observer are in place.
-    shared.notify_join(join_streams);
+    // Flush actions queued during construction (configured predicates,
+    // and a restore's re-evaluation of every one, can emit frontier
+    // updates) now that the writer channels and the observer are in
+    // place.
+    shared.notify_join(restored.unwrap_or(0));
     shared.with_node(|_| ());
 
     Ok(TcpNode {

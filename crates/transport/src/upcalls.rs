@@ -1,8 +1,8 @@
-//! Application upcalls shared by both runtimes' handles: blocked
-//! `waitfor`s, frontier monitors and delivery callbacks.
+//! Application upcalls of a node handle: blocked `waitfor`s, frontier
+//! monitors and delivery callbacks.
 //!
-//! Both fire an upcall inline on whichever thread mutated the state
-//! machine, after its lock is released; this type holds the
+//! The runtime fires an upcall inline on whichever thread mutated the
+//! state machine, after its lock is released; this type holds the
 //! registrations and the wait/complete rendezvous — and keeps frontier
 //! upcalls monotone (§III "monotonic upcalls"): two threads that folded
 //! ACKs of one key can arrive here swapped.
@@ -26,12 +26,25 @@ struct Monitored {
     fns: Vec<MonitorFn>,
 }
 
-/// Registered callbacks plus the completed-wait set of one node.
+/// The wait/complete rendezvous. A token is in at most one set, so the
+/// two together hold no more tokens than the machine has pending waiters
+/// plus completions not yet consumed.
+#[derive(Default)]
+struct Waits {
+    /// Tokens of completed `waitfor`s not yet consumed by their waiter
+    /// (a `begin_waitfor` token stays until `wait_is_done` takes it).
+    completed: HashSet<WaitToken>,
+    /// Tokens whose blocking waiter timed out and left: still pending in
+    /// the machine, which cannot cancel a waiter, and dropped when it
+    /// completes them.
+    abandoned: HashSet<WaitToken>,
+}
+
+/// Registered callbacks plus the wait rendezvous of one node.
 #[derive(Default)]
 pub(crate) struct Upcalls {
-    /// Tokens of completed `waitfor`s not yet consumed by their waiter.
-    completed: Mutex<HashSet<WaitToken>>,
-    /// Signalled when `completed` grows.
+    waits: Mutex<Waits>,
+    /// Signalled when `waits.completed` grows.
     completed_cv: Condvar,
     /// Frontier monitors, by stream, then by key (so an update's
     /// borrowed key finds them).
@@ -41,25 +54,27 @@ pub(crate) struct Upcalls {
 
 impl Upcalls {
     /// Block until `token` completes or `timeout` elapses; `true` on
-    /// completion (which consumes it).
+    /// completion (which consumes it). On `false` the token is
+    /// abandoned: its later completion is dropped, not kept for nobody.
     pub(crate) fn wait(&self, token: WaitToken, timeout: Duration) -> bool {
         let deadline = Instant::now() + timeout;
-        let mut done = self.completed.lock();
+        let mut waits = self.waits.lock();
         loop {
-            if done.remove(&token) {
+            if waits.completed.remove(&token) {
                 return true;
             }
             let now = Instant::now();
             if now >= deadline {
+                waits.abandoned.insert(token);
                 return false;
             }
-            self.completed_cv.wait_for(&mut done, deadline - now);
+            self.completed_cv.wait_for(&mut waits, deadline - now);
         }
     }
 
     /// Whether `token` has completed (consumes the completion).
     pub(crate) fn take_done(&self, token: WaitToken) -> bool {
-        self.completed.lock().remove(&token)
+        self.waits.lock().completed.remove(&token)
     }
 
     /// Mark `tokens` completed and wake every waiter: one lock and one
@@ -68,7 +83,13 @@ impl Upcalls {
         if tokens.is_empty() {
             return;
         }
-        self.completed.lock().extend(tokens);
+        let mut waits = self.waits.lock();
+        for token in tokens {
+            if !waits.abandoned.remove(&token) {
+                waits.completed.insert(token);
+            }
+        }
+        drop(waits);
         self.completed_cv.notify_all();
     }
 
@@ -157,5 +178,30 @@ mod tests {
         fire(1, 2);
         fire(0, 7);
         assert_eq!(*seen.lock(), [(0, 6), (1, 2)]);
+    }
+
+    /// Tokens the rendezvous holds, completed or abandoned.
+    fn held(upcalls: &Upcalls) -> usize {
+        let waits = upcalls.waits.lock();
+        waits.completed.len() + waits.abandoned.len()
+    }
+
+    #[test]
+    fn a_wait_that_timed_out_leaves_nothing_behind_once_it_completes() {
+        let upcalls = Upcalls::default();
+        assert!(!upcalls.wait(1, Duration::ZERO));
+        // The machine cannot cancel the waiter: it completes later.
+        upcalls.complete(vec![1]);
+        assert_eq!(held(&upcalls), 0, "a completion kept for nobody");
+
+        // A completion that beats its waiter is consumed by it.
+        upcalls.complete(vec![2]);
+        assert!(upcalls.wait(2, Duration::ZERO));
+        // A `begin_waitfor` token is kept until `wait_is_done` takes it.
+        upcalls.complete(vec![3]);
+        assert_eq!(held(&upcalls), 1);
+        assert!(upcalls.take_done(3));
+        assert!(!upcalls.take_done(3));
+        assert_eq!(held(&upcalls), 0);
     }
 }

@@ -4,9 +4,12 @@
 
 use bytes::Bytes;
 use parking_lot::Mutex;
-use stabilizer_core::{NodeId, SeqNo};
+use stabilizer_core::{AckTypeRegistry, CoreError, NodeId, SeqNo, StabilizerNode};
 use stabilizer_shard::RoutePolicy;
-use stabilizer_transport::{spawn_sharded_local_cluster, ShardedTcpNode};
+use stabilizer_transport::{
+    spawn_sharded_local_cluster, spawn_sharded_node, ShardedTcpNode, SpawnOptions,
+};
+use std::net::TcpListener;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -257,4 +260,22 @@ predicate AllRemote MIN($ALLWNODES-$MYWNODE)
         .waitfor(NodeId(0), "AllRemote", seq, Duration::from_secs(10))
         .unwrap());
     shutdown(&nodes);
+}
+
+#[test]
+fn a_sharded_node_refuses_a_snapshot_it_cannot_restore() {
+    let cfg = stabilizer_core::ClusterConfig::parse(CFG).expect("config parses");
+    let acks = Arc::new(AckTypeRegistry::new());
+    let plain = StabilizerNode::new(cfg.clone(), NodeId(0), Arc::clone(&acks)).expect("node");
+    let opts = SpawnOptions {
+        snapshot: Some(plain.snapshot()),
+        ..SpawnOptions::default()
+    };
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let policy = RoutePolicy::RoundRobin;
+    let spawned = spawn_sharded_node(cfg, NodeId(0), acks, listener, Vec::new(), policy, opts);
+    assert!(
+        matches!(spawned, Err(CoreError::Config(_))),
+        "a snapshot was silently ignored"
+    );
 }

@@ -26,34 +26,38 @@ fn threads_named(prefix: &str) -> Vec<String> {
     names
 }
 
-fn wait_until(what: &str, mut cond: impl FnMut() -> bool) {
-    let deadline = Instant::now() + Duration::from_secs(10);
-    while !cond() {
-        assert!(Instant::now() < deadline, "{what}: not within 10 s");
-        std::thread::sleep(Duration::from_millis(5));
-    }
-}
-
 #[test]
 fn a_sharded_node_runs_the_link_threads_and_nothing_else() {
     let cfg = "az East a b\naz West c\noption shards 4\npredicate All MIN($ALLWNODES)\n";
     let cfg = ClusterConfig::parse(cfg).expect("config");
     let nodes = spawn_sharded_local_cluster(&cfg, RoutePolicy::RoundRobin).expect("cluster");
 
-    // A reader exists once its peer has connected: wait for all six.
-    wait_until("every link up", || threads_named("stabs-").len() == 3 * 6);
-    for me in 0..3 {
-        let peers = (0..3).filter(|peer| *peer != me);
-        let mut expected: Vec<String> = ["accept", "tick", "r", "r"]
-            .into_iter()
-            .map(str::to_owned)
-            .chain(peers.map(|peer| format!("w{peer}")))
-            .map(|role| format!("stabs-{me}-{role}"))
-            .map(|name| name[..name.len().min(15)].to_owned())
-            .collect();
-        expected.sort();
-        assert_eq!(threads_named(&format!("stabs-{me}-")), expected);
+    let expected: Vec<Vec<String>> = (0..3)
+        .map(|me| {
+            let peers = (0..3).filter(move |peer| *peer != me);
+            let mut names: Vec<String> = ["accept", "tick", "r", "r"]
+                .into_iter()
+                .map(str::to_owned)
+                .chain(peers.map(|peer| format!("w{peer}")))
+                .map(|role| format!("stabs-{me}-{role}"))
+                .map(|name| name[..name.len().min(15)].to_owned())
+                .collect();
+            names.sort();
+            names
+        })
+        .collect();
+    let running = || -> Vec<Vec<String>> {
+        let of = |me| threads_named(&format!("stabs-{me}-"));
+        (0..3).map(of).collect()
+    };
+    // A reader exists once its peer has connected, and a new thread
+    // carries its creator's name until it has set its own (a reader just
+    // accepted reads as a second `accept`): wait for the names to settle.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while running() != expected && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(5));
     }
+    assert_eq!(running(), expected);
 
     for node in &nodes {
         node.handle().shutdown();

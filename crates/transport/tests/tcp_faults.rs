@@ -1,22 +1,21 @@
-//! Fault-path tests for the TCP runtimes: staggered starts (messages
+//! Fault-path tests for the TCP runtime: staggered starts (messages
 //! published before peers exist must still arrive), failure detection
 //! over real sockets, connect-retry exhaustion, hostile first frames,
 //! the lone-operation flush, monotone frontier upcalls under two
 //! publishers, a manual catch-up reaching the observer, and callbacks
-//! that re-enter the handle. Every case runs on both runtimes — the
-//! plain one and the sharded one (`option shards 2`) — through the
-//! [`Runtime`] trait below.
+//! that re-enter the handle. Every case runs on both machines — a plain
+//! node and a sharded one (`option shards 2`) — through one
+//! `NodeHandle<M>`; the [`Runtime`] trait below holds what differs.
 
 use bytes::Bytes;
 use stabilizer_core::{
-    AckTypeRegistry, ClusterConfig, CoreError, FrontierUpdate, NodeId, Options, SeqNo, WireMsg,
+    AckTypeRegistry, ClusterConfig, NodeId, Options, SeqNo, StabilizerNode, WireMsg,
 };
-use stabilizer_shard::RoutePolicy;
+use stabilizer_shard::{RoutePolicy, ShardedEngine};
 use stabilizer_telemetry::Telemetry;
 use stabilizer_transport::framing::{hello, write_lane_frame, Lane};
 use stabilizer_transport::{
-    spawn_node_with, spawn_sharded_node, NodeHandle, ShardedHandle, ShardedSpawnOptions,
-    SpawnOptions,
+    spawn_node_with, spawn_sharded_node, NodeHandle, SpawnOptions, TcpMachine,
 };
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -24,10 +23,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// The part of the two handles these cases use, plus how to spawn one.
-trait Runtime: Clone + Sized {
-    /// Frame lane of this runtime's wire format.
-    type Lane: Lane;
+/// What differs between the two machines a case runs on; everything
+/// else is a call on their one handle, `NodeHandle<M>`.
+trait Runtime: TcpMachine {
     /// Appended to every config of a case.
     const EXTRA_CFG: &'static str;
     /// A lane data frames are processed on.
@@ -42,24 +40,12 @@ trait Runtime: Clone + Sized {
         listener: TcpListener,
         peers: Vec<(NodeId, SocketAddr)>,
         hub: Option<&Arc<Telemetry>>,
-    ) -> Self;
-    fn publish(&self, payload: Bytes) -> SeqNo;
-    /// Watch `key` on this node's own stream.
-    fn monitor(&self, key: &str, f: impl FnMut(&FrontierUpdate) + Send + 'static);
-    fn on_deliver(&self, f: impl FnMut(NodeId, SeqNo) + Send + 'static);
-    /// Frontier of `key` on this node's own stream.
-    fn frontier(&self, key: &str) -> Option<SeqNo>;
-    fn waitfor(&self, key: &str, seq: SeqNo) -> Result<bool, CoreError>;
-    fn begin_catch_up(&self);
+    ) -> NodeHandle<Self>;
     /// Highest sequence of `origin` delivered to the application.
-    fn delivered(&self, origin: NodeId) -> SeqNo;
-    fn is_suspected(&self, node: NodeId) -> bool;
-    fn connect_failures(&self) -> Vec<NodeId>;
-    fn shutdown(&self);
+    fn delivered(h: &NodeHandle<Self>, origin: NodeId) -> SeqNo;
 }
 
-impl Runtime for NodeHandle {
-    type Lane = ();
+impl Runtime for StabilizerNode {
     const EXTRA_CFG: &'static str = "";
     const DATA_LANE: () = ();
 
@@ -70,7 +56,7 @@ impl Runtime for NodeHandle {
         listener: TcpListener,
         peers: Vec<(NodeId, SocketAddr)>,
         hub: Option<&Arc<Telemetry>>,
-    ) -> Self {
+    ) -> NodeHandle {
         // The plain runtime attaches no observer of its own.
         let opts = SpawnOptions {
             observer: hub.map(|t| Box::new(t.observer(me)) as _),
@@ -81,41 +67,12 @@ impl Runtime for NodeHandle {
             .expect("spawn")
             .handle()
     }
-    fn publish(&self, payload: Bytes) -> SeqNo {
-        NodeHandle::publish(self, payload, Duration::from_secs(1)).expect("publish")
-    }
-    fn monitor(&self, key: &str, f: impl FnMut(&FrontierUpdate) + Send + 'static) {
-        self.monitor_stability_frontier(self.id(), key, f);
-    }
-    fn on_deliver(&self, mut f: impl FnMut(NodeId, SeqNo) + Send + 'static) {
-        NodeHandle::on_deliver(self, move |origin, seq, _| f(origin, seq));
-    }
-    fn frontier(&self, key: &str) -> Option<SeqNo> {
-        let at = self.stability_frontier(self.id(), key);
-        at.map(|(seq, _generation)| seq)
-    }
-    fn waitfor(&self, key: &str, seq: SeqNo) -> Result<bool, CoreError> {
-        NodeHandle::waitfor(self, self.id(), key, seq, Duration::from_secs(10))
-    }
-    fn begin_catch_up(&self) {
-        NodeHandle::begin_catch_up(self);
-    }
-    fn delivered(&self, origin: NodeId) -> SeqNo {
-        self.delivered_of(origin)
-    }
-    fn is_suspected(&self, node: NodeId) -> bool {
-        NodeHandle::is_suspected(self, node)
-    }
-    fn connect_failures(&self) -> Vec<NodeId> {
-        NodeHandle::connect_failures(self)
-    }
-    fn shutdown(&self) {
-        NodeHandle::shutdown(self);
+    fn delivered(h: &NodeHandle, origin: NodeId) -> SeqNo {
+        h.delivered_of(origin)
     }
 }
 
-impl Runtime for ShardedHandle {
-    type Lane = u16;
+impl Runtime for ShardedEngine {
     const EXTRA_CFG: &'static str = "option shards 2\n";
     const DATA_LANE: u16 = 0;
 
@@ -126,48 +83,37 @@ impl Runtime for ShardedHandle {
         listener: TcpListener,
         peers: Vec<(NodeId, SocketAddr)>,
         hub: Option<&Arc<Telemetry>>,
-    ) -> Self {
-        let opts = ShardedSpawnOptions {
-            policy: RoutePolicy::RoundRobin,
+    ) -> NodeHandle<Self> {
+        let opts = SpawnOptions {
             telemetry: hub.cloned(),
             jitter_seed: u64::from(me.0),
-            ..ShardedSpawnOptions::default()
+            ..SpawnOptions::default()
         };
-        spawn_sharded_node(cfg, me, acks, listener, peers, opts)
+        let policy = RoutePolicy::RoundRobin;
+        spawn_sharded_node(cfg, me, acks, listener, peers, policy, opts)
             .expect("spawn sharded")
             .handle()
     }
-    fn publish(&self, payload: Bytes) -> SeqNo {
-        ShardedHandle::publish(self, payload, Duration::from_secs(1)).expect("publish")
+    fn delivered(h: &NodeHandle<Self>, origin: NodeId) -> SeqNo {
+        h.delivered_global(origin)
     }
-    fn monitor(&self, key: &str, f: impl FnMut(&FrontierUpdate) + Send + 'static) {
-        self.monitor_stability_frontier(self.id(), key, f);
-    }
-    fn on_deliver(&self, mut f: impl FnMut(NodeId, SeqNo) + Send + 'static) {
-        ShardedHandle::on_deliver(self, move |origin, seq, _| f(origin, seq));
-    }
-    fn frontier(&self, key: &str) -> Option<SeqNo> {
-        let at = self.stability_frontier(self.id(), key);
-        at.map(|(seq, _generation)| seq)
-    }
-    fn waitfor(&self, key: &str, seq: SeqNo) -> Result<bool, CoreError> {
-        ShardedHandle::waitfor(self, self.id(), key, seq, Duration::from_secs(10))
-    }
-    fn begin_catch_up(&self) {
-        ShardedHandle::begin_catch_up(self);
-    }
-    fn delivered(&self, origin: NodeId) -> SeqNo {
-        self.delivered_global(origin)
-    }
-    fn is_suspected(&self, node: NodeId) -> bool {
-        ShardedHandle::is_suspected(self, node)
-    }
-    fn connect_failures(&self) -> Vec<NodeId> {
-        ShardedHandle::connect_failures(self)
-    }
-    fn shutdown(&self) {
-        ShardedHandle::shutdown(self);
-    }
+}
+
+fn publish<M: TcpMachine>(h: &NodeHandle<M>, payload: &'static [u8]) -> SeqNo {
+    let payload = Bytes::from_static(payload);
+    h.publish(payload, Duration::from_secs(1)).expect("publish")
+}
+
+/// Whether `key`'s frontier on `h`'s own stream reached `seq` in time.
+fn waitfor<M: TcpMachine>(h: &NodeHandle<M>, key: &str, seq: SeqNo) -> bool {
+    let waited = h.waitfor(h.id(), key, seq, Duration::from_secs(10));
+    waited.expect("a registered key")
+}
+
+/// Frontier of `key` on `h`'s own stream.
+fn frontier<M: TcpMachine>(h: &NodeHandle<M>, key: &str) -> Option<SeqNo> {
+    let at = h.stability_frontier(h.id(), key);
+    at.map(|(seq, _generation)| seq)
 }
 
 const THREE_NODES: &str = "az A a b\naz B c\npredicate AllRemote MIN($ALLWNODES-$MYWNODE)\n";
@@ -201,7 +147,7 @@ fn peers_of(me: usize, addrs: &[SocketAddr]) -> Vec<(NodeId, SocketAddr)> {
 }
 
 /// A whole cluster of `cfg` on loopback, and where its nodes listen.
-fn spawn_cluster<R: Runtime>(cfg: &ClusterConfig) -> (Vec<R>, Vec<SocketAddr>) {
+fn spawn_cluster<R: Runtime>(cfg: &ClusterConfig) -> (Vec<NodeHandle<R>>, Vec<SocketAddr>) {
     spawn_cluster_with(cfg, None)
 }
 
@@ -209,7 +155,7 @@ fn spawn_cluster<R: Runtime>(cfg: &ClusterConfig) -> (Vec<R>, Vec<SocketAddr>) {
 fn spawn_cluster_with<R: Runtime>(
     cfg: &ClusterConfig,
     hub: Option<&Arc<Telemetry>>,
-) -> (Vec<R>, Vec<SocketAddr>) {
+) -> (Vec<NodeHandle<R>>, Vec<SocketAddr>) {
     let (ls, addrs) = listeners(cfg.num_nodes());
     let acks = Arc::new(AckTypeRegistry::new());
     let nodes = ls
@@ -254,7 +200,7 @@ fn early_messages_arrive<R: Runtime>() {
 
     // Only node 0 is alive. Its writers retry-connect in the background.
     let h0 = boot(0);
-    let seq = h0.publish(Bytes::from_static(b"early bird"));
+    let seq = publish(&h0, b"early bird");
 
     // The stragglers join 150 ms later.
     std::thread::sleep(Duration::from_millis(150));
@@ -262,10 +208,10 @@ fn early_messages_arrive<R: Runtime>() {
     let h2 = boot(2);
 
     // The early message reaches everyone: full stability is achieved.
-    assert!(h0.waitfor("AllRemote", seq).unwrap());
+    assert!(waitfor(&h0, "AllRemote", seq));
     // (The receipt acknowledgment can overtake the delivery upcall.)
     eventually("early message delivered at both stragglers", || {
-        h1.delivered(NodeId(0)) == seq && h2.delivered(NodeId(0)) == seq
+        R::delivered(&h1, NodeId(0)) == seq && R::delivered(&h2, NodeId(0)) == seq
     });
     for h in [h0, h1, h2] {
         h.shutdown();
@@ -274,8 +220,8 @@ fn early_messages_arrive<R: Runtime>() {
 
 #[test]
 fn messages_published_before_peers_start_still_arrive() {
-    early_messages_arrive::<NodeHandle>();
-    early_messages_arrive::<ShardedHandle>();
+    early_messages_arrive::<StabilizerNode>();
+    early_messages_arrive::<ShardedEngine>();
 }
 
 fn silent_peer_is_suspected<R: Runtime>() {
@@ -287,8 +233,8 @@ fn silent_peer_is_suspected<R: Runtime>() {
     let h0 = &cluster[0];
 
     // Warm up: traffic flows, nobody is suspected.
-    let seq = h0.publish(Bytes::from_static(b"warmup"));
-    assert!(h0.waitfor("AllRemote", seq).unwrap());
+    let seq = publish(h0, b"warmup");
+    assert!(waitfor(h0, "AllRemote", seq));
 
     // Node 2 dies (its threads stop; its sockets go quiet).
     cluster[2].shutdown();
@@ -312,8 +258,8 @@ fn silent_peer_is_suspected<R: Runtime>() {
 
 #[test]
 fn silent_peer_is_suspected_over_tcp() {
-    silent_peer_is_suspected::<NodeHandle>();
-    silent_peer_is_suspected::<ShardedHandle>();
+    silent_peer_is_suspected::<StabilizerNode>();
+    silent_peer_is_suspected::<ShardedEngine>();
 }
 
 fn exhausted_retries_surface<R: Runtime>() {
@@ -357,8 +303,8 @@ fn exhausted_retries_surface<R: Runtime>() {
 
 #[test]
 fn exhausted_connect_retries_surface_the_unreachable_peer() {
-    exhausted_retries_surface::<NodeHandle>();
-    exhausted_retries_surface::<ShardedHandle>();
+    exhausted_retries_surface::<StabilizerNode>();
+    exhausted_retries_surface::<ShardedEngine>();
 }
 
 /// Open a raw connection to a node, write `frames`, and report whether
@@ -394,8 +340,8 @@ fn hostile_first_frames_are_rejected<R: Runtime>() {
     );
     let (nodes, addrs) = spawn_cluster::<R>(&cfg);
     let h0 = &nodes[0];
-    let seq = h0.publish(Bytes::from_static(b"sane"));
-    assert!(h0.waitfor("AllRemote", seq).unwrap());
+    let seq = publish(h0, b"sane");
+    assert!(waitfor(h0, "AllRemote", seq));
 
     // What every impostor sends after its hello: a message of stream 1
     // (node 1 has published nothing), which must never be delivered.
@@ -434,7 +380,7 @@ fn hostile_first_frames_are_rejected<R: Runtime>() {
     assert!(impostor(0), "hello announcing the node's own id");
     assert!(impostor(2), "hello from a configured but unlinked node");
     assert_eq!(
-        h0.delivered(NodeId(1)),
+        R::delivered(h0, NodeId(1)),
         0,
         "a rejected connection's frame got through"
     );
@@ -443,12 +389,12 @@ fn hostile_first_frames_are_rejected<R: Runtime>() {
     // and processed — the probes above were dropped for their hello.
     assert!(!impostor(1), "a linked peer's hello was refused");
     eventually("admitted frame never delivered", || {
-        h0.delivered(NodeId(1)) == 1
+        R::delivered(h0, NodeId(1)) == 1
     });
 
     // The cluster is still healthy afterwards.
-    let seq = h0.publish(Bytes::from_static(b"still alive"));
-    assert!(h0.waitfor("AllRemote", seq).unwrap());
+    let seq = publish(h0, b"still alive");
+    assert!(waitfor(h0, "AllRemote", seq));
     for h in &nodes {
         h.shutdown();
     }
@@ -456,8 +402,8 @@ fn hostile_first_frames_are_rejected<R: Runtime>() {
 
 #[test]
 fn garbage_first_frame_is_rejected_without_crashing() {
-    hostile_first_frames_are_rejected::<NodeHandle>();
-    hostile_first_frames_are_rejected::<ShardedHandle>();
+    hostile_first_frames_are_rejected::<StabilizerNode>();
+    hostile_first_frames_are_rejected::<ShardedEngine>();
 }
 
 /// `benchmarks/README.md` finding 1: a lone `publish` + `waitfor` used to
@@ -467,13 +413,13 @@ fn lone_operations_are_flushed<R: Runtime>() {
     const OPS: usize = 300;
     let (cluster, _) = spawn_cluster::<R>(&cfg::<R>(THREE_NODES, None));
     let h0 = &cluster[0];
-    let warm = h0.publish(Bytes::from_static(b"warm"));
-    assert!(h0.waitfor("AllRemote", warm).unwrap());
+    let warm = publish(h0, b"warm");
+    assert!(waitfor(h0, "AllRemote", warm));
     let mut slow = 0;
     for _ in 0..OPS {
         let start = Instant::now();
-        let seq = h0.publish(Bytes::from_static(b"lone"));
-        assert!(h0.waitfor("AllRemote", seq).unwrap());
+        let seq = publish(h0, b"lone");
+        assert!(waitfor(h0, "AllRemote", seq));
         if start.elapsed() > Duration::from_millis(50) {
             slow += 1;
         }
@@ -489,15 +435,15 @@ fn lone_operations_are_flushed<R: Runtime>() {
 
 #[test]
 fn lone_operations_do_not_wait_for_the_idle_poll() {
-    lone_operations_are_flushed::<NodeHandle>();
-    lone_operations_are_flushed::<ShardedHandle>();
+    lone_operations_are_flushed::<StabilizerNode>();
+    lone_operations_are_flushed::<ShardedEngine>();
 }
 
 /// Two threads stream publishes on node 0 while both peers acknowledge:
 /// on the plain runtime two reader threads fold ACKs and fire the
 /// resulting frontier upcalls after releasing the node lock, so without
 /// the monotone filter a monitor sees seq 6 and then 5.
-fn monitored_frontiers_never_move_back<R: Runtime + Send + 'static>() {
+fn monitored_frontiers_never_move_back<R: Runtime>() {
     const KEYS: [&str; 2] = ["AllRemote", "OneRemote"];
     const PER_PUBLISHER: u64 = 40_000;
     let topology = format!("{THREE_NODES}predicate OneRemote MAX($ALLWNODES-$MYWNODE)\n");
@@ -508,7 +454,7 @@ fn monitored_frontiers_never_move_back<R: Runtime + Send + 'static>() {
     for key in KEYS {
         let moved_back = Arc::clone(&moved_back);
         let mut last = (0u32, 0u64);
-        h0.monitor(key, move |u| {
+        h0.monitor_stability_frontier(h0.id(), key, move |u| {
             if (u.generation, u.seq) < last {
                 moved_back.fetch_add(1, Ordering::Relaxed);
             }
@@ -521,7 +467,7 @@ fn monitored_frontiers_never_move_back<R: Runtime + Send + 'static>() {
             let h = h0.clone();
             std::thread::spawn(move || {
                 for _ in 0..PER_PUBLISHER {
-                    h.publish(Bytes::from_static(b"0123456789abcdef"));
+                    publish(&h, b"0123456789abcdef");
                 }
             })
         })
@@ -529,7 +475,7 @@ fn monitored_frontiers_never_move_back<R: Runtime + Send + 'static>() {
     for p in publishers {
         p.join().expect("publisher");
     }
-    assert!(h0.waitfor("AllRemote", 2 * PER_PUBLISHER).unwrap());
+    assert!(waitfor(h0, "AllRemote", 2 * PER_PUBLISHER));
     assert_eq!(
         moved_back.load(Ordering::Relaxed),
         0,
@@ -542,8 +488,8 @@ fn monitored_frontiers_never_move_back<R: Runtime + Send + 'static>() {
 
 #[test]
 fn monitored_frontiers_never_move_back_under_two_publishers() {
-    monitored_frontiers_never_move_back::<NodeHandle>();
-    monitored_frontiers_never_move_back::<ShardedHandle>();
+    monitored_frontiers_never_move_back::<StabilizerNode>();
+    monitored_frontiers_never_move_back::<ShardedEngine>();
 }
 
 /// `begin_catch_up` on a running node asks its peers for a transfer; the
@@ -553,8 +499,8 @@ fn manual_catch_up_reaches_the_observer<R: Runtime>() {
     let hub = Telemetry::new_wall_clock();
     let (cluster, _) = spawn_cluster_with::<R>(&cfg::<R>(THREE_NODES, Some(opts)), Some(&hub));
     let h0 = &cluster[0];
-    let seq = h0.publish(Bytes::from_static(b"before the join"));
-    assert!(h0.waitfor("AllRemote", seq).unwrap());
+    let seq = publish(h0, b"before the join");
+    assert!(waitfor(h0, "AllRemote", seq));
 
     let joins = hub.registry().counter("stab_joins_total", &[("node", "2")]);
     assert_eq!(joins.get(), 0);
@@ -567,15 +513,15 @@ fn manual_catch_up_reaches_the_observer<R: Runtime>() {
 
 #[test]
 fn a_manual_catch_up_is_reported_as_a_join() {
-    manual_catch_up_reaches_the_observer::<NodeHandle>();
-    manual_catch_up_reaches_the_observer::<ShardedHandle>();
+    manual_catch_up_reaches_the_observer::<StabilizerNode>();
+    manual_catch_up_reaches_the_observer::<ShardedEngine>();
 }
 
 /// Callbacks run with no lock held on both runtimes: a frontier monitor
 /// that reads the frontier and publishes, and a delivery upcall that
 /// reads the handle, must complete instead of deadlocking on the state
 /// lock of the thread that is running them.
-fn callbacks_may_call_back_into_the_handle<R: Runtime + Send + 'static>() {
+fn callbacks_may_call_back_into_the_handle<R: Runtime>() {
     const FOLLOW_UPS: u64 = 5;
     let (cluster, _) = spawn_cluster::<R>(&cfg::<R>(THREE_NODES, None));
     let (h0, h1) = (&cluster[0], &cluster[1]);
@@ -584,23 +530,23 @@ fn callbacks_may_call_back_into_the_handle<R: Runtime + Send + 'static>() {
     // bound, from inside the monitor.
     let published = Arc::new(AtomicU64::new(0));
     let (h, count) = (h0.clone(), Arc::clone(&published));
-    h0.monitor("AllRemote", move |u| {
-        assert!(h.frontier("AllRemote") >= Some(u.seq));
+    h0.monitor_stability_frontier(h0.id(), "AllRemote", move |u| {
+        assert!(frontier(&h, "AllRemote") >= Some(u.seq));
         if count.fetch_add(1, Ordering::Relaxed) < FOLLOW_UPS {
-            h.publish(Bytes::from_static(b"follow-up"));
+            publish(&h, b"follow-up");
         }
     });
     // Node 1's delivery upcall reads its own handle.
     let seen = Arc::new(AtomicU64::new(0));
     let (h, count) = (h1.clone(), Arc::clone(&seen));
-    h1.on_deliver(move |origin, seq| {
-        assert!(h.delivered(origin) >= seq);
+    h1.on_deliver(move |origin, seq, _| {
+        assert!(R::delivered(&h, origin) >= seq);
         assert!(!h.is_suspected(origin));
         count.fetch_add(1, Ordering::Relaxed);
     });
 
-    h0.publish(Bytes::from_static(b"first"));
-    assert!(h0.waitfor("AllRemote", 1 + FOLLOW_UPS).unwrap());
+    publish(h0, b"first");
+    assert!(waitfor(h0, "AllRemote", 1 + FOLLOW_UPS));
     eventually("a delivery upcall never returned", || {
         seen.load(Ordering::Relaxed) == 1 + FOLLOW_UPS
     });
@@ -611,6 +557,6 @@ fn callbacks_may_call_back_into_the_handle<R: Runtime + Send + 'static>() {
 
 #[test]
 fn callbacks_may_re_enter_the_handle_without_deadlock() {
-    callbacks_may_call_back_into_the_handle::<NodeHandle>();
-    callbacks_may_call_back_into_the_handle::<ShardedHandle>();
+    callbacks_may_call_back_into_the_handle::<StabilizerNode>();
+    callbacks_may_call_back_into_the_handle::<ShardedEngine>();
 }

@@ -6,9 +6,7 @@ use bytes::Bytes;
 use stabilizer_core::{AckTypeRegistry, ClusterConfig, NodeId};
 use stabilizer_shard::RoutePolicy;
 use stabilizer_telemetry::{http_get, parse_json, Telemetry};
-use stabilizer_transport::{
-    spawn_node_with, spawn_sharded_node, ShardedSpawnOptions, SpawnOptions,
-};
+use stabilizer_transport::{spawn_node_with, spawn_sharded_node, SpawnOptions};
 use std::net::{SocketAddr, TcpListener};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -134,11 +132,12 @@ fn sharded_runtime_serves_aggregated_routes() {
             Arc::clone(&acks),
             listener,
             peers_of(i, &addrs),
-            ShardedSpawnOptions {
-                policy: RoutePolicy::RoundRobin,
+            RoutePolicy::RoundRobin,
+            SpawnOptions {
                 telemetry: Some(Arc::clone(&telemetry)),
                 jitter_seed: i as u64,
                 serve_addr: (i == 0).then(|| "127.0.0.1:0".to_string()),
+                ..SpawnOptions::default()
             },
         )
         .expect("spawn sharded");
