@@ -358,6 +358,13 @@ impl Report {
 /// Encode `s` as a JSON string literal (with surrounding quotes).
 pub fn json_string(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
+    push_json_str(&mut out, s);
+    out
+}
+
+/// Append `s` as a JSON string literal (with quotes) onto `out`: the
+/// workspace's one JSON string escaper.
+pub fn push_json_str(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -371,7 +378,6 @@ pub fn json_string(s: &str) -> String {
         }
     }
     out.push('"');
-    out
 }
 
 #[cfg(test)]

@@ -65,7 +65,7 @@ pub use avail::{
     asymmetry_diagnostic, availability, brute_force_availability, crash_witness, render_sets,
     single_az_cut, stranding_cuts, worst_cut, Availability, PartitionCut,
 };
-pub use diag::{json_string, Diagnostic, Lint, Report, Severity};
+pub use diag::{json_string, push_json_str, Diagnostic, Lint, Report, Severity};
 pub use dominance::{compare, expr_le, Dominance};
 pub use emissions::AckEmissions;
 pub use lints::Analyzer;

@@ -24,9 +24,9 @@
 //!
 //! With `--serve ADDR`, every spawned cluster feeds one shared
 //! telemetry hub exposed live over HTTP (`/metrics`, `/metrics.json`,
-//! `/trace`) — scrape or `stabtop` it mid-bench to watch per-shard
-//! buffer and delivery counters move — and the endpoint stays up
-//! after the table prints until the process is killed.
+//! `/trace`) — scrape or `stabtop` it mid-bench to watch each node's
+//! transport counters and `stab_node_*` gauges move — and the endpoint
+//! stays up after the table prints until the process is killed.
 //!
 //! The second form runs a deterministic sharded *simulator* scenario and
 //! prints an FNV-1a hash of every observable log (deliveries, per-shard
@@ -341,7 +341,7 @@ fn main() {
     let msgs = args.first().and_then(|s| s.parse().ok()).unwrap_or(20_000);
     let payload = args.get(1).and_then(|s| s.parse().ok()).unwrap_or(64);
     let publishers = args.get(2).and_then(|s| s.parse().ok()).unwrap_or(8);
-    // One hub for every trial: series are labelled per node/shard, so
+    // One hub for every trial: series are labelled per node, so
     // counters accumulate across the whole sweep while gauges (send
     // buffers) always show the live cluster.
     let telemetry = serve

@@ -25,6 +25,8 @@ use stabilizer_dsl::{
     RECEIVED,
 };
 
+pub use stabilizer_analyze::push_json_str;
+
 /// One ACK-table cell blamed for a stalled frontier: which node's
 /// acknowledgement of which type is behind, and by how much.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -77,23 +79,6 @@ pub struct StallReport {
     /// All peers the failure detector currently suspects, whether or
     /// not they are blamed.
     pub suspected_peers: Vec<NodeId>,
-}
-
-/// Append `s` as a JSON string literal (with quotes) onto `out`.
-pub fn push_json_str(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 impl StallReport {

@@ -362,19 +362,19 @@ impl ShardedFrontier {
         }
     }
 
-    /// Declare `me` the node's own stream. Its mapping has readers the
+    /// Declare `me` the node's own stream. Its mapping has a reader the
     /// aggregator cannot see — the shard machines' replay floor
-    /// ([`ShardedFrontier::transfer_mark`]) and whatever telemetry the
-    /// driver keeps — so all of it is retained until
-    /// [`ShardedFrontier::retain_own_from`] says how far they have moved.
+    /// ([`ShardedFrontier::transfer_mark`]) — so all of it is retained
+    /// until [`ShardedFrontier::retain_own_from`] says how far that has
+    /// moved.
     #[must_use]
     pub fn owning(mut self, me: NodeId) -> Self {
         self.own = Some((me, vec![0; self.shards]));
         self
     }
 
-    /// The readers of the own stream's mapping outside the aggregator
-    /// name `shard_seq` and above on `shard` from now on; entries below
+    /// The reader of the own stream's mapping outside the aggregator
+    /// names `shard_seq` and above on `shard` from now on; entries below
     /// may be reclaimed. Monotone: a lower value than before is ignored.
     pub fn retain_own_from(&mut self, shard: u16, shard_seq: SeqNo) {
         if let Some((_, held)) = &mut self.own {

@@ -9,7 +9,7 @@
 //! a small recursive-descent parser, not a general-purpose one.
 
 /// Append `s` as a JSON string literal (with quotes) onto `out`: the
-/// one escaper, shared with the core's stall reports.
+/// one escaper (the analyzer's), shared with the core's stall reports.
 pub use stabilizer_core::explain::push_json_str;
 
 /// Append `"key":` onto `out`.

@@ -244,14 +244,6 @@ impl Telemetry {
         self.note_publish(self.now_nanos(), origin, seq, len);
     }
 
-    /// When `(origin, seq)` was published, on the clock the stamp was
-    /// taken with — for drivers that time their own per-message events
-    /// against the hub's one stamp table. `None` if the publish was never
-    /// stamped or its stamp has left the window.
-    pub fn published_at(&self, origin: NodeId, seq: SeqNo) -> Option<u64> {
-        self.state.lock().stamps.get(origin.0 as usize)?.get(seq)
-    }
-
     /// Build the observer for `node`. Attach it to the TCP runtime's
     /// observer slot or drive it from sim hooks; either way it feeds
     /// this hub.
@@ -560,18 +552,6 @@ pub struct MetricsObserver {
     joins: Counter,
 }
 
-impl MetricsObserver {
-    /// The node this observer is attached to.
-    pub fn node(&self) -> NodeId {
-        self.node
-    }
-
-    /// The hub this observer feeds.
-    pub fn hub(&self) -> &Arc<Telemetry> {
-        &self.hub
-    }
-}
-
 impl AppHooks for MetricsObserver {
     fn on_event(&mut self, now: SimTime, event: &Event<'_>) {
         let now = self.hub.event_now(now.as_nanos());
@@ -670,6 +650,11 @@ mod tests {
         obs.on_event(SimTime(now), &Event::Frontier(update));
     }
 
+    /// `(origin, seq)`'s publish stamp, read off the hub's window.
+    fn stamp(t: &Telemetry, origin: NodeId, seq: SeqNo) -> Option<u64> {
+        t.state.lock().stamps.get(origin.0 as usize)?.get(seq)
+    }
+
     fn update(stream: u16, seq: SeqNo) -> FrontierUpdate {
         FrontierUpdate {
             stream: NodeId(stream),
@@ -754,14 +739,14 @@ mod tests {
         for seq in 1..=n + 10 {
             t.note_publish(seq, origin, seq, 8);
         }
-        assert_eq!(t.published_at(origin, 10), None, "evicted");
-        assert_eq!(t.published_at(origin, 11), Some(11));
-        assert_eq!(t.published_at(origin, n + 10), Some(n + 10));
-        assert_eq!(t.published_at(origin, n + 11), None, "not published");
-        assert_eq!(t.published_at(NodeId(1), 1), None);
+        assert_eq!(stamp(&t, origin, 10), None, "evicted");
+        assert_eq!(stamp(&t, origin, 11), Some(11));
+        assert_eq!(stamp(&t, origin, n + 10), Some(n + 10));
+        assert_eq!(stamp(&t, origin, n + 11), None, "not published");
+        assert_eq!(stamp(&t, NodeId(1), 1), None);
         // A late stamp for an evicted slot is dropped, not resurrected.
         t.note_publish(5, origin, 5, 8);
-        assert_eq!(t.published_at(origin, 5), None);
+        assert_eq!(stamp(&t, origin, 5), None);
         // One advance over everything times only what is still stamped.
         let mut obs = t.observer(origin);
         frontier(&mut obs, 1 << 40, &update(0, n + 10));
@@ -772,9 +757,9 @@ mod tests {
         assert_eq!(t.deliver_latency().count, 1);
         // A sequence number far ahead slides the whole window.
         t.note_publish(9, origin, 10 * n, 8);
-        assert_eq!(t.published_at(origin, n + 10), None);
-        assert_eq!(t.published_at(origin, 10 * n), Some(9));
-        assert_eq!(t.published_at(origin, 10 * n - 1), None, "never stamped");
+        assert_eq!(stamp(&t, origin, n + 10), None);
+        assert_eq!(stamp(&t, origin, 10 * n), Some(9));
+        assert_eq!(stamp(&t, origin, 10 * n - 1), None, "never stamped");
     }
 
     #[test]

@@ -53,22 +53,16 @@ impl<M: TcpMachine> NodeHandle<M> {
         self.publish_by(payload, timeout, M::publish)
     }
 
-    /// [`NodeHandle::publish`] through `publish`, the machine shown the
-    /// sequence number it assigned under the same lock.
+    /// [`NodeHandle::publish`] through `publish`.
     pub(crate) fn publish_by(
         &self,
         payload: Bytes,
         timeout: Duration,
         publish: impl Fn(&mut M, Bytes) -> Result<SeqNo, CoreError>,
     ) -> Result<SeqNo, CoreError> {
-        let sh = &self.shared;
         let deadline = Instant::now() + timeout;
         loop {
-            let result = sh.with_node(|node| {
-                let seq = publish(node, payload.clone())?;
-                sh.observe(|observer| node.published(observer, seq, payload.len()));
-                Ok(seq)
-            });
+            let result = self.shared.with_node(|node| publish(node, payload.clone()));
             match result {
                 Err(CoreError::WouldBlock { .. }) if Instant::now() < deadline => {
                     std::thread::sleep(Duration::from_millis(1));

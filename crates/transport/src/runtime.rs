@@ -30,39 +30,20 @@ use std::net::{SocketAddr, TcpListener};
 use std::sync::Arc;
 
 /// What the TCP runtime needs of a machine beyond [`Machine`]: its frame
-/// lane and observer, how it folds a reader batch and repairs a link,
-/// and what the ticker, `/stall` and the handle read off it. Implemented
-/// by exactly [`StabilizerNode`] and
+/// lane, how it folds a reader batch and repairs a link, and what the
+/// ticker, `/stall` and the handle read off it. Implemented by exactly
+/// [`StabilizerNode`] and
 /// [`ShardedEngine`](stabilizer_shard::ShardedEngine); like `Machine`, it
 /// exists so the two share one runtime, not as an extension point.
 pub trait TcpMachine: Machine + Send + Sized + 'static {
     /// The frame lane this machine's traffic travels on.
     type Lane: Lane;
-    /// What the observer slot holds.
-    type Observer: AppHooks + Send;
     /// Thread-name prefix (`<prefix>-<me>-…`).
     const THREAD_PREFIX: &'static str;
 
-    /// The observer slot for the spawn options' observer and hub; `None`
-    /// when nothing is to be shown events.
-    fn observer(
-        &self,
-        hooks: Option<Box<dyn AppHooks + Send>>,
-        telemetry: Option<&Arc<Telemetry>>,
-    ) -> Option<Self::Observer>;
-    /// Show `observer` what `action` means (under the state lock).
-    fn show(&self, observer: &mut Self::Observer, now: SimTime, action: &Self::Action) {
-        if let Some(event) = Self::observe(action) {
-            observer.on_event(now, &event);
-        }
-    }
-    /// `seq` was just published with a `len`-byte payload (under the
-    /// state lock, before `observer` is shown what the publish emitted).
-    fn published(&self, _observer: &mut Self::Observer, _seq: SeqNo, _len: usize) {}
-    /// What the ticker samples (under the state lock): machine-private
-    /// series go into `observer`; send-buffer bytes and blocked waits
-    /// are returned, for the transport gauges.
-    fn sample(&self, observer: Option<&mut Self::Observer>) -> (usize, usize);
+    /// What the ticker samples for the transport gauges (under the state
+    /// lock): send-buffer bytes and blocked waits.
+    fn sample(&self) -> (usize, usize);
     /// The frame `action` asks to send, as `(to, lane, message)`, or the
     /// action back when it is not a transmission.
     fn into_frame(action: Self::Action) -> Result<(NodeId, Self::Lane, WireMsg), Self::Action>;
@@ -90,19 +71,9 @@ pub trait TcpMachine: Machine + Send + Sized + 'static {
 
 impl TcpMachine for StabilizerNode {
     type Lane = ();
-    type Observer = Box<dyn AppHooks + Send>;
     const THREAD_PREFIX: &'static str = "stab";
 
-    /// The spawn options' observer alone: a plain node feeds a hub only
-    /// through it.
-    fn observer(
-        &self,
-        hooks: Option<Box<dyn AppHooks + Send>>,
-        _telemetry: Option<&Arc<Telemetry>>,
-    ) -> Option<Self::Observer> {
-        hooks
-    }
-    fn sample(&self, _observer: Option<&mut Self::Observer>) -> (usize, usize) {
+    fn sample(&self) -> (usize, usize) {
         (self.send_buffer_bytes(), self.pending_waiters())
     }
     #[inline]
@@ -151,7 +122,7 @@ pub(crate) struct Shared<M: TcpMachine> {
     /// The protocol state machine.
     pub(crate) node: Mutex<M>,
     /// The observer, shown every event under the state lock.
-    observer: Option<Mutex<M::Observer>>,
+    observer: Option<Mutex<Box<dyn AppHooks + Send>>>,
     /// `waitfor` rendezvous, frontier monitors and delivery upcalls.
     pub(crate) upcalls: Upcalls,
     /// Sockets, link threads, clock and transport telemetry.
@@ -167,30 +138,25 @@ impl<M: TcpMachine> Shared<M> {
             let mut node = self.node.lock();
             let r = f(&mut node);
             node.swap_actions(&mut actions);
-            self.observe(|observer| {
-                let now = SimTime(self.link.now_nanos());
-                for action in &actions {
-                    node.show(observer, now, action);
+            if let Some(observer) = &self.observer {
+                let (mut observer, now) = (observer.lock(), SimTime(self.link.now_nanos()));
+                for event in actions.iter().filter_map(M::observe) {
+                    observer.on_event(now, &event);
                 }
-            });
+            }
             r
         };
         self.process(actions);
         r
     }
 
-    /// Run `f` on the attached observer, if any. Called with the state
-    /// lock held, except for events the runtime produces itself
-    /// ([`Shared::notify`]).
-    pub(crate) fn observe(&self, f: impl FnOnce(&mut M::Observer)) {
-        if let Some(observer) = &self.observer {
-            f(&mut observer.lock());
-        }
-    }
-
     /// Show the observer an event the runtime, not the machine, produced.
     fn notify(&self, event: Event<'_>) {
-        self.observe(|observer| observer.on_event(SimTime(self.link.now_nanos()), &event));
+        if let Some(observer) = &self.observer {
+            observer
+                .lock()
+                .on_event(SimTime(self.link.now_nanos()), &event);
+        }
     }
 
     /// Surface a membership (re)join — catch-up requested on `streams`
@@ -241,11 +207,9 @@ impl<M: TcpMachine> LinkClient for Shared<M> {
     }
 
     fn sample(&self, telemetry: &Telemetry) {
-        let (buf, waiters, core) = {
+        let ((buf, waiters), core) = {
             let node = self.node.lock();
-            let mut observer = self.observer.as_ref().map(|o| o.lock());
-            let (buf, waiters) = node.sample(observer.as_deref_mut());
-            (buf, waiters, node.metrics())
+            (node.sample(), node.metrics())
         };
         if let Some(m) = &self.link.metrics {
             m.send_buffer_bytes.set(buf as i64);
@@ -278,7 +242,12 @@ impl<M: TcpMachine> TcpNode<M> {
 #[derive(Default)]
 pub struct SpawnOptions {
     /// Observer shown every event (under the state lock; see
-    /// [`stabilizer_core::observe`] for the contract).
+    /// [`stabilizer_core::observe`] for the contract). The only way a
+    /// node feeds a hub's latency histograms and event counters: attach
+    /// the hub's [`MetricsObserver`](stabilizer_telemetry::MetricsObserver)
+    /// here (or an [`ObserverChain`](stabilizer_core::ObserverChain)
+    /// holding it), and stamp each publish with
+    /// [`Telemetry::note_publish_now`].
     pub observer: Option<Box<dyn AppHooks + Send>>,
     /// Restart from this control-plane snapshot instead of booting
     /// fresh: the recorder is restored, every remote stream is
@@ -291,14 +260,8 @@ pub struct SpawnOptions {
     /// derived from it, so two nodes never share a retry schedule).
     pub jitter_seed: u64,
     /// Telemetry hub to feed: registers this node's transport counters
-    /// and lets the ticker mirror the control-plane
-    /// [`Metrics`] into gauges. A plain node feeds it latency histograms
-    /// only through an observer: attach the hub's
-    /// [`MetricsObserver`](stabilizer_telemetry::MetricsObserver) via
-    /// [`SpawnOptions::observer`] (or an
-    /// [`ObserverChain`](stabilizer_core::ObserverChain)). A sharded node
-    /// attaches one itself, plus its per-shard series, and stamps its
-    /// publishes.
+    /// and lets the ticker mirror the control-plane [`Metrics`] into
+    /// gauges — nothing else (see [`SpawnOptions::observer`]).
     pub telemetry: Option<Arc<Telemetry>>,
     /// Serve the attached telemetry over HTTP on this address (e.g.
     /// `127.0.0.1:9464`; port 0 picks an ephemeral port, readable back
@@ -377,12 +340,11 @@ pub(crate) fn spawn<M: TcpMachine>(
     opts: SpawnOptions,
     restored: Option<usize>,
 ) -> Result<TcpNode<M>, CoreError> {
-    let observer = node.observer(opts.observer, opts.telemetry.as_ref());
     let link = Link::new(cfg, me, opts.telemetry, node.predicate_tolerances());
     let shared = Arc::new(Shared {
         me,
         node: Mutex::new(node),
-        observer: observer.map(Mutex::new),
+        observer: opts.observer.map(Mutex::new),
         upcalls: Upcalls::default(),
         link,
     });

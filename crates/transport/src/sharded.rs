@@ -7,32 +7,30 @@
 //! deliveries into global FIFO order — so the application-visible
 //! semantics (`publish`, `waitfor`, `monitor_stability_frontier`, FIFO
 //! delivery) are those of a plain [`NodeHandle`], in global sequence
-//! numbers. Beside that:
+//! numbers, and so is its telemetry: a hub is fed through
+//! [`SpawnOptions::observer`] alone, as a plain node's is. Beside that:
 //!
 //! * **the lane in the frame header** — a frame's lane is its shard
 //!   index; a reader batch is sorted by lane and fed to the engine one
 //!   lane at a time under one acquisition of the state lock, so a batch
 //!   stays one fold and one ACK flush per shard it touches, and every
 //!   peer's writer multiplexes all shards onto one connection;
-//! * **what it feeds an attached hub itself**, under the state lock: the
-//!   node-level [`MetricsObserver`], the `stab_shard_*` gauges the ticker
-//!   samples, the own stream's `stab_shard_stability_latency_ns`
-//!   histograms and the publish stamps they read;
 //! * **its own calls** — [`NodeHandle::publish_with_key`],
 //!   [`NodeHandle::num_shards`], [`NodeHandle::delivered_global`],
-//!   [`NodeHandle::shard_metrics`] and the per-shard `explain_all`.
+//!   [`NodeHandle::shard_metrics`] and the per-shard `explain_all`;
+//! * **per-shard `/stall`** — each report names the shard machine that
+//!   diagnosed it.
 
 use crate::handle::NodeHandle;
 use crate::link;
 use crate::runtime::{self, SpawnOptions, TcpMachine, TcpNode};
 use bytes::Bytes;
 use stabilizer_core::{
-    AckTypeId, AckTypeRegistry, AppHooks, ClusterConfig, CoreError, Event, FrontierUpdate, Metrics,
-    NodeId, SeqNo, SimTime, StabilizerNode, StallReport, WireMsg,
+    AckTypeId, AckTypeRegistry, ClusterConfig, CoreError, Metrics, NodeId, SeqNo, StallReport,
+    WireMsg,
 };
 use stabilizer_shard::{RoutePolicy, ShardedAction, ShardedEngine};
-use stabilizer_telemetry::{Gauge, LogHistogram, MetricsObserver, Telemetry};
-use std::collections::HashMap;
+use stabilizer_telemetry::Telemetry;
 use std::net::{SocketAddr, TcpListener};
 use std::sync::Arc;
 use std::time::Duration;
@@ -44,165 +42,11 @@ pub type ShardedHandle = NodeHandle<ShardedEngine>;
 /// A sharded node running on the TCP runtime.
 pub type ShardedTcpNode = TcpNode<ShardedEngine>;
 
-/// One shard's share of a key's own-stream stability latency.
-#[derive(Clone, Default)]
-struct ShardStability {
-    /// Highest shard frontier already folded into `hist`.
-    covered: SeqNo,
-    /// Registered once there is something to fold.
-    hist: Option<Arc<LogHistogram>>,
-}
-
-/// A sharded node's observer slot: the spawn options' observer and what
-/// the node feeds an attached hub itself.
-pub struct ShardedObserver {
-    hooks: Option<Box<dyn AppHooks + Send>>,
-    hub: Option<HubSeries>,
-}
-
-/// What a sharded node feeds its hub, under the state lock.
-struct HubSeries {
-    /// Fed every node-level event.
-    metrics: MetricsObserver,
-    /// Sampled by the ticker, one per shard.
-    gauges: Vec<ShardGauges>,
-    /// Own-stream stability latency by key, then by shard (keyed by key
-    /// alone so an update's borrowed key finds it).
-    stability: HashMap<String, Vec<ShardStability>>,
-}
-
-impl AppHooks for ShardedObserver {
-    fn on_event(&mut self, now: SimTime, event: &Event<'_>) {
-        if let Some(hub) = &mut self.hub {
-            hub.metrics.on_event(now, event);
-        }
-        self.hooks.on_event(now, event);
-    }
-}
-
-impl HubSeries {
-    /// Fold a per-shard frontier advance of the own stream into the
-    /// per-shard stability-latency histogram, translating shard-local
-    /// sequence numbers back to globals through the engine's mapping
-    /// and reading each global's publish time off the hub. The mapping
-    /// still holds the entries an advance just covered: the key's own
-    /// shard frontier kept them until this very call.
-    fn record_shard_stability(
-        &mut self,
-        engine: &ShardedEngine,
-        shard: u16,
-        update: &FrontierUpdate,
-    ) {
-        if update.stream != engine.me() {
-            return;
-        }
-        let per_shard = if let Some(per_shard) = self.stability.get_mut(&update.key) {
-            per_shard
-        } else {
-            let unseen = vec![ShardStability::default(); engine.num_shards() as usize];
-            self.stability.entry(update.key.clone()).or_insert(unseen)
-        };
-        let ShardStability { covered, hist } = &mut per_shard[shard as usize];
-        if update.seq <= *covered {
-            return;
-        }
-        let from = std::mem::replace(covered, update.seq);
-        let hub = self.metrics.hub();
-        let hist = hist.get_or_insert_with(|| {
-            let sh = shard.to_string();
-            hub.registry().histogram(
-                "stab_shard_stability_latency_ns",
-                &[("key", &update.key), ("shard", &sh)],
-            )
-        });
-        let (me, now, agg) = (engine.me(), hub.now_nanos(), engine.aggregator());
-        let globals = (from + 1..=update.seq).map_while(|q| agg.global_of(me, shard, q));
-        for published in globals.filter_map(|g| hub.published_at(me, g)) {
-            hist.record(now.saturating_sub(published));
-        }
-    }
-}
-
-/// Per-shard gauges sampled by the ticker (labels `node` + `shard`).
-struct ShardGauges {
-    send_buffer_bytes: Gauge,
-    data_msgs_sent: Gauge,
-    deliveries: Gauge,
-    frontier_updates: Gauge,
-    retransmits: Gauge,
-}
-
-impl ShardGauges {
-    fn new(t: &Telemetry, me: NodeId, shard: u16) -> Self {
-        let id = me.0.to_string();
-        let sh = shard.to_string();
-        let labels: &[(&str, &str)] = &[("node", &id), ("shard", &sh)];
-        let reg = t.registry();
-        ShardGauges {
-            send_buffer_bytes: reg.gauge("stab_shard_send_buffer_bytes", labels),
-            data_msgs_sent: reg.gauge("stab_shard_data_msgs_sent", labels),
-            deliveries: reg.gauge("stab_shard_deliveries", labels),
-            frontier_updates: reg.gauge("stab_shard_frontier_updates", labels),
-            retransmits: reg.gauge("stab_shard_retransmits", labels),
-        }
-    }
-
-    fn set(&self, shard: &StabilizerNode) {
-        let m = shard.metrics();
-        self.send_buffer_bytes.set(shard.send_buffer_bytes() as i64);
-        self.data_msgs_sent.set(m.data_msgs_sent as i64);
-        self.deliveries.set(m.deliveries as i64);
-        self.frontier_updates.set(m.frontier_updates as i64);
-        self.retransmits.set(m.retransmits as i64);
-    }
-}
-
 impl TcpMachine for ShardedEngine {
     type Lane = u16;
-    type Observer = ShardedObserver;
     const THREAD_PREFIX: &'static str = "stabs";
 
-    /// The spawn options' observer and, with a hub, the node-level
-    /// [`MetricsObserver`] plus the per-shard series.
-    fn observer(
-        &self,
-        hooks: Option<Box<dyn AppHooks + Send>>,
-        telemetry: Option<&Arc<Telemetry>>,
-    ) -> Option<ShardedObserver> {
-        let hub = telemetry.map(|t| HubSeries {
-            metrics: t.observer(self.me()),
-            gauges: (0..self.num_shards())
-                .map(|s| ShardGauges::new(t, self.me(), s))
-                .collect(),
-            stability: HashMap::new(),
-        });
-        (hooks.is_some() || hub.is_some()).then_some(ShardedObserver { hooks, hub })
-    }
-    /// What `action` means at node level ([`ShardedAction::event`]),
-    /// and the own stream's per-shard frontier advances folded into the
-    /// per-shard stability histograms.
-    fn show(&self, observer: &mut ShardedObserver, now: SimTime, action: &ShardedAction) {
-        if let Some(event) = action.event() {
-            observer.on_event(now, &event);
-        } else if let (ShardedAction::ShardFrontier { shard, update }, Some(hub)) =
-            (action, &mut observer.hub)
-        {
-            hub.record_shard_stability(self, *shard, update);
-        }
-    }
-    /// Stamped before the observer sees the frontier events this very
-    /// publish emitted.
-    fn published(&self, observer: &mut ShardedObserver, seq: SeqNo, len: usize) {
-        if let Some(hub) = &observer.hub {
-            hub.metrics.hub().note_publish_now(self.me(), seq, len);
-        }
-    }
-    fn sample(&self, observer: Option<&mut ShardedObserver>) -> (usize, usize) {
-        if let Some(hub) = observer.and_then(|o| o.hub.as_ref()) {
-            for (shard, gauges) in hub.gauges.iter().enumerate() {
-                gauges.set(self.shard(shard as u16));
-            }
-        }
+    fn sample(&self) -> (usize, usize) {
         (self.send_buffer_bytes(), self.pending_waiters())
     }
     #[inline]
@@ -343,7 +187,8 @@ pub fn spawn_sharded_local_cluster(
     spawn_sharded_local_cluster_with(cfg, policy, None)
 }
 
-/// [`spawn_sharded_local_cluster`] with a shared telemetry hub.
+/// [`spawn_sharded_local_cluster`] with a shared telemetry hub, fed as
+/// [`SpawnOptions::telemetry`] says (no observer is attached).
 ///
 /// # Errors
 ///

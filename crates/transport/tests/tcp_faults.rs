@@ -57,13 +57,7 @@ impl Runtime for StabilizerNode {
         peers: Vec<(NodeId, SocketAddr)>,
         hub: Option<&Arc<Telemetry>>,
     ) -> NodeHandle {
-        // The plain runtime attaches no observer of its own.
-        let opts = SpawnOptions {
-            observer: hub.map(|t| Box::new(t.observer(me)) as _),
-            telemetry: hub.cloned(),
-            ..SpawnOptions::default()
-        };
-        spawn_node_with(cfg, me, acks, listener, peers, opts)
+        spawn_node_with(cfg, me, acks, listener, peers, options(me, hub))
             .expect("spawn")
             .handle()
     }
@@ -84,18 +78,24 @@ impl Runtime for ShardedEngine {
         peers: Vec<(NodeId, SocketAddr)>,
         hub: Option<&Arc<Telemetry>>,
     ) -> NodeHandle<Self> {
-        let opts = SpawnOptions {
-            telemetry: hub.cloned(),
-            jitter_seed: u64::from(me.0),
-            ..SpawnOptions::default()
-        };
-        let policy = RoutePolicy::RoundRobin;
+        let (policy, opts) = (RoutePolicy::RoundRobin, options(me, hub));
         spawn_sharded_node(cfg, me, acks, listener, peers, policy, opts)
             .expect("spawn sharded")
             .handle()
     }
     fn delivered(h: &NodeHandle<Self>, origin: NodeId) -> SeqNo {
         h.delivered_global(origin)
+    }
+}
+
+/// Node `me`'s spawn options on either machine: with a hub, its
+/// transport counters and the node's observer feed it.
+fn options(me: NodeId, hub: Option<&Arc<Telemetry>>) -> SpawnOptions {
+    SpawnOptions {
+        observer: hub.map(|t| Box::new(t.observer(me)) as _),
+        telemetry: hub.cloned(),
+        jitter_seed: u64::from(me.0),
+        ..SpawnOptions::default()
     }
 }
 

@@ -1,15 +1,72 @@
-//! Live telemetry endpoint on the TCP runtimes: spawn with
-//! `serve_addr`, scrape all four routes over real HTTP while the
-//! cluster is running, and check the bodies parse.
+//! Live telemetry endpoint on the TCP runtime, one test body over both
+//! machines with one wiring: the hub's observer in the observer slot,
+//! every publish stamped by the caller, `serve_addr` on node 0. The
+//! routes are scraped over real HTTP while the cluster is running.
 
 use bytes::Bytes;
-use stabilizer_core::{AckTypeRegistry, ClusterConfig, NodeId};
-use stabilizer_shard::RoutePolicy;
+use stabilizer_core::{AckTypeRegistry, ClusterConfig, NodeId, SeqNo, StabilizerNode};
+use stabilizer_shard::{RoutePolicy, ShardedEngine};
 use stabilizer_telemetry::{http_get, parse_json, Telemetry};
-use stabilizer_transport::{spawn_node_with, spawn_sharded_node, SpawnOptions};
+use stabilizer_transport::{
+    spawn_node_with, spawn_sharded_node, NodeHandle, SpawnOptions, TcpMachine,
+};
 use std::net::{SocketAddr, TcpListener};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+/// Messages node 0 publishes in each case.
+const MSGS: SeqNo = 4;
+
+/// What differs between the two machines; everything else is a call on
+/// their one handle.
+trait Runtime: TcpMachine {
+    /// `option shards` of the cluster (1 on the plain machine).
+    const SHARDS: usize;
+
+    fn spawn(
+        cfg: ClusterConfig,
+        me: NodeId,
+        acks: Arc<AckTypeRegistry>,
+        listener: TcpListener,
+        peers: Vec<(NodeId, SocketAddr)>,
+        opts: SpawnOptions,
+    ) -> NodeHandle<Self>;
+}
+
+impl Runtime for StabilizerNode {
+    const SHARDS: usize = 1;
+
+    fn spawn(
+        cfg: ClusterConfig,
+        me: NodeId,
+        acks: Arc<AckTypeRegistry>,
+        listener: TcpListener,
+        peers: Vec<(NodeId, SocketAddr)>,
+        opts: SpawnOptions,
+    ) -> NodeHandle {
+        spawn_node_with(cfg, me, acks, listener, peers, opts)
+            .expect("spawn")
+            .handle()
+    }
+}
+
+impl Runtime for ShardedEngine {
+    const SHARDS: usize = 2;
+
+    fn spawn(
+        cfg: ClusterConfig,
+        me: NodeId,
+        acks: Arc<AckTypeRegistry>,
+        listener: TcpListener,
+        peers: Vec<(NodeId, SocketAddr)>,
+        opts: SpawnOptions,
+    ) -> NodeHandle<Self> {
+        let policy = RoutePolicy::RoundRobin;
+        spawn_sharded_node(cfg, me, acks, listener, peers, policy, opts)
+            .expect("spawn sharded")
+            .handle()
+    }
+}
 
 fn wait_until(mut cond: impl FnMut() -> bool) {
     let deadline = Instant::now() + Duration::from_secs(10);
@@ -19,67 +76,76 @@ fn wait_until(mut cond: impl FnMut() -> bool) {
     }
 }
 
-fn bind_pair() -> (Vec<TcpListener>, Vec<SocketAddr>) {
-    let mut listeners = Vec::new();
-    let mut addrs = Vec::new();
-    for _ in 0..2 {
-        let l = TcpListener::bind("127.0.0.1:0").expect("bind");
-        addrs.push(l.local_addr().expect("addr"));
-        listeners.push(l);
-    }
-    (listeners, addrs)
-}
-
-fn peers_of(i: usize, addrs: &[SocketAddr]) -> Vec<(NodeId, SocketAddr)> {
-    (0..addrs.len())
-        .filter(|j| *j != i)
-        .map(|j| (NodeId(j as u16), addrs[j]))
+/// Two nodes feeding `hub`, node 0 serving it; with `observe`, each
+/// node's observer slot holds the hub's observer for it.
+fn spawn_pair<R: Runtime>(hub: &Arc<Telemetry>, observe: bool) -> Vec<NodeHandle<R>> {
+    let cfg = format!(
+        "az East a b\noption shards {}\noption transfer_millis 50\npredicate k MIN($ALLWNODES)\n",
+        R::SHARDS
+    );
+    let cfg = ClusterConfig::parse(&cfg).expect("config");
+    let acks = Arc::new(AckTypeRegistry::new());
+    let listeners: Vec<TcpListener> = (0..2)
+        .map(|_| TcpListener::bind("127.0.0.1:0").expect("bind"))
+        .collect();
+    let addrs: Vec<SocketAddr> = listeners.iter().map(|l| l.local_addr().unwrap()).collect();
+    listeners
+        .into_iter()
+        .enumerate()
+        .map(|(i, listener)| {
+            let me = NodeId(i as u16);
+            let peer = 1 - i;
+            let opts = SpawnOptions {
+                observer: observe.then(|| Box::new(hub.observer(me)) as _),
+                telemetry: Some(Arc::clone(hub)),
+                jitter_seed: i as u64,
+                serve_addr: (i == 0).then(|| "127.0.0.1:0".to_string()),
+                ..SpawnOptions::default()
+            };
+            let peers = vec![(NodeId(peer as u16), addrs[peer])];
+            R::spawn(cfg.clone(), me, Arc::clone(&acks), listener, peers, opts)
+        })
         .collect()
 }
 
-#[test]
-fn tcp_runtime_serves_all_routes_live() {
-    let cfg = ClusterConfig::parse("az East a b\npredicate k MIN($ALLWNODES)\n").expect("config");
-    let telemetry = Telemetry::new_wall_clock();
-    let acks = Arc::new(AckTypeRegistry::new());
-    let (listeners, addrs) = bind_pair();
-    let mut nodes = Vec::new();
-    for (i, listener) in listeners.into_iter().enumerate() {
-        let node = spawn_node_with(
-            cfg.clone(),
-            NodeId(i as u16),
-            Arc::clone(&acks),
-            listener,
-            peers_of(i, &addrs),
-            SpawnOptions {
-                observer: Some(Box::new(telemetry.observer(NodeId(i as u16)))),
-                telemetry: Some(Arc::clone(&telemetry)),
-                serve_addr: (i == 0).then(|| "127.0.0.1:0".to_string()),
-                ..SpawnOptions::default()
-            },
-        )
-        .expect("spawn");
-        nodes.push(node);
+/// Publish [`MSGS`] messages on `h`, each stamped on `hub`, and wait for
+/// them to be stable. The stamp is taken just before its publish: after
+/// it, the ACK that covers the message could overtake it.
+fn publish_stable<R: Runtime>(hub: &Telemetry, h: &NodeHandle<R>) {
+    for _ in 0..MSGS {
+        let next = h.last_published() + 1;
+        hub.note_publish_now(h.id(), next, 5);
+        let seq = h.publish(Bytes::from_static(b"hello"), Duration::from_secs(5));
+        assert_eq!(seq.expect("publish"), next);
     }
-    let h0 = nodes[0].handle();
-    let h1 = nodes[1].handle();
+    wait_until(|| matches!(h.stability_frontier(h.id(), "k"), Some((f, _)) if f >= MSGS));
+}
+
+fn serves_all_routes_live<R: Runtime>() {
+    let hub = Telemetry::new_wall_clock_sharded(R::SHARDS);
+    let nodes = spawn_pair::<R>(&hub, true);
+    let (h0, h1) = (&nodes[0], &nodes[1]);
     let serve = h0.serve_addr().expect("node 0 serves").to_string();
     assert!(h1.serve_addr().is_none(), "node 1 got no serve_addr");
 
-    let seq = h0
-        .publish(Bytes::from_static(b"hello"), Duration::from_secs(5))
-        .expect("publish");
-    telemetry.note_publish_now(NodeId(0), seq, 5);
-    wait_until(|| matches!(h0.stability_frontier(NodeId(0), "k"), Some((f, _)) if f >= seq));
+    publish_stable(&hub, h0);
+    // Node 0's observer saw the advance under the lock the frontier
+    // query has just been through: every message is one sample.
+    let samples = hub.stability_latency("k").map_or(0, |h| h.count);
+    assert_eq!(samples, MSGS, "one stability sample per message");
 
     let (code, prom) = http_get(&serve, "/metrics").expect("GET /metrics");
     assert_eq!(code, 200);
-    assert!(prom.contains("stab_build_info{"), "{prom}");
+    assert!(
+        prom.contains(&format!("shards=\"{}\"", R::SHARDS)),
+        "{prom}"
+    );
     assert!(prom.contains("stab_uptime_seconds"), "{prom}");
     assert!(
         prom.contains("stab_stability_latency_ns_bucket{key=\"k\""),
         "{prom}"
     );
+    assert!(prom.contains("stab_deliveries_total{"), "{prom}");
 
     let (code, json) = http_get(&serve, "/metrics.json").expect("GET /metrics.json");
     assert_eq!(code, 200);
@@ -92,98 +158,8 @@ fn tcp_runtime_serves_all_routes_live() {
         parse_json(line).expect("trace line parses");
     }
 
-    // Both nodes cover the published seq, so nothing is stalled.
-    let (code, stall) = http_get(&serve, "/stall").expect("GET /stall");
-    assert_eq!(code, 200);
-    let parsed = parse_json(&stall).expect("stall parses");
-    let reports = parsed
-        .get("reports")
-        .and_then(|r| r.as_arr())
-        .expect("reports array");
-    assert!(
-        reports
-            .iter()
-            .all(|r| r.get("stalled").and_then(|s| s.as_bool()) == Some(false)),
-        "{stall}"
-    );
-
-    for node in &nodes {
-        node.handle().shutdown();
-    }
-    // The endpoint goes down with the node.
-    std::thread::sleep(Duration::from_millis(100));
-    assert!(http_get(&serve, "/metrics").is_err());
-}
-
-#[test]
-fn sharded_runtime_serves_aggregated_routes() {
-    let cfg = ClusterConfig::parse(
-        "az East a b\noption shards 2\noption transfer_millis 50\npredicate k MIN($ALLWNODES)\n",
-    )
-    .expect("config");
-    let telemetry = Telemetry::new_wall_clock_sharded(2);
-    let acks = Arc::new(AckTypeRegistry::new());
-    let (listeners, addrs) = bind_pair();
-    let mut nodes = Vec::new();
-    for (i, listener) in listeners.into_iter().enumerate() {
-        let node = spawn_sharded_node(
-            cfg.clone(),
-            NodeId(i as u16),
-            Arc::clone(&acks),
-            listener,
-            peers_of(i, &addrs),
-            RoutePolicy::RoundRobin,
-            SpawnOptions {
-                telemetry: Some(Arc::clone(&telemetry)),
-                jitter_seed: i as u64,
-                serve_addr: (i == 0).then(|| "127.0.0.1:0".to_string()),
-                ..SpawnOptions::default()
-            },
-        )
-        .expect("spawn sharded");
-        nodes.push(node);
-    }
-    let h0 = nodes[0].handle();
-    let serve = h0.serve_addr().expect("node 0 serves").to_string();
-
-    let mut last = 0;
-    for _ in 0..4 {
-        last = h0
-            .publish(Bytes::from_static(b"x"), Duration::from_secs(5))
-            .expect("publish");
-    }
-    wait_until(|| matches!(h0.stability_frontier(NodeId(0), "k"), Some((f, _)) if f >= last));
-    // Every covered message is one sample of its shard's histogram.
-    let stability_samples = || -> u64 {
-        let of_shard = |shard: &str| {
-            let labels = [("key", "k"), ("shard", shard)];
-            let registry = telemetry.registry();
-            registry.histogram("stab_shard_stability_latency_ns", &labels)
-        };
-        of_shard("0").count() + of_shard("1").count()
-    };
-    assert_eq!(stability_samples(), 4);
-
-    let (code, prom) = http_get(&serve, "/metrics").expect("GET /metrics");
-    assert_eq!(code, 200);
-    assert!(prom.contains("shards=\"2\""), "{prom}");
-    // The per-shard gauges are exactly these five: no shard has a queue
-    // to report the depth of since link readers fold their own batches.
-    let per_shard: std::collections::BTreeSet<&str> = prom
-        .lines()
-        .filter_map(|line| line.strip_prefix("stab_shard_")?.split('{').next())
-        .filter(|series| !series.starts_with("stability_latency_ns"))
-        .collect();
-    let expected = [
-        "data_msgs_sent",
-        "deliveries",
-        "frontier_updates",
-        "retransmits",
-        "send_buffer_bytes",
-    ];
-    assert!(per_shard.iter().eq(&expected), "{per_shard:?}");
-
-    // /stall reports carry per-shard blame; nothing stalls here.
+    // Both nodes cover the published messages, so nothing is stalled;
+    // a sharded node's reports name the shard that made them.
     let (code, stall) = http_get(&serve, "/stall").expect("GET /stall");
     assert_eq!(code, 200);
     let parsed = parse_json(&stall).expect("stall parses");
@@ -192,12 +168,14 @@ fn sharded_runtime_serves_aggregated_routes() {
         .and_then(|r| r.as_arr())
         .expect("reports array");
     assert!(!reports.is_empty(), "{stall}");
-    assert!(reports.iter().all(|r| r.get("shard").is_some()), "{stall}");
+    for r in reports {
+        assert_eq!(r.get("stalled").and_then(|s| s.as_bool()), Some(false));
+        assert_eq!(r.get("shard").is_some(), R::SHARDS > 1, "{stall}");
+    }
 
-    // Node 0 serves node 1's catch-up request as a donor; the sampler
-    // must carry the `transfer_*` counters of its shard machines into
-    // the node-level gauges like every other counter.
-    nodes[1].handle().begin_catch_up();
+    // Node 0 serves node 1's catch-up request as a donor; the ticker
+    // carries the machine's `transfer_*` counters into the node gauges.
+    h1.begin_catch_up();
     wait_until(|| {
         let (_, json) = http_get(&serve, "/metrics.json").expect("GET /metrics.json");
         let parsed = parse_json(&json).expect("json parses");
@@ -209,18 +187,49 @@ fn sharded_runtime_serves_aggregated_routes() {
     });
     assert!(h0.metrics().transfer_requests > 0);
 
-    // Enough messages to take the own stream's shard→global maps through
-    // several reclaims: the histograms read the entries an advance just
-    // covered before the next publish can drop them, so none is lost.
-    for _ in 0..20_000 {
-        last = h0
-            .publish(Bytes::from_static(b"x"), Duration::from_secs(5))
-            .expect("publish");
+    for h in &nodes {
+        h.shutdown();
     }
-    wait_until(|| matches!(h0.stability_frontier(NodeId(0), "k"), Some((f, _)) if f >= last));
-    assert_eq!(stability_samples(), 4 + 20_000);
+    // The endpoint goes down with the node.
+    std::thread::sleep(Duration::from_millis(100));
+    assert!(http_get(&serve, "/metrics").is_err());
+}
 
-    for node in &nodes {
-        node.handle().shutdown();
+#[test]
+fn tcp_runtime_serves_all_routes_live() {
+    serves_all_routes_live::<StabilizerNode>();
+}
+
+#[test]
+fn sharded_runtime_serves_aggregated_routes() {
+    serves_all_routes_live::<ShardedEngine>();
+}
+
+/// A hub is fed events only through the observer slot: without an
+/// observer it gets the ticker's series and nothing per event.
+fn no_observer_no_event_series<R: Runtime>() {
+    let hub = Telemetry::new_wall_clock_sharded(R::SHARDS);
+    let nodes = spawn_pair::<R>(&hub, false);
+    publish_stable(&hub, &nodes[0]);
+    let delivered = hub
+        .registry()
+        .gauge("stab_node_deliveries", &[("node", "1")]);
+    wait_until(|| delivered.get() >= MSGS as i64);
+
+    let snap = hub.registry().snapshot();
+    let event_series = ["stab_deliveries_total", "stab_stability_latency_ns"];
+    let mut names = snap.counters.keys().chain(snap.histograms.keys());
+    assert!(
+        !names.any(|(name, _)| event_series.contains(&name.as_str())),
+        "{snap:?}"
+    );
+    for h in &nodes {
+        h.shutdown();
     }
+}
+
+#[test]
+fn a_hub_without_an_observer_gets_no_event_series() {
+    no_observer_no_event_series::<StabilizerNode>();
+    no_observer_no_event_series::<ShardedEngine>();
 }
