@@ -43,7 +43,8 @@ impl<M: TcpMachine> NodeHandle<M> {
     /// by its [`RoutePolicy`](stabilizer_shard::RoutePolicy)).
     ///
     /// Retries transparently on send-buffer backpressure until
-    /// `timeout` elapses.
+    /// `timeout` elapses, counted from the first refusal: a publish the
+    /// buffer takes at once never reads the clock.
     ///
     /// # Errors
     ///
@@ -60,11 +61,14 @@ impl<M: TcpMachine> NodeHandle<M> {
         timeout: Duration,
         publish: impl Fn(&mut M, Bytes) -> Result<SeqNo, CoreError>,
     ) -> Result<SeqNo, CoreError> {
-        let deadline = Instant::now() + timeout;
+        let mut deadline = None;
         loop {
             let result = self.shared.with_node(|node| publish(node, payload.clone()));
             match result {
-                Err(CoreError::WouldBlock { .. }) if Instant::now() < deadline => {
+                Err(CoreError::WouldBlock { .. })
+                    if *deadline.get_or_insert_with(|| Instant::now() + timeout)
+                        > Instant::now() =>
+                {
                     std::thread::sleep(Duration::from_millis(1));
                 }
                 other => return other,
@@ -111,6 +115,11 @@ impl<M: TcpMachine> NodeHandle<M> {
     /// Block until the predicate's frontier reaches `seq` or `timeout`
     /// elapses; returns `true` on success (§III-D `waitfor`).
     ///
+    /// A frontier already at `seq` returns `Ok(true)` at once, without
+    /// reading the clock or waking anyone; otherwise `timeout` runs from
+    /// the moment the wait is found pending. Either way a completed wait
+    /// shows the observer its one `WaitDone`.
+    ///
     /// # Errors
     ///
     /// [`CoreError::UnknownPredicate`] for an unregistered key.
@@ -121,10 +130,9 @@ impl<M: TcpMachine> NodeHandle<M> {
         seq: SeqNo,
         timeout: Duration,
     ) -> Result<bool, CoreError> {
-        let token = self
-            .shared
-            .with_node(|node| node.waitfor(stream, key, seq))?;
-        Ok(self.shared.upcalls.wait(token, timeout))
+        let (token, actions) = self.shared.locked(|node| node.waitfor(stream, key, seq));
+        let done = self.shared.process(actions, token.as_ref().ok().copied());
+        Ok(done || self.shared.upcalls.wait(token?, timeout))
     }
 
     /// Register `lambda` to run on every frontier advance of

@@ -23,7 +23,7 @@ use parking_lot::Mutex;
 use stabilizer_core::sim_driver::Machine;
 use stabilizer_core::{
     AckTypeId, AckTypeRegistry, Action, AppHooks, ClusterConfig, CoreError, Event, Metrics, NodeId,
-    SeqNo, SimTime, Snapshot, StabilizerNode, TimerKind, WireMsg, RECEIVED,
+    SeqNo, SimTime, Snapshot, StabilizerNode, TimerKind, WaitToken, WireMsg, RECEIVED,
 };
 use stabilizer_telemetry::{StallProvider, Telemetry};
 use std::net::{SocketAddr, TcpListener};
@@ -133,21 +133,26 @@ impl<M: TcpMachine> Shared<M> {
     /// Mutate the machine under the lock and show the observer what it
     /// emitted, then execute the emitted actions *outside* the lock.
     pub(crate) fn with_node<R>(&self, f: impl FnOnce(&mut M) -> R) -> R {
-        let mut actions = Vec::new();
-        let r = {
-            let mut node = self.node.lock();
-            let r = f(&mut node);
-            node.swap_actions(&mut actions);
-            if let Some(observer) = &self.observer {
-                let (mut observer, now) = (observer.lock(), SimTime(self.link.now_nanos()));
-                for event in actions.iter().filter_map(M::observe) {
-                    observer.on_event(now, &event);
-                }
-            }
-            r
-        };
-        self.process(actions);
+        let (r, actions) = self.locked(f);
+        self.process(actions, None);
         r
+    }
+
+    /// Run `f` on the machine under the lock, take what it emitted and
+    /// show the observer; the actions are the caller's to execute once
+    /// the lock is released.
+    pub(crate) fn locked<R>(&self, f: impl FnOnce(&mut M) -> R) -> (R, Vec<M::Action>) {
+        let mut actions = Vec::new();
+        let mut node = self.node.lock();
+        let r = f(&mut node);
+        node.swap_actions(&mut actions);
+        if let Some(observer) = &self.observer {
+            let (mut observer, now) = (observer.lock(), SimTime(self.link.now_nanos()));
+            for event in actions.iter().filter_map(M::observe) {
+                observer.on_event(now, &event);
+            }
+        }
+        (r, actions)
     }
 
     /// Show the observer an event the runtime, not the machine, produced.
@@ -168,14 +173,16 @@ impl<M: TcpMachine> Shared<M> {
     }
 
     /// Execute actions: forward sends to the writers, run callbacks for
-    /// what every other action shows ([`Machine::observe`]), then wake
-    /// the waiters of every completed wait at once.
-    fn process(&self, actions: Vec<M::Action>) {
-        let mut done = Vec::new();
+    /// what every other action shows ([`Machine::observe`]), then hand
+    /// every completed wait to the rendezvous at once — except `own`,
+    /// the calling thread's: whether it completed is returned instead.
+    pub(crate) fn process(&self, actions: Vec<M::Action>, own: Option<WaitToken>) -> bool {
+        let (mut done, mut own_done) = (Vec::new(), false);
         for action in actions {
             match M::into_frame(action) {
                 Ok((to, lane, msg)) => self.link.send(to, lane, msg),
                 Err(other) => match M::observe(&other) {
+                    Some(Event::WaitDone { token }) if Some(token) == own => own_done = true,
                     Some(Event::WaitDone { token }) => done.push(token),
                     Some(event) => self.upcalls.fire(&event),
                     None => {}
@@ -183,6 +190,7 @@ impl<M: TcpMachine> Shared<M> {
             }
         }
         self.upcalls.complete(done);
+        own_done
     }
 }
 

@@ -6,6 +6,10 @@
 //! registrations and the wait/complete rendezvous — and keeps frontier
 //! upcalls monotone (§III "monotonic upcalls"): two threads that folded
 //! ACKs of one key can arrive here swapped.
+//!
+//! Only a wait that sleeps pays for a wake-up: a `waitfor` the node
+//! answers within its own call never gets here, and
+//! [`Upcalls::complete`] signals only while a waiter is counted asleep.
 
 use bytes::Bytes;
 use parking_lot::{Condvar, Mutex};
@@ -38,13 +42,17 @@ struct Waits {
     /// the machine, which cannot cancel a waiter, and dropped when it
     /// completes them.
     abandoned: HashSet<WaitToken>,
+    /// Waiters asleep on `completed_cv`. Counted under this lock before
+    /// a waiter sleeps, so a completion that finds 0 here is seen by the
+    /// waiter's own check of `completed` instead.
+    sleepers: usize,
 }
 
 /// Registered callbacks plus the wait rendezvous of one node.
 #[derive(Default)]
 pub(crate) struct Upcalls {
     waits: Mutex<Waits>,
-    /// Signalled when `waits.completed` grows.
+    /// Signalled when `waits.completed` grows while `waits.sleepers > 0`.
     completed_cv: Condvar,
     /// Frontier monitors, by stream, then by key (so an update's
     /// borrowed key finds them).
@@ -54,21 +62,28 @@ pub(crate) struct Upcalls {
 
 impl Upcalls {
     /// Block until `token` completes or `timeout` elapses; `true` on
-    /// completion (which consumes it). On `false` the token is
-    /// abandoned: its later completion is dropped, not kept for nobody.
+    /// completion (which consumes it). A token already completed returns
+    /// at once, without reading the clock; otherwise `timeout` runs from
+    /// that first look. On `false` the token is abandoned: its later
+    /// completion is dropped, not kept for nobody.
     pub(crate) fn wait(&self, token: WaitToken, timeout: Duration) -> bool {
-        let deadline = Instant::now() + timeout;
         let mut waits = self.waits.lock();
+        if waits.completed.remove(&token) {
+            return true;
+        }
+        let deadline = Instant::now() + timeout;
         loop {
-            if waits.completed.remove(&token) {
-                return true;
-            }
             let now = Instant::now();
             if now >= deadline {
                 waits.abandoned.insert(token);
                 return false;
             }
+            waits.sleepers += 1;
             self.completed_cv.wait_for(&mut waits, deadline - now);
+            waits.sleepers -= 1;
+            if waits.completed.remove(&token) {
+                return true;
+            }
         }
     }
 
@@ -77,8 +92,9 @@ impl Upcalls {
         self.waits.lock().completed.remove(&token)
     }
 
-    /// Mark `tokens` completed and wake every waiter: one lock and one
-    /// wake-up for all of them (none, for an empty `tokens`).
+    /// Mark `tokens` completed under one lock (none, for an empty
+    /// `tokens`), and wake the waiters only if one is asleep: each
+    /// re-checks `completed` for its own token.
     pub(crate) fn complete(&self, tokens: Vec<WaitToken>) {
         if tokens.is_empty() {
             return;
@@ -89,8 +105,11 @@ impl Upcalls {
                 waits.completed.insert(token);
             }
         }
+        let asleep = waits.sleepers > 0;
         drop(waits);
-        self.completed_cv.notify_all();
+        if asleep {
+            self.completed_cv.notify_all();
+        }
     }
 
     /// Run the application's callbacks for `event`: delivery upcalls and
@@ -186,6 +205,10 @@ mod tests {
         waits.completed.len() + waits.abandoned.len()
     }
 
+    fn sleepers(upcalls: &Upcalls) -> usize {
+        upcalls.waits.lock().sleepers
+    }
+
     #[test]
     fn a_wait_that_timed_out_leaves_nothing_behind_once_it_completes() {
         let upcalls = Upcalls::default();
@@ -193,6 +216,11 @@ mod tests {
         // The machine cannot cancel the waiter: it completes later.
         upcalls.complete(vec![1]);
         assert_eq!(held(&upcalls), 0, "a completion kept for nobody");
+        // One that timed out asleep is no longer counted as a sleeper.
+        assert!(!upcalls.wait(4, Duration::from_millis(10)));
+        assert_eq!(sleepers(&upcalls), 0, "a sleeper counted after it left");
+        upcalls.complete(vec![4]);
+        assert_eq!(held(&upcalls), 0);
 
         // A completion that beats its waiter is consumed by it.
         upcalls.complete(vec![2]);
@@ -203,5 +231,83 @@ mod tests {
         assert!(upcalls.take_done(3));
         assert!(!upcalls.take_done(3));
         assert_eq!(held(&upcalls), 0);
+    }
+
+    /// A completion may land at any point of a waiter's `wait` — before
+    /// its first look, between the look and the sleep, or while it
+    /// sleeps — and must never be lost: `complete` signals only when it
+    /// sees a sleeper counted, so a sleeper must be counted in the same
+    /// critical section as its look at `completed`. Rounds end at a
+    /// barrier so that a round's last completion has no later one to
+    /// wake a waiter it missed: a lost wake-up is a wait that runs out
+    /// its whole timeout.
+    #[test]
+    fn no_wake_up_is_lost_between_a_look_and_a_sleep() {
+        use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+        use std::sync::Barrier;
+        const WAITERS: u64 = 4;
+        const ROUNDS: u64 = 2_000;
+        const TIMEOUT: Duration = Duration::from_secs(5);
+        let upcalls = Upcalls::default();
+        let (start, end) = (Barrier::new(6), Barrier::new(6));
+        let (lost, stop) = (AtomicUsize::new(0), AtomicBool::new(false));
+        std::thread::scope(|s| {
+            for w in 0..WAITERS {
+                let (upcalls, start, end, lost, stop) = (&upcalls, &start, &end, &lost, &stop);
+                s.spawn(move || {
+                    for round in 0..ROUNDS {
+                        start.wait();
+                        let began = Instant::now();
+                        if !upcalls.wait(round * WAITERS + w, TIMEOUT) || began.elapsed() >= TIMEOUT
+                        {
+                            lost.fetch_add(1, Ordering::SeqCst);
+                            stop.store(true, Ordering::SeqCst);
+                        }
+                        end.wait();
+                        if stop.load(Ordering::SeqCst) {
+                            return;
+                        }
+                    }
+                });
+            }
+            for c in 0..2u64 {
+                let (upcalls, start, end, stop) = (&upcalls, &start, &end, &stop);
+                s.spawn(move || {
+                    let mut rng = 0x9e37_79b9_7f4a_7c15u64 ^ c;
+                    let mut next = move || {
+                        rng ^= rng << 13;
+                        rng ^= rng >> 7;
+                        rng ^= rng << 17;
+                        rng
+                    };
+                    for round in 0..ROUNDS {
+                        start.wait();
+                        // This completer's half of the round, shuffled, in
+                        // batches of one or two, each after a random pause.
+                        let mut mine: Vec<u64> = (0..WAITERS)
+                            .filter(|w| w % 2 == c)
+                            .map(|w| round * WAITERS + w)
+                            .collect();
+                        if next() % 2 == 0 {
+                            mine.reverse();
+                        }
+                        while !mine.is_empty() {
+                            for _ in 0..next() % 2_000 {
+                                std::hint::spin_loop();
+                            }
+                            let take = (1 + next() as usize % 2).min(mine.len());
+                            upcalls.complete(mine.split_off(mine.len() - take));
+                        }
+                        end.wait();
+                        if stop.load(Ordering::SeqCst) {
+                            return;
+                        }
+                    }
+                });
+            }
+        });
+        assert_eq!(lost.load(Ordering::SeqCst), 0, "a wake-up was lost");
+        assert_eq!(held(&upcalls), 0);
+        assert_eq!(sleepers(&upcalls), 0);
     }
 }

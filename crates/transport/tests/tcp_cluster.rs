@@ -2,11 +2,12 @@
 //! protocol that the simulator exercises, over real sockets.
 
 use bytes::Bytes;
-use stabilizer_core::{ClusterConfig, NodeId};
-use stabilizer_transport::spawn_local_cluster;
+use stabilizer_core::{AckTypeRegistry, ClusterConfig, NodeId, SharedEventLog};
+use stabilizer_transport::{spawn_local_cluster, spawn_node_with, NodeHandle, SpawnOptions};
+use std::net::TcpListener;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 const CFG: &str = "\
 az East e1 e2
@@ -17,6 +18,123 @@ predicate OneRemote MAX($ALLWNODES-$MYWNODE)
 
 fn cluster() -> Vec<stabilizer_transport::TcpNode> {
     spawn_local_cluster(&ClusterConfig::parse(CFG).unwrap()).unwrap()
+}
+
+/// [`cluster`]'s handles, node 0 recording every event it emits.
+fn observed_cluster() -> (Vec<NodeHandle>, SharedEventLog) {
+    let cfg = ClusterConfig::parse(CFG).unwrap();
+    let listeners: Vec<TcpListener> = (0..3)
+        .map(|_| TcpListener::bind("127.0.0.1:0").unwrap())
+        .collect();
+    let addrs: Vec<_> = listeners.iter().map(|l| l.local_addr().unwrap()).collect();
+    let (acks, log) = (Arc::new(AckTypeRegistry::new()), SharedEventLog::default());
+    let handles = listeners
+        .into_iter()
+        .enumerate()
+        .map(|(i, listener)| {
+            let peers = (0..3).filter(|j| *j != i);
+            let peers = peers.map(|j| (NodeId(j as u16), addrs[j])).collect();
+            let opts = SpawnOptions {
+                observer: (i == 0).then(|| Box::new(Arc::clone(&log)) as _),
+                ..SpawnOptions::default()
+            };
+            let node = spawn_node_with(
+                cfg.clone(),
+                NodeId(i as u16),
+                Arc::clone(&acks),
+                listener,
+                peers,
+                opts,
+            );
+            node.unwrap().handle()
+        })
+        .collect();
+    (handles, log)
+}
+
+/// How many `WaitDone`s for `token` the log holds.
+fn wait_dones(log: &SharedEventLog, token: u64) -> usize {
+    let log = log.lock();
+    log.completed_waits
+        .iter()
+        .filter(|(_, t)| *t == token)
+        .count()
+}
+
+#[test]
+fn a_waitfor_already_covered_returns_at_once_and_is_observed_once() {
+    let (nodes, log) = observed_cluster();
+    let h = &nodes[0];
+    let seq = h
+        .publish(Bytes::from_static(b"covered"), Duration::from_secs(1))
+        .unwrap();
+    assert!(h
+        .waitfor(NodeId(0), "AllRemote", seq, Duration::from_secs(10))
+        .unwrap());
+    // Tokens count up per node: bracket the blocking call's token with
+    // two non-blocking ones.
+    let before = h.begin_waitfor(NodeId(0), "AllRemote", seq).unwrap();
+    assert!(h
+        .waitfor(NodeId(0), "AllRemote", seq, Duration::ZERO)
+        .unwrap());
+    let after = h.begin_waitfor(NodeId(0), "AllRemote", seq).unwrap();
+    assert_eq!(after, before + 2);
+    let token = before + 1;
+    assert_eq!(wait_dones(&log, token), 1, "the observer sees it once");
+    // Never handed to the rendezvous: nothing is left there to take.
+    assert!(!h.wait_is_done(token));
+    assert!(h.wait_is_done(before) && h.wait_is_done(after));
+    for h in &nodes {
+        h.shutdown();
+    }
+}
+
+#[test]
+fn a_waitfor_that_must_sleep_is_woken_by_a_later_publish() {
+    let (nodes, log) = observed_cluster();
+    let (h, began) = (nodes[0].clone(), Instant::now());
+    let publisher = std::thread::spawn(move || {
+        std::thread::sleep(Duration::from_millis(100));
+        h.publish(Bytes::from_static(b"late"), Duration::from_secs(1))
+            .unwrap()
+    });
+    assert!(nodes[0]
+        .waitfor(NodeId(0), "AllRemote", 1, Duration::from_secs(10))
+        .unwrap());
+    assert!(began.elapsed() >= Duration::from_millis(100));
+    assert_eq!(publisher.join().unwrap(), 1);
+    // The node's only wait, completed exactly once.
+    assert_eq!(log.lock().completed_waits.len(), 1);
+    for h in &nodes {
+        h.shutdown();
+    }
+}
+
+#[test]
+fn a_begin_waitfor_token_is_kept_until_taken() {
+    let (nodes, _log) = observed_cluster();
+    let h = &nodes[0];
+    let pending = h.begin_waitfor(NodeId(0), "AllRemote", 1).unwrap();
+    assert!(!h.wait_is_done(pending));
+    let seq = h
+        .publish(Bytes::from_static(b"x"), Duration::from_secs(1))
+        .unwrap();
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while !h.wait_is_done(pending) {
+        assert!(
+            Instant::now() < deadline,
+            "the pending wait never completed"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    assert!(!h.wait_is_done(pending), "a completion is taken once");
+    // One already covered completes within the call, kept all the same.
+    let covered = h.begin_waitfor(NodeId(0), "AllRemote", seq).unwrap();
+    assert!(h.wait_is_done(covered));
+    assert!(!h.wait_is_done(covered));
+    for h in &nodes {
+        h.shutdown();
+    }
 }
 
 #[test]

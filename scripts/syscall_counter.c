@@ -1,0 +1,77 @@
+/* The counter behind EXPERIMENTS.md's "Where tcp3-small's wake-ups go",
+ * preloaded into the counted process by scripts/syscalls.sh:
+ *
+ *   gcc -O2 -shared -fPIC -o counter.so scripts/syscall_counter.c -ldl
+ *   LD_PRELOAD=counter.so SYSCALLS_OUT=counts.txt <program> [args]
+ *
+ * Interposes libc's `send`, `recv` and `syscall` (Rust's std parks and
+ * wakes threads — mutexes, condition variables, `park` — through
+ * `syscall(SYS_futex, ...)`), forwards every call unchanged, and counts
+ * calls of each, bytes moved by `send` and `recv`, and the futex calls
+ * that wake (FUTEX_WAKE, FUTEX_WAKE_BITSET) or wait (FUTEX_WAIT,
+ * FUTEX_WAIT_BITSET). At exit one `name calls bytes` line per counter
+ * goes to SYSCALLS_OUT.
+ */
+#define _GNU_SOURCE
+#include <dlfcn.h>
+#include <linux/futex.h>
+#include <stdarg.h>
+#include <stdio.h>
+#include <stdlib.h>
+#include <sys/socket.h>
+#include <sys/syscall.h>
+
+enum { SEND, RECV, WAKE, WAIT, COUNTERS };
+static const char *names[COUNTERS] = {"send", "recv", "futex_wake", "futex_wait"};
+static unsigned long calls[COUNTERS], bytes[COUNTERS];
+
+static ssize_t (*real_send)(int, const void *, size_t, int);
+static ssize_t (*real_recv)(int, void *, size_t, int);
+static long (*real_syscall)(long, ...);
+
+__attribute__((constructor)) static void start(void) {
+    real_send = (ssize_t(*)(int, const void *, size_t, int))dlsym(RTLD_NEXT, "send");
+    real_recv = (ssize_t(*)(int, void *, size_t, int))dlsym(RTLD_NEXT, "recv");
+    real_syscall = (long (*)(long, ...))dlsym(RTLD_NEXT, "syscall");
+}
+
+static void count(int counter, long moved) {
+    __atomic_fetch_add(&calls[counter], 1, __ATOMIC_RELAXED);
+    if (moved > 0) __atomic_fetch_add(&bytes[counter], (unsigned long)moved, __ATOMIC_RELAXED);
+}
+
+ssize_t send(int fd, const void *buf, size_t len, int flags) {
+    ssize_t n = real_send(fd, buf, len, flags);
+    count(SEND, n);
+    return n;
+}
+
+ssize_t recv(int fd, void *buf, size_t len, int flags) {
+    ssize_t n = real_recv(fd, buf, len, flags);
+    count(RECV, n);
+    return n;
+}
+
+/* Every caller passes at most six word-sized arguments; forwarding six
+ * is what glibc's own `syscall` reads. */
+long syscall(long number, ...) {
+    long a[6];
+    va_list args;
+    va_start(args, number);
+    for (int i = 0; i < 6; i++) a[i] = va_arg(args, long);
+    va_end(args);
+    if (number == SYS_futex) {
+        int op = (int)a[1] & FUTEX_CMD_MASK;
+        if (op == FUTEX_WAKE || op == FUTEX_WAKE_BITSET) count(WAKE, 0);
+        if (op == FUTEX_WAIT || op == FUTEX_WAIT_BITSET) count(WAIT, 0);
+    }
+    return real_syscall(number, a[0], a[1], a[2], a[3], a[4], a[5]);
+}
+
+__attribute__((destructor)) static void dump(void) {
+    const char *path = getenv("SYSCALLS_OUT");
+    FILE *out = fopen(path ? path : "syscalls.txt", "w");
+    if (!out) return;
+    for (int i = 0; i < COUNTERS; i++) fprintf(out, "%s %lu %lu\n", names[i], calls[i], bytes[i]);
+    fclose(out);
+}
