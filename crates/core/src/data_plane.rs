@@ -301,6 +301,37 @@ impl Outbound {
     }
 }
 
+/// What one [`ReceiveState::on_data`] call made deliverable, in FIFO
+/// order: the message itself when it arrived in order with nothing
+/// parked, or what it released from the reorder buffer.
+#[derive(Debug, Default)]
+pub struct Deliverable {
+    first: Option<(SeqNo, Bytes)>,
+    rest: std::vec::IntoIter<(SeqNo, Bytes)>,
+}
+
+impl Deliverable {
+    /// True if nothing became deliverable.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+}
+
+impl Iterator for Deliverable {
+    type Item = (SeqNo, Bytes);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        self.first.take().or_else(|| self.rest.next())
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let len = usize::from(self.first.is_some()) + self.rest.len();
+        (len, Some(len))
+    }
+}
+
+impl ExactSizeIterator for Deliverable {}
+
 /// Receive-side reassembly for one remote origin's stream.
 #[derive(Debug, Default)]
 pub struct ReceiveState {
@@ -317,23 +348,30 @@ impl ReceiveState {
     /// Accept `(seq, payload)`; returns the messages now deliverable in
     /// FIFO order (empty if `seq` leaves a gap). Duplicates and
     /// already-delivered sequences are dropped.
-    pub fn on_data(&mut self, seq: SeqNo, payload: Bytes) -> Vec<(SeqNo, Bytes)> {
+    pub fn on_data(&mut self, seq: SeqNo, payload: Bytes) -> Deliverable {
         if seq <= self.delivered {
-            return Vec::new();
+            return Deliverable::default();
         }
         // In order with nothing parked (every frame of a FIFO link that
-        // lost nothing): no trip through the reorder buffer.
+        // lost nothing): no trip through the reorder buffer, and no
+        // allocation.
         if seq == self.delivered + 1 && self.pending.is_empty() {
             self.delivered = seq;
-            return vec![(seq, payload)];
+            return Deliverable {
+                first: Some((seq, payload)),
+                ..Deliverable::default()
+            };
         }
         self.pending.insert(seq, payload);
-        let mut out = Vec::new();
+        let mut released = Vec::new();
         while let Some(payload) = self.pending.remove(&(self.delivered + 1)) {
             self.delivered += 1;
-            out.push((self.delivered, payload));
+            released.push((self.delivered, payload));
         }
-        out
+        Deliverable {
+            first: None,
+            rest: released.into_iter(),
+        }
     }
 
     /// Highest sequence number delivered in order — the value this node
@@ -449,10 +487,7 @@ mod tests {
         assert!(rs.on_data(3, b(1)).is_empty());
         assert_eq!(rs.pending(), 2);
         let delivered = rs.on_data(1, b(1));
-        assert_eq!(
-            delivered.iter().map(|(s, _)| *s).collect::<Vec<_>>(),
-            vec![1, 2, 3]
-        );
+        assert_eq!(delivered.map(|(s, _)| s).collect::<Vec<_>>(), vec![1, 2, 3]);
         assert_eq!(rs.delivered(), 3);
         assert_eq!(rs.pending(), 0);
     }

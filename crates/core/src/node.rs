@@ -523,11 +523,8 @@ impl StabilizerNode {
         let state = &mut self.recv[origin.0 as usize];
         let delivered = state.on_data(seq, payload);
         let duplicate = seq <= state.delivered();
-        match delivered.last() {
-            Some(&(high, _)) => {
-                self.deliver(origin, delivered);
-                self.holds(origin, Some(high));
-            }
+        match self.deliver(origin, delivered) {
+            Some(high) => self.holds(origin, Some(high)),
             // A duplicate of an already-delivered message means the
             // sender has not seen our ACK (it was lost): say it again so
             // the retransmission loop terminates.
@@ -544,8 +541,14 @@ impl StabilizerNode {
             && self.placement.is_replica(origin, self.me)
     }
 
-    /// Hand `origin`'s messages, in sequence order, to the application.
-    fn deliver(&mut self, origin: NodeId, msgs: Vec<(SeqNo, Bytes)>) {
+    /// Hand `origin`'s messages, in sequence order, to the application;
+    /// returns the last one's sequence number.
+    fn deliver(
+        &mut self,
+        origin: NodeId,
+        msgs: impl IntoIterator<Item = (SeqNo, Bytes)>,
+    ) -> Option<SeqNo> {
+        let mut high = None;
         for (seq, payload) in msgs {
             self.metrics.deliveries += 1;
             self.actions.push(Action::Deliver {
@@ -553,7 +556,9 @@ impl StabilizerNode {
                 seq,
                 payload,
             });
+            high = Some(seq);
         }
+        high
     }
 
     /// The built-in levels of a mirrored stream move together: with

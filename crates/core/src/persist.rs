@@ -39,47 +39,53 @@ impl Snapshot {
         out
     }
 
-    /// Deserialize a snapshot produced by [`Snapshot::to_bytes`].
+    /// Deserialize a snapshot produced by [`Snapshot::to_bytes`]. Never
+    /// allocates more than the table its input holds: dimensions are
+    /// checked against the input's length before anything is built.
     ///
     /// # Errors
     ///
-    /// [`CoreError::Wire`] on bad magic, unsupported version, or
-    /// truncation.
+    /// [`CoreError::Wire`] on bad magic, unsupported version, or a
+    /// length that is not what the dimensions say.
     pub fn from_bytes(buf: &[u8]) -> Result<Snapshot, CoreError> {
         let fail = |m: &str| CoreError::Wire(format!("snapshot: {m}"));
-        if buf.len() < 18 {
+        let Some((header, table)) = buf.split_first_chunk::<18>() else {
             return Err(fail("truncated header"));
-        }
-        if &buf[0..4] != MAGIC {
+        };
+        if header[..4] != MAGIC[..] {
             return Err(fail("bad magic"));
         }
-        let version = u16::from_le_bytes(buf[4..6].try_into().unwrap());
-        if version != VERSION {
+        let word = |at: usize| usize::from(u16::from_le_bytes([header[at], header[at + 1]]));
+        let version = word(4);
+        if version != usize::from(VERSION) {
             return Err(fail(&format!("unsupported version {version}")));
         }
-        let nodes = u16::from_le_bytes(buf[6..8].try_into().unwrap()) as usize;
-        let types = u16::from_le_bytes(buf[8..10].try_into().unwrap()) as usize;
-        let last_assigned = u64::from_le_bytes(buf[10..18].try_into().unwrap());
-        let want = 18 + nodes * nodes * types * 8;
-        if buf.len() != want {
-            return Err(fail(&format!("expected {want} bytes, got {}", buf.len())));
+        let (nodes, types) = (word(6), word(8));
+        let last_assigned = le_u64(&header[10..]);
+        let cells = nodes.checked_mul(nodes).and_then(|n| n.checked_mul(types));
+        if cells.and_then(|c| c.checked_mul(8)) != Some(table.len()) {
+            return Err(fail(&format!(
+                "{} table bytes for {nodes} nodes and {types} types",
+                table.len()
+            )));
         }
         let mut recorder = AckRecorder::new(nodes, types);
-        let mut at = 18;
-        for stream in 0..nodes as u16 {
-            for node in 0..nodes as u16 {
-                for ty in 0..types as u16 {
-                    let v = u64::from_le_bytes(buf[at..at + 8].try_into().unwrap());
-                    at += 8;
-                    recorder.observe(NodeId(stream), NodeId(node), AckTypeId(ty), v);
-                }
-            }
+        // Cells in (stream, node, type) order, as `to_bytes` writes them.
+        for (i, cell) in table.chunks_exact(8).enumerate() {
+            let (row, ty) = (i / types, i % types);
+            let (stream, node) = (NodeId((row / nodes) as u16), NodeId((row % nodes) as u16));
+            recorder.observe(stream, node, AckTypeId(ty as u16), le_u64(cell));
         }
         Ok(Snapshot {
             recorder,
             last_assigned,
         })
     }
+}
+
+/// The little-endian number in `bytes` (at most eight of them).
+fn le_u64(bytes: &[u8]) -> u64 {
+    bytes.iter().rev().fold(0, |v, &b| v << 8 | u64::from(b))
 }
 
 #[cfg(test)]

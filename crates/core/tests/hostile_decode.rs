@@ -3,10 +3,11 @@
 //! sender wrote. Counted with a per-thread allocator so the bound is on
 //! bytes actually requested, whatever the decoder's internals. Both
 //! decoders are held to it: `decode` and `decode_shared`, which slices
-//! payloads out of its input instead of copying them.
+//! payloads out of its input instead of copying them. So is
+//! `Snapshot::from_bytes`, which reads what a storage system kept.
 
 use bytes::Bytes;
-use stabilizer_core::{Ack, NodeId, WireMsg};
+use stabilizer_core::{Ack, AckRecorder, NodeId, Snapshot, WireMsg};
 use stabilizer_dsl::AckTypeId;
 
 #[global_allocator]
@@ -82,4 +83,62 @@ fn decode_allocates_in_proportion_to_its_input_not_to_a_claimed_count() {
             bytes.len()
         );
     }
+}
+
+/// Bytes requested decoding `input` as a snapshot, and whether it was
+/// accepted.
+fn snapshot_cost(input: &[u8]) -> (usize, bool) {
+    let (cost, decoded) = stabilizer_testalloc::cost(|| Snapshot::from_bytes(input));
+    (cost, decoded.is_ok())
+}
+
+#[test]
+fn a_snapshot_allocates_at_most_its_input_whatever_it_claims() {
+    let mut recorder = AckRecorder::new(3, 2);
+    recorder.observe(NodeId(0), NodeId(1), AckTypeId(0), 42);
+    recorder.observe(NodeId(2), NodeId(0), AckTypeId(1), u64::MAX);
+    let good = Snapshot {
+        recorder,
+        last_assigned: 99,
+    }
+    .to_bytes();
+    let mut inputs = Vec::new();
+    // Truncated anywhere, extended, and every single bit flipped.
+    inputs.extend((0..good.len()).map(|cut| good[..cut].to_vec()));
+    inputs.extend((1..=16).map(|extra| [&good[..], &vec![0xff; extra]].concat()));
+    for bit in 0..8 * good.len() {
+        let mut flipped = good.clone();
+        flipped[bit / 8] ^= 1 << (bit % 8);
+        inputs.push(flipped);
+    }
+    // Dimensions that lie: 65 535 nodes and types, whose table would be
+    // 2^51 bytes; another shape the table fits, and one it does not;
+    // zero of either.
+    for (nodes, types) in [
+        (u16::MAX, u16::MAX),
+        (1, 18),
+        (6, 1),
+        (0, 2),
+        (3, 0),
+        (1, 0),
+    ] {
+        let mut lying = good.clone();
+        lying[6..8].copy_from_slice(&nodes.to_le_bytes());
+        lying[8..10].copy_from_slice(&types.to_le_bytes());
+        inputs.push(lying.clone());
+        inputs.push(lying[..18].to_vec());
+    }
+    let mut accepted = 0;
+    for input in &inputs {
+        let (cost, ok) = snapshot_cost(input);
+        accepted += usize::from(ok);
+        assert!(
+            cost <= input.len() + ERROR_STRING,
+            "{cost} B allocated for the {}-byte snapshot {input:?}",
+            input.len()
+        );
+    }
+    // Flipped table and counter bits decode, as do the shapes that fit.
+    assert!(accepted > 8 * (good.len() - 18), "{accepted} accepted");
+    assert!(snapshot_cost(&good).1);
 }

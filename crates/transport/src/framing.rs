@@ -10,13 +10,16 @@
 //! A connection's reader (`FrameReader`) copies a payload out of its
 //! 8 KiB read buffer if the frame fits that buffer; a larger frame is
 //! read into a buffer of its own, which then becomes the message's
-//! payload without a copy. Neither reader allocates ahead of the bytes
-//! it was sent: a buffer grows as they arrive, whatever size a length
-//! prefix announces.
+//! payload without a copy. A run of equal large frames is read several
+//! at a time — one vectored read into one more such buffer than the last
+//! such read filled, up to one write burst — and leaves as one batch.
+//! Neither reader allocates ahead of the bytes it was sent: a buffer
+//! grows as they arrive, whatever size a length prefix announces.
 
+use crate::link::WRITE_BUF;
 use bytes::{Bytes, BytesMut};
 use stabilizer_core::{CoreError, WireMsg};
-use std::io::{Read, Write};
+use std::io::{IoSliceMut, Read, Write};
 
 /// Maximum accepted frame size (1 GiB would be absurd for a control or
 /// 64 KiB-capped data message; this guards against corrupt prefixes).
@@ -167,19 +170,24 @@ fn decode_shared_body<L: Lane>(body: &Bytes) -> std::io::Result<(L, WireMsg)> {
 }
 
 /// Capacity of a connection's read buffer: the bound on one reader
-/// batch, and the largest frame whose payload is always copied out.
-/// Small on purpose: about ninety 64-byte messages share a read, while a
-/// larger frame is read into a buffer of its own that becomes its
-/// payload, so what a large message costs does not depend on how far
-/// behind the reader runs (with a 64 KiB buffer it did, and the
-/// benchmark's runs spread past their bound: EXPERIMENTS.md,
-/// "Steadiness under host steal").
+/// batch of small frames, and the largest frame whose payload is always
+/// copied out. Small on purpose: about ninety 64-byte messages share a
+/// read, while a larger frame is read into a buffer of its own that
+/// becomes its payload, so what a large message costs does not depend
+/// on how far behind the reader runs (with a 64 KiB buffer it did, and
+/// the benchmark's runs spread past their bound: EXPERIMENTS.md,
+/// "Steadiness under host steal"). Large frames share a read only as a
+/// run, each in its own buffer.
 pub(crate) const READ_BUF: usize = 8 * 1024;
+
+/// The most buffers a run read fills: one write burst of frames just
+/// larger than [`READ_BUF`].
+const MAX_RUN: usize = WRITE_BUF / (READ_BUF + 1);
 
 /// A connection's read side: one buffer the connection owns, filled by
 /// one blocking read at a time, with every frame that read completed
-/// decoded out of it; a batch is bounded by the buffer, not by a count
-/// or a clock.
+/// decoded out of it; a batch is bounded by what one read took in, not
+/// by a count or a clock.
 ///
 /// A frame that fits [`READ_BUF`] needs no buffer of its own: its
 /// payload is copied out of the shared one, so a value an application
@@ -187,11 +195,20 @@ pub(crate) const READ_BUF: usize = 8 * 1024;
 /// grown for it — a full buffer at most doubles, and never past what the
 /// frame's prefix announced. Once it is complete at the front of a
 /// buffer less than twice its size, the buffer is frozen into the
-/// message and the payload is a slice of it: one read, no copy, and one
+/// message and the payload is a slice of it: no copy, and one
 /// allocation, the fresh buffer of the frame's size that takes its
 /// place. In a larger buffer (one left by a much larger frame) it is
 /// copied out instead, so no payload pins more than twice its frame,
 /// and the buffer then shrinks to what comes next.
+///
+/// After a large frame is handed over the buffer is empty at a frame
+/// boundary, and the next read is a **run read**: one vectored read into
+/// it and up to k − 1 spare buffers of its size, every one the read
+/// fills with one whole frame of that size frozen into that frame's
+/// payload, and all of them one batch. k is one more than the last run
+/// read filled — so the spares held never outnumber the frames the peer
+/// last proved it sends back to back — and at most one write burst
+/// ([`WRITE_BUF`]) of frames.
 pub(crate) struct FrameReader<R> {
     r: R,
     /// `buf[start..end]` is read but not yet decoded. [`READ_BUF`] long
@@ -199,6 +216,11 @@ pub(crate) struct FrameReader<R> {
     buf: BytesMut,
     start: usize,
     end: usize,
+    /// Empty buffers a run read fills behind `buf`, each `buf`'s size.
+    spares: Vec<BytesMut>,
+    /// Buffers the next run read is given, before the cap: one more
+    /// than the last one filled with whole frames.
+    run: usize,
 }
 
 impl<R: Read> FrameReader<R> {
@@ -208,14 +230,16 @@ impl<R: Read> FrameReader<R> {
             buf: BytesMut::zeroed(READ_BUF),
             start: 0,
             end: 0,
+            spares: Vec::new(),
+            run: 1,
         }
     }
 
     /// Block until at least one frame is complete, then append **every**
-    /// frame already complete in the buffer to `out`, in order, and
-    /// return their wire size (length prefixes included). Never blocks
-    /// again once it has a frame to hand over. `Ok(0)`: the peer closed
-    /// the connection (a frame cut short by that is dropped).
+    /// frame that read completed to `out`, in order, and return their
+    /// wire size (length prefixes included). Never blocks again once it
+    /// has a frame to hand over. `Ok(0)`: the peer closed the connection
+    /// (a frame cut short by that is dropped).
     ///
     /// # Errors
     ///
@@ -226,19 +250,88 @@ impl<R: Read> FrameReader<R> {
         &mut self,
         out: &mut Vec<(L, WireMsg)>,
     ) -> std::io::Result<usize> {
+        let mut wire_len = 0;
         loop {
-            let mut wire_len = 0;
             let cut_short = self.decode_complete(out, &mut wire_len);
             if wire_len > 0 {
                 return Ok(wire_len);
             }
             self.make_room(cut_short?);
-            let n = self.r.read(&mut self.buf[self.end..])?;
+            let n = if self.end == 0 && self.buf.len() > READ_BUF {
+                self.read_run(out, &mut wire_len)?
+            } else {
+                let n = self.r.read(&mut self.buf[self.end..])?;
+                self.end += n;
+                n
+            };
             if n == 0 {
                 return Ok(0);
             }
-            self.end += n;
         }
+    }
+
+    /// The run read: one vectored read into the empty buffer and the
+    /// spares behind it. Each buffer it filled with one whole frame of
+    /// its size is handed over into `out` as that frame, its wire size
+    /// added to `wire_len`; the first that is not continues as the
+    /// buffer, with the bytes read behind it copied in. Returns the
+    /// bytes read.
+    fn read_run<L: Lane>(
+        &mut self,
+        out: &mut Vec<(L, WireMsg)>,
+        wire_len: &mut usize,
+    ) -> std::io::Result<usize> {
+        let size = self.buf.len();
+        let cap = (WRITE_BUF / size).max(1);
+        let k = self.run.min(cap);
+        self.spares.retain(|spare| spare.len() == size);
+        self.spares.truncate(k - 1);
+        while self.spares.len() < k - 1 {
+            self.spares.push(BytesMut::zeroed(size));
+        }
+        let n = {
+            let mut slices = [(); MAX_RUN].map(|()| IoSliceMut::new(&mut []));
+            let bufs = std::iter::once(&mut self.buf).chain(&mut self.spares);
+            for (slice, buf) in slices.iter_mut().zip(bufs) {
+                *slice = IoSliceMut::new(buf);
+            }
+            self.r.read_vectored(&mut slices[..k])?
+        };
+        let prefix = ((size - 4) as u32).to_le_bytes();
+        let mut filled = 0;
+        while (filled + 1) * size <= n && self.buf.starts_with(&prefix) {
+            let next = if self.spares.is_empty() {
+                BytesMut::zeroed(size)
+            } else {
+                self.spares.remove(0)
+            };
+            let frame = std::mem::replace(&mut self.buf, next).freeze();
+            match decode_shared_body(&frame.slice(4..)) {
+                Ok(msg) => out.push(msg),
+                Err(_) => {
+                    // Put back whole, for the next call to meet again.
+                    let mut back = BytesMut::zeroed(size);
+                    back.copy_from_slice(&frame);
+                    self.spares
+                        .insert(0, std::mem::replace(&mut self.buf, back));
+                    break;
+                }
+            }
+            *wire_len += size;
+            filled += 1;
+        }
+        self.end = n - filled * size;
+        if self.end > size {
+            let mut buf = BytesMut::zeroed(self.end);
+            let read = std::iter::once(&self.buf).chain(&self.spares);
+            for (to, from) in buf.chunks_mut(size).zip(read) {
+                to.copy_from_slice(&from[..to.len()]);
+            }
+            self.buf = buf;
+        }
+        self.run = (filled + 1).min(cap);
+        self.spares.truncate(self.run - 1);
+        Ok(n)
     }
 
     /// Decode the complete frames at the front of the buffer into `out`,
@@ -624,6 +717,163 @@ mod tests {
             };
             let at = buf.wrapping_add(frame - READ_BUF);
             assert_eq!(payload.as_ptr(), at, "frame {i}'s payload was copied");
+        }
+    }
+
+    /// A [`Script`] read the way a socket's `readv` reads: each read
+    /// fills the buffers it is given in turn, up to the end of its
+    /// chunk. It counts the reads made of it and notes where every
+    /// buffer it wrote into starts.
+    struct Vectored {
+        script: Script,
+        reads: usize,
+        starts: Vec<*const u8>,
+    }
+
+    impl Vectored {
+        fn new(chunks: impl IntoIterator<Item = Vec<u8>>) -> Self {
+            Vectored {
+                script: Script(chunks.into_iter().collect()),
+                reads: 0,
+                starts: Vec::new(),
+            }
+        }
+    }
+
+    impl Read for Vectored {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            self.read_vectored(&mut [IoSliceMut::new(buf)])
+        }
+
+        fn read_vectored(&mut self, bufs: &mut [IoSliceMut<'_>]) -> std::io::Result<usize> {
+            self.reads += 1;
+            let Some(mut chunk) = self.script.0.pop_front() else {
+                return Ok(0);
+            };
+            let mut n = 0;
+            for buf in bufs {
+                let take = buf.len().min(chunk.len() - n);
+                if take > 0 {
+                    self.starts.push(buf.as_ptr());
+                }
+                buf[..take].copy_from_slice(&chunk[n..n + take]);
+                n += take;
+            }
+            if n < chunk.len() {
+                self.script.0.push_front(chunk.split_off(n));
+            }
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn a_run_of_large_frames_is_read_k_at_a_time_each_into_the_buffer_that_becomes_it() {
+        let frame = wire(&[data(1, READ_BUF)]).len();
+        let k = WRITE_BUF / frame;
+        // The first frame takes two reads and grows the buffer; then k
+        // starts at one and grows by one per run read that fills every
+        // buffer it was given. Then a second write of 3k + 2 frames.
+        let warm = 1 + (1..=k).sum::<usize>();
+        let msgs: Vec<WireMsg> = (1..=warm + 3 * k + 2)
+            .map(|seq| data(seq as u64, READ_BUF))
+            .collect();
+        let script = [wire(&msgs[..warm]), wire(&msgs[warm..])];
+        let mut reader = FrameReader::new(Vectored::new(script));
+        let (mut got, mut shape) = (Vec::new(), Vec::new());
+        loop {
+            let reads = reader.r.reads;
+            let batch = next_batch(&mut reader);
+            if batch.is_empty() {
+                break;
+            }
+            shape.push((batch.len(), reader.r.reads - reads));
+            got.extend(batch);
+        }
+        assert_eq!(got, msgs);
+        let mut want = vec![(1, 2)];
+        want.extend((1..=k).map(|n| (n, 1)));
+        want.extend([(k, 1), (k, 1), (k, 1), (2, 1)]);
+        assert_eq!(shape, want, "(frames, reads) per batch");
+        // Past the first frame, assembled in a grown buffer: no payload
+        // was copied out of the buffer read into, and no two share one.
+        let header = frame - READ_BUF;
+        let mut bases = std::collections::HashSet::new();
+        for (i, msg) in got.iter().enumerate().skip(1) {
+            let WireMsg::Data { payload, .. } = msg else {
+                unreachable!()
+            };
+            let base = payload.as_ptr().wrapping_sub(header);
+            assert!(reader.r.starts.contains(&base), "frame {i} was copied");
+            assert!(bases.insert(base), "frame {i} shares a buffer");
+        }
+    }
+
+    /// Every frame [`read_lane_frame`] reads off `input`, and every frame
+    /// `FrameReader` hands over reading it in `cuts`-sized reads (cycled).
+    fn both_readers<L: Lane + std::fmt::Debug>(
+        input: &[u8],
+        cuts: &[usize],
+    ) -> [Vec<(L, WireMsg)>; 2] {
+        let mut cur = std::io::Cursor::new(input);
+        let mut want = Vec::new();
+        while let Some((lane, msg, _)) = read_lane_frame::<L, _>(&mut cur).unwrap() {
+            want.push((lane, msg));
+        }
+        let mut chunks = Vec::new();
+        let mut rest = input;
+        for &cut in cuts.iter().cycle() {
+            if rest.is_empty() {
+                break;
+            }
+            let (chunk, tail) = rest.split_at(cut.min(rest.len()));
+            chunks.push(chunk.to_vec());
+            rest = tail;
+        }
+        let mut reader = FrameReader::new(Vectored::new(chunks));
+        let mut got = Vec::new();
+        while reader.read_batch(&mut got).unwrap() > 0 {}
+        [want, got]
+    }
+
+    /// Payload lengths of one of four shapes: small frames; equal frames
+    /// around `READ_BUF`; large frames of mixed sizes; `READ_BUF`-sized
+    /// frames with small ones between them.
+    fn arb_payloads() -> impl Strategy<Value = Vec<usize>> {
+        prop_oneof![
+            proptest::collection::vec(0usize..300, 1..60),
+            (READ_BUF - 16..READ_BUF + 2000, 1usize..40).prop_map(|(len, n)| vec![len; n]),
+            proptest::collection::vec(READ_BUF..3 * READ_BUF, 1..16),
+            proptest::collection::vec(prop_oneof![0usize..300, Just(READ_BUF)], 1..60),
+        ]
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Whatever the frame sizes and however the bytes arrive, the
+        /// batches hold exactly the frames the one-at-a-time reader
+        /// reads, in order, on both lanes.
+        #[test]
+        fn the_batches_are_the_frames_read_one_at_a_time(
+            payloads in arb_payloads(),
+            lanes in proptest::collection::vec(any::<u16>(), 60),
+            cuts in proptest::collection::vec(1usize..30_000, 1..12),
+        ) {
+            let frames = payloads.iter().zip(&lanes).enumerate();
+            let (mut plain, mut sharded) = (Vec::new(), Vec::new());
+            for (i, (&len, &lane)) in frames {
+                let msg = data(i as u64 + 1, len);
+                write_lane_frame(&mut plain, (), &msg).unwrap();
+                write_lane_frame(&mut sharded, lane, &msg).unwrap();
+            }
+            let [want, got] = both_readers::<()>(&plain, &cuts);
+            prop_assert_eq!(want.len(), payloads.len());
+            prop_assert_eq!(got, want);
+            let [want, got] = both_readers::<u16>(&sharded, &cuts);
+            prop_assert_eq!(want.len(), payloads.len());
+            prop_assert_eq!(got, want);
         }
     }
 

@@ -10,12 +10,15 @@
 //!   wakes it with a self-connect), handing each inbound connection to a
 //!   **reader** thread that validates the hello (the announced id must
 //!   be a configured, linked node other than this one; a refused
-//!   connection gets a FIN and is drained, never reset). After every
-//!   blocking read the reader decodes *all* frames that read completed
-//!   in its buffer and hands them to [`LinkClient::on_frames`] as one
-//!   **reader batch**: what has already arrived, never what might — the
-//!   buffer's capacity is the only bound, there is no second blocking
-//!   read before the hand-off, and a lone frame is a batch of one;
+//!   connection gets a FIN and is drained, never reset; a connection no
+//!   reader thread can be spawned for gets a FIN and the accept thread
+//!   goes on). After every blocking read the reader decodes *all*
+//!   frames that read completed — in its buffer, or in the buffers of a
+//!   run of large frames (`FrameReader`) — and hands them to
+//!   [`LinkClient::on_frames`] as one **reader batch**: what has already
+//!   arrived, never what might — the buffers' capacity is the only
+//!   bound, there is no second blocking read before the hand-off, and a
+//!   lone frame is a batch of one;
 //! * one **writer** thread per linked peer, draining that peer's channel
 //!   of outbound `(lane, message)` pairs into a buffered, (re)connecting
 //!   socket. Frames lost while a link is down are repaired on reconnect
@@ -64,10 +67,10 @@ use std::time::{Duration, Instant};
 /// How long a writer blocks on an empty queue before re-checking for
 /// shutdown. Not a latency bound: the queue is flushed before blocking.
 const IDLE_POLL: Duration = Duration::from_millis(100);
-/// Capacity of a connection's write buffer: the bound on one write burst
-/// and on how long a held ACK row rides behind the frames queued after
-/// it.
-const WRITE_BUF: usize = 64 * 1024;
+/// Capacity of a connection's write buffer: the bound on one write burst,
+/// on how long a held ACK row rides behind the frames queued after it,
+/// and on the large frames a reader takes in one read.
+pub(crate) const WRITE_BUF: usize = 64 * 1024;
 /// Telemetry sampling cadence of the ticker.
 const SAMPLE_EVERY: Duration = Duration::from_millis(20);
 
@@ -336,13 +339,18 @@ pub(crate) struct LinkSpawn {
 /// Under partial replication a link only exists between nodes sharing at
 /// least one stream; unlinked peers get no writer (and no reconnect
 /// spin). Full replication keeps every link.
+///
+/// # Errors
+///
+/// A thread that could not be spawned, as a configuration error. The
+/// threads already running exit once the caller shuts the link down.
 pub(crate) fn spawn<C: LinkClient>(
     client: &Arc<C>,
     listener: TcpListener,
     peer_addrs: Vec<(NodeId, SocketAddr)>,
     options: &Options,
     params: LinkSpawn,
-) {
+) -> Result<(), CoreError> {
     let link = client.link();
     let me = link.me.0;
     let prefix = params.thread_prefix;
@@ -361,7 +369,8 @@ pub(crate) fn spawn<C: LinkClient>(
         std::thread::Builder::new()
             .name(format!("{prefix}-{me}-{role}"))
             .spawn(move || body(client))
-            .expect("spawn link thread");
+            .map(drop)
+            .map_err(|e| CoreError::Config(format!("spawn link thread {role}: {e}")))
     };
     for (peer, addr) in peer_addrs {
         if !link.placement.linked(link.me, peer) {
@@ -375,17 +384,23 @@ pub(crate) fn spawn<C: LinkClient>(
         thread(
             format!("w{}", peer.0),
             Box::new(move |c| writer_loop(&*c, &rx, peer, addr, repair_first, retry_limit, seed)),
-        );
+        )?;
     }
+    let reader = format!("{prefix}-{me}-r");
     thread(
         "accept".to_owned(),
-        Box::new(move |c| accept_loop(&c, &listener, prefix)),
-    );
+        Box::new(move |c| {
+            accept_loop(&c, &listener, |body| {
+                let named = std::thread::Builder::new().name(reader.clone());
+                named.spawn(body).map(drop)
+            });
+        }),
+    )?;
     let options = options.clone();
     thread(
         "tick".to_owned(),
         Box::new(move |c| ticker_loop(&*c, &options)),
-    );
+    )
 }
 
 /// Wire an in-process cluster on loopback: bind `n` listeners on
@@ -423,7 +438,13 @@ pub(crate) fn spawn_local_cluster<T>(
         .collect()
 }
 
-fn accept_loop<C: LinkClient>(client: &Arc<C>, listener: &TcpListener, prefix: &str) {
+/// Hand each accepted connection to a reader thread that
+/// `spawn_reader` starts running the body it is given.
+fn accept_loop<C: LinkClient>(
+    client: &Arc<C>,
+    listener: &TcpListener,
+    spawn_reader: impl Fn(Box<dyn FnOnce() + Send>) -> std::io::Result<()>,
+) {
     let link = client.link();
     // Blocks in `accept()`, so a connection's first frames wait for no
     // poll; `Link::shutdown` wakes it with a self-connect.
@@ -431,17 +452,20 @@ fn accept_loop<C: LinkClient>(client: &Arc<C>, listener: &TcpListener, prefix: &
         if !link.is_running() {
             return;
         }
-        let client = Arc::clone(client);
-        std::thread::Builder::new()
-            .name(format!("{prefix}-{}-r", link.me.0))
-            .spawn(move || reader_loop(&*client, stream))
-            .expect("spawn reader");
+        let stream = Arc::new(stream);
+        let (client, reading) = (Arc::clone(client), Arc::clone(&stream));
+        // No thread to read it (a peer that connects and never says
+        // hello pins one each): refuse this connection with a FIN, as a
+        // refused hello is refused, and go on accepting.
+        if spawn_reader(Box::new(move || reader_loop(&*client, &reading))).is_err() {
+            let _ = stream.shutdown(Shutdown::Write);
+        }
     }
 }
 
-fn reader_loop<C: LinkClient>(client: &C, stream: TcpStream) {
+fn reader_loop<C: LinkClient>(client: &C, stream: &TcpStream) {
     let link = client.link();
-    let mut reader = FrameReader::new(&stream);
+    let mut reader = FrameReader::new(stream);
     let mut frames: Vec<(C::Lane, WireMsg)> = Vec::new();
     // One blocking read's worth of frames; false on EOF or a broken pipe.
     let mut read_batch = |frames: &mut Vec<_>| {
@@ -468,7 +492,7 @@ fn reader_loop<C: LinkClient>(client: &C, stream: TcpStream) {
         // closing over frames it is still writing would answer them with
         // a reset instead.
         let _ = stream.shutdown(Shutdown::Write);
-        let _ = std::io::copy(&mut &stream, &mut std::io::sink());
+        let _ = std::io::copy(&mut { stream }, &mut std::io::sink());
         return;
     };
     frames.remove(0);
@@ -792,17 +816,7 @@ mod tests {
         retry_limit: u64,
         gate: Option<mpsc::Receiver<()>>,
     ) -> Arc<Stub> {
-        let cfg = ClusterConfig::parse("az A a b\n").expect("config parses");
-        let (batch_tx, batch_rx) = mpsc::channel();
-        let stub = Arc::new(Stub {
-            link: Link::new(&cfg, NodeId(0), None, std::iter::empty()),
-            repairs: Mutex::new(Vec::new()),
-            gave_up: Mutex::new(Vec::new()),
-            repair_gate: Mutex::new(gate),
-            batch_tx: Mutex::new(batch_tx),
-            batch_rx: Mutex::new(batch_rx),
-            reported: Mutex::new(Vec::new()),
-        });
+        let stub = unspawned_stub(gate);
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
         spawn(
             &stub,
@@ -814,8 +828,58 @@ mod tests {
                 repair_first_connect: restored,
                 jitter_seed: 7,
             },
-        );
+        )
+        .expect("link threads spawn");
         stub
+    }
+
+    /// Node 0 of a 2-node cluster as a stub, no link thread running yet.
+    fn unspawned_stub(gate: Option<mpsc::Receiver<()>>) -> Arc<Stub> {
+        let cfg = ClusterConfig::parse("az A a b\n").expect("config parses");
+        let (batch_tx, batch_rx) = mpsc::channel();
+        Arc::new(Stub {
+            link: Link::new(&cfg, NodeId(0), None, std::iter::empty()),
+            repairs: Mutex::new(Vec::new()),
+            gave_up: Mutex::new(Vec::new()),
+            repair_gate: Mutex::new(gate),
+            batch_tx: Mutex::new(batch_tx),
+            batch_rx: Mutex::new(batch_rx),
+            reported: Mutex::new(Vec::new()),
+        })
+    }
+
+    #[test]
+    fn a_reader_that_cannot_be_spawned_refuses_its_connection_and_accepting_goes_on() {
+        let stub = unspawned_stub(None);
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        stub.link.listen_addr.set(addr).unwrap();
+        let accept = {
+            let stub = Arc::clone(&stub);
+            let refuse_next = AtomicBool::new(true);
+            std::thread::spawn(move || {
+                accept_loop(&stub, &listener, |body| {
+                    if refuse_next.swap(false, Ordering::SeqCst) {
+                        return Err(std::io::Error::other("no thread to be had"));
+                    }
+                    std::thread::Builder::new().spawn(body).map(drop)
+                });
+            })
+        };
+        let mut refused = TcpStream::connect(addr).unwrap();
+        refused
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        assert_eq!(refused.read(&mut [0u8; 1]).unwrap(), 0, "a FIN");
+        // The accept thread survived it: the next connection is read.
+        let mut s = TcpStream::connect(addr).unwrap();
+        write_frame(&mut s, &hello(PEER.0)).unwrap();
+        write_frame(&mut s, &WireMsg::Heartbeat).unwrap();
+        assert_eq!(stub.next_batch().1, [WireMsg::Heartbeat]);
+        stub.link.shutdown();
+        accept
+            .join()
+            .expect("the accept thread returns on shutdown");
     }
 
     /// Accept the stub's connection and consume its hello.

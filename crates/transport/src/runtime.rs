@@ -285,7 +285,8 @@ pub struct SpawnOptions {
 ///
 /// # Errors
 ///
-/// Fails if a configured predicate does not compile.
+/// Fails if a configured predicate does not compile or a link thread
+/// cannot be spawned.
 pub fn spawn_node(
     cfg: ClusterConfig,
     me: NodeId,
@@ -302,7 +303,8 @@ pub fn spawn_node(
 /// # Errors
 ///
 /// Fails if a configured predicate does not compile (both the fresh and
-/// the restore path recompile every predicate).
+/// the restore path recompile every predicate), or if a link thread
+/// cannot be spawned.
 pub fn spawn_node_with(
     cfg: ClusterConfig,
     me: NodeId,
@@ -375,7 +377,8 @@ pub(crate) fn spawn<M: TcpMachine>(
             repair_first_connect: restored.is_some(),
             jitter_seed: opts.jitter_seed,
         },
-    );
+    )
+    .inspect_err(|_| shared.link.shutdown())?;
 
     // Flush actions queued during construction (configured predicates,
     // and a restore's re-evaluation of every one, can emit frontier

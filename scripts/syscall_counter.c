@@ -1,16 +1,18 @@
-/* The counter behind EXPERIMENTS.md's "Where tcp3-small's wake-ups go",
+/* The counter behind EXPERIMENTS.md's "Where tcp3-small's wake-ups go"
+ * and "Where tcp3-large's wake-ups go",
  * preloaded into the counted process by scripts/syscalls.sh:
  *
  *   gcc -O2 -shared -fPIC -o counter.so scripts/syscall_counter.c -ldl
  *   LD_PRELOAD=counter.so SYSCALLS_OUT=counts.txt <program> [args]
  *
- * Interposes libc's `send`, `recv` and `syscall` (Rust's std parks and
- * wakes threads — mutexes, condition variables, `park` — through
- * `syscall(SYS_futex, ...)`), forwards every call unchanged, and counts
- * calls of each, bytes moved by `send` and `recv`, and the futex calls
- * that wake (FUTEX_WAKE, FUTEX_WAKE_BITSET) or wait (FUTEX_WAIT,
- * FUTEX_WAIT_BITSET). At exit one `name calls bytes` line per counter
- * goes to SYSCALLS_OUT.
+ * Interposes libc's `send`, `recv`, `readv`, `writev` (a socket's
+ * `read_vectored` and `write_vectored` in Rust's std) and `syscall`
+ * (Rust's std parks and wakes threads — mutexes, condition variables,
+ * `park` — through `syscall(SYS_futex, ...)`), forwards every call
+ * unchanged, and counts calls of each, bytes moved by the four socket
+ * calls, and the futex calls that wake (FUTEX_WAKE, FUTEX_WAKE_BITSET)
+ * or wait (FUTEX_WAIT, FUTEX_WAIT_BITSET). At exit one
+ * `name calls bytes` line per counter goes to SYSCALLS_OUT.
  */
 #define _GNU_SOURCE
 #include <dlfcn.h>
@@ -20,18 +22,23 @@
 #include <stdlib.h>
 #include <sys/socket.h>
 #include <sys/syscall.h>
+#include <sys/uio.h>
 
-enum { SEND, RECV, WAKE, WAIT, COUNTERS };
-static const char *names[COUNTERS] = {"send", "recv", "futex_wake", "futex_wait"};
+enum { SEND, RECV, READV, WRITEV, WAKE, WAIT, COUNTERS };
+static const char *names[COUNTERS] = {"send", "recv", "readv", "writev", "futex_wake", "futex_wait"};
 static unsigned long calls[COUNTERS], bytes[COUNTERS];
 
 static ssize_t (*real_send)(int, const void *, size_t, int);
 static ssize_t (*real_recv)(int, void *, size_t, int);
+static ssize_t (*real_readv)(int, const struct iovec *, int);
+static ssize_t (*real_writev)(int, const struct iovec *, int);
 static long (*real_syscall)(long, ...);
 
 __attribute__((constructor)) static void start(void) {
     real_send = (ssize_t(*)(int, const void *, size_t, int))dlsym(RTLD_NEXT, "send");
     real_recv = (ssize_t(*)(int, void *, size_t, int))dlsym(RTLD_NEXT, "recv");
+    real_readv = (ssize_t(*)(int, const struct iovec *, int))dlsym(RTLD_NEXT, "readv");
+    real_writev = (ssize_t(*)(int, const struct iovec *, int))dlsym(RTLD_NEXT, "writev");
     real_syscall = (long (*)(long, ...))dlsym(RTLD_NEXT, "syscall");
 }
 
@@ -49,6 +56,18 @@ ssize_t send(int fd, const void *buf, size_t len, int flags) {
 ssize_t recv(int fd, void *buf, size_t len, int flags) {
     ssize_t n = real_recv(fd, buf, len, flags);
     count(RECV, n);
+    return n;
+}
+
+ssize_t readv(int fd, const struct iovec *iov, int iovcnt) {
+    ssize_t n = real_readv(fd, iov, iovcnt);
+    count(READV, n);
+    return n;
+}
+
+ssize_t writev(int fd, const struct iovec *iov, int iovcnt) {
+    ssize_t n = real_writev(fd, iov, iovcnt);
+    count(WRITEV, n);
     return n;
 }
 

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # How many sends, receives and futex wake-ups a stabbench workload pays
-# per message — the table behind EXPERIMENTS.md's "Where tcp3-small's
-# wake-ups go":
+# per message — the tables behind EXPERIMENTS.md's "Where tcp3-small's
+# wake-ups go" and "Where tcp3-large's wake-ups go":
 #
 #   scripts/syscalls.sh <workload> [stabbench arguments]
 #   scripts/syscalls.sh tcp3-small --seconds 8
@@ -9,12 +9,12 @@
 # Builds stabbench (release, its usual target directory, as bench.sh
 # does), runs the workload (default `--seed 1 --seconds 8 --trace 0`,
 # later arguments win) with scripts/syscall_counter.c preloaded, and
-# prints calls and bytes per message for `send`, `recv`, futex wake and
-# futex wait, over the run's attempted messages (every phase, set-up
-# included). The counts move with the host's load: compare two trees
-# run back to back, not against a recorded number. SYSCALLS_DIR is
-# where the counter and its raw counts are kept (default
-# target/syscalls). Needs gcc and python3; Linux only.
+# prints calls and bytes per message for `send`, `recv`, `readv`,
+# `writev`, futex wake and futex wait, over the run's attempted
+# messages (every phase, set-up included). The counts move with the
+# host's load: compare two trees run back to back, not against a
+# recorded number. SYSCALLS_DIR is where the counter and its raw counts
+# are kept (default target/syscalls). Needs gcc and python3; Linux only.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
