@@ -10,7 +10,7 @@ use crate::invariants::NodeView;
 use crate::plan::FaultPlan;
 use crate::trace::{shared_trace, ChaosObserver, SharedTrace, TraceEvent, TraceEventKind};
 use bytes::Bytes;
-use stabilizer_core::sim_driver::{build_cluster_with_hooks, SimNode};
+use stabilizer_core::sim_driver::{build_actors, SimNode};
 use stabilizer_core::{
     ClusterConfig, CoreError, EventLog, Snapshot, StabilizerNode, WaitToken, WireMsg,
 };
@@ -86,8 +86,12 @@ impl ChaosHarness {
     ) -> Result<Self, ChaosError> {
         Chaos::assemble(cfg, plan, workload, telemetry.clone(), || {
             let trace = shared_trace();
-            let sim = build_cluster_with_hooks(cfg, net, seed, |i| {
-                observer(i, &trace, telemetry.as_ref())
+            // The checker reads every node's log beside the trace, so
+            // each node keeps one (`SimNode::new`, as on a reboot).
+            let sim = build_actors(cfg, net, seed, |me, acks| {
+                let node = StabilizerNode::new(cfg.clone(), me, acks)?;
+                let hooks = observer(me.0 as usize, &trace, telemetry.as_ref());
+                Ok(SimNode::new(node, hooks))
             })?;
             if let Some(t) = &telemetry {
                 t.record_placement(cfg.placement());

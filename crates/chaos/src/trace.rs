@@ -151,7 +151,9 @@ pub fn shared_trace() -> SharedTrace {
 }
 
 /// The [`AppHooks`] implementation that records every upcall into the
-/// shared trace. Attach one per node via `build_cluster_with_hooks`.
+/// shared trace. Attach one per node with `SimNode::new`, as the
+/// simulator backend does, so the node keeps the log the invariant
+/// checker reads beside it.
 /// Optionally fans each upcall out to a telemetry
 /// [`MetricsObserver`](stabilizer_telemetry::MetricsObserver) so the
 /// same simulated run also yields latency histograms.

@@ -24,10 +24,34 @@
 //! existed.
 
 use crate::error::CoreError;
-use stabilizer_dsl::{NodeId, Topology};
+use stabilizer_dsl::{AckTypeRegistry, NodeId, Topology};
 use stabilizer_place::{parse_replicate, PlacementMap, ReplicateDirective};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashSet};
 use std::sync::Arc;
+
+/// How many ACK types a registry can number: one per
+/// [`AckTypeId`](stabilizer_dsl::AckTypeId), a `u16`.
+const ACK_TYPE_IDS: usize = u16::MAX as usize + 1;
+
+/// Refuse `declared` (distinct) ACK types when the ones `registry` does
+/// not hold yet would not all get an id there.
+pub(crate) fn check_ack_type_room(
+    registry: &AckTypeRegistry,
+    declared: &[(String, Vec<String>)],
+) -> Result<(), CoreError> {
+    let fresh = declared
+        .iter()
+        .filter(|(name, _)| registry.lookup(name).is_none())
+        .count();
+    let held = registry.len();
+    if held + fresh > ACK_TYPE_IDS {
+        return Err(CoreError::Config(format!(
+            "{fresh} new ACK types do not fit beside the {held} registered: \
+             there are {ACK_TYPE_IDS} ACK type ids"
+        )));
+    }
+    Ok(())
+}
 
 /// What a node does with static-analysis findings when a predicate is
 /// installed (`register_predicate` / `change_predicate`).
@@ -326,11 +350,13 @@ impl ClusterConfig {
     /// # Errors
     ///
     /// Returns [`CoreError::Config`] on unknown directives, malformed
-    /// lines, duplicate names, or invalid option values.
+    /// lines, duplicate names, invalid option values, or more ACK types
+    /// than an [`AckTypeId`](stabilizer_dsl::AckTypeId) can number.
     pub fn parse(text: &str) -> Result<Self, CoreError> {
         let mut builder = Topology::builder();
         let mut predicates = BTreeMap::new();
         let mut ack_types: Vec<(String, Vec<String>)> = Vec::new();
+        let mut ack_names = HashSet::new();
         let mut replicates: Vec<ReplicateDirective> = Vec::new();
         let mut options = Options::default();
         for (lineno, raw) in text.lines().enumerate() {
@@ -339,7 +365,9 @@ impl ClusterConfig {
                 continue;
             }
             let mut parts = line.split_whitespace();
-            let directive = parts.next().unwrap();
+            let Some(directive) = parts.next() else {
+                continue;
+            };
             let err = |msg: String| CoreError::Config(format!("line {}: {msg}", lineno + 1));
             match directive {
                 "az" => {
@@ -364,7 +392,7 @@ impl ClusterConfig {
                     let name = parts
                         .next()
                         .ok_or_else(|| err("acktype needs a name".into()))?;
-                    if ack_types.iter().any(|(n, _)| n == name) {
+                    if !ack_names.insert(name) {
                         return Err(err(format!("duplicate acktype {name}")));
                     }
                     let emitters: Vec<String> = parts.map(str::to_owned).collect();
@@ -449,6 +477,7 @@ impl ClusterConfig {
         let topology = builder
             .build()
             .map_err(|e| CoreError::Config(e.to_string()))?;
+        check_ack_type_room(&AckTypeRegistry::new(), &ack_types)?;
         for (name, emitters) in &ack_types {
             for node in emitters {
                 if topology.node(node).is_none() {
@@ -581,6 +610,46 @@ option auto_exclude_suspects true
         assert!(ClusterConfig::parse("az A x y\nacktype verified ghost").is_err());
         assert!(ClusterConfig::parse("az A x y\nacktype v\nacktype v").is_err());
         assert!(ClusterConfig::parse("az A x y\nacktype").is_err());
+    }
+
+    /// `acktype` lines beyond what an `AckTypeId` numbers are refused by
+    /// the parser, not left for the node's registry to panic on; the
+    /// most that fit beside the three built-ins still boot.
+    #[test]
+    fn more_ack_types_than_ids_are_refused() {
+        let config = |types: usize| {
+            let lines = (0..types).map(|i| format!("acktype t{i}\n"));
+            "az A x y\n".to_owned() + &lines.collect::<String>()
+        };
+        let boot = |text: &str| {
+            ClusterConfig::parse(text).and_then(|cfg| {
+                crate::StabilizerNode::new(cfg, NodeId(0), Arc::new(AckTypeRegistry::new()))
+            })
+        };
+        assert!(matches!(boot(&config(65_540)), Err(CoreError::Config(_))));
+        assert!(matches!(boot(&config(65_534)), Err(CoreError::Config(_))));
+        let most = boot(&config(65_533)).expect("every name gets an id");
+        assert_eq!(most.ack_types().len(), ACK_TYPE_IDS);
+    }
+
+    /// A node whose registry is already full refuses a config that
+    /// declares a new ACK type, parsed or not; one it already numbers
+    /// boots.
+    #[test]
+    fn a_full_registry_refuses_a_new_configured_ack_type() {
+        let acks = Arc::new(AckTypeRegistry::new());
+        for i in acks.len()..ACK_TYPE_IDS {
+            acks.register(&format!("t{i}"));
+        }
+        let boot = |text: &str| {
+            let cfg = ClusterConfig::parse(text).expect("parses");
+            crate::StabilizerNode::new(cfg, NodeId(0), Arc::clone(&acks))
+        };
+        assert!(matches!(
+            boot("az A x y\nacktype late"),
+            Err(CoreError::Config(_))
+        ));
+        boot("az A x y\nacktype t3").expect("t3 is registered already");
     }
 
     #[test]

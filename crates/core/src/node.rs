@@ -151,7 +151,9 @@ impl StabilizerNode {
     ///
     /// # Errors
     ///
-    /// Fails if a configured predicate does not compile.
+    /// Fails if a configured predicate does not compile, or if the
+    /// configured ACK types do not all fit in `acks` (see
+    /// [`ClusterConfig::parse`]).
     pub fn new(
         cfg: ClusterConfig,
         me: NodeId,
@@ -166,6 +168,7 @@ impl StabilizerNode {
             .collect();
         // Configured application ACK types exist before any predicate
         // compiles (or is analyzed) against them.
+        crate::config::check_ack_type_room(&acks, cfg.ack_types())?;
         for (name, _) in cfg.ack_types() {
             acks.register(name);
         }
@@ -701,6 +704,11 @@ impl StabilizerNode {
     /// node's own stream, which self-acks everything already published —
     /// the one own-stream report that travels as an ACK, since the
     /// frames that would have carried it left before the level existed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `name` is new and the shared registry already numbers
+    /// as many ACK types as an [`AckTypeId`] can.
     pub fn register_ack_type(&mut self, name: &str) -> AckTypeId {
         let ty = self.acks.register(name);
         self.recorder.ensure_types(self.acks.len());

@@ -3,7 +3,9 @@
 //! inside the deterministic simulator. It maps the machine's actions to
 //! simulated sends, schedules the periodic control-plane timers, and
 //! exposes application hooks plus the timestamped [`EventLog`] that the
-//! experiment harnesses read.
+//! experiment harnesses read — kept by a node built with
+//! [`SimNode::new`], not by one from [`build_cluster_with_hooks`], whose
+//! hooks are its caller's only view.
 //!
 //! An application on the simulator is its state as an [`AppHooks`]
 //! value plus a thin actor that embeds a [`SimNode`] of those hooks,
@@ -157,13 +159,18 @@ impl Machine for StabilizerNode {
 
 /// A protocol machine embedded in the simulator. Dereferences to its
 /// log, so `actor.frontier_log`, `actor.delivery_log`, … read the
-/// [`EventLog`] directly.
+/// [`EventLog`] directly; the log of a node built by
+/// [`build_cluster_with_hooks`] stays empty.
 pub struct SimNode<H: AppHooks = NoHooks, M: Machine = StabilizerNode> {
     /// The protocol state machine.
     node: M,
     /// Application hooks.
     pub hooks: H,
     log: M::Log,
+    /// Whether each action is recorded into `log` after the hooks have
+    /// seen it ([`Machine::finish`]) or only executed
+    /// ([`Machine::into_send`]).
+    keep_log: bool,
     /// Where the machine's actions land while they are executed; empty
     /// between callbacks, its capacity goes back to the machine.
     actions: Vec<M::Action>,
@@ -188,12 +195,14 @@ impl<H: AppHooks, M: Machine> DerefMut for SimNode<H, M> {
 }
 
 impl<H: AppHooks, M: Machine> SimNode<H, M> {
-    /// Wrap a machine with hooks.
+    /// Wrap a machine with hooks; the node records what it emits into
+    /// its log.
     pub fn new(node: M, hooks: H) -> Self {
         SimNode {
             log: node.new_log(),
             node,
             hooks,
+            keep_log: true,
             actions: Vec::new(),
             timer_scale: 1.0,
         }
@@ -287,8 +296,9 @@ impl<H: AppHooks, M: Machine> SimNode<H, M> {
         self.call_in(ctx, |node| node.change_predicate(stream, key, source))
     }
 
-    /// `waitfor` inside the simulation; completion lands in
-    /// [`EventLog::completed_waits`].
+    /// `waitfor` inside the simulation; its completion reaches the
+    /// hooks as [`Event::WaitDone`], and lands in
+    /// [`EventLog::completed_waits`] on a node that keeps a log.
     pub fn waitfor_in(
         &mut self,
         ctx: &mut Ctx<'_, M::Msg>,
@@ -329,7 +339,7 @@ impl<H: AppHooks, M: Machine> SimNode<H, M> {
     }
 
     /// Execute a batch of externally drained actions through this
-    /// driver's bookkeeping (hooks, logs, sends) — what
+    /// driver's bookkeeping (hooks, the log if kept, sends) — what
     /// [`SimNode::call_in`] does with what its call emitted.
     pub fn process_actions(
         &mut self,
@@ -341,7 +351,12 @@ impl<H: AppHooks, M: Machine> SimNode<H, M> {
             if let Some(event) = M::observe(&action) {
                 self.hooks.on_event(now, &event);
             }
-            if let Some((to, msg)) = M::finish(action, now, &mut self.log) {
+            let send = if self.keep_log {
+                M::finish(action, now, &mut self.log)
+            } else {
+                M::into_send(action)
+            };
+            if let Some((to, msg)) = send {
                 ctx.send(to.0 as usize, msg);
             }
         }
@@ -377,6 +392,8 @@ impl<H: AppHooks, M: Machine> Actor for SimNode<H, M> {
 
 /// Build a ready-to-run simulated cluster: one [`SimNode`] per topology
 /// node with shared ACK-type registry, over the given network topology.
+/// With no hooks to watch them, the nodes keep their logs: those are
+/// the caller's view of the run.
 ///
 /// # Errors
 ///
@@ -390,13 +407,19 @@ pub fn build_cluster(
     net: NetTopology,
     seed: u64,
 ) -> Result<Simulation<SimNode>, CoreError> {
-    build_cluster_with_hooks(cfg, net, seed, |_| NoHooks)
+    build_actors(cfg, net, seed, |me, acks| {
+        let node = StabilizerNode::new(cfg.clone(), me, acks)?;
+        Ok(SimNode::new(node, NoHooks))
+    })
 }
 
 /// [`build_cluster`] with per-node application hooks: `mk_hooks(i)`
-/// produces the [`AppHooks`] for node `i`. This is how external
-/// observers (e.g. the chaos harness's invariant checker) attach to
-/// every node of a cluster without changing the drivers.
+/// produces the [`AppHooks`] for node `i`. This is how an external
+/// observer (e.g. a benchmark's latency recorder) attaches to every node
+/// of a cluster without changing the drivers. The hooks are the
+/// caller's only view: these nodes keep no [`EventLog`] (theirs stays
+/// empty). A caller that reads logs as well builds its nodes with
+/// [`build_actors`] and [`SimNode::new`].
 ///
 /// # Errors
 ///
@@ -413,7 +436,10 @@ pub fn build_cluster_with_hooks<H: AppHooks>(
 ) -> Result<Simulation<SimNode<H>>, CoreError> {
     build_actors(cfg, net, seed, |me, acks| {
         let node = StabilizerNode::new(cfg.clone(), me, acks)?;
-        Ok(SimNode::new(node, mk_hooks(me.0 as usize)))
+        Ok(SimNode {
+            keep_log: false,
+            ..SimNode::new(node, mk_hooks(me.0 as usize))
+        })
     })
 }
 

@@ -15,10 +15,15 @@
 # tenths of them and the medians are apart by more than the distance
 # between the parent's quartiles. Exits non-zero if a run fails its
 # correctness checks.
+#
+# Every run's line also carries the host's CPU steal over that run (the
+# share of CPU time a hypervisor gave to other guests, from /proc/stat),
+# and the summary gives each side's median steal: a pair taken in a
+# steal burst shows as one.
 set -euo pipefail
 
 if [ $# -lt 4 ]; then
-  sed -n '2,17p' "$0" >&2
+  sed -n '2,22p' "$0" >&2
   exit 2
 fi
 parent=$(cd "$1" && pwd)
@@ -39,17 +44,38 @@ done
 runs=$(mktemp)
 trap 'rm -f "$runs"' EXIT
 
+# Steal and total jiffies so far, from the `cpu` line of /proc/stat
+# (user nice system idle iowait irq softirq steal; guest time is inside
+# user), or nothing where there is no /proc/stat.
+cpu_jiffies() {
+  if [ -r /proc/stat ]; then
+    awk '$1 == "cpu" { t = 0; for (i = 2; i <= 9; i++) t += $i; print $9, t; exit }' /proc/stat
+  fi
+}
+
+# Steal between two cpu_jiffies readings, in per cent of the CPU time
+# that passed, or "nan" without readings.
+steal_pct() {
+  awk -v a="$1" -v b="$2" 'BEGIN {
+    if (split(a, x, " ") < 2 || split(b, y, " ") < 2 || y[2] <= x[2]) { print "nan"; exit }
+    printf "%.1f\n", 100 * (y[1] - x[1]) / (y[2] - x[2])
+  }'
+}
+
 # One run of one side: the last line of bench.sh's output is the JSON
-# record; keep it, tagged with the side and the pair.
+# record; keep it, tagged with the side, the pair and the steal.
 run_side() {
-  local side=$1 tree=$2 pair=$3 run_seed=$4 out
+  local side=$1 tree=$2 pair=$3 run_seed=$4 out before steal
+  before=$(cpu_jiffies)
   out=$(env -u CARGO_TARGET_DIR bash "$tree/benchmarks/bench.sh" \
     --workload "$workload" --seed "$run_seed" --trace 0 ${seconds:+--seconds "$seconds"}) || {
     echo "$out" >&2
     echo "bench_pairs.sh: $side run failed (pair $pair, seed $run_seed)" >&2
     exit 1
   }
-  printf '%s %s %s\n' "$side" "$pair" "$(printf '%s\n' "$out" | tail -n 1)" >> "$runs"
+  steal=$(steal_pct "$before" "$(cpu_jiffies)")
+  echo "pair $pair $side (seed $run_seed): host steal $steal %"
+  printf '%s %s %s %s\n' "$side" "$pair" "$steal" "$(printf '%s\n' "$out" | tail -n 1)" >> "$runs"
 }
 
 for pair in $(seq 1 "$pairs"); do
@@ -68,9 +94,11 @@ import json, sys
 
 runs_path, bench_path, workload = sys.argv[1:4]
 sides = {"parent": {}, "change": {}}
+steal = {"parent": {}, "change": {}}
 failed = {"parent": 0, "change": 0}
 for line in open(runs_path):
-    side, pair, record = line.split(" ", 2)
+    side, pair, run_steal, record = line.split(" ", 3)
+    steal[side][int(pair)] = float(run_steal)
     record = json.loads(record)
     sides[side][int(pair)] = {k: v["value"] for k, v in record["metrics"].items()}
     failed[side] += record["failed"]
@@ -109,5 +137,10 @@ for metric in json.load(open(bench_path))["end_to_end"]:
     print(f"  change/parent median ratio {ratio:.4f}; change wins {wins}/{len(pairs)}, ties {ties}; "
           f"medians apart by more than the parent's inter-quartile distance ({pq3 - pq1:.6g}): "
           f"{'yes' if apart else 'no'}; gain claimable: {'yes' if claim else 'no'}")
+print("host steal (% of CPU time over the run)")
+for side in ("parent", "change"):
+    values = [steal[side][p] for p in pairs]
+    print(f"  {side} runs: " + " ".join(f"{v:.1f}" for v in values))
+    print(f"  {side} median {quantile(sorted(values), 0.5):.1f}")
 print(f"failed operations: parent {failed['parent']}, change {failed['change']}")
 PY

@@ -1,6 +1,8 @@
 //! Per-message state is reclaimed on stability — all of it, not only the
-//! send buffer. Each case drives the sans-IO machines directly (a FIFO
-//! of frames in flight, no simulator queue, no `EventLog`), publishes
+//! send buffer. Each case but one drives the sans-IO machines directly
+//! (a FIFO of frames in flight, no simulator queue, no `EventLog`); the
+//! one runs the simulator driver itself over netsim, as a cluster built
+//! with hooks, whose nodes keep no log. Each case publishes
 //! `n` rounds with everything covered and every wait drained at the end
 //! of each, and counts the heap bytes the run left behind with the
 //! workspace's counting allocator. That residue must be **the same after
@@ -26,9 +28,12 @@
 //!   measurement vectors (`send_times`, `files`, `reads`). The hooks are
 //!   dropped before the residue is read, so a case measures the protocol
 //!   and telemetry state under that application's traffic;
-//! * `EventLog` and the sharded driver's `shard_*_logs`: the
-//!   experiments' read side, one entry per event (harnesses that publish
-//!   hundreds of thousands run `without_delivery_log`);
+//! * the `EventLog` of a `SimNode` built with `SimNode::new` (so by
+//!   `build_cluster`, the sharded builders and every application's
+//!   actor) and the sharded driver's `shard_*_logs`: the experiments'
+//!   read side, one entry per event (harnesses that publish hundreds of
+//!   thousands run `without_delivery_log`). A cluster built by
+//!   `build_cluster_with_hooks` keeps none;
 //! * the recorder's `DirtyCell` journal: opt-in, grows until its one
 //!   consumer (the chaos checker) takes it.
 //!
@@ -40,10 +45,11 @@
 //! find there.
 
 use bytes::Bytes;
-use stabilizer::core::sim_driver::Machine;
+use stabilizer::core::sim_driver::{build_cluster_with_hooks, Machine};
 use stabilizer::core::{AppHooks, Event, NoHooks, SimTime};
 use stabilizer::filebackup::ec2_backup_cfg;
 use stabilizer::kvstore::{KvHooks, KvOp, LocalStore};
+use stabilizer::netsim::{NetTopology, SimDuration};
 use stabilizer::pubsub::stab_broker::BrokerHooks;
 use stabilizer::pubsub::topics::TopicHooks;
 use stabilizer::pubsub::{pubsub_cfg, TopicRecord};
@@ -276,6 +282,38 @@ fn plain_nodes_keep_nothing_per_message() {
             let payload = |_| Bytes::from_static(&[7; 64]);
             cluster.run(rounds, &[0, 1, 2], "AllRemote", payload, |_, _, _, _| ());
             cluster
+        };
+        residue(run)
+    });
+}
+
+/// The simulator driver over netsim, every node built by
+/// `build_cluster_with_hooks`: with no log kept, the driver, the
+/// simulator's queue and links and the machines keep nothing per
+/// message either.
+#[test]
+fn a_simulated_cluster_with_hooks_keeps_nothing_per_message() {
+    assert_steady("3 simulated nodes with hooks", |rounds| {
+        let run = || {
+            let net = NetTopology::full_mesh(3, SimDuration::from_millis(5), 1e9);
+            let sim = build_cluster_with_hooks(&cfg(TCP3), net, 1, |_| NoHooks);
+            let mut sim = sim.expect("cluster");
+            for _ in 0..rounds {
+                for i in 0..3 {
+                    let payload = Bytes::from_static(&[7; 64]);
+                    let seq = sim.with_ctx(i, |n, ctx| n.publish_in(ctx, payload));
+                    let seq = seq.expect("send buffer has room");
+                    let me = NodeId(i as u16);
+                    let wait = sim.with_ctx(i, |n, ctx| n.waitfor_in(ctx, me, "AllRemote", seq));
+                    wait.expect("registered");
+                }
+                sim.run_until_idle();
+            }
+            for i in 0..3 {
+                let node = sim.actor(i).inner();
+                assert_eq!(node.pending_waiters(), 0, "node {i} still waits");
+            }
+            sim
         };
         residue(run)
     });
