@@ -47,11 +47,6 @@ impl AckEmissions {
     pub fn emitters(&self, ty: AckTypeId) -> Option<&[NodeId]> {
         self.restricted.get(&ty).map(Vec::as_slice)
     }
-
-    /// True if no type is restricted (the lint can never fire).
-    pub fn is_unrestricted(&self) -> bool {
-        self.restricted.is_empty()
-    }
 }
 
 #[cfg(test)]
@@ -62,7 +57,6 @@ mod tests {
     fn unrestricted_types_are_emitted_everywhere() {
         let em = AckEmissions::new();
         assert!(em.emits(NodeId(3), AckTypeId(7)));
-        assert!(em.is_unrestricted());
     }
 
     #[test]

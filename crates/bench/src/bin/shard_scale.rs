@@ -293,21 +293,6 @@ fn replay_hash(seed: u64) {
         for (t, o, s, l) in &a.delivery_log {
             writeln!(transcript, "{i} D {t:?} {} {s} {l}", o.0).unwrap();
         }
-        for (shard, log) in a.shard_delivery_logs.iter().enumerate() {
-            for (t, o, s, l) in log {
-                writeln!(transcript, "{i} d{shard} {t:?} {} {s} {l}", o.0).unwrap();
-            }
-        }
-        for (shard, log) in a.shard_frontier_logs.iter().enumerate() {
-            for (t, u) in log {
-                writeln!(
-                    transcript,
-                    "{i} f{shard} {t:?} {} {} {} {}",
-                    u.stream.0, u.key, u.seq, u.generation
-                )
-                .unwrap();
-            }
-        }
     }
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
     for b in transcript.as_bytes() {

@@ -281,12 +281,6 @@ impl ClusterConfig {
         }
     }
 
-    /// Add a predicate to be registered at startup.
-    pub fn with_predicate(mut self, key: &str, source: &str) -> Self {
-        self.predicates.insert(key.to_owned(), source.to_owned());
-        self
-    }
-
     /// Replace the options.
     pub fn with_options(mut self, options: Options) -> Self {
         self.options = options;
@@ -716,13 +710,10 @@ option auto_exclude_suspects true
     #[test]
     fn builder_style_construction() {
         let topo = Topology::builder().az("A", &["a", "b"]).build().unwrap();
-        let cfg = ClusterConfig::new(topo)
-            .with_predicate("P", "MAX($ALLWNODES)")
-            .with_options(Options {
-                ack_flush_micros: 9,
-                ..Options::default()
-            });
-        assert_eq!(cfg.predicates().count(), 1);
+        let cfg = ClusterConfig::new(topo).with_options(Options {
+            ack_flush_micros: 9,
+            ..Options::default()
+        });
         assert_eq!(cfg.options().ack_flush_micros, 9);
     }
 }

@@ -313,31 +313,23 @@ impl FrontierEngine {
 
     /// Rewrite every registered predicate to exclude `node` (§III-E fault
     /// handling), re-evaluating each. Predicates that cannot be rewritten
-    /// (they would become empty) are left untouched and reported.
+    /// (they would become empty) are left untouched.
     pub fn exclude_node(
         &mut self,
         node: NodeId,
         recorder: &AckRecorder,
         out: &mut Vec<FrontierUpdate>,
         completed: &mut Vec<WaitToken>,
-    ) -> Vec<String> {
-        let mut failed = Vec::new();
+    ) {
         for pos in 0..self.entries.len() {
-            let entry = &self.entries[pos];
-            if !entry
-                .predicate
-                .dependencies()
-                .iter()
-                .any(|(n, _)| *n == node)
-            {
+            let predicate = &self.entries[pos].predicate;
+            if !predicate.dependencies().iter().any(|(n, _)| *n == node) {
                 continue;
             }
-            match entry.predicate.excluding(node) {
-                Ok(rewritten) => self.change_at(pos, rewritten, recorder, out, completed),
-                Err(_) => failed.push(entry.key.clone()),
+            if let Ok(rewritten) = predicate.excluding(node) {
+                self.change_at(pos, rewritten, recorder, out, completed);
             }
         }
-        failed
     }
 
     /// Number of registered predicates.
@@ -627,8 +619,7 @@ pub(crate) mod tests {
         eng.on_ack_advance(NodeId(0), NodeId(3), RECEIVED, &rec, &mut out, &mut done);
         assert_eq!(eng.frontier(NodeId(0), "all"), Some((0, 0)));
         out.clear();
-        let failed = eng.exclude_node(NodeId(2), &rec, &mut out, &mut done);
-        assert!(failed.is_empty());
+        eng.exclude_node(NodeId(2), &rec, &mut out, &mut done);
         // With node 2 excluded, MIN over {1,3} = 50; "pair" becomes MIN($2)=50.
         assert_eq!(eng.frontier(NodeId(0), "all"), Some((50, 1)));
         assert_eq!(eng.frontier(NodeId(0), "pair"), Some((50, 1)));
@@ -830,22 +821,17 @@ pub(crate) mod tests {
             recorder: &AckRecorder,
             out: &mut Vec<FrontierUpdate>,
             completed: &mut Vec<WaitToken>,
-        ) -> Vec<String> {
-            let mut failed = Vec::new();
+        ) {
             let keys: Vec<(NodeId, String)> = self.entries.keys().cloned().collect();
             for (stream, key) in keys {
                 let predicate = &self.entries[&(stream, key.clone())].0;
                 if !predicate.dependencies().iter().any(|(n, _)| *n == node) {
                     continue;
                 }
-                match predicate.excluding(node) {
-                    Ok(rewritten) => {
-                        self.change(stream, &key, rewritten, recorder, out, completed);
-                    }
-                    Err(_) => failed.push(key),
+                if let Ok(rewritten) = predicate.excluding(node) {
+                    self.change(stream, &key, rewritten, recorder, out, completed);
                 }
             }
-            failed
         }
 
         fn drain_waiters(
@@ -993,10 +979,8 @@ pub(crate) mod tests {
                     }
                     Op::Exclude(node) => {
                         let node = NodeId(node % n);
-                        prop_assert_eq!(
-                            eng.exclude_node(node, &rec, &mut got.0, &mut got.1),
-                            naive.exclude_node(node, &rec, &mut want.0, &mut want.1)
-                        );
+                        eng.exclude_node(node, &rec, &mut got.0, &mut got.1);
+                        naive.exclude_node(node, &rec, &mut want.0, &mut want.1);
                     }
                     Op::Waitfor(s, k, seq) => {
                         let s = NodeId(s % n);

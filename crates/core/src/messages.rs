@@ -364,13 +364,6 @@ impl WireMsg {
         }
         Ok(msg)
     }
-
-    /// True for control-plane messages (ACKs, heartbeats, and transfer
-    /// coordination). Payload-bearing messages — live data and replayed
-    /// transfer chunks — are data-plane.
-    pub fn is_control(&self) -> bool {
-        !matches!(self, WireMsg::Data { .. } | WireMsg::TransferChunk { .. })
-    }
 }
 
 impl MsgSize for WireMsg {
@@ -922,35 +915,6 @@ mod tests {
     }
 
     #[test]
-    fn control_classification() {
-        assert!(WireMsg::Heartbeat.is_control());
-        assert!(WireMsg::AckBatch(vec![]).is_control());
-        assert!(!WireMsg::Data {
-            origin: NodeId(0),
-            seq: 1,
-            payload: Bytes::new()
-        }
-        .is_control());
-        assert!(WireMsg::TransferRequest {
-            stream: NodeId(0),
-            have: 0
-        }
-        .is_control());
-        assert!(WireMsg::TransferAck {
-            stream: NodeId(0),
-            through: 0
-        }
-        .is_control());
-        assert!(!WireMsg::TransferChunk {
-            stream: NodeId(0),
-            seq: 1,
-            payload: Bytes::new(),
-            done: false
-        }
-        .is_control());
-    }
-
-    #[test]
     fn encode_prefix_plus_payload_equals_encode() {
         let msgs = vec![
             WireMsg::Data {
@@ -974,7 +938,8 @@ mod tests {
         for msg in msgs {
             let mut split = Vec::new();
             let payload = msg.encode_prefix(&mut split);
-            assert_eq!(payload.is_some(), !msg.is_control());
+            let carries = matches!(msg, WireMsg::Data { .. } | WireMsg::TransferChunk { .. });
+            assert_eq!(payload.is_some(), carries);
             if let Some(p) = payload {
                 split.extend_from_slice(p);
             }

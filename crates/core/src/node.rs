@@ -83,14 +83,6 @@ pub enum Action {
         /// The returning node.
         node: NodeId,
     },
-    /// Auto-exclusion could not rewrite this predicate (it would become
-    /// empty); the application must change or unregister it.
-    PredicateBroken {
-        /// Stream of the broken predicate.
-        stream: NodeId,
-        /// Its key.
-        key: String,
-    },
     /// A stream was fast-forwarded out of band (§III-E state transfer):
     /// local delivery resumes after `seq` without the skipped prefix
     /// passing through the normal upcall path. External checkers use
@@ -708,7 +700,8 @@ impl StabilizerNode {
     /// # Panics
     ///
     /// Panics if `name` is new and the shared registry already numbers
-    /// as many ACK types as an [`AckTypeId`] can.
+    /// as many ACK types as an [`AckTypeId`] can. The registry is left
+    /// as it was, readable by every node that shares it.
     pub fn register_ack_type(&mut self, name: &str) -> AckTypeId {
         let ty = self.acks.register(name);
         self.recorder.ensure_types(self.acks.len());

@@ -167,20 +167,14 @@ impl StabilizerNode {
         }
     }
 
-    /// Rewrite every predicate to stop observing `node` (§III-E). Broken
-    /// predicates (that would become empty) are reported via
-    /// [`Action::PredicateBroken`].
+    /// Rewrite every predicate to stop observing `node` (§III-E). A
+    /// predicate the rewrite would leave empty stays as it is: its
+    /// frontier freezes, and [`StabilizerNode::explain_all`] blames the
+    /// suspect.
     pub(super) fn exclude_node(&mut self, node: NodeId) {
-        let failed =
-            self.engine
-                .exclude_node(node, &self.recorder, &mut self.updates, &mut self.done);
+        let (rec, out, done) = (&self.recorder, &mut self.updates, &mut self.done);
+        self.engine.exclude_node(node, rec, out, done);
         self.emit();
-        for key in failed {
-            self.actions.push(Action::PredicateBroken {
-                stream: self.me,
-                key,
-            });
-        }
     }
 
     /// Re-admit a previously excluded node: restore every predicate that

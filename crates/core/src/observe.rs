@@ -4,7 +4,9 @@
 //! [`Event`] is the vocabulary, [`Action::event`] the only place that
 //! decides what an observer sees of an `Action`, and [`AppHooks`] the
 //! only observer trait — on the simulator and on the TCP runtime, plain
-//! or sharded.
+//! or sharded. Every action a machine emits is a transmission, an event,
+//! or both (a donor's transfer chunk): nothing is emitted that a driver
+//! neither sends nor shows.
 //!
 //! # The observer contract
 //!
@@ -131,13 +133,10 @@ impl<'a> Event<'a> {
 
 impl Action {
     /// What an observer sees of this action, if anything — the only
-    /// place that decides it. `PredicateBroken` surfaces through the
-    /// frontier staying frozen; the application is expected to
-    /// re-register.
+    /// place that decides it. Every action but a `Send` is an event.
     pub fn event(&self) -> Option<Event<'_>> {
         Some(match self {
             Action::Send { to, msg } => return Event::of_send(*to, msg),
-            Action::PredicateBroken { .. } => return None,
             Action::Deliver {
                 origin,
                 seq,

@@ -48,11 +48,6 @@ impl AckRecorder {
         }
     }
 
-    /// Whether the dirty-cell journal is enabled.
-    pub fn journal_enabled(&self) -> bool {
-        self.journal.is_some()
-    }
-
     /// Drain the dirty-cell journal: every cell written (via
     /// [`AckRecorder::observe`]) since the previous drain, in write
     /// order, possibly with duplicates. Empty when journaling is off.
@@ -262,7 +257,6 @@ mod tests {
         let mut r = AckRecorder::new(2, 2);
         r.observe(NodeId(0), NodeId(1), RECEIVED, 1); // before enabling: unrecorded
         r.enable_journal();
-        assert!(r.journal_enabled());
         assert!(r.take_journal().is_empty());
         r.observe(NodeId(0), NodeId(1), RECEIVED, 5);
         r.observe(NodeId(0), NodeId(1), RECEIVED, 3); // stale: no write

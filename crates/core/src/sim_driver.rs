@@ -28,7 +28,6 @@ use stabilizer_dsl::{AckTypeId, AckTypeRegistry, NodeId, SeqNo};
 use stabilizer_netsim::{
     Actor, Ctx, MsgSize, NetTopology, SimDuration, SimTime, Simulation, TimerId,
 };
-use std::borrow::BorrowMut;
 use std::ops::{Deref, DerefMut};
 use std::sync::Arc;
 
@@ -40,14 +39,11 @@ pub use crate::observe::{AppHooks, NoHooks};
 pub trait Machine {
     /// What travels on a simulated link.
     type Msg: MsgSize;
-    /// What the machine emits.
+    /// What the machine emits: each action is a transmission
+    /// ([`Machine::into_send`]), an event ([`Machine::observe`]), or
+    /// both.
     type Action;
-    /// The driver's log: an [`EventLog`], plus whatever machine-private
-    /// logs [`Machine::observe`] keeps next to it.
-    type Log: BorrowMut<EventLog>;
 
-    /// An empty log for this machine.
-    fn new_log(&self) -> Self::Log;
     /// The options the timers are armed from.
     fn options(&self) -> &Options;
     /// Feed a message that arrived from `from`.
@@ -67,13 +63,12 @@ pub trait Machine {
     /// The transmission `action` asks for, if it is one.
     fn into_send(action: Self::Action) -> Option<(NodeId, Self::Msg)>;
     /// [`Machine::into_send`] for a driver that keeps a log: what the
-    /// log records of `action` — the node-level [`Event`], and any
-    /// machine-private bookkeeping beside it — goes to `log` first,
-    /// moved out of the action where the log keeps it whole.
+    /// log records of `action`'s [`Event`] goes to `log` first, moved
+    /// out of the action where the log keeps it whole.
     fn finish(
         action: Self::Action,
         now: SimTime,
-        log: &mut Self::Log,
+        log: &mut EventLog,
     ) -> Option<(NodeId, Self::Msg)>;
 
     /// See [`StabilizerNode::publish`].
@@ -92,11 +87,7 @@ pub trait Machine {
 impl Machine for StabilizerNode {
     type Msg = WireMsg;
     type Action = Action;
-    type Log = EventLog;
 
-    fn new_log(&self) -> EventLog {
-        EventLog::default()
-    }
     fn options(&self) -> &Options {
         self.config().options()
     }
@@ -166,7 +157,7 @@ pub struct SimNode<H: AppHooks = NoHooks, M: Machine = StabilizerNode> {
     node: M,
     /// Application hooks.
     pub hooks: H,
-    log: M::Log,
+    log: EventLog,
     /// Whether each action is recorded into `log` after the hooks have
     /// seen it ([`Machine::finish`]) or only executed
     /// ([`Machine::into_send`]).
@@ -181,15 +172,15 @@ pub struct SimNode<H: AppHooks = NoHooks, M: Machine = StabilizerNode> {
 }
 
 impl<H: AppHooks, M: Machine> Deref for SimNode<H, M> {
-    type Target = M::Log;
+    type Target = EventLog;
 
-    fn deref(&self) -> &M::Log {
+    fn deref(&self) -> &EventLog {
         &self.log
     }
 }
 
 impl<H: AppHooks, M: Machine> DerefMut for SimNode<H, M> {
-    fn deref_mut(&mut self) -> &mut M::Log {
+    fn deref_mut(&mut self) -> &mut EventLog {
         &mut self.log
     }
 }
@@ -199,7 +190,7 @@ impl<H: AppHooks, M: Machine> SimNode<H, M> {
     /// its log.
     pub fn new(node: M, hooks: H) -> Self {
         SimNode {
-            log: node.new_log(),
+            log: EventLog::default(),
             node,
             hooks,
             keep_log: true,
@@ -229,7 +220,7 @@ impl<H: AppHooks, M: Machine> SimNode<H, M> {
     /// Disable the delivery log (for multi-hundred-thousand-message runs
     /// where only the frontier log matters).
     pub fn without_delivery_log(mut self) -> Self {
-        self.log.borrow_mut().record_deliveries = false;
+        self.log.record_deliveries = false;
         self
     }
 

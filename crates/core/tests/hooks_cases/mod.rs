@@ -7,7 +7,7 @@
 
 use bytes::Bytes;
 use stabilizer_core::sim_driver::{build_actors, AppHooks, Machine, SimNode};
-use stabilizer_core::{ClusterConfig, FrontierUpdate, NodeId, Options};
+use stabilizer_core::{ClusterConfig, FrontierUpdate, NodeId, Options, StallReport, TimerKind};
 use stabilizer_dsl::AckTypeRegistry;
 use stabilizer_netsim::{Actor, NetTopology, SimDuration, SimTime, Simulation};
 use std::sync::Arc;
@@ -117,4 +117,82 @@ pub fn catch_up_fires_transfer_chunk_and_join_hooks<M: Machine>(
     assert_eq!(sim.actor(1).hooks.joins, vec![1], "one join, on one stream");
     let replayed: Vec<u64> = sim.actor(1).hooks.delivers.iter().map(|d| d.1).collect();
     assert_eq!(replayed, (1..=6).collect::<Vec<u64>>());
+}
+
+/// A machine emits only what a driver sends or an observer sees. Two
+/// machines are driven by hand, so each drained action is checked before
+/// it is executed, under `auto_exclude_suspects`, node 0 holding a
+/// predicate only node 1 can satisfy. A publish goes through; then node
+/// 1 is cut off, node 0 publishes one message per shard, and each side
+/// suspects the other. The predicate cannot be rewritten without node 1,
+/// so it stays as it is: its frontier freezes, and each report `explain`
+/// gives of it (one per shard) is stalled and blames node 1, suspected.
+pub fn every_action_is_a_send_or_an_event<M: Machine>(
+    opts: Options,
+    mk: impl MkMachine<M>,
+    explain: impl Fn(&M) -> Vec<StallReport>,
+) {
+    const MS: u64 = 1_000_000;
+    let shards = usize::from(opts.shards.max(1));
+    let cfg = two_node_cfg(opts.failure_timeout_millis(50).auto_exclude_suspects(true));
+    let acks = Arc::new(AckTypeRegistry::new());
+    let mut nodes = [0, 1].map(|i| mk(cfg.clone(), NodeId(i), Arc::clone(&acks)));
+    nodes[0]
+        .register_predicate(NodeId(0), "Peer", "MAX($2)")
+        .unwrap();
+    // Drain both machines until neither emits, delivering what they send
+    // unless `cut`.
+    let mut actions = Vec::new();
+    let mut settle = |nodes: &mut [M; 2], now: u64, cut: bool| loop {
+        let mut sent = Vec::new();
+        for (i, node) in nodes.iter_mut().enumerate() {
+            node.swap_actions(&mut actions);
+            for action in actions.drain(..) {
+                let seen = M::observe(&action).is_some();
+                match M::into_send(action) {
+                    Some((to, msg)) => sent.push((NodeId(i as u16), to, msg)),
+                    None => assert!(seen, "node {i} emitted an action nobody sends or sees"),
+                }
+            }
+        }
+        if sent.is_empty() {
+            return;
+        }
+        for (from, to, msg) in sent {
+            if !cut {
+                nodes[to.0 as usize].on_message(now, from, msg);
+            }
+        }
+    };
+
+    nodes[0].publish(Bytes::from_static(b"before")).unwrap();
+    settle(&mut nodes, 0, false);
+    for _ in 0..shards {
+        nodes[0].publish(Bytes::from_static(b"after")).unwrap();
+    }
+    settle(&mut nodes, MS, true);
+    for node in &mut nodes {
+        node.on_timer(TimerKind::Failure, 100 * MS);
+    }
+    settle(&mut nodes, 100 * MS, true);
+
+    let reports: Vec<StallReport> = explain(&nodes[0])
+        .into_iter()
+        .filter(|r| (r.stream, r.key.as_str()) == (NodeId(0), "Peer"))
+        .collect();
+    assert_eq!(reports.len(), shards, "one report per shard");
+    for report in reports {
+        let line = report.render_human();
+        assert!(report.stalled, "{line}");
+        assert_eq!(
+            (report.predicate.as_str(), report.generation),
+            ("MAX($2)", 0)
+        );
+        let blamed: Vec<_> = report
+            .blamed
+            .iter()
+            .map(|b| (b.node, b.suspected))
+            .collect();
+        assert_eq!(blamed, [(NodeId(1), true)], "{line}");
+    }
 }

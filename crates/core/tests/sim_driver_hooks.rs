@@ -30,6 +30,15 @@ fn catch_up_fires_transfer_chunk_and_join_hooks() {
 }
 
 #[test]
+fn every_action_is_a_send_or_an_event() {
+    hooks_cases::every_action_is_a_send_or_an_event(
+        Options::default(),
+        plain,
+        StabilizerNode::explain_all,
+    );
+}
+
+#[test]
 fn coalescing_timer_batches_acks_in_simulation() {
     // With a 2 ms coalescing interval, five rapid-fire messages produce
     // far fewer ACK batches than eager mode's five-per-peer.

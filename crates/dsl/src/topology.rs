@@ -36,11 +36,6 @@ impl Topology {
         self.node_names.len()
     }
 
-    /// Total number of availability zones.
-    pub fn num_azs(&self) -> usize {
-        self.az_names.len()
-    }
-
     /// Resolve a node name to its id.
     pub fn node(&self, name: &str) -> Option<NodeId> {
         self.node_by_name.get(name).copied()
@@ -82,11 +77,6 @@ impl Topology {
             .iter()
             .enumerate()
             .map(|(i, m)| (AzId(i as u16), m.as_slice()))
-    }
-
-    /// True if `a` and `b` are in the same availability zone.
-    pub fn same_az(&self, a: NodeId, b: NodeId) -> bool {
-        self.az_of(a) == self.az_of(b)
     }
 }
 
@@ -194,7 +184,6 @@ mod tests {
         assert_eq!(t.node("w3"), Some(NodeId(4)));
         assert_eq!(t.az("West"), Some(AzId(1)));
         assert_eq!(t.num_nodes(), 5);
-        assert_eq!(t.num_azs(), 2);
     }
 
     #[test]
@@ -203,8 +192,6 @@ mod tests {
         assert_eq!(t.az_of(NodeId(0)), AzId(0));
         assert_eq!(t.az_of(NodeId(4)), AzId(1));
         assert_eq!(t.az_members(AzId(1)), &[NodeId(2), NodeId(3), NodeId(4)]);
-        assert!(t.same_az(NodeId(2), NodeId(4)));
-        assert!(!t.same_az(NodeId(0), NodeId(2)));
     }
 
     #[test]

@@ -104,13 +104,19 @@ impl AckTypeRegistry {
     ///
     /// # Panics
     ///
-    /// Panics if more than `u16::MAX` ACK types are registered.
+    /// Panics if more than `u16::MAX` ACK types are registered. The
+    /// registry is left as it was and stays readable: the panic is
+    /// raised after the write lock is released, so it poisons nothing.
     pub fn register(&self, name: &str) -> AckTypeId {
         let mut inner = self.inner.write().unwrap();
         if let Some(&id) = inner.by_name.get(name) {
             return id;
         }
-        let id = AckTypeId(u16::try_from(inner.names.len()).expect("too many ACK types"));
+        let Ok(id) = u16::try_from(inner.names.len()) else {
+            drop(inner);
+            panic!("too many ACK types");
+        };
+        let id = AckTypeId(id);
         inner.names.push(name.to_owned());
         inner.by_name.insert(name.to_owned(), id);
         id
@@ -184,6 +190,19 @@ mod tests {
         assert_eq!(reg.lookup("persisted"), Some(PERSISTED));
         assert_eq!(reg.lookup("delivered"), Some(DELIVERED));
         assert_eq!(reg.name(RECEIVED).as_deref(), Some("received"));
+    }
+
+    #[test]
+    fn a_registration_past_the_last_id_leaves_the_registry_readable() {
+        let reg = AckTypeRegistry::new();
+        for i in 0..=u16::MAX as usize - 3 {
+            reg.register(&i.to_string());
+        }
+        assert_eq!(reg.len(), 1 << 16);
+        let overflow = std::panic::catch_unwind(|| reg.register("one too many"));
+        assert!(overflow.is_err());
+        assert_eq!(reg.lookup("received"), Some(RECEIVED));
+        assert_eq!(reg.len(), 1 << 16);
     }
 
     #[test]

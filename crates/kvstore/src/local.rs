@@ -122,21 +122,6 @@ impl LocalStore {
         &self.log
     }
 
-    /// Live (non-tombstoned) keys starting with `prefix`, sorted — the
-    /// scan primitive applications like the file-backup manifest use.
-    pub fn keys_with_prefix(&self, prefix: &str) -> Vec<String> {
-        let mut keys: Vec<String> = self
-            .map
-            .iter()
-            .filter(|(k, versions)| {
-                k.starts_with(prefix) && versions.last().map(|v| v.value.is_some()).unwrap_or(false)
-            })
-            .map(|(k, _)| k.clone())
-            .collect();
-        keys.sort();
-        keys
-    }
-
     /// Rebuild a store by replaying a write-ahead log (crash recovery).
     pub fn replay(log: &[LogRecord]) -> Self {
         let mut store = LocalStore::new();
@@ -205,19 +190,6 @@ mod tests {
         assert_eq!(s.get_by_version("a", 2), Some(Bytes::from_static(b"1")));
         assert_eq!(s.get_by_version("a", 3), Some(Bytes::from_static(b"3")));
         assert_eq!(s.get_by_version("b", 1), None);
-    }
-
-    #[test]
-    fn keys_with_prefix_scans_live_keys() {
-        let mut s = LocalStore::new();
-        s.put("file/1/0", Bytes::from_static(b"a"), 0);
-        s.put("file/1/1", Bytes::from_static(b"b"), 0);
-        s.put("file/2/0", Bytes::from_static(b"c"), 0);
-        s.put("other", Bytes::from_static(b"d"), 0);
-        s.delete("file/1/1", 1);
-        assert_eq!(s.keys_with_prefix("file/1/"), vec!["file/1/0".to_owned()]);
-        assert_eq!(s.keys_with_prefix("file/").len(), 2);
-        assert!(s.keys_with_prefix("zzz").is_empty());
     }
 
     #[test]

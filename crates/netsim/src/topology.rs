@@ -38,11 +38,6 @@ impl NetTopology {
         &self.names[i]
     }
 
-    /// Site index by name.
-    pub fn index_of(&self, name: &str) -> Option<usize> {
-        self.names.iter().position(|n| n == name)
-    }
-
     /// Set the directed link `a -> b`.
     ///
     /// # Panics
@@ -209,7 +204,7 @@ mod tests {
     fn cloudlab_preset_matches_table2() {
         let t = NetTopology::cloudlab_table2();
         assert_eq!(t.len(), 5);
-        assert_eq!(t.index_of("UT1"), Some(0));
+        assert_eq!(t.name(0), "UT1");
         let wi = t.link(0, 2).unwrap();
         assert_eq!(wi.rtt(), SimDuration::from_millis_f64(35.612));
         assert!((wi.mbit_per_sec() - 361.82).abs() < 1e-9);
@@ -233,7 +228,6 @@ mod tests {
     fn names_resolve() {
         let t = NetTopology::cloudlab_table2();
         assert_eq!(t.name(3), "CLEM");
-        assert_eq!(t.index_of("MA"), Some(4));
-        assert_eq!(t.index_of("XX"), None);
+        assert_eq!(t.name(4), "MA");
     }
 }

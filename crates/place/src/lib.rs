@@ -235,14 +235,6 @@ impl PlacementMap {
             .collect()
     }
 
-    /// The streams replicated at `node` (always includes `node`'s own).
-    pub fn streams_at(&self, node: NodeId) -> Vec<NodeId> {
-        (0..self.replicas.len() as u16)
-            .map(NodeId)
-            .filter(|&s| self.is_replica(s, node))
-            .collect()
-    }
-
     /// True if `a` and `b` share at least one stream — i.e. a transport
     /// link between them carries data or ACK traffic. Runtimes keep
     /// heartbeat links everywhere but may skip data links between
@@ -464,10 +456,6 @@ mod tests {
         assert!(p.linked(NodeId(0), NodeId(2)));
         assert!(p.linked(NodeId(3), NodeId(5)));
         assert!(!p.linked(NodeId(0), NodeId(3)));
-        assert_eq!(
-            p.streams_at(NodeId(0)),
-            vec![NodeId(0), NodeId(1), NodeId(2)]
-        );
     }
 
     #[test]

@@ -66,23 +66,6 @@ pub enum ShardedAction {
         /// The returning node.
         node: NodeId,
     },
-    /// Auto-exclusion broke a predicate (reported once, from shard 0 —
-    /// shards hold identical predicates so they break in lockstep).
-    PredicateBroken {
-        /// Stream of the broken predicate.
-        stream: NodeId,
-        /// Its key.
-        key: String,
-    },
-    /// Observability: a single shard's own frontier advanced (per-shard
-    /// sequence space). Telemetry and the chaos checker consume these;
-    /// applications should watch [`ShardedAction::Frontier`].
-    ShardFrontier {
-        /// The shard.
-        shard: u16,
-        /// The per-shard update.
-        update: FrontierUpdate,
-    },
     /// A shard sub-stream fast-forwarded out of band (§III-E state
     /// transfer): shard seqs up to `seq` were skipped, and global
     /// reassembly for `stream` resumes after `global` without upcalls
@@ -97,26 +80,13 @@ pub enum ShardedAction {
         /// Node-level delivered global after the jump.
         global: SeqNo,
     },
-    /// Observability: a shard machine delivered one message (before
-    /// global reassembly).
-    ShardDeliver {
-        /// The shard.
-        shard: u16,
-        /// Stream of the message.
-        origin: NodeId,
-        /// Per-shard sequence number.
-        seq: SeqNo,
-        /// Application payload length (header excluded).
-        len: usize,
-    },
 }
 
 impl ShardedAction {
     /// What an observer sees of this action, if anything — the sharded
     /// twin of [`Action::event`](stabilizer_core::Action::event): node-level events only (sequence
     /// numbers are global; donor-side transfer chunks per shard
-    /// sub-stream). Per-shard observability actions and
-    /// `PredicateBroken` are not events.
+    /// sub-stream).
     pub fn event(&self) -> Option<Event<'_>> {
         Some(match self {
             ShardedAction::Send { to, msg, .. } => return Event::of_send(*to, msg),
@@ -137,9 +107,6 @@ impl ShardedAction {
                 stream: *stream,
                 seq: *global,
             },
-            ShardedAction::PredicateBroken { .. }
-            | ShardedAction::ShardFrontier { .. }
-            | ShardedAction::ShardDeliver { .. } => return None,
         })
     }
 }

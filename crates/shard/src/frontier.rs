@@ -32,7 +32,7 @@
 //! [`Action`] becomes node-level [`ShardedAction`]s, whichever driver
 //! runs the shards.
 
-use crate::codec::{decode_global, GLOBAL_HEADER};
+use crate::codec::decode_global;
 use crate::engine::ShardedAction;
 use bytes::Bytes;
 use stabilizer_core::{AckTypeId, Action, CoreError, FrontierUpdate, NodeId, SeqNo, WaitToken};
@@ -389,10 +389,9 @@ impl ShardedFrontier {
     }
 
     /// Fold one action of shard machine `shard` into node-level actions,
-    /// appended to `out` in the order every observer sees them: a shard's
-    /// own delivery or frontier advance before what it releases at node
-    /// level, a catch-up before the deliveries it unblocks, aggregated
-    /// frontier updates before the waits they complete.
+    /// appended to `out` in the order every observer sees them: a
+    /// catch-up before the deliveries it unblocks, aggregated frontier
+    /// updates before the waits they complete.
     ///
     /// # Panics
     ///
@@ -403,17 +402,8 @@ impl ShardedFrontier {
         match action {
             Action::Send { to, msg } => out.push(ShardedAction::Send { shard, to, msg }),
             Action::Deliver {
-                origin,
-                seq,
-                payload,
+                origin, payload, ..
             } => {
-                let len = payload.len().saturating_sub(GLOBAL_HEADER);
-                out.push(ShardedAction::ShardDeliver {
-                    shard,
-                    origin,
-                    seq,
-                    len,
-                });
                 let ready = |seq, payload| {
                     out.push(ShardedAction::Deliver {
                         origin,
@@ -427,7 +417,6 @@ impl ShardedFrontier {
             Action::Frontier(update) => {
                 let at = (update.seq, update.generation);
                 self.shard_frontier(shard, update.stream, &update.key, at, &mut agg);
-                out.push(ShardedAction::ShardFrontier { shard, update });
             }
             // Shard-level waits are never created; node-level waits live
             // here, in the aggregator.
@@ -447,13 +436,6 @@ impl ShardedFrontier {
                     out.push(ShardedAction::Recovered { node });
                 }
                 *count = count.saturating_sub(1);
-            }
-            // Shards hold identical predicates, so auto-exclusion breaks
-            // them in lockstep: shard 0 speaks for all.
-            Action::PredicateBroken { stream, key } => {
-                if shard == 0 {
-                    out.push(ShardedAction::PredicateBroken { stream, key });
-                }
             }
             Action::CatchUp {
                 stream,
@@ -994,18 +976,13 @@ mod tests {
     fn show(out: &mut Vec<ShardedAction>) -> Vec<String> {
         let line = |a: ShardedAction| match a {
             ShardedAction::Send { shard, to, .. } => format!("send s{shard} to {}", to.0),
-            ShardedAction::ShardDeliver {
-                shard, seq, len, ..
-            } => format!("shard-deliver s{shard} #{seq} {len}B"),
-            ShardedAction::Deliver { seq, .. } => format!("deliver g{seq}"),
-            ShardedAction::ShardFrontier { shard, update } => {
-                format!("shard-frontier s{shard} {}={}", update.key, update.seq)
+            ShardedAction::Deliver { seq, payload, .. } => {
+                format!("deliver g{seq} {}B", payload.len())
             }
             ShardedAction::Frontier(u) => format!("frontier {}={}", u.key, u.seq),
             ShardedAction::WaitDone { token } => format!("wait-done {token}"),
             ShardedAction::Suspected { node } => format!("suspected {}", node.0),
             ShardedAction::Recovered { node } => format!("recovered {}", node.0),
-            ShardedAction::PredicateBroken { key, .. } => format!("broken {key}"),
             ShardedAction::CatchUp {
                 shard, seq, global, ..
             } => format!("catch-up s{shard} #{seq} g{global}"),
@@ -1025,25 +1002,19 @@ mod tests {
             payload: encode_global(global, &Bytes::from_static(body)),
         };
 
-        // A shard's own delivery first, then what it releases globally.
+        // A delivery that arrives ahead of its global waits; the one that
+        // fills the gap releases both, in global order, header stripped.
         agg.fold(1, deliver(1, 2, b"bb"), out);
-        assert_eq!(show(out), ["shard-deliver s1 #1 2B"]);
+        assert!(show(out).is_empty());
         agg.fold(0, deliver(1, 1, b"a"), out);
-        assert_eq!(
-            show(out),
-            ["shard-deliver s0 #1 1B", "deliver g1", "deliver g2"]
-        );
+        assert_eq!(show(out), ["deliver g1 1B", "deliver g2 2B"]);
 
-        // A shard's own frontier, then the aggregate, then its waiters.
+        // The aggregate, then its waiters.
         let (token, _) = agg.waitfor(origin, "All", 1).unwrap();
         agg.fold(0, Action::Frontier(update(origin, "All", 1, 0)), out);
         assert_eq!(
             show(out),
-            [
-                "shard-frontier s0 All=1".to_owned(),
-                "frontier All=1".to_owned(),
-                format!("wait-done {token}")
-            ]
+            ["frontier All=1".to_owned(), format!("wait-done {token}")]
         );
         // Shard-level waits do not exist; sends keep their shard.
         agg.fold(1, Action::WaitDone { token: 99 }, out);
@@ -1061,17 +1032,10 @@ mod tests {
         assert_eq!(show(out), ["recovered 2"]);
         assert!(!agg.is_suspected(peer));
 
-        // Shards break in lockstep: shard 0 speaks for all.
-        for shard in [1, 0] {
-            let (stream, key) = (ME, "All".to_owned());
-            agg.fold(shard, Action::PredicateBroken { stream, key }, out);
-        }
-        assert_eq!(show(out), ["broken All"]);
-
         // A catch-up before the deliveries it unblocks: global 5 waits on
         // shard 1 until shard 0 jumps over 3 and 4 (its mark says so).
         agg.fold(1, deliver(2, 5, b"e"), out);
-        assert_eq!(show(out), ["shard-deliver s1 #2 1B"]);
+        assert!(show(out).is_empty());
         let (stream, seq, app_mark) = (origin, 3, 4);
         let jump = Action::CatchUp {
             stream,
@@ -1079,7 +1043,7 @@ mod tests {
             app_mark,
         };
         agg.fold(0, jump, out);
-        assert_eq!(show(out), ["catch-up s0 #3 g5", "deliver g5"]);
+        assert_eq!(show(out), ["catch-up s0 #3 g5", "deliver g5 1B"]);
     }
 
     #[test]

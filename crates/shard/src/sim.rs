@@ -1,7 +1,7 @@
 //! The sharded engine in the deterministic simulator.
 //!
 //! [`ShardedEngine`] is a `stabilizer_core::sim_driver::Machine`, so the
-//! one simulator driver (`SimNode`: timer table, hooks, logs, `*_in`
+//! one simulator driver (`SimNode`: timer table, hooks, log, `*_in`
 //! calls) runs it unchanged and sharded scenarios slot into the existing
 //! experiment and chaos harnesses. All shard sub-streams share one
 //! simulated link per node pair: a [`ShardMsg`] envelope carries the
@@ -14,13 +14,10 @@ use crate::router::RoutePolicy;
 use bytes::Bytes;
 use stabilizer_core::sim_driver::{build_actors, AppHooks, Machine, NoHooks, SimNode};
 use stabilizer_core::{
-    ClusterConfig, CoreError, Event, EventLog, FrontierUpdate, Options, TimerKind, WaitToken,
-    WireMsg,
+    ClusterConfig, CoreError, Event, EventLog, Options, TimerKind, WaitToken, WireMsg,
 };
 use stabilizer_dsl::{AckTypeId, NodeId, SeqNo};
 use stabilizer_netsim::{MsgSize, SimTime};
-use std::borrow::{Borrow, BorrowMut};
-use std::ops::{Deref, DerefMut};
 
 /// Wire envelope multiplexing shard sub-streams over one simulated link.
 #[derive(Debug, Clone)]
@@ -39,59 +36,10 @@ impl MsgSize for ShardMsg {
     }
 }
 
-/// A sharded node's simulator logs: the node-level [`EventLog`] (global
-/// sequence numbers, suspicion deduplicated across shards; reached by
-/// dereferencing) plus each shard's own logs.
-#[derive(Debug)]
-pub struct ShardedLog {
-    node: EventLog,
-    /// Per shard: that shard's own frontier log (per-shard sequence
-    /// space) — consumed by per-shard invariant checking and telemetry.
-    pub shard_frontier_logs: Vec<Vec<(SimTime, FrontierUpdate)>>,
-    /// Per shard: that shard's own delivery log (per-shard sequence
-    /// space), before global reassembly.
-    pub shard_delivery_logs: Vec<Vec<(SimTime, NodeId, SeqNo, usize)>>,
-}
-
-impl Deref for ShardedLog {
-    type Target = EventLog;
-
-    fn deref(&self) -> &EventLog {
-        &self.node
-    }
-}
-
-impl DerefMut for ShardedLog {
-    fn deref_mut(&mut self) -> &mut EventLog {
-        &mut self.node
-    }
-}
-
-impl Borrow<EventLog> for ShardedLog {
-    fn borrow(&self) -> &EventLog {
-        &self.node
-    }
-}
-
-impl BorrowMut<EventLog> for ShardedLog {
-    fn borrow_mut(&mut self) -> &mut EventLog {
-        &mut self.node
-    }
-}
-
 impl Machine for ShardedEngine {
     type Msg = ShardMsg;
     type Action = ShardedAction;
-    type Log = ShardedLog;
 
-    fn new_log(&self) -> ShardedLog {
-        let shards = self.num_shards() as usize;
-        ShardedLog {
-            node: EventLog::default(),
-            shard_frontier_logs: vec![Vec::new(); shards],
-            shard_delivery_logs: vec![Vec::new(); shards],
-        }
-    }
     fn options(&self) -> &Options {
         self.config().options()
     }
@@ -122,31 +70,20 @@ impl Machine for ShardedEngine {
     fn finish(
         action: ShardedAction,
         now: SimTime,
-        log: &mut ShardedLog,
+        log: &mut EventLog,
     ) -> Option<(NodeId, ShardMsg)> {
         match action {
-            ShardedAction::Frontier(update) => log.node.frontier_log.push((now, update)),
-            ShardedAction::ShardFrontier { shard, update } => {
-                log.shard_frontier_logs[shard as usize].push((now, update));
-            }
-            ShardedAction::ShardDeliver {
-                shard,
-                origin,
-                seq,
-                len,
-            } => {
-                if log.node.record_deliveries {
-                    log.shard_delivery_logs[shard as usize].push((now, origin, seq, len));
-                }
+            ShardedAction::Frontier(update) => {
+                log.frontier_log.push((now, update));
+                None
             }
             other => {
                 if let Some(event) = other.event() {
-                    log.node.record(now, &event);
+                    log.record(now, &event);
                 }
-                return Self::into_send(other);
+                Self::into_send(other)
             }
         }
-        None
     }
     fn publish(&mut self, payload: Bytes) -> Result<SeqNo, CoreError> {
         self.publish(payload)

@@ -284,9 +284,7 @@ fn unfold(actions: Vec<ShardedAction>) -> Released {
     let (mut ready, mut out, mut rank) = (Vec::new(), AggOutput::default(), 0);
     for action in actions {
         let kind = match action {
-            ShardedAction::ShardDeliver { .. }
-            | ShardedAction::ShardFrontier { .. }
-            | ShardedAction::CatchUp { .. } => 0,
+            ShardedAction::CatchUp { .. } => 0,
             ShardedAction::Deliver { seq, payload, .. } => {
                 ready.push((seq, payload));
                 1

@@ -14,7 +14,7 @@ mod hooks_cases;
 
 use bytes::Bytes;
 use proptest::prelude::*;
-use stabilizer_core::{ClusterConfig, CoreError, NodeId, Options, SeqNo, WireMsg};
+use stabilizer_core::{ClusterConfig, CoreError, NodeId, Options, SeqNo, WireMsg, DELIVERED};
 use stabilizer_netsim::{Ctx, NetTopology, SimDuration, SimTime};
 use stabilizer_shard::{
     build_sharded_cluster, RoutePolicy, ShardMsg, ShardedAction, ShardedEngine, ShardedSimNode,
@@ -154,6 +154,8 @@ fn driver_hooks_fire_on_the_sharded_machine() {
     let opts = || Options::default().shards(2);
     hooks_cases::hooks_receive_deliveries_frontiers_and_waits(opts(), sharded);
     hooks_cases::catch_up_fires_transfer_chunk_and_join_hooks(opts(), sharded);
+    let explain = |engine: &ShardedEngine| engine.explain_all().into_iter().map(|r| r.1).collect();
+    hooks_cases::every_action_is_a_send_or_an_event(opts(), sharded, explain);
 }
 
 #[test]
@@ -226,21 +228,6 @@ fn transcript(sim: &stabilizer_netsim::Simulation<ShardedSimNode>) -> String {
         for (t, o, s, l) in &a.delivery_log {
             writeln!(out, "{i} D {t:?} {} {s} {l}", o.0).unwrap();
         }
-        for (shard, log) in a.shard_delivery_logs.iter().enumerate() {
-            for (t, o, s, l) in log {
-                writeln!(out, "{i} d{shard} {t:?} {} {s} {l}", o.0).unwrap();
-            }
-        }
-        for (shard, log) in a.shard_frontier_logs.iter().enumerate() {
-            for (t, u) in log {
-                writeln!(
-                    out,
-                    "{i} f{shard} {t:?} {} {} {} {}",
-                    u.stream.0, u.key, u.seq, u.generation
-                )
-                .unwrap();
-            }
-        }
     }
     out
 }
@@ -268,13 +255,15 @@ fn seed_replay_is_byte_identical() {
     let b = replay_once(42);
     assert!(!a.is_empty());
     assert_eq!(a, b, "same seed must reproduce the same transcript");
-    // Not only equal to itself: equal to what PR 19 produced (the
-    // varint codec moved every virtual timestamp; until then it was
-    // `8012fd0`'s), so a change that reorders what the fold emits fails
-    // here and not only in a hand-run `shard_scale --replay-hash`.
+    // Not only equal to itself: equal to the recorded transcript, so a
+    // change that reorders what the fold emits fails here and not only
+    // in a hand-run `shard_scale --replay-hash`. Re-pinned when the
+    // per-shard logs went: (5525, 0xfd22_396f_e20b_3050) →
+    // (2749, 0x03b5_405c_46ec_64a5), the old transcript minus its
+    // `d<shard>`/`f<shard>` lines byte for byte.
     assert_eq!(
         (a.len(), stabilizer_shard::fnv1a(a.as_bytes())),
-        (5525, 0xfd22_396f_e20b_3050),
+        (2749, 0x03b5_405c_46ec_64a5),
         "the transcript moved"
     );
 }
@@ -390,8 +379,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// Same seed ⇒ same shard assignment: replaying an identical keyed
-    /// workload in two independently built clusters produces identical
-    /// per-shard delivery logs on every mirror.
+    /// workload in two independently built clusters routes every publish
+    /// to the same shard, and leaves every node with the same per-shard
+    /// deliveries and delivered prefixes and the same delivery log.
     #[test]
     fn routing_is_deterministic_across_replays(
         seed in 0u64..500,
@@ -401,19 +391,33 @@ proptest! {
         let run = |policy| {
             let cfg = cfg_with_shards(shards);
             let mut sim = build_sharded_cluster(&cfg, mesh(3), seed, policy).unwrap();
+            let mut routes = Vec::new();
             for (i, k) in keys.iter().enumerate() {
                 let key = [*k];
+                let published = |n: &ShardedSimNode| {
+                    (0..shards).map(|s| n.inner().shard(s).last_published()).collect::<Vec<_>>()
+                };
+                let before = published(sim.actor(0));
                 sim.with_ctx(0, |n, ctx| {
                     publish_with_key_in(n, ctx, Bytes::from(vec![i as u8; 8]), &key)
                 })
                 .unwrap();
+                let after = published(sim.actor(0));
+                routes.push((0..shards).find(|&s| after[s as usize] != before[s as usize]));
             }
             sim.run_until_idle();
             let mut shape = Vec::new();
             for i in 0..3 {
-                shape.push(sim.actor(i).shard_delivery_logs.clone());
+                let (node, me) = (sim.actor(i).inner(), NodeId(i as u16));
+                let per_shard: Vec<(u64, u64)> = (0..shards)
+                    .map(|s| {
+                        let delivered = node.shard(s).recorder().get(N0, me, DELIVERED);
+                        (node.shard_metrics(s).deliveries, delivered)
+                    })
+                    .collect();
+                shape.push((per_shard, sim.actor(i).delivery_log.clone()));
             }
-            shape
+            (routes, shape)
         };
         for policy in [RoutePolicy::KeyHash, RoutePolicy::RoundRobin] {
             prop_assert_eq!(run(policy), run(policy));
@@ -468,16 +472,18 @@ proptest! {
                 .map(|(_, _, s, _)| *s)
                 .collect();
             prop_assert_eq!(&seqs, &(1..=count).collect::<Vec<u64>>(), "node {} global FIFO", i);
-            // Per-shard FIFO before reassembly: shard sequences are the
-            // contiguous prefix 1.. in order, no gaps, no duplicates.
-            for (s, log) in actor.shard_delivery_logs.iter().enumerate() {
-                let shard_seqs: Vec<u64> = log
-                    .iter()
-                    .filter(|(_, o, _, _)| *o == N0)
-                    .map(|(_, _, q, _)| *q)
-                    .collect();
-                let want: Vec<u64> = (1..=shard_seqs.len() as u64).collect();
-                prop_assert_eq!(&shard_seqs, &want, "node {} shard {} FIFO", i, s);
+            // Per-shard FIFO before reassembly: each shard machine
+            // delivered exactly what the origin's same shard published,
+            // once each, and its delivered prefix reached the last of it
+            // (in order and gap-free by the shard machine's own receive
+            // rule: `data_plane.rs`'s `gaps_are_held_back_and_released`
+            // and `duplicates_and_replays_ignored`).
+            for s in 0..shards {
+                let published = sim.actor(0).inner().shard(s).last_published();
+                let shard = actor.inner().shard(s);
+                prop_assert_eq!(shard.metrics().deliveries, published, "node {} shard {}", i, s);
+                let delivered = shard.recorder().get(N0, NodeId(i as u16), DELIVERED);
+                prop_assert_eq!(delivered, published, "node {} shard {} prefix", i, s);
             }
             // The aggregated frontier log never regresses within a
             // generation.

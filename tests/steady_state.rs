@@ -30,10 +30,9 @@
 //!   and telemetry state under that application's traffic;
 //! * the `EventLog` of a `SimNode` built with `SimNode::new` (so by
 //!   `build_cluster`, the sharded builders and every application's
-//!   actor) and the sharded driver's `shard_*_logs`: the experiments'
-//!   read side, one entry per event (harnesses that publish hundreds of
-//!   thousands run `without_delivery_log`). A cluster built by
-//!   `build_cluster_with_hooks` keeps none;
+//!   actor): the experiments' read side, one entry per event (harnesses
+//!   that publish hundreds of thousands run `without_delivery_log`). A
+//!   cluster built by `build_cluster_with_hooks` keeps none;
 //! * the recorder's `DirtyCell` journal: opt-in, grows until its one
 //!   consumer (the chaos checker) takes it.
 //!
