@@ -1,6 +1,6 @@
 //! The per-predicate lint pass and the cross-predicate set analysis.
 //!
-//! The walker operates on the span-carrying AST ([`parse_spanned`]) so
+//! The walker operates on the span-carrying AST ([`parse`]) so
 //! every finding lands on the exact offending source bytes, and it is
 //! deliberately *lenient*: where the resolver hard-errors and stops, the
 //! walker records a diagnostic and keeps going, so one `stabcheck` run
@@ -12,8 +12,8 @@ use crate::dominance::{compare, Dominance};
 use crate::emissions::AckEmissions;
 use crate::probe;
 use stabilizer_dsl::{
-    expand_set, optimize, parse_spanned, resolve, AckTypeRegistry, DslError, NodeId, Op, Predicate,
-    Span, SpannedAck, SpannedExpr, SpannedExprKind, SpannedSet, SpannedSetKind, Topology,
+    expand_set, optimize, parse, resolve, AckTypeRegistry, DslError, NodeId, Op, Predicate, Span,
+    SpannedAck, SpannedExpr, SpannedExprKind, SpannedSet, SpannedSetKind, Topology,
 };
 use stabilizer_place::PlacementMap;
 
@@ -107,7 +107,7 @@ impl<'a> Analyzer<'a> {
     pub fn analyze(&self, name: &str, source: &str) -> Report {
         let mut report = Report::new(name, source);
         let whole = Span::new(0, source.len());
-        let expr = match parse_spanned(source) {
+        let expr = match parse(source) {
             Ok(expr) => expr,
             Err(e) => {
                 let span = e.span().unwrap_or(whole);
@@ -287,7 +287,7 @@ impl<'a> Analyzer<'a> {
                 if rep.has_at_least(Severity::Error) {
                     None
                 } else {
-                    stabilizer_dsl::parse(src)
+                    parse(src)
                         .ok()
                         .and_then(|ast| resolve(&ast, self.topo, self.acks, self.me).ok())
                         .map(|r| optimize(&r).expr)
@@ -353,7 +353,7 @@ impl<'a> Analyzer<'a> {
     /// Walk a reduction call, checking rank, operands, duplicates.
     fn walk_call(&self, expr: &SpannedExpr, report: &mut Report) {
         let SpannedExprKind::Call(op, op_span, args) = &expr.kind else {
-            // parse_spanned guarantees a top-level call; nested positions
+            // parse guarantees a top-level call; nested positions
             // only reach here for calls.
             return;
         };
@@ -565,7 +565,7 @@ impl<'a> Analyzer<'a> {
                 }
                 Some(left.into_iter().filter(|n| !right.contains(n)).collect())
             }
-            _ => match expand_set(&set.strip(), self.topo, self.me) {
+            _ => match expand_set(set, self.topo, self.me) {
                 Ok(nodes) => {
                     // Only explicit node references fire the replica
                     // check: macros restrict silently at install time.
@@ -631,7 +631,7 @@ impl<'a> Analyzer<'a> {
             SpannedExprKind::Sizeof(set) => {
                 // Name errors are reported by the caller's set walk; here
                 // just propagate "unknown" as a BadRank-free failure.
-                expand_set(&set.strip(), self.topo, self.me)
+                expand_set(set, self.topo, self.me)
                     .map(|nodes| nodes.len() as u64)
                     .map_err(|e| Diagnostic::new(Lint::UnknownName, set.span, strip_stage(&e)))
             }

@@ -1,8 +1,8 @@
 //! Differential property test tying the analyzer to both evaluation
 //! engines: any predicate the analyzer passes without an *error* must
-//! compile, and the bytecode VM and the AST interpreter must agree on it
-//! for every ACK table — across randomly shaped topologies, not just the
-//! fixed fixtures the unit tests use.
+//! compile, and the bytecode VM and the tree-walking `eval_resolved`
+//! must agree on it for every ACK table — across randomly shaped
+//! topologies, not just the fixed fixtures the unit tests use.
 //!
 //! This pins the analyzer's soundness contract from the other side: an
 //! error-free report is a promise that the predicate is executable, and a

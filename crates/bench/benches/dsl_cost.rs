@@ -5,7 +5,8 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use stabilizer_dsl::{
-    interpret, parse, AckTypeId, AckTypeRegistry, AckView, EvalScratch, NodeId, Predicate, Topology,
+    compile, eval_resolved, parse, resolve, AckTypeId, AckTypeRegistry, AckView, EvalScratch,
+    NodeId, Predicate, Topology,
 };
 
 struct Zero;
@@ -75,7 +76,12 @@ fn bench_interpreted(c: &mut Criterion) {
         let ast = parse(&pred_src(ops, operands)).unwrap();
         g.bench_function(
             BenchmarkId::from_parameter(format!("{ops}ops_{operands}operands")),
-            |b| b.iter(|| interpret(&ast, &topo, &acks, NodeId(0), &Zero).unwrap()),
+            |b| {
+                b.iter(|| {
+                    let resolved = resolve(&ast, &topo, &acks, NodeId(0)).unwrap();
+                    eval_resolved(&resolved.expr, &Zero)
+                })
+            },
         );
     }
     g.finish();
@@ -94,10 +100,10 @@ fn bench_optimizer(c: &mut Criterion) {
     let acks = AckTypeRegistry::new();
     let src = "MAX(MAX($AZ_North_Virginia), MAX($AZ_Oregon), MAX($AZ_Ohio))";
     let opt = Predicate::compile(src, &topo, &acks, NodeId(0)).unwrap();
-    let unopt = Predicate::compile_unoptimized(src, &topo, &acks, NodeId(0)).unwrap();
+    let unopt = compile(&resolve(&parse(src).unwrap(), &topo, &acks, NodeId(0)).unwrap());
     let mut g = c.benchmark_group("optimizer_eval");
     let mut s1 = stabilizer_dsl::EvalScratch::with_capacity(opt.program().max_stack());
-    let mut s2 = stabilizer_dsl::EvalScratch::with_capacity(unopt.program().max_stack());
+    let mut s2 = stabilizer_dsl::EvalScratch::with_capacity(unopt.max_stack());
     g.bench_function("optimized", |b| b.iter(|| opt.eval_with(&Zero, &mut s1)));
     g.bench_function("unoptimized", |b| {
         b.iter(|| unopt.eval_with(&Zero, &mut s2))

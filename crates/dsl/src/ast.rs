@@ -1,11 +1,8 @@
-//! Abstract syntax tree for stability-frontier predicates.
-//!
-//! Two parallel tree shapes live here: the plain [`Expr`]/[`SetExpr`]
-//! tree the resolver and interpreter consume, and the span-carrying
-//! [`SpannedExpr`]/[`SpannedSet`] tree the parser actually builds. The
-//! spanned tree records the byte range of every node so the static
-//! analyzer can point diagnostics at the exact offending source text;
-//! [`SpannedExpr::strip`] recovers the plain tree.
+//! Abstract syntax tree for stability-frontier predicates: the one tree
+//! the parser builds and every later stage reads. Each node carries the
+//! byte range of its source text, so the static analyzer can point a
+//! diagnostic at the exact offending bytes; the resolver ignores the
+//! spans.
 
 use crate::span::Span;
 use std::fmt;
@@ -69,10 +66,29 @@ impl fmt::Display for AckTypeName {
     }
 }
 
-/// A WAN-node *set* expression: macros, variables, operands, and set
-/// difference.
+/// An ACK-type suffix as written in the source, with the byte range of
+/// the `.name` text.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub enum SetExpr {
+pub struct SpannedAck {
+    /// The suffix name (without the leading dot).
+    pub name: AckTypeName,
+    /// Byte range covering `.name` in the source.
+    pub span: Span,
+}
+
+/// A WAN-node set expression: macros, variables, operands and set
+/// difference, with source spans on every node.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub struct SpannedSet {
+    /// The set constructor.
+    pub kind: SpannedSetKind,
+    /// Byte range of this (sub-)expression in the source.
+    pub span: Span,
+}
+
+/// The constructors of [`SpannedSet`].
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub enum SpannedSetKind {
     /// `$ALLWNODES` — every WAN node in the deployment.
     All,
     /// `$MYAZWNODES` — every WAN node in the executing node's AZ.
@@ -86,97 +102,14 @@ pub enum SetExpr {
     /// `$AZ_<name>` — all members of the named availability zone.
     AzVar(String),
     /// `a - b` — set difference.
-    Diff(Box<SetExpr>, Box<SetExpr>),
+    Diff(Box<SpannedSet>, Box<SpannedSet>),
 }
 
-/// A predicate expression.
+/// A predicate expression with source spans on every node.
 ///
 /// `Values` is the bridge between sets and numbers: used as a reduction
 /// argument, a set expands to one acknowledged-sequence-number value per
 /// member node, read at the given ACK type (default `received`).
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub enum Expr {
-    /// A reduction call, e.g. `MAX($1, $2)`.
-    Call(Op, Vec<Expr>),
-    /// A node set used as a list of acknowledged sequence numbers, with an
-    /// optional ACK-type suffix: `($ALLWNODES-$MYWNODE).persisted`.
-    Values(SetExpr, Option<AckTypeName>),
-    /// Integer literal.
-    Int(u64),
-    /// `SIZEOF(set)` — number of nodes in the set.
-    Sizeof(SetExpr),
-    /// Integer arithmetic, e.g. `SIZEOF($ALLWNODES)/2+1`.
-    Arith(BinOp, Box<Expr>, Box<Expr>),
-}
-
-impl Expr {
-    /// True if this expression is number-valued (usable as a `KTH_*` rank
-    /// or an arithmetic operand); false if it denotes a list of per-node
-    /// values.
-    pub fn is_scalar(&self) -> bool {
-        match self {
-            Expr::Call(..) | Expr::Int(_) | Expr::Sizeof(_) | Expr::Arith(..) => true,
-            Expr::Values(..) => false,
-        }
-    }
-}
-
-/// An ACK-type suffix as written in the source, with the byte range of
-/// the `.name` text.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct SpannedAck {
-    /// The suffix name (without the leading dot).
-    pub name: AckTypeName,
-    /// Byte range covering `.name` in the source.
-    pub span: Span,
-}
-
-/// A WAN-node set expression with source spans on every node.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct SpannedSet {
-    /// The set constructor.
-    pub kind: SpannedSetKind,
-    /// Byte range of this (sub-)expression in the source.
-    pub span: Span,
-}
-
-/// The constructors of [`SpannedSet`], mirroring [`SetExpr`].
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub enum SpannedSetKind {
-    /// `$ALLWNODES`
-    All,
-    /// `$MYAZWNODES`
-    MyAz,
-    /// `$MYWNODE`
-    Me,
-    /// `$<n>` — 1-based node operand.
-    Node(u64),
-    /// `$WNODE_<name>`
-    NodeVar(String),
-    /// `$AZ_<name>`
-    AzVar(String),
-    /// `a - b` — set difference.
-    Diff(Box<SpannedSet>, Box<SpannedSet>),
-}
-
-impl SpannedSet {
-    /// Drop the spans, recovering the plain [`SetExpr`].
-    pub fn strip(&self) -> SetExpr {
-        match &self.kind {
-            SpannedSetKind::All => SetExpr::All,
-            SpannedSetKind::MyAz => SetExpr::MyAz,
-            SpannedSetKind::Me => SetExpr::Me,
-            SpannedSetKind::Node(n) => SetExpr::Node(*n),
-            SpannedSetKind::NodeVar(s) => SetExpr::NodeVar(s.clone()),
-            SpannedSetKind::AzVar(s) => SetExpr::AzVar(s.clone()),
-            SpannedSetKind::Diff(a, b) => SetExpr::Diff(Box::new(a.strip()), Box::new(b.strip())),
-        }
-    }
-}
-
-/// A predicate expression with source spans on every node. This is what
-/// the parser builds; [`SpannedExpr::strip`] recovers the plain [`Expr`]
-/// consumed by the resolver and interpreter.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct SpannedExpr {
     /// The expression constructor.
@@ -185,41 +118,27 @@ pub struct SpannedExpr {
     pub span: Span,
 }
 
-/// The constructors of [`SpannedExpr`], mirroring [`Expr`].
+/// The constructors of [`SpannedExpr`].
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum SpannedExprKind {
-    /// A reduction call; the span on the tuple is the operator keyword's.
+    /// A reduction call, e.g. `MAX($1, $2)`; the span on the tuple is the
+    /// operator keyword's.
     Call(Op, Span, Vec<SpannedExpr>),
-    /// A node set used as per-node values, with an optional ACK suffix.
+    /// A node set used as a list of acknowledged sequence numbers, with an
+    /// optional ACK-type suffix: `($ALLWNODES-$MYWNODE).persisted`.
     Values(SpannedSet, Option<SpannedAck>),
     /// Integer literal.
     Int(u64),
-    /// `SIZEOF(set)`.
+    /// `SIZEOF(set)` — number of nodes in the set.
     Sizeof(SpannedSet),
-    /// Integer arithmetic.
+    /// Integer arithmetic, e.g. `SIZEOF($ALLWNODES)/2+1`.
     Arith(BinOp, Box<SpannedExpr>, Box<SpannedExpr>),
 }
 
 impl SpannedExpr {
-    /// Drop the spans, recovering the plain [`Expr`].
-    pub fn strip(&self) -> Expr {
-        match &self.kind {
-            SpannedExprKind::Call(op, _, args) => {
-                Expr::Call(*op, args.iter().map(SpannedExpr::strip).collect())
-            }
-            SpannedExprKind::Values(set, suffix) => {
-                Expr::Values(set.strip(), suffix.as_ref().map(|s| s.name.clone()))
-            }
-            SpannedExprKind::Int(n) => Expr::Int(*n),
-            SpannedExprKind::Sizeof(set) => Expr::Sizeof(set.strip()),
-            SpannedExprKind::Arith(op, l, r) => {
-                Expr::Arith(*op, Box::new(l.strip()), Box::new(r.strip()))
-            }
-        }
-    }
-
-    /// True if this expression is number-valued; mirrors
-    /// [`Expr::is_scalar`].
+    /// True if this expression is number-valued (usable as a `KTH_*` rank
+    /// or an arithmetic operand); false if it denotes a list of per-node
+    /// values.
     pub fn is_scalar(&self) -> bool {
         match &self.kind {
             SpannedExprKind::Call(..)
@@ -234,13 +153,16 @@ impl SpannedExpr {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::parser::parse;
 
     #[test]
     fn scalar_classification() {
-        assert!(Expr::Int(3).is_scalar());
-        assert!(Expr::Sizeof(SetExpr::All).is_scalar());
-        assert!(Expr::Call(Op::Max, vec![Expr::Int(1)]).is_scalar());
-        assert!(!Expr::Values(SetExpr::All, None).is_scalar());
+        let e = parse("MAX(3, SIZEOF($ALLWNODES), MAX($1), 1+2, $ALLWNODES)").unwrap();
+        let SpannedExprKind::Call(_, _, args) = &e.kind else {
+            panic!()
+        };
+        let scalar: Vec<bool> = args.iter().map(SpannedExpr::is_scalar).collect();
+        assert_eq!(scalar, [true, true, true, true, false]);
     }
 
     #[test]

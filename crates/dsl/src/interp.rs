@@ -1,37 +1,19 @@
-//! Direct AST interpreter — the "no JIT" baseline.
+//! Tree-walking evaluation of a resolved predicate — the "no JIT"
+//! baseline.
 //!
-//! This performs the full resolve-and-evaluate work on every call, the way
-//! a naive implementation without the paper's just-in-time compilation
-//! would. It exists for two reasons: as an independent oracle for
-//! differential testing against the compiled VM, and as the baseline in
-//! the compiled-vs-interpreted ablation benchmark (§VI-A measures the JIT
-//! overhead precisely because the alternative is paying this cost per
-//! evaluation).
+//! [`eval_resolved`] walks the [`ResolvedExpr`] tree, sorting each
+//! reduction's operand values, where the compiled VM runs a flat
+//! program. It is an independent oracle for differential testing
+//! against the VM, and `resolve` + [`eval_resolved`] per call is the
+//! baseline in the compiled-vs-interpreted ablation benchmark (§VI-A
+//! measures the JIT overhead precisely because the alternative is paying
+//! that cost per evaluation). `core/explain.rs` also uses it to value
+//! the nested reductions it blames.
 
-use crate::ast::Expr;
-use crate::error::DslError;
-use crate::resolve::{resolve, Operand, ReduceKind, ResolvedExpr};
-use crate::topology::Topology;
-use crate::types::{AckTypeRegistry, AckView, NodeId, SeqNo};
+use crate::resolve::{Operand, ReduceKind, ResolvedExpr};
+use crate::types::{AckView, SeqNo};
 
-/// Evaluate a parsed predicate directly, resolving names on the fly.
-///
-/// # Errors
-///
-/// Returns the same errors as [`resolve`].
-pub fn interpret<V: AckView>(
-    expr: &Expr,
-    topo: &Topology,
-    acks: &AckTypeRegistry,
-    me: NodeId,
-    view: &V,
-) -> Result<SeqNo, DslError> {
-    let resolved = resolve(expr, topo, acks, me)?;
-    Ok(eval_resolved(&resolved.expr, view))
-}
-
-/// Evaluate an already resolved expression tree recursively (used by the
-/// interpreter and as a second oracle for the VM).
+/// Evaluate an already resolved expression tree recursively.
 pub fn eval_resolved<V: AckView>(expr: &ResolvedExpr, view: &V) -> SeqNo {
     let mut vals: Vec<SeqNo> = Vec::with_capacity(expr.operands.len());
     for op in &expr.operands {
@@ -53,7 +35,9 @@ mod tests {
     use super::*;
     use crate::compile::compile;
     use crate::parser::parse;
-    use crate::types::AckTypeId;
+    use crate::resolve::resolve;
+    use crate::topology::Topology;
+    use crate::types::{AckTypeId, AckTypeRegistry, NodeId};
 
     struct FlatAcks(Vec<u64>);
     impl AckView for FlatAcks {
@@ -86,19 +70,10 @@ mod tests {
             "MAX($ALLWNODES.persisted)",
         ];
         for src in preds {
-            let ast = parse(src).unwrap();
-            let interpreted = interpret(&ast, &topo, &acks, NodeId(0), &view).unwrap();
-            let resolved = resolve(&ast, &topo, &acks, NodeId(0)).unwrap();
+            let resolved = resolve(&parse(src).unwrap(), &topo, &acks, NodeId(0)).unwrap();
+            let interpreted = eval_resolved(&resolved.expr, &view);
             let compiled = compile(&resolved).eval(&view);
             assert_eq!(interpreted, compiled, "mismatch for {src}");
         }
-    }
-
-    #[test]
-    fn interpreter_reports_resolution_errors() {
-        let topo = topo();
-        let acks = AckTypeRegistry::new();
-        let ast = parse("MAX($AZ_Nowhere)").unwrap();
-        assert!(interpret(&ast, &topo, &acks, NodeId(0), &FlatAcks(vec![0; 6])).is_err());
     }
 }

@@ -19,9 +19,10 @@
 //! pipeline is: [`parse`] → [`resolve`](resolve::resolve) against a
 //! [`Topology`] (macro/variable expansion, set evaluation, constant
 //! folding) → [`compile`](compile::compile) into a flat, allocation-free
-//! bytecode [`Program`] evaluated by a small stack VM. An AST
-//! [`interpreter`](interp) is retained as the un-JIT-ed baseline for the
-//! ablation benchmark.
+//! bytecode [`Program`] evaluated by a small stack VM. The parser's
+//! span-carrying [`SpannedExpr`] is the one syntax tree every stage
+//! reads. A tree-walking [`eval_resolved`] is retained as the un-JIT-ed
+//! baseline for the ablation benchmark and as the VM's test oracle.
 //!
 //! ## Example
 //!
@@ -67,14 +68,13 @@ pub mod types;
 pub mod vm;
 
 pub use ast::{
-    AckTypeName, BinOp, Expr, Op, SetExpr, SpannedAck, SpannedExpr, SpannedExprKind, SpannedSet,
-    SpannedSetKind,
+    AckTypeName, BinOp, Op, SpannedAck, SpannedExpr, SpannedExprKind, SpannedSet, SpannedSetKind,
 };
 pub use compile::{compile, Program};
 pub use error::DslError;
-pub use interp::{eval_resolved, interpret};
+pub use interp::eval_resolved;
 pub use optimize::optimize;
-pub use parser::{parse, parse_spanned};
+pub use parser::parse;
 pub use resolve::{expand_set, resolve, Operand, ReduceKind, Resolved, ResolvedExpr};
 pub use span::Span;
 pub use topology::{Topology, TopologyBuilder};
@@ -116,29 +116,6 @@ impl Predicate {
     ) -> Result<Self, DslError> {
         let ast = parse(source)?;
         let resolved = optimize::optimize(&resolve(&ast, topo, acks, me)?);
-        let program = compile(&resolved);
-        Ok(Predicate {
-            source: source.to_owned(),
-            resolved,
-            program,
-        })
-    }
-
-    /// Like [`Predicate::compile`] but skipping the optimizer — used by
-    /// the optimizer-equivalence property tests and the compile-cost
-    /// ablation.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Predicate::compile`].
-    pub fn compile_unoptimized(
-        source: &str,
-        topo: &Topology,
-        acks: &AckTypeRegistry,
-        me: NodeId,
-    ) -> Result<Self, DslError> {
-        let ast = parse(source)?;
-        let resolved = resolve(&ast, topo, acks, me)?;
         let program = compile(&resolved);
         Ok(Predicate {
             source: source.to_owned(),

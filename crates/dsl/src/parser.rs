@@ -14,20 +14,29 @@
 //! set-atom  := '$'N | $ALLWNODES | $MYAZWNODES | $MYWNODE | $WNODE_x | $AZ_x
 //! ```
 //!
-//! The parser builds the span-carrying [`SpannedExpr`] tree; [`parse`]
-//! strips spans for callers that only need the plain [`Expr`], while
-//! [`parse_spanned`] hands the full tree to the static analyzer.
+//! The parser builds the span-carrying [`SpannedExpr`] tree that every
+//! later stage reads. It refuses a predicate that nests more than
+//! `MAX_DEPTH` (128) levels deep, so neither it nor any pass after it
+//! recurses without bound.
 
 use crate::ast::{
-    AckTypeName, BinOp, Expr, Op, SpannedAck, SpannedExpr, SpannedExprKind, SpannedSet,
-    SpannedSetKind,
+    AckTypeName, BinOp, Op, SpannedAck, SpannedExpr, SpannedExprKind, SpannedSet, SpannedSetKind,
 };
 use crate::error::DslError;
 use crate::lexer::lex;
 use crate::span::Span;
 use crate::token::{Spanned, Token};
 
-/// Parse a predicate source string into an [`Expr`].
+/// How many levels a predicate may nest. Every call, parenthesis and
+/// `SIZEOF` is a level, and so is each link of a `+ - * /` or
+/// set-difference chain, which [`combine`] builds left-deep; a
+/// predicate's depth is its most levels along any path from the
+/// top-level call to an operand. The resolver, the optimizer, the
+/// compiler, the analyzer and `Drop` all recurse on the tree, so this
+/// bounds their stacks as well as the parser's.
+const MAX_DEPTH: usize = 128;
+
+/// Parse a predicate source string into its syntax tree.
 ///
 /// The top level must be a reduction call (`MAX(...)`, `MIN(...)`,
 /// `KTH_MAX(...)`, `KTH_MIN(...)`), per the paper's predicate form
@@ -36,30 +45,31 @@ use crate::token::{Spanned, Token};
 /// # Errors
 ///
 /// Returns [`DslError::Lex`] or [`DslError::Parse`] describing the first
-/// problem encountered, or [`DslError::Type`] when `-` mixes a set with a
-/// number or a suffix is attached to a non-set.
-pub fn parse(src: &str) -> Result<Expr, DslError> {
-    Ok(parse_spanned(src)?.strip())
-}
-
-/// Like [`parse`], but keeping the byte-offset span of every AST node —
-/// the input to span-aware tooling such as the `stabilizer-analyze` lint
-/// engine.
-///
-/// # Errors
-///
-/// Same as [`parse`].
-pub fn parse_spanned(src: &str) -> Result<SpannedExpr, DslError> {
+/// problem encountered (a predicate nested more than `MAX_DEPTH` (128)
+/// levels deep is a [`DslError::Parse`] at the token that goes past the
+/// bound), or [`DslError::Type`] when `-` mixes a set with a number or a
+/// suffix is attached to a non-set.
+pub fn parse(src: &str) -> Result<SpannedExpr, DslError> {
     let toks = lex(src)?;
-    let mut p = Parser { toks, at: 0 };
-    let expr = p.parse_call()?;
+    let mut p = Parser {
+        toks,
+        at: 0,
+        depth: 0,
+    };
+    let (expr, _) = p.parse_call()?;
     p.expect(Token::Eof)?;
     Ok(expr)
 }
 
+/// A parsed (sub-)expression and its depth in levels (see
+/// [`MAX_DEPTH`]).
+type Nested = (SpannedExpr, usize);
+
 struct Parser {
     toks: Vec<Spanned>,
     at: usize,
+    /// Calls, parentheses and `SIZEOF`s open around the token at hand.
+    depth: usize,
 }
 
 impl Parser {
@@ -91,7 +101,27 @@ impl Parser {
         }
     }
 
-    fn parse_call(&mut self) -> Result<SpannedExpr, DslError> {
+    /// Refuse, at `span`, a node `depth` levels deep inside the levels
+    /// open around it.
+    fn within(&self, depth: usize, span: Span) -> Result<(), DslError> {
+        if self.depth + depth > MAX_DEPTH {
+            return Err(DslError::Parse {
+                span,
+                msg: format!("predicate nests more than {MAX_DEPTH} levels deep"),
+            });
+        }
+        Ok(())
+    }
+
+    /// Open a level at the token at hand: a call, a parenthesis or a
+    /// `SIZEOF`. Its parser closes it with `self.depth -= 1`.
+    fn open(&mut self) -> Result<(), DslError> {
+        self.within(1, self.span())?;
+        self.depth += 1;
+        Ok(())
+    }
+
+    fn parse_call(&mut self) -> Result<Nested, DslError> {
         let op = match self.peek() {
             Token::Max => Op::Max,
             Token::Min => Op::Min,
@@ -104,54 +134,61 @@ impl Parser {
                 })
             }
         };
+        self.open()?;
         let (_, op_span) = self.bump();
         self.expect(Token::LParen)?;
-        let mut args = vec![self.parse_expr()?];
+        let (first, mut depth) = self.parse_expr()?;
+        let mut args = vec![first];
         while *self.peek() == Token::Comma {
             self.bump();
-            args.push(self.parse_expr()?);
+            let (arg, d) = self.parse_expr()?;
+            depth = depth.max(d);
+            args.push(arg);
         }
         let close = self.expect(Token::RParen)?;
-        Ok(SpannedExpr {
+        self.depth -= 1;
+        let call = SpannedExpr {
             span: op_span.to(close),
             kind: SpannedExprKind::Call(op, op_span, args),
+        };
+        Ok((call, depth + 1))
+    }
+
+    fn parse_expr(&mut self) -> Result<Nested, DslError> {
+        self.parse_chain(Self::parse_term, |t| match t {
+            Token::Plus => Some(BinOp::Add),
+            Token::Minus => Some(BinOp::Sub),
+            _ => None,
         })
     }
 
-    fn parse_expr(&mut self) -> Result<SpannedExpr, DslError> {
-        let mut lhs = self.parse_term()?;
-        loop {
-            let op = match self.peek() {
-                Token::Plus => BinOp::Add,
-                Token::Minus => BinOp::Sub,
-                _ => break,
-            };
-            let op_span = self.span();
-            self.bump();
-            let rhs = self.parse_term()?;
-            lhs = combine(lhs, op, rhs, op_span)?;
-        }
-        Ok(lhs)
+    fn parse_term(&mut self) -> Result<Nested, DslError> {
+        self.parse_chain(Self::parse_postfix, |t| match t {
+            Token::Star => Some(BinOp::Mul),
+            Token::Slash => Some(BinOp::Div),
+            _ => None,
+        })
     }
 
-    fn parse_term(&mut self) -> Result<SpannedExpr, DslError> {
-        let mut lhs = self.parse_postfix()?;
-        loop {
-            let op = match self.peek() {
-                Token::Star => BinOp::Mul,
-                Token::Slash => BinOp::Div,
-                _ => break,
-            };
-            let op_span = self.span();
-            self.bump();
-            let rhs = self.parse_postfix()?;
+    /// `operand (op operand)*`, combined left-deep: each link is a level.
+    fn parse_chain(
+        &mut self,
+        operand: fn(&mut Self) -> Result<Nested, DslError>,
+        op_of: fn(&Token) -> Option<BinOp>,
+    ) -> Result<Nested, DslError> {
+        let (mut lhs, mut depth) = operand(self)?;
+        while let Some(op) = op_of(self.peek()) {
+            let (_, op_span) = self.bump();
+            let (rhs, d) = operand(self)?;
+            depth = depth.max(d) + 1;
+            self.within(depth, op_span)?;
             lhs = combine(lhs, op, rhs, op_span)?;
         }
-        Ok(lhs)
+        Ok((lhs, depth))
     }
 
-    fn parse_postfix(&mut self) -> Result<SpannedExpr, DslError> {
-        let e = self.parse_primary()?;
+    fn parse_postfix(&mut self) -> Result<Nested, DslError> {
+        let (e, depth) = self.parse_primary()?;
         if *self.peek() == Token::Dot {
             let (_, dot_span) = self.bump();
             let (name, name_span) = match self.bump() {
@@ -168,10 +205,13 @@ impl Parser {
                 span: dot_span.to(name_span),
             };
             return match e.kind {
-                SpannedExprKind::Values(set, None) => Ok(SpannedExpr {
-                    span: e.span.to(suffix.span),
-                    kind: SpannedExprKind::Values(set, Some(suffix)),
-                }),
+                SpannedExprKind::Values(set, None) => {
+                    let values = SpannedExpr {
+                        span: e.span.to(suffix.span),
+                        kind: SpannedExprKind::Values(set, Some(suffix)),
+                    };
+                    Ok((values, depth))
+                }
                 SpannedExprKind::Values(_, Some(prev)) => Err(DslError::Type(format!(
                     "operand already has suffix .{}; cannot add .{name}",
                     prev.name
@@ -181,22 +221,27 @@ impl Parser {
                 ))),
             };
         }
-        Ok(e)
+        Ok((e, depth))
     }
 
-    fn parse_primary(&mut self) -> Result<SpannedExpr, DslError> {
+    fn parse_primary(&mut self) -> Result<Nested, DslError> {
         match self.peek().clone() {
             Token::Max | Token::Min | Token::KthMax | Token::KthMin => self.parse_call(),
             Token::Sizeof => {
+                self.open()?;
                 let (_, kw_span) = self.bump();
                 self.expect(Token::LParen)?;
-                let inner = self.parse_expr()?;
+                let (inner, depth) = self.parse_expr()?;
                 let close = self.expect(Token::RParen)?;
+                self.depth -= 1;
                 match inner.kind {
-                    SpannedExprKind::Values(set, None) => Ok(SpannedExpr {
-                        span: kw_span.to(close),
-                        kind: SpannedExprKind::Sizeof(set),
-                    }),
+                    SpannedExprKind::Values(set, None) => {
+                        let sizeof = SpannedExpr {
+                            span: kw_span.to(close),
+                            kind: SpannedExprKind::Sizeof(set),
+                        };
+                        Ok((sizeof, depth + 1))
+                    }
                     SpannedExprKind::Values(_, Some(suf)) => Err(DslError::Type(format!(
                         "SIZEOF takes a bare node set, not one suffixed with .{}",
                         suf.name
@@ -206,10 +251,11 @@ impl Parser {
             }
             Token::Int(n) => {
                 let (_, span) = self.bump();
-                Ok(SpannedExpr {
+                let int = SpannedExpr {
                     span,
                     kind: SpannedExprKind::Int(n),
-                })
+                };
+                Ok((int, 0))
             }
             Token::NodeOperand(n) => Ok(self.set_atom(SpannedSetKind::Node(n))),
             Token::AllWNodes => Ok(self.set_atom(SpannedSetKind::All)),
@@ -218,10 +264,12 @@ impl Parser {
             Token::WNodeVar(name) => Ok(self.set_atom(SpannedSetKind::NodeVar(name))),
             Token::AzVar(name) => Ok(self.set_atom(SpannedSetKind::AzVar(name))),
             Token::LParen => {
+                self.open()?;
                 self.bump();
-                let inner = self.parse_expr()?;
+                let (inner, depth) = self.parse_expr()?;
                 self.expect(Token::RParen)?;
-                Ok(inner)
+                self.depth -= 1;
+                Ok((inner, depth + 1))
             }
             other => Err(DslError::Parse {
                 span: self.span(),
@@ -230,12 +278,13 @@ impl Parser {
         }
     }
 
-    fn set_atom(&mut self, kind: SpannedSetKind) -> SpannedExpr {
+    fn set_atom(&mut self, kind: SpannedSetKind) -> Nested {
         let (_, span) = self.bump();
-        SpannedExpr {
+        let values = SpannedExpr {
             span,
             kind: SpannedExprKind::Values(SpannedSet { kind, span }, None),
-        }
+        };
+        (values, 0)
     }
 }
 
@@ -286,81 +335,81 @@ fn combine(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ast::SetExpr;
+    use SpannedExprKind::{Arith, Call, Int, Sizeof, Values};
+    use SpannedSetKind::{All, Diff, Me, Node};
+
+    /// The operator and arguments of the call `src` parses to.
+    fn call(src: &str) -> (Op, Vec<SpannedExpr>) {
+        match parse(src).unwrap().kind {
+            Call(op, _, args) => (op, args),
+            other => panic!("{src} parsed to {other:?}"),
+        }
+    }
 
     #[test]
     fn parses_simple_reduction() {
-        let e = parse("MAX($1, $2, $3)").unwrap();
-        let Expr::Call(Op::Max, args) = e else {
-            panic!()
-        };
+        let (op, args) = call("MAX($1, $2, $3)");
+        assert_eq!(op, Op::Max);
         assert_eq!(args.len(), 3);
-        assert_eq!(args[0], Expr::Values(SetExpr::Node(1), None));
+        assert!(matches!(&args[0].kind, Values(set, None) if set.kind == Node(1)));
     }
 
     #[test]
     fn parses_set_difference() {
-        let e = parse("MIN($ALLWNODES-$MYWNODE)").unwrap();
-        let Expr::Call(Op::Min, args) = e else {
-            panic!()
+        let (op, args) = call("MIN($ALLWNODES-$MYWNODE)");
+        assert_eq!(op, Op::Min);
+        let Values(set, None) = &args[0].kind else {
+            panic!("got {:?}", args[0])
         };
-        assert_eq!(
-            args[0],
-            Expr::Values(
-                SetExpr::Diff(Box::new(SetExpr::All), Box::new(SetExpr::Me)),
-                None
-            )
-        );
+        let Diff(a, b) = &set.kind else {
+            panic!("got {set:?}")
+        };
+        assert_eq!((&a.kind, &b.kind), (&All, &Me));
     }
 
     #[test]
     fn parses_suffix_on_parenthesized_difference() {
-        let e = parse("MIN(($MYAZWNODES-$MYWNODE).verified)").unwrap();
-        let Expr::Call(Op::Min, args) = e else {
-            panic!()
-        };
-        let Expr::Values(SetExpr::Diff(..), Some(AckTypeName(name))) = &args[0] else {
+        let (op, args) = call("MIN(($MYAZWNODES-$MYWNODE).verified)");
+        assert_eq!(op, Op::Min);
+        let Values(set, Some(suffix)) = &args[0].kind else {
             panic!("got {:?}", args[0])
         };
-        assert_eq!(name, "verified");
+        assert!(matches!(set.kind, Diff(..)));
+        assert_eq!(suffix.name.0, "verified");
     }
 
     #[test]
     fn parses_quorum_write_predicate() {
-        let e = parse("KTH_MIN(SIZEOF($ALLWNODES)/2+1, $ALLWNODES)").unwrap();
-        let Expr::Call(Op::KthMin, args) = e else {
-            panic!()
-        };
+        let (op, args) = call("KTH_MIN(SIZEOF($ALLWNODES)/2+1, $ALLWNODES)");
+        assert_eq!(op, Op::KthMin);
         assert!(args[0].is_scalar());
         // (SIZEOF(all) / 2) + 1 — '*'/'/' bind tighter than '+'.
-        let Expr::Arith(BinOp::Add, l, r) = &args[0] else {
+        let Arith(BinOp::Add, l, r) = &args[0].kind else {
             panic!("got {:?}", args[0])
         };
-        assert_eq!(**r, Expr::Int(1));
-        let Expr::Arith(BinOp::Div, sl, sr) = &**l else {
+        assert_eq!(r.kind, Int(1));
+        let Arith(BinOp::Div, sl, sr) = &l.kind else {
             panic!()
         };
-        assert_eq!(**sl, Expr::Sizeof(SetExpr::All));
-        assert_eq!(**sr, Expr::Int(2));
+        assert!(matches!(&sl.kind, Sizeof(set) if set.kind == All));
+        assert_eq!(sr.kind, Int(2));
     }
 
     #[test]
     fn parses_nested_calls_from_table3() {
-        let e =
-            parse("KTH_MAX(2, MAX($AZ_North_Virginia), MAX($AZ_Oregon), MAX($AZ_Ohio))").unwrap();
-        let Expr::Call(Op::KthMax, args) = e else {
-            panic!()
-        };
+        let (op, args) =
+            call("KTH_MAX(2, MAX($AZ_North_Virginia), MAX($AZ_Oregon), MAX($AZ_Ohio))");
+        assert_eq!(op, Op::KthMax);
         assert_eq!(args.len(), 4);
-        assert_eq!(args[0], Expr::Int(2));
-        assert!(matches!(args[1], Expr::Call(Op::Max, _)));
+        assert_eq!(args[0].kind, Int(2));
+        assert!(matches!(args[1].kind, Call(Op::Max, ..)));
     }
 
     #[test]
     fn parses_az_use_case_predicate() {
         // §IV-A: fully AZ-replicated AND at least one remote site.
-        let e = parse("MIN(MIN($MYAZWNODES-$MYWNODE), MAX($ALLWNODES-$MYAZWNODES))").unwrap();
-        assert!(matches!(e, Expr::Call(Op::Min, _)));
+        let (op, _) = call("MIN(MIN($MYAZWNODES-$MYWNODE), MAX($ALLWNODES-$MYAZWNODES))");
+        assert_eq!(op, Op::Min);
     }
 
     #[test]
@@ -407,8 +456,9 @@ mod tests {
     #[test]
     fn arithmetic_on_call_results_is_allowed() {
         // Generalization beyond the paper's examples: calls are scalars.
-        let e = parse("KTH_MAX(MAX($1)+1, $ALLWNODES)").unwrap();
-        assert!(matches!(e, Expr::Call(Op::KthMax, _)));
+        let (op, args) = call("KTH_MAX(MAX($1)+1, $ALLWNODES)");
+        assert_eq!(op, Op::KthMax);
+        assert!(matches!(args[0].kind, Arith(BinOp::Add, ..)));
     }
 
     #[test]
@@ -419,7 +469,7 @@ mod tests {
     #[test]
     fn spanned_tree_matches_source_slices() {
         let src = "KTH_MAX(2, MAX($AZ_Oregon), $ALLWNODES.persisted)";
-        let e = parse_spanned(src).unwrap();
+        let e = parse(src).unwrap();
         // The whole predicate spans the whole source.
         assert_eq!(&src[e.span.start..e.span.end], src);
         let SpannedExprKind::Call(Op::KthMax, op_span, args) = &e.kind else {
@@ -445,7 +495,7 @@ mod tests {
     #[test]
     fn set_difference_span_covers_both_operands() {
         let src = "MAX($ALLWNODES-$MYWNODE)";
-        let e = parse_spanned(src).unwrap();
+        let e = parse(src).unwrap();
         let SpannedExprKind::Call(_, _, args) = &e.kind else {
             panic!()
         };
@@ -455,15 +505,60 @@ mod tests {
         );
     }
 
+    /// `n` levels of each nesting shape: calls, parentheses, `SIZEOF`
+    /// under arithmetic, and the links of an arithmetic and a
+    /// set-difference chain, inside the top-level call.
+    fn shapes(n: usize) -> [String; 5] {
+        [
+            format!("{}$1{}", "MAX(".repeat(n), ")".repeat(n)),
+            format!("MAX({}$1{})", "(".repeat(n - 1), ")".repeat(n - 1)),
+            format!("KTH_MIN(1{}, $1)", "+0".repeat(n - 1)),
+            format!("MIN($1{})", "-$2".repeat(n - 1)),
+            // Each `SIZEOF($1)+(` is two levels, and a `SIZEOF` leaf one.
+            format!(
+                "KTH_MIN({}{}{}, $1)",
+                "SIZEOF($1)+(".repeat((n - 1) / 2),
+                if n.is_multiple_of(2) { "SIZEOF($1)" } else { "1" },
+                ")".repeat((n - 1) / 2)
+            ),
+        ]
+    }
+
     #[test]
-    fn strip_of_spanned_equals_plain_parse() {
-        for src in [
-            "MAX($ALLWNODES-$MYWNODE)",
-            "KTH_MIN(SIZEOF($ALLWNODES)/2+1, $ALLWNODES.persisted)",
-            "MIN(MIN($MYAZWNODES-$MYWNODE), MAX($ALLWNODES-$MYAZWNODES))",
-            "KTH_MAX(2, MAX($AZ_North_Virginia), MAX($AZ_Oregon), MAX($AZ_Ohio))",
-        ] {
-            assert_eq!(parse_spanned(src).unwrap().strip(), parse(src).unwrap());
+    fn nesting_is_bounded_at_the_token_that_goes_past_it() {
+        for src in shapes(MAX_DEPTH) {
+            parse(&src).unwrap_or_else(|e| panic!("{src}: {e}"));
         }
+        for src in shapes(MAX_DEPTH + 1) {
+            let Err(DslError::Parse { span, msg }) = parse(&src) else {
+                panic!("{src} parsed")
+            };
+            assert!(msg.contains("levels deep"), "{msg}");
+            assert!(span.end <= src.len());
+        }
+        // The offending token is the first one past the bound.
+        let src = format!("MIN($1{})", "-$2".repeat(MAX_DEPTH));
+        let Err(DslError::Parse { span, .. }) = parse(&src) else {
+            panic!()
+        };
+        let minus = "MIN($1".len() + 3 * (MAX_DEPTH - 1);
+        assert_eq!(span, Span::new(minus, minus + 1));
+    }
+
+    #[test]
+    fn a_chain_in_parentheses_counts_toward_the_chain_around_it() {
+        // Each group holds a chain: levels add up along the path rather
+        // than restarting inside each parenthesis.
+        let k = 12;
+        let mut src = "$1".to_owned();
+        for _ in 0..k {
+            src = format!("({src}{})", "-$2".repeat(k));
+        }
+        let depth = k * (k + 1) + 1;
+        assert!(depth > MAX_DEPTH);
+        assert!(matches!(
+            parse(&format!("MIN({src})")),
+            Err(DslError::Parse { .. })
+        ));
     }
 }

@@ -1,97 +1,8 @@
-//! Pretty-printer: renders ASTs back to DSL source. `parse(print(ast))`
-//! round-trips (verified by property tests in `tests/proptest_dsl.rs`).
+//! Renders a resolved predicate in its normalized form, as
+//! `bench/src/bin/table3.rs` prints it.
 
-use crate::ast::{BinOp, Expr, SetExpr};
 use crate::resolve::{Operand, ReduceKind, ResolvedExpr};
 use std::fmt;
-
-impl fmt::Display for SetExpr {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            SetExpr::All => write!(f, "$ALLWNODES"),
-            SetExpr::MyAz => write!(f, "$MYAZWNODES"),
-            SetExpr::Me => write!(f, "$MYWNODE"),
-            SetExpr::Node(n) => write!(f, "${n}"),
-            SetExpr::NodeVar(name) => write!(f, "$WNODE_{name}"),
-            SetExpr::AzVar(name) => write!(f, "$AZ_{name}"),
-            SetExpr::Diff(a, b) => {
-                fmt_set_atom(a, f)?;
-                write!(f, "-")?;
-                fmt_set_atom(b, f)
-            }
-        }
-    }
-}
-
-/// Parenthesize nested differences so printing re-parses with the same
-/// left-associative structure.
-fn fmt_set_atom(s: &SetExpr, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-    match s {
-        SetExpr::Diff(..) => write!(f, "({s})"),
-        _ => write!(f, "{s}"),
-    }
-}
-
-impl fmt::Display for Expr {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Expr::Call(op, args) => {
-                write!(f, "{op}(")?;
-                for (i, a) in args.iter().enumerate() {
-                    if i > 0 {
-                        write!(f, ", ")?;
-                    }
-                    write!(f, "{a}")?;
-                }
-                write!(f, ")")
-            }
-            Expr::Values(set, suffix) => {
-                match (set, suffix) {
-                    // A suffixed difference needs parens: ($A-$B).verified
-                    (SetExpr::Diff(..), Some(s)) => write!(f, "({set}).{s}"),
-                    (_, Some(s)) => write!(f, "{set}.{s}"),
-                    (_, None) => write!(f, "{set}"),
-                }
-            }
-            Expr::Int(n) => write!(f, "{n}"),
-            Expr::Sizeof(set) => write!(f, "SIZEOF({set})"),
-            Expr::Arith(op, l, r) => {
-                fmt_arith_operand(l, *op, true, f)?;
-                write!(f, "{op}")?;
-                fmt_arith_operand(r, *op, false, f)
-            }
-        }
-    }
-}
-
-/// Parenthesize arithmetic operands where precedence or associativity
-/// would otherwise change on re-parse.
-fn fmt_arith_operand(
-    e: &Expr,
-    parent: BinOp,
-    is_left: bool,
-    f: &mut fmt::Formatter<'_>,
-) -> fmt::Result {
-    let needs_parens = match e {
-        Expr::Arith(child, ..) => {
-            let parent_mul = matches!(parent, BinOp::Mul | BinOp::Div);
-            let child_mul = matches!(child, BinOp::Mul | BinOp::Div);
-            if parent_mul && !child_mul {
-                true // (a+b)*c
-            } else {
-                // Subtraction and division are not associative: parenthesize
-                // right operands at equal precedence.
-                !is_left && parent_mul == child_mul
-            }
-        }
-        _ => false,
-    };
-    if needs_parens {
-        write!(f, "({e})")
-    } else {
-        write!(f, "{e}")
-    }
-}
 
 impl fmt::Display for ResolvedExpr {
     /// Renders the normalized form, e.g.
@@ -113,51 +24,5 @@ impl fmt::Display for ResolvedExpr {
             }
         }
         write!(f, ")")
-    }
-}
-
-#[cfg(test)]
-mod tests {
-
-    use crate::parser::parse;
-
-    fn roundtrip(src: &str) {
-        let ast = parse(src).unwrap();
-        let printed = ast.to_string();
-        let reparsed = parse(&printed).unwrap_or_else(|e| panic!("reparse of {printed:?}: {e}"));
-        assert_eq!(ast, reparsed, "source: {src}, printed: {printed}");
-    }
-
-    #[test]
-    fn table3_predicates_roundtrip() {
-        for src in [
-            "MAX(MAX($AZ_North_Virginia), MAX($AZ_Oregon), MAX($AZ_Ohio))",
-            "KTH_MAX(2, MAX($AZ_North_Virginia), MAX($AZ_Oregon), MAX($AZ_Ohio))",
-            "MIN(MAX($AZ_North_Virginia), MAX($AZ_Oregon), MAX($AZ_Ohio))",
-            "MAX($ALLWNODES-$MYWNODE)",
-            "KTH_MAX(SIZEOF($ALLWNODES)/2+1, $ALLWNODES-$MYWNODE)",
-            "MIN($ALLWNODES-$MYWNODE)",
-        ] {
-            roundtrip(src);
-        }
-    }
-
-    #[test]
-    fn suffixed_difference_roundtrips() {
-        roundtrip("MIN(($MYAZWNODES-$MYWNODE).verified)");
-    }
-
-    #[test]
-    fn nested_difference_parenthesized() {
-        roundtrip("MAX($ALLWNODES-($MYAZWNODES-$MYWNODE))");
-        roundtrip("MAX(($ALLWNODES-$MYWNODE)-$2)");
-    }
-
-    #[test]
-    fn arithmetic_precedence_preserved() {
-        roundtrip("KTH_MIN(SIZEOF($ALLWNODES)/2+1, $ALLWNODES)");
-        roundtrip("KTH_MIN((SIZEOF($ALLWNODES)+1)/2, $ALLWNODES)");
-        roundtrip("KTH_MIN(SIZEOF($ALLWNODES)-1-1, $ALLWNODES)");
-        roundtrip("KTH_MIN(8/(2/2)*1, $ALLWNODES)");
     }
 }

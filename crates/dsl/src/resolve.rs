@@ -7,7 +7,7 @@
 //! to rank-1 `KTH_*` reductions. The output ([`Resolved`]) is fully
 //! static: evaluating it touches only the ACK table.
 
-use crate::ast::{BinOp, Expr, Op, SetExpr};
+use crate::ast::{BinOp, Op, SpannedExpr, SpannedExprKind, SpannedSet, SpannedSetKind};
 use crate::error::DslError;
 use crate::topology::Topology;
 use crate::types::{AckTypeId, AckTypeRegistry, NodeId, RECEIVED};
@@ -66,7 +66,7 @@ pub struct Resolved {
 ///   constant arithmetic overflow or division by zero, `KTH_*` with no
 ///   data operands.
 pub fn resolve(
-    expr: &Expr,
+    expr: &SpannedExpr,
     topo: &Topology,
     acks: &AckTypeRegistry,
     me: NodeId,
@@ -89,8 +89,8 @@ struct Cx<'a> {
 }
 
 impl Cx<'_> {
-    fn resolve_call(&self, expr: &Expr) -> Result<ResolvedExpr, DslError> {
-        let Expr::Call(op, args) = expr else {
+    fn resolve_call(&self, expr: &SpannedExpr) -> Result<ResolvedExpr, DslError> {
+        let SpannedExprKind::Call(op, _, args) = &expr.kind else {
             return Err(DslError::Invalid(
                 "a predicate must be a MAX/MIN/KTH_MAX/KTH_MIN call".into(),
             ));
@@ -131,17 +131,17 @@ impl Cx<'_> {
         Ok(ResolvedExpr { kind, k, operands })
     }
 
-    fn resolve_operand(&self, arg: &Expr, out: &mut Vec<Operand>) -> Result<(), DslError> {
-        match arg {
-            Expr::Call(..) => {
+    fn resolve_operand(&self, arg: &SpannedExpr, out: &mut Vec<Operand>) -> Result<(), DslError> {
+        match &arg.kind {
+            SpannedExprKind::Call(..) => {
                 out.push(Operand::Nested(self.resolve_call(arg)?));
                 Ok(())
             }
-            Expr::Values(set, suffix) => {
+            SpannedExprKind::Values(set, suffix) => {
                 let ty = match suffix {
                     None => RECEIVED,
-                    Some(name) => self.acks.lookup(&name.0).ok_or_else(|| {
-                        DslError::Resolve(format!("unknown ACK type .{}", name.0))
+                    Some(suffix) => self.acks.lookup(&suffix.name.0).ok_or_else(|| {
+                        DslError::Resolve(format!("unknown ACK type .{}", suffix.name))
                     })?,
                 };
                 for node in self.eval_set(set)? {
@@ -149,7 +149,7 @@ impl Cx<'_> {
                 }
                 Ok(())
             }
-            Expr::Int(_) | Expr::Sizeof(_) | Expr::Arith(..) => {
+            SpannedExprKind::Int(_) | SpannedExprKind::Sizeof(_) | SpannedExprKind::Arith(..) => {
                 out.push(Operand::Const(self.const_eval(arg)?));
                 Ok(())
             }
@@ -157,11 +157,11 @@ impl Cx<'_> {
     }
 
     /// Evaluate a scalar expression to a compile-time constant.
-    fn const_eval(&self, expr: &Expr) -> Result<u64, DslError> {
-        match expr {
-            Expr::Int(n) => Ok(*n),
-            Expr::Sizeof(set) => Ok(self.eval_set(set)?.len() as u64),
-            Expr::Arith(op, l, r) => {
+    fn const_eval(&self, expr: &SpannedExpr) -> Result<u64, DslError> {
+        match &expr.kind {
+            SpannedExprKind::Int(n) => Ok(*n),
+            SpannedExprKind::Sizeof(set) => Ok(self.eval_set(set)?.len() as u64),
+            SpannedExprKind::Arith(op, l, r) => {
                 let a = self.const_eval(l)?;
                 let b = self.const_eval(r)?;
                 let v = match op {
@@ -181,17 +181,17 @@ impl Cx<'_> {
                     DslError::Invalid(format!("constant arithmetic overflow: {a} {op} {b}"))
                 })
             }
-            Expr::Call(op, _) => Err(DslError::Invalid(format!(
+            SpannedExprKind::Call(op, ..) => Err(DslError::Invalid(format!(
                 "KTH rank must be a compile-time constant; {op}(...) is evaluated at run time"
             ))),
-            Expr::Values(..) => Err(DslError::Type(
+            SpannedExprKind::Values(..) => Err(DslError::Type(
                 "a node set cannot be used where a number is required".into(),
             )),
         }
     }
 
     /// Expand a set expression to a sorted, deduplicated node list.
-    fn eval_set(&self, set: &SetExpr) -> Result<Vec<NodeId>, DslError> {
+    fn eval_set(&self, set: &SpannedSet) -> Result<Vec<NodeId>, DslError> {
         expand_set(set, self.topo, self.me)
     }
 }
@@ -209,12 +209,12 @@ impl Cx<'_> {
 ///
 /// Returns [`DslError::Resolve`] for an unknown node/AZ name or a node
 /// operand outside `1..=num_nodes`.
-pub fn expand_set(set: &SetExpr, topo: &Topology, me: NodeId) -> Result<Vec<NodeId>, DslError> {
-    let mut nodes = match set {
-        SetExpr::All => topo.all_nodes(),
-        SetExpr::MyAz => topo.az_members(topo.az_of(me)).to_vec(),
-        SetExpr::Me => vec![me],
-        SetExpr::Node(n) => {
+pub fn expand_set(set: &SpannedSet, topo: &Topology, me: NodeId) -> Result<Vec<NodeId>, DslError> {
+    let mut nodes = match &set.kind {
+        SpannedSetKind::All => topo.all_nodes(),
+        SpannedSetKind::MyAz => topo.az_members(topo.az_of(me)).to_vec(),
+        SpannedSetKind::Me => vec![me],
+        SpannedSetKind::Node(n) => {
             // Paper operands are 1-based ($1 is the first node).
             if *n == 0 || *n as usize > topo.num_nodes() {
                 return Err(DslError::Resolve(format!(
@@ -224,19 +224,19 @@ pub fn expand_set(set: &SetExpr, topo: &Topology, me: NodeId) -> Result<Vec<Node
             }
             vec![NodeId((n - 1) as u16)]
         }
-        SetExpr::NodeVar(name) => {
+        SpannedSetKind::NodeVar(name) => {
             let id = topo
                 .node(name)
                 .ok_or_else(|| DslError::Resolve(format!("unknown WAN node $WNODE_{name}")))?;
             vec![id]
         }
-        SetExpr::AzVar(name) => {
+        SpannedSetKind::AzVar(name) => {
             let az = topo.az(name).ok_or_else(|| {
                 DslError::Resolve(format!("unknown availability zone $AZ_{name}"))
             })?;
             topo.az_members(az).to_vec()
         }
-        SetExpr::Diff(a, b) => {
+        SpannedSetKind::Diff(a, b) => {
             let left = expand_set(a, topo, me)?;
             let right = expand_set(b, topo, me)?;
             left.into_iter().filter(|n| !right.contains(n)).collect()

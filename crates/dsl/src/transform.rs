@@ -20,35 +20,12 @@ use crate::types::NodeId;
 /// Returns [`DslError::Invalid`] if any reduction would be left with no
 /// operands at all.
 pub fn exclude_node(resolved: &Resolved, node: NodeId) -> Result<Resolved, DslError> {
+    let expr = keep_cells(&resolved.expr, &|n| n != node, &|| {
+        format!("excluding {node} leaves a reduction with no operands")
+    })?;
     Ok(Resolved {
-        expr: exclude_in(&resolved.expr, node)?,
+        expr,
         me: resolved.me,
-    })
-}
-
-fn exclude_in(expr: &ResolvedExpr, node: NodeId) -> Result<ResolvedExpr, DslError> {
-    let mut operands = Vec::with_capacity(expr.operands.len());
-    for op in &expr.operands {
-        match op {
-            Operand::Cell(n, _) if *n == node => {}
-            Operand::Nested(inner) => operands.push(Operand::Nested(exclude_in(inner, node)?)),
-            other => operands.push(other.clone()),
-        }
-    }
-    if operands.is_empty() {
-        return Err(DslError::Invalid(format!(
-            "excluding {node} leaves a reduction with no operands"
-        )));
-    }
-    let min_rank_ops = match expr.kind {
-        // `MIN` over all operands is rank == len; keep that meaning.
-        _ if expr.k as usize == expr.operands.len() => operands.len() as u32,
-        _ => expr.k.min(operands.len() as u32),
-    };
-    Ok(ResolvedExpr {
-        kind: expr.kind,
-        k: min_rank_ops,
-        operands,
     })
 }
 
@@ -67,29 +44,41 @@ fn exclude_in(expr: &ResolvedExpr, node: NodeId) -> Result<ResolvedExpr, DslErro
 /// Returns [`DslError::Invalid`] if any reduction would be left with no
 /// operands at all (the predicate reads only non-replicas).
 pub fn restrict_nodes(resolved: &Resolved, allowed: &[NodeId]) -> Result<Resolved, DslError> {
+    let expr = keep_cells(&resolved.expr, &|n| allowed.contains(&n), &|| {
+        "restricting to the replica set leaves a reduction with no operands".to_owned()
+    })?;
     Ok(Resolved {
-        expr: restrict_in(&resolved.expr, allowed)?,
+        expr,
         me: resolved.me,
     })
 }
 
-fn restrict_in(expr: &ResolvedExpr, allowed: &[NodeId]) -> Result<ResolvedExpr, DslError> {
+/// Rebuild `expr` with only the cells whose node passes `keep`,
+/// clamping ranks as [`exclude_node`] documents. A reduction left with
+/// no operands is a [`DslError::Invalid`] saying `empty()`.
+fn keep_cells(
+    expr: &ResolvedExpr,
+    keep: &impl Fn(NodeId) -> bool,
+    empty: &impl Fn() -> String,
+) -> Result<ResolvedExpr, DslError> {
     let mut operands = Vec::with_capacity(expr.operands.len());
     for op in &expr.operands {
         match op {
-            Operand::Cell(n, _) if !allowed.contains(n) => {}
-            Operand::Nested(inner) => operands.push(Operand::Nested(restrict_in(inner, allowed)?)),
+            Operand::Cell(n, _) if !keep(*n) => {}
+            Operand::Nested(inner) => {
+                operands.push(Operand::Nested(keep_cells(inner, keep, empty)?))
+            }
             other => operands.push(other.clone()),
         }
     }
     if operands.is_empty() {
-        return Err(DslError::Invalid(
-            "restricting to the replica set leaves a reduction with no operands".to_owned(),
-        ));
+        return Err(DslError::Invalid(empty()));
     }
-    let k = match expr.kind {
-        _ if expr.k as usize == expr.operands.len() => operands.len() as u32,
-        _ => expr.k.min(operands.len() as u32),
+    // `MIN` over all operands is rank == len; keep that meaning.
+    let k = if expr.k as usize == expr.operands.len() {
+        operands.len() as u32
+    } else {
+        expr.k.min(operands.len() as u32)
     };
     Ok(ResolvedExpr {
         kind: expr.kind,
@@ -167,7 +156,12 @@ mod tests {
     #[test]
     fn emptying_a_reduction_is_an_error() {
         let r = res("MIN(MAX($1), $2)");
-        assert!(exclude_node(&r, NodeId(0)).is_err());
+        assert_eq!(
+            exclude_node(&r, NodeId(0)),
+            Err(DslError::Invalid(
+                "excluding n0 leaves a reduction with no operands".to_owned()
+            ))
+        );
     }
 
     #[test]
@@ -217,6 +211,11 @@ mod tests {
     #[test]
     fn restrict_emptying_a_reduction_is_an_error() {
         let r = res("MAX($3, $4)");
-        assert!(restrict_nodes(&r, &[NodeId(0), NodeId(1)]).is_err());
+        assert_eq!(
+            restrict_nodes(&r, &[NodeId(0), NodeId(1)]),
+            Err(DslError::Invalid(
+                "restricting to the replica set leaves a reduction with no operands".to_owned()
+            ))
+        );
     }
 }

@@ -1,12 +1,11 @@
 //! Property-based tests for the predicate DSL:
 //!
-//! 1. Pretty-print → parse round-trips every generated AST.
-//! 2. The compiled VM and the AST interpreter agree on every valid
-//!    predicate and random ACK table (differential testing).
-//! 3. Predicate evaluation is monotonic in the ACK table: raising any
+//! 1. The compiled VM and the tree-walking `eval_resolved` agree on
+//!    every valid predicate and random ACK table (differential testing).
+//! 2. Predicate evaluation is monotonic in the ACK table: raising any
 //!    cell never lowers the frontier (the property the control plane's
 //!    correctness depends on).
-//! 4. The crossing lemma behind `FrontierEngine`'s evaluation rule, on
+//! 3. The crossing lemma behind `FrontierEngine`'s evaluation rule, on
 //!    raw VM programs: raising one cell moves the value only if the cell
 //!    crossed the old value.
 
@@ -14,7 +13,7 @@ use proptest::prelude::*;
 use stabilizer_dsl::compile::Instr;
 use stabilizer_dsl::{
     compile, interp::eval_resolved, parse, resolve, AckTypeId, AckTypeRegistry, AckView,
-    EvalScratch, Expr, NodeId, Topology,
+    EvalScratch, NodeId, Topology,
 };
 
 const NODES: u16 = 6;
@@ -209,34 +208,10 @@ proptest! {
     }
 
     #[test]
-    fn pretty_print_roundtrips(src in arb_pred(2), me in 0u16..NODES) {
-        let ast = parse(&src).unwrap();
-        let printed = ast.to_string();
-        let reparsed = parse(&printed).unwrap();
-        prop_assert_eq!(&ast, &reparsed);
-        // Syntactic equality is not enough: the printed form must also
-        // resolve to the same program, so nothing the pretty-printer emits
-        // (parentheses, macro spellings) shifts macro expansion.
-        let topo = topo();
-        let acks = AckTypeRegistry::new();
-        match (
-            resolve(&ast, &topo, &acks, NodeId(me)),
-            resolve(&reparsed, &topo, &acks, NodeId(me)),
-        ) {
-            (Ok(a), Ok(b)) => {
-                prop_assert_eq!(&a, &b, "round-trip changed resolution of {}", src);
-                prop_assert_eq!(compile(&a), compile(&b));
-            }
-            (Err(_), Err(_)) => {}
-            (a, b) => prop_assert!(false, "round-trip changed resolvability of {}: {:?} vs {:?}", src, a.is_ok(), b.is_ok()),
-        }
-    }
-
-    #[test]
     fn vm_matches_interpreter(src in arb_pred(2), table in arb_table(), me in 0u16..NODES) {
         let topo = topo();
         let acks = AckTypeRegistry::new();
-        let ast: Expr = parse(&src).unwrap();
+        let ast = parse(&src).unwrap();
         if let Ok(resolved) = resolve(&ast, &topo, &acks, NodeId(me)) {
             let program = compile(&resolved);
             prop_assert_eq!(program.eval(&table), eval_resolved(&resolved.expr, &table));
@@ -253,7 +228,7 @@ proptest! {
     ) {
         let topo = topo();
         let acks = AckTypeRegistry::new();
-        let ast: Expr = parse(&src).unwrap();
+        let ast = parse(&src).unwrap();
         if let Ok(resolved) = resolve(&ast, &topo, &acks, NodeId(0)) {
             let program = compile(&resolved);
             let before = program.eval(&table);
@@ -268,28 +243,24 @@ proptest! {
     fn optimizer_preserves_semantics(src in arb_pred(2), table in arb_table(), me in 0u16..NODES) {
         let topo = topo();
         let acks = AckTypeRegistry::new();
-        if let (Ok(opt), Ok(unopt)) = (
+        if let (Ok(opt), Ok(resolved)) = (
             stabilizer_dsl::Predicate::compile(&src, &topo, &acks, NodeId(me)),
-            stabilizer_dsl::Predicate::compile_unoptimized(&src, &topo, &acks, NodeId(me)),
+            resolve(&parse(&src).unwrap(), &topo, &acks, NodeId(me)),
         ) {
+            let unopt = compile(&resolved);
             prop_assert_eq!(opt.eval(&table), unopt.eval(&table), "optimizer diverged on {}", src);
             prop_assert!(
-                opt.program().instrs().len() <= unopt.program().instrs().len(),
+                opt.program().instrs().len() <= unopt.instrs().len(),
                 "optimizer grew the program for {}", src
             );
         }
     }
 
     #[test]
-    fn garbage_never_panics(src in "[ -~]{0,40}") {
-        let _ = parse(&src); // must return Ok or Err, never panic
-    }
-
-    #[test]
     fn excluding_always_removes_dependencies(src in arb_pred(1), dead in 0u16..NODES) {
         let topo = topo();
         let acks = AckTypeRegistry::new();
-        let ast: Expr = parse(&src).unwrap();
+        let ast = parse(&src).unwrap();
         if let Ok(resolved) = resolve(&ast, &topo, &acks, NodeId(0)) {
             if let Ok(rewritten) = stabilizer_dsl::exclude_node(&resolved, NodeId(dead)) {
                 let program = compile(&rewritten);

@@ -8,7 +8,7 @@
 //! For the large trace-driven experiment the service publishes chunks
 //! directly on its Stabilizer stream (chunk payloads are shared buffers;
 //! their content is irrelevant to synchronization behaviour). The
-//! K/V-layered variant — files stored under `file/<id>/<chunk>` keys in
+//! K/V-layered variant — files stored under `"file/<id>/<chunk>"` keys in
 //! the geo K/V store, exactly as §V-A describes — is exercised at small
 //! scale in `tests/backup_kv.rs`.
 

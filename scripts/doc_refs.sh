@@ -4,9 +4,9 @@
 #
 #   scripts/doc_refs.sh            # exit 1 and list each stale reference
 #
-# Reads README.md, DESIGN.md and the crate-level docs (the `//!` lines of
-# `src/lib.rs` and `crates/*/src/lib.rs`), skipping fenced code blocks,
-# and checks each backticked span without whitespace:
+# Reads README.md, DESIGN.md and the module docs (the `//!` lines of
+# every `.rs` file under `src/` and `crates/*/src/`), skipping fenced
+# code blocks, and checks each backticked span without whitespace:
 #
 # * a path — a span ending in a file extension or `/`, or starting with a
 #   top-level directory — must be a tracked file or directory, or the
@@ -31,7 +31,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 docs=(README.md DESIGN.md)
-crate_docs=$(git ls-files 'src/lib.rs' 'crates/*/src/lib.rs')
+module_docs=$(git ls-files 'src/*.rs' 'crates/*/src/*.rs')
 allow=$(grep -v '^[[:space:]]*\(#\|$\)' scripts/doc_refs.allow || true)
 tracked=$(git ls-files)
 
@@ -105,7 +105,7 @@ check() {
 top='(crates|scripts|benchmarks|tests|examples|results|configs|vendor|src|\.github)'
 ext='(rs|sh|md|toml|json|jsonl|txt|yml|c|cfg)'
 stale=0
-for doc in "${docs[@]}" $crate_docs; do
+for doc in "${docs[@]}" $module_docs; do
   case $doc in *.rs) mode=rs ;; *) mode=md ;; esac
   while read -r span; do
     # Calls and generic arguments name their item: `f()`, `Vec<T>`.
