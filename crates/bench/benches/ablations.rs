@@ -1,14 +1,18 @@
 //! Design-choice ablations (DESIGN.md): the end-to-end effect, in
 //! *virtual time*, of (a) ACK coalescing vs eager flushing, (b) the
 //! aggressive asynchronous data plane vs a Paxos-style blocking commit
-//! per message, and (c) dependency-filtered predicate re-evaluation.
+//! per message, and (c) dependency-filtered predicate re-evaluation
+//! (timed in `control_plane`);
+//! and, in wall-clock time, (d) what the receive-side reorder buffer
+//! costs on a fully reversed window.
 //!
-//! These report simulated latency through Criterion's wall-clock of a
-//! fixed-size simulation run, with the virtual-time results printed once
-//! at startup for the record.
+//! (a) and (b) report simulated latency through Criterion's wall-clock
+//! of a fixed-size simulation run, with the virtual-time results printed
+//! once at startup for the record.
 
 use bytes::Bytes;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use stabilizer_core::data_plane::ReceiveState;
 use stabilizer_core::sim_driver::build_cluster;
 use stabilizer_core::{ClusterConfig, NodeId};
 use stabilizer_netsim::NetTopology;
@@ -110,9 +114,30 @@ fn ablation_streaming_vs_blocking(c: &mut Criterion) {
     g.finish();
 }
 
+fn ablation_reorder_tolerance(c: &mut Criterion) {
+    // The reorder buffer's cost when the transport is FIFO is the
+    // in-order receive path (`core.data_plane.receive_in_order_ns` in
+    // `stabbench`); this is the worst case, a fully reversed 64-message
+    // window.
+    c.bench_function("receive_reversed_window_64", |b| {
+        let payload = Bytes::from(vec![0u8; 1024]);
+        let mut base = 0u64;
+        let mut rs = ReceiveState::new();
+        b.iter(|| {
+            let mut delivered = 0;
+            for seq in (base + 1..=base + 64).rev() {
+                delivered += rs.on_data(seq, payload.clone()).len();
+            }
+            base += 64;
+            delivered
+        })
+    });
+}
+
 criterion_group!(
     benches,
     ablation_ack_coalescing,
-    ablation_streaming_vs_blocking
+    ablation_streaming_vs_blocking,
+    ablation_reorder_tolerance
 );
 criterion_main!(benches);

@@ -14,7 +14,7 @@ use stabilizer_core::sim_driver::{build_actors, SimNode};
 use stabilizer_core::{
     ClusterConfig, CoreError, EventLog, Snapshot, StabilizerNode, WaitToken, WireMsg,
 };
-use stabilizer_dsl::{NodeId, SeqNo, RECEIVED};
+use stabilizer_dsl::{NodeId, SeqNo};
 use stabilizer_netsim::{Actor, NetTopology, SimDuration, SimTime, Simulation};
 use stabilizer_telemetry::Telemetry;
 use std::sync::Arc;
@@ -218,26 +218,16 @@ impl Backend for SimBackend {
         self.sim.actor(node).inner().snapshot()
     }
 
-    /// A restored machine is fast-forwarded on each remote stream to the
-    /// snapshot's RECEIVED cell (§III-E state transfer — the mirror
-    /// recovers everything it had durably acknowledged from the
-    /// integrated storage system).
+    /// A restored machine resumes each stream it mirrors at the
+    /// snapshot's RECEIVED cell (`StabilizerNode::restore`).
     fn boot(&mut self, node: usize, snapshot: Option<Snapshot>) {
         let me = NodeId(node as u16);
         let acks = Arc::clone(self.sim.actor(node).inner().ack_types());
-        let restored = snapshot.is_some();
-        let mut machine = match snapshot {
+        let machine = match snapshot {
             None => StabilizerNode::new(self.cfg.clone(), me, acks),
             Some(snapshot) => StabilizerNode::restore(self.cfg.clone(), me, acks, snapshot),
         }
         .expect("predicates compiled at startup recompile on reboot");
-        if restored {
-            for s in (0..self.cfg.num_nodes()).filter(|&s| s != node) {
-                let stream = NodeId(s as u16);
-                let high = machine.recorder().get(stream, me, RECEIVED);
-                machine.fast_forward_stream(stream, high);
-            }
-        }
         let hooks = observer(node, &self.trace, self.telemetry.as_ref());
         self.sim.replace_actor(node, SimNode::new(machine, hooks));
     }

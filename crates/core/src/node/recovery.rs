@@ -9,7 +9,7 @@ use crate::error::CoreError;
 use crate::messages::Ack;
 use crate::recorder::AckRecorder;
 use bytes::Bytes;
-use stabilizer_dsl::{AckTypeRegistry, NodeId, SeqNo};
+use stabilizer_dsl::{AckTypeRegistry, NodeId, SeqNo, RECEIVED};
 use std::sync::Arc;
 
 /// A consistent snapshot of the control-plane state, for crash recovery
@@ -38,7 +38,11 @@ impl StabilizerNode {
     /// prefix have acked it; unacked suffixes must be re-published by the
     /// storage system's recovery log, as with Derecho's view change), so
     /// a restarted donor has nothing replayable and requesters
-    /// fast-forward over its prefix instead.
+    /// fast-forward over its prefix instead. As a mirror, the node
+    /// resumes every stream it mirrors at the snapshot's RECEIVED cell
+    /// (§III-E state transfer: what it durably acknowledged, the
+    /// integrated storage system holds), so the next message an origin
+    /// sends is delivered, not parked behind a prefix no one resends.
     ///
     /// # Errors
     ///
@@ -73,6 +77,10 @@ impl StabilizerNode {
             }
         }
         node.emit();
+        for stream in (0..node.recv.len() as u16).map(NodeId) {
+            let high = node.recorder.get(stream, me, RECEIVED);
+            node.fast_forward(stream, high, 0);
+        }
         Ok(node)
     }
 

@@ -94,10 +94,12 @@ impl GeoKvNode {
         self
     }
 
-    /// Rebuild a K/V node after a primary crash (§III-E): the
-    /// control-plane [`Snapshot`](stabilizer_core::Snapshot) restores the
-    /// ACK table and sequence counter, and the per-origin pools are
-    /// replayed from their persisted write-ahead logs.
+    /// Rebuild a K/V node after a crash (§III-E): the control-plane
+    /// [`Snapshot`](stabilizer_core::Snapshot) restores the ACK table and
+    /// sequence counter, every stream the node mirrors resumes after its
+    /// snapshotted RECEIVED cell ([`StabilizerNode::restore`]), and the
+    /// per-origin pools are replayed from their persisted write-ahead
+    /// logs.
     ///
     /// # Errors
     ///

@@ -9,7 +9,7 @@
 use crate::local::{LocalStore, LogRecord};
 use bytes::Bytes;
 use stabilizer_core::CoreError;
-use std::io::{BufReader, BufWriter, Read, Write};
+use std::io::{BufWriter, Write};
 use std::path::Path;
 
 const MAGIC: &[u8; 4] = b"KVWL";
@@ -18,7 +18,8 @@ const TAG_PUT: u8 = 0;
 const TAG_DELETE: u8 = 1;
 
 /// Serialize a store's write-ahead log to `path` (atomic via temp file +
-/// rename).
+/// rename; the temp file is synced to disk before the rename, so the
+/// name never points at a log the disk does not hold).
 ///
 /// # Errors
 ///
@@ -49,53 +50,78 @@ pub fn save_wal(store: &LocalStore, path: &Path) -> Result<(), CoreError> {
             }
         }
         w.flush().map_err(io)?;
+        w.get_ref().sync_all().map_err(io)?;
     }
     std::fs::rename(&tmp, path).map_err(io)
 }
 
-/// Rebuild a store by replaying the WAL at `path`.
+/// The smallest record: key length, an empty key, timestamp and tag.
+const MIN_RECORD: usize = 2 + 8 + 1;
+
+fn corrupt(m: &str) -> CoreError {
+    CoreError::Wire(format!("wal corrupt: {m}"))
+}
+
+/// The bytes of a log not read yet; every read is checked against them
+/// before anything is allocated for it.
+struct Rest<'a>(&'a [u8]);
+
+impl<'a> Rest<'a> {
+    fn take(&mut self, n: usize) -> Result<&'a [u8], CoreError> {
+        let (head, rest) = self
+            .0
+            .split_at_checked(n)
+            .ok_or_else(|| corrupt("truncated"))?;
+        self.0 = rest;
+        Ok(head)
+    }
+
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], CoreError> {
+        let (head, rest) = self
+            .0
+            .split_first_chunk()
+            .ok_or_else(|| corrupt("truncated"))?;
+        self.0 = rest;
+        Ok(*head)
+    }
+}
+
+/// Rebuild a store by replaying the WAL at `path`. What it allocates is
+/// bounded by the file's size, whatever counts and lengths the file
+/// claims.
 ///
 /// # Errors
 ///
 /// [`CoreError::Wire`] on I/O errors or a corrupt/truncated log.
 pub fn load_wal(path: &Path) -> Result<LocalStore, CoreError> {
-    let io = |e: std::io::Error| CoreError::Wire(format!("wal read: {e}"));
-    let bad = |m: &str| CoreError::Wire(format!("wal corrupt: {m}"));
-    let file = std::fs::File::open(path).map_err(io)?;
-    let mut r = BufReader::new(file);
-
-    let mut hdr = [0u8; 4 + 2 + 8];
-    r.read_exact(&mut hdr).map_err(io)?;
-    if &hdr[0..4] != MAGIC {
-        return Err(bad("bad magic"));
+    let file = std::fs::read(path).map_err(|e| CoreError::Wire(format!("wal read: {e}")))?;
+    let mut r = Rest(&file);
+    if r.take(MAGIC.len())? != MAGIC {
+        return Err(corrupt("bad magic"));
     }
-    if u16::from_le_bytes(hdr[4..6].try_into().unwrap()) != VERSION {
-        return Err(bad("unsupported version"));
+    if u16::from_le_bytes(r.array()?) != VERSION {
+        return Err(corrupt("unsupported version"));
     }
-    let count = u64::from_le_bytes(hdr[6..14].try_into().unwrap());
+    let count = usize::try_from(u64::from_le_bytes(r.array()?))
+        .ok()
+        .filter(|&count| count <= r.0.len() / MIN_RECORD)
+        .ok_or_else(|| corrupt("more records claimed than the file holds"))?;
 
-    let mut log = Vec::with_capacity(count.min(1 << 20) as usize);
+    let mut log = Vec::with_capacity(count);
     for _ in 0..count {
-        let mut klen = [0u8; 2];
-        r.read_exact(&mut klen).map_err(io)?;
-        let mut key = vec![0u8; u16::from_le_bytes(klen) as usize];
-        r.read_exact(&mut key).map_err(io)?;
-        let key = String::from_utf8(key).map_err(|_| bad("key not UTF-8"))?;
-        let mut ts = [0u8; 8];
-        r.read_exact(&mut ts).map_err(io)?;
-        let timestamp = u64::from_le_bytes(ts);
-        let mut tag = [0u8; 1];
-        r.read_exact(&mut tag).map_err(io)?;
-        let value = match tag[0] {
-            TAG_PUT => {
-                let mut vlen = [0u8; 4];
-                r.read_exact(&mut vlen).map_err(io)?;
-                let mut v = vec![0u8; u32::from_le_bytes(vlen) as usize];
-                r.read_exact(&mut v).map_err(io)?;
-                Some(Bytes::from(v))
+        let key_len = u16::from_le_bytes(r.array()?);
+        let key = std::str::from_utf8(r.take(key_len.into())?)
+            .map_err(|_| corrupt("key not UTF-8"))?
+            .to_owned();
+        let timestamp = u64::from_le_bytes(r.array()?);
+        let value = match r.array()? {
+            [TAG_PUT] => {
+                let len = usize::try_from(u32::from_le_bytes(r.array()?))
+                    .map_err(|_| corrupt("value longer than memory"))?;
+                Some(Bytes::copy_from_slice(r.take(len)?))
             }
-            TAG_DELETE => None,
-            t => return Err(bad(&format!("unknown tag {t}"))),
+            [TAG_DELETE] => None,
+            [t] => return Err(corrupt(&format!("unknown tag {t}"))),
         };
         log.push(LogRecord {
             key,
@@ -106,10 +132,8 @@ pub fn load_wal(path: &Path) -> Result<LocalStore, CoreError> {
             },
         });
     }
-    let mut rest = Vec::new();
-    r.read_to_end(&mut rest).map_err(io)?;
-    if !rest.is_empty() {
-        return Err(bad("trailing bytes"));
+    if !r.0.is_empty() {
+        return Err(corrupt("trailing bytes"));
     }
     Ok(LocalStore::replay(&log))
 }

@@ -1,11 +1,12 @@
 //! Integration tests for the geo-replicated K/V store over the simulated
 //! EC2 WAN: mirroring, read-your-writes at the primary, get_by_time on
-//! mirrors, stability frontiers gating reads, and tombstones.
+//! mirrors, stability frontiers gating reads, tombstones, and rebuilding
+//! a node from what it persisted.
 
 use bytes::Bytes;
-use stabilizer_core::{ClusterConfig, NodeId};
-use stabilizer_kvstore::build_kv_cluster;
-use stabilizer_netsim::NetTopology;
+use stabilizer_core::{ClusterConfig, NodeId, Snapshot};
+use stabilizer_kvstore::{build_kv_cluster, load_wal, save_wal, GeoKvNode};
+use stabilizer_netsim::{NetTopology, Simulation};
 
 fn cfg() -> ClusterConfig {
     ClusterConfig::parse(
@@ -197,29 +198,7 @@ fn primary_crash_restart_with_wal_and_snapshot() {
     .unwrap();
     sim.run_until_idle();
 
-    // "Persist" everything the storage system would.
-    let dir = std::env::temp_dir();
-    let snapshot_bytes = sim.actor(0).stabilizer().snapshot().to_bytes();
-    let mut wal_paths = Vec::new();
-    for origin in 0..8u16 {
-        let path = dir.join(format!("geo-recovery-{}-{origin}.wal", std::process::id()));
-        stabilizer_kvstore::save_wal(sim.actor(0).pool(NodeId(origin)), &path).unwrap();
-        wal_paths.push(path);
-    }
-    let acks = std::sync::Arc::clone(sim.actor(0).stabilizer().ack_types());
-
-    // Crash + rebuild from the persisted artifacts.
-    let snapshot = stabilizer_core::Snapshot::from_bytes(&snapshot_bytes).unwrap();
-    let pools: Vec<_> = wal_paths
-        .iter()
-        .map(|p| stabilizer_kvstore::load_wal(p).unwrap())
-        .collect();
-    let restored =
-        stabilizer_kvstore::GeoKvNode::restore(cfg(), NodeId(0), acks, snapshot, pools).unwrap();
-    sim.replace_actor(0, restored);
-    for p in &wal_paths {
-        std::fs::remove_file(p).ok();
-    }
+    crash_and_rebuild(&mut sim, 0, "primary");
 
     // State survived...
     assert_eq!(
@@ -243,4 +222,63 @@ fn primary_crash_restart_with_wal_and_snapshot() {
     }
     let (frontier, _) = sim.actor(0).get_stability_frontier("AllWNodes").unwrap();
     assert_eq!(frontier, 3);
+}
+
+#[test]
+fn a_rebuilt_mirror_delivers_what_is_written_after_it_returns() {
+    // The same recovery at a mirror: node 1 writes twice, node 0 is
+    // rebuilt from its snapshot and WALs, and node 1 writes again. The
+    // origin reclaimed the first two writes once every mirror received
+    // them, so node 0 must resume node 1's stream after them, not hold
+    // the third write back waiting for them.
+    let mut sim = build_kv_cluster(&cfg(), NetTopology::ec2_fig2(), 32).unwrap();
+    for (key, value) in [("m/a", b"1"), ("m/b", b"2")] {
+        sim.with_ctx(1, |kv, ctx| kv.put_in(ctx, key, Bytes::from_static(value)))
+            .unwrap();
+    }
+    sim.run_until_idle();
+    crash_and_rebuild(&mut sim, 0, "mirror");
+    assert_eq!(
+        sim.actor(0).get(NodeId(1), "m/b"),
+        Some(Bytes::from_static(b"2")),
+        "the WAL replay restored the mirrored pool"
+    );
+
+    let seq = sim
+        .with_ctx(1, |kv, ctx| kv.put_in(ctx, "m/c", Bytes::from_static(b"3")))
+        .unwrap();
+    assert_eq!(seq, 3);
+    sim.run_until_idle();
+    assert_eq!(
+        sim.actor(0).get(NodeId(1), "m/c"),
+        Some(Bytes::from_static(b"3")),
+        "the rebuilt mirror never delivered the write made after it returned"
+    );
+    let (frontier, _) = sim.actor(1).get_stability_frontier("AllWNodes").unwrap();
+    assert_eq!(frontier, 3);
+}
+
+/// Persist node `i`'s control-plane snapshot and one WAL per pool the
+/// way the storage system would, then crash the node and rebuild it in
+/// place from those files alone.
+fn crash_and_rebuild(sim: &mut Simulation<GeoKvNode>, i: usize, tag: &str) {
+    let dir = std::env::temp_dir();
+    let snapshot_bytes = sim.actor(i).stabilizer().snapshot().to_bytes();
+    let mut wal_paths = Vec::new();
+    for origin in 0..8u16 {
+        let name = format!("geo-{tag}-{}-{origin}.wal", std::process::id());
+        let path = dir.join(name);
+        save_wal(sim.actor(i).pool(NodeId(origin)), &path).unwrap();
+        wal_paths.push(path);
+    }
+    let acks = std::sync::Arc::clone(sim.actor(i).stabilizer().ack_types());
+
+    let snapshot = Snapshot::from_bytes(&snapshot_bytes).unwrap();
+    let pools: Vec<_> = wal_paths.iter().map(|p| load_wal(p).unwrap()).collect();
+    let me = NodeId(i as u16);
+    let restored = GeoKvNode::restore(cfg(), me, acks, snapshot, pools).unwrap();
+    sim.replace_actor(i, restored);
+    for p in &wal_paths {
+        std::fs::remove_file(p).ok();
+    }
 }

@@ -15,9 +15,9 @@
 //! byte-for-byte — a `replicate`-free config builds a full placement whose
 //! behavior (and replay hash) is identical to before this subsystem existed.
 //!
-//! Determinism: the map exposes [`PlacementMap::placement_hash`], an FNV-1a
-//! hash over the canonical rendering, so replays and cross-process runs can
-//! pin that they executed under the same placement.
+//! Determinism: the map exposes [`PlacementMap::placement_hash`], an
+//! FNV-1a-shaped hash over the canonical rendering, so replays and
+//! cross-process runs can pin that they executed under the same placement.
 
 pub mod directive;
 
@@ -255,10 +255,15 @@ impl PlacementMap {
         self.full
     }
 
-    /// Deterministic FNV-1a hash of the canonical rendering. Two processes
+    /// Deterministic hash of the canonical rendering. Two processes
     /// (or a run and its replay) executing under the same placement agree
     /// on this value; a full-replication map over `n` nodes always hashes
     /// the same regardless of how it was constructed.
+    ///
+    /// It has FNV-1a's shape (offset basis `0xcbf2_9ce4_8422_2325`, xor
+    /// each byte in, then multiply) but multiplies by `0x1000_0000_01b3`,
+    /// not the FNV prime `0x100_0000_01b3`, so it is not FNV-1a. The
+    /// constant stays: changing it would move every exported label.
     pub fn placement_hash(&self) -> u64 {
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
         let mut eat = |bytes: &[u8]| {

@@ -43,4 +43,4 @@ pub use codec::{decode_global, encode_global, GLOBAL_HEADER};
 pub use engine::{ShardedAction, ShardedEngine};
 pub use frontier::{AggOutput, ShardedFrontier};
 pub use router::{fnv1a, RoutePolicy, ShardRouter};
-pub use sim::{build_sharded_cluster, build_sharded_cluster_with_hooks, ShardMsg, ShardedSimNode};
+pub use sim::{build_sharded_cluster, ShardMsg, ShardedSimNode};

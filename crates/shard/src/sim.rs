@@ -12,7 +12,7 @@
 use crate::engine::{ShardedAction, ShardedEngine};
 use crate::router::RoutePolicy;
 use bytes::Bytes;
-use stabilizer_core::sim_driver::{build_actors, AppHooks, Machine, NoHooks, SimNode};
+use stabilizer_core::sim_driver::{build_actors, Machine, NoHooks, SimNode};
 use stabilizer_core::{
     ClusterConfig, CoreError, Event, EventLog, Options, TimerKind, WaitToken, WireMsg,
 };
@@ -111,7 +111,7 @@ impl Machine for ShardedEngine {
 /// over a [`ShardedEngine`]. Hooks see node-level events only; publishes
 /// return, and `waitfor`/`report_stability` take, **global** sequence
 /// numbers.
-pub type ShardedSimNode<H = NoHooks> = SimNode<H, ShardedEngine>;
+pub type ShardedSimNode = SimNode<NoHooks, ShardedEngine>;
 
 /// Build a ready-to-run sharded simulated cluster: one
 /// [`ShardedSimNode`] per topology node (each with
@@ -131,27 +131,8 @@ pub fn build_sharded_cluster(
     seed: u64,
     policy: RoutePolicy,
 ) -> Result<stabilizer_netsim::Simulation<ShardedSimNode>, CoreError> {
-    build_sharded_cluster_with_hooks(cfg, net, seed, policy, |_| NoHooks)
-}
-
-/// [`build_sharded_cluster`] with per-node application hooks.
-///
-/// # Errors
-///
-/// Fails if a configured predicate does not compile.
-///
-/// # Panics
-///
-/// Panics if `net.len()` differs from the cluster topology size.
-pub fn build_sharded_cluster_with_hooks<H: AppHooks>(
-    cfg: &ClusterConfig,
-    net: stabilizer_netsim::NetTopology,
-    seed: u64,
-    policy: RoutePolicy,
-    mut mk_hooks: impl FnMut(usize) -> H,
-) -> Result<stabilizer_netsim::Simulation<ShardedSimNode<H>>, CoreError> {
     build_actors(cfg, net, seed, |me, acks| {
         let engine = ShardedEngine::new(cfg.clone(), me, acks, policy)?;
-        Ok(SimNode::new(engine, mk_hooks(me.0 as usize)))
+        Ok(SimNode::new(engine, NoHooks))
     })
 }

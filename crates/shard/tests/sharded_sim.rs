@@ -256,9 +256,10 @@ fn seed_replay_is_byte_identical() {
     assert!(!a.is_empty());
     assert_eq!(a, b, "same seed must reproduce the same transcript");
     // Not only equal to itself: equal to the recorded transcript, so a
-    // change that reorders what the fold emits fails here and not only
-    // in a hand-run `shard_scale --replay-hash`. Re-pinned when the
-    // per-shard logs went: (5525, 0xfd22_396f_e20b_3050) →
+    // change that reorders what the fold emits fails here, and every
+    // run of this test is a new process, so the pin is the cross-process
+    // determinism check for the sharded simulator too. Re-pinned when
+    // the per-shard logs went: (5525, 0xfd22_396f_e20b_3050) →
     // (2749, 0x03b5_405c_46ec_64a5), the old transcript minus its
     // `d<shard>`/`f<shard>` lines byte for byte.
     assert_eq!(

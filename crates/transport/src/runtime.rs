@@ -23,7 +23,7 @@ use parking_lot::Mutex;
 use stabilizer_core::sim_driver::Machine;
 use stabilizer_core::{
     AckTypeId, AckTypeRegistry, Action, AppHooks, ClusterConfig, CoreError, Event, Metrics, NodeId,
-    SeqNo, SimTime, Snapshot, StabilizerNode, TimerKind, WaitToken, WireMsg, RECEIVED,
+    SeqNo, SimTime, Snapshot, StabilizerNode, TimerKind, WaitToken, WireMsg,
 };
 use stabilizer_telemetry::{StallProvider, Telemetry};
 use std::net::{SocketAddr, TcpListener};
@@ -258,11 +258,11 @@ pub struct SpawnOptions {
     /// [`Telemetry::note_publish_now`].
     pub observer: Option<Box<dyn AppHooks + Send>>,
     /// Restart from this control-plane snapshot instead of booting
-    /// fresh: the recorder is restored, every remote stream is
-    /// fast-forwarded to its snapshotted RECEIVED cell (§III-E state
-    /// transfer), and the writers re-announce ACKs on their first
-    /// connect so peers resynchronize immediately. A plain node only: a
-    /// sharded node given one refuses to start.
+    /// fresh: the recorder is restored, every mirrored stream resumes at
+    /// its snapshotted RECEIVED cell ([`StabilizerNode::restore`]), and
+    /// the writers re-announce ACKs on their first connect so peers
+    /// resynchronize immediately. A plain node only: a sharded node
+    /// given one refuses to start.
     pub snapshot: Option<Snapshot>,
     /// Seed for the reconnect backoff jitter (per-link streams are
     /// derived from it, so two nodes never share a retry schedule).
@@ -317,18 +317,10 @@ pub fn spawn_node_with(
         None => (StabilizerNode::new(cfg.clone(), me, acks)?, None),
         Some(snapshot) => {
             let mut node = StabilizerNode::restore(cfg.clone(), me, acks, snapshot)?;
-            // §III-E state transfer: the mirror resumes every remote
-            // stream it has a link for exactly where its durable
-            // acknowledgment left off.
-            for (peer, _) in &peer_addrs {
-                if cfg.placement().linked(me, *peer) {
-                    let high = node.recorder().get(*peer, me, RECEIVED);
-                    node.fast_forward_stream(*peer, high);
-                }
-            }
-            // Then ask every live donor for a snapshot + retained-log
-            // replay, covering whatever was published past the durable
-            // acknowledgment while this node was down (no-op unless
+            // `restore` resumed every mirrored stream where the durable
+            // acknowledgment left off. Ask every live donor for a
+            // snapshot + retained-log replay, covering whatever was
+            // published past it while this node was down (no-op unless
             // `transfer_millis` is configured).
             let streams = node.begin_catch_up(0);
             (node, Some(streams))

@@ -1,29 +1,35 @@
 //! End-to-end tests for the sharded TCP runtime: real sockets, real
 //! threads, S shards per node, application semantics identical to the
-//! unsharded [`stabilizer_transport::NodeHandle`].
+//! unsharded [`stabilizer_transport::NodeHandle`]. The two ordering
+//! tests run at every shard count in [`SHARD_COUNTS`].
 
 use bytes::Bytes;
 use parking_lot::Mutex;
-use stabilizer_core::{AckTypeRegistry, CoreError, NodeId, SeqNo, StabilizerNode};
+use stabilizer_core::{AckTypeRegistry, ClusterConfig, CoreError, NodeId, SeqNo, StabilizerNode};
 use stabilizer_shard::RoutePolicy;
 use stabilizer_transport::{
     spawn_sharded_local_cluster, spawn_sharded_node, ShardedTcpNode, SpawnOptions,
 };
 use std::net::TcpListener;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-const CFG: &str = "
-az East e1 e2
-az West w1
-option shards 2
-predicate AllRemote MIN($ALLWNODES-$MYWNODE)
-predicate OneRemote MAX($ALLWNODES-$MYWNODE)
-";
+/// From one shard (the unsharded shape) to eight.
+const SHARD_COUNTS: [u16; 4] = [1, 2, 4, 8];
 
-fn cluster() -> Vec<ShardedTcpNode> {
-    let cfg = stabilizer_core::ClusterConfig::parse(CFG).expect("config parses");
-    spawn_sharded_local_cluster(&cfg, RoutePolicy::RoundRobin).expect("cluster boots")
+fn cfg(shards: u16) -> ClusterConfig {
+    ClusterConfig::parse(&format!(
+        "az East e1 e2\n\
+         az West w1\n\
+         option shards {shards}\n\
+         predicate AllRemote MIN($ALLWNODES-$MYWNODE)\n\
+         predicate OneRemote MAX($ALLWNODES-$MYWNODE)\n"
+    ))
+    .expect("config parses")
+}
+
+fn cluster(shards: u16) -> Vec<ShardedTcpNode> {
+    spawn_sharded_local_cluster(&cfg(shards), RoutePolicy::RoundRobin).expect("cluster boots")
 }
 
 fn shutdown(nodes: &[ShardedTcpNode]) {
@@ -34,7 +40,7 @@ fn shutdown(nodes: &[ShardedTcpNode]) {
 
 #[test]
 fn publish_waitfor_roundtrip_across_shards() {
-    let nodes = cluster();
+    let nodes = cluster(2);
     let h = nodes[0].handle();
     assert_eq!(h.num_shards(), 2);
     // Publish more messages than shards so both sub-streams carry data.
@@ -60,82 +66,98 @@ fn publish_waitfor_roundtrip_across_shards() {
 
 #[test]
 fn deliveries_reach_mirrors_in_global_fifo_order() {
-    let nodes = cluster();
-    let log: Arc<Mutex<Vec<SeqNo>>> = Arc::new(Mutex::new(Vec::new()));
-    {
-        let log = Arc::clone(&log);
-        nodes[2].handle().on_deliver(move |origin, seq, payload| {
-            assert_eq!(origin, NodeId(0));
-            assert_eq!(payload, &Bytes::from(format!("p{seq}").into_bytes()));
-            log.lock().push(seq);
-        });
+    for shards in SHARD_COUNTS {
+        let nodes = cluster(shards);
+        let log: Arc<Mutex<Vec<SeqNo>>> = Arc::new(Mutex::new(Vec::new()));
+        {
+            let log = Arc::clone(&log);
+            nodes[2].handle().on_deliver(move |origin, seq, payload| {
+                assert_eq!(origin, NodeId(0));
+                assert_eq!(payload, &Bytes::from(format!("p{seq}").into_bytes()));
+                log.lock().push(seq);
+            });
+        }
+        let h = nodes[0].handle();
+        let mut last = 0;
+        for i in 1..=50u64 {
+            last = h
+                .publish(
+                    Bytes::from(format!("p{i}").into_bytes()),
+                    Duration::from_secs(1),
+                )
+                .expect("publish");
+        }
+        assert!(h
+            .waitfor(NodeId(0), "AllRemote", last, Duration::from_secs(10))
+            .unwrap());
+        // Deliveries are upcalls on the mirror's reader thread, after the
+        // ACK that completed the wait left it; give them a moment.
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while log.lock().len() < 50 && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        let seqs = log.lock().clone();
+        assert_eq!(
+            seqs,
+            (1..=50).collect::<Vec<SeqNo>>(),
+            "S={shards}: global FIFO order despite round-robin sharding"
+        );
+        assert_eq!(nodes[2].handle().delivered_global(NodeId(0)), 50);
+        shutdown(&nodes);
     }
-    let h = nodes[0].handle();
-    let mut last = 0;
-    for i in 1..=50u64 {
-        last = h
-            .publish(
-                Bytes::from(format!("p{i}").into_bytes()),
-                Duration::from_secs(1),
-            )
-            .expect("publish");
-    }
-    assert!(h
-        .waitfor(NodeId(0), "AllRemote", last, Duration::from_secs(10))
-        .unwrap());
-    // Deliveries are upcalls on the mirror's reader thread, after the
-    // ACK that completed the wait left it; give them a moment.
-    let deadline = std::time::Instant::now() + Duration::from_secs(5);
-    while log.lock().len() < 50 && std::time::Instant::now() < deadline {
-        std::thread::sleep(Duration::from_millis(10));
-    }
-    let seqs = log.lock().clone();
-    assert_eq!(
-        seqs,
-        (1..=50).collect::<Vec<SeqNo>>(),
-        "global FIFO order despite round-robin sharding"
-    );
-    assert_eq!(nodes[2].handle().delivered_global(NodeId(0)), 50);
-    shutdown(&nodes);
 }
 
 #[test]
 fn concurrent_publishers_get_gapless_globals() {
-    let nodes = cluster();
-    let h = nodes[0].handle();
-    let mut seen: Vec<SeqNo> = Vec::new();
-    let mut joins = Vec::new();
-    for _ in 0..4 {
-        let h = h.clone();
-        joins.push(std::thread::spawn(move || {
-            let mut mine = Vec::new();
-            for _ in 0..25 {
-                mine.push(
-                    h.publish(Bytes::from_static(b"x"), Duration::from_secs(5))
-                        .expect("publish"),
-                );
+    for shards in SHARD_COUNTS {
+        let nodes = cluster(shards);
+        let h = nodes[0].handle();
+        let mut seen: Vec<SeqNo> = Vec::new();
+        let mut joins = Vec::new();
+        for _ in 0..4 {
+            let h = h.clone();
+            joins.push(std::thread::spawn(move || {
+                let mut mine = Vec::new();
+                for _ in 0..25 {
+                    mine.push(
+                        h.publish(Bytes::from_static(b"x"), Duration::from_secs(5))
+                            .expect("publish"),
+                    );
+                }
+                mine
+            }));
+        }
+        for j in joins {
+            seen.extend(j.join().expect("publisher thread"));
+        }
+        seen.sort_unstable();
+        assert_eq!(
+            seen,
+            (1..=100).collect::<Vec<SeqNo>>(),
+            "S={shards}: 4 threads x 25 publishes produce globals 1..=100 with no gap or dup"
+        );
+        assert!(h
+            .waitfor(NodeId(0), "AllRemote", 100, Duration::from_secs(10))
+            .unwrap());
+        // ...and both mirrors reassemble all of them in global order.
+        let deadline = Instant::now() + Duration::from_secs(5);
+        for mirror in &nodes[1..] {
+            while mirror.handle().delivered_global(NodeId(0)) < 100 && Instant::now() < deadline {
+                std::thread::sleep(Duration::from_millis(10));
             }
-            mine
-        }));
+            assert_eq!(
+                mirror.handle().delivered_global(NodeId(0)),
+                100,
+                "S={shards}"
+            );
+        }
+        shutdown(&nodes);
     }
-    for j in joins {
-        seen.extend(j.join().expect("publisher thread"));
-    }
-    seen.sort_unstable();
-    assert_eq!(
-        seen,
-        (1..=100).collect::<Vec<SeqNo>>(),
-        "4 threads x 25 publishes produce globals 1..=100 with no gap or dup"
-    );
-    assert!(h
-        .waitfor(NodeId(0), "AllRemote", 100, Duration::from_secs(10))
-        .unwrap());
-    shutdown(&nodes);
 }
 
 #[test]
 fn monitor_fires_monotonically_on_aggregate() {
-    let nodes = cluster();
+    let nodes = cluster(2);
     let h = nodes[0].handle();
     let seqs: Arc<Mutex<Vec<SeqNo>>> = Arc::new(Mutex::new(Vec::new()));
     {
@@ -171,8 +193,7 @@ fn monitor_fires_monotonically_on_aggregate() {
 
 #[test]
 fn key_hash_routing_and_remote_stream_watching() {
-    let cfg = stabilizer_core::ClusterConfig::parse(CFG).expect("config parses");
-    let nodes = spawn_sharded_local_cluster(&cfg, RoutePolicy::KeyHash).expect("cluster boots");
+    let nodes = spawn_sharded_local_cluster(&cfg(2), RoutePolicy::KeyHash).expect("cluster boots");
     let origin = nodes[0].handle();
     let mirror = nodes[2].handle();
     // A mirror registering a predicate over the origin's stream sees the
@@ -205,7 +226,7 @@ fn key_hash_routing_and_remote_stream_watching() {
 
 #[test]
 fn change_predicate_bumps_generation_everywhere() {
-    let nodes = cluster();
+    let nodes = cluster(2);
     let h = nodes[0].handle();
     let seq = h
         .publish(Bytes::from_static(b"gen"), Duration::from_secs(1))
@@ -240,7 +261,7 @@ fn change_predicate_bumps_generation_everywhere() {
 
 #[test]
 fn single_shard_matches_unsharded_semantics() {
-    let cfg = stabilizer_core::ClusterConfig::parse(
+    let cfg = ClusterConfig::parse(
         "
 az East e1 e2
 az West w1
@@ -264,7 +285,7 @@ predicate AllRemote MIN($ALLWNODES-$MYWNODE)
 
 #[test]
 fn a_sharded_node_refuses_a_snapshot_it_cannot_restore() {
-    let cfg = stabilizer_core::ClusterConfig::parse(CFG).expect("config parses");
+    let cfg = cfg(2);
     let acks = Arc::new(AckTypeRegistry::new());
     let plain = StabilizerNode::new(cfg.clone(), NodeId(0), Arc::clone(&acks)).expect("node");
     let opts = SpawnOptions {
