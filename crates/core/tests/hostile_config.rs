@@ -1,0 +1,61 @@
+//! A configuration file is input too: what `ClusterConfig::parse`
+//! allocates must be bounded by the bytes it was given, not by the
+//! square of the node count they name, and a topology with more nodes
+//! than a `NodeId` can number is refused, not wrapped around. Counted
+//! with a per-thread allocator, as in `hostile_decode.rs`. Building a
+//! node from the config is not held to this: its ACK table is N × N by
+//! design.
+
+use stabilizer_core::{ClusterConfig, CoreError};
+
+#[global_allocator]
+static ALLOC: stabilizer_testalloc::Counting = stabilizer_testalloc::Counting;
+
+/// The bound of the DSL front end, which reads the predicates of the
+/// same file.
+const PER_INPUT_BYTE: usize = 512;
+
+/// One availability zone of `n` nodes named `n0`, `n1`, ...
+fn one_az(n: usize) -> String {
+    let names: Vec<String> = (0..n).map(|i| format!("n{i}")).collect();
+    format!("az A {}\n", names.join(" "))
+}
+
+/// Parse `text`, asserting the allocation bound.
+fn parse_within_bound(text: &str) -> ClusterConfig {
+    let (cost, parsed) = stabilizer_testalloc::cost(|| ClusterConfig::parse(text));
+    let cfg = parsed.expect("the config parses");
+    assert!(
+        cost <= PER_INPUT_BYTE * text.len(),
+        "{cost} B allocated parsing a {}-byte config of {} nodes",
+        text.len(),
+        cfg.num_nodes()
+    );
+    cfg
+}
+
+#[test]
+fn many_nodes_at_full_replication_cost_their_bytes_not_their_square() {
+    let cfg = parse_within_bound(&one_az(16_000));
+    assert!(cfg.placement().is_full_replication());
+}
+
+#[test]
+fn one_replicate_line_keeps_the_other_streams_shared() {
+    let text = one_az(16_000) + "replicate n0 n0 n1\n";
+    let cfg = parse_within_bound(&text);
+    let placement = cfg.placement();
+    assert!(!placement.is_full_replication());
+    assert_eq!(placement.replicas(stabilizer_core::NodeId(0)).len(), 2);
+    assert_eq!(placement.replicas(stabilizer_core::NodeId(1)).len(), 16_000);
+}
+
+#[test]
+fn more_nodes_than_an_id_can_number_are_refused() {
+    let n = usize::from(u16::MAX) + 2;
+    match ClusterConfig::parse(&one_az(n)) {
+        Err(CoreError::Config(msg)) => assert!(msg.contains("nodes"), "{msg}"),
+        Err(other) => panic!("refused as {other:?}, not as a config error"),
+        Ok(cfg) => panic!("{n} nodes parsed, into {} ids", cfg.num_nodes()),
+    }
+}

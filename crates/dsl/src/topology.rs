@@ -104,6 +104,11 @@ pub struct TopologyBuilder {
     azs: Vec<(String, Vec<String>)>,
 }
 
+/// The error for a topology with more `what` than a `u16` id numbers.
+fn too_many(what: &str) -> DslError {
+    DslError::Topology(format!("more than {} {what}", u32::from(u16::MAX) + 1))
+}
+
 impl TopologyBuilder {
     /// Declare an availability zone named `az_name` containing `nodes`.
     pub fn az(mut self, az_name: &str, nodes: &[&str]) -> Self {
@@ -118,8 +123,8 @@ impl TopologyBuilder {
     ///
     /// # Errors
     ///
-    /// Fails on duplicate node or AZ names, empty AZs, or an empty
-    /// topology.
+    /// Fails on duplicate node or AZ names, empty AZs, an empty
+    /// topology, or more nodes or AZs than a `u16` id can number.
     pub fn build(self) -> Result<Topology, DslError> {
         if self.azs.is_empty() {
             return Err(DslError::Topology(
@@ -145,7 +150,8 @@ impl TopologyBuilder {
                     "duplicate availability zone {az_name}"
                 )));
             }
-            let az = AzId(t.az_names.len() as u16);
+            let az =
+                AzId(u16::try_from(t.az_names.len()).map_err(|_| too_many("availability zones"))?);
             t.az_names.push(az_name.clone());
             t.az_by_name.insert(az_name, az);
             let mut members = Vec::new();
@@ -153,7 +159,7 @@ impl TopologyBuilder {
                 if t.node_by_name.contains_key(&node_name) {
                     return Err(DslError::Topology(format!("duplicate node {node_name}")));
                 }
-                let id = NodeId(t.node_names.len() as u16);
+                let id = NodeId(u16::try_from(t.node_names.len()).map_err(|_| too_many("nodes"))?);
                 t.node_names.push(node_name.clone());
                 t.node_by_name.insert(node_name, id);
                 t.node_az.push(az);

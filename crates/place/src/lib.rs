@@ -82,10 +82,16 @@ impl std::error::Error for PlaceError {}
 /// Streams are identified with their origin node (the Stabilizer model:
 /// one totally ordered stream per node), so a map over `n` nodes holds
 /// `n` replica sets. Each set is sorted and always contains the origin.
+/// Every stream replicated on every node shares one set, so a map costs
+/// what its `replicate` directives say, not `n` × `n`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PlacementMap {
-    /// `replicas[stream.0]` is the sorted replica set of that stream.
-    replicas: Vec<Vec<NodeId>>,
+    /// Every node, in id order: the replica set of each stream at full
+    /// replication.
+    everyone: Vec<NodeId>,
+    /// `replicas[stream.0]` is the sorted replica set of that stream, or
+    /// `None` when that set is `everyone`.
+    replicas: Vec<Option<Vec<NodeId>>>,
     /// True when every stream is replicated on every node (the default).
     full: bool,
 }
@@ -95,10 +101,22 @@ impl PlacementMap {
     /// This is the seed semantics and the default when a config carries
     /// no `replicate` directives.
     pub fn full(n: usize) -> Self {
-        let everyone: Vec<NodeId> = (0..n as u16).map(NodeId).collect();
+        Self::resolved(vec![None; n])
+    }
+
+    /// The map of validated sets, `None` for a stream left at full
+    /// replication; a set of every node is stored as `None` too.
+    fn resolved(mut replicas: Vec<Option<Vec<NodeId>>>) -> Self {
+        let n = replicas.len();
+        for set in &mut replicas {
+            if set.as_ref().is_some_and(|set| set.len() == n) {
+                *set = None;
+            }
+        }
         PlacementMap {
-            replicas: vec![everyone; n],
-            full: true,
+            everyone: (0..n).map(|i| NodeId(i as u16)).collect(),
+            full: replicas.iter().all(Option::is_none),
+            replicas,
         }
     }
 
@@ -114,9 +132,7 @@ impl PlacementMap {
         topo: &Topology,
         directives: &[ReplicateDirective],
     ) -> Result<Self, PlaceError> {
-        let n = topo.num_nodes();
-        let everyone: Vec<NodeId> = (0..n as u16).map(NodeId).collect();
-        let mut replicas: Vec<Option<Vec<NodeId>>> = vec![None; n];
+        let mut replicas: Vec<Option<Vec<NodeId>>> = vec![None; topo.num_nodes()];
         for d in directives {
             let stream = topo
                 .node(&d.stream.name)
@@ -151,12 +167,7 @@ impl PlacementMap {
             set.sort_unstable();
             replicas[stream.0 as usize] = Some(set);
         }
-        let replicas: Vec<Vec<NodeId>> = replicas
-            .into_iter()
-            .map(|r| r.unwrap_or_else(|| everyone.clone()))
-            .collect();
-        let full = replicas.iter().all(|r| r.len() == n);
-        Ok(PlacementMap { replicas, full })
+        Ok(Self::resolved(replicas))
     }
 
     /// Build directly from resolved `(stream, replica-set)` pairs; unlisted
@@ -168,7 +179,6 @@ impl PlacementMap {
     /// Same validation as [`PlacementMap::from_directives`], with node
     /// indices rendered as `$<id>` names in the errors.
     pub fn from_sets(n: usize, sets: &[(NodeId, Vec<NodeId>)]) -> Result<Self, PlaceError> {
-        let everyone: Vec<NodeId> = (0..n as u16).map(NodeId).collect();
         let mut replicas: Vec<Option<Vec<NodeId>>> = vec![None; n];
         for (stream, set) in sets {
             let name = format!("${}", stream.0);
@@ -199,12 +209,7 @@ impl PlacementMap {
             sorted.sort_unstable();
             replicas[stream.0 as usize] = Some(sorted);
         }
-        let replicas: Vec<Vec<NodeId>> = replicas
-            .into_iter()
-            .map(|r| r.unwrap_or_else(|| everyone.clone()))
-            .collect();
-        let full = replicas.iter().all(|r| r.len() == n);
-        Ok(PlacementMap { replicas, full })
+        Ok(Self::resolved(replicas))
     }
 
     /// Number of nodes (== number of streams) this map covers.
@@ -214,21 +219,20 @@ impl PlacementMap {
 
     /// The sorted replica set of `stream`. Always contains the origin.
     pub fn replicas(&self, stream: NodeId) -> &[NodeId] {
-        &self.replicas[stream.0 as usize]
+        self.replicas[stream.0 as usize]
+            .as_deref()
+            .unwrap_or(&self.everyone)
     }
 
     /// True if `node` stores (and acknowledges) `stream`.
     pub fn is_replica(&self, stream: NodeId, node: NodeId) -> bool {
-        self.full
-            || self.replicas[stream.0 as usize]
-                .binary_search(&node)
-                .is_ok()
+        self.full || self.replicas(stream).binary_search(&node).is_ok()
     }
 
     /// The replicas of `stream` other than `me` — the data fan-out targets
     /// when `me` publishes on its own stream.
     pub fn replica_peers(&self, stream: NodeId, me: NodeId) -> Vec<NodeId> {
-        self.replicas[stream.0 as usize]
+        self.replicas(stream)
             .iter()
             .copied()
             .filter(|&r| r != me)
@@ -243,9 +247,9 @@ impl PlacementMap {
         if self.full || a == b {
             return true;
         }
-        (0..self.replicas.len() as u16)
-            .map(NodeId)
-            .any(|s| self.is_replica(s, a) && self.is_replica(s, b))
+        self.everyone
+            .iter()
+            .any(|&s| self.is_replica(s, a) && self.is_replica(s, b))
     }
 
     /// True when every stream is replicated on every node — the seed
@@ -274,7 +278,8 @@ impl PlacementMap {
         };
         eat(&(self.replicas.len() as u64).to_le_bytes());
         if !self.full {
-            for set in &self.replicas {
+            for &stream in &self.everyone {
+                let set = self.replicas(stream);
                 eat(&(set.len() as u64).to_le_bytes());
                 for r in set {
                     eat(&r.0.to_le_bytes());
@@ -292,12 +297,11 @@ impl PlacementMap {
         if self.full {
             return String::new();
         }
-        let n = self.replicas.len();
         let mut out = String::new();
         for (i, set) in self.replicas.iter().enumerate() {
-            if set.len() == n {
+            let Some(set) = set else {
                 continue; // stream at its default; nothing to declare
-            }
+            };
             out.push_str("replicate ");
             out.push_str(topo.node_name(NodeId(i as u16)));
             for r in set {

@@ -1,7 +1,7 @@
 //! Capped exponential backoff with deterministic, seeded jitter for the
-//! writer threads' reconnect loops.
+//! connector threads' reconnect loops.
 //!
-//! Plain exponential backoff synchronizes: every writer that lost its
+//! Plain exponential backoff synchronizes: every link that lost its
 //! peer at the same instant retries at the same instants, producing
 //! connection stampedes exactly when the peer is busiest (coming back
 //! up). Jitter decorrelates the retries. The jitter source is a seeded
@@ -69,7 +69,7 @@ impl Backoff {
 }
 
 /// Derive a per-link jitter seed from a cluster seed and the directed
-/// link identity, so every writer thread jitters independently but
+/// link identity, so every connector jitters independently but
 /// reproducibly.
 pub fn link_seed(cluster_seed: u64, me: u16, peer: u16) -> u64 {
     let mut s = cluster_seed ^ ((me as u64) << 32) ^ ((peer as u64) << 16) ^ 0x5bd1_e995;

@@ -235,6 +235,11 @@ impl<R: Read> FrameReader<R> {
         }
     }
 
+    /// The connection read from.
+    pub(crate) fn get_ref(&self) -> &R {
+        &self.r
+    }
+
     /// Block until at least one frame is complete, then append **every**
     /// frame that read completed to `out`, in order, and return their
     /// wire size (length prefixes included). Never blocks again once it
@@ -245,7 +250,9 @@ impl<R: Read> FrameReader<R> {
     ///
     /// I/O errors, oversized frames, bodies too short for the lane, or
     /// undecodable bodies. Frames ahead of a bad one are handed over
-    /// first; the call after that meets it again and fails.
+    /// first; the call after that meets it again and fails. On a
+    /// non-blocking connection `WouldBlock` means no frame is complete
+    /// yet; what was read is kept for the next call.
     pub(crate) fn read_batch<L: Lane>(
         &mut self,
         out: &mut Vec<(L, WireMsg)>,

@@ -203,14 +203,14 @@ impl<M: TcpMachine> NodeHandle<M> {
         self.shared.node.lock().metrics()
     }
 
-    /// Peers a writer thread permanently gave up connecting to (empty
+    /// Peers a connector permanently gave up connecting to (empty
     /// unless `connect_retry_limit` is configured).
     pub fn connect_failures(&self) -> Vec<NodeId> {
         self.shared.link.connect_failures()
     }
 
     /// Scale this node's timer cadence (clock-skew fault injection):
-    /// every ticker interval — ACK flush, heartbeat, failure detector,
+    /// every timer interval — ACK flush, heartbeat, failure detector,
     /// retransmit, transfer pacing — runs at `scale ×` its configured
     /// length. 1.0 restores nominal.
     ///

@@ -1,16 +1,17 @@
 //! # Stabilizer TCP runtime
 //!
-//! Runs a sans-IO Stabilizer machine over real TCP sockets with a
-//! thread-per-connection layout ([`link`], the one place sockets are
-//! touched): one [`runtime`] — the machine behind one mutex, link
-//! threads running it inline — over either of the two machines the
-//! simulator runs, a plain [`StabilizerNode`](stabilizer_core::StabilizerNode)
-//! or a [`ShardedEngine`](stabilizer_shard::ShardedEngine) ([`sharded`]
+//! Runs a sans-IO Stabilizer machine over real TCP sockets with one
+//! `ppoll(2)` loop per node ([`link`], the one place sockets are
+//! touched): one [`runtime`] — the machine behind one mutex, the loop
+//! running it inline — over either of the two machines the simulator
+//! runs, a plain [`StabilizerNode`](stabilizer_core::StabilizerNode) or
+//! a [`ShardedEngine`](stabilizer_shard::ShardedEngine) ([`sharded`]
 //! holds what the latter adds). The paper's prototype uses an
-//! asynchronous runtime for the same purpose; plain threads plus
-//! crossbeam channels give identical control/data-plane separation with
-//! a dependency footprint limited to the approved crate set (see
-//! DESIGN.md).
+//! asynchronous runtime for the same purpose; one loop over
+//! non-blocking std sockets gives the same control/data-plane
+//! separation with no runtime dependency — a private module holds the
+//! one foreign call, `ppoll` itself, and a crossbeam channel carries
+//! only the connections a connector thread hands back (see DESIGN.md).
 //!
 //! [`spawn_local_cluster`] boots an N-node deployment on localhost for
 //! tests and demos; [`spawn_node`] wires one node given a listener plus

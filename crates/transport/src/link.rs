@@ -1,82 +1,101 @@
-//! The TCP link layer under the runtime: every socket, every I/O thread
-//! and the wall-clock ticker of a node live here, generic over the frame
+//! The TCP link layer under the runtime: every socket of a node and the
+//! one thread that serves them live here, generic over the frame
 //! [`Lane`] and a [`LinkClient`] — the [`runtime`](crate::runtime) over
 //! a plain or a sharded machine, which owns the protocol state (the
 //! unit tests drive a stub instead).
 //!
 //! Thread layout per node, spawned by `spawn`:
 //!
-//! * one **accept** thread blocked in `accept()` ([`Link::shutdown`]
-//!   wakes it with a self-connect), handing each inbound connection to a
-//!   **reader** thread that validates the hello (the announced id must
-//!   be a configured, linked node other than this one; a refused
-//!   connection gets a FIN and is drained, never reset; a connection no
-//!   reader thread can be spawned for gets a FIN and the accept thread
-//!   goes on). After every blocking read the reader decodes *all*
-//!   frames that read completed — in its buffer, or in the buffers of a
-//!   run of large frames (`FrameReader`) — and hands them to
-//!   [`LinkClient::on_frames`] as one **reader batch**: what has already
-//!   arrived, never what might — the buffers' capacity is the only
-//!   bound, there is no second blocking read before the hand-off, and a
-//!   lone frame is a batch of one;
-//! * one **writer** thread per linked peer, draining that peer's channel
-//!   of outbound `(lane, message)` pairs into a buffered, (re)connecting
-//!   socket. Frames lost while a link is down are repaired on reconnect
-//!   by [`LinkClient::repair_link`] (resend from the send buffer plus a
-//!   full ACK re-announcement), which runs *before* the queue is drained
-//!   again. The buffer is flushed whenever the queue runs empty, so
-//!   latency is bounded by the batch, not by a timer. `AckBatch` frames
-//!   are not written as they are dequeued: the writer keeps one **held
-//!   ACK row** per lane, max-merged per cell ([`Ack::max_merge`]), and
-//!   writes it at the tail of the burst — when the queue runs empty or
-//!   one write buffer of bytes has been dequeued since the row was
-//!   first held, whichever comes first, always before the flush — so
-//!   `D1 A1 D2 A2 D3 A3` leaves as `D1 D2 D3 A3`. A stability report is
-//!   monotone: delaying it behind frames queued after it cannot be told
-//!   from it having been queued later, and a row dropped with a broken
-//!   connection is covered by the reconnect's re-announcement. No other
-//!   frame kind is reordered;
-//! * one **ticker** thread arming the [`TimerKind`] table against the
-//!   wall clock (each period stretched by the clock-skew scale),
-//!   calling [`LinkClient::on_timer`] on expiry, and sampling telemetry
-//!   through [`LinkClient::sample`] every 20 ms.
+//! * one **I/O** thread, `<prefix>-<me>-io`: a `ppoll(2)` loop over the
+//!   waker, the non-blocking listener, every inbound connection, and
+//!   every outbound connection with bytes its socket has not yet taken.
+//!   Each turn it
+//!   - accepts what the listener holds, and reads one **reader batch**
+//!     from each readable inbound connection: *all* frames that read
+//!     completed — in its buffer, or in the buffers of a run of large
+//!     frames (`FrameReader`) — handed to [`LinkClient::on_frames`] in
+//!     one call: what has already arrived, never what might — the
+//!     buffers' capacity is the only bound, and a lone frame is a batch
+//!     of one. A connection's first frame must be a hello announcing a
+//!     configured, linked node other than this one; a refused connection
+//!     gets a FIN and is drained, never reset, and a connection that
+//!     never says hello costs a poll entry, not a thread;
+//!   - fires the due [`TimerKind`]s against the wall clock (each period
+//!     stretched by the clock-skew scale) through
+//!     [`LinkClient::on_timer`], and samples telemetry through
+//!     [`LinkClient::sample`] every 20 ms;
+//!   - writes. Each peer's queue is taken a **burst** at a time — as many
+//!     frames as fill one write buffer, `WRITE_BUF` — encoded into that
+//!     link's buffer, and written until the socket would block; the next
+//!     burst is taken only once the buffer is fully written, so latency
+//!     is bounded by the burst, not by a timer. `AckBatch` frames are not
+//!     encoded as they are dequeued: the loop keeps one **held ACK row**
+//!     per lane, max-merged per cell ([`Ack::max_merge`]), and encodes it
+//!     at the tail of the burst — when the queue runs empty or one write
+//!     buffer of bytes has been dequeued since the row was first held,
+//!     whichever comes first — so `D1 A1 D2 A2 D3 A3` leaves as
+//!     `D1 D2 D3 A3`. A stability report is monotone: delaying it behind
+//!     frames queued after it cannot be told from it having been queued
+//!     later, and a row dropped with a broken connection is covered by
+//!     the reconnect's re-announcement. No other frame kind is reordered;
+//!   - sleeps in `ppoll` until a socket is ready, a send wakes it or the
+//!     next timer is due — with no timer configured and no hub attached,
+//!     for as long as nothing happens.
+//! * one **connector** thread per link, `<prefix>-<me>-c<peer>`, alive
+//!   only while that link is down: it connects with capped, jittered
+//!   backoff, writes the hello and hands the stream to the loop, which
+//!   runs [`LinkClient::repair_link`] (resend from the send buffer plus a
+//!   full ACK re-announcement) *before* the queue drains again. That
+//!   repair is what covers the frames lost while the link was down.
 //!
-//! Locking discipline: the link's own locks (`senders`,
+//! The wake handshake: [`Link::send`] pushes onto the peer's queue, sets
+//! `pending`, and writes a byte to the waker only if the loop has set
+//! `sleeping`. The loop clears `pending` before it looks at the queues,
+//! and sets `sleeping` before it looks at `pending` one last time and
+//! sleeps (all `SeqCst`): a send that comes while the loop heads for
+//! sleep is seen by one side or the other, and a send the loop makes
+//! itself — a fold's ACK rows — costs no syscall.
+//!
+//! Locking discipline: the link's own locks (`queues`,
 //! `connect_failed`, `telemetry_server`) are leaves — nothing is called
-//! with one held. Link threads call into the client with **no** link
-//! lock held, and the client may call `Link::send` from under its own
-//! locks. A poll-based back end would replace this file and nothing
-//! else.
+//! with one held. The loop and the connectors call into the client with
+//! **no** link lock held, and the client may call `Link::send` from
+//! under its own locks. Every client call but
+//! [`LinkClient::on_connect_failed`] runs on the loop, so one that
+//! blocks holds up every socket of its node until it returns. A
+//! simulated back end would replace this file and nothing else.
 
 use crate::backoff::{link_seed, Backoff};
 use crate::framing::{hello, parse_hello, write_lane_frame_with, FrameReader, Lane};
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
+use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::Mutex;
 use stabilizer_core::timers::{self, TimerKind};
 use stabilizer_core::{Ack, ClusterConfig, CoreError, NodeId, Options, PlacementMap, WireMsg};
 use stabilizer_telemetry::{
     Counter, Gauge, ServerRoutes, StallProvider, Telemetry, TelemetryServer,
 };
-use std::collections::HashMap;
-use std::io::{BufWriter, Write};
-use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::collections::{HashMap, VecDeque};
+use std::io::{ErrorKind, Read, Write};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::os::fd::AsRawFd;
+use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
-/// How long a writer blocks on an empty queue before re-checking for
-/// shutdown. Not a latency bound: the queue is flushed before blocking.
-const IDLE_POLL: Duration = Duration::from_millis(100);
 /// Capacity of a connection's write buffer: the bound on one write burst,
 /// on how long a held ACK row rides behind the frames queued after it,
 /// and on the large frames a reader takes in one read.
 pub(crate) const WRITE_BUF: usize = 64 * 1024;
-/// Telemetry sampling cadence of the ticker.
+/// Telemetry sampling cadence of the I/O loop.
 const SAMPLE_EVERY: Duration = Duration::from_millis(20);
+/// The most a frame's head adds to its message's encoding: the length
+/// prefix and the widest lane.
+const FRAME_HEAD: usize = 4 + 2;
 
 /// Transport-level counters and gauges for one node, registered in the
 /// attached [`Telemetry`] hub's registry. Handles are plain atomics, so
-/// the I/O threads record without locking.
+/// the link threads record without locking.
 pub struct TransportMetrics {
     /// Frames written to peers (hello and repair traffic included).
     pub frames_out: Counter,
@@ -86,22 +105,22 @@ pub struct TransportMetrics {
     pub frames_in: Counter,
     /// Bytes read from inbound connections.
     pub bytes_in: Counter,
-    /// Reader batches: blocking reads that completed at least one frame,
-    /// each handed to the node in one call. `frames_in / read_batches`
-    /// is the mean fold size.
+    /// Reader batches: reads that completed at least one frame, each
+    /// handed to the node in one call. `frames_in / read_batches` is the
+    /// mean fold size.
     pub read_batches: Counter,
-    /// `AckBatch` frames a writer merged into a row it already held
-    /// instead of writing them.
+    /// `AckBatch` frames merged into a row already held instead of
+    /// being written.
     pub acks_coalesced: Counter,
     /// Successful connects after the first per link (i.e. reconnects).
     pub reconnects: Counter,
     /// Failed connect attempts (each is followed by a backoff sleep).
     pub connect_attempts: Counter,
-    /// Total nanoseconds writer threads spent in backoff sleeps.
+    /// Total nanoseconds connector threads spent in backoff sleeps.
     pub backoff_sleep_ns: Counter,
-    /// Current send-buffer occupancy (sampled by the ticker).
+    /// Current send-buffer occupancy (sampled by the I/O loop).
     pub send_buffer_bytes: Gauge,
-    /// Blocked `waitfor`s (sampled by the ticker).
+    /// Blocked `waitfor`s (sampled by the I/O loop).
     pub pending_waiters: Gauge,
 }
 
@@ -140,26 +159,27 @@ pub trait LinkClient: Send + Sync + 'static {
     /// The link state embedded in this client.
     fn link(&self) -> &Link<Self::Lane>;
 
-    /// A reader batch arrived from `peer`: every frame one blocking read
-    /// completed, in wire order, never empty (reader thread; the hello
-    /// has been validated and is not passed on). The vector is the
-    /// reader's to reuse; whatever is left in it is discarded.
+    /// A reader batch arrived from `peer`: every frame one read
+    /// completed, in wire order, never empty (I/O loop; the hello has
+    /// been validated and is not passed on). The vector is the loop's to
+    /// reuse; whatever is left in it is discarded.
     fn on_frames(&self, peer: NodeId, frames: &mut Vec<(Self::Lane, WireMsg)>);
 
     /// The link to `peer` was (re)established after traffic may have
     /// been lost: resend unacknowledged data and re-announce ACKs
-    /// (writer thread, before it drains the queue again).
+    /// (I/O loop, before the queue drains again).
     fn repair_link(&self, peer: NodeId);
 
-    /// Timer `kind` expired (ticker thread).
+    /// Timer `kind` expired (I/O loop).
     fn on_timer(&self, kind: TimerKind, now_nanos: u64);
 
-    /// Mirror the client's state into the attached hub (ticker thread,
-    /// every 20 ms).
+    /// Mirror the client's state into the attached hub (I/O loop, every
+    /// 20 ms).
     fn sample(&self, telemetry: &Telemetry);
 
-    /// The writer for `peer` exhausted `connect_retry_limit` and exited;
-    /// already recorded in [`Link::connect_failures`].
+    /// The connector for `peer` exhausted `connect_retry_limit` and
+    /// exited; already recorded in [`Link::connect_failures`]
+    /// (connector thread).
     fn on_connect_failed(&self, _peer: NodeId) {}
 }
 
@@ -171,12 +191,12 @@ pub struct Link<L: Lane> {
     running: AtomicBool,
     /// Monotonic epoch for protocol timestamps.
     started: Instant,
-    /// Multiplier on every ticker period, stored as `f64` bits
+    /// Multiplier on every timer period, stored as `f64` bits
     /// (clock-skew fault injection; 1.0 = nominal cadence). Read by the
-    /// ticker each iteration, so a change takes effect within one tick.
+    /// loop whenever it works out how long to sleep.
     timer_scale_bits: AtomicU64,
-    /// Peers a writer permanently gave up connecting to (only populated
-    /// when `connect_retry_limit` is configured).
+    /// Peers a connector permanently gave up connecting to (only
+    /// populated when `connect_retry_limit` is configured).
     connect_failed: Mutex<Vec<NodeId>>,
     pub(crate) telemetry: Option<Arc<Telemetry>>,
     /// Transport counters (present iff `telemetry` is).
@@ -184,11 +204,11 @@ pub struct Link<L: Lane> {
     /// Live scrape endpoint (present once [`Link::serve`] bound one);
     /// joined on shutdown.
     telemetry_server: Mutex<Option<TelemetryServer>>,
-    /// Per-peer outbound channels.
-    senders: Mutex<HashMap<NodeId, Sender<(L, WireMsg)>>>,
-    /// Where the accept thread listens (set by [`spawn`]): the address
-    /// [`Link::shutdown`] connects to, to wake it out of `accept()`.
-    listen_addr: OnceLock<SocketAddr>,
+    /// Per-peer outbound queues, one per link; a peer's goes when its
+    /// connector gives up, and all go on shutdown.
+    queues: Mutex<HashMap<NodeId, VecDeque<(L, WireMsg)>>>,
+    /// The loop's doorbell (set by [`spawn`]).
+    waker: OnceLock<Waker>,
 }
 
 impl<L: Lane> Link<L> {
@@ -219,8 +239,8 @@ impl<L: Lane> Link<L> {
             metrics: telemetry.as_ref().map(|t| TransportMetrics::new(t, me)),
             telemetry,
             telemetry_server: Mutex::new(None),
-            senders: Mutex::new(HashMap::new()),
-            listen_addr: OnceLock::new(),
+            queues: Mutex::new(HashMap::new()),
+            waker: OnceLock::new(),
         }
     }
 
@@ -261,17 +281,52 @@ impl<L: Lane> Link<L> {
     }
 
     /// Queue `msg` for `to` on `lane`. Dropped when there is no link to
-    /// `to` or its writer is gone (shutting down, or gave up).
+    /// `to` or its queue is gone (shutting down, or given up).
     pub(crate) fn send(&self, to: NodeId, lane: L, msg: WireMsg) {
-        if let Some(tx) = self.senders.lock().get(&to) {
-            let _ = tx.send((lane, msg));
+        let queued = match self.queues.lock().get_mut(&to) {
+            Some(queue) => {
+                queue.push_back((lane, msg));
+                true
+            }
+            None => false,
+        };
+        if queued {
+            self.wake();
         }
     }
 
-    /// Scale every ticker period by `scale` — the wall-clock twin of
-    /// the simulator's skewed local clock (`scale < 1` fires timers
-    /// early, `> 1` late). Takes effect within one ticker iteration; 1.0
-    /// restores the nominal cadence.
+    /// Make sure the loop looks at everything it is woken for.
+    fn wake(&self) {
+        if let Some(waker) = self.waker.get() {
+            waker.wake();
+        }
+    }
+
+    /// Move the next burst of `to`'s queue into `burst`, each message
+    /// with its encoded length: at least one message, and no more than
+    /// one write buffer's worth. True when that emptied the queue.
+    fn take_burst(&self, to: NodeId, burst: &mut Vec<(L, WireMsg, usize)>) -> bool {
+        let mut queues = self.queues.lock();
+        let Some(queue) = queues.get_mut(&to) else {
+            return true;
+        };
+        let mut room = WRITE_BUF;
+        while let Some((lane, msg)) = queue.pop_front() {
+            let len = msg.encoded_len();
+            if !burst.is_empty() && len + FRAME_HEAD > room {
+                queue.push_front((lane, msg));
+                break;
+            }
+            room = room.saturating_sub(len + FRAME_HEAD);
+            burst.push((lane, msg, len));
+        }
+        queue.is_empty()
+    }
+
+    /// Scale every timer period by `scale` — the wall-clock twin of the
+    /// simulator's skewed local clock (`scale < 1` fires timers early,
+    /// `> 1` late). Wakes the loop, so it takes effect at once, however
+    /// long the loop meant to sleep; 1.0 restores the nominal cadence.
     ///
     /// # Panics
     ///
@@ -280,6 +335,7 @@ impl<L: Lane> Link<L> {
         timers::assert_valid_scale(scale);
         self.timer_scale_bits
             .store(scale.to_bits(), Ordering::SeqCst);
+        self.wake();
     }
 
     /// The current timer-period multiplier (1.0 = nominal).
@@ -287,8 +343,8 @@ impl<L: Lane> Link<L> {
         f64::from_bits(self.timer_scale_bits.load(Ordering::SeqCst))
     }
 
-    /// Peers a writer thread permanently gave up connecting to (empty
-    /// unless `connect_retry_limit` is configured).
+    /// Peers a connector permanently gave up connecting to (empty unless
+    /// `connect_retry_limit` is configured).
     pub fn connect_failures(&self) -> Vec<NodeId> {
         self.connect_failed.lock().clone()
     }
@@ -296,13 +352,8 @@ impl<L: Lane> Link<L> {
     /// Stop all link threads (idempotent).
     pub fn shutdown(&self) {
         self.running.store(false, Ordering::SeqCst);
-        self.senders.lock().clear(); // disconnect writer channels
-
-        // The accept thread blocks in `accept()`: hand it one last
-        // connection, which it drops on seeing `running` cleared.
-        if let Some(addr) = self.listen_addr.get() {
-            let _ = TcpStream::connect_timeout(addr, Duration::from_millis(200));
-        }
+        self.queues.lock().clear();
+        self.wake();
         if let Some(mut server) = self.telemetry_server.lock().take() {
             server.shutdown();
         }
@@ -318,11 +369,153 @@ impl<L: Lane> Link<L> {
     }
 }
 
+/// The loop's doorbell, and the two flags of the wake handshake (module
+/// doc).
+struct Waker {
+    /// Set by every wake, cleared by the loop before it looks.
+    pending: AtomicBool,
+    /// Set by the loop from its last look at `pending` until it is
+    /// awake again; a wake that finds it set clears it and rings.
+    sleeping: AtomicBool,
+    /// The bell: a byte written here makes `rx` readable.
+    tx: UnixStream,
+    rx: UnixStream,
+}
+
+impl Waker {
+    fn new() -> std::io::Result<Self> {
+        let (tx, rx) = UnixStream::pair()?;
+        tx.set_nonblocking(true)?;
+        rx.set_nonblocking(true)?;
+        Ok(Waker {
+            pending: AtomicBool::new(false),
+            sleeping: AtomicBool::new(false),
+            tx,
+            rx,
+        })
+    }
+
+    /// Something for the loop to see is in place: make sure it looks.
+    fn wake(&self) {
+        self.pending.store(true, Ordering::SeqCst);
+        if self.sleeping.swap(false, Ordering::SeqCst) {
+            // A full bell already rings.
+            let _ = (&self.tx).write(&[1]);
+        }
+    }
+
+    /// The loop is about to look at everything a wake announces.
+    fn begin(&self) {
+        self.pending.store(false, Ordering::SeqCst);
+    }
+
+    /// The poll entry of the bell, first in every poll set.
+    fn poll_fd(&self) -> sys::PollFd {
+        sys::PollFd::new(self.rx.as_raw_fd(), sys::POLLIN)
+    }
+
+    /// Poll `fds`, whose first entry is [`Waker::poll_fd`], for at most
+    /// `timeout` (`None`: no limit) — for no time at all if a wake came
+    /// since [`Waker::begin`] — and silence the bell. Returns how many
+    /// entries are ready.
+    fn sleep(&self, fds: &mut [sys::PollFd], timeout: Option<Duration>) -> usize {
+        self.sleeping.store(true, Ordering::SeqCst);
+        let timeout = match self.pending.load(Ordering::SeqCst) {
+            true => Some(Duration::ZERO),
+            false => timeout,
+        };
+        let ready = sys::ppoll(fds, timeout);
+        self.sleeping.store(false, Ordering::SeqCst);
+        if fds[0].ready() {
+            // A read that does not fill the buffer took every byte.
+            while matches!((&self.rx).read(&mut [0; 64]), Ok(64)) {}
+        }
+        ready
+    }
+}
+
+/// The one foreign call of the crate.
+mod sys {
+    use std::ffi::{c_int, c_long, c_short, c_ulong, c_void};
+    use std::os::fd::RawFd;
+    use std::time::Duration;
+
+    pub(super) const POLLIN: c_short = 0x001;
+    pub(super) const POLLOUT: c_short = 0x004;
+
+    /// `struct pollfd`.
+    #[repr(C)]
+    pub(super) struct PollFd {
+        fd: c_int,
+        events: c_short,
+        revents: c_short,
+    }
+
+    impl PollFd {
+        pub(super) fn new(fd: RawFd, events: c_short) -> Self {
+            PollFd {
+                fd,
+                events,
+                revents: 0,
+            }
+        }
+
+        /// The last poll found the descriptor ready, failed or hung up.
+        pub(super) fn ready(&self) -> bool {
+            self.revents != 0
+        }
+    }
+
+    /// `struct timespec` (`time_t` is a `long` on Linux).
+    #[repr(C)]
+    struct Timespec {
+        tv_sec: c_long,
+        tv_nsec: c_long,
+    }
+
+    extern "C" {
+        #[link_name = "ppoll"]
+        fn ppoll_raw(
+            fds: *mut PollFd,
+            nfds: c_ulong,
+            timeout: *const Timespec,
+            sigmask: *const c_void,
+        ) -> c_int;
+    }
+
+    /// Wait until an entry of `fds` is ready or `timeout` (`None`: no
+    /// limit) has passed. Returns how many entries are ready: 0 on a
+    /// timeout, and on an interrupted or failed call.
+    pub(super) fn ppoll(fds: &mut [PollFd], timeout: Option<Duration>) -> usize {
+        let timeout = timeout.map(|t| Timespec {
+            tv_sec: c_long::try_from(t.as_secs()).unwrap_or(c_long::MAX),
+            tv_nsec: t.subsec_nanos() as c_long,
+        });
+        let timeout_ptr = timeout
+            .as_ref()
+            .map_or(std::ptr::null(), std::ptr::from_ref);
+        // SAFETY: `fds` is an exclusively borrowed array of `fds.len()`
+        // `pollfd`s (`repr(C)`, the kernel's layout) that outlives the
+        // call, which writes nothing but their `revents`; `timeout_ptr`
+        // is null or points at a live `timespec` the call only reads;
+        // a null `sigmask` leaves the signal mask as it is.
+        let ready = unsafe {
+            ppoll_raw(
+                fds.as_mut_ptr(),
+                fds.len() as c_ulong,
+                timeout_ptr,
+                std::ptr::null(),
+            )
+        };
+        usize::try_from(ready).unwrap_or(0)
+    }
+}
+
 /// Per-spawn parameters of [`spawn`].
 pub(crate) struct LinkSpawn {
     /// Thread-name prefix (`<prefix>-<me>-…`).
     pub thread_prefix: &'static str,
-    /// Run [`LinkClient::repair_link`] on each writer's *first* connect
+    /// Run [`LinkClient::repair_link`] on each link's *first* connect
     /// too: a node restored from a snapshot re-announces its recovered
     /// ACK state without waiting for traffic. Later connects always
     /// repair.
@@ -332,18 +525,19 @@ pub(crate) struct LinkSpawn {
     pub jitter_seed: u64,
 }
 
-/// Start `client`'s link threads: a writer per linked peer of
-/// `peer_addrs`, the accept thread on `listener`, and the ticker running
-/// `options`' timer table.
+/// Start `client`'s link threads: a connector per linked peer of
+/// `peer_addrs`, and the I/O loop over `listener` running `options`'
+/// timer table.
 ///
 /// Under partial replication a link only exists between nodes sharing at
-/// least one stream; unlinked peers get no writer (and no reconnect
+/// least one stream; unlinked peers get no queue (and no reconnect
 /// spin). Full replication keeps every link.
 ///
 /// # Errors
 ///
-/// A thread that could not be spawned, as a configuration error. The
-/// threads already running exit once the caller shuts the link down.
+/// A socket or thread that could not be set up, as a configuration
+/// error. The threads already running exit once the caller shuts the
+/// link down.
 pub(crate) fn spawn<C: LinkClient>(
     client: &Arc<C>,
     listener: TcpListener,
@@ -354,53 +548,53 @@ pub(crate) fn spawn<C: LinkClient>(
     let link = client.link();
     let me = link.me.0;
     let prefix = params.thread_prefix;
-    if let Ok(mut addr) = listener.local_addr() {
-        // A wildcard bind is reached through loopback.
-        if addr.ip().is_unspecified() {
-            addr.set_ip(match addr {
-                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
-                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
-            });
-        }
-        let _ = link.listen_addr.set(addr);
-    }
-    let thread = |role: String, body: Box<dyn FnOnce(Arc<C>) + Send>| {
-        let client = Arc::clone(client);
-        std::thread::Builder::new()
-            .name(format!("{prefix}-{me}-{role}"))
-            .spawn(move || body(client))
-            .map(drop)
-            .map_err(|e| CoreError::Config(format!("spawn link thread {role}: {e}")))
-    };
+    let failed = |what: &str, e: std::io::Error| CoreError::Config(format!("{what}: {e}"));
+    listener
+        .set_nonblocking(true)
+        .map_err(|e| failed("listener", e))?;
+    let waker = Waker::new().map_err(|e| failed("waker", e))?;
+    let _ = link.waker.set(waker);
+    let (dialed, connected) = unbounded();
+    let mut outbound = Vec::new();
     for (peer, addr) in peer_addrs {
         if !link.placement.linked(link.me, peer) {
             continue;
         }
-        let (tx, rx) = unbounded();
-        link.senders.lock().insert(peer, tx);
-        let repair_first = params.repair_first_connect;
-        let retry_limit = options.connect_retry_limit;
-        let seed = link_seed(params.jitter_seed, me, peer.0);
-        thread(
-            format!("w{}", peer.0),
-            Box::new(move |c| writer_loop(&*c, &rx, peer, addr, repair_first, retry_limit, seed)),
-        )?;
+        link.queues.lock().insert(peer, VecDeque::new());
+        let connector = Connector {
+            peer,
+            addr,
+            backoff: Backoff::new(
+                Duration::from_millis(10),
+                Duration::from_millis(500),
+                link_seed(params.jitter_seed, me, peer.0),
+            ),
+            retry_limit: options.connect_retry_limit,
+        };
+        dial(client, prefix, connector, dialed.clone())
+            .map_err(|e| failed(&format!("spawn link thread c{}", peer.0), e))?;
+        outbound.push(Outbound::new(peer));
     }
-    let reader = format!("{prefix}-{me}-r");
-    thread(
-        "accept".to_owned(),
-        Box::new(move |c| {
-            accept_loop(&c, &listener, |body| {
-                let named = std::thread::Builder::new().name(reader.clone());
-                named.spawn(body).map(drop)
-            });
-        }),
-    )?;
-    let options = options.clone();
-    thread(
-        "tick".to_owned(),
-        Box::new(move |c| ticker_loop(&*c, &options)),
-    )
+    let io = IoLoop {
+        client: Arc::clone(client),
+        listener,
+        inbound: Vec::new(),
+        outbound,
+        connected,
+        dialed,
+        thread_prefix: prefix,
+        repair_first_connect: params.repair_first_connect,
+        timers: Timers::new(options),
+        fds: Vec::new(),
+        frames: Vec::new(),
+        burst: Vec::new(),
+        head: Vec::with_capacity(64),
+    };
+    std::thread::Builder::new()
+        .name(format!("{prefix}-{me}-io"))
+        .spawn(move || io.run())
+        .map(drop)
+        .map_err(|e| failed("spawn link thread io", e))
 }
 
 /// Wire an in-process cluster on loopback: bind `n` listeners on
@@ -438,216 +632,72 @@ pub(crate) fn spawn_local_cluster<T>(
         .collect()
 }
 
-/// Hand each accepted connection to a reader thread that
-/// `spawn_reader` starts running the body it is given.
-fn accept_loop<C: LinkClient>(
-    client: &Arc<C>,
-    listener: &TcpListener,
-    spawn_reader: impl Fn(Box<dyn FnOnce() + Send>) -> std::io::Result<()>,
-) {
-    let link = client.link();
-    // Blocks in `accept()`, so a connection's first frames wait for no
-    // poll; `Link::shutdown` wakes it with a self-connect.
-    while let Ok((stream, _)) = listener.accept() {
-        if !link.is_running() {
-            return;
-        }
-        let stream = Arc::new(stream);
-        let (client, reading) = (Arc::clone(client), Arc::clone(&stream));
-        // No thread to read it (a peer that connects and never says
-        // hello pins one each): refuse this connection with a FIN, as a
-        // refused hello is refused, and go on accepting.
-        if spawn_reader(Box::new(move || reader_loop(&*client, &reading))).is_err() {
-            let _ = stream.shutdown(Shutdown::Write);
-        }
-    }
-}
-
-fn reader_loop<C: LinkClient>(client: &C, stream: &TcpStream) {
-    let link = client.link();
-    let mut reader = FrameReader::new(stream);
-    let mut frames: Vec<(C::Lane, WireMsg)> = Vec::new();
-    // One blocking read's worth of frames; false on EOF or a broken pipe.
-    let mut read_batch = |frames: &mut Vec<_>| {
-        let wire_len = reader.read_batch(frames).unwrap_or(0);
-        if let (Some(m), true) = (&link.metrics, wire_len > 0) {
-            m.read_batches.inc();
-            m.frames_in.add(frames.len() as u64);
-            m.bytes_in.add(wire_len as u64);
-        }
-        wire_len > 0
-    };
-    // First frame must be a hello, on the hello lane, announcing a peer
-    // this node has a link with. Anything else is a protocol violation
-    // (or a stranger): drop the connection before a single frame reaches
-    // the state machine, which trusts `peer` as the sender of all of them.
-    read_batch(&mut frames);
-    let Some(peer) = frames
-        .first()
-        .filter(|(lane, _)| *lane == C::Lane::HELLO)
-        .and_then(|(_, msg)| parse_hello(msg))
-        .and_then(|id| link.admit(id))
-    else {
-        // Refuse with a FIN, then let the stranger finish talking:
-        // closing over frames it is still writing would answer them with
-        // a reset instead.
-        let _ = stream.shutdown(Shutdown::Write);
-        let _ = std::io::copy(&mut { stream }, &mut std::io::sink());
-        return;
-    };
-    frames.remove(0);
-    loop {
-        // Hand over what has arrived before blocking for more.
-        if !frames.is_empty() {
-            client.on_frames(peer, &mut frames);
-            frames.clear();
-        }
-        if !link.is_running() || !read_batch(&mut frames) {
-            return;
-        }
-    }
-}
-
-/// One peer's writer thread: connect, serve the connection until it
-/// breaks, reconnect. `repair_first` is [`LinkSpawn::repair_first_connect`].
-fn writer_loop<C: LinkClient>(
-    client: &C,
-    rx: &Receiver<(C::Lane, WireMsg)>,
+/// What redials one link while it is down: handed to a connector
+/// thread, and back to the loop with the stream it made.
+struct Connector {
     peer: NodeId,
     addr: SocketAddr,
-    repair_first: bool,
+    backoff: Backoff,
     retry_limit: u64,
-    jitter_seed: u64,
-) {
-    let link = client.link();
-    let mut backoff = Backoff::new(
-        Duration::from_millis(10),
-        Duration::from_millis(500),
-        jitter_seed,
-    );
-    let mut first_connect = true;
-    while link.is_running() {
-        let stream = match connect_with_retry(link, addr, &mut backoff, retry_limit) {
-            ConnectOutcome::Connected(s) => s,
-            ConnectOutcome::Shutdown => return,
-            ConnectOutcome::GaveUp => {
-                link.connect_failed.lock().push(peer);
-                client.on_connect_failed(peer);
+}
+
+/// A connection a connector made, hello written, and the connector.
+type Dialed = (TcpStream, Connector);
+
+/// Start a connector thread: it connects to `connector`'s peer, writes
+/// the hello and hands the stream back over `done`, waking the loop — or,
+/// out of retries, records the peer as given up and reports it.
+fn dial<C: LinkClient>(
+    client: &Arc<C>,
+    prefix: &str,
+    mut connector: Connector,
+    done: Sender<Dialed>,
+) -> std::io::Result<()> {
+    let name = format!("{prefix}-{}-c{}", client.link().me.0, connector.peer.0);
+    let client = Arc::clone(client);
+    let body = move || {
+        let link = client.link();
+        loop {
+            let stream = match connect_with_retry(
+                link,
+                connector.addr,
+                &mut connector.backoff,
+                connector.retry_limit,
+            ) {
+                ConnectOutcome::Connected(s) => s,
+                ConnectOutcome::Shutdown => return,
+                ConnectOutcome::GaveUp => return give_up(&*client, connector.peer),
+            };
+            connector.backoff.reset();
+            // A connection that breaks before its hello is out is redialed.
+            if say_hello::<C::Lane>(link, &stream).is_ok() {
+                if done.send((stream, connector)).is_ok() {
+                    link.wake();
+                }
                 return;
             }
-        };
-        backoff.reset();
-        if !first_connect {
-            if let Some(m) = &link.metrics {
-                m.reconnects.inc();
-            }
         }
-        let repair = !first_connect || repair_first;
-        first_connect = false;
-        // `Err` = the connection broke: reconnect. `Ok` = shut down.
-        if serve_connection(client, rx, peer, stream, repair).is_ok() {
-            return;
-        }
-    }
-}
-
-/// The write side of one connection: the buffered socket, the scratch
-/// every frame head is built in, and the traffic accounting.
-struct FrameWriter<'a> {
-    stream: BufWriter<TcpStream>,
-    head: Vec<u8>,
-    metrics: Option<&'a TransportMetrics>,
-}
-
-impl FrameWriter<'_> {
-    /// Buffer one frame; returns its wire size.
-    fn frame<L: Lane>(&mut self, lane: L, msg: &WireMsg) -> std::io::Result<usize> {
-        let wire_len = write_lane_frame_with(&mut self.stream, &mut self.head, lane, msg)?;
-        if let Some(m) = self.metrics {
-            m.wrote(wire_len);
-        }
-        Ok(wire_len)
-    }
-
-    /// Buffer every held ACK row, leaving none held.
-    fn rows<L: Lane>(&mut self, held: &mut Vec<(L, Vec<Ack>)>) -> std::io::Result<()> {
-        for (lane, row) in held.drain(..) {
-            self.frame(lane, &WireMsg::AckBatch(row))?;
-        }
-        Ok(())
-    }
-}
-
-/// Drive one established connection until it breaks (`Err`) or the node
-/// shuts down (`Ok`).
-fn serve_connection<C: LinkClient>(
-    client: &C,
-    rx: &Receiver<(C::Lane, WireMsg)>,
-    peer: NodeId,
-    stream: TcpStream,
-    repair: bool,
-) -> std::io::Result<()> {
-    let link = client.link();
-    // Buffer writes so a frame's length prefix, header, and payload
-    // coalesce into one syscall/segment.
-    let mut out = FrameWriter {
-        stream: BufWriter::with_capacity(WRITE_BUF, stream),
-        head: Vec::with_capacity(64),
-        metrics: link.metrics.as_ref(),
     };
-    out.frame(C::Lane::HELLO, &hello(link.me.0))?;
-    out.stream.flush()?;
-    if repair {
-        client.repair_link(peer);
+    std::thread::Builder::new().name(name).spawn(body).map(drop)
+}
+
+/// Write the hello on a fresh connection, then make it non-blocking.
+fn say_hello<L: Lane>(link: &Link<L>, stream: &TcpStream) -> std::io::Result<()> {
+    let hello = hello(link.me.0);
+    let wire_len = write_lane_frame_with(&mut &*stream, &mut Vec::new(), L::HELLO, &hello)?;
+    if let Some(m) = &link.metrics {
+        m.wrote(wire_len);
     }
-    // ACK rows dequeued but not yet written, one per lane, and the bytes
-    // dequeued since the first of them was held.
-    let mut held: Vec<(C::Lane, Vec<Ack>)> = Vec::new();
-    let mut since_held = 0;
-    loop {
-        let (lane, msg) = match rx.try_recv() {
-            Ok(next) => next,
-            // Queue drained: the held rows, flush, then block for more.
-            // "Drained" is the channel's own answer, never a depth
-            // estimate — neither a row nor a buffered frame may wait
-            // while the writer sleeps.
-            Err(TryRecvError::Empty) => {
-                out.rows(&mut held)?;
-                out.stream.flush()?;
-                match rx.recv_timeout(IDLE_POLL) {
-                    Ok(next) => next,
-                    Err(RecvTimeoutError::Timeout) if link.is_running() => continue,
-                    Err(_) => return Ok(()),
-                }
-            }
-            Err(TryRecvError::Disconnected) => {
-                let _ = out.rows(&mut held).and_then(|()| out.stream.flush());
-                return Ok(());
-            }
-        };
-        if held.is_empty() {
-            since_held = 0;
-        }
-        since_held += msg.encoded_len();
-        match msg {
-            WireMsg::AckBatch(acks) => match held.iter_mut().find(|(l, _)| *l == lane) {
-                Some((_, row)) => {
-                    Ack::max_merge(row, &acks);
-                    if let Some(m) = &link.metrics {
-                        m.acks_coalesced.inc();
-                    }
-                }
-                None => held.push((lane, acks)),
-            },
-            msg => {
-                out.frame(lane, &msg)?;
-            }
-        }
-        // A queue that never runs empty must not starve the rows.
-        if since_held >= WRITE_BUF {
-            out.rows(&mut held)?;
-        }
-    }
+    stream.set_nonblocking(true)
+}
+
+/// `peer` is out of connect retries: drop its queue, record it, tell the
+/// client.
+fn give_up<C: LinkClient>(client: &C, peer: NodeId) {
+    let link = client.link();
+    link.queues.lock().remove(&peer);
+    link.connect_failed.lock().push(peer);
+    client.on_connect_failed(peer);
 }
 
 enum ConnectOutcome {
@@ -688,34 +738,436 @@ fn connect_with_retry<L: Lane>(
     ConnectOutcome::Shutdown
 }
 
-fn ticker_loop<C: LinkClient>(client: &C, opts: &Options) {
-    let link = client.link();
-    let start = Instant::now();
-    let mut last_fired = [start; TimerKind::ALL.len()];
-    let mut last_sample = start;
-    let millisecond = Duration::from_millis(1);
-    let tick = TimerKind::AckFlush
-        .period(opts)
-        .map_or(millisecond, |flush| flush.min(millisecond));
-    while link.is_running() {
-        std::thread::sleep(tick);
-        let now = Instant::now();
-        // Clock-skew fault injection: re-read each iteration so a
-        // mid-run change takes effect within one tick.
+/// Who is on the other end of an inbound connection.
+#[derive(Clone, Copy)]
+enum Caller {
+    /// No hello read yet.
+    Unannounced,
+    /// The peer its hello announced.
+    Admitted(NodeId),
+    /// A stranger, refused with a FIN: what it still writes is read and
+    /// dropped until it hangs up.
+    Refused,
+}
+
+/// One inbound connection.
+struct Inbound {
+    reader: FrameReader<TcpStream>,
+    caller: Caller,
+}
+
+impl Inbound {
+    /// One read from this readable connection, its frames handed to
+    /// `client`. False once the connection is done with: closed, broken
+    /// or undecodable.
+    fn read<C: LinkClient>(&mut self, client: &C, frames: &mut Vec<(C::Lane, WireMsg)>) -> bool {
+        let link = client.link();
+        frames.clear();
+        if let Caller::Refused = self.caller {
+            return match self.reader.get_ref().read(&mut [0; 4096]) {
+                Ok(n) => n > 0,
+                Err(e) => retry_later(&e),
+            };
+        }
+        let wire_len = match self.reader.read_batch(frames) {
+            Ok(0) => return false,
+            Ok(wire_len) => wire_len,
+            Err(e) => return retry_later(&e),
+        };
+        if let Some(m) = &link.metrics {
+            m.read_batches.inc();
+            m.frames_in.add(frames.len() as u64);
+            m.bytes_in.add(wire_len as u64);
+        }
+        if let Caller::Unannounced = self.caller {
+            // The first frame must be a hello, on the hello lane,
+            // announcing a peer this node has a link with: the machine
+            // trusts `peer` as the sender of every frame after it.
+            let admitted = frames
+                .first()
+                .filter(|(lane, _)| *lane == C::Lane::HELLO)
+                .and_then(|(_, msg)| parse_hello(msg))
+                .and_then(|id| link.admit(id));
+            let Some(peer) = admitted else {
+                // Refuse with a FIN, then let the stranger finish
+                // talking: closing over frames it is still writing would
+                // answer them with a reset instead.
+                let _ = self.reader.get_ref().shutdown(Shutdown::Write);
+                self.caller = Caller::Refused;
+                return true;
+            };
+            self.caller = Caller::Admitted(peer);
+            frames.remove(0);
+        }
+        if let (Caller::Admitted(peer), false) = (self.caller, frames.is_empty()) {
+            client.on_frames(peer, frames);
+        }
+        true
+    }
+}
+
+/// Whether a failed read or write is only "not now".
+fn retry_later(e: &std::io::Error) -> bool {
+    matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::Interrupted)
+}
+
+/// One outbound link, as the loop keeps it.
+struct Outbound<L> {
+    peer: NodeId,
+    /// The connection and what redials it once it breaks; `None` while a
+    /// connector has the link (or gave it up).
+    up: Option<Dialed>,
+    /// Frames encoded for the connection.
+    out: WriteBuf<L>,
+    /// The socket took less than it was given: wait until it polls
+    /// writable.
+    blocked: bool,
+    /// A connection to the peer was made before: the next is a reconnect.
+    connected: bool,
+}
+
+impl<L: Lane> Outbound<L> {
+    fn new(peer: NodeId) -> Self {
+        Outbound {
+            peer,
+            up: None,
+            out: WriteBuf {
+                buf: Vec::new(),
+                written: 0,
+                held: Vec::new(),
+                since_held: 0,
+            },
+            blocked: false,
+            connected: false,
+        }
+    }
+
+    /// Write what is buffered, taking the next burst of the queue each
+    /// time the buffer has been written out, until the socket would
+    /// block or the queue has run empty. `Err`: the connection broke.
+    fn write(
+        &mut self,
+        link: &Link<L>,
+        burst: &mut Vec<(L, WireMsg, usize)>,
+        head: &mut Vec<u8>,
+    ) -> std::io::Result<()> {
+        let Some((stream, _)) = &self.up else {
+            return Ok(());
+        };
+        let (out, mut drained) = (&mut self.out, false);
+        loop {
+            if out.written == out.buf.len() {
+                if drained {
+                    return Ok(());
+                }
+                // A burst of rows alone can encode nothing yet: take the
+                // next one rather than leave the queue to a later wake.
+                drained = out.refill(link, self.peer, burst, head);
+                continue;
+            }
+            match (&*stream).write(&out.buf[out.written..]) {
+                Ok(0) => return Err(ErrorKind::WriteZero.into()),
+                Ok(n) => out.written += n,
+                Err(e) if e.kind() == ErrorKind::WouldBlock => {
+                    self.blocked = true;
+                    return Ok(());
+                }
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
+    }
+}
+
+/// An outbound connection's write side: the frames encoded for it and
+/// the ACK rows held back.
+struct WriteBuf<L> {
+    /// Encoded frames; `buf[written..]` is not yet written.
+    buf: Vec<u8>,
+    written: usize,
+    /// ACK rows dequeued but not yet encoded, one per lane, and the
+    /// bytes dequeued since the first of them was held.
+    held: Vec<(L, Vec<Ack>)>,
+    since_held: usize,
+}
+
+impl<L: Lane> WriteBuf<L> {
+    /// Forget everything: the connection it was for is gone.
+    fn reset(&mut self) {
+        self.buf.clear();
+        self.written = 0;
+        self.held.clear();
+    }
+
+    /// Encode the next burst of `peer`'s queue into the buffer, which
+    /// has been written out: data as dequeued, ACK rows held back and
+    /// encoded at the tail of the burst. True when the queue ran empty.
+    fn refill(
+        &mut self,
+        link: &Link<L>,
+        peer: NodeId,
+        burst: &mut Vec<(L, WireMsg, usize)>,
+        head: &mut Vec<u8>,
+    ) -> bool {
+        self.buf.clear();
+        self.written = 0;
+        // A buffer grown for one huge frame is not kept for the next.
+        self.buf.shrink_to(2 * WRITE_BUF);
+        let drained = link.take_burst(peer, burst);
+        let metrics = link.metrics.as_ref();
+        for (lane, msg, len) in burst.drain(..) {
+            if self.held.is_empty() {
+                self.since_held = 0;
+            }
+            self.since_held += len;
+            match msg {
+                WireMsg::AckBatch(acks) => match self.held.iter_mut().find(|(l, _)| *l == lane) {
+                    Some((_, row)) => {
+                        Ack::max_merge(row, &acks);
+                        if let Some(m) = metrics {
+                            m.acks_coalesced.inc();
+                        }
+                    }
+                    None => self.held.push((lane, acks)),
+                },
+                msg => encode(&mut self.buf, head, metrics, lane, &msg),
+            }
+            // A queue that never runs empty must not starve the rows.
+            if self.since_held >= WRITE_BUF {
+                self.rows(head, metrics);
+            }
+        }
+        if drained {
+            self.rows(head, metrics);
+        }
+        drained
+    }
+
+    /// Encode every held ACK row, leaving none held.
+    fn rows(&mut self, head: &mut Vec<u8>, metrics: Option<&TransportMetrics>) {
+        for (lane, row) in self.held.drain(..) {
+            encode(&mut self.buf, head, metrics, lane, &WireMsg::AckBatch(row));
+        }
+    }
+}
+
+/// Append one frame to `buf`, its head built in `head`.
+fn encode<L: Lane>(
+    buf: &mut Vec<u8>,
+    head: &mut Vec<u8>,
+    metrics: Option<&TransportMetrics>,
+    lane: L,
+    msg: &WireMsg,
+) {
+    // Writing into a vector cannot fail.
+    let wire_len = write_lane_frame_with(buf, head, lane, msg).unwrap_or(0);
+    if let Some(m) = metrics {
+        m.wrote(wire_len);
+    }
+}
+
+/// The wall-clock timer table: when each [`TimerKind`] last fired, and
+/// when telemetry was last sampled.
+struct Timers {
+    options: Options,
+    last_fired: [Instant; TimerKind::ALL.len()],
+    last_sample: Instant,
+}
+
+impl Timers {
+    fn new(options: &Options) -> Self {
+        let start = Instant::now();
+        Timers {
+            options: options.clone(),
+            last_fired: [start; TimerKind::ALL.len()],
+            last_sample: start,
+        }
+    }
+
+    /// When the next timer — or, with a hub attached, sample — is due;
+    /// `None` when none ever is.
+    fn next_due<L: Lane>(&self, link: &Link<L>) -> Option<Instant> {
         let scale = link.timer_scale();
-        for (kind, last) in TimerKind::ALL.into_iter().zip(&mut last_fired) {
-            let due = kind.scaled_period(opts, scale);
+        let timers = TimerKind::ALL.into_iter().zip(&self.last_fired);
+        let due = timers
+            .filter_map(|(kind, last)| last.checked_add(kind.scaled_period(&self.options, scale)?));
+        let sample = link
+            .telemetry
+            .as_ref()
+            .map(|_| self.last_sample + SAMPLE_EVERY);
+        due.chain(sample).min()
+    }
+
+    /// Fire every timer that is due, then sample if that is due.
+    fn fire<C: LinkClient>(&mut self, client: &C) {
+        let link = client.link();
+        let now = Instant::now();
+        let scale = link.timer_scale();
+        for (kind, last) in TimerKind::ALL.into_iter().zip(&mut self.last_fired) {
+            let due = kind.scaled_period(&self.options, scale);
             if due.is_some_and(|period| now.duration_since(*last) >= period) {
                 client.on_timer(kind, link.now_nanos());
                 *last = now;
             }
         }
-        let Some(telemetry) = &link.telemetry else {
-            continue;
+        if let Some(telemetry) = &link.telemetry {
+            if now.duration_since(self.last_sample) >= SAMPLE_EVERY {
+                client.sample(telemetry);
+                self.last_sample = now;
+            }
+        }
+    }
+}
+
+/// Everything the I/O thread owns.
+struct IoLoop<C: LinkClient> {
+    client: Arc<C>,
+    listener: TcpListener,
+    inbound: Vec<Inbound>,
+    outbound: Vec<Outbound<C::Lane>>,
+    /// Connections the connectors made, and the sender they are given.
+    connected: Receiver<Dialed>,
+    dialed: Sender<Dialed>,
+    thread_prefix: &'static str,
+    repair_first_connect: bool,
+    timers: Timers,
+    /// Scratch: the poll set — the bell, the listener, every inbound
+    /// connection, then each blocked outbound one — a reader batch, a
+    /// write burst, a frame head.
+    fds: Vec<sys::PollFd>,
+    frames: Vec<(C::Lane, WireMsg)>,
+    burst: Vec<(C::Lane, WireMsg, usize)>,
+    head: Vec<u8>,
+}
+
+impl<C: LinkClient> IoLoop<C> {
+    fn run(mut self) {
+        let client = Arc::clone(&self.client);
+        let link = client.link();
+        let Some(waker) = link.waker.get() else {
+            return;
         };
-        if now.duration_since(last_sample) >= SAMPLE_EVERY {
-            client.sample(telemetry);
-            last_sample = now;
+        loop {
+            // Everything a wake announces is looked at after this.
+            waker.begin();
+            if !link.is_running() {
+                break;
+            }
+            while let Ok((stream, connector)) = self.connected.try_recv() {
+                self.link_up(stream, connector);
+            }
+            for i in 0..self.outbound.len() {
+                let out = &mut self.outbound[i];
+                if !out.blocked && out.write(link, &mut self.burst, &mut self.head).is_err() {
+                    self.link_down(i);
+                }
+            }
+            let timeout = self
+                .timers
+                .next_due(link)
+                .map(|due| due.saturating_duration_since(Instant::now()));
+            self.poll(waker, timeout);
+            self.timers.fire(&*client);
+        }
+        // Best effort: what the sockets take of what is buffered.
+        for out in &self.outbound {
+            if let Some((stream, _)) = &out.up {
+                let _ = (&*stream).write(&out.out.buf[out.out.written..]);
+            }
+        }
+    }
+
+    /// Sleep in `ppoll` for at most `timeout`, then serve what is ready:
+    /// a blocked link that polls writable is unblocked, each readable
+    /// inbound connection is read once, the listener is accepted from.
+    fn poll(&mut self, waker: &Waker, timeout: Option<Duration>) {
+        let fd = |stream: &TcpStream, events| sys::PollFd::new(stream.as_raw_fd(), events);
+        self.fds.clear();
+        self.fds.push(waker.poll_fd());
+        self.fds
+            .push(sys::PollFd::new(self.listener.as_raw_fd(), sys::POLLIN));
+        for conn in &self.inbound {
+            self.fds.push(fd(conn.reader.get_ref(), sys::POLLIN));
+        }
+        for out in &self.outbound {
+            if let (Some((stream, _)), true) = (&out.up, out.blocked) {
+                self.fds.push(fd(stream, sys::POLLOUT));
+            }
+        }
+        waker.sleep(&mut self.fds, timeout);
+        let (listener, inbound) = (self.fds[1].ready(), self.inbound.len());
+        let mut writable = self.fds[2 + inbound..].iter().map(sys::PollFd::ready);
+        for out in &mut self.outbound {
+            if out.up.is_some() && out.blocked {
+                out.blocked = !writable.next().unwrap_or(false);
+            }
+        }
+        let mut ready = self.fds[2..].iter().map(sys::PollFd::ready);
+        let (client, frames) = (&*self.client, &mut self.frames);
+        self.inbound
+            .retain_mut(|conn| !ready.next().unwrap_or(false) || conn.read(client, frames));
+        if listener {
+            self.accept();
+        }
+    }
+
+    /// Take every connection the listener holds.
+    fn accept(&mut self) {
+        loop {
+            match self.listener.accept() {
+                Ok((stream, _)) => {
+                    if stream.set_nonblocking(true).is_ok() {
+                        self.inbound.push(Inbound {
+                            reader: FrameReader::new(stream),
+                            caller: Caller::Unannounced,
+                        });
+                    }
+                }
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                // Drained, or a failure the next readiness retries.
+                Err(_) => return,
+            }
+        }
+    }
+
+    /// A connector made `stream`: the link is up, and repaired before its
+    /// queue drains (on a first connect only if the node was restored).
+    fn link_up(&mut self, stream: TcpStream, connector: Connector) {
+        let peer = connector.peer;
+        let Some(out) = self.outbound.iter_mut().find(|out| out.peer == peer) else {
+            return;
+        };
+        let metrics = self.client.link().metrics.as_ref();
+        if let (true, Some(m)) = (out.connected, metrics) {
+            m.reconnects.inc();
+        }
+        let repair = out.connected || self.repair_first_connect;
+        out.connected = true;
+        out.up = Some((stream, connector));
+        if repair {
+            self.client.repair_link(peer);
+        }
+    }
+
+    /// Link `i`'s connection broke: what it buffered and held goes with
+    /// it, and a connector redials.
+    fn link_down(&mut self, i: usize) {
+        let out = &mut self.outbound[i];
+        out.out.reset();
+        out.blocked = false;
+        let Some((_, connector)) = out.up.take() else {
+            return;
+        };
+        let peer = connector.peer;
+        if dial(
+            &self.client,
+            self.thread_prefix,
+            connector,
+            self.dialed.clone(),
+        )
+        .is_err()
+        {
+            give_up(&*self.client, peer);
         }
     }
 }
@@ -726,18 +1178,26 @@ mod tests {
     use crate::framing::{read_frame, write_frame};
     use bytes::Bytes;
     use stabilizer_core::{PERSISTED, RECEIVED};
-    use std::io::{BufReader, Read};
+    use std::io::BufReader;
     use std::sync::mpsc;
 
     /// A reader batch as the stub was handed it, and when.
     type Batch = (Instant, Vec<WireMsg>);
 
+    /// How long a lone frame may take to leave or arrive: far beyond a
+    /// loop turn, far below any timeout.
+    const PROMPT: Duration = Duration::from_millis(50);
+
     /// A client with no protocol state behind it: it logs what the link
     /// layer asks of it.
     struct Stub {
         link: Link<()>,
+        /// Where it accepts connections.
+        addr: SocketAddr,
         repairs: Mutex<Vec<NodeId>>,
         gave_up: Mutex<Vec<NodeId>>,
+        /// Every `on_timer` call, in order.
+        fired: Mutex<Vec<TimerKind>>,
         /// When set, `repair_link` blocks until the test sends on it.
         repair_gate: Mutex<Option<mpsc::Receiver<()>>>,
         /// Every `on_frames` call, in order.
@@ -761,11 +1221,6 @@ mod tests {
             Ack::max_merge(&mut self.reported.lock(), &acks);
             self.link.send(PEER, (), WireMsg::AckBatch(acks));
         }
-
-        /// Where this stub accepts connections.
-        fn addr(&self) -> SocketAddr {
-            *self.link.listen_addr.get().expect("spawned")
-        }
     }
 
     impl LinkClient for Stub {
@@ -787,7 +1242,9 @@ mod tests {
                 gate.recv().expect("test releases the gate");
             }
         }
-        fn on_timer(&self, _kind: TimerKind, _now_nanos: u64) {}
+        fn on_timer(&self, kind: TimerKind, _now_nanos: u64) {
+            self.fired.lock().push(kind);
+        }
         fn sample(&self, _telemetry: &Telemetry) {}
         fn on_connect_failed(&self, peer: NodeId) {
             self.gave_up.lock().push(peer);
@@ -796,95 +1253,56 @@ mod tests {
 
     const PEER: NodeId = NodeId(1);
 
-    /// Node 0 of a 2-node cluster as a stub, its one writer pointed at
+    /// Node 0 of a 2-node cluster as a stub, its one link pointed at
     /// `peer_addr`.
     fn spawn_stub(peer_addr: SocketAddr, restored: bool, retry_limit: u64) -> Arc<Stub> {
-        spawn_stub_with(peer_addr, restored, retry_limit, None)
+        let options = Options::default().connect_retry_limit(retry_limit);
+        spawn_stub_with(peer_addr, restored, &options, "stub", None)
     }
 
-    /// A stub whose writer parks in `repair_link` right after its first
+    /// A stub whose loop parks in `repair_link` right after the first
     /// hello, until the test sends on the returned gate: what is queued
     /// meanwhile is drained as one burst.
     fn spawn_parked_stub(peer_addr: SocketAddr) -> (Arc<Stub>, mpsc::Sender<()>) {
         let (release, gate) = mpsc::channel();
-        (spawn_stub_with(peer_addr, true, 0, Some(gate)), release)
+        let stub = spawn_stub_with(peer_addr, true, &Options::default(), "stub", Some(gate));
+        (stub, release)
     }
 
     fn spawn_stub_with(
         peer_addr: SocketAddr,
         restored: bool,
-        retry_limit: u64,
+        options: &Options,
+        thread_prefix: &'static str,
         gate: Option<mpsc::Receiver<()>>,
     ) -> Arc<Stub> {
-        let stub = unspawned_stub(gate);
-        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-        spawn(
-            &stub,
-            listener,
-            vec![(PEER, peer_addr)],
-            &Options::default().connect_retry_limit(retry_limit),
-            LinkSpawn {
-                thread_prefix: "stub",
-                repair_first_connect: restored,
-                jitter_seed: 7,
-            },
-        )
-        .expect("link threads spawn");
-        stub
-    }
-
-    /// Node 0 of a 2-node cluster as a stub, no link thread running yet.
-    fn unspawned_stub(gate: Option<mpsc::Receiver<()>>) -> Arc<Stub> {
         let cfg = ClusterConfig::parse("az A a b\n").expect("config parses");
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
         let (batch_tx, batch_rx) = mpsc::channel();
-        Arc::new(Stub {
+        let stub = Arc::new(Stub {
             link: Link::new(&cfg, NodeId(0), None, std::iter::empty()),
+            addr: listener.local_addr().expect("bound"),
             repairs: Mutex::new(Vec::new()),
             gave_up: Mutex::new(Vec::new()),
+            fired: Mutex::new(Vec::new()),
             repair_gate: Mutex::new(gate),
             batch_tx: Mutex::new(batch_tx),
             batch_rx: Mutex::new(batch_rx),
             reported: Mutex::new(Vec::new()),
-        })
-    }
-
-    #[test]
-    fn a_reader_that_cannot_be_spawned_refuses_its_connection_and_accepting_goes_on() {
-        let stub = unspawned_stub(None);
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        stub.link.listen_addr.set(addr).unwrap();
-        let accept = {
-            let stub = Arc::clone(&stub);
-            let refuse_next = AtomicBool::new(true);
-            std::thread::spawn(move || {
-                accept_loop(&stub, &listener, |body| {
-                    if refuse_next.swap(false, Ordering::SeqCst) {
-                        return Err(std::io::Error::other("no thread to be had"));
-                    }
-                    std::thread::Builder::new().spawn(body).map(drop)
-                });
-            })
+        });
+        let params = LinkSpawn {
+            thread_prefix,
+            repair_first_connect: restored,
+            jitter_seed: 7,
         };
-        let mut refused = TcpStream::connect(addr).unwrap();
-        refused
-            .set_read_timeout(Some(Duration::from_secs(5)))
-            .unwrap();
-        assert_eq!(refused.read(&mut [0u8; 1]).unwrap(), 0, "a FIN");
-        // The accept thread survived it: the next connection is read.
-        let mut s = TcpStream::connect(addr).unwrap();
-        write_frame(&mut s, &hello(PEER.0)).unwrap();
-        write_frame(&mut s, &WireMsg::Heartbeat).unwrap();
-        assert_eq!(stub.next_batch().1, [WireMsg::Heartbeat]);
-        stub.link.shutdown();
-        accept
-            .join()
-            .expect("the accept thread returns on shutdown");
+        spawn(&stub, listener, vec![(PEER, peer_addr)], options, params)
+            .expect("link threads spawn");
+        stub
     }
 
     /// Accept the stub's connection and consume its hello.
     fn accept_hello(listener: &TcpListener) -> BufReader<TcpStream> {
-        let (stream, _) = listener.accept().expect("writer connects");
+        let (stream, _) = listener.accept().expect("the stub connects");
         stream
             .set_read_timeout(Some(Duration::from_secs(5)))
             .expect("set timeout");
@@ -894,18 +1312,42 @@ mod tests {
         reader
     }
 
+    /// Names of this process's live threads that start with `prefix`,
+    /// sorted.
+    fn threads_named(prefix: &str) -> Vec<String> {
+        let tasks = std::fs::read_dir("/proc/self/task").expect("procfs");
+        let names = tasks.filter_map(|task| {
+            // A thread can exit between the listing and the read.
+            std::fs::read_to_string(task.ok()?.path().join("comm")).ok()
+        });
+        let mut names: Vec<String> = names
+            .map(|name| name.trim_end().to_owned())
+            .filter(|name| name.starts_with(prefix))
+            .collect();
+        names.sort();
+        names
+    }
+
+    /// Wait up to 10 s for `done`.
+    fn eventually(what: &str, done: impl Fn() -> bool) {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !done() {
+            assert!(Instant::now() < deadline, "{what}");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+    }
+
     #[test]
     fn first_connect_skips_repair_and_an_idle_queue_is_flushed() {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let stub = spawn_stub(listener.local_addr().unwrap(), false, 0);
         let mut reader = accept_hello(&listener);
-        // One lone frame, nothing behind it: it must be flushed at once,
-        // not when the writer's idle poll expires.
+        // One lone frame, nothing behind it: it must leave at once.
         let sent = Instant::now();
         stub.link.send(PEER, (), WireMsg::Heartbeat);
         assert_eq!(read_frame(&mut reader).unwrap(), Some(WireMsg::Heartbeat));
         assert!(
-            sent.elapsed() < IDLE_POLL / 2,
+            sent.elapsed() < PROMPT,
             "lone frame waited {:?}",
             sent.elapsed()
         );
@@ -934,15 +1376,15 @@ mod tests {
         *stub.repair_gate.lock() = Some(gate);
         drop(first); // the peer goes away
         listener.set_nonblocking(true).unwrap();
-        // Keep the queue non-empty until the writer notices the broken
-        // pipe and reconnects.
+        // Keep the queue non-empty until the loop notices the broken
+        // pipe and a connector reconnects.
         let deadline = Instant::now() + Duration::from_secs(10);
         let stream = loop {
             stub.link.send(PEER, (), WireMsg::Heartbeat);
             match listener.accept() {
                 Ok((stream, _)) => break stream,
                 Err(_) => {
-                    assert!(Instant::now() < deadline, "writer never reconnected");
+                    assert!(Instant::now() < deadline, "the link never reconnected");
                     std::thread::sleep(Duration::from_millis(5));
                 }
             }
@@ -1008,7 +1450,7 @@ mod tests {
     }
 
     /// A peer that accepts connections and never reads: the stub's
-    /// writer connects, sends its hello and idles.
+    /// connector connects, sends the hello, and the link idles.
     fn idle_peer() -> TcpListener {
         TcpListener::bind("127.0.0.1:0").expect("bind")
     }
@@ -1017,7 +1459,7 @@ mod tests {
     fn one_write_is_one_batch_and_a_lone_frame_is_a_batch_of_one() {
         let peer = idle_peer();
         let stub = spawn_stub(peer.local_addr().unwrap(), false, 0);
-        let mut s = TcpStream::connect(stub.addr()).unwrap();
+        let mut s = TcpStream::connect(stub.addr).unwrap();
         s.set_nodelay(true).unwrap();
         write_frame(&mut s, &hello(PEER.0)).unwrap();
         let msgs = vec![
@@ -1035,13 +1477,13 @@ mod tests {
             msgs,
             "one write, one hand-off, in order"
         );
-        // Nothing behind it: the reader must not wait for a batch to fill.
+        // Nothing behind it: the loop must not wait for a batch to fill.
         let sent = Instant::now();
         write_frame(&mut s, &WireMsg::Heartbeat).unwrap();
         let (at, batch) = stub.next_batch();
         assert_eq!(batch, [WireMsg::Heartbeat]);
         let waited = at.duration_since(sent);
-        assert!(waited < IDLE_POLL / 2, "lone frame waited {waited:?}");
+        assert!(waited < PROMPT, "lone frame waited {waited:?}");
         stub.link.shutdown();
     }
 
@@ -1049,7 +1491,7 @@ mod tests {
     fn a_refused_stranger_gets_a_fin_not_a_reset() {
         let peer = idle_peer();
         let stub = spawn_stub(peer.local_addr().unwrap(), false, 0);
-        let mut s = TcpStream::connect(stub.addr()).unwrap();
+        let mut s = TcpStream::connect(stub.addr).unwrap();
         write_frame(&mut s, &hello(9)).unwrap(); // no such node
         s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
         assert_eq!(s.read(&mut [0u8; 1]).unwrap(), 0, "the node hangs up");
@@ -1064,7 +1506,7 @@ mod tests {
     }
 
     #[test]
-    fn accept_waits_for_no_poll_and_shutdown_wakes_it() {
+    fn first_frames_wait_for_no_poll_and_shutdown_ends_every_link_thread() {
         let peer = idle_peer();
         let stub = spawn_stub(peer.local_addr().unwrap(), false, 0);
         let mut wire = Vec::new();
@@ -1075,7 +1517,7 @@ mod tests {
         let mut waits: Vec<Duration> = (0..40)
             .map(|_| {
                 let start = Instant::now();
-                let mut s = TcpStream::connect(stub.addr()).unwrap();
+                let mut s = TcpStream::connect(stub.addr).unwrap();
                 s.write_all(&wire).unwrap();
                 stub.next_batch().0.duration_since(start)
             })
@@ -1083,10 +1525,10 @@ mod tests {
         waits.sort();
         assert!(
             waits[waits.len() / 4] < Duration::from_millis(1),
-            "first frames waited for the accept thread: {waits:?}"
+            "first frames waited for the loop: {waits:?}"
         );
         // Every link thread holds a clone of the client, so "only ours is
-        // left" means all of them are gone, the accept thread included.
+        // left" means all of them are gone, the I/O loop included.
         stub.link.shutdown();
         let deadline = Instant::now() + Duration::from_millis(200);
         while Arc::strong_count(&stub) > 1 {
@@ -1097,6 +1539,148 @@ mod tests {
             );
             std::thread::sleep(Duration::from_millis(1));
         }
+    }
+
+    #[test]
+    fn silent_strangers_cost_no_thread() {
+        let peer = idle_peer();
+        let stub = spawn_stub_with(
+            peer.local_addr().unwrap(),
+            false,
+            &Options::default(),
+            "mute",
+            None,
+        );
+        let io = || threads_named("mute-0-") == ["mute-0-io"];
+        eventually("the connector outlived its connect", io);
+        let strangers: Vec<TcpStream> = (0..64)
+            .map(|_| TcpStream::connect(stub.addr).unwrap())
+            .collect();
+        // The loop has taken them all by the time a real peer's frames
+        // are handed over behind them.
+        let mut s = TcpStream::connect(stub.addr).unwrap();
+        write_frame(&mut s, &hello(PEER.0)).unwrap();
+        write_frame(&mut s, &WireMsg::Heartbeat).unwrap();
+        assert_eq!(stub.next_batch().1, [WireMsg::Heartbeat]);
+        assert_eq!(threads_named("mute-0-"), ["mute-0-io"]);
+        drop(strangers);
+        stub.link.shutdown();
+    }
+
+    #[test]
+    fn a_timer_scale_change_takes_effect_while_the_loop_sleeps() {
+        const PERIOD: Duration = Duration::from_secs(5);
+        let peer = idle_peer();
+        let options = Options::default().heartbeat_millis(PERIOD.as_millis() as u64);
+        let stub = spawn_stub_with(peer.local_addr().unwrap(), false, &options, "stub", None);
+        // Let the loop settle into its sleep until the first heartbeat.
+        std::thread::sleep(Duration::from_millis(50));
+        let scaled = Instant::now();
+        stub.link.set_timer_scale(0.01);
+        eventually("the heartbeat never fired", || {
+            !stub.fired.lock().is_empty()
+        });
+        assert!(
+            scaled.elapsed() < PERIOD / 5,
+            "fired {:?} after the scale changed",
+            scaled.elapsed()
+        );
+        assert_eq!(stub.fired.lock()[0], TimerKind::Heartbeat);
+        stub.link.shutdown();
+    }
+
+    /// Producers push and wake while a stub loop looks, then sleeps on
+    /// the waker alone. Each round one producer, in turn, waits until
+    /// the loop has looked and heads for sleep, then pauses at random,
+    /// so its wake falls anywhere on the loop's way into `ppoll`. Rounds
+    /// end at a barrier, so the round's one wake has no later one to
+    /// cover for it: a lost wake-up is a sleep that runs out its whole
+    /// timeout.
+    #[test]
+    fn no_wake_up_is_lost_between_a_look_and_a_sleep() {
+        use std::sync::atomic::AtomicUsize;
+        use std::sync::Barrier;
+        const PRODUCERS: usize = 4;
+        const SENDS: usize = 2_000;
+        const TIMEOUT: Duration = Duration::from_secs(2);
+        const PRODUCER_SPINS: u64 = 64;
+        const LOOP_SPINS: u64 = 64;
+        /// A pause of fewer than `spins` spins, drawn from `rng`.
+        fn pause(rng: &mut u64, spins: u64) {
+            *rng ^= *rng << 13;
+            *rng ^= *rng >> 7;
+            *rng ^= *rng << 17;
+            for _ in 0..*rng % spins {
+                std::hint::spin_loop();
+            }
+        }
+        let waker = Waker::new().expect("socket pair");
+        let queued = AtomicUsize::new(0);
+        let (start, end) = (Barrier::new(PRODUCERS + 1), Barrier::new(PRODUCERS + 1));
+        let (heading, lost, stop) = (
+            AtomicBool::new(false),
+            AtomicUsize::new(0),
+            AtomicBool::new(false),
+        );
+        std::thread::scope(|s| {
+            for p in 0..PRODUCERS {
+                let (waker, queued, heading) = (&waker, &queued, &heading);
+                let (start, end, stop) = (&start, &end, &stop);
+                s.spawn(move || {
+                    let mut rng = 0x9e37_79b9_7f4a_7c15u64 ^ p as u64;
+                    for round in 0..SENDS * PRODUCERS {
+                        start.wait();
+                        if round % PRODUCERS == p {
+                            // Spin to see it at once, but yield to a
+                            // loop that has no core to run on.
+                            for spin in 0.. {
+                                if heading.load(Ordering::SeqCst) {
+                                    break;
+                                }
+                                match spin < 10_000 {
+                                    true => std::hint::spin_loop(),
+                                    false => std::thread::yield_now(),
+                                }
+                            }
+                            pause(&mut rng, PRODUCER_SPINS);
+                            queued.fetch_add(1, Ordering::SeqCst);
+                            waker.wake();
+                        }
+                        end.wait();
+                        if stop.load(Ordering::SeqCst) {
+                            return;
+                        }
+                    }
+                });
+            }
+            s.spawn(|| {
+                let mut rng = 0x2545_f491_4f6c_dd1du64;
+                for round in 1..=SENDS * PRODUCERS {
+                    start.wait();
+                    loop {
+                        waker.begin();
+                        if queued.load(Ordering::SeqCst) == round {
+                            break;
+                        }
+                        heading.store(true, Ordering::SeqCst);
+                        pause(&mut rng, LOOP_SPINS);
+                        let began = Instant::now();
+                        let ready = waker.sleep(&mut [waker.poll_fd()], Some(TIMEOUT));
+                        if ready == 0 && began.elapsed() >= TIMEOUT {
+                            lost.fetch_add(1, Ordering::SeqCst);
+                            stop.store(true, Ordering::SeqCst);
+                            break;
+                        }
+                    }
+                    heading.store(false, Ordering::SeqCst);
+                    end.wait();
+                    if stop.load(Ordering::SeqCst) {
+                        return;
+                    }
+                }
+            });
+        });
+        assert_eq!(lost.load(Ordering::SeqCst), 0, "a wake-up was lost");
     }
 
     #[test]
@@ -1124,7 +1708,7 @@ mod tests {
         send(WireMsg::AckBatch(vec![ack(RECEIVED, 3)]));
         assert_eq!(next(), WireMsg::AckBatch(vec![ack(RECEIVED, 3)]));
         assert!(
-            sent.elapsed() < IDLE_POLL / 2,
+            sent.elapsed() < PROMPT,
             "lone row waited {:?}",
             sent.elapsed()
         );
@@ -1138,7 +1722,7 @@ mod tests {
         let (stub, release) = spawn_parked_stub(listener.local_addr().unwrap());
         let mut reader = accept_hello(&listener);
         // The row first, then three write buffers of data behind it, all
-        // queued before the writer wakes: it never sees an empty queue.
+        // queued before the loop looks: it never sees an empty queue.
         let row = WireMsg::AckBatch(vec![ack(RECEIVED, 1)]);
         stub.link.send(PEER, (), row.clone());
         let frames = 3 * WRITE_BUF / FRAME;
@@ -1162,6 +1746,31 @@ mod tests {
     }
 
     #[test]
+    fn a_queue_of_rows_alone_longer_than_a_burst_is_written_out() {
+        // Enough one-cell rows that a burst of them fills `WRITE_BUF`
+        // by frame size before its rows add up to `WRITE_BUF` bytes:
+        // the first burst encodes nothing, and nothing else will wake
+        // the loop.
+        const ROWS: u64 = 20_000;
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let (stub, release) = spawn_parked_stub(listener.local_addr().unwrap());
+        let mut reader = accept_hello(&listener);
+        for seq in 1..=ROWS {
+            stub.link
+                .send(PEER, (), WireMsg::AckBatch(vec![ack(RECEIVED, seq)]));
+        }
+        release.send(()).unwrap();
+        let mut table = Vec::new();
+        while table != [ack(RECEIVED, ROWS)] {
+            match read_frame(&mut reader).unwrap().expect("a frame") {
+                WireMsg::AckBatch(row) => Ack::max_merge(&mut table, &row),
+                other => panic!("unexpected {other:?}"),
+            }
+        }
+        stub.link.shutdown();
+    }
+
+    #[test]
     fn a_row_lost_with_its_connection_is_covered_by_the_repair() {
         const FRAME: usize = 32 * 1024;
         const REPORTS: u64 = 600;
@@ -1169,13 +1778,13 @@ mod tests {
         let stub = spawn_stub(listener.local_addr().unwrap(), false, 0);
         let first = accept_hello(&listener); // ...and never read again
                                              // Rising reports between data frames, far more bytes than the
-                                             // socket buffers take: the writer ends up blocked in a write
-                                             // with rows held, buffered and in flight.
+                                             // socket buffers take: the link ends up blocked with rows held,
+                                             // buffered and in flight.
         for seq in 1..=REPORTS {
             stub.link.send(PEER, (), data(seq, FRAME));
             stub.report(vec![ack(RECEIVED, seq), ack(PERSISTED, seq / 2)]);
         }
-        let depth = || stub.link.senders.lock()[&PEER].len();
+        let depth = || stub.link.queues.lock()[&PEER].len();
         let mut last = depth();
         loop {
             std::thread::sleep(Duration::from_millis(100));
@@ -1187,9 +1796,9 @@ mod tests {
         }
         assert!(
             last > 0,
-            "the writer drained {REPORTS} frames into a deaf socket"
+            "the loop drained {REPORTS} frames into a deaf socket"
         );
-        drop(first); // the connection dies under the blocked writer
+        drop(first); // the connection dies under the blocked link
         let mut reader = accept_hello(&listener);
         // The rest of the queue, then the repair's re-announcement queued
         // behind it: the peer's table reaches every cell the stub

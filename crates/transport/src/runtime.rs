@@ -6,9 +6,9 @@
 //! what this runtime needs of them beyond that, and [`crate::sharded`]
 //! holds what a sharded node adds.
 //!
-//! Link threads run the machine **inline** — a reader folds each batch
-//! of frames under one acquisition of the state lock, the ticker fires
-//! timers through it, a writer repairs its link through it. The lock is
+//! The link's I/O loop runs the machine **inline** — it folds each batch
+//! of frames it reads under one acquisition of the state lock, fires
+//! timers through it, and repairs a reconnected link through it. The lock is
 //! held only while mutating the machine; emitted actions are executed
 //! *after* release so user callbacks (monitors, delivery upcalls) can
 //! re-enter the handle without deadlocking. The attached observer is the
@@ -31,7 +31,7 @@ use std::sync::Arc;
 
 /// What the TCP runtime needs of a machine beyond [`Machine`]: its frame
 /// lane, how it folds a reader batch and repairs a link, and what the
-/// ticker, `/stall` and the handle read off it. Implemented by exactly
+/// loop's telemetry sample, `/stall` and the handle read off it. Implemented by exactly
 /// [`StabilizerNode`] and
 /// [`ShardedEngine`](stabilizer_shard::ShardedEngine); like `Machine`, it
 /// exists so the two share one runtime, not as an extension point.
@@ -41,7 +41,7 @@ pub trait TcpMachine: Machine + Send + Sized + 'static {
     /// Thread-name prefix (`<prefix>-<me>-…`).
     const THREAD_PREFIX: &'static str;
 
-    /// What the ticker samples for the transport gauges (under the state
+    /// What the loop samples for the transport gauges (under the state
     /// lock): send-buffer bytes and blocked waits.
     fn sample(&self) -> (usize, usize);
     /// The frame `action` asks to send, as `(to, lane, message)`, or the
@@ -268,7 +268,7 @@ pub struct SpawnOptions {
     /// derived from it, so two nodes never share a retry schedule).
     pub jitter_seed: u64,
     /// Telemetry hub to feed: registers this node's transport counters
-    /// and lets the ticker mirror the control-plane [`Metrics`] into
+    /// and lets the I/O loop mirror the control-plane [`Metrics`] into
     /// gauges — nothing else (see [`SpawnOptions::observer`]).
     pub telemetry: Option<Arc<Telemetry>>,
     /// Serve the attached telemetry over HTTP on this address (e.g.
@@ -374,7 +374,7 @@ pub(crate) fn spawn<M: TcpMachine>(
 
     // Flush actions queued during construction (configured predicates,
     // and a restore's re-evaluation of every one, can emit frontier
-    // updates) now that the writer channels and the observer are in
+    // updates) now that the link queues and the observer are in
     // place.
     shared.notify_join(restored.unwrap_or(0));
     shared.with_node(|_| ());

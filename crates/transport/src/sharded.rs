@@ -14,7 +14,7 @@
 //!   index; a reader batch is sorted by lane and fed to the engine one
 //!   lane at a time under one acquisition of the state lock, so a batch
 //!   stays one fold and one ACK flush per shard it touches, and every
-//!   peer's writer multiplexes all shards onto one connection;
+//!   link multiplexes all shards onto one connection;
 //! * **its own calls** — [`NodeHandle::publish_with_key`],
 //!   [`NodeHandle::num_shards`], [`NodeHandle::delivered_global`],
 //!   [`NodeHandle::shard_metrics`] and the per-shard `explain_all`;

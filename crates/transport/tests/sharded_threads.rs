@@ -1,6 +1,6 @@
 //! The threads a sharded node runs, counted off `/proc`: the link
-//! layer's and nothing else, whatever the shard count — link readers
-//! fold their own batches and run the callbacks of what they folded, so
+//! layer's one I/O loop and nothing else, whatever the shard count — the
+//! loop folds every batch and runs the callbacks of what it folded, so
 //! there is nothing per shard, and no dispatcher, to run. One test, so
 //! no other node in this process shares the name prefix.
 #![cfg(target_os = "linux")]
@@ -32,27 +32,13 @@ fn a_sharded_node_runs_the_link_threads_and_nothing_else() {
     let cfg = ClusterConfig::parse(cfg).expect("config");
     let nodes = spawn_sharded_local_cluster(&cfg, RoutePolicy::RoundRobin).expect("cluster");
 
-    let expected: Vec<Vec<String>> = (0..3)
-        .map(|me| {
-            let peers = (0..3).filter(move |peer| *peer != me);
-            let mut names: Vec<String> = ["accept", "tick", "r", "r"]
-                .into_iter()
-                .map(str::to_owned)
-                .chain(peers.map(|peer| format!("w{peer}")))
-                .map(|role| format!("stabs-{me}-{role}"))
-                .map(|name| name[..name.len().min(15)].to_owned())
-                .collect();
-            names.sort();
-            names
-        })
-        .collect();
+    let expected: Vec<Vec<String>> = (0..3).map(|me| vec![format!("stabs-{me}-io")]).collect();
     let running = || -> Vec<Vec<String>> {
         let of = |me| threads_named(&format!("stabs-{me}-"));
         (0..3).map(of).collect()
     };
-    // A reader exists once its peer has connected, and a new thread
-    // carries its creator's name until it has set its own (a reader just
-    // accepted reads as a second `accept`): wait for the names to settle.
+    // A connector lives until its link is up: wait for the names to
+    // settle.
     let deadline = Instant::now() + Duration::from_secs(10);
     while running() != expected && Instant::now() < deadline {
         std::thread::sleep(Duration::from_millis(5));
@@ -62,8 +48,8 @@ fn a_sharded_node_runs_the_link_threads_and_nothing_else() {
     for node in &nodes {
         node.handle().shutdown();
     }
-    // Every loop looks at the shutdown flag at least each 100 ms, so all
-    // are gone within 200 ms on an idle machine; a stolen CPU gets 2 s.
+    // Shutdown wakes the loop, so it is gone within 200 ms on an idle
+    // machine; a stolen CPU gets 2 s.
     let deadline = Instant::now() + Duration::from_secs(2);
     while !threads_named("stabs-").is_empty() && Instant::now() < deadline {
         std::thread::sleep(Duration::from_millis(5));

@@ -1,5 +1,5 @@
-//! End-to-end tests of the threaded TCP runtime on localhost: the same
-//! protocol that the simulator exercises, over real sockets.
+//! End-to-end tests of the TCP runtime on localhost: the same protocol
+//! that the simulator exercises, over real sockets.
 
 use bytes::Bytes;
 use stabilizer_core::{AckTypeRegistry, ClusterConfig, NodeId, SharedEventLog};
@@ -334,4 +334,47 @@ fn deny_mode_rejects_predicate_at_install_over_tcp() {
     for n in &nodes {
         n.handle().shutdown();
     }
+}
+
+/// Names of this process's live threads that start with `prefix`, sorted.
+#[cfg(target_os = "linux")]
+fn threads_named(prefix: &str) -> Vec<String> {
+    let tasks = std::fs::read_dir("/proc/self/task").expect("procfs");
+    let names = tasks.filter_map(|task| {
+        // A thread can exit between the listing and the read.
+        std::fs::read_to_string(task.ok()?.path().join("comm")).ok()
+    });
+    let mut names: Vec<String> = names
+        .map(|name| name.trim_end().to_owned())
+        .filter(|name| name.starts_with(prefix))
+        .collect();
+    names.sort();
+    names
+}
+
+/// The plain twin of `sharded_threads.rs`: a node runs one I/O thread,
+/// and its connectors are gone once every link is up. Every other test
+/// here runs nodes 0-2 in parallel with this one, so only nodes 3 and 4
+/// are counted.
+#[cfg(target_os = "linux")]
+#[test]
+fn a_node_runs_one_io_thread_once_its_links_are_up() {
+    let cfg = ClusterConfig::parse("az East a b c\naz West d e\n").unwrap();
+    let nodes = spawn_local_cluster(&cfg).unwrap();
+    let counted = || ["stab-3-", "stab-4-"].map(threads_named);
+    let expected = [["stab-3-io"], ["stab-4-io"]];
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while counted() != expected && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    assert_eq!(counted(), expected);
+    for n in &nodes {
+        n.handle().shutdown();
+    }
+    let gone = || counted().iter().all(Vec::is_empty);
+    let deadline = Instant::now() + Duration::from_secs(2);
+    while !gone() && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    assert!(gone(), "still running after shutdown: {:?}", counted());
 }

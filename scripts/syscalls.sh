@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# How many sends, receives and futex wake-ups a stabbench workload pays
+# How many sends, receives, polls and wake-ups a stabbench workload pays
 # per message — the tables behind EXPERIMENTS.md's "Where tcp3-small's
-# wake-ups go" and "Where tcp3-large's wake-ups go":
+# wake-ups go", "Where tcp3-large's wake-ups go" and "Where
+# `tcp3-small`'s threads go":
 #
 #   scripts/syscalls.sh <workload> [stabbench arguments]
 #   scripts/syscalls.sh tcp3-small --seconds 8
@@ -10,16 +11,18 @@
 # does), runs the workload (default `--seed 1 --seconds 8 --trace 0`,
 # later arguments win) with scripts/syscall_counter.c preloaded, and
 # prints calls and bytes per message for `send`, `recv`, `readv`,
-# `writev`, futex wake and futex wait, over the run's attempted
-# messages (every phase, set-up included). The counts move with the
-# host's load: compare two trees run back to back, not against a
-# recorded number. SYSCALLS_DIR is where the counter and its raw counts
-# are kept (default target/syscalls). Needs gcc and python3; Linux only.
+# `writev`, `send_unix`/`recv_unix` (the I/O loop's waker rung and
+# silenced), `ppoll` (the loop's polls), futex wake and futex wait,
+# over the run's attempted messages (every phase, set-up included).
+# The counts move with the host's load: compare two trees run back to
+# back, not against a recorded number. SYSCALLS_DIR is where the counter
+# and its raw counts are kept (default target/syscalls). Needs gcc and
+# python3; Linux only.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 if [ $# -lt 1 ]; then
-  sed -n '2,17p' "$0" >&2
+  sed -n '2,20p' "$0" >&2
   exit 2
 fi
 workload=$1
