@@ -1,10 +1,12 @@
 //! Design-choice ablations (DESIGN.md): the end-to-end effect, in
-//! *virtual time*, of (a) ACK coalescing vs eager flushing, (b) the
+//! *virtual time*, of (a) ACK coalescing vs eager flushing and (b) the
 //! aggressive asynchronous data plane vs a Paxos-style blocking commit
-//! per message, and (c) dependency-filtered predicate re-evaluation
-//! (timed in `control_plane`);
-//! and, in wall-clock time, (d) what the receive-side reorder buffer
-//! costs on a fully reversed window.
+//! per message; and, in wall-clock time, (c) what the receive-side
+//! reorder buffer costs on a fully reversed window. Dependency-filtered
+//! predicate re-evaluation is timed by `stabbench`'s
+//! `core.frontier.on_ack_advance_ns`, and its VM-run counts are pinned
+//! by `core/src/frontier.rs`'s
+//! `an_ack_runs_the_vm_once_per_frontier_it_crosses`.
 //!
 //! (a) and (b) report simulated latency through Criterion's wall-clock
 //! of a fixed-size simulation run, with the virtual-time results printed

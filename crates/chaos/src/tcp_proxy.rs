@@ -43,16 +43,12 @@
 //! All knobs are lock-free atomics read per-frame, so the harness can
 //! flip them at fault-plan times without handshaking with conn threads.
 
+use stabilizer_transport::framing::MAX_FRAME;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
-
-/// Maximum frame body the proxy will forward; mirrors the transport's
-/// framing limit so an insane length prefix kills the connection instead
-/// of allocating unboundedly.
-const MAX_FRAME: usize = 16 * 1024 * 1024;
 
 /// How long a conn thread sleeps when its link is held down.
 const HOLD_POLL: Duration = Duration::from_millis(2);
@@ -370,11 +366,13 @@ impl FrameBuf {
         if self.buf.len() < 4 {
             return Ok(None);
         }
-        let len = u32::from_le_bytes([self.buf[0], self.buf[1], self.buf[2], self.buf[3]]) as usize;
+        // The transport's framing limit: an insane length prefix kills
+        // the connection instead of allocating unboundedly.
+        let len = u32::from_le_bytes([self.buf[0], self.buf[1], self.buf[2], self.buf[3]]);
         if len > MAX_FRAME {
             return Err(());
         }
-        let total = 4 + len;
+        let total = 4 + len as usize;
         if self.buf.len() < total {
             return Ok(None);
         }

@@ -939,6 +939,89 @@ pub(crate) mod tests {
         }
     }
 
+    /// The crossing rule on a node shaped like `sim8-ctrl`'s: the six
+    /// configured predicates of `benchmarks/configs/sim8.cfg` on its own
+    /// stream plus the last three of them on each of the seven remote
+    /// streams, 27 in all. The moving cell is always node 3's `received`;
+    /// a row is the stream it belongs to — six predicates read the cell
+    /// on the own stream, three on a remote one — and where the other
+    /// nodes stand, which decides whether the cell crosses a frontier.
+    /// The engine runs the VM once per frontier crossed, not once per
+    /// predicate that reads the cell.
+    #[test]
+    fn an_ack_runs_the_vm_once_per_frontier_it_crosses() {
+        const FAR: u64 = 1 << 40;
+        const CONFIGURED: [(&str, &str); 6] = [
+            ("OneRegion", "MAX(MAX($AZ_NV), MAX($AZ_OR), MAX($AZ_OH))"),
+            (
+                "MajorityRegions",
+                "KTH_MAX(2, MAX($AZ_NV), MAX($AZ_OR), MAX($AZ_OH))",
+            ),
+            ("AllRegions", "MIN(MAX($AZ_NV), MAX($AZ_OR), MAX($AZ_OH))"),
+            ("OneWNode", "MAX($ALLWNODES-$MYWNODE)"),
+            (
+                "MajorityWNodes",
+                "KTH_MAX(SIZEOF($ALLWNODES)/2+1, $ALLWNODES-$MYWNODE)",
+            ),
+            ("AllWNodes", "MIN($ALLWNODES-$MYWNODE)"),
+        ];
+        let topo = Topology::builder()
+            .az("NC", &["n1", "n2"])
+            .az("NV", &["n3", "n4", "n5", "n6"])
+            .az("OR", &["n7"])
+            .az("OH", &["n8"])
+            .build()
+            .unwrap();
+        let (me, mover) = (NodeId(0), NodeId(3));
+        // (stream, where nodes 1..=7 other than the mover stand, VM runs)
+        let rows: [(u16, [u64; 8], u64); 4] = [
+            // `AllWNodes` is a MIN and the mover is its slowest cell:
+            // every step raises it. The other five frontiers are far
+            // ahead.
+            (0, [FAR; 8], 1),
+            // Node 1 is the slowest instead: the mover is above
+            // `AllWNodes`' frontier and below every other.
+            (0, [0, 0, FAR, 0, FAR, FAR, FAR, FAR], 0),
+            // `OneWNode` is a MAX and the mover leads it: overtaken each
+            // step.
+            (1, [0; 8], 1),
+            // Node 2 leads instead; the mover runs below it.
+            (1, [0, 0, FAR, 0, 0, 0, 0, 0], 0),
+        ];
+        for (row, (stream, others, vm_runs)) in rows.into_iter().enumerate() {
+            let stream = NodeId(stream);
+            let mut rec = AckRecorder::new(8, 3);
+            for (node, at) in others.into_iter().enumerate().skip(1) {
+                if node != usize::from(mover.0) {
+                    rec.observe(stream, NodeId(node as u16), RECEIVED, at);
+                }
+            }
+            let (mut eng, acks) = (FrontierEngine::new(), AckTypeRegistry::new());
+            let (mut out, mut done) = (Vec::new(), Vec::new());
+            for s in (0..8).map(NodeId) {
+                let keys = if s == me {
+                    &CONFIGURED[..]
+                } else {
+                    &CONFIGURED[3..]
+                };
+                for (key, src) in keys {
+                    let pred = Predicate::compile(src, &topo, &acks, me).unwrap();
+                    eng.register(s, key, pred, &rec, &mut out, &mut done);
+                }
+            }
+            assert_eq!(eng.len(), 27);
+            // Off the all-zero table, then the step that is counted.
+            for seq in 1..=2 {
+                let before = eng.evaluations();
+                let old = rec.advance(stream, mover, RECEIVED, seq).expect("advances");
+                eng.on_ack_advance_from((stream, mover, RECEIVED), old, &rec, &mut out, &mut done);
+                if seq == 2 {
+                    assert_eq!(eng.evaluations() - before, vm_runs, "row {row}");
+                }
+            }
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(192))]
 

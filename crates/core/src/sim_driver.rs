@@ -1,8 +1,7 @@
-//! The one simulator driver: runs a sans-IO [`Machine`] — a
-//! [`StabilizerNode`], or the sharded engine of `stabilizer-shard` —
-//! inside the deterministic simulator. It maps the machine's actions to
-//! simulated sends, schedules the periodic control-plane timers, and
-//! exposes application hooks plus the timestamped [`EventLog`] that the
+//! The one simulator driver: runs a sans-IO [`StabilizerNode`] inside
+//! the deterministic simulator. It maps the node's actions to simulated
+//! sends, schedules the periodic control-plane timers, and exposes
+//! application hooks plus the timestamped [`EventLog`] that the
 //! experiment harnesses read — kept by a node built with
 //! [`SimNode::new`], not by one from [`build_cluster_with_hooks`], whose
 //! hooks are its caller's only view.
@@ -16,7 +15,7 @@
 //! register and the backup service are all that shape, so every
 //! control-plane timer runs under each of them.
 
-use crate::config::{ClusterConfig, Options};
+use crate::config::ClusterConfig;
 use crate::error::CoreError;
 use crate::frontier::WaitToken;
 use crate::messages::WireMsg;
@@ -25,153 +24,35 @@ use crate::observe::{Event, EventLog};
 use crate::timers::{self, TimerKind};
 use bytes::Bytes;
 use stabilizer_dsl::{AckTypeId, AckTypeRegistry, NodeId, SeqNo};
-use stabilizer_netsim::{
-    Actor, Ctx, MsgSize, NetTopology, SimDuration, SimTime, Simulation, TimerId,
-};
+use stabilizer_netsim::{Actor, Ctx, NetTopology, SimDuration, SimTime, Simulation, TimerId};
 use std::ops::{Deref, DerefMut};
 use std::sync::Arc;
 
 pub use crate::observe::{AppHooks, NoHooks};
 
-/// What [`SimNode`] needs of a sans-IO protocol machine. Implemented by
-/// exactly [`StabilizerNode`] and `stabilizer_shard::ShardedEngine`; it
-/// exists so the two share one driver, not as an extension point.
-pub trait Machine {
-    /// What travels on a simulated link.
-    type Msg: MsgSize;
-    /// What the machine emits: each action is a transmission
-    /// ([`Machine::into_send`]), an event ([`Machine::observe`]), or
-    /// both.
-    type Action;
-
-    /// The options the timers are armed from.
-    fn options(&self) -> &Options;
-    /// Feed a message that arrived from `from`.
-    fn on_message(&mut self, now_nanos: u64, from: NodeId, msg: Self::Msg);
-    /// A periodic timer fired.
-    fn on_timer(&mut self, kind: TimerKind, now_nanos: u64);
-    /// Hand over the pending actions, in order, by swapping them into
-    /// `buf` — the driver's buffer, empty when passed in — and keeping
-    /// `buf`'s allocation for what is emitted next, so a steady state
-    /// moves two pointers per event and allocates nothing.
-    fn swap_actions(&mut self, buf: &mut Vec<Self::Action>);
-    /// Start §III-E catch-up; returns the number of peer streams a
-    /// transfer was requested on.
-    fn begin_catch_up(&mut self, now_nanos: u64) -> usize;
-    /// What observers see of `action`.
-    fn observe(action: &Self::Action) -> Option<Event<'_>>;
-    /// The transmission `action` asks for, if it is one.
-    fn into_send(action: Self::Action) -> Option<(NodeId, Self::Msg)>;
-    /// [`Machine::into_send`] for a driver that keeps a log: what the
-    /// log records of `action`'s [`Event`] goes to `log` first, moved
-    /// out of the action where the log keeps it whole.
-    fn finish(
-        action: Self::Action,
-        now: SimTime,
-        log: &mut EventLog,
-    ) -> Option<(NodeId, Self::Msg)>;
-
-    /// See [`StabilizerNode::publish`].
-    fn publish(&mut self, payload: Bytes) -> Result<SeqNo, CoreError>;
-    /// See [`StabilizerNode::register_predicate`].
-    fn register_predicate(&mut self, stream: NodeId, key: &str, src: &str)
-        -> Result<(), CoreError>;
-    /// See [`StabilizerNode::change_predicate`].
-    fn change_predicate(&mut self, stream: NodeId, key: &str, src: &str) -> Result<(), CoreError>;
-    /// See [`StabilizerNode::waitfor`].
-    fn waitfor(&mut self, stream: NodeId, key: &str, seq: SeqNo) -> Result<WaitToken, CoreError>;
-    /// See [`StabilizerNode::report_stability`].
-    fn report_stability(&mut self, stream: NodeId, ty: AckTypeId, seq: SeqNo);
-}
-
-impl Machine for StabilizerNode {
-    type Msg = WireMsg;
-    type Action = Action;
-
-    fn options(&self) -> &Options {
-        self.config().options()
-    }
-    fn on_message(&mut self, now_nanos: u64, from: NodeId, msg: WireMsg) {
-        self.on_message(now_nanos, from, msg);
-    }
-    fn on_timer(&mut self, kind: TimerKind, now_nanos: u64) {
-        self.on_timer(kind, now_nanos);
-    }
-    fn swap_actions(&mut self, buf: &mut Vec<Action>) {
-        self.swap_actions(buf);
-    }
-    fn begin_catch_up(&mut self, now_nanos: u64) -> usize {
-        self.begin_catch_up(now_nanos)
-    }
-    fn observe(action: &Action) -> Option<Event<'_>> {
-        action.event()
-    }
-    fn into_send(action: Action) -> Option<(NodeId, WireMsg)> {
-        match action {
-            Action::Send { to, msg } => Some((to, msg)),
-            _ => None,
-        }
-    }
-    fn finish(action: Action, now: SimTime, log: &mut EventLog) -> Option<(NodeId, WireMsg)> {
-        match action {
-            Action::Frontier(update) => {
-                log.frontier_log.push((now, update));
-                None
-            }
-            other => {
-                if let Some(event) = other.event() {
-                    log.record(now, &event);
-                }
-                Self::into_send(other)
-            }
-        }
-    }
-    fn publish(&mut self, payload: Bytes) -> Result<SeqNo, CoreError> {
-        self.publish(payload)
-    }
-    fn register_predicate(
-        &mut self,
-        stream: NodeId,
-        key: &str,
-        src: &str,
-    ) -> Result<(), CoreError> {
-        self.register_predicate(stream, key, src)
-    }
-    fn change_predicate(&mut self, stream: NodeId, key: &str, src: &str) -> Result<(), CoreError> {
-        self.change_predicate(stream, key, src)
-    }
-    fn waitfor(&mut self, stream: NodeId, key: &str, seq: SeqNo) -> Result<WaitToken, CoreError> {
-        self.waitfor(stream, key, seq)
-    }
-    fn report_stability(&mut self, stream: NodeId, ty: AckTypeId, seq: SeqNo) {
-        self.report_stability(stream, ty, seq);
-    }
-}
-
-/// A protocol machine embedded in the simulator. Dereferences to its
+/// A Stabilizer node embedded in the simulator. Dereferences to its
 /// log, so `actor.frontier_log`, `actor.delivery_log`, … read the
 /// [`EventLog`] directly; the log of a node built by
 /// [`build_cluster_with_hooks`] stays empty.
-pub struct SimNode<H: AppHooks = NoHooks, M: Machine = StabilizerNode> {
+pub struct SimNode<H: AppHooks = NoHooks> {
     /// The protocol state machine.
-    node: M,
+    node: StabilizerNode,
     /// Application hooks.
     pub hooks: H,
     log: EventLog,
     /// Whether each action is recorded into `log` after the hooks have
-    /// seen it ([`Machine::finish`]) or only executed
-    /// ([`Machine::into_send`]).
+    /// seen it, or only executed.
     keep_log: bool,
-    /// Where the machine's actions land while they are executed; empty
-    /// between callbacks, its capacity goes back to the machine.
-    actions: Vec<M::Action>,
+    /// Where the node's actions land while they are executed; empty
+    /// between callbacks, its capacity goes back to the node.
+    actions: Vec<Action>,
     /// Multiplier on every timer interval (clock-skew fault injection;
     /// 1.0 = nominal cadence). Applied at each re-arm, so a mid-run
     /// change takes effect within one timer period.
     timer_scale: f64,
 }
 
-impl<H: AppHooks, M: Machine> Deref for SimNode<H, M> {
+impl<H: AppHooks> Deref for SimNode<H> {
     type Target = EventLog;
 
     fn deref(&self) -> &EventLog {
@@ -179,16 +60,16 @@ impl<H: AppHooks, M: Machine> Deref for SimNode<H, M> {
     }
 }
 
-impl<H: AppHooks, M: Machine> DerefMut for SimNode<H, M> {
+impl<H: AppHooks> DerefMut for SimNode<H> {
     fn deref_mut(&mut self) -> &mut EventLog {
         &mut self.log
     }
 }
 
-impl<H: AppHooks, M: Machine> SimNode<H, M> {
-    /// Wrap a machine with hooks; the node records what it emits into
-    /// its log.
-    pub fn new(node: M, hooks: H) -> Self {
+impl<H: AppHooks> SimNode<H> {
+    /// Wrap a node with hooks; the node records what it emits into its
+    /// log.
+    pub fn new(node: StabilizerNode, hooks: H) -> Self {
         SimNode {
             log: EventLog::default(),
             node,
@@ -225,21 +106,25 @@ impl<H: AppHooks, M: Machine> SimNode<H, M> {
     }
 
     /// Access the underlying state machine (for assertions).
-    pub fn inner(&self) -> &M {
+    pub fn inner(&self) -> &StabilizerNode {
         &self.node
     }
 
     /// Mutable access for *query-only* operations outside the event loop.
     /// To perform operations that emit actions, use [`SimNode::call_in`]
     /// (or one of the `*_in` methods over it) with a simulation [`Ctx`].
-    pub fn inner_mut(&mut self) -> &mut M {
+    pub fn inner_mut(&mut self) -> &mut StabilizerNode {
         &mut self.node
     }
 
-    /// Run `call` on the machine inside the simulation and drain what it
+    /// Run `call` on the node inside the simulation and drain what it
     /// emitted — sends, hooks, log — before returning, so no action is
     /// left behind for a later callback to find.
-    pub fn call_in<R>(&mut self, ctx: &mut Ctx<'_, M::Msg>, call: impl FnOnce(&mut M) -> R) -> R {
+    pub fn call_in<R>(
+        &mut self,
+        ctx: &mut Ctx<'_, WireMsg>,
+        call: impl FnOnce(&mut StabilizerNode) -> R,
+    ) -> R {
         let result = call(&mut self.node);
         self.drain(ctx);
         result
@@ -259,7 +144,7 @@ impl<H: AppHooks, M: Machine> SimNode<H, M> {
     /// Publish inside the simulation (drains actions into sends).
     pub fn publish_in(
         &mut self,
-        ctx: &mut Ctx<'_, M::Msg>,
+        ctx: &mut Ctx<'_, WireMsg>,
         payload: Bytes,
     ) -> Result<SeqNo, CoreError> {
         self.call_in(ctx, |node| node.publish(payload))
@@ -268,7 +153,7 @@ impl<H: AppHooks, M: Machine> SimNode<H, M> {
     /// Register a predicate inside the simulation.
     pub fn register_predicate_in(
         &mut self,
-        ctx: &mut Ctx<'_, M::Msg>,
+        ctx: &mut Ctx<'_, WireMsg>,
         stream: NodeId,
         key: &str,
         source: &str,
@@ -279,7 +164,7 @@ impl<H: AppHooks, M: Machine> SimNode<H, M> {
     /// Change a predicate inside the simulation.
     pub fn change_predicate_in(
         &mut self,
-        ctx: &mut Ctx<'_, M::Msg>,
+        ctx: &mut Ctx<'_, WireMsg>,
         stream: NodeId,
         key: &str,
         source: &str,
@@ -292,7 +177,7 @@ impl<H: AppHooks, M: Machine> SimNode<H, M> {
     /// [`EventLog::completed_waits`] on a node that keeps a log.
     pub fn waitfor_in(
         &mut self,
-        ctx: &mut Ctx<'_, M::Msg>,
+        ctx: &mut Ctx<'_, WireMsg>,
         stream: NodeId,
         key: &str,
         seq: SeqNo,
@@ -303,7 +188,7 @@ impl<H: AppHooks, M: Machine> SimNode<H, M> {
     /// Report application-defined stability inside the simulation.
     pub fn report_stability_in(
         &mut self,
-        ctx: &mut Ctx<'_, M::Msg>,
+        ctx: &mut Ctx<'_, WireMsg>,
         stream: NodeId,
         ty: AckTypeId,
         seq: SeqNo,
@@ -311,7 +196,7 @@ impl<H: AppHooks, M: Machine> SimNode<H, M> {
         self.call_in(ctx, |node| node.report_stability(stream, ty, seq));
     }
 
-    fn drain(&mut self, ctx: &mut Ctx<'_, M::Msg>) {
+    fn drain(&mut self, ctx: &mut Ctx<'_, WireMsg>) {
         let mut actions = std::mem::take(&mut self.actions);
         self.node.swap_actions(&mut actions);
         self.process_actions(ctx, actions.drain(..));
@@ -320,8 +205,8 @@ impl<H: AppHooks, M: Machine> SimNode<H, M> {
 
     /// Arm `kind` one (skewed) period from now under its tag, if it is
     /// configured.
-    fn arm(&self, ctx: &mut Ctx<'_, M::Msg>, kind: TimerKind) {
-        if let Some(period) = kind.scaled_period(self.node.options(), self.timer_scale) {
+    fn arm(&self, ctx: &mut Ctx<'_, WireMsg>, kind: TimerKind) {
+        if let Some(period) = kind.scaled_period(self.node.config().options(), self.timer_scale) {
             ctx.set_timer(
                 SimDuration::from_nanos(period.as_nanos() as u64),
                 kind.tag(),
@@ -334,30 +219,34 @@ impl<H: AppHooks, M: Machine> SimNode<H, M> {
     /// [`SimNode::call_in`] does with what its call emitted.
     pub fn process_actions(
         &mut self,
-        ctx: &mut Ctx<'_, M::Msg>,
-        actions: impl IntoIterator<Item = M::Action>,
+        ctx: &mut Ctx<'_, WireMsg>,
+        actions: impl IntoIterator<Item = Action>,
     ) {
         let now = ctx.now();
         for action in actions {
-            if let Some(event) = M::observe(&action) {
+            if let Some(event) = action.event() {
                 self.hooks.on_event(now, &event);
+                if self.keep_log && !matches!(action, Action::Frontier(_)) {
+                    self.log.record(now, &event);
+                }
             }
-            let send = if self.keep_log {
-                M::finish(action, now, &mut self.log)
-            } else {
-                M::into_send(action)
-            };
-            if let Some((to, msg)) = send {
-                ctx.send(to.0 as usize, msg);
+            match action {
+                Action::Send { to, msg } => ctx.send(to.0 as usize, msg),
+                // The log keeps the update the hooks saw, moved, not
+                // cloned: no allocation per frontier advance.
+                Action::Frontier(update) if self.keep_log => {
+                    self.log.frontier_log.push((now, update));
+                }
+                _ => {}
             }
         }
     }
 }
 
-impl<H: AppHooks, M: Machine> Actor for SimNode<H, M> {
-    type Msg = M::Msg;
+impl<H: AppHooks> Actor for SimNode<H> {
+    type Msg = WireMsg;
 
-    fn on_start(&mut self, ctx: &mut Ctx<'_, M::Msg>) {
+    fn on_start(&mut self, ctx: &mut Ctx<'_, WireMsg>) {
         for kind in TimerKind::ALL {
             self.arm(ctx, kind);
         }
@@ -366,13 +255,13 @@ impl<H: AppHooks, M: Machine> Actor for SimNode<H, M> {
         self.drain(ctx);
     }
 
-    fn on_message(&mut self, ctx: &mut Ctx<'_, M::Msg>, from: usize, msg: M::Msg) {
+    fn on_message(&mut self, ctx: &mut Ctx<'_, WireMsg>, from: usize, msg: WireMsg) {
         self.node
             .on_message(ctx.now().as_nanos(), NodeId(from as u16), msg);
         self.drain(ctx);
     }
 
-    fn on_timer(&mut self, ctx: &mut Ctx<'_, M::Msg>, _timer: TimerId, tag: u64) {
+    fn on_timer(&mut self, ctx: &mut Ctx<'_, WireMsg>, _timer: TimerId, tag: u64) {
         if let Some(kind) = TimerKind::from_tag(tag) {
             self.node.on_timer(kind, ctx.now().as_nanos());
             self.arm(ctx, kind);
@@ -437,7 +326,7 @@ pub fn build_cluster_with_hooks<H: AppHooks>(
 /// The one cluster-building loop: a simulation over `net` of one actor
 /// per topology node, `mk(me, acks)` building node `me`'s around the
 /// ACK-type registry the whole cluster shares. Every simulated
-/// deployment — bare, sharded, and each application's — is built here.
+/// deployment — bare and each application's — is built here.
 ///
 /// # Errors
 ///

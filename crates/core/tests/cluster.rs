@@ -531,6 +531,20 @@ fn retransmission_stays_quiet_on_clean_links() {
 }
 
 #[test]
+fn clock_skew_halves_the_heartbeat_cadence_a_peer_sees() {
+    let cfg = ClusterConfig::parse("az A a b\noption heartbeat_millis 10\n").unwrap();
+    let net = NetTopology::full_mesh(2, SimDuration::from_millis(5), 1e9);
+    let mut sim = build_cluster(&cfg, net, 3).unwrap();
+    // Idle nodes send nothing but heartbeats: node 1 ticks every 10 ms,
+    // node 0 (scale 2.0) every 20.
+    sim.actor_mut(0).set_timer_scale(2.0);
+    sim.run_for(SimDuration::from_secs(1));
+    let (skewed, nominal) = (sim.link_stats(0, 1).messages, sim.link_stats(1, 0).messages);
+    assert!((99..=100).contains(&nominal), "nominal {nominal}");
+    assert!((49..=50).contains(&skewed), "skewed {skewed}");
+}
+
+#[test]
 fn a_retransmitted_frame_carries_the_origins_report_with_it() {
     // The origin's own cells ride its `Data` frames, so they are exactly
     // as reliable as the data: the first copy is lost on a cut link, and

@@ -123,7 +123,9 @@ impl GeoKvNode {
     ///
     /// # Errors
     ///
-    /// Backpressure or payload-size errors from the data plane.
+    /// Backpressure or payload-size errors from the data plane, or
+    /// [`CoreError::Wire`] for a key longer than 65 535 bytes; a refused
+    /// put is neither published nor applied.
     pub fn put_in(
         &mut self,
         ctx: &mut Ctx<'_, WireMsg>,
@@ -145,7 +147,7 @@ impl GeoKvNode {
     ///
     /// # Errors
     ///
-    /// Backpressure errors from the data plane.
+    /// As [`GeoKvNode::put_in`].
     pub fn delete_in(&mut self, ctx: &mut Ctx<'_, WireMsg>, key: &str) -> Result<SeqNo, CoreError> {
         let timestamp = ctx.now().as_nanos();
         self.originate(
@@ -160,7 +162,7 @@ impl GeoKvNode {
     /// Publish `op` on this node's stream, then apply it to this node's
     /// own pool.
     fn originate(&mut self, ctx: &mut Ctx<'_, WireMsg>, op: KvOp) -> Result<SeqNo, CoreError> {
-        let payload = op.to_bytes();
+        let payload = op.to_bytes()?;
         let payload_len = payload.len();
         let seq = self.sim.publish_in(ctx, payload)?;
         if let Some(t) = &self.telemetry {

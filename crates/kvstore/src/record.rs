@@ -59,29 +59,30 @@ impl KvOp {
     }
 
     /// Serialize to a payload for `publish`.
-    pub fn to_bytes(&self) -> Bytes {
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::Wire`] for a key longer than 65 535 bytes or a value
+    /// longer than `u32::MAX` bytes: their lengths do not fit the record.
+    pub fn to_bytes(&self) -> Result<Bytes, CoreError> {
         let mut out = Vec::new();
-        match self {
+        let (tag, key, timestamp, value) = match self {
             KvOp::Put {
                 key,
                 value,
                 timestamp,
-            } => {
-                out.push(Self::TAG_PUT);
-                out.extend_from_slice(&(key.len() as u16).to_le_bytes());
-                out.extend_from_slice(key.as_bytes());
-                out.extend_from_slice(&timestamp.to_le_bytes());
-                out.extend_from_slice(&(value.len() as u32).to_le_bytes());
-                out.extend_from_slice(value);
-            }
-            KvOp::Delete { key, timestamp } => {
-                out.push(Self::TAG_DELETE);
-                out.extend_from_slice(&(key.len() as u16).to_le_bytes());
-                out.extend_from_slice(key.as_bytes());
-                out.extend_from_slice(&timestamp.to_le_bytes());
-            }
+            } => (Self::TAG_PUT, key, timestamp, Some(value)),
+            KvOp::Delete { key, timestamp } => (Self::TAG_DELETE, key, timestamp, None),
+        };
+        out.push(tag);
+        out.extend_from_slice(&length::<u16>("kv key", key.len())?.to_le_bytes());
+        out.extend_from_slice(key.as_bytes());
+        out.extend_from_slice(&timestamp.to_le_bytes());
+        if let Some(value) = value {
+            out.extend_from_slice(&length::<u32>("kv value", value.len())?.to_le_bytes());
+            out.extend_from_slice(value);
         }
-        Bytes::from(out)
+        Ok(Bytes::from(out))
     }
 
     /// Deserialize a payload produced by [`KvOp::to_bytes`].
@@ -127,6 +128,12 @@ impl KvOp {
     }
 }
 
+/// `len` as a length field of type `T`, or [`CoreError::Wire`] naming
+/// `what` when it does not fit: a length is never written truncated.
+pub(crate) fn length<T: TryFrom<usize>>(what: &str, len: usize) -> Result<T, CoreError> {
+    T::try_from(len).map_err(|_| CoreError::Wire(format!("{what} of {len} bytes is too long")))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -138,7 +145,7 @@ mod tests {
             value: Bytes::from_static(b"v"),
             timestamp: 99,
         };
-        assert_eq!(KvOp::decode(&op.to_bytes()).unwrap(), op);
+        assert_eq!(KvOp::decode(&op.to_bytes().unwrap()).unwrap(), op);
         assert_eq!(op.key(), "user/7");
         assert_eq!(op.timestamp(), 99);
     }
@@ -149,7 +156,7 @@ mod tests {
             key: "k".into(),
             timestamp: 1,
         };
-        assert_eq!(KvOp::decode(&op.to_bytes()).unwrap(), op);
+        assert_eq!(KvOp::decode(&op.to_bytes().unwrap()).unwrap(), op);
     }
 
     #[test]
@@ -159,7 +166,7 @@ mod tests {
             value: Bytes::new(),
             timestamp: 0,
         };
-        assert_eq!(KvOp::decode(&op.to_bytes()).unwrap(), op);
+        assert_eq!(KvOp::decode(&op.to_bytes().unwrap()).unwrap(), op);
     }
 
     #[test]
@@ -169,7 +176,8 @@ mod tests {
             value: Bytes::from_static(b"xyz"),
             timestamp: 5,
         }
-        .to_bytes();
+        .to_bytes()
+        .unwrap();
         for cut in 0..bytes.len() {
             assert!(KvOp::decode(&bytes[..cut]).is_err(), "cut {cut}");
         }
@@ -183,8 +191,29 @@ mod tests {
             timestamp: 1,
         }
         .to_bytes()
+        .unwrap()
         .to_vec();
         bytes.push(7);
         assert!(KvOp::decode(&bytes).is_err());
+    }
+
+    #[test]
+    fn a_key_is_written_whole_or_refused() {
+        let key = |len: usize| "k".repeat(len);
+        let put = |key: String| KvOp::Put {
+            key,
+            value: Bytes::from_static(b"v"),
+            timestamp: 3,
+        };
+        let longest = put(key(u16::MAX.into()));
+        assert_eq!(KvOp::decode(&longest.to_bytes().unwrap()).unwrap(), longest);
+        let delete = KvOp::Delete {
+            key: key(65_536),
+            timestamp: 3,
+        };
+        for op in [put(key(65_536)), delete] {
+            let err = op.to_bytes().unwrap_err();
+            assert!(err.to_string().contains("kv key of 65536 bytes"), "{err}");
+        }
     }
 }

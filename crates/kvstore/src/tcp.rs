@@ -55,14 +55,16 @@ impl GeoKvHandle {
     ///
     /// # Errors
     ///
-    /// Backpressure (after `timeout`) or payload-size errors.
+    /// Backpressure (after `timeout`) or payload-size errors, or
+    /// [`CoreError::Wire`] for a key longer than 65 535 bytes; a refused
+    /// put is neither published nor applied.
     pub fn put(&self, key: &str, value: Bytes, timeout: Duration) -> Result<SeqNo, CoreError> {
         let op = KvOp::Put {
             key: key.to_owned(),
             value,
             timestamp: now_nanos(),
         };
-        let seq = self.handle.publish(op.to_bytes(), timeout)?;
+        let seq = self.handle.publish(op.to_bytes()?, timeout)?;
         op.apply(&mut self.pools.lock()[self.id().0 as usize]);
         Ok(seq)
     }
@@ -71,13 +73,13 @@ impl GeoKvHandle {
     ///
     /// # Errors
     ///
-    /// Backpressure or payload-size errors.
+    /// As [`GeoKvHandle::put`].
     pub fn delete(&self, key: &str, timeout: Duration) -> Result<SeqNo, CoreError> {
         let op = KvOp::Delete {
             key: key.to_owned(),
             timestamp: now_nanos(),
         };
-        let seq = self.handle.publish(op.to_bytes(), timeout)?;
+        let seq = self.handle.publish(op.to_bytes()?, timeout)?;
         op.apply(&mut self.pools.lock()[self.id().0 as usize]);
         Ok(seq)
     }

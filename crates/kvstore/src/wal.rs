@@ -7,6 +7,7 @@
 //! `(key_len u16, key, timestamp u64, tag u8, [value_len u32, value])`.
 
 use crate::local::{LocalStore, LogRecord};
+use crate::record::length;
 use bytes::Bytes;
 use stabilizer_core::CoreError;
 use std::io::{BufWriter, Write};
@@ -23,36 +24,49 @@ const TAG_DELETE: u8 = 1;
 ///
 /// # Errors
 ///
-/// Propagates I/O errors as [`CoreError::Wire`].
+/// [`CoreError::Wire`] on I/O errors, and for a key longer than 65 535
+/// bytes or a value longer than `u32::MAX` bytes, whose lengths do not
+/// fit the log: `path` is then left as it was.
 pub fn save_wal(store: &LocalStore, path: &Path) -> Result<(), CoreError> {
-    let io = |e: std::io::Error| CoreError::Wire(format!("wal write: {e}"));
     let tmp = path.with_extension("wal.tmp");
-    {
-        let file = std::fs::File::create(&tmp).map_err(io)?;
-        let mut w = BufWriter::new(file);
-        w.write_all(MAGIC).map_err(io)?;
-        w.write_all(&VERSION.to_le_bytes()).map_err(io)?;
-        w.write_all(&(store.log().len() as u64).to_le_bytes())
-            .map_err(io)?;
-        for rec in store.log() {
-            w.write_all(&(rec.key.len() as u16).to_le_bytes())
-                .map_err(io)?;
-            w.write_all(rec.key.as_bytes()).map_err(io)?;
-            w.write_all(&rec.version.timestamp.to_le_bytes())
-                .map_err(io)?;
-            match &rec.version.value {
-                Some(v) => {
-                    w.write_all(&[TAG_PUT]).map_err(io)?;
-                    w.write_all(&(v.len() as u32).to_le_bytes()).map_err(io)?;
-                    w.write_all(v).map_err(io)?;
-                }
-                None => w.write_all(&[TAG_DELETE]).map_err(io)?,
-            }
-        }
-        w.flush().map_err(io)?;
-        w.get_ref().sync_all().map_err(io)?;
+    if let Err(e) = write_wal(store, &tmp) {
+        // What was written is not a log; `path` was never touched.
+        std::fs::remove_file(&tmp).ok();
+        return Err(e);
     }
     std::fs::rename(&tmp, path).map_err(io)
+}
+
+fn io(e: std::io::Error) -> CoreError {
+    CoreError::Wire(format!("wal write: {e}"))
+}
+
+/// Write and sync the whole log of `store` to `path`.
+fn write_wal(store: &LocalStore, path: &Path) -> Result<(), CoreError> {
+    let file = std::fs::File::create(path).map_err(io)?;
+    let mut w = BufWriter::new(file);
+    w.write_all(MAGIC).map_err(io)?;
+    w.write_all(&VERSION.to_le_bytes()).map_err(io)?;
+    w.write_all(&(store.log().len() as u64).to_le_bytes())
+        .map_err(io)?;
+    for rec in store.log() {
+        let key_len = length::<u16>("wal key", rec.key.len())?;
+        w.write_all(&key_len.to_le_bytes()).map_err(io)?;
+        w.write_all(rec.key.as_bytes()).map_err(io)?;
+        w.write_all(&rec.version.timestamp.to_le_bytes())
+            .map_err(io)?;
+        match &rec.version.value {
+            Some(v) => {
+                w.write_all(&[TAG_PUT]).map_err(io)?;
+                let len = length::<u32>("wal value", v.len())?;
+                w.write_all(&len.to_le_bytes()).map_err(io)?;
+                w.write_all(v).map_err(io)?;
+            }
+            None => w.write_all(&[TAG_DELETE]).map_err(io)?,
+        }
+    }
+    w.flush().map_err(io)?;
+    w.get_ref().sync_all().map_err(io)
 }
 
 /// The smallest record: key length, an empty key, timestamp and tag.
@@ -203,5 +217,23 @@ mod tests {
     #[test]
     fn missing_file_is_an_error_not_a_panic() {
         assert!(load_wal(std::path::Path::new("/nonexistent/stabilizer.wal")).is_err());
+    }
+
+    #[test]
+    fn a_key_too_long_for_the_log_is_refused_and_the_old_log_kept() {
+        let path = tmp("long-key");
+        let (longest, v) = ("k".repeat(u16::MAX.into()), Bytes::from_static(b"v"));
+        let mut store = LocalStore::new();
+        store.put(&longest, v.clone(), 1);
+        save_wal(&store, &path).unwrap();
+        assert_eq!(load_wal(&path).unwrap().get(&longest), Some(v.clone()));
+
+        store.put(&"k".repeat(65_536), v.clone(), 2);
+        let err = save_wal(&store, &path).unwrap_err();
+        assert!(err.to_string().contains("wal key of 65536 bytes"), "{err}");
+        // The log saved before is still there, whole.
+        assert_eq!(load_wal(&path).unwrap().get(&longest), Some(v));
+        assert!(!path.with_extension("wal.tmp").exists());
+        std::fs::remove_file(&path).ok();
     }
 }

@@ -47,6 +47,34 @@ fn put_is_locally_stable_and_mirrors_everywhere() {
     assert_eq!(frontier, seq);
 }
 
+/// A key too long for the record's 16-bit length field is refused
+/// before the origin applies or publishes it — written truncated, every
+/// mirror would refuse the record and the pools would silently diverge
+/// — and the longest key that fits reaches the mirror whole.
+#[test]
+fn origin_and_mirror_agree_on_a_key_at_the_length_limit() {
+    let cfg = ClusterConfig::parse("az A a b\noption max_payload_bytes 1048576\n").unwrap();
+    let net = NetTopology::full_mesh(2, stabilizer_netsim::SimDuration::from_millis(5), 1e9);
+    let mut sim = build_kv_cluster(&cfg, net, 1).unwrap();
+    let (longest, too_long) = ("k".repeat(65_535), "k".repeat(65_536));
+    let v = Bytes::from_static(b"v");
+
+    let refused = sim.with_ctx(0, |kv, ctx| kv.put_in(ctx, &too_long, v.clone()));
+    assert!(refused.is_err(), "{refused:?}");
+    let refused = sim.with_ctx(0, |kv, ctx| kv.delete_in(ctx, &too_long));
+    assert!(refused.is_err(), "{refused:?}");
+    assert_eq!(sim.actor(0).stabilizer().last_published(), 0);
+    assert_eq!(sim.actor(0).get(NodeId(0), &too_long), None);
+
+    let seq = sim.with_ctx(0, |kv, ctx| kv.put_in(ctx, &longest, v.clone()));
+    assert_eq!(seq, Ok(1));
+    sim.run_until_idle();
+    for i in 0..2 {
+        let got = sim.actor(i).get(NodeId(0), &longest);
+        assert_eq!(got, Some(v.clone()), "node {i}");
+    }
+}
+
 #[test]
 fn pools_are_per_owner_and_do_not_collide() {
     let mut sim = build_kv_cluster(&cfg(), NetTopology::ec2_fig2(), 2).unwrap();

@@ -29,7 +29,7 @@ proptest! {
 
     #[test]
     fn kv_records_roundtrip(op in arb_op()) {
-        prop_assert_eq!(KvOp::decode(&op.to_bytes()).unwrap(), op);
+        prop_assert_eq!(KvOp::decode(&op.to_bytes().unwrap()).unwrap(), op);
     }
 
     #[test]

@@ -47,21 +47,31 @@ impl TopicRecord {
     const TAG_UNSUBSCRIBE: u8 = 2;
 
     /// Serialize for the data plane.
-    pub fn to_bytes(&self) -> Bytes {
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::Wire`] for a topic longer than 65 535 bytes or a body
+    /// longer than `u32::MAX` bytes: their lengths do not fit the record.
+    pub fn to_bytes(&self) -> Result<Bytes, CoreError> {
         let mut out = Vec::new();
         let (tag, topic, body) = match self {
             TopicRecord::Publish { topic, body } => (Self::TAG_PUBLISH, topic, Some(body)),
             TopicRecord::Subscribe { topic } => (Self::TAG_SUBSCRIBE, topic, None),
             TopicRecord::Unsubscribe { topic } => (Self::TAG_UNSUBSCRIBE, topic, None),
         };
+        let too_long = |what: &str, len: usize| {
+            CoreError::Wire(format!("topic record: {what} of {len} bytes is too long"))
+        };
+        let topic_len = u16::try_from(topic.len()).map_err(|_| too_long("topic", topic.len()))?;
         out.push(tag);
-        out.extend_from_slice(&(topic.len() as u16).to_le_bytes());
+        out.extend_from_slice(&topic_len.to_le_bytes());
         out.extend_from_slice(topic.as_bytes());
         if let Some(body) = body {
-            out.extend_from_slice(&(body.len() as u32).to_le_bytes());
+            let body_len = u32::try_from(body.len()).map_err(|_| too_long("body", body.len()))?;
+            out.extend_from_slice(&body_len.to_le_bytes());
             out.extend_from_slice(body);
         }
-        Bytes::from(out)
+        Ok(Bytes::from(out))
     }
 
     /// Deserialize a record produced by [`TopicRecord::to_bytes`].
@@ -242,7 +252,8 @@ impl TopicBroker {
     ///
     /// # Errors
     ///
-    /// Data-plane errors.
+    /// Data-plane errors, or [`CoreError::Wire`] for a topic longer than
+    /// 65 535 bytes (nothing is published).
     pub fn publish_in(
         &mut self,
         ctx: &mut Ctx<'_, WireMsg>,
@@ -253,7 +264,7 @@ impl TopicBroker {
             topic: topic.to_owned(),
             body,
         };
-        let seq = self.sim.publish_in(ctx, rec.to_bytes())?;
+        let seq = self.sim.publish_in(ctx, rec.to_bytes()?)?;
         self.send_times.push(ctx.now());
         Ok(seq)
     }
@@ -263,15 +274,19 @@ impl TopicBroker {
     ///
     /// # Errors
     ///
-    /// Data-plane errors while announcing.
+    /// Data-plane errors while announcing, or [`CoreError::Wire`] for a
+    /// topic longer than 65 535 bytes (nothing changes).
     pub fn subscribe_in(
         &mut self,
         ctx: &mut Ctx<'_, WireMsg>,
         topic: &str,
     ) -> Result<(), CoreError> {
+        let rec = TopicRecord::Subscribe {
+            topic: topic.to_owned(),
+        };
+        let payload = rec.to_bytes()?;
         if self.sim.hooks.local_subs.insert(topic.to_owned()) {
-            let topic = topic.to_owned();
-            self.announce(ctx, TopicRecord::Subscribe { topic })?;
+            self.announce(ctx, rec, payload)?;
         }
         Ok(())
     }
@@ -280,15 +295,18 @@ impl TopicBroker {
     ///
     /// # Errors
     ///
-    /// Data-plane errors while announcing.
+    /// As [`TopicBroker::subscribe_in`].
     pub fn unsubscribe_in(
         &mut self,
         ctx: &mut Ctx<'_, WireMsg>,
         topic: &str,
     ) -> Result<(), CoreError> {
+        let rec = TopicRecord::Unsubscribe {
+            topic: topic.to_owned(),
+        };
+        let payload = rec.to_bytes()?;
         if self.sim.hooks.local_subs.remove(topic) {
-            let topic = topic.to_owned();
-            self.announce(ctx, TopicRecord::Unsubscribe { topic })?;
+            self.announce(ctx, rec, payload)?;
         }
         Ok(())
     }
@@ -338,10 +356,16 @@ impl TopicBroker {
         format!("topic:{topic}")
     }
 
-    /// Tell every broker of this one's own (un)subscription, and apply
-    /// the record here as the mirrors will.
-    fn announce(&mut self, ctx: &mut Ctx<'_, WireMsg>, rec: TopicRecord) -> Result<(), CoreError> {
-        self.sim.publish_in(ctx, rec.to_bytes())?;
+    /// Tell every broker of this one's own (un)subscription, `rec`
+    /// encoded as `payload`, and apply the record here as the mirrors
+    /// will.
+    fn announce(
+        &mut self,
+        ctx: &mut Ctx<'_, WireMsg>,
+        rec: TopicRecord,
+        payload: Bytes,
+    ) -> Result<(), CoreError> {
+        self.sim.publish_in(ctx, payload)?;
         self.send_times.push(ctx.now());
         let me = self.stabilizer().me();
         self.sim.hooks.apply(ctx.now(), me, rec);
@@ -438,7 +462,7 @@ mod tests {
                 topic: "news".into(),
             },
         ] {
-            assert_eq!(TopicRecord::decode(&rec.to_bytes()).unwrap(), rec);
+            assert_eq!(TopicRecord::decode(&rec.to_bytes().unwrap()).unwrap(), rec);
         }
     }
 
@@ -446,12 +470,37 @@ mod tests {
     fn malformed_records_rejected() {
         assert!(TopicRecord::decode(&[]).is_err());
         assert!(TopicRecord::decode(&[9, 0, 0]).is_err());
-        let bytes = TopicRecord::Subscribe { topic: "t".into() }.to_bytes();
+        let bytes = TopicRecord::Subscribe { topic: "t".into() }
+            .to_bytes()
+            .unwrap();
         for cut in 0..bytes.len() {
             assert!(TopicRecord::decode(&bytes[..cut]).is_err(), "cut {cut}");
         }
         let mut trailing = bytes.to_vec();
         trailing.push(1);
         assert!(TopicRecord::decode(&trailing).is_err());
+    }
+
+    #[test]
+    fn a_topic_is_written_whole_or_refused() {
+        let topic = |len: usize| "t".repeat(len);
+        let longest = TopicRecord::Subscribe {
+            topic: topic(u16::MAX.into()),
+        };
+        assert_eq!(
+            TopicRecord::decode(&longest.to_bytes().unwrap()).unwrap(),
+            longest
+        );
+        let publish = TopicRecord::Publish {
+            topic: topic(65_536),
+            body: Bytes::from_static(b"b"),
+        };
+        let unsubscribe = TopicRecord::Unsubscribe {
+            topic: topic(65_536),
+        };
+        for rec in [publish, unsubscribe] {
+            let err = rec.to_bytes().unwrap_err();
+            assert!(err.to_string().contains("topic of 65536 bytes"), "{err}");
+        }
     }
 }

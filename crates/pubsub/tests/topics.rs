@@ -3,10 +3,10 @@
 
 use bytes::Bytes;
 use stabilizer_core::NodeId;
-use stabilizer_netsim::NetTopology;
-use stabilizer_pubsub::{build_topic_brokers, pubsub_cfg};
+use stabilizer_netsim::{NetTopology, Simulation};
+use stabilizer_pubsub::{build_topic_brokers, pubsub_cfg, TopicBroker};
 
-fn sim() -> stabilizer_netsim::Simulation<stabilizer_pubsub::TopicBroker> {
+fn sim() -> Simulation<TopicBroker> {
     build_topic_brokers(&pubsub_cfg(), NetTopology::cloudlab_table2(), 1).unwrap()
 }
 
@@ -24,6 +24,42 @@ fn subscriptions_gossip_to_every_broker() {
             vec![NodeId(2), NodeId(4)],
             "broker {i} has a stale view"
         );
+    }
+}
+
+/// A topic too long for a record's 16-bit length field is refused
+/// before anything is published or any subscription changes — written
+/// truncated, every mirror would refuse the record — and the longest
+/// topic that fits gossips like any other.
+#[test]
+fn a_topic_at_the_length_limit_gossips_and_one_past_it_is_refused() {
+    let mut opts = pubsub_cfg().options().clone();
+    opts.max_payload_bytes = 1 << 20;
+    let cfg = pubsub_cfg().with_options(opts);
+    let mut sim = build_topic_brokers(&cfg, NetTopology::cloudlab_table2(), 1).unwrap();
+    let (longest, too_long) = ("t".repeat(65_535), "t".repeat(65_536));
+
+    let refused = sim.with_ctx(2, |b, ctx| b.subscribe_in(ctx, &too_long));
+    assert!(refused.is_err(), "{refused:?}");
+    let refused = sim.with_ctx(2, |b, ctx| b.unsubscribe_in(ctx, &too_long));
+    assert!(refused.is_err(), "{refused:?}");
+    let body = Bytes::from_static(b"x");
+    let refused = sim.with_ctx(0, |b, ctx| b.publish_in(ctx, &too_long, body));
+    assert!(refused.is_err(), "{refused:?}");
+    for i in [0, 2] {
+        assert_eq!(sim.actor(i).stabilizer().last_published(), 0, "broker {i}");
+    }
+
+    sim.with_ctx(2, |b, ctx| b.subscribe_in(ctx, &longest))
+        .unwrap();
+    sim.run_until_idle();
+    for i in 0..5 {
+        assert_eq!(
+            sim.actor(i).subscribers(&longest),
+            vec![NodeId(2)],
+            "broker {i}"
+        );
+        assert!(sim.actor(i).subscribers(&too_long).is_empty(), "broker {i}");
     }
 }
 

@@ -115,7 +115,9 @@ impl ShardedAction {
 #[derive(Debug)]
 pub struct ShardedEngine {
     me: NodeId,
-    cfg: ClusterConfig,
+    /// The application-visible payload cap (the shard machines' is
+    /// wider by the global header).
+    max_payload_bytes: usize,
     shards: Vec<StabilizerNode>,
     router: ShardRouter,
     agg: ShardedFrontier,
@@ -153,7 +155,7 @@ impl ShardedEngine {
         }
         let mut engine = ShardedEngine {
             me,
-            cfg,
+            max_payload_bytes: cfg.options().max_payload_bytes,
             router: ShardRouter::new(shards.len() as u16, policy),
             shards,
             agg,
@@ -169,25 +171,9 @@ impl ShardedEngine {
         self.me
     }
 
-    /// The cluster configuration (application-visible options, not the
-    /// widened per-shard ones).
-    pub fn config(&self) -> &ClusterConfig {
-        &self.cfg
-    }
-
     /// Number of shards.
     pub fn num_shards(&self) -> u16 {
         self.shards.len() as u16
-    }
-
-    /// The cluster's stream placement. Every shard machine carries the
-    /// same map, so the node-level view is authoritative: a stream's
-    /// shard sub-streams live exactly on that stream's replica set, and
-    /// the aggregated frontier min-combines over replica shards only
-    /// (each shard machine's predicates are already restricted to the
-    /// replica set).
-    pub fn placement(&self) -> &Arc<stabilizer_place::PlacementMap> {
-        self.cfg.placement()
     }
 
     /// Read-only view of one shard machine.
@@ -200,21 +186,11 @@ impl ShardedEngine {
         &self.agg
     }
 
-    /// Drain pending sharded actions, in order.
-    pub fn take_actions(&mut self) -> Vec<ShardedAction> {
-        std::mem::take(&mut self.actions)
-    }
-
-    /// [`ShardedEngine::take_actions`] into a driver's reused buffer (see
-    /// [`StabilizerNode::swap_actions`]).
+    /// Hand the pending sharded actions, in order, to a driver's reused
+    /// buffer (see [`StabilizerNode::swap_actions`]).
     pub fn swap_actions(&mut self, buf: &mut Vec<ShardedAction>) {
         debug_assert!(buf.is_empty(), "the driver's buffer comes back empty");
         std::mem::swap(&mut self.actions, buf);
-    }
-
-    /// True if any actions are pending.
-    pub fn has_actions(&self) -> bool {
-        !self.actions.is_empty()
     }
 
     // ------------------------------------------------------------------
@@ -243,10 +219,10 @@ impl ShardedEngine {
     }
 
     fn publish_routed(&mut self, payload: Bytes, key: Option<&[u8]>) -> Result<SeqNo, CoreError> {
-        if payload.len() > self.cfg.options().max_payload_bytes {
+        if payload.len() > self.max_payload_bytes {
             return Err(CoreError::PayloadTooLarge {
                 size: payload.len(),
-                max: self.cfg.options().max_payload_bytes,
+                max: self.max_payload_bytes,
             });
         }
         let shard = self.router.route(key);
@@ -272,11 +248,6 @@ impl ShardedEngine {
     /// Highest global sequence number assigned to this node's stream.
     pub fn last_published(&self) -> SeqNo {
         self.agg.last_published()
-    }
-
-    /// Feed an incoming wire message for shard sub-stream `shard`.
-    pub fn on_message(&mut self, now_nanos: u64, shard: u16, from: NodeId, msg: WireMsg) {
-        self.on_messages(now_nanos, shard, [(from, msg)]);
     }
 
     /// Feed a batch of `(sender, message)` pairs for shard sub-stream
@@ -419,8 +390,8 @@ impl ShardedEngine {
     // ------------------------------------------------------------------
 
     /// A periodic timer fired: run `kind`'s handler on every shard
-    /// (drivers arm each kind once per node, at
-    /// [`TimerKind::period`] of [`ShardedEngine::config`]).
+    /// (drivers arm each kind once per node, at [`TimerKind::period`] of
+    /// the cluster's options).
     pub fn on_timer(&mut self, kind: TimerKind, now_nanos: u64) {
         for shard in &mut self.shards {
             shard.on_timer(kind, now_nanos);

@@ -25,10 +25,6 @@
 //!   node-level API: `publish`, `register_predicate`/`change_predicate`,
 //!   `stability_frontier`, `waitfor`, stability reports, timers,
 //!   membership — all in global sequence numbers.
-//! * [`sim`] — the engine under the one simulator driver
-//!   ([`ShardedSimNode`] = `SimNode` over a [`ShardedEngine`],
-//!   [`build_sharded_cluster`]), so sharded scenarios replay
-//!   byte-identically under the chaos harness.
 //!
 //! On TCP the same [`ShardedEngine`] sits behind one mutex in
 //! `stabilizer-transport::sharded`, link threads running it inline.
@@ -37,10 +33,8 @@ pub mod codec;
 pub mod engine;
 pub mod frontier;
 pub mod router;
-pub mod sim;
 
 pub use codec::{decode_global, encode_global, GLOBAL_HEADER};
 pub use engine::{ShardedAction, ShardedEngine};
 pub use frontier::{AggOutput, ShardedFrontier};
 pub use router::{fnv1a, RoutePolicy, ShardRouter};
-pub use sim::{build_sharded_cluster, ShardMsg, ShardedSimNode};

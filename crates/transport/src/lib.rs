@@ -3,10 +3,10 @@
 //! Runs a sans-IO Stabilizer machine over real TCP sockets with one
 //! `ppoll(2)` loop per node ([`link`], the one place sockets are
 //! touched): one [`runtime`] — the machine behind one mutex, the loop
-//! running it inline — over either of the two machines the simulator
-//! runs, a plain [`StabilizerNode`](stabilizer_core::StabilizerNode) or
-//! a [`ShardedEngine`](stabilizer_shard::ShardedEngine) ([`sharded`]
-//! holds what the latter adds). The paper's prototype uses an
+//! running it inline — over either machine, a plain
+//! [`StabilizerNode`](stabilizer_core::StabilizerNode) or a
+//! [`ShardedEngine`](stabilizer_shard::ShardedEngine) ([`sharded`] holds
+//! what the latter adds). The paper's prototype uses an
 //! asynchronous runtime for the same purpose; one loop over
 //! non-blocking std sockets gives the same control/data-plane
 //! separation with no runtime dependency — a private module holds the

@@ -48,7 +48,7 @@
 //!   full ACK re-announcement) *before* the queue drains again. That
 //!   repair is what covers the frames lost while the link was down.
 //!
-//! The wake handshake: [`Link::send`] pushes onto the peer's queue, sets
+//! The wake handshake: `Link::send` pushes onto the peer's queue, sets
 //! `pending`, and writes a byte to the waker only if the loop has set
 //! `sleeping`. The loop clears `pending` before it looks at the queues,
 //! and sets `sleeping` before it looks at `pending` one last time and

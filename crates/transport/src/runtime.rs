@@ -1,10 +1,9 @@
 //! The TCP runtime: one sans-IO machine behind one mutex, driven by the
 //! shared link layer ([`crate::link`], which documents the thread
 //! layout). The machine is a plain [`StabilizerNode`] or a
-//! [`ShardedEngine`](stabilizer_shard::ShardedEngine) — the two the
-//! simulator's `SimNode` runs through [`Machine`]; [`TcpMachine`] is
-//! what this runtime needs of them beyond that, and [`crate::sharded`]
-//! holds what a sharded node adds.
+//! [`ShardedEngine`](stabilizer_shard::ShardedEngine); [`TcpMachine`] is
+//! what this runtime needs of either, and [`crate::sharded`] holds what a
+//! sharded node adds.
 //!
 //! The link's I/O loop runs the machine **inline** — it folds each batch
 //! of frames it reads under one acquisition of the state lock, fires
@@ -19,8 +18,8 @@ use crate::framing::Lane;
 use crate::handle::NodeHandle;
 use crate::link::{self, Link, LinkClient, LinkSpawn};
 use crate::upcalls::Upcalls;
+use bytes::Bytes;
 use parking_lot::Mutex;
-use stabilizer_core::sim_driver::Machine;
 use stabilizer_core::{
     AckTypeId, AckTypeRegistry, Action, AppHooks, ClusterConfig, CoreError, Event, Metrics, NodeId,
     SeqNo, SimTime, Snapshot, StabilizerNode, TimerKind, WaitToken, WireMsg,
@@ -29,17 +28,43 @@ use stabilizer_telemetry::{StallProvider, Telemetry};
 use std::net::{SocketAddr, TcpListener};
 use std::sync::Arc;
 
-/// What the TCP runtime needs of a machine beyond [`Machine`]: its frame
-/// lane, how it folds a reader batch and repairs a link, and what the
-/// loop's telemetry sample, `/stall` and the handle read off it. Implemented by exactly
+/// What the TCP runtime needs of a machine: what it emits, its frame
+/// lane, how it folds a reader batch, fires a timer and repairs a link,
+/// the calls the handle forwards, and what the loop's telemetry sample,
+/// `/stall` and the handle read off it. Implemented by exactly
 /// [`StabilizerNode`] and
-/// [`ShardedEngine`](stabilizer_shard::ShardedEngine); like `Machine`, it
-/// exists so the two share one runtime, not as an extension point.
-pub trait TcpMachine: Machine + Send + Sized + 'static {
+/// [`ShardedEngine`](stabilizer_shard::ShardedEngine); it exists so the
+/// two share one runtime, not as an extension point.
+pub trait TcpMachine: Send + Sized + 'static {
+    /// What the machine emits: each action is a frame to send
+    /// ([`TcpMachine::into_frame`]), an event ([`TcpMachine::observe`]),
+    /// or both.
+    type Action;
     /// The frame lane this machine's traffic travels on.
     type Lane: Lane;
     /// Thread-name prefix (`<prefix>-<me>-…`).
     const THREAD_PREFIX: &'static str;
+
+    /// Hand over the pending actions, in order, by swapping them into
+    /// `buf` (see [`StabilizerNode::swap_actions`]).
+    fn swap_actions(&mut self, buf: &mut Vec<Self::Action>);
+    /// What observers see of `action`.
+    fn observe(action: &Self::Action) -> Option<Event<'_>>;
+    /// See [`StabilizerNode::on_timer`].
+    fn on_timer(&mut self, kind: TimerKind, now_nanos: u64);
+    /// See [`StabilizerNode::begin_catch_up`].
+    fn begin_catch_up(&mut self, now_nanos: u64) -> usize;
+    /// See [`StabilizerNode::publish`].
+    fn publish(&mut self, payload: Bytes) -> Result<SeqNo, CoreError>;
+    /// See [`StabilizerNode::register_predicate`].
+    fn register_predicate(&mut self, stream: NodeId, key: &str, src: &str)
+        -> Result<(), CoreError>;
+    /// See [`StabilizerNode::change_predicate`].
+    fn change_predicate(&mut self, stream: NodeId, key: &str, src: &str) -> Result<(), CoreError>;
+    /// See [`StabilizerNode::waitfor`].
+    fn waitfor(&mut self, stream: NodeId, key: &str, seq: SeqNo) -> Result<WaitToken, CoreError>;
+    /// See [`StabilizerNode::report_stability`].
+    fn report_stability(&mut self, stream: NodeId, ty: AckTypeId, seq: SeqNo);
 
     /// What the loop samples for the transport gauges (under the state
     /// lock): send-buffer bytes and blocked waits.
@@ -70,8 +95,42 @@ pub trait TcpMachine: Machine + Send + Sized + 'static {
 }
 
 impl TcpMachine for StabilizerNode {
+    type Action = Action;
     type Lane = ();
     const THREAD_PREFIX: &'static str = "stab";
+
+    fn swap_actions(&mut self, buf: &mut Vec<Action>) {
+        self.swap_actions(buf);
+    }
+    fn observe(action: &Action) -> Option<Event<'_>> {
+        action.event()
+    }
+    fn on_timer(&mut self, kind: TimerKind, now_nanos: u64) {
+        self.on_timer(kind, now_nanos);
+    }
+    fn begin_catch_up(&mut self, now_nanos: u64) -> usize {
+        self.begin_catch_up(now_nanos)
+    }
+    fn publish(&mut self, payload: Bytes) -> Result<SeqNo, CoreError> {
+        self.publish(payload)
+    }
+    fn register_predicate(
+        &mut self,
+        stream: NodeId,
+        key: &str,
+        src: &str,
+    ) -> Result<(), CoreError> {
+        self.register_predicate(stream, key, src)
+    }
+    fn change_predicate(&mut self, stream: NodeId, key: &str, src: &str) -> Result<(), CoreError> {
+        self.change_predicate(stream, key, src)
+    }
+    fn waitfor(&mut self, stream: NodeId, key: &str, seq: SeqNo) -> Result<WaitToken, CoreError> {
+        self.waitfor(stream, key, seq)
+    }
+    fn report_stability(&mut self, stream: NodeId, ty: AckTypeId, seq: SeqNo) {
+        self.report_stability(stream, ty, seq);
+    }
 
     fn sample(&self) -> (usize, usize) {
         (self.send_buffer_bytes(), self.pending_waiters())
@@ -173,7 +232,7 @@ impl<M: TcpMachine> Shared<M> {
     }
 
     /// Execute actions: forward sends to the writers, run callbacks for
-    /// what every other action shows ([`Machine::observe`]), then hand
+    /// what every other action shows ([`TcpMachine::observe`]), then hand
     /// every completed wait to the rendezvous at once — except `own`,
     /// the calling thread's: whether it completed is returned instead.
     pub(crate) fn process(&self, actions: Vec<M::Action>, own: Option<WaitToken>) -> bool {

@@ -1,10 +1,9 @@
 //! What a sharded node adds to the one TCP runtime ([`crate::runtime`]).
 //!
-//! Its machine is a [`ShardedEngine`] — the machine the simulator runs:
-//! S shard machines, the publish router and the
-//! [`ShardedFrontier`](stabilizer_shard::ShardedFrontier) aggregator that
-//! min-combines per-shard frontiers and reassembles per-shard FIFO
-//! deliveries into global FIFO order — so the application-visible
+//! Its machine is a [`ShardedEngine`]: S shard machines, the publish
+//! router and the [`ShardedFrontier`](stabilizer_shard::ShardedFrontier)
+//! aggregator that min-combines per-shard frontiers and reassembles
+//! per-shard FIFO deliveries into global FIFO order — so the application-visible
 //! semantics (`publish`, `waitfor`, `monitor_stability_frontier`, FIFO
 //! delivery) are those of a plain [`NodeHandle`], in global sequence
 //! numbers, and so is its telemetry: a hub is fed through
@@ -26,8 +25,8 @@ use crate::link;
 use crate::runtime::{self, SpawnOptions, TcpMachine, TcpNode};
 use bytes::Bytes;
 use stabilizer_core::{
-    AckTypeId, AckTypeRegistry, ClusterConfig, CoreError, Metrics, NodeId, SeqNo, StallReport,
-    WireMsg,
+    AckTypeId, AckTypeRegistry, ClusterConfig, CoreError, Event, Metrics, NodeId, SeqNo,
+    StallReport, TimerKind, WaitToken, WireMsg,
 };
 use stabilizer_shard::{RoutePolicy, ShardedAction, ShardedEngine};
 use stabilizer_telemetry::Telemetry;
@@ -43,8 +42,42 @@ pub type ShardedHandle = NodeHandle<ShardedEngine>;
 pub type ShardedTcpNode = TcpNode<ShardedEngine>;
 
 impl TcpMachine for ShardedEngine {
+    type Action = ShardedAction;
     type Lane = u16;
     const THREAD_PREFIX: &'static str = "stabs";
+
+    fn swap_actions(&mut self, buf: &mut Vec<ShardedAction>) {
+        self.swap_actions(buf);
+    }
+    fn observe(action: &ShardedAction) -> Option<Event<'_>> {
+        action.event()
+    }
+    fn on_timer(&mut self, kind: TimerKind, now_nanos: u64) {
+        self.on_timer(kind, now_nanos);
+    }
+    fn begin_catch_up(&mut self, now_nanos: u64) -> usize {
+        self.begin_catch_up(now_nanos)
+    }
+    fn publish(&mut self, payload: Bytes) -> Result<SeqNo, CoreError> {
+        self.publish(payload)
+    }
+    fn register_predicate(
+        &mut self,
+        stream: NodeId,
+        key: &str,
+        src: &str,
+    ) -> Result<(), CoreError> {
+        self.register_predicate(stream, key, src)
+    }
+    fn change_predicate(&mut self, stream: NodeId, key: &str, src: &str) -> Result<(), CoreError> {
+        self.change_predicate(stream, key, src)
+    }
+    fn waitfor(&mut self, stream: NodeId, key: &str, seq: SeqNo) -> Result<WaitToken, CoreError> {
+        self.waitfor(stream, key, seq)
+    }
+    fn report_stability(&mut self, stream: NodeId, ty: AckTypeId, seq: SeqNo) {
+        self.report_stability(stream, ty, seq);
+    }
 
     fn sample(&self) -> (usize, usize) {
         (self.send_buffer_bytes(), self.pending_waiters())

@@ -9,8 +9,8 @@
 # written: each output is diffed against the recorded file and the
 # script exits 1 if any differs. All runs are deterministic (fixed
 # seeds, virtual time), so a difference means the sources moved, never
-# the machine. `results/microbench.txt` is wall-clock DSL timing and is
-# not listed: rerun `--bin microbench` by hand when quoting it.
+# the machine. The DSL's wall-clock compile/eval cost (§VI-A) is not a
+# result file: `cargo bench -p stabilizer-bench --bench dsl_cost` runs it.
 #
 # The harnesses that finish in seconds in the debug profile are also
 # pinned by `crates/bench/tests/results_pin.rs`; CI's `test` job runs

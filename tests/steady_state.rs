@@ -29,8 +29,7 @@
 //!   dropped before the residue is read, so a case measures the protocol
 //!   and telemetry state under that application's traffic;
 //! * the `EventLog` of a `SimNode` built with `SimNode::new` (so by
-//!   `build_cluster`, the sharded builders and every application's
-//!   actor): the experiments' read side, one entry per event (harnesses
+//!   `build_cluster` and every application's actor): the experiments' read side, one entry per event (harnesses
 //!   that publish hundreds of thousands run `without_delivery_log`). A
 //!   cluster built by `build_cluster_with_hooks` keeps none;
 //! * the recorder's `DirtyCell` journal: opt-in, grows until its one
@@ -44,7 +43,7 @@
 //! find there.
 
 use bytes::Bytes;
-use stabilizer::core::sim_driver::{build_cluster_with_hooks, Machine};
+use stabilizer::core::sim_driver::build_cluster_with_hooks;
 use stabilizer::core::{AppHooks, Event, NoHooks, SimTime};
 use stabilizer::filebackup::ec2_backup_cfg;
 use stabilizer::kvstore::{KvHooks, KvOp, LocalStore};
@@ -53,9 +52,10 @@ use stabilizer::pubsub::stab_broker::BrokerHooks;
 use stabilizer::pubsub::topics::TopicHooks;
 use stabilizer::pubsub::{pubsub_cfg, TopicRecord};
 use stabilizer::quorum::{cloudlab_cfg, QuorumSetup};
-use stabilizer::shard::{RoutePolicy, ShardMsg, ShardedAction, ShardedEngine};
+use stabilizer::shard::{RoutePolicy, ShardedEngine};
 use stabilizer::telemetry::{Telemetry, DEFAULT_TRACE_CAPACITY};
-use stabilizer::{AckTypeRegistry, Action, ClusterConfig, NodeId, SeqNo, StabilizerNode, WireMsg};
+use stabilizer::transport::TcpMachine;
+use stabilizer::{AckTypeRegistry, ClusterConfig, NodeId, SeqNo, StabilizerNode, WireMsg};
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -71,33 +71,6 @@ const TCP3: &str = "az East e1 e2\naz West w1\n\
     predicate OneRemote MAX($ALLWNODES-$MYWNODE)\n\
     predicate Majority KTH_MAX(2,$ALLWNODES)\n";
 
-/// What this test needs of a machine beyond the simulator driver's
-/// [`Machine`] (which it is driven through, minus the driver): what an
-/// observer sees of an action with no log to write beside it, and
-/// whether a wait is still blocked.
-trait Observed: Machine {
-    fn event(action: &Self::Action) -> Option<Event<'_>>;
-    fn pending_waiters(&self) -> usize;
-}
-
-impl Observed for StabilizerNode {
-    fn event(action: &Action) -> Option<Event<'_>> {
-        action.event()
-    }
-    fn pending_waiters(&self) -> usize {
-        StabilizerNode::pending_waiters(self)
-    }
-}
-
-impl Observed for ShardedEngine {
-    fn event(action: &ShardedAction) -> Option<Event<'_>> {
-        action.event()
-    }
-    fn pending_waiters(&self) -> usize {
-        ShardedEngine::pending_waiters(self)
-    }
-}
-
 /// Counts the waits it sees complete, then hands the event on.
 struct Waits<H>(u64, H);
 
@@ -108,24 +81,32 @@ impl<H: AppHooks> AppHooks for Waits<H> {
     }
 }
 
+/// A frame on the wire: its lane (a sharded machine's shard index) and
+/// the message.
+type Frame<M> = (<M as TcpMachine>::Lane, WireMsg);
+
 /// One machine per node, each with its application's hooks, and the
 /// frames in flight between them: `(from, to, frame)`, one FIFO for the
-/// cluster.
-struct Cluster<M: Machine, H> {
+/// cluster. The machines are driven through what the TCP runtime calls
+/// ([`TcpMachine`]), minus the sockets.
+struct Cluster<M: TcpMachine, H> {
     nodes: Vec<(M, Waits<H>)>,
-    wire: VecDeque<(usize, NodeId, M::Msg)>,
-    /// The driver's side of [`Machine::swap_actions`].
+    wire: VecDeque<(usize, NodeId, Frame<M>)>,
+    /// The driver's side of [`TcpMachine::swap_actions`].
     actions: Vec<M::Action>,
+    /// The reader batch a frame is delivered in, one frame at a time.
+    batch: Vec<Frame<M>>,
     now: u64,
 }
 
-impl<M: Observed, H: AppHooks> Cluster<M, H> {
+impl<M: TcpMachine, H: AppHooks> Cluster<M, H> {
     fn new(nodes: impl IntoIterator<Item = (M, H)>) -> Self {
         let nodes = nodes.into_iter().map(|(m, h)| (m, Waits(0, h)));
         let mut cluster = Cluster {
             nodes: nodes.collect(),
             wire: VecDeque::new(),
             actions: Vec::new(),
+            batch: Vec::new(),
             now: 0,
         };
         for i in 0..cluster.nodes.len() {
@@ -142,11 +123,11 @@ impl<M: Observed, H: AppHooks> Cluster<M, H> {
         let r = call(node);
         node.swap_actions(&mut self.actions);
         for action in self.actions.drain(..) {
-            if let Some(event) = M::event(&action) {
+            if let Some(event) = M::observe(&action) {
                 hooks.on_event(SimTime(self.now), &event);
             }
-            if let Some((to, msg)) = M::into_send(action) {
-                self.wire.push_back((i, to, msg));
+            if let Ok((to, lane, msg)) = M::into_frame(action) {
+                self.wire.push_back((i, to, (lane, msg)));
             }
         }
         r
@@ -161,21 +142,24 @@ impl<M: Observed, H: AppHooks> Cluster<M, H> {
     /// is set aside in `held` instead of delivered — a link that stalls.
     fn settle_holding(
         &mut self,
-        hold: impl Fn(NodeId, &M::Msg) -> bool,
-        held: &mut Vec<(usize, NodeId, M::Msg)>,
+        hold: impl Fn(NodeId, &Frame<M>) -> bool,
+        held: &mut Vec<(usize, NodeId, Frame<M>)>,
     ) {
-        while let Some((from, to, msg)) = self.wire.pop_front() {
-            if hold(to, &msg) {
-                held.push((from, to, msg));
+        while let Some((from, to, frame)) = self.wire.pop_front() {
+            if hold(to, &frame) {
+                held.push((from, to, frame));
             } else {
-                self.deliver(from, to, msg);
+                self.deliver(from, to, frame);
             }
         }
     }
 
-    fn deliver(&mut self, from: usize, to: NodeId, msg: M::Msg) {
+    fn deliver(&mut self, from: usize, to: NodeId, frame: Frame<M>) {
         let (now, from) = (self.now, NodeId(from as u16));
-        self.on(to.0 as usize, |node| node.on_message(now, from, msg));
+        let mut batch = std::mem::take(&mut self.batch);
+        batch.push(frame);
+        self.on(to.0 as usize, |node| node.on_frames(now, from, &mut batch));
+        self.batch = batch;
     }
 
     /// `rounds` rounds: every publisher publishes one payload and waits
@@ -204,7 +188,8 @@ impl<M: Observed, H: AppHooks> Cluster<M, H> {
         }
         for &i in publishers {
             let (node, hooks) = &self.nodes[i];
-            assert_eq!(node.pending_waiters(), 0, "node {i} still waits on {key}");
+            let (_, pending_waiters) = node.sample();
+            assert_eq!(pending_waiters, 0, "node {i} still waits on {key}");
             assert_eq!(
                 hooks.0 - waits_before[i],
                 rounds,
@@ -269,7 +254,7 @@ fn warm_hub(origins: &[NodeId]) -> Arc<Telemetry> {
 }
 
 /// Drop the machines' hooks, keep the machines.
-fn machines<M: Machine, H>(cluster: Cluster<M, H>) -> Vec<M> {
+fn machines<M: TcpMachine, H>(cluster: Cluster<M, H>) -> Vec<M> {
     cluster.nodes.into_iter().map(|(node, _)| node).collect()
 }
 
@@ -375,8 +360,8 @@ fn a_map_that_grew_during_a_stall_gives_its_memory_back() {
     cluster.run(STALL, &all, "AllRemote", payload, |_, _, _, _| ());
     let before = stabilizer_testalloc::live();
 
-    let stalled = |to: NodeId, msg: &ShardMsg| {
-        to == NodeId(0) && msg.shard == 1 && matches!(msg.msg, WireMsg::AckBatch(_))
+    let stalled = |to: NodeId, (shard, msg): &(u16, WireMsg)| {
+        to == NodeId(0) && *shard == 1 && matches!(msg, WireMsg::AckBatch(_))
     };
     let mut held = Vec::new();
     for _ in 0..STALL {
@@ -417,7 +402,7 @@ fn kv_hooks_keep_nothing_per_message_beside_the_store() {
                 value: Bytes::from_static(&[7; 64]),
                 timestamp: round,
             };
-            let payload = |round| put(round).to_bytes();
+            let payload = |round| put(round).to_bytes().expect("short key");
             cluster.run(
                 rounds,
                 &[0, 1, 2],
@@ -465,7 +450,7 @@ fn topic_hooks_retention_is_capped() {
         let run = || {
             let mut cluster = plain(&pubsub_cfg(), |_| TopicHooks::default());
             // Fill every broker's retention buffer to its 10,000 cap.
-            let old = record(0).to_bytes();
+            let old = record(0).to_bytes().expect("short topic");
             for (_, hooks) in &mut cluster.nodes {
                 for seq in 1..=10_000 {
                     hooks.1.on_deliver(SimTime(0), NodeId(4), seq, &old);
@@ -476,7 +461,7 @@ fn topic_hooks_retention_is_capped() {
                 n.register_predicate(NodeId(0), "topic:news", "MIN($2, $3)")
                     .expect("compiles")
             });
-            let payload = |round| record(round).to_bytes();
+            let payload = |round| record(round).to_bytes().expect("short topic");
             cluster.run(rounds, &[0], "topic:news", payload, |_, _, _, _| ());
             cluster
         };

@@ -122,7 +122,8 @@ fn kv_store_and_raw_core_report_identical_stability() {
         value: Bytes::from_static(b"v"),
         timestamp: 0,
     }
-    .to_bytes();
+    .to_bytes()
+    .unwrap();
     let core_seq = core
         .with_ctx(0, |n, ctx| n.publish_in(ctx, payload))
         .unwrap();
