@@ -48,6 +48,10 @@ use stabilizer_place::PlacementMap;
 /// bounded by the dependency count, not the candidate product).
 const STRUCTURAL_CAP: usize = 20_000;
 
+/// Most dependency nodes the exhaustive fallback enumerates: `2^16`
+/// probes. A predicate that needs more is left undecided.
+const BRUTE_FORCE_DEPS: usize = 16;
+
 /// The availability verdict for one predicate at one vantage.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Availability {
@@ -93,21 +97,26 @@ pub struct PartitionCut {
     pub severed_links: usize,
 }
 
-/// Compute the availability verdict for `pred` evaluated at `me`.
+/// Compute the availability verdict for `pred` evaluated at `me`, or
+/// `None` when it is undecided: the topology has more nodes than a
+/// 64-bit mask holds, or the structural pass overflows on a predicate
+/// that reads more nodes than the exhaustive fallback enumerates
+/// (16: `2^16` probes). Topologies of at most 16 nodes are always
+/// decided.
 ///
 /// The caller is expected to pass the predicate *as installed* — i.e.
 /// already [`restricted_to`](Predicate::restricted_to) the stream's
 /// replica set under partial replication — so the verdict matches what
 /// the runtime actually waits on.
-pub fn availability(pred: &Predicate, topo: &Topology, me: NodeId) -> Availability {
-    let (masks, structural) = blocking_masks(pred, topo, me);
+pub fn availability(pred: &Predicate, topo: &Topology, me: NodeId) -> Option<Availability> {
+    let (masks, structural) = blocking_masks(pred, topo, me)?;
     let blocking_sets = masks_to_sets(&masks);
-    Availability {
+    Some(Availability {
         me,
         tolerance: tolerance_from(&blocking_sets, topo),
         blocking_sets,
         structural,
-    }
+    })
 }
 
 /// Exhaustive probe enumeration of minimal blocking sets — the oracle the
@@ -115,7 +124,7 @@ pub fn availability(pred: &Predicate, topo: &Topology, me: NodeId) -> Availabili
 /// `2^d` probe evaluations for `d` dependency nodes; callers keep `d`
 /// small.
 pub fn brute_force_availability(pred: &Predicate, topo: &Topology, me: NodeId) -> Availability {
-    let masks = brute_force_masks(pred, topo, me);
+    let masks = brute_force_masks(pred, topo, &dependency_nodes(pred, me));
     let blocking_sets = masks_to_sets(&masks);
     Availability {
         me,
@@ -314,16 +323,19 @@ pub fn asymmetry_diagnostic(per_vantage: &[(&str, i64)], span: Span) -> Option<D
 // ----------------------------------------------------------------------
 
 /// Structural recursion with probe verification, falling back to
-/// exhaustive probe enumeration. Returns (minimal masks, structural?).
-fn blocking_masks(pred: &Predicate, topo: &Topology, me: NodeId) -> (Vec<u64>, bool) {
-    if topo.num_nodes() <= 64 {
-        if let Ok(masks) = expr_masks(&pred.resolved().expr, me) {
-            if verify_masks(pred, topo, &masks) {
-                return (masks, true);
-            }
+/// exhaustive probe enumeration. Returns (minimal masks, structural?),
+/// or `None` when neither can decide within its bound.
+fn blocking_masks(pred: &Predicate, topo: &Topology, me: NodeId) -> Option<(Vec<u64>, bool)> {
+    if topo.num_nodes() > 64 {
+        return None;
+    }
+    if let Ok(masks) = expr_masks(&pred.resolved().expr, me) {
+        if verify_masks(pred, topo, &masks) {
+            return Some((masks, true));
         }
     }
-    (brute_force_masks(pred, topo, me), false)
+    let deps = dependency_nodes(pred, me);
+    (deps.len() <= BRUTE_FORCE_DEPS).then(|| (brute_force_masks(pred, topo, &deps), false))
 }
 
 /// Overflow marker: the candidate product exceeded [`STRUCTURAL_CAP`].
@@ -434,14 +446,19 @@ fn verify_masks(pred: &Predicate, topo: &Topology, masks: &[u64]) -> bool {
     })
 }
 
-/// Exhaustive enumeration over the dependency nodes (crashing a node the
-/// predicate never reads cannot change its value): probe every subset,
-/// keep the minimal blocked ones.
-fn brute_force_masks(pred: &Predicate, topo: &Topology, me: NodeId) -> Vec<u64> {
+/// The nodes other than `me` whose cells `pred` reads, sorted: crashing
+/// a node the predicate never reads cannot change its value.
+fn dependency_nodes(pred: &Predicate, me: NodeId) -> Vec<NodeId> {
     let mut deps: Vec<NodeId> = pred.dependencies().iter().map(|(n, _)| *n).collect();
     deps.sort_unstable();
     deps.dedup();
     deps.retain(|n| *n != me);
+    deps
+}
+
+/// Exhaustive enumeration over the dependency nodes `deps`: probe every
+/// subset, keep the minimal blocked ones.
+fn brute_force_masks(pred: &Predicate, topo: &Topology, deps: &[NodeId]) -> Vec<u64> {
     let d = deps.len().min(63);
     let mut blocked = Vec::new();
     for sub in 0u64..(1 << d) {
@@ -489,7 +506,7 @@ mod tests {
     fn avail(src: &str, me: u16) -> Availability {
         let acks = AckTypeRegistry::new();
         let pred = Predicate::compile(src, &topo(), &acks, NodeId(me)).unwrap();
-        availability(&pred, &topo(), NodeId(me))
+        availability(&pred, &topo(), NodeId(me)).unwrap()
     }
 
     fn sets(a: &Availability) -> Vec<Vec<u16>> {
@@ -566,7 +583,7 @@ mod tests {
             let acks = AckTypeRegistry::new();
             let t = topo();
             let pred = Predicate::compile(src, &t, &acks, NodeId(0)).unwrap();
-            let a = availability(&pred, &t, NodeId(0));
+            let a = availability(&pred, &t, NodeId(0)).unwrap();
             let b = brute_force_availability(&pred, &t, NodeId(0));
             assert_eq!(a.blocking_sets, b.blocking_sets, "{src}");
             assert_eq!(a.tolerance, b.tolerance, "{src}");
@@ -633,7 +650,7 @@ mod tests {
         .unwrap();
         let acks = AckTypeRegistry::new();
         let pred = Predicate::compile("MAX($WNODE_w1)", &t, &acks, NodeId(0)).unwrap();
-        let a = availability(&pred, &t, NodeId(0));
+        let a = availability(&pred, &t, NodeId(0)).unwrap();
         // Isolating West alone severs the 4 open links 0-2, 0-3, 1-2,
         // 2-4; taking Solo (node 4) to the far side as well removes the
         // 2-4 crossing, so the cheapest stranding cut is West+Solo at 3.

@@ -29,7 +29,8 @@
 //!
 //! The `stabcheck` binary (in `stabilizer-bench`) fronts this crate on
 //! the command line; `stabilizer-core` runs it at predicate-install time
-//! when the cluster config sets `option analysis warn|deny`.
+//! when the cluster config sets `option analysis deny`, and when
+//! `analysis_report` is called under `warn`.
 //!
 //! ## Example
 //!

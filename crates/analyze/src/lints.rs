@@ -212,7 +212,8 @@ impl<'a> Analyzer<'a> {
     /// strands the vantage. A predicate already blocked with zero
     /// crashes (tolerance `-1`) is covered by the constant/unemitted
     /// lints and stays silent here, as does `partition-vulnerable` on a
-    /// zero-tolerance predicate — the crash warning subsumes the cut.
+    /// zero-tolerance predicate — the crash warning subsumes the cut. A
+    /// predicate the prover leaves undecided gets no finding.
     fn audit_availability(&self, compiled: &Predicate, whole: Span, report: &mut Report) {
         if !self.audit || compiled.dependencies().is_empty() {
             return;
@@ -227,7 +228,9 @@ impl<'a> Analyzer<'a> {
         if installed.dependencies().is_empty() {
             return;
         }
-        let avail = avail::availability(&installed, self.topo, self.me);
+        let Some(avail) = avail::availability(&installed, self.topo, self.me) else {
+            return;
+        };
         match avail.min_blocking() {
             Some(1) => {
                 let singles: Vec<&str> = avail

@@ -80,7 +80,8 @@ pub fn blocked_with_down(program: &Program, topo: &Topology, down_mask: u64) -> 
 /// If some set of `failure_budget` non-origin nodes can, by crashing,
 /// permanently prevent the predicate from advancing, return the
 /// smallest-index such set. `None` means every such crash set still lets
-/// the frontier reach `H` (or the budget is 0).
+/// the frontier reach `H`, the budget is 0, or the prover leaves the
+/// predicate undecided.
 ///
 /// The witness is derived from the [availability
 /// prover](crate::avail)'s minimal blocking sets — each small-enough set
@@ -101,7 +102,7 @@ pub fn crash_unsatisfiable(
     if failure_budget == 0 {
         return None;
     }
-    let avail = crate::avail::availability(pred, topo, me);
+    let avail = crate::avail::availability(pred, topo, me)?;
     crate::avail::crash_witness(&avail, topo, failure_budget)
 }
 

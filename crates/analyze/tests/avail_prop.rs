@@ -96,7 +96,7 @@ proptest! {
         let Ok(pred) = Predicate::compile(&src, &topo, &acks, me) else {
             return Ok(());
         };
-        let fast = availability(&pred, &topo, me);
+        let fast = availability(&pred, &topo, me).expect("at most 16 nodes are decided");
         let slow = brute_force_availability(&pred, &topo, me);
         prop_assert_eq!(
             &fast.blocking_sets, &slow.blocking_sets,
@@ -117,7 +117,7 @@ proptest! {
         let Ok(pred) = Predicate::compile(&src, &topo, &acks, me) else {
             return Ok(());
         };
-        let avail = availability(&pred, &topo, me);
+        let avail = availability(&pred, &topo, me).expect("at most 16 nodes are decided");
         let n = topo.num_nodes();
         let others: Vec<NodeId> = topo
             .all_nodes()

@@ -285,7 +285,8 @@ fn run(args: &Args) -> Result<ExitCode, String> {
 /// Render the audit table for one vantage: per predicate, exact crash
 /// tolerance `f*`, every minimal blocking set, and the cheapest
 /// AZ-partition cut that strands the vantage (placement-aware link
-/// counting). Also accumulates `tol_by_key` for the asymmetry check.
+/// counting); `f* undecided` where the prover leaves it open. Also
+/// accumulates `tol_by_key` for the asymmetry check.
 #[allow(clippy::too_many_arguments)]
 fn audit_node(
     topo: &Topology,
@@ -315,7 +316,17 @@ fn audit_node(
         if installed.dependencies().is_empty() {
             continue; // vacuous: trivially available everywhere
         }
-        let avail = availability(&installed, topo, me);
+        let Some(avail) = availability(&installed, topo, me) else {
+            if json {
+                json_rows.push(format!(
+                    "{{\"name\":{},\"tolerance\":null,\"unbounded\":null,\"blocking_sets\":null,\"worst_cut\":null}}",
+                    json_string(name)
+                ));
+            } else {
+                text_rows.push(format!("  {name}: f* undecided\n"));
+            }
+            continue;
+        };
         let cut = worst_cut(&avail, topo, placement);
         tol_by_key
             .entry(name.clone())

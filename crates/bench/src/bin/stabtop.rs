@@ -123,7 +123,8 @@ fn render_metrics(metrics: &JsonValue) -> String {
         out.push_str(&format!("replicas  {}\n", replica_rows.join("  ")));
     }
     // Exact crash tolerance per predicate key, as the availability
-    // prover computed it at install time (min across vantages).
+    // prover computed it when each node was spawned (min across
+    // vantages).
     let mut tol_rows: Vec<(String, i64)> = gauges
         .iter()
         .filter(|(k, _)| split_series(k).0 == "stab_predicate_tolerance")

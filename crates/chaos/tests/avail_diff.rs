@@ -51,7 +51,7 @@ fn prove(cfg: &ClusterConfig) -> Vec<Claim> {
                 .expect("config predicate compiles")
                 .restricted_to(cfg.placement().replicas(v))
                 .expect("replica restriction succeeds");
-            let a = availability(&pred, cfg.topology(), v);
+            let a = availability(&pred, cfg.topology(), v).expect("a small cluster is decided");
             out.push(Claim {
                 vantage: v,
                 key: key.to_owned(),

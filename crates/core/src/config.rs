@@ -22,6 +22,11 @@
 //! subset of the nodes; streams without one stay fully replicated, so a
 //! `replicate`-free config behaves exactly as before the directive
 //! existed.
+//!
+//! `option analysis deny` runs the static analyzer at every predicate
+//! install and refuses a predicate with findings; under `warn` (the
+//! default) an install only compiles, and the findings are computed when
+//! `StabilizerNode::analysis_report` asks for them.
 
 use crate::error::CoreError;
 use stabilizer_dsl::{AckTypeRegistry, NodeId, Topology};
@@ -53,15 +58,15 @@ pub(crate) fn check_ack_type_room(
     Ok(())
 }
 
-/// What a node does with static-analysis findings when a predicate is
-/// installed (`register_predicate` / `change_predicate`).
+/// What a node does with static-analysis findings on a predicate it
+/// installs (`register_predicate` / `change_predicate`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum AnalysisMode {
     /// Skip analysis entirely.
     Off,
-    /// Run the analyzer and record its findings (retrievable via
-    /// `StabilizerNode::analysis_report`), but install the predicate
-    /// regardless.
+    /// Install the predicate whatever its findings; they are computed
+    /// when `StabilizerNode::analysis_report` asks for them, not at
+    /// install.
     #[default]
     Warn,
     /// Reject installation of any predicate with error- or warning-level
@@ -140,7 +145,7 @@ pub struct Options {
     /// transfer after a donor or joiner crash). `0` disables the
     /// transfer machinery entirely (pre-§III-E behavior).
     pub transfer_millis: u64,
-    /// Static-analysis enforcement at predicate-install time.
+    /// What the static analyzer does with installed predicates.
     pub analysis: AnalysisMode,
     /// Crash budget `f` assumed by the `crash-unsatisfiable` lint: the
     /// analyzer flags predicates that some set of `f` simultaneous
@@ -220,18 +225,6 @@ impl Options {
     /// (ms); `0` disables state transfer.
     pub fn transfer_millis(mut self, v: u64) -> Self {
         self.transfer_millis = v;
-        self
-    }
-
-    /// Set the static-analysis enforcement mode.
-    pub fn analysis(mut self, v: AnalysisMode) -> Self {
-        self.analysis = v;
-        self
-    }
-
-    /// Set the crash budget assumed by the `crash-unsatisfiable` lint.
-    pub fn failure_budget(mut self, v: u64) -> Self {
-        self.failure_budget = v;
         self
     }
 }

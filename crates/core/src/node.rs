@@ -36,7 +36,6 @@ use crate::recorder::{AckRecorder, DirtyCell};
 use crate::timers::TimerKind;
 use crate::transfer::Transfers;
 use bytes::Bytes;
-use predicates::Installed;
 use stabilizer_dsl::{AckTypeId, AckTypeRegistry, NodeId, SeqNo, DELIVERED, PERSISTED, RECEIVED};
 use stabilizer_place::PlacementMap;
 use std::collections::BTreeMap;
@@ -117,11 +116,11 @@ pub struct StabilizerNode {
     outbox: AckOutbox,
     membership: Membership,
     transfers: Transfers,
-    /// What is registered with the engine and how it was installed, per
-    /// (stream, key). Ordered: reinstatement iterates it and emits
+    /// The source of each predicate registered with the engine, per
+    /// (stream, key), as registered. Ordered: reinstatement iterates it and emits
     /// frontier updates, whose order must be stable across processes
     /// for deterministic replay.
-    installed: BTreeMap<(NodeId, String), Installed>,
+    installed: BTreeMap<(NodeId, String), String>,
     next_token: WaitToken,
     actions: Vec<Action>,
     /// What the engine reported during the current call, drained into

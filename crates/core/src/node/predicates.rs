@@ -7,22 +7,6 @@ use crate::error::CoreError;
 use stabilizer_analyze::{AckEmissions, Analyzer, Report};
 use stabilizer_dsl::{NodeId, Predicate};
 
-/// How one `(stream, key)` predicate was installed.
-#[derive(Debug)]
-pub(super) struct Installed {
-    /// The DSL source as registered, so the predicate can be restored
-    /// verbatim when an excluded node rejoins.
-    pub(super) source: String,
-    /// Analyzer findings (`option analysis warn|deny`; a deny-mode
-    /// install only succeeds when clean).
-    report: Option<Report>,
-    /// Exact crash tolerance `f*` by the availability prover, against
-    /// the predicate as restricted to the stream's replica set. `-1`
-    /// means blocked even with zero crashes; `num_nodes - 1` means no
-    /// crash set can block it.
-    tolerance: i64,
-}
-
 impl StabilizerNode {
     /// Register a new predicate under `key` for `stream`, compiled at
     /// this node (the paper's `register_predicate`).
@@ -58,8 +42,10 @@ impl StabilizerNode {
         self.install(stream, key, source, true)
     }
 
-    /// Analyze, compile, hand to the engine (`must_exist`: as a change
-    /// of a registered key), and record how it was installed.
+    /// Compile and hand to the engine (`must_exist`: as a change of a
+    /// registered key), keeping the source. Only `option analysis deny`
+    /// runs the analyzer here, to refuse before anything is registered;
+    /// warn-mode findings and `f*` are computed when they are read.
     fn install(
         &mut self,
         stream: NodeId,
@@ -67,23 +53,24 @@ impl StabilizerNode {
         source: &str,
         must_exist: bool,
     ) -> Result<(), CoreError> {
-        let report = self.run_analysis(stream, key, source)?;
+        if self.cfg.options().analysis == AnalysisMode::Deny {
+            let report = self.analyze(stream, key, source);
+            if !report.is_clean() {
+                return Err(CoreError::PredicateRejected {
+                    key: key.to_owned(),
+                    report: report.render_human(),
+                });
+            }
+        }
         let pred = self.compile(stream, source)?;
-        let tolerance =
-            stabilizer_analyze::availability(&pred, self.cfg.topology(), self.me).tolerance;
         let (rec, out, done) = (&self.recorder, &mut self.updates, &mut self.done);
         if !must_exist {
             self.engine.register(stream, key, pred, rec, out, done);
         } else if !self.engine.change(stream, key, pred, rec, out, done) {
             return Err(CoreError::UnknownPredicate(key.to_owned()));
         }
-        let source = source.to_owned();
-        let entry = Installed {
-            source,
-            report,
-            tolerance,
-        };
-        self.installed.insert((stream, key.to_owned()), entry);
+        self.installed
+            .insert((stream, key.to_owned()), source.to_owned());
         self.emit();
         Ok(())
     }
@@ -97,39 +84,35 @@ impl StabilizerNode {
         )
     }
 
-    /// The analyzer findings recorded when `(stream, key)` was installed,
-    /// if analysis is enabled (`option analysis warn|deny`) and the
-    /// predicate is currently registered with findings on record.
-    pub fn analysis_report(&self, stream: NodeId, key: &str) -> Option<&Report> {
-        self.installed
-            .get(&(stream, key.to_owned()))?
-            .report
-            .as_ref()
-    }
-
-    /// All recorded `(stream, key) -> f*` entries, for telemetry export:
-    /// the largest number of non-origin crashes each predicate survives
-    /// at this vantage.
-    pub fn predicate_tolerances(&self) -> impl Iterator<Item = (NodeId, &str, i64)> + '_ {
-        self.installed
-            .iter()
-            .map(|((stream, key), entry)| (*stream, key.as_str(), entry.tolerance))
-    }
-
-    /// Run the static analyzer per the configured [`AnalysisMode`]:
-    /// `Off` → `None`; `Warn` → `Some(report)`; `Deny` → error unless the
-    /// report is clean (info-level findings tolerated). `stream` scopes
-    /// the `non-replica-operand` lint to the stream's replica set.
-    fn run_analysis(
-        &self,
-        stream: NodeId,
-        key: &str,
-        source: &str,
-    ) -> Result<Option<Report>, CoreError> {
-        let opts = self.cfg.options();
-        if opts.analysis == AnalysisMode::Off {
-            return Ok(None);
+    /// The analyzer's findings on the predicate registered under
+    /// `(stream, key)`, computed now from its source; `None` if the key
+    /// is not registered or analysis is off (`option analysis off`).
+    pub fn analysis_report(&self, stream: NodeId, key: &str) -> Option<Report> {
+        if self.cfg.options().analysis == AnalysisMode::Off {
+            return None;
         }
+        let source = self.installed.get(&(stream, key.to_owned()))?;
+        Some(self.analyze(stream, key, source))
+    }
+
+    /// Every registered `(stream, key) -> f*`, for telemetry export: the
+    /// largest number of non-origin crashes each predicate survives at
+    /// this vantage, as restricted to the stream's replica set. The
+    /// availability prover runs for each key as the iterator reaches it;
+    /// a key it leaves undecided is skipped.
+    pub fn predicate_tolerances(&self) -> impl Iterator<Item = (NodeId, &str, i64)> + '_ {
+        self.installed.iter().filter_map(|((stream, key), source)| {
+            let pred = self.compile(*stream, source).ok()?;
+            let avail = stabilizer_analyze::availability(&pred, self.cfg.topology(), self.me)?;
+            Some((*stream, key.as_str(), avail.tolerance))
+        })
+    }
+
+    /// Run the static analyzer on `source` with what the configuration
+    /// says: the ACK types and their emitters, the failure budget, and
+    /// `stream`'s replica set (which scopes the `non-replica-operand`
+    /// lint).
+    fn analyze(&self, stream: NodeId, key: &str, source: &str) -> Report {
         let mut emissions = AckEmissions::new();
         for (name, emitters) in self.cfg.ack_types() {
             if emitters.is_empty() {
@@ -143,18 +126,11 @@ impl StabilizerNode {
                 emissions.restrict(ty, &ids);
             }
         }
-        let analyzer = Analyzer::new(self.cfg.topology(), &self.acks, self.me)
+        Analyzer::new(self.cfg.topology(), &self.acks, self.me)
             .with_emissions(&emissions)
-            .with_failure_budget(opts.failure_budget as usize)
-            .with_replicas(self.placement.replicas(stream));
-        let report = analyzer.analyze(key, source);
-        if opts.analysis == AnalysisMode::Deny && !report.is_clean() {
-            return Err(CoreError::PredicateRejected {
-                key: key.to_owned(),
-                report: report.render_human(),
-            });
-        }
-        Ok(Some(report))
+            .with_failure_budget(self.cfg.options().failure_budget as usize)
+            .with_replicas(self.placement.replicas(stream))
+            .analyze(key, source)
     }
 
     /// Remove a predicate; any pending waiters complete immediately (with
@@ -190,8 +166,8 @@ impl StabilizerNode {
     pub(super) fn reinstate_node(&mut self, node: NodeId) -> Result<(), CoreError> {
         let reads = |p: &Predicate| p.dependencies().iter().any(|(n, _)| *n == node);
         let mut restored = Vec::new();
-        for ((stream, key), entry) in &self.installed {
-            let original = self.compile(*stream, &entry.source)?;
+        for ((stream, key), source) in &self.installed {
+            let original = self.compile(*stream, source)?;
             let current = self.engine.predicate(*stream, key);
             // Only touch predicates that currently lack the node.
             if reads(&original) && !current.is_some_and(reads) {

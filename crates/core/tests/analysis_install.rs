@@ -1,12 +1,18 @@
-//! Install-time static analysis in the simulated runtime: `option
-//! analysis warn` records findings, `option analysis deny` rejects
-//! predicates with error- or warning-level findings before they reach the
-//! frontier engine.
+//! Static analysis of installed predicates in the simulated runtime:
+//! under `option analysis warn` an install only compiles, and the
+//! findings (and `f*`) are computed from the registered source when they
+//! are read; `option analysis deny` rejects predicates with error- or
+//! warning-level findings before they reach the frontier engine.
 
 use bytes::Bytes;
+use stabilizer_analyze::{availability, AckEmissions, Analyzer, Report};
 use stabilizer_core::sim_driver::build_cluster;
-use stabilizer_core::{ClusterConfig, CoreError, NodeId};
+use stabilizer_core::{AckTypeRegistry, ClusterConfig, CoreError, NodeId, StabilizerNode};
 use stabilizer_netsim::{NetTopology, SimDuration};
+use std::sync::Arc;
+
+#[global_allocator]
+static ALLOC: stabilizer_testalloc::Counting = stabilizer_testalloc::Counting;
 
 /// East has two nodes, West one: at w1 (node 2) the set
 /// `$MYAZWNODES-$MYWNODE` is empty, which the resolver accepts silently
@@ -19,6 +25,93 @@ predicate AllRemote MIN($ALLWNODES-$MYWNODE)
 
 fn net() -> NetTopology {
     NetTopology::full_mesh(3, SimDuration::from_millis(5), 1e9)
+}
+
+/// Eight nodes in two AZs, no configured predicate.
+const EIGHT: &str = "\
+az East e1 e2 e3 e4
+az West w1 w2 w3 w4
+";
+
+/// A majority of the remotes.
+const QUORUM: &str = "KTH_MAX(SIZEOF($ALLWNODES)/2+1, $ALLWNODES-$MYWNODE)";
+
+/// Node e1 of `EIGHT` plus `options`.
+fn eight_node(options: &str) -> StabilizerNode {
+    let cfg = ClusterConfig::parse(&format!("{EIGHT}{options}")).unwrap();
+    StabilizerNode::new(cfg, NodeId(0), Arc::new(AckTypeRegistry::new())).unwrap()
+}
+
+/// Bytes one install of `QUORUM` requests at e1 under `option analysis
+/// <mode>`.
+fn install_cost(mode: &str) -> usize {
+    let mut node = eight_node(&format!("option analysis {mode}\n"));
+    let (cost, installed) =
+        stabilizer_testalloc::cost(|| node.register_predicate(NodeId(0), "Quorum", QUORUM));
+    installed.unwrap();
+    cost
+}
+
+#[test]
+fn a_warn_mode_install_costs_what_an_install_without_analysis_costs() {
+    assert_eq!(install_cost("warn"), install_cost("off"));
+}
+
+/// What e1 reads for key `P`: its report and every `f*` entry.
+fn read_back(node: &StabilizerNode) -> (Option<Report>, Vec<i64>) {
+    let tolerances = node
+        .predicate_tolerances()
+        .filter(|(_, key, _)| *key == "P")
+        .map(|(_, _, tol)| tol)
+        .collect();
+    (node.analysis_report(NodeId(0), "P"), tolerances)
+}
+
+/// What the analyzer and the prover say about `source` at e1 when run
+/// directly, configured as the node configures them.
+fn direct(node: &StabilizerNode, source: &str) -> (Option<Report>, Vec<i64>) {
+    let (cfg, acks, me) = (node.config(), node.ack_types(), NodeId(0));
+    let replicas = cfg.placement().replicas(me);
+    let emissions = AckEmissions::new();
+    let report = Analyzer::new(cfg.topology(), acks, me)
+        .with_emissions(&emissions)
+        .with_failure_budget(cfg.options().failure_budget as usize)
+        .with_replicas(replicas)
+        .analyze("P", source);
+    let pred = stabilizer_core::Predicate::compile(source, cfg.topology(), acks, me)
+        .unwrap()
+        .restricted_to(replicas)
+        .unwrap();
+    let tolerance = availability(&pred, cfg.topology(), me).unwrap().tolerance;
+    (Some(report), vec![tolerance])
+}
+
+#[test]
+fn findings_and_tolerance_read_later_are_those_of_the_registered_source() {
+    let mut node = eight_node("option failure_budget 1\n");
+    let min = "MIN($ALLWNODES-$MYWNODE)";
+    node.register_predicate(NodeId(0), "P", min).unwrap();
+    let read = read_back(&node);
+    assert_eq!(read, direct(&node, min));
+    assert!(read
+        .0
+        .unwrap()
+        .render_human()
+        .contains("crash-unsatisfiable"));
+    node.change_predicate(NodeId(0), "P", QUORUM).unwrap();
+    let read = read_back(&node);
+    assert_eq!(read, direct(&node, QUORUM));
+    assert_eq!(read.1, vec![2]);
+    node.unregister_predicate(NodeId(0), "P");
+    assert_eq!(read_back(&node), (None, Vec::new()));
+}
+
+#[test]
+fn without_analysis_there_is_no_report_but_still_a_tolerance() {
+    let mut node = eight_node("option analysis off\n");
+    node.register_predicate(NodeId(0), "P", "MAX($ALLWNODES)")
+        .unwrap();
+    assert_eq!(read_back(&node), (None, vec![7]));
 }
 
 #[test]

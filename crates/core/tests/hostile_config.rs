@@ -4,9 +4,15 @@
 //! than a `NodeId` can number is refused, not wrapped around. Counted
 //! with a per-thread allocator, as in `hostile_decode.rs`. Building a
 //! node from the config is not held to this: its ACK table is N × N by
-//! design.
+//! design. But building a node is polynomial in the node count: an
+//! install compiles its predicate and proves nothing about it, so a
+//! quorum over dozens of nodes boots at once, and a cluster of more
+//! nodes than a 64-bit mask holds boots at all.
 
-use stabilizer_core::{ClusterConfig, CoreError};
+use stabilizer_core::{AckTypeRegistry, ClusterConfig, CoreError, NodeId, StabilizerNode};
+use std::sync::{mpsc, Arc};
+use std::thread;
+use std::time::Duration;
 
 #[global_allocator]
 static ALLOC: stabilizer_testalloc::Counting = stabilizer_testalloc::Counting;
@@ -58,4 +64,33 @@ fn more_nodes_than_an_id_can_number_are_refused() {
         Err(other) => panic!("refused as {other:?}, not as a config error"),
         Ok(cfg) => panic!("{n} nodes parsed, into {} ids", cfg.num_nodes()),
     }
+}
+
+/// Build node `n0` of `text` on its own thread, failing unless it is
+/// built within `deadline` (a hang fails rather than stalls the suite).
+fn boots_within(text: String, deadline: Duration) {
+    let (tx, rx) = mpsc::channel();
+    let booting = thread::spawn(move || {
+        let cfg = ClusterConfig::parse(&text).expect("the config parses");
+        let built = StabilizerNode::new(cfg, NodeId(0), Arc::new(AckTypeRegistry::new()));
+        let _ = tx.send(built.map(|node| node.config().num_nodes()));
+    });
+    let built = rx
+        .recv_timeout(deadline)
+        .unwrap_or_else(|e| panic!("no node within {deadline:?}: {e}"));
+    booting.join().expect("the booting thread ends");
+    assert!(built.is_ok(), "the node was refused: {built:?}");
+}
+
+#[test]
+fn a_quorum_over_24_nodes_boots_at_once() {
+    let text =
+        one_az(24) + "predicate Quorum KTH_MAX(SIZEOF($ALLWNODES)/2+1, $ALLWNODES-$MYWNODE)\n";
+    boots_within(text, Duration::from_secs(2));
+}
+
+#[test]
+fn more_nodes_than_a_mask_holds_boot() {
+    let text = one_az(70) + "predicate All MIN($ALLWNODES-$MYWNODE)\n";
+    boots_within(text, Duration::from_secs(10));
 }

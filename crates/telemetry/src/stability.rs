@@ -324,9 +324,10 @@ impl Telemetry {
     }
 
     /// Record the availability prover's exact crash tolerance `f*` for
-    /// one installed predicate key, as computed at install time. `-1`
-    /// means the predicate is blocked even with zero crashes. Every
-    /// node that installs the key records its own vantage's value, in
+    /// one installed predicate key, as computed when the node was
+    /// spawned. `-1` means the predicate is blocked even with zero
+    /// crashes. Every node that installs the key records its own
+    /// vantage's value, in
     /// any order; the gauge keeps the minimum (the weakest vantage
     /// bounds the deployment).
     pub fn record_predicate_tolerance(&self, key: &str, tolerance: i64) {

@@ -214,8 +214,8 @@ pub struct Link<L: Lane> {
 impl<L: Lane> Link<L> {
     /// Link state for node `me` of `cfg`. With a hub attached, registers
     /// the transport counters and records the placement and — from
-    /// `tolerances`, the node's `(stream, key, f*)` entries as the
-    /// availability prover computed them at install time — f* per
+    /// `tolerances`, the node's `(stream, key, f*)` entries, which the
+    /// availability prover computes only here, as they are read — f* per
     /// predicate key (the hub keeps the weakest across keys and nodes).
     pub(crate) fn new<'a>(
         cfg: &ClusterConfig,

@@ -78,7 +78,8 @@ pub trait TcpMachine: Send + Sized + 'static {
     fn repair_link(&mut self, peer: NodeId);
     /// `/stall`'s body: live frontier blame as JSON.
     fn stall_json(&self) -> String;
-    /// `(stream, key, f*)` of every installed predicate.
+    /// `(stream, key, f*)` of every installed predicate the prover
+    /// decides, computed as the iterator is read.
     fn predicate_tolerances(&self) -> impl Iterator<Item = (NodeId, &str, i64)> + '_;
     /// See [`StabilizerNode::stability_frontier`].
     fn stability_frontier(&self, stream: NodeId, key: &str) -> Option<(SeqNo, u32)>;

@@ -12,9 +12,13 @@
 # run, then per end-to-end metric each side's median and quartiles, the
 # change's wins and ties over the pairs, and the claim rule: a gain may
 # be claimed when at least ten pairs ran, the change won at least nine
-# tenths of them and the medians are apart by more than the distance
-# between the parent's quartiles. Exits non-zero if a run fails its
-# correctness checks.
+# tenths of them, the medians are apart by more than the distance
+# between the parent's quartiles, and the gate agrees — every run also
+# appends to its side's set file (`--out`), and the parent tree's
+# `stabbench compare` of the two sets, whose table ends the output,
+# must call the metric `better` (its median better by more than the
+# metric's bound in BENCHMARK.json). Exits non-zero only if a run fails
+# its correctness checks.
 #
 # Every run's line also carries the host's CPU steal over that run (the
 # share of CPU time a hypervisor gave to other guests, from /proc/stat),
@@ -23,7 +27,7 @@
 set -euo pipefail
 
 if [ $# -lt 4 ]; then
-  sed -n '2,22p' "$0" >&2
+  sed -n '2,26p' "$0" >&2
   exit 2
 fi
 parent=$(cd "$1" && pwd)
@@ -42,7 +46,10 @@ while [ $# -gt 0 ]; do
 done
 
 runs=$(mktemp)
-trap 'rm -f "$runs"' EXIT
+parent_set=$(mktemp)
+change_set=$(mktemp)
+verdicts=$(mktemp)
+trap 'rm -f "$runs" "$parent_set" "$change_set" "$verdicts"' EXIT
 
 # Steal and total jiffies so far, from the `cpu` line of /proc/stat
 # (user nice system idle iowait irq softirq steal; guest time is inside
@@ -65,10 +72,11 @@ steal_pct() {
 # One run of one side: the last line of bench.sh's output is the JSON
 # record; keep it, tagged with the side, the pair and the steal.
 run_side() {
-  local side=$1 tree=$2 pair=$3 run_seed=$4 out before steal
+  local side=$1 tree=$2 pair=$3 run_seed=$4 out before steal set_file=$parent_set
+  if [ "$side" = change ]; then set_file=$change_set; fi
   before=$(cpu_jiffies)
-  out=$(env -u CARGO_TARGET_DIR bash "$tree/benchmarks/bench.sh" \
-    --workload "$workload" --seed "$run_seed" --trace 0 ${seconds:+--seconds "$seconds"}) || {
+  out=$(env -u CARGO_TARGET_DIR bash "$tree/benchmarks/bench.sh" --workload "$workload" \
+    --seed "$run_seed" --trace 0 ${seconds:+--seconds "$seconds"} --out "$set_file") || {
     echo "$out" >&2
     echo "bench_pairs.sh: $side run failed (pair $pair, seed $run_seed)" >&2
     exit 1
@@ -89,10 +97,21 @@ for pair in $(seq 1 "$pairs"); do
   seed=$((seed + 1))
 done
 
-python3 - "$runs" "$parent/BENCHMARK.json" "$workload" <<'PY'
+# The gate's table; it exits non-zero on a `worse` row, which is for
+# the summary to report, not a failed run.
+env -u CARGO_TARGET_DIR bash "$parent/benchmarks/bench.sh" compare "$parent_set" "$change_set" \
+  > "$verdicts" || true
+
+python3 - "$runs" "$parent/BENCHMARK.json" "$workload" "$verdicts" <<'PY'
 import json, sys
 
-runs_path, bench_path, workload = sys.argv[1:4]
+runs_path, bench_path, workload, verdicts_path = sys.argv[1:5]
+# compare's rows: workload, metric, five figures, the bound, the verdict.
+verdict = {}
+for line in open(verdicts_path):
+    cells = line.split()
+    if len(cells) == 9 and cells[0] == workload:
+        verdict[cells[1]] = cells[8]
 sides = {"parent": {}, "change": {}}
 steal = {"parent": {}, "change": {}}
 failed = {"parent": 0, "change": 0}
@@ -133,10 +152,11 @@ for metric in json.load(open(bench_path))["end_to_end"]:
     (pq1, pmed, pq3), cmed = stats["parent"], stats["change"][1]
     ratio = cmed / pmed if pmed else float("nan")
     apart = abs(cmed - pmed) > (pq3 - pq1) and ((cmed > pmed) == higher)
-    claim = len(pairs) >= 10 and wins * 10 >= len(pairs) * 9 and apart
+    gate = verdict.get(name, "none")
+    claim = len(pairs) >= 10 and wins * 10 >= len(pairs) * 9 and apart and gate == "better"
     print(f"  change/parent median ratio {ratio:.4f}; change wins {wins}/{len(pairs)}, ties {ties}; "
           f"medians apart by more than the parent's inter-quartile distance ({pq3 - pq1:.6g}): "
-          f"{'yes' if apart else 'no'}; gain claimable: {'yes' if claim else 'no'}")
+          f"{'yes' if apart else 'no'}; compare: {gate}; gain claimable: {'yes' if claim else 'no'}")
 print("host steal (% of CPU time over the run)")
 for side in ("parent", "change"):
     values = [steal[side][p] for p in pairs]
@@ -144,3 +164,5 @@ for side in ("parent", "change"):
     print(f"  {side} median {quantile(sorted(values), 0.5):.1f}")
 print(f"failed operations: parent {failed['parent']}, change {failed['change']}")
 PY
+echo "== stabbench compare <parent set> <change set> =="
+cat "$verdicts"

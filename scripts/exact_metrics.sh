@@ -48,11 +48,15 @@ want_hash=16d57c7b1c532ede
 # And when every stream at full replication started sharing one
 # replica set (100.20125 before): 8 fewer allocations per round, the
 # eight copies of the 8-node set the config's placement map made.
+# And when a predicate install stopped running the warn-mode analyzer
+# and the f* prover, whose results are computed now only when read
+# (100.19791666666667 before): 46 314 fewer allocations, all while the
+# eight nodes install their 216 predicates.
 want_counts='core.frontier.evals_per_msg=39.24
 core.recorder.acks_received_per_msg=168
 core.node.ctrl_msgs_per_msg=49
 netsim.sim.events_per_msg=56
-alloc.count_per_msg=100.19791666666667'
+alloc.count_per_msg=80.90041666666667'
 
 out=$(bash benchmarks/bench.sh --workload sim8-ctrl --seed 1 --seconds 2 --trace 0 --smoke)
 ratio=$(printf '%s\n' "$out" | tail -n 1 |
