@@ -173,33 +173,9 @@ impl Options {
         self
     }
 
-    /// Enable heartbeats with the given period (ms).
-    pub fn heartbeat_millis(mut self, v: u64) -> Self {
-        self.heartbeat_millis = v;
-        self
-    }
-
-    /// Automatically exclude suspected nodes from predicates.
-    pub fn auto_exclude_suspects(mut self, v: bool) -> Self {
-        self.auto_exclude_suspects = v;
-        self
-    }
-
-    /// Set the maximum payload size per message.
-    pub fn max_payload_bytes(mut self, v: usize) -> Self {
-        self.max_payload_bytes = v;
-        self
-    }
-
     /// Enable the reliability mechanism with the given timeout (ms).
     pub fn retransmit_millis(mut self, v: u64) -> Self {
         self.retransmit_millis = v;
-        self
-    }
-
-    /// Cap consecutive failed connect attempts (`0` = retry forever).
-    pub fn connect_retry_limit(mut self, v: u64) -> Self {
-        self.connect_retry_limit = v;
         self
     }
 
@@ -683,14 +659,16 @@ option auto_exclude_suspects true
 
     #[test]
     fn options_builder_chains() {
-        let o = Options::default()
-            .ack_flush_micros(7)
-            .send_buffer_bytes(1024)
-            .failure_timeout_millis(9)
-            .heartbeat_millis(3)
-            .auto_exclude_suspects(true)
-            .max_payload_bytes(512)
-            .retransmit_millis(11);
+        let o = Options {
+            heartbeat_millis: 3,
+            auto_exclude_suspects: true,
+            max_payload_bytes: 512,
+            ..Options::default()
+        }
+        .ack_flush_micros(7)
+        .send_buffer_bytes(1024)
+        .failure_timeout_millis(9)
+        .retransmit_millis(11);
         assert_eq!(o.ack_flush_micros, 7);
         assert_eq!(o.send_buffer_bytes, 1024);
         assert_eq!(o.failure_timeout_millis, 9);

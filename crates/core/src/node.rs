@@ -1214,8 +1214,10 @@ mod tests {
 
     #[test]
     fn payload_size_limit_is_enforced() {
-        let opts = Options::default().max_payload_bytes(8);
-        let cfg = cfg().with_options(opts);
+        let cfg = ClusterConfig::parse(
+            "az A a b\naz B c\npredicate All MIN($ALLWNODES-$MYWNODE)\noption max_payload_bytes 8\n",
+        )
+        .unwrap();
         let mut n = StabilizerNode::new(cfg, NodeId(0), Arc::new(AckTypeRegistry::new())).unwrap();
         assert!(matches!(
             n.publish(Bytes::from(vec![0u8; 9])),

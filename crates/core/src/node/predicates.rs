@@ -76,11 +76,28 @@ impl StabilizerNode {
     }
 
     /// Compile `source` at this node for `stream`: over the stream's
-    /// replica set only.
+    /// replica set only. An installed key with the same source on a
+    /// stream with the same replica set already holds that program, so
+    /// it is shared rather than compiled again. A compile reads nothing
+    /// else that changes: the topology and `me` are fixed, and the ACK
+    /// type registry only grows. A predicate that exclusion rewrote never
+    /// matches, since its source carries the ` /* -n */` mark.
     fn compile(&self, stream: NodeId, source: &str) -> Result<Predicate, CoreError> {
+        let replicas = self.placement.replicas(stream);
+        let shared = self.installed.iter().find_map(|((s, key), src)| {
+            if src != source || self.placement.replicas(*s) != replicas {
+                return None;
+            }
+            self.engine
+                .predicate(*s, key)
+                .filter(|pred| pred.source() == source)
+        });
+        if let Some(pred) = shared {
+            return Ok(pred.clone());
+        }
         Ok(
             Predicate::compile(source, self.cfg.topology(), &self.acks, self.me)?
-                .restricted_to(self.placement.replicas(stream))?,
+                .restricted_to(replicas)?,
         )
     }
 

@@ -144,12 +144,14 @@ mod tests {
         let grid = [0u64, 1, 2, 3, 7, 50, 400, 1001];
         for &a in &grid {
             for &b in &grid {
-                let o = Options::default()
-                    .ack_flush_micros(a)
-                    .heartbeat_millis(b)
-                    .failure_timeout_millis(a)
-                    .retransmit_millis(b)
-                    .transfer_millis(a);
+                let o = Options {
+                    heartbeat_millis: b,
+                    ..Options::default()
+                }
+                .ack_flush_micros(a)
+                .failure_timeout_millis(a)
+                .retransmit_millis(b)
+                .transfer_millis(a);
                 for kind in TimerKind::ALL {
                     assert_eq!(
                         kind.period(&o),
@@ -186,7 +188,10 @@ mod tests {
             scale(Duration::from_micros(1), 1e-12),
             Duration::from_nanos(1)
         );
-        let o = Options::default().heartbeat_millis(10);
+        let o = Options {
+            heartbeat_millis: 10,
+            ..Options::default()
+        };
         assert_eq!(
             TimerKind::Heartbeat.scaled_period(&o, 2.0),
             Some(Duration::from_millis(20))

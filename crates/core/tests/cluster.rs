@@ -176,11 +176,12 @@ fn change_predicate_exposes_generation_gap() {
 
 #[test]
 fn crashed_secondary_is_suspected_and_excluded() {
-    let opts = Options::default()
-        .failure_timeout_millis(500)
-        .heartbeat_millis(100)
-        .auto_exclude_suspects(true);
-    let cfg = ec2_cfg("predicate AllWNodes MIN($ALLWNODES-$MYWNODE)").with_options(opts);
+    let cfg = ec2_cfg(
+        "predicate AllWNodes MIN($ALLWNODES-$MYWNODE)\n\
+         option failure_timeout_millis 500\n\
+         option heartbeat_millis 100\n\
+         option auto_exclude_suspects true\n",
+    );
     let mut sim = build_cluster(&cfg, NetTopology::ec2_fig2(), 6).unwrap();
 
     // Cut node 7 (Ohio) off entirely.
@@ -591,14 +592,15 @@ fn recovered_secondary_is_automatically_reinstated() {
     // exclusion -> frontier advances without the dead node; node returns
     // -> first traffic clears suspicion -> predicates reinstated -> the
     // frontier again requires the recovered node.
-    let opts = Options::default()
-        .failure_timeout_millis(400)
-        .heartbeat_millis(100)
-        .auto_exclude_suspects(true)
-        // Without the reliability mechanism the message dropped during
-        // the partition could never reach the returning node.
-        .retransmit_millis(100);
-    let cfg = ec2_cfg("predicate AllWNodes MIN($ALLWNODES-$MYWNODE)").with_options(opts);
+    // Without the reliability mechanism (`retransmit_millis`) the message
+    // dropped during the partition could never reach the returning node.
+    let cfg = ec2_cfg(
+        "predicate AllWNodes MIN($ALLWNODES-$MYWNODE)\n\
+         option failure_timeout_millis 400\n\
+         option heartbeat_millis 100\n\
+         option auto_exclude_suspects true\n\
+         option retransmit_millis 100\n",
+    );
     let mut sim = build_cluster(&cfg, NetTopology::ec2_fig2(), 41).unwrap();
 
     // Node 7 (Ohio) drops off the network.
@@ -759,12 +761,13 @@ fn frontier_never_regresses_across_exclusion_and_reinstatement() {
     // the predicate twice (drop node 7, re-add node 7). The frontier the
     // application sees must stay monotone within each generation even
     // though the *set* of required ackers shrank and grew back.
-    let opts = Options::default()
-        .failure_timeout_millis(400)
-        .heartbeat_millis(100)
-        .auto_exclude_suspects(true)
-        .retransmit_millis(100);
-    let cfg = ec2_cfg("predicate AllWNodes MIN($ALLWNODES-$MYWNODE)").with_options(opts);
+    let cfg = ec2_cfg(
+        "predicate AllWNodes MIN($ALLWNODES-$MYWNODE)\n\
+         option failure_timeout_millis 400\n\
+         option heartbeat_millis 100\n\
+         option auto_exclude_suspects true\n\
+         option retransmit_millis 100\n",
+    );
     let mut sim = build_cluster(&cfg, NetTopology::ec2_fig2(), 52).unwrap();
 
     for _ in 0..3 {

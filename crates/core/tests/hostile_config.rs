@@ -1,8 +1,11 @@
 //! A configuration file is input too: what `ClusterConfig::parse`
 //! allocates must be bounded by the bytes it was given, not by the
 //! square of the node count they name, and a topology with more nodes
-//! than a `NodeId` can number is refused, not wrapped around. Counted
-//! with a per-thread allocator, as in `hostile_decode.rs`. Building a
+//! than a `NodeId` can number is refused, not wrapped around. Nor is
+//! its time quadratic: a `replicate` line naming every node parses in
+//! time linear in its names (its set is sorted and deduplicated once,
+//! not searched per name). Counted with a per-thread allocator, as in
+//! `hostile_decode.rs`. Building a
 //! node from the config is not held to this: its ACK table is N × N by
 //! design. But building a node is polynomial in the node count: an
 //! install compiles its predicate and proves nothing about it, so a
@@ -66,20 +69,43 @@ fn more_nodes_than_an_id_can_number_are_refused() {
     }
 }
 
-/// Build node `n0` of `text` on its own thread, failing unless it is
-/// built within `deadline` (a hang fails rather than stalls the suite).
-fn boots_within(text: String, deadline: Duration) {
+/// Run `f` on its own thread, failing unless it returns within
+/// `deadline` (a hang fails rather than stalls the suite).
+fn within<T: Send + 'static>(deadline: Duration, f: impl FnOnce() -> T + Send + 'static) -> T {
     let (tx, rx) = mpsc::channel();
-    let booting = thread::spawn(move || {
-        let cfg = ClusterConfig::parse(&text).expect("the config parses");
-        let built = StabilizerNode::new(cfg, NodeId(0), Arc::new(AckTypeRegistry::new()));
-        let _ = tx.send(built.map(|node| node.config().num_nodes()));
+    let running = thread::spawn(move || {
+        let _ = tx.send(f());
     });
-    let built = rx
+    let out = rx
         .recv_timeout(deadline)
-        .unwrap_or_else(|e| panic!("no node within {deadline:?}: {e}"));
-    booting.join().expect("the booting thread ends");
+        .unwrap_or_else(|e| panic!("nothing within {deadline:?}: {e}"));
+    running.join().expect("the thread ends");
+    out
+}
+
+/// Build node `n0` of `text`, failing unless it is built within
+/// `deadline`.
+fn boots_within(text: String, deadline: Duration) {
+    let built = within(deadline, move || {
+        let cfg = ClusterConfig::parse(&text).expect("the config parses");
+        StabilizerNode::new(cfg, NodeId(0), Arc::new(AckTypeRegistry::new()))
+            .map(|node| node.config().num_nodes())
+    });
     assert!(built.is_ok(), "the node was refused: {built:?}");
+}
+
+#[test]
+fn a_replicate_line_naming_every_node_parses_in_time_linear_in_its_names() {
+    // Stream n0 on every node but the last, named last to first, n0
+    // twice: 65 535 names on one 440 KB line.
+    let n = usize::from(u16::MAX);
+    let names: Vec<String> = (0..n - 1).rev().map(|i| format!("n{i}")).collect();
+    let text = one_az(n) + &format!("replicate n0 {} n0\n", names.join(" "));
+    let cfg = within(Duration::from_secs(8), move || parse_within_bound(&text));
+    let placement = cfg.placement();
+    assert!(!placement.is_full_replication());
+    assert_eq!(placement.replicas(NodeId(0)).len(), n - 1);
+    assert_eq!(placement.replicas(NodeId(1)).len(), n);
 }
 
 #[test]

@@ -128,8 +128,11 @@ fn catch_up_fires_transfer_chunk_and_join_hooks() {
 #[test]
 fn every_action_is_a_send_or_an_event() {
     const MS: u64 = 1_000_000;
-    let opts = Options::default().failure_timeout_millis(50);
-    let cfg = two_node_cfg(opts.auto_exclude_suspects(true));
+    let cfg = ClusterConfig::parse(
+        "az A a b\npredicate All MIN($ALLWNODES-$MYWNODE)\n\
+         option failure_timeout_millis 50\noption auto_exclude_suspects true\n",
+    )
+    .unwrap();
     let acks = Arc::new(AckTypeRegistry::new());
     let mut nodes = [0, 1].map(|i| node(&cfg, NodeId(i), Arc::clone(&acks)));
     nodes[0]

@@ -85,15 +85,21 @@ pub use types::{
 pub use vm::EvalScratch;
 
 use std::fmt;
+use std::sync::Arc;
 
 /// A fully compiled stability-frontier predicate, ready for repeated
 /// low-overhead evaluation on the control-plane critical path.
 ///
 /// This bundles the original source text, the resolved expression (used by
 /// fault handling to rewrite the predicate when a node is excluded), and
-/// the compiled bytecode program.
+/// the compiled bytecode program. It is an immutable shared handle: a
+/// clone points at the same compiled predicate and costs a reference
+/// count, so keys that install the same program share one copy.
 #[derive(Debug, Clone)]
-pub struct Predicate {
+pub struct Predicate(Arc<Compiled>);
+
+#[derive(Debug)]
+struct Compiled {
     source: String,
     resolved: Resolved,
     program: Program,
@@ -116,47 +122,51 @@ impl Predicate {
     ) -> Result<Self, DslError> {
         let ast = parse(source)?;
         let resolved = optimize::optimize(&resolve(&ast, topo, acks, me)?);
+        Ok(Predicate::new(source.to_owned(), resolved))
+    }
+
+    fn new(source: String, resolved: Resolved) -> Self {
         let program = compile(&resolved);
-        Ok(Predicate {
-            source: source.to_owned(),
+        Predicate(Arc::new(Compiled {
+            source,
             resolved,
             program,
-        })
+        }))
     }
 
     /// Evaluate the predicate against an ACK table, returning the stability
     /// frontier: the highest sequence number for which the user-defined
     /// stability property holds (and, by monotonicity, for all prior ones).
     pub fn eval<V: AckView>(&self, view: &V) -> SeqNo {
-        self.program.eval(view)
+        self.0.program.eval(view)
     }
 
     /// Evaluate using a caller-provided scratch buffer, avoiding all
     /// allocation. Useful when evaluating at high rates.
     pub fn eval_with<V: AckView>(&self, view: &V, scratch: &mut EvalScratch) -> SeqNo {
-        self.program.eval_with(view, scratch)
+        self.0.program.eval_with(view, scratch)
     }
 
     /// The original DSL source text.
     pub fn source(&self) -> &str {
-        &self.source
+        &self.0.source
     }
 
     /// The resolved (macro-expanded, constant-folded) form.
     pub fn resolved(&self) -> &Resolved {
-        &self.resolved
+        &self.0.resolved
     }
 
     /// The compiled bytecode program.
     pub fn program(&self) -> &Program {
-        &self.program
+        &self.0.program
     }
 
     /// The set of `(node, ack-type)` cells this predicate reads. The
     /// control plane uses this to re-evaluate only the predicates affected
     /// by an incoming ACK.
     pub fn dependencies(&self) -> &[(NodeId, AckTypeId)] {
-        self.program.dependencies()
+        self.0.program.dependencies()
     }
 
     /// Rewrite this predicate so it no longer observes `node` (used when a
@@ -167,19 +177,17 @@ impl Predicate {
     ///
     /// Fails if removing the node would leave a reduction with no operands.
     pub fn excluding(&self, node: NodeId) -> Result<Self, DslError> {
-        let resolved = exclude_node(&self.resolved, node)?;
-        let program = compile(&resolved);
-        Ok(Predicate {
-            source: format!("{} /* -{} */", self.source, node.0),
+        let resolved = exclude_node(&self.0.resolved, node)?;
+        Ok(Predicate::new(
+            format!("{} /* -{} */", self.0.source, node.0),
             resolved,
-            program,
-        })
+        ))
     }
 
     /// Rewrite this predicate so it reads ACKs only from `allowed` — the
     /// partial-replication restriction: a predicate installed for a stream
     /// placed on a replica set must not wait on non-replicas, which never
-    /// ack the stream. No-op (returns a clone) when nothing is removed.
+    /// ack the stream. No-op (returns a shared clone) when nothing is removed.
     ///
     /// # Errors
     ///
@@ -189,19 +197,14 @@ impl Predicate {
         if self.dependencies().iter().all(|(n, _)| allowed.contains(n)) {
             return Ok(self.clone());
         }
-        let resolved = restrict_nodes(&self.resolved, allowed)?;
-        let program = compile(&resolved);
-        Ok(Predicate {
-            source: self.source.clone(),
-            resolved,
-            program,
-        })
+        let resolved = restrict_nodes(&self.0.resolved, allowed)?;
+        Ok(Predicate::new(self.0.source.clone(), resolved))
     }
 }
 
 impl fmt::Display for Predicate {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.source)
+        f.write_str(&self.0.source)
     }
 }
 

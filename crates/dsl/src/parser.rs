@@ -518,7 +518,11 @@ mod tests {
             format!(
                 "KTH_MIN({}{}{}, $1)",
                 "SIZEOF($1)+(".repeat((n - 1) / 2),
-                if n.is_multiple_of(2) { "SIZEOF($1)" } else { "1" },
+                if n.is_multiple_of(2) {
+                    "SIZEOF($1)"
+                } else {
+                    "1"
+                },
                 ")".repeat((n - 1) / 2)
             ),
         ]

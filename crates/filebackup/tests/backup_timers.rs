@@ -5,7 +5,7 @@
 //! trace-record timers (tags from `TimerKind::APP_TAG_BASE` up) never
 //! collide with the driver's.
 
-use stabilizer_core::NodeId;
+use stabilizer_core::{NodeId, Options};
 use stabilizer_filebackup::{
     build_backup, ec2_backup_cfg, DropboxTrace, CHUNK_BYTES, TRACE_SECONDS,
 };
@@ -32,14 +32,14 @@ fn coalesced_acks_are_flushed_under_the_backup_service() {
 fn a_scheduled_trace_is_stored_exactly_once_with_every_timer_on() {
     let base = ec2_backup_cfg();
     // Coarse periods: the trace spans 983 virtual seconds.
-    let opts = base
-        .options()
-        .clone()
-        .ack_flush_micros(20_000)
-        .heartbeat_millis(250)
-        .failure_timeout_millis(2_000)
-        .retransmit_millis(500)
-        .transfer_millis(500);
+    let opts = Options {
+        heartbeat_millis: 250,
+        ..base.options().clone()
+    }
+    .ack_flush_micros(20_000)
+    .failure_timeout_millis(2_000)
+    .retransmit_millis(500)
+    .transfer_millis(500);
     let mut sim = build_backup(&base.with_options(opts), NetTopology::ec2_fig2(), 3).unwrap();
     let trace = DropboxTrace::generate(3, 0.002);
     assert!(

@@ -155,16 +155,15 @@ impl PlacementMap {
                         stream: d.stream.name.clone(),
                         node: member.name.clone(),
                     })?;
-                if !set.contains(&id) {
-                    set.push(id);
-                }
+                set.push(id);
             }
-            if !set.contains(&stream) {
+            set.sort_unstable();
+            set.dedup();
+            if set.binary_search(&stream).is_err() {
                 return Err(PlaceError::OriginExcluded {
                     stream: d.stream.name.clone(),
                 });
             }
-            set.sort_unstable();
             replicas[stream.0 as usize] = Some(set);
         }
         Ok(Self::resolved(replicas))
@@ -199,14 +198,13 @@ impl PlacementMap {
                         node: format!("${}", member.0),
                     });
                 }
-                if !sorted.contains(&member) {
-                    sorted.push(member);
-                }
-            }
-            if !sorted.contains(stream) {
-                return Err(PlaceError::OriginExcluded { stream: name });
+                sorted.push(member);
             }
             sorted.sort_unstable();
+            sorted.dedup();
+            if sorted.binary_search(stream).is_err() {
+                return Err(PlaceError::OriginExcluded { stream: name });
+            }
             replicas[stream.0 as usize] = Some(sorted);
         }
         Ok(Self::resolved(replicas))

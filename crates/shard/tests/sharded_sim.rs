@@ -304,10 +304,11 @@ fn stalled_shard_pins_aggregate_without_regression() {
 #[test]
 fn every_action_is_a_send_or_an_event() {
     const SHARDS: u16 = 2;
-    let opts = Options::default().shards(SHARDS).failure_timeout_millis(50);
-    let cfg = ClusterConfig::parse("az A a b\npredicate All MIN($ALLWNODES-$MYWNODE)\n")
-        .unwrap()
-        .with_options(opts.auto_exclude_suspects(true));
+    let cfg = ClusterConfig::parse(&format!(
+        "az A a b\npredicate All MIN($ALLWNODES-$MYWNODE)\noption shards {SHARDS}\n\
+         option failure_timeout_millis 50\noption auto_exclude_suspects true\n"
+    ))
+    .unwrap();
     let mut net = Net::new(&cfg, 1);
     net.on(0, |e| e.register_predicate(N0, "Peer", "MAX($2)"))
         .unwrap();

@@ -1256,7 +1256,10 @@ mod tests {
     /// Node 0 of a 2-node cluster as a stub, its one link pointed at
     /// `peer_addr`.
     fn spawn_stub(peer_addr: SocketAddr, restored: bool, retry_limit: u64) -> Arc<Stub> {
-        let options = Options::default().connect_retry_limit(retry_limit);
+        let options = Options {
+            connect_retry_limit: retry_limit,
+            ..Options::default()
+        };
         spawn_stub_with(peer_addr, restored, &options, "stub", None)
     }
 
@@ -1571,7 +1574,10 @@ mod tests {
     fn a_timer_scale_change_takes_effect_while_the_loop_sleeps() {
         const PERIOD: Duration = Duration::from_secs(5);
         let peer = idle_peer();
-        let options = Options::default().heartbeat_millis(PERIOD.as_millis() as u64);
+        let options = Options {
+            heartbeat_millis: PERIOD.as_millis() as u64,
+            ..Options::default()
+        };
         let stub = spawn_stub_with(peer.local_addr().unwrap(), false, &options, "stub", None);
         // Let the loop settle into its sleep until the first heartbeat.
         std::thread::sleep(Duration::from_millis(50));

@@ -225,11 +225,10 @@ fn messages_published_before_peers_start_still_arrive() {
 }
 
 fn silent_peer_is_suspected<R: Runtime>() {
-    let opts = Options::default()
-        .heartbeat_millis(50)
-        .failure_timeout_millis(400);
+    let text =
+        format!("{THREE_NODES}option heartbeat_millis 50\noption failure_timeout_millis 400\n");
     let hub = Telemetry::new_wall_clock();
-    let (cluster, _) = spawn_cluster_with::<R>(&cfg::<R>(THREE_NODES, Some(opts)), Some(&hub));
+    let (cluster, _) = spawn_cluster_with::<R>(&cfg::<R>(&text, None), Some(&hub));
     let h0 = &cluster[0];
 
     // Warm up: traffic flows, nobody is suspected.
@@ -266,8 +265,10 @@ fn exhausted_retries_surface<R: Runtime>() {
     // Nothing ever listens at peer 1's address: with a finite retry
     // budget the writer must give up and *report* it instead of spinning
     // silently forever.
-    let opts = Options::default().connect_retry_limit(4);
-    let cfg = cfg::<R>(THREE_NODES, Some(opts));
+    let cfg = cfg::<R>(
+        &format!("{THREE_NODES}option connect_retry_limit 4\n"),
+        None,
+    );
     let (mut ls, mut addrs) = listeners(3);
     // Point node 0 at a port that is bound by nobody.
     let dead = TcpListener::bind("127.0.0.1:0").unwrap();
