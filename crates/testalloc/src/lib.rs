@@ -14,6 +14,8 @@
 //! code frees on another thread than it allocated on must not use
 //! [`live`].
 
+#![deny(clippy::undocumented_unsafe_blocks)]
+
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 

@@ -1,5 +1,5 @@
 //! Capped exponential backoff with deterministic, seeded jitter for the
-//! connector threads' reconnect loops.
+//! I/O loop's redials of a link that is down.
 //!
 //! Plain exponential backoff synchronizes: every link that lost its
 //! peer at the same instant retries at the same instants, producing
@@ -69,7 +69,7 @@ impl Backoff {
 }
 
 /// Derive a per-link jitter seed from a cluster seed and the directed
-/// link identity, so every connector jitters independently but
+/// link identity, so every link's redials jitter independently but
 /// reproducibly.
 pub fn link_seed(cluster_seed: u64, me: u16, peer: u16) -> u64 {
     let mut s = cluster_seed ^ ((me as u64) << 32) ^ ((peer as u64) << 16) ^ 0x5bd1_e995;

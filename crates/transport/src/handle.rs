@@ -203,8 +203,8 @@ impl<M: TcpMachine> NodeHandle<M> {
         self.shared.node.lock().metrics()
     }
 
-    /// Peers a connector permanently gave up connecting to (empty
-    /// unless `connect_retry_limit` is configured).
+    /// Peers the I/O loop permanently gave up dialing (empty unless
+    /// `connect_retry_limit` is configured).
     pub fn connect_failures(&self) -> Vec<NodeId> {
         self.shared.link.connect_failures()
     }

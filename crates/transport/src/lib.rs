@@ -10,8 +10,8 @@
 //! asynchronous runtime for the same purpose; one loop over
 //! non-blocking std sockets gives the same control/data-plane
 //! separation with no runtime dependency — a private module holds the
-//! one foreign call, `ppoll` itself, and a crossbeam channel carries
-//! only the connections a connector thread hands back (see DESIGN.md).
+//! foreign calls, `ppoll` and a non-blocking dial's `socket` and
+//! `connect`, and a node runs no thread but its loop (see DESIGN.md).
 //!
 //! [`spawn_local_cluster`] boots an N-node deployment on localhost for
 //! tests and demos; [`spawn_node`] wires one node given a listener plus
@@ -36,6 +36,8 @@
 //! for n in &cluster { n.handle().shutdown(); }
 //! # Ok(()) }
 //! ```
+
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 pub mod backoff;
 pub mod framing;

@@ -4,12 +4,19 @@
 //! a plain or a sharded machine, which owns the protocol state (the
 //! unit tests drive a stub instead).
 //!
-//! Thread layout per node, spawned by `spawn`:
+//! A node's link layer is one thread, spawned by `spawn`:
 //!
-//! * one **I/O** thread, `<prefix>-<me>-io`: a `ppoll(2)` loop over the
-//!   waker, the non-blocking listener, every inbound connection, and
-//!   every outbound connection with bytes its socket has not yet taken.
-//!   Each turn it
+//! * the **I/O** thread, `<prefix>-<me>-io`: a `ppoll(2)` loop over the
+//!   waker, the non-blocking listener, every inbound connection, every
+//!   outbound connection with bytes its socket has not yet taken, and
+//!   every connect in flight. Each turn it
+//!   - dials. A link that is down is redialed with a non-blocking
+//!     `connect` once its capped, jittered backoff delay has run out; a
+//!     connect polls writable once decided and fails if that takes
+//!     500 ms. Once it is up the loop writes the hello and runs
+//!     [`LinkClient::repair_link`] (resend from the send buffer plus a
+//!     full ACK re-announcement) *before* the queue drains again. That
+//!     repair is what covers the frames lost while the link was down;
 //!   - accepts what the listener holds, and reads one **reader batch**
 //!     from each readable inbound connection: *all* frames that read
 //!     completed — in its buffer, or in the buffers of a run of large
@@ -38,15 +45,10 @@
 //!     frames queued after it cannot be told from it having been queued
 //!     later, and a row dropped with a broken connection is covered by
 //!     the reconnect's re-announcement. No other frame kind is reordered;
-//!   - sleeps in `ppoll` until a socket is ready, a send wakes it or the
-//!     next timer is due — with no timer configured and no hub attached,
-//!     for as long as nothing happens.
-//! * one **connector** thread per link, `<prefix>-<me>-c<peer>`, alive
-//!   only while that link is down: it connects with capped, jittered
-//!   backoff, writes the hello and hands the stream to the loop, which
-//!   runs [`LinkClient::repair_link`] (resend from the send buffer plus a
-//!   full ACK re-announcement) *before* the queue drains again. That
-//!   repair is what covers the frames lost while the link was down.
+//!   - sleeps in `ppoll` until a socket is ready, a send wakes it, the
+//!     next timer is due or a link is to be redialed — with every link
+//!     up, no timer configured and no hub attached, for as long as
+//!     nothing happens.
 //!
 //! The wake handshake: `Link::send` pushes onto the peer's queue, sets
 //! `pending`, and writes a byte to the waker only if the loop has set
@@ -58,16 +60,14 @@
 //!
 //! Locking discipline: the link's own locks (`queues`,
 //! `connect_failed`, `telemetry_server`) are leaves — nothing is called
-//! with one held. The loop and the connectors call into the client with
-//! **no** link lock held, and the client may call `Link::send` from
-//! under its own locks. Every client call but
-//! [`LinkClient::on_connect_failed`] runs on the loop, so one that
-//! blocks holds up every socket of its node until it returns. A
-//! simulated back end would replace this file and nothing else.
+//! with one held. The loop calls into the client with **no** link lock
+//! held, and the client may call `Link::send` from under its own locks.
+//! Every client call runs on the loop, so one that blocks holds up
+//! every socket of its node until it returns. A simulated back end
+//! would replace this file and nothing else.
 
 use crate::backoff::{link_seed, Backoff};
 use crate::framing::{hello, parse_hello, write_lane_frame_with, FrameReader, Lane};
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::Mutex;
 use stabilizer_core::timers::{self, TimerKind};
 use stabilizer_core::{Ack, ClusterConfig, CoreError, NodeId, Options, PlacementMap, WireMsg};
@@ -89,6 +89,8 @@ use std::time::{Duration, Instant};
 pub(crate) const WRITE_BUF: usize = 64 * 1024;
 /// Telemetry sampling cadence of the I/O loop.
 const SAMPLE_EVERY: Duration = Duration::from_millis(20);
+/// How long a connect may take before it counts as failed.
+const CONNECT_TIMEOUT: Duration = Duration::from_millis(500);
 /// The most a frame's head adds to its message's encoding: the length
 /// prefix and the widest lane.
 const FRAME_HEAD: usize = 4 + 2;
@@ -114,9 +116,9 @@ pub struct TransportMetrics {
     pub acks_coalesced: Counter,
     /// Successful connects after the first per link (i.e. reconnects).
     pub reconnects: Counter,
-    /// Failed connect attempts (each is followed by a backoff sleep).
+    /// Failed connect attempts (each is followed by a backoff delay).
     pub connect_attempts: Counter,
-    /// Total nanoseconds connector threads spent in backoff sleeps.
+    /// Total nanoseconds of backoff delay, waited out in the loop's `ppoll`.
     pub backoff_sleep_ns: Counter,
     /// Current send-buffer occupancy (sampled by the I/O loop).
     pub send_buffer_bytes: Gauge,
@@ -177,9 +179,9 @@ pub trait LinkClient: Send + Sync + 'static {
     /// 20 ms).
     fn sample(&self, telemetry: &Telemetry);
 
-    /// The connector for `peer` exhausted `connect_retry_limit` and
-    /// exited; already recorded in [`Link::connect_failures`]
-    /// (connector thread).
+    /// The link to `peer` exhausted `connect_retry_limit` and is never
+    /// dialed again; already recorded in [`Link::connect_failures`]
+    /// (I/O loop).
     fn on_connect_failed(&self, _peer: NodeId) {}
 }
 
@@ -195,8 +197,8 @@ pub struct Link<L: Lane> {
     /// (clock-skew fault injection; 1.0 = nominal cadence). Read by the
     /// loop whenever it works out how long to sleep.
     timer_scale_bits: AtomicU64,
-    /// Peers a connector permanently gave up connecting to (only
-    /// populated when `connect_retry_limit` is configured).
+    /// Peers the loop permanently gave up dialing (only populated when
+    /// `connect_retry_limit` is configured).
     connect_failed: Mutex<Vec<NodeId>>,
     pub(crate) telemetry: Option<Arc<Telemetry>>,
     /// Transport counters (present iff `telemetry` is).
@@ -205,7 +207,7 @@ pub struct Link<L: Lane> {
     /// joined on shutdown.
     telemetry_server: Mutex<Option<TelemetryServer>>,
     /// Per-peer outbound queues, one per link; a peer's goes when its
-    /// connector gives up, and all go on shutdown.
+    /// link is given up, and all go on shutdown.
     queues: Mutex<HashMap<NodeId, VecDeque<(L, WireMsg)>>>,
     /// The loop's doorbell (set by [`spawn`]).
     waker: OnceLock<Waker>,
@@ -343,13 +345,13 @@ impl<L: Lane> Link<L> {
         f64::from_bits(self.timer_scale_bits.load(Ordering::SeqCst))
     }
 
-    /// Peers a connector permanently gave up connecting to (empty unless
+    /// Peers the I/O loop permanently gave up dialing (empty unless
     /// `connect_retry_limit` is configured).
     pub fn connect_failures(&self) -> Vec<NodeId> {
         self.connect_failed.lock().clone()
     }
 
-    /// Stop all link threads (idempotent).
+    /// Stop the link thread (idempotent).
     pub fn shutdown(&self) {
         self.running.store(false, Ordering::SeqCst);
         self.queues.lock().clear();
@@ -434,14 +436,22 @@ impl Waker {
     }
 }
 
-/// The one foreign call of the crate.
+/// The crate's foreign calls: `ppoll`, and the `socket` and `connect`
+/// of a non-blocking dial (Linux constants and layouts).
 mod sys {
     use std::ffi::{c_int, c_long, c_short, c_ulong, c_void};
-    use std::os::fd::RawFd;
+    use std::io;
+    use std::net::{SocketAddr, TcpStream};
+    use std::os::fd::{FromRawFd, RawFd};
     use std::time::Duration;
 
     pub(super) const POLLIN: c_short = 0x001;
     pub(super) const POLLOUT: c_short = 0x004;
+    const AF_INET: c_int = 2;
+    const AF_INET6: c_int = 10;
+    /// `SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC`.
+    const STREAM: c_int = 1 | 0o4000 | 0o2_000_000;
+    const EINPROGRESS: i32 = 115;
 
     /// `struct pollfd`.
     #[repr(C)]
@@ -481,6 +491,9 @@ mod sys {
             timeout: *const Timespec,
             sigmask: *const c_void,
         ) -> c_int;
+        fn socket(domain: c_int, ty: c_int, protocol: c_int) -> c_int;
+        #[link_name = "connect"]
+        fn connect_raw(fd: c_int, addr: *const u8, len: u32) -> c_int;
     }
 
     /// Wait until an entry of `fds` is ready or `timeout` (`None`: no
@@ -509,6 +522,43 @@ mod sys {
         };
         usize::try_from(ready).unwrap_or(0)
     }
+
+    /// Start a non-blocking connect to `addr`. The socket polls writable
+    /// once the connect is decided; `TcpStream::take_error` tells how.
+    pub(super) fn connect(addr: &SocketAddr) -> io::Result<TcpStream> {
+        // A `sockaddr_in` (16 bytes) or `sockaddr_in6` (28): the family
+        // and scope id in host order, the rest in network order.
+        let mut sa = [0u8; 28];
+        let (family, len) = match addr {
+            SocketAddr::V4(a) => {
+                sa[4..8].copy_from_slice(&a.ip().octets());
+                (AF_INET, 16)
+            }
+            SocketAddr::V6(a) => {
+                sa[4..8].copy_from_slice(&a.flowinfo().to_be_bytes());
+                sa[8..24].copy_from_slice(&a.ip().octets());
+                sa[24..].copy_from_slice(&a.scope_id().to_ne_bytes());
+                (AF_INET6, 28)
+            }
+        };
+        sa[..2].copy_from_slice(&(family as u16).to_ne_bytes());
+        sa[2..4].copy_from_slice(&addr.port().to_be_bytes());
+        // SAFETY: the call takes three integers and no memory of ours.
+        let fd = unsafe { socket(family, STREAM, 0) };
+        if fd < 0 {
+            return Err(io::Error::last_os_error());
+        }
+        // SAFETY: `fd` is the socket just opened, owned by nothing else;
+        // the stream becomes its one owner and closes it.
+        let stream = unsafe { TcpStream::from_raw_fd(fd) };
+        // SAFETY: `sa` is a live array of at least `len` bytes holding a
+        // `sockaddr` of `family`, which the call only reads.
+        let done = unsafe { connect_raw(fd, sa.as_ptr(), len) };
+        match io::Error::last_os_error() {
+            e if done != 0 && e.raw_os_error() != Some(EINPROGRESS) => Err(e),
+            _ => Ok(stream),
+        }
+    }
 }
 
 /// Per-spawn parameters of [`spawn`].
@@ -525,19 +575,18 @@ pub(crate) struct LinkSpawn {
     pub jitter_seed: u64,
 }
 
-/// Start `client`'s link threads: a connector per linked peer of
-/// `peer_addrs`, and the I/O loop over `listener` running `options`'
-/// timer table.
+/// Start `client`'s link thread: the I/O loop over `listener`, dialing
+/// each linked peer of `peer_addrs` and running `options`' timer table.
 ///
 /// Under partial replication a link only exists between nodes sharing at
-/// least one stream; unlinked peers get no queue (and no reconnect
-/// spin). Full replication keeps every link.
+/// least one stream; unlinked peers get no queue (and no redialing).
+/// Full replication keeps every link.
 ///
 /// # Errors
 ///
-/// A socket or thread that could not be set up, as a configuration
-/// error. The threads already running exit once the caller shuts the
-/// link down.
+/// The listener, the waker or the thread that could not be set up, as a
+/// configuration error. The thread is the last thing set up, so a
+/// failed spawn leaves nothing running.
 pub(crate) fn spawn<C: LinkClient>(
     client: &Arc<C>,
     listener: TcpListener,
@@ -554,14 +603,13 @@ pub(crate) fn spawn<C: LinkClient>(
         .map_err(|e| failed("listener", e))?;
     let waker = Waker::new().map_err(|e| failed("waker", e))?;
     let _ = link.waker.set(waker);
-    let (dialed, connected) = unbounded();
     let mut outbound = Vec::new();
     for (peer, addr) in peer_addrs {
         if !link.placement.linked(link.me, peer) {
             continue;
         }
         link.queues.lock().insert(peer, VecDeque::new());
-        let connector = Connector {
+        outbound.push(Outbound {
             peer,
             addr,
             backoff: Backoff::new(
@@ -569,21 +617,24 @@ pub(crate) fn spawn<C: LinkClient>(
                 Duration::from_millis(500),
                 link_seed(params.jitter_seed, me, peer.0),
             ),
-            retry_limit: options.connect_retry_limit,
-        };
-        dial(client, prefix, connector, dialed.clone())
-            .map_err(|e| failed(&format!("spawn link thread c{}", peer.0), e))?;
-        outbound.push(Outbound::new(peer));
+            conn: Conn::Down(Instant::now()),
+            out: WriteBuf {
+                buf: Vec::new(),
+                written: 0,
+                held: Vec::new(),
+                since_held: 0,
+            },
+            blocked: false,
+            connected: false,
+        });
     }
     let io = IoLoop {
         client: Arc::clone(client),
         listener,
         inbound: Vec::new(),
         outbound,
-        connected,
-        dialed,
-        thread_prefix: prefix,
         repair_first_connect: params.repair_first_connect,
+        retry_limit: options.connect_retry_limit,
         timers: Timers::new(options),
         fds: Vec::new(),
         frames: Vec::new(),
@@ -630,112 +681,6 @@ pub(crate) fn spawn_local_cluster<T>(
         .enumerate()
         .map(|(i, listener)| spawn_node(NodeId(i as u16), listener, peers_of(i).collect()))
         .collect()
-}
-
-/// What redials one link while it is down: handed to a connector
-/// thread, and back to the loop with the stream it made.
-struct Connector {
-    peer: NodeId,
-    addr: SocketAddr,
-    backoff: Backoff,
-    retry_limit: u64,
-}
-
-/// A connection a connector made, hello written, and the connector.
-type Dialed = (TcpStream, Connector);
-
-/// Start a connector thread: it connects to `connector`'s peer, writes
-/// the hello and hands the stream back over `done`, waking the loop — or,
-/// out of retries, records the peer as given up and reports it.
-fn dial<C: LinkClient>(
-    client: &Arc<C>,
-    prefix: &str,
-    mut connector: Connector,
-    done: Sender<Dialed>,
-) -> std::io::Result<()> {
-    let name = format!("{prefix}-{}-c{}", client.link().me.0, connector.peer.0);
-    let client = Arc::clone(client);
-    let body = move || {
-        let link = client.link();
-        loop {
-            let stream = match connect_with_retry(
-                link,
-                connector.addr,
-                &mut connector.backoff,
-                connector.retry_limit,
-            ) {
-                ConnectOutcome::Connected(s) => s,
-                ConnectOutcome::Shutdown => return,
-                ConnectOutcome::GaveUp => return give_up(&*client, connector.peer),
-            };
-            connector.backoff.reset();
-            // A connection that breaks before its hello is out is redialed.
-            if say_hello::<C::Lane>(link, &stream).is_ok() {
-                if done.send((stream, connector)).is_ok() {
-                    link.wake();
-                }
-                return;
-            }
-        }
-    };
-    std::thread::Builder::new().name(name).spawn(body).map(drop)
-}
-
-/// Write the hello on a fresh connection, then make it non-blocking.
-fn say_hello<L: Lane>(link: &Link<L>, stream: &TcpStream) -> std::io::Result<()> {
-    let hello = hello(link.me.0);
-    let wire_len = write_lane_frame_with(&mut &*stream, &mut Vec::new(), L::HELLO, &hello)?;
-    if let Some(m) = &link.metrics {
-        m.wrote(wire_len);
-    }
-    stream.set_nonblocking(true)
-}
-
-/// `peer` is out of connect retries: drop its queue, record it, tell the
-/// client.
-fn give_up<C: LinkClient>(client: &C, peer: NodeId) {
-    let link = client.link();
-    link.queues.lock().remove(&peer);
-    link.connect_failed.lock().push(peer);
-    client.on_connect_failed(peer);
-}
-
-enum ConnectOutcome {
-    Connected(TcpStream),
-    Shutdown,
-    GaveUp,
-}
-
-/// Connect with capped exponential backoff and seeded jitter. Gives up
-/// after `retry_limit` consecutive failures (`0` = never), so a
-/// misconfigured or permanently dead peer surfaces in
-/// [`Link::connect_failures`] instead of a silent spin.
-fn connect_with_retry<L: Lane>(
-    link: &Link<L>,
-    addr: SocketAddr,
-    backoff: &mut Backoff,
-    retry_limit: u64,
-) -> ConnectOutcome {
-    while link.is_running() {
-        match TcpStream::connect_timeout(&addr, Duration::from_millis(500)) {
-            Ok(s) => {
-                s.set_nodelay(true).ok();
-                return ConnectOutcome::Connected(s);
-            }
-            Err(_) => {
-                if retry_limit > 0 && backoff.attempts() + 1 >= retry_limit {
-                    return ConnectOutcome::GaveUp;
-                }
-                let delay = backoff.next_delay();
-                if let Some(m) = &link.metrics {
-                    m.connect_attempts.inc();
-                    m.backoff_sleep_ns.add(delay.as_nanos() as u64);
-                }
-                std::thread::sleep(delay);
-            }
-        }
-    }
-    ConnectOutcome::Shutdown
 }
 
 /// Who is on the other end of an inbound connection.
@@ -811,12 +756,26 @@ fn retry_later(e: &std::io::Error) -> bool {
     matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::Interrupted)
 }
 
+/// Where an outbound link is: the loop dials it, and redials it once it
+/// breaks.
+enum Conn {
+    /// Down: dial at this instant.
+    Down(Instant),
+    /// A connect in flight, failed if not decided by this instant.
+    Connecting(TcpStream, Instant),
+    /// Connected, the hello written.
+    Up(TcpStream),
+    /// Out of connect retries: never dialed again.
+    GaveUp,
+}
+
 /// One outbound link, as the loop keeps it.
 struct Outbound<L> {
     peer: NodeId,
-    /// The connection and what redials it once it breaks; `None` while a
-    /// connector has the link (or gave it up).
-    up: Option<Dialed>,
+    addr: SocketAddr,
+    /// The redial delays, restarted by every connect.
+    backoff: Backoff,
+    conn: Conn,
     /// Frames encoded for the connection.
     out: WriteBuf<L>,
     /// The socket took less than it was given: wait until it polls
@@ -827,18 +786,13 @@ struct Outbound<L> {
 }
 
 impl<L: Lane> Outbound<L> {
-    fn new(peer: NodeId) -> Self {
-        Outbound {
-            peer,
-            up: None,
-            out: WriteBuf {
-                buf: Vec::new(),
-                written: 0,
-                held: Vec::new(),
-                since_held: 0,
-            },
-            blocked: false,
-            connected: false,
+    /// The socket to poll for `POLLOUT`: a connect in flight, or a
+    /// connection that took less than it was given.
+    fn polled(&self) -> Option<&TcpStream> {
+        match &self.conn {
+            Conn::Connecting(stream, _) => Some(stream),
+            Conn::Up(stream) if self.blocked => Some(stream),
+            _ => None,
         }
     }
 
@@ -851,7 +805,7 @@ impl<L: Lane> Outbound<L> {
         burst: &mut Vec<(L, WireMsg, usize)>,
         head: &mut Vec<u8>,
     ) -> std::io::Result<()> {
-        let Some((stream, _)) = &self.up else {
+        let Conn::Up(stream) = &self.conn else {
             return Ok(());
         };
         let (out, mut drained) = (&mut self.out, false);
@@ -1025,15 +979,13 @@ struct IoLoop<C: LinkClient> {
     listener: TcpListener,
     inbound: Vec<Inbound>,
     outbound: Vec<Outbound<C::Lane>>,
-    /// Connections the connectors made, and the sender they are given.
-    connected: Receiver<Dialed>,
-    dialed: Sender<Dialed>,
-    thread_prefix: &'static str,
     repair_first_connect: bool,
+    /// Failed connects in a row that give a link up (`0`: never).
+    retry_limit: u64,
     timers: Timers,
     /// Scratch: the poll set — the bell, the listener, every inbound
-    /// connection, then each blocked outbound one — a reader batch, a
-    /// write burst, a frame head.
+    /// connection, then each outbound one [`Outbound::polled`] names — a
+    /// reader batch, a write burst, a frame head.
     fds: Vec<sys::PollFd>,
     frames: Vec<(C::Lane, WireMsg)>,
     burst: Vec<(C::Lane, WireMsg, usize)>,
@@ -1053,33 +1005,54 @@ impl<C: LinkClient> IoLoop<C> {
             if !link.is_running() {
                 break;
             }
-            while let Ok((stream, connector)) = self.connected.try_recv() {
-                self.link_up(stream, connector);
-            }
-            for i in 0..self.outbound.len() {
-                let out = &mut self.outbound[i];
+            self.dial();
+            for out in &mut self.outbound {
                 if !out.blocked && out.write(link, &mut self.burst, &mut self.head).is_err() {
-                    self.link_down(i);
+                    // What the connection buffered and held goes with
+                    // it, and the link is redialed at once.
+                    out.out.reset();
+                    out.blocked = false;
+                    out.conn = Conn::Down(Instant::now());
                 }
             }
-            let timeout = self
-                .timers
-                .next_due(link)
+            let redials = self.outbound.iter().filter_map(|out| match out.conn {
+                Conn::Down(at) | Conn::Connecting(_, at) => Some(at),
+                _ => None,
+            });
+            let timeout = (self.timers.next_due(link).into_iter())
+                .chain(redials)
+                .min()
                 .map(|due| due.saturating_duration_since(Instant::now()));
             self.poll(waker, timeout);
             self.timers.fire(&*client);
         }
         // Best effort: what the sockets take of what is buffered.
         for out in &self.outbound {
-            if let Some((stream, _)) = &out.up {
+            if let Conn::Up(stream) = &out.conn {
                 let _ = (&*stream).write(&out.out.buf[out.out.written..]);
             }
         }
     }
 
+    /// Start a connect on every link whose redial is due.
+    fn dial(&mut self) {
+        let now = Instant::now();
+        for i in 0..self.outbound.len() {
+            let out = &mut self.outbound[i];
+            if matches!(out.conn, Conn::Down(at) if at <= now) {
+                match sys::connect(&out.addr) {
+                    Ok(stream) => out.conn = Conn::Connecting(stream, now + CONNECT_TIMEOUT),
+                    Err(_) => self.connect_failed(i, now),
+                }
+            }
+        }
+    }
+
     /// Sleep in `ppoll` for at most `timeout`, then serve what is ready:
-    /// a blocked link that polls writable is unblocked, each readable
-    /// inbound connection is read once, the listener is accepted from.
+    /// a connect in flight that polls writable is decided (or failed
+    /// once its deadline passed), a blocked link that polls writable is
+    /// unblocked, each readable inbound connection is read once, the
+    /// listener is accepted from.
     fn poll(&mut self, waker: &Waker, timeout: Option<Duration>) {
         let fd = |stream: &TcpStream, events| sys::PollFd::new(stream.as_raw_fd(), events);
         self.fds.clear();
@@ -1089,17 +1062,24 @@ impl<C: LinkClient> IoLoop<C> {
         for conn in &self.inbound {
             self.fds.push(fd(conn.reader.get_ref(), sys::POLLIN));
         }
-        for out in &self.outbound {
-            if let (Some((stream, _)), true) = (&out.up, out.blocked) {
-                self.fds.push(fd(stream, sys::POLLOUT));
-            }
+        for stream in self.outbound.iter().filter_map(Outbound::polled) {
+            self.fds.push(fd(stream, sys::POLLOUT));
         }
         waker.sleep(&mut self.fds, timeout);
-        let (listener, inbound) = (self.fds[1].ready(), self.inbound.len());
-        let mut writable = self.fds[2 + inbound..].iter().map(sys::PollFd::ready);
-        for out in &mut self.outbound {
-            if out.up.is_some() && out.blocked {
-                out.blocked = !writable.next().unwrap_or(false);
+        let (listener, mut polled) = (self.fds[1].ready(), 2 + self.inbound.len());
+        let now = Instant::now();
+        for i in 0..self.outbound.len() {
+            let out = &mut self.outbound[i];
+            if out.polled().is_none() {
+                continue;
+            }
+            let writable = self.fds.get(polled).is_some_and(sys::PollFd::ready);
+            polled += 1;
+            match out.conn {
+                Conn::Up(_) => out.blocked = !writable,
+                Conn::Connecting(..) if writable => self.connected(i, now),
+                Conn::Connecting(_, deadline) if deadline <= now => self.connect_failed(i, now),
+                _ => {}
             }
         }
         let mut ready = self.fds[2..].iter().map(sys::PollFd::ready);
@@ -1130,45 +1110,60 @@ impl<C: LinkClient> IoLoop<C> {
         }
     }
 
-    /// A connector made `stream`: the link is up, and repaired before its
-    /// queue drains (on a first connect only if the node was restored).
-    fn link_up(&mut self, stream: TcpStream, connector: Connector) {
-        let peer = connector.peer;
-        let Some(out) = self.outbound.iter_mut().find(|out| out.peer == peer) else {
+    /// Link `i`'s connect was decided. Made, the hello is written, and
+    /// the link is up and repaired before its queue drains (on a first
+    /// connect only if the node was restored); a connection that breaks
+    /// before its hello is out is redialed at once.
+    fn connected(&mut self, i: usize, now: Instant) {
+        let out = &mut self.outbound[i];
+        let Conn::Connecting(stream, _) = std::mem::replace(&mut out.conn, Conn::Down(now)) else {
             return;
         };
-        let metrics = self.client.link().metrics.as_ref();
-        if let (true, Some(m)) = (out.connected, metrics) {
-            m.reconnects.inc();
+        if !matches!(stream.take_error(), Ok(None)) {
+            return self.connect_failed(i, now);
+        }
+        out.backoff.reset();
+        let link = self.client.link();
+        stream.set_nodelay(true).ok();
+        let hello = hello(link.me.0);
+        let Ok(wire_len) =
+            write_lane_frame_with(&mut &stream, &mut self.head, C::Lane::HELLO, &hello)
+        else {
+            return;
+        };
+        if let Some(m) = &link.metrics {
+            m.wrote(wire_len);
+            if out.connected {
+                m.reconnects.inc();
+            }
         }
         let repair = out.connected || self.repair_first_connect;
         out.connected = true;
-        out.up = Some((stream, connector));
+        out.conn = Conn::Up(stream);
         if repair {
-            self.client.repair_link(peer);
+            self.client.repair_link(out.peer);
         }
     }
 
-    /// Link `i`'s connection broke: what it buffered and held goes with
-    /// it, and a connector redials.
-    fn link_down(&mut self, i: usize) {
-        let out = &mut self.outbound[i];
-        out.out.reset();
-        out.blocked = false;
-        let Some((_, connector)) = out.up.take() else {
-            return;
-        };
-        let peer = connector.peer;
-        if dial(
-            &self.client,
-            self.thread_prefix,
-            connector,
-            self.dialed.clone(),
-        )
-        .is_err()
-        {
-            give_up(&*self.client, peer);
+    /// A connect to link `i`'s peer failed: wait out the next backoff
+    /// delay — or, after `retry_limit` failures in a row, give the link
+    /// up, drop its queue, record it and tell the client, so a
+    /// misconfigured or permanently dead peer surfaces in
+    /// [`Link::connect_failures`] instead of a silent spin.
+    fn connect_failed(&mut self, i: usize, now: Instant) {
+        let (link, out) = (self.client.link(), &mut self.outbound[i]);
+        if self.retry_limit > 0 && out.backoff.attempts() + 1 >= self.retry_limit {
+            out.conn = Conn::GaveUp;
+            link.queues.lock().remove(&out.peer);
+            link.connect_failed.lock().push(out.peer);
+            return self.client.on_connect_failed(out.peer);
         }
+        let delay = out.backoff.next_delay();
+        if let Some(m) = &link.metrics {
+            m.connect_attempts.inc();
+            m.backoff_sleep_ns.add(delay.as_nanos() as u64);
+        }
+        out.conn = Conn::Down(now + delay);
     }
 }
 
@@ -1436,6 +1431,55 @@ mod tests {
         stub.link.shutdown();
     }
 
+    #[test]
+    fn a_link_that_is_down_costs_no_thread() {
+        let dead = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = dead.local_addr().unwrap();
+        drop(dead); // nobody listens: every redial fails
+        let stub = spawn_stub_with(addr, false, &Options::default(), "down", None);
+        std::thread::sleep(Duration::from_millis(200));
+        assert_eq!(threads_named("down-"), ["down-0-io"]);
+        assert!(stub.link.connect_failures().is_empty(), "still redialed");
+        stub.link.shutdown();
+    }
+
+    #[test]
+    fn a_peer_on_ipv6_loopback_is_dialed() {
+        let listener = TcpListener::bind("[::1]:0").unwrap();
+        let stub = spawn_stub(listener.local_addr().unwrap(), false, 0);
+        let mut reader = accept_hello(&listener);
+        stub.link.send(PEER, (), WireMsg::Heartbeat);
+        assert_eq!(read_frame(&mut reader).unwrap(), Some(WireMsg::Heartbeat));
+        stub.link.shutdown();
+    }
+
+    /// A listener whose accept queue is full drops every SYN, so a
+    /// connect to it hangs until the loop fails it at its deadline; one
+    /// failure is the retry limit here, so the failure is a give-up.
+    #[test]
+    fn a_connect_that_hangs_fails_at_its_deadline() {
+        extern "C" {
+            fn listen(fd: std::ffi::c_int, backlog: std::ffi::c_int) -> std::ffi::c_int;
+        }
+        let full = TcpListener::bind("127.0.0.1:0").unwrap();
+        // SAFETY: the call takes two integers and no memory of ours;
+        // `full` owns the socket for the whole test.
+        assert_eq!(unsafe { listen(full.as_raw_fd(), 0) }, 0, "backlog 0");
+        let addr = full.local_addr().unwrap();
+        let _queued = TcpStream::connect(addr).unwrap(); // fills the queue
+        let start = Instant::now();
+        let stub = spawn_stub(addr, false, 1);
+        eventually("the hung connect never failed", || {
+            *stub.gave_up.lock() == [PEER]
+        });
+        let took = start.elapsed();
+        assert!(
+            (CONNECT_TIMEOUT..CONNECT_TIMEOUT * 4).contains(&took),
+            "failed after {took:?}"
+        );
+        stub.link.shutdown();
+    }
+
     fn data(seq: u64, len: usize) -> WireMsg {
         WireMsg::Data {
             origin: NodeId(0),
@@ -1554,8 +1598,9 @@ mod tests {
             "mute",
             None,
         );
+        // A thread names itself once it runs: wait for the name.
         let io = || threads_named("mute-0-") == ["mute-0-io"];
-        eventually("the connector outlived its connect", io);
+        eventually("the I/O thread never took its name", io);
         let strangers: Vec<TcpStream> = (0..64)
             .map(|_| TcpStream::connect(stub.addr).unwrap())
             .collect();

@@ -345,7 +345,7 @@ pub struct SpawnOptions {
 ///
 /// # Errors
 ///
-/// Fails if a configured predicate does not compile or a link thread
+/// Fails if a configured predicate does not compile or the link thread
 /// cannot be spawned.
 pub fn spawn_node(
     cfg: ClusterConfig,
@@ -363,7 +363,7 @@ pub fn spawn_node(
 /// # Errors
 ///
 /// Fails if a configured predicate does not compile (both the fresh and
-/// the restore path recompile every predicate), or if a link thread
+/// the restore path recompile every predicate), or if the link thread
 /// cannot be spawned.
 pub fn spawn_node_with(
     cfg: ClusterConfig,

@@ -37,7 +37,7 @@ fn a_sharded_node_runs_the_link_threads_and_nothing_else() {
         let of = |me| threads_named(&format!("stabs-{me}-"));
         (0..3).map(of).collect()
     };
-    // A connector lives until its link is up: wait for the names to
+    // A thread names itself once it runs: wait for the names to
     // settle.
     let deadline = Instant::now() + Duration::from_secs(10);
     while running() != expected && Instant::now() < deadline {

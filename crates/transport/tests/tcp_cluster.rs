@@ -352,8 +352,8 @@ fn threads_named(prefix: &str) -> Vec<String> {
     names
 }
 
-/// The plain twin of `sharded_threads.rs`: a node runs one I/O thread,
-/// and its connectors are gone once every link is up. Every other test
+/// The plain twin of `sharded_threads.rs`: a node runs one I/O thread
+/// and nothing else, its links up or not. Every other test
 /// here runs nodes 0-2 in parallel with this one, so only nodes 3 and 4
 /// are counted.
 #[cfg(target_os = "linux")]

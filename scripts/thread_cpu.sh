@@ -10,17 +10,16 @@
 # second (a thread that exits takes its counters with it, so the last
 # reading of each is kept), and once the command has exited prints, per
 # role — the thread name with every number replaced by N, so the I/O
-# loops `stabs-0-io` and `stabs-2-io` are both `stabs-N-io`, and the
-# connectors `stabs-0-c1` and `stabs-2-c0` both `stabs-N-cN` — how many threads
-# had it, their CPU ticks (user + system, `getconf CLK_TCK` per second)
-# and their voluntary and involuntary context switches, busiest role
-# first. The command's own output goes to stderr; its exit status is
-# this script's. Give it the binary, not a wrapper that forks it: only
-# the threads of the process started here are read.
+# loops `stabs-0-io` and `stabs-2-io` are both `stabs-N-io` — how many
+# threads had it, their CPU ticks (user + system, `getconf CLK_TCK` per
+# second) and their voluntary and involuntary context switches, busiest
+# role first. The command's own output goes to stderr; its exit status
+# is this script's. Give it the binary, not a wrapper that forks it:
+# only the threads of the process started here are read.
 set -euo pipefail
 
 if [ $# -lt 1 ]; then
-  sed -n '2,19p' "$0" >&2
+  sed -n '2,18p' "$0" >&2
   exit 2
 fi
 
