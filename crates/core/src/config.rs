@@ -27,9 +27,15 @@
 //! install and refuses a predicate with findings; under `warn` (the
 //! default) an install only compiles, and the findings are computed when
 //! `StabilizerNode::analysis_report` asks for them.
+//!
+//! A `predicate` body is parsed once, by [`ClusterConfig::parse`], and
+//! every clone of the config shares the tree: each node that installs
+//! the predicate at startup resolves and compiles it from there. A body
+//! that does not parse is kept as text, and the node that installs it
+//! refuses it as it refuses the same source from `register_predicate`.
 
 use crate::error::CoreError;
-use stabilizer_dsl::{AckTypeRegistry, NodeId, Topology};
+use stabilizer_dsl::{parse, AckTypeRegistry, NodeId, SpannedExpr, Topology};
 use stabilizer_place::{parse_replicate, PlacementMap, ReplicateDirective};
 use std::collections::{BTreeMap, HashSet};
 use std::sync::Arc;
@@ -226,12 +232,21 @@ impl Default for Options {
     }
 }
 
+/// A configured startup predicate: its source, and the tree it parses
+/// to (`None` if it does not).
+#[derive(Debug)]
+pub(crate) struct Startup {
+    pub(crate) source: String,
+    pub(crate) tree: Option<SpannedExpr>,
+}
+
 /// The deployment-wide configuration: topology, initial predicates, and
 /// options. Shared (via `Arc`) by every local Stabilizer component.
 #[derive(Debug, Clone)]
 pub struct ClusterConfig {
     topology: Arc<Topology>,
-    predicates: BTreeMap<String, String>,
+    /// Startup predicates by key, parsed once and shared by every clone.
+    predicates: Arc<BTreeMap<String, Startup>>,
     ack_types: Vec<(String, Vec<String>)>,
     options: Options,
     placement: Arc<PlacementMap>,
@@ -243,7 +258,7 @@ impl ClusterConfig {
         let placement = Arc::new(PlacementMap::full(topology.num_nodes()));
         ClusterConfig {
             topology: Arc::new(topology),
-            predicates: BTreeMap::new(),
+            predicates: Arc::default(),
             ack_types: Vec::new(),
             options: Options::default(),
             placement,
@@ -283,7 +298,12 @@ impl ClusterConfig {
     pub fn predicates(&self) -> impl Iterator<Item = (&str, &str)> {
         self.predicates
             .iter()
-            .map(|(k, v)| (k.as_str(), v.as_str()))
+            .map(|(k, v)| (k.as_str(), v.source.as_str()))
+    }
+
+    /// Startup predicates by key, with their trees.
+    pub(crate) fn startup(&self) -> &Arc<BTreeMap<String, Startup>> {
+        &self.predicates
     }
 
     /// Declared application ACK types as `(name, emitter-names)` pairs, in
@@ -308,13 +328,15 @@ impl ClusterConfig {
     }
 
     /// Parse the line-oriented configuration format shown in the module
-    /// docs.
+    /// docs, parsing each `predicate` body once.
     ///
     /// # Errors
     ///
     /// Returns [`CoreError::Config`] on unknown directives, malformed
     /// lines, duplicate names, invalid option values, or more ACK types
-    /// than an [`AckTypeId`](stabilizer_dsl::AckTypeId) can number.
+    /// than an [`AckTypeId`](stabilizer_dsl::AckTypeId) can number. A
+    /// `predicate` body that does not parse is not refused here: the node
+    /// that installs it refuses it.
     pub fn parse(text: &str) -> Result<Self, CoreError> {
         let mut builder = Topology::builder();
         let mut predicates = BTreeMap::new();
@@ -349,7 +371,9 @@ impl ClusterConfig {
                     if rest.is_empty() {
                         return Err(err(format!("predicate {key} has no body")));
                     }
-                    predicates.insert(key.to_owned(), rest.join(" "));
+                    let source = rest.join(" ");
+                    let tree = parse(&source).ok();
+                    predicates.insert(key.to_owned(), Startup { source, tree });
                 }
                 "acktype" => {
                     let name = parts
@@ -454,7 +478,7 @@ impl ClusterConfig {
             .map_err(|e| CoreError::Config(e.to_string()))?;
         Ok(ClusterConfig {
             topology: Arc::new(topology),
-            predicates,
+            predicates: Arc::new(predicates),
             ack_types,
             options,
             placement: Arc::new(placement),

@@ -4,12 +4,16 @@
 //! Every registered predicate tracks one *stream* (a primary's sequence
 //! space). When an ACK counter advances, only the predicates that read
 //! the changed `(node, ack-type)` cell are candidates: their dependency
-//! sets are known at compile time and kept in a dense index, so an ACK
-//! nobody reads costs one lookup. Within one predicate *generation* the
-//! frontier is monotonic; [`FrontierEngine::change`] starts a new
-//! generation, and the frontier may start lower — the paper's §VI-D
-//! "gap", which the application is responsible for handling, is surfaced
-//! through the `generation` field of [`FrontierUpdate`].
+//! sets are known at compile time and gathered into one flat index, so
+//! an ACK nobody reads costs one lookup. A register, change, unregister
+//! or exclusion only drops that index; the next ACK fold rebuilds it
+//! from the entries, so an install costs its evaluation and nothing that
+//! grows with the predicates already installed. Within one predicate
+//! *generation* the frontier is monotonic; [`FrontierEngine::change`]
+//! starts a new generation, and the frontier may start lower — the
+//! paper's §VI-D "gap", which the application is responsible for
+//! handling, is surfaced through the `generation` field of
+//! [`FrontierUpdate`].
 //!
 //! # The crossing rule
 //!
@@ -116,11 +120,10 @@ pub struct FrontierEngine {
     /// must be identical across processes for seed replay to be
     /// byte-stable (so no hash map).
     entries: Vec<Entry>,
-    /// Dependency index: `deps[stream][node][ack type]` lists, ascending,
-    /// the positions in `entries` of the predicates reading that cell.
-    /// Maintained by `register` / `change` / `unregister` only; each level
-    /// grows on demand, and a cell beyond it has no dependants.
-    deps: Vec<Vec<Vec<Vec<u32>>>>,
+    /// Which entries read each `(stream, node, ack type)` cell; `None`
+    /// since `entries` last changed, and built again by the next fold
+    /// that reads it.
+    deps: Option<DepIndex>,
     scratch: EvalScratch,
     evals: u64,
 }
@@ -153,7 +156,7 @@ impl FrontierEngine {
                 self.evals += 1;
                 let frontier =
                     predicate.eval_with(&recorder.stream_view(stream), &mut self.scratch);
-                self.shift_positions(pos, 1);
+                self.deps = None;
                 self.entries.insert(
                     pos,
                     Entry {
@@ -165,7 +168,6 @@ impl FrontierEngine {
                         waiters: Vec::new(),
                     },
                 );
-                self.index(pos);
                 pos
             }
         };
@@ -205,9 +207,8 @@ impl FrontierEngine {
         let Ok(pos) = self.find(stream, key) else {
             return Vec::new();
         };
-        self.unindex(pos);
+        self.deps = None;
         let entry = self.entries.remove(pos);
-        self.shift_positions(pos, -1);
         entry.waiters.into_iter().map(|(_, token)| token).collect()
     }
 
@@ -286,14 +287,12 @@ impl FrontierEngine {
         out: &mut Vec<FrontierUpdate>,
         completed: &mut Vec<WaitToken>,
     ) {
-        let Some(dependants) = self
-            .deps
-            .get(stream.0 as usize)
-            .and_then(|nodes| nodes.get(node.0 as usize))
-            .and_then(|types| types.get(ty.0 as usize))
-        else {
+        let entries = &self.entries;
+        let deps = self.deps.get_or_insert_with(|| DepIndex::build(entries));
+        let dependants = deps.dependants(stream, node, ty);
+        if dependants.is_empty() {
             return;
-        };
+        }
         let new = recorder.get(stream, node, ty);
         let view = recorder.stream_view(stream);
         for &pos in dependants {
@@ -375,54 +374,91 @@ impl FrontierEngine {
 
     /// Install `predicate` over the entry at `pos` as its next generation.
     fn replace(&mut self, pos: usize, predicate: Predicate, recorder: &AckRecorder) {
-        self.unindex(pos);
+        self.deps = None;
         self.evals += 1;
         let entry = &mut self.entries[pos];
         entry.generation += 1;
         entry.frontier =
             predicate.eval_with(&recorder.stream_view(entry.stream), &mut self.scratch);
         entry.predicate = predicate;
-        self.index(pos);
-    }
-
-    /// Add the entry at `pos` to the list of every cell it reads.
-    fn index(&mut self, pos: usize) {
-        let entry = &self.entries[pos];
-        let nodes = grow(&mut self.deps, entry.stream.0);
-        for &(node, ty) in entry.predicate.dependencies() {
-            let list = grow(grow(nodes, node.0), ty.0);
-            let at = list.partition_point(|&p| (p as usize) < pos);
-            list.insert(at, pos as u32);
-        }
-    }
-
-    /// Inverse of [`FrontierEngine::index`].
-    fn unindex(&mut self, pos: usize) {
-        let entry = &self.entries[pos];
-        let nodes = &mut self.deps[entry.stream.0 as usize];
-        for &(node, ty) in entry.predicate.dependencies() {
-            nodes[node.0 as usize][ty.0 as usize].retain(|&p| p as usize != pos);
-        }
-    }
-
-    /// `entries[from..]` is about to move up (`by = 1`) or has moved down
-    /// (`by = -1`) one slot: move the index with it.
-    fn shift_positions(&mut self, from: usize, by: i32) {
-        for list in self.deps.iter_mut().flatten().flatten() {
-            for p in list.iter_mut().filter(|p| **p as usize >= from) {
-                *p = p.wrapping_add_signed(by);
-            }
-        }
     }
 }
 
-/// `&mut level[i]`, growing `level` with empty slots to hold it.
-fn grow<T: Default>(level: &mut Vec<T>, i: u16) -> &mut T {
-    let i = i as usize;
-    if level.len() <= i {
-        level.resize_with(i + 1, T::default);
+/// The entries reading each cell, flattened: cell `(stream, node, ty)`
+/// is `(stream * nodes + node) * types + ty`, and the positions in
+/// `entries` of its readers are `positions[starts[cell]..starts[cell +
+/// 1]]`, ascending, so updates leave in `(stream, key)` order. The
+/// table spans the largest stream, node and type any entry reads, so it
+/// is never larger than the recorder's.
+#[derive(Debug)]
+struct DepIndex {
+    streams: usize,
+    nodes: usize,
+    types: usize,
+    starts: Vec<u32>,
+    positions: Vec<u32>,
+}
+
+impl DepIndex {
+    /// Count each cell's readers, turn the counts into run ends, and
+    /// fill every run from its end walking the entries backwards.
+    fn build(entries: &[Entry]) -> Self {
+        let (mut streams, mut nodes, mut types) = (0, 0, 0);
+        for entry in entries {
+            streams = streams.max(usize::from(entry.stream.0) + 1);
+            for &(node, ty) in entry.predicate.dependencies() {
+                nodes = nodes.max(usize::from(node.0) + 1);
+                types = types.max(usize::from(ty.0) + 1);
+            }
+        }
+        let mut index = DepIndex {
+            streams,
+            nodes,
+            types,
+            starts: Vec::new(),
+            positions: Vec::new(),
+        };
+        let cells = streams * nodes * types;
+        let mut starts = vec![0u32; cells + 1];
+        for entry in entries {
+            for &(node, ty) in entry.predicate.dependencies() {
+                starts[index.cell(entry.stream, node, ty)] += 1;
+            }
+        }
+        let mut end = 0;
+        for run in &mut starts {
+            end += *run;
+            *run = end;
+        }
+        let mut positions = vec![0u32; end as usize];
+        for (pos, entry) in entries.iter().enumerate().rev() {
+            for &(node, ty) in entry.predicate.dependencies() {
+                let run = &mut starts[index.cell(entry.stream, node, ty)];
+                *run -= 1;
+                positions[*run as usize] = pos as u32;
+            }
+        }
+        index.starts = starts;
+        index.positions = positions;
+        index
     }
-    &mut level[i]
+
+    fn cell(&self, stream: NodeId, node: NodeId, ty: AckTypeId) -> usize {
+        (usize::from(stream.0) * self.nodes + usize::from(node.0)) * self.types + usize::from(ty.0)
+    }
+
+    /// Positions of the entries reading `(stream, node, ty)`, ascending;
+    /// empty for a cell outside the table.
+    fn dependants(&self, stream: NodeId, node: NodeId, ty: AckTypeId) -> &[u32] {
+        if usize::from(stream.0) >= self.streams
+            || usize::from(node.0) >= self.nodes
+            || usize::from(ty.0) >= self.types
+        {
+            return &[];
+        }
+        let cell = self.cell(stream, node, ty);
+        &self.positions[self.starts[cell] as usize..self.starts[cell + 1] as usize]
+    }
 }
 
 #[cfg(test)]

@@ -187,13 +187,9 @@ impl StabilizerNode {
             acks,
             cfg,
         };
-        let configured: Vec<(String, String)> = node
-            .cfg
-            .predicates()
-            .map(|(k, v)| (k.to_owned(), v.to_owned()))
-            .collect();
-        for (key, source) in configured {
-            node.register_predicate(me, &key, &source)?;
+        let configured = Arc::clone(node.cfg.startup());
+        for (key, startup) in configured.iter() {
+            node.install(me, key, &startup.source, startup.tree.as_ref(), false)?;
         }
         Ok(node)
     }

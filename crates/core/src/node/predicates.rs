@@ -5,7 +5,7 @@ use super::{Action, StabilizerNode};
 use crate::config::AnalysisMode;
 use crate::error::CoreError;
 use stabilizer_analyze::{AckEmissions, Analyzer, Report};
-use stabilizer_dsl::{NodeId, Predicate};
+use stabilizer_dsl::{NodeId, Predicate, SpannedExpr};
 
 impl StabilizerNode {
     /// Register a new predicate under `key` for `stream`, compiled at
@@ -22,7 +22,7 @@ impl StabilizerNode {
         key: &str,
         source: &str,
     ) -> Result<(), CoreError> {
-        self.install(stream, key, source, false)
+        self.install(stream, key, source, None, false)
     }
 
     /// Replace the predicate under `key` (the paper's `change_predicate`),
@@ -39,18 +39,20 @@ impl StabilizerNode {
         key: &str,
         source: &str,
     ) -> Result<(), CoreError> {
-        self.install(stream, key, source, true)
+        self.install(stream, key, source, None, true)
     }
 
     /// Compile and hand to the engine (`must_exist`: as a change of a
-    /// registered key), keeping the source. Only `option analysis deny`
-    /// runs the analyzer here, to refuse before anything is registered;
-    /// warn-mode findings and `f*` are computed when they are read.
-    fn install(
+    /// registered key), keeping the source; `tree` is the source's, if
+    /// the config parsed it already. Only `option analysis deny` runs the
+    /// analyzer here, to refuse before anything is registered; warn-mode
+    /// findings and `f*` are computed when they are read.
+    pub(super) fn install(
         &mut self,
         stream: NodeId,
         key: &str,
         source: &str,
+        tree: Option<&SpannedExpr>,
         must_exist: bool,
     ) -> Result<(), CoreError> {
         if self.cfg.options().analysis == AnalysisMode::Deny {
@@ -62,7 +64,7 @@ impl StabilizerNode {
                 });
             }
         }
-        let pred = self.compile(stream, source)?;
+        let pred = self.compile(stream, source, tree)?;
         let (rec, out, done) = (&self.recorder, &mut self.updates, &mut self.done);
         if !must_exist {
             self.engine.register(stream, key, pred, rec, out, done);
@@ -81,8 +83,14 @@ impl StabilizerNode {
     /// it is shared rather than compiled again. A compile reads nothing
     /// else that changes: the topology and `me` are fixed, and the ACK
     /// type registry only grows. A predicate that exclusion rewrote never
-    /// matches, since its source carries the ` /* -n */` mark.
-    fn compile(&self, stream: NodeId, source: &str) -> Result<Predicate, CoreError> {
+    /// matches, since its source carries the ` /* -n */` mark. `tree`,
+    /// if given, is what `source` parses to, and the compile starts there.
+    fn compile(
+        &self,
+        stream: NodeId,
+        source: &str,
+        tree: Option<&SpannedExpr>,
+    ) -> Result<Predicate, CoreError> {
         let replicas = self.placement.replicas(stream);
         let shared = self.installed.iter().find_map(|((s, key), src)| {
             if src != source || self.placement.replicas(*s) != replicas {
@@ -95,10 +103,12 @@ impl StabilizerNode {
         if let Some(pred) = shared {
             return Ok(pred.clone());
         }
-        Ok(
-            Predicate::compile(source, self.cfg.topology(), &self.acks, self.me)?
-                .restricted_to(replicas)?,
-        )
+        let (topo, acks, me) = (self.cfg.topology(), &self.acks, self.me);
+        let pred = match tree {
+            Some(tree) => Predicate::compile_parsed(source, tree, topo, acks, me)?,
+            None => Predicate::compile(source, topo, acks, me)?,
+        };
+        Ok(pred.restricted_to(replicas)?)
     }
 
     /// The analyzer's findings on the predicate registered under
@@ -119,7 +129,7 @@ impl StabilizerNode {
     /// a key it leaves undecided is skipped.
     pub fn predicate_tolerances(&self) -> impl Iterator<Item = (NodeId, &str, i64)> + '_ {
         self.installed.iter().filter_map(|((stream, key), source)| {
-            let pred = self.compile(*stream, source).ok()?;
+            let pred = self.compile(*stream, source, None).ok()?;
             let avail = stabilizer_analyze::availability(&pred, self.cfg.topology(), self.me)?;
             Some((*stream, key.as_str(), avail.tolerance))
         })
@@ -184,7 +194,7 @@ impl StabilizerNode {
         let reads = |p: &Predicate| p.dependencies().iter().any(|(n, _)| *n == node);
         let mut restored = Vec::new();
         for ((stream, key), source) in &self.installed {
-            let original = self.compile(*stream, source)?;
+            let original = self.compile(*stream, source, None)?;
             let current = self.engine.predicate(*stream, key);
             // Only touch predicates that currently lack the node.
             if reads(&original) && !current.is_some_and(reads) {

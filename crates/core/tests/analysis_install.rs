@@ -213,6 +213,29 @@ fn deny_mode_rejects_warnings_and_change_predicate() {
 }
 
 #[test]
+fn deny_mode_rejects_a_startup_predicate_with_findings() {
+    // The config parses the body once; the node still analyzes it before
+    // installing it, and refuses the node as a whole.
+    let cfg = ClusterConfig::parse(&format!(
+        "{BASE}predicate Weak MAX($ALLWNODES)\noption analysis deny\n"
+    ))
+    .unwrap();
+    let err = StabilizerNode::new(cfg, NodeId(0), Arc::new(AckTypeRegistry::new())).unwrap_err();
+    match &err {
+        CoreError::PredicateRejected { key, report } => {
+            assert_eq!(key, "Weak");
+            assert!(report.contains("vacuous"), "report:\n{report}");
+        }
+        other => panic!("expected PredicateRejected, got {other:?}"),
+    }
+    // Under warn the same config boots with both keys installed.
+    let warn = ClusterConfig::parse(&format!("{BASE}predicate Weak MAX($ALLWNODES)\n")).unwrap();
+    let node = StabilizerNode::new(warn, NodeId(0), Arc::new(AckTypeRegistry::new())).unwrap();
+    assert!(node.stability_frontier(NodeId(0), "Weak").is_some());
+    assert!(node.stability_frontier(NodeId(0), "AllRemote").is_some());
+}
+
+#[test]
 fn configured_acktype_restrictions_feed_the_analyzer() {
     // Only e2 emits .verified; a predicate waiting on w1.verified is
     // rejected under deny.

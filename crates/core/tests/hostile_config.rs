@@ -10,9 +10,15 @@
 //! design. But building a node is polynomial in the node count: an
 //! install compiles its predicate and proves nothing about it, so a
 //! quorum over dozens of nodes boots at once, and a cluster of more
-//! nodes than a 64-bit mask holds boots at all.
+//! nodes than a 64-bit mask holds boots at all. Nor does an install
+//! cost more the more keys are installed: a node registers 20 000 keys
+//! at once. `ClusterConfig::parse` parses every `predicate` body, within
+//! the same bound; a body that does not parse is the node's to refuse.
 
-use stabilizer_core::{AckTypeRegistry, ClusterConfig, CoreError, NodeId, StabilizerNode};
+use bytes::Bytes;
+use stabilizer_core::{
+    AckTypeRegistry, ClusterConfig, CoreError, NodeId, Predicate, StabilizerNode,
+};
 use std::sync::{mpsc, Arc};
 use std::thread;
 use std::time::Duration;
@@ -119,4 +125,67 @@ fn a_quorum_over_24_nodes_boots_at_once() {
 fn more_nodes_than_a_mask_holds_boot() {
     let text = one_az(70) + "predicate All MIN($ALLWNODES-$MYWNODE)\n";
     boots_within(text, Duration::from_secs(10));
+}
+
+#[test]
+fn predicate_bodies_are_parsed_within_the_bound() {
+    let mut text = one_az(8);
+    for i in 0..200 {
+        text += &format!(
+            "predicate Quorum{i} KTH_MAX(SIZEOF($ALLWNODES)/2+1, $ALLWNODES-$MYWNODE)\n\
+             predicate Pair{i} MIN(MAX($1, $2), MAX($3.persisted, $WNODE_n4, $AZ_A-$MYWNODE))\n\
+             predicate Wide{i} MAX($1,$2,$3,$4,$5,$6,$7,$8,$1,$2,$3,$4,$5,$6,$7,$8)\n"
+        );
+    }
+    let cfg = parse_within_bound(&text);
+    assert_eq!(cfg.predicates().count(), 600);
+}
+
+#[test]
+fn a_body_that_does_not_parse_is_refused_by_the_node_not_the_config() {
+    const BODY: &str = "MIN($ALLWNODES-$MYWNODE";
+    for (analysis, deny) in [("warn", false), ("deny", true)] {
+        let text = format!(
+            "{}predicate Broken {BODY}\noption analysis {analysis}\n",
+            one_az(3)
+        );
+        let cfg = ClusterConfig::parse(&text).expect("the config parses");
+        assert_eq!(cfg.predicates().collect::<Vec<_>>(), [("Broken", BODY)]);
+        let acks = Arc::new(AckTypeRegistry::new());
+        let refused = StabilizerNode::new(cfg.clone(), NodeId(0), Arc::clone(&acks))
+            .expect_err("the node refuses the body");
+        if deny {
+            match refused {
+                CoreError::PredicateRejected { key, report } => {
+                    assert_eq!(key, "Broken");
+                    assert!(report.contains("syntax-error"), "report:\n{report}");
+                }
+                other => panic!("refused as {other:?}, not by the analyzer"),
+            }
+        } else {
+            let compiled = Predicate::compile(BODY, cfg.topology(), &acks, NodeId(0));
+            assert_eq!(
+                refused,
+                CoreError::Dsl(compiled.expect_err("it does not parse"))
+            );
+        }
+    }
+}
+
+#[test]
+fn twenty_thousand_keys_register_at_once() {
+    let folded = within(Duration::from_secs(4), || {
+        let cfg = ClusterConfig::parse(&one_az(8)).expect("the config parses");
+        let mut node = StabilizerNode::new(cfg, NodeId(0), Arc::new(AckTypeRegistry::new()))
+            .expect("the node boots");
+        for i in 0..20_000u16 {
+            let (stream, key) = (NodeId(i % 8), format!("k{i}"));
+            node.register_predicate(stream, &key, "MIN($ALLWNODES-$MYWNODE)")
+                .expect("the predicate compiles");
+        }
+        // The first fold after the installs reads the dependency index.
+        node.publish(Bytes::from_static(b"m")).expect("publishes");
+        node.stability_frontier(NodeId(0), "k0")
+    });
+    assert_eq!(folded, Some((0, 0)));
 }

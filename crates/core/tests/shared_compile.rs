@@ -134,6 +134,44 @@ fn shared_programs_report_the_frontiers_of_fresh_compiles() {
     assert!(advanced > 0, "no frontier moved: the check saw nothing");
 }
 
+/// Startup predicates are parsed once by the config and compiled from
+/// that tree at every node: each node's frontiers are those of fresh
+/// compiles of the configured sources, on a stream placed on a replica
+/// set as on one that is not.
+#[test]
+fn startup_predicates_report_the_frontiers_of_fresh_compiles() {
+    let cfg = ec2(&format!(
+        "replicate n2 n2 n3 n7\n\
+         predicate Quorum {QUORUM}\n\
+         predicate All {ALL}\n\
+         predicate Any {ANY}\n"
+    ));
+    let sources: Vec<(String, String)> = cfg
+        .predicates()
+        .map(|(k, v)| (k.to_owned(), v.to_owned()))
+        .collect();
+    assert_eq!(sources.len(), 3);
+    let mut sim = build_cluster(&cfg, NetTopology::ec2_fig2(), 6).unwrap();
+    publish_everywhere(&mut sim, 3);
+    let mut advanced = 0;
+    for _ in 0..40 {
+        sim.run_for(SimDuration::from_millis(5));
+        for i in 0..8 {
+            let node = sim.actor(i).inner();
+            for (key, source) in &sources {
+                let at = frontier(node, i as u16, key);
+                assert_eq!(
+                    at,
+                    fresh_frontier(node, NodeId(i as u16), source),
+                    "node {i}, {key}"
+                );
+                advanced += usize::from(at > 0);
+            }
+        }
+    }
+    assert!(advanced > 0, "no frontier moved: the check saw nothing");
+}
+
 #[test]
 fn a_stream_with_another_replica_set_gets_its_own_program() {
     // Stream n1 is stored on n1, n2 and n7 only; stream n2 everywhere.

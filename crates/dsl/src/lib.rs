@@ -21,8 +21,11 @@
 //! folding) → [`compile`](compile::compile) into a flat, allocation-free
 //! bytecode [`Program`] evaluated by a small stack VM. The parser's
 //! span-carrying [`SpannedExpr`] is the one syntax tree every stage
-//! reads. A tree-walking [`eval_resolved`] is retained as the un-JIT-ed
-//! baseline for the ablation benchmark and as the VM's test oracle.
+//! reads. [`Predicate::compile`] runs the whole pipeline;
+//! [`Predicate::compile_parsed`] starts from a tree already parsed, so
+//! a configured source is parsed once however many nodes compile it. A
+//! tree-walking [`eval_resolved`] is retained as the un-JIT-ed baseline
+//! for the ablation benchmark and as the VM's test oracle.
 //!
 //! ## Example
 //!
@@ -120,8 +123,24 @@ impl Predicate {
         acks: &AckTypeRegistry,
         me: NodeId,
     ) -> Result<Self, DslError> {
-        let ast = parse(source)?;
-        let resolved = optimize::optimize(&resolve(&ast, topo, acks, me)?);
+        Predicate::compile_parsed(source, &parse(source)?, topo, acks, me)
+    }
+
+    /// [`Predicate::compile`] from `tree`, what [`parse`] made of
+    /// `source`: resolve and compile only, so a source parsed once can
+    /// be compiled at every node that installs it.
+    ///
+    /// # Errors
+    ///
+    /// As [`Predicate::compile`], less those [`parse`] reports.
+    pub fn compile_parsed(
+        source: &str,
+        tree: &SpannedExpr,
+        topo: &Topology,
+        acks: &AckTypeRegistry,
+        me: NodeId,
+    ) -> Result<Self, DslError> {
+        let resolved = optimize::optimize(&resolve(tree, topo, acks, me)?);
         Ok(Predicate::new(source.to_owned(), resolved))
     }
 
