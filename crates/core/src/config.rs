@@ -68,8 +68,6 @@ pub(crate) fn check_ack_type_room(
 /// installs (`register_predicate` / `change_predicate`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum AnalysisMode {
-    /// Skip analysis entirely.
-    Off,
     /// Install the predicate whatever its findings; they are computed
     /// when `StabilizerNode::analysis_report` asks for them, not at
     /// install.
@@ -444,14 +442,9 @@ impl ClusterConfig {
                         }
                         "analysis" => {
                             options.analysis = match val {
-                                "off" => AnalysisMode::Off,
                                 "warn" => AnalysisMode::Warn,
                                 "deny" => AnalysisMode::Deny,
-                                _ => {
-                                    return Err(err(format!(
-                                        "option {key}: expected off/warn/deny"
-                                    )))
-                                }
+                                _ => return Err(err(format!("option {key}: expected warn/deny"))),
                             }
                         }
                         "failure_budget" => options.failure_budget = parse_u64(val)?,
@@ -558,9 +551,15 @@ option auto_exclude_suspects true
             .unwrap();
         assert_eq!(cfg.options().analysis, AnalysisMode::Deny);
         assert_eq!(cfg.options().failure_budget, 2);
-        let cfg = ClusterConfig::parse("az A x y\noption analysis off").unwrap();
-        assert_eq!(cfg.options().analysis, AnalysisMode::Off);
-        assert!(ClusterConfig::parse("az A x y\noption analysis always").is_err());
+        for refused in ["off", "always"] {
+            let cfg = format!("az A x y\noption analysis {refused}");
+            match ClusterConfig::parse(&cfg) {
+                Err(CoreError::Config(msg)) => {
+                    assert!(msg.contains("warn") && msg.contains("deny"), "{msg}");
+                }
+                other => panic!("{refused}: {other:?}"),
+            }
+        }
     }
 
     #[test]

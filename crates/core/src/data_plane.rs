@@ -102,12 +102,12 @@ impl SendBuffer {
     /// being dropped outright.
     pub fn reclaim(&mut self, min_acked: SeqNo) -> usize {
         let mut freed = 0;
-        while let Some((&seq, payload)) = self.buffered.first_key_value() {
-            if seq > min_acked {
+        while let Some(first) = self.buffered.first_entry() {
+            if *first.key() > min_acked {
                 break;
             }
+            let (seq, payload) = first.remove_entry();
             self.buffered_bytes -= payload.len();
-            let payload = self.buffered.remove(&seq).expect("peeked entry exists");
             freed += 1;
             if self.retain_capacity > 0 {
                 self.retained_bytes += payload.len();

@@ -15,6 +15,11 @@
 //! handling, is surfaced through the `generation` field of
 //! [`FrontierUpdate`].
 //!
+//! The engine is the one table of what is registered: each entry keeps
+//! the program as registered beside the one it runs, which §III-E's
+//! [`FrontierEngine::exclude_node`] rewrites and
+//! [`FrontierEngine::reinstate_node`] rebuilds from the registered one.
+//!
 //! # The crossing rule
 //!
 //! A candidate is evaluated only if the cell *crossed* its frontier: for
@@ -49,8 +54,9 @@
 //!   entry's first dependent cell that crosses, or none: updates leave in
 //!   the order an engine that evaluates every dependant emits them.)
 //! * `StabilizerNode::restore` replaces the table and re-registers every
-//!   key; [`FrontierEngine::register`], [`FrontierEngine::change`] and
-//!   [`FrontierEngine::exclude_node`] evaluate outright.
+//!   key; [`FrontierEngine::register`], [`FrontierEngine::change`],
+//!   [`FrontierEngine::exclude_node`] and
+//!   [`FrontierEngine::reinstate_node`] evaluate outright.
 //! * `AckRecorder::ensure_types` adds cells that are zero and that no
 //!   registered predicate reads.
 //!
@@ -83,6 +89,9 @@ pub struct FrontierUpdate {
 struct Entry {
     stream: NodeId,
     key: String,
+    /// The program as last registered or changed.
+    registered: Predicate,
+    /// What runs: `registered` less the exclusions applied to it since.
     predicate: Predicate,
     frontier: SeqNo,
     generation: u32,
@@ -124,6 +133,8 @@ pub struct FrontierEngine {
     /// since `entries` last changed, and built again by the next fold
     /// that reads it.
     deps: Option<DepIndex>,
+    /// Nodes excluded and not reinstated since, in exclusion order.
+    excluded: Vec<NodeId>,
     scratch: EvalScratch,
     evals: u64,
 }
@@ -149,6 +160,7 @@ impl FrontierEngine {
     ) {
         let pos = match self.find(stream, key) {
             Ok(pos) => {
+                self.entries[pos].registered = predicate.clone();
                 self.replace(pos, predicate, recorder);
                 pos
             }
@@ -162,6 +174,7 @@ impl FrontierEngine {
                     Entry {
                         stream,
                         key: key.to_owned(),
+                        registered: predicate.clone(),
                         predicate,
                         frontier,
                         generation: 0,
@@ -196,6 +209,7 @@ impl FrontierEngine {
         let Ok(pos) = self.find(stream, key) else {
             return false;
         };
+        self.entries[pos].registered = predicate.clone();
         self.change_at(pos, predicate, recorder, out, completed);
         true
     }
@@ -218,18 +232,18 @@ impl FrontierEngine {
         Some((entry.frontier, entry.generation))
     }
 
-    /// The compiled predicate registered under a key.
+    /// The compiled predicate a key runs: as registered, less the
+    /// exclusions applied to it.
     pub fn predicate(&self, stream: NodeId, key: &str) -> Option<&Predicate> {
         Some(&self.entries[self.find(stream, key).ok()?].predicate)
     }
 
-    /// Registered keys for a stream, sorted.
-    pub fn keys(&self, stream: NodeId) -> Vec<String> {
+    /// Every registered `(stream, key)` with its program as last
+    /// registered or changed, exclusions aside, in `(stream, key)` order.
+    pub fn registered(&self) -> impl Iterator<Item = (NodeId, &str, &Predicate)> {
         self.entries
             .iter()
-            .filter(|e| e.stream == stream)
-            .map(|e| e.key.clone())
-            .collect()
+            .map(|e| (e.stream, e.key.as_str(), &e.registered))
     }
 
     /// Block `token` until the frontier of `(stream, key)` reaches `seq`.
@@ -311,8 +325,8 @@ impl FrontierEngine {
     }
 
     /// Rewrite every registered predicate to exclude `node` (§III-E fault
-    /// handling), re-evaluating each. Predicates that cannot be rewritten
-    /// (they would become empty) are left untouched.
+    /// handling), re-evaluating each as a new generation. Predicates that
+    /// cannot be rewritten (they would become empty) are left untouched.
     pub fn exclude_node(
         &mut self,
         node: NodeId,
@@ -320,14 +334,39 @@ impl FrontierEngine {
         out: &mut Vec<FrontierUpdate>,
         completed: &mut Vec<WaitToken>,
     ) {
+        if !self.excluded.contains(&node) {
+            self.excluded.push(node);
+        }
         for pos in 0..self.entries.len() {
-            let predicate = &self.entries[pos].predicate;
-            if !predicate.dependencies().iter().any(|(n, _)| *n == node) {
-                continue;
-            }
-            if let Ok(rewritten) = predicate.excluding(node) {
+            if let Some(rewritten) = without(&self.entries[pos].predicate, node) {
                 self.change_at(pos, rewritten, recorder, out, completed);
             }
+        }
+    }
+
+    /// Re-admit `node`, the inverse of [`FrontierEngine::exclude_node`]:
+    /// every predicate whose registered program reads `node` and whose
+    /// running one does not runs its registered program again, less the
+    /// exclusions still in force (in exclusion order, skipping any the
+    /// rewrite refuses), as a new generation.
+    pub fn reinstate_node(
+        &mut self,
+        node: NodeId,
+        recorder: &AckRecorder,
+        out: &mut Vec<FrontierUpdate>,
+        completed: &mut Vec<WaitToken>,
+    ) {
+        self.excluded.retain(|&n| n != node);
+        for pos in 0..self.entries.len() {
+            let entry = &self.entries[pos];
+            if !reads(&entry.registered, node) || reads(&entry.predicate, node) {
+                continue;
+            }
+            let mut rebuilt = entry.registered.clone();
+            for &n in &self.excluded {
+                rebuilt = without(&rebuilt, n).unwrap_or(rebuilt);
+            }
+            self.change_at(pos, rebuilt, recorder, out, completed);
         }
     }
 
@@ -372,7 +411,7 @@ impl FrontierEngine {
         entry.drain_waiters(completed);
     }
 
-    /// Install `predicate` over the entry at `pos` as its next generation.
+    /// Run `predicate` for the entry at `pos` as its next generation.
     fn replace(&mut self, pos: usize, predicate: Predicate, recorder: &AckRecorder) {
         self.deps = None;
         self.evals += 1;
@@ -382,6 +421,17 @@ impl FrontierEngine {
             predicate.eval_with(&recorder.stream_view(entry.stream), &mut self.scratch);
         entry.predicate = predicate;
     }
+}
+
+/// Whether `predicate` reads any cell of `node`.
+fn reads(predicate: &Predicate, node: NodeId) -> bool {
+    predicate.dependencies().iter().any(|&(n, _)| n == node)
+}
+
+/// `predicate` rewritten not to read `node`; `None` if it does not read
+/// it, or the rewrite would leave it empty.
+fn without(predicate: &Predicate, node: NodeId) -> Option<Predicate> {
+    reads(predicate, node).then(|| predicate.excluding(node).ok())?
 }
 
 /// The entries reading each cell, flattened: cell `(stream, node, ty)`
@@ -670,7 +720,8 @@ pub(crate) mod tests {
         eng.on_ack_advance(NodeId(1), NodeId(1), RECEIVED, &rec, &mut out, &mut done);
         assert_eq!(eng.frontier(NodeId(0), "p"), Some((0, 0)));
         assert_eq!(eng.frontier(NodeId(1), "p"), Some((7, 0)));
-        assert_eq!(eng.keys(NodeId(0)), vec!["p".to_owned()]);
+        let keys: Vec<(NodeId, &str)> = eng.registered().map(|(s, k, _)| (s, k)).collect();
+        assert_eq!(keys, [(NodeId(0), "p"), (NodeId(1), "p")]);
     }
 
     #[test]
@@ -725,7 +776,10 @@ pub(crate) mod tests {
     /// global list.
     #[derive(Default)]
     struct NaiveEngine {
-        entries: BTreeMap<(NodeId, String), (Predicate, SeqNo, u32)>,
+        /// `(stream, key) -> (registered, running, frontier, generation)`.
+        entries: BTreeMap<(NodeId, String), (Predicate, Predicate, SeqNo, u32)>,
+        /// In force, in exclusion order.
+        excluded: Vec<NodeId>,
         waiters: Vec<(NodeId, String, SeqNo, WaitToken)>,
         evals: u64,
     }
@@ -743,11 +797,13 @@ pub(crate) mod tests {
             let generation = self
                 .entries
                 .get(&(stream, key.to_owned()))
-                .map_or(0, |e| e.2 + 1);
+                .map_or(0, |e| e.3 + 1);
             self.evals += 1;
             let frontier = predicate.eval(&recorder.stream_view(stream));
-            self.entries
-                .insert((stream, key.to_owned()), (predicate, frontier, generation));
+            self.entries.insert(
+                (stream, key.to_owned()),
+                (predicate.clone(), predicate, frontier, generation),
+            );
             if frontier > 0 {
                 out.push(FrontierUpdate {
                     stream,
@@ -771,11 +827,27 @@ pub(crate) mod tests {
             let Some(entry) = self.entries.get_mut(&(stream, key.to_owned())) else {
                 return false;
             };
+            entry.0 = predicate.clone();
+            self.run(stream, key, predicate, recorder, out, completed);
+            true
+        }
+
+        /// Run `predicate` for a registered key as its next generation.
+        fn run(
+            &mut self,
+            stream: NodeId,
+            key: &str,
+            predicate: Predicate,
+            recorder: &AckRecorder,
+            out: &mut Vec<FrontierUpdate>,
+            completed: &mut Vec<WaitToken>,
+        ) {
+            let entry = self.entries.get_mut(&(stream, key.to_owned())).unwrap();
             self.evals += 1;
-            entry.2 += 1;
-            entry.1 = predicate.eval(&recorder.stream_view(stream));
-            entry.0 = predicate;
-            let (frontier, generation) = (entry.1, entry.2);
+            entry.3 += 1;
+            entry.2 = predicate.eval(&recorder.stream_view(stream));
+            entry.1 = predicate;
+            let (frontier, generation) = (entry.2, entry.3);
             out.push(FrontierUpdate {
                 stream,
                 key: key.to_owned(),
@@ -783,7 +855,6 @@ pub(crate) mod tests {
                 generation,
             });
             self.drain_waiters(stream, key, frontier, completed);
-            true
         }
 
         fn unregister(&mut self, stream: NodeId, key: &str) -> Vec<WaitToken> {
@@ -810,7 +881,7 @@ pub(crate) mod tests {
             let Some(entry) = self.entries.get(&(stream, key.to_owned())) else {
                 return false;
             };
-            if entry.1 >= seq {
+            if entry.2 >= seq {
                 completed.push(token);
             } else {
                 self.waiters.push((stream, key.to_owned(), seq, token));
@@ -830,18 +901,18 @@ pub(crate) mod tests {
             let view = recorder.stream_view(stream);
             let mut advanced: Vec<(String, SeqNo)> = Vec::new();
             for ((s, key), entry) in self.entries.iter_mut() {
-                if *s != stream || !entry.0.dependencies().contains(&(node, ty)) {
+                if *s != stream || !entry.1.dependencies().contains(&(node, ty)) {
                     continue;
                 }
                 self.evals += 1;
-                let new = entry.0.eval(&view);
-                if new > entry.1 {
-                    entry.1 = new;
+                let new = entry.1.eval(&view);
+                if new > entry.2 {
+                    entry.2 = new;
                     out.push(FrontierUpdate {
                         stream,
                         key: key.clone(),
                         seq: new,
-                        generation: entry.2,
+                        generation: entry.3,
                     });
                     advanced.push((key.clone(), new));
                 }
@@ -858,15 +929,44 @@ pub(crate) mod tests {
             out: &mut Vec<FrontierUpdate>,
             completed: &mut Vec<WaitToken>,
         ) {
+            if !self.excluded.contains(&node) {
+                self.excluded.push(node);
+            }
             let keys: Vec<(NodeId, String)> = self.entries.keys().cloned().collect();
             for (stream, key) in keys {
-                let predicate = &self.entries[&(stream, key.clone())].0;
-                if !predicate.dependencies().iter().any(|(n, _)| *n == node) {
+                let running = &self.entries[&(stream, key.clone())].1;
+                if !reads(running, node) {
                     continue;
                 }
-                if let Ok(rewritten) = predicate.excluding(node) {
-                    self.change(stream, &key, rewritten, recorder, out, completed);
+                if let Ok(rewritten) = running.excluding(node) {
+                    self.run(stream, &key, rewritten, recorder, out, completed);
                 }
+            }
+        }
+
+        /// The registered program, less every exclusion in force that
+        /// it reads and the rewrite allows, of each key that lost `node`.
+        fn reinstate_node(
+            &mut self,
+            node: NodeId,
+            recorder: &AckRecorder,
+            out: &mut Vec<FrontierUpdate>,
+            completed: &mut Vec<WaitToken>,
+        ) {
+            self.excluded.retain(|&n| n != node);
+            let keys: Vec<(NodeId, String)> = self.entries.keys().cloned().collect();
+            for (stream, key) in keys {
+                let (registered, running, ..) = &self.entries[&(stream, key.clone())];
+                if !reads(registered, node) || reads(running, node) {
+                    continue;
+                }
+                let mut rebuilt = registered.clone();
+                for &n in &self.excluded {
+                    if reads(&rebuilt, n) {
+                        rebuilt = rebuilt.excluding(n).unwrap_or(rebuilt);
+                    }
+                }
+                self.run(stream, &key, rebuilt, recorder, out, completed);
             }
         }
 
@@ -904,6 +1004,7 @@ pub(crate) mod tests {
         Change(u16, usize, (u8, u8, usize)),
         Unregister(u16, usize),
         Exclude(u16),
+        Reinstate(u16),
         Waitfor(u16, usize, SeqNo),
         Ack(u16, u16, usize, SeqNo),
         /// `StabilizerNode::publish`'s shape: write every level of the own
@@ -925,6 +1026,7 @@ pub(crate) mod tests {
             2 => (stream.clone(), key.clone(), spec).prop_map(|(s, k, p)| Op::Change(s, k, p)),
             1 => (stream.clone(), key.clone()).prop_map(|(s, k)| Op::Unregister(s, k)),
             1 => (0u16..8).prop_map(Op::Exclude),
+            1 => (0u16..8).prop_map(Op::Reinstate),
             3 => (stream.clone(), key, 0u64..40).prop_map(|(s, k, q)| Op::Waitfor(s, k, q)),
             12 => (stream.clone(), 0u16..8, 0usize..5, 0u64..40).prop_map(|(s, n, t, q)| Op::Ack(s, n, t, q)),
             3 => (0u64..40).prop_map(Op::Publish),
@@ -1101,6 +1203,11 @@ pub(crate) mod tests {
                         eng.exclude_node(node, &rec, &mut got.0, &mut got.1);
                         naive.exclude_node(node, &rec, &mut want.0, &mut want.1);
                     }
+                    Op::Reinstate(node) => {
+                        let node = NodeId(node % n);
+                        eng.reinstate_node(node, &rec, &mut got.0, &mut got.1);
+                        naive.reinstate_node(node, &rec, &mut want.0, &mut want.1);
+                    }
                     Op::Waitfor(s, k, seq) => {
                         let s = NodeId(s % n);
                         token += 1;
@@ -1137,8 +1244,10 @@ pub(crate) mod tests {
                                 rec.observe(s, node, AckTypeId((ty % acks.len()) as u16), seq);
                             }
                         }
-                        for (s, key) in naive.entries.keys().cloned().collect::<Vec<_>>() {
-                            let p = eng.predicate(s, &key).expect("registered in both").clone();
+                        let registered: Vec<_> = naive.entries.iter()
+                            .map(|((s, key), (p, ..))| (*s, key.clone(), p.clone()))
+                            .collect();
+                        for (s, key, p) in registered {
                             eng.register(s, &key, p.clone(), &rec, &mut got.0, &mut got.1);
                             naive.register(s, &key, p, &rec, &mut want.0, &mut want.1);
                         }
@@ -1161,9 +1270,12 @@ pub(crate) mod tests {
                 prop_assert!(eng.evaluations() <= naive.evals);
                 prop_assert_eq!(eng.len(), naive.entries.len());
                 prop_assert_eq!(eng.pending_waiters(), naive.waiters.len());
-                for ((stream, key), (_, frontier, generation)) in &naive.entries {
+                for ((stream, key), (_, running, frontier, generation)) in &naive.entries {
                     prop_assert_eq!(eng.frontier(*stream, key), Some((*frontier, *generation)));
+                    prop_assert_eq!(eng.predicate(*stream, key).map(Predicate::source), Some(running.source()));
                 }
+                let registered = naive.entries.iter().map(|((s, k), (p, ..))| (*s, k.as_str(), p.source()));
+                prop_assert!(eng.registered().map(|(s, k, p)| (s, k, p.source())).eq(registered));
             }
         }
     }

@@ -50,6 +50,8 @@
 //! # Ok(()) }
 //! ```
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 pub mod config;
 pub mod data_plane;
 pub mod error;

@@ -38,7 +38,6 @@ use crate::transfer::Transfers;
 use bytes::Bytes;
 use stabilizer_dsl::{AckTypeId, AckTypeRegistry, NodeId, SeqNo, DELIVERED, PERSISTED, RECEIVED};
 use stabilizer_place::PlacementMap;
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 pub use recovery::Snapshot;
@@ -116,11 +115,6 @@ pub struct StabilizerNode {
     outbox: AckOutbox,
     membership: Membership,
     transfers: Transfers,
-    /// The source of each predicate registered with the engine, per
-    /// (stream, key), as registered. Ordered: reinstatement iterates it and emits
-    /// frontier updates, whose order must be stable across processes
-    /// for deterministic replay.
-    installed: BTreeMap<(NodeId, String), String>,
     next_token: WaitToken,
     actions: Vec<Action>,
     /// What the engine reported during the current call, drained into
@@ -174,7 +168,6 @@ impl StabilizerNode {
             outbox: AckOutbox::default(),
             membership: Membership::new(n, peers),
             transfers: Transfers::new(me, &cfg),
-            installed: BTreeMap::new(),
             next_token: 1,
             actions: Vec::new(),
             updates: Vec::new(),
@@ -475,12 +468,8 @@ impl StabilizerNode {
         }
         self.actions.push(Action::Recovered { node: from });
         if self.cfg.options().auto_exclude_suspects {
-            // Reinstatement mirrors the automatic exclusion. Original
-            // sources always recompile (they did at registration), so
-            // the expect documents an invariant rather than a
-            // recoverable failure.
-            self.reinstate_node(from)
-                .expect("original predicate sources recompile");
+            // Reinstatement mirrors the automatic exclusion.
+            self.reinstate_node(from);
         }
         // Resume any catch-up the peer's absence interrupted and pick up
         // whatever it published while suspicion stopped us retransmitting
@@ -1051,7 +1040,7 @@ mod tests {
         assert_eq!(n.stability_frontier(NodeId(0), "All").unwrap().0, 1);
         // Reinstate: the original source (including node 2) is restored
         // with a new generation, and the frontier regresses to 0.
-        n.reinstate_node(NodeId(2)).unwrap();
+        n.reinstate_node(NodeId(2));
         let (frontier, generation) = n.stability_frontier(NodeId(0), "All").unwrap();
         assert_eq!(frontier, 0);
         assert!(generation >= 2);
@@ -1074,8 +1063,33 @@ mod tests {
     fn reinstate_is_a_noop_for_predicates_never_excluded() {
         let mut n = node(0);
         let before = n.stability_frontier(NodeId(0), "All").unwrap();
-        n.reinstate_node(NodeId(1)).unwrap();
+        n.reinstate_node(NodeId(1));
         assert_eq!(n.stability_frontier(NodeId(0), "All").unwrap(), before);
+    }
+
+    /// `b` and then `c` are excluded, `b` alone returns: `All` waits on
+    /// `b` and `d` and no longer on `c`, which is still out.
+    #[test]
+    fn reinstating_one_node_readmits_only_that_node() {
+        let cfg =
+            ClusterConfig::parse("az A a b\naz B c d\npredicate All MIN($ALLWNODES-$MYWNODE)\n")
+                .unwrap();
+        let mut n = StabilizerNode::new(cfg, NodeId(0), Arc::new(AckTypeRegistry::new())).unwrap();
+        n.exclude_node(NodeId(1));
+        n.exclude_node(NodeId(2));
+        n.reinstate_node(NodeId(1));
+        n.publish(Bytes::new()).unwrap();
+        let ack = |stream| {
+            WireMsg::AckBatch(vec![Ack {
+                stream,
+                ty: RECEIVED,
+                seq: 1,
+            }])
+        };
+        n.on_message(0, NodeId(1), ack(NodeId(0)));
+        assert_eq!(n.stability_frontier(NodeId(0), "All").unwrap().0, 0);
+        n.on_message(0, NodeId(3), ack(NodeId(0)));
+        assert_eq!(n.stability_frontier(NodeId(0), "All"), Some((1, 3)));
     }
 
     #[test]
@@ -1085,10 +1099,10 @@ mod tests {
             .unwrap();
         n.exclude_node(NodeId(2));
         n.unregister_predicate(NodeId(0), "tmp");
-        // Nothing is left for a later reinstatement to recompile (topic
-        // churn in pubsub would otherwise grow this map without bound).
-        assert!(!n.installed.contains_key(&(NodeId(0), "tmp".to_owned())));
-        n.reinstate_node(NodeId(2)).unwrap();
+        // Nothing of the key is left to read or to reinstate (topic churn
+        // in pubsub would otherwise grow the node without bound).
+        assert!(n.analysis_report(NodeId(0), "tmp").is_none());
+        n.reinstate_node(NodeId(2));
         assert_eq!(n.stability_frontier(NodeId(0), "tmp"), None);
         // The key is free again: a new registration starts at generation 0.
         n.register_predicate(NodeId(0), "tmp", "MAX($2)").unwrap();
@@ -1758,8 +1772,8 @@ mod tests {
                 let _unknown_key = node.change_predicate(NodeId(s % n), KEYS[k], &src);
             }
             Op::Unregister(s, k) => node.unregister_predicate(NodeId(s % n), KEYS[k]),
-            Op::Exclude(peer) if peer % 2 == 0 => node.exclude_node(NodeId(peer % n)),
-            Op::Exclude(peer) => node.reinstate_node(NodeId(peer % n)).unwrap(),
+            Op::Exclude(peer) => node.exclude_node(NodeId(peer % n)),
+            Op::Reinstate(peer) => node.reinstate_node(NodeId(peer % n)),
             Op::Waitfor(s, k, seq) => {
                 let _unknown_key = node.waitfor(NodeId(s % n), KEYS[k], seq);
             }

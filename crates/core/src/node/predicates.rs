@@ -1,5 +1,9 @@
 //! Installing, rewriting and removing predicates: the glue between the
-//! DSL compiler, the static analyzer and the frontier engine.
+//! DSL compiler, the static analyzer and the frontier engine. The engine
+//! is the one table of what is registered: the sharing scan, the
+//! analyzer's report, `f*` and `/stall` read
+//! [`crate::frontier::FrontierEngine::registered`], and §III-E's
+//! exclusion and reinstatement are the engine's.
 
 use super::{Action, StabilizerNode};
 use crate::config::AnalysisMode;
@@ -43,7 +47,7 @@ impl StabilizerNode {
     }
 
     /// Compile and hand to the engine (`must_exist`: as a change of a
-    /// registered key), keeping the source; `tree` is the source's, if
+    /// registered key); `tree` is the source's, if
     /// the config parsed it already. Only `option analysis deny` runs the
     /// analyzer here, to refuse before anything is registered; warn-mode
     /// findings and `f*` are computed when they are read.
@@ -71,20 +75,17 @@ impl StabilizerNode {
         } else if !self.engine.change(stream, key, pred, rec, out, done) {
             return Err(CoreError::UnknownPredicate(key.to_owned()));
         }
-        self.installed
-            .insert((stream, key.to_owned()), source.to_owned());
         self.emit();
         Ok(())
     }
 
     /// Compile `source` at this node for `stream`: over the stream's
-    /// replica set only. An installed key with the same source on a
+    /// replica set only. A registered key with the same source on a
     /// stream with the same replica set already holds that program, so
     /// it is shared rather than compiled again. A compile reads nothing
     /// else that changes: the topology and `me` are fixed, and the ACK
-    /// type registry only grows. A predicate that exclusion rewrote never
-    /// matches, since its source carries the ` /* -n */` mark. `tree`,
-    /// if given, is what `source` parses to, and the compile starts there.
+    /// type registry only grows. `tree`, if given, is what `source`
+    /// parses to, and the compile starts there.
     fn compile(
         &self,
         stream: NodeId,
@@ -92,13 +93,8 @@ impl StabilizerNode {
         tree: Option<&SpannedExpr>,
     ) -> Result<Predicate, CoreError> {
         let replicas = self.placement.replicas(stream);
-        let shared = self.installed.iter().find_map(|((s, key), src)| {
-            if src != source || self.placement.replicas(*s) != replicas {
-                return None;
-            }
-            self.engine
-                .predicate(*s, key)
-                .filter(|pred| pred.source() == source)
+        let shared = self.engine.registered().find_map(|(s, _, pred)| {
+            (pred.source() == source && self.placement.replicas(s) == replicas).then_some(pred)
         });
         if let Some(pred) = shared {
             return Ok(pred.clone());
@@ -113,13 +109,11 @@ impl StabilizerNode {
 
     /// The analyzer's findings on the predicate registered under
     /// `(stream, key)`, computed now from its source; `None` if the key
-    /// is not registered or analysis is off (`option analysis off`).
+    /// is not registered.
     pub fn analysis_report(&self, stream: NodeId, key: &str) -> Option<Report> {
-        if self.cfg.options().analysis == AnalysisMode::Off {
-            return None;
-        }
-        let source = self.installed.get(&(stream, key.to_owned()))?;
-        Some(self.analyze(stream, key, source))
+        let mut registered = self.engine.registered();
+        let (_, _, pred) = registered.find(|&(s, k, _)| (s, k) == (stream, key))?;
+        Some(self.analyze(stream, key, pred.source()))
     }
 
     /// Every registered `(stream, key) -> f*`, for telemetry export: the
@@ -128,10 +122,9 @@ impl StabilizerNode {
     /// availability prover runs for each key as the iterator reaches it;
     /// a key it leaves undecided is skipped.
     pub fn predicate_tolerances(&self) -> impl Iterator<Item = (NodeId, &str, i64)> + '_ {
-        self.installed.iter().filter_map(|((stream, key), source)| {
-            let pred = self.compile(*stream, source, None).ok()?;
-            let avail = stabilizer_analyze::availability(&pred, self.cfg.topology(), self.me)?;
-            Some((*stream, key.as_str(), avail.tolerance))
+        self.engine.registered().filter_map(|(stream, key, pred)| {
+            let avail = stabilizer_analyze::availability(pred, self.cfg.topology(), self.me)?;
+            Some((stream, key, avail.tolerance))
         })
     }
 
@@ -164,7 +157,6 @@ impl StabilizerNode {
     /// the frontier they were waiting for never confirmed) so callers are
     /// not stranded.
     pub fn unregister_predicate(&mut self, stream: NodeId, key: &str) {
-        self.installed.remove(&(stream, key.to_owned()));
         for token in self.engine.unregister(stream, key) {
             self.actions.push(Action::WaitDone { token });
         }
@@ -180,33 +172,15 @@ impl StabilizerNode {
         self.emit();
     }
 
-    /// Re-admit a previously excluded node: restore every predicate that
-    /// lost it to its original registered source (the inverse of
-    /// [`StabilizerNode::exclude_node`]). Each restored predicate gets a
-    /// new generation, like `change_predicate`.
-    ///
-    /// # Errors
-    ///
-    /// Fails if any original source no longer compiles (e.g. its ACK
-    /// type registry entries disappeared — not possible through this
-    /// API, but surfaced rather than ignored).
-    pub(super) fn reinstate_node(&mut self, node: NodeId) -> Result<(), CoreError> {
-        let reads = |p: &Predicate| p.dependencies().iter().any(|(n, _)| *n == node);
-        let mut restored = Vec::new();
-        for ((stream, key), source) in &self.installed {
-            let original = self.compile(*stream, source, None)?;
-            let current = self.engine.predicate(*stream, key);
-            // Only touch predicates that currently lack the node.
-            if reads(&original) && !current.is_some_and(reads) {
-                restored.push((*stream, key.clone(), original));
-            }
-        }
-        for (stream, key, pred) in restored {
-            let (rec, out, done) = (&self.recorder, &mut self.updates, &mut self.done);
-            self.engine.change(stream, &key, pred, rec, out, done);
-            self.emit();
-        }
-        Ok(())
+    /// Re-admit a previously excluded node (the inverse of
+    /// [`StabilizerNode::exclude_node`]): every predicate that lost it
+    /// runs its registered program again, less the exclusions still in
+    /// force, as a new generation (see
+    /// [`crate::frontier::FrontierEngine::reinstate_node`]).
+    pub(super) fn reinstate_node(&mut self, node: NodeId) {
+        let (rec, out, done) = (&self.recorder, &mut self.updates, &mut self.done);
+        self.engine.reinstate_node(node, rec, out, done);
+        self.emit();
     }
 
     /// Diagnose one `(stream, key)` frontier: how far behind the highest
@@ -224,12 +198,9 @@ impl StabilizerNode {
     /// `(stream, key)` pair, in (stream, key) order — the `/stall`
     /// endpoint body.
     pub fn explain_all(&self) -> Vec<crate::StallReport> {
-        let mut out = Vec::new();
-        for stream in (0..self.cfg.num_nodes() as u16).map(NodeId) {
-            for key in self.engine.keys(stream) {
-                out.extend(self.explain_frontier(stream, &key));
-            }
-        }
-        out
+        self.engine
+            .registered()
+            .filter_map(|(stream, key, _)| self.explain_frontier(stream, key))
+            .collect()
     }
 }

@@ -1,6 +1,8 @@
 //! §III-E at the node: persisting and restoring the control plane, and
 //! applying what a state-transfer frame carries. (The sessions and the
-//! frames themselves are [`crate::transfer::Transfers`]'.)
+//! frames themselves are [`crate::transfer::Transfers`]'.) A restore
+//! re-registers the programs the new node's engine holds, compiling
+//! none of them again.
 
 use super::{Action, StabilizerNode};
 use crate::config::ClusterConfig;
@@ -69,12 +71,15 @@ impl StabilizerNode {
             opts.retain_log_bytes,
             snapshot.last_assigned,
         );
-        // Re-evaluate configured predicates against the restored table.
-        for key in node.engine.keys(me) {
-            if let Some(pred) = node.engine.predicate(me, &key).cloned() {
-                let (rec, out, done) = (&node.recorder, &mut node.updates, &mut node.done);
-                node.engine.register(me, &key, pred, rec, out, done);
-            }
+        // Re-evaluate the configured predicates (a new node holds no
+        // others) against the restored table.
+        let registered = node.engine.registered();
+        let configured: Vec<_> = registered
+            .map(|(_, k, p)| (k.to_owned(), p.clone()))
+            .collect();
+        for (key, pred) in configured {
+            let (rec, out, done) = (&node.recorder, &mut node.updates, &mut node.done);
+            node.engine.register(me, &key, pred, rec, out, done);
         }
         node.emit();
         for stream in (0..node.recv.len() as u16).map(NodeId) {

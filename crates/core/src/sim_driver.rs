@@ -23,7 +23,7 @@ use crate::node::{Action, StabilizerNode};
 use crate::observe::{Event, EventLog};
 use crate::timers::{self, TimerKind};
 use bytes::Bytes;
-use stabilizer_dsl::{AckTypeId, AckTypeRegistry, NodeId, SeqNo};
+use stabilizer_dsl::{AckTypeRegistry, NodeId, SeqNo};
 use stabilizer_netsim::{Actor, Ctx, NetTopology, SimDuration, SimTime, Simulation, TimerId};
 use std::ops::{Deref, DerefMut};
 use std::sync::Arc;
@@ -183,17 +183,6 @@ impl<H: AppHooks> SimNode<H> {
         seq: SeqNo,
     ) -> Result<WaitToken, CoreError> {
         self.call_in(ctx, |node| node.waitfor(stream, key, seq))
-    }
-
-    /// Report application-defined stability inside the simulation.
-    pub fn report_stability_in(
-        &mut self,
-        ctx: &mut Ctx<'_, WireMsg>,
-        stream: NodeId,
-        ty: AckTypeId,
-        seq: SeqNo,
-    ) {
-        self.call_in(ctx, |node| node.report_stability(stream, ty, seq));
     }
 
     fn drain(&mut self, ctx: &mut Ctx<'_, WireMsg>) {

@@ -294,7 +294,7 @@ fn custom_ack_type_gates_frontier() {
     let verified = sim.actor(1).inner().ack_types().lookup("verified").unwrap();
     for i in [1usize, 6] {
         sim.with_ctx(i, |n, ctx| {
-            n.report_stability_in(ctx, NodeId(0), verified, seq)
+            n.call_in(ctx, |n| n.report_stability(NodeId(0), verified, seq))
         });
     }
     sim.run_until_idle();

@@ -5,12 +5,16 @@
 //! one a fresh `Predicate::compile(..).restricted_to(..)` reads off the
 //! same ACK table, a stream with another replica set gets its own
 //! program, and neither `change_predicate` nor the §III-E exclusion
-//! rewrite of one key reaches the keys it shared with. Allocations are
-//! counted per thread, as in `analysis_install.rs`.
+//! rewrite of one key reaches the keys it shared with. Nor is a program
+//! compiled again once registered: a reinstatement and `f*` read the
+//! registered one. Allocations are counted per thread, as in
+//! `analysis_install.rs`.
 
 use bytes::Bytes;
 use stabilizer_core::sim_driver::{build_cluster, SimNode};
-use stabilizer_core::{AckTypeRegistry, ClusterConfig, NodeId, Predicate, StabilizerNode};
+use stabilizer_core::{
+    AckTypeRegistry, ClusterConfig, NodeId, Predicate, StabilizerNode, TimerKind, WireMsg,
+};
 use stabilizer_netsim::{NetTopology, SimDuration, Simulation};
 use std::sync::Arc;
 
@@ -262,5 +266,40 @@ fn a_change_or_an_exclusion_of_one_key_leaves_the_keys_it_shared_with() {
     assert_eq!(
         frontier(node, 1, "Fresh"),
         fresh_frontier(node, NodeId(1), ALL)
+    );
+}
+
+/// Bytes that computing every `f*` at `node` requests.
+fn tolerances_cost(node: &StabilizerNode) -> usize {
+    stabilizer_testalloc::cost(|| node.predicate_tolerances().count()).0
+}
+
+/// n8 is suspected and excluded from the one key at n1, then heard
+/// again: `f*` costs what it cost before the exclusion, and the
+/// reinstatement, which runs the registered program again, costs at
+/// most a quarter of the first registration (a compile costs more).
+#[test]
+fn a_reinstatement_and_the_tolerances_compile_nothing() {
+    const MS: u64 = 1_000_000;
+    let cfg = ec2("option failure_timeout_millis 500\noption auto_exclude_suspects true\n");
+    let mut node = StabilizerNode::new(cfg, NodeId(0), Arc::new(AckTypeRegistry::new())).unwrap();
+    let (first, registered) =
+        stabilizer_testalloc::cost(|| node.register_predicate(NodeId(0), "K", ALL));
+    registered.unwrap();
+    let tolerances = tolerances_cost(&node);
+    for peer in 1..7 {
+        node.on_message(600 * MS, NodeId(peer), WireMsg::Heartbeat);
+    }
+    node.on_timer(TimerKind::Failure, 600 * MS);
+    assert!(node.is_suspected(NodeId(7)));
+    assert_eq!(node.stability_frontier(NodeId(0), "K"), Some((0, 1)));
+    assert_eq!(tolerances_cost(&node), tolerances, "f* of the excluded key");
+    node.take_actions();
+    let (back, ()) =
+        stabilizer_testalloc::cost(|| node.on_message(700 * MS, NodeId(7), WireMsg::Heartbeat));
+    assert_eq!(node.stability_frontier(NodeId(0), "K"), Some((0, 2)));
+    assert!(
+        back * 4 <= first,
+        "the reinstatement {back} B, the first registration {first} B"
     );
 }
