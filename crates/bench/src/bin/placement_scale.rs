@@ -178,7 +178,7 @@ fn replay_hash(seed: u64) {
             )
             .unwrap();
         }
-        for (t, o, s, l) in &a.delivery_log {
+        for (t, o, s, l, _) in &a.delivery_log {
             writeln!(transcript, "{i} D {t:?} {} {s} {l}", o.0).unwrap();
         }
     }

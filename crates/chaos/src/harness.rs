@@ -6,35 +6,36 @@
 //! [`Backend`] supplies the primitives that really differ. The two
 //! instantiations are [`ChaosHarness`](crate::ChaosHarness) (the
 //! deterministic simulator, [`crate::sim_harness`]) and
-//! [`ChaosTcpCluster`](crate::ChaosTcpCluster) (real sockets behind the
-//! fault-injecting proxy, [`crate::tcp_harness`]).
+//! [`ChaosTcpCluster`](crate::ChaosTcpCluster) (the real transport on
+//! the in-memory net, [`crate::tcp_harness`]).
 //!
 //! ## The backend contract
 //!
 //! | | shared ([`Chaos`]) | simulator ([`SimBackend`](crate::SimBackend)) | TCP ([`TcpBackend`](crate::TcpBackend)) |
 //! |---|---|---|---|
 //! | **Plan compile** | `FaultPlan::compile`, before anything is built | — | — |
-//! | **Schedule order** | faults + workload merged by time, faults before work on ties; actions past the horizon are not applied | an action goes before the events of its own instant | an action is due once the wall clock reaches it |
+//! | **Schedule order** | faults + workload merged by time, faults before work on ties; actions past the horizon are not applied | an action goes before the events of its own instant | the same, with every node's clock moved to the action's instant |
 //! | **Layering** | link `a → b` is up iff the partition state wants it AND neither end is down (crashed or not yet joined); clock skew per node | — | — |
-//! | **Reboot order** | new incarnation → re-apply skew → resync checker → journal on → open links → catch-up; restart and join are the same path, with or without a snapshot | actor rebuilt and fast-forwarded, `on_start` runs at "catch-up" | fresh listener, `spawn_node_with`; a restored spawn requests catch-up itself |
-//! | **Checker** | one [`InvariantChecker`] over one consistent cut per check | views straight from the actors | every node locked in index order |
+//! | **Reboot order** | new incarnation → re-apply skew → resync checker → journal on → open links → catch-up; restart and join are the same path, with or without a snapshot | actor rebuilt and fast-forwarded, `on_start` runs at "catch-up" | a fresh endpoint, `spawn_node_on`; a restored spawn requests catch-up itself |
+//! | **Checker** | one [`InvariantChecker`] over one consistent cut per check | views straight from the actors | every node's state locked in index order |
 //! | **Liveness verdict** | `post-fault-liveness`, gap and blame rendering | — | — |
 //! | **Payload fill** | `node + len` (wrapping), so differential runs publish identical bytes | — | — |
-//! | **Network** | — | `Simulation` links | `ProxyNet` |
-//! | **Clock** | — | virtual: advancing = one simulator step | wall: advancing = a 5 ms sleep |
-//! | **Concurrency** | — | none (single-threaded event loop) | runtime threads per node |
-//! | **Crash mechanics** | links cut first, snapshot round-trips the byte format | snapshot the actor; it lives on as a cut-off zombie | epoch-kill → drain → settle → snapshot → shutdown |
-//! | **Trace hashing** | note strings, order and node | appended to the hashed [`EventTrace`](crate::EventTrace) | dropped (a wall-clock run is not bit-reproducible) |
+//! | **Network** | — | `Simulation` links | `MemNet` |
+//! | **Clock** | virtual: advancing = one simulator step | — | — |
+//! | **Crash mechanics** | links cut first, snapshot round-trips the byte format | snapshot the actor; it lives on as a cut-off zombie | snapshot, shut down, kill the connections; the handle lives on as a zombie |
+//! | **Trace hashing** | note strings, order and node, with every upcall, into one hashed [`EventTrace`](crate::EventTrace) | — | — |
 //!
-//! A sim run is fully determined by `(config, topology, workload, plan,
-//! seed)`: faults are applied at exact virtual times interleaved with
-//! the event loop (never "when convenient"), the workload is a sorted
-//! schedule, and all randomness comes from the simulator's seeded RNG.
-//! A TCP run of the same inputs must reach the same **verdict** and
-//! converge to the same final protocol state ([`FinalState`]).
+//! A run is fully determined by `(config, topology, workload, plan,
+//! seed)`, on either backend: faults are applied at exact virtual times
+//! interleaved with the event loop (never "when convenient"), the
+//! workload is a sorted schedule, and all randomness comes from the
+//! simulator's seeded RNG. Runs of the same inputs on the two backends
+//! must reach the same **verdict** and converge to the same final
+//! protocol state ([`FinalState`]).
 
 use crate::invariants::{InvariantChecker, InvariantViolation, NodeView};
 use crate::plan::{FaultPlan, Op, PlanError, TimedOp};
+use crate::trace::{shared_trace, SharedTrace, TraceEvent, TraceEventKind};
 use bytes::Bytes;
 use stabilizer_core::{
     Ack, ClusterConfig, CoreError, EventLog, Snapshot, StabilizerNode, StallReport, WaitToken,
@@ -131,11 +132,26 @@ impl From<CoreError> for ChaosError {
 pub enum Advance {
     /// Nothing ran: the next scheduled action is due and goes first.
     ActionDue,
-    /// Time passed (one simulator step, or one wall-clock pause); the
-    /// cluster may have changed and wants a check.
+    /// Time passed (one simulator step); the cluster may have changed
+    /// and wants a check.
     Stepped,
     /// The deadline is reached with no action due before it.
     Done,
+}
+
+/// Summary of a clean (violation-free) run, on either backend.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RunReport {
+    /// FNV-1a hash of the full event trace — the determinism fingerprint.
+    pub trace_hash: u64,
+    /// Number of trace events.
+    pub trace_events: usize,
+    /// Simulator steps executed.
+    pub steps: u64,
+    /// Messages dropped by cut links / injected loss.
+    pub dropped: u64,
+    /// Virtual time when the run stopped.
+    pub final_time: SimTime,
 }
 
 /// The primitives a runtime supplies to [`Chaos`]. Every method is a
@@ -144,28 +160,16 @@ pub enum Advance {
 /// the harness's business, which is what lets a recording stub pin
 /// those rules without a network.
 ///
-/// Times are [`SimTime`] since the start of the run: virtual on the
-/// simulator, wall-clock nanoseconds on TCP.
+/// Times are [`SimTime`] since the start of the run, virtual on both.
 pub trait Backend {
-    /// Summary of a clean run, as [`Chaos::run`] returns it.
-    type Report;
-
-    /// `run` begins: a wall-clock backend re-zeroes its epoch here.
-    fn start(&mut self) {}
     /// Time since the start of the run (the checker's timestamp).
     fn now(&self) -> SimTime;
     /// Let the cluster run, at most up to `deadline`, without passing
     /// `next_action` (the time of the next scheduled action, when one
     /// falls before the deadline).
     fn advance(&mut self, next_action: Option<SimTime>, deadline: SimTime) -> Advance;
-    /// Summary of the run so far.
-    fn report(&self) -> Self::Report;
-    /// Append a harness note to the run's hashed trace, where there is
-    /// one.
-    fn note(&mut self, _at: SimTime, _node: u16, _what: String) {}
-    /// The publish timestamp on the clock `hub` reads, for a publish
-    /// scheduled at `at`.
-    fn publish_stamp(&self, at: SimTime, hub: &Telemetry) -> u64;
+    /// Frames the network has dropped so far (cut links, injected loss).
+    fn dropped(&self) -> u64;
 
     /// Pass (`true`) or cut (`false`) traffic on the directed link.
     fn set_link_up(&mut self, from: usize, to: usize, up: bool);
@@ -181,9 +185,9 @@ pub trait Backend {
     fn inject(&mut self, from: usize, to: usize, msg: WireMsg);
 
     /// Start every node. Called once, after the links of late joiners
-    /// are cut: a TCP placeholder must never get a frame out. (The
-    /// simulator's actors exist from construction, and nothing runs
-    /// before the first step.)
+    /// are cut: a TCP placeholder's first turn dials, and its connects
+    /// must wait on the cut. (The simulator's actors exist from
+    /// construction, and nothing runs before the first step.)
     ///
     /// # Errors
     ///
@@ -301,6 +305,8 @@ pub struct Chaos<B: Backend> {
     /// active skew — a reboot does not reset a node's broken clock.
     timer_scale: Vec<f64>,
     telemetry: Option<Arc<Telemetry>>,
+    /// Every upcall, fault and workload action of the run, hashed.
+    trace: SharedTrace,
 }
 
 impl<B: Backend> Chaos<B> {
@@ -312,7 +318,7 @@ impl<B: Backend> Chaos<B> {
         plan: &FaultPlan,
         workload: Vec<TimedWork>,
         telemetry: Option<Arc<Telemetry>>,
-        backend: impl FnOnce() -> Result<B, ChaosError>,
+        backend: impl FnOnce(&SharedTrace) -> Result<B, ChaosError>,
     ) -> Result<Self, ChaosError> {
         let n = cfg.num_nodes();
         let ops = plan.compile(n)?;
@@ -332,7 +338,8 @@ impl<B: Backend> Chaos<B> {
             )
             .collect();
         schedule.sort_by_key(|s| s.at); // stable: faults stay before work on ties
-        let mut backend = backend()?;
+        let trace = shared_trace();
+        let mut backend = backend(&trace)?;
         // Late joiners are absent from the first instant: cut their
         // links before any node runs (the placeholder incarnation idles
         // in isolation and is replaced wholesale by the join op). No
@@ -361,7 +368,32 @@ impl<B: Backend> Chaos<B> {
             desired_up: vec![true; n * n],
             timer_scale: vec![1.0; n],
             telemetry,
+            trace,
         })
+    }
+
+    /// The run's hashed trace.
+    pub fn trace(&self) -> &SharedTrace {
+        &self.trace
+    }
+
+    /// Current trace hash (the determinism fingerprint).
+    pub fn trace_hash(&self) -> u64 {
+        self.trace.lock().unwrap_or_else(|e| e.into_inner()).hash()
+    }
+
+    /// Append a harness note to the trace.
+    fn note(&mut self, at: SimTime, node: u16, what: String) {
+        let event = TraceEvent {
+            at_nanos: at.as_nanos(),
+            node,
+            kind: TraceEventKind::Harness { what },
+        };
+        self.trace
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .events
+            .push(event);
     }
 
     /// Reconcile the backend's link `a -> b` with the layered state.
@@ -376,17 +408,16 @@ impl<B: Backend> Chaos<B> {
         }
     }
 
-    /// Run for `horizon` since the start (virtual time on the simulator,
-    /// wall-clock on TCP), applying every scheduled fault and workload
+    /// Run for `horizon` of virtual time since the start, applying every
+    /// scheduled fault and workload
     /// item that falls within it at its time and checking every
     /// invariant after each action and each [`Advance::Stepped`].
     ///
     /// # Errors
     ///
     /// Returns the first [`InvariantViolation`] detected.
-    pub fn run(&mut self, horizon: SimDuration) -> Result<B::Report, InvariantViolation> {
-        self.backend.start();
-        let deadline = SimTime::ZERO + horizon;
+    pub fn run(&mut self, horizon: SimDuration) -> Result<RunReport, InvariantViolation> {
+        let (deadline, mut steps) = (SimTime::ZERO + horizon, 0);
         loop {
             let next_action = self
                 .schedule
@@ -395,7 +426,7 @@ impl<B: Backend> Chaos<B> {
                 .filter(|&t| t <= deadline);
             match self.backend.advance(next_action, deadline) {
                 Advance::ActionDue => self.apply_action(),
-                Advance::Stepped => {}
+                Advance::Stepped => steps += 1,
                 Advance::Done => break,
             }
             self.check_now()?;
@@ -407,7 +438,14 @@ impl<B: Backend> Chaos<B> {
                 });
             }
         }
-        Ok(self.backend.report())
+        let trace = self.trace.lock().unwrap_or_else(|e| e.into_inner());
+        Ok(RunReport {
+            trace_hash: trace.hash(),
+            trace_events: trace.len(),
+            steps,
+            dropped: self.backend.dropped(),
+            final_time: self.backend.now(),
+        })
     }
 
     /// Call after [`Chaos::run`] has executed the whole schedule (every
@@ -416,9 +454,9 @@ impl<B: Backend> Chaos<B> {
     /// message has stabilized: each replica's RECEIVED for every stream
     /// reaches the origin's last published sequence, and each origin's
     /// own frontier under every startup predicate reaches it too. The
-    /// wait is bounded by `bound` past the backend's current clock; on
-    /// the simulator that is *virtual* time, so a stalled cluster fails
-    /// fast and deterministically instead of wall-clock hanging.
+    /// wait is bounded by `bound` past the backend's current clock, in
+    /// *virtual* time, so a stalled cluster fails fast and
+    /// deterministically instead of hanging.
     ///
     /// # Errors
     ///
@@ -553,7 +591,7 @@ impl<B: Backend> Chaos<B> {
                     self.sync_link(a, b);
                 }
                 let state = if up { "up" } else { "down" };
-                self.backend.note(
+                self.note(
                     at,
                     HARNESS_NODE,
                     format!("links {state} ({} pairs)", pairs.len()),
@@ -565,7 +603,7 @@ impl<B: Backend> Chaos<B> {
                 probability,
             } => {
                 self.backend.set_loss(from, to, probability);
-                self.backend.note(
+                self.note(
                     at,
                     from as u16,
                     format!("loss {from}->{to} = {probability}"),
@@ -576,7 +614,7 @@ impl<B: Backend> Chaos<B> {
                 bytes_per_sec,
             } => {
                 self.backend.set_egress(node, bytes_per_sec);
-                self.backend.note(
+                self.note(
                     at,
                     node as u16,
                     format!("egress {node} = {bytes_per_sec} B/s"),
@@ -584,14 +622,12 @@ impl<B: Backend> Chaos<B> {
             }
             Op::SetDelay { from, to, extra } => {
                 self.backend.set_delay(from, to, extra);
-                self.backend
-                    .note(at, from as u16, format!("delay {from}->{to} += {extra}"));
+                self.note(at, from as u16, format!("delay {from}->{to} += {extra}"));
             }
             Op::SetTimerScale { node, scale } => {
                 self.timer_scale[node] = scale;
                 self.backend.set_timer_scale(node, scale);
-                self.backend
-                    .note(at, node as u16, format!("timer scale {node} = {scale}"));
+                self.note(at, node as u16, format!("timer scale {node} = {scale}"));
             }
             Op::SetDupReorder {
                 from,
@@ -600,7 +636,7 @@ impl<B: Backend> Chaos<B> {
                 reorder,
             } => {
                 self.backend.set_dup_reorder(from, to, dup, reorder);
-                self.backend.note(
+                self.note(
                     at,
                     from as u16,
                     format!("dup/reorder {from}->{to} = {dup}/{reorder}"),
@@ -620,8 +656,7 @@ impl<B: Backend> Chaos<B> {
     /// `belief-beyond-truth` invariant must flag.
     fn forge_ack(&mut self, at: SimTime, node: usize, ahead: u64) {
         if self.down[node] {
-            self.backend
-                .note(at, node as u16, "forge_ack skipped (node down)".to_string());
+            self.note(at, node as u16, "forge_ack skipped (node down)".to_string());
             return;
         }
         let me = NodeId(node as u16);
@@ -641,8 +676,7 @@ impl<B: Backend> Chaos<B> {
             self.backend
                 .inject(node, peer, WireMsg::AckBatch(batch.clone()));
         }
-        self.backend
-            .note(at, node as u16, format!("forge_ack {node} ahead {ahead}"));
+        self.note(at, node as u16, format!("forge_ack {node} ahead {ahead}"));
     }
 
     /// Crash: cut the node off, then persist its control plane through
@@ -657,7 +691,7 @@ impl<B: Backend> Chaos<B> {
         let snapshot =
             Snapshot::from_bytes(&snapshot.to_bytes()).expect("snapshot byte format round-trips");
         self.snapshots[node] = Some(snapshot);
-        self.backend.note(at, node as u16, format!("crash {node}"));
+        self.note(at, node as u16, format!("crash {node}"));
     }
 
     /// Restart: a new incarnation rebuilt from the crash snapshot.
@@ -666,8 +700,7 @@ impl<B: Backend> Chaos<B> {
             .take()
             .expect("plan validation guarantees restart follows crash");
         self.boot(node, Some(snapshot));
-        self.backend
-            .note(at, node as u16, format!("restart {node}"));
+        self.note(at, node as u16, format!("restart {node}"));
     }
 
     /// Join: a brand-new, history-less member. It gets the cluster
@@ -675,7 +708,7 @@ impl<B: Backend> Chaos<B> {
     /// and catches up on every live stream through §III-E transfer.
     fn join(&mut self, at: SimTime, node: usize) {
         self.boot(node, None);
-        self.backend.note(at, node as u16, format!("join {node}"));
+        self.note(at, node as u16, format!("join {node}"));
     }
 
     /// The one reboot sequence under restart and join; its order is
@@ -712,8 +745,7 @@ impl<B: Backend> Chaos<B> {
         };
         let who = node as u16;
         if self.down[node] {
-            self.backend
-                .note(at, who, format!("skipped (node down): {item:?}"));
+            self.note(at, who, format!("skipped (node down): {item:?}"));
             return;
         }
         match item {
@@ -724,15 +756,13 @@ impl<B: Backend> Chaos<B> {
                 match self.backend.publish(node, Bytes::from(vec![fill; len])) {
                     Ok(seq) => {
                         if let Some(t) = &self.telemetry {
-                            let stamp = self.backend.publish_stamp(at, t);
-                            t.note_publish(stamp, NodeId(who), seq, len);
+                            t.note_publish(at.as_nanos(), NodeId(who), seq, len);
                         }
-                        self.backend
-                            .note(at, who, format!("publish seq {seq} ({len} B)"));
+                        self.note(at, who, format!("publish seq {seq} ({len} B)"));
                     }
                     // Backpressure (buffer full under a partition) is a
                     // legitimate outcome, not a failure.
-                    Err(e) => self.backend.note(at, who, format!("publish refused: {e}")),
+                    Err(e) => self.note(at, who, format!("publish refused: {e}")),
                 }
             }
             WorkItem::ChangePredicate {
@@ -748,7 +778,7 @@ impl<B: Backend> Chaos<B> {
                     Ok(()) => format!("change_predicate stream {stream} key {key} to {source}"),
                     Err(e) => format!("change_predicate refused: {e}"),
                 };
-                self.backend.note(at, who, what);
+                self.note(at, who, what);
             }
             WorkItem::WaitFor {
                 node,
@@ -763,7 +793,7 @@ impl<B: Backend> Chaos<B> {
                     }
                     Err(e) => format!("waitfor refused: {e}"),
                 };
-                self.backend.note(at, who, what);
+                self.note(at, who, what);
             }
         }
     }
@@ -792,7 +822,7 @@ impl<B: Backend> Chaos<B> {
         self.backend.with_node(node, |_, log| {
             log.delivery_log
                 .iter()
-                .map(|&(_, origin, seq, _)| (origin.0, seq))
+                .map(|&(_, origin, seq, ..)| (origin.0, seq))
                 .collect()
         })
     }
@@ -879,8 +909,6 @@ mod tests {
     }
 
     impl Backend for Recording {
-        type Report = ();
-
         fn now(&self) -> SimTime {
             self.now
         }
@@ -891,9 +919,8 @@ mod tests {
                 None => Advance::Done,
             }
         }
-        fn report(&self) {}
-        fn publish_stamp(&self, at: SimTime, _hub: &Telemetry) -> u64 {
-            at.as_nanos()
+        fn dropped(&self) -> u64 {
+            0
         }
 
         fn set_link_up(&mut self, from: usize, to: usize, up: bool) {
@@ -1044,7 +1071,7 @@ mod tests {
             publish(65, 1),
             publish(90, 2),
         ];
-        let mut chaos = Chaos::assemble(&cfg, &plan, workload, None, || {
+        let mut chaos = Chaos::assemble(&cfg, &plan, workload, None, |_| {
             let acks = Arc::new(AckTypeRegistry::new());
             let nodes = (0..3)
                 .map(|i| StabilizerNode::new(cfg.clone(), NodeId(i), Arc::clone(&acks)).unwrap())

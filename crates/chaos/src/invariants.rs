@@ -29,6 +29,10 @@
 //!    prefix/FIFO and belief checks are automatically scoped to the
 //!    replica set because any out-of-set activity already trips this
 //!    invariant.
+//! 8. **Payload identity** — one `(origin, seq)` names one payload
+//!    (its length and hash in the delivery log) wherever and in
+//!    whichever incarnation it is delivered: a restored origin never
+//!    reuses a sequence number a replica already holds.
 
 use stabilizer_core::sim_driver::{AppHooks, SimNode};
 use stabilizer_core::{DirtyCell, EventLog, FrontierUpdate, PlacementMap, StabilizerNode};
@@ -50,8 +54,8 @@ pub struct NodeView<'a> {
     pub node: &'a StabilizerNode,
     /// Timestamped frontier log.
     pub frontier_log: &'a [(SimTime, FrontierUpdate)],
-    /// Timestamped delivery log.
-    pub delivery_log: &'a [(SimTime, NodeId, SeqNo, usize)],
+    /// Timestamped delivery log: `(time, origin, seq, length, hash)`.
+    pub delivery_log: &'a [(SimTime, NodeId, SeqNo, usize, u64)],
     /// Suspicion log.
     pub suspected_log: &'a [(SimTime, NodeId)],
     /// Recovery log.
@@ -159,6 +163,9 @@ pub struct InvariantChecker {
     /// All-time high-water mark of deliveries per `(node, origin)`
     /// (survives restarts; bounds the DELIVERED self-cell).
     delivered_high: HashMap<(u16, u16), SeqNo>,
+    /// The `(length, hash)` of the payload each `(origin, seq)` was
+    /// first delivered with, anywhere, in any incarnation.
+    payloads: HashMap<(u16, SeqNo), (usize, u64)>,
     /// Per-node cursors into the suspicion/recovery logs.
     suspected_cursor: Vec<usize>,
     recovered_cursor: Vec<usize>,
@@ -191,6 +198,7 @@ impl InvariantChecker {
             catchup_cursor: vec![0; n],
             last_delivered: HashMap::new(),
             delivered_high: HashMap::new(),
+            payloads: HashMap::new(),
             suspected_cursor: vec![0; n],
             recovered_cursor: vec![0; n],
             suspects: vec![vec![false; n]; n],
@@ -348,8 +356,21 @@ impl InvariantChecker {
                     *high = (*high).max(seq);
                     continue;
                 }
-                let (at, origin, seq, _len) = log[d];
+                let (at, origin, seq, len, hash) = log[d];
                 d += 1;
+                let first = *self.payloads.entry((origin.0, seq)).or_insert((len, hash));
+                if first != (len, hash) {
+                    return Err(InvariantViolation {
+                        at: now,
+                        node: i as u16,
+                        property: "payload-identity",
+                        detail: format!(
+                            "delivered ({origin:?}, {seq}) at {at:?} as {len} bytes hashing \
+                             {hash:016x}, where it was delivered as {} bytes hashing {:016x}",
+                            first.0, first.1
+                        ),
+                    });
+                }
                 if let Some(p) = &self.placement {
                     if !p.is_replica(origin, NodeId(i as u16)) {
                         return Err(InvariantViolation {
@@ -756,7 +777,7 @@ mod tests {
     fn delivery_gap_is_caught() {
         let nodes = two_nodes();
         let mut checker = InvariantChecker::new(2, 3);
-        let gap_log = [(SimTime::ZERO, NodeId(1), 2u64, 0usize)]; // seq 1 missing
+        let gap_log = [(SimTime::ZERO, NodeId(1), 2u64, 0usize, 0u64)]; // seq 1 missing
         let views = vec![
             NodeView {
                 delivery_log: &gap_log,
@@ -769,13 +790,56 @@ mod tests {
         assert_eq!(err.property, "delivery-prefix");
     }
 
+    /// A restored origin that reused a sequence number: node 0 delivered
+    /// `(1, 1)` as one payload, node 1 delivers it as another. Two checks
+    /// apart, as across a crash and a restore.
+    #[test]
+    fn one_origin_seq_delivered_as_two_payloads_is_caught() {
+        let nodes = two_nodes();
+        let mut checker = InvariantChecker::new(2, 3);
+        let first = [(SimTime(1), NodeId(1), 1u64, 1usize, 0xa)];
+        let views = vec![
+            NodeView {
+                delivery_log: &first,
+                records_deliveries: true,
+                ..view(&nodes[0])
+            },
+            view(&nodes[1]),
+        ];
+        checker.check(SimTime(1), &views).unwrap();
+        let views = vec![
+            NodeView {
+                delivery_log: &first,
+                records_deliveries: true,
+                ..view(&nodes[0])
+            },
+            view(&nodes[1]),
+        ];
+        checker.check(SimTime(2), &views).unwrap();
+        let reused = [(SimTime(3), NodeId(1), 1u64, 3usize, 0xb)];
+        let views = vec![
+            NodeView {
+                delivery_log: &first,
+                records_deliveries: true,
+                ..view(&nodes[0])
+            },
+            NodeView {
+                delivery_log: &reused,
+                records_deliveries: true,
+                ..view(&nodes[1])
+            },
+        ];
+        let err = checker.check(SimTime(3), &views).unwrap_err();
+        assert_eq!(err.property, "payload-identity");
+    }
+
     #[test]
     fn catch_up_bridges_the_delivery_prefix() {
         // A §III-E fast-forward to seq 5 at t=10 makes the next in-band
         // delivery seq 6 legal even though seqs 1..=5 were never
         // up-called; without the catch-up the same log is a violation.
         let nodes = two_nodes();
-        let delivery = [(SimTime(20), NodeId(1), 6u64, 0usize)];
+        let delivery = [(SimTime(20), NodeId(1), 6u64, 0usize, 0u64)];
         let catchup = [(SimTime(10), NodeId(1), 5u64)];
         let mut checker = InvariantChecker::new(2, 3);
         let views = vec![
@@ -851,7 +915,7 @@ mod tests {
         // The merge is timestamp-ordered: a fast-forward at t=30 cannot
         // retroactively legalize a gapped delivery at t=20.
         let nodes = two_nodes();
-        let delivery = [(SimTime(20), NodeId(1), 6u64, 0usize)];
+        let delivery = [(SimTime(20), NodeId(1), 6u64, 0usize, 0u64)];
         let catchup = [(SimTime(30), NodeId(1), 5u64)];
         let mut checker = InvariantChecker::new(2, 3);
         let views = vec![
@@ -981,7 +1045,7 @@ mod tests {
             .map(|i| StabilizerNode::new(cfg.clone(), NodeId(i), Arc::clone(&acks)).unwrap())
             .collect();
         let placement = cfg.placement().clone();
-        let rogue_log = [(SimTime::ZERO, NodeId(0), 1u64, 0usize)];
+        let rogue_log = [(SimTime::ZERO, NodeId(0), 1u64, 0usize, 0u64)];
         let mut checker = InvariantChecker::new(4, 3).with_placement(placement.clone());
         let views = vec![
             view(&nodes[0]),

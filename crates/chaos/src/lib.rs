@@ -18,18 +18,20 @@
 //!   still-failing core.
 //!
 //! The same fault plans and invariant checker also run against the
-//! *real* threaded TCP transport, closing the gap between simulated and
-//! real-socket executions. There is one harness, [`Chaos<B>`](Chaos),
-//! over a small [`Backend`] trait with two implementations:
+//! *real* TCP transport — its unmodified link layer and runtime, on an
+//! in-memory net ([`mem_net`]) — closing the gap between the simulated
+//! protocol and the code that runs on sockets. There is one harness,
+//! [`Chaos<B>`](Chaos), over a small [`Backend`] trait with two
+//! implementations:
 //!
 //! | | [`ChaosHarness`] = `Chaos<SimBackend>` | [`ChaosTcpCluster`] = `Chaos<TcpBackend>` |
 //! |---|---|---|
-//! | **Same** ([`harness`]) | plan compile, schedule order (faults before work on ties), link/down/skew layering, the one reboot sequence under restart and join, the checker, the `post-fault-liveness` verdict with its blame, the payload fill, the query surface ([`FinalState`]) | ← |
-//! | **Network** | [`stabilizer_netsim::Simulation`] links | [`tcp_proxy`]: every connection through a fault-injecting proxy |
-//! | **Clock** | virtual, one event per step | wall, swept every 5 ms |
-//! | **Concurrency** | none | runtime threads; checks cut across them by locking in index order |
-//! | **Crash mechanics** | snapshot the actor, leave a cut-off zombie | epoch-kill → drain → settle → snapshot → shutdown ([`tcp_harness`]) |
-//! | **Trace hashing** | every upcall and harness action into one hashed [`EventTrace`] | none: same verdict and converged state, not same bytes |
+//! | **Same** ([`harness`]) | plan compile, schedule order (faults before work on ties), link/down/skew layering, the one reboot sequence under restart and join, the checker, the `post-fault-liveness` verdict with its blame, the payload fill, the query surface ([`FinalState`]), the hashed [`EventTrace`] | ← |
+//! | **Network** | [`stabilizer_netsim::Simulation`] links carry `WireMsg`s | [`MemNet`]: framed bytes of the transport's connections, one `netsim` message per frame |
+//! | **Clock** | virtual, one event per step | virtual, one event per step; every node's loop reads the simulator's clock |
+//! | **Concurrency** | none | none: each node's I/O loop is turned by its `netsim` actor |
+//! | **Crash mechanics** | snapshot the actor, leave a cut-off zombie | snapshot, shut down, kill its connections ([`tcp_harness`]) |
+//! | **Trace** | every upcall and harness action, one hash per seed | the same: a seed replays to the same hash |
 //!
 //! The full contract — which rule is written where — is the table in
 //! [`harness`].
@@ -40,20 +42,22 @@
 
 pub mod harness;
 pub mod invariants;
+pub mod mem_net;
 pub mod minimize;
 pub mod plan;
 pub mod scenario;
 pub mod sim_harness;
 pub mod tcp_harness;
-pub mod tcp_proxy;
 pub mod trace;
 
-pub use harness::{Advance, Backend, Chaos, ChaosError, FinalState, TimedWork, WorkItem};
+pub use harness::{
+    Advance, Backend, Chaos, ChaosError, FinalState, RunReport, TimedWork, WorkItem,
+};
 pub use invariants::{ChaosObservable, InvariantChecker, InvariantViolation, NodeView};
+pub use mem_net::MemNet;
 pub use minimize::minimize_plan;
 pub use plan::{Fault, FaultEvent, FaultPlan, Op, PlanError, TimedOp};
 pub use scenario::{ChaosFailure, Scenario, TopologyKind};
-pub use sim_harness::{ChaosHarness, RunReport, SimBackend};
-pub use tcp_harness::{ChaosTcpCluster, TcpBackend, TcpRunReport};
-pub use tcp_proxy::ProxyNet;
+pub use sim_harness::{ChaosHarness, SimBackend};
+pub use tcp_harness::{ChaosTcpCluster, TcpBackend};
 pub use trace::{shared_trace, ChaosObserver, EventTrace, SharedTrace, TraceEvent, TraceEventKind};

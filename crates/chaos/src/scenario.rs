@@ -7,10 +7,11 @@
 //! the same event trace. A failing seed is therefore a complete bug
 //! report: [`ChaosFailure`] prints the one-line replay command.
 
+use crate::harness::RunReport;
 use crate::harness::{TimedWork, WorkItem};
 use crate::invariants::InvariantViolation;
 use crate::plan::{Fault, FaultEvent, FaultPlan};
-use crate::sim_harness::{ChaosHarness, RunReport};
+use crate::sim_harness::ChaosHarness;
 use rand::prelude::*;
 use stabilizer_core::ClusterConfig;
 use stabilizer_netsim::{NetTopology, SimDuration};

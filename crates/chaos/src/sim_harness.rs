@@ -8,7 +8,7 @@
 use crate::harness::{Advance, Backend, Chaos, ChaosError, TimedWork};
 use crate::invariants::NodeView;
 use crate::plan::FaultPlan;
-use crate::trace::{shared_trace, ChaosObserver, SharedTrace, TraceEvent, TraceEventKind};
+use crate::trace::{ChaosObserver, SharedTrace};
 use bytes::Bytes;
 use stabilizer_core::sim_driver::{build_actors, SimNode};
 use stabilizer_core::{
@@ -19,27 +19,11 @@ use stabilizer_netsim::{Actor, NetTopology, SimDuration, SimTime, Simulation};
 use stabilizer_telemetry::Telemetry;
 use std::sync::Arc;
 
-/// Summary of a clean (violation-free) simulated run.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RunReport {
-    /// FNV-1a hash of the full event trace — the determinism fingerprint.
-    pub trace_hash: u64,
-    /// Number of trace events.
-    pub trace_events: usize,
-    /// Simulator steps executed.
-    pub steps: u64,
-    /// Messages dropped by cut links / injected loss.
-    pub dropped: u64,
-    /// Virtual time when the run stopped.
-    pub final_time: SimTime,
-}
-
 /// The simulated cluster under a [`ChaosHarness`].
 pub struct SimBackend {
     sim: Simulation<SimNode<ChaosObserver>>,
     cfg: ClusterConfig,
     trace: SharedTrace,
-    steps: u64,
     telemetry: Option<Arc<Telemetry>>,
 }
 
@@ -84,8 +68,8 @@ impl ChaosHarness {
         workload: Vec<TimedWork>,
         telemetry: Option<Arc<Telemetry>>,
     ) -> Result<Self, ChaosError> {
-        Chaos::assemble(cfg, plan, workload, telemetry.clone(), || {
-            let trace = shared_trace();
+        Chaos::assemble(cfg, plan, workload, telemetry.clone(), |trace| {
+            let trace = trace.clone();
             // The checker reads every node's log beside the trace, so
             // each node keeps one (`SimNode::new`, as on a reboot).
             let sim = build_actors(cfg, net, seed, |me, acks| {
@@ -107,7 +91,6 @@ impl ChaosHarness {
                 sim,
                 cfg: cfg.clone(),
                 trace,
-                steps: 0,
                 telemetry,
             })
         })
@@ -116,16 +99,6 @@ impl ChaosHarness {
     /// The underlying simulation (for post-run assertions).
     pub fn sim(&self) -> &Simulation<SimNode<ChaosObserver>> {
         &self.backend.sim
-    }
-
-    /// The shared event trace.
-    pub fn trace(&self) -> &SharedTrace {
-        &self.backend.trace
-    }
-
-    /// Current trace hash (the determinism fingerprint).
-    pub fn trace_hash(&self) -> u64 {
-        self.backend.trace.borrow().hash()
     }
 }
 
@@ -137,8 +110,6 @@ fn observer(node: usize, trace: &SharedTrace, telemetry: Option<&Arc<Telemetry>>
 }
 
 impl Backend for SimBackend {
-    type Report = RunReport;
-
     fn now(&self) -> SimTime {
         self.sim.now()
     }
@@ -151,7 +122,6 @@ impl Backend for SimBackend {
             (Some(ta), te) if te.is_none_or(|te| ta <= te) => Advance::ActionDue,
             (_, Some(_)) => {
                 self.sim.step();
-                self.steps += 1;
                 Advance::Stepped
             }
             // `(Some(_), None)` is consumed by the first arm; the
@@ -160,27 +130,8 @@ impl Backend for SimBackend {
         }
     }
 
-    fn report(&self) -> RunReport {
-        let trace = self.trace.borrow();
-        RunReport {
-            trace_hash: trace.hash(),
-            trace_events: trace.len(),
-            steps: self.steps,
-            dropped: self.sim.dropped(),
-            final_time: self.sim.now(),
-        }
-    }
-
-    fn note(&mut self, at: SimTime, node: u16, what: String) {
-        self.trace.borrow_mut().events.push(TraceEvent {
-            at_nanos: at.as_nanos(),
-            node,
-            kind: TraceEventKind::Harness { what },
-        });
-    }
-
-    fn publish_stamp(&self, at: SimTime, _hub: &Telemetry) -> u64 {
-        at.as_nanos()
+    fn dropped(&self) -> u64 {
+        self.sim.dropped()
     }
 
     fn set_link_up(&mut self, from: usize, to: usize, up: bool) {

@@ -1,51 +1,33 @@
-//! The TCP chaos harness: runs a real threaded-transport cluster behind
-//! the fault-injecting proxy ([`crate::tcp_proxy`]), drives the same
-//! declarative [`FaultPlan`] and workload vocabulary as the simulator
-//! harness, and checks the same invariants — over real sockets, real
-//! threads, and wall-clock time.
+//! The TCP chaos harness: runs a cluster of the real transport — the
+//! unmodified link layer and runtime of `stabilizer_transport`, each
+//! node spawned with `spawn_node_on` — on the in-memory net
+//! ([`crate::mem_net`]) in virtual time, drives the same declarative
+//! [`FaultPlan`] and workload vocabulary as the simulator harness, and
+//! checks the same invariants.
 //!
 //! The division of labor with [`ChaosHarness`](crate::ChaosHarness):
-//! the simulator explores schedules deterministically; this harness
-//! validates that the *transport* (framing, reconnect repair,
-//! thread/lock discipline) upholds the same safety properties under the
-//! same faults. A wall-clock run is not bit-reproducible, but the same
-//! `(plan, workload, seed)` must always produce the same **verdict** and
-//! converge to the same final protocol state — the replay tests pin
-//! that. Everything the two share is written once in [`crate::harness`]
-//! (the table there); this module is [`TcpBackend`], the part that is
-//! sockets and threads.
+//! the simulator backend runs the protocol core over simulated
+//! messages; this one runs the *transport* as well — framing, the I/O
+//! loop, reconnect backoff and repair, the ACK-tail merge, the
+//! runtime's lock and upcall discipline — under the same faults. Both
+//! are single-threaded and seeded, so a run is fully determined by
+//! `(config, plan, workload, seed)` and hashes to one
+//! [`EventTrace`](crate::EventTrace). Everything the two share is written once in
+//! [`crate::harness`] (the table there); this module is [`TcpBackend`].
 //!
-//! ## Consistent cuts over threads
-//!
-//! The checker needs a simultaneous view of all nodes. [`check_now`]
-//! locks every node's state machine in index order (safe: each runtime
-//! thread only ever takes its own node's lock), then reads each node's
-//! observer log. Observers run *under* the node lock (the contract in
-//! [`stabilizer_core::observe`]), so each per-node view is internally
-//! consistent; across nodes, freezing believers before (or
-//! after) truth-holders is safe either way because acknowledgments only
-//! flow forward from the acking node.
-//!
-//! ## Crash ordering
-//!
-//! A TCP crash is a sequence, and its order is what preserves
-//! belief ≤ truth: **cut** the node's links (the harness takes them
-//! down, then [`Backend::crash`] epoch-kills every proxied connection),
-//! **drain** (wait for the old conn threads to exit, so nothing more
-//! escapes), **snapshot** the control plane (now a superset of
-//! everything that escaped), then **shut down** the runtime.
-//! The dead incarnation's handle is kept as a "zombie" so the checker
-//! can keep viewing its frozen state while the node is down. Restart
-//! kills the links a second time — discarding any held frames the
-//! zombie wrote between snapshot and shutdown — before pointing the
-//! proxy at the restarted node's fresh listener.
-//!
-//! [`check_now`]: Chaos::check_now
+//! A crash is a snapshot, then a kill: the harness has already cut the
+//! node's links, so everything the node wrote is either in flight —
+//! sent before the snapshot, and covered by it — or held on a cut link,
+//! and the kill ([`MemNet::kill_links_of`]) discards the held frames and
+//! closes the node's connections at both ends. The dead incarnation's
+//! handle is kept as a "zombie", so the checker can keep viewing its
+//! frozen state while the node is down.
 
 use crate::harness::{Advance, Backend, Chaos, ChaosError, TimedWork};
 use crate::invariants::NodeView;
+use crate::mem_net::MemNet;
 use crate::plan::FaultPlan;
-use crate::tcp_proxy::ProxyNet;
+use crate::trace::{ChaosObserver, SharedTrace};
 use bytes::Bytes;
 use stabilizer_core::{
     AckTypeRegistry, ClusterConfig, CoreError, EventLog, NodeId, ObserverChain, SharedEventLog,
@@ -54,77 +36,41 @@ use stabilizer_core::{
 use stabilizer_dsl::SeqNo;
 use stabilizer_netsim::{SimDuration, SimTime};
 use stabilizer_telemetry::Telemetry;
-use stabilizer_transport::{spawn_node_with, NodeHandle, SpawnOptions};
-use std::net::TcpListener;
+use stabilizer_transport::{spawn_node_on, NodeHandle, SpawnOptions};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-/// How long one [`Backend::advance`] lets the cluster run: the cadence
-/// of invariant sweeps between scheduled events.
-const CHECK_EVERY: Duration = Duration::from_millis(5);
-
-/// Bound on the crash-time connection drain (exceeding it is a harness
-/// bug, not a protocol violation — conn threads poll every few ms).
-const DRAIN_TIMEOUT: Duration = Duration::from_secs(2);
-
-/// Post-cut settle time letting the zombie's readers finish frames that
-/// were already forwarded, so the snapshot covers them.
-const SETTLE: Duration = Duration::from_millis(50);
-
-/// How long a publish waits out backpressure before it is refused.
-const PUBLISH_TIMEOUT: Duration = Duration::from_millis(20);
-
-/// Summary of a clean TCP chaos run.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TcpRunReport {
-    /// Invariant sweeps performed.
-    pub checks: u64,
-    /// Frames dropped by injected loss.
-    pub dropped: u64,
-    /// Wall-clock duration of the run, nanoseconds.
-    pub elapsed_nanos: u64,
-}
-
-/// An N-node threaded-transport cluster behind fault-injecting proxies,
-/// under a [`ChaosTcpCluster`].
+/// An N-node cluster of the real transport on the in-memory net, under
+/// a [`ChaosTcpCluster`].
 pub struct TcpBackend {
     cfg: ClusterConfig,
     seed: u64,
-    proxy: ProxyNet,
+    net: MemNet,
     acks: Arc<AckTypeRegistry>,
-    /// Bound at construction so every proxy destination is registered
-    /// before any node spawns; taken by [`Backend::launch`].
-    listeners: Vec<TcpListener>,
     /// The current incarnation of each node (a frozen zombie while it
     /// is crashed), and the log its observer writes.
     nodes: Vec<NodeHandle>,
     logs: Vec<SharedEventLog>,
+    trace: SharedTrace,
     boots: u64,
-    checks: u64,
-    started: Instant,
     telemetry: Option<Arc<Telemetry>>,
     /// Address node 0's runtime serves live telemetry on (re-applied
     /// when node 0 restarts or joins).
     serve: Option<String>,
 }
 
-/// The chaos harness over real sockets. Build with
+/// The chaos harness over the real transport. Build with
 /// [`ChaosTcpCluster::new`], run with [`Chaos::run`], then optionally
 /// [`Chaos::verify_liveness`].
 pub type ChaosTcpCluster = Chaos<TcpBackend>;
 
-fn setup_error(what: &str, e: std::io::Error) -> ChaosError {
-    ChaosError::Core(CoreError::Config(format!("{what}: {e}")))
-}
-
 impl ChaosTcpCluster {
-    /// Boot the cluster behind proxies and merge the compiled plan with
-    /// the workload into one wall-clock schedule.
+    /// Boot the cluster on the in-memory net and merge the compiled plan
+    /// with the workload into one schedule.
     ///
     /// # Errors
     ///
-    /// Fails on an invalid plan, a predicate that does not compile, or a
-    /// socket setup error.
+    /// Fails on an invalid plan or a predicate that does not compile.
     pub fn new(
         cfg: &ClusterConfig,
         seed: u64,
@@ -138,8 +84,8 @@ impl ChaosTcpCluster {
     /// node gets transport counters plus a
     /// [`MetricsObserver`](stabilizer_telemetry::MetricsObserver) chained
     /// after the invariant log, and publishes are stamped for the
-    /// latency histograms. Use a hub built with
-    /// [`Telemetry::new_wall_clock`] so all nodes share one epoch.
+    /// latency histograms. Use a hub built with [`Telemetry::new_sim`]:
+    /// every timestamp is virtual.
     ///
     /// # Errors
     ///
@@ -191,26 +137,17 @@ impl ChaosTcpCluster {
         telemetry: Option<Arc<Telemetry>>,
         serve: Option<String>,
     ) -> Result<Self, ChaosError> {
-        Chaos::assemble(cfg, plan, workload, telemetry.clone(), || {
+        Chaos::assemble(cfg, plan, workload, telemetry.clone(), |trace| {
             let n = cfg.num_nodes();
-            let proxy = ProxyNet::new(n, seed).map_err(|e| setup_error("proxy", e))?;
-            let mut listeners = Vec::with_capacity(n);
-            for i in 0..n {
-                let l = TcpListener::bind("127.0.0.1:0").map_err(|e| setup_error("bind", e))?;
-                proxy.set_dest(i, l.local_addr().map_err(|e| setup_error("addr", e))?);
-                listeners.push(l);
-            }
             Ok(TcpBackend {
                 cfg: cfg.clone(),
                 seed,
-                proxy,
+                net: MemNet::new(n, seed),
                 acks: Arc::new(AckTypeRegistry::new()),
-                listeners,
                 nodes: Vec::with_capacity(n),
                 logs: Vec::with_capacity(n),
+                trace: trace.clone(),
                 boots: 0,
-                checks: 0,
-                started: Instant::now(),
                 telemetry,
                 serve,
             })
@@ -228,38 +165,33 @@ impl ChaosTcpCluster {
         self.backend.nodes[0].serve_addr()
     }
 
-    /// Stop every node runtime and the proxy mesh.
+    /// Stop every node runtime (and node 0's telemetry endpoint).
     pub fn shutdown(&self) {
         self.backend.shutdown();
     }
 }
 
 impl TcpBackend {
-    /// Spawn an incarnation of `node` on `listener`, observed by a fresh
-    /// log (the invariant checker's) chained before the hub's metrics
-    /// observer when one is attached.
+    /// Spawn an incarnation of `node` on a fresh endpoint, observed by a
+    /// fresh log (the invariant checker's), then the hashed trace and the
+    /// hub's metrics observer when one is attached; its loop runs on the
+    /// net from here on.
     fn spawn(
-        &self,
+        &mut self,
         node: usize,
-        listener: TcpListener,
         snapshot: Option<Snapshot>,
     ) -> Result<(NodeHandle, SharedEventLog), CoreError> {
         let me = NodeId(node as u16);
         let log = SharedEventLog::default();
-        let mut observer = ObserverChain(vec![Box::new(log.clone())]);
-        if let Some(t) = &self.telemetry {
-            observer.0.push(Box::new(t.observer(me)));
-        }
-        let peer_addrs = (0..self.cfg.num_nodes())
-            .filter(|j| *j != node)
-            .map(|j| (NodeId(j as u16), self.proxy.proxy_addr(node, j)))
-            .collect();
-        let spawned = spawn_node_with(
+        let metrics = self.telemetry.as_ref().map(|t| t.observer(me));
+        let trace = ChaosObserver::new(me.0, self.trace.clone()).with_metrics(metrics);
+        let observer = ObserverChain(vec![Box::new(log.clone()), Box::new(trace)]);
+        let endpoint = self.net.endpoint(node);
+        let (spawned, io) = spawn_node_on(
             self.cfg.clone(),
             me,
             Arc::clone(&self.acks),
-            listener,
-            peer_addrs,
+            endpoint,
             SpawnOptions {
                 observer: Some(Box::new(observer)),
                 snapshot,
@@ -268,6 +200,7 @@ impl TcpBackend {
                 serve_addr: if node == 0 { self.serve.clone() } else { None },
             },
         )?;
+        self.net.attach(node, io);
         Ok((spawned.handle(), log))
     }
 
@@ -275,7 +208,15 @@ impl TcpBackend {
         for h in &self.nodes {
             h.shutdown();
         }
-        self.proxy.shutdown();
+    }
+
+    /// Call into `node` from outside the event loop, on the simulator's
+    /// clock, then turn its loop for what the call queued.
+    fn call<R>(&mut self, node: usize, f: impl FnOnce(&NodeHandle) -> R) -> R {
+        self.net.sync_clock(self.net.sim.now());
+        let r = f(&self.nodes[node]);
+        self.net.pump(node);
+        r
     }
 }
 
@@ -286,67 +227,59 @@ impl Drop for TcpBackend {
 }
 
 impl Backend for TcpBackend {
-    type Report = TcpRunReport;
-
-    fn start(&mut self) {
-        self.started = Instant::now();
-    }
-
     fn now(&self) -> SimTime {
-        SimTime(self.started.elapsed().as_nanos() as u64)
+        self.net.sim.now()
     }
 
     fn advance(&mut self, next_action: Option<SimTime>, deadline: SimTime) -> Advance {
-        let now = self.now();
-        if next_action.is_some_and(|at| at <= now) {
-            Advance::ActionDue
-        } else if now >= deadline {
-            Advance::Done
-        } else {
-            std::thread::sleep(CHECK_EVERY);
-            Advance::Stepped
+        let next_event = self.net.sim.next_event_time().filter(|&t| t <= deadline);
+        match (next_action, next_event) {
+            // Ties go to the scheduled action, as on the simulator; it
+            // runs at its own instant, on every node's clock.
+            (Some(ta), te) if te.is_none_or(|te| ta <= te) => {
+                self.net.sync_clock(ta);
+                Advance::ActionDue
+            }
+            (_, Some(_)) => {
+                self.net.sim.step();
+                Advance::Stepped
+            }
+            _ => Advance::Done,
         }
     }
 
-    fn report(&self) -> TcpRunReport {
-        TcpRunReport {
-            checks: self.checks,
-            dropped: self.proxy.dropped(),
-            elapsed_nanos: self.now().as_nanos(),
-        }
-    }
-
-    fn publish_stamp(&self, _at: SimTime, hub: &Telemetry) -> u64 {
-        hub.now_nanos()
+    fn dropped(&self) -> u64 {
+        self.net.dropped()
     }
 
     fn set_link_up(&mut self, from: usize, to: usize, up: bool) {
-        self.proxy.set_link_up(from, to, up);
+        self.net.set_link_up(from, to, up);
     }
 
     fn set_loss(&mut self, from: usize, to: usize, probability: f64) {
-        self.proxy.set_loss(from, to, probability);
+        self.net.faults(from, to).loss = probability;
     }
 
     fn set_egress(&mut self, node: usize, bytes_per_sec: f64) {
-        self.proxy.set_rate(node, bytes_per_sec);
+        self.net.sim.set_egress_limit(node, bytes_per_sec);
     }
 
     fn set_delay(&mut self, from: usize, to: usize, extra: SimDuration) {
-        self.proxy.set_delay(from, to, extra.as_nanos());
+        self.net.sim.set_link_extra_delay(from, to, extra);
     }
 
     fn set_dup_reorder(&mut self, from: usize, to: usize, dup: f64, reorder: f64) {
-        self.proxy.set_dup_reorder(from, to, dup, reorder);
+        let link = self.net.faults(from, to);
+        (link.dup, link.reorder) = (dup, reorder);
     }
 
     fn inject(&mut self, from: usize, to: usize, msg: WireMsg) {
-        self.nodes[to].inject_message(NodeId(from as u16), msg);
+        self.call(to, |h| h.inject_message(NodeId(from as u16), msg));
     }
 
     fn launch(&mut self) -> Result<(), ChaosError> {
-        for (i, listener) in std::mem::take(&mut self.listeners).into_iter().enumerate() {
-            let (handle, log) = self.spawn(i, listener, None)?;
+        for i in 0..self.cfg.num_nodes() {
+            let (handle, log) = self.spawn(i, None)?;
             self.nodes.push(handle);
             self.logs.push(log);
         }
@@ -354,37 +287,26 @@ impl Backend for TcpBackend {
     }
 
     fn set_timer_scale(&mut self, node: usize, scale: f64) {
-        self.nodes[node].set_timer_scale(scale);
+        self.call(node, |h| h.set_timer_scale(scale));
     }
 
-    /// Epoch-kill, drain, settle, snapshot, shut down — in that order
-    /// (see module docs for why the order is load-bearing).
+    /// Snapshot, shut down, kill — in that order (see the module docs).
     fn crash(&mut self, node: usize) -> Snapshot {
-        self.proxy.kill_links_of(node);
-        self.proxy.drain_links_of(node, DRAIN_TIMEOUT);
-        std::thread::sleep(SETTLE);
         let snapshot = self.nodes[node].snapshot();
         self.nodes[node].shutdown();
+        self.net.kill_links_of(node);
         snapshot
     }
 
-    /// A new incarnation on a fresh listener, the proxy repointed so
-    /// peers reconnect transparently. A joiner's boot-era placeholder is
-    /// discarded here (a joining node has no history); a crashed node's
-    /// zombie is already shut down.
+    /// A new incarnation on a fresh endpoint. A joiner's boot-era
+    /// placeholder is killed here (a joining node has no history); a
+    /// crashed node's zombie is already shut down.
     fn boot(&mut self, node: usize, snapshot: Option<Snapshot>) {
-        // Discard anything the old incarnation wrote into held
-        // connections (a zombie: after its snapshot), and force peers
-        // onto fresh (hello-first) streams.
-        self.proxy.kill_links_of(node);
-        self.proxy.drain_links_of(node, DRAIN_TIMEOUT);
+        self.net.kill_links_of(node);
         self.nodes[node].shutdown();
-        let listener = TcpListener::bind("127.0.0.1:0").expect("bind reboot listener");
-        self.proxy
-            .set_dest(node, listener.local_addr().expect("reboot addr"));
         self.boots += 1;
         let (handle, log) = self
-            .spawn(node, listener, snapshot)
+            .spawn(node, snapshot)
             .expect("predicates compiled at startup recompile on reboot");
         self.nodes[node] = handle;
         self.logs[node] = log;
@@ -393,9 +315,11 @@ impl Backend for TcpBackend {
     fn begin_catch_up(&mut self, node: usize, restored: bool) {
         // Fresh spawns don't auto-request catch-up (only the
         // restore-from-snapshot path does): kick it off explicitly.
-        if !restored {
-            self.nodes[node].begin_catch_up();
-        }
+        self.call(node, |h| {
+            if !restored {
+                h.begin_catch_up();
+            }
+        });
     }
 
     fn enable_ack_journal(&mut self, node: usize) {
@@ -403,7 +327,8 @@ impl Backend for TcpBackend {
     }
 
     fn publish(&mut self, node: usize, payload: Bytes) -> Result<SeqNo, CoreError> {
-        self.nodes[node].publish(payload, PUBLISH_TIMEOUT)
+        // Nothing drains the buffer while the call waits: refuse at once.
+        self.call(node, |h| h.publish(payload, Duration::ZERO))
     }
 
     fn change_predicate(
@@ -413,7 +338,7 @@ impl Backend for TcpBackend {
         key: &str,
         source: &str,
     ) -> Result<(), CoreError> {
-        self.nodes[node].change_predicate(stream, key, source)
+        self.call(node, |h| h.change_predicate(stream, key, source))
     }
 
     fn waitfor(
@@ -423,7 +348,7 @@ impl Backend for TcpBackend {
         key: &str,
         seq: SeqNo,
     ) -> Result<WaitToken, CoreError> {
-        self.nodes[node].begin_waitfor(stream, key, seq)
+        self.call(node, |h| h.begin_waitfor(stream, key, seq))
     }
 
     fn with_node<R>(&self, node: usize, f: impl FnOnce(&StabilizerNode, &EventLog) -> R) -> R {
@@ -448,7 +373,6 @@ impl Backend for TcpBackend {
             .zip(dirty)
             .map(|((state, log), d)| NodeView::new(state, log, Some(d)))
             .collect();
-        self.checks += 1;
         f(&views)
     }
 }

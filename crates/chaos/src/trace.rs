@@ -5,8 +5,7 @@
 
 use stabilizer_core::{AppHooks, Event, SeqNo};
 use stabilizer_netsim::SimTime;
-use std::cell::RefCell;
-use std::rc::Rc;
+use std::sync::{Arc, Mutex};
 
 /// One observed event.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -142,12 +141,13 @@ impl EventTrace {
 }
 
 /// Shared handle: every node's observer and the harness append to one
-/// trace. (`Rc`: the simulation is single-threaded by construction.)
-pub type SharedTrace = Rc<RefCell<EventTrace>>;
+/// trace. (A mutex only because the TCP runtime wants its observers
+/// `Send`: both backends append from one thread.)
+pub type SharedTrace = Arc<Mutex<EventTrace>>;
 
 /// Create an empty shared trace.
 pub fn shared_trace() -> SharedTrace {
-    Rc::new(RefCell::new(EventTrace::default()))
+    Arc::new(Mutex::new(EventTrace::default()))
 }
 
 /// The [`AppHooks`] implementation that records every upcall into the
@@ -216,7 +216,8 @@ impl AppHooks for ChaosObserver {
             | Event::ConnectFailed { .. } => None,
         };
         if let Some(kind) = kind {
-            self.trace.borrow_mut().events.push(TraceEvent {
+            let mut trace = self.trace.lock().unwrap_or_else(|e| e.into_inner());
+            trace.events.push(TraceEvent {
                 at_nanos: now.as_nanos(),
                 node: self.node,
                 kind,

@@ -236,6 +236,29 @@ fn tcp_live_join_catches_up_and_joins_the_frontier() {
     assert_rejoined(&cluster, 2, 20);
 }
 
+/// A crash window past the eviction timeout, and every frame from the
+/// donor to the restarted node lost for the 200 ms around its return. A
+/// connect across a cut link stays in flight, so what the donor
+/// published during the window waits in its own queue; losing it as the
+/// link reconnects is what makes the restarted node need the evicted
+/// tail from the donor's send buffer.
+fn eviction_plan() -> FaultPlan {
+    FaultPlan {
+        events: vec![
+            crash(1, 200, 400),
+            FaultEvent {
+                at: ms(590),
+                fault: Fault::AsymmetricLoss {
+                    from: 0,
+                    to: 1,
+                    probability: 1.0,
+                    clear_after: ms(200),
+                },
+            },
+        ],
+    }
+}
+
 /// The pre-fix permanent stall, pinned: failure detector ON, a crash
 /// window past the eviction timeout, retransmission running — and
 /// `transfer_millis 0` (state transfer disabled). The donor evicts the
@@ -245,9 +268,7 @@ fn tcp_live_join_catches_up_and_joins_the_frontier() {
 #[test]
 fn tcp_eviction_without_transfer_stalls_permanently() {
     let cfg = recovery_cfg(0, 0); // transfer disabled, nothing retained
-    let plan = FaultPlan {
-        events: vec![crash(1, 200, 400)],
-    };
+    let plan = eviction_plan();
     let mut cluster = ChaosTcpCluster::new(&cfg, 93, &plan, publishes(0, 20, 25, 64)).unwrap();
     // Safety still holds throughout — the stall is a liveness failure.
     cluster
@@ -264,9 +285,7 @@ fn tcp_eviction_without_transfer_stalls_permanently() {
 #[test]
 fn tcp_transfer_resolves_the_eviction_stall() {
     let cfg = recovery_cfg(20, 1024);
-    let plan = FaultPlan {
-        events: vec![crash(1, 200, 400)],
-    };
+    let plan = eviction_plan();
     let mut cluster = ChaosTcpCluster::new(&cfg, 93, &plan, publishes(0, 20, 25, 64)).unwrap();
     tcp_recovers(&mut cluster, 1100);
 }

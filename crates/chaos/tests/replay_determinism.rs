@@ -3,6 +3,8 @@
 //! and telemetry trace-ring JSONL), and across processes through the
 //! `chaos_demo` example's printed fingerprint.
 
+mod acceptance;
+
 use stabilizer_chaos::{Fault, Scenario};
 use stabilizer_telemetry::Telemetry;
 use std::path::PathBuf;
@@ -55,7 +57,10 @@ fn new_faults_replay_byte_identically_in_process() {
 /// time — and whose origin sends no `AckBatch` for its own stream).
 /// Seed 503 was re-measured once more (`9a29fcd1afb80e67` before) when
 /// reinstating one excluded node stopped re-admitting the others still
-/// excluded: its partition excludes overlapping sets of nodes.
+/// excluded: its partition excludes overlapping sets of nodes; and again
+/// (`53e3689e8743ad1d` before) when a restored node became fenced until
+/// its replicas report, which moves the traffic and the publishes after
+/// its restart.
 /// Seeds 503 and 538 are the two stalls chaos found in PR 7. If a change
 /// is *meant* to alter what a run observes, re-measure and say so;
 /// otherwise a moved hash is a behaviour change.
@@ -64,7 +69,7 @@ fn pinned_seeds_replay_to_their_recorded_trace_hashes() {
     for (seed, hash) in [
         (1, 0xf6f5_6370_c475_5823u64),
         (8, 0x2e2c_1bb6_4bef_e460),
-        (503, 0x53e3_689e_8743_ad1d),
+        (503, 0x71f5_20cf_049c_db11),
         (538, 0xadd9_9e04_3008_6fc5),
     ] {
         let report = Scenario::from_seed(seed)
@@ -76,6 +81,24 @@ fn pinned_seeds_replay_to_their_recorded_trace_hashes() {
             "seed {seed} no longer replays to its pinned trace"
         );
     }
+}
+
+/// The TCP backend runs the real transport on the in-memory net in
+/// virtual time, so its runs hash like the simulator's: `tcp_chaos.rs`'s
+/// acceptance scenario (partition, asymmetric loss, crash/restart) at
+/// seed 42 — CI's smoke seed — twice in-process, and against its pin.
+/// A moved hash is a behaviour change of the transport, the runtime,
+/// the core or the net; re-measure only when that is meant.
+#[test]
+fn tcp_acceptance_replays_to_its_pinned_trace_hash() {
+    let (.., first) = acceptance::run_acceptance(42);
+    let (.., second) = acceptance::run_acceptance(42);
+    assert_eq!(first, second, "the TCP acceptance run is not deterministic");
+    assert_eq!(
+        format!("{first:016x}"),
+        "2446e5292a8f9c6d",
+        "the TCP acceptance run no longer replays to its pinned trace"
+    );
 }
 
 #[test]

@@ -1,10 +1,11 @@
 //! Acceptance test for the telemetry layer: the same seeded workload,
 //! instrumented through a [`Telemetry`] hub's `MetricsObserver`, yields
 //! a stability-latency histogram on BOTH runtimes — the deterministic
-//! netsim harness and the real threaded TCP cluster — exported as JSON
-//! and Prometheus text. The sim export must be byte-identical across
-//! replays of the same seed; the TCP export is wall-clock (values
-//! differ run to run) but the histograms must be populated.
+//! netsim harness and the real TCP transport on the in-memory net —
+//! exported as JSON and Prometheus text. Both run in virtual time, so
+//! both feed a simulator hub; the sim export must be byte-identical
+//! across replays of the same seed, and the TCP histograms must be
+//! populated.
 
 mod common;
 
@@ -56,7 +57,7 @@ fn sim(cfg: &ClusterConfig, plan: &FaultPlan, telemetry: &Arc<Telemetry>) -> Cha
     ChaosHarness::new_with_telemetry(cfg, net, SEED, plan, workload(), hub).unwrap()
 }
 
-/// The same, over real sockets.
+/// The same, over the real transport.
 fn tcp(cfg: &ClusterConfig, plan: &FaultPlan, telemetry: &Arc<Telemetry>) -> ChaosTcpCluster {
     let hub = Some(Arc::clone(telemetry));
     ChaosTcpCluster::new_with_telemetry(cfg, SEED, plan, workload(), hub).unwrap()
@@ -114,7 +115,7 @@ fn sim_metrics_export_is_byte_identical_across_replays() {
 
 #[test]
 fn tcp_run_produces_stability_histogram() {
-    let telemetry = Telemetry::new_wall_clock();
+    let telemetry = Telemetry::new_sim_with_trace(8192);
     let mut cluster = tcp(&cfg(), &FaultPlan::default(), &telemetry);
     converge(&mut cluster, SimDuration::from_millis(400), secs(30), KEY);
     cluster.shutdown();
@@ -206,7 +207,7 @@ fn sim_crash_restart_counts_suspicions_and_recoveries() {
 
 #[test]
 fn tcp_crash_restart_counts_suspicions_and_recoveries() {
-    let telemetry = Telemetry::new_wall_clock();
+    let telemetry = Telemetry::new_sim_with_trace(8192);
     let mut cluster = tcp(&crash_cfg(), &crash_plan(), &telemetry);
     converge(&mut cluster, SimDuration::from_millis(1500), secs(30), KEY);
     cluster.shutdown();

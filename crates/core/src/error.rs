@@ -39,6 +39,9 @@ pub enum CoreError {
     UnknownPredicate(String),
     /// Reference to a stream whose origin is not in the topology.
     UnknownStream(String),
+    /// A restored node does not publish until every unsuspected replica
+    /// of its stream has reported how far it received it: retry later.
+    Fenced,
     /// A malformed wire frame was received.
     Wire(String),
 }
@@ -62,6 +65,7 @@ impl fmt::Display for CoreError {
             }
             CoreError::UnknownPredicate(k) => write!(f, "unknown predicate {k:?}"),
             CoreError::UnknownStream(s) => write!(f, "unknown stream {s}"),
+            CoreError::Fenced => write!(f, "restored stream fenced until its replicas report"),
             CoreError::Wire(m) => write!(f, "wire format error: {m}"),
         }
     }

@@ -146,21 +146,23 @@ impl FrontierEngine {
     }
 
     /// Register a compiled predicate for `stream` under `key`, evaluating
-    /// it immediately. Returns an update if the initial frontier is
-    /// non-zero. Registering over an existing key replaces it (generation
-    /// is preserved and bumped, like [`FrontierEngine::change`]).
+    /// it — less the exclusions in force — immediately. Returns an update
+    /// if the initial frontier is non-zero. Registering over an existing
+    /// key replaces it (generation is preserved and bumped, like
+    /// [`FrontierEngine::change`]).
     pub fn register(
         &mut self,
         stream: NodeId,
         key: &str,
-        predicate: Predicate,
+        registered: Predicate,
         recorder: &AckRecorder,
         out: &mut Vec<FrontierUpdate>,
         completed: &mut Vec<WaitToken>,
     ) {
+        let predicate = self.less_exclusions(registered.clone());
         let pos = match self.find(stream, key) {
             Ok(pos) => {
-                self.entries[pos].registered = predicate.clone();
+                self.entries[pos].registered = registered;
                 self.replace(pos, predicate, recorder);
                 pos
             }
@@ -174,7 +176,7 @@ impl FrontierEngine {
                     Entry {
                         stream,
                         key: key.to_owned(),
-                        registered: predicate.clone(),
+                        registered,
                         predicate,
                         frontier,
                         generation: 0,
@@ -362,12 +364,18 @@ impl FrontierEngine {
             if !reads(&entry.registered, node) || reads(&entry.predicate, node) {
                 continue;
             }
-            let mut rebuilt = entry.registered.clone();
-            for &n in &self.excluded {
-                rebuilt = without(&rebuilt, n).unwrap_or(rebuilt);
-            }
+            let rebuilt = self.less_exclusions(entry.registered.clone());
             self.change_at(pos, rebuilt, recorder, out, completed);
         }
+    }
+
+    /// `predicate` less the exclusions in force, in exclusion order,
+    /// skipping any the rewrite refuses.
+    fn less_exclusions(&self, mut predicate: Predicate) -> Predicate {
+        for &n in &self.excluded {
+            predicate = without(&predicate, n).unwrap_or(predicate);
+        }
+        predicate
     }
 
     /// Number of registered predicates.
@@ -798,11 +806,14 @@ pub(crate) mod tests {
                 .entries
                 .get(&(stream, key.to_owned()))
                 .map_or(0, |e| e.3 + 1);
+            // The spec: every running program is its registered program
+            // less the exclusions in force.
+            let running = self.less_exclusions(&predicate);
             self.evals += 1;
-            let frontier = predicate.eval(&recorder.stream_view(stream));
+            let frontier = running.eval(&recorder.stream_view(stream));
             self.entries.insert(
                 (stream, key.to_owned()),
-                (predicate.clone(), predicate, frontier, generation),
+                (predicate, running, frontier, generation),
             );
             if frontier > 0 {
                 out.push(FrontierUpdate {
@@ -960,14 +971,21 @@ pub(crate) mod tests {
                 if !reads(registered, node) || reads(running, node) {
                     continue;
                 }
-                let mut rebuilt = registered.clone();
-                for &n in &self.excluded {
-                    if reads(&rebuilt, n) {
-                        rebuilt = rebuilt.excluding(n).unwrap_or(rebuilt);
-                    }
-                }
+                let rebuilt = self.less_exclusions(registered);
                 self.run(stream, &key, rebuilt, recorder, out, completed);
             }
+        }
+
+        /// `registered` less every exclusion in force that it reads and
+        /// the rewrite allows, in exclusion order.
+        fn less_exclusions(&self, registered: &Predicate) -> Predicate {
+            let mut rebuilt = registered.clone();
+            for &n in &self.excluded {
+                if reads(&rebuilt, n) {
+                    rebuilt = rebuilt.excluding(n).unwrap_or(rebuilt);
+                }
+            }
+            rebuilt
         }
 
         fn drain_waiters(

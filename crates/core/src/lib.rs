@@ -79,7 +79,9 @@ pub use frontier::{FrontierEngine, FrontierUpdate, WaitToken};
 pub use messages::{Ack, WireMsg, WIRE_OVERHEAD};
 pub use metrics::Metrics;
 pub use node::{Action, Snapshot, StabilizerNode};
-pub use observe::{AppHooks, Event, EventLog, NoHooks, ObserverChain, SharedEventLog};
+pub use observe::{
+    payload_hash, AppHooks, Event, EventLog, NoHooks, ObserverChain, SharedEventLog,
+};
 pub use recorder::{AckRecorder, DirtyCell};
 pub use timers::TimerKind;
 

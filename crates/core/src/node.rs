@@ -124,6 +124,9 @@ pub struct StabilizerNode {
     /// `publish`'s `(level, old value)` of each own cell it moved, between
     /// writing them all and folding the first; empty outside that call.
     moved: Vec<(AckTypeId, SeqNo)>,
+    /// A restore's fence: the replicas of the own stream yet to report
+    /// their RECEIVED cell for it (see [`StabilizerNode::restore`]).
+    fence: Option<Vec<NodeId>>,
     /// Fold as a caller that does not know what a cell held before.
     #[cfg(test)]
     withhold_old: bool,
@@ -173,6 +176,7 @@ impl StabilizerNode {
             updates: Vec::new(),
             done: Vec::new(),
             moved: Vec::new(),
+            fence: None,
             #[cfg(test)]
             withhold_old: false,
             metrics: Metrics::default(),
@@ -273,6 +277,7 @@ impl StabilizerNode {
     /// [`CoreError::PayloadTooLarge`] or [`CoreError::WouldBlock`] (send
     /// buffer full — retry once the frontier advances).
     pub fn publish(&mut self, payload: Bytes) -> Result<SeqNo, CoreError> {
+        self.unfence()?;
         let max = self.cfg.options().max_payload_bytes;
         if payload.len() > max {
             let size = payload.len();
@@ -382,6 +387,8 @@ impl StabilizerNode {
             }
             WireMsg::AckBatch(acks) => self.on_acks(from, &acks),
             WireMsg::Heartbeat => {}
+            // A restored origin's fence asks how far its stream got here.
+            WireMsg::TransferRequest { stream, .. } if stream == from => self.report_received(from),
             WireMsg::TransferRequest { stream, have }
                 if self.transfers.admits(me, stream, from) =>
             {
@@ -444,14 +451,17 @@ impl StabilizerNode {
                 }
             }
             TimerKind::Failure => self.on_failure_check(now_nanos),
-            TimerKind::Retransmit => self.outbound.retransmit(
-                now_nanos,
-                opts.retransmit_millis * 1_000_000,
-                &self.recorder,
-                &self.membership,
-                &mut self.metrics,
-                out,
-            ),
+            TimerKind::Retransmit => {
+                self.outbound.retransmit(
+                    now_nanos,
+                    opts.retransmit_millis * 1_000_000,
+                    &self.recorder,
+                    &self.membership,
+                    &mut self.metrics,
+                    out,
+                );
+                self.ask_fence();
+            }
             TimerKind::Transfer => {
                 let (recv, recorder) = (&self.recv, &self.recorder);
                 self.transfers
@@ -561,6 +571,11 @@ impl StabilizerNode {
     }
 
     fn on_acks(&mut self, from: NodeId, acks: &[Ack]) {
+        if let Some(waiting) = &mut self.fence {
+            if acks.iter().any(|a| a.stream == self.me && a.ty == RECEIVED) {
+                waiting.retain(|&p| p != from);
+            }
+        }
         for ack in acks {
             match self.learn(ack.stream, from, ack.ty, ack.seq) {
                 Some(true) if ack.stream == self.me && ack.ty == RECEIVED => {
@@ -649,9 +664,25 @@ impl StabilizerNode {
     // ------------------------------------------------------------------
 
     /// Current `(frontier, generation)` of a predicate (the K/V store's
-    /// `get_stability_frontier`).
+    /// `get_stability_frontier`); `None` for a key not registered, on a
+    /// stream outside the cluster too.
     pub fn stability_frontier(&self, stream: NodeId, key: &str) -> Option<(SeqNo, u32)> {
         self.engine.frontier(stream, key)
+    }
+
+    /// `Ok` if `stream` is a node's of the cluster: every stream is.
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::UnknownStream`] for any other id.
+    pub fn check_stream(&self, stream: NodeId) -> Result<(), CoreError> {
+        match (stream.0 as usize) < self.cfg.num_nodes() {
+            true => Ok(()),
+            false => Err(CoreError::UnknownStream(format!(
+                "{} (not a node)",
+                stream.0
+            ))),
+        }
     }
 
     /// Block until `(stream, key)`'s frontier reaches `seq`; completion is
@@ -660,6 +691,7 @@ impl StabilizerNode {
     ///
     /// # Errors
     ///
+    /// [`CoreError::UnknownStream`] for a stream outside the cluster,
     /// [`CoreError::UnknownPredicate`] for an unregistered key.
     pub fn waitfor(
         &mut self,
@@ -667,6 +699,7 @@ impl StabilizerNode {
         key: &str,
         seq: SeqNo,
     ) -> Result<WaitToken, CoreError> {
+        self.check_stream(stream)?;
         let token = self.next_token;
         self.next_token += 1;
         self.engine
@@ -689,17 +722,29 @@ impl StabilizerNode {
     pub fn register_ack_type(&mut self, name: &str) -> AckTypeId {
         let ty = self.acks.register(name);
         self.recorder.ensure_types(self.acks.len());
-        self.report_stability(self.me, ty, self.last_published());
+        // The own stream is the cluster's: this cannot be refused.
+        let _own = self.report_stability(self.me, ty, self.last_published());
         ty
     }
 
     /// Report that this node reached stability level `ty` for `stream` up
     /// to `seq` (application-supplied validation such as `verified`,
     /// §III-C "Suffixes"). The report is broadcast on the control plane.
-    pub fn report_stability(&mut self, stream: NodeId, ty: AckTypeId, seq: SeqNo) {
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::UnknownStream`] for a stream outside the cluster.
+    pub fn report_stability(
+        &mut self,
+        stream: NodeId,
+        ty: AckTypeId,
+        seq: SeqNo,
+    ) -> Result<(), CoreError> {
+        self.check_stream(stream)?;
         if (ty.0 as usize) < self.recorder.num_types() && self.reached(stream, ty, seq) {
             self.flush_if_eager();
         }
+        Ok(())
     }
 }
 
@@ -1740,6 +1785,7 @@ mod tests {
         assert_eq!(n.last_published(), 1 << 40);
         assert_eq!(n.first_replayable(), (1 << 40) + 1);
         assert_eq!(n.send_buffer_bytes(), 0);
+        report_received_to_the_fence(&mut n);
         assert_eq!(n.publish(Bytes::from_static(b"x")).unwrap(), (1 << 40) + 1);
     }
 
@@ -1754,6 +1800,23 @@ mod tests {
         let acks = Arc::new(AckTypeRegistry::new());
         let err = StabilizerNode::restore(cfg(), NodeId(0), acks, snapshot).unwrap_err();
         assert!(matches!(err, CoreError::Config(_)), "{err}");
+    }
+
+    /// Every peer of a restored `node` reports the RECEIVED cell `node`
+    /// already holds for it, which lifts the fence and moves nothing.
+    fn report_received_to_the_fence(node: &mut StabilizerNode) {
+        let me = node.me();
+        for peer in (0..node.config().num_nodes() as u16).map(NodeId) {
+            let seq = node.recorder().get(me, peer, RECEIVED);
+            let msg = WireMsg::AckBatch(vec![Ack {
+                stream: me,
+                ty: RECEIVED,
+                seq,
+            }]);
+            if peer != me {
+                node.on_message(0, peer, msg);
+            }
+        }
     }
 
     /// `frontier.rs`'s op stream, as node `me` of an `n`-node cluster
@@ -1792,6 +1855,7 @@ mod tests {
                 let withhold_old = node.withhold_old;
                 *node = StabilizerNode::restore(cfg, me, acks, node.snapshot()).unwrap();
                 node.withhold_old = withhold_old;
+                report_received_to_the_fence(node);
             }
             // A frame from its origin: every level of the origin's row,
             // one cell at a time, then this node's own three.

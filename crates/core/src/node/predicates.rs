@@ -17,7 +17,8 @@ impl StabilizerNode {
     ///
     /// # Errors
     ///
-    /// Propagates DSL compile errors, and under `option analysis deny`
+    /// [`CoreError::UnknownStream`] for a stream outside the cluster;
+    /// propagates DSL compile errors, and under `option analysis deny`
     /// returns [`CoreError::PredicateRejected`] for any predicate with
     /// error- or warning-level analyzer findings.
     pub fn register_predicate(
@@ -34,6 +35,7 @@ impl StabilizerNode {
     ///
     /// # Errors
     ///
+    /// [`CoreError::UnknownStream`] for a stream outside the cluster,
     /// [`CoreError::UnknownPredicate`] if the key was never registered, a
     /// DSL compile error, or (under `option analysis deny`)
     /// [`CoreError::PredicateRejected`].
@@ -59,6 +61,7 @@ impl StabilizerNode {
         tree: Option<&SpannedExpr>,
         must_exist: bool,
     ) -> Result<(), CoreError> {
+        self.check_stream(stream)?;
         if self.cfg.options().analysis == AnalysisMode::Deny {
             let report = self.analyze(stream, key, source);
             if !report.is_clean() {

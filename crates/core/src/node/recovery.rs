@@ -8,7 +8,7 @@ use super::{Action, StabilizerNode};
 use crate::config::ClusterConfig;
 use crate::data_plane::SendBuffer;
 use crate::error::CoreError;
-use crate::messages::Ack;
+use crate::messages::{Ack, WireMsg};
 use crate::recorder::AckRecorder;
 use bytes::Bytes;
 use stabilizer_dsl::{AckTypeRegistry, NodeId, SeqNo, RECEIVED};
@@ -45,6 +45,15 @@ impl StabilizerNode {
     /// (§III-E state transfer: what it durably acknowledged, the
     /// integrated storage system holds), so the next message an origin
     /// sends is delivered, not parked behind a prefix no one resends.
+    ///
+    /// As an origin it is **fenced**: the snapshot may be older than the
+    /// crash, so [`StabilizerNode::publish`] returns
+    /// [`CoreError::Fenced`] until every unsuspected replica of its
+    /// stream has reported its RECEIVED cell. It asks each of them at
+    /// once with a `TransferRequest` for its own stream, and again on
+    /// every retransmit tick until they have; once released, the stream
+    /// resumes after the highest sequence reported or assigned, and the
+    /// hole between is never reused.
     ///
     /// # Errors
     ///
@@ -86,7 +95,67 @@ impl StabilizerNode {
             let high = node.recorder.get(stream, me, RECEIVED);
             node.fast_forward(stream, high, 0);
         }
+        let peers = node.membership.peers().iter().copied();
+        node.fence = Some(
+            peers
+                .filter(|&p| node.placement.is_replica(me, p))
+                .collect(),
+        );
+        node.ask_fence();
         Ok(node)
+    }
+
+    /// Ask every replica the fence still waits on for its RECEIVED cell.
+    pub(super) fn ask_fence(&mut self) {
+        let (stream, have) = (self.me, self.last_published());
+        for &to in self.fence.iter().flatten() {
+            self.metrics.control_msgs_sent += 1;
+            let msg = WireMsg::TransferRequest { stream, have };
+            self.actions.push(Action::Send { to, msg });
+        }
+    }
+
+    /// Lift the fence, if every replica it waits on has reported or is
+    /// suspected: the stream resumes after the highest sequence reported
+    /// (the recorder max-merged every report) or assigned.
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::Fenced`] while an unsuspected replica has not.
+    pub(super) fn unfence(&mut self) -> Result<(), CoreError> {
+        let Some(waiting) = &self.fence else {
+            return Ok(());
+        };
+        if waiting.iter().any(|&p| !self.membership.is_suspected(p)) {
+            return Err(CoreError::Fenced);
+        }
+        self.fence = None;
+        let me = self.me;
+        let replicas = self.placement.replicas(me).iter();
+        let high = replicas.map(|&p| self.recorder.get(me, p, RECEIVED)).max();
+        if let Some(high) = high.filter(|&high| high > self.last_published()) {
+            let opts = self.cfg.options();
+            let (capacity, retain) = (opts.send_buffer_bytes, opts.retain_log_bytes);
+            self.outbound.buf = SendBuffer::resuming_at(capacity, retain, high);
+        }
+        Ok(())
+    }
+
+    /// Answer a restored `origin`'s fence with this node's RECEIVED cell
+    /// for its stream, zero included.
+    pub(super) fn report_received(&mut self, origin: NodeId) {
+        if !self.placement.is_replica(origin, self.me) {
+            return;
+        }
+        self.metrics.control_msgs_sent += 1;
+        let seq = self.recorder.get(origin, self.me, RECEIVED);
+        let ty = RECEIVED;
+        let msg = WireMsg::AckBatch(vec![Ack {
+            stream: origin,
+            ty,
+            seq,
+        }]);
+        self.actions.push(Action::Send { to: origin, msg });
     }
 
     /// Set the opaque application-state mark carried in this node's

@@ -251,10 +251,11 @@ impl<H: AppHooks + ?Sized> AppHooks for Box<H> {
 pub struct EventLog {
     /// Frontier advances: `(time, update)`.
     pub frontier_log: Vec<(SimTime, FrontierUpdate)>,
-    /// Deliveries: `(time, origin, seq, payload_len)` — lengths instead
-    /// of payloads so byte-level accounting works without keeping the
-    /// data alive.
-    pub delivery_log: Vec<(SimTime, NodeId, SeqNo, usize)>,
+    /// Deliveries: `(time, origin, seq, payload_len, payload_hash)` —
+    /// a length and a [`payload_hash`] instead of the payload, so
+    /// byte-level accounting and payload identity work without keeping
+    /// the data alive.
+    pub delivery_log: Vec<(SimTime, NodeId, SeqNo, usize, u64)>,
     /// Completed wait tokens.
     pub completed_waits: Vec<(SimTime, WaitToken)>,
     /// Suspicions raised.
@@ -266,6 +267,14 @@ pub struct EventLog {
     /// Whether `delivery_log` is populated (off for multi-hundred-
     /// thousand-message runs where only the frontier log matters).
     pub record_deliveries: bool,
+}
+
+/// FNV-1a of `payload`: what [`EventLog`] keeps of a delivered payload
+/// to tell two payloads under one `(origin, seq)` apart.
+pub fn payload_hash(payload: &[u8]) -> u64 {
+    payload.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
+    })
 }
 
 impl Default for EventLog {
@@ -293,7 +302,9 @@ impl EventLog {
                 payload,
             } => {
                 if self.record_deliveries {
-                    self.delivery_log.push((now, origin, seq, payload.len()));
+                    let hash = payload_hash(payload);
+                    self.delivery_log
+                        .push((now, origin, seq, payload.len(), hash));
                 }
             }
             Event::Frontier(update) => self.frontier_log.push((now, update.clone())),
@@ -383,7 +394,8 @@ mod tests {
         }
         for log in [&first, &second] {
             let log = log.lock();
-            assert_eq!(log.delivery_log, vec![(SimTime(5), NodeId(1), 1, 3)]);
+            let hash = payload_hash(b"abc");
+            assert_eq!(log.delivery_log, vec![(SimTime(5), NodeId(1), 1, 3, hash)]);
             assert_eq!(log.suspected_log, vec![(SimTime(6), NodeId(2))]);
             assert_eq!(log.recovered_log, vec![(SimTime(7), NodeId(2))]);
             assert_eq!(log.catchup_log, vec![(SimTime(8), NodeId(1), 7)]);

@@ -323,8 +323,8 @@ proptest! {
                 .actor(i)
                 .delivery_log
                 .iter()
-                .filter(|(_, o, _, _)| *o == NodeId(0))
-                .map(|(_, _, s, _)| *s)
+                .filter(|(_, o, ..)| *o == NodeId(0))
+                .map(|(_, _, s, ..)| *s)
                 .collect();
             prop_assert_eq!(&seqs, &(1..=count).collect::<Vec<u64>>(), "receiver {} broke FIFO", i);
         }

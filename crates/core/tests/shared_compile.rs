@@ -255,18 +255,17 @@ fn a_change_or_an_exclusion_of_one_key_leaves_the_keys_it_shared_with() {
     let (excluded, generation) = node.stability_frontier(NodeId(1), "K").unwrap();
     assert_eq!((excluded, generation), (3, 1));
 
-    // A fresh registration of the original source still reads n8, as
-    // its compile does: it stays where n8 left it.
+    // A fresh registration of the original source while n8 is excluded
+    // skips n8 too (§III-E: a running program is its registered one less
+    // the exclusions in force), where a compile alone would stay where
+    // n8 left it.
     sim.with_ctx(0, |n, ctx| {
         n.register_predicate_in(ctx, NodeId(1), "Fresh", ALL)
     })
     .unwrap();
     let node = sim.actor(0).inner();
-    assert_eq!(frontier(node, 1, "Fresh"), 2);
-    assert_eq!(
-        frontier(node, 1, "Fresh"),
-        fresh_frontier(node, NodeId(1), ALL)
-    );
+    assert_eq!(frontier(node, 1, "Fresh"), excluded);
+    assert_eq!(fresh_frontier(node, NodeId(1), ALL), 2);
 }
 
 /// Bytes that computing every `f*` at `node` requests.

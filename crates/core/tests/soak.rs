@@ -160,8 +160,8 @@ fn chaos_run(seed: u64) {
                 .actor(receiver)
                 .delivery_log
                 .iter()
-                .filter(|(_, o, _, _)| o.0 as usize == origin)
-                .map(|(_, _, s, _)| *s)
+                .filter(|(_, o, ..)| o.0 as usize == origin)
+                .map(|(_, _, s, ..)| *s)
                 .collect();
             assert_eq!(
                 seqs,

@@ -6,7 +6,7 @@
 use bytes::Bytes;
 use stabilizer_core::{ClusterConfig, NodeId, Snapshot};
 use stabilizer_kvstore::{build_kv_cluster, load_wal, save_wal, GeoKvNode};
-use stabilizer_netsim::{NetTopology, Simulation};
+use stabilizer_netsim::{Actor, NetTopology, Simulation};
 
 fn cfg() -> ClusterConfig {
     ClusterConfig::parse(
@@ -306,6 +306,11 @@ fn crash_and_rebuild(sim: &mut Simulation<GeoKvNode>, i: usize, tag: &str) {
     let me = NodeId(i as u16);
     let restored = GeoKvNode::restore(cfg(), me, acks, snapshot, pools).unwrap();
     sim.replace_actor(i, restored);
+    // Back in the event loop: what the restore queued goes out (the
+    // fence's asks to the replicas of the node's own stream), and the
+    // answers come back.
+    sim.with_ctx(i, |kv, ctx| kv.on_start(ctx));
+    sim.run_until_idle();
     for p in &wal_paths {
         std::fs::remove_file(p).ok();
     }

@@ -430,6 +430,14 @@ impl<A: Actor> Simulation<A> {
         }
     }
 
+    /// Move the clock forward to `time`, which no queued event may
+    /// precede, without running anything: a caller acts at an
+    /// exact instant, before that instant's events run.
+    pub fn advance_to(&mut self, time: SimTime) {
+        debug_assert!(self.next_event_time().is_none_or(|t| time <= t));
+        self.now = self.now.max(time);
+    }
+
     /// Convenience: `run_until(now + d)`.
     pub fn run_for(&mut self, d: SimDuration) {
         let deadline = self.now + d;

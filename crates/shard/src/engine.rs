@@ -374,15 +374,26 @@ impl ShardedEngine {
     /// sequence `seq`. The report is translated into per-shard sequence
     /// numbers through the mapping this node has learned so far
     /// (conservative: unknown suffixes are simply not reported yet).
-    pub fn report_stability(&mut self, stream: NodeId, ty: AckTypeId, seq: SeqNo) {
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::UnknownStream`] for a stream outside the cluster.
+    pub fn report_stability(
+        &mut self,
+        stream: NodeId,
+        ty: AckTypeId,
+        seq: SeqNo,
+    ) -> Result<(), CoreError> {
+        self.shards[0].check_stream(stream)?;
         self.agg.note_report(stream, ty, seq);
         for s in 0..self.num_shards() {
             let shard_seq = self.agg.shard_progress(stream, s, seq);
             if shard_seq > 0 {
-                self.shards[s as usize].report_stability(stream, ty, shard_seq);
+                self.shards[s as usize].report_stability(stream, ty, shard_seq)?;
             }
         }
         self.drain_all_shards();
+        Ok(())
     }
 
     // ------------------------------------------------------------------

@@ -240,6 +240,11 @@ impl<R: Read> FrameReader<R> {
         &self.r
     }
 
+    /// The connection read from, to read it past the framing.
+    pub(crate) fn get_mut(&mut self) -> &mut R {
+        &mut self.r
+    }
+
     /// Block until at least one frame is complete, then append **every**
     /// frame that read completed to `out`, in order, and return their
     /// wire size (length prefixes included). Never blocks again once it

@@ -42,14 +42,16 @@ impl<M: TcpMachine> NodeHandle<M> {
     /// Publish a payload on this node's stream (a sharded node routes it
     /// by its [`RoutePolicy`](stabilizer_shard::RoutePolicy)).
     ///
-    /// Retries transparently on send-buffer backpressure until
-    /// `timeout` elapses, counted from the first refusal: a publish the
-    /// buffer takes at once never reads the clock.
+    /// Retries transparently on send-buffer backpressure, and while a
+    /// restored node is fenced, until `timeout` elapses, counted from the
+    /// first refusal: a publish the buffer takes at once never reads the
+    /// clock.
     ///
     /// # Errors
     ///
     /// [`CoreError::WouldBlock`] if the buffer stayed full for the whole
-    /// timeout, or [`CoreError::PayloadTooLarge`].
+    /// timeout, [`CoreError::Fenced`] if the fence did not lift in it, or
+    /// [`CoreError::PayloadTooLarge`].
     pub fn publish(&self, payload: Bytes, timeout: Duration) -> Result<SeqNo, CoreError> {
         self.publish_by(payload, timeout, M::publish)
     }
@@ -65,7 +67,7 @@ impl<M: TcpMachine> NodeHandle<M> {
         loop {
             let result = self.shared.with_node(|node| publish(node, payload.clone()));
             match result {
-                Err(CoreError::WouldBlock { .. })
+                Err(CoreError::WouldBlock { .. } | CoreError::Fenced)
                     if *deadline.get_or_insert_with(|| Instant::now() + timeout)
                         > Instant::now() =>
                 {
@@ -160,9 +162,18 @@ impl<M: TcpMachine> NodeHandle<M> {
     }
 
     /// Report application-level stability for a stream (e.g. `verified`).
-    pub fn report_stability(&self, stream: NodeId, ty: AckTypeId, seq: SeqNo) {
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::UnknownStream`] for a stream outside the cluster.
+    pub fn report_stability(
+        &self,
+        stream: NodeId,
+        ty: AckTypeId,
+        seq: SeqNo,
+    ) -> Result<(), CoreError> {
         self.shared
-            .with_node(|node| node.report_stability(stream, ty, seq));
+            .with_node(|node| node.report_stability(stream, ty, seq))
     }
 
     /// Highest sequence number published locally.

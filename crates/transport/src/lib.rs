@@ -50,9 +50,10 @@ pub mod sharded;
 mod upcalls;
 
 pub use handle::{NodeHandle, StateGuard};
-pub use link::TransportMetrics;
+pub use link::{Clock, IoLoop, Net, TransportMetrics};
 pub use runtime::{
-    spawn_local_cluster, spawn_node, spawn_node_with, SpawnOptions, TcpMachine, TcpNode,
+    spawn_local_cluster, spawn_node, spawn_node_on, spawn_node_with, NodeLoop, SpawnOptions,
+    TcpMachine, TcpNode,
 };
 pub use sharded::{
     spawn_sharded_local_cluster, spawn_sharded_local_cluster_with, spawn_sharded_node,

@@ -1,60 +1,63 @@
-//! The TCP link layer under the runtime: every socket of a node and the
-//! one thread that serves them live here, generic over the frame
-//! [`Lane`] and a [`LinkClient`] — the [`runtime`](crate::runtime) over
-//! a plain or a sharded machine, which owns the protocol state (the
-//! unit tests drive a stub instead).
+//! The TCP link layer under the runtime: every connection of a node and
+//! the one loop that serves them live here, generic over the frame
+//! [`Lane`], a [`LinkClient`] — the [`runtime`](crate::runtime) over a
+//! plain or a sharded machine, which owns the protocol state (the unit
+//! tests drive a stub instead) — and the [`Net`] under it.
 //!
-//! A node's link layer is one thread, spawned by `spawn`:
-//!
-//! * the **I/O** thread, `<prefix>-<me>-io`: a `ppoll(2)` loop over the
-//!   waker, the non-blocking listener, every inbound connection, every
-//!   outbound connection with bytes its socket has not yet taken, and
-//!   every connect in flight. Each turn it
-//!   - dials. A link that is down is redialed with a non-blocking
-//!     `connect` once its capped, jittered backoff delay has run out; a
-//!     connect polls writable once decided and fails if that takes
-//!     500 ms. Once it is up the loop writes the hello and runs
-//!     [`LinkClient::repair_link`] (resend from the send buffer plus a
-//!     full ACK re-announcement) *before* the queue drains again. That
-//!     repair is what covers the frames lost while the link was down;
-//!   - accepts what the listener holds, and reads one **reader batch**
-//!     from each readable inbound connection: *all* frames that read
-//!     completed — in its buffer, or in the buffers of a run of large
-//!     frames (`FrameReader`) — handed to [`LinkClient::on_frames`] in
-//!     one call: what has already arrived, never what might — the
-//!     buffers' capacity is the only bound, and a lone frame is a batch
-//!     of one. A connection's first frame must be a hello announcing a
-//!     configured, linked node other than this one; a refused connection
-//!     gets a FIN and is drained, never reset, and a connection that
-//!     never says hello costs a poll entry, not a thread;
-//!   - fires the due [`TimerKind`]s against the wall clock (each period
-//!     stretched by the clock-skew scale) through
-//!     [`LinkClient::on_timer`], and samples telemetry through
-//!     [`LinkClient::sample`] every 20 ms;
+//! A node's link layer is one [`IoLoop`], a step function over a [`Net`]
+//! (its clock, dial, accept, bytes and readiness). On real sockets
+//! (`OsNet`) it turns on the node's one thread, `<prefix>-<me>-io`; a
+//! net its caller drives (the chaos crate's in-memory one, in virtual
+//! time, through `spawn_node_on`) is handed the loop and turns it itself.
+//! Each [`turn`](IoLoop::turn) it
+//!   - dials. A link that is down is redialed once its capped, jittered
+//!     backoff delay has run out; a connect polls writable once decided
+//!     and fails if that takes 500 ms. Once it is up the loop writes the
+//!     hello and runs [`LinkClient::repair_link`] (resend from the send
+//!     buffer plus a full ACK re-announcement) *before* the queue drains
+//!     again. That repair is what covers the frames lost while the link
+//!     was down;
 //!   - writes. Each peer's queue is taken a **burst** at a time — as many
 //!     frames as fill one write buffer, `WRITE_BUF` — encoded into that
-//!     link's buffer, and written until the socket would block; the next
-//!     burst is taken only once the buffer is fully written, so latency
-//!     is bounded by the burst, not by a timer. `AckBatch` frames are not
-//!     encoded as they are dequeued: the loop keeps one **held ACK row**
-//!     per lane, max-merged per cell ([`Ack::max_merge`]), and encodes it
-//!     at the tail of the burst — when the queue runs empty or one write
-//!     buffer of bytes has been dequeued since the row was first held,
-//!     whichever comes first — so `D1 A1 D2 A2 D3 A3` leaves as
-//!     `D1 D2 D3 A3`. A stability report is monotone: delaying it behind
-//!     frames queued after it cannot be told from it having been queued
-//!     later, and a row dropped with a broken connection is covered by
-//!     the reconnect's re-announcement. No other frame kind is reordered;
-//!   - sleeps in `ppoll` until a socket is ready, a send wakes it, the
-//!     next timer is due or a link is to be redialed — with every link
-//!     up, no timer configured and no hub attached, for as long as
-//!     nothing happens.
+//!     link's buffer, and written until the connection would block; the
+//!     next burst is taken only once the buffer is fully written, so
+//!     latency is bounded by the burst, not by a timer. `AckBatch` frames
+//!     are not encoded as they are dequeued: the loop keeps one **held
+//!     ACK row** per lane, max-merged per cell ([`Ack::max_merge`]), and
+//!     encodes it at the tail of the burst — when the queue runs empty or
+//!     one write buffer of bytes has been dequeued since the row was
+//!     first held, whichever comes first — so `D1 A1 D2 A2 D3 A3` leaves
+//!     as `D1 D2 D3 A3`. A stability report is monotone: delaying it
+//!     behind frames queued after it cannot be told from it having been
+//!     queued later, and a row dropped with a broken connection is
+//!     covered by the reconnect's re-announcement. No other frame kind is
+//!     reordered;
+//!   - waits ([`Net::wait`]; on real sockets a `ppoll(2)` over the
+//!     waker, the listener, every inbound connection, every outbound one
+//!     with bytes its socket has not yet taken and every connect in
+//!     flight) until a connection is ready, a send wakes it, the next
+//!     timer is due or a link is to be redialed — with every link up, no
+//!     timer configured and no hub attached, for as long as nothing
+//!     happens. Then it accepts what the listener holds, and reads one
+//!     **reader batch** from each readable inbound connection: *all*
+//!     frames that read completed — in its buffer, or in the buffers of a
+//!     run of large frames (`FrameReader`) — handed to
+//!     [`LinkClient::on_frames`] in one call: what has already arrived,
+//!     never what might, and a lone frame is a batch of one. A
+//!     connection's first frame must be a hello announcing a configured,
+//!     linked node other than this one; a refused connection gets a FIN
+//!     and is drained, never reset, and a connection that never says
+//!     hello costs a poll entry, not a thread;
+//!   - fires the due [`TimerKind`]s on the net's [`Clock`] (each period
+//!     stretched by the clock-skew scale) through
+//!     [`LinkClient::on_timer`], and samples telemetry through
+//!     [`LinkClient::sample`] every 20 ms.
 //!
 //! The wake handshake: `Link::send` pushes onto the peer's queue, sets
-//! `pending`, and writes a byte to the waker only if the loop has set
+//! `pending`, and rings the waker's bell only if the loop has set
 //! `sleeping`. The loop clears `pending` before it looks at the queues,
 //! and sets `sleeping` before it looks at `pending` one last time and
-//! sleeps (all `SeqCst`): a send that comes while the loop heads for
+//! waits (all `SeqCst`): a send that comes while the loop heads for
 //! sleep is seen by one side or the other, and a send the loop makes
 //! itself — a fold's ACK rows — costs no syscall.
 //!
@@ -63,8 +66,7 @@
 //! with one held. The loop calls into the client with **no** link lock
 //! held, and the client may call `Link::send` from under its own locks.
 //! Every client call runs on the loop, so one that blocks holds up
-//! every socket of its node until it returns. A simulated back end
-//! would replace this file and nothing else.
+//! every connection of its node until it returns.
 
 use crate::backoff::{link_seed, Backoff};
 use crate::framing::{hello, parse_hello, write_lane_frame_with, FrameReader, Lane};
@@ -185,6 +187,30 @@ pub trait LinkClient: Send + Sync + 'static {
     fn on_connect_failed(&self, _peer: NodeId) {}
 }
 
+/// Where a node reads the time: the wall clock (the default), or the
+/// virtual nanoseconds set by whatever turns its net ([`Clock::driven`],
+/// shared by every clone).
+#[derive(Clone, Debug, Default)]
+pub struct Clock(Option<Arc<AtomicU64>>);
+
+impl Clock {
+    /// A driven clock, at 0.
+    pub fn driven() -> Self {
+        Clock(Some(Arc::default()))
+    }
+
+    /// Move a driven clock to `nanos` (no-op on the wall clock).
+    pub fn set(&self, nanos: u64) {
+        self.0.iter().for_each(|c| c.store(nanos, Ordering::SeqCst));
+    }
+
+    /// The `now` of a node spawned on this clock now: 0 on the wall
+    /// clock, where a node's time counts from its spawn.
+    pub(crate) fn start_nanos(&self) -> u64 {
+        self.0.as_ref().map_or(0, |c| c.load(Ordering::SeqCst))
+    }
+}
+
 /// Link state of one node, embedded in its [`LinkClient`].
 pub struct Link<L: Lane> {
     me: NodeId,
@@ -193,6 +219,8 @@ pub struct Link<L: Lane> {
     running: AtomicBool,
     /// Monotonic epoch for protocol timestamps.
     started: Instant,
+    /// The net's clock ([`Net::clock`]).
+    clock: Clock,
     /// Multiplier on every timer period, stored as `f64` bits
     /// (clock-skew fault injection; 1.0 = nominal cadence). Read by the
     /// loop whenever it works out how long to sleep.
@@ -209,12 +237,12 @@ pub struct Link<L: Lane> {
     /// Per-peer outbound queues, one per link; a peer's goes when its
     /// link is given up, and all go on shutdown.
     queues: Mutex<HashMap<NodeId, VecDeque<(L, WireMsg)>>>,
-    /// The loop's doorbell (set by [`spawn`]).
-    waker: OnceLock<Waker>,
+    /// The loop's doorbell.
+    waker: Waker,
 }
 
 impl<L: Lane> Link<L> {
-    /// Link state for node `me` of `cfg`. With a hub attached, registers
+    /// Link state for node `me` of `cfg`, on `clock`. With a hub attached, registers
     /// the transport counters and records the placement and — from
     /// `tolerances`, the node's `(stream, key, f*)` entries, which the
     /// availability prover computes only here, as they are read — f* per
@@ -222,6 +250,7 @@ impl<L: Lane> Link<L> {
     pub(crate) fn new<'a>(
         cfg: &ClusterConfig,
         me: NodeId,
+        clock: Clock,
         telemetry: Option<Arc<Telemetry>>,
         tolerances: impl Iterator<Item = (NodeId, &'a str, i64)>,
     ) -> Self {
@@ -236,13 +265,14 @@ impl<L: Lane> Link<L> {
             placement: Arc::clone(cfg.placement()),
             running: AtomicBool::new(true),
             started: Instant::now(),
+            clock,
             timer_scale_bits: AtomicU64::new(1.0f64.to_bits()),
             connect_failed: Mutex::new(Vec::new()),
             metrics: telemetry.as_ref().map(|t| TransportMetrics::new(t, me)),
             telemetry,
             telemetry_server: Mutex::new(None),
             queues: Mutex::new(HashMap::new()),
-            waker: OnceLock::new(),
+            waker: Waker::default(),
         }
     }
 
@@ -276,10 +306,19 @@ impl<L: Lane> Link<L> {
         self.running.load(Ordering::SeqCst)
     }
 
-    /// Nanoseconds since this node started: the `now` of every protocol
-    /// call.
+    /// Nanoseconds since this node started, or the driven clock's
+    /// reading: the `now` of every protocol call.
     pub(crate) fn now_nanos(&self) -> u64 {
-        self.started.elapsed().as_nanos() as u64
+        self.now().duration_since(self.started).as_nanos() as u64
+    }
+
+    /// The instant the loop works by: as far past `started` as a driven
+    /// clock reads.
+    fn now(&self) -> Instant {
+        match &self.clock.0 {
+            None => Instant::now(),
+            Some(clock) => self.started + Duration::from_nanos(clock.load(Ordering::SeqCst)),
+        }
     }
 
     /// Queue `msg` for `to` on `lane`. Dropped when there is no link to
@@ -293,14 +332,7 @@ impl<L: Lane> Link<L> {
             None => false,
         };
         if queued {
-            self.wake();
-        }
-    }
-
-    /// Make sure the loop looks at everything it is woken for.
-    fn wake(&self) {
-        if let Some(waker) = self.waker.get() {
-            waker.wake();
+            self.waker.wake();
         }
     }
 
@@ -337,7 +369,7 @@ impl<L: Lane> Link<L> {
         timers::assert_valid_scale(scale);
         self.timer_scale_bits
             .store(scale.to_bits(), Ordering::SeqCst);
-        self.wake();
+        self.waker.wake();
     }
 
     /// The current timer-period multiplier (1.0 = nominal).
@@ -355,7 +387,7 @@ impl<L: Lane> Link<L> {
     pub fn shutdown(&self) {
         self.running.store(false, Ordering::SeqCst);
         self.queues.lock().clear();
-        self.wake();
+        self.waker.wake();
         if let Some(mut server) = self.telemetry_server.lock().take() {
             server.shutdown();
         }
@@ -373,36 +405,27 @@ impl<L: Lane> Link<L> {
 
 /// The loop's doorbell, and the two flags of the wake handshake (module
 /// doc).
+#[derive(Default)]
 struct Waker {
     /// Set by every wake, cleared by the loop before it looks.
     pending: AtomicBool,
     /// Set by the loop from its last look at `pending` until it is
     /// awake again; a wake that finds it set clears it and rings.
     sleeping: AtomicBool,
-    /// The bell: a byte written here makes `rx` readable.
-    tx: UnixStream,
-    rx: UnixStream,
+    /// The bell: a byte written here makes the wait return. Only a net
+    /// whose wait blocks has one ([`OsNet`]).
+    bell: OnceLock<UnixStream>,
 }
 
 impl Waker {
-    fn new() -> std::io::Result<Self> {
-        let (tx, rx) = UnixStream::pair()?;
-        tx.set_nonblocking(true)?;
-        rx.set_nonblocking(true)?;
-        Ok(Waker {
-            pending: AtomicBool::new(false),
-            sleeping: AtomicBool::new(false),
-            tx,
-            rx,
-        })
-    }
-
     /// Something for the loop to see is in place: make sure it looks.
     fn wake(&self) {
         self.pending.store(true, Ordering::SeqCst);
         if self.sleeping.swap(false, Ordering::SeqCst) {
-            // A full bell already rings.
-            let _ = (&self.tx).write(&[1]);
+            if let Some(bell) = self.bell.get() {
+                // A full bell already rings.
+                let _ = (&*bell).write(&[1]);
+            }
         }
     }
 
@@ -411,28 +434,16 @@ impl Waker {
         self.pending.store(false, Ordering::SeqCst);
     }
 
-    /// The poll entry of the bell, first in every poll set.
-    fn poll_fd(&self) -> sys::PollFd {
-        sys::PollFd::new(self.rx.as_raw_fd(), sys::POLLIN)
+    /// The loop heads for its wait: true when a wake came since
+    /// [`Waker::begin`], and the wait must take no time at all.
+    fn heading(&self) -> bool {
+        self.sleeping.store(true, Ordering::SeqCst);
+        self.pending.load(Ordering::SeqCst)
     }
 
-    /// Poll `fds`, whose first entry is [`Waker::poll_fd`], for at most
-    /// `timeout` (`None`: no limit) — for no time at all if a wake came
-    /// since [`Waker::begin`] — and silence the bell. Returns how many
-    /// entries are ready.
-    fn sleep(&self, fds: &mut [sys::PollFd], timeout: Option<Duration>) -> usize {
-        self.sleeping.store(true, Ordering::SeqCst);
-        let timeout = match self.pending.load(Ordering::SeqCst) {
-            true => Some(Duration::ZERO),
-            false => timeout,
-        };
-        let ready = sys::ppoll(fds, timeout);
+    /// The loop's wait is over.
+    fn awake(&self) {
         self.sleeping.store(false, Ordering::SeqCst);
-        if fds[0].ready() {
-            // A read that does not fill the buffer took every byte.
-            while matches!((&self.rx).read(&mut [0; 64]), Ok(64)) {}
-        }
-        ready
     }
 }
 
@@ -561,10 +572,163 @@ mod sys {
     }
 }
 
-/// Per-spawn parameters of [`spawn`].
+/// The network under a node's [`IoLoop`]: the seam between the link
+/// layer and what carries its bytes (module doc). Everything is
+/// non-blocking but [`Net::wait`].
+pub trait Net {
+    /// One connection, dialed or accepted: a read with nothing to read
+    /// and a write with no room fail with `WouldBlock`, a read of a
+    /// connection the peer closed returns 0.
+    type Conn: Read + Write;
+
+    /// The clock the loop runs by (the wall clock by default).
+    fn clock(&self) -> Clock {
+        Clock::default()
+    }
+    /// The peers this net can dial; the loop keeps a link to each one
+    /// that shares a stream with the node.
+    fn peers(&self) -> Vec<NodeId>;
+    /// Start a connect to `peer` (`Err`: it could not even start). The
+    /// connection polls writable once the connect is decided.
+    fn dial(&mut self, peer: NodeId) -> std::io::Result<Self::Conn>;
+    /// How a decided connect went (`Err`: refused, unreachable).
+    fn established(&mut self, conn: &Self::Conn) -> std::io::Result<()>;
+    /// Take one connection the listener holds, if any.
+    fn accept(&mut self) -> Option<Self::Conn>;
+    /// Half-close `conn`: a FIN, and this side writes no more.
+    fn close_write(&mut self, conn: &Self::Conn);
+    /// Wait at most `timeout` (`None`: no limit) until an entry of
+    /// `interest` — a connection, and whether the loop waits to write
+    /// to it rather than read — is ready, the listener holds a
+    /// connection, or the node's waker rings. Returns whether the
+    /// listener is ready; [`Net::ready`] tells each entry.
+    fn wait<'a>(
+        &mut self,
+        interest: impl Iterator<Item = (&'a Self::Conn, bool)>,
+        timeout: Option<Duration>,
+    ) -> bool
+    where
+        Self::Conn: 'a;
+    /// Whether entry `i` of the last wait's interest was ready (failed
+    /// or hung up counts as ready).
+    fn ready(&self, i: usize) -> bool;
+}
+
+/// Real sockets: a non-blocking listener, non-blocking dials to a table
+/// of peer addresses, and a `ppoll` that sleeps on the waker's bell too.
+pub(crate) struct OsNet {
+    listener: TcpListener,
+    peers: Vec<(NodeId, SocketAddr)>,
+    /// The receiving end of the waker's bell.
+    bell: UnixStream,
+    /// The last wait's poll set: the bell, the listener, then the
+    /// interest.
+    fds: Vec<sys::PollFd>,
+}
+
+impl OsNet {
+    /// The net of a node listening on `listener` and dialing `peers`,
+    /// and the sending end of its bell, for [`run_on_thread`]. `Err`: the
+    /// listener or the bell could not be set up.
+    pub(crate) fn new(
+        listener: TcpListener,
+        peers: Vec<(NodeId, SocketAddr)>,
+    ) -> Result<(Self, UnixStream), CoreError> {
+        let set_up = || {
+            let (tx, bell) = UnixStream::pair()?;
+            for nonblocking in [tx.set_nonblocking(true), bell.set_nonblocking(true)] {
+                nonblocking?;
+            }
+            listener.set_nonblocking(true)?;
+            Ok((tx, bell))
+        };
+        let (tx, bell) =
+            set_up().map_err(|e: std::io::Error| CoreError::Config(format!("net: {e}")))?;
+        let fds = Vec::new();
+        Ok((
+            OsNet {
+                listener,
+                peers,
+                bell,
+                fds,
+            },
+            tx,
+        ))
+    }
+}
+
+impl Net for OsNet {
+    type Conn = TcpStream;
+
+    fn peers(&self) -> Vec<NodeId> {
+        self.peers.iter().map(|(peer, _)| *peer).collect()
+    }
+
+    fn dial(&mut self, peer: NodeId) -> std::io::Result<TcpStream> {
+        match self.peers.iter().find(|(p, _)| *p == peer) {
+            Some((_, addr)) => sys::connect(addr),
+            None => Err(ErrorKind::NotFound.into()),
+        }
+    }
+
+    fn established(&mut self, conn: &TcpStream) -> std::io::Result<()> {
+        match conn.take_error() {
+            Ok(None) => {
+                conn.set_nodelay(true).ok();
+                Ok(())
+            }
+            Ok(Some(e)) | Err(e) => Err(e),
+        }
+    }
+
+    fn accept(&mut self) -> Option<TcpStream> {
+        loop {
+            match self.listener.accept() {
+                Ok((stream, _)) => {
+                    if stream.set_nonblocking(true).is_ok() {
+                        return Some(stream);
+                    }
+                }
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                // Drained, or a failure the next readiness retries.
+                Err(_) => return None,
+            }
+        }
+    }
+
+    fn close_write(&mut self, conn: &TcpStream) {
+        let _ = conn.shutdown(Shutdown::Write);
+    }
+
+    fn wait<'a>(
+        &mut self,
+        interest: impl Iterator<Item = (&'a TcpStream, bool)>,
+        timeout: Option<Duration>,
+    ) -> bool {
+        self.fds.clear();
+        self.fds
+            .push(sys::PollFd::new(self.bell.as_raw_fd(), sys::POLLIN));
+        self.fds
+            .push(sys::PollFd::new(self.listener.as_raw_fd(), sys::POLLIN));
+        for (conn, write) in interest {
+            let events = if write { sys::POLLOUT } else { sys::POLLIN };
+            self.fds.push(sys::PollFd::new(conn.as_raw_fd(), events));
+        }
+        sys::ppoll(&mut self.fds, timeout);
+        if self.fds[0].ready() {
+            // A read that does not fill the buffer took every byte.
+            while matches!((&self.bell).read(&mut [0; 64]), Ok(64)) {}
+        }
+        self.fds[1].ready()
+    }
+
+    fn ready(&self, i: usize) -> bool {
+        self.fds.get(2 + i).is_some_and(sys::PollFd::ready)
+    }
+}
+
+/// Per-spawn parameters of [`IoLoop::new`].
 pub(crate) struct LinkSpawn {
-    /// Thread-name prefix (`<prefix>-<me>-…`).
-    pub thread_prefix: &'static str,
     /// Run [`LinkClient::repair_link`] on each link's *first* connect
     /// too: a node restored from a snapshot re-announces its recovered
     /// ACK state without waiting for traffic. Later connects always
@@ -575,77 +739,28 @@ pub(crate) struct LinkSpawn {
     pub jitter_seed: u64,
 }
 
-/// Start `client`'s link thread: the I/O loop over `listener`, dialing
-/// each linked peer of `peer_addrs` and running `options`' timer table.
-///
-/// Under partial replication a link only exists between nodes sharing at
-/// least one stream; unlinked peers get no queue (and no redialing).
-/// Full replication keeps every link.
+/// Turn `io`, over real sockets, on its own thread `<prefix>-<me>-io`;
+/// `bell` (from [`OsNet::new`]) rings its `ppoll` from here on.
 ///
 /// # Errors
 ///
-/// The listener, the waker or the thread that could not be set up, as a
-/// configuration error. The thread is the last thing set up, so a
-/// failed spawn leaves nothing running.
-pub(crate) fn spawn<C: LinkClient>(
-    client: &Arc<C>,
-    listener: TcpListener,
-    peer_addrs: Vec<(NodeId, SocketAddr)>,
-    options: &Options,
-    params: LinkSpawn,
+/// The thread could not be spawned, as a configuration error; the link
+/// is shut down, so a failed spawn leaves nothing running.
+pub(crate) fn run_on_thread<C: LinkClient>(
+    io: IoLoop<C, OsNet>,
+    bell: UnixStream,
+    prefix: &str,
 ) -> Result<(), CoreError> {
+    let client = Arc::clone(&io.client);
     let link = client.link();
-    let me = link.me.0;
-    let prefix = params.thread_prefix;
-    let failed = |what: &str, e: std::io::Error| CoreError::Config(format!("{what}: {e}"));
-    listener
-        .set_nonblocking(true)
-        .map_err(|e| failed("listener", e))?;
-    let waker = Waker::new().map_err(|e| failed("waker", e))?;
-    let _ = link.waker.set(waker);
-    let mut outbound = Vec::new();
-    for (peer, addr) in peer_addrs {
-        if !link.placement.linked(link.me, peer) {
-            continue;
-        }
-        link.queues.lock().insert(peer, VecDeque::new());
-        outbound.push(Outbound {
-            peer,
-            addr,
-            backoff: Backoff::new(
-                Duration::from_millis(10),
-                Duration::from_millis(500),
-                link_seed(params.jitter_seed, me, peer.0),
-            ),
-            conn: Conn::Down(Instant::now()),
-            out: WriteBuf {
-                buf: Vec::new(),
-                written: 0,
-                held: Vec::new(),
-                since_held: 0,
-            },
-            blocked: false,
-            connected: false,
-        });
-    }
-    let io = IoLoop {
-        client: Arc::clone(client),
-        listener,
-        inbound: Vec::new(),
-        outbound,
-        repair_first_connect: params.repair_first_connect,
-        retry_limit: options.connect_retry_limit,
-        timers: Timers::new(options),
-        fds: Vec::new(),
-        frames: Vec::new(),
-        burst: Vec::new(),
-        head: Vec::with_capacity(64),
-    };
+    let name = format!("{prefix}-{}-io", link.me.0);
+    let _ = link.waker.bell.set(bell);
     std::thread::Builder::new()
-        .name(format!("{prefix}-{me}-io"))
+        .name(name)
         .spawn(move || io.run())
         .map(drop)
-        .map_err(|e| failed("spawn link thread io", e))
+        .map_err(|e| CoreError::Config(format!("spawn link thread io: {e}")))
+        .inspect_err(|_| link.shutdown())
 }
 
 /// Wire an in-process cluster on loopback: bind `n` listeners on
@@ -696,20 +811,25 @@ enum Caller {
 }
 
 /// One inbound connection.
-struct Inbound {
-    reader: FrameReader<TcpStream>,
+struct Inbound<S> {
+    reader: FrameReader<S>,
     caller: Caller,
 }
 
-impl Inbound {
+impl<S: Read + Write> Inbound<S> {
     /// One read from this readable connection, its frames handed to
     /// `client`. False once the connection is done with: closed, broken
     /// or undecodable.
-    fn read<C: LinkClient>(&mut self, client: &C, frames: &mut Vec<(C::Lane, WireMsg)>) -> bool {
+    fn read<C: LinkClient, N: Net<Conn = S>>(
+        &mut self,
+        client: &C,
+        net: &mut N,
+        frames: &mut Vec<(C::Lane, WireMsg)>,
+    ) -> bool {
         let link = client.link();
         frames.clear();
         if let Caller::Refused = self.caller {
-            return match self.reader.get_ref().read(&mut [0; 4096]) {
+            return match self.reader.get_mut().read(&mut [0; 4096]) {
                 Ok(n) => n > 0,
                 Err(e) => retry_later(&e),
             };
@@ -737,7 +857,7 @@ impl Inbound {
                 // Refuse with a FIN, then let the stranger finish
                 // talking: closing over frames it is still writing would
                 // answer them with a reset instead.
-                let _ = self.reader.get_ref().shutdown(Shutdown::Write);
+                net.close_write(self.reader.get_ref());
                 self.caller = Caller::Refused;
                 return true;
             };
@@ -758,37 +878,36 @@ fn retry_later(e: &std::io::Error) -> bool {
 
 /// Where an outbound link is: the loop dials it, and redials it once it
 /// breaks.
-enum Conn {
+enum Conn<S> {
     /// Down: dial at this instant.
     Down(Instant),
     /// A connect in flight, failed if not decided by this instant.
-    Connecting(TcpStream, Instant),
+    Connecting(S, Instant),
     /// Connected, the hello written.
-    Up(TcpStream),
+    Up(S),
     /// Out of connect retries: never dialed again.
     GaveUp,
 }
 
 /// One outbound link, as the loop keeps it.
-struct Outbound<L> {
+struct Outbound<L, S> {
     peer: NodeId,
-    addr: SocketAddr,
     /// The redial delays, restarted by every connect.
     backoff: Backoff,
-    conn: Conn,
+    conn: Conn<S>,
     /// Frames encoded for the connection.
     out: WriteBuf<L>,
-    /// The socket took less than it was given: wait until it polls
+    /// The connection took less than it was given: wait until it polls
     /// writable.
     blocked: bool,
     /// A connection to the peer was made before: the next is a reconnect.
     connected: bool,
 }
 
-impl<L: Lane> Outbound<L> {
-    /// The socket to poll for `POLLOUT`: a connect in flight, or a
-    /// connection that took less than it was given.
-    fn polled(&self) -> Option<&TcpStream> {
+impl<L: Lane, S: Write> Outbound<L, S> {
+    /// The connection to wait on for writability: a connect in flight,
+    /// or a connection that took less than it was given.
+    fn polled(&self) -> Option<&S> {
         match &self.conn {
             Conn::Connecting(stream, _) => Some(stream),
             Conn::Up(stream) if self.blocked => Some(stream),
@@ -797,7 +916,7 @@ impl<L: Lane> Outbound<L> {
     }
 
     /// Write what is buffered, taking the next burst of the queue each
-    /// time the buffer has been written out, until the socket would
+    /// time the buffer has been written out, until the connection would
     /// block or the queue has run empty. `Err`: the connection broke.
     fn write(
         &mut self,
@@ -805,7 +924,7 @@ impl<L: Lane> Outbound<L> {
         burst: &mut Vec<(L, WireMsg, usize)>,
         head: &mut Vec<u8>,
     ) -> std::io::Result<()> {
-        let Conn::Up(stream) = &self.conn else {
+        let Conn::Up(stream) = &mut self.conn else {
             return Ok(());
         };
         let (out, mut drained) = (&mut self.out, false);
@@ -819,7 +938,7 @@ impl<L: Lane> Outbound<L> {
                 drained = out.refill(link, self.peer, burst, head);
                 continue;
             }
-            match (&*stream).write(&out.buf[out.written..]) {
+            match stream.write(&out.buf[out.written..]) {
                 Ok(0) => return Err(ErrorKind::WriteZero.into()),
                 Ok(n) => out.written += n,
                 Err(e) if e.kind() == ErrorKind::WouldBlock => {
@@ -832,7 +951,6 @@ impl<L: Lane> Outbound<L> {
         }
     }
 }
-
 /// An outbound connection's write side: the frames encoded for it and
 /// the ACK rows held back.
 struct WriteBuf<L> {
@@ -920,8 +1038,8 @@ fn encode<L: Lane>(
     }
 }
 
-/// The wall-clock timer table: when each [`TimerKind`] last fired, and
-/// when telemetry was last sampled.
+/// The timer table, on the net's clock: when each [`TimerKind`] last
+/// fired, and when telemetry was last sampled.
 struct Timers {
     options: Options,
     last_fired: [Instant; TimerKind::ALL.len()],
@@ -929,8 +1047,7 @@ struct Timers {
 }
 
 impl Timers {
-    fn new(options: &Options) -> Self {
-        let start = Instant::now();
+    fn new(options: &Options, start: Instant) -> Self {
         Timers {
             options: options.clone(),
             last_fired: [start; TimerKind::ALL.len()],
@@ -955,7 +1072,7 @@ impl Timers {
     /// Fire every timer that is due, then sample if that is due.
     fn fire<C: LinkClient>(&mut self, client: &C) {
         let link = client.link();
-        let now = Instant::now();
+        let now = link.now();
         let scale = link.timer_scale();
         for (kind, last) in TimerKind::ALL.into_iter().zip(&mut self.last_fired) {
             let due = kind.scaled_period(&self.options, scale);
@@ -973,74 +1090,147 @@ impl Timers {
     }
 }
 
-/// Everything the I/O thread owns.
-struct IoLoop<C: LinkClient> {
+/// A node's I/O loop over net `N` (module doc): every connection of the
+/// node, its timer table, and the scratch a turn reuses. On real
+/// sockets it turns on its own thread; a net its caller drives is handed
+/// it to turn.
+pub struct IoLoop<C: LinkClient, N: Net> {
     client: Arc<C>,
-    listener: TcpListener,
-    inbound: Vec<Inbound>,
-    outbound: Vec<Outbound<C::Lane>>,
+    net: N,
+    inbound: Vec<Inbound<N::Conn>>,
+    outbound: Vec<Outbound<C::Lane, N::Conn>>,
     repair_first_connect: bool,
     /// Failed connects in a row that give a link up (`0`: never).
     retry_limit: u64,
     timers: Timers,
-    /// Scratch: the poll set — the bell, the listener, every inbound
-    /// connection, then each outbound one [`Outbound::polled`] names — a
-    /// reader batch, a write burst, a frame head.
-    fds: Vec<sys::PollFd>,
+    /// Scratch: a reader batch, a write burst, a frame head.
     frames: Vec<(C::Lane, WireMsg)>,
     burst: Vec<(C::Lane, WireMsg, usize)>,
     head: Vec<u8>,
 }
 
-impl<C: LinkClient> IoLoop<C> {
-    fn run(mut self) {
-        let client = Arc::clone(&self.client);
+impl<C: LinkClient, N: Net> IoLoop<C, N> {
+    /// The loop of `client` over `net`, with a link to each peer of the
+    /// net that shares a stream with the node (under full replication,
+    /// every peer), running `options`' timer table. Unlinked peers get
+    /// no queue and are never dialed.
+    pub(crate) fn new(client: &Arc<C>, net: N, options: &Options, params: LinkSpawn) -> Self {
         let link = client.link();
-        let Some(waker) = link.waker.get() else {
-            return;
-        };
-        loop {
-            // Everything a wake announces is looked at after this.
-            waker.begin();
-            if !link.is_running() {
-                break;
+        let now = link.now();
+        let mut outbound = Vec::new();
+        for peer in net.peers() {
+            if !link.placement.linked(link.me, peer) {
+                continue;
             }
-            self.dial();
-            for out in &mut self.outbound {
-                if !out.blocked && out.write(link, &mut self.burst, &mut self.head).is_err() {
-                    // What the connection buffered and held goes with
-                    // it, and the link is redialed at once.
-                    out.out.reset();
-                    out.blocked = false;
-                    out.conn = Conn::Down(Instant::now());
-                }
-            }
-            let redials = self.outbound.iter().filter_map(|out| match out.conn {
-                Conn::Down(at) | Conn::Connecting(_, at) => Some(at),
-                _ => None,
+            link.queues.lock().insert(peer, VecDeque::new());
+            outbound.push(Outbound {
+                peer,
+                backoff: Backoff::new(
+                    Duration::from_millis(10),
+                    Duration::from_millis(500),
+                    link_seed(params.jitter_seed, link.me.0, peer.0),
+                ),
+                conn: Conn::Down(now),
+                out: WriteBuf {
+                    buf: Vec::new(),
+                    written: 0,
+                    held: Vec::new(),
+                    since_held: 0,
+                },
+                blocked: false,
+                connected: false,
             });
-            let timeout = (self.timers.next_due(link).into_iter())
-                .chain(redials)
-                .min()
-                .map(|due| due.saturating_duration_since(Instant::now()));
-            self.poll(waker, timeout);
-            self.timers.fire(&*client);
         }
-        // Best effort: what the sockets take of what is buffered.
-        for out in &self.outbound {
-            if let Conn::Up(stream) = &out.conn {
-                let _ = (&*stream).write(&out.out.buf[out.out.written..]);
+        IoLoop {
+            client: Arc::clone(client),
+            net,
+            inbound: Vec::new(),
+            outbound,
+            repair_first_connect: params.repair_first_connect,
+            retry_limit: options.connect_retry_limit,
+            timers: Timers::new(options, now),
+            frames: Vec::new(),
+            burst: Vec::new(),
+            head: Vec::with_capacity(64),
+        }
+    }
+
+    /// The net the loop runs on, to hand it what arrived.
+    pub fn net_mut(&mut self) -> &mut N {
+        &mut self.net
+    }
+
+    /// Turn until the link shuts down, then hand the sockets what is
+    /// buffered, best effort.
+    fn run(mut self) {
+        while self.turn() {}
+        for out in &mut self.outbound {
+            if let Conn::Up(stream) = &mut out.conn {
+                let _ = stream.write(&out.out.buf[out.out.written..]);
             }
         }
     }
 
+    /// One turn (module doc): dial what is due, write, wait on the net
+    /// until [`IoLoop::due_in`] or readiness, serve what is ready, fire
+    /// what is due. False once the link has shut down: the loop is done.
+    pub fn turn(&mut self) -> bool {
+        // Everything a wake announces is looked at after this.
+        self.client.link().waker.begin();
+        if !self.client.link().is_running() {
+            return false;
+        }
+        self.dial();
+        let link = self.client.link();
+        for out in &mut self.outbound {
+            if !out.blocked && out.write(link, &mut self.burst, &mut self.head).is_err() {
+                // What the connection buffered and held goes with it,
+                // and the link is redialed at once.
+                out.out.reset();
+                out.blocked = false;
+                out.conn = Conn::Down(link.now());
+            }
+        }
+        let timeout = self
+            .next_due()
+            .map(|due| due.saturating_duration_since(link.now()));
+        self.poll(timeout);
+        self.timers.fire(&*self.client);
+        true
+    }
+
+    /// How long until the loop has work it knows of: none at all if a
+    /// wake came since its last look, else until its next timer, sample,
+    /// redial or connect deadline (`None`: nothing is ever due). A net
+    /// its caller drives turns the loop then, and whenever something
+    /// arrives.
+    pub fn due_in(&self) -> Option<Duration> {
+        let link = self.client.link();
+        if link.waker.pending.load(Ordering::SeqCst) {
+            return Some(Duration::ZERO);
+        }
+        self.next_due()
+            .map(|due| due.saturating_duration_since(link.now()))
+    }
+
+    /// When the next timer or sample is due, or a link is to be redialed
+    /// or failed.
+    fn next_due(&self) -> Option<Instant> {
+        let redials = self.outbound.iter().filter_map(|out| match out.conn {
+            Conn::Down(at) | Conn::Connecting(_, at) => Some(at),
+            _ => None,
+        });
+        let timers = self.timers.next_due(self.client.link());
+        timers.into_iter().chain(redials).min()
+    }
+
     /// Start a connect on every link whose redial is due.
     fn dial(&mut self) {
-        let now = Instant::now();
+        let now = self.client.link().now();
         for i in 0..self.outbound.len() {
             let out = &mut self.outbound[i];
             if matches!(out.conn, Conn::Down(at) if at <= now) {
-                match sys::connect(&out.addr) {
+                match self.net.dial(out.peer) {
                     Ok(stream) => out.conn = Conn::Connecting(stream, now + CONNECT_TIMEOUT),
                     Err(_) => self.connect_failed(i, now),
                 }
@@ -1048,32 +1238,34 @@ impl<C: LinkClient> IoLoop<C> {
         }
     }
 
-    /// Sleep in `ppoll` for at most `timeout`, then serve what is ready:
-    /// a connect in flight that polls writable is decided (or failed
-    /// once its deadline passed), a blocked link that polls writable is
+    /// Wait on the net for at most `timeout`, then serve what is ready: a
+    /// connect in flight that polls writable is decided (or failed once
+    /// its deadline passed), a blocked link that polls writable is
     /// unblocked, each readable inbound connection is read once, the
     /// listener is accepted from.
-    fn poll(&mut self, waker: &Waker, timeout: Option<Duration>) {
-        let fd = |stream: &TcpStream, events| sys::PollFd::new(stream.as_raw_fd(), events);
-        self.fds.clear();
-        self.fds.push(waker.poll_fd());
-        self.fds
-            .push(sys::PollFd::new(self.listener.as_raw_fd(), sys::POLLIN));
-        for conn in &self.inbound {
-            self.fds.push(fd(conn.reader.get_ref(), sys::POLLIN));
-        }
-        for stream in self.outbound.iter().filter_map(Outbound::polled) {
-            self.fds.push(fd(stream, sys::POLLOUT));
-        }
-        waker.sleep(&mut self.fds, timeout);
-        let (listener, mut polled) = (self.fds[1].ready(), 2 + self.inbound.len());
-        let now = Instant::now();
+    fn poll(&mut self, timeout: Option<Duration>) {
+        let waker = &self.client.link().waker;
+        let timeout = match waker.heading() {
+            true => Some(Duration::ZERO),
+            false => timeout,
+        };
+        let inbound = self
+            .inbound
+            .iter()
+            .map(|conn| (conn.reader.get_ref(), false));
+        let outbound = self.outbound.iter().filter_map(Outbound::polled);
+        let listener = self
+            .net
+            .wait(inbound.chain(outbound.map(|s| (s, true))), timeout);
+        waker.awake();
+        let now = self.client.link().now();
+        let mut polled = self.inbound.len();
         for i in 0..self.outbound.len() {
             let out = &mut self.outbound[i];
             if out.polled().is_none() {
                 continue;
             }
-            let writable = self.fds.get(polled).is_some_and(sys::PollFd::ready);
+            let writable = self.net.ready(polled);
             polled += 1;
             match out.conn {
                 Conn::Up(_) => out.blocked = !writable,
@@ -1082,30 +1274,18 @@ impl<C: LinkClient> IoLoop<C> {
                 _ => {}
             }
         }
-        let mut ready = self.fds[2..].iter().map(sys::PollFd::ready);
-        let (client, frames) = (&*self.client, &mut self.frames);
-        self.inbound
-            .retain_mut(|conn| !ready.next().unwrap_or(false) || conn.read(client, frames));
+        let (client, net, frames) = (&*self.client, &mut self.net, &mut self.frames);
+        let mut i = 0;
+        self.inbound.retain_mut(|conn| {
+            i += 1;
+            !net.ready(i - 1) || conn.read(client, net, frames)
+        });
         if listener {
-            self.accept();
-        }
-    }
-
-    /// Take every connection the listener holds.
-    fn accept(&mut self) {
-        loop {
-            match self.listener.accept() {
-                Ok((stream, _)) => {
-                    if stream.set_nonblocking(true).is_ok() {
-                        self.inbound.push(Inbound {
-                            reader: FrameReader::new(stream),
-                            caller: Caller::Unannounced,
-                        });
-                    }
-                }
-                Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                // Drained, or a failure the next readiness retries.
-                Err(_) => return,
+            while let Some(stream) = self.net.accept() {
+                self.inbound.push(Inbound {
+                    reader: FrameReader::new(stream),
+                    caller: Caller::Unannounced,
+                });
             }
         }
     }
@@ -1116,18 +1296,18 @@ impl<C: LinkClient> IoLoop<C> {
     /// before its hello is out is redialed at once.
     fn connected(&mut self, i: usize, now: Instant) {
         let out = &mut self.outbound[i];
-        let Conn::Connecting(stream, _) = std::mem::replace(&mut out.conn, Conn::Down(now)) else {
+        let Conn::Connecting(mut stream, _) = std::mem::replace(&mut out.conn, Conn::Down(now))
+        else {
             return;
         };
-        if !matches!(stream.take_error(), Ok(None)) {
+        if self.net.established(&stream).is_err() {
             return self.connect_failed(i, now);
         }
         out.backoff.reset();
         let link = self.client.link();
-        stream.set_nodelay(true).ok();
         let hello = hello(link.me.0);
         let Ok(wire_len) =
-            write_lane_frame_with(&mut &stream, &mut self.head, C::Lane::HELLO, &hello)
+            write_lane_frame_with(&mut stream, &mut self.head, C::Lane::HELLO, &hello)
         else {
             return;
         };
@@ -1278,7 +1458,7 @@ mod tests {
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
         let (batch_tx, batch_rx) = mpsc::channel();
         let stub = Arc::new(Stub {
-            link: Link::new(&cfg, NodeId(0), None, std::iter::empty()),
+            link: Link::new(&cfg, NodeId(0), Clock::default(), None, std::iter::empty()),
             addr: listener.local_addr().expect("bound"),
             repairs: Mutex::new(Vec::new()),
             gave_up: Mutex::new(Vec::new()),
@@ -1289,12 +1469,12 @@ mod tests {
             reported: Mutex::new(Vec::new()),
         });
         let params = LinkSpawn {
-            thread_prefix,
             repair_first_connect: restored,
             jitter_seed: 7,
         };
-        spawn(&stub, listener, vec![(PEER, peer_addr)], options, params)
-            .expect("link threads spawn");
+        let (net, bell) = OsNet::new(listener, vec![(PEER, peer_addr)]).expect("net");
+        let io = IoLoop::new(&stub, net, options, params);
+        run_on_thread(io, bell, thread_prefix).expect("link threads spawn");
         stub
     }
 
@@ -1665,7 +1845,23 @@ mod tests {
                 std::hint::spin_loop();
             }
         }
-        let waker = Waker::new().expect("socket pair");
+        let (tx, rx) = UnixStream::pair().expect("socket pair");
+        rx.set_nonblocking(true).expect("non-blocking");
+        let waker = Waker::default();
+        let _ = waker.bell.set(tx);
+        // The loop's wait on the bell alone, as `IoLoop::poll` makes it.
+        let sleep = |timeout: Duration| {
+            let timeout = if waker.heading() {
+                Duration::ZERO
+            } else {
+                timeout
+            };
+            let mut fds = [sys::PollFd::new(rx.as_raw_fd(), sys::POLLIN)];
+            let ready = sys::ppoll(&mut fds, Some(timeout));
+            waker.awake();
+            while matches!((&rx).read(&mut [0; 64]), Ok(64)) {}
+            ready
+        };
         let queued = AtomicUsize::new(0);
         let (start, end) = (Barrier::new(PRODUCERS + 1), Barrier::new(PRODUCERS + 1));
         let (heading, lost, stop) = (
@@ -1716,7 +1912,7 @@ mod tests {
                         heading.store(true, Ordering::SeqCst);
                         pause(&mut rng, LOOP_SPINS);
                         let began = Instant::now();
-                        let ready = waker.sleep(&mut [waker.poll_fd()], Some(TIMEOUT));
+                        let ready = sleep(TIMEOUT);
                         if ready == 0 && began.elapsed() >= TIMEOUT {
                             lost.fetch_add(1, Ordering::SeqCst);
                             stop.store(true, Ordering::SeqCst);
@@ -1880,7 +2076,7 @@ mod tests {
             "az A a b\naz B c\nreplicate a a b\nreplicate b b a\nreplicate c c\n",
         )
         .expect("config parses");
-        let link: Link<()> = Link::new(&cfg, NodeId(0), None, std::iter::empty());
+        let link: Link<()> = Link::new(&cfg, NodeId(0), Clock::default(), None, std::iter::empty());
         assert_eq!(link.admit(1), Some(NodeId(1)));
         assert_eq!(link.admit(0), None, "self");
         assert_eq!(link.admit(2), None, "shares no stream with node 0");

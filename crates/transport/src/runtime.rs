@@ -16,7 +16,7 @@
 
 use crate::framing::Lane;
 use crate::handle::NodeHandle;
-use crate::link::{self, Link, LinkClient, LinkSpawn};
+use crate::link::{self, IoLoop, Link, LinkClient, LinkSpawn, Net, OsNet};
 use crate::upcalls::Upcalls;
 use bytes::Bytes;
 use parking_lot::Mutex;
@@ -64,7 +64,12 @@ pub trait TcpMachine: Send + Sized + 'static {
     /// See [`StabilizerNode::waitfor`].
     fn waitfor(&mut self, stream: NodeId, key: &str, seq: SeqNo) -> Result<WaitToken, CoreError>;
     /// See [`StabilizerNode::report_stability`].
-    fn report_stability(&mut self, stream: NodeId, ty: AckTypeId, seq: SeqNo);
+    fn report_stability(
+        &mut self,
+        stream: NodeId,
+        ty: AckTypeId,
+        seq: SeqNo,
+    ) -> Result<(), CoreError>;
 
     /// What the loop samples for the transport gauges (under the state
     /// lock): send-buffer bytes and blocked waits.
@@ -129,8 +134,13 @@ impl TcpMachine for StabilizerNode {
     fn waitfor(&mut self, stream: NodeId, key: &str, seq: SeqNo) -> Result<WaitToken, CoreError> {
         self.waitfor(stream, key, seq)
     }
-    fn report_stability(&mut self, stream: NodeId, ty: AckTypeId, seq: SeqNo) {
-        self.report_stability(stream, ty, seq);
+    fn report_stability(
+        &mut self,
+        stream: NodeId,
+        ty: AckTypeId,
+        seq: SeqNo,
+    ) -> Result<(), CoreError> {
+        self.report_stability(stream, ty, seq)
     }
 
     fn sample(&self) -> (usize, usize) {
@@ -175,8 +185,8 @@ impl TcpMachine for StabilizerNode {
     }
 }
 
-/// State shared between the handle and the link threads.
-pub(crate) struct Shared<M: TcpMachine> {
+/// State shared between a node's handle and its I/O loop.
+pub struct Shared<M: TcpMachine> {
     /// This node's id.
     pub(crate) me: NodeId,
     /// The protocol state machine.
@@ -371,8 +381,34 @@ pub fn spawn_node_with(
     acks: Arc<AckTypeRegistry>,
     listener: TcpListener,
     peer_addrs: Vec<(NodeId, SocketAddr)>,
-    mut opts: SpawnOptions,
+    opts: SpawnOptions,
 ) -> Result<TcpNode, CoreError> {
+    let (net, bell) = OsNet::new(listener, peer_addrs)?;
+    let (node, io) = spawn_node_on(cfg, me, acks, net, opts)?;
+    link::run_on_thread(io, bell, StabilizerNode::THREAD_PREFIX)?;
+    Ok(node)
+}
+
+/// The I/O loop of a node [`spawn_node_on`] started on a net its caller
+/// drives: [`IoLoop::turn`] it whenever something arrives on the net or
+/// [`IoLoop::due_in`] runs out.
+pub type NodeLoop<N, M = StabilizerNode> = IoLoop<Shared<M>, N>;
+
+/// Start node `me` of `cfg` on `net` — as [`spawn_node_with`] does on
+/// real sockets — and hand back its I/O loop instead of turning it on a
+/// thread: the caller drives the net, on the net's clock.
+///
+/// # Errors
+///
+/// Fails if a configured predicate does not compile, or on a bind
+/// failure of `opts.serve_addr`.
+pub fn spawn_node_on<N: Net>(
+    cfg: ClusterConfig,
+    me: NodeId,
+    acks: Arc<AckTypeRegistry>,
+    net: N,
+    mut opts: SpawnOptions,
+) -> Result<(TcpNode, NodeLoop<N>), CoreError> {
     let (node, restored) = match opts.snapshot.take() {
         None => (StabilizerNode::new(cfg.clone(), me, acks)?, None),
         Some(snapshot) => {
@@ -382,27 +418,28 @@ pub fn spawn_node_with(
             // snapshot + retained-log replay, covering whatever was
             // published past it while this node was down (no-op unless
             // `transfer_millis` is configured).
-            let streams = node.begin_catch_up(0);
+            let streams = node.begin_catch_up(net.clock().start_nanos());
             (node, Some(streams))
         }
     };
-    spawn(&cfg, me, node, listener, peer_addrs, opts, restored)
+    spawn(&cfg, me, node, net, opts, restored)
 }
 
-/// Start `node`, node `me` of `cfg`, on the TCP runtime: the one spawn
-/// path under both machines. `restored` is `Some(streams)` for a node
-/// restored from a snapshot that requested catch-up on `streams` peer
-/// streams; `opts.snapshot` has been consumed.
-pub(crate) fn spawn<M: TcpMachine>(
+/// Start `node`, node `me` of `cfg`, on the TCP runtime over `net`: the
+/// one spawn path under both machines and every net. `restored` is
+/// `Some(streams)` for a node restored from a snapshot that requested
+/// catch-up on `streams` peer streams; `opts.snapshot` has been
+/// consumed. The loop is the caller's to turn.
+pub(crate) fn spawn<M: TcpMachine, N: Net>(
     cfg: &ClusterConfig,
     me: NodeId,
     node: M,
-    listener: TcpListener,
-    peer_addrs: Vec<(NodeId, SocketAddr)>,
+    net: N,
     opts: SpawnOptions,
     restored: Option<usize>,
-) -> Result<TcpNode<M>, CoreError> {
-    let link = Link::new(cfg, me, opts.telemetry, node.predicate_tolerances());
+) -> Result<(TcpNode<M>, NodeLoop<N, M>), CoreError> {
+    let clock = net.clock();
+    let link = Link::new(cfg, me, clock, opts.telemetry, node.predicate_tolerances());
     let shared = Arc::new(Shared {
         me,
         node: Mutex::new(node),
@@ -419,18 +456,11 @@ pub(crate) fn spawn<M: TcpMachine>(
         None => "{\"reports\":[]}".to_string(),
     });
     shared.link.serve(opts.serve_addr.as_deref(), stall)?;
-    link::spawn(
-        &shared,
-        listener,
-        peer_addrs,
-        cfg.options(),
-        LinkSpawn {
-            thread_prefix: M::THREAD_PREFIX,
-            repair_first_connect: restored.is_some(),
-            jitter_seed: opts.jitter_seed,
-        },
-    )
-    .inspect_err(|_| shared.link.shutdown())?;
+    let params = LinkSpawn {
+        repair_first_connect: restored.is_some(),
+        jitter_seed: opts.jitter_seed,
+    };
+    let io = IoLoop::new(&shared, net, cfg.options(), params);
 
     // Flush actions queued during construction (configured predicates,
     // and a restore's re-evaluation of every one, can emit frontier
@@ -439,9 +469,8 @@ pub(crate) fn spawn<M: TcpMachine>(
     shared.notify_join(restored.unwrap_or(0));
     shared.with_node(|_| ());
 
-    Ok(TcpNode {
-        handle: NodeHandle { shared },
-    })
+    let handle = NodeHandle { shared };
+    Ok((TcpNode { handle }, io))
 }
 
 /// Launch an in-process cluster on localhost (one runtime per topology

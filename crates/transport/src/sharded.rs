@@ -21,7 +21,7 @@
 //!   diagnosed it.
 
 use crate::handle::NodeHandle;
-use crate::link;
+use crate::link::{self, OsNet};
 use crate::runtime::{self, SpawnOptions, TcpMachine, TcpNode};
 use bytes::Bytes;
 use stabilizer_core::{
@@ -75,8 +75,13 @@ impl TcpMachine for ShardedEngine {
     fn waitfor(&mut self, stream: NodeId, key: &str, seq: SeqNo) -> Result<WaitToken, CoreError> {
         self.waitfor(stream, key, seq)
     }
-    fn report_stability(&mut self, stream: NodeId, ty: AckTypeId, seq: SeqNo) {
-        self.report_stability(stream, ty, seq);
+    fn report_stability(
+        &mut self,
+        stream: NodeId,
+        ty: AckTypeId,
+        seq: SeqNo,
+    ) -> Result<(), CoreError> {
+        self.report_stability(stream, ty, seq)
     }
 
     fn sample(&self) -> (usize, usize) {
@@ -204,7 +209,10 @@ pub fn spawn_sharded_node(
         ));
     }
     let engine = ShardedEngine::new(cfg.clone(), me, acks, policy)?;
-    runtime::spawn(&cfg, me, engine, listener, peer_addrs, opts, None)
+    let (net, bell) = OsNet::new(listener, peer_addrs)?;
+    let (node, io) = runtime::spawn(&cfg, me, engine, net, opts, None)?;
+    link::run_on_thread(io, bell, ShardedEngine::THREAD_PREFIX)?;
+    Ok(node)
 }
 
 /// Launch an in-process sharded cluster on localhost, one runtime per

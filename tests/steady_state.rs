@@ -328,7 +328,7 @@ fn sharded_engines_keep_nothing_per_message() {
                     for stream in (0..3).map(NodeId).filter(|s| s.0 as usize != i) {
                         cluster.on(i, |e| {
                             let behind = e.aggregator().delivered_global(stream).saturating_sub(2);
-                            e.report_stability(stream, applied, behind);
+                            e.report_stability(stream, applied, behind).unwrap();
                         });
                     }
                 },
