@@ -182,11 +182,7 @@ fn replay_hash(seed: u64) {
             writeln!(transcript, "{i} D {t:?} {} {s} {l}", o.0).unwrap();
         }
     }
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in transcript.as_bytes() {
-        hash ^= u64::from(*b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
+    let hash = stabilizer_core::fnv1a(transcript.as_bytes());
     println!(
         "replay seed={seed} events={} hash={hash:016x}",
         transcript.lines().count()

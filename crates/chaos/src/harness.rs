@@ -23,7 +23,7 @@
 //! | **Network** | — | `Simulation` links | `MemNet` |
 //! | **Clock** | virtual: advancing = one simulator step | — | — |
 //! | **Crash mechanics** | links cut first, snapshot round-trips the byte format | snapshot the actor; it lives on as a cut-off zombie | snapshot, shut down, kill the connections; the handle lives on as a zombie |
-//! | **Trace hashing** | note strings, order and node, with every upcall, into one hashed [`EventTrace`](crate::EventTrace) | — | — |
+//! | **Trace hashing** | note strings, order and node, with every upcall, into one unbounded telemetry `TraceRing`, hashed by [`trace_hash`] | — | — |
 //!
 //! A run is fully determined by `(config, topology, workload, plan,
 //! seed)`, on either backend: faults are applied at exact virtual times
@@ -35,7 +35,7 @@
 
 use crate::invariants::{InvariantChecker, InvariantViolation, NodeView};
 use crate::plan::{FaultPlan, Op, PlanError, TimedOp};
-use crate::trace::{shared_trace, SharedTrace, TraceEvent, TraceEventKind};
+use crate::trace::trace_hash;
 use bytes::Bytes;
 use stabilizer_core::{
     Ack, ClusterConfig, CoreError, EventLog, Snapshot, StabilizerNode, StallReport, WaitToken,
@@ -43,7 +43,7 @@ use stabilizer_core::{
 };
 use stabilizer_dsl::{NodeId, SeqNo, RECEIVED};
 use stabilizer_netsim::{SimDuration, SimTime};
-use stabilizer_telemetry::Telemetry;
+use stabilizer_telemetry::{Telemetry, TraceEvent, TraceKind, TraceRing};
 use std::sync::Arc;
 
 /// Trace `node` value for cluster-wide harness actions.
@@ -102,6 +102,9 @@ pub enum ChaosError {
     /// Cluster construction failed (e.g. a predicate didn't compile, or
     /// a socket could not be set up).
     Core(CoreError),
+    /// The telemetry hub keeps wall-clock time, which would overwrite
+    /// every virtual timestamp of the run.
+    WallClockHub,
 }
 
 impl std::fmt::Display for ChaosError {
@@ -109,6 +112,11 @@ impl std::fmt::Display for ChaosError {
         match self {
             ChaosError::Plan(e) => write!(f, "{e}"),
             ChaosError::Core(e) => write!(f, "{e}"),
+            ChaosError::WallClockHub => write!(
+                f,
+                "a chaos run keeps virtual time: attach a hub built with \
+                 `Telemetry::new_sim`, not `Telemetry::new_wall_clock`"
+            ),
         }
     }
 }
@@ -288,7 +296,8 @@ pub struct Chaos<B: Backend> {
     checker: InvariantChecker,
     schedule: Vec<Scheduled>,
     next_action: usize,
-    /// Crash snapshots of currently-crashed nodes.
+    /// What each node reboots from: a snapshot persisted ahead of a
+    /// lagged crash, then its crash snapshot while it is down.
     snapshots: Vec<Option<Snapshot>>,
     /// Nodes that are not part of the running cluster: crashed, or not
     /// yet joined ([`Fault::Join`](crate::Fault::Join)). Their links stay
@@ -306,7 +315,7 @@ pub struct Chaos<B: Backend> {
     timer_scale: Vec<f64>,
     telemetry: Option<Arc<Telemetry>>,
     /// Every upcall, fault and workload action of the run, hashed.
-    trace: SharedTrace,
+    trace: Arc<TraceRing>,
 }
 
 impl<B: Backend> Chaos<B> {
@@ -318,8 +327,11 @@ impl<B: Backend> Chaos<B> {
         plan: &FaultPlan,
         workload: Vec<TimedWork>,
         telemetry: Option<Arc<Telemetry>>,
-        backend: impl FnOnce(&SharedTrace) -> Result<B, ChaosError>,
+        backend: impl FnOnce(&Arc<TraceRing>) -> Result<B, ChaosError>,
     ) -> Result<Self, ChaosError> {
+        if telemetry.as_ref().is_some_and(|t| t.is_wall_clock()) {
+            return Err(ChaosError::WallClockHub);
+        }
         let n = cfg.num_nodes();
         let ops = plan.compile(n)?;
         let mut schedule: Vec<Scheduled> = ops
@@ -338,7 +350,7 @@ impl<B: Backend> Chaos<B> {
             )
             .collect();
         schedule.sort_by_key(|s| s.at); // stable: faults stay before work on ties
-        let trace = shared_trace();
+        let trace = Arc::new(TraceRing::new(usize::MAX));
         let mut backend = backend(&trace)?;
         // Late joiners are absent from the first instant: cut their
         // links before any node runs (the placeholder incarnation idles
@@ -372,28 +384,18 @@ impl<B: Backend> Chaos<B> {
         })
     }
 
-    /// The run's hashed trace.
-    pub fn trace(&self) -> &SharedTrace {
-        &self.trace
-    }
-
     /// Current trace hash (the determinism fingerprint).
     pub fn trace_hash(&self) -> u64 {
-        self.trace.lock().unwrap_or_else(|e| e.into_inner()).hash()
+        trace_hash(&self.trace.snapshot())
     }
 
     /// Append a harness note to the trace.
     fn note(&mut self, at: SimTime, node: u16, what: String) {
-        let event = TraceEvent {
+        self.trace.push(TraceEvent {
             at_nanos: at.as_nanos(),
-            node,
-            kind: TraceEventKind::Harness { what },
-        };
-        self.trace
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .events
-            .push(event);
+            node: NodeId(node),
+            kind: TraceKind::Note { what },
+        });
     }
 
     /// Reconcile the backend's link `a -> b` with the layered state.
@@ -438,10 +440,9 @@ impl<B: Backend> Chaos<B> {
                 });
             }
         }
-        let trace = self.trace.lock().unwrap_or_else(|e| e.into_inner());
         Ok(RunReport {
-            trace_hash: trace.hash(),
-            trace_events: trace.len(),
+            trace_hash: self.trace_hash(),
+            trace_events: self.trace.len(),
             steps,
             dropped: self.backend.dropped(),
             final_time: self.backend.now(),
@@ -643,6 +644,13 @@ impl<B: Backend> Chaos<B> {
                 );
             }
             Op::ForgeAck { node, ahead } => self.forge_ack(at, node, ahead),
+            // A node restarting at this very instant is still down.
+            Op::Persist { node } if !self.down[node] => {
+                let snapshot = self.backend.with_node(node, |state, _| state.snapshot());
+                self.snapshots[node] = Some(through_bytes(&snapshot));
+                self.note(at, node as u16, format!("persist {node}"));
+            }
+            Op::Persist { .. } => {}
             Op::Crash { node } => self.crash(at, node),
             Op::Restart { node } => self.restart(at, node),
             Op::Join { node } => self.join(at, node),
@@ -680,17 +688,20 @@ impl<B: Backend> Chaos<B> {
     }
 
     /// Crash: cut the node off, then persist its control plane through
-    /// the byte format (what the integrated storage system would store).
-    /// Cutting first is what keeps belief ≤ truth on a concurrent
-    /// runtime: the snapshot is then a superset of everything that
-    /// escaped.
+    /// the byte format (what the integrated storage system would store)
+    /// — unless an [`Op::Persist`] already did, earlier. Cutting first
+    /// is what keeps belief ≤ truth on a concurrent runtime: a crash
+    /// snapshot is then a superset of everything that escaped.
     fn crash(&mut self, at: SimTime, node: usize) {
         self.down[node] = true;
         self.sync_links_of(node);
+        let checker = &mut self.checker;
+        self.backend
+            .with_node(node, |state, _| checker.note_crash(node, state));
         let snapshot = self.backend.crash(node);
-        let snapshot =
-            Snapshot::from_bytes(&snapshot.to_bytes()).expect("snapshot byte format round-trips");
-        self.snapshots[node] = Some(snapshot);
+        if self.snapshots[node].is_none() {
+            self.snapshots[node] = Some(through_bytes(&snapshot));
+        }
         self.note(at, node as u16, format!("crash {node}"));
     }
 
@@ -875,6 +886,11 @@ impl<B: Backend> Chaos<B> {
     }
 }
 
+/// `snapshot` as storage gives it back: encoded and decoded.
+fn through_bytes(snapshot: &Snapshot) -> Snapshot {
+    Snapshot::from_bytes(&snapshot.to_bytes()).expect("snapshot byte format round-trips")
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1046,6 +1062,7 @@ mod tests {
                     Fault::CrashRestart {
                         node: 2,
                         down_for: ms(60),
+                        persist_lag: SimDuration::ZERO,
                     },
                 ),
                 at(60, Fault::Join { node: 1 }),

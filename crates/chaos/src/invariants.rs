@@ -5,10 +5,12 @@
 //! 1. **ACK monotonicity** — every `(stream, node, type)` cell of every
 //!    node's recorder only ever grows (§III-A's overwrite semantics).
 //! 2. **Belief ≤ truth** — node `n`'s view of how far node `m` has
-//!    acknowledged a stream never exceeds `m`'s own recorder cell.
-//!    Acks only propagate *from* the acking node, so a remote view can
-//!    never run ahead; this holds under any predicate, any partition,
-//!    and across exclusion/reinstatement.
+//!    acknowledged a stream never exceeds `m`'s own recorder cell, or
+//!    what that cell held when an earlier incarnation of `m` was cut
+//!    off (a restart from a snapshot persisted before the crash resumes
+//!    lower). Acks only propagate *from* the acking node, so a remote
+//!    view can never run ahead; this holds under any predicate, any
+//!    partition, and across exclusion/reinstatement.
 //! 3. **Delivered ⇒ received** — a node's own DELIVERED cell never
 //!    exceeds its RECEIVED cell, and never exceeds the high-water mark
 //!    of deliveries it actually up-called.
@@ -18,7 +20,8 @@
 //! 5. **Frontier never regresses within a generation** — predicate
 //!    changes, auto-exclusion, and restore bump the generation; inside
 //!    one generation the frontier is monotone, and never exceeds what
-//!    the origin actually published.
+//!    the origin actually published, in this incarnation or (up to its
+//!    cut) an earlier one.
 //! 6. **Suspicion/recovery consistency** — recoveries pair with prior
 //!    suspicions, nodes never suspect themselves, and the logs agree
 //!    with `StabilizerNode::is_suspected`.
@@ -171,6 +174,9 @@ pub struct InvariantChecker {
     recovered_cursor: Vec<usize>,
     /// Shadow suspicion sets: `suspects[n][p]`.
     suspects: Vec<Vec<bool>>,
+    /// Per node, its own cells `[stream*types + ty]` at the highest any
+    /// of its earlier incarnations held when cut off by a crash.
+    claimed: Vec<Vec<SeqNo>>,
     /// Stream placement, when partial replication is in play
     /// (invariant 7); `None` checks nothing extra (full replication).
     placement: Option<Arc<PlacementMap>>,
@@ -202,6 +208,7 @@ impl InvariantChecker {
             suspected_cursor: vec![0; n],
             recovered_cursor: vec![0; n],
             suspects: vec![vec![false; n]; n],
+            claimed: vec![vec![0; n * types]; n],
             placement: None,
             checks: 0,
             rescan_every: DEFAULT_RESCAN_EVERY,
@@ -246,6 +253,19 @@ impl InvariantChecker {
     /// Cluster size.
     pub fn num_nodes(&self) -> usize {
         self.n
+    }
+
+    /// Tell the checker node `i` is cut off and crashes: `node` is its
+    /// state at the cut, the most its peers can have heard of.
+    pub fn note_crash(&mut self, i: usize, node: &StabilizerNode) {
+        let rec = node.recorder();
+        for s in 0..self.n {
+            for t in 0..self.types {
+                let cell = rec.get(NodeId(s as u16), NodeId(i as u16), AckTypeId(t as u16));
+                let claimed = &mut self.claimed[i][s * self.types + t];
+                *claimed = (*claimed).max(cell);
+            }
+        }
     }
 
     /// Tell the checker node `i` was crash-restarted from a snapshot:
@@ -474,6 +494,7 @@ impl InvariantChecker {
         shadow[idx] = cur;
         if m != i {
             let truth = views[m].node.recorder().get(stream, peer, ty);
+            let truth = truth.max(self.claimed[m][s * self.types + t]);
             if cur > truth {
                 return Err(InvariantViolation {
                     at: now,
@@ -590,7 +611,10 @@ impl InvariantChecker {
         for (i, view) in views.iter().enumerate() {
             let log = view.frontier_log;
             for (at, update) in &log[self.frontier_cursor[i]..] {
-                let last_published = views[update.stream.0 as usize].node.last_published();
+                let origin = update.stream.0 as usize;
+                // An origin's own RECEIVED cell is its last publish.
+                let before = self.claimed[origin][origin * self.types + RECEIVED.0 as usize];
+                let last_published = views[origin].node.last_published().max(before);
                 if update.seq > last_published {
                     return Err(InvariantViolation {
                         at: now,

@@ -26,7 +26,7 @@
 //!
 //! | | [`ChaosHarness`] = `Chaos<SimBackend>` | [`ChaosTcpCluster`] = `Chaos<TcpBackend>` |
 //! |---|---|---|
-//! | **Same** ([`harness`]) | plan compile, schedule order (faults before work on ties), link/down/skew layering, the one reboot sequence under restart and join, the checker, the `post-fault-liveness` verdict with its blame, the payload fill, the query surface ([`FinalState`]), the hashed [`EventTrace`] | ← |
+//! | **Same** ([`harness`]) | plan compile, schedule order (faults before work on ties), link/down/skew layering, the one reboot sequence under restart and join, the checker, the `post-fault-liveness` verdict with its blame, the payload fill, the query surface ([`FinalState`]), the hashed trace (an unbounded telemetry `TraceRing`, [`trace_hash`]) | ← |
 //! | **Network** | [`stabilizer_netsim::Simulation`] links carry `WireMsg`s | [`MemNet`]: framed bytes of the transport's connections, one `netsim` message per frame |
 //! | **Clock** | virtual, one event per step | virtual, one event per step; every node's loop reads the simulator's clock |
 //! | **Concurrency** | none | none: each node's I/O loop is turned by its `netsim` actor |
@@ -60,4 +60,4 @@ pub use plan::{Fault, FaultEvent, FaultPlan, Op, PlanError, TimedOp};
 pub use scenario::{ChaosFailure, Scenario, TopologyKind};
 pub use sim_harness::{ChaosHarness, SimBackend};
 pub use tcp_harness::{ChaosTcpCluster, TcpBackend};
-pub use trace::{shared_trace, ChaosObserver, EventTrace, SharedTrace, TraceEvent, TraceEventKind};
+pub use trace::{trace_hash, ChaosObserver};

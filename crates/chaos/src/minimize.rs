@@ -59,6 +59,7 @@ mod tests {
             fault: Fault::CrashRestart {
                 node: 3,
                 down_for: ms(200),
+                persist_lag: SimDuration::ZERO,
             },
         };
         let noise = |at: u64, node: usize| FaultEvent {
@@ -97,6 +98,7 @@ mod tests {
             fault: Fault::CrashRestart {
                 node: 1,
                 down_for: ms(100),
+                persist_lag: SimDuration::ZERO,
             },
         };
         let noise = FaultEvent {

@@ -41,13 +41,18 @@ pub enum Fault {
         /// Time until the NIC recovers.
         restore_after: SimDuration,
     },
-    /// Crash a node (snapshot its control plane, cut its links) and
-    /// restart it from the snapshot after `down_for`.
+    /// Crash a node (cut its links) and restart it after `down_for`
+    /// from the snapshot of its control plane persisted `persist_lag`
+    /// before the crash: what it did in between is lost, as when storage
+    /// lags the node. A lag of zero persists at the crash instant.
     CrashRestart {
         /// The crashing node.
         node: usize,
         /// Downtime before the restart.
         down_for: SimDuration,
+        /// How long before the crash its snapshot was taken; the node
+        /// must be up for all of it.
+        persist_lag: SimDuration,
     },
     /// Add extra one-way delay on the directed link `from -> to` — a
     /// skewed control plane or a flapped route; clears after
@@ -199,7 +204,13 @@ pub enum Op {
         /// The extra delay.
         extra: SimDuration,
     },
-    /// Snapshot and cut off a node.
+    /// Persist a live node's control plane: its next crash reboots
+    /// from this snapshot, not from one taken at the crash instant.
+    Persist {
+        /// The persisting node.
+        node: usize,
+    },
+    /// Snapshot (unless persisted since) and cut off a node.
     Crash {
         /// The crashing node.
         node: usize,
@@ -330,14 +341,22 @@ impl FaultPlan {
                         return bad(format!("collapse rate {bytes_per_sec} must be positive"));
                     }
                 }
-                Fault::CrashRestart { node, down_for } => {
+                Fault::CrashRestart {
+                    node,
+                    down_for,
+                    persist_lag,
+                } => {
                     if *node >= n {
                         return bad(format!("node {node} out of range (n={n})"));
                     }
                     if *down_for == SimDuration::ZERO {
                         return bad("crash downtime must be positive".into());
                     }
-                    let (start, end) = (ev.at, ev.at + *down_for);
+                    if *persist_lag > ev.at {
+                        return bad(format!("persist lag {persist_lag} precedes the run"));
+                    }
+                    // The node is up from the persist point to the crash.
+                    let (start, end) = (ev.at - *persist_lag, ev.at + *down_for);
                     for &(other, s, e) in &crash_windows {
                         if other == *node && start < e && s < end {
                             return bad(format!(
@@ -527,7 +546,17 @@ impl FaultPlan {
                         },
                     });
                 }
-                Fault::CrashRestart { node, down_for } => {
+                Fault::CrashRestart {
+                    node,
+                    down_for,
+                    persist_lag,
+                } => {
+                    if *persist_lag > SimDuration::ZERO {
+                        ops.push(TimedOp {
+                            at: ev.at - *persist_lag,
+                            op: Op::Persist { node: *node },
+                        });
+                    }
                     ops.push(TimedOp {
                         at: ev.at,
                         op: Op::Crash { node: *node },
@@ -740,7 +769,8 @@ mod tests {
         .is_err());
         assert!(bad(Fault::CrashRestart {
             node: 9,
-            down_for: ms(1)
+            down_for: ms(1),
+            persist_lag: SimDuration::ZERO,
         })
         .is_err());
         // Overlapping crashes on one node are rejected; disjoint pass.
@@ -751,6 +781,7 @@ mod tests {
                     fault: Fault::CrashRestart {
                         node: 1,
                         down_for: ms(500),
+                        persist_lag: SimDuration::ZERO,
                     },
                 },
                 FaultEvent {
@@ -758,6 +789,7 @@ mod tests {
                     fault: Fault::CrashRestart {
                         node: 1,
                         down_for: ms(500),
+                        persist_lag: SimDuration::ZERO,
                     },
                 },
             ],
@@ -770,6 +802,7 @@ mod tests {
                     fault: Fault::CrashRestart {
                         node: 1,
                         down_for: ms(200),
+                        persist_lag: SimDuration::ZERO,
                     },
                 },
                 FaultEvent {
@@ -777,6 +810,7 @@ mod tests {
                     fault: Fault::CrashRestart {
                         node: 1,
                         down_for: ms(200),
+                        persist_lag: SimDuration::ZERO,
                     },
                 },
             ],
@@ -810,6 +844,7 @@ mod tests {
                     fault: Fault::CrashRestart {
                         node: 2,
                         down_for: ms(100),
+                        persist_lag: SimDuration::ZERO,
                     },
                 },
                 join(2, ms(300)),
@@ -826,6 +861,7 @@ mod tests {
                     fault: Fault::CrashRestart {
                         node: 2,
                         down_for: ms(100),
+                        persist_lag: SimDuration::ZERO,
                     },
                 },
             ],
@@ -835,6 +871,40 @@ mod tests {
         assert!(matches!(ops[0].op, Op::Join { node: 2 }));
         assert!(matches!(ops[1].op, Op::Crash { node: 2 }));
         assert!(matches!(ops[2].op, Op::Restart { node: 2 }));
+    }
+
+    #[test]
+    fn a_persist_lag_compiles_to_a_persist_op_ahead_of_the_crash() {
+        let crash = |at, node, persist_lag| FaultEvent {
+            at: ms(at),
+            fault: Fault::CrashRestart {
+                node,
+                down_for: ms(100),
+                persist_lag: ms(persist_lag),
+            },
+        };
+        let ops = FaultPlan {
+            events: vec![crash(300, 1, 120), crash(300, 2, 0)],
+        }
+        .compile(3)
+        .unwrap();
+        let shape: Vec<_> = ops.iter().map(|o| (o.at, o.op.clone())).collect();
+        assert_eq!(
+            shape,
+            vec![
+                (ms(180), Op::Persist { node: 1 }),
+                (ms(300), Op::Crash { node: 1 }),
+                (ms(300), Op::Crash { node: 2 }),
+                (ms(400), Op::Restart { node: 1 }),
+                (ms(400), Op::Restart { node: 2 }),
+            ]
+        );
+        // A lag reaching before the run, or into an earlier crash window
+        // of the same node, is rejected.
+        let plan = |events| FaultPlan { events }.validate(3);
+        assert!(plan(vec![crash(100, 1, 101)]).is_err());
+        assert!(plan(vec![crash(100, 1, 50), crash(300, 1, 150)]).is_err());
+        assert!(plan(vec![crash(100, 1, 50), crash(300, 1, 100)]).is_ok());
     }
 
     #[test]
@@ -965,6 +1035,7 @@ mod tests {
                     fault: Fault::CrashRestart {
                         node: 1,
                         down_for: ms(500),
+                        persist_lag: SimDuration::ZERO,
                     },
                 },
                 FaultEvent {

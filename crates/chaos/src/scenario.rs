@@ -391,6 +391,7 @@ impl Scenario {
                         Fault::CrashRestart {
                             node,
                             down_for: ms(rng.gen_range(150u64..=400)),
+                            persist_lag: SimDuration::ZERO,
                         }
                     }
                 }

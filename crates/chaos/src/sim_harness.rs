@@ -1,14 +1,14 @@
 //! The simulator backend of the chaos harness: a
 //! `Simulation<SimNode<ChaosObserver>>` stepped in virtual time, with
-//! every protocol upcall and every harness action appended to one
-//! hashed [`EventTrace`](crate::EventTrace) — the determinism
-//! fingerprint. What is shared with the TCP backend, and what is not, is
-//! the table in [`crate::harness`].
+//! every protocol upcall and every harness action appended to the run's
+//! one telemetry `TraceRing`, whose [hash](crate::trace::trace_hash) is
+//! the determinism fingerprint. What is shared with the TCP backend,
+//! and what is not, is the table in [`crate::harness`].
 
 use crate::harness::{Advance, Backend, Chaos, ChaosError, TimedWork};
 use crate::invariants::NodeView;
 use crate::plan::FaultPlan;
-use crate::trace::{ChaosObserver, SharedTrace};
+use crate::trace::ChaosObserver;
 use bytes::Bytes;
 use stabilizer_core::sim_driver::{build_actors, SimNode};
 use stabilizer_core::{
@@ -16,14 +16,14 @@ use stabilizer_core::{
 };
 use stabilizer_dsl::{NodeId, SeqNo};
 use stabilizer_netsim::{Actor, NetTopology, SimDuration, SimTime, Simulation};
-use stabilizer_telemetry::Telemetry;
+use stabilizer_telemetry::{Telemetry, TraceRing};
 use std::sync::Arc;
 
 /// The simulated cluster under a [`ChaosHarness`].
 pub struct SimBackend {
     sim: Simulation<SimNode<ChaosObserver>>,
     cfg: ClusterConfig,
-    trace: SharedTrace,
+    trace: Arc<TraceRing>,
     telemetry: Option<Arc<Telemetry>>,
 }
 
@@ -69,7 +69,7 @@ impl ChaosHarness {
         telemetry: Option<Arc<Telemetry>>,
     ) -> Result<Self, ChaosError> {
         Chaos::assemble(cfg, plan, workload, telemetry.clone(), |trace| {
-            let trace = trace.clone();
+            let trace = Arc::clone(trace);
             // The checker reads every node's log beside the trace, so
             // each node keeps one (`SimNode::new`, as on a reboot).
             let sim = build_actors(cfg, net, seed, |me, acks| {
@@ -104,9 +104,13 @@ impl ChaosHarness {
 
 /// The hooks of one incarnation of `node`: the hashed trace, plus the
 /// hub's metrics observer when one is attached.
-fn observer(node: usize, trace: &SharedTrace, telemetry: Option<&Arc<Telemetry>>) -> ChaosObserver {
-    ChaosObserver::new(node as u16, trace.clone())
-        .with_metrics(telemetry.map(|t| t.observer(NodeId(node as u16))))
+fn observer(
+    node: usize,
+    trace: &Arc<TraceRing>,
+    telemetry: Option<&Arc<Telemetry>>,
+) -> ChaosObserver {
+    let me = NodeId(node as u16);
+    ChaosObserver::new(me, Arc::clone(trace), telemetry.map(|t| t.observer(me)))
 }
 
 impl Backend for SimBackend {
@@ -312,6 +316,7 @@ mod tests {
                 fault: Fault::CrashRestart {
                     node: 2,
                     down_for: ms(150),
+                    persist_lag: SimDuration::ZERO,
                 },
             }],
         };

@@ -11,9 +11,10 @@
 //! loop, reconnect backoff and repair, the ACK-tail merge, the
 //! runtime's lock and upcall discipline — under the same faults. Both
 //! are single-threaded and seeded, so a run is fully determined by
-//! `(config, plan, workload, seed)` and hashes to one
-//! [`EventTrace`](crate::EventTrace). Everything the two share is written once in
-//! [`crate::harness`] (the table there); this module is [`TcpBackend`].
+//! `(config, plan, workload, seed)` and its trace to one
+//! [hash](crate::trace::trace_hash). Everything the two share is written
+//! once in [`crate::harness`] (the table there); this module is
+//! [`TcpBackend`].
 //!
 //! A crash is a snapshot, then a kill: the harness has already cut the
 //! node's links, so everything the node wrote is either in flight —
@@ -27,7 +28,7 @@ use crate::harness::{Advance, Backend, Chaos, ChaosError, TimedWork};
 use crate::invariants::NodeView;
 use crate::mem_net::MemNet;
 use crate::plan::FaultPlan;
-use crate::trace::{ChaosObserver, SharedTrace};
+use crate::trace::ChaosObserver;
 use bytes::Bytes;
 use stabilizer_core::{
     AckTypeRegistry, ClusterConfig, CoreError, EventLog, NodeId, ObserverChain, SharedEventLog,
@@ -35,7 +36,7 @@ use stabilizer_core::{
 };
 use stabilizer_dsl::SeqNo;
 use stabilizer_netsim::{SimDuration, SimTime};
-use stabilizer_telemetry::Telemetry;
+use stabilizer_telemetry::{Telemetry, TraceRing};
 use stabilizer_transport::{spawn_node_on, NodeHandle, SpawnOptions};
 use std::sync::Arc;
 use std::time::Duration;
@@ -51,7 +52,7 @@ pub struct TcpBackend {
     /// is crashed), and the log its observer writes.
     nodes: Vec<NodeHandle>,
     logs: Vec<SharedEventLog>,
-    trace: SharedTrace,
+    trace: Arc<TraceRing>,
     boots: u64,
     telemetry: Option<Arc<Telemetry>>,
     /// Address node 0's runtime serves live telemetry on (re-applied
@@ -146,7 +147,7 @@ impl ChaosTcpCluster {
                 acks: Arc::new(AckTypeRegistry::new()),
                 nodes: Vec::with_capacity(n),
                 logs: Vec::with_capacity(n),
-                trace: trace.clone(),
+                trace: Arc::clone(trace),
                 boots: 0,
                 telemetry,
                 serve,
@@ -184,7 +185,7 @@ impl TcpBackend {
         let me = NodeId(node as u16);
         let log = SharedEventLog::default();
         let metrics = self.telemetry.as_ref().map(|t| t.observer(me));
-        let trace = ChaosObserver::new(me.0, self.trace.clone()).with_metrics(metrics);
+        let trace = ChaosObserver::new(me, Arc::clone(&self.trace), metrics);
         let observer = ObserverChain(vec![Box::new(log.clone()), Box::new(trace)]);
         let endpoint = self.net.endpoint(node);
         let (spawned, io) = spawn_node_on(

@@ -64,6 +64,7 @@ pub fn acceptance_plan() -> FaultPlan {
                 fault: Fault::CrashRestart {
                     node: 1,
                     down_for: ms(400),
+                    persist_lag: SimDuration::ZERO,
                 },
             },
         ],

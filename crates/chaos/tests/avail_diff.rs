@@ -77,6 +77,7 @@ fn harness(cfg: &ClusterConfig, seed: u64, down: &[NodeId], vantage: NodeId) -> 
                 fault: Fault::CrashRestart {
                     node: nd.0 as usize,
                     down_for: SimDuration::from_secs(3600),
+                    persist_lag: SimDuration::ZERO,
                 },
             })
             .collect(),

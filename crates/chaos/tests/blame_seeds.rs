@@ -162,7 +162,7 @@ fn tcp_stall_endpoint_goes_quiet_once_liveness_passes() {
             item: WorkItem::Publish { node: 0, len: 32 },
         })
         .collect();
-    let telemetry = Telemetry::new_wall_clock();
+    let telemetry = Telemetry::new_sim();
     let mut cluster = ChaosTcpCluster::new_with_telemetry_serving(
         &cfg,
         7,

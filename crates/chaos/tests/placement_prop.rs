@@ -87,6 +87,7 @@ fn random_benign_plan(rng: &mut SmallRng, n: usize) -> FaultPlan {
                 fault: Fault::CrashRestart {
                     node: rng.gen_range(0..n),
                     down_for: ms(150),
+                    persist_lag: SimDuration::ZERO,
                 },
             });
         }
@@ -276,6 +277,7 @@ fn placement_plan() -> FaultPlan {
                 fault: Fault::CrashRestart {
                     node: 2,
                     down_for: ms(200),
+                    persist_lag: SimDuration::ZERO,
                 },
             },
         ],

@@ -64,6 +64,7 @@ fn crash(node: usize, at: u64, down_for: u64) -> FaultEvent {
         fault: Fault::CrashRestart {
             node,
             down_for: ms(down_for),
+            persist_lag: SimDuration::ZERO,
         },
     }
 }

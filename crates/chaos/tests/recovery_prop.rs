@@ -98,6 +98,7 @@ proptest! {
                         Some(down_ms) => Fault::CrashRestart {
                             node,
                             down_for: SimDuration::from_millis(down_ms),
+                            persist_lag: SimDuration::ZERO,
                         },
                         None => Fault::Join { node },
                     },

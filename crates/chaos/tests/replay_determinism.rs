@@ -50,34 +50,49 @@ fn new_faults_replay_byte_identically_in_process() {
     }
 }
 
-/// The `chaos_demo` fingerprints every refactor of the harness, the
-/// drivers and the core has been compared against by hand since PR 12
-/// (measured at `0467bd2`; re-measured once, in PR 19, whose varint
-/// codec changed every message's size — sizes enter link serialization
-/// time — and whose origin sends no `AckBatch` for its own stream).
-/// Seed 503 was re-measured once more (`9a29fcd1afb80e67` before) when
-/// reinstating one excluded node stopped re-admitting the others still
-/// excluded: its partition excludes overlapping sets of nodes; and again
-/// (`53e3689e8743ad1d` before) when a restored node became fenced until
-/// its replicas report, which moves the traffic and the publishes after
-/// its restart.
-/// Seeds 503 and 538 are the two stalls chaos found in PR 7. If a change
-/// is *meant* to alter what a run observes, re-measure and say so;
+/// The `chaos_demo` fingerprints — `(seed, trace hash, trace events)` —
+/// of every seed it is checked on: 1–20, and 503 and 538, the two
+/// stalls chaos found in PR 7. Every refactor of the harness, the
+/// drivers and the core has been compared against them since PR 12
+/// (re-measured in PR 19, whose varint codec changed every message's
+/// size — sizes enter link serialization time; seed 503 in PR 45, when
+/// reinstating one excluded node stopped re-admitting the others; and
+/// seeds 3, 6, 10, 11, 12, 14, 18 and 503 in PR 46, when a restored
+/// node became fenced until its replicas report). If a change is
+/// *meant* to alter what a run observes, re-measure and say so;
 /// otherwise a moved hash is a behaviour change.
 #[test]
 fn pinned_seeds_replay_to_their_recorded_trace_hashes() {
-    for (seed, hash) in [
-        (1, 0xf6f5_6370_c475_5823u64),
-        (8, 0x2e2c_1bb6_4bef_e460),
-        (503, 0x71f5_20cf_049c_db11),
-        (538, 0xadd9_9e04_3008_6fc5),
+    for (seed, hash, events) in [
+        (1, 0xf6f5_6370_c475_5823u64, 114usize),
+        (2, 0x12b9_4ab2_582f_c8bb, 110),
+        (3, 0xddab_8ba2_a3e2_eb9f, 88),
+        (4, 0xf2f1_4240_2dee_b3f8, 106),
+        (5, 0x66d0_8d45_50ee_a311, 77),
+        (6, 0x5495_7fda_3e5a_062a, 364),
+        (7, 0x0422_02b2_9f64_0289, 251),
+        (8, 0x2e2c_1bb6_4bef_e460, 56),
+        (9, 0x82eb_1eb2_8a0f_ada2, 121),
+        (10, 0x308b_1917_a392_e2c0, 281),
+        (11, 0xc01a_bb68_2eb3_da65, 594),
+        (12, 0xab28_82ed_3bb3_b3b8, 79),
+        (13, 0x2d1d_d495_a99d_4d79, 158),
+        (14, 0xb541_94ab_4ab9_cedc, 54),
+        (15, 0xc98d_9dd4_3ae1_1ed2, 105),
+        (16, 0xe81a_a2a8_037f_915a, 112),
+        (17, 0xd1f1_c2ca_4f86_5ec3, 44),
+        (18, 0x3ceb_c2ca_18c3_f1a7, 238),
+        (19, 0x54c0_3edf_29f2_6116, 50),
+        (20, 0x14bc_8e53_25e6_a0ad, 46),
+        (503, 0x71f5_20cf_049c_db11, 157),
+        (538, 0xadd9_9e04_3008_6fc5, 87),
     ] {
         let report = Scenario::from_seed(seed)
             .run()
             .unwrap_or_else(|f| panic!("seed {seed} should run clean: {f}"));
         assert_eq!(
-            format!("{:016x}", report.trace_hash),
-            format!("{hash:016x}"),
+            (format!("{:016x}", report.trace_hash), report.trace_events),
+            (format!("{hash:016x}"), events),
             "seed {seed} no longer replays to its pinned trace"
         );
     }

@@ -11,7 +11,7 @@ mod common;
 
 use common::converge;
 use stabilizer_chaos::{
-    ChaosHarness, ChaosTcpCluster, Fault, FaultEvent, FaultPlan, TimedWork, WorkItem,
+    ChaosError, ChaosHarness, ChaosTcpCluster, Fault, FaultEvent, FaultPlan, TimedWork, WorkItem,
 };
 use stabilizer_core::ClusterConfig;
 use stabilizer_netsim::{NetTopology, SimDuration};
@@ -158,6 +158,7 @@ fn crash_plan() -> FaultPlan {
             fault: Fault::CrashRestart {
                 node: 2,
                 down_for: SimDuration::from_millis(600),
+                persist_lag: SimDuration::ZERO,
             },
         }],
     }
@@ -232,7 +233,7 @@ fn tolerance_gauge_is_the_minimum_across_vantages_on_both_runtimes() {
     let plan = FaultPlan::default();
     let sim_hub = Telemetry::new_sim();
     let _h = sim(&cfg, &plan, &sim_hub);
-    let tcp_hub = Telemetry::new_wall_clock();
+    let tcp_hub = Telemetry::new_sim();
     let _cluster = tcp(&cfg, &plan, &tcp_hub);
     for (runtime, hub) in [("sim", sim_hub), ("tcp", tcp_hub)] {
         assert_eq!(
@@ -240,5 +241,32 @@ fn tolerance_gauge_is_the_minimum_across_vantages_on_both_runtimes() {
             0,
             "{runtime}: the gauge is not the weakest vantage's f*"
         );
+    }
+}
+
+/// A wall-clock hub would stamp every event of a virtual-time run with
+/// wall nanoseconds: every constructor that takes a hub refuses one.
+#[test]
+fn a_wall_clock_hub_is_refused_on_both_runtimes() {
+    let (cfg, plan) = (cfg(), FaultPlan::default());
+    let net = NetTopology::full_mesh(3, SimDuration::from_millis(5), 1e9);
+    let hub = Telemetry::new_wall_clock;
+    let refused = [
+        ChaosHarness::new_with_telemetry(&cfg, net, SEED, &plan, workload(), Some(hub())).err(),
+        ChaosTcpCluster::new_with_telemetry(&cfg, SEED, &plan, workload(), Some(hub())).err(),
+        ChaosTcpCluster::new_with_telemetry_serving(
+            &cfg,
+            SEED,
+            &plan,
+            workload(),
+            hub(),
+            "127.0.0.1:0",
+        )
+        .err(),
+    ];
+    for (i, err) in refused.into_iter().enumerate() {
+        let err = err.unwrap_or_else(|| panic!("constructor {i} accepted a wall-clock hub"));
+        assert!(matches!(err, ChaosError::WallClockHub), "{i}: {err}");
+        assert!(err.to_string().contains("Telemetry::new_sim"), "{err}");
     }
 }

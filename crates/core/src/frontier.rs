@@ -194,16 +194,17 @@ impl FrontierEngine {
     }
 
     /// Replace the predicate under an existing key, bumping its
-    /// generation (the paper's `change_predicate`). The new frontier may
-    /// be lower than the old one; an update carrying the new generation
-    /// is always emitted so the application can observe the gap.
+    /// generation (the paper's `change_predicate`), and run it less the
+    /// exclusions in force. The new frontier may be lower than the old
+    /// one; an update carrying the new generation is always emitted so
+    /// the application can observe the gap.
     ///
     /// Returns `false` if the key is unknown.
     pub fn change(
         &mut self,
         stream: NodeId,
         key: &str,
-        predicate: Predicate,
+        registered: Predicate,
         recorder: &AckRecorder,
         out: &mut Vec<FrontierUpdate>,
         completed: &mut Vec<WaitToken>,
@@ -211,7 +212,8 @@ impl FrontierEngine {
         let Ok(pos) = self.find(stream, key) else {
             return false;
         };
-        self.entries[pos].registered = predicate.clone();
+        let predicate = self.less_exclusions(registered.clone());
+        self.entries[pos].registered = registered;
         self.change_at(pos, predicate, recorder, out, completed);
         true
     }
@@ -839,7 +841,9 @@ pub(crate) mod tests {
                 return false;
             };
             entry.0 = predicate.clone();
-            self.run(stream, key, predicate, recorder, out, completed);
+            // The same spec as `register`'s.
+            let running = self.less_exclusions(&predicate);
+            self.run(stream, key, running, recorder, out, completed);
             true
         }
 

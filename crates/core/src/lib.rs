@@ -80,7 +80,8 @@ pub use messages::{Ack, WireMsg, WIRE_OVERHEAD};
 pub use metrics::Metrics;
 pub use node::{Action, Snapshot, StabilizerNode};
 pub use observe::{
-    payload_hash, AppHooks, Event, EventLog, NoHooks, ObserverChain, SharedEventLog,
+    fnv1a, fnv1a_from, AppHooks, Event, EventLog, NoHooks, ObserverChain, SharedEventLog,
+    FNV1A_OFFSET,
 };
 pub use recorder::{AckRecorder, DirtyCell};
 pub use timers::TimerKind;

@@ -252,7 +252,7 @@ pub struct EventLog {
     /// Frontier advances: `(time, update)`.
     pub frontier_log: Vec<(SimTime, FrontierUpdate)>,
     /// Deliveries: `(time, origin, seq, payload_len, payload_hash)` —
-    /// a length and a [`payload_hash`] instead of the payload, so
+    /// a length and an [`fnv1a`] hash instead of the payload, so
     /// byte-level accounting and payload identity work without keeping
     /// the data alive.
     pub delivery_log: Vec<(SimTime, NodeId, SeqNo, usize, u64)>,
@@ -269,12 +269,22 @@ pub struct EventLog {
     pub record_deliveries: bool,
 }
 
-/// FNV-1a of `payload`: what [`EventLog`] keeps of a delivered payload
-/// to tell two payloads under one `(origin, seq)` apart.
-pub fn payload_hash(payload: &[u8]) -> u64 {
-    payload.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
-        (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
-    })
+/// The 64-bit FNV-1a offset basis: the hash of no bytes, where a
+/// stream of [`fnv1a_from`] calls starts.
+pub const FNV1A_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// 64-bit FNV-1a of `bytes` continued from the hash `h` of what came
+/// before them — the workspace's one stable, dependency-free hash.
+pub fn fnv1a_from(h: u64, bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
+}
+
+/// FNV-1a of `bytes` — what [`EventLog`] keeps of a delivered payload to
+/// tell two payloads under one `(origin, seq)` apart.
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    fnv1a_from(FNV1A_OFFSET, bytes)
 }
 
 impl Default for EventLog {
@@ -302,7 +312,7 @@ impl EventLog {
                 payload,
             } => {
                 if self.record_deliveries {
-                    let hash = payload_hash(payload);
+                    let hash = fnv1a(payload);
                     self.delivery_log
                         .push((now, origin, seq, payload.len(), hash));
                 }
@@ -394,7 +404,7 @@ mod tests {
         }
         for log in [&first, &second] {
             let log = log.lock();
-            let hash = payload_hash(b"abc");
+            let hash = fnv1a(b"abc");
             assert_eq!(log.delivery_log, vec![(SimTime(5), NodeId(1), 1, 3, hash)]);
             assert_eq!(log.suspected_log, vec![(SimTime(6), NodeId(2))]);
             assert_eq!(log.recovered_log, vec![(SimTime(7), NodeId(2))]);

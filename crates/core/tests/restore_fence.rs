@@ -6,7 +6,7 @@
 
 use bytes::Bytes;
 use stabilizer_core::sim_driver::{build_cluster, SimNode};
-use stabilizer_core::{payload_hash, ClusterConfig, CoreError, NodeId, StabilizerNode};
+use stabilizer_core::{fnv1a, ClusterConfig, CoreError, NodeId, StabilizerNode};
 use stabilizer_netsim::{Actor, NetTopology, SimDuration};
 use std::sync::Arc;
 
@@ -46,7 +46,7 @@ fn a_node_restored_from_an_older_snapshot_publishes_after_what_its_replicas_hold
     let delivered = sim.actor(1).delivery_log.last().copied().unwrap();
     assert_eq!(
         (delivered.1, delivered.2, delivered.4),
-        (NodeId(0), 4, payload_hash(b"NEW")),
+        (NodeId(0), 4, fnv1a(b"NEW")),
         "node 1 never delivered NEW"
     );
 }

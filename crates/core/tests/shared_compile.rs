@@ -268,6 +268,34 @@ fn a_change_or_an_exclusion_of_one_key_leaves_the_keys_it_shared_with() {
     assert_eq!(fresh_frontier(node, NodeId(1), ALL), 2);
 }
 
+/// §III-E's rule holds for a change as for a registration: a key changed
+/// while a node is excluded runs its new program less the exclusion, and
+/// does not wait on the suspect until it returns.
+#[test]
+fn a_change_made_during_an_exclusion_skips_the_excluded_node() {
+    let cfg = ec2("option failure_timeout_millis 500\n\
+         option heartbeat_millis 100\n\
+         option auto_exclude_suspects true\n");
+    let mut sim = build_cluster(&cfg, NetTopology::ec2_fig2(), 6).unwrap();
+    sim.with_ctx(0, |n, ctx| {
+        n.register_predicate_in(ctx, NodeId(1), "K", ANY)
+    })
+    .unwrap();
+    publish_everywhere(&mut sim, 2);
+    sim.run_for(SimDuration::from_millis(400));
+    cut_off(&mut sim, 7);
+    sim.with_ctx(1, |n, ctx| n.publish_in(ctx, Bytes::from_static(b"m")))
+        .unwrap();
+    sim.run_for(SimDuration::from_millis(2000));
+    assert!(sim.actor(0).inner().is_suspected(NodeId(7)));
+
+    sim.with_ctx(0, |n, ctx| n.change_predicate_in(ctx, NodeId(1), "K", ALL))
+        .unwrap();
+    let node = sim.actor(0).inner();
+    assert_eq!(node.stability_frontier(NodeId(1), "K"), Some((3, 2)));
+    assert_eq!(fresh_frontier(node, NodeId(1), ALL), 2);
+}
+
 /// Bytes that computing every `f*` at `node` requests.
 fn tolerances_cost(node: &StabilizerNode) -> usize {
     stabilizer_testalloc::cost(|| node.predicate_tolerances().count()).0

@@ -26,19 +26,9 @@ pub struct ShardRouter {
     rr: u64,
 }
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// FNV-1a over `key` — the stable, dependency-free hash used for
+/// FNV-1a over a key — the stable, dependency-free hash used for
 /// key-affine routing.
-pub fn fnv1a(key: &[u8]) -> u64 {
-    let mut h = FNV_OFFSET;
-    for &b in key {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
+pub use stabilizer_core::fnv1a;
 
 impl ShardRouter {
     /// A router over `shards` shards (clamped to at least 1).

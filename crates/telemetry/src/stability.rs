@@ -167,6 +167,13 @@ impl Telemetry {
         Self::build(Some(Instant::now()), DEFAULT_TRACE_CAPACITY, shards)
     }
 
+    /// Whether every event is re-timestamped against a wall-clock epoch
+    /// ([`Telemetry::new_wall_clock`]) rather than recorded at the time
+    /// the runtime passes ([`Telemetry::new_sim`]).
+    pub fn is_wall_clock(&self) -> bool {
+        self.wall_epoch.is_some()
+    }
+
     /// Refresh the `stab_uptime_seconds` gauge against the wall epoch.
     /// A no-op in sim mode, where uptime stays 0 so exports replay
     /// byte-identically. Called by the renderers before each snapshot.
@@ -387,13 +394,9 @@ impl Telemetry {
         self.state.lock().stability.get(key).map(|h| h.snapshot())
     }
 
-    /// Record a delivery upcall (shared by both observer impls).
-    fn deliver(&self, ev_now: u64, obs_node: NodeId, origin: NodeId, seq: SeqNo, len: usize) {
-        let cursor = self.trace.push(TraceEvent {
-            at_nanos: ev_now,
-            node: obs_node,
-            kind: TraceKind::Deliver { origin, seq, len },
-        });
+    /// Time a delivery upcall, traced at `cursor`, against its publish
+    /// stamp.
+    fn deliver(&self, ev_now: u64, origin: NodeId, seq: SeqNo, cursor: u64) {
         let mut state = self.state.lock();
         let published = state.stamps.get(origin.0 as usize).and_then(|s| s.get(seq));
         if let Some(published) = published {
@@ -410,22 +413,12 @@ impl Telemetry {
         }
     }
 
-    /// Record a frontier upcall. Stability latency is folded in only at
-    /// the origin (`obs_node == update.stream`): the paper's
-    /// publish-to-stabilize latency is measured where the publish
+    /// Time a frontier upcall, traced at `cursor`. Stability latency is
+    /// folded in only at the origin (`obs_node == update.stream`): the
+    /// paper's publish-to-stabilize latency is measured where the publish
     /// happened, and counting every mirror would multiply the samples
     /// by the cluster size.
-    fn frontier(&self, ev_now: u64, obs_node: NodeId, update: &FrontierUpdate) {
-        let cursor = self.trace.push(TraceEvent {
-            at_nanos: ev_now,
-            node: obs_node,
-            kind: TraceKind::Frontier {
-                stream: update.stream,
-                key: self.trace.intern(&update.key),
-                seq: update.seq,
-                generation: update.generation,
-            },
-        });
+    fn frontier(&self, ev_now: u64, obs_node: NodeId, update: &FrontierUpdate, cursor: u64) {
         if obs_node == update.stream {
             let mut state = self.state.lock();
             let hist = match state.stability.get(update.key.as_str()) {
@@ -524,7 +517,7 @@ impl Telemetry {
 impl std::fmt::Debug for Telemetry {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Telemetry")
-            .field("wall_clock", &self.wall_epoch.is_some())
+            .field("wall_clock", &self.is_wall_clock())
             .field("registry", &self.registry)
             .field("trace_len", &self.trace.len())
             .finish()
@@ -556,7 +549,12 @@ pub struct MetricsObserver {
 impl AppHooks for MetricsObserver {
     fn on_event(&mut self, now: SimTime, event: &Event<'_>) {
         let now = self.hub.event_now(now.as_nanos());
-        let kind = match *event {
+        let cursor = self.hub.trace.push(TraceEvent {
+            at_nanos: now,
+            node: self.node,
+            kind: self.hub.trace.kind_of(event),
+        });
+        match *event {
             Event::Deliver {
                 origin,
                 seq,
@@ -564,61 +562,23 @@ impl AppHooks for MetricsObserver {
             } => {
                 self.deliveries.inc();
                 self.delivered_bytes.add(payload.len() as u64);
-                self.hub.deliver(now, self.node, origin, seq, payload.len());
-                return;
+                self.hub.deliver(now, origin, seq, cursor);
             }
             Event::Frontier(update) => {
                 self.frontier_advances.inc();
-                self.hub.frontier(now, self.node, update);
-                return;
+                self.hub.frontier(now, self.node, update, cursor);
             }
-            Event::WaitDone { token } => {
-                self.wait_done.inc();
-                TraceKind::WaitDone { token }
-            }
-            Event::Suspected { node } => {
-                self.suspicions.inc();
-                TraceKind::Suspected { peer: node }
-            }
-            Event::Recovered { node } => {
-                self.recoveries.inc();
-                TraceKind::Recovered { peer: node }
-            }
-            Event::CatchUp { stream, seq } => {
+            Event::WaitDone { .. } => self.wait_done.inc(),
+            Event::Suspected { .. } => self.suspicions.inc(),
+            Event::Recovered { .. } => self.recoveries.inc(),
+            Event::CatchUp { seq, .. } => {
                 self.catch_ups.inc();
                 self.catchup_lag.set(seq as i64);
-                TraceKind::CatchUp { stream, seq }
             }
-            Event::ConnectFailed { peer } => {
-                self.connect_failures.inc();
-                TraceKind::ConnectFailed { peer }
-            }
-            Event::TransferChunk {
-                to,
-                stream,
-                seq,
-                len,
-                done,
-            } => {
-                self.transfer_chunks.inc();
-                TraceKind::TransferChunk {
-                    to,
-                    stream,
-                    seq,
-                    len,
-                    done,
-                }
-            }
-            Event::Join { streams } => {
-                self.joins.inc();
-                TraceKind::Join { streams }
-            }
-        };
-        self.hub.trace.push(TraceEvent {
-            at_nanos: now,
-            node: self.node,
-            kind,
-        });
+            Event::ConnectFailed { .. } => self.connect_failures.inc(),
+            Event::TransferChunk { .. } => self.transfer_chunks.inc(),
+            Event::Join { .. } => self.joins.inc(),
+        }
     }
 }
 

@@ -6,16 +6,26 @@
 //! so a sim trace is byte-identical across replays of the same seed.
 //! When the ring is full the oldest event is dropped and a counter
 //! remembers how many were lost; export is JSONL, one event per line.
+//!
+//! A node's upcall becomes a [`TraceKind`] through one function,
+//! [`TraceRing::kind_of`], whoever records it: the hub's
+//! [`MetricsObserver`](crate::MetricsObserver), and the chaos harness,
+//! which owns an unbounded ring (`TraceRing::new(usize::MAX)`) of its
+//! own and hashes it into a run's fingerprint. The harness also writes
+//! its fault and workload notes there ([`TraceKind::Note`]); the hub's
+//! ring never holds one.
 
 use crate::json::{push_json_str, push_key};
 use parking_lot::Mutex;
+use stabilizer_core::Event;
 use stabilizer_dsl::{NodeId, SeqNo};
 use std::collections::{BTreeSet, VecDeque};
 use std::sync::Arc;
 
 /// What happened. Payloads are reduced to lengths; a frontier event
 /// shares its predicate key with every other event of that key in the
-/// ring ([`TraceRing::intern`]), so an event owns no heap of its own.
+/// ring ([`TraceRing::intern`]), so an upcall's event owns no heap of
+/// its own (a harness [`TraceKind::Note`] owns its text).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TraceKind {
     /// A payload was published locally.
@@ -92,6 +102,12 @@ pub enum TraceKind {
         /// Number of streams the joiner requested catch-up for.
         streams: usize,
     },
+    /// A fault or workload action a test harness applied (the chaos
+    /// harness's notes; no node emits one).
+    Note {
+        /// Human-readable description, stable across runs.
+        what: String,
+    },
 }
 
 impl TraceKind {
@@ -107,6 +123,7 @@ impl TraceKind {
             TraceKind::CatchUp { .. } => "catch_up",
             TraceKind::TransferChunk { .. } => "transfer_chunk",
             TraceKind::Join { .. } => "join",
+            TraceKind::Note { .. } => "note",
         }
     }
 }
@@ -177,6 +194,11 @@ impl TraceEvent {
             TraceKind::Join { streams } => {
                 s.push_str(&format!(",\"streams\":{streams}"));
             }
+            TraceKind::Note { what } => {
+                s.push(',');
+                push_key(&mut s, "what");
+                push_json_str(&mut s, what);
+            }
         }
         s.push('}');
         s
@@ -235,6 +257,47 @@ impl TraceRing {
         let shared: Arc<str> = Arc::from(key);
         inner.keys.insert(Arc::clone(&shared));
         shared
+    }
+
+    /// The trace entry of upcall `event`; a frontier event's key is
+    /// [interned](TraceRing::intern) here.
+    pub fn kind_of(&self, event: &Event<'_>) -> TraceKind {
+        match *event {
+            Event::Deliver {
+                origin,
+                seq,
+                payload,
+            } => TraceKind::Deliver {
+                origin,
+                seq,
+                len: payload.len(),
+            },
+            Event::Frontier(update) => TraceKind::Frontier {
+                stream: update.stream,
+                key: self.intern(&update.key),
+                seq: update.seq,
+                generation: update.generation,
+            },
+            Event::WaitDone { token } => TraceKind::WaitDone { token },
+            Event::Suspected { node } => TraceKind::Suspected { peer: node },
+            Event::Recovered { node } => TraceKind::Recovered { peer: node },
+            Event::CatchUp { stream, seq } => TraceKind::CatchUp { stream, seq },
+            Event::ConnectFailed { peer } => TraceKind::ConnectFailed { peer },
+            Event::TransferChunk {
+                to,
+                stream,
+                seq,
+                len,
+                done,
+            } => TraceKind::TransferChunk {
+                to,
+                stream,
+                seq,
+                len,
+                done,
+            },
+            Event::Join { streams } => TraceKind::Join { streams },
+        }
     }
 
     /// Append an event, evicting the oldest if full. Returns the
