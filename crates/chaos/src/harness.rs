@@ -313,6 +313,9 @@ pub struct Chaos<B: Backend> {
     /// A reboot builds a new incarnation, so the harness re-applies the
     /// active skew — a reboot does not reset a node's broken clock.
     timer_scale: Vec<f64>,
+    /// Per node, the publishes attempted so far (mod 256), across
+    /// incarnations: part of a payload's fill.
+    publishes: Vec<u8>,
     telemetry: Option<Arc<Telemetry>>,
     /// Every upcall, fault and workload action of the run, hashed.
     trace: Arc<TraceRing>,
@@ -379,6 +382,7 @@ impl<B: Backend> Chaos<B> {
             down,
             desired_up: vec![true; n * n],
             timer_scale: vec![1.0; n],
+            publishes: vec![0; n],
             telemetry,
             trace,
         })
@@ -762,8 +766,13 @@ impl<B: Backend> Chaos<B> {
         match item {
             WorkItem::Publish { node, len } => {
                 // Deterministic fill, so differential runs publish
-                // identical payloads.
-                let fill = (node as u8).wrapping_add(len as u8);
+                // identical payloads, and one that moves with every
+                // publish of the node, so a reused sequence number names
+                // another payload even at the same length (unless 256
+                // publishes apart).
+                let count = &mut self.publishes[node];
+                *count = count.wrapping_add(1);
+                let fill = (node as u8).wrapping_add(len as u8).wrapping_add(*count);
                 match self.backend.publish(node, Bytes::from(vec![fill; len])) {
                     Ok(seq) => {
                         if let Some(t) = &self.telemetry {

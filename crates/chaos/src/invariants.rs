@@ -779,13 +779,14 @@ mod tests {
     fn belief_beyond_truth_is_caught() {
         let mut nodes = two_nodes();
         let mut checker = InvariantChecker::new(2, 3);
-        // Forge node 0's belief through the wire path: an AckBatch from
-        // node 1 claiming it received stream 0 up to seq 7, while node
-        // 1's own recorder still says 0.
+        // Forge mirror 1's belief through the wire path: an AckBatch
+        // from node 0 claiming it holds its stream 0 up to seq 7, while
+        // node 0 published nothing. (Node 0 itself, the origin, refuses
+        // a report of its stream above what it assigned.)
         use stabilizer_core::{Ack, WireMsg};
-        nodes[0].on_message(
+        nodes[1].on_message(
             0,
-            NodeId(1),
+            NodeId(0),
             WireMsg::AckBatch(vec![Ack {
                 stream: NodeId(0),
                 ty: RECEIVED,
@@ -986,27 +987,27 @@ mod tests {
     #[test]
     fn journaled_writes_drive_the_incremental_ack_checks() {
         let mut nodes = two_nodes();
-        nodes[0].enable_ack_journal();
+        nodes[1].enable_ack_journal();
         use stabilizer_core::{Ack, WireMsg};
-        nodes[0].on_message(
+        nodes[1].on_message(
             0,
-            NodeId(1),
+            NodeId(0),
             WireMsg::AckBatch(vec![Ack {
                 stream: NodeId(0),
                 ty: RECEIVED,
                 seq: 7,
             }]),
         );
-        let dirty = nodes[0].take_ack_journal();
+        let dirty = nodes[1].take_ack_journal();
         assert!(!dirty.is_empty(), "the forged ack write was journaled");
         let mut checker = InvariantChecker::new(2, 3);
         let views = vec![
             NodeView {
-                dirty: Some(dirty),
+                dirty: Some(Vec::new()),
                 ..view(&nodes[0])
             },
             NodeView {
-                dirty: Some(Vec::new()),
+                dirty: Some(dirty),
                 ..view(&nodes[1])
             },
         ];
@@ -1023,9 +1024,9 @@ mod tests {
         // survives at most `rescan_every - 1` checks.
         let mut nodes = two_nodes();
         use stabilizer_core::{Ack, WireMsg};
-        nodes[0].on_message(
+        nodes[1].on_message(
             0,
-            NodeId(1),
+            NodeId(0),
             WireMsg::AckBatch(vec![Ack {
                 stream: NodeId(0),
                 ty: RECEIVED,
@@ -1103,7 +1104,7 @@ mod tests {
     fn non_replica_ack_cell_is_a_violation() {
         // A recorded ack crediting non-replica 2 on stream 0 must trip
         // invariant 7. The placement-guarded wire path drops such acks,
-        // so forge the cell by running node 0 on a full-replication
+        // so forge the cell by running mirror 1 on a full-replication
         // config while the checker holds the partial map — exactly the
         // drift this invariant exists to catch.
         let partial = ClusterConfig::parse("az A 0 1\naz B 2 3\nreplicate 0 0 1\n").unwrap();
@@ -1114,7 +1115,7 @@ mod tests {
             .collect();
         let placement = partial.placement().clone();
         use stabilizer_core::{Ack, WireMsg};
-        nodes[0].on_message(
+        nodes[1].on_message(
             0,
             NodeId(2),
             WireMsg::AckBatch(vec![Ack {

@@ -58,7 +58,9 @@ fn new_faults_replay_byte_identically_in_process() {
 /// size — sizes enter link serialization time; seed 503 in PR 45, when
 /// reinstating one excluded node stopped re-admitting the others; and
 /// seeds 3, 6, 10, 11, 12, 14, 18 and 503 in PR 46, when a restored
-/// node became fenced until its replicas report). If a change is
+/// node became fenced until its replicas report; seeds 10 and 12 again
+/// when the fence started lifting as soon as they have, the origin
+/// reporting the mark it resumes at). If a change is
 /// *meant* to alter what a run observes, re-measure and say so;
 /// otherwise a moved hash is a behaviour change.
 #[test]
@@ -73,9 +75,9 @@ fn pinned_seeds_replay_to_their_recorded_trace_hashes() {
         (7, 0x0422_02b2_9f64_0289, 251),
         (8, 0x2e2c_1bb6_4bef_e460, 56),
         (9, 0x82eb_1eb2_8a0f_ada2, 121),
-        (10, 0x308b_1917_a392_e2c0, 281),
+        (10, 0xcca1_c0b3_4732_b9b5, 281),
         (11, 0xc01a_bb68_2eb3_da65, 594),
-        (12, 0xab28_82ed_3bb3_b3b8, 79),
+        (12, 0xc8ae_a510_73e1_eff9, 79),
         (13, 0x2d1d_d495_a99d_4d79, 158),
         (14, 0xb541_94ab_4ab9_cedc, 54),
         (15, 0xc98d_9dd4_3ae1_1ed2, 105),

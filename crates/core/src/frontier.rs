@@ -65,8 +65,10 @@
 //! (`new < old`) crosses nothing, and the rule only ever skips
 //! evaluations whose result could not have exceeded the frontier.
 
+use crate::observe::fnv1a;
 use crate::recorder::{AckRecorder, DirtyCell};
 use stabilizer_dsl::{AckTypeId, EvalScratch, NodeId, Predicate, SeqNo};
+use std::collections::BTreeMap;
 
 /// Token identifying a blocked `waitfor` call; returned to the driver
 /// when the wait completes.
@@ -135,6 +137,11 @@ pub struct FrontierEngine {
     deps: Option<DepIndex>,
     /// Nodes excluded and not reinstated since, in exclusion order.
     excluded: Vec<NodeId>,
+    /// The keys filed as owning the program they were compiled for
+    /// ([`FrontierEngine::file`]), by the FNV-1a hash of its source and
+    /// the key's stream: where an install finds a program compiled from
+    /// its source already.
+    owners: BTreeMap<(u64, NodeId), String>,
     scratch: EvalScratch,
     evals: u64,
 }
@@ -162,7 +169,7 @@ impl FrontierEngine {
         let predicate = self.less_exclusions(registered.clone());
         let pos = match self.find(stream, key) {
             Ok(pos) => {
-                self.entries[pos].registered = registered;
+                self.reregister(pos, registered);
                 self.replace(pos, predicate, recorder);
                 pos
             }
@@ -213,7 +220,7 @@ impl FrontierEngine {
             return false;
         };
         let predicate = self.less_exclusions(registered.clone());
-        self.entries[pos].registered = registered;
+        self.reregister(pos, registered);
         self.change_at(pos, predicate, recorder, out, completed);
         true
     }
@@ -226,6 +233,7 @@ impl FrontierEngine {
             return Vec::new();
         };
         self.deps = None;
+        self.unfile(pos);
         let entry = self.entries.remove(pos);
         entry.waiters.into_iter().map(|(_, token)| token).collect()
     }
@@ -248,6 +256,23 @@ impl FrontierEngine {
         self.entries
             .iter()
             .map(|e| (e.stream, e.key.as_str(), &e.registered))
+    }
+
+    /// The programs compiled from `source` that keys filed as their
+    /// owners run, with each key's stream, in stream order: a lookup, not
+    /// a scan of the keys.
+    pub fn compiled_from<'a>(
+        &'a self,
+        source: &'a str,
+    ) -> impl Iterator<Item = (NodeId, &'a Predicate)> + 'a {
+        let hash = fnv1a(source.as_bytes());
+        let owners = self
+            .owners
+            .range((hash, NodeId(0))..=(hash, NodeId(u16::MAX)));
+        owners.filter_map(move |(&(_, stream), key)| {
+            let registered = &self.entries[self.find(stream, key).ok()?].registered;
+            (registered.source() == source).then_some((stream, registered))
+        })
     }
 
     /// Block `token` until the frontier of `(stream, key)` reaches `seq`.
@@ -399,6 +424,39 @@ impl FrontierEngine {
     /// advance crossed) — not the dependants an advance visited.
     pub fn evaluations(&self) -> u64 {
         self.evals
+    }
+
+    /// Entry `pos`'s key is registered again, as `registered`: if that
+    /// is another program, the key no longer owns the one it ran.
+    fn reregister(&mut self, pos: usize, registered: Predicate) {
+        let old = &self.entries[pos].registered;
+        if !std::ptr::eq(old.program(), registered.program()) {
+            self.unfile(pos);
+        }
+        self.entries[pos].registered = registered;
+    }
+
+    /// File the registered key `(stream, key)` as the owner of its
+    /// program, which was compiled for it: an install that could share
+    /// the program finds it through this key
+    /// ([`FrontierEngine::compiled_from`]). A source whose hash collides
+    /// with another's on one stream displaces it: that costs a compile,
+    /// never a wrong program.
+    pub fn file(&mut self, stream: NodeId, key: &str) {
+        if let Ok(pos) = self.find(stream, key) {
+            let source = self.entries[pos].registered.source();
+            let filed = (fnv1a(source.as_bytes()), stream);
+            self.owners.insert(filed, key.to_owned());
+        }
+    }
+
+    /// Take entry `pos` out of the owners, if it is filed there.
+    fn unfile(&mut self, pos: usize) {
+        let entry = &self.entries[pos];
+        let filed = (fnv1a(entry.registered.source().as_bytes()), entry.stream);
+        if self.owners.get(&filed) == Some(&entry.key) {
+            self.owners.remove(&filed);
+        }
     }
 
     /// Position of `(stream, key)` in `entries`, or where it would go.

@@ -76,7 +76,7 @@ pub use explain::{
     render_sharded_stall_reports_json, render_stall_reports_json, BlamedCell, StallReport,
 };
 pub use frontier::{FrontierEngine, FrontierUpdate, WaitToken};
-pub use messages::{Ack, WireMsg, WIRE_OVERHEAD};
+pub use messages::{length_field, Ack, Reader, WireMsg, WIRE_OVERHEAD};
 pub use metrics::Metrics;
 pub use node::{Action, Snapshot, StabilizerNode};
 pub use observe::{

@@ -31,6 +31,14 @@
 //! refuses everything else — a padded varint, a cell that spells out
 //! what it could have flagged — and checks every count and length
 //! against the bytes that remain before it allocates for them.
+//!
+//! It reads through [`Reader`], the one bounds-checked cursor of the
+//! workspace: every byte layout a node gets from a peer or loads from
+//! storage is read with it — the wire, a [`crate::Snapshot`], and the
+//! applications' records (kvstore's `KvOp`, which its write-ahead log
+//! is a run of, pubsub's `TopicRecord`, the sharded payload header).
+//! [`length_field`] is the writing side's one rule for a length that
+//! does not fit its field.
 
 use crate::error::CoreError;
 use bytes::Bytes;
@@ -290,11 +298,7 @@ impl WireMsg {
     /// Returns [`CoreError::Wire`] on truncation, an unknown tag, a
     /// malformed or non-minimal field, or trailing garbage.
     pub fn decode(buf: &[u8]) -> Result<WireMsg, CoreError> {
-        Self::decode_from(Reader {
-            buf,
-            at: 0,
-            owner: None,
-        })
+        Self::decode_from(Reader::new("message", buf))
     }
 
     /// [`WireMsg::decode`] out of a shared buffer: a payload is a slice
@@ -305,11 +309,7 @@ impl WireMsg {
     ///
     /// As [`WireMsg::decode`].
     pub fn decode_shared(buf: &Bytes) -> Result<WireMsg, CoreError> {
-        Self::decode_from(Reader {
-            buf,
-            at: 0,
-            owner: Some(buf),
-        })
+        Self::decode_from(Reader::shared("message", buf))
     }
 
     fn decode_from(mut r: Reader<'_>) -> Result<WireMsg, CoreError> {
@@ -359,9 +359,7 @@ impl WireMsg {
             },
             tag => return Err(wire(format!("unknown message tag {tag}"))),
         };
-        if r.remaining() > 0 {
-            return Err(wire(format!("{} trailing bytes", r.remaining())));
-        }
+        r.finish()?;
         Ok(msg)
     }
 }
@@ -454,34 +452,146 @@ fn id16(v: u64, what: &str) -> Result<u16, CoreError> {
     u16::try_from(v).map_err(|_| wire(format!("{what} {v} exceeds 16 bits")))
 }
 
-struct Reader<'a> {
+/// `len` as a length field of type `T`, or [`CoreError::Wire`] naming
+/// `what` when it does not fit: a length is never written truncated.
+///
+/// # Errors
+///
+/// [`CoreError::Wire`] when `len` does not fit `T`.
+pub fn length_field<T: TryFrom<usize>>(what: &str, len: usize) -> Result<T, CoreError> {
+    T::try_from(len).map_err(|_| wire(format!("{what} of {len} bytes is too long")))
+}
+
+/// The one cursor over bytes this node did not write: a peer's frame or
+/// payload, a snapshot or a log read back from storage. Every read
+/// checks its length against the bytes left before it slices or
+/// allocates, [`Reader::finish`] refuses bytes left over, and every
+/// refusal is a [`CoreError::Wire`] naming what was being read.
+pub struct Reader<'a> {
     buf: &'a [u8],
     at: usize,
     /// The shared buffer `buf` is the contents of, when payloads are to
     /// be sliced out of it rather than copied.
     owner: Option<&'a Bytes>,
+    /// What the bytes are (`"message"`, `"snapshot"`, ...), for errors.
+    what: &'static str,
 }
 
 impl<'a> Reader<'a> {
-    fn remaining(&self) -> usize {
+    /// A reader of `buf`, a `what`; [`Reader::bytes`] copies.
+    pub fn new(what: &'static str, buf: &'a [u8]) -> Self {
+        Reader {
+            buf,
+            at: 0,
+            owner: None,
+            what,
+        }
+    }
+
+    /// A reader of a shared buffer: [`Reader::bytes`] slices `buf`,
+    /// holding its storage, instead of copying.
+    pub fn shared(what: &'static str, buf: &'a Bytes) -> Self {
+        Reader {
+            owner: Some(buf),
+            ..Reader::new(what, buf)
+        }
+    }
+
+    /// Bytes not read yet.
+    #[inline]
+    pub fn remaining(&self) -> usize {
         self.buf.len() - self.at
     }
 
-    fn take(&mut self, n: usize) -> Result<&'a [u8], CoreError> {
+    /// A refusal of what is being read, saying `why`.
+    #[cold]
+    pub fn fail(&self, why: impl std::fmt::Display) -> CoreError {
+        wire(format!("{}: {why}", self.what))
+    }
+
+    #[cold]
+    fn truncated(&self, wanted: impl std::fmt::Display) -> CoreError {
+        let (what, at, left) = (self.what, self.at, self.remaining());
+        wire(format!("truncated {what}: {wanted} at {at}, have {left}"))
+    }
+
+    /// The next `n` bytes.
+    #[inline]
+    pub fn take(&mut self, n: usize) -> Result<&'a [u8], CoreError> {
         if n > self.remaining() {
-            return Err(wire(format!(
-                "truncated message: wanted {n} bytes at offset {}, have {}",
-                self.at,
-                self.remaining()
-            )));
+            return Err(self.truncated(format_args!("wanted {n} bytes")));
         }
         let s = &self.buf[self.at..self.at + n];
         self.at += n;
         Ok(s)
     }
 
-    fn u8(&mut self) -> Result<u8, CoreError> {
+    /// The next `N` bytes, by value.
+    #[inline]
+    pub fn array<const N: usize>(&mut self) -> Result<[u8; N], CoreError> {
+        let mut out = [0; N];
+        out.copy_from_slice(self.take(N)?);
+        Ok(out)
+    }
+
+    /// One byte.
+    pub fn u8(&mut self) -> Result<u8, CoreError> {
         Ok(self.take(1)?[0])
+    }
+
+    /// A little-endian `u16`.
+    pub fn le_u16(&mut self) -> Result<u16, CoreError> {
+        self.array().map(u16::from_le_bytes)
+    }
+
+    /// A little-endian `u32`.
+    pub fn le_u32(&mut self) -> Result<u32, CoreError> {
+        self.array().map(u32::from_le_bytes)
+    }
+
+    /// A little-endian `u64`.
+    #[inline]
+    pub fn le_u64(&mut self) -> Result<u64, CoreError> {
+        self.array().map(u64::from_le_bytes)
+    }
+
+    /// The next `n` bytes as UTF-8 text.
+    pub fn str(&mut self, n: usize) -> Result<String, CoreError> {
+        match std::str::from_utf8(self.take(n)?) {
+            Ok(text) => Ok(text.to_owned()),
+            Err(_) => Err(self.fail("text not UTF-8")),
+        }
+    }
+
+    /// The next `n` bytes as a payload: a slice of a shared buffer, a
+    /// copy otherwise.
+    #[inline]
+    pub fn bytes(&mut self, n: usize) -> Result<Bytes, CoreError> {
+        let at = self.at;
+        let bytes = self.take(n)?;
+        Ok(match self.owner {
+            Some(owner) => owner.slice(at..at + n),
+            None => Bytes::copy_from_slice(bytes),
+        })
+    }
+
+    /// `n` things of at least `min` bytes each, refused unless the bytes
+    /// left can hold them: a count is checked before anyone allocates
+    /// for it.
+    pub fn count(&self, n: u64, min: usize, what: &str) -> Result<usize, CoreError> {
+        let left = self.remaining();
+        match usize::try_from(n) {
+            Ok(n) if n.checked_mul(min).is_some_and(|need| need <= left) => Ok(n),
+            _ => Err(self.truncated(format_args!("{what} {n}"))),
+        }
+    }
+
+    /// Refuse bytes left over: a layout ends where its last read does.
+    pub fn finish(self) -> Result<(), CoreError> {
+        match self.remaining() {
+            0 => Ok(()),
+            left => Err(self.fail(format_args!("{left} trailing bytes"))),
+        }
     }
 
     /// One LEB128 varint, in its shortest form only.
@@ -503,7 +613,7 @@ impl<'a> Reader<'a> {
             }
         }
         Err(if rest.len() < MAX_VARINT_LEN {
-            wire(format!("truncated message: varint at offset {}", self.at))
+            self.truncated("varint")
         } else {
             wire(format!("varint longer than {MAX_VARINT_LEN} bytes"))
         })
@@ -517,23 +627,12 @@ impl<'a> Reader<'a> {
     /// anyone allocates for it (every counted thing takes at least one).
     fn len(&mut self, what: &str) -> Result<usize, CoreError> {
         let n = self.varint()?;
-        match usize::try_from(n) {
-            Ok(n) if n <= self.remaining() => Ok(n),
-            _ => Err(wire(format!(
-                "truncated message: {what} {n} with {} bytes left",
-                self.remaining()
-            ))),
-        }
+        self.count(n, 1, what)
     }
 
     fn payload(&mut self) -> Result<Bytes, CoreError> {
         let len = self.len("payload length")?;
-        let at = self.at;
-        let bytes = self.take(len)?;
-        Ok(match self.owner {
-            Some(owner) => owner.slice(at..at + len),
-            None => Bytes::copy_from_slice(bytes),
-        })
+        self.bytes(len)
     }
 
     /// One field of a cell: the predecessor's where the head says it
@@ -613,11 +712,7 @@ mod tests {
             put_varint(&mut out, v);
             assert_eq!(out, bytes, "{v}");
             assert_eq!(varint_len(v), bytes.len(), "{v}");
-            let mut r = Reader {
-                buf: bytes,
-                at: 0,
-                owner: None,
-            };
+            let mut r = Reader::new("message", bytes);
             assert_eq!(r.varint().unwrap(), v);
             assert_eq!(r.remaining(), 0);
         }

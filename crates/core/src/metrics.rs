@@ -21,6 +21,9 @@ pub struct Metrics {
     /// Stale/duplicate cells that arrived in an `AckBatch` and were
     /// ignored by the max-merge (a retransmitted `Data` frame is not one).
     pub acks_stale: u64,
+    /// Cells about this node's own stream that claim more than it ever
+    /// assigned, refused once it is not fenced (a peer's forgery).
+    pub acks_rejected: u64,
     /// Data messages retransmitted by the reliability mechanism.
     pub retransmits: u64,
     /// VM runs by the frontier engine: registration, change, and one per
@@ -53,6 +56,7 @@ impl std::ops::AddAssign for Metrics {
             deliveries,
             acks_received,
             acks_stale,
+            acks_rejected,
             retransmits,
             predicate_evals,
             frontier_updates,
@@ -69,6 +73,7 @@ impl std::ops::AddAssign for Metrics {
         self.deliveries += deliveries;
         self.acks_received += acks_received;
         self.acks_stale += acks_stale;
+        self.acks_rejected += acks_rejected;
         self.retransmits += retransmits;
         self.predicate_evals += predicate_evals;
         self.frontier_updates += frontier_updates;
@@ -103,6 +108,7 @@ mod tests {
             deliveries: base + 5,
             acks_received: base + 6,
             acks_stale: base + 7,
+            acks_rejected: base + 16,
             retransmits: base + 8,
             predicate_evals: base + 9,
             frontier_updates: base + 10,
@@ -121,6 +127,7 @@ mod tests {
             deliveries: 2110,
             acks_received: 2112,
             acks_stale: 2114,
+            acks_rejected: 2132,
             retransmits: 2116,
             predicate_evals: 2118,
             frontier_updates: 2120,

@@ -503,6 +503,8 @@ impl StabilizerNode {
             }
             self.outbound.reclaim(&self.recorder, &self.membership);
         }
+        // The last replica a restore's fence waited on may be suspected now.
+        self.unfence().ok();
     }
 
     fn on_data(&mut self, origin: NodeId, seq: SeqNo, payload: Bytes) {
@@ -576,7 +578,15 @@ impl StabilizerNode {
                 waiting.retain(|&p| p != from);
             }
         }
+        // A cell about the own stream above what this node assigned
+        // claims what was never sent. While fenced such cells are what
+        // the fence reads, so only an unfenced origin refuses them.
+        let high = self.fence.is_none().then(|| self.last_published());
         for ack in acks {
+            if ack.stream == self.me && high.is_some_and(|high| ack.seq > high) {
+                self.metrics.acks_rejected += 1;
+                continue;
+            }
             match self.learn(ack.stream, from, ack.ty, ack.seq) {
                 Some(true) if ack.stream == self.me && ack.ty == RECEIVED => {
                     self.outbound.reclaim(&self.recorder, &self.membership);
@@ -585,6 +595,8 @@ impl StabilizerNode {
                 _ => {}
             }
         }
+        // Still fenced only while an unsuspected replica has not reported.
+        self.unfence().ok();
     }
 
     // ------------------------------------------------------------------

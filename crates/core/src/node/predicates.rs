@@ -1,9 +1,9 @@
 //! Installing, rewriting and removing predicates: the glue between the
 //! DSL compiler, the static analyzer and the frontier engine. The engine
-//! is the one table of what is registered: the sharing scan, the
-//! analyzer's report, `f*` and `/stall` read
-//! [`crate::frontier::FrontierEngine::registered`], and §III-E's
-//! exclusion and reinstatement are the engine's.
+//! is the one table of what is registered: the analyzer's report, `f*`
+//! and `/stall` read [`crate::frontier::FrontierEngine::registered`],
+//! the sharing lookup [`crate::frontier::FrontierEngine::compiled_from`],
+//! and §III-E's exclusion and reinstatement are the engine's.
 
 use super::{Action, StabilizerNode};
 use crate::config::AnalysisMode;
@@ -71,12 +71,15 @@ impl StabilizerNode {
                 });
             }
         }
-        let pred = self.compile(stream, source, tree)?;
+        let (pred, compiled) = self.compile(stream, source, tree)?;
         let (rec, out, done) = (&self.recorder, &mut self.updates, &mut self.done);
         if !must_exist {
             self.engine.register(stream, key, pred, rec, out, done);
         } else if !self.engine.change(stream, key, pred, rec, out, done) {
             return Err(CoreError::UnknownPredicate(key.to_owned()));
+        }
+        if compiled {
+            self.engine.file(stream, key);
         }
         self.emit();
         Ok(())
@@ -88,26 +91,28 @@ impl StabilizerNode {
     /// it is shared rather than compiled again. A compile reads nothing
     /// else that changes: the topology and `me` are fixed, and the ACK
     /// type registry only grows. `tree`, if given, is what `source`
-    /// parses to, and the compile starts there.
+    /// parses to, and the compile starts there. The flag says whether
+    /// the program was compiled here rather than shared.
     fn compile(
         &self,
         stream: NodeId,
         source: &str,
         tree: Option<&SpannedExpr>,
-    ) -> Result<Predicate, CoreError> {
+    ) -> Result<(Predicate, bool), CoreError> {
         let replicas = self.placement.replicas(stream);
-        let shared = self.engine.registered().find_map(|(s, _, pred)| {
-            (pred.source() == source && self.placement.replicas(s) == replicas).then_some(pred)
-        });
+        let shared = self
+            .engine
+            .compiled_from(source)
+            .find_map(|(s, pred)| (self.placement.replicas(s) == replicas).then_some(pred));
         if let Some(pred) = shared {
-            return Ok(pred.clone());
+            return Ok((pred.clone(), false));
         }
         let (topo, acks, me) = (self.cfg.topology(), &self.acks, self.me);
         let pred = match tree {
             Some(tree) => Predicate::compile_parsed(source, tree, topo, acks, me)?,
             None => Predicate::compile(source, topo, acks, me)?,
         };
-        Ok(pred.restricted_to(replicas)?)
+        Ok((pred.restricted_to(replicas)?, true))
     }
 
     /// The analyzer's findings on the predicate registered under

@@ -11,7 +11,7 @@ use crate::error::CoreError;
 use crate::messages::{Ack, WireMsg};
 use crate::recorder::AckRecorder;
 use bytes::Bytes;
-use stabilizer_dsl::{AckTypeRegistry, NodeId, SeqNo, RECEIVED};
+use stabilizer_dsl::{AckTypeId, AckTypeRegistry, NodeId, SeqNo, RECEIVED};
 use std::sync::Arc;
 
 /// A consistent snapshot of the control-plane state, for crash recovery
@@ -137,6 +137,13 @@ impl StabilizerNode {
             let opts = self.cfg.options();
             let (capacity, retain) = (opts.send_buffer_bytes, opts.retain_log_bytes);
             self.outbound.buf = SendBuffer::resuming_at(capacity, retain, high);
+            // An earlier incarnation published up to `high`: own every
+            // level of it, as a publish does, and report it, so that a
+            // replica lacking part of the hole asks for a transfer, whose
+            // snapshot fast-forwards it over what no one can resend.
+            for ty in (0..self.recorder.num_types() as u16).map(AckTypeId) {
+                self.reached(me, ty, high);
+            }
         }
         Ok(())
     }

@@ -4,10 +4,12 @@
 //! ("the Derecho object store can also persist the stability frontier
 //! information, which can be used for Stabilizer recovery"). This module
 //! gives that system a stable byte format for the control-plane
-//! [`Snapshot`]: magic + version header, dimensions, the dense ACK
-//! table, and the origin's sequence counter, all little-endian.
+//! [`Snapshot`]: magic + version header, dimensions, the origin's
+//! sequence counter and the dense ACK table, all little-endian, read
+//! back through the one bounds-checked [`Reader`].
 
 use crate::error::CoreError;
+use crate::messages::Reader;
 use crate::node::Snapshot;
 use crate::recorder::AckRecorder;
 use stabilizer_dsl::{AckTypeId, NodeId};
@@ -39,53 +41,47 @@ impl Snapshot {
         out
     }
 
-    /// Deserialize a snapshot produced by [`Snapshot::to_bytes`]. Never
-    /// allocates more than the table its input holds: dimensions are
-    /// checked against the input's length before anything is built.
+    /// Deserialize a snapshot produced by [`Snapshot::to_bytes`], through
+    /// the one [`Reader`]. Never allocates more than the table its input
+    /// holds: dimensions are checked against the bytes left before
+    /// anything is built.
     ///
     /// # Errors
     ///
     /// [`CoreError::Wire`] on bad magic, unsupported version, or a
     /// length that is not what the dimensions say.
     pub fn from_bytes(buf: &[u8]) -> Result<Snapshot, CoreError> {
-        let fail = |m: &str| CoreError::Wire(format!("snapshot: {m}"));
-        let Some((header, table)) = buf.split_first_chunk::<18>() else {
-            return Err(fail("truncated header"));
-        };
-        if header[..4] != MAGIC[..] {
-            return Err(fail("bad magic"));
+        let mut r = Reader::new("snapshot", buf);
+        if r.take(MAGIC.len())? != MAGIC {
+            return Err(r.fail("bad magic"));
         }
-        let word = |at: usize| usize::from(u16::from_le_bytes([header[at], header[at + 1]]));
-        let version = word(4);
-        if version != usize::from(VERSION) {
-            return Err(fail(&format!("unsupported version {version}")));
+        let version = r.le_u16()?;
+        if version != VERSION {
+            return Err(r.fail(format_args!("unsupported version {version}")));
         }
-        let (nodes, types) = (word(6), word(8));
-        let last_assigned = le_u64(&header[10..]);
-        let cells = nodes.checked_mul(nodes).and_then(|n| n.checked_mul(types));
-        if cells.and_then(|c| c.checked_mul(8)) != Some(table.len()) {
-            return Err(fail(&format!(
-                "{} table bytes for {nodes} nodes and {types} types",
-                table.len()
+        let (nodes, types) = (r.le_u16()?, r.le_u16()?);
+        let last_assigned = r.le_u64()?;
+        let table = u64::from(nodes).pow(2) * u64::from(types) * 8;
+        if table != r.remaining() as u64 {
+            let have = r.remaining();
+            return Err(r.fail(format_args!(
+                "{have} table bytes for {nodes} nodes and {types} types"
             )));
         }
-        let mut recorder = AckRecorder::new(nodes, types);
+        let mut recorder = AckRecorder::new(nodes.into(), types.into());
         // Cells in (stream, node, type) order, as `to_bytes` writes them.
-        for (i, cell) in table.chunks_exact(8).enumerate() {
-            let (row, ty) = (i / types, i % types);
-            let (stream, node) = (NodeId((row / nodes) as u16), NodeId((row % nodes) as u16));
-            recorder.observe(stream, node, AckTypeId(ty as u16), le_u64(cell));
+        for stream in (0..nodes).map(NodeId) {
+            for node in (0..nodes).map(NodeId) {
+                for ty in (0..types).map(AckTypeId) {
+                    recorder.observe(stream, node, ty, r.le_u64()?);
+                }
+            }
         }
         Ok(Snapshot {
             recorder,
             last_assigned,
         })
     }
-}
-
-/// The little-endian number in `bytes` (at most eight of them).
-fn le_u64(bytes: &[u8]) -> u64 {
-    bytes.iter().rev().fold(0, |v, &b| v << 8 | u64::from(b))
 }
 
 #[cfg(test)]

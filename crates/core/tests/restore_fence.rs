@@ -2,11 +2,17 @@
 //! the crash: a node restored from a snapshot a few publishes old must
 //! not hand out a sequence number a replica already holds. The restored
 //! node is fenced until its replicas report how far they received its
-//! stream, and resumes after the highest of those.
+//! stream, and resumes after the highest of those — as soon as the last
+//! of them has, not at its next publish. Once released, an origin
+//! refuses a report about its own stream above what it assigned: a
+//! forged over-claim moves neither its table nor its send buffer.
 
 use bytes::Bytes;
 use stabilizer_core::sim_driver::{build_cluster, SimNode};
-use stabilizer_core::{fnv1a, ClusterConfig, CoreError, NodeId, StabilizerNode};
+use stabilizer_core::{
+    fnv1a, Ack, AckTypeRegistry, ClusterConfig, CoreError, NodeId, StabilizerNode, WireMsg,
+    RECEIVED,
+};
 use stabilizer_netsim::{Actor, NetTopology, SimDuration};
 use std::sync::Arc;
 
@@ -38,9 +44,12 @@ fn a_node_restored_from_an_older_snapshot_publishes_after_what_its_replicas_hold
         let actions = actor.inner_mut().take_actions();
         actor.process_actions(ctx, actions);
     });
-    // Fenced until node 1's RECEIVED cell arrives, then past it.
+    // Fenced until node 1's RECEIVED cell arrives, then past it: the
+    // fence lifts when the cell does, before anything is published.
     assert!(matches!(publish(&mut sim, b"NEW"), Err(CoreError::Fenced)));
+    assert_eq!(sim.actor(0).inner().last_published(), 1);
     sim.run_for(ms(20));
+    assert_eq!(sim.actor(0).inner().last_published(), 3);
     assert_eq!(publish(&mut sim, b"NEW").unwrap(), 4);
     sim.run_for(ms(20));
     let delivered = sim.actor(1).delivery_log.last().copied().unwrap();
@@ -49,4 +58,36 @@ fn a_node_restored_from_an_older_snapshot_publishes_after_what_its_replicas_hold
         (NodeId(0), 4, fnv1a(b"NEW")),
         "node 1 never delivered NEW"
     );
+}
+
+#[test]
+fn an_origin_refuses_a_report_of_more_than_it_assigned() {
+    let cfg =
+        ClusterConfig::parse("az A a\naz B b\npredicate All MIN($ALLWNODES-$MYWNODE)\n").unwrap();
+    let acks = Arc::new(AckTypeRegistry::new());
+    let mut origin = StabilizerNode::new(cfg, NodeId(0), acks).unwrap();
+    origin.publish(Bytes::from_static(b"a")).unwrap();
+    origin.publish(Bytes::from_static(b"b")).unwrap();
+    let held = origin.send_buffer_bytes();
+    let report = |seq| {
+        let stream = NodeId(0);
+        WireMsg::AckBatch(vec![Ack {
+            stream,
+            ty: RECEIVED,
+            seq,
+        }])
+    };
+    let cell = |node: &StabilizerNode| node.recorder().get(NodeId(0), NodeId(1), RECEIVED);
+
+    origin.on_message(0, NodeId(1), report(40));
+    assert_eq!(cell(&origin), 0);
+    assert_eq!(origin.send_buffer_bytes(), held);
+    assert_eq!(origin.stability_frontier(NodeId(0), "All"), Some((0, 0)));
+    assert_eq!(origin.metrics().acks_rejected, 1);
+
+    // What was assigned is learned as before, and frees the buffer.
+    origin.on_message(0, NodeId(1), report(2));
+    assert_eq!(cell(&origin), 2);
+    assert_eq!(origin.send_buffer_bytes(), 0);
+    assert_eq!(origin.metrics().acks_rejected, 1);
 }

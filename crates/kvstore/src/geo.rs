@@ -47,7 +47,9 @@ impl AppHooks for KvHooks {
             // would be an integration bug worth surfacing loudly, so
             // debug builds assert.
             match KvOp::decode(payload) {
-                Ok(op) => op.apply(&mut self.pools[origin.0 as usize]),
+                Ok(op) => {
+                    self.pools[origin.0 as usize].apply(op);
+                }
                 Err(e) => debug_assert!(false, "undecodable KV record from {origin}: {e}"),
             }
         }
@@ -169,7 +171,7 @@ impl GeoKvNode {
             t.note_publish(op.timestamp(), self.me(), seq, payload_len);
         }
         let me = self.me().0 as usize;
-        op.apply(&mut self.sim.hooks.pools[me]);
+        self.sim.hooks.pools[me].apply(op);
         Ok(seq)
     }
 

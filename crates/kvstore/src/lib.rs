@@ -28,6 +28,8 @@
 //! # Ok(()) }
 //! ```
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 pub mod geo;
 pub mod local;
 pub mod record;
@@ -35,7 +37,7 @@ pub mod tcp;
 pub mod wal;
 
 pub use geo::{build_kv_cluster, build_kv_cluster_with_telemetry, GeoKvNode, KvHooks};
-pub use local::{LocalStore, LogRecord, Version};
+pub use local::{LocalStore, Version};
 pub use record::KvOp;
 pub use tcp::GeoKvHandle;
 pub use wal::{load_wal, save_wal};

@@ -1,8 +1,11 @@
 //! The local object store: a stand-in for the Derecho object store the
 //! paper integrates with (§V-A) — a versioned in-process K/V store with
 //! `put`, `get`, `get_by_version`, and `get_by_time`, backed by a
-//! write-ahead log that supports replay-based recovery.
+//! write-ahead log that supports replay-based recovery. The log is the
+//! [`KvOp`]s applied, oldest first: the records a primary publishes, so
+//! a mirror's pool, its log and its WAL file hold one record type.
 
+use crate::record::KvOp;
 use bytes::Bytes;
 use std::collections::HashMap;
 
@@ -18,21 +21,12 @@ pub struct Version {
     pub value: Option<Bytes>,
 }
 
-/// One record of the write-ahead log.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LogRecord {
-    /// The key written.
-    pub key: String,
-    /// The version it produced.
-    pub version: Version,
-}
-
 /// A versioned in-memory K/V store with full version history per key and
 /// a write-ahead log.
 #[derive(Debug, Default)]
 pub struct LocalStore {
     map: HashMap<String, Vec<Version>>,
-    log: Vec<LogRecord>,
+    log: Vec<KvOp>,
     next_version: u64,
 }
 
@@ -45,26 +39,36 @@ impl LocalStore {
     /// Write `value` under `key` at `timestamp`; returns the new version
     /// number. Versions are totally ordered per store.
     pub fn put(&mut self, key: &str, value: Bytes, timestamp: u64) -> u64 {
-        self.apply(key, Some(value), timestamp)
+        let key = key.to_owned();
+        self.apply(KvOp::Put {
+            key,
+            value,
+            timestamp,
+        })
     }
 
     /// Write a tombstone for `key`; subsequent `get` returns `None`.
     pub fn delete(&mut self, key: &str, timestamp: u64) -> u64 {
-        self.apply(key, None, timestamp)
+        let key = key.to_owned();
+        self.apply(KvOp::Delete { key, timestamp })
     }
 
-    fn apply(&mut self, key: &str, value: Option<Bytes>, timestamp: u64) -> u64 {
+    /// Apply a mutation and append it to the log: a primary's own write,
+    /// or a record delivered from the pool's origin, on the simulator
+    /// and on TCP alike. Returns the new version number.
+    pub fn apply(&mut self, op: KvOp) -> u64 {
         self.next_version += 1;
+        let (key, value) = match &op {
+            KvOp::Put { key, value, .. } => (key, Some(value.clone())),
+            KvOp::Delete { key, .. } => (key, None),
+        };
         let v = Version {
             version: self.next_version,
-            timestamp,
+            timestamp: op.timestamp(),
             value,
         };
-        self.log.push(LogRecord {
-            key: key.to_owned(),
-            version: v.clone(),
-        });
-        self.map.entry(key.to_owned()).or_default().push(v);
+        self.map.entry(key.clone()).or_default().push(v);
+        self.log.push(op);
         self.next_version
     }
 
@@ -118,18 +122,15 @@ impl LocalStore {
     }
 
     /// The write-ahead log, oldest first.
-    pub fn log(&self) -> &[LogRecord] {
+    pub fn log(&self) -> &[KvOp] {
         &self.log
     }
 
     /// Rebuild a store by replaying a write-ahead log (crash recovery).
-    pub fn replay(log: &[LogRecord]) -> Self {
+    pub fn replay(log: &[KvOp]) -> Self {
         let mut store = LocalStore::new();
-        for rec in log {
-            match &rec.version.value {
-                Some(v) => store.put(&rec.key, v.clone(), rec.version.timestamp),
-                None => store.delete(&rec.key, rec.version.timestamp),
-            };
+        for op in log {
+            store.apply(op.clone());
         }
         store
     }

@@ -1,9 +1,11 @@
 //! The replicated K/V operation record: what a primary publishes on its
-//! Stabilizer stream, and what mirrors apply to their read-only pools.
+//! Stabilizer stream, what mirrors apply to their read-only pools, and
+//! what a [`crate::LocalStore`]'s write-ahead log holds, on disk as on
+//! the wire: `tag u8, key_len u16, key, timestamp u64, [value_len u32,
+//! value]`, little-endian, read through core's one [`Reader`].
 
-use crate::local::LocalStore;
 use bytes::Bytes;
-use stabilizer_core::CoreError;
+use stabilizer_core::{length_field, CoreError, Reader};
 
 /// A single K/V mutation, as carried in a Stabilizer data message.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -29,6 +31,8 @@ pub enum KvOp {
 impl KvOp {
     const TAG_PUT: u8 = 0;
     const TAG_DELETE: u8 = 1;
+    /// The smallest record: a tag, an empty key's length and a timestamp.
+    pub(crate) const MIN_LEN: usize = 1 + 2 + 8;
 
     /// The key this operation mutates.
     pub fn key(&self) -> &str {
@@ -42,20 +46,6 @@ impl KvOp {
         match self {
             KvOp::Put { timestamp, .. } | KvOp::Delete { timestamp, .. } => *timestamp,
         }
-    }
-
-    /// Apply this mutation to `pool`: the primary's own pool when it
-    /// publishes the record, a mirror's copy of the origin's pool when
-    /// it is delivered — on the simulator and on TCP alike.
-    pub fn apply(self, pool: &mut LocalStore) {
-        match self {
-            KvOp::Put {
-                key,
-                value,
-                timestamp,
-            } => pool.put(&key, value, timestamp),
-            KvOp::Delete { key, timestamp } => pool.delete(&key, timestamp),
-        };
     }
 
     /// Serialize to a payload for `publish`.
@@ -75,11 +65,11 @@ impl KvOp {
             KvOp::Delete { key, timestamp } => (Self::TAG_DELETE, key, timestamp, None),
         };
         out.push(tag);
-        out.extend_from_slice(&length::<u16>("kv key", key.len())?.to_le_bytes());
+        out.extend_from_slice(&length_field::<u16>("kv key", key.len())?.to_le_bytes());
         out.extend_from_slice(key.as_bytes());
         out.extend_from_slice(&timestamp.to_le_bytes());
         if let Some(value) = value {
-            out.extend_from_slice(&length::<u32>("kv value", value.len())?.to_le_bytes());
+            out.extend_from_slice(&length_field::<u32>("kv value", value.len())?.to_le_bytes());
             out.extend_from_slice(value);
         }
         Ok(Bytes::from(out))
@@ -92,46 +82,38 @@ impl KvOp {
     /// [`CoreError::Wire`] on truncation, bad UTF-8 keys, unknown tags,
     /// or trailing bytes.
     pub fn decode(buf: &[u8]) -> Result<KvOp, CoreError> {
-        let fail = |m: &str| CoreError::Wire(format!("kv record: {m}"));
-        let tag = *buf.first().ok_or_else(|| fail("empty"))?;
-        let mut at = 1usize;
-        let take = |at: &mut usize, n: usize| -> Result<&[u8], CoreError> {
-            if *at + n > buf.len() {
-                return Err(fail("truncated"));
-            }
-            let s = &buf[*at..*at + n];
-            *at += n;
-            Ok(s)
-        };
-        let key_len = u16::from_le_bytes(take(&mut at, 2)?.try_into().unwrap()) as usize;
-        let key = std::str::from_utf8(take(&mut at, key_len)?)
-            .map_err(|_| fail("key not UTF-8"))?
-            .to_owned();
-        let timestamp = u64::from_le_bytes(take(&mut at, 8)?.try_into().unwrap());
-        let op = match tag {
+        let mut r = Reader::new("kv record", buf);
+        let op = Self::read(&mut r)?;
+        r.finish()?;
+        Ok(op)
+    }
+
+    /// The streaming form of [`KvOp::decode`]: one record off `r`, and
+    /// nothing after it.
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::Wire`] on truncation, a bad UTF-8 key or an unknown
+    /// tag.
+    pub fn read(r: &mut Reader<'_>) -> Result<KvOp, CoreError> {
+        let tag = r.u8()?;
+        let key_len = r.le_u16()?;
+        let key = r.str(key_len.into())?;
+        let timestamp = r.le_u64()?;
+        match tag {
             Self::TAG_PUT => {
-                let vlen = u32::from_le_bytes(take(&mut at, 4)?.try_into().unwrap()) as usize;
-                let value = Bytes::copy_from_slice(take(&mut at, vlen)?);
-                KvOp::Put {
+                let len = r.le_u32()?;
+                let value = r.bytes(len as usize)?;
+                Ok(KvOp::Put {
                     key,
                     value,
                     timestamp,
-                }
+                })
             }
-            Self::TAG_DELETE => KvOp::Delete { key, timestamp },
-            _ => return Err(fail("unknown tag")),
-        };
-        if at != buf.len() {
-            return Err(fail("trailing bytes"));
+            Self::TAG_DELETE => Ok(KvOp::Delete { key, timestamp }),
+            tag => Err(r.fail(format_args!("unknown tag {tag}"))),
         }
-        Ok(op)
     }
-}
-
-/// `len` as a length field of type `T`, or [`CoreError::Wire`] naming
-/// `what` when it does not fit: a length is never written truncated.
-pub(crate) fn length<T: TryFrom<usize>>(what: &str, len: usize) -> Result<T, CoreError> {
-    T::try_from(len).map_err(|_| CoreError::Wire(format!("{what} of {len} bytes is too long")))
 }
 
 #[cfg(test)]

@@ -33,7 +33,9 @@ impl GeoKvHandle {
         {
             let pools = Arc::clone(&pools);
             handle.on_deliver(move |origin, _seq, payload| match KvOp::decode(payload) {
-                Ok(op) => op.apply(&mut pools.lock()[origin.0 as usize]),
+                Ok(op) => {
+                    pools.lock()[origin.0 as usize].apply(op);
+                }
                 Err(_) => debug_assert!(false, "undecodable KV record from {origin}"),
             });
         }
@@ -65,7 +67,7 @@ impl GeoKvHandle {
             timestamp: now_nanos(),
         };
         let seq = self.handle.publish(op.to_bytes()?, timeout)?;
-        op.apply(&mut self.pools.lock()[self.id().0 as usize]);
+        self.pools.lock()[self.id().0 as usize].apply(op);
         Ok(seq)
     }
 
@@ -80,7 +82,7 @@ impl GeoKvHandle {
             timestamp: now_nanos(),
         };
         let seq = self.handle.publish(op.to_bytes()?, timeout)?;
-        op.apply(&mut self.pools.lock()[self.id().0 as usize]);
+        self.pools.lock()[self.id().0 as usize].apply(op);
         Ok(seq)
     }
 

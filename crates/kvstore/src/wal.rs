@@ -3,20 +3,20 @@
 //! recovery flow (restart → replay WAL → re-join → Stabilizer resumes
 //! from a persisted snapshot).
 //!
-//! Format: `KVWL` magic + u16 version, then length-prefixed records
-//! `(key_len u16, key, timestamp u64, tag u8, [value_len u32, value])`.
+//! Format (version 2): `KVWL` magic, u16 version, u64 record count, then
+//! each [`KvOp`] of the log byte for byte as [`KvOp::to_bytes`] writes
+//! it, all little-endian. The file is read back through core's one
+//! [`Reader`] and [`KvOp::read`]; a version-1 file (its own record
+//! layout) is refused as an unsupported version.
 
-use crate::local::{LocalStore, LogRecord};
-use crate::record::length;
-use bytes::Bytes;
-use stabilizer_core::CoreError;
+use crate::local::LocalStore;
+use crate::record::KvOp;
+use stabilizer_core::{CoreError, Reader};
 use std::io::{BufWriter, Write};
 use std::path::Path;
 
 const MAGIC: &[u8; 4] = b"KVWL";
-const VERSION: u16 = 1;
-const TAG_PUT: u8 = 0;
-const TAG_DELETE: u8 = 1;
+const VERSION: u16 = 2;
 
 /// Serialize a store's write-ahead log to `path` (atomic via temp file +
 /// rename; the temp file is synced to disk before the rename, so the
@@ -49,55 +49,11 @@ fn write_wal(store: &LocalStore, path: &Path) -> Result<(), CoreError> {
     w.write_all(&VERSION.to_le_bytes()).map_err(io)?;
     w.write_all(&(store.log().len() as u64).to_le_bytes())
         .map_err(io)?;
-    for rec in store.log() {
-        let key_len = length::<u16>("wal key", rec.key.len())?;
-        w.write_all(&key_len.to_le_bytes()).map_err(io)?;
-        w.write_all(rec.key.as_bytes()).map_err(io)?;
-        w.write_all(&rec.version.timestamp.to_le_bytes())
-            .map_err(io)?;
-        match &rec.version.value {
-            Some(v) => {
-                w.write_all(&[TAG_PUT]).map_err(io)?;
-                let len = length::<u32>("wal value", v.len())?;
-                w.write_all(&len.to_le_bytes()).map_err(io)?;
-                w.write_all(v).map_err(io)?;
-            }
-            None => w.write_all(&[TAG_DELETE]).map_err(io)?,
-        }
+    for op in store.log() {
+        w.write_all(&op.to_bytes()?).map_err(io)?;
     }
     w.flush().map_err(io)?;
     w.get_ref().sync_all().map_err(io)
-}
-
-/// The smallest record: key length, an empty key, timestamp and tag.
-const MIN_RECORD: usize = 2 + 8 + 1;
-
-fn corrupt(m: &str) -> CoreError {
-    CoreError::Wire(format!("wal corrupt: {m}"))
-}
-
-/// The bytes of a log not read yet; every read is checked against them
-/// before anything is allocated for it.
-struct Rest<'a>(&'a [u8]);
-
-impl<'a> Rest<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], CoreError> {
-        let (head, rest) = self
-            .0
-            .split_at_checked(n)
-            .ok_or_else(|| corrupt("truncated"))?;
-        self.0 = rest;
-        Ok(head)
-    }
-
-    fn array<const N: usize>(&mut self) -> Result<[u8; N], CoreError> {
-        let (head, rest) = self
-            .0
-            .split_first_chunk()
-            .ok_or_else(|| corrupt("truncated"))?;
-        self.0 = rest;
-        Ok(*head)
-    }
 }
 
 /// Rebuild a store by replaying the WAL at `path`. What it allocates is
@@ -109,52 +65,28 @@ impl<'a> Rest<'a> {
 /// [`CoreError::Wire`] on I/O errors or a corrupt/truncated log.
 pub fn load_wal(path: &Path) -> Result<LocalStore, CoreError> {
     let file = std::fs::read(path).map_err(|e| CoreError::Wire(format!("wal read: {e}")))?;
-    let mut r = Rest(&file);
+    let mut r = Reader::new("wal", &file);
     if r.take(MAGIC.len())? != MAGIC {
-        return Err(corrupt("bad magic"));
+        return Err(r.fail("bad magic"));
     }
-    if u16::from_le_bytes(r.array()?) != VERSION {
-        return Err(corrupt("unsupported version"));
+    let version = r.le_u16()?;
+    if version != VERSION {
+        return Err(r.fail(format_args!("unsupported version {version}")));
     }
-    let count = usize::try_from(u64::from_le_bytes(r.array()?))
-        .ok()
-        .filter(|&count| count <= r.0.len() / MIN_RECORD)
-        .ok_or_else(|| corrupt("more records claimed than the file holds"))?;
-
-    let mut log = Vec::with_capacity(count);
+    let count = r.le_u64()?;
+    let count = r.count(count, KvOp::MIN_LEN, "record count")?;
+    let mut store = LocalStore::new();
     for _ in 0..count {
-        let key_len = u16::from_le_bytes(r.array()?);
-        let key = std::str::from_utf8(r.take(key_len.into())?)
-            .map_err(|_| corrupt("key not UTF-8"))?
-            .to_owned();
-        let timestamp = u64::from_le_bytes(r.array()?);
-        let value = match r.array()? {
-            [TAG_PUT] => {
-                let len = usize::try_from(u32::from_le_bytes(r.array()?))
-                    .map_err(|_| corrupt("value longer than memory"))?;
-                Some(Bytes::copy_from_slice(r.take(len)?))
-            }
-            [TAG_DELETE] => None,
-            [t] => return Err(corrupt(&format!("unknown tag {t}"))),
-        };
-        log.push(LogRecord {
-            key,
-            version: crate::local::Version {
-                version: 0,
-                timestamp,
-                value,
-            },
-        });
+        store.apply(KvOp::read(&mut r)?);
     }
-    if !r.0.is_empty() {
-        return Err(corrupt("trailing bytes"));
-    }
-    Ok(LocalStore::replay(&log))
+    r.finish()?;
+    Ok(store)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bytes::Bytes;
 
     fn tmp(name: &str) -> std::path::PathBuf {
         let mut p = std::env::temp_dir();
@@ -215,6 +147,18 @@ mod tests {
     }
 
     #[test]
+    fn a_version_one_log_is_refused() {
+        let path = tmp("v1");
+        let mut v1 = b"KVWL".to_vec();
+        v1.extend_from_slice(&1u16.to_le_bytes());
+        v1.extend_from_slice(&0u64.to_le_bytes());
+        std::fs::write(&path, &v1).unwrap();
+        let err = load_wal(&path).unwrap_err();
+        std::fs::remove_file(&path).ok();
+        assert!(err.to_string().contains("unsupported version 1"), "{err}");
+    }
+
+    #[test]
     fn missing_file_is_an_error_not_a_panic() {
         assert!(load_wal(std::path::Path::new("/nonexistent/stabilizer.wal")).is_err());
     }
@@ -230,7 +174,7 @@ mod tests {
 
         store.put(&"k".repeat(65_536), v.clone(), 2);
         let err = save_wal(&store, &path).unwrap_err();
-        assert!(err.to_string().contains("wal key of 65536 bytes"), "{err}");
+        assert!(err.to_string().contains("kv key of 65536 bytes"), "{err}");
         // The log saved before is still there, whole.
         assert_eq!(load_wal(&path).unwrap().get(&longest), Some(v));
         assert!(!path.with_extension("wal.tmp").exists());

@@ -17,17 +17,17 @@ const BESIDE_THE_FILE: usize = 512;
 
 fn header(count: u64) -> Vec<u8> {
     let mut bytes = b"KVWL".to_vec();
-    bytes.extend_from_slice(&1u16.to_le_bytes());
+    bytes.extend_from_slice(&2u16.to_le_bytes());
     bytes.extend_from_slice(&count.to_le_bytes());
     bytes
 }
 
-/// A record with an empty key and a put tag, claiming a value of
+/// A record with a put tag and an empty key, claiming a value of
 /// `value_len` bytes that the file does not hold.
 fn put_claiming(value_len: u32) -> Vec<u8> {
-    let mut bytes = 0u16.to_le_bytes().to_vec();
+    let mut bytes = vec![0];
+    bytes.extend_from_slice(&0u16.to_le_bytes());
     bytes.extend_from_slice(&0u64.to_le_bytes());
-    bytes.push(0);
     bytes.extend_from_slice(&value_len.to_le_bytes());
     bytes
 }
@@ -35,6 +35,7 @@ fn put_claiming(value_len: u32) -> Vec<u8> {
 #[test]
 fn lying_counts_and_lengths_are_refused_within_the_files_size() {
     let mut lying_key = header(1);
+    lying_key.push(0);
     lying_key.extend_from_slice(&u16::MAX.to_le_bytes());
     let hostile = [
         // 2^64 - 1 records and not one byte of them.
@@ -43,7 +44,7 @@ fn lying_counts_and_lengths_are_refused_within_the_files_size() {
         [header(u64::MAX), put_claiming(u32::MAX)].concat(),
         // One record, as claimed, with the 4 GiB value.
         [header(1), put_claiming(u32::MAX)].concat(),
-        // One record whose key is 64 KiB long, in a 16-byte file.
+        // One record whose key is 64 KiB long, in a 17-byte file.
         lying_key,
     ];
     assert_eq!(hostile[1].len(), 29);

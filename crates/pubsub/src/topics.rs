@@ -13,7 +13,9 @@
 
 use bytes::Bytes;
 use stabilizer_core::sim_driver::{build_actors, AppHooks, SimNode};
-use stabilizer_core::{ClusterConfig, CoreError, NodeId, SeqNo, StabilizerNode, WireMsg};
+use stabilizer_core::{
+    length_field, ClusterConfig, CoreError, NodeId, Reader, SeqNo, StabilizerNode, WireMsg,
+};
 use stabilizer_dsl::AckTypeRegistry;
 use stabilizer_netsim::{Actor, Ctx, NetTopology, SimTime, Simulation, TimerId};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
@@ -59,59 +61,41 @@ impl TopicRecord {
             TopicRecord::Subscribe { topic } => (Self::TAG_SUBSCRIBE, topic, None),
             TopicRecord::Unsubscribe { topic } => (Self::TAG_UNSUBSCRIBE, topic, None),
         };
-        let too_long = |what: &str, len: usize| {
-            CoreError::Wire(format!("topic record: {what} of {len} bytes is too long"))
-        };
-        let topic_len = u16::try_from(topic.len()).map_err(|_| too_long("topic", topic.len()))?;
+        let topic_len = length_field::<u16>("topic", topic.len())?;
         out.push(tag);
         out.extend_from_slice(&topic_len.to_le_bytes());
         out.extend_from_slice(topic.as_bytes());
         if let Some(body) = body {
-            let body_len = u32::try_from(body.len()).map_err(|_| too_long("body", body.len()))?;
+            let body_len = length_field::<u32>("body", body.len())?;
             out.extend_from_slice(&body_len.to_le_bytes());
             out.extend_from_slice(body);
         }
         Ok(Bytes::from(out))
     }
 
-    /// Deserialize a record produced by [`TopicRecord::to_bytes`].
+    /// Deserialize a record produced by [`TopicRecord::to_bytes`], through
+    /// core's one [`Reader`].
     ///
     /// # Errors
     ///
     /// [`CoreError::Wire`] on malformed input.
     pub fn decode(buf: &[u8]) -> Result<TopicRecord, CoreError> {
-        let fail = |m: &str| CoreError::Wire(format!("topic record: {m}"));
-        let tag = *buf.first().ok_or_else(|| fail("empty"))?;
-        if buf.len() < 3 {
-            return Err(fail("truncated"));
-        }
-        let tlen = u16::from_le_bytes(buf[1..3].try_into().unwrap()) as usize;
-        if buf.len() < 3 + tlen {
-            return Err(fail("truncated topic"));
-        }
-        let topic = std::str::from_utf8(&buf[3..3 + tlen])
-            .map_err(|_| fail("topic not UTF-8"))?
-            .to_owned();
-        let rest = &buf[3 + tlen..];
-        match tag {
+        let mut r = Reader::new("topic record", buf);
+        let tag = r.u8()?;
+        let topic_len = r.le_u16()?;
+        let topic = r.str(topic_len.into())?;
+        let rec = match tag {
             Self::TAG_PUBLISH => {
-                if rest.len() < 4 {
-                    return Err(fail("truncated body length"));
-                }
-                let blen = u32::from_le_bytes(rest[0..4].try_into().unwrap()) as usize;
-                if rest.len() != 4 + blen {
-                    return Err(fail("body length mismatch"));
-                }
-                Ok(TopicRecord::Publish {
-                    topic,
-                    body: Bytes::copy_from_slice(&rest[4..]),
-                })
+                let body_len = r.le_u32()?;
+                let body = r.bytes(body_len as usize)?;
+                TopicRecord::Publish { topic, body }
             }
-            Self::TAG_SUBSCRIBE if rest.is_empty() => Ok(TopicRecord::Subscribe { topic }),
-            Self::TAG_UNSUBSCRIBE if rest.is_empty() => Ok(TopicRecord::Unsubscribe { topic }),
-            Self::TAG_SUBSCRIBE | Self::TAG_UNSUBSCRIBE => Err(fail("trailing bytes")),
-            _ => Err(fail("unknown tag")),
-        }
+            Self::TAG_SUBSCRIBE => TopicRecord::Subscribe { topic },
+            Self::TAG_UNSUBSCRIBE => TopicRecord::Unsubscribe { topic },
+            tag => return Err(r.fail(format_args!("unknown tag {tag}"))),
+        };
+        r.finish()?;
+        Ok(rec)
     }
 }
 

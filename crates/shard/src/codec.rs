@@ -10,7 +10,7 @@
 //! into one global-FIFO stream before the application upcall.
 
 use bytes::Bytes;
-use stabilizer_core::{CoreError, SeqNo};
+use stabilizer_core::{CoreError, Reader, SeqNo};
 
 /// Bytes prepended to every sharded payload.
 pub const GLOBAL_HEADER: usize = 8;
@@ -24,20 +24,15 @@ pub fn encode_global(global: SeqNo, payload: &Bytes) -> Bytes {
 }
 
 /// Split a framed payload into its global sequence number and the
-/// application payload (zero-copy slice).
+/// application payload (zero-copy slice), through core's one [`Reader`].
 ///
 /// # Errors
 ///
 /// [`CoreError::Wire`] if the buffer is shorter than the header.
 pub fn decode_global(framed: &Bytes) -> Result<(SeqNo, Bytes), CoreError> {
-    if framed.len() < GLOBAL_HEADER {
-        return Err(CoreError::Wire(format!(
-            "sharded payload of {} bytes lacks the global-seq header",
-            framed.len()
-        )));
-    }
-    let global = u64::from_le_bytes(framed[..GLOBAL_HEADER].try_into().unwrap());
-    Ok((global, framed.slice(GLOBAL_HEADER..)))
+    let mut r = Reader::shared("sharded payload", framed);
+    let global = r.le_u64()?;
+    Ok((global, r.bytes(r.remaining())?))
 }
 
 #[cfg(test)]

@@ -391,11 +391,9 @@ impl ShardedFrontier {
     /// Fold one action of shard machine `shard` into node-level actions,
     /// appended to `out` in the order every observer sees them: a
     /// catch-up before the deliveries it unblocks, aggregated frontier
-    /// updates before the waits they complete.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a delivered payload lacks the global-sequence header.
+    /// updates before the waits they complete. A delivered payload that
+    /// lacks the global-sequence header is refused: nothing is
+    /// delivered, and the origin's global order stalls at the hole.
     pub fn fold(&mut self, shard: u16, action: Action, out: &mut Vec<ShardedAction>) {
         // What the step aggregates goes last, whatever the arm pushes.
         let mut agg = std::mem::take(&mut self.scratch);
@@ -411,8 +409,9 @@ impl ShardedFrontier {
                         payload,
                     });
                 };
+                // Refused: a payload without its header delivers nothing.
                 self.shard_deliver(shard, origin, &payload, ready, &mut agg)
-                    .expect("sharded payload carried no global-sequence header");
+                    .ok();
             }
             Action::Frontier(update) => {
                 let at = (update.seq, update.generation);

@@ -29,6 +29,8 @@
 //! On TCP the same [`ShardedEngine`] sits behind one mutex in
 //! `stabilizer-transport::sharded`, link threads running it inline.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 pub mod codec;
 pub mod engine;
 pub mod frontier;

@@ -131,6 +131,10 @@ impl Telemetry {
             "stab_stability_latency_ns",
             "Publish-to-stability-frontier latency per predicate key.",
         );
+        registry.describe(
+            "stab_rejected_acks_total",
+            "ACK cells refused for claiming more of the node's own stream than it assigned.",
+        );
         let deliver_latency = registry.histogram("stab_deliver_latency_ns", &[]);
         let uptime = register_build_info(&registry, shards);
         Arc::new(Telemetry {
@@ -381,6 +385,8 @@ impl Telemetry {
         for (name, v) in pairs {
             self.registry.gauge(name, labels).set(*v as i64);
         }
+        let rejected = self.registry.counter("stab_rejected_acks_total", labels);
+        rejected.add(m.acks_rejected.saturating_sub(rejected.get()));
     }
 
     /// Snapshot of the publish→deliver latency histogram.

@@ -302,4 +302,21 @@ mod tests {
         assert_eq!(h.shard_metrics(1).deliveries, 2);
         h.shutdown();
     }
+
+    #[test]
+    fn a_payload_without_its_global_header_is_refused_and_the_order_stalls() {
+        let h = lone_mirror(2);
+        let short = WireMsg::Data {
+            origin: ORIGIN,
+            seq: 1,
+            payload: Bytes::from_static(b"1234567"),
+        };
+        let mut frames = vec![(0, short), (1, data(1, 2))];
+        h.shared.on_frames(ORIGIN, &mut frames);
+        // Both shard machines took their frame; global 1 never came.
+        assert_eq!(h.shard_metrics(0).deliveries, 1);
+        assert_eq!(h.shard_metrics(1).deliveries, 1);
+        assert_eq!(h.delivered_global(ORIGIN), 0);
+        h.shutdown();
+    }
 }

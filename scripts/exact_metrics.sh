@@ -62,12 +62,17 @@ want_hash=16d57c7b1c532ede
 # allocations, all during the set-up. And when the node stopped keeping
 # a second table of each registered key's source beside the engine's
 # entries (78.44666666666667 before): 469 fewer allocations, the keys,
-# sources and tree nodes of the eight nodes' 216 registrations.
+# sources and tree nodes of the eight nodes' 216 registrations. And
+# when the engine started filing each key a program was compiled for
+# under its source's hash and its stream, so an install finds a
+# program to share by lookup rather than by a scan of every key
+# (78.25125 before): 56 more allocations, the 48 owners' keys and the
+# eight maps' tree nodes, all during the set-up.
 want_counts='core.frontier.evals_per_msg=39.24
 core.recorder.acks_received_per_msg=168
 core.node.ctrl_msgs_per_msg=49
 netsim.sim.events_per_msg=56
-alloc.count_per_msg=78.25125'
+alloc.count_per_msg=78.27458333333334'
 
 out=$(bash benchmarks/bench.sh --workload sim8-ctrl --seed 1 --seconds 2 --trace 0 --smoke)
 ratio=$(printf '%s\n' "$out" | tail -n 1 |
