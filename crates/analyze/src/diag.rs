@@ -76,10 +76,6 @@ pub enum Lint {
     /// With the configured failure budget `f`, some set of `f` crashed
     /// nodes prevents the predicate from ever advancing.
     CrashUnsatisfiable,
-    /// The predicate waits on a configured member that has not joined
-    /// the cluster yet; its frontier cannot advance until that node
-    /// joins and completes state-transfer catch-up.
-    UnjoinedNode,
     /// The predicate explicitly names a node outside the stream's
     /// replica set (partial replication): that node never receives or
     /// acks the stream, so the frontier can never advance past it.
@@ -98,7 +94,7 @@ pub enum Lint {
 
 impl Lint {
     /// Every lint, in catalog order.
-    pub const ALL: [Lint; 19] = [
+    pub const ALL: [Lint; 18] = [
         Lint::SyntaxError,
         Lint::UnknownName,
         Lint::UnknownAckType,
@@ -113,7 +109,6 @@ impl Lint {
         Lint::DominatedPredicate,
         Lint::EquivalentPredicates,
         Lint::CrashUnsatisfiable,
-        Lint::UnjoinedNode,
         Lint::NonReplicaOperand,
         Lint::ZeroFaultTolerance,
         Lint::PartitionVulnerable,
@@ -137,7 +132,6 @@ impl Lint {
             Lint::DominatedPredicate => "dominated-predicate",
             Lint::EquivalentPredicates => "equivalent-predicates",
             Lint::CrashUnsatisfiable => "crash-unsatisfiable",
-            Lint::UnjoinedNode => "unjoined-node",
             Lint::NonReplicaOperand => "non-replica-operand",
             Lint::ZeroFaultTolerance => "zero-fault-tolerance",
             Lint::PartitionVulnerable => "partition-vulnerable",
@@ -162,7 +156,6 @@ impl Lint {
             | Lint::ConstantFrontier
             | Lint::EquivalentPredicates
             | Lint::CrashUnsatisfiable
-            | Lint::UnjoinedNode
             | Lint::ZeroFaultTolerance
             | Lint::PartitionVulnerable => Severity::Warning,
             Lint::DominatedPredicate | Lint::ToleranceAsymmetry => Severity::Info,

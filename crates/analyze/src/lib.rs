@@ -9,15 +9,13 @@
 //!   with severities, rendered caret-style for humans
 //!   ([`Report::render_human`]) or as JSON for machines
 //!   ([`Report::render_json`]).
-//! * **Lint catalog** ([`Lint`]): nineteen checks ranging from mechanical
+//! * **Lint catalog** ([`Lint`]): eighteen checks ranging from mechanical
 //!   (unknown names, empty sets, `KTH_*` ranks out of range) through
 //!   semantic (vacuous predicates, crash-satisfiability under a failure
 //!   budget) to cross-predicate (dominance/equivalence between
 //!   co-installed predicates, proved on a small implication lattice),
-//!   membership-aware (a predicate waiting on a configured member that
-//!   has not joined the cluster yet), and availability-audit findings
-//!   (zero crash tolerance, partition vulnerability, cross-vantage
-//!   tolerance asymmetry).
+//!   and availability-audit findings (zero crash tolerance, partition
+//!   vulnerability, cross-vantage tolerance asymmetry).
 //! * **Availability prover** ([`avail`]): exact crash tolerance `f*`,
 //!   all minimal blocking sets via structural recursion over the
 //!   monotone threshold form of the predicate, and placement-aware
@@ -70,4 +68,4 @@ pub use diag::{json_string, push_json_str, Diagnostic, Lint, Report, Severity};
 pub use dominance::{compare, expr_le, Dominance};
 pub use emissions::AckEmissions;
 pub use lints::Analyzer;
-pub use probe::{blocked_with_down, crash_unsatisfiable, is_vacuous, unjoined_blocked, PROBE_HIGH};
+pub use probe::{blocked_with_down, crash_unsatisfiable, is_vacuous, PROBE_HIGH};

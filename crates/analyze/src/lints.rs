@@ -26,7 +26,6 @@ pub struct Analyzer<'a> {
     me: NodeId,
     emissions: Option<&'a AckEmissions>,
     failure_budget: usize,
-    unjoined: &'a [NodeId],
     replicas: Option<&'a [NodeId]>,
     audit: bool,
     placement: Option<&'a PlacementMap>,
@@ -43,7 +42,6 @@ impl<'a> Analyzer<'a> {
             me,
             emissions: None,
             failure_budget: 0,
-            unjoined: &[],
             replicas: None,
             audit: false,
             placement: None,
@@ -61,14 +59,6 @@ impl<'a> Analyzer<'a> {
     /// [`crash-unsatisfiable`](Lint::CrashUnsatisfiable).
     pub fn with_failure_budget(mut self, f: usize) -> Self {
         self.failure_budget = f;
-        self
-    }
-
-    /// Supply the current membership gap — configured members that have
-    /// not joined the cluster yet — enabling
-    /// [`unjoined-node`](Lint::UnjoinedNode).
-    pub fn with_unjoined(mut self, unjoined: &'a [NodeId]) -> Self {
-        self.unjoined = unjoined;
         self
     }
 
@@ -178,31 +168,6 @@ impl<'a> Analyzer<'a> {
             );
         }
         self.audit_availability(&compiled, whole, &mut report);
-        // Only name the unjoined members the predicate actually reads —
-        // an absent node a predicate never waits on is not its problem.
-        let referenced: Vec<NodeId> = self
-            .unjoined
-            .iter()
-            .copied()
-            .filter(|u| compiled.dependencies().iter().any(|(n, _)| n == u))
-            .collect();
-        if probe::unjoined_blocked(compiled.program(), self.topo, self.me, &referenced) {
-            let names: Vec<&str> = referenced.iter().map(|n| self.topo.node_name(*n)).collect();
-            report.diagnostics.push(
-                Diagnostic::new(
-                    Lint::UnjoinedNode,
-                    whole,
-                    format!(
-                        "predicate waits on unjoined member{} {{{}}}",
-                        if names.len() == 1 { "" } else { "s" },
-                        names.join(", ")
-                    ),
-                )
-                .with_note(
-                    "these nodes are configured but have not joined; the frontier stalls until they join and finish state-transfer catch-up",
-                ),
-            );
-        }
         report
     }
 

@@ -6,49 +6,62 @@
 
 use stabilizer_dsl::Topology;
 
-/// The Fig. 2 EC2 deployment: 8 writer nodes across 4 regions.
+/// The Fig. 2 EC2 deployment: 8 writer nodes across 4 regions, as
+/// `(region, nodes)` in node-id order.
+pub const FIG2_AZS: [(&str, &[&str]); 4] = [
+    ("North_California", &["n1", "n2"]),
+    ("North_Virginia", &["n3", "n4", "n5", "n6"]),
+    ("Oregon", &["n7"]),
+    ("Ohio", &["n8"]),
+];
+
+/// The six predicates of Table III, keyed by their paper names, in the
+/// paper's order.
+pub const TABLE3: [(&str, &str); 6] = [
+    (
+        "OneRegion",
+        "MAX(MAX($AZ_North_Virginia), MAX($AZ_Oregon), MAX($AZ_Ohio))",
+    ),
+    (
+        "MajorityRegions",
+        "KTH_MAX(2, MAX($AZ_North_Virginia), MAX($AZ_Oregon), MAX($AZ_Ohio))",
+    ),
+    (
+        "AllRegions",
+        "MIN(MAX($AZ_North_Virginia), MAX($AZ_Oregon), MAX($AZ_Ohio))",
+    ),
+    ("OneWNode", "MAX($ALLWNODES-$MYWNODE)"),
+    (
+        "MajorityWNodes",
+        "KTH_MAX(SIZEOF($ALLWNODES)/2+1, $ALLWNODES-$MYWNODE)",
+    ),
+    ("AllWNodes", "MIN($ALLWNODES-$MYWNODE)"),
+];
+
+/// [`FIG2_AZS`] as a topology.
 pub fn fig2_topology() -> Topology {
-    Topology::builder()
-        .az("North_California", &["n1", "n2"])
-        .az("North_Virginia", &["n3", "n4", "n5", "n6"])
-        .az("Oregon", &["n7"])
-        .az("Ohio", &["n8"])
+    FIG2_AZS
+        .iter()
+        .fold(Topology::builder(), |b, (az, nodes)| b.az(az, nodes))
         .build()
         .expect("static fig2 topology is valid")
 }
 
-/// The example predicates used throughout the paper (Table III's
+/// The example predicates used throughout the paper ([`TABLE3`]'s
 /// region/node ladders plus the §III-C compositional examples), as
 /// `(name, source)` pairs against [`fig2_topology`].
 pub fn examples() -> Vec<(String, String)> {
-    [
-        (
-            "OneRegion",
-            "MAX(MAX($AZ_North_Virginia), MAX($AZ_Oregon), MAX($AZ_Ohio))",
-        ),
-        (
-            "MajorityRegions",
-            "KTH_MAX(2, MAX($AZ_North_Virginia), MAX($AZ_Oregon), MAX($AZ_Ohio))",
-        ),
-        (
-            "AllRegions",
-            "MIN(MAX($AZ_North_Virginia), MAX($AZ_Oregon), MAX($AZ_Ohio))",
-        ),
-        ("OneWNode", "MAX($ALLWNODES-$MYWNODE)"),
-        (
-            "MajorityWNodes",
-            "KTH_MAX(SIZEOF($ALLWNODES)/2+1, $ALLWNODES-$MYWNODE)",
-        ),
-        ("AllWNodes", "MIN($ALLWNODES-$MYWNODE)"),
-        ("QuorumWrite", "KTH_MIN(SIZEOF($ALLWNODES)/2+1, $ALLWNODES)"),
-        (
-            "AZCase",
-            "MIN(MIN($MYAZWNODES-$MYWNODE), MAX($ALLWNODES-$MYAZWNODES))",
-        ),
-    ]
-    .into_iter()
-    .map(|(n, s)| (n.to_string(), s.to_string()))
-    .collect()
+    TABLE3
+        .into_iter()
+        .chain([
+            ("QuorumWrite", "KTH_MIN(SIZEOF($ALLWNODES)/2+1, $ALLWNODES)"),
+            (
+                "AZCase",
+                "MIN(MIN($MYAZWNODES-$MYWNODE), MAX($ALLWNODES-$MYAZWNODES))",
+            ),
+        ])
+        .map(|(n, s)| (n.to_string(), s.to_string()))
+        .collect()
 }
 
 #[cfg(test)]

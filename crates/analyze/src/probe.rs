@@ -39,31 +39,6 @@ pub fn is_vacuous(program: &Program, me: NodeId) -> bool {
     program.eval(&SubsetView { up: &[me] }) == PROBE_HIGH
 }
 
-/// True if the predicate cannot advance while `unjoined` members are
-/// still outside the cluster: with the unjoined set at 0 and every
-/// joined node (including `me`) at `H`, the program evaluates `< H`.
-///
-/// Unlike [`crash_unsatisfiable`] this is not a hypothetical — the
-/// nodes are *known* to be absent right now. The frontier stalls (a
-/// well-defined state, hence a warning, not an error) until each
-/// flagged member joins and completes §III-E state-transfer catch-up.
-pub fn unjoined_blocked(
-    program: &Program,
-    topo: &Topology,
-    me: NodeId,
-    unjoined: &[NodeId],
-) -> bool {
-    if unjoined.is_empty() || unjoined.contains(&me) {
-        return false;
-    }
-    let up: Vec<NodeId> = topo
-        .all_nodes()
-        .into_iter()
-        .filter(|n| !unjoined.contains(n))
-        .collect();
-    program.eval(&SubsetView { up: &up }) < PROBE_HIGH
-}
-
 /// Evaluate `program` with the nodes in `down_mask` (a bitmask over node
 /// ids) crashed and everyone else up; true if the predicate is blocked —
 /// it needs an ACK from inside the crashed set. The workhorse probe of
@@ -165,36 +140,6 @@ mod tests {
         let p = prog("KTH_MIN(2, $ALLWNODES)", 0);
         assert!(crash_unsatisfiable(&p, &topo(), NodeId(0), 1).is_none());
         assert!(crash_unsatisfiable(&p, &topo(), NodeId(0), 2).is_some());
-    }
-
-    #[test]
-    fn min_over_everyone_blocks_on_an_unjoined_member() {
-        let p = prog("MIN($ALLWNODES-$MYWNODE)", 0);
-        assert!(unjoined_blocked(
-            p.program(),
-            &topo(),
-            NodeId(0),
-            &[NodeId(3)]
-        ));
-        assert!(!unjoined_blocked(p.program(), &topo(), NodeId(0), &[]));
-    }
-
-    #[test]
-    fn max_of_remotes_tolerates_unjoined_members() {
-        let p = prog("MAX($ALLWNODES-$MYWNODE)", 0);
-        assert!(!unjoined_blocked(
-            p.program(),
-            &topo(),
-            NodeId(0),
-            &[NodeId(2), NodeId(3)]
-        ));
-        // ...until every remote is unjoined.
-        assert!(unjoined_blocked(
-            p.program(),
-            &topo(),
-            NodeId(0),
-            &[NodeId(1), NodeId(2), NodeId(3)]
-        ));
     }
 
     #[test]

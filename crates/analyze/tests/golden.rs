@@ -158,17 +158,6 @@ fn golden_crash_unsatisfiable() {
 }
 
 #[test]
-fn golden_unjoined_node() {
-    let t = topo();
-    let acks = AckTypeRegistry::new();
-    let unjoined = [t.node("w2").unwrap()];
-    let report = Analyzer::new(&t, &acks, NodeId(0))
-        .with_unjoined(&unjoined)
-        .analyze("P", "MIN($ALLWNODES-$MYWNODE)");
-    check(Lint::UnjoinedNode, &report);
-}
-
-#[test]
 fn golden_equivalent_predicates() {
     let t = topo();
     let acks = AckTypeRegistry::new();

@@ -33,7 +33,7 @@
 
 use bytes::Bytes;
 use stabilizer_bench::{f, print_table};
-use stabilizer_core::{sim_driver::build_cluster, ClusterConfig, NodeId};
+use stabilizer_core::{sim_driver::build_cluster, ClusterConfig, Delivery, NodeId};
 use stabilizer_netsim::{NetTopology, SimDuration, SimTime};
 use std::fmt::Write as _;
 
@@ -178,8 +178,10 @@ fn replay_hash(seed: u64) {
             )
             .unwrap();
         }
-        for (t, o, s, l, _) in &a.delivery_log {
-            writeln!(transcript, "{i} D {t:?} {} {s} {l}", o.0).unwrap();
+        for &(t, o, s, d) in &a.delivery_log {
+            if let Delivery::Upcall { len, .. } = d {
+                writeln!(transcript, "{i} D {t:?} {} {s} {len}", o.0).unwrap();
+            }
         }
     }
     let hash = stabilizer_core::fnv1a(transcript.as_bytes());

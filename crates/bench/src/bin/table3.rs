@@ -1,21 +1,15 @@
 //! Table III: the six evaluation predicates — parse, resolve at the
 //! sender (n1) of the Fig. 2 topology, and show their compiled form.
 
+use stabilizer_analyze::paper::{fig2_topology, TABLE3};
 use stabilizer_bench::print_table;
-use stabilizer_dsl::{AckTypeRegistry, NodeId, Predicate, Topology};
-use stabilizer_filebackup::TABLE3_PREDICATES;
+use stabilizer_dsl::{AckTypeRegistry, NodeId, Predicate};
 
 fn main() {
-    let topo = Topology::builder()
-        .az("North_California", &["n1", "n2"])
-        .az("North_Virginia", &["n3", "n4", "n5", "n6"])
-        .az("Oregon", &["n7"])
-        .az("Ohio", &["n8"])
-        .build()
-        .expect("static topology");
+    let topo = fig2_topology();
     let acks = AckTypeRegistry::new();
     let mut rows = Vec::new();
-    for (name, src) in TABLE3_PREDICATES {
+    for (name, src) in TABLE3 {
         let pred = Predicate::compile(src, &topo, &acks, NodeId(0)).expect("Table III compiles");
         rows.push(vec![
             name.to_owned(),

@@ -17,7 +17,7 @@
 //! | **Schedule order** | faults + workload merged by time, faults before work on ties; actions past the horizon are not applied | an action goes before the events of its own instant | the same, with every node's clock moved to the action's instant |
 //! | **Layering** | link `a → b` is up iff the partition state wants it AND neither end is down (crashed or not yet joined); clock skew per node | — | — |
 //! | **Reboot order** | new incarnation → re-apply skew → resync checker → journal on → open links → catch-up; restart and join are the same path, with or without a snapshot | actor rebuilt and fast-forwarded, `on_start` runs at "catch-up" | a fresh endpoint, `spawn_node_on`; a restored spawn requests catch-up itself |
-//! | **Checker** | one [`InvariantChecker`] over one consistent cut per check | views straight from the actors | every node's state locked in index order |
+//! | **Checker** | one [`InvariantChecker`] over one consistent cut per check, each node's [`EventLog`] read in emission order | views straight from the actors | every node's state locked in index order |
 //! | **Liveness verdict** | `post-fault-liveness`, gap and blame rendering | — | — |
 //! | **Payload fill** | `node + len` (wrapping), so differential runs publish identical bytes | — | — |
 //! | **Network** | — | `Simulation` links | `MemNet` |
@@ -38,8 +38,8 @@ use crate::plan::{FaultPlan, Op, PlanError, TimedOp};
 use crate::trace::trace_hash;
 use bytes::Bytes;
 use stabilizer_core::{
-    Ack, ClusterConfig, CoreError, EventLog, Snapshot, StabilizerNode, StallReport, WaitToken,
-    WireMsg,
+    Ack, ClusterConfig, CoreError, Delivery, EventLog, Snapshot, StabilizerNode, StallReport,
+    WaitToken, WireMsg,
 };
 use stabilizer_dsl::{NodeId, SeqNo, RECEIVED};
 use stabilizer_netsim::{SimDuration, SimTime};
@@ -828,21 +828,23 @@ impl<B: Backend> Chaos<B> {
     /// incarnation: `(stream, seq)` fast-forwards, in order. Non-empty
     /// after a recovery that had to skip past the donor's retained log.
     pub fn catchup_events(&self, node: usize) -> Vec<(u16, SeqNo)> {
-        self.backend.with_node(node, |_, log| {
-            log.catchup_log
-                .iter()
-                .map(|&(_, stream, seq)| (stream.0, seq))
-                .collect()
-        })
+        self.deliveries(node, false)
     }
 
     /// Delivery order `(origin, seq)` as `node`'s current incarnation
     /// observed the upcalls.
     pub fn delivery_order(&self, node: usize) -> Vec<(u16, SeqNo)> {
+        self.deliveries(node, true)
+    }
+
+    /// `node`'s delivery-log entries, its upcalls or its catch-ups, in
+    /// order.
+    fn deliveries(&self, node: usize, upcalls: bool) -> Vec<(u16, SeqNo)> {
         self.backend.with_node(node, |_, log| {
             log.delivery_log
                 .iter()
-                .map(|&(_, origin, seq, ..)| (origin.0, seq))
+                .filter(|(.., d)| matches!(d, Delivery::Upcall { .. }) == upcalls)
+                .map(|&(_, origin, seq, _)| (origin.0, seq))
                 .collect()
         })
     }

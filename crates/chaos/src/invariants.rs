@@ -23,8 +23,12 @@
 //!    the origin actually published, in this incarnation or (up to its
 //!    cut) an earlier one.
 //! 6. **Suspicion/recovery consistency** — recoveries pair with prior
-//!    suspicions, nodes never suspect themselves, and the logs agree
-//!    with `StabilizerNode::is_suspected`.
+//!    suspicions, nodes never suspect themselves, and the suspicion log
+//!    agrees with `StabilizerNode::is_suspected`.
+//!
+//! Each node's log is read in the order the node emitted it, one
+//! cursor per log; a timestamp orders nothing (one TCP call stamps
+//! everything it emits with one time).
 //! 7. **Placement isolation** (only with
 //!    [`InvariantChecker::with_placement`]) — a node never delivers a
 //!    stream it does not replicate, and never holds a non-zero ACK cell
@@ -37,8 +41,7 @@
 //!    whichever incarnation it is delivered: a restored origin never
 //!    reuses a sequence number a replica already holds.
 
-use stabilizer_core::sim_driver::{AppHooks, SimNode};
-use stabilizer_core::{DirtyCell, EventLog, FrontierUpdate, PlacementMap, StabilizerNode};
+use stabilizer_core::{Delivery, DirtyCell, EventLog, PlacementMap, StabilizerNode};
 use stabilizer_dsl::{AckTypeId, NodeId, SeqNo, DELIVERED, RECEIVED};
 use stabilizer_netsim::SimTime;
 use std::collections::HashMap;
@@ -49,28 +52,13 @@ use std::sync::Arc;
 /// [`InvariantChecker::with_rescan_every`]).
 pub const DEFAULT_RESCAN_EVERY: u64 = 16;
 
-/// A read-only view of one node's observable state, assembled by
-/// [`ChaosObservable::chaos_view`]. The checker consumes one view per
-/// node per step.
+/// A read-only view of one node's observable state. The checker
+/// consumes one view per node per step.
 pub struct NodeView<'a> {
     /// The protocol state machine.
     pub node: &'a StabilizerNode,
-    /// Timestamped frontier log.
-    pub frontier_log: &'a [(SimTime, FrontierUpdate)],
-    /// Timestamped delivery log: `(time, origin, seq, length, hash)`.
-    pub delivery_log: &'a [(SimTime, NodeId, SeqNo, usize, u64)],
-    /// Suspicion log.
-    pub suspected_log: &'a [(SimTime, NodeId)],
-    /// Recovery log.
-    pub recovered_log: &'a [(SimTime, NodeId)],
-    /// Out-of-band stream fast-forwards from §III-E state transfer:
-    /// `(time, stream, seq)` — delivery of `stream` resumes *after*
-    /// `seq`. The prefix check merges this log with the delivery log by
-    /// timestamp (catch-ups first on ties: the fast-forward happens
-    /// before the deliveries it releases).
-    pub catchup_log: &'a [(SimTime, NodeId, SeqNo)],
-    /// Whether the delivery log is populated.
-    pub records_deliveries: bool,
+    /// What the node emitted, each log in emission order.
+    pub log: &'a EventLog,
     /// Recorder cells written since the previous check, drained from the
     /// node's dirty-cell journal (see
     /// [`StabilizerNode::take_ack_journal`]). `Some(cells)` makes the
@@ -84,35 +72,11 @@ pub struct NodeView<'a> {
 impl<'a> NodeView<'a> {
     /// The view of `node`, whose observed events went to `log`, with
     /// the recorder cells `dirty` since the previous check (`None`: not
-    /// journaled, rescan everything). Both chaos backends and
-    /// [`ChaosObservable`] build their views here.
+    /// journaled, rescan everything). Every harness builds its views
+    /// here: both chaos backends, and an application's through its
+    /// actor's `driver()`, which is the log.
     pub fn new(node: &'a StabilizerNode, log: &'a EventLog, dirty: Option<Vec<DirtyCell>>) -> Self {
-        NodeView {
-            node,
-            frontier_log: &log.frontier_log,
-            delivery_log: &log.delivery_log,
-            suspected_log: &log.suspected_log,
-            recovered_log: &log.recovered_log,
-            catchup_log: &log.catchup_log,
-            records_deliveries: log.record_deliveries,
-            dirty,
-        }
-    }
-}
-
-/// Anything the checker can observe. Implemented for [`SimNode`]: every
-/// application actor (K/V store, both pub/sub brokers, quorum register,
-/// backup service) embeds one and exposes it as `driver()`, so their
-/// harnesses view a node through `driver().chaos_view()` and reuse the
-/// checker unchanged.
-pub trait ChaosObservable {
-    /// Assemble the checker's view of this node.
-    fn chaos_view(&self) -> NodeView<'_>;
-}
-
-impl<H: AppHooks> ChaosObservable for SimNode<H> {
-    fn chaos_view(&self) -> NodeView<'_> {
-        NodeView::new(self.inner(), self, None)
+        NodeView { node, log, dirty }
     }
 }
 
@@ -158,8 +122,6 @@ pub struct InvariantChecker {
     frontier_shadow: HashMap<(u16, u16, String), (u32, SeqNo)>,
     /// Per-node cursor into `delivery_log`.
     delivery_cursor: Vec<usize>,
-    /// Per-node cursor into `catchup_log`.
-    catchup_cursor: Vec<usize>,
     /// Last delivered seq per `(node, origin)` in the current
     /// incarnation (prefix check).
     last_delivered: HashMap<(u16, u16), SeqNo>,
@@ -169,9 +131,8 @@ pub struct InvariantChecker {
     /// The `(length, hash)` of the payload each `(origin, seq)` was
     /// first delivered with, anywhere, in any incarnation.
     payloads: HashMap<(u16, SeqNo), (usize, u64)>,
-    /// Per-node cursors into the suspicion/recovery logs.
-    suspected_cursor: Vec<usize>,
-    recovered_cursor: Vec<usize>,
+    /// Per-node cursor into `suspicion_log`.
+    suspicion_cursor: Vec<usize>,
     /// Shadow suspicion sets: `suspects[n][p]`.
     suspects: Vec<Vec<bool>>,
     /// Per node, its own cells `[stream*types + ty]` at the highest any
@@ -201,12 +162,10 @@ impl InvariantChecker {
             frontier_cursor: vec![0; n],
             frontier_shadow: HashMap::new(),
             delivery_cursor: vec![0; n],
-            catchup_cursor: vec![0; n],
             last_delivered: HashMap::new(),
             delivered_high: HashMap::new(),
             payloads: HashMap::new(),
-            suspected_cursor: vec![0; n],
-            recovered_cursor: vec![0; n],
+            suspicion_cursor: vec![0; n],
             suspects: vec![vec![false; n]; n],
             claimed: vec![vec![0; n * types]; n],
             placement: None,
@@ -276,9 +235,7 @@ impl InvariantChecker {
     pub fn note_restart(&mut self, i: usize, restored: &StabilizerNode) {
         self.frontier_cursor[i] = 0;
         self.delivery_cursor[i] = 0;
-        self.catchup_cursor[i] = 0;
-        self.suspected_cursor[i] = 0;
-        self.recovered_cursor[i] = 0;
+        self.suspicion_cursor[i] = 0;
         self.frontier_shadow
             .retain(|(node, _, _), _| *node as usize != i);
         for p in 0..self.n {
@@ -327,69 +284,36 @@ impl InvariantChecker {
         Ok(())
     }
 
-    /// Invariant 4 (and the high-water input to invariant 3). The
-    /// delivery log is merged with the catch-up log by timestamp
-    /// (catch-ups first on ties): a §III-E fast-forward to `seq` is the
-    /// out-of-band recovery of the prefix `..=seq`, so delivery resumes
-    /// at `seq + 1` instead of the last in-band delivery + 1, and the
-    /// recovered prefix counts toward the upcall high-water mark.
+    /// Invariant 4 (and the high-water input to invariant 3), over the
+    /// delivery log in the order the node emitted it. A §III-E
+    /// fast-forward to `seq` is the out-of-band recovery of the prefix
+    /// `..=seq`, so delivery resumes at `seq + 1` instead of the last
+    /// in-band delivery + 1, and the recovered prefix counts toward the
+    /// upcall high-water mark. A node that keeps no delivery log keeps
+    /// no catch-ups either, so nothing of it is checked here.
     fn check_deliveries(
         &mut self,
         now: SimTime,
         views: &[NodeView<'_>],
     ) -> Result<(), InvariantViolation> {
         for (i, view) in views.iter().enumerate() {
-            if !view.records_deliveries {
-                self.delivery_cursor[i] = view.delivery_log.len();
-                self.catchup_cursor[i] = view.catchup_log.len();
-                continue;
-            }
-            let log = &view.delivery_log[self.delivery_cursor[i]..];
-            let catchups = &view.catchup_log[self.catchup_cursor[i]..];
-            let (mut d, mut c) = (0usize, 0usize);
-            while d < log.len() || c < catchups.len() {
-                let take_catchup = match (log.get(d), catchups.get(c)) {
-                    (Some(&(dat, ..)), Some(&(cat, ..))) => cat <= dat,
-                    (None, Some(_)) => true,
-                    _ => false,
-                };
-                if take_catchup {
-                    let (at, stream, seq) = catchups[c];
-                    c += 1;
-                    if let Some(p) = &self.placement {
-                        if !p.is_replica(stream, NodeId(i as u16)) {
-                            return Err(InvariantViolation {
-                                at: now,
-                                node: i as u16,
-                                property: "non-replica-delivery",
-                                detail: format!(
-                                    "caught up stream {stream:?} to {seq} at {at:?} \
-                                     without being one of its replicas"
-                                ),
-                            });
-                        }
+            let log = &view.log.delivery_log;
+            for &(at, origin, seq, delivery) in &log[self.delivery_cursor[i]..] {
+                if let Delivery::Upcall { len, hash } = delivery {
+                    let first = *self.payloads.entry((origin.0, seq)).or_insert((len, hash));
+                    if first != (len, hash) {
+                        return Err(InvariantViolation {
+                            at: now,
+                            node: i as u16,
+                            property: "payload-identity",
+                            detail: format!(
+                                "delivered ({origin:?}, {seq}) at {at:?} as {len} bytes \
+                                 hashing {hash:016x}, where it was delivered as {} bytes \
+                                 hashing {:016x}",
+                                first.0, first.1
+                            ),
+                        });
                     }
-                    let key = (i as u16, stream.0);
-                    let entry = self.last_delivered.entry(key).or_insert(0);
-                    *entry = (*entry).max(seq);
-                    let high = self.delivered_high.entry(key).or_insert(0);
-                    *high = (*high).max(seq);
-                    continue;
-                }
-                let (at, origin, seq, len, hash) = log[d];
-                d += 1;
-                let first = *self.payloads.entry((origin.0, seq)).or_insert((len, hash));
-                if first != (len, hash) {
-                    return Err(InvariantViolation {
-                        at: now,
-                        node: i as u16,
-                        property: "payload-identity",
-                        detail: format!(
-                            "delivered ({origin:?}, {seq}) at {at:?} as {len} bytes hashing \
-                             {hash:016x}, where it was delivered as {} bytes hashing {:016x}",
-                            first.0, first.1
-                        ),
-                    });
                 }
                 if let Some(p) = &self.placement {
                     if !p.is_replica(origin, NodeId(i as u16)) {
@@ -398,31 +322,33 @@ impl InvariantChecker {
                             node: i as u16,
                             property: "non-replica-delivery",
                             detail: format!(
-                                "delivered ({origin:?}, {seq}) at {at:?} without being \
-                                 one of the stream's replicas"
+                                "logged ({origin:?}, {seq}) as {delivery:?} at {at:?} without \
+                                 being one of the stream's replicas"
                             ),
                         });
                     }
                 }
                 let key = (i as u16, origin.0);
-                let prev = *self.last_delivered.get(&key).unwrap_or(&0);
-                if seq != prev + 1 {
-                    return Err(InvariantViolation {
-                        at: now,
-                        node: i as u16,
-                        property: "delivery-prefix",
-                        detail: format!(
-                            "delivery of ({origin:?}, {seq}) at {at:?} is not consecutive: \
-                             previous delivered seq for this origin was {prev}"
-                        ),
-                    });
+                let prev = self.last_delivered.entry(key).or_insert(0);
+                match delivery {
+                    Delivery::CatchUp => *prev = (*prev).max(seq),
+                    Delivery::Upcall { .. } if seq == *prev + 1 => *prev = seq,
+                    Delivery::Upcall { .. } => {
+                        return Err(InvariantViolation {
+                            at: now,
+                            node: i as u16,
+                            property: "delivery-prefix",
+                            detail: format!(
+                                "delivery of ({origin:?}, {seq}) at {at:?} is not consecutive: \
+                                 previous delivered seq for this origin was {prev}"
+                            ),
+                        });
+                    }
                 }
-                self.last_delivered.insert(key, seq);
                 let high = self.delivered_high.entry(key).or_insert(0);
                 *high = (*high).max(seq);
             }
-            self.delivery_cursor[i] = view.delivery_log.len();
-            self.catchup_cursor[i] = view.catchup_log.len();
+            self.delivery_cursor[i] = log.len();
         }
         Ok(())
     }
@@ -533,7 +459,7 @@ impl InvariantChecker {
                 ),
             });
         }
-        if view.records_deliveries && s != i {
+        if view.log.record_deliveries && s != i {
             let high = *self.delivered_high.get(&(i as u16, s as u16)).unwrap_or(&0);
             if delivered > high {
                 return Err(InvariantViolation {
@@ -609,7 +535,7 @@ impl InvariantChecker {
         views: &[NodeView<'_>],
     ) -> Result<(), InvariantViolation> {
         for (i, view) in views.iter().enumerate() {
-            let log = view.frontier_log;
+            let log = &view.log.frontier_log;
             for (at, update) in &log[self.frontier_cursor[i]..] {
                 let origin = update.stream.0 as usize;
                 // An origin's own RECEIVED cell is its last publish.
@@ -650,59 +576,38 @@ impl InvariantChecker {
         Ok(())
     }
 
-    /// Invariant 6.
+    /// Invariant 6, over the suspicion log in the order the node
+    /// emitted it: one sweep may span several flips of one peer.
     fn check_suspicion(
         &mut self,
         now: SimTime,
         views: &[NodeView<'_>],
     ) -> Result<(), InvariantViolation> {
         for (i, view) in views.iter().enumerate() {
-            // One sweep can span several flips of one peer (a stalled
-            // harness thread: suspected, recovered, suspected again), so
-            // the two logs are replayed merged by timestamp, not one
-            // after the other. On a tie the suspicion goes first: a node
-            // can suspect a peer and hear from it within one timestamp,
-            // but not the reverse — hearing from it resets the silence
-            // the failure timeout is measured from.
-            let suspected = &view.suspected_log[self.suspected_cursor[i]..];
-            let recovered = &view.recovered_log[self.recovered_cursor[i]..];
-            let (mut s, mut r) = (0usize, 0usize);
-            while s < suspected.len() || r < recovered.len() {
-                let take_suspected = match (suspected.get(s), recovered.get(r)) {
-                    (Some(&(sat, _)), Some(&(rat, _))) => sat <= rat,
-                    (Some(_), None) => true,
-                    _ => false,
-                };
-                if take_suspected {
-                    let (at, peer) = suspected[s];
-                    s += 1;
-                    if peer.0 as usize == i {
-                        return Err(InvariantViolation {
-                            at: now,
-                            node: i as u16,
-                            property: "self-suspicion",
-                            detail: format!("suspected itself at {at:?}"),
-                        });
-                    }
-                    self.suspects[i][peer.0 as usize] = true;
-                } else {
-                    let (at, peer) = recovered[r];
-                    r += 1;
-                    if !self.suspects[i][peer.0 as usize] {
-                        return Err(InvariantViolation {
-                            at: now,
-                            node: i as u16,
-                            property: "unpaired-recovery",
-                            detail: format!(
-                                "recovery of {peer:?} at {at:?} without a preceding suspicion"
-                            ),
-                        });
-                    }
-                    self.suspects[i][peer.0 as usize] = false;
+            let log = &view.log.suspicion_log;
+            for &(at, peer, suspected) in &log[self.suspicion_cursor[i]..] {
+                let p = peer.0 as usize;
+                if suspected && p == i {
+                    return Err(InvariantViolation {
+                        at: now,
+                        node: i as u16,
+                        property: "self-suspicion",
+                        detail: format!("suspected itself at {at:?}"),
+                    });
                 }
+                if !suspected && !self.suspects[i][p] {
+                    return Err(InvariantViolation {
+                        at: now,
+                        node: i as u16,
+                        property: "unpaired-recovery",
+                        detail: format!(
+                            "recovery of {peer:?} at {at:?} without a preceding suspicion"
+                        ),
+                    });
+                }
+                self.suspects[i][p] = suspected;
             }
-            self.suspected_cursor[i] = view.suspected_log.len();
-            self.recovered_cursor[i] = view.recovered_log.len();
+            self.suspicion_cursor[i] = log.len();
             for p in 0..self.n {
                 let actual = view.node.is_suspected(NodeId(p as u16));
                 if actual != self.suspects[i][p] {
@@ -711,8 +616,7 @@ impl InvariantChecker {
                         node: i as u16,
                         property: "suspicion-log-disagreement",
                         detail: format!(
-                            "is_suspected({p}) = {actual} but the suspicion/recovery logs \
-                             imply {}",
+                            "is_suspected({p}) = {actual} but the suspicion log implies {}",
                             self.suspects[i][p]
                         ),
                     });
@@ -741,7 +645,7 @@ impl InvariantChecker {
 mod tests {
     use super::*;
     use bytes::Bytes;
-    use stabilizer_core::ClusterConfig;
+    use stabilizer_core::{ClusterConfig, Event, FrontierUpdate};
     use stabilizer_dsl::AckTypeRegistry;
     use std::sync::Arc;
 
@@ -753,17 +657,62 @@ mod tests {
             .collect()
     }
 
-    fn view(node: &StabilizerNode) -> NodeView<'_> {
-        NodeView {
-            node,
-            frontier_log: &[],
-            delivery_log: &[],
-            suspected_log: &[],
-            recovered_log: &[],
-            catchup_log: &[],
-            records_deliveries: false,
-            dirty: None,
+    /// One empty log per node.
+    fn logs(n: usize) -> Vec<EventLog> {
+        (0..n).map(|_| EventLog::default()).collect()
+    }
+
+    /// Unjournaled views of `nodes`, node `i`'s events in `logs[i]`.
+    fn views<'a>(nodes: &'a [StabilizerNode], logs: &'a [EventLog]) -> Vec<NodeView<'a>> {
+        nodes
+            .iter()
+            .zip(logs)
+            .map(|(node, log)| NodeView::new(node, log, None))
+            .collect()
+    }
+
+    fn deliver(log: &mut EventLog, t: u64, origin: u16, seq: SeqNo, payload: &'static [u8]) {
+        let payload = Bytes::from_static(payload);
+        let event = Event::Deliver {
+            origin: NodeId(origin),
+            seq,
+            payload: &payload,
+        };
+        log.record(SimTime(t), &event);
+    }
+
+    fn catch_up(log: &mut EventLog, t: u64, stream: u16, seq: SeqNo) {
+        let event = Event::CatchUp {
+            stream: NodeId(stream),
+            seq,
+        };
+        log.record(SimTime(t), &event);
+    }
+
+    fn flip(log: &mut EventLog, t: u64, node: u16, suspected: bool) {
+        let node = NodeId(node);
+        let event = if suspected {
+            Event::Suspected { node }
+        } else {
+            Event::Recovered { node }
+        };
+        log.record(SimTime(t), &event);
+    }
+
+    /// Node 0's frontier log over stream 0, key `k`: `(seq, generation)`
+    /// advances, all at time zero.
+    fn frontiers(advances: &[(SeqNo, u32)]) -> EventLog {
+        let mut log = EventLog::default();
+        for &(seq, generation) in advances {
+            let update = FrontierUpdate {
+                stream: NodeId(0),
+                key: "k".to_string(),
+                seq,
+                generation,
+            };
+            log.record(SimTime::ZERO, &Event::Frontier(&update));
         }
+        log
     }
 
     #[test]
@@ -771,8 +720,8 @@ mod tests {
         let mut nodes = two_nodes();
         let _ = nodes[0].publish(Bytes::from_static(b"x")).unwrap();
         let mut checker = InvariantChecker::new(2, 3);
-        let views: Vec<NodeView<'_>> = nodes.iter().map(view).collect();
-        checker.check(SimTime::ZERO, &views).unwrap();
+        let logs = logs(2);
+        checker.check(SimTime::ZERO, &views(&nodes, &logs)).unwrap();
     }
 
     #[test]
@@ -793,8 +742,10 @@ mod tests {
                 seq: 7,
             }]),
         );
-        let views: Vec<NodeView<'_>> = nodes.iter().map(view).collect();
-        let err = checker.check(SimTime::ZERO, &views).unwrap_err();
+        let logs = logs(2);
+        let err = checker
+            .check(SimTime::ZERO, &views(&nodes, &logs))
+            .unwrap_err();
         assert_eq!(err.property, "belief-beyond-truth");
     }
 
@@ -802,16 +753,11 @@ mod tests {
     fn delivery_gap_is_caught() {
         let nodes = two_nodes();
         let mut checker = InvariantChecker::new(2, 3);
-        let gap_log = [(SimTime::ZERO, NodeId(1), 2u64, 0usize, 0u64)]; // seq 1 missing
-        let views = vec![
-            NodeView {
-                delivery_log: &gap_log,
-                records_deliveries: true,
-                ..view(&nodes[0])
-            },
-            view(&nodes[1]),
-        ];
-        let err = checker.check(SimTime::ZERO, &views).unwrap_err();
+        let mut logs = logs(2);
+        deliver(&mut logs[0], 0, 1, 2, b""); // seq 1 missing
+        let err = checker
+            .check(SimTime::ZERO, &views(&nodes, &logs))
+            .unwrap_err();
         assert_eq!(err.property, "delivery-prefix");
     }
 
@@ -822,39 +768,14 @@ mod tests {
     fn one_origin_seq_delivered_as_two_payloads_is_caught() {
         let nodes = two_nodes();
         let mut checker = InvariantChecker::new(2, 3);
-        let first = [(SimTime(1), NodeId(1), 1u64, 1usize, 0xa)];
-        let views = vec![
-            NodeView {
-                delivery_log: &first,
-                records_deliveries: true,
-                ..view(&nodes[0])
-            },
-            view(&nodes[1]),
-        ];
-        checker.check(SimTime(1), &views).unwrap();
-        let views = vec![
-            NodeView {
-                delivery_log: &first,
-                records_deliveries: true,
-                ..view(&nodes[0])
-            },
-            view(&nodes[1]),
-        ];
-        checker.check(SimTime(2), &views).unwrap();
-        let reused = [(SimTime(3), NodeId(1), 1u64, 3usize, 0xb)];
-        let views = vec![
-            NodeView {
-                delivery_log: &first,
-                records_deliveries: true,
-                ..view(&nodes[0])
-            },
-            NodeView {
-                delivery_log: &reused,
-                records_deliveries: true,
-                ..view(&nodes[1])
-            },
-        ];
-        let err = checker.check(SimTime(3), &views).unwrap_err();
+        let mut logs = logs(2);
+        deliver(&mut logs[0], 1, 1, 1, b"a");
+        checker.check(SimTime(1), &views(&nodes, &logs)).unwrap();
+        checker.check(SimTime(2), &views(&nodes, &logs)).unwrap();
+        deliver(&mut logs[1], 3, 1, 1, b"bcd");
+        let err = checker
+            .check(SimTime(3), &views(&nodes, &logs))
+            .unwrap_err();
         assert_eq!(err.property, "payload-identity");
     }
 
@@ -864,38 +785,29 @@ mod tests {
         // delivery seq 6 legal even though seqs 1..=5 were never
         // up-called; without the catch-up the same log is a violation.
         let nodes = two_nodes();
-        let delivery = [(SimTime(20), NodeId(1), 6u64, 0usize, 0u64)];
-        let catchup = [(SimTime(10), NodeId(1), 5u64)];
+        let mut bridged = logs(2);
+        catch_up(&mut bridged[0], 10, 1, 5);
+        deliver(&mut bridged[0], 20, 1, 6, b"");
         let mut checker = InvariantChecker::new(2, 3);
-        let views = vec![
-            NodeView {
-                delivery_log: &delivery,
-                catchup_log: &catchup,
-                records_deliveries: true,
-                ..view(&nodes[0])
-            },
-            view(&nodes[1]),
-        ];
-        checker.check(SimTime(20), &views).unwrap();
+        checker
+            .check(SimTime(20), &views(&nodes, &bridged))
+            .unwrap();
 
+        let mut gapped = logs(2);
+        deliver(&mut gapped[0], 20, 1, 6, b"");
         let mut checker = InvariantChecker::new(2, 3);
-        let views = vec![
-            NodeView {
-                delivery_log: &delivery,
-                records_deliveries: true,
-                ..view(&nodes[0])
-            },
-            view(&nodes[1]),
-        ];
-        let err = checker.check(SimTime(20), &views).unwrap_err();
+        let err = checker
+            .check(SimTime(20), &views(&nodes, &gapped))
+            .unwrap_err();
         assert_eq!(err.property, "delivery-prefix");
     }
 
     #[test]
-    fn one_sweep_spanning_suspect_recover_suspect_is_replayed_in_time_order() {
+    fn one_sweep_spanning_suspect_recover_suspect_is_replayed_in_log_order() {
         // A stalled harness thread sees three flips of one peer at once.
-        // Applied log by log (every suspicion, then every recovery) they
-        // read S,S,R and end "not suspected" against a node that is.
+        // Applied kind by kind (every suspicion, then every recovery)
+        // they read S,S,R and end "not suspected" against a node that
+        // is; so do they if a shared timestamp is broken suspicion-first.
         use stabilizer_core::{Options, TimerKind};
         let opts = Options::default().failure_timeout_millis(10);
         let cfg = ClusterConfig::parse("az A 0 1\n")
@@ -907,52 +819,39 @@ mod tests {
             .collect();
         nodes[0].on_timer(TimerKind::Failure, 1_000_000_000);
         assert!(nodes[0].is_suspected(NodeId(1)));
-        let suspected = [(SimTime(10), NodeId(1)), (SimTime(30), NodeId(1))];
-        let recovered = [(SimTime(20), NodeId(1))];
-        let mut checker = InvariantChecker::new(2, 3);
-        let views = vec![
-            NodeView {
-                suspected_log: &suspected,
-                recovered_log: &recovered,
-                ..view(&nodes[0])
-            },
-            view(&nodes[1]),
-        ];
-        checker.check(SimTime(40), &views).unwrap();
+        for times in [[10, 20, 30], [10, 10, 10]] {
+            let mut logs = logs(2);
+            flip(&mut logs[0], times[0], 1, true);
+            flip(&mut logs[0], times[1], 1, false);
+            flip(&mut logs[0], times[2], 1, true);
+            let mut checker = InvariantChecker::new(2, 3);
+            checker.check(SimTime(40), &views(&nodes, &logs)).unwrap();
+        }
 
-        // The order is the timestamps', not "whatever pairs up": a
-        // recovery logged before the only suspicion is still unpaired.
+        // The order is the log's, not "whatever pairs up": a recovery
+        // logged before the only suspicion is still unpaired.
+        let mut logs = logs(2);
+        flip(&mut logs[0], 20, 1, false);
+        flip(&mut logs[0], 30, 1, true);
         let mut checker = InvariantChecker::new(2, 3);
-        let views = vec![
-            NodeView {
-                suspected_log: &suspected[1..],
-                recovered_log: &recovered,
-                ..view(&nodes[0])
-            },
-            view(&nodes[1]),
-        ];
-        let err = checker.check(SimTime(40), &views).unwrap_err();
+        let err = checker
+            .check(SimTime(40), &views(&nodes, &logs))
+            .unwrap_err();
         assert_eq!(err.property, "unpaired-recovery");
     }
 
     #[test]
     fn catch_up_after_a_gapped_delivery_does_not_excuse_it() {
-        // The merge is timestamp-ordered: a fast-forward at t=30 cannot
-        // retroactively legalize a gapped delivery at t=20.
+        // The log is replayed in order: a fast-forward logged after a
+        // gapped delivery cannot retroactively legalize it.
         let nodes = two_nodes();
-        let delivery = [(SimTime(20), NodeId(1), 6u64, 0usize, 0u64)];
-        let catchup = [(SimTime(30), NodeId(1), 5u64)];
+        let mut logs = logs(2);
+        deliver(&mut logs[0], 20, 1, 6, b"");
+        catch_up(&mut logs[0], 30, 1, 5);
         let mut checker = InvariantChecker::new(2, 3);
-        let views = vec![
-            NodeView {
-                delivery_log: &delivery,
-                catchup_log: &catchup,
-                records_deliveries: true,
-                ..view(&nodes[0])
-            },
-            view(&nodes[1]),
-        ];
-        let err = checker.check(SimTime(30), &views).unwrap_err();
+        let err = checker
+            .check(SimTime(30), &views(&nodes, &logs))
+            .unwrap_err();
         assert_eq!(err.property, "delivery-prefix");
     }
 
@@ -962,25 +861,12 @@ mod tests {
         for _ in 0..5 {
             nodes[0].publish(Bytes::from_static(b"p")).unwrap();
         }
-        let mk = |seq, generation| FrontierUpdate {
-            stream: NodeId(0),
-            key: "k".to_string(),
-            seq,
-            generation,
-        };
-        let log = [
-            (SimTime::ZERO, mk(3, 0)),
-            (SimTime::ZERO, mk(2, 0)), // regression, same generation
-        ];
+        // 3 -> 2 is a regression within generation 0.
+        let logs = [frontiers(&[(3, 0), (2, 0)]), EventLog::default()];
         let mut checker = InvariantChecker::new(2, 3);
-        let views = vec![
-            NodeView {
-                frontier_log: &log,
-                ..view(&nodes[0])
-            },
-            view(&nodes[1]),
-        ];
-        let err = checker.check(SimTime::ZERO, &views).unwrap_err();
+        let err = checker
+            .check(SimTime::ZERO, &views(&nodes, &logs))
+            .unwrap_err();
         assert_eq!(err.property, "frontier-regression");
     }
 
@@ -1001,15 +887,10 @@ mod tests {
         let dirty = nodes[1].take_ack_journal();
         assert!(!dirty.is_empty(), "the forged ack write was journaled");
         let mut checker = InvariantChecker::new(2, 3);
+        let logs = logs(2);
         let views = vec![
-            NodeView {
-                dirty: Some(Vec::new()),
-                ..view(&nodes[0])
-            },
-            NodeView {
-                dirty: Some(dirty),
-                ..view(&nodes[1])
-            },
+            NodeView::new(&nodes[0], &logs[0], Some(Vec::new())),
+            NodeView::new(&nodes[1], &logs[1], Some(dirty)),
         ];
         let err = checker.check(SimTime::ZERO, &views).unwrap_err();
         assert_eq!(err.property, "belief-beyond-truth");
@@ -1033,29 +914,29 @@ mod tests {
                 seq: 7,
             }]),
         );
-        fn silent(nodes: &[StabilizerNode]) -> Vec<NodeView<'_>> {
+        let logs = logs(2);
+        let silent = || -> Vec<NodeView<'_>> {
             nodes
                 .iter()
-                .map(|n| NodeView {
-                    dirty: Some(Vec::new()), // journal silent about the write
-                    ..view(n)
-                })
+                .zip(&logs)
+                // The journal is silent about the write.
+                .map(|(n, log)| NodeView::new(n, log, Some(Vec::new())))
                 .collect()
-        }
+        };
         let rescan_every = 4;
         let mut checker = InvariantChecker::new(2, 3).with_rescan_every(rescan_every);
         // The incremental checks miss the forgery...
         for _ in 0..rescan_every - 1 {
-            checker.check(SimTime::ZERO, &silent(&nodes)).unwrap();
+            checker.check(SimTime::ZERO, &silent()).unwrap();
         }
         // ...but the k-th check full-rescans and trips on it.
-        let err = checker.check(SimTime::ZERO, &silent(&nodes)).unwrap_err();
+        let err = checker.check(SimTime::ZERO, &silent()).unwrap_err();
         assert_eq!(err.property, "belief-beyond-truth");
 
         // The default cadence closes the hole too, within its window.
         let mut checker = InvariantChecker::new(2, 3);
-        let caught = (0..DEFAULT_RESCAN_EVERY)
-            .any(|_| checker.check(SimTime::ZERO, &silent(&nodes)).is_err());
+        let caught =
+            (0..DEFAULT_RESCAN_EVERY).any(|_| checker.check(SimTime::ZERO, &silent()).is_err());
         assert!(caught, "default rescan cadence must examine the forgery");
     }
 
@@ -1070,34 +951,21 @@ mod tests {
             .map(|i| StabilizerNode::new(cfg.clone(), NodeId(i), Arc::clone(&acks)).unwrap())
             .collect();
         let placement = cfg.placement().clone();
-        let rogue_log = [(SimTime::ZERO, NodeId(0), 1u64, 0usize, 0u64)];
+        let mut rogue = logs(4);
+        deliver(&mut rogue[2], 0, 0, 1, b"");
         let mut checker = InvariantChecker::new(4, 3).with_placement(placement.clone());
-        let views = vec![
-            view(&nodes[0]),
-            view(&nodes[1]),
-            NodeView {
-                delivery_log: &rogue_log,
-                records_deliveries: true,
-                ..view(&nodes[2])
-            },
-            view(&nodes[3]),
-        ];
-        let err = checker.check(SimTime::ZERO, &views).unwrap_err();
+        let err = checker
+            .check(SimTime::ZERO, &views(&nodes, &rogue))
+            .unwrap_err();
         assert_eq!(err.property, "non-replica-delivery");
 
         // The same log at replica 1 is fine.
+        let mut replica = logs(4);
+        deliver(&mut replica[1], 0, 0, 1, b"");
         let mut checker = InvariantChecker::new(4, 3).with_placement(placement);
-        let views = vec![
-            view(&nodes[0]),
-            NodeView {
-                delivery_log: &rogue_log,
-                records_deliveries: true,
-                ..view(&nodes[1])
-            },
-            view(&nodes[2]),
-            view(&nodes[3]),
-        ];
-        checker.check(SimTime::ZERO, &views).unwrap();
+        checker
+            .check(SimTime::ZERO, &views(&nodes, &replica))
+            .unwrap();
     }
 
     #[test]
@@ -1125,8 +993,10 @@ mod tests {
             }]),
         );
         let mut checker = InvariantChecker::new(4, 3).with_placement(placement);
-        let views: Vec<NodeView<'_>> = nodes.iter().map(view).collect();
-        let err = checker.check(SimTime::ZERO, &views).unwrap_err();
+        let logs = logs(4);
+        let err = checker
+            .check(SimTime::ZERO, &views(&nodes, &logs))
+            .unwrap_err();
         assert_eq!(err.property, "non-replica-ack");
     }
 
@@ -1136,21 +1006,8 @@ mod tests {
         for _ in 0..5 {
             nodes[0].publish(Bytes::from_static(b"p")).unwrap();
         }
-        let mk = |seq, generation| FrontierUpdate {
-            stream: NodeId(0),
-            key: "k".to_string(),
-            seq,
-            generation,
-        };
-        let log = [(SimTime::ZERO, mk(3, 0)), (SimTime::ZERO, mk(1, 1))];
+        let logs = [frontiers(&[(3, 0), (1, 1)]), EventLog::default()];
         let mut checker = InvariantChecker::new(2, 3);
-        let views = vec![
-            NodeView {
-                frontier_log: &log,
-                ..view(&nodes[0])
-            },
-            view(&nodes[1]),
-        ];
-        checker.check(SimTime::ZERO, &views).unwrap();
+        checker.check(SimTime::ZERO, &views(&nodes, &logs)).unwrap();
     }
 }

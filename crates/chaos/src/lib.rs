@@ -53,7 +53,7 @@ pub mod trace;
 pub use harness::{
     Advance, Backend, Chaos, ChaosError, FinalState, RunReport, TimedWork, WorkItem,
 };
-pub use invariants::{ChaosObservable, InvariantChecker, InvariantViolation, NodeView};
+pub use invariants::{InvariantChecker, InvariantViolation, NodeView};
 pub use mem_net::MemNet;
 pub use minimize::minimize_plan;
 pub use plan::{Fault, FaultEvent, FaultPlan, Op, PlanError, TimedOp};

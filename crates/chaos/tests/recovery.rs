@@ -6,23 +6,27 @@
 //! - simulator: crash past the eviction window (small retained log
 //!   forces a snapshot fast-forward), resumable transfer across a second
 //!   crash, and a live membership join;
-//! - TCP: the same crash-past-eviction and join scenarios over real
-//!   sockets, plus the pre-fix stall regression pin (`transfer_millis
+//! - TCP: the same crash-past-eviction and join scenarios on the
+//!   transport (run on `MemNet`), plus the pre-fix stall regression pin (`transfer_millis
 //!   0` reproduces the permanent stall the detector-off escape hatch
 //!   used to hide; enabling transfer resolves it);
 //! - differential: the same seeded recovery scenario on both runtimes
-//!   must converge to the same post-recovery protocol state.
+//!   must converge to the same post-recovery protocol state;
+//! - the checker: deliveries and a fast-forward stamped with one time
+//!   are read in the order the node emitted them.
 
 mod common;
 
+use bytes::Bytes;
 use common::converge;
 use stabilizer_chaos::{
-    Backend, Chaos, ChaosHarness, ChaosTcpCluster, Fault, FaultEvent, FaultPlan, TimedWork,
-    WorkItem,
+    Backend, Chaos, ChaosHarness, ChaosTcpCluster, Fault, FaultEvent, FaultPlan, InvariantChecker,
+    NodeView, TimedWork, WorkItem,
 };
-use stabilizer_core::ClusterConfig;
+use stabilizer_core::{AckTypeRegistry, ClusterConfig, Event, EventLog, NodeId, StabilizerNode};
 use stabilizer_dsl::SeqNo;
-use stabilizer_netsim::{NetTopology, SimDuration};
+use stabilizer_netsim::{NetTopology, SimDuration, SimTime};
+use std::sync::Arc;
 
 fn ms(v: u64) -> SimDuration {
     SimDuration::from_millis(v)
@@ -367,4 +371,45 @@ fn stream0_coverage<B: Backend>(h: &Chaos<B>) -> Vec<SeqNo> {
             covered
         })
         .collect()
+}
+
+/// A locked TCP call stamps everything it emits with one time, so the
+/// checker must read a node's log in the order the node emitted it. At
+/// one instant, a reader batch that delivers 1–3 of stream 0 and then
+/// fast-forwards past 5 keeps the prefix; a fast-forward past 5 followed
+/// by a delivery of 4 does not.
+#[test]
+fn deliveries_then_a_catch_up_at_one_instant_keep_the_prefix() {
+    let cfg = ClusterConfig::parse("az A 0 1\n").unwrap();
+    let acks = Arc::new(AckTypeRegistry::new());
+    let nodes: Vec<StabilizerNode> = (0..2)
+        .map(|i| StabilizerNode::new(cfg.clone(), NodeId(i), Arc::clone(&acks)).unwrap())
+        .collect();
+    let at = SimTime(1_000); // 1 µs
+    let check = |events: &[Event<'_>]| {
+        let mut mirror = EventLog::default();
+        for event in events {
+            mirror.record(at, event);
+        }
+        let origin = EventLog::default();
+        let views = [
+            NodeView::new(&nodes[0], &origin, None),
+            NodeView::new(&nodes[1], &mirror, None),
+        ];
+        InvariantChecker::new(2, 3).check(at, &views)
+    };
+    let payload = Bytes::from_static(b"p");
+    let deliver = |seq| Event::Deliver {
+        origin: NodeId(0),
+        seq,
+        payload: &payload,
+    };
+    let catch_up = Event::CatchUp {
+        stream: NodeId(0),
+        seq: 5,
+    };
+    check(&[deliver(1), deliver(2), deliver(3), catch_up])
+        .expect("deliveries 1-3 then a catch-up to 5 are a prefix");
+    let err = check(&[catch_up, deliver(4)]).unwrap_err();
+    assert_eq!(err.property, "delivery-prefix");
 }

@@ -80,7 +80,7 @@ pub use messages::{length_field, Ack, Reader, WireMsg, WIRE_OVERHEAD};
 pub use metrics::Metrics;
 pub use node::{Action, Snapshot, StabilizerNode};
 pub use observe::{
-    fnv1a, fnv1a_from, AppHooks, Event, EventLog, NoHooks, ObserverChain, SharedEventLog,
+    fnv1a, fnv1a_from, AppHooks, Delivery, Event, EventLog, NoHooks, ObserverChain, SharedEventLog,
     FNV1A_OFFSET,
 };
 pub use recorder::{AckRecorder, DirtyCell};

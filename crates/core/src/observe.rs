@@ -30,6 +30,12 @@
 //! from an action (a restart requested catch-up; a writer exhausted its
 //! connect budget); everything else is `Action::event` of what the
 //! machine emitted, in emission order.
+//!
+//! [`EventLog`] keeps what an observer saw, one log per question a
+//! reader asks — frontiers, deliveries with their §III-E catch-ups,
+//! completed waits, suspicion flips — each in that order: a timestamp
+//! does not order a node's events (one locked TCP call stamps all it
+//! emits with one time).
 
 use crate::frontier::{FrontierUpdate, WaitToken};
 use crate::messages::WireMsg;
@@ -246,27 +252,41 @@ impl<H: AppHooks + ?Sized> AppHooks for Box<H> {
 /// simulator (a [`SimNode`](crate::sim_driver::SimNode) keeps one) and on
 /// TCP (attach a [`SharedEventLog`] as the observer), so runtime-agnostic
 /// checkers read both the same way. Times are [`SimTime`]: virtual on
-/// the simulator, nanoseconds since the node's start on TCP.
+/// the simulator, nanoseconds since the node's start on TCP. Each log
+/// is in emission order (see the [module docs](self)).
 #[derive(Debug)]
 pub struct EventLog {
     /// Frontier advances: `(time, update)`.
     pub frontier_log: Vec<(SimTime, FrontierUpdate)>,
-    /// Deliveries: `(time, origin, seq, payload_len, payload_hash)` —
-    /// a length and an [`fnv1a`] hash instead of the payload, so
-    /// byte-level accounting and payload identity work without keeping
-    /// the data alive.
-    pub delivery_log: Vec<(SimTime, NodeId, SeqNo, usize, u64)>,
+    /// What the node did to each stream's delivery prefix:
+    /// `(time, origin, seq, what)` — an upcall of `(origin, seq)` or a
+    /// §III-E fast-forward of `origin`'s stream past `seq`.
+    pub delivery_log: Vec<(SimTime, NodeId, SeqNo, Delivery)>,
     /// Completed wait tokens.
     pub completed_waits: Vec<(SimTime, WaitToken)>,
-    /// Suspicions raised.
-    pub suspected_log: Vec<(SimTime, NodeId)>,
-    /// Suspicions cleared.
-    pub recovered_log: Vec<(SimTime, NodeId)>,
-    /// Out-of-band stream fast-forwards (§III-E): `(time, stream, seq)`.
-    pub catchup_log: Vec<(SimTime, NodeId, SeqNo)>,
+    /// Each flip of a peer's suspicion: `(time, peer, suspected)`,
+    /// `true` when the peer became suspected, `false` when it came back.
+    pub suspicion_log: Vec<(SimTime, NodeId, bool)>,
     /// Whether `delivery_log` is populated (off for multi-hundred-
     /// thousand-message runs where only the frontier log matters).
     pub record_deliveries: bool,
+}
+
+/// One [`EventLog::delivery_log`] entry's kind.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Delivery {
+    /// The payload was up-called: its length and [`fnv1a`] hash instead
+    /// of the bytes, so byte-level accounting and payload identity work
+    /// without keeping the data alive.
+    Upcall {
+        /// Payload length.
+        len: usize,
+        /// The payload's [`fnv1a`].
+        hash: u64,
+    },
+    /// The stream was fast-forwarded out of band: delivery resumes after
+    /// the entry's `seq`, with no upcall for the skipped prefix.
+    CatchUp,
 }
 
 /// The 64-bit FNV-1a offset basis: the hash of no bytes, where a
@@ -293,9 +313,7 @@ impl Default for EventLog {
             frontier_log: Vec::new(),
             delivery_log: Vec::new(),
             completed_waits: Vec::new(),
-            suspected_log: Vec::new(),
-            recovered_log: Vec::new(),
-            catchup_log: Vec::new(),
+            suspicion_log: Vec::new(),
             record_deliveries: true,
         }
     }
@@ -303,26 +321,33 @@ impl Default for EventLog {
 
 impl EventLog {
     /// Append `event` to the log of its kind (donor-side chunks, joins
-    /// and connect failures have none).
+    /// and connect failures have none; a node that keeps no deliveries
+    /// keeps no catch-ups either).
     pub fn record(&mut self, now: SimTime, event: &Event<'_>) {
         match *event {
             Event::Deliver {
                 origin,
                 seq,
                 payload,
-            } => {
-                if self.record_deliveries {
-                    let hash = fnv1a(payload);
-                    self.delivery_log
-                        .push((now, origin, seq, payload.len(), hash));
-                }
+            } if self.record_deliveries => {
+                let hash = fnv1a(payload);
+                let len = payload.len();
+                self.delivery_log
+                    .push((now, origin, seq, Delivery::Upcall { len, hash }));
+            }
+            Event::CatchUp { stream, seq } if self.record_deliveries => {
+                self.delivery_log
+                    .push((now, stream, seq, Delivery::CatchUp));
             }
             Event::Frontier(update) => self.frontier_log.push((now, update.clone())),
             Event::WaitDone { token } => self.completed_waits.push((now, token)),
-            Event::Suspected { node } => self.suspected_log.push((now, node)),
-            Event::Recovered { node } => self.recovered_log.push((now, node)),
-            Event::CatchUp { stream, seq } => self.catchup_log.push((now, stream, seq)),
-            Event::TransferChunk { .. } | Event::Join { .. } | Event::ConnectFailed { .. } => {}
+            Event::Suspected { node } => self.suspicion_log.push((now, node, true)),
+            Event::Recovered { node } => self.suspicion_log.push((now, node, false)),
+            Event::Deliver { .. }
+            | Event::CatchUp { .. }
+            | Event::TransferChunk { .. }
+            | Event::Join { .. }
+            | Event::ConnectFailed { .. } => {}
         }
     }
 
@@ -405,13 +430,34 @@ mod tests {
         for log in [&first, &second] {
             let log = log.lock();
             let hash = fnv1a(b"abc");
-            assert_eq!(log.delivery_log, vec![(SimTime(5), NodeId(1), 1, 3, hash)]);
-            assert_eq!(log.suspected_log, vec![(SimTime(6), NodeId(2))]);
-            assert_eq!(log.recovered_log, vec![(SimTime(7), NodeId(2))]);
-            assert_eq!(log.catchup_log, vec![(SimTime(8), NodeId(1), 7)]);
+            let upcall = Delivery::Upcall { len: 3, hash };
+            assert_eq!(
+                log.delivery_log,
+                vec![
+                    (SimTime(5), NodeId(1), 1, upcall),
+                    (SimTime(8), NodeId(1), 7, Delivery::CatchUp)
+                ]
+            );
+            assert_eq!(
+                log.suspicion_log,
+                vec![
+                    (SimTime(6), NodeId(2), true),
+                    (SimTime(7), NodeId(2), false)
+                ]
+            );
             assert_eq!(log.completed_waits, vec![(SimTime(9), 4)]);
             assert!(log.frontier_log.is_empty());
         }
+        // A log that keeps no deliveries keeps no catch-ups either.
+        let mut quiet = EventLog {
+            record_deliveries: false,
+            ..EventLog::default()
+        };
+        for ev in &events {
+            quiet.record(SimTime(1), ev);
+        }
+        assert!(quiet.delivery_log.is_empty());
+        assert_eq!(quiet.suspicion_log.len(), 2);
     }
 
     #[test]

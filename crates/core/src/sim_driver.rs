@@ -31,7 +31,8 @@ use std::sync::Arc;
 pub use crate::observe::{AppHooks, NoHooks};
 
 /// A Stabilizer node embedded in the simulator. Dereferences to its
-/// log, so `actor.frontier_log`, `actor.delivery_log`, … read the
+/// log, so `actor.frontier_log`, `actor.delivery_log`,
+/// `actor.suspicion_log` and `actor.completed_waits` read the
 /// [`EventLog`] directly; the log of a node built by
 /// [`build_cluster_with_hooks`] stays empty.
 pub struct SimNode<H: AppHooks = NoHooks> {
@@ -98,8 +99,9 @@ impl<H: AppHooks> SimNode<H> {
         self.timer_scale
     }
 
-    /// Disable the delivery log (for multi-hundred-thousand-message runs
-    /// where only the frontier log matters).
+    /// Disable the delivery log, catch-ups included (for
+    /// multi-hundred-thousand-message runs where only the frontier log
+    /// matters).
     pub fn without_delivery_log(mut self) -> Self {
         self.log.record_deliveries = false;
         self

@@ -4,7 +4,7 @@
 
 use bytes::Bytes;
 use stabilizer_core::sim_driver::{build_cluster, SimNode};
-use stabilizer_core::{ClusterConfig, NodeId, Options, SeqNo};
+use stabilizer_core::{ClusterConfig, Delivery, NodeId, Options, SeqNo};
 use stabilizer_dsl::AckTypeId;
 use stabilizer_netsim::{NetTopology, SimDuration, SimTime, Simulation};
 
@@ -207,9 +207,9 @@ fn crashed_secondary_is_suspected_and_excluded() {
     assert!(sim.actor(0).inner().is_suspected(NodeId(7)));
     assert!(sim
         .actor(0)
-        .suspected_log
+        .suspicion_log
         .iter()
-        .any(|(_, n)| *n == NodeId(7)));
+        .any(|&(_, n, suspected)| suspected && n == NodeId(7)));
     let (frontier, generation) = sim
         .actor(0)
         .inner()
@@ -503,8 +503,8 @@ fn reliability_mechanism_recovers_from_heavy_loss() {
             .actor(i)
             .delivery_log
             .iter()
-            .filter(|(_, o, ..)| *o == NodeId(0))
-            .map(|(_, _, s, ..)| *s)
+            .filter(|(_, o, _, d)| *o == NodeId(0) && matches!(d, Delivery::Upcall { .. }))
+            .map(|(_, _, s, _)| *s)
             .collect();
         assert_eq!(
             seqs,
@@ -644,9 +644,9 @@ fn recovered_secondary_is_automatically_reinstated() {
     );
     assert!(
         sim.actor(0)
-            .recovered_log
+            .suspicion_log
             .iter()
-            .any(|(_, n)| *n == NodeId(7)),
+            .any(|&(_, n, suspected)| !suspected && n == NodeId(7)),
         "recovery not reported"
     );
     // The origin reclaimed message 1 while node 7 was excluded, so the

@@ -12,7 +12,7 @@
 use bytes::Bytes;
 use proptest::prelude::*;
 use stabilizer_core::sim_driver::build_cluster;
-use stabilizer_core::{Ack, AckRecorder, ClusterConfig, NodeId, Snapshot, WireMsg};
+use stabilizer_core::{Ack, AckRecorder, ClusterConfig, Delivery, NodeId, Snapshot, WireMsg};
 use stabilizer_dsl::{AckTypeId, RECEIVED};
 use stabilizer_netsim::{LinkSpec, NetTopology};
 
@@ -323,8 +323,8 @@ proptest! {
                 .actor(i)
                 .delivery_log
                 .iter()
-                .filter(|(_, o, ..)| *o == NodeId(0))
-                .map(|(_, _, s, ..)| *s)
+                .filter(|(_, o, _, d)| *o == NodeId(0) && matches!(d, Delivery::Upcall { .. }))
+                .map(|(_, _, s, _)| *s)
                 .collect();
             prop_assert_eq!(&seqs, &(1..=count).collect::<Vec<u64>>(), "receiver {} broke FIFO", i);
         }

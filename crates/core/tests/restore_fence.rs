@@ -10,8 +10,8 @@
 use bytes::Bytes;
 use stabilizer_core::sim_driver::{build_cluster, SimNode};
 use stabilizer_core::{
-    fnv1a, Ack, AckTypeRegistry, ClusterConfig, CoreError, NodeId, StabilizerNode, WireMsg,
-    RECEIVED,
+    fnv1a, Ack, AckTypeRegistry, ClusterConfig, CoreError, Delivery, NodeId, StabilizerNode,
+    WireMsg, RECEIVED,
 };
 use stabilizer_netsim::{Actor, NetTopology, SimDuration};
 use std::sync::Arc;
@@ -53,9 +53,13 @@ fn a_node_restored_from_an_older_snapshot_publishes_after_what_its_replicas_hold
     assert_eq!(publish(&mut sim, b"NEW").unwrap(), 4);
     sim.run_for(ms(20));
     let delivered = sim.actor(1).delivery_log.last().copied().unwrap();
+    let new = Delivery::Upcall {
+        len: 3,
+        hash: fnv1a(b"NEW"),
+    };
     assert_eq!(
-        (delivered.1, delivered.2, delivered.4),
-        (NodeId(0), 4, fnv1a(b"NEW")),
+        (delivered.1, delivered.2, delivered.3),
+        (NodeId(0), 4, new),
         "node 1 never delivered NEW"
     );
 }

@@ -8,7 +8,7 @@ use bytes::Bytes;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use stabilizer_core::sim_driver::build_cluster;
-use stabilizer_core::{ClusterConfig, NodeId, Options, RECEIVED};
+use stabilizer_core::{ClusterConfig, Delivery, NodeId, Options, RECEIVED};
 use stabilizer_netsim::{LinkSpec, NetTopology, SimDuration, SimTime};
 
 fn chaos_run(seed: u64) {
@@ -160,8 +160,10 @@ fn chaos_run(seed: u64) {
                 .actor(receiver)
                 .delivery_log
                 .iter()
-                .filter(|(_, o, ..)| o.0 as usize == origin)
-                .map(|(_, _, s, ..)| *s)
+                .filter(|(_, o, _, d)| {
+                    o.0 as usize == origin && matches!(d, Delivery::Upcall { .. })
+                })
+                .map(|(_, _, s, _)| *s)
                 .collect();
             assert_eq!(
                 seqs,

@@ -2,8 +2,9 @@
 //! latency) and Fig. 6 (single-file sync time vs size, predicates vs
 //! Paxos).
 
-use crate::service::{build_backup, ec2_backup_cfg, TABLE3_PREDICATES};
+use crate::service::{build_backup, ec2_backup_cfg};
 use crate::trace::{DropboxTrace, CHUNK_BYTES};
+use stabilizer_analyze::paper::TABLE3;
 use stabilizer_netsim::{NetTopology, SimDuration};
 use stabilizer_paxos::build_paxos;
 
@@ -63,7 +64,7 @@ fn fig5_run_inner(
     sim.with_ctx(0, |n, ctx| n.schedule_trace(ctx, &trace));
     sim.run_until_idle();
     let primary = sim.actor(0);
-    let series = TABLE3_PREDICATES
+    let series = TABLE3
         .iter()
         .map(|(key, _)| ((*key).to_owned(), primary.frontier_latencies(key)))
         .collect();

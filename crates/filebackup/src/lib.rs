@@ -25,6 +25,5 @@ pub use experiments::{
 };
 pub use service::{
     build_backup, build_backup_with_telemetry, ec2_backup_cfg, BackupNode, FileSpan,
-    TABLE3_PREDICATES,
 };
 pub use trace::{DropboxTrace, TraceRecord, CHUNK_BYTES, TRACE_SECONDS, TRACE_TOTAL_BYTES};

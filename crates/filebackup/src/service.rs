@@ -14,6 +14,7 @@
 
 use crate::trace::{DropboxTrace, CHUNK_BYTES};
 use bytes::Bytes;
+use stabilizer_analyze::paper::{FIG2_AZS, TABLE3};
 use stabilizer_core::sim_driver::{build_actors, SimNode};
 use stabilizer_core::{
     ClusterConfig, CoreError, NodeId, SeqNo, StabilizerNode, TimerKind, WireMsg,
@@ -23,38 +24,15 @@ use stabilizer_netsim::{Actor, Ctx, NetTopology, SimDuration, SimTime, Simulatio
 use stabilizer_telemetry::{MetricsObserver, Telemetry};
 use std::sync::Arc;
 
-/// The six predicates of Table III, keyed by their paper names.
-pub const TABLE3_PREDICATES: [(&str, &str); 6] = [
-    (
-        "OneRegion",
-        "MAX(MAX($AZ_North_Virginia), MAX($AZ_Oregon), MAX($AZ_Ohio))",
-    ),
-    (
-        "MajorityRegions",
-        "KTH_MAX(2, MAX($AZ_North_Virginia), MAX($AZ_Oregon), MAX($AZ_Ohio))",
-    ),
-    (
-        "AllRegions",
-        "MIN(MAX($AZ_North_Virginia), MAX($AZ_Oregon), MAX($AZ_Ohio))",
-    ),
-    ("OneWNode", "MAX($ALLWNODES-$MYWNODE)"),
-    (
-        "MajorityWNodes",
-        "KTH_MAX(SIZEOF($ALLWNODES)/2+1, $ALLWNODES-$MYWNODE)",
-    ),
-    ("AllWNodes", "MIN($ALLWNODES-$MYWNODE)"),
-];
-
-/// The Fig. 2 / Table I deployment configuration.
+/// The Fig. 2 / Table I deployment configuration, with the Table III
+/// predicates installed.
 pub fn ec2_backup_cfg() -> ClusterConfig {
-    let mut text = String::from(
-        "az North_California n1 n2\n\
-         az North_Virginia n3 n4 n5 n6\n\
-         az Oregon n7\n\
-         az Ohio n8\n\
-         option send_buffer_bytes 8589934592\n",
-    );
-    for (key, src) in TABLE3_PREDICATES {
+    let mut text = String::new();
+    for (az, nodes) in FIG2_AZS {
+        text.push_str(&format!("az {az} {}\n", nodes.join(" ")));
+    }
+    text.push_str("option send_buffer_bytes 8589934592\n");
+    for (key, src) in TABLE3 {
         text.push_str(&format!("predicate {key} {src}\n"));
     }
     ClusterConfig::parse(&text).expect("static config parses")

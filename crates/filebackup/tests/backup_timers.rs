@@ -66,7 +66,7 @@ fn a_scheduled_trace_is_stored_exactly_once_with_every_timer_on() {
         "a file was never covered under AllWNodes"
     );
     assert!(
-        primary.driver().suspected_log.is_empty(),
+        primary.driver().suspicion_log.is_empty(),
         "nobody was silent"
     );
 }

@@ -1,7 +1,8 @@
 //! The telemetry-native view of the Fig. 5 experiment: the hub's
 //! stability-latency histograms agree with the returned series.
 
-use stabilizer_filebackup::{fig5_run_with_telemetry, summarize, TABLE3_PREDICATES};
+use stabilizer_analyze::paper::TABLE3;
+use stabilizer_filebackup::{fig5_run_with_telemetry, summarize};
 use stabilizer_telemetry::Telemetry;
 
 #[test]
@@ -19,7 +20,7 @@ fn fig5_with_telemetry_fills_per_key_histograms() {
             "{key}: histogram samples match covered messages"
         );
     }
-    assert_eq!(r.series.len(), TABLE3_PREDICATES.len());
+    assert_eq!(r.series.len(), TABLE3.len());
 
     // The primary's publish counter saw every chunk.
     let snap = hub.registry().snapshot();

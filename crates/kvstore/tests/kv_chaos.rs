@@ -1,10 +1,10 @@
 //! The chaos invariant checker reused, unchanged, over the K/V store:
 //! like every application actor, `GeoKvNode` embeds the core `SimNode`
-//! driver and exposes it as `driver()`, so the same `ChaosObservable`
-//! view the bare-cluster harness uses applies here.
+//! driver and exposes it as `driver()`, the node and its event log, so
+//! the same `NodeView` the bare-cluster harness builds applies here.
 
 use bytes::Bytes;
-use stabilizer_chaos::{ChaosObservable, InvariantChecker, NodeView};
+use stabilizer_chaos::{InvariantChecker, NodeView};
 use stabilizer_core::{ClusterConfig, NodeId};
 use stabilizer_kvstore::build_kv_cluster;
 use stabilizer_netsim::{NetTopology, SimDuration, SimTime};
@@ -46,8 +46,10 @@ fn kv_workload_upholds_every_invariant_per_step() {
         while sim.next_event_time().is_some_and(|t| t <= deadline) {
             sim.step();
             let now = sim.now();
-            let views: Vec<NodeView<'_>> =
-                (0..n).map(|i| sim.actor(i).driver().chaos_view()).collect();
+            let views: Vec<NodeView<'_>> = (0..n)
+                .map(|i| sim.actor(i).driver())
+                .map(|d| NodeView::new(d.inner(), d, None))
+                .collect();
             checker
                 .check(now, &views)
                 .expect("K/V workload violated a chaos invariant");
@@ -56,7 +58,10 @@ fn kv_workload_upholds_every_invariant_per_step() {
     sim.set_link_loss(0, 7, 0.0);
     sim.run_until(SimTime::ZERO + SimDuration::from_secs(5));
     // Final sweep plus an end-to-end sanity check: mirrors converged.
-    let views: Vec<NodeView<'_>> = (0..n).map(|i| sim.actor(i).driver().chaos_view()).collect();
+    let views: Vec<NodeView<'_>> = (0..n)
+        .map(|i| sim.actor(i).driver())
+        .map(|d| NodeView::new(d.inner(), d, None))
+        .collect();
     let now = sim.now();
     checker.check(now, &views).expect("final state is clean");
     for i in 0..n {

@@ -4,7 +4,7 @@
 //! of a bare cluster — frontier (the publisher's `site_k` predicates),
 //! delivery-prefix and suspicion invariants included.
 
-use stabilizer_chaos::{ChaosObservable, InvariantChecker, NodeView};
+use stabilizer_chaos::{InvariantChecker, NodeView};
 use stabilizer_core::{ClusterConfig, NodeId};
 use stabilizer_netsim::{NetTopology, SimDuration, Simulation};
 use stabilizer_pubsub::{build_brokers, StabBroker};
@@ -68,7 +68,10 @@ fn pubsub_workload_upholds_every_invariant_per_step() {
 }
 
 fn check(checker: &mut InvariantChecker, sim: &Simulation<StabBroker>) {
-    let views: Vec<NodeView<'_>> = (0..N).map(|i| sim.actor(i).driver().chaos_view()).collect();
+    let views: Vec<NodeView<'_>> = (0..N)
+        .map(|i| sim.actor(i).driver())
+        .map(|d| NodeView::new(d.inner(), d, None))
+        .collect();
     checker
         .check(sim.now(), &views)
         .expect("pub/sub workload violated a chaos invariant");
@@ -107,21 +110,18 @@ fn a_cut_off_subscriber_is_suspected_and_recovers() {
         }
     };
     run(&mut sim, 500);
-    assert!(sim.actor(PUBLISHER).driver().suspected_log.is_empty());
+    let flips = |sim: &Simulation<StabBroker>| -> Vec<(NodeId, bool)> {
+        let log = &sim.actor(PUBLISHER).driver().suspicion_log;
+        log.iter()
+            .map(|&(_, n, suspected)| (n, suspected))
+            .collect()
+    };
+    assert!(flips(&sim).is_empty());
     cut(&mut sim, false);
     run(&mut sim, 1000);
-    let log = sim.actor(PUBLISHER).driver();
-    let suspects: Vec<NodeId> = log.suspected_log.iter().map(|(_, n)| *n).collect();
-    assert_eq!(suspects, [NodeId(victim as u16)]);
-    assert!(log.recovered_log.is_empty());
+    let victim = NodeId(victim as u16);
+    assert_eq!(flips(&sim), [(victim, true)]);
     cut(&mut sim, true);
     run(&mut sim, 1000);
-    let recovered: Vec<NodeId> = sim
-        .actor(PUBLISHER)
-        .driver()
-        .recovered_log
-        .iter()
-        .map(|(_, n)| *n)
-        .collect();
-    assert_eq!(recovered, [NodeId(victim as u16)]);
+    assert_eq!(flips(&sim), [(victim, true), (victim, false)]);
 }

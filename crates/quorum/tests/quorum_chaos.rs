@@ -5,7 +5,7 @@
 //! of a bare cluster — ACK, frontier, delivery-prefix and suspicion
 //! invariants alike.
 
-use stabilizer_chaos::{ChaosObservable, InvariantChecker, NodeView};
+use stabilizer_chaos::{InvariantChecker, NodeView};
 use stabilizer_core::{ClusterConfig, NodeId, RECEIVED};
 use stabilizer_netsim::{LinkSpec, NetTopology, SimDuration, Simulation};
 use stabilizer_quorum::protocol::{build_quorum, QuorumActor};
@@ -21,7 +21,10 @@ fn run_checked(
 ) {
     while sim.next_event_time().is_some_and(|t| t <= deadline) {
         sim.step();
-        let views: Vec<NodeView<'_>> = (0..N).map(|i| sim.actor(i).driver().chaos_view()).collect();
+        let views: Vec<NodeView<'_>> = (0..N)
+            .map(|i| sim.actor(i).driver())
+            .map(|d| NodeView::new(d.inner(), d, None))
+            .collect();
         checker
             .check(sim.now(), &views)
             .expect("quorum workload violated a chaos invariant");

@@ -17,8 +17,8 @@ use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use stabilizer_core::{
-    AckTypeRegistry, ClusterConfig, EventLog, NodeId, Options, SimTime, StallReport, TimerKind,
-    WireMsg, DELIVERED,
+    AckTypeRegistry, ClusterConfig, Delivery, EventLog, NodeId, Options, SimTime, StallReport,
+    TimerKind, WireMsg, DELIVERED,
 };
 use stabilizer_shard::{RoutePolicy, ShardedAction, ShardedEngine};
 use std::collections::VecDeque;
@@ -155,7 +155,10 @@ impl Net {
     /// delivery order.
     fn delivered(&self, i: usize, origin: NodeId) -> Vec<u64> {
         let log = &self.logs[i].delivery_log;
-        log.iter().filter(|d| d.1 == origin).map(|d| d.2).collect()
+        log.iter()
+            .filter(|d| d.1 == origin && matches!(d.3, Delivery::Upcall { .. }))
+            .map(|d| d.2)
+            .collect()
     }
 }
 
@@ -198,7 +201,8 @@ fn sharded_end_to_end_reaches_full_stability() {
             (1..=total).collect::<Vec<u64>>(),
             "node {i} FIFO"
         );
-        assert!(net.logs[i].delivery_log.iter().all(|d| d.3 == 64));
+        let all_64 = |d: &(_, _, _, Delivery)| matches!(d.3, Delivery::Upcall { len: 64, .. });
+        assert!(net.logs[i].delivery_log.iter().all(all_64));
     }
     // Every shard carried traffic (round-robin actually spread the load).
     let origin = &net.engines[0];
