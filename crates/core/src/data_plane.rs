@@ -6,6 +6,9 @@
 //! a copy buffered until every peer has acknowledged receipt, at which
 //! point "the buffer space is reclaimed". When the buffer is full,
 //! `publish` reports backpressure instead of blocking the caller.
+//! Sequence numbers are dense and reclamation always frees a prefix, so
+//! the buffer is one ring indexed by sequence number: a publish pushes
+//! at the back, and a reclaim moves a boundary and pops at the front.
 //!
 //! The receive side delivers each origin's stream in FIFO order. The
 //! simulator's links and the TCP transport are already FIFO, but the
@@ -21,23 +24,30 @@ use crate::recorder::AckRecorder;
 use crate::watchdog::Watchdog;
 use bytes::Bytes;
 use stabilizer_dsl::{NodeId, SeqNo, RECEIVED};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 
-/// The origin-side buffer for this node's own stream.
+/// The origin-side buffer for this node's own stream: one ring of the
+/// payloads `first ..= last_assigned`, indexed by `seq - first`.
 ///
-/// Besides the live (unacknowledged) window, the buffer keeps a
-/// bounded **retained log** of already-reclaimed payloads so a node that
-/// was evicted from the acknowledgment set can be caught up later by
-/// replay (§III-E). Retention is byte-capped and evicts oldest-first; it
-/// never exerts backpressure on publishes.
+/// Besides the live (unacknowledged) window, the ring keeps a bounded
+/// **retained log** of already-reclaimed payloads ahead of it, so a node
+/// that was evicted from the acknowledgment set can be caught up later
+/// by replay (§III-E). Reclaiming moves the boundary between the two;
+/// retention is byte-capped, evicts oldest-first off the front, and
+/// never exerts backpressure on publishes. A reclaim that leaves the
+/// ring a quarter full or less halves its capacity, so what a stall lent
+/// it is given back.
 #[derive(Debug)]
 pub struct SendBuffer {
     last_assigned: SeqNo,
-    buffered: BTreeMap<SeqNo, Bytes>,
+    /// Payloads `last_assigned + 1 - ring.len() ..= last_assigned`: the
+    /// retained log, then the live window.
+    ring: VecDeque<Bytes>,
+    /// How many of `ring`'s leading payloads are the retained log.
+    retained: usize,
     buffered_bytes: usize,
     capacity: usize,
     reclaimed_up_to: SeqNo,
-    retained: BTreeMap<SeqNo, Bytes>,
     retained_bytes: usize,
     retain_capacity: usize,
 }
@@ -54,11 +64,11 @@ impl SendBuffer {
     pub fn with_retention(capacity: usize, retain_capacity: usize) -> Self {
         SendBuffer {
             last_assigned: 0,
-            buffered: BTreeMap::new(),
+            ring: VecDeque::new(),
+            retained: 0,
             buffered_bytes: 0,
             capacity,
             reclaimed_up_to: 0,
-            retained: BTreeMap::new(),
             retained_bytes: 0,
             retain_capacity,
         }
@@ -84,7 +94,7 @@ impl SendBuffer {
     /// [`CoreError::WouldBlock`] if the buffer is full; the caller should
     /// retry after the global-receipt point advances.
     pub fn publish(&mut self, payload: Bytes) -> Result<SeqNo, CoreError> {
-        if self.buffered_bytes + payload.len() > self.capacity && !self.buffered.is_empty() {
+        if self.buffered_bytes + payload.len() > self.capacity && !self.is_empty() {
             return Err(CoreError::WouldBlock {
                 buffered: self.buffered_bytes,
                 capacity: self.capacity,
@@ -92,33 +102,34 @@ impl SendBuffer {
         }
         self.last_assigned += 1;
         self.buffered_bytes += payload.len();
-        self.buffered.insert(self.last_assigned, payload);
+        self.ring.push_back(payload);
         Ok(self.last_assigned)
     }
 
     /// Drop buffered payloads up to and including `min_acked` (every peer
     /// has them). Returns the number of payloads freed. With retention
-    /// configured, reclaimed payloads move to the retained log instead of
-    /// being dropped outright.
+    /// configured, reclaimed payloads join the retained log instead of
+    /// being dropped outright. A `min_acked` beyond the last assigned
+    /// number frees everything, and the payloads published up to it
+    /// afterwards stay live until a later reclaim.
     pub fn reclaim(&mut self, min_acked: SeqNo) -> usize {
-        let mut freed = 0;
-        while let Some(first) = self.buffered.first_entry() {
-            if *first.key() > min_acked {
-                break;
-            }
-            let (seq, payload) = first.remove_entry();
-            self.buffered_bytes -= payload.len();
-            freed += 1;
-            if self.retain_capacity > 0 {
-                self.retained_bytes += payload.len();
-                self.retained.insert(seq, payload);
-            }
+        let live_from = self.first() + self.retained as SeqNo;
+        let past = min_acked.saturating_add(1).saturating_sub(live_from);
+        let freed = past.min(self.len() as SeqNo) as usize;
+        let now_retained = self.retained..self.retained + freed;
+        let bytes: usize = self.ring.range(now_retained).map(Bytes::len).sum();
+        self.buffered_bytes -= bytes;
+        self.retained_bytes += bytes;
+        self.retained += freed;
+        while self.retained > 0
+            && (self.retain_capacity == 0 || self.retained_bytes > self.retain_capacity)
+        {
+            let evicted = self.ring.pop_front().map_or(0, |p| p.len());
+            self.retained_bytes -= evicted;
+            self.retained -= 1;
         }
-        while self.retained_bytes > self.retain_capacity {
-            match self.retained.pop_first() {
-                Some((_, p)) => self.retained_bytes -= p.len(),
-                None => break,
-            }
+        if self.ring.len() * 4 <= self.ring.capacity() && self.ring.capacity() > 4 {
+            self.ring.shrink_to(self.ring.capacity() / 2);
         }
         if min_acked > self.reclaimed_up_to {
             self.reclaimed_up_to = min_acked;
@@ -126,16 +137,27 @@ impl SendBuffer {
         freed
     }
 
+    /// The sequence number of the ring's first payload.
+    fn first(&self) -> SeqNo {
+        self.last_assigned + 1 - self.ring.len() as SeqNo
+    }
+
+    /// The payload for `seq`, if held and not among the first `skip`.
+    fn slot(&self, seq: SeqNo, skip: usize) -> Option<&Bytes> {
+        let i = usize::try_from(seq.checked_sub(self.first())?).ok()?;
+        self.ring.get(i).filter(|_| i >= skip)
+    }
+
     /// The payload for `seq`, if still buffered (used by transports to
     /// resend after a reconnect).
     pub fn get(&self, seq: SeqNo) -> Option<&Bytes> {
-        self.buffered.get(&seq)
+        self.slot(seq, self.retained)
     }
 
-    /// The payload for `seq` for catch-up replay: checks the retained
-    /// log first, then the live window.
+    /// The payload for `seq` for catch-up replay, from the retained log
+    /// or the live window.
     pub fn replay_get(&self, seq: SeqNo) -> Option<&Bytes> {
-        self.retained.get(&seq).or_else(|| self.buffered.get(&seq))
+        self.slot(seq, 0)
     }
 
     /// The lowest sequence number this buffer can still replay. The
@@ -143,9 +165,9 @@ impl SendBuffer {
     /// prefix and the live window sits directly above it, so everything
     /// in `[first_replayable(), last_assigned()]` is available.
     pub fn first_replayable(&self) -> SeqNo {
-        match self.retained.first_key_value() {
-            Some((&seq, _)) => seq,
-            None => self.reclaimed_up_to + 1,
+        match self.retained {
+            0 => self.reclaimed_up_to + 1,
+            _ => self.first(),
         }
     }
 
@@ -156,12 +178,16 @@ impl SendBuffer {
 
     /// Payload count in the retained catch-up log.
     pub fn retained_len(&self) -> usize {
-        self.retained.len()
+        self.retained
     }
 
     /// Iterate over `(seq, payload)` still buffered, from `from` upward.
     pub fn iter_from(&self, from: SeqNo) -> impl Iterator<Item = (SeqNo, &Bytes)> {
-        self.buffered.range(from..).map(|(s, p)| (*s, p))
+        let first = self.first();
+        let ahead = from.saturating_sub(first).min(self.ring.len() as SeqNo) as usize;
+        let skip = ahead.max(self.retained);
+        let seqs = first + skip as SeqNo..;
+        seqs.zip(self.ring.range(skip..))
     }
 
     /// Highest assigned sequence number (0 before the first publish).
@@ -176,12 +202,12 @@ impl SendBuffer {
 
     /// Number of buffered payloads.
     pub fn len(&self) -> usize {
-        self.buffered.len()
+        self.ring.len() - self.retained
     }
 
     /// True if nothing is buffered.
     pub fn is_empty(&self) -> bool {
-        self.buffered.is_empty()
+        self.len() == 0
     }
 
     /// Buffered payload bytes.
@@ -408,6 +434,7 @@ impl ReceiveState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn b(n: usize) -> Bytes {
         Bytes::from(vec![0u8; n])
@@ -527,22 +554,25 @@ mod tests {
     #[test]
     fn resuming_at_equals_publishing_and_reclaiming_the_history() {
         // What `StabilizerNode::restore` used to do, O(n): publish `n`
-        // placeholders, reclaim them, drop the retained placeholders.
+        // payloads and reclaim each, each too large for the retained log
+        // to keep.
         for n in [0u64, 1, 2, 7] {
             let mut old = SendBuffer::with_retention(64, 32);
-            for _ in 0..n {
-                old.publish(Bytes::new()).unwrap();
+            for seq in 1..=n {
+                old.publish(b(33)).unwrap();
+                old.reclaim(seq);
             }
-            old.reclaim(n);
-            old.retained.clear();
-            old.retained_bytes = 0;
             let mut new = SendBuffer::resuming_at(64, 32, n);
-            assert_eq!(format!("{new:?}"), format!("{old:?}"), "n = {n}");
-            assert_eq!(new.last_assigned(), n);
+            assert_eq!(view(&new), view(&old), "n = {n}");
             assert_eq!(new.reclaimed_up_to(), n);
             assert_eq!(new.first_replayable(), n + 1);
             assert!((0..=n + 1).all(|seq| new.replay_get(seq).is_none()));
-            assert_eq!(new.publish(b(1)).unwrap(), n + 1);
+            for buf in [&mut old, &mut new] {
+                assert_eq!(buf.publish(b(1)).unwrap(), n + 1);
+                buf.publish(b(2)).unwrap();
+                buf.reclaim(n + 1);
+            }
+            assert_eq!(view(&new), view(&old), "n = {n}, then two publishes");
         }
     }
 
@@ -582,5 +612,165 @@ mod tests {
         assert!(rs.on_data(3, b(1)).is_empty());
         assert!(rs.on_data(3, b(1)).is_empty());
         assert_eq!(rs.pending(), 1);
+    }
+
+    /// Everything a buffer answers, asked about every sequence number up
+    /// to two past the last assigned.
+    #[derive(Debug, PartialEq)]
+    struct View {
+        counts: [usize; 4],
+        seqs: [SeqNo; 3],
+        get: Vec<Option<Bytes>>,
+        replay_get: Vec<Option<Bytes>>,
+        iter_from: Vec<Vec<(SeqNo, Bytes)>>,
+    }
+
+    fn view(buf: &SendBuffer) -> View {
+        let asked = 0..=buf.last_assigned() + 2;
+        View {
+            counts: [
+                buf.len(),
+                buf.bytes(),
+                buf.retained_len(),
+                buf.retained_bytes(),
+            ],
+            seqs: [
+                buf.last_assigned(),
+                buf.reclaimed_up_to(),
+                buf.first_replayable(),
+            ],
+            get: asked.clone().map(|seq| buf.get(seq).cloned()).collect(),
+            replay_get: asked
+                .clone()
+                .map(|seq| buf.replay_get(seq).cloned())
+                .collect(),
+            iter_from: asked
+                .map(|from| buf.iter_from(from).map(|(s, p)| (s, p.clone())).collect())
+                .collect(),
+        }
+    }
+
+    /// The send buffer as it was before it was a ring: the live window
+    /// and the retained log in two maps. The model the ring is held to.
+    #[derive(Default)]
+    struct MapBuffer {
+        last_assigned: SeqNo,
+        buffered: BTreeMap<SeqNo, Bytes>,
+        buffered_bytes: usize,
+        capacity: usize,
+        reclaimed_up_to: SeqNo,
+        retained: BTreeMap<SeqNo, Bytes>,
+        retained_bytes: usize,
+        retain_capacity: usize,
+    }
+
+    impl MapBuffer {
+        fn publish(&mut self, payload: Bytes) -> Result<SeqNo, CoreError> {
+            if self.buffered_bytes + payload.len() > self.capacity && !self.buffered.is_empty() {
+                return Err(CoreError::WouldBlock {
+                    buffered: self.buffered_bytes,
+                    capacity: self.capacity,
+                });
+            }
+            self.last_assigned += 1;
+            self.buffered_bytes += payload.len();
+            self.buffered.insert(self.last_assigned, payload);
+            Ok(self.last_assigned)
+        }
+
+        fn reclaim(&mut self, min_acked: SeqNo) -> usize {
+            let mut freed = 0;
+            while let Some(first) = self.buffered.first_entry() {
+                if *first.key() > min_acked {
+                    break;
+                }
+                let (seq, payload) = first.remove_entry();
+                self.buffered_bytes -= payload.len();
+                freed += 1;
+                if self.retain_capacity > 0 {
+                    self.retained_bytes += payload.len();
+                    self.retained.insert(seq, payload);
+                }
+            }
+            while self.retained_bytes > self.retain_capacity {
+                match self.retained.pop_first() {
+                    Some((_, p)) => self.retained_bytes -= p.len(),
+                    None => break,
+                }
+            }
+            self.reclaimed_up_to = self.reclaimed_up_to.max(min_acked);
+            freed
+        }
+
+        fn view(&self) -> View {
+            let asked = 0..=self.last_assigned + 2;
+            let first_replayable = match self.retained.first_key_value() {
+                Some((&seq, _)) => seq,
+                None => self.reclaimed_up_to + 1,
+            };
+            let replay_get = |seq| self.retained.get(&seq).or_else(|| self.buffered.get(&seq));
+            View {
+                counts: [
+                    self.buffered.len(),
+                    self.buffered_bytes,
+                    self.retained.len(),
+                    self.retained_bytes,
+                ],
+                seqs: [self.last_assigned, self.reclaimed_up_to, first_replayable],
+                get: asked
+                    .clone()
+                    .map(|seq| self.buffered.get(&seq).cloned())
+                    .collect(),
+                replay_get: asked.clone().map(|seq| replay_get(seq).cloned()).collect(),
+                iter_from: asked
+                    .map(|from| {
+                        let held = self.buffered.range(from..);
+                        held.map(|(s, p)| (*s, p.clone())).collect()
+                    })
+                    .collect(),
+            }
+        }
+    }
+
+    /// A publish of so many bytes, or a reclaim at the last assigned
+    /// number plus this offset: below the reclaimed prefix, inside the
+    /// live window, and beyond what was assigned.
+    #[derive(Debug, Clone)]
+    enum Op {
+        Publish(usize),
+        Reclaim(i64),
+    }
+
+    fn arb_op() -> impl Strategy<Value = Op> {
+        prop_oneof![
+            3 => (0usize..24).prop_map(Op::Publish),
+            2 => (-12i64..=3).prop_map(Op::Reclaim),
+        ]
+    }
+
+    proptest! {
+        #[test]
+        fn the_ring_answers_what_the_two_maps_answered(
+            capacity in 0usize..96,
+            retain_capacity in prop_oneof![Just(0usize), 1usize..64],
+            ops in proptest::collection::vec(arb_op(), 1..80),
+        ) {
+            let mut ring = SendBuffer::with_retention(capacity, retain_capacity);
+            let mut maps = MapBuffer { capacity, retain_capacity, ..MapBuffer::default() };
+            for (i, op) in ops.into_iter().enumerate() {
+                match op {
+                    Op::Publish(len) => {
+                        let payload = Bytes::from(vec![i as u8; len]);
+                        let (a, b) = (ring.publish(payload.clone()), maps.publish(payload));
+                        prop_assert_eq!(a.map_err(|e| e.to_string()), b.map_err(|e| e.to_string()));
+                    }
+                    Op::Reclaim(offset) => {
+                        let min_acked = maps.last_assigned.saturating_add_signed(offset);
+                        prop_assert_eq!(ring.reclaim(min_acked), maps.reclaim(min_acked));
+                    }
+                }
+                prop_assert_eq!(view(&ring), maps.view(), "after op {}", i);
+            }
+        }
     }
 }

@@ -229,7 +229,10 @@ impl StabilizerNode {
     /// Requester side: apply the donor's snapshot — merge its recorded
     /// column for the stream, fast-forward over anything below `base`
     /// (the donor no longer holds it), and open the session for
-    /// `(base, high]`.
+    /// `(base, high]`. The donor is the stream's origin and `high` what
+    /// it assigned, so a range starting above `high`, or a cell beyond
+    /// it, claims what was never sent: the one is refused whole, the
+    /// other skipped, and each counted as a rejected ACK.
     pub(super) fn on_transfer_snapshot(
         &mut self,
         now_nanos: u64,
@@ -238,7 +241,15 @@ impl StabilizerNode {
         column: &[Ack],
         app_mark: u64,
     ) {
+        if base > high {
+            self.metrics.acks_rejected += 1;
+            return;
+        }
         for a in column {
+            if a.seq > high {
+                self.metrics.acks_rejected += 1;
+                continue;
+            }
             // `a.stream` names the observing node here (see the donor
             // side). Never merge cells about ourselves: our own counters
             // are ground truth and a stale third-party view must not

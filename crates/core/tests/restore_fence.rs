@@ -5,7 +5,9 @@
 //! stream, and resumes after the highest of those — as soon as the last
 //! of them has, not at its next publish. Once released, an origin
 //! refuses a report about its own stream above what it assigned: a
-//! forged over-claim moves neither its table nor its send buffer.
+//! forged over-claim moves neither its table nor its send buffer. A
+//! mirror refuses the same claim in a state-transfer snapshot, whose
+//! `high` is what the origin assigned.
 
 use bytes::Bytes;
 use stabilizer_core::sim_driver::{build_cluster, SimNode};
@@ -94,4 +96,47 @@ fn an_origin_refuses_a_report_of_more_than_it_assigned() {
     assert_eq!(cell(&origin), 2);
     assert_eq!(origin.send_buffer_bytes(), 0);
     assert_eq!(origin.metrics().acks_rejected, 1);
+}
+
+#[test]
+fn a_mirror_refuses_a_transfer_snapshot_of_more_than_its_origin_assigned() {
+    let cfg = ClusterConfig::parse(
+        "az A a\naz B b\npredicate All MIN($ALLWNODES-$MYWNODE)\noption transfer_millis 50\n",
+    )
+    .unwrap();
+    let acks = Arc::new(AckTypeRegistry::new());
+    let mut mirror = StabilizerNode::new(cfg, NodeId(1), acks).unwrap();
+    let snapshot = |base, high, seq| WireMsg::TransferSnapshot {
+        stream: NodeId(0),
+        base,
+        high,
+        acks: vec![Ack {
+            stream: NodeId(0),
+            ty: RECEIVED,
+            seq,
+        }],
+        app_mark: 0,
+    };
+    // The origin's cell and the mirror's own, as the mirror holds them.
+    let cells = |node: &StabilizerNode| {
+        let recorder = node.recorder();
+        let cell = |at| recorder.get(NodeId(0), at, RECEIVED);
+        (cell(NodeId(0)), cell(NodeId(1)))
+    };
+
+    // A range that starts above what the origin assigned: refused whole,
+    // no fast-forward.
+    mirror.on_message(0, NodeId(0), snapshot(5, 2, 2));
+    assert_eq!(cells(&mirror), (0, 0));
+    assert_eq!(mirror.metrics().acks_rejected, 1);
+
+    // A cell beyond it: skipped, and the range applied.
+    mirror.on_message(0, NodeId(0), snapshot(2, 2, 40));
+    assert_eq!(cells(&mirror), (0, 2));
+    assert_eq!(mirror.metrics().acks_rejected, 2);
+
+    // An honest snapshot is applied whole.
+    mirror.on_message(0, NodeId(0), snapshot(3, 3, 3));
+    assert_eq!(cells(&mirror), (3, 3));
+    assert_eq!(mirror.metrics().acks_rejected, 2);
 }

@@ -38,6 +38,7 @@
 //! ```
 
 #![deny(clippy::undocumented_unsafe_blocks)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod backoff;
 pub mod framing;

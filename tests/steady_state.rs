@@ -9,7 +9,8 @@
 //! N rounds as after 4N**: a byte that differs is a byte kept per
 //! message. `ShardedFrontier`'s shard→global maps failed this before
 //! they were given the send buffer's rule (EXPERIMENTS.md has the
-//! number).
+//! number). Memory a stall lent must come back too: the send buffer's
+//! ring, and a sharded node's maps, are stalled, caught up and counted.
 //!
 //! Bounded buffers are brought to their capacity first, then proven not
 //! to grow: the hub's trace ring and publish-stamp windows
@@ -37,8 +38,9 @@
 //!
 //! Bounded, but not byte-constant, so configured off here: the retained
 //! catch-up log (`retain_log_bytes`; `data_plane.rs` tests the cap — a
-//! `BTreeMap` sliding under a byte cap holds a node more or less
-//! depending on where the window stands). `Transfers` sessions are keyed
+//! log capped in bytes holds more or fewer payloads, and the send
+//! buffer's ring a larger or smaller capacity, depending on where the
+//! window stands). `Transfers` sessions are keyed
 //! by peer and removed on completion, so there is nothing per message to
 //! find there.
 
@@ -339,52 +341,78 @@ fn sharded_engines_keep_nothing_per_message() {
     });
 }
 
-/// A shard→global map lent to a stall is given back: node 0 hears no
-/// ACK on shard 1 for a while — that shard's frontier, and with it the
+/// Memory lent to a stall is given back. A sharded node 0 hears no ACK
+/// on shard 1 for a while — that shard's frontier, and with it the
 /// replay floor, stands still, so node 0's map of its own shard-1
-/// sub-stream grows by an entry per message it routes there — then the
-/// reports arrive, the readers catch up, and once the map has been
-/// filled and reclaimed again the heap is back at the byte it was.
+/// sub-stream grows by an entry per message it routes there. A plain
+/// node 0 hears no ACK at all, so its send buffer grows by a payload per
+/// message. Then the reports arrive, the readers catch up, and once the
+/// cluster has run as many rounds again the heap is back at the byte it
+/// was.
 #[test]
 fn a_map_that_grew_during_a_stall_gives_its_memory_back() {
-    const STALL: u64 = 1_500;
-    let cfg = cfg(&format!("{TCP3}option shards 4\n"));
+    let sharded_cfg = cfg(&format!("{TCP3}option shards 4\n"));
     let acks = Arc::new(AckTypeRegistry::new());
-    let mut cluster = Cluster::new((0..3).map(|me| {
-        let (cfg, acks) = (cfg.clone(), Arc::clone(&acks));
+    let sharded = Cluster::new((0..3).map(|me| {
+        let (cfg, acks) = (sharded_cfg.clone(), Arc::clone(&acks));
         let engine = ShardedEngine::new(cfg, NodeId(me), acks, RoutePolicy::RoundRobin);
         (engine.expect("engine"), NoHooks)
     }));
+    let shard_1 = |to: NodeId, (shard, msg): &(u16, WireMsg)| {
+        to == NodeId(0) && *shard == 1 && matches!(msg, WireMsg::AckBatch(_))
+    };
+    stall_and_catch_up("sharded", sharded, shard_1, STALL / 4 * 8);
+
+    let every_ack = |to: NodeId, (_, msg): &((), WireMsg)| {
+        to == NodeId(0) && matches!(msg, WireMsg::AckBatch(_))
+    };
+    let slots = STALL * std::mem::size_of::<Bytes>() as u64;
+    stall_and_catch_up("plain", plain(&cfg(TCP3), |_| NoHooks), every_ack, slots);
+}
+
+/// Rounds of a stall, and of the runs before and after it.
+const STALL: u64 = 1_500;
+
+/// Run `STALL` rounds, then `STALL` more in which node 0 alone publishes
+/// and the frames `stalled` names are held, which must lend more than
+/// `grown` bytes; then deliver them, run `STALL` rounds again, and find
+/// the heap where it was before the stall.
+fn stall_and_catch_up<M: TcpMachine>(
+    what: &str,
+    mut cluster: Cluster<M, NoHooks>,
+    stalled: impl Fn(NodeId, &Frame<M>) -> bool,
+    grown: u64,
+) {
     let payload = |_| Bytes::from_static(&[7; 64]);
     let all = [0, 1, 2];
     cluster.run(STALL, &all, "AllRemote", payload, |_, _, _, _| ());
     let before = stabilizer_testalloc::live();
 
-    let stalled = |to: NodeId, (shard, msg): &(u16, WireMsg)| {
-        to == NodeId(0) && *shard == 1 && matches!(msg, WireMsg::AckBatch(_))
-    };
     let mut held = Vec::new();
     for _ in 0..STALL {
         cluster.now += 1_000;
         cluster.on(0, |e| e.publish(payload(0))).expect("room");
-        cluster.settle_holding(stalled, &mut held);
+        cluster.settle_holding(&stalled, &mut held);
     }
     let lent = stabilizer_testalloc::live() - before;
-    let map_entries = (STALL / 4 * 8) as isize;
-    assert!(lent > map_entries, "the stall held {lent} B, no map grew");
+    assert!(
+        lent > grown as isize,
+        "{what}: the stall held {lent} B, nothing grew"
+    );
 
     for (from, to, msg) in held.drain(..) {
         cluster.deliver(from, to, msg);
         cluster.settle();
     }
     drop(held);
-    // Reclaim is lazy — a map is looked at when it is full — so the
-    // grown map has to fill once more before it is handed back.
+    // Reclaim is lazy — a map is looked at when it is full, the send
+    // buffer halves at most once a reclaim — so what grew has to be
+    // filled and reclaimed again before it is handed back.
     cluster.run(STALL, &all, "AllRemote", payload, |_, _, _, _| ());
     assert_eq!(
         stabilizer_testalloc::live() - before,
         0,
-        "bytes still held after the stalled shard caught up"
+        "{what}: bytes still held after the stalled node caught up"
     );
 }
 
