@@ -44,6 +44,10 @@ use std::sync::Arc;
 /// [`AckTypeId`](stabilizer_dsl::AckTypeId), a `u16`.
 const ACK_TYPE_IDS: usize = u16::MAX as usize + 1;
 
+/// The most `option shards` may ask for: shards are per core, and
+/// nothing in the tree runs more than 4.
+const MAX_SHARDS: u64 = 64;
+
 /// Refuse `declared` (distinct) ACK types when the ones `registry` does
 /// not hold yet would not all get an id there.
 pub(crate) fn check_ack_type_room(
@@ -131,7 +135,9 @@ pub struct Options {
     /// runs its own sequencer, send buffer, ACK recorder, and frontier
     /// engine, and the node-level stability frontier is the min-combine
     /// over shards. `1` (default) keeps the paper's single-stream data
-    /// plane.
+    /// plane; a config may ask for at most 64. A sharded node has no
+    /// failure detection or state transfer: it refuses a non-zero
+    /// `failure_timeout_millis` or `transfer_millis`.
     pub shards: u16,
     /// Bytes of already-reclaimed payloads the send buffer retains for
     /// §III-E catch-up replay (oldest evicted first once exceeded). `0`
@@ -428,8 +434,10 @@ impl ClusterConfig {
                         "transfer_millis" => options.transfer_millis = parse_u64(val)?,
                         "shards" => {
                             let v = parse_u64(val)?;
-                            if v == 0 || v > u64::from(u16::MAX) {
-                                return Err(err(format!("option shards: out of range {v}")));
+                            if v == 0 || v > MAX_SHARDS {
+                                return Err(err(format!(
+                                    "option shards: {v} is outside 1..={MAX_SHARDS}"
+                                )));
                             }
                             options.shards = v as u16;
                         }
@@ -532,6 +540,8 @@ option auto_exclude_suspects true
         assert!(ClusterConfig::parse("az A x\noption auto_exclude_suspects yes").is_err());
         assert!(ClusterConfig::parse("az A x\noption shards 0").is_err());
         assert!(ClusterConfig::parse("az A x\noption shards 70000").is_err());
+        let refused = ClusterConfig::parse("az A x\noption shards 65").unwrap_err();
+        assert!(refused.to_string().contains("1..=64"), "{refused}");
     }
 
     #[test]
@@ -539,6 +549,8 @@ option auto_exclude_suspects true
         assert_eq!(ClusterConfig::parse("az A x").unwrap().options().shards, 1);
         let cfg = ClusterConfig::parse("az A x\noption shards 4").unwrap();
         assert_eq!(cfg.options().shards, 4);
+        let cfg = ClusterConfig::parse("az A x\noption shards 64").unwrap();
+        assert_eq!(cfg.options().shards, 64);
         assert_eq!(Options::default().shards(0).shards, 1, "clamped");
     }
 

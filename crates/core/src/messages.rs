@@ -122,8 +122,8 @@ pub enum WireMsg {
         /// The donor's recorded stability cells for this stream, so the
         /// requester's frontier bookkeeping resumes where the cluster is.
         acks: Vec<Ack>,
-        /// Opaque application-state hook carried alongside the snapshot
-        /// (the sharded layer uses it for the global fast-forward point).
+        /// Reserved: written as 0 and ignored on receipt. The field
+        /// stays so that the frame layout does not change.
         app_mark: u64,
     },
     /// State transfer (§III-E): one replayed payload of the donor's

@@ -84,17 +84,12 @@ pub enum Action {
     /// A stream was fast-forwarded out of band (§III-E state transfer):
     /// local delivery resumes after `seq` without the skipped prefix
     /// passing through the normal upcall path. External checkers use
-    /// this to adjust their delivery-prefix accounting; the sharded
-    /// layer reads `app_mark` (the donor's opaque application-state
-    /// hook) to fast-forward its global sequence mapping.
+    /// this to adjust their delivery-prefix accounting.
     CatchUp {
         /// The fast-forwarded stream.
         stream: NodeId,
         /// Delivery resumes after this sequence.
         seq: SeqNo,
-        /// The donor's application-state mark (`0` when the jump did not
-        /// come from a transfer snapshot).
-        app_mark: u64,
     },
 }
 
@@ -408,9 +403,9 @@ impl StabilizerNode {
                 base,
                 high,
                 acks,
-                app_mark,
+                ..
             } if self.transfers.admits(from, stream, me) => {
-                self.on_transfer_snapshot(now_nanos, stream, (base, high), &acks, app_mark);
+                self.on_transfer_snapshot(now_nanos, stream, (base, high), &acks);
             }
             WireMsg::TransferChunk {
                 stream,
@@ -1491,8 +1486,7 @@ mod tests {
             a,
             Action::CatchUp {
                 stream: NodeId(0),
-                seq: 3,
-                app_mark: 7
+                seq: 3
             }
         )));
         assert_eq!(n.recorder().get(NodeId(0), NodeId(2), RECEIVED), 3);

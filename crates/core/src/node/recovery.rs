@@ -93,7 +93,7 @@ impl StabilizerNode {
         node.emit();
         for stream in (0..node.recv.len() as u16).map(NodeId) {
             let high = node.recorder.get(stream, me, RECEIVED);
-            node.fast_forward(stream, high, 0);
+            node.fast_forward_stream(stream, high);
         }
         let peers = node.membership.peers().iter().copied();
         node.fence = Some(
@@ -165,13 +165,6 @@ impl StabilizerNode {
         self.actions.push(Action::Send { to: origin, msg });
     }
 
-    /// Set the opaque application-state mark carried in this node's
-    /// outgoing [`crate::WireMsg::TransferSnapshot`]s (the sharded layer
-    /// stores its global fast-forward point here).
-    pub fn set_app_mark(&mut self, mark: u64) {
-        self.transfers.app_mark = mark;
-    }
-
     /// Number of live transfer sessions, inbound plus outbound. Tests
     /// and drivers use this to detect a finished catch-up.
     pub fn active_transfers(&self) -> usize {
@@ -200,10 +193,6 @@ impl StabilizerNode {
     /// shipped from a peer) and resumes live delivery from `seq + 1`.
     /// Parked out-of-order messages beyond `seq` are released in order.
     pub fn fast_forward_stream(&mut self, origin: NodeId, seq: SeqNo) {
-        self.fast_forward(origin, seq, 0);
-    }
-
-    fn fast_forward(&mut self, origin: NodeId, seq: SeqNo, app_mark: u64) {
         if !self.mirrors(origin) {
             return;
         }
@@ -218,7 +207,6 @@ impl StabilizerNode {
             self.actions.push(Action::CatchUp {
                 stream: origin,
                 seq,
-                app_mark,
             });
         }
         self.deliver(origin, released);
@@ -239,7 +227,6 @@ impl StabilizerNode {
         stream: NodeId,
         (base, high): (SeqNo, SeqNo),
         column: &[Ack],
-        app_mark: u64,
     ) {
         if base > high {
             self.metrics.acks_rejected += 1;
@@ -258,7 +245,7 @@ impl StabilizerNode {
                 self.learn(stream, a.stream, a.ty, a.seq);
             }
         }
-        self.fast_forward(stream, base, app_mark);
+        self.fast_forward_stream(stream, base);
         self.transfer_applied(now_nanos, stream, Some(high));
     }
 

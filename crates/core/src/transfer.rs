@@ -64,9 +64,6 @@ pub(crate) struct Transfers {
     /// ahead and no session is open (catch-up on lag); `None` until the
     /// first tick looks at it.
     lag: Vec<Option<Watchdog>>,
-    /// Opaque application-state mark carried in outgoing snapshots
-    /// (§III-E's app-state hook).
-    pub(crate) app_mark: u64,
 }
 
 impl Transfers {
@@ -82,7 +79,6 @@ impl Transfers {
             inbound: BTreeMap::new(),
             outbound: BTreeMap::new(),
             lag: vec![None; cfg.num_nodes()],
-            app_mark: 0,
         }
     }
 
@@ -252,7 +248,7 @@ impl Transfers {
             base,
             high,
             acks: outbox::cells(recorder, nodes, |node| (self.me, node)),
-            app_mark: self.app_mark,
+            app_mark: 0,
         };
         out.push(Action::Send { to: requester, msg });
         self.outbound.remove(&requester);

@@ -11,6 +11,12 @@
 //! `stability_frontier`, frontier monitors, FIFO delivery) keeps exactly
 //! the unsharded semantics.
 //!
+//! The engine is the data path and the §III-D API, nothing more: it has
+//! no §III-E recovery. [`ShardedEngine::new`] refuses a config that asks
+//! for failure detection or state transfer, and the TCP runtime refuses
+//! to restore it from a snapshot. Retransmission and heartbeats run on
+//! every shard as on a plain node.
+//!
 //! Like `StabilizerNode`, the engine is sans-IO: drivers feed messages
 //! and timer ticks in, and drain [`ShardedAction`]s out.
 
@@ -19,13 +25,18 @@ use crate::frontier::ShardedFrontier;
 use crate::router::{RoutePolicy, ShardRouter};
 use bytes::Bytes;
 use stabilizer_core::{
-    AckTypeId, ClusterConfig, CoreError, Event, FrontierUpdate, Metrics, NodeId, SeqNo,
-    StabilizerNode, TimerKind, WaitToken, WireMsg,
+    AckTypeId, Action, ClusterConfig, CoreError, Metrics, NodeId, SeqNo, StabilizerNode, TimerKind,
+    WaitToken, WireMsg,
 };
 use stabilizer_dsl::AckTypeRegistry;
 use std::sync::Arc;
 
-/// Side effects drained from a [`ShardedEngine`], in order.
+/// Side effects drained from a [`ShardedEngine`], in order: a shard's
+/// send, tagged with its shard, or a node-level [`Action`] — a delivery
+/// in **global** FIFO order (header stripped), an aggregated frontier
+/// advance, or a completed node-level `waitfor`, all in global sequence
+/// numbers. What an observer sees of a node-level action is
+/// [`Action::event`].
 #[derive(Debug)]
 pub enum ShardedAction {
     /// Transmit `msg` to `to` on the sub-stream of `shard`.
@@ -38,77 +49,8 @@ pub enum ShardedAction {
         /// The wire message.
         msg: WireMsg,
     },
-    /// Deliver an application payload in **global** FIFO order.
-    Deliver {
-        /// Stream the message belongs to.
-        origin: NodeId,
-        /// Node-level global sequence number.
-        seq: SeqNo,
-        /// The payload (global header stripped).
-        payload: Bytes,
-    },
-    /// The node-level aggregated stability frontier advanced.
-    Frontier(FrontierUpdate),
-    /// A node-level `waitfor` completed.
-    WaitDone {
-        /// The token returned by [`ShardedEngine::waitfor`].
-        token: WaitToken,
-    },
-    /// A peer went silent on at least one shard sub-stream (deduplicated:
-    /// emitted on the first shard to suspect, cleared when every shard
-    /// recovered).
-    Suspected {
-        /// The suspect.
-        node: NodeId,
-    },
-    /// All shards un-suspected the peer.
-    Recovered {
-        /// The returning node.
-        node: NodeId,
-    },
-    /// A shard sub-stream fast-forwarded out of band (§III-E state
-    /// transfer): shard seqs up to `seq` were skipped, and global
-    /// reassembly for `stream` resumes after `global` without upcalls
-    /// for the proven-skipped prefix.
-    CatchUp {
-        /// The shard that jumped.
-        shard: u16,
-        /// Stream that was fast-forwarded.
-        stream: NodeId,
-        /// Per-shard sequence jumped to.
-        seq: SeqNo,
-        /// Node-level delivered global after the jump.
-        global: SeqNo,
-    },
-}
-
-impl ShardedAction {
-    /// What an observer sees of this action, if anything — the sharded
-    /// twin of [`Action::event`](stabilizer_core::Action::event): node-level events only (sequence
-    /// numbers are global; donor-side transfer chunks per shard
-    /// sub-stream).
-    pub fn event(&self) -> Option<Event<'_>> {
-        Some(match self {
-            ShardedAction::Send { to, msg, .. } => return Event::of_send(*to, msg),
-            ShardedAction::Deliver {
-                origin,
-                seq,
-                payload,
-            } => Event::Deliver {
-                origin: *origin,
-                seq: *seq,
-                payload,
-            },
-            ShardedAction::Frontier(update) => Event::Frontier(update),
-            ShardedAction::WaitDone { token } => Event::WaitDone { token: *token },
-            ShardedAction::Suspected { node } => Event::Suspected { node: *node },
-            ShardedAction::Recovered { node } => Event::Recovered { node: *node },
-            ShardedAction::CatchUp { stream, global, .. } => Event::CatchUp {
-                stream: *stream,
-                seq: *global,
-            },
-        })
-    }
+    /// A node-level action (never a [`Action::Send`]).
+    Node(Action),
 }
 
 /// S shard machines, a router, and the frontier aggregator.
@@ -124,7 +66,7 @@ pub struct ShardedEngine {
     actions: Vec<ShardedAction>,
     /// Where a shard machine's actions land while they are folded; empty
     /// between drains, its capacity goes back to the shard.
-    shard_actions: Vec<stabilizer_core::Action>,
+    shard_actions: Vec<Action>,
 }
 
 impl ShardedEngine {
@@ -135,13 +77,24 @@ impl ShardedEngine {
     ///
     /// # Errors
     ///
-    /// Fails if a configured predicate does not compile.
+    /// Fails if a configured predicate does not compile, and with
+    /// [`CoreError::Config`] if `cfg` asks for failure detection
+    /// (`failure_timeout_millis`) or state transfer (`transfer_millis`):
+    /// a sharded node has neither.
     pub fn new(
         cfg: ClusterConfig,
         me: NodeId,
         acks: Arc<AckTypeRegistry>,
         policy: RoutePolicy,
     ) -> Result<Self, CoreError> {
+        let opts = cfg.options();
+        if opts.failure_timeout_millis > 0 || opts.transfer_millis > 0 {
+            return Err(CoreError::Config(
+                "a sharded node runs neither failure detection nor state transfer: \
+                 failure_timeout_millis and transfer_millis must be 0"
+                    .to_owned(),
+            ));
+        }
         let num_shards = cfg.options().shards.max(1) as usize;
         let mut inner_opts = cfg.options().clone();
         inner_opts.max_payload_bytes += GLOBAL_HEADER;
@@ -149,7 +102,7 @@ impl ShardedEngine {
         let shards = (0..num_shards)
             .map(|_| StabilizerNode::new(inner_cfg.clone(), me, Arc::clone(&acks)))
             .collect::<Result<Vec<_>, _>>()?;
-        let mut agg = ShardedFrontier::new(cfg.num_nodes(), num_shards).owning(me);
+        let mut agg = ShardedFrontier::new(cfg.num_nodes(), num_shards);
         for (key, _) in cfg.predicates() {
             agg.ensure_key(me, key);
         }
@@ -337,7 +290,7 @@ impl ShardedEngine {
 
     /// Wait for the aggregated frontier of `(stream, key)` to reach the
     /// global sequence `seq`; completion surfaces as
-    /// [`ShardedAction::WaitDone`].
+    /// a node-level [`Action::WaitDone`].
     ///
     /// # Errors
     ///
@@ -397,7 +350,7 @@ impl ShardedEngine {
     }
 
     // ------------------------------------------------------------------
-    // Timers and membership
+    // Timers
     // ------------------------------------------------------------------
 
     /// A periodic timer fired: run `kind`'s handler on every shard
@@ -408,34 +361,6 @@ impl ShardedEngine {
             shard.on_timer(kind, now_nanos);
         }
         self.drain_all_shards();
-    }
-
-    /// Start §III-E catch-up on every shard sub-stream: each shard
-    /// machine asks its per-shard donors for a snapshot plus retained-log
-    /// replay. Resumability is inherited per shard (each shard is a full
-    /// `StabilizerNode`). No-op unless `transfer_millis` is configured.
-    /// Returns the number of peer streams a transfer was requested on
-    /// (the most any shard asked for).
-    pub fn begin_catch_up(&mut self, now_nanos: u64) -> usize {
-        let mut streams = 0;
-        for shard in &mut self.shards {
-            streams = streams.max(shard.begin_catch_up(now_nanos));
-        }
-        self.drain_all_shards();
-        streams
-    }
-
-    /// Live transfer sessions summed across shards.
-    pub fn active_transfers(&self) -> usize {
-        self.shards
-            .iter()
-            .map(StabilizerNode::active_transfers)
-            .sum()
-    }
-
-    /// True if any shard currently suspects `node`.
-    pub fn is_suspected(&self, node: NodeId) -> bool {
-        self.agg.is_suspected(node)
     }
 
     // ------------------------------------------------------------------
@@ -491,17 +416,9 @@ impl ShardedEngine {
         }
     }
 
-    /// Drain one shard's pending actions through the aggregator, first
-    /// bringing the mark its outgoing transfer snapshots carry up to
-    /// date (see [`ShardedFrontier::transfer_mark`]) — the last entry of
-    /// the own stream's mapping this shard will name again.
+    /// Drain one shard's pending actions through the aggregator.
     fn drain_shard(&mut self, shard: u16) {
         let node = &mut self.shards[shard as usize];
-        let first = node.first_replayable();
-        if let Some(mark) = self.agg.transfer_mark(self.me, shard, first) {
-            node.set_app_mark(mark);
-        }
-        self.agg.retain_own_from(shard, first.saturating_sub(1));
         node.swap_actions(&mut self.shard_actions);
         for action in self.shard_actions.drain(..) {
             self.agg.fold(shard, action, &mut self.actions);

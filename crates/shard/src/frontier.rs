@@ -31,6 +31,10 @@
 //! and [`ShardedFrontier::fold`]: the one place a shard machine's
 //! [`Action`] becomes node-level [`ShardedAction`]s, whichever driver
 //! runs the shards.
+//!
+//! A sharded node has no §III-E recovery (see [`crate::engine`]), so no
+//! shard sub-stream is ever fast-forwarded: every global of an origin is
+//! learned, in the end, on the one shard it was routed to.
 
 use crate::codec::decode_global;
 use crate::engine::ShardedAction;
@@ -54,12 +58,6 @@ impl AggOutput {
         self.updates.is_empty() && self.completed.is_empty()
     }
 
-    /// Append `other`'s events.
-    pub fn merge(&mut self, other: AggOutput) {
-        self.updates.extend(other.updates);
-        self.completed.extend(other.completed);
-    }
-
     /// Append the events as node-level actions: the frontier updates,
     /// then the completed waits.
     pub fn into_actions(mut self, out: &mut Vec<ShardedAction>) {
@@ -69,8 +67,9 @@ impl AggOutput {
     /// [`AggOutput::into_actions`], leaving `self` empty with its
     /// buffers intact.
     fn drain_actions(&mut self, out: &mut Vec<ShardedAction>) {
-        out.extend(self.updates.drain(..).map(ShardedAction::Frontier));
-        let done = |token| ShardedAction::WaitDone { token };
+        let frontier = |update| ShardedAction::Node(Action::Frontier(update));
+        out.extend(self.updates.drain(..).map(frontier));
+        let done = |token| ShardedAction::Node(Action::WaitDone { token });
         out.extend(self.completed.drain(..).map(done));
     }
 }
@@ -138,8 +137,7 @@ const MIN_MAP_CAPACITY: usize = 4;
 
 /// One shard's learned `shard-seq → global` mapping for one origin:
 /// `globals[i]` maps shard seq `base + i + 1`. What lies at or below
-/// `base` was never learned (a §III-E fast-forward skipped it) or was
-/// learned and then reclaimed; either way no entry answers for it.
+/// `base` was learned and then reclaimed: no entry answers for it.
 #[derive(Debug, Clone, Default)]
 struct ShardMap {
     base: SeqNo,
@@ -157,14 +155,9 @@ impl ShardMap {
 #[derive(Debug)]
 struct OriginState {
     /// Per shard: global sequence numbers in shard-seq order. Grows at
-    /// the tail; the head goes to fast-forwards and to `reclaim`.
+    /// the tail; the head goes to `reclaim`.
     mapping: Vec<ShardMap>,
-    /// Per shard: the fast-forward mark from the donor's snapshot — every
-    /// global skipped on that shard is `≤ mark`, every replayed or future
-    /// global on it is `> mark`.
-    marks: Vec<SeqNo>,
-    /// Largest `G` such that every global `1..=G` is either mapped here
-    /// or known to be skipped (never arriving).
+    /// Largest `G` such that every global `1..=G` has been learned.
     known_prefix: SeqNo,
     /// Known globals beyond the contiguous prefix.
     beyond: BTreeSet<SeqNo>,
@@ -182,7 +175,6 @@ impl OriginState {
     fn new(shards: usize) -> Self {
         OriginState {
             mapping: vec![ShardMap::default(); shards],
-            marks: vec![0; shards],
             known_prefix: 0,
             beyond: BTreeSet::new(),
             delivered: 0,
@@ -208,71 +200,33 @@ impl OriginState {
         self.advance_known();
     }
 
-    /// True once this node can prove global `g` will never be delivered
-    /// here: on every shard, `g` is either at or below the shard's
-    /// fast-forward mark (so it fell in the skipped prefix if routed
-    /// there) or provably absent from the shard's gapless learned suffix.
-    /// Conservative: a shard with no evidence either way blocks the
-    /// verdict, so reassembly waits instead of dropping data.
-    fn never_arrives(&self, g: SeqNo) -> bool {
-        self.mapping.iter().zip(&self.marks).all(|(m, &mark)| {
-            // A shard that has learned nothing above `g` (the usual case:
-            // `g` is the next global) proves nothing and costs no search.
-            g <= mark
-                || (m.globals.back().is_some_and(|&last| last > g)
-                    && m.globals.binary_search(&g).is_err())
-        })
-    }
-
     /// Drop the head of `shard`'s map that no reader can name any more —
-    /// the send buffer's rule, applied to the mapping. The newest entry
-    /// stays whatever the readers say (`never_arrives` reads it as "this
-    /// shard has learned past `g`"). The readers, and the lowest shard
-    /// seq each still names:
+    /// the send buffer's rule, applied to the mapping. The readers, and
+    /// the lowest shard seq each still names:
     ///
     /// * `first_uncovered`, once per key of the stream: the entry after
     ///   the key's per-shard frontier (`key_floor` is the lowest of those
     ///   frontiers, `None` without keys);
-    /// * `never_arrives`: the entries above both the known prefix and
-    ///   what was delivered — it searches for `known_prefix + 1` or,
-    ///   while something is parked, `delivered + 1`. The own stream is
-    ///   never delivered here (nor parked), so there the known prefix
-    ///   alone bounds it;
     /// * `shard_progress`: the last entry at or below the lowest level
-    ///   the application reports, which its next report counts from;
-    /// * `own_held`, on the own stream (`None` on a mirrored one): the
-    ///   readers outside the aggregator
-    ///   ([`ShardedFrontier::retain_own_from`]).
-    fn reclaim(&mut self, shard: usize, key_floor: Option<SeqNo>, own_held: Option<SeqNo>) {
+    ///   the application reports, which its next report counts from.
+    fn reclaim(&mut self, shard: usize, key_floor: Option<SeqNo>) {
         let m = &self.mapping[shard];
-        let newest = m.base + m.globals.len() as SeqNo;
-        let searched_above = match own_held {
-            Some(_) => self.known_prefix,
-            None => self.known_prefix.min(self.delivered),
-        };
-        let mut keep = newest.min(m.upto(searched_above) + 1);
-        keep = keep.min(own_held.unwrap_or(SeqNo::MAX));
-        if let Some(f) = key_floor {
-            keep = keep.min(f.saturating_add(1));
-        }
+        let mut keep = key_floor.map_or(SeqNo::MAX, |f| f.saturating_add(1));
         if let Some(lowest) = self.reports.iter().map(|&(_, global)| global).min() {
             keep = keep.min(m.upto(lowest));
         }
-        let dead = keep.saturating_sub(m.base + 1);
+        let dead = keep
+            .saturating_sub(m.base + 1)
+            .min(m.globals.len() as SeqNo);
         let m = &mut self.mapping[shard];
         m.globals.drain(..dead as usize);
         m.base += dead;
     }
 
-    /// Grow `known_prefix` over globals that are mapped or never arrive.
+    /// Grow `known_prefix` over the globals learned beyond it.
     fn advance_known(&mut self) {
-        loop {
-            let next = self.known_prefix + 1;
-            if self.beyond.remove(&next) || self.never_arrives(next) {
-                self.known_prefix = next;
-            } else {
-                break;
-            }
+        while self.beyond.remove(&(self.known_prefix + 1)) {
+            self.known_prefix += 1;
         }
     }
 
@@ -290,16 +244,12 @@ impl OriginState {
         self.drain_ready(ready);
     }
 
-    /// Release parked deliveries, hopping over globals proven skipped.
+    /// Release the parked deliveries that follow `delivered` without a
+    /// gap.
     fn drain_ready(&mut self, ready: &mut impl FnMut(SeqNo, Bytes)) {
-        while !self.pending.is_empty() {
-            let next = self.delivered + 1;
-            if let Some(p) = self.pending.remove(&next) {
-                ready(next, p);
-            } else if !self.never_arrives(next) {
-                break;
-            } // else a skipped prefix: no upcall (§III-E)
-            self.delivered = next;
+        while let Some(p) = self.pending.remove(&(self.delivered + 1)) {
+            self.delivered += 1;
+            ready(self.delivered, p);
         }
     }
 
@@ -308,12 +258,9 @@ impl OriginState {
     fn first_uncovered(&self, shard: usize, f: SeqNo) -> SeqNo {
         let m = &self.mapping[shard];
         if f < m.base {
-            // The shard's frontier has not yet caught up past the prefix
-            // without entries: the first uncovered message is a skipped
-            // one whose global we will never learn, or one a key that
-            // started over below the floor asks about after its entry
-            // was reclaimed. Pin the aggregate until the shard frontier
-            // clears that point.
+            // A key that started over below the floor asks about an
+            // entry that was reclaimed. Pin the aggregate until the
+            // shard frontier clears that point.
             return 1;
         }
         // Past the learned entries the shard's next message (if any) is
@@ -335,12 +282,6 @@ pub struct ShardedFrontier {
     keys: Vec<BTreeMap<String, KeyState>>,
     next_token: WaitToken,
     next_global: SeqNo,
-    /// Per peer: how many shards currently suspect it.
-    suspects: Vec<u32>,
-    /// The node's own stream and, per shard, the lowest shard seq of it
-    /// that a reader outside the aggregator still names (see
-    /// [`ShardedFrontier::retain_own_from`]).
-    own: Option<(NodeId, Vec<SeqNo>)>,
     /// What one [`ShardedFrontier::fold`] step aggregated, emptied into
     /// the caller's actions; kept for its buffers.
     scratch: AggOutput,
@@ -356,30 +297,7 @@ impl ShardedFrontier {
             keys: (0..num_nodes).map(|_| BTreeMap::new()).collect(),
             next_token: 1,
             next_global: 0,
-            suspects: vec![0; num_nodes],
-            own: None,
             scratch: AggOutput::default(),
-        }
-    }
-
-    /// Declare `me` the node's own stream. Its mapping has a reader the
-    /// aggregator cannot see — the shard machines' replay floor
-    /// ([`ShardedFrontier::transfer_mark`]) — so all of it is retained
-    /// until [`ShardedFrontier::retain_own_from`] says how far that has
-    /// moved.
-    #[must_use]
-    pub fn owning(mut self, me: NodeId) -> Self {
-        self.own = Some((me, vec![0; self.shards]));
-        self
-    }
-
-    /// The reader of the own stream's mapping outside the aggregator
-    /// names `shard_seq` and above on `shard` from now on; entries below
-    /// may be reclaimed. Monotone: a lower value than before is ignored.
-    pub fn retain_own_from(&mut self, shard: u16, shard_seq: SeqNo) {
-        if let Some((_, held)) = &mut self.own {
-            let held = &mut held[shard as usize];
-            *held = shard_seq.max(*held);
         }
     }
 
@@ -389,11 +307,12 @@ impl ShardedFrontier {
     }
 
     /// Fold one action of shard machine `shard` into node-level actions,
-    /// appended to `out` in the order every observer sees them: a
-    /// catch-up before the deliveries it unblocks, aggregated frontier
-    /// updates before the waits they complete. A delivered payload that
-    /// lacks the global-sequence header is refused: nothing is
-    /// delivered, and the origin's global order stalls at the hole.
+    /// appended to `out` in the order every observer sees them:
+    /// aggregated frontier updates before the waits they complete. A
+    /// delivered payload that lacks the global-sequence header is
+    /// refused: nothing is delivered, and the origin's global order
+    /// stalls at the hole. Whatever else a shard emits passes through as
+    /// it is: suspicion and catch-up cannot arise on a sharded node.
     pub fn fold(&mut self, shard: u16, action: Action, out: &mut Vec<ShardedAction>) {
         // What the step aggregates goes last, whatever the arm pushes.
         let mut agg = std::mem::take(&mut self.scratch);
@@ -403,11 +322,11 @@ impl ShardedFrontier {
                 origin, payload, ..
             } => {
                 let ready = |seq, payload| {
-                    out.push(ShardedAction::Deliver {
+                    out.push(ShardedAction::Node(Action::Deliver {
                         origin,
                         seq,
                         payload,
-                    });
+                    }));
                 };
                 // Refused: a payload without its header delivers nothing.
                 self.shard_deliver(shard, origin, &payload, ready, &mut agg)
@@ -418,67 +337,12 @@ impl ShardedFrontier {
                 self.shard_frontier(shard, update.stream, &update.key, at, &mut agg);
             }
             // Shard-level waits are never created; node-level waits live
-            // here, in the aggregator.
+            // here, in the aggregator, and their tokens are its own.
             Action::WaitDone { .. } => {}
-            // Suspicion is deduplicated: reported on the first shard to
-            // suspect the peer, cleared when the last one recovers.
-            Action::Suspected { node } => {
-                let count = &mut self.suspects[node.0 as usize];
-                *count += 1;
-                if *count == 1 {
-                    out.push(ShardedAction::Suspected { node });
-                }
-            }
-            Action::Recovered { node } => {
-                let count = &mut self.suspects[node.0 as usize];
-                if *count == 1 {
-                    out.push(ShardedAction::Recovered { node });
-                }
-                *count = count.saturating_sub(1);
-            }
-            Action::CatchUp {
-                stream,
-                seq,
-                app_mark,
-            } => {
-                let (ready, moved) = self.fast_forward_origin(stream, shard, seq, app_mark);
-                agg.merge(moved);
-                let global = self.delivered_global(stream);
-                out.push(ShardedAction::CatchUp {
-                    shard,
-                    stream,
-                    seq,
-                    global,
-                });
-                let origin = stream;
-                out.extend(
-                    ready
-                        .into_iter()
-                        .map(|(seq, payload)| ShardedAction::Deliver {
-                            origin,
-                            seq,
-                            payload,
-                        }),
-                );
-            }
+            other => out.push(ShardedAction::Node(other)),
         }
         agg.drain_actions(out);
         self.scratch = agg;
-    }
-
-    /// True if any shard currently suspects `node`.
-    pub fn is_suspected(&self, node: NodeId) -> bool {
-        self.suspects[node.0 as usize] > 0
-    }
-
-    /// The mark shard machine `shard` of `me` must carry in its outgoing
-    /// transfer snapshots, given the oldest own-stream shard sequence it
-    /// can still replay: the global of its last non-replayable message
-    /// (a requester's [`ShardedFrontier::fast_forward_origin`] relies on
-    /// every skipped global being ≤ mark and every replayable one being
-    /// > mark). `None` while everything is replayable.
-    pub fn transfer_mark(&self, me: NodeId, shard: u16, first_replayable: SeqNo) -> Option<SeqNo> {
-        self.global_of(me, shard, first_replayable.checked_sub(1)?)
     }
 
     /// Reserve the next global sequence number for a publish on `me`'s
@@ -529,11 +393,7 @@ impl ShardedFrontier {
         if map.len() == map.capacity() {
             let keys = self.keys[origin.0 as usize].values();
             let key_floor = keys.map(|st| st.per_shard[shard]).min();
-            let own_held = match &self.own {
-                Some((me, held)) if *me == origin => Some(held[shard]),
-                _ => None,
-            };
-            o.reclaim(shard, key_floor, own_held);
+            o.reclaim(shard, key_floor);
             let map = &mut o.mapping[shard].globals;
             if map.len() * 2 > map.capacity() {
                 map.reserve(map.capacity());
@@ -583,42 +443,6 @@ impl ShardedFrontier {
         Ok(())
     }
 
-    /// A shard machine fast-forwarded `origin`'s sub-stream to
-    /// `shard_seq` (§III-E catch-up): shard seqs `1..=shard_seq` on that
-    /// shard will never be delivered here, and the donor's `mark` bounds
-    /// their globals (every skipped global on the shard is `≤ mark`,
-    /// every replayed or future one is `> mark`). Reassembly and the
-    /// frontier min-combine step over globals once *every* shard rules
-    /// them out, so a shard with no traffic and no mark conservatively
-    /// parks the aggregate rather than risking a drop.
-    pub fn fast_forward_origin(
-        &mut self,
-        origin: NodeId,
-        shard: u16,
-        shard_seq: SeqNo,
-        mark: SeqNo,
-    ) -> (Vec<(SeqNo, Bytes)>, AggOutput) {
-        let o = &mut self.origins[origin.0 as usize];
-        let s = shard as usize;
-        if mark > o.marks[s] {
-            o.marks[s] = mark;
-        }
-        let m = &mut o.mapping[s];
-        if shard_seq > m.base {
-            // Entries at or below the new skip point were delivered
-            // before the jump; drop them so index arithmetic stays
-            // aligned with the replayed suffix.
-            let drop_n = ((shard_seq - m.base) as usize).min(m.globals.len());
-            m.globals.drain(..drop_n);
-            m.base = shard_seq;
-        }
-        o.advance_known();
-        let (mut ready, mut out) = (Vec::new(), AggOutput::default());
-        o.drain_ready(&mut |seq, payload| ready.push((seq, payload)));
-        self.recompute_origin(origin, &mut out);
-        (ready, out)
-    }
-
     /// Highest global delivered to the application for `origin`.
     pub fn delivered_global(&self, origin: NodeId) -> SeqNo {
         self.origins[origin.0 as usize].delivered
@@ -640,8 +464,8 @@ impl ShardedFrontier {
         let m = &self.origins[origin.0 as usize].mapping[shard as usize];
         let upto = m.upto(global);
         if upto > m.base {
-            // A retained entry has global ≤ `global`, so every skipped
-            // or reclaimed predecessor (smaller globals) does too.
+            // A retained entry has global ≤ `global`, so every reclaimed
+            // predecessor (smaller globals) does too.
             upto
         } else {
             0
@@ -663,8 +487,7 @@ impl ShardedFrontier {
 
     /// The global of `origin`'s message `shard_seq` on `shard` — the
     /// inverse of [`ShardedFrontier::shard_progress`] — while its entry
-    /// is retained: `None` for a shard seq not learned yet, skipped by a
-    /// fast-forward, or reclaimed.
+    /// is retained: `None` for a shard seq not learned yet or reclaimed.
     pub fn global_of(&self, origin: NodeId, shard: u16, shard_seq: SeqNo) -> Option<SeqNo> {
         let m = &self.origins[origin.0 as usize].mapping[shard as usize];
         let i = shard_seq.checked_sub(m.base + 1)?;
@@ -975,16 +798,12 @@ mod tests {
     fn show(out: &mut Vec<ShardedAction>) -> Vec<String> {
         let line = |a: ShardedAction| match a {
             ShardedAction::Send { shard, to, .. } => format!("send s{shard} to {}", to.0),
-            ShardedAction::Deliver { seq, payload, .. } => {
+            ShardedAction::Node(Action::Deliver { seq, payload, .. }) => {
                 format!("deliver g{seq} {}B", payload.len())
             }
-            ShardedAction::Frontier(u) => format!("frontier {}={}", u.key, u.seq),
-            ShardedAction::WaitDone { token } => format!("wait-done {token}"),
-            ShardedAction::Suspected { node } => format!("suspected {}", node.0),
-            ShardedAction::Recovered { node } => format!("recovered {}", node.0),
-            ShardedAction::CatchUp {
-                shard, seq, global, ..
-            } => format!("catch-up s{shard} #{seq} g{global}"),
+            ShardedAction::Node(Action::Frontier(u)) => format!("frontier {}={}", u.key, u.seq),
+            ShardedAction::Node(Action::WaitDone { token }) => format!("wait-done {token}"),
+            ShardedAction::Node(other) => format!("{other:?}"),
         };
         out.drain(..).map(line).collect()
     }
@@ -1021,47 +840,9 @@ mod tests {
         agg.fold(1, Action::Send { to, msg }, out);
         assert_eq!(show(out), ["send s1 to 2"]);
 
-        // Suspected by the first shard, recovered with the last.
+        // What a sharded node never emits is forwarded, not dropped.
         agg.fold(0, Action::Suspected { node: peer }, out);
-        agg.fold(1, Action::Suspected { node: peer }, out);
-        assert_eq!(show(out), ["suspected 2"]);
-        agg.fold(0, Action::Recovered { node: peer }, out);
-        assert!(show(out).is_empty() && agg.is_suspected(peer));
-        agg.fold(1, Action::Recovered { node: peer }, out);
-        assert_eq!(show(out), ["recovered 2"]);
-        assert!(!agg.is_suspected(peer));
-
-        // A catch-up before the deliveries it unblocks: global 5 waits on
-        // shard 1 until shard 0 jumps over 3 and 4 (its mark says so).
-        agg.fold(1, deliver(2, 5, b"e"), out);
-        assert!(show(out).is_empty());
-        let (stream, seq, app_mark) = (origin, 3, 4);
-        let jump = Action::CatchUp {
-            stream,
-            seq,
-            app_mark,
-        };
-        agg.fold(0, jump, out);
-        assert_eq!(show(out), ["catch-up s0 #3 g5", "deliver g5 1B"]);
-    }
-
-    #[test]
-    fn transfer_mark_is_the_global_of_the_last_evicted_message() {
-        let mut agg = ShardedFrontier::new(1, 2);
-        for shard in [0u16, 1, 0, 0] {
-            let g = agg.peek_next_global();
-            agg.note_published(ME, shard, g);
-        }
-        // Shard 0 holds globals 1, 3, 4 as its shard seqs 1, 2, 3.
-        assert_eq!(agg.transfer_mark(ME, 0, 0), None);
-        assert_eq!(agg.transfer_mark(ME, 0, 1), None, "all still replayable");
-        assert_eq!(agg.transfer_mark(ME, 0, 2), Some(1));
-        assert_eq!(agg.transfer_mark(ME, 0, 4), Some(4));
-        assert_eq!(
-            agg.transfer_mark(ME, 0, 5),
-            None,
-            "beyond what it published"
-        );
+        assert_eq!(show(out), ["Suspected { node: NodeId(2) }"]);
     }
 
     /// Entries of `origin`'s shard 0 map still answered for, of the
@@ -1101,24 +882,8 @@ mod tests {
     }
 
     #[test]
-    fn the_own_map_is_held_for_the_replay_floor_and_a_lagging_reporter() {
-        let mut agg = ShardedFrontier::new(2, 1).owning(ME);
-        agg.ensure_key(ME, "All");
-        for g in 1..=100 {
-            agg.note_published(ME, 0, g);
-            agg.on_shard_frontier(0, &update(ME, "All", g, 0));
-        }
-        assert_eq!(retained(&agg, ME, 100).len(), 100, "nobody said otherwise");
-        // The shard machine now replays from 91: entry 90 is the mark.
-        assert_eq!(agg.transfer_mark(ME, 0, 91), Some(90));
-        agg.retain_own_from(0, 90);
-        for g in 101..=200 {
-            agg.note_published(ME, 0, g);
-            agg.on_shard_frontier(0, &update(ME, "All", g, 0));
-        }
-        assert_eq!(retained(&agg, ME, 200)[0], 90);
-        assert_eq!(agg.transfer_mark(ME, 0, 91), Some(90));
-
+    fn the_map_is_held_for_a_lagging_reporter() {
+        let mut agg = ShardedFrontier::new(2, 1);
         // On a mirrored stream the application reports 10 behind what it
         // was delivered: the entry its next report counts from stays.
         let origin = NodeId(1);

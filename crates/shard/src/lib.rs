@@ -23,11 +23,18 @@
 //!   into global FIFO order.
 //! * [`engine`] — the [`ShardedEngine`] facade with the unsharded
 //!   node-level API: `publish`, `register_predicate`/`change_predicate`,
-//!   `stability_frontier`, `waitfor`, stability reports, timers,
-//!   membership — all in global sequence numbers.
+//!   `stability_frontier`, `waitfor`, stability reports, timers — all in
+//!   global sequence numbers. It drains [`ShardedAction`]s: a shard's
+//!   send, or a node-level core `Action`.
+//!
+//! A sharded node is the data path and the §III-D API: it has no §III-E
+//! recovery. [`ShardedEngine::new`] refuses a config that asks for
+//! failure detection or state transfer, and the TCP runtime refuses to
+//! restore one from a snapshot.
 //!
 //! On TCP the same [`ShardedEngine`] sits behind one mutex in
-//! `stabilizer-transport::sharded`, link threads running it inline.
+//! `stabilizer-transport::sharded`, the node's I/O loop running it
+//! inline.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 

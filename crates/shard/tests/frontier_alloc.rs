@@ -70,7 +70,10 @@ fn steady_state_allocates_only_the_key_of_an_emitted_update() {
 
     // An in-order delivery: straight through, nothing parked.
     assert_eq!(fold_cost(&mut agg, 1, deliver(6, 11), out), 0);
-    assert!(matches!(out[..], [ShardedAction::Deliver { seq: 11, .. }]));
+    assert!(matches!(
+        out[..],
+        [ShardedAction::Node(Action::Deliver { seq: 11, .. })]
+    ));
     out.clear();
 
     // Shard 0 covers its first message, global 2; global 1 is shard 1's
@@ -82,5 +85,5 @@ fn steady_state_allocates_only_the_key_of_an_emitted_update() {
     // Shard 1 covers global 1: the aggregate moves to 2, and the update
     // that says so owns its key.
     assert_eq!(fold_cost(&mut agg, 1, frontier(PEER, 1), out), KEY.len());
-    assert!(matches!(&out[..], [ShardedAction::Frontier(u)] if u.seq == 2));
+    assert!(matches!(&out[..], [ShardedAction::Node(Action::Frontier(u))] if u.seq == 2));
 }

@@ -4,8 +4,8 @@
 //! delivery through the parking map, every key recomputed by lookup.
 //! Random interleavings of everything the aggregator is fed — including
 //! keys registered and generations bumped after entries were reclaimed,
-//! an application reporting stability a constant behind delivery, and
-//! the own shards' replay floors moving — are checked three ways:
+//! and an application reporting stability a constant behind delivery —
+//! are checked three ways:
 //!
 //! * against the model told where the real maps now begin (it answers
 //!   `1` for a shard frontier below that point, as the real one must):
@@ -14,8 +14,8 @@
 //! * against the model that is told nothing (the unreclaimed behaviour):
 //!   deliveries identical, every aggregate never above the model's, and
 //!   equal whenever the key's shard frontiers are at or above where the
-//!   maps begin; `transfer_mark` at the replay floor and
-//!   `shard_progress` at or above the lowest reported level identical;
+//!   maps begin; `shard_progress` at or above the lowest reported level
+//!   identical;
 //! * a map's beginning only ever moves up to what its readers allow.
 
 use bytes::Bytes;
@@ -28,15 +28,11 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 /// the token of the wait it registered (if it was one).
 type Released = (Vec<(SeqNo, Bytes)>, AggOutput, Option<WaitToken>);
 
-/// One shard of one origin: everything learned since the last skip.
+/// One shard of one origin: everything learned.
 #[derive(Default, Clone)]
 struct NaiveShard {
-    /// Highest shard seq a fast-forward skipped.
-    skipped: SeqNo,
-    /// Learned globals, shard seq `skipped + i + 1` at index `i`.
+    /// Learned globals, shard seq `i + 1` at index `i`.
     globals: Vec<SeqNo>,
-    /// Fast-forward mark.
-    mark: SeqNo,
     /// Where the real map begins, when the model is told (else 0): a
     /// shard frontier below it is answered conservatively.
     begins: SeqNo,
@@ -44,22 +40,22 @@ struct NaiveShard {
 
 impl NaiveShard {
     fn newest(&self) -> SeqNo {
-        self.skipped + self.globals.len() as SeqNo
+        self.globals.len() as SeqNo
     }
 
     fn global_of(&self, shard_seq: SeqNo) -> Option<SeqNo> {
-        let i = shard_seq.checked_sub(self.skipped + 1)?;
+        let i = shard_seq.checked_sub(1)?;
         self.globals.get(i as usize).copied()
     }
 
     /// Shard seq of the last entry with global `≤ global`.
     fn upto(&self, global: SeqNo) -> SeqNo {
-        self.skipped + self.globals.iter().filter(|&&g| g <= global).count() as SeqNo
+        self.globals.iter().filter(|&&g| g <= global).count() as SeqNo
     }
 
     fn progress(&self, global: SeqNo) -> SeqNo {
         match self.upto(global) {
-            upto if upto > self.skipped.max(self.begins) => upto,
+            upto if upto > self.begins => upto,
             _ => 0,
         }
     }
@@ -75,37 +71,24 @@ struct NaiveOrigin {
 }
 
 impl NaiveOrigin {
-    fn never_arrives(&self, g: SeqNo) -> bool {
-        let rules_out = |sh: &NaiveShard| {
-            g <= sh.mark || (!sh.globals.contains(&g) && sh.globals.iter().any(|&x| x > g))
-        };
-        self.shards.iter().all(rules_out)
-    }
-
     fn advance_known(&mut self) {
-        while self.learned.contains(&(self.known_prefix + 1))
-            || self.never_arrives(self.known_prefix + 1)
-        {
+        while self.learned.contains(&(self.known_prefix + 1)) {
             self.known_prefix += 1;
         }
     }
 
     fn drain_ready(&mut self) -> Vec<(SeqNo, Bytes)> {
         let mut ready = Vec::new();
-        loop {
-            let next = self.delivered + 1;
-            if let Some(payload) = self.pending.remove(&next) {
-                ready.push((next, payload));
-            } else if self.pending.is_empty() || !self.never_arrives(next) {
-                return ready;
-            }
-            self.delivered = next;
+        while let Some(payload) = self.pending.remove(&(self.delivered + 1)) {
+            self.delivered += 1;
+            ready.push((self.delivered, payload));
         }
+        ready
     }
 
     fn first_uncovered(&self, shard: usize, f: SeqNo) -> SeqNo {
         let sh = &self.shards[shard];
-        if f < sh.skipped.max(sh.begins) {
+        if f < sh.begins {
             return 1;
         }
         sh.global_of(f + 1).unwrap_or(self.known_prefix + 1)
@@ -127,8 +110,6 @@ enum Step {
     Wait(NodeId, &'static str, SeqNo),
     Unregister(NodeId, &'static str),
     Ensure(NodeId, &'static str),
-    /// Shard jumps to `seq` under the donor's mark.
-    Jump(u16, SeqNo, SeqNo),
 }
 
 struct Naive {
@@ -217,19 +198,6 @@ impl Naive {
                 o.pending.insert(global, payload);
                 (o.drain_ready(), out, None)
             }
-            Step::Jump(shard, seq, mark) => {
-                let o = &mut self.origins[PEER.0 as usize];
-                let sh = &mut o.shards[shard as usize];
-                sh.mark = mark.max(sh.mark);
-                if seq > sh.skipped {
-                    let gone = ((seq - sh.skipped) as usize).min(sh.globals.len());
-                    sh.globals.drain(..gone);
-                    sh.skipped = seq;
-                }
-                o.advance_known();
-                let ready = o.drain_ready();
-                (ready, self.recompute_origin(PEER), None)
-            }
             Step::Ensure(stream, key) => {
                 self.ensure_key(stream, key, 0);
                 (Vec::new(), AggOutput::default(), None)
@@ -284,16 +252,15 @@ fn unfold(actions: Vec<ShardedAction>) -> Released {
     let (mut ready, mut out, mut rank) = (Vec::new(), AggOutput::default(), 0);
     for action in actions {
         let kind = match action {
-            ShardedAction::CatchUp { .. } => 0,
-            ShardedAction::Deliver { seq, payload, .. } => {
+            ShardedAction::Node(Action::Deliver { seq, payload, .. }) => {
                 ready.push((seq, payload));
                 1
             }
-            ShardedAction::Frontier(update) => {
+            ShardedAction::Node(Action::Frontier(update)) => {
                 out.updates.push(update);
                 2
             }
-            ShardedAction::WaitDone { token } => {
+            ShardedAction::Node(Action::WaitDone { token }) => {
                 out.completed.push(token);
                 3
             }
@@ -333,24 +300,6 @@ fn apply_real(
                 unfold(folded)
             } else {
                 let (ready, out) = real.on_shard_deliver(shard, PEER, &framed).expect("framed");
-                (ready, out, None)
-            }
-        }
-        Step::Jump(shard, seq, app_mark) => {
-            if via_fold {
-                let stream = PEER;
-                real.fold(
-                    shard,
-                    Action::CatchUp {
-                        stream,
-                        seq,
-                        app_mark,
-                    },
-                    &mut folded,
-                );
-                unfold(folded)
-            } else {
-                let (ready, out) = real.fast_forward_origin(PEER, shard, seq, app_mark);
                 (ready, out, None)
             }
         }
@@ -403,7 +352,6 @@ fn begins(
         }
     }
     prop_assert_eq!(real.global_of(stream, shard, sh.newest() + 1), None);
-    prop_assert!(begins >= sh.skipped);
     Ok(begins)
 }
 
@@ -422,7 +370,7 @@ proptest! {
             1..200,
         ),
     ) {
-        let mut real = ShardedFrontier::new(2, shards as usize).owning(OWN);
+        let mut real = ShardedFrontier::new(2, shards as usize);
         // `told` hears where the real maps begin; `full` is the
         // unreclaimed behaviour.
         let mut told = Naive::new(2, shards as usize);
@@ -445,9 +393,7 @@ proptest! {
         let mut in_flight = vec![VecDeque::new(); shards as usize];
         let mut shard_seq = vec![0 as SeqNo; shards as usize];
         let mut generations = BTreeMap::new();
-        // The own shard machines' replay floors, and what the
-        // application last reported per level.
-        let mut first_replayable = vec![1 as SeqNo; shards as usize];
+        // What the application last reported per level.
         let mut reported: Vec<Option<SeqNo>> = vec![None; LEVELS.len()];
         // Reporting from the start, no entry is reclaimed before the
         // aggregator knows of the level; a first report that comes late
@@ -464,12 +410,13 @@ proptest! {
         // Steps an op queued beyond its first, fed before the next op.
         let mut steps = VecDeque::new();
         let mut ops = ops.into_iter();
-        let (mut s, mut via_fold) = (0, false);
+        let mut via_fold = false;
         loop {
             let step = if let Some(step) = steps.pop_front() { step } else {
             let Some((op, shard, key, n, own, fold)) = ops.next() else { break };
             let (shard, key, n) = (u16::from(shard) % shards, KEYS[key as usize], SeqNo::from(n));
-            (s, via_fold) = (shard as usize, fold);
+            let s = shard as usize;
+            via_fold = fold;
             let stream = if own { OWN } else { PEER };
             match op {
                 // The peer publishes: nothing reaches this node yet.
@@ -524,26 +471,6 @@ proptest! {
                     Step::Unregister(stream, key)
                 }
                 9 => Step::Ensure(stream, key),
-                // The shard jumps over its next `n` messages; the donor's
-                // mark is the global of the last one it can no longer replay.
-                10 => {
-                    let skip = (n as usize).min(in_flight[s].len());
-                    let skipped: Vec<SeqNo> = in_flight[s].drain(..skip).collect();
-                    let Some(&mark) = skipped.last() else { continue };
-                    shard_seq[s] += skipped.len() as SeqNo;
-                    Step::Jump(shard, shard_seq[s], mark)
-                }
-                // An own shard machine's send buffer lets go of a prefix:
-                // the driver reads the mark at the new floor, then says
-                // the entries below it are no longer needed.
-                13 => {
-                    let published = full.origins[OWN.0 as usize].shards[s].newest();
-                    first_replayable[s] = (first_replayable[s] + n).min(published + 1);
-                    let mark = full.origins[OWN.0 as usize].shards[s].global_of(first_replayable[s] - 1);
-                    prop_assert_eq!(real.transfer_mark(OWN, shard, first_replayable[s]), mark);
-                    real.retain_own_from(shard, first_replayable[s] - 1);
-                    continue;
-                }
                 // The application reports a level, a constant behind
                 // what it was delivered.
                 _ => {
@@ -564,14 +491,9 @@ proptest! {
                 (0..shards as usize).map(|s| {
                     let sh = &o.shards[s];
                     let of_stream = full.keys.iter().filter(|((st, _), _)| st == stream);
-                    let keys = of_stream.map(|(_, st)| st.per_shard[s]).min();
-                    // Nothing of the own stream is ever delivered here.
-                    let searched_above = if *stream == OWN { o.known_prefix } else { o.delivered };
-                    let mut allowed = sh.upto(searched_above).min(sh.newest().saturating_sub(1));
-                    allowed = allowed.min(keys.unwrap_or(SeqNo::MAX));
-                    if *stream == OWN {
-                        allowed = allowed.min(first_replayable[s].saturating_sub(2));
-                    } else if let Some(lowest) = reported.iter().flatten().min() {
+                    let mut allowed = of_stream.map(|(_, st)| st.per_shard[s]).min().unwrap_or(SeqNo::MAX);
+                    // The application reports on the peer's stream only.
+                    if let (PEER, Some(lowest)) = (*stream, reported.iter().flatten().min()) {
                         allowed = allowed.min(sh.upto(*lowest).saturating_sub(1));
                     }
                     (told.origins[stream.0 as usize].shards[s].begins, allowed)
@@ -579,14 +501,13 @@ proptest! {
             }).collect();
 
             let got = apply_real(&mut real, step.clone(), &shard_seq, via_fold);
-            let jumped = matches!(step, Step::Jump(..)).then_some(s);
             let (ready, _, token) = full.apply(step.clone());
             prop_assert_eq!((&got.0, got.2), (&ready, token));
             for stream in [OWN, PEER] {
                 for (s, &(was, allowed)) in before[stream.0 as usize].iter().enumerate() {
                     let sh = &full.origins[stream.0 as usize].shards[s];
                     let at = begins(&real, stream, s as u16, sh)?;
-                    if at > was && !(stream == PEER && jumped == Some(s)) {
+                    if at > was {
                         prop_assert!(at <= allowed, "{:?}/{} begins at {} > {}", stream, s, at, allowed);
                         reclaimed = true;
                     }
@@ -629,10 +550,6 @@ proptest! {
                         prop_assert!(!exact || got == unreclaimed, "{} < {}", got, unreclaimed);
                     }
                 }
-            }
-            for s in 0..shards {
-                let mark = full.origins[OWN.0 as usize].shards[s as usize].global_of(first_replayable[s as usize] - 1);
-                prop_assert_eq!(real.transfer_mark(OWN, s, first_replayable[s as usize]), mark);
             }
             prop_assert_eq!(real.pending_waiters(), told.waiters.len());
         }

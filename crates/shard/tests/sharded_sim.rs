@@ -7,7 +7,7 @@
 //! * placement: a stream's shard sub-streams stay on its replicas;
 //! * the stalled-shard regression: the aggregated frontier is pinned by
 //!   the slowest shard and never regresses when one shard stalls;
-//! * an action is a send, an event or both, and a cut-off peer is
+//! * an action is a send or an event, and a cut-off peer is
 //!   blamed by every shard;
 //! * a property test: per-origin-per-shard FIFO and convergence under
 //!   random loss with retransmission.
@@ -41,8 +41,8 @@ type Frame = (NodeId, NodeId, u16, WireMsg);
 /// in flight waits on one FIFO, each is lost with probability `loss`
 /// (drawn from a seeded generator), and the data frames of the `stall`
 /// shard are parked instead of delivered. Each node's events go into its
-/// own [`EventLog`], and every action drained is checked to be a send,
-/// an event or both.
+/// own [`EventLog`], and every action drained is checked to be a send or
+/// an event.
 struct Net {
     engines: Vec<ShardedEngine>,
     logs: Vec<EventLog>,
@@ -92,19 +92,15 @@ impl Net {
         self.engines[i].swap_actions(&mut self.actions);
         let now = SimTime(self.now);
         for action in self.actions.drain(..) {
-            let event = action.event();
-            if let Some(event) = &event {
-                self.logs[i].record(now, event);
-            }
             match action {
                 ShardedAction::Send { shard, to, msg } => {
                     self.sent[i][to.0 as usize] += 1;
                     self.wire.push_back((NodeId(i as u16), to, shard, msg));
                 }
-                _ => assert!(
-                    event.is_some(),
-                    "node {i} emitted an action nobody sends or sees"
-                ),
+                ShardedAction::Node(action) => match action.event() {
+                    Some(event) => self.logs[i].record(now, &event),
+                    None => panic!("node {i} emitted an action nobody sends or sees"),
+                },
             }
         }
         r
@@ -298,19 +294,17 @@ fn stalled_shard_pins_aggregate_without_regression() {
 }
 
 /// The sharded engine emits only what a driver sends or an observer
-/// sees (the harness checks each drained action), under
-/// `auto_exclude_suspects`, node 0 holding a predicate only node 1 can
-/// satisfy. A publish goes through; then node 1 is cut off, node 0
-/// publishes one message per shard, and each side suspects the other.
-/// The predicate cannot be rewritten without node 1, so it stays as it
-/// is: its frontier freezes, and every shard's report of it is stalled
-/// and blames node 1, suspected.
+/// sees (the harness checks each drained action), node 0 holding a
+/// predicate only node 1 can satisfy. A publish goes through; then node
+/// 1 is cut off and node 0 publishes one message per shard. Its
+/// frontier freezes, and every shard's report of it is stalled and
+/// blames node 1 (not suspected: a sharded node has no failure
+/// detector).
 #[test]
 fn every_action_is_a_send_or_an_event() {
     const SHARDS: u16 = 2;
     let cfg = ClusterConfig::parse(&format!(
-        "az A a b\npredicate All MIN($ALLWNODES-$MYWNODE)\noption shards {SHARDS}\n\
-         option failure_timeout_millis 50\noption auto_exclude_suspects true\n"
+        "az A a b\npredicate All MIN($ALLWNODES-$MYWNODE)\noption shards {SHARDS}\n"
     ))
     .unwrap();
     let mut net = Net::new(&cfg, 1);
@@ -324,8 +318,6 @@ fn every_action_is_a_send_or_an_event() {
         net.on(0, |e| e.publish(Bytes::from_static(b"after")))
             .unwrap();
     }
-    net.settle();
-    net.tick(TimerKind::Failure, 100);
     net.settle();
 
     let reports: Vec<(u16, StallReport)> = net.engines[0]
@@ -349,7 +341,7 @@ fn every_action_is_a_send_or_an_event() {
             .iter()
             .map(|b| (b.node, b.suspected))
             .collect();
-        assert_eq!(blamed, [(NodeId(1), true)], "shard {shard}: {line}");
+        assert_eq!(blamed, [(NodeId(1), false)], "shard {shard}: {line}");
     }
 }
 

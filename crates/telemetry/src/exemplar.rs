@@ -85,15 +85,9 @@ impl ExemplarReservoir {
             self.slots.push(ex);
             return;
         }
-        let (min_idx, min_lat) = self
-            .slots
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, e)| e.latency_ns)
-            .map(|(i, e)| (i, e.latency_ns))
-            .expect("capacity > 0");
-        if ex.latency_ns > min_lat {
-            self.slots[min_idx] = ex;
+        let min = self.slots.iter_mut().min_by_key(|e| e.latency_ns);
+        if let Some(min) = min.filter(|min| ex.latency_ns > min.latency_ns) {
+            *min = ex;
         }
     }
 

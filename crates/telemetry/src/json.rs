@@ -92,13 +92,18 @@ impl JsonValue {
     }
 }
 
-/// Parse one JSON document; trailing whitespace is allowed, trailing
-/// garbage is an error. Errors are a human-readable message with a byte
-/// offset.
+/// How deep arrays and objects may nest — the DSL's bound — so that a
+/// hostile document cannot exhaust the reader's stack.
+const MAX_DEPTH: usize = 128;
+
+/// Parse one JSON document in time linear in its length; trailing
+/// whitespace is allowed, trailing garbage is an error, and so is
+/// nesting deeper than 128 levels. Errors are a human-readable message
+/// with a byte offset.
 pub fn parse_json(text: &str) -> Result<JsonValue, String> {
-    let bytes = text.as_bytes();
     let mut pos = 0usize;
-    let value = parse_value(bytes, &mut pos)?;
+    let value = parse_value(text, &mut pos, 0)?;
+    let bytes = text.as_bytes();
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(format!("trailing garbage at byte {pos}"));
@@ -121,10 +126,16 @@ fn expect(b: &[u8], pos: &mut usize, c: u8) -> Result<(), String> {
     }
 }
 
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
+/// The value at `pos`, inside `depth` enclosing arrays and objects.
+fn parse_value(text: &str, pos: &mut usize, depth: usize) -> Result<JsonValue, String> {
+    let b = text.as_bytes();
     skip_ws(b, pos);
     match b.get(*pos) {
         None => Err("unexpected end of input".to_owned()),
+        Some(b'{' | b'[') if depth == MAX_DEPTH => Err(format!(
+            "nested deeper than {MAX_DEPTH} levels at byte {}",
+            *pos
+        )),
         Some(b'{') => {
             *pos += 1;
             let mut members = Vec::new();
@@ -135,10 +146,10 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
             }
             loop {
                 skip_ws(b, pos);
-                let key = parse_string(b, pos)?;
+                let key = parse_string(text, pos)?;
                 skip_ws(b, pos);
                 expect(b, pos, b':')?;
-                let value = parse_value(b, pos)?;
+                let value = parse_value(text, pos, depth + 1)?;
                 members.push((key, value));
                 skip_ws(b, pos);
                 match b.get(*pos) {
@@ -160,7 +171,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
                 return Ok(JsonValue::Arr(items));
             }
             loop {
-                items.push(parse_value(b, pos)?);
+                items.push(parse_value(text, pos, depth + 1)?);
                 skip_ws(b, pos);
                 match b.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -172,7 +183,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
                 }
             }
         }
-        Some(b'"') => parse_string(b, pos).map(JsonValue::Str),
+        Some(b'"') => parse_string(text, pos).map(JsonValue::Str),
         Some(b't') if b[*pos..].starts_with(b"true") => {
             *pos += 4;
             Ok(JsonValue::Bool(true))
@@ -200,7 +211,8 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
     }
 }
 
-fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
+fn parse_string(text: &str, pos: &mut usize) -> Result<String, String> {
+    let b = text.as_bytes();
     expect(b, pos, b'"')?;
     let mut out = String::new();
     loop {
@@ -235,9 +247,10 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
                 *pos += 1;
             }
             Some(_) => {
-                // Consume one UTF-8 scalar (multi-byte safe).
-                let rest = std::str::from_utf8(&b[*pos..]).map_err(|_| "bad utf8".to_owned())?;
-                let c = rest.chars().next().unwrap();
+                // One character: `pos` is at a character boundary, as
+                // everything consumed before it is whole characters.
+                let c = text.get(*pos..).and_then(|rest| rest.chars().next());
+                let c = c.ok_or_else(|| format!("bad utf8 at byte {}", *pos))?;
                 out.push(c);
                 *pos += c.len_utf8();
             }
@@ -286,5 +299,39 @@ mod tests {
         assert!(parse_json("[1,]").is_err());
         assert!(parse_json("{} x").is_err());
         assert!(parse_json("").is_err());
+    }
+
+    /// `f` on a thread of its own, or a panic if it is not done within
+    /// `secs` seconds.
+    fn within<T: Send + 'static>(secs: u64, f: impl FnOnce() -> T + Send + 'static) -> T {
+        let (tx, rx) = std::sync::mpsc::channel();
+        let running = std::thread::spawn(move || {
+            let _ = tx.send(f());
+        });
+        let deadline = std::time::Duration::from_secs(secs);
+        let out = rx.recv_timeout(deadline).expect("did not finish in time");
+        running.join().expect("the thread ends");
+        out
+    }
+
+    #[test]
+    fn a_long_string_parses_in_linear_time() {
+        let body = "é".repeat(1 << 19);
+        let doc = format!("[\"{body}\",\"x\"]");
+        let parsed = within(5, move || parse_json(&doc));
+        let parsed = parsed.expect("parses");
+        let arr = parsed.as_arr().expect("array");
+        assert_eq!(arr[0].as_str(), Some(body.as_str()));
+        assert_eq!(arr[1].as_str(), Some("x"));
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let deep = |n| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(parse_json(&deep(MAX_DEPTH)).is_ok());
+        assert!(parse_json(&deep(MAX_DEPTH + 1)).is_err());
+        assert!(parse_json(&"[".repeat(100_000)).is_err());
+        let objects = "{\"k\":".repeat(MAX_DEPTH + 1);
+        assert!(parse_json(&objects).is_err());
     }
 }

@@ -32,6 +32,7 @@
 //! this.
 
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 mod exemplar;
 mod export;

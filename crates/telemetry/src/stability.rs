@@ -437,27 +437,24 @@ impl Telemetry {
                     h
                 }
             };
-            if !state.covered.contains_key(update.key.as_str()) {
-                state.covered.insert(update.key.clone(), Vec::new());
-            }
-            if !state.stability_exemplars.contains_key(update.key.as_str()) {
-                state
-                    .stability_exemplars
-                    .insert(update.key.clone(), ExemplarReservoir::default());
-            }
             let idx = update.stream.0 as usize;
             // Split-borrow: cursor from `covered`, stamps from `stamps`,
-            // reservoir from `stability_exemplars`.
+            // reservoir from `stability_exemplars`. The key is copied
+            // only the first time it is seen.
             let StampState {
                 covered,
                 stamps,
                 stability_exemplars,
                 ..
             } = &mut *state;
-            let reservoir = stability_exemplars
-                .get_mut(update.key.as_str())
-                .expect("just inserted");
-            let cursors = covered.get_mut(update.key.as_str()).expect("just inserted");
+            let reservoir = match stability_exemplars.get_mut(update.key.as_str()) {
+                Some(reservoir) => reservoir,
+                None => stability_exemplars.entry(update.key.clone()).or_default(),
+            };
+            let cursors = match covered.get_mut(update.key.as_str()) {
+                Some(cursors) => cursors,
+                None => covered.entry(update.key.clone()).or_default(),
+            };
             if cursors.len() <= idx {
                 cursors.resize(idx + 1, 0);
             }

@@ -181,25 +181,6 @@ impl<M: TcpMachine> NodeHandle<M> {
         self.shared.node.lock().last_published()
     }
 
-    /// Whether the failure detector currently suspects `node`.
-    pub fn is_suspected(&self, node: NodeId) -> bool {
-        self.shared.node.lock().is_suspected(node)
-    }
-
-    /// Ask every peer for a §III-E snapshot + retained-log replay. The
-    /// restore path does this automatically; call it manually to force a
-    /// re-sync (no-op when `transfer_millis` is 0).
-    pub fn begin_catch_up(&self) {
-        let now = self.shared.link.now_nanos();
-        let streams = self.shared.with_node(|node| node.begin_catch_up(now));
-        self.shared.notify_join(streams);
-    }
-
-    /// Number of in-flight state-transfer sessions (inbound + outbound).
-    pub fn active_transfers(&self) -> usize {
-        self.shared.node.lock().active_transfers()
-    }
-
     /// Bound address of the live telemetry endpoint, when spawned with
     /// [`SpawnOptions::serve_addr`](crate::SpawnOptions::serve_addr)
     /// (resolves port 0 to the actual port).
@@ -239,6 +220,25 @@ impl<M: TcpMachine> NodeHandle<M> {
 }
 
 impl NodeHandle {
+    /// Whether the failure detector currently suspects `node`.
+    pub fn is_suspected(&self, node: NodeId) -> bool {
+        self.shared.node.lock().is_suspected(node)
+    }
+
+    /// Ask every peer for a §III-E snapshot + retained-log replay. The
+    /// restore path does this automatically; call it manually to force a
+    /// re-sync (no-op when `transfer_millis` is 0).
+    pub fn begin_catch_up(&self) {
+        let now = self.shared.link.now_nanos();
+        let streams = self.shared.with_node(|node| node.begin_catch_up(now));
+        self.shared.notify_join(streams);
+    }
+
+    /// Number of in-flight state-transfer sessions (inbound + outbound).
+    pub fn active_transfers(&self) -> usize {
+        self.shared.node.lock().active_transfers()
+    }
+
     /// Diagnose why `key`'s frontier on `stream` sits where it does
     /// (`None` if no such predicate is installed).
     pub fn explain_frontier(&self, stream: NodeId, key: &str) -> Option<StallReport> {

@@ -3,7 +3,7 @@
 //! layout). The machine is a plain [`StabilizerNode`] or a
 //! [`ShardedEngine`](stabilizer_shard::ShardedEngine); [`TcpMachine`] is
 //! what this runtime needs of either, and [`crate::sharded`] holds what a
-//! sharded node adds.
+//! sharded node adds (and what it lacks: §III-E recovery).
 //!
 //! The link's I/O loop runs the machine **inline** — it folds each batch
 //! of frames it reads under one acquisition of the state lock, fires
@@ -30,9 +30,11 @@ use std::sync::Arc;
 
 /// What the TCP runtime needs of a machine: what it emits, its frame
 /// lane, how it folds a reader batch, fires a timer and repairs a link,
-/// the calls the handle forwards, and what the loop's telemetry sample,
-/// `/stall` and the handle read off it. Implemented by exactly
-/// [`StabilizerNode`] and
+/// the §III-D calls the handle forwards (publish, register, change,
+/// wait, report, register an ACK type), and what the loop's telemetry
+/// sample, `/stall` and the handle read off it. It has no recovery
+/// calls: restore, suspicion and catch-up are a plain node's alone
+/// (`impl NodeHandle`). Implemented by exactly [`StabilizerNode`] and
 /// [`ShardedEngine`](stabilizer_shard::ShardedEngine); it exists so the
 /// two share one runtime, not as an extension point.
 pub trait TcpMachine: Send + Sized + 'static {
@@ -52,8 +54,6 @@ pub trait TcpMachine: Send + Sized + 'static {
     fn observe(action: &Self::Action) -> Option<Event<'_>>;
     /// See [`StabilizerNode::on_timer`].
     fn on_timer(&mut self, kind: TimerKind, now_nanos: u64);
-    /// See [`StabilizerNode::begin_catch_up`].
-    fn begin_catch_up(&mut self, now_nanos: u64) -> usize;
     /// See [`StabilizerNode::publish`].
     fn publish(&mut self, payload: Bytes) -> Result<SeqNo, CoreError>;
     /// See [`StabilizerNode::register_predicate`].
@@ -90,10 +90,6 @@ pub trait TcpMachine: Send + Sized + 'static {
     fn stability_frontier(&self, stream: NodeId, key: &str) -> Option<(SeqNo, u32)>;
     /// See [`StabilizerNode::last_published`].
     fn last_published(&self) -> SeqNo;
-    /// See [`StabilizerNode::is_suspected`].
-    fn is_suspected(&self, node: NodeId) -> bool;
-    /// See [`StabilizerNode::active_transfers`].
-    fn active_transfers(&self) -> usize;
     /// See [`StabilizerNode::metrics`].
     fn metrics(&self) -> Metrics;
     /// See [`StabilizerNode::register_ack_type`].
@@ -113,9 +109,6 @@ impl TcpMachine for StabilizerNode {
     }
     fn on_timer(&mut self, kind: TimerKind, now_nanos: u64) {
         self.on_timer(kind, now_nanos);
-    }
-    fn begin_catch_up(&mut self, now_nanos: u64) -> usize {
-        self.begin_catch_up(now_nanos)
     }
     fn publish(&mut self, payload: Bytes) -> Result<SeqNo, CoreError> {
         self.publish(payload)
@@ -170,12 +163,6 @@ impl TcpMachine for StabilizerNode {
     }
     fn last_published(&self) -> SeqNo {
         self.last_published()
-    }
-    fn is_suspected(&self, node: NodeId) -> bool {
-        self.is_suspected(node)
-    }
-    fn active_transfers(&self) -> usize {
-        self.active_transfers()
     }
     fn metrics(&self) -> Metrics {
         self.metrics()

@@ -19,6 +19,11 @@
 //!   [`NodeHandle::shard_metrics`] and the per-shard `explain_all`;
 //! * **per-shard `/stall`** — each report names the shard machine that
 //!   diagnosed it.
+//!
+//! And what it lacks: §III-E recovery. [`spawn_sharded_node`] refuses a
+//! snapshot to restore from, and [`ShardedEngine::new`] a config that
+//! asks for failure detection or state transfer; `is_suspected`,
+//! `begin_catch_up` and `active_transfers` are a plain node's calls.
 
 use crate::handle::NodeHandle;
 use crate::link::{self, OsNet};
@@ -50,13 +55,13 @@ impl TcpMachine for ShardedEngine {
         self.swap_actions(buf);
     }
     fn observe(action: &ShardedAction) -> Option<Event<'_>> {
-        action.event()
+        match action {
+            ShardedAction::Send { to, msg, .. } => Event::of_send(*to, msg),
+            ShardedAction::Node(action) => action.event(),
+        }
     }
     fn on_timer(&mut self, kind: TimerKind, now_nanos: u64) {
         self.on_timer(kind, now_nanos);
-    }
-    fn begin_catch_up(&mut self, now_nanos: u64) -> usize {
-        self.begin_catch_up(now_nanos)
     }
     fn publish(&mut self, payload: Bytes) -> Result<SeqNo, CoreError> {
         self.publish(payload)
@@ -127,12 +132,6 @@ impl TcpMachine for ShardedEngine {
     fn last_published(&self) -> SeqNo {
         self.last_published()
     }
-    fn is_suspected(&self, node: NodeId) -> bool {
-        self.is_suspected(node)
-    }
-    fn active_transfers(&self) -> usize {
-        self.active_transfers()
-    }
     fn metrics(&self) -> Metrics {
         self.metrics()
     }
@@ -192,8 +191,9 @@ impl NodeHandle<ShardedEngine> {
 /// # Errors
 ///
 /// Fails if a configured predicate does not compile, and with
-/// [`CoreError::Config`] if `opts` carries a snapshot: a sharded node has
-/// no restore path.
+/// [`CoreError::Config`] if `opts` carries a snapshot or `cfg` a
+/// non-zero `failure_timeout_millis` or `transfer_millis`: a sharded
+/// node has no §III-E recovery.
 pub fn spawn_sharded_node(
     cfg: ClusterConfig,
     me: NodeId,

@@ -6,7 +6,7 @@
 use bytes::Bytes;
 use parking_lot::Mutex;
 use stabilizer_core::{AckTypeRegistry, ClusterConfig, CoreError, NodeId, SeqNo, StabilizerNode};
-use stabilizer_shard::RoutePolicy;
+use stabilizer_shard::{RoutePolicy, ShardedEngine};
 use stabilizer_transport::{
     spawn_sharded_local_cluster, spawn_sharded_node, ShardedTcpNode, SpawnOptions,
 };
@@ -283,20 +283,49 @@ predicate AllRemote MIN($ALLWNODES-$MYWNODE)
     shutdown(&nodes);
 }
 
+/// A sharded node has no §III-E recovery: a snapshot to restore from, a
+/// failure timeout or a transfer period is refused, not ignored.
 #[test]
 fn a_sharded_node_refuses_a_snapshot_it_cannot_restore() {
-    let cfg = cfg(2);
     let acks = Arc::new(AckTypeRegistry::new());
-    let plain = StabilizerNode::new(cfg.clone(), NodeId(0), Arc::clone(&acks)).expect("node");
+    let policy = RoutePolicy::RoundRobin;
+    let spawn = |cfg: ClusterConfig, opts| {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let acks = Arc::clone(&acks);
+        spawn_sharded_node(cfg, NodeId(0), acks, listener, Vec::new(), policy, opts)
+    };
+    let plain = StabilizerNode::new(cfg(2), NodeId(0), Arc::clone(&acks)).expect("node");
     let opts = SpawnOptions {
         snapshot: Some(plain.snapshot()),
         ..SpawnOptions::default()
     };
-    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-    let policy = RoutePolicy::RoundRobin;
-    let spawned = spawn_sharded_node(cfg, NodeId(0), acks, listener, Vec::new(), policy, opts);
     assert!(
-        matches!(spawned, Err(CoreError::Config(_))),
+        matches!(spawn(cfg(2), opts), Err(CoreError::Config(_))),
         "a snapshot was silently ignored"
     );
+
+    // Nor does it detect failures or transfer state: the engine refuses
+    // a config that asks for either, and so does the spawn.
+    let options = cfg(2).options().clone();
+    for (what, options) in [
+        (
+            "failure_timeout_millis",
+            options.clone().failure_timeout_millis(400),
+        ),
+        ("transfer_millis", options.transfer_millis(20)),
+    ] {
+        let cfg = cfg(2).with_options(options);
+        let engine = ShardedEngine::new(cfg.clone(), NodeId(0), Arc::clone(&acks), policy);
+        assert!(
+            matches!(engine, Err(CoreError::Config(_))),
+            "the engine took {what}"
+        );
+        assert!(
+            matches!(
+                spawn(cfg, SpawnOptions::default()),
+                Err(CoreError::Config(_))
+            ),
+            "{what} was silently ignored"
+        );
+    }
 }

@@ -5,7 +5,8 @@
 //! publishers, a manual catch-up reaching the observer, and callbacks
 //! that re-enter the handle. Every case runs on both machines — a plain
 //! node and a sharded one (`option shards 2`) — through one
-//! `NodeHandle<M>`; the [`Runtime`] trait below holds what differs.
+//! `NodeHandle<M>`, save failure detection and catch-up, which a sharded
+//! node does not have; the [`Runtime`] trait below holds what differs.
 
 use bytes::Bytes;
 use stabilizer_core::{
@@ -224,11 +225,14 @@ fn messages_published_before_peers_start_still_arrive() {
     early_messages_arrive::<ShardedEngine>();
 }
 
-fn silent_peer_is_suspected<R: Runtime>() {
+/// A plain node only: a sharded node has no failure detector.
+#[test]
+fn silent_peer_is_suspected_over_tcp() {
     let text =
         format!("{THREE_NODES}option heartbeat_millis 50\noption failure_timeout_millis 400\n");
     let hub = Telemetry::new_wall_clock();
-    let (cluster, _) = spawn_cluster_with::<R>(&cfg::<R>(&text, None), Some(&hub));
+    let cfg = cfg::<StabilizerNode>(&text, None);
+    let (cluster, _) = spawn_cluster_with::<StabilizerNode>(&cfg, Some(&hub));
     let h0 = &cluster[0];
 
     // Warm up: traffic flows, nobody is suspected.
@@ -253,12 +257,6 @@ fn silent_peer_is_suspected<R: Runtime>() {
     for h in &cluster {
         h.shutdown();
     }
-}
-
-#[test]
-fn silent_peer_is_suspected_over_tcp() {
-    silent_peer_is_suspected::<StabilizerNode>();
-    silent_peer_is_suspected::<ShardedEngine>();
 }
 
 fn exhausted_retries_surface<R: Runtime>() {
@@ -494,11 +492,14 @@ fn monitored_frontiers_never_move_back_under_two_publishers() {
 }
 
 /// `begin_catch_up` on a running node asks its peers for a transfer; the
-/// observer must hear of the join on either runtime.
-fn manual_catch_up_reaches_the_observer<R: Runtime>() {
+/// observer must hear of the join. A plain node only: a sharded node has
+/// no state transfer.
+#[test]
+fn a_manual_catch_up_is_reported_as_a_join() {
     let opts = Options::default().transfer_millis(20);
     let hub = Telemetry::new_wall_clock();
-    let (cluster, _) = spawn_cluster_with::<R>(&cfg::<R>(THREE_NODES, Some(opts)), Some(&hub));
+    let cfg = cfg::<StabilizerNode>(THREE_NODES, Some(opts));
+    let (cluster, _) = spawn_cluster_with::<StabilizerNode>(&cfg, Some(&hub));
     let h0 = &cluster[0];
     let seq = publish(h0, b"before the join");
     assert!(waitfor(h0, "AllRemote", seq));
@@ -510,12 +511,6 @@ fn manual_catch_up_reaches_the_observer<R: Runtime>() {
     for h in &cluster {
         h.shutdown();
     }
-}
-
-#[test]
-fn a_manual_catch_up_is_reported_as_a_join() {
-    manual_catch_up_reaches_the_observer::<StabilizerNode>();
-    manual_catch_up_reaches_the_observer::<ShardedEngine>();
 }
 
 /// Callbacks run with no lock held on both runtimes: a frontier monitor
@@ -542,7 +537,6 @@ fn callbacks_may_call_back_into_the_handle<R: Runtime>() {
     let (h, count) = (h1.clone(), Arc::clone(&seen));
     h1.on_deliver(move |origin, seq, _| {
         assert!(R::delivered(&h, origin) >= seq);
-        assert!(!h.is_suspected(origin));
         count.fetch_add(1, Ordering::Relaxed);
     });
 

@@ -22,6 +22,9 @@ const MSGS: SeqNo = 4;
 trait Runtime: TcpMachine {
     /// `option shards` of the cluster (1 on the plain machine).
     const SHARDS: usize;
+    /// `option transfer_millis` of the cluster (0 on the sharded
+    /// machine, which has no state transfer).
+    const TRANSFER_MILLIS: u64;
 
     fn spawn(
         cfg: ClusterConfig,
@@ -31,10 +34,14 @@ trait Runtime: TcpMachine {
         peers: Vec<(NodeId, SocketAddr)>,
         opts: SpawnOptions,
     ) -> NodeHandle<Self>;
+    /// Ask the node's peers for a §III-E transfer (only called when
+    /// [`Runtime::TRANSFER_MILLIS`] is set).
+    fn begin_catch_up(h: &NodeHandle<Self>);
 }
 
 impl Runtime for StabilizerNode {
     const SHARDS: usize = 1;
+    const TRANSFER_MILLIS: u64 = 50;
 
     fn spawn(
         cfg: ClusterConfig,
@@ -48,10 +55,14 @@ impl Runtime for StabilizerNode {
             .expect("spawn")
             .handle()
     }
+    fn begin_catch_up(h: &NodeHandle) {
+        h.begin_catch_up();
+    }
 }
 
 impl Runtime for ShardedEngine {
     const SHARDS: usize = 2;
+    const TRANSFER_MILLIS: u64 = 0;
 
     fn spawn(
         cfg: ClusterConfig,
@@ -66,6 +77,7 @@ impl Runtime for ShardedEngine {
             .expect("spawn sharded")
             .handle()
     }
+    fn begin_catch_up(_: &NodeHandle<Self>) {}
 }
 
 fn wait_until(mut cond: impl FnMut() -> bool) {
@@ -80,8 +92,9 @@ fn wait_until(mut cond: impl FnMut() -> bool) {
 /// node's observer slot holds the hub's observer for it.
 fn spawn_pair<R: Runtime>(hub: &Arc<Telemetry>, observe: bool) -> Vec<NodeHandle<R>> {
     let cfg = format!(
-        "az East a b\noption shards {}\noption transfer_millis 50\npredicate k MIN($ALLWNODES)\n",
-        R::SHARDS
+        "az East a b\noption shards {}\noption transfer_millis {}\npredicate k MIN($ALLWNODES)\n",
+        R::SHARDS,
+        R::TRANSFER_MILLIS
     );
     let cfg = ClusterConfig::parse(&cfg).expect("config");
     let acks = Arc::new(AckTypeRegistry::new());
@@ -175,17 +188,19 @@ fn serves_all_routes_live<R: Runtime>() {
 
     // Node 0 serves node 1's catch-up request as a donor; the ticker
     // carries the machine's `transfer_*` counters into the node gauges.
-    h1.begin_catch_up();
-    wait_until(|| {
-        let (_, json) = http_get(&serve, "/metrics.json").expect("GET /metrics.json");
-        let parsed = parse_json(&json).expect("json parses");
-        let served = parsed
-            .get("gauges")
-            .and_then(|g| g.get("stab_node_transfer_requests{node=\"0\"}"))
-            .and_then(|v| v.as_i64());
-        served > Some(0)
-    });
-    assert!(h0.metrics().transfer_requests > 0);
+    if R::TRANSFER_MILLIS > 0 {
+        R::begin_catch_up(h1);
+        wait_until(|| {
+            let (_, json) = http_get(&serve, "/metrics.json").expect("GET /metrics.json");
+            let parsed = parse_json(&json).expect("json parses");
+            let served = parsed
+                .get("gauges")
+                .and_then(|g| g.get("stab_node_transfer_requests{node=\"0\"}"))
+                .and_then(|v| v.as_i64());
+            served > Some(0)
+        });
+        assert!(h0.metrics().transfer_requests > 0);
+    }
 
     for h in &nodes {
         h.shutdown();

@@ -342,9 +342,9 @@ fn sharded_engines_keep_nothing_per_message() {
 }
 
 /// Memory lent to a stall is given back. A sharded node 0 hears no ACK
-/// on shard 1 for a while — that shard's frontier, and with it the
-/// replay floor, stands still, so node 0's map of its own shard-1
-/// sub-stream grows by an entry per message it routes there. A plain
+/// on shard 1 for a while — that shard's frontier stands still, so node
+/// 0's map of its own shard-1 sub-stream grows by an entry per message
+/// it routes there. A plain
 /// node 0 hears no ACK at all, so its send buffer grows by a payload per
 /// message. Then the reports arrive, the readers catch up, and once the
 /// cluster has run as many rounds again the heap is back at the byte it
