@@ -339,7 +339,8 @@ impl StabilizerNode {
     /// Process an incoming wire message. `now_nanos` drives failure
     /// detection bookkeeping.
     pub fn on_message(&mut self, now_nanos: u64, from: NodeId, msg: WireMsg) {
-        self.on_messages(now_nanos, [(from, msg)]);
+        self.handle(now_nanos, from, msg);
+        self.flush_if_eager();
     }
 
     /// Process a batch of incoming `(sender, message)` pairs, in order,
@@ -380,7 +381,11 @@ impl StabilizerNode {
                 }
                 self.on_data(origin, seq, payload);
             }
-            WireMsg::AckBatch(acks) => self.on_acks(from, &acks),
+            WireMsg::AckBatch(acks) => {
+                self.on_acks(from, &acks);
+                let peers = self.membership.peers().len();
+                self.outbox.recycle(acks, peers);
+            }
             WireMsg::Heartbeat => {}
             // A restored origin's fence asks how far its stream got here.
             WireMsg::TransferRequest { stream, .. } if stream == from => self.report_received(from),
@@ -640,7 +645,9 @@ impl StabilizerNode {
         let old = if self.withhold_old { 0 } else { old };
         let (rec, out, done) = (&self.recorder, &mut self.updates, &mut self.done);
         self.engine.on_ack_advance_from(cell, old, rec, out, done);
-        self.emit();
+        if !(self.updates.is_empty() && self.done.is_empty()) {
+            self.emit();
+        }
     }
 
     /// Turn what the engine just reported into actions: the updates,

@@ -5,6 +5,17 @@
 //! frame it sends is that report (see `StabilizerNode::publish`) — except
 //! by the re-announcement, and for a level registered after the frames
 //! left.
+//!
+//! A batch's allocation is, where one is at hand, a row a peer sent: once
+//! `on_acks` has folded an `AckBatch`, the node hands its `Vec<Ack>` to
+//! [`AckOutbox::recycle`], which empties and keeps it, and `flush` fills
+//! a kept row instead of allocating. With every mirror reporting each
+//! delivery to every peer, the rows a node receives are about as many as
+//! the batches it sends. The bound keeps the outbox from holding what a
+//! stall or a reconnect brought: at most one kept row per peer (one
+//! flush's worth), and only rows whose capacity is no larger than
+//! `pending`'s, so a re-announcement or a backlog's coalesced row is
+//! freed as before.
 
 use crate::messages::{Ack, WireMsg};
 use crate::metrics::Metrics;
@@ -19,6 +30,10 @@ use stabilizer_place::PlacementMap;
 #[derive(Debug, Default)]
 pub(crate) struct AckOutbox {
     pending: Vec<Ack>,
+    /// Emptied rows received from peers, each the allocation of a batch
+    /// `flush` sends next: at most one per peer, none larger than
+    /// `pending`.
+    spare: Vec<Vec<Ack>>,
 }
 
 impl AckOutbox {
@@ -31,6 +46,16 @@ impl AckOutbox {
         {
             Ok(at) => self.pending[at].seq = seq.max(self.pending[at].seq),
             Err(at) => self.pending.insert(at, Ack { stream, ty, seq }),
+        }
+    }
+
+    /// Keep a folded row from a peer as the allocation of a batch to
+    /// come, while fewer than `peers` are kept and if it is no larger
+    /// than `pending`; otherwise it is freed.
+    pub(crate) fn recycle(&mut self, mut row: Vec<Ack>, peers: usize) {
+        if self.spare.len() < peers && row.capacity() <= self.pending.capacity() {
+            row.clear();
+            self.spare.push(row);
         }
     }
 
@@ -49,13 +74,16 @@ impl AckOutbox {
             return;
         }
         for &to in peers {
-            let batch: Vec<Ack> = if placement.is_full_replication() {
-                self.pending.clone()
+            let fresh = || Vec::with_capacity(self.pending.len());
+            let mut batch = self.spare.pop().unwrap_or_else(fresh);
+            if placement.is_full_replication() {
+                batch.extend_from_slice(&self.pending);
             } else {
                 let replicated = |a: &&Ack| placement.is_replica(a.stream, to);
-                self.pending.iter().filter(replicated).copied().collect()
-            };
+                batch.extend(self.pending.iter().filter(replicated));
+            }
             if batch.is_empty() {
+                self.spare.push(batch); // for the next peer
                 continue;
             }
             metrics.control_msgs_sent += 1;

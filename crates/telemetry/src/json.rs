@@ -233,15 +233,7 @@ fn parse_string(text: &str, pos: &mut usize) -> Result<String, String> {
                     Some(b't') => out.push('\t'),
                     Some(b'b') => out.push('\u{8}'),
                     Some(b'f') => out.push('\u{c}'),
-                    Some(b'u') => {
-                        let hex = b
-                            .get(*pos + 1..*pos + 5)
-                            .and_then(|h| std::str::from_utf8(h).ok())
-                            .ok_or("bad \\u escape")?;
-                        let code = u32::from_str_radix(hex, 16).map_err(|_| "bad \\u escape")?;
-                        out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                        *pos += 4;
-                    }
+                    Some(b'u') => out.push(parse_unicode_escape(b, pos)?),
                     _ => return Err(format!("bad escape at byte {}", *pos)),
                 }
                 *pos += 1;
@@ -256,6 +248,41 @@ fn parse_string(text: &str, pos: &mut usize) -> Result<String, String> {
             }
         }
     }
+}
+
+/// The character of the `\u` escape whose `u` is at `pos`, which is
+/// left at the escape's last hex digit. A UTF-16 surrogate names a
+/// character only as a high one followed by a `\u`-escaped low one;
+/// alone or reversed it is refused.
+fn parse_unicode_escape(b: &[u8], pos: &mut usize) -> Result<char, String> {
+    let bad = |at: usize| format!("bad \\u escape at byte {at}");
+    let start = *pos;
+    let high = hex4(b, start + 1).ok_or_else(|| bad(start))?;
+    *pos += 4;
+    let code = match high {
+        0xD800..=0xDBFF => {
+            let low = match b.get(*pos + 1..*pos + 3) {
+                Some(b"\\u") => hex4(b, *pos + 3),
+                _ => None,
+            };
+            let low = low.filter(|l| (0xDC00..=0xDFFF).contains(l));
+            let low = low.ok_or_else(|| bad(start))?;
+            *pos += 6;
+            0x10000 + ((high - 0xD800) << 10) + (low - 0xDC00)
+        }
+        0xDC00..=0xDFFF => return Err(bad(start)),
+        code => code,
+    };
+    char::from_u32(code).ok_or_else(|| bad(start))
+}
+
+/// The four hex digits at `at` as a number; `None` unless all four are
+/// hex digits (no sign, no space).
+fn hex4(b: &[u8], at: usize) -> Option<u32> {
+    let digits = b.get(at..at + 4)?;
+    digits
+        .iter()
+        .try_fold(0, |code, &d| Some(code << 4 | char::from(d).to_digit(16)?))
 }
 
 #[cfg(test)]
@@ -323,6 +350,33 @@ mod tests {
         let arr = parsed.as_arr().expect("array");
         assert_eq!(arr[0].as_str(), Some(body.as_str()));
         assert_eq!(arr[1].as_str(), Some("x"));
+    }
+
+    #[test]
+    fn a_surrogate_pair_is_the_one_character_it_names() {
+        let parsed = parse_json("\"\\ud83d\\ude00\\u00e9\"").unwrap();
+        assert_eq!(parsed.as_str(), Some("\u{1f600}\u{e9}"));
+    }
+
+    #[test]
+    fn a_lone_or_reversed_surrogate_is_refused() {
+        for doc in [
+            "\"\\ud83d\"",
+            "\"\\ud83dx\"",
+            "\"\\ud83d\\u0041\"",
+            "\"\\ude00\"",
+            "\"\\ude00\\ud83d\"",
+        ] {
+            assert!(parse_json(doc).is_err(), "{doc} parsed");
+        }
+    }
+
+    #[test]
+    fn a_unicode_escape_is_four_hex_digits() {
+        for doc in ["\"\\u+041\"", "\"\\u-041\"", "\"\\u 041\"", "\"\\u04\""] {
+            assert!(parse_json(doc).is_err(), "{doc} parsed");
+        }
+        assert_eq!(parse_json("\"\\u004A\"").unwrap().as_str(), Some("J"));
     }
 
     #[test]

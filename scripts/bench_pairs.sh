@@ -10,15 +10,16 @@
 # flipped every pair; each tree builds into its own target directory.
 # `--seconds` defaults to BENCHMARK.json's run_seconds. Prints every
 # run, then per end-to-end metric each side's median and quartiles, the
-# change's wins and ties over the pairs, and the claim rule: a gain may
-# be claimed when at least ten pairs ran, the change won at least nine
-# tenths of them, the medians are apart by more than the distance
-# between the parent's quartiles, and the gate agrees — every run also
-# appends to its side's set file (`--out`), and the parent tree's
-# `stabbench compare` of the two sets, whose table ends the output,
-# must call the metric `better` (its median better by more than the
-# metric's bound in BENCHMARK.json). Exits non-zero only if a run fails
-# its correctness checks.
+# change's wins and ties over the pairs, and the claim rule's two
+# halves on lines of their own. "pairs rule" is met when at least ten
+# pairs ran, the change won at least nine tenths of them and the medians
+# are apart by more than the distance between the parent's quartiles.
+# "gate" is the verdict of the parent tree's `stabbench compare` of the
+# two sets (every run also appends to its side's set file, `--out`;
+# compare's table ends the output): `better` means a median better by
+# more than the metric's bound in BENCHMARK.json. "gain claimable" is
+# the pairs rule met and the gate `better`. Exits non-zero only if a
+# run fails its correctness checks.
 #
 # Every run's line also carries the host's CPU steal over that run (the
 # share of CPU time a hypervisor gave to other guests, from /proc/stat),
@@ -27,7 +28,7 @@
 set -euo pipefail
 
 if [ $# -lt 4 ]; then
-  sed -n '2,26p' "$0" >&2
+  sed -n '2,27p' "$0" >&2
   exit 2
 fi
 parent=$(cd "$1" && pwd)
@@ -153,10 +154,15 @@ for metric in json.load(open(bench_path))["end_to_end"]:
     ratio = cmed / pmed if pmed else float("nan")
     apart = abs(cmed - pmed) > (pq3 - pq1) and ((cmed > pmed) == higher)
     gate = verdict.get(name, "none")
-    claim = len(pairs) >= 10 and wins * 10 >= len(pairs) * 9 and apart and gate == "better"
+    rule = len(pairs) >= 10 and wins * 10 >= len(pairs) * 9 and apart
+    claim = rule and gate == "better"
     print(f"  change/parent median ratio {ratio:.4f}; change wins {wins}/{len(pairs)}, ties {ties}; "
           f"medians apart by more than the parent's inter-quartile distance ({pq3 - pq1:.6g}): "
-          f"{'yes' if apart else 'no'}; compare: {gate}; gain claimable: {'yes' if claim else 'no'}")
+          f"{'yes' if apart else 'no'}")
+    print(f"  pairs rule: {'met' if rule else 'not met'} "
+          f"(>= 10 pairs, >= 9/10 wins, medians apart by more than the parent's quartiles)")
+    print(f"  gate: {gate} (stabbench compare, the bound in BENCHMARK.json)")
+    print(f"  gain claimable: {'yes' if claim else 'no'} (needs the pairs rule met and the gate better)")
 print("host steal (% of CPU time over the run)")
 for side in ("parent", "change"):
     values = [steal[side][p] for p in pairs]
